@@ -121,6 +121,12 @@ func main() {
 	fmt.Printf("lookups (%s): %d ok, %d failed (%.1f%%), avg hops %.2f\n",
 		*algoName, ok, failed, 100*float64(failed)/float64(total),
 		float64(hops)/float64(maxInt(ok, 1)))
+	// What it took, over the whole run. A false failover on the simulator's
+	// loss-free links, or a TTL drop, is a bug worth reporting.
+	st := nw.ProtocolStats()
+	fmt.Printf("  failover: %d of %d forwards ack-solicited (%d more un-held, table full), %d failed over (%d onto a live peer), %d re-issues, %d strict-regime forwards, %d TTL drops\n",
+		st.LookupAcksSolicited, st.LookupsForwarded, st.LookupHeldOverflows, st.LookupFailovers,
+		st.LookupFalseFailovers, st.LookupReissues, st.LookupsStrict, st.LookupsDropped)
 }
 
 type scenarioParams struct {

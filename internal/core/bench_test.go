@@ -91,7 +91,8 @@ func BenchmarkProtocolKeepalive(b *testing.B) {
 
 // TestProtocolSteadyStateAllocs pins the pooled protocol paths at zero
 // steady-state allocations: handling an inbound keep-alive (including the
-// pooled Pong reply) and running an outbound keep-alive tick must not
+// pooled Pong reply), running an outbound keep-alive tick, and forwarding
+// a lookup through the whole hold → hop-ack → release cycle must not
 // allocate once buffers are warm.
 func TestProtocolSteadyStateAllocs(t *testing.T) {
 	// Pooled paths cannot be alloc-free under the race detector: race-mode
@@ -108,7 +109,7 @@ func TestProtocolSteadyStateAllocs(t *testing.T) {
 	// badly timed collection makes a genuinely pooled path report
 	// refill allocations.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	_, target, from, ping := benchCluster(512)
+	nodes, target, from, ping := benchCluster(512)
 	// Warm every scratch buffer and pool.
 	for i := 0; i < 16; i++ {
 		target.HandleMessage(from, ping)
@@ -123,5 +124,33 @@ func TestProtocolSteadyStateAllocs(t *testing.T) {
 		target.keepaliveTick()
 	}); allocs != 0 {
 		t.Fatalf("keep-alive tick allocated %.1f times per tick, want 0", allocs)
+	}
+
+	// A lookup forward to a peer last heard from an hour ago: answered
+	// (pooled hop-ack), held in a slot, sent on as a pooled copy, released
+	// by the next hop's acknowledgement.
+	env := target.env.(*benchEnv)
+	req := &proto.LookupRequest{Origin: nodes[0].Ref(), Target: nodes[len(nodes)-1].ID() - 1,
+		ReqID: 1, TTL: 200, Hops: 1, Algo: proto.AlgoG, AckWanted: true}
+	next := target.route(from, req).Next
+	ack := &proto.LookupReply{From: next, ReqID: 1, Status: proto.LookupHopAck}
+	held := 0
+	forward := func() {
+		env.now += time.Hour
+		target.HandleMessage(from, req)
+		held += int(target.fo.held)
+		target.HandleMessage(next.Addr, ack)
+		held += int(target.fo.held)
+	}
+	for i := 0; i < 16; i++ {
+		forward()
+	}
+	held = 0
+	if allocs := testing.AllocsPerRun(200, forward); allocs != 0 {
+		t.Fatalf("held, acked and released forward allocated %.1f times, want 0", allocs)
+	}
+	if held != 201 || target.Stats.LookupAcksSolicited != 217 || target.Stats.LookupFailovers != 0 {
+		t.Fatalf("each forward must be held once and released: held=%d solicited=%d failovers=%d",
+			held, target.Stats.LookupAcksSolicited, target.Stats.LookupFailovers)
 	}
 }

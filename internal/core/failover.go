@@ -1,0 +1,270 @@
+package core
+
+import (
+	"slices"
+	"time"
+
+	"treep/internal/proto"
+)
+
+// Hop-level failover for lookups (DESIGN.md §15).
+//
+// A routing table mixes first-hand knowledge with hearsay: entries for
+// peers this node has exchanged datagrams with lately, and entries a
+// third party mentioned. Under churn the second kind is where forwarded
+// requests go to die. So a forward to a peer not heard from within one
+// keep-alive round is *held*: the request as received stays in a slot, the
+// forwarded copy carries the ack-wanted bit, and the next hop answers with
+// a hop acknowledgement. Any datagram from that peer releases the slot.
+// Silence past the deadline excludes the peer from this node's routing
+// decisions and routes the held request again, as if it had just arrived.
+//
+// Every interval below comes from the keep-alive period or from the
+// node's own round-trip estimate; there is nothing to configure.
+
+const (
+	// heldSlots bounds the requests one node holds at a time. A hold lasts
+	// one round trip, so even a node forwarding hundreds of requests a
+	// second to stale entries keeps a handful in flight; a forward that
+	// finds no free slot goes out un-held and is counted.
+	heldSlots = 4
+	// suspectSlots bounds the excluded peers; the oldest is forgotten when
+	// a new one needs the slot (and costs one more deadline if it is still
+	// in the table and still dead).
+	suspectSlots = 4
+)
+
+// heldForward is one held request: who was asked, until when, and the
+// request exactly as it reached this node (from is its previous hop, 0
+// when it started here). req.Alternates is the slot's own backing, kept
+// across reuse, so holding an NGSA request does not allocate.
+type heldForward struct {
+	peer     uint64 // 0: slot is free
+	from     uint64
+	deadline time.Duration
+	req      proto.LookupRequest
+}
+
+// failover is a node's hold table and exclusion list, allocated on the
+// node's first hold: an overlay that carries no lookups pays nothing for
+// it. The whole of it fits a 512-byte allocation.
+type failover struct {
+	slots [heldSlots]heldForward
+	// suspects[:suspectN] are the excluded peers, oldest first, with the
+	// time each was excluded; routing reads the addresses through
+	// routeScratch.Excluded.
+	suspects  [suspectSlots]uint64
+	suspectAt [suspectSlots]time.Duration
+	// One deadline timer serves every slot. It is armed when a hold finds
+	// none pending and left to run out when its slot is released early; the
+	// firing re-arms for the earliest deadline still held.
+	timer    Timer
+	fire     func()
+	armed    bool
+	held     uint8
+	suspectN uint8
+}
+
+// --- round-trip estimate -------------------------------------------------------
+
+// The estimate is node-wide, not per peer: the peers a hold concerns are
+// by definition the ones this node has no recent exchange with. It is fed
+// by the keep-alive pings the node sends anyway (keepaliveTick notes the
+// sequence range and the instant, handlePong takes the sample) and
+// smoothed as TCP does (RFC 6298: gain 1/8 on the mean, 1/4 on the
+// deviation). It starts at rttPrior and converges within a few rounds.
+
+// rttPrior is the estimate before any sample: a sixteenth of the
+// keep-alive period, far above any link the defaults are meant for, so a
+// fresh node errs toward waiting.
+func rttPrior(keepAlive time.Duration) time.Duration { return keepAlive / 16 }
+
+func (n *Node) observeRTT(sample time.Duration) {
+	dev := n.srtt - sample
+	if dev < 0 {
+		dev = -dev
+	}
+	n.rttvar += (dev - n.rttvar) / 4
+	n.srtt += (sample - n.srtt) / 8
+}
+
+// rttFloor is the shortest interval the estimate is trusted to resolve:
+// 1/64 of the keep-alive period. Below it a late answer is scheduler and
+// timer granularity, not the network (a loopback round trip measures tens
+// of microseconds; a collector pause is longer).
+func (n *Node) rttFloor() time.Duration { return n.cfg.KeepAlive / 64 }
+
+// rttBound is how long a round trip to an arbitrary peer may take before
+// silence means something: mean plus four deviations.
+func (n *Node) rttBound() time.Duration {
+	return max(n.srtt+4*n.rttvar, n.rttFloor())
+}
+
+// lookupRTO is the origin's first retransmission timeout: a walk that uses
+// its whole hop budget, every forward and the reply charged a full round
+// trip (twice what they cost one way), and half as much again.
+func (n *Node) lookupRTO() time.Duration {
+	return time.Duration(n.cfg.Routing.HopBudget()) * max(n.srtt, n.rttFloor()) * 3 / 2
+}
+
+// --- holding -------------------------------------------------------------------
+
+// hold decides whether the forward of m to next must be acknowledged, and
+// if so keeps m (received from the peer at from). It reports whether the
+// forwarded copy should carry the ack-wanted bit.
+func (n *Node) hold(from uint64, m *proto.LookupRequest, next uint64) bool {
+	now := n.env.Now()
+	bound := n.rttBound()
+	// Heard from within a keep-alive round (and the slack one round trip
+	// needs): the entry is first-hand and as fresh as entries get.
+	if last, ok := n.table.LastDirect(next); ok && now-last <= n.cfg.KeepAlive+bound {
+		return false
+	}
+	fo := n.fo
+	if fo == nil {
+		fo = &failover{}
+		fo.fire = n.heldExpired
+		n.fo = fo
+	}
+	if fo.held == heldSlots {
+		n.Stats.LookupHeldOverflows++
+		return false
+	}
+	var slot *heldForward
+	for i := range fo.slots {
+		if fo.slots[i].peer == 0 {
+			slot = &fo.slots[i]
+			break
+		}
+	}
+	fo.held++
+	slot.peer, slot.from, slot.deadline = next, from, now+2*bound
+	alts := append(slot.req.Alternates[:0], m.Alternates...)
+	slot.req = *m
+	slot.req.Alternates = alts
+	n.Stats.LookupAcksSolicited++
+	if !fo.armed {
+		fo.armed = true
+		fo.timer = n.env.SetTimer(slot.deadline-now, fo.fire)
+	}
+	return true
+}
+
+// heardFrom is the failover half of receiving any datagram from a peer:
+// what was held for it is released, and an exclusion it was under ends.
+// Called for every inbound message, so the idle case is two compares.
+func (n *Node) heardFrom(peer uint64) {
+	fo := n.fo
+	if fo == nil {
+		return
+	}
+	if fo.held > 0 {
+		for i := range fo.slots {
+			if fo.slots[i].peer == peer {
+				fo.slots[i].peer = 0
+				fo.held--
+			}
+		}
+	}
+	for i := range fo.suspects[:fo.suspectN] {
+		if fo.suspects[i] == peer {
+			// Excluded, yet alive: the failover that excluded it left a live
+			// peer for another. Loss or a deadline too tight does this.
+			n.Stats.LookupFalseFailovers++
+			n.dropSuspect(i)
+			break
+		}
+	}
+}
+
+// heldExpired is the deadline timer: every hold whose peer stayed silent
+// excludes that peer and routes its request again.
+func (n *Node) heldExpired() {
+	fo := n.fo
+	now := n.env.Now()
+	// armed stays set while requests are re-routed, so a hold made on the
+	// way does not arm a second timer; one is armed below for whatever is
+	// still held.
+	for i := range fo.slots {
+		slot := &fo.slots[i]
+		if slot.peer == 0 || slot.deadline > now {
+			continue
+		}
+		n.Stats.LookupFailovers++
+		n.suspect(slot.peer, now)
+		// Route from a copy: the re-routed request may be held again, in
+		// this slot or another, and what goes on the wire must not share
+		// the slot's alternates backing.
+		from, req := slot.from, slot.req
+		req.Alternates = slices.Clone(req.Alternates)
+		slot.peer = 0
+		fo.held--
+		n.advance(from, &req)
+	}
+	fo.armed = false
+	if fo.held == 0 {
+		return
+	}
+	var earliest time.Duration
+	for i := range fo.slots {
+		if s := &fo.slots[i]; s.peer != 0 && (earliest == 0 || s.deadline < earliest) {
+			earliest = s.deadline
+		}
+	}
+	fo.armed = true
+	fo.timer = n.env.SetTimer(earliest-now, fo.fire)
+}
+
+// --- exclusion -----------------------------------------------------------------
+
+// suspect excludes peer from this node's routing decisions until it is
+// heard from again or, silent, has had time to expire from the table.
+func (n *Node) suspect(peer uint64, now time.Duration) {
+	fo := n.fo
+	for i := range fo.suspects[:fo.suspectN] {
+		if fo.suspects[i] == peer {
+			n.dropSuspect(i) // re-filed below as the newest
+			break
+		}
+	}
+	if fo.suspectN == suspectSlots {
+		n.dropSuspect(0)
+	}
+	fo.suspects[fo.suspectN], fo.suspectAt[fo.suspectN] = peer, now
+	fo.suspectN++
+	n.routeScratch.Excluded = fo.suspects[:fo.suspectN]
+}
+
+// dropSuspect removes the i-th exclusion, keeping the rest oldest first.
+func (n *Node) dropSuspect(i int) {
+	fo := n.fo
+	copy(fo.suspects[i:fo.suspectN], fo.suspects[i+1:fo.suspectN])
+	copy(fo.suspectAt[i:fo.suspectN], fo.suspectAt[i+1:fo.suspectN])
+	fo.suspectN--
+	n.routeScratch.Excluded = fo.suspects[:fo.suspectN]
+}
+
+// expireSuspects ends exclusions older than the entry TTL (sweep tick): a
+// peer that stayed silent that long is gone from the table, and one that
+// hearsay has since re-filed gets a fresh chance, held as before.
+func (n *Node) expireSuspects(now time.Duration) {
+	fo := n.fo
+	if fo == nil {
+		return
+	}
+	for fo.suspectN > 0 && now-fo.suspectAt[0] >= n.cfg.EntryTTL {
+		n.dropSuspect(0)
+	}
+}
+
+// stopFailover drops the hold table with its timer (node shutdown).
+func (n *Node) stopFailover() {
+	if n.fo == nil {
+		return
+	}
+	if n.fo.armed {
+		n.fo.timer.Cancel()
+	}
+	n.fo = nil
+	n.routeScratch.Excluded = nil
+}

@@ -1,0 +1,405 @@
+package core
+
+import (
+	"testing"
+	"time"
+	"unsafe"
+
+	"treep/internal/proto"
+	"treep/internal/rtable"
+)
+
+// hearsay files refs as level-0 entries this node has never heard from
+// directly — what a neighbour's advertisement leaves behind, and what a
+// forward to it must be held for.
+func hearsay(n *Node, refs ...proto.NodeRef) {
+	for _, r := range refs {
+		n.table.Level0.Upsert(r, proto.FNeighbor|proto.FIndirect, n.env.Now(), n.table.NextVersion(), rtable.Hearsay)
+	}
+}
+
+// foreignRequest is a request from another origin passing through.
+func foreignRequest(reqID uint64) *proto.LookupRequest {
+	return &proto.LookupRequest{Origin: mkRef(50, 9, 0), Target: 500, ReqID: reqID, TTL: 100, Hops: 2, Algo: proto.AlgoG}
+}
+
+func heldCount(n *Node) int {
+	if n.fo == nil {
+		return 0
+	}
+	return int(n.fo.held)
+}
+
+func hopAck(from proto.NodeRef, reqID uint64) *proto.LookupReply {
+	return &proto.LookupReply{From: from, ReqID: reqID, Status: proto.LookupHopAck}
+}
+
+func TestHoldReleasedByHopAck(t *testing.T) {
+	n, env := testNode(100, 1)
+	nbr := mkRef(400, 4, 0)
+	hearsay(n, nbr)
+	n.HandleMessage(9, foreignRequest(7))
+	fwds := msgsOfType[*proto.LookupRequest](env.drain())
+	if len(fwds) != 1 || !fwds[0].AckWanted || fwds[0].Hops != 3 {
+		t.Fatalf("forward to a never-heard-from peer must ask for an ack: %+v", fwds)
+	}
+	if heldCount(n) != 1 || n.Stats.LookupAcksSolicited != 1 {
+		t.Fatalf("held=%d solicited=%d", heldCount(n), n.Stats.LookupAcksSolicited)
+	}
+	n.HandleMessage(4, hopAck(nbr, 7))
+	if heldCount(n) != 0 {
+		t.Fatal("hop-ack did not release the hold")
+	}
+	env.advance(time.Minute)
+	if got := msgsOfType[*proto.LookupRequest](env.drain()); len(got) != 0 || n.Stats.LookupFailovers != 0 {
+		t.Fatalf("released hold failed over anyway: %+v", got)
+	}
+	if n.Stats.LookupFalseFailovers != 0 {
+		t.Fatal("a release is not a false failover")
+	}
+}
+
+func TestAckWantedIsAnsweredAndNotPassedOn(t *testing.T) {
+	n, env := testNode(100, 1)
+	n.InstallLevel0(mkRef(400, 4, 0)) // heard from just now: no hold of our own
+	env.drain()
+	req := foreignRequest(7)
+	req.AckWanted = true
+	n.HandleMessage(8, req)
+	sent := env.drain()
+	acks := msgsOfType[*proto.LookupReply](sent)
+	if len(acks) != 1 || acks[0].Status != proto.LookupHopAck || acks[0].ReqID != 7 || acks[0].From.Addr != 1 {
+		t.Fatalf("hop-ack: %+v", acks)
+	}
+	if sent[0].to != 8 {
+		t.Fatalf("hop-ack went to %d, want the previous hop 8", sent[0].to)
+	}
+	fwds := msgsOfType[*proto.LookupRequest](sent)
+	if len(fwds) != 1 || fwds[0].AckWanted {
+		t.Fatalf("the previous hop's ack request leaked into the forward: %+v", fwds)
+	}
+	if heldCount(n) != 0 {
+		t.Fatal("forward to a fresh peer was held")
+	}
+}
+
+func TestHoldSilenceExcludesAndReroutes(t *testing.T) {
+	n, env := testNode(100, 1)
+	near, far := mkRef(400, 4, 0), mkRef(300, 3, 0)
+	hearsay(n, near, far)
+	n.HandleMessage(9, foreignRequest(7))
+	if fwds := env.sentTo(4); len(fwds) != 1 {
+		t.Fatalf("first choice must be the nearer peer: %+v", env.sent)
+	}
+	env.drain()
+
+	env.advance(2*n.rttBound() - time.Millisecond)
+	if len(env.drain()) != 0 {
+		t.Fatal("failed over before the deadline")
+	}
+	env.advance(time.Millisecond)
+	fwds := msgsOfType[*proto.LookupRequest](env.sent)
+	if len(fwds) != 1 || len(env.sentTo(3)) != 1 {
+		t.Fatalf("silent peer: want one re-route to the other peer, got %+v", env.sent)
+	}
+	// The re-route starts from the request as received, not from the copy
+	// that was lost.
+	if fwds[0].Hops != 3 || fwds[0].TTL != 99 || fwds[0].ReqID != 7 || !fwds[0].AckWanted {
+		t.Fatalf("re-routed request %+v", fwds[0])
+	}
+	if n.Stats.LookupFailovers != 1 || heldCount(n) != 1 {
+		t.Fatalf("failovers=%d held=%d", n.Stats.LookupFailovers, heldCount(n))
+	}
+	env.drain()
+
+	// Excluded from every decision of this node, while the table keeps it.
+	n.HandleMessage(9, foreignRequest(8))
+	if len(env.sentTo(4)) != 0 || len(env.sentTo(3)) != 1 {
+		t.Fatalf("excluded peer still chosen: %+v", env.sent)
+	}
+	if n.table.Level0.Get(4) == nil {
+		t.Fatal("exclusion must leave the table alone")
+	}
+	env.drain()
+
+	// Heard from again: the exclusion ends, and is counted for what it was.
+	n.HandleMessage(4, &proto.Hello{From: near})
+	if n.Stats.LookupFalseFailovers != 1 {
+		t.Fatalf("false failovers %d", n.Stats.LookupFalseFailovers)
+	}
+	env.drain()
+	n.HandleMessage(9, foreignRequest(9))
+	if fwds := msgsOfType[*proto.LookupRequest](env.drain()); len(fwds) != 1 || fwds[0].AckWanted {
+		t.Fatalf("peer heard from a moment ago needs no ack: %+v", fwds)
+	}
+}
+
+func TestExclusionExpiresWithTheEntry(t *testing.T) {
+	n, env := testNode(100, 1)
+	hearsay(n, mkRef(400, 4, 0))
+	n.HandleMessage(9, foreignRequest(7))
+	env.advance(2 * n.rttBound())
+	if n.fo.suspectN != 1 {
+		t.Fatalf("suspects %d", n.fo.suspectN)
+	}
+	// With its only candidate excluded the node is its own owner estimate.
+	if reps := msgsOfType[*proto.LookupReply](env.drain()); len(reps) != 1 || reps[0].Best.Addr != 1 {
+		t.Fatalf("replies %+v", reps)
+	}
+	env.advance(n.cfg.EntryTTL + n.cfg.SweepInterval)
+	if n.fo.suspectN != 0 || len(n.routeScratch.Excluded) != 0 {
+		t.Fatal("exclusion outlived the entry TTL")
+	}
+}
+
+func TestHoldReleasedByUnrelatedDatagram(t *testing.T) {
+	n, env := testNode(100, 1)
+	nbr := mkRef(400, 4, 0)
+	hearsay(n, nbr)
+	n.HandleMessage(9, foreignRequest(7))
+	n.HandleMessage(4, &proto.Ping{From: nbr, Seq: 1})
+	if heldCount(n) != 0 {
+		t.Fatal("any datagram from the peer is the sign of life")
+	}
+	env.drain()
+	env.advance(time.Minute)
+	if n.Stats.LookupFailovers != 0 {
+		t.Fatal("failover after release")
+	}
+}
+
+func TestHeldTableOverflow(t *testing.T) {
+	n, env := testNode(100, 1)
+	hearsay(n, mkRef(400, 4, 0))
+	for i := 0; i < heldSlots+2; i++ {
+		n.HandleMessage(9, foreignRequest(uint64(i+1)))
+	}
+	fwds := msgsOfType[*proto.LookupRequest](env.drain())
+	if len(fwds) != heldSlots+2 {
+		t.Fatalf("every request must still be forwarded: %d", len(fwds))
+	}
+	for i, f := range fwds {
+		if want := i < heldSlots; f.AckWanted != want {
+			t.Fatalf("forward %d: AckWanted=%v", i, f.AckWanted)
+		}
+	}
+	if n.Stats.LookupHeldOverflows != 2 || heldCount(n) != heldSlots {
+		t.Fatalf("overflows=%d held=%d", n.Stats.LookupHeldOverflows, heldCount(n))
+	}
+	// One sign of life releases every slot waiting on that peer.
+	n.HandleMessage(4, hopAck(mkRef(400, 4, 0), 1))
+	if heldCount(n) != 0 {
+		t.Fatalf("held=%d after the peer spoke", heldCount(n))
+	}
+}
+
+func TestHeldSlotOwnsItsAlternates(t *testing.T) {
+	n, env := testNode(100, 1)
+	hearsay(n, mkRef(400, 4, 0), mkRef(300, 3, 0))
+	alts := []proto.NodeRef{mkRef(700, 7, 0)}
+	req := foreignRequest(7)
+	req.Algo, req.Alternates = proto.AlgoNGSA, alts
+	n.HandleMessage(9, req)
+	alts[0] = mkRef(800, 8, 0) // the sender's buffer moves on
+	env.drain()
+	env.advance(2 * n.rttBound())
+	fwds := msgsOfType[*proto.LookupRequest](env.drain())
+	if len(fwds) != 1 {
+		t.Fatalf("re-route: %+v", fwds)
+	}
+	found := false
+	for _, a := range fwds[0].Alternates {
+		if a.Addr == 8 {
+			t.Fatal("held request aliased the received alternates")
+		}
+		found = found || a.Addr == 7
+	}
+	if !found {
+		t.Fatalf("alternates lost in the hold: %+v", fwds[0].Alternates)
+	}
+}
+
+// keepFresh has peer speak every second, so forwards to it are never held
+// and the origin's own timer is all that is left to observe.
+func keepFresh(n *Node, env *fakeEnv, peer proto.NodeRef, d time.Duration, each func()) {
+	for end := env.now + d; env.now < end; {
+		n.HandleMessage(peer.Addr, &proto.Hello{From: peer})
+		env.advance(time.Second)
+		if each != nil {
+			each()
+		}
+	}
+}
+
+func TestReissueSharesReqIDAndAbsorbsDuplicates(t *testing.T) {
+	n, env := testNode(100, 1)
+	nbr := mkRef(400, 4, 0)
+	n.InstallLevel0(nbr)
+	env.drain()
+	calls := 0
+	var got LookupResult
+	id := n.Lookup(500, proto.AlgoG, func(r LookupResult) { calls++; got = r })
+	rto := n.lookupRTO()
+	if rto >= n.cfg.LookupTimeout/2 {
+		t.Fatalf("rto %v leaves no room to re-issue before the %v timeout", rto, n.cfg.LookupTimeout)
+	}
+	keepFresh(n, env, nbr, rto+time.Second, nil)
+	reqs := msgsOfType[*proto.LookupRequest](env.drain())
+	if len(reqs) != 2 || n.Stats.LookupReissues != 1 {
+		t.Fatalf("want the request and one re-issue, got %d (reissues=%d)", len(reqs), n.Stats.LookupReissues)
+	}
+	for _, r := range reqs {
+		if r.ReqID != id || r.Hops != 1 || r.TTL != n.cfg.MaxTTL-1 || r.Origin.Addr != 1 {
+			t.Fatalf("re-issue must be the request again, from the origin: %+v", r)
+		}
+	}
+	if calls != 0 || n.PendingLookups() != 1 {
+		t.Fatal("a re-issue is not an outcome")
+	}
+	// Both copies are answered: the first completes, the second is absorbed.
+	n.HandleMessage(4, &proto.LookupReply{From: nbr, ReqID: id, Status: proto.LookupFound, Best: mkRef(500, 5, 0), Hops: 4})
+	n.HandleMessage(4, &proto.LookupReply{From: nbr, ReqID: id, Status: proto.LookupNotFound, Hops: 9})
+	if calls != 1 || got.Status != LookupFound || got.Hops != 4 {
+		t.Fatalf("calls=%d result %+v", calls, got)
+	}
+	env.advance(time.Minute)
+	if calls != 1 || len(msgsOfType[*proto.LookupRequest](env.drain())) != 0 {
+		t.Fatal("completed lookup kept its timer")
+	}
+}
+
+func TestLookupTimeout(t *testing.T) {
+	// The peer is alive and says so; the lookup is lost beyond it. Re-issues
+	// go out on a doubling RTO and only the hard timeout fails the lookup,
+	// at LookupTimeout to the tick.
+	n, env := testNode(100, 1)
+	nbr := mkRef(400, 4, 0)
+	n.InstallLevel0(nbr)
+	var got LookupResult
+	var firedAt time.Duration
+	n.Lookup(500, proto.AlgoG, func(r LookupResult) { got, firedAt = r, env.now })
+	start := env.now
+	keepFresh(n, env, nbr, n.cfg.LookupTimeout-time.Second, func() {
+		if firedAt != 0 {
+			t.Fatalf("callback at %v, before the hard timeout", firedAt-start)
+		}
+	})
+	env.advance(time.Second)
+	if got.Status != LookupTimeout || firedAt-start != n.cfg.LookupTimeout || got.Latency != n.cfg.LookupTimeout {
+		t.Fatalf("result %+v at %v", got, firedAt-start)
+	}
+	if n.PendingLookups() != 0 {
+		t.Fatal("pending leak after timeout")
+	}
+	if n.Stats.LookupReissues != 2 {
+		// rto, then 2·rto, then the clamp to the hard timeout.
+		t.Fatalf("reissues %d", n.Stats.LookupReissues)
+	}
+}
+
+func TestOriginHoldsItsFirstHop(t *testing.T) {
+	n, env := testNode(100, 1)
+	hearsay(n, mkRef(400, 4, 0), mkRef(300, 3, 0))
+	calls := 0
+	id := n.Lookup(500, proto.AlgoG, func(LookupResult) { calls++ })
+	first := msgsOfType[*proto.LookupRequest](env.drain())
+	if len(first) != 1 || !first[0].AckWanted {
+		t.Fatalf("origin is hop 0: %+v", first)
+	}
+	env.advance(2 * n.rttBound())
+	again := msgsOfType[*proto.LookupRequest](env.drain())
+	if len(again) != 1 || again[0].ReqID != id || again[0].Hops != 1 || len(env.sentTo(4)) != 0 {
+		t.Fatalf("origin failover: %+v", again)
+	}
+	if calls != 0 || n.Stats.LookupFailovers != 1 || n.Stats.LookupReissues != 0 {
+		t.Fatalf("calls=%d failovers=%d reissues=%d", calls, n.Stats.LookupFailovers, n.Stats.LookupReissues)
+	}
+}
+
+func TestHopAckNeverCompletesOwnLookup(t *testing.T) {
+	n, env := testNode(100, 1)
+	nbr := mkRef(400, 4, 0)
+	hearsay(n, nbr)
+	calls := 0
+	id := n.Lookup(500, proto.AlgoG, func(LookupResult) { calls++ })
+	// A foreign request drawn from another origin's counter carries the
+	// same id through this node, to the same peer.
+	n.HandleMessage(9, foreignRequest(id))
+	if heldCount(n) != 2 {
+		t.Fatalf("held=%d", heldCount(n))
+	}
+	n.HandleMessage(4, hopAck(nbr, id))
+	if calls != 0 || n.PendingLookups() != 1 {
+		t.Fatal("hop-ack completed the forwarder's own lookup")
+	}
+	if heldCount(n) != 0 {
+		t.Fatal("hop-ack did not release")
+	}
+	env.drain()
+}
+
+func TestStopFreesFailover(t *testing.T) {
+	n, env := testNode(100, 1)
+	hearsay(n, mkRef(400, 4, 0))
+	n.HandleMessage(9, foreignRequest(7))
+	env.advance(2 * n.rttBound()) // one exclusion on the books
+	n.HandleMessage(9, foreignRequest(8))
+	n.Stop()
+	if n.fo != nil || n.routeScratch.Excluded != nil {
+		t.Fatal("Stop must free the hold table and the exclusions")
+	}
+	env.drain()
+	env.advance(time.Minute)
+	if len(env.drain()) != 0 {
+		t.Fatal("deadline timer survived Stop")
+	}
+}
+
+func TestRTTEstimateFromKeepalive(t *testing.T) {
+	n, env := testNode(100, 1)
+	nbr := mkRef(400, 4, 0)
+	n.InstallLevel0(nbr)
+	prior := n.srtt
+	if prior != n.cfg.KeepAlive/16 || n.rttBound() != 3*prior {
+		t.Fatalf("prior %v bound %v", prior, n.rttBound())
+	}
+	// A pong that answers no ping of a keep-alive round is not a sample.
+	n.HandleMessage(4, &proto.Pong{From: nbr, Seq: 0})
+	n.HandleMessage(4, &proto.Pong{From: nbr, Seq: 12345})
+	if n.srtt != prior {
+		t.Fatal("stray pong moved the estimate")
+	}
+	env.advance(40 * time.Millisecond)
+	for round := 0; round < 40; round++ {
+		env.advance(n.cfg.KeepAlive - 40*time.Millisecond) // to the tick's instant
+		pings := msgsOfType[*proto.Ping](env.drain())
+		if len(pings) == 0 {
+			t.Fatal("no keep-alive ping")
+		}
+		env.advance(40 * time.Millisecond)
+		n.HandleMessage(4, &proto.Pong{From: nbr, Seq: pings[len(pings)-1].Seq})
+	}
+	if d := n.srtt - 40*time.Millisecond; d < -time.Millisecond || d > time.Millisecond {
+		t.Fatalf("srtt %v after forty 40 ms samples", n.srtt)
+	}
+	if n.rttBound() > 50*time.Millisecond || n.rttBound() < n.cfg.KeepAlive/64 {
+		t.Fatalf("bound %v", n.rttBound())
+	}
+	if got, want := n.lookupRTO(), time.Duration(n.cfg.Routing.HopBudget())*n.srtt*3/2; got != want {
+		t.Fatalf("rto %v want %v", got, want)
+	}
+}
+
+// TestNodeFitsItsSizeClass guards the benchmark's heap_bytes_per_node: a
+// Node is allocated with an 8-byte malloc header, so at 1528 bytes it sits
+// in the 1536-byte class and one more word moves every peer to the
+// 1792-byte class (+256 B per peer, +0.8 %). Growing Node is allowed;
+// doing it without noticing is not.
+func TestNodeFitsItsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Node{}); sz > 1528 {
+		t.Fatalf("core.Node is %d bytes: past the 1536-byte size class (see comment)", sz)
+	}
+	if sz := unsafe.Sizeof(failover{}); sz > 504 {
+		t.Fatalf("failover is %d bytes: past the 512-byte size class", sz)
+	}
+}

@@ -50,126 +50,170 @@ type LookupResult struct {
 // Lookup resolves the node responsible for target using the given §III.f
 // algorithm and invokes cb exactly once (found, not-found, or timeout).
 // It returns the request id.
+//
+// A lookup that leaves this node has one timer. It first fires at the
+// retransmission timeout (lookupRTO) and each time it does, the request is
+// routed again from here under the same id — tables have moved on since,
+// and whichever copy is answered first completes the lookup, the other
+// reply finding nothing pending. Only the firing at LookupTimeout reports
+// failure to the caller.
 func (n *Node) Lookup(target idspace.ID, algo proto.Algo, cb func(LookupResult)) uint64 {
 	n.nextReqID++
 	reqID := n.nextReqID
 	n.Stats.LookupsStarted++
-	start := n.env.Now()
 
-	req := &proto.LookupRequest{
-		Origin: n.Ref(),
-		Target: target,
-		ReqID:  reqID,
-		TTL:    n.cfg.MaxTTL,
-		Hops:   0,
-		Algo:   algo,
-	}
-
-	pl := &pendingLookup{cb: cb, algo: algo, started: start}
-	n.pending[reqID] = pl
-
-	finish := func(res LookupResult) {
-		if _, ok := n.pending[reqID]; !ok {
-			return
-		}
-		delete(n.pending, reqID)
-		if pl.timer != nil {
-			pl.timer.Cancel()
-		}
-		res.Latency = n.env.Now() - start
-		cb(res)
-	}
-
-	// Route the first step locally.
-	step := routing.RouteWith(&n.routeScratch, n.Ref(), n.table, req, false, 0, n.cfg.Routing)
+	req := n.originRequest(target, reqID, algo)
+	step := n.route(0, &req)
 	switch step.Action {
 	case routing.Deliver:
 		n.Stats.LookupsDelivered++
-		finish(LookupResult{Status: LookupFound, Best: step.Found, Hops: 0})
+		cb(LookupResult{Status: LookupFound, Best: step.Found})
 		return reqID
 	case routing.NotFound, routing.Drop:
 		n.Stats.LookupsNotFound++
-		finish(LookupResult{Status: LookupNotFound, Hops: 0})
+		cb(LookupResult{Status: LookupNotFound})
 		return reqID
 	}
 
-	pl.timer = n.env.SetTimer(n.cfg.LookupTimeout, func() {
-		if _, ok := n.pending[reqID]; !ok {
-			return
-		}
-		delete(n.pending, reqID)
-		cb(LookupResult{Status: LookupTimeout, Hops: int(n.cfg.MaxTTL), Latency: n.env.Now() - start})
-	})
-
-	fwd := *req
-	fwd.TTL--
-	fwd.Hops++
-	fwd.Alternates = step.Alternates
-	n.Stats.LookupsForwarded++
-	n.send(step.Next.Addr, &fwd)
+	pl := &pendingLookup{node: n, cb: cb, target: target, reqID: reqID, algo: algo, started: n.env.Now(), rto: n.lookupRTO()}
+	pl.fire = pl.onTimer
+	n.pending[reqID] = pl
+	pl.arm()
+	n.forward(0, &req, step)
 	return reqID
+}
+
+// originRequest is the request as it leaves (or leaves again) its origin.
+func (n *Node) originRequest(target idspace.ID, reqID uint64, algo proto.Algo) proto.LookupRequest {
+	return proto.LookupRequest{Origin: n.Ref(), Target: target, ReqID: reqID, TTL: n.cfg.MaxTTL, Algo: algo}
+}
+
+// arm schedules the lookup's next timer firing: one rto from now, or the
+// hard timeout if that comes first.
+func (pl *pendingLookup) arm() {
+	n := pl.node
+	wait := pl.started + n.cfg.LookupTimeout - n.env.Now()
+	if pl.rto < wait {
+		wait = pl.rto
+	}
+	pl.timer = n.env.SetTimer(wait, pl.fire)
+}
+
+// onTimer is the lookup's one timer: a re-issue while the hard timeout is
+// still ahead, the failure once it is reached.
+func (pl *pendingLookup) onTimer() {
+	n := pl.node
+	if n.pending[pl.reqID] != pl {
+		return
+	}
+	if elapsed := n.env.Now() - pl.started; elapsed >= n.cfg.LookupTimeout {
+		delete(n.pending, pl.reqID)
+		pl.cb(LookupResult{Status: LookupTimeout, Hops: int(n.cfg.MaxTTL), Latency: elapsed})
+		return
+	}
+	n.Stats.LookupReissues++
+	pl.rto *= 2
+	// Arm before routing: the new first step may resolve here and now, and
+	// completing the lookup cancels whatever timer it holds.
+	pl.arm()
+	req := n.originRequest(pl.target, pl.reqID, pl.algo)
+	n.advance(0, &req)
 }
 
 // PendingLookups returns the number of in-flight origin lookups.
 func (n *Node) PendingLookups() int { return len(n.pending) }
 
-func (n *Node) handleLookupRequest(from uint64, m *proto.LookupRequest) {
+// route makes the forwarding decision for m, received from the peer at
+// from (0: the request starts, or starts again, here).
+func (n *Node) route(from uint64, m *proto.LookupRequest) routing.Step {
 	parent, hasParent := n.table.Parent()
-	fromParent := hasParent && parent.Addr == from
+	fromParent := from != 0 && hasParent && parent.Addr == from
+	return routing.RouteWith(&n.routeScratch, n.Ref(), n.table, m, fromParent, from, n.cfg.Routing)
+}
 
-	step := routing.RouteWith(&n.routeScratch, n.Ref(), n.table, m, fromParent, from, n.cfg.Routing)
+func (n *Node) handleLookupRequest(from uint64, m *proto.LookupRequest) {
+	if m.AckWanted {
+		// The previous hop is holding this request until it hears from us.
+		ack := proto.AcquireLookupReply()
+		ack.From, ack.ReqID, ack.Status = n.Ref(), m.ReqID, proto.LookupHopAck
+		n.send(from, ack)
+	}
+	n.advance(from, m)
+}
+
+// advance takes m one routing decision further: answer its origin, hand
+// it to the next hop, or let it die. m is read, never kept or changed.
+func (n *Node) advance(from uint64, m *proto.LookupRequest) {
+	step := n.route(from, m)
 	switch step.Action {
 	case routing.Deliver:
 		n.Stats.LookupsDelivered++
-		n.reply(m, &proto.LookupReply{
-			From: n.Ref(), ReqID: m.ReqID,
-			Status: proto.LookupFound, Best: step.Found, Hops: m.Hops,
-		})
+		n.reply(m, proto.LookupFound, step.Found)
 	case routing.Forward:
-		fwd := *m
-		fwd.TTL--
-		fwd.Hops++
-		fwd.Alternates = step.Alternates
-		n.Stats.LookupsForwarded++
-		n.send(step.Next.Addr, &fwd)
+		n.forward(from, m, step)
 	case routing.NotFound:
 		n.Stats.LookupsNotFound++
-		n.reply(m, &proto.LookupReply{
-			From: n.Ref(), ReqID: m.ReqID,
-			Status: proto.LookupNotFound, Hops: m.Hops,
-		})
+		n.reply(m, proto.LookupNotFound, proto.NodeRef{})
 	case routing.Drop:
 		// "IF TTL > 255 THEN discard the request" — the origin times out.
 		n.Stats.LookupsDropped++
 	}
 }
 
-// reply delivers a lookup reply to the origin — directly over the wire,
-// or locally when a wandering request resolved back at its own origin
-// (common for key lookups whose owner is the asking node).
-func (n *Node) reply(req *proto.LookupRequest, rep *proto.LookupReply) {
+// forward sends m on to step.Next. When that peer is not known first-hand
+// to be alive, the request as received is held until it shows a sign of
+// life (failover.go).
+func (n *Node) forward(from uint64, m *proto.LookupRequest, step routing.Step) {
+	fwd := proto.AcquireLookupRequest()
+	*fwd = *m
+	fwd.TTL--
+	fwd.Hops++
+	fwd.Alternates = step.Alternates
+	fwd.AckWanted = n.hold(from, m, step.Next.Addr)
+	n.Stats.LookupsForwarded++
+	if step.Strict {
+		n.Stats.LookupsStrict++
+	}
+	n.send(step.Next.Addr, fwd)
+}
+
+// reply delivers a lookup's outcome to the origin — directly over the
+// wire, or locally when a wandering request resolved back at its own
+// origin (common for key lookups whose owner is the asking node).
+func (n *Node) reply(req *proto.LookupRequest, status proto.LookupStatus, best proto.NodeRef) {
 	if req.Origin.Addr == n.Addr() {
-		n.handleLookupReply(n.Addr(), rep)
+		n.completeLookup(req.ReqID, status, best, req.Hops)
 		return
 	}
+	rep := proto.AcquireLookupReply()
+	rep.From, rep.ReqID, rep.Status, rep.Best, rep.Hops = n.Ref(), req.ReqID, status, best, req.Hops
 	n.send(req.Origin.Addr, rep)
 }
 
 func (n *Node) handleLookupReply(from uint64, m *proto.LookupReply) {
-	pl, ok := n.pending[m.ReqID]
+	if m.Status == proto.LookupHopAck {
+		// A sign of life, already acted on when the datagram came in
+		// (HandleMessage releases what was held for its sender). Its ReqID
+		// is the forwarded request's, drawn from another origin's counter:
+		// it must never reach the pending-lookup match below.
+		return
+	}
+	n.completeLookup(m.ReqID, m.Status, m.Best, m.Hops)
+}
+
+// completeLookup hands an origin-side lookup its outcome. Unknown ids are
+// duplicate or late replies: the other copy of a re-issued request, or an
+// answer that lost the race with the timeout.
+func (n *Node) completeLookup(reqID uint64, status proto.LookupStatus, best proto.NodeRef, hops uint8) {
+	pl, ok := n.pending[reqID]
 	if !ok {
-		return // duplicate or late reply
+		return
 	}
-	delete(n.pending, m.ReqID)
-	if pl.timer != nil {
-		pl.timer.Cancel()
-	}
-	res := LookupResult{Hops: int(m.Hops), Latency: n.env.Now() - pl.started}
-	if m.Status == proto.LookupFound {
-		res.Status = LookupFound
-		res.Best = m.Best
-	} else {
-		res.Status = LookupNotFound
+	delete(n.pending, reqID)
+	pl.timer.Cancel()
+	res := LookupResult{Status: LookupNotFound, Hops: int(hops), Latency: n.env.Now() - pl.started}
+	if status == proto.LookupFound {
+		res.Status, res.Best = LookupFound, best
 	}
 	pl.cb(res)
 }

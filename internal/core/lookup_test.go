@@ -79,21 +79,6 @@ func TestLookupForwardAndReply(t *testing.T) {
 	}
 }
 
-func TestLookupTimeout(t *testing.T) {
-	n, env := testNode(100, 1)
-	n.InstallLevel0(mkRef(400, 4, 0))
-	var got LookupResult
-	fired := false
-	n.Lookup(500, proto.AlgoG, func(r LookupResult) { fired = true; got = r })
-	env.advance(n.cfg.LookupTimeout + time.Second)
-	if !fired || got.Status != LookupTimeout {
-		t.Fatalf("fired=%v result %+v", fired, got)
-	}
-	if n.PendingLookups() != 0 {
-		t.Fatal("pending leak after timeout")
-	}
-}
-
 func TestHandleLookupRequestDeliver(t *testing.T) {
 	n, env := testNode(500, 5)
 	origin := mkRef(100, 1, 0)

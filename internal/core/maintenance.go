@@ -42,9 +42,13 @@ func (n *Node) armReport() {
 // delta each peer has not yet seen (§III.d: "the update can be delayed,
 // waiting to be piggybacked during a keep-alive exchange").
 func (n *Node) keepaliveTick() {
+	// The round's pings share one send instant, which makes them the
+	// round-trip samples (handlePong): no per-ping bookkeeping.
+	n.rttFirst, n.rttSentAt = n.pingSeq+1, n.env.Now()
 	for _, peer := range n.activePeers() {
 		n.sendPing(peer.Addr)
 	}
+	n.rttPings = n.pingSeq + 1 - n.rttFirst
 }
 
 func (n *Node) sendPing(to uint64) {
@@ -80,6 +84,7 @@ func (n *Node) sweepTick() {
 	}
 	freshDegree := n.farewellCheck(now)
 	res := n.table.Sweep(now, n.cfg.EntryTTL)
+	n.expireSuspects(now)
 	for addr, ps := range n.peers {
 		if ps.hasClaim && now-ps.claimAt >= n.cfg.EntryTTL {
 			ps.hasClaim = false
@@ -301,6 +306,9 @@ func (n *Node) handlePing(from uint64, m *proto.Ping) {
 }
 
 func (n *Node) handlePong(from uint64, m *proto.Pong) {
+	if m.Seq-n.rttFirst < n.rttPings {
+		n.observeRTT(n.env.Now() - n.rttSentAt)
+	}
 	n.ringUpsert(m.From)
 	n.noteRef(m.From, true)
 	n.applyEntries(from, m.From, m.Entries)

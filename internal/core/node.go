@@ -98,6 +98,16 @@ type Node struct {
 	pending   map[uint64]*pendingLookup
 	nextReqID uint64
 
+	// Lookup failover (failover.go): the hold table and exclusion list,
+	// allocated on first use, and the node-wide round-trip estimate that
+	// times them and the origin's re-issues. The last keep-alive round's
+	// pings are the rttPings sequence numbers from rttFirst on, all sent at
+	// rttSentAt; a pong echoing one of them is a sample.
+	fo                 *failover
+	srtt, rttvar       time.Duration
+	rttFirst, rttPings uint32
+	rttSentAt          time.Duration
+
 	// Stats counts protocol events; the experiment harness reads it.
 	Stats Stats
 
@@ -246,11 +256,20 @@ func (n *Node) clearRefusal(ps *peerState) {
 	}
 }
 
+// pendingLookup is a lookup that has left its origin and not come back:
+// what to tell the caller, what to send again, and the one timer (with
+// its callback, bound once) that does both.
 type pendingLookup struct {
+	node    *Node
 	cb      func(LookupResult)
 	timer   Timer
+	fire    func()
+	target  idspace.ID
+	reqID   uint64
 	algo    proto.Algo
 	started time.Duration
+	// rto is the wait before the next re-issue; it doubles each time.
+	rto time.Duration
 }
 
 // NewNode constructs a node; it does not touch the network until Start or
@@ -264,6 +283,8 @@ func NewNode(cfg Config, env Env) *Node {
 		table:   rtable.New(),
 		peers:   map[uint64]*peerState{},
 		pending: map[uint64]*pendingLookup{},
+		srtt:    rttPrior(cfg.KeepAlive),
+		rttvar:  rttPrior(cfg.KeepAlive) / 2,
 	}
 	n.maxChildren = cfg.ChildPolicy.MaxChildren(cfg.Profile)
 	if n.maxChildren < 2 {
@@ -364,11 +385,10 @@ func (n *Node) Stop() {
 	n.electionTimer, n.demotionTimer, n.courtTimer = nil, nil, nil
 	n.courting = 0
 	for id, p := range n.pending {
-		if p.timer != nil {
-			p.timer.Cancel()
-		}
+		p.timer.Cancel()
 		delete(n.pending, id)
 	}
+	n.stopFailover()
 }
 
 // Join bootstraps the node into an existing overlay through any live peer
@@ -494,8 +514,10 @@ func (n *Node) HandleMessage(from uint64, msg proto.Message) {
 		n.bootCache[bootSlot(from)] = from
 	}
 	// Any authenticated-by-arrival communication refreshes the sender's
-	// timestamps (§III.c).
+	// timestamps (§III.c) — and is the sign of life a held lookup forward
+	// is waiting for.
 	n.table.Touch(from, n.env.Now())
+	n.heardFrom(from)
 	// The sender's self-identification is first-hand: bus membership it no
 	// longer claims is stale knowledge, dropped on the spot and barred
 	// from hearsay re-introduction while the claim stays fresh.

@@ -29,6 +29,14 @@ type Stats struct {
 	LookupsNotFound  uint64
 	LookupsDropped   uint64 // TTL exhaustion observed at this node
 
+	// Lookup failover (failover.go).
+	LookupAcksSolicited  uint64 // forwards sent with the ack-wanted bit (held)
+	LookupFailovers      uint64 // held forwards re-routed after silence
+	LookupFalseFailovers uint64 // peers excluded by a failover, then heard from
+	LookupHeldOverflows  uint64 // stale forwards sent un-held: no free slot
+	LookupReissues       uint64 // requests routed again from the origin on RTO
+	LookupsStrict        uint64 // forwards made past the hop budget
+
 	LeavesSent uint64 // graceful-departure announcements sent
 	LeavesRecv uint64 // peers dropped on a received departure
 
@@ -62,6 +70,12 @@ func (s *Stats) Add(o Stats) {
 	s.LookupsDelivered += o.LookupsDelivered
 	s.LookupsNotFound += o.LookupsNotFound
 	s.LookupsDropped += o.LookupsDropped
+	s.LookupAcksSolicited += o.LookupAcksSolicited
+	s.LookupFailovers += o.LookupFailovers
+	s.LookupFalseFailovers += o.LookupFalseFailovers
+	s.LookupHeldOverflows += o.LookupHeldOverflows
+	s.LookupReissues += o.LookupReissues
+	s.LookupsStrict += o.LookupsStrict
 	s.LeavesSent += o.LeavesSent
 	s.LeavesRecv += o.LeavesRecv
 	s.ProbesSent += o.ProbesSent

@@ -581,9 +581,17 @@ func (m *LookupRequest) encodeBody(w *writer) {
 	w.u64(m.ReqID)
 	w.u8(m.TTL)
 	w.u8(m.Hops)
-	w.u8(uint8(m.Algo))
+	algo := uint8(m.Algo) &^ lookupAckWanted
+	if m.AckWanted {
+		algo |= lookupAckWanted
+	}
+	w.u8(algo)
 	w.refs(m.Alternates)
 }
+
+// lookupAckWanted is LookupRequest.AckWanted on the wire: the top bit of
+// the Algo byte, which no algorithm identifier reaches.
+const lookupAckWanted = 0x80
 
 func (m *LookupRequest) decodeBody(r *reader) {
 	m.Origin = r.ref()
@@ -591,7 +599,8 @@ func (m *LookupRequest) decodeBody(r *reader) {
 	m.ReqID = r.u64()
 	m.TTL = r.u8()
 	m.Hops = r.u8()
-	m.Algo = Algo(r.u8())
+	algo := r.u8()
+	m.Algo, m.AckWanted = Algo(algo&^lookupAckWanted), algo&lookupAckWanted != 0
 	m.Alternates = r.refs()
 }
 

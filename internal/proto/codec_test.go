@@ -70,8 +70,8 @@ func sampleMessages(rng *rand.Rand) []Message {
 		&BusLinkAck{From: sampleRef(rng), Level: 4, Left: sampleRef(rng), Right: sampleRef(rng)},
 		&LookupRequest{Origin: sampleRef(rng), Target: idspace.ID(rng.Uint64()), ReqID: rng.Uint64(),
 			TTL: uint8(rng.Intn(256)), Hops: uint8(rng.Intn(256)), Algo: Algo(rng.Intn(3)),
-			Alternates: sampleRefs(rng, rng.Intn(4))},
-		&LookupReply{From: sampleRef(rng), ReqID: rng.Uint64(), Status: LookupStatus(rng.Intn(2)),
+			AckWanted: rng.Intn(2) == 0, Alternates: sampleRefs(rng, rng.Intn(4))},
+		&LookupReply{From: sampleRef(rng), ReqID: rng.Uint64(), Status: LookupStatus(rng.Intn(3)),
 			Best: sampleRef(rng), Hops: uint8(rng.Intn(256))},
 		&DHTStore{From: sampleRef(rng), ReqID: rng.Uint64(), Key: idspace.ID(rng.Uint64()), Value: val,
 			Base: rng.Uint64(), Cond: rng.Intn(2) == 0},
@@ -219,6 +219,66 @@ func TestCorruptionDetectionBitFlips(t *testing.T) {
 		b := bytes.Clone(orig)
 		b[bit/8] ^= 1 << (bit % 8)
 		_, _ = Decode(b)
+	}
+}
+
+// TestLookupAckWantedWire pins the ack-wanted bit to the top bit of the
+// Algo byte: the encoding keeps its size, a request without the bit is
+// byte-identical to what a pre-failover peer sent (so old encodings still
+// decode, to AckWanted false), and the bit never leaks into Algo.
+func TestLookupAckWantedWire(t *testing.T) {
+	for _, algo := range []Algo{AlgoG, AlgoNG, AlgoNGSA} {
+		plain := &LookupRequest{Origin: NodeRef{ID: 9, Addr: 9}, Target: 42, ReqID: 7, TTL: 8, Hops: 3, Algo: algo,
+			Alternates: []NodeRef{{ID: 1, Addr: 3}}}
+		asked := *plain
+		asked.AckWanted = true
+		old, b := Encode(plain), Encode(&asked)
+		if len(old) != len(b) {
+			t.Fatalf("%v: ack-wanted changed the size: %d vs %d", algo, len(old), len(b))
+		}
+		algoAt := headerSize + nodeRefSize + 8 + 8 + 1 + 1
+		if old[algoAt] != uint8(algo) {
+			t.Fatalf("%v: old encoding's algo byte is %#x", algo, old[algoAt])
+		}
+		for i := range old {
+			if want := old[i]; i == algoAt {
+				if b[i] != want|0x80 {
+					t.Fatalf("%v: algo byte %#x, want %#x", algo, b[i], want|0x80)
+				}
+			} else if b[i] != want {
+				t.Fatalf("%v: byte %d differs", algo, i)
+			}
+		}
+		for _, c := range []struct {
+			wire []byte
+			want *LookupRequest
+		}{{old, plain}, {b, &asked}} {
+			got, err := Decode(c.wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("%v: decoded %+v, want %+v", algo, got, c.want)
+			}
+		}
+	}
+}
+
+// TestLookupHopAckRoundTrip: the hop acknowledgement is a LookupReply
+// with its own status, through both decode paths.
+func TestLookupHopAckRoundTrip(t *testing.T) {
+	ack := AcquireLookupReply()
+	ack.From, ack.ReqID, ack.Status = NodeRef{ID: 5, Addr: 6, MaxLevel: 2}, 77, LookupHopAck
+	b := Encode(ack)
+	for _, dec := range []func([]byte) (Message, error){Decode, DecodePooled} {
+		got, err := dec(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := got.(*LookupReply); r.Status != LookupHopAck || r.ReqID != 77 || r.From != ack.From {
+			t.Fatalf("decoded %+v", r)
+		}
+		ReleaseDecoded(got)
 	}
 }
 

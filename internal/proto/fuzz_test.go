@@ -18,6 +18,10 @@ func FuzzRoundTrip(f *testing.F) {
 	for _, m := range sampleMessages(rng) {
 		f.Add(Encode(m))
 	}
+	// The two lookup-failover encodings by name, whatever the sample draw
+	// happened to pick: the ack-wanted bit and the hop-ack status.
+	f.Add(Encode(&LookupRequest{Origin: NodeRef{ID: 9, Addr: 9}, Target: 42, ReqID: 7, TTL: 8, Algo: AlgoNGSA, AckWanted: true}))
+	f.Add(Encode(&LookupReply{From: NodeRef{ID: 9, Addr: 9}, ReqID: 7, Status: LookupHopAck}))
 	// A few malformed shapes so the corpus exercises the error paths too.
 	f.Add([]byte{})
 	f.Add([]byte{wireMagic, wireVersion})

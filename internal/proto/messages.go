@@ -330,12 +330,18 @@ func (a Algo) String() string {
 // request can fall back to, "at the expense of adding data to the request"
 // (§III.f).
 type LookupRequest struct {
-	Origin     NodeRef // reply destination
-	Target     idspace.ID
-	ReqID      uint64
-	TTL        uint8
-	Hops       uint8
-	Algo       Algo
+	Origin NodeRef // reply destination
+	Target idspace.ID
+	ReqID  uint64
+	TTL    uint8
+	Hops   uint8
+	Algo   Algo
+	// AckWanted asks the receiving hop for a sign of life (a LookupReply
+	// with status LookupHopAck, sent to the previous hop): the forwarder is
+	// holding the request because it has not heard from this peer lately.
+	// On the wire it is the top bit of the Algo byte, so the encoding is
+	// the size it always was and a request without the bit is unchanged.
+	AckWanted  bool
 	Alternates []NodeRef
 }
 
@@ -346,9 +352,14 @@ type LookupStatus uint8
 const (
 	LookupFound    LookupStatus = iota // Best is the target or its owner
 	LookupNotFound                     // routing dead-ended
+	// LookupHopAck is not an outcome: it is the solicited sign of life a
+	// hop sends back to the forwarder that set AckWanted. It carries the
+	// request's ReqID for tracing only and never completes a lookup.
+	LookupHopAck
 )
 
-// LookupReply terminates a lookup.
+// LookupReply terminates a lookup (or, with status LookupHopAck,
+// acknowledges one hop of it).
 type LookupReply struct {
 	From   NodeRef
 	ReqID  uint64

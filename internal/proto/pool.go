@@ -29,6 +29,8 @@ var (
 	dhtStoreAckPool = sync.Pool{New: func() interface{} { return new(DHTStoreAck) }}
 	dhtFetchRepPool = sync.Pool{New: func() interface{} { return new(DHTFetchReply) }}
 	dhtReplAckPool  = sync.Pool{New: func() interface{} { return new(DHTReplicateAck) }}
+	lookupReqPool   = sync.Pool{New: func() interface{} { return new(LookupRequest) }}
+	lookupReplyPool = sync.Pool{New: func() interface{} { return new(LookupReply) }}
 )
 
 // entrySeedCap pre-sizes a pooled message's entry buffer: typical updates
@@ -137,6 +139,31 @@ func AcquireMergeIntro() *MergeIntro {
 // Recycle implements Recyclable.
 func (m *MergeIntro) Recycle() { mergeIntroPool.Put(m) }
 
+// AcquireLookupRequest returns a pooled LookupRequest: the copy a hop
+// sends on, read and never kept by the hop that receives it. Alternates
+// comes back nil, not as recycled capacity — a forwarded request shares
+// its alternates backing with the request it was copied from.
+func AcquireLookupRequest() *LookupRequest {
+	m := lookupReqPool.Get().(*LookupRequest)
+	*m = LookupRequest{}
+	return m
+}
+
+// Recycle implements Recyclable.
+func (m *LookupRequest) Recycle() { lookupReqPool.Put(m) }
+
+// AcquireLookupReply returns a pooled LookupReply. Hop acknowledgements
+// are per-hop traffic and final replies per-lookup traffic; both go to
+// exactly one destination and are consumed by value in the handler.
+func AcquireLookupReply() *LookupReply {
+	m := lookupReplyPool.Get().(*LookupReply)
+	*m = LookupReply{}
+	return m
+}
+
+// Recycle implements Recyclable.
+func (m *LookupReply) Recycle() { lookupReplyPool.Put(m) }
+
 // valueSeedCap pre-sizes a pooled DHT message's value buffer; typical
 // records are small key-value payloads, and keeping the capacity across
 // pool cycles makes the steady-state reply path allocation-free.
@@ -205,6 +232,10 @@ func acquireMessage(t MsgType) Message {
 		return AcquireRingProbeAck()
 	case TMergeIntro:
 		return AcquireMergeIntro()
+	case TLookupRequest:
+		return AcquireLookupRequest()
+	case TLookupReply:
+		return AcquireLookupReply()
 	case TDHTStoreAck:
 		return AcquireDHTStoreAck()
 	case TDHTFetchReply:

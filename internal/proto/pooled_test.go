@@ -65,6 +65,8 @@ var pooledWireTypes = map[MsgType]bool{
 	TRingProbe:       true,
 	TRingProbeAck:    true,
 	TMergeIntro:      true,
+	TLookupRequest:   true,
+	TLookupReply:     true,
 	TDHTStoreAck:     true,
 	TDHTFetchReply:   true,
 	TDHTReplicateAck: true,

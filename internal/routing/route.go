@@ -50,6 +50,9 @@ type Step struct {
 	// Alternates is the updated NGSA fall-back list to carry in the
 	// forwarded request.
 	Alternates []proto.NodeRef
+	// Strict marks a decision taken past the hop budget (Params.HopBudget),
+	// where only strict Euclidean progress is allowed.
+	Strict bool
 }
 
 // Params configures the decision logic.
@@ -76,12 +79,65 @@ type Params struct {
 // DefaultMaxAlternates bounds the NGSA list when Params leaves it zero.
 const DefaultMaxAlternates = 8
 
+// HopBudget is the number of forwards a request may take under the
+// hierarchy's own rules: a climb to the root and a descent from it
+// (2·Height), plus a lateral hop at either end. A request past it is in a
+// walk the hierarchy has failed to terminate, and from then on only
+// strict Euclidean progress is allowed (see RouteWith).
+func (p Params) HopBudget() int { return 2*int(p.Height) + 2 }
+
+// Regime is the rule set a request is routed under. Its hop count alone
+// decides it, so a static walk that revisits a (node, sender) pair in the
+// same regime repeats itself.
+type Regime uint8
+
+// Routing regimes, in the order a request passes through them.
+const (
+	// Hierarchical: the model's tessellation-aware distance (§III.f).
+	Hierarchical Regime = iota
+	// Euclidean: past Height hops the network is assumed disrupted and
+	// plain Euclidean distance gives finer-grained routing (§III.f).
+	Euclidean
+	// StrictProgress: past HopBudget hops only strict Euclidean progress.
+	StrictProgress
+)
+
+// Regime returns the regime of a request that has made hops forwards.
+func (p Params) Regime(hops uint8) Regime {
+	switch {
+	case int(hops) > p.HopBudget():
+		return StrictProgress
+	case hops > p.Height:
+		return Euclidean
+	}
+	return Hierarchical
+}
+
 // Scratch holds reusable buffers for the routing decision. A node (or any
 // single-threaded driver) keeps one Scratch and passes it to RouteWith so
 // the per-hop candidate collection allocates nothing. The zero value is
 // ready to use.
 type Scratch struct {
 	cands []proto.NodeRef
+	// Excluded lists peers that decisions made with this scratch treat as
+	// absent from the table: the owner's next hops that stayed silent when
+	// asked for a sign of life. The entries themselves stay where they are
+	// (the table's repair paths are not the lookup's business); every
+	// branch below skips them. The slice is the owner's, RouteWith only
+	// reads it.
+	Excluded Excluded
+}
+
+// Excluded is a short list of peer addresses (see Scratch.Excluded).
+type Excluded []uint64
+
+func (ex Excluded) has(addr uint64) bool {
+	for _, e := range ex {
+		if e == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // Route makes the §III.f forwarding decision for req at the node self with
@@ -117,14 +173,11 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 		return Step{Action: Deliver, Found: ref}
 	}
 
-	// Distance model: after more hops than the hierarchy is tall, the
-	// network is assumed disrupted and plain Euclidean distance gives the
-	// finer-grained routing of §III.f.
+	// Distance model: the configured one while the request is within the
+	// hierarchy's height, plain Euclidean after.
+	regime := p.Regime(req.Hops)
 	var model Model = p.Model
-	if model == nil {
-		model = EuclideanModel{}
-	}
-	if req.Hops > p.Height {
+	if model == nil || regime != Hierarchical {
 		model = EuclideanModel{}
 	}
 	dSelf := model.D(self, x)
@@ -135,8 +188,9 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 	cands := tbl.Candidates(sc.cands[:0])
 	sc.cands = cands
 	filtered := cands[:0]
+	ex := sc.Excluded
 	for _, c := range cands {
-		if c.Addr == sender || c.Addr == self.Addr {
+		if c.Addr == sender || c.Addr == self.Addr || ex.has(c.Addr) {
 			continue
 		}
 		filtered = append(filtered, c)
@@ -159,9 +213,24 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 		// estimate still counts as a miss. NGSA falls back to a carried
 		// alternate before either answer.
 		if sender == 0 {
-			return finishNGSA(req, p, Step{Action: NotFound})
+			return finishNGSA(req, p, ex, Step{Action: NotFound})
 		}
-		return finishNGSA(req, p, Step{Action: Deliver, Found: self})
+		return finishNGSA(req, p, ex, Step{Action: Deliver, Found: self})
+	}
+
+	// Past the hop budget the hierarchy's rules have had their chance: the
+	// halving rule, the climb to the highest superior and the parent's
+	// delegation can between them send a request round the same few peers
+	// until the TTL kills it. From here the only move is to the
+	// Euclidean-nearest candidate strictly closer to the target than this
+	// node, and when there is none this node is the owner estimate. Every
+	// such step shrinks the distance, so the walk cannot revisit a node
+	// and ends at a local minimum — on an intact ring, the owner.
+	if regime == StrictProgress {
+		if next := cands[0]; idspace.Dist(next.ID, x) < idspace.Dist(self.ID, x) {
+			return Step{Action: Forward, Next: next, Alternates: req.Alternates, Strict: true}
+		}
+		return Step{Action: Deliver, Found: self, Strict: true}
 	}
 
 	// A request delegated by the own parent searches level 0 only
@@ -173,10 +242,10 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 	if fromParent {
 		eu := EuclideanModel{}
 		dE := idspace.DistF(self.ID, x)
-		if best, ok := bestImproving(eu, tbl.Level0.Refs(), x, dE, sender, self.Addr); ok {
+		if best, ok := bestImproving(eu, tbl.Level0.Refs(), x, dE, sender, self.Addr, ex); ok {
 			return Step{Action: Forward, Next: best, Alternates: req.Alternates}
 		}
-		if child, ok := tbl.Children.Nearest(x); ok && child.Addr != self.Addr && child.Addr != sender {
+		if child, ok := nearestChild(tbl, x, ex); ok && child.Addr != self.Addr && child.Addr != sender {
 			if idspace.Dist(child.ID, x) < idspace.Dist(self.ID, x) {
 				return Step{Action: Forward, Next: child, Alternates: req.Alternates}
 			}
@@ -186,14 +255,14 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 		// child competitors matter here. If neither is closer, we own it.
 		closer := false
 		for _, r := range tbl.Level0.Refs() {
-			if r.Addr != sender && r.Addr != self.Addr && idspace.Dist(r.ID, x) < idspace.Dist(self.ID, x) {
+			if r.Addr != sender && r.Addr != self.Addr && !ex.has(r.Addr) && idspace.Dist(r.ID, x) < idspace.Dist(self.ID, x) {
 				closer = true
 				break
 			}
 		}
 		if !closer {
 			for _, r := range tbl.Children.Refs() {
-				if r.Addr != sender && r.Addr != self.Addr && idspace.Dist(r.ID, x) < idspace.Dist(self.ID, x) {
+				if r.Addr != sender && r.Addr != self.Addr && !ex.has(r.Addr) && idspace.Dist(r.ID, x) < idspace.Dist(self.ID, x) {
 					closer = true
 					break
 				}
@@ -203,23 +272,23 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 			return Step{Action: Deliver, Found: self}
 		}
 		// "IF Request from parent of level 1 THEN Reply Not Found".
-		return finishNGSA(req, p, Step{Action: NotFound})
+		return finishNGSA(req, p, ex, Step{Action: NotFound})
 	}
 
 	switch req.Algo {
 	case proto.AlgoNG:
-		return routeNG(self, req, model, cands, x, dSelf, tbl, p, sender, false)
+		return routeNG(self, req, model, cands, x, dSelf, tbl, p, sender, ex, false)
 	case proto.AlgoNGSA:
-		return routeNG(self, req, model, cands, x, dSelf, tbl, p, sender, true)
+		return routeNG(self, req, model, cands, x, dSelf, tbl, p, sender, ex, true)
 	default:
-		return routeGreedy(self, req, model, cands, x, dSelf, tbl, p, sender)
+		return routeGreedy(self, req, model, cands, x, dSelf, tbl, p, sender, ex)
 	}
 }
 
 // routeGreedy is algorithm G: pick the candidate minimising D, forward when
 // the halving rule D(n,x) ≤ ½·D(a,x) holds or the node is at level 0;
 // otherwise escalate through children/superiors.
-func routeGreedy(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64) Step {
+func routeGreedy(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded) Step {
 	best := cands[0]
 	bestD := model.D(best, x)
 	for _, c := range cands[1:] {
@@ -261,14 +330,14 @@ func routeGreedy(self proto.NodeRef, req *proto.LookupRequest, model Model, cand
 			return Step{Action: Forward, Next: best, Alternates: req.Alternates}
 		}
 	}
-	return escalate(self, req, model, cands, x, dSelf, tbl, p, sender, false)
+	return escalate(self, req, model, cands, x, dSelf, tbl, p, sender, ex, false)
 }
 
 // routeNG is algorithms NG and NGSA: take the first candidate strictly
 // closer to the target ("the procedure basically ends when a node
 // satisfying the condition is found"); NGSA additionally accumulates the
 // remaining improving candidates as fall-back alternates.
-func routeNG(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, collectAlternates bool) Step {
+func routeNG(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded, collectAlternates bool) Step {
 	var first proto.NodeRef
 	found := false
 	var alternates []proto.NodeRef
@@ -284,7 +353,7 @@ func routeNG(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []
 		}
 	}
 	if !found {
-		return escalate(self, req, model, cands, x, dSelf, tbl, p, sender, collectAlternates)
+		return escalate(self, req, model, cands, x, dSelf, tbl, p, sender, ex, collectAlternates)
 	}
 	out := req.Alternates
 	if collectAlternates {
@@ -299,7 +368,7 @@ func routeNG(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []
 // list (closest member satisfying the halving rule, else the highest-level
 // member), else — for NGSA — fall back to an alternate carried in the
 // request, else give up.
-func escalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ngsa bool) Step {
+func escalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded, ngsa bool) Step {
 	// Lateral hand-off: when this node's coverage makes D = 0 it believes
 	// it owns the target — but the coverage radius is an approximation,
 	// and the true owner of a 1-D tessellation is the *nearest* member.
@@ -328,7 +397,7 @@ func escalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cands [
 	// improvement (a parent covering the target has D = 0, which nothing
 	// improves on); strict Euclidean progress is required instead, so a
 	// parent/child pair cannot ping-pong.
-	if child, ok := tbl.Children.Nearest(x); ok && child.Addr != self.Addr && child.Addr != sender {
+	if child, ok := nearestChild(tbl, x, ex); ok && child.Addr != self.Addr && child.Addr != sender {
 		if idspace.Dist(child.ID, x) < idspace.Dist(self.ID, x) {
 			return Step{Action: Forward, Next: child, Alternates: req.Alternates}
 		}
@@ -338,7 +407,7 @@ func escalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cands [
 	// level-0 ring nearby; walk it by Euclidean progress. Climbing would
 	// only bounce the request back down.
 	if dSelf == 0 {
-		if step, ok := ringWalk(self, req, tbl, x, sender); ok {
+		if step, ok := ringWalk(self, req, tbl, x, sender, ex); ok {
 			return step
 		}
 	}
@@ -362,11 +431,11 @@ func escalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cands [
 	parent, hasParent := tbl.Parent()
 	eachSup := func(fn func(proto.NodeRef)) {
 		for _, s := range tbl.Superiors.Refs() {
-			if s.Addr != self.Addr && s.Addr != sender {
+			if s.Addr != self.Addr && s.Addr != sender && !ex.has(s.Addr) {
 				fn(s)
 			}
 		}
-		if hasParent && parent.Addr != self.Addr && parent.Addr != sender {
+		if hasParent && parent.Addr != self.Addr && parent.Addr != sender && !ex.has(parent.Addr) {
 			fn(parent)
 		}
 	}
@@ -403,12 +472,12 @@ func escalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cands [
 	// reachable target is eventually found within the TTL — the linear
 	// cost only bites in the heavily damaged regimes where the paper
 	// itself falls back to Euclidean routing.
-	if step, ok := ringWalk(self, req, tbl, x, sender); ok {
+	if step, ok := ringWalk(self, req, tbl, x, sender, ex); ok {
 		return step
 	}
 
 	if ngsa {
-		return finishNGSA(req, p, Step{Action: NotFound})
+		return finishNGSA(req, p, ex, Step{Action: NotFound})
 	}
 	return Step{Action: NotFound}
 }
@@ -426,27 +495,35 @@ func anyCloser(cands []proto.NodeRef, self proto.NodeRef, x idspace.ID) bool {
 
 // ringWalk forwards to the level-0 contact that makes the best strict
 // Euclidean progress toward x, if any.
-func ringWalk(self proto.NodeRef, req *proto.LookupRequest, tbl *rtable.Table, x idspace.ID, sender uint64) (Step, bool) {
+func ringWalk(self proto.NodeRef, req *proto.LookupRequest, tbl *rtable.Table, x idspace.ID, sender uint64, ex Excluded) (Step, bool) {
 	dE := idspace.DistF(self.ID, x)
-	if best, ok := bestImproving(EuclideanModel{}, tbl.Level0.Refs(), x, dE, sender, self.Addr); ok {
+	if best, ok := bestImproving(EuclideanModel{}, tbl.Level0.Refs(), x, dE, sender, self.Addr, ex); ok {
 		return Step{Action: Forward, Next: best, Alternates: req.Alternates}, true
 	}
 	return Step{}, false
 }
 
 // finishNGSA converts a dead end into a jump to the nearest carried
-// alternate when the request has any (the "fall back" of NGSA).
-func finishNGSA(req *proto.LookupRequest, p Params, dead Step) Step {
-	if req.Algo != proto.AlgoNGSA || len(req.Alternates) == 0 {
+// alternate when the request has any (the "fall back" of NGSA). An
+// excluded alternate is no fall-back: it stays in the list for the next
+// hop to judge.
+func finishNGSA(req *proto.LookupRequest, p Params, ex Excluded, dead Step) Step {
+	if req.Algo != proto.AlgoNGSA {
 		return dead
 	}
 	// Pop the alternate nearest to the target.
-	bestIdx := 0
-	bestD := idspace.Dist(req.Alternates[0].ID, req.Target)
-	for i, a := range req.Alternates[1:] {
-		if d := idspace.Dist(a.ID, req.Target); d < bestD {
-			bestIdx, bestD = i+1, d
+	bestIdx := -1
+	var bestD uint64
+	for i, a := range req.Alternates {
+		if ex.has(a.Addr) {
+			continue
 		}
+		if d := idspace.Dist(a.ID, req.Target); bestIdx < 0 || d < bestD {
+			bestIdx, bestD = i, d
+		}
+	}
+	if bestIdx < 0 {
+		return dead
 	}
 	next := req.Alternates[bestIdx]
 	rest := make([]proto.NodeRef, 0, len(req.Alternates)-1)
@@ -455,14 +532,31 @@ func finishNGSA(req *proto.LookupRequest, p Params, dead Step) Step {
 	return Step{Action: Forward, Next: next, Alternates: rest}
 }
 
-// bestImproving returns the ref in refs (excluding two addresses) that
-// minimises D and strictly improves on dSelf.
-func bestImproving(model Model, refs []proto.NodeRef, x idspace.ID, dSelf float64, exclude1, exclude2 uint64) (proto.NodeRef, bool) {
+// nearestChild is tbl.Children.Nearest(x) over the children that are not
+// excluded (same scan, same ties: the lowest ID among the equidistant).
+func nearestChild(tbl *rtable.Table, x idspace.ID, ex Excluded) (proto.NodeRef, bool) {
+	var best proto.NodeRef
+	var bestD uint64
+	found := false
+	for _, r := range tbl.Children.Refs() {
+		if ex.has(r.Addr) {
+			continue
+		}
+		if d := idspace.Dist(r.ID, x); !found || d < bestD {
+			best, bestD, found = r, d, true
+		}
+	}
+	return best, found
+}
+
+// bestImproving returns the ref in refs (excluding two addresses and the
+// excluded peers) that minimises D and strictly improves on dSelf.
+func bestImproving(model Model, refs []proto.NodeRef, x idspace.ID, dSelf float64, exclude1, exclude2 uint64, ex Excluded) (proto.NodeRef, bool) {
 	var best proto.NodeRef
 	bestD := dSelf
 	found := false
 	for _, r := range refs {
-		if r.Addr == exclude1 || r.Addr == exclude2 {
+		if r.Addr == exclude1 || r.Addr == exclude2 || ex.has(r.Addr) {
 			continue
 		}
 		if d := model.D(r, x); d < bestD {

@@ -162,6 +162,30 @@ func (t *Table) Touch(addr uint64, now time.Duration) {
 	t.TouchParent(addr, now)
 }
 
+// LastDirect returns the latest active communication with addr recorded
+// in any structure, and false when no entry for it has ever been heard
+// from directly. Lookup forwarding asks it whether a next hop is first-hand
+// knowledge or hearsay.
+func (t *Table) LastDirect(addr uint64) (time.Duration, bool) {
+	last := neverDirect
+	see := func(s *Set) {
+		if e := s.Get(addr); e != nil && e.LastDirect > last {
+			last = e.LastDirect
+		}
+	}
+	see(t.Level0)
+	for _, s := range t.Bus {
+		see(s)
+	}
+	see(t.Children)
+	see(t.NbrChildren)
+	see(t.Superiors)
+	if t.hasParent && t.parent.Ref.Addr == addr && t.parent.LastDirect > last {
+		last = t.parent.LastDirect
+	}
+	return last, last != neverDirect
+}
+
 // RemoveEverywhere deletes addr from every structure (a peer known dead).
 // It reports whether anything was removed and whether the parent slot was
 // cleared.

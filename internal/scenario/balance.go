@@ -133,7 +133,7 @@ func staticWalk(c *simrt.Cluster, scratch *routing.Scratch, seen map[walkState]b
 			return 0, false
 		}
 		params := cur.Config().Routing
-		st := walkState{cur.Addr(), sender, req.Hops > params.Height}
+		st := walkState{cur.Addr(), sender, params.Regime(req.Hops)}
 		if seen[st] {
 			return 0, false
 		}

@@ -353,6 +353,16 @@ func (c *Cluster) AliveNodes() []*core.Node {
 	return c.aliveList
 }
 
+// ProtocolStats sums the protocol counters of every node the cluster has
+// ever run, live or not: a killed node's forwards and failovers happened.
+func (c *Cluster) ProtocolStats() core.Stats {
+	var sum core.Stats
+	for _, n := range c.Nodes {
+		sum.Add(n.Stats)
+	}
+	return sum
+}
+
 // AliveCount returns the live population without materialising the list.
 func (c *Cluster) AliveCount() int {
 	if c.aliveList != nil {

@@ -164,6 +164,14 @@ func (nw *SimNetwork) NodeLevel(i int) int { return int(nw.cluster.Nodes[i].MaxL
 // Alive reports whether peer i is up.
 func (nw *SimNetwork) Alive(i int) bool { return nw.cluster.Alive(nw.cluster.Nodes[i]) }
 
+// ProtocolStats are the overlay's protocol event counters (messages,
+// hierarchy moves, lookup forwards, failovers, re-issues, ...).
+type ProtocolStats = core.Stats
+
+// ProtocolStats returns the counters summed over every peer the network
+// has run, including peers killed since.
+func (nw *SimNetwork) ProtocolStats() ProtocolStats { return nw.cluster.ProtocolStats() }
+
 // Levels returns the number of peers at each hierarchy level.
 func (nw *SimNetwork) Levels() map[int]int {
 	out := map[int]int{}
