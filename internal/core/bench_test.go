@@ -22,11 +22,13 @@ type benchEnv struct {
 	now  time.Duration
 	rng  *rand.Rand
 	sent uint64
+	sc   Scratch
 }
 
 func (e *benchEnv) Addr() uint64       { return e.addr }
 func (e *benchEnv) Now() time.Duration { return e.now }
 func (e *benchEnv) Rand() *rand.Rand   { return e.rng }
+func (e *benchEnv) Scratch() *Scratch  { return &e.sc }
 
 func (e *benchEnv) Send(to uint64, msg proto.Message) {
 	e.sent++

@@ -23,8 +23,12 @@ package core
 import (
 	"math/rand"
 	"time"
+	"unsafe"
 
+	"treep/internal/idspace"
 	"treep/internal/proto"
+	"treep/internal/routing"
+	"treep/internal/rtable"
 )
 
 // Timer is a cancellable timer handle (single-shot or periodic; cancelling
@@ -53,4 +57,34 @@ type Env interface {
 	SetPeriodic(d time.Duration, fn func()) Timer
 	// Rand returns this node's random stream.
 	Rand() *rand.Rand
+	// Scratch returns the event loop's scratch buffers: the same value for
+	// every node the loop drives, and for no node of another loop.
+	Scratch() *Scratch
+}
+
+// Scratch is the working memory of protocol steps: buffers a step fills,
+// reads and is done with before it returns. It belongs to the event loop,
+// not the node — a loop runs one step at a time, so the nodes of a
+// simulated population share one set of buffers instead of each growing
+// its own. The zero value is ready to use.
+//
+// Ownership rule: nothing in a Scratch may be handed to Env.Send, captured
+// by a timer callback, or read after the step returns to the loop; what
+// must outlive the step is copied out (a message keeps the entries
+// appended to its own buffer, never a scratch slice). Env.Send and the
+// timer calls run no node code before they return, which is what lets a
+// step keep reading its buffers across them.
+type Scratch struct {
+	entries, delta       []proto.Entry
+	refs, peers, members []proto.NodeRef
+	ids                  []idspace.ID
+	route                routing.Scratch
+	sweep                rtable.Scratch
+}
+
+// MemBytes reports the heap behind the composition buffers (the routing
+// and sweep scratches, a few dozen refs each, keep theirs to themselves).
+func (sc *Scratch) MemBytes() int {
+	return (cap(sc.entries)+cap(sc.delta))*int(unsafe.Sizeof(proto.Entry{})) +
+		(cap(sc.refs)+cap(sc.peers)+cap(sc.members))*int(unsafe.Sizeof(proto.NodeRef{})) + cap(sc.ids)*8
 }

@@ -17,6 +17,9 @@ type fakeEnv struct {
 	sent   []sentMsg
 	timers []*fakeTimer
 	rng    *rand.Rand
+	// sc is the loop scratch: the env's own unless a test points several
+	// envs at one, as the nodes of a simulated loop share theirs.
+	sc *Scratch
 }
 
 type sentMsg struct {
@@ -43,12 +46,13 @@ func (t *fakeTimer) Cancel() bool {
 }
 
 func newFakeEnv(addr uint64) *fakeEnv {
-	return &fakeEnv{addr: addr, rng: rand.New(rand.NewSource(int64(addr)))}
+	return &fakeEnv{addr: addr, rng: rand.New(rand.NewSource(int64(addr))), sc: &Scratch{}}
 }
 
 func (e *fakeEnv) Addr() uint64       { return e.addr }
 func (e *fakeEnv) Now() time.Duration { return e.now }
 func (e *fakeEnv) Rand() *rand.Rand   { return e.rng }
+func (e *fakeEnv) Scratch() *Scratch  { return e.sc }
 
 func (e *fakeEnv) Send(to uint64, msg proto.Message) {
 	e.sent = append(e.sent, sentMsg{to: to, msg: msg})

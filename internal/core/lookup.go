@@ -128,7 +128,8 @@ func (n *Node) PendingLookups() int { return len(n.pending) }
 func (n *Node) route(from uint64, m *proto.LookupRequest) routing.Step {
 	parent, hasParent := n.table.Parent()
 	fromParent := from != 0 && hasParent && parent.Addr == from
-	return routing.RouteWith(&n.routeScratch, n.Ref(), n.table, m, fromParent, from, n.cfg.Routing)
+	n.sc.route.Excluded = n.excluded
+	return routing.RouteWith(&n.sc.route, n.Ref(), n.table, m, fromParent, from, n.cfg.Routing)
 }
 
 func (n *Node) handleLookupRequest(from uint64, m *proto.LookupRequest) {

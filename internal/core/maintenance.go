@@ -135,25 +135,13 @@ func (n *Node) sweepTick() {
 
 	// Bus repair per level (ascending, for cross-process determinism):
 	// relink towards the new nearest member.
-	if len(res.Bus) > 0 {
-		levels := n.scratchLevels[:0]
-		for lvl := range res.Bus {
-			levels = append(levels, lvl)
+	for _, lost := range res.Bus {
+		if lost.Level > n.maxLevel {
+			continue
 		}
-		for i := 1; i < len(levels); i++ {
-			for j := i; j > 0 && levels[j-1] > levels[j]; j-- {
-				levels[j-1], levels[j] = levels[j], levels[j-1]
-			}
-		}
-		n.scratchLevels = levels
-		for _, lvl := range levels {
-			if lvl > n.maxLevel {
-				continue
-			}
-			if best, _, ok := n.bestKnownMember(lvl, n.cfg.ID); ok {
-				n.Stats.BusRepairs++
-				n.sendBusLinkReq(best.Addr, lvl)
-			}
+		if best, _, ok := n.bestKnownMember(lost.Level, n.cfg.ID); ok {
+			n.Stats.BusRepairs++
+			n.sendBusLinkReq(best.Addr, lost.Level)
 		}
 	}
 

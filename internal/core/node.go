@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"time"
+	"unsafe"
 
 	"treep/internal/idspace"
 	"treep/internal/nodeprof"
@@ -80,19 +81,13 @@ type Node struct {
 
 	started bool
 
-	// Scratch buffers for the per-message composition hot path. The node
-	// runs on a single logical event loop, and none of these survive the
-	// call frame that fills them, so reuse is safe; together they keep the
+	// sc is the event loop's scratch (env.Scratch(), cached): the buffers
+	// of the per-message composition hot path, which keep the
 	// keep-alive/delta path allocation-free except for the entry slice
-	// that escapes into each outgoing message.
-	scratchEntries []proto.Entry
-	scratchDelta   []proto.Entry
-	scratchRefs    []proto.NodeRef
-	scratchPeers   []proto.NodeRef
-	scratchMembers []proto.NodeRef
-	scratchIDs     []idspace.ID
-	scratchLevels  []uint8
-	routeScratch   routing.Scratch
+	// that escapes into each outgoing message. excluded is this node's
+	// input to the routing decisions made with it (failover.go).
+	sc       *Scratch
+	excluded routing.Excluded
 
 	// Origin-side lookup bookkeeping.
 	pending   map[uint64]*pendingLookup
@@ -276,11 +271,13 @@ type pendingLookup struct {
 // Join is called.
 func NewNode(cfg Config, env Env) *Node {
 	cfg = cfg.withDefaults()
+	sc := env.Scratch()
 	n := &Node{
 		cfg:     cfg,
 		env:     env,
+		sc:      sc,
 		score:   cfg.Profile.Score(),
-		table:   rtable.New(),
+		table:   rtable.NewWith(&sc.sweep),
 		peers:   map[uint64]*peerState{},
 		pending: map[uint64]*pendingLookup{},
 		srtt:    rttPrior(cfg.KeepAlive),
@@ -346,6 +343,29 @@ func (n *Node) updateLoad(now time.Duration) {
 	n.lastLoadMsgs, n.lastLoadAt = total, now
 	n.loadEWMA.Observe(rate / n.cfg.LoadRef)
 	n.loadSweeps++
+}
+
+// Mem is the heap one node holds, in bytes (maps as rtable.MapBytes
+// estimates them; the loop's Scratch is not the node's): its table, the
+// struct with its anchor list, the peers and pending maps with what they
+// point to, and the failover table once allocated.
+type Mem struct {
+	Table             rtable.Mem
+	Node, Peers, Hold int
+}
+
+// MemBytes reports the heap the node holds.
+func (n *Node) MemBytes() Mem {
+	m := Mem{
+		Table: n.table.MemBytes(),
+		Node:  int(unsafe.Sizeof(*n)) + cap(n.cfg.Anchors)*8,
+		Peers: rtable.MapBytes(len(n.peers), 16) + len(n.peers)*int(unsafe.Sizeof(peerState{})) +
+			rtable.MapBytes(len(n.pending), 16) + len(n.pending)*int(unsafe.Sizeof(pendingLookup{})),
+	}
+	if n.fo != nil {
+		m.Hold = int(unsafe.Sizeof(*n.fo))
+	}
+	return m
 }
 
 // Table exposes the routing table for analysis (AN-2 measures its size
@@ -666,13 +686,13 @@ func (n *Node) busMembersWithSelf(level uint8) []proto.NodeRef {
 	} else if s, ok := n.table.Bus[level]; ok {
 		refs = s.Refs()
 	}
-	out := append(n.scratchMembers[:0], refs...)
+	out := append(n.sc.members[:0], refs...)
 	out = append(out, n.Ref())
 	// refs is already ID-sorted; a single insertion places self.
 	for i := len(out) - 1; i > 0 && out[i-1].ID > out[i].ID; i-- {
 		out[i-1], out[i] = out[i], out[i-1]
 	}
-	n.scratchMembers = out
+	n.sc.members = out
 	return out
 }
 
@@ -682,11 +702,11 @@ func (n *Node) busMembersWithSelf(level uint8) []proto.NodeRef {
 // node's own coordinate neighbourhood.
 func (n *Node) regionAt(level uint8) idspace.Region {
 	members := n.busMembersWithSelf(level)
-	ids := n.scratchIDs[:0]
+	ids := n.sc.ids[:0]
 	for _, m := range members {
 		ids = append(ids, m.ID)
 	}
-	n.scratchIDs = ids
+	n.sc.ids = ids
 	idx := sort.Search(len(ids), func(i int) bool { return ids[i] >= n.cfg.ID })
 	// Self is in the list by construction; handle duplicate IDs by scanning.
 	for idx < len(ids) && members[idx].Addr != n.Addr() && ids[idx] == n.cfg.ID {
@@ -725,7 +745,7 @@ func (n *Node) busNeighbors(level uint8) (left, right proto.NodeRef) {
 // connections) are actively maintained"; parent and children links have
 // their own report mechanism).
 func (n *Node) activePeers() []proto.NodeRef {
-	out := n.scratchPeers[:0]
+	out := n.sc.peers[:0]
 	self := n.Addr()
 	l, r := n.table.Level0.Neighbors(n.cfg.ID)
 	out = appendPeerDedup(out, l, self)
@@ -735,7 +755,7 @@ func (n *Node) activePeers() []proto.NodeRef {
 		out = appendPeerDedup(out, bl, self)
 		out = appendPeerDedup(out, br, self)
 	}
-	n.scratchPeers = out
+	n.sc.peers = out
 	return out
 }
 
@@ -840,9 +860,9 @@ func (n *Node) structuralEntries(out []proto.Entry) []proto.Entry {
 	// Two direct-fresh ring contacts per side: the wider advertisement is
 	// what lets survivors bridge multi-node gaps after failures (§III.c
 	// allows l0 up to n-1; we keep it small but not minimal).
-	nbrs := n.table.Level0.AppendNeighborsFreshK(n.scratchRefs[:0], n.cfg.ID, now, ttl, 2, true)
+	nbrs := n.table.Level0.AppendNeighborsFreshK(n.sc.refs[:0], n.cfg.ID, now, ttl, 2, true)
 	nbrs = n.table.Level0.AppendNeighborsFreshK(nbrs, n.cfg.ID, now, ttl, 2, false)
-	n.scratchRefs = nbrs
+	n.sc.refs = nbrs
 	for _, nb := range nbrs {
 		out = append(out, proto.Entry{Ref: nb, Level: 0, Flags: proto.FNeighbor, Version: v,
 			AgeDs: age(n.table.Level0, nb.Addr)})
@@ -858,8 +878,8 @@ func (n *Node) structuralEntries(out []proto.Entry) []proto.Entry {
 			}
 		}
 	}
-	fresh := n.table.Children.AppendFreshRefs(n.scratchRefs[:0], now, ttl)
-	n.scratchRefs = fresh
+	fresh := n.table.Children.AppendFreshRefs(n.sc.refs[:0], now, ttl)
+	n.sc.refs = fresh
 	for _, c := range fresh {
 		out = append(out, proto.Entry{Ref: c, Level: c.MaxLevel, Flags: proto.FChild, Version: v,
 			AgeDs: age(n.table.Children, c.Addr)})
@@ -891,15 +911,15 @@ func (n *Node) superiorEntries(out []proto.Entry) []proto.Entry {
 // state. forChild additionally ships the superior list.
 func (n *Node) composeUpdateInto(out []proto.Entry, peer uint64, forChild bool) []proto.Entry {
 	ps := n.peerFor(peer)
-	delta := n.table.AppendDelta(n.scratchDelta[:0], ps.lastSent, n.env.Now())
-	n.scratchDelta = delta
+	delta := n.table.AppendDelta(n.sc.delta[:0], ps.lastSent, n.env.Now())
+	n.sc.delta = delta
 	ps.lastSent = n.table.Version()
 	ps.lastSentAt = n.env.Now()
-	structural := n.structuralEntries(n.scratchEntries[:0])
+	structural := n.structuralEntries(n.sc.entries[:0])
 	if forChild {
 		structural = n.superiorEntries(structural)
 	}
-	n.scratchEntries = structural
+	n.sc.entries = structural
 	for _, e := range delta {
 		out = appendEntryDedup(out, e)
 	}

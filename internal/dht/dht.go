@@ -39,10 +39,12 @@ import (
 	"hash/maphash"
 	"sort"
 	"time"
+	"unsafe"
 
 	"treep/internal/core"
 	"treep/internal/idspace"
 	"treep/internal/proto"
+	"treep/internal/rtable"
 	"treep/internal/svc"
 )
 
@@ -189,12 +191,33 @@ type Service struct {
 	// ack was lost by re-sending the same request id; without replaying
 	// the recorded outcome the owner would re-apply the store — bumping
 	// the version again and, worse, answering a conditional store that
-	// already committed with a spurious conflict.
-	memos   [storeMemoSize]storeMemo
+	// already committed with a spurious conflict. The ring grows on demand
+	// to storeMemoSize slots (most peers own a handful of stores, ever),
+	// then memoPos is the oldest.
+	memos   []storeMemo
 	memoPos int
 
 	// Stats counters.
 	Stats Stats
+}
+
+// MemBytes reports the heap the service holds (maps as rtable.MapBytes
+// estimates them): the store and caches with their values and key orders,
+// and the struct with its memo ring and scratch.
+func (s *Service) MemBytes() (store, fixed int) {
+	store = rtable.MapBytes(len(s.recs), 16) + len(s.recs)*int(unsafe.Sizeof(record{})) +
+		rtable.MapBytes(len(s.cache), 16) + len(s.cache)*int(unsafe.Sizeof(cacheEntry{})) +
+		rtable.MapBytes(len(s.hot), 16) + len(s.hot)*int(unsafe.Sizeof(hotKey{})) +
+		(cap(s.keys)+cap(s.cacheKeys)+cap(s.hotKeys))*8
+	for _, r := range s.recs {
+		store += cap(r.value)
+	}
+	for _, c := range s.cache {
+		store += cap(c.value)
+	}
+	fixed = int(unsafe.Sizeof(*s)) + cap(s.memos)*int(unsafe.Sizeof(storeMemo{})) +
+		cap(s.scratch)*int(unsafe.Sizeof(proto.NodeRef{}))
+	return store, fixed
 }
 
 // storeMemoSize bounds the ack-replay window. Retries arrive within one
@@ -844,9 +867,13 @@ func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bo
 		}
 		ack.Status, ack.Version, ack.Origin = proto.StoreOK, version, from
 	}
-	s.memos[s.memoPos] = storeMemo{from: from, reqID: reqID,
-		status: ack.Status, version: ack.Version, origin: ack.Origin}
-	s.memoPos = (s.memoPos + 1) % storeMemoSize
+	memo := storeMemo{from: from, reqID: reqID, status: ack.Status, version: ack.Version, origin: ack.Origin}
+	if len(s.memos) < storeMemoSize {
+		s.memos = append(s.memos, memo)
+	} else {
+		s.memos[s.memoPos] = memo
+		s.memoPos = (s.memoPos + 1) % storeMemoSize
+	}
 	respond(ack)
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"treep/internal/core"
 	"treep/internal/idspace"
@@ -397,6 +398,51 @@ func TestStoreRetryReplaysAck(t *testing.T) {
 		func(resp proto.SvcResponse) { acks = append(acks, resp.(*proto.DHTStoreAck)) })
 	if acks[2].Status != proto.StoreConflict {
 		t.Fatalf("fresh conditional store with stale base must conflict, got %+v", acks[2])
+	}
+}
+
+// TestStoreMemoRingGrowsThenWraps: the replay window is the last
+// storeMemoSize outcomes whether the ring is still growing or full — a
+// retry inside the window replays, the one that fell out re-applies — and
+// a service that served a few stores holds a few slots, not all of them.
+func TestStoreMemoRingGrowsThenWraps(t *testing.T) {
+	c := simrt.New(simrt.Options{N: 2, Seed: 11, Bulk: false})
+	s := Attach(c.Nodes[0])
+	store := func(reqID uint64) *proto.DHTStoreAck {
+		var ack *proto.DHTStoreAck
+		s.handleStore(42, &proto.DHTStore{From: proto.NodeRef{Addr: 42}, ReqID: reqID,
+			Key: idspace.ID(reqID), Value: []byte("v")},
+			func(resp proto.SvcResponse) { ack = resp.(*proto.DHTStoreAck) })
+		return ack
+	}
+	for id := uint64(1); id <= 6; id++ {
+		store(id)
+	}
+	if len(s.memos) != 6 || cap(s.memos) > 8 {
+		t.Fatalf("after 6 stores the ring holds %d slots (cap %d), want 6 (cap ≤ 8)", len(s.memos), cap(s.memos))
+	}
+	for id := uint64(7); id <= storeMemoSize+1; id++ {
+		store(id)
+	}
+	if len(s.memos) != storeMemoSize {
+		t.Fatalf("ring grew to %d slots, bound is %d", len(s.memos), storeMemoSize)
+	}
+	// Request 1 was overwritten by request storeMemoSize+1: it re-applies
+	// (version 2). Request 2 is the oldest still remembered: it replays.
+	if ack := store(1); ack.Version != 2 {
+		t.Fatalf("a store that left the window must re-apply, got version %d", ack.Version)
+	}
+	if ack := store(3); ack.Version != 1 {
+		t.Fatalf("a store inside the window must replay version 1, got %d", ack.Version)
+	}
+}
+
+// TestServiceFitsItsSizeClass: with the memo ring out of line a Service is
+// 384 bytes, a size class of its own; inline it was 2 904 in the 3 072
+// class on every peer (DESIGN.md §16).
+func TestServiceFitsItsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Service{}); sz > 384 {
+		t.Fatalf("dht.Service is %d bytes: past the 384-byte size class", sz)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+	"unsafe"
 
 	"treep/internal/idspace"
 	"treep/internal/sim"
@@ -166,6 +167,15 @@ type delivery struct {
 	size    int
 	shard   int32
 	next    *delivery
+}
+
+// MemBytes reports the heap behind the classic network's pooled datagram
+// records: as many as were ever in flight at once, less those in flight.
+func (n *Network) MemBytes() (bytes int) {
+	for d := n.freeDeliveries; d != nil; d = d.next {
+		bytes += int(unsafe.Sizeof(*d))
+	}
+	return bytes
 }
 
 // deliverDatagram is the single dispatch function for every in-flight

@@ -113,18 +113,19 @@ func (p Params) Regime(hops uint8) Regime {
 	return Hierarchical
 }
 
-// Scratch holds reusable buffers for the routing decision. A node (or any
-// single-threaded driver) keeps one Scratch and passes it to RouteWith so
-// the per-hop candidate collection allocates nothing. The zero value is
-// ready to use.
+// Scratch holds reusable buffers for the routing decision. An event loop
+// (or any single-threaded driver) keeps one Scratch and passes it to
+// RouteWith so the per-hop candidate collection allocates nothing. The
+// zero value is ready to use.
 type Scratch struct {
 	cands []proto.NodeRef
-	// Excluded lists peers that decisions made with this scratch treat as
-	// absent from the table: the owner's next hops that stayed silent when
+	// Excluded lists peers that the next decision treats as absent from
+	// the table: the deciding node's next hops that stayed silent when
 	// asked for a sign of life. The entries themselves stay where they are
 	// (the table's repair paths are not the lookup's business); every
-	// branch below skips them. The slice is the owner's, RouteWith only
-	// reads it.
+	// branch below skips them. The list is the node's — a scratch shared
+	// by a loop's nodes is handed each node's own before it decides — and
+	// RouteWith only reads it.
 	Excluded Excluded
 }
 

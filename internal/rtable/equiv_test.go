@@ -250,11 +250,47 @@ func (s *refSet) HasID(x idspace.ID) (proto.NodeRef, bool) {
 	return proto.NodeRef{}, false
 }
 
+// Address pools of the oracle, chosen per sequence. Each maps a small
+// index to an address, so re-inserts, same-ID entries and slot reuse after
+// expiry happen constantly whatever the addresses look like.
+const (
+	poolSmall  = iota // 1..24, the simulator's sequential addresses
+	poolLow32         // 24 addresses equal in their low 32 bits (packed IP:port differing in the upper IP bytes)
+	poolTag           // 24 addresses with one hash tag: every probe hit must be confirmed in the slab
+	poolWide          // 1..96: crosses every growth step up to 97 slots, then frees and reuses
+	poolShapes        // number of pools
+)
+
+// fibInverse is the inverse of the probe hash's multiplier modulo 2^64
+// (Newton's iteration doubles the correct bits each round): the addresses
+// fibInverse*(T<<32|k) all hash to tag T.
+var fibInverse = func() uint64 {
+	const a = 0x9E3779B97F4A7C15
+	x := uint64(a) // correct to 3 bits for any odd a
+	for i := 0; i < 6; i++ {
+		x *= 2 - a*x
+	}
+	return x
+}()
+
+// poolAddr maps index i to its 1-based slot in the pool and the slot's
+// address.
+func poolAddr(pool uint8, i uint64) (slot, addr uint64) {
+	slot = 1 + i%24
+	switch pool % poolShapes {
+	case poolLow32:
+		return slot, slot<<32 | 0x0A00_1B58
+	case poolTag:
+		return slot, fibInverse * (0xBEEF<<32 | slot)
+	case poolWide:
+		slot = 1 + i%96
+	}
+	return slot, slot
+}
+
 // equivOps drives one operation sequence against both implementations and
-// fails at the first observable divergence. Addresses and IDs draw from a
-// small pool so collisions (re-inserts, same-ID entries, slot reuse after
-// expiry) happen constantly.
-func equivOps(t *testing.T, ops []byte) {
+// fails at the first observable divergence.
+func equivOps(t *testing.T, ops []byte, pool uint8) {
 	t.Helper()
 	slab := NewSet()
 	ref := newRefSet()
@@ -271,12 +307,12 @@ func equivOps(t *testing.T, ops []byte) {
 
 	for i := 0; i+4 < len(ops); i += 5 {
 		op := ops[i] % 6
-		addr := 1 + u64(i+1)%24
-		// IDs derive from the address so that re-upserting a live peer is
-		// usually a content-only update (level/score change, same ID) —
+		slot, addr := poolAddr(pool, u64(i+1))
+		// IDs derive from the pool slot so that re-upserting a live peer
+		// is usually a content-only update (level/score change, same ID) —
 		// the case whose staleness semantics the refs cache is allowed to
 		// defer — with occasional genuine ID moves mixed in.
-		id := idspace.ID(addr * 0x0A0000000000000)
+		id := idspace.ID(slot * 0x0A0000000000000)
 		if ops[i+2]%16 == 0 {
 			id += idspace.ID(ops[i+2]) * 0x04000000000000
 		}
@@ -404,24 +440,106 @@ func TestSetEquivalenceRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		ops := make([]byte, opsLen)
 		rng.Read(ops)
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { equivOps(t, ops) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			for pool := uint8(0); pool < poolShapes; pool++ {
+				t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) { equivOps(t, ops, pool) })
+			}
+		})
+	}
+}
+
+// growFreeReuseOps is a scripted sequence for poolWide: fill the set past
+// several growth steps, remove most of it, refill through the free chain
+// and beyond into the next steps, let everything expire in one sweep, and
+// fill again — with a query after every operation.
+func growFreeReuseOps() []byte {
+	var ops []byte
+	op := func(code byte, slot int, dt byte, param byte) {
+		// The second address byte also steers ID moves (multiples of 16).
+		ops = append(ops, code, byte(slot>>8), byte(slot), dt, param)
+	}
+	for slot := 0; slot < 45; slot++ {
+		op(0, slot, 0, byte(slot))
+	}
+	for slot := 5; slot < 40; slot++ {
+		op(3, slot, 0, byte(slot))
+	}
+	for slot := 50; slot < 96; slot++ {
+		op(1, slot, 0, byte(slot))
+	}
+	op(4, 0, 49, 0)
+	op(4, 0, 49, 1)
+	op(4, 0, 49, 2) // 147 ms on: everything has expired
+	for slot := 95; slot >= 0; slot-- {
+		op(0, slot, 0, byte(slot))
+	}
+	op(5, 0, 0, 0)
+	return ops
+}
+
+// TestSetEquivalenceScripted runs the scripted growth sequence over every
+// pool, and the committed fuzz seeds' shapes with them.
+func TestSetEquivalenceScripted(t *testing.T) {
+	for pool := uint8(0); pool < poolShapes; pool++ {
+		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) { equivOps(t, growFreeReuseOps(), pool) })
+	}
+}
+
+// TestSetGrowthPolicy pins how storage follows contents: slab, order and
+// sorted step together by a quarter (at least two) from empty, the probe
+// table stays under 3/4 full from eight slots, freed slots are reused
+// before anything grows, and MemBytes is exactly capacity × element size.
+func TestSetGrowthPolicy(t *testing.T) {
+	s := NewSet()
+	if m := s.MemBytes(); m.Slabs+m.Index+m.Views != 0 {
+		t.Fatalf("an empty set holds %+v", m)
+	}
+	var caps []int
+	for i := 1; i <= 60; i++ {
+		s.Upsert(proto.NodeRef{ID: idspace.ID(i) << 40, Addr: uint64(i)}, 0, 0, 1, Direct)
+		s.Refs()
+		if len(caps) == 0 || caps[len(caps)-1] != cap(s.slab) {
+			caps = append(caps, cap(s.slab))
+		}
+		if cap(s.order) != cap(s.slab) || cap(s.sorted) != cap(s.slab) {
+			t.Fatalf("at %d entries slab/order/sorted caps are %d/%d/%d, want equal", i, cap(s.slab), cap(s.order), cap(s.sorted))
+		}
+		if 4*i > 3*len(s.idx) || (i > 6 && 8*i <= 3*len(s.idx)) {
+			t.Fatalf("at %d entries the probe table has %d slots", i, len(s.idx))
+		}
+	}
+	if got, want := fmt.Sprint(caps), "[2 4 6 8 10 12 15 18 22 27 33 41 51 63]"; got != want {
+		t.Fatalf("growth steps %s, want %s", got, want)
+	}
+	m := s.MemBytes()
+	if m.Slabs != 63*48 || m.Index != 128*8 || m.Views != 63*4+63*24 {
+		t.Fatalf("MemBytes %+v does not match 63 slots, 128 probe slots", m)
+	}
+	for i := 1; i <= 40; i++ {
+		s.Remove(uint64(i))
+	}
+	for i := 101; i <= 140; i++ {
+		s.Upsert(proto.NodeRef{ID: idspace.ID(i) << 40, Addr: uint64(i)}, 0, 0, 1, Direct)
+	}
+	if len(s.slab) != 60 || cap(s.slab) != 63 || s.free != 0 {
+		t.Fatalf("40 removals and 40 inserts left slab len %d cap %d free %d, want 60/63/0", len(s.slab), cap(s.slab), s.free)
 	}
 }
 
 // FuzzSetEquivalence lets the fuzzer search for diverging sequences.
 func FuzzSetEquivalence(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint8(poolSmall))
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 4; i++ {
 		ops := make([]byte, 100)
 		rng.Read(ops)
-		f.Add(ops)
+		f.Add(ops, uint8(i))
 	}
-	f.Fuzz(func(t *testing.T, ops []byte) {
+	f.Fuzz(func(t *testing.T, ops []byte, pool uint8) {
 		if len(ops) < 5 {
 			return
 		}
-		equivOps(t, ops)
+		equivOps(t, ops, pool)
 	})
 }
 

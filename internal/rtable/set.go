@@ -24,15 +24,16 @@ package rtable
 import (
 	"sort"
 	"time"
+	"unsafe"
 
 	"treep/internal/idspace"
 	"treep/internal/proto"
 )
 
-// Entry is one routing-table item.
+// Entry is one routing-table item: 48 bytes, the small fields last so
+// they share one word.
 type Entry struct {
-	Ref   proto.NodeRef
-	Flags proto.EntryFlag
+	Ref proto.NodeRef
 	// LastSeen is the time this knowledge was last refreshed — by direct
 	// contact or by a peer re-advertising it. Entries expire TTL after it.
 	LastSeen time.Duration
@@ -45,6 +46,7 @@ type Entry struct {
 	LastDirect time.Duration
 	// Version is the table-local modification stamp used for delta sync.
 	Version uint32
+	Flags   proto.EntryFlag
 }
 
 // neverDirect marks an entry that has never been heard from directly. Far
@@ -65,31 +67,36 @@ func (e *Entry) DirectFresh(now, ttl time.Duration) bool {
 // times per message, so the representation is chosen for cache locality
 // over pointer convenience):
 //
-//   - slab: a contiguous []Entry. Slots freed by Remove/Sweep go on a
-//     free list and are reused by the next insert, so steady-state churn
-//     allocates nothing.
-//   - keys/vals: a small open-addressed (linear probing, backward-shift
-//     deletion) hash table mapping address → slab slot. One cache line
-//     per probe instead of the general map machinery.
+//   - slab: a contiguous []Entry. Slots freed by Remove/Sweep are chained
+//     through their Version field (free is the head) and reused by the next
+//     insert, last freed first, so steady-state churn allocates nothing.
+//   - idx: a small open-addressed (linear probing, backward-shift
+//     deletion) hash table mapping address → slab slot, eight bytes a
+//     slot: the upper half of the address hash and the slot. A probe
+//     compares hashes and confirms the full address in the slab on a
+//     match, so a miss never leaves the probe table's cache line.
 //   - order: the live slots in (ID, Addr) order, maintained incrementally
 //     on insert/remove/ID-change (an O(n) memmove on sets §III.e bounds
 //     to a handful of entries — never a full re-sort).
+//
+// Most sets are a few entries long and a population holds several per
+// peer, so slab, order and sorted grow together by a quarter (at least two
+// slots) from empty: exact fit would allocate on every insert, doubling
+// left half of every array unused (DESIGN.md §16).
 //
 // Pointers returned by Get/Upsert point into the slab and are valid only
 // until the next mutating call on the set.
 type Set struct {
 	slab  []Entry
-	free  []int32
 	order []int32
-	// Open-addressed index: idx[i].ref == 0 means empty, otherwise the
-	// slab slot is idx[i].ref-1. len(idx) is a power of two; key and
-	// value share a cache line (this probe is the hottest operation on
-	// the protocol path — six structures are touched per inbound
-	// message).
+	// idx[i].ref == 0 means empty, otherwise the slab slot is idx[i].ref-1.
+	// len(idx) is a power of two (this probe is the hottest operation on
+	// the protocol path — six structures are touched per inbound message).
 	idx []setSlot
 	// sorted caches the ID-ordered refs; rebuilt lazily (a straight copy
 	// through order, no sorting) after a membership or ID change.
 	sorted []proto.NodeRef
+	free   int32 // head of the free-slot chain as slot+1; 0: none
 	dirty  bool
 }
 
@@ -99,75 +106,91 @@ func NewSet() *Set { return &Set{} }
 // Len returns the number of entries.
 func (s *Set) Len() int { return len(s.order) }
 
-// setSlot is one probe-table slot: an address and its slab index + 1
-// (0 marks an empty slot, so any address — including 0 — can be a key).
+// Mem is heap held, in bytes, by kind of storage: entry slabs, probe
+// tables, the order and sorted views, and fixed-size structs. Backing
+// arrays count at capacity × element size, before size-class rounding.
+type Mem struct{ Slabs, Index, Views, Fixed int }
+
+// Add accumulates o into m.
+func (m *Mem) Add(o Mem) {
+	m.Slabs, m.Index, m.Views, m.Fixed = m.Slabs+o.Slabs, m.Index+o.Index, m.Views+o.Views, m.Fixed+o.Fixed
+}
+
+// MemBytes reports the heap the set holds.
+func (s *Set) MemBytes() Mem {
+	return Mem{cap(s.slab) * int(unsafe.Sizeof(Entry{})), cap(s.idx) * int(unsafe.Sizeof(setSlot{})),
+		cap(s.order)*4 + cap(s.sorted)*int(unsafe.Sizeof(proto.NodeRef{})), int(unsafe.Sizeof(*s))}
+}
+
+// MapBytes estimates the heap behind a built-in map of n entries of slot
+// bytes each (key plus value, aligned): a 48-byte header and groups of
+// eight slots with a control byte each, seven in use. Maps never shrink,
+// so for one that has been larger it is a floor.
+func MapBytes(n, slot int) int { return 48 + (n+6)/7*8*(slot+1) }
+
+// setSlot is one probe-table slot: the address's hash tag and its slab
+// index + 1 (0 marks an empty slot, so any tag — including 0 — is valid).
 type setSlot struct {
-	addr uint64
-	ref  int32
+	tag uint32
+	ref int32
 }
 
-// fibMult spreads addresses over the probe table (Fibonacci hashing).
-const fibMult = 0x9E3779B97F4A7C15
-
-// probeHome returns the preferred probe slot for addr.
-func (s *Set) probeHome(addr uint64) uint64 {
-	// Multiply-shift wants the top bits; mask them down to the table.
-	return (addr * fibMult) >> 32 & uint64(len(s.idx)-1)
-}
+// hashTag spreads an address over 32 bits (Fibonacci hashing: the upper
+// half of the product depends on every address bit). Its low bits are the
+// preferred probe slot.
+func hashTag(addr uint64) uint32 { return uint32(addr * 0x9E3779B97F4A7C15 >> 32) }
 
 // lookup returns the probe position and slab slot for addr, or ok=false
 // (with the position of the first empty probe slot) when absent.
-func (s *Set) lookup(addr uint64) (pos uint64, slot int32, ok bool) {
+func (s *Set) lookup(addr uint64) (pos uint32, slot int32, ok bool) {
 	if len(s.idx) == 0 {
 		return 0, 0, false
 	}
-	mask := uint64(len(s.idx) - 1)
-	for pos = s.probeHome(addr); ; pos = (pos + 1) & mask {
+	mask := uint32(len(s.idx) - 1)
+	tag := hashTag(addr)
+	for pos = tag & mask; ; pos = (pos + 1) & mask {
 		sl := s.idx[pos]
 		if sl.ref == 0 {
 			return pos, 0, false
 		}
-		if sl.addr == addr {
+		if sl.tag == tag && s.slab[sl.ref-1].Ref.Addr == addr {
 			return pos, sl.ref - 1, true
 		}
 	}
 }
 
-// idxInsert adds addr→slot to the probe table, growing it as needed.
+// idxInsert adds addr→slot to the probe table, growing it as needed. addr
+// must not be present.
 func (s *Set) idxInsert(addr uint64, slot int32) {
-	if len(s.idx) == 0 || 4*(len(s.order)+1) > 3*len(s.idx) {
+	if 4*(len(s.order)+1) > 3*len(s.idx) {
 		s.idxGrow()
 	}
-	pos, _, ok := s.lookup(addr)
-	if ok {
-		s.idx[pos].ref = slot + 1
-		return
-	}
-	s.idx[pos] = setSlot{addr: addr, ref: slot + 1}
+	pos, _, _ := s.lookup(addr)
+	s.idx[pos] = setSlot{tag: hashTag(addr), ref: slot + 1}
 }
 
-// idxGrow rebuilds the probe table at double capacity from the live slots.
+// idxGrow rebuilds the probe table at double capacity; the tags carry
+// every slot's home, so the slab is not read.
 func (s *Set) idxGrow() {
-	n := 2 * len(s.idx)
-	if n < 8 {
-		n = 8
-	}
-	s.idx = make([]setSlot, n)
-	mask := uint64(n - 1)
-	for _, slot := range s.order {
-		addr := s.slab[slot].Ref.Addr
-		pos := s.probeHome(addr)
+	old := s.idx
+	s.idx = make([]setSlot, max(8, 2*len(old)))
+	mask := uint32(len(s.idx) - 1)
+	for _, sl := range old {
+		if sl.ref == 0 {
+			continue
+		}
+		pos := sl.tag & mask
 		for s.idx[pos].ref != 0 {
 			pos = (pos + 1) & mask
 		}
-		s.idx[pos] = setSlot{addr: addr, ref: slot + 1}
+		s.idx[pos] = sl
 	}
 }
 
 // idxDelete removes the probe entry at pos, backward-shifting the cluster
 // so linear probing needs no tombstones.
-func (s *Set) idxDelete(pos uint64) {
-	mask := uint64(len(s.idx) - 1)
+func (s *Set) idxDelete(pos uint32) {
+	mask := uint32(len(s.idx) - 1)
 	i := pos
 	for {
 		s.idx[i].ref = 0
@@ -177,7 +200,7 @@ func (s *Set) idxDelete(pos uint64) {
 			if s.idx[j].ref == 0 {
 				return
 			}
-			home := s.probeHome(s.idx[j].addr)
+			home := s.idx[j].tag & mask
 			// Move j back to i unless j's home lies cyclically in (i, j]
 			// — then j is already as close to home as it can get.
 			if i <= j {
@@ -219,10 +242,7 @@ func (s *Set) orderPos(ref proto.NodeRef) int {
 // orderInsert places slot into the ordered view.
 func (s *Set) orderInsert(slot int32) {
 	pos := s.orderPos(s.slab[slot].Ref)
-	if s.order == nil {
-		s.order = make([]int32, 0, 8)
-	}
-	s.order = append(s.order, 0)
+	s.order = append(s.order, 0) // newSlot keeps cap(order) == cap(slab)
 	copy(s.order[pos+1:], s.order[pos:])
 	s.order[pos] = slot
 }
@@ -235,21 +255,26 @@ func (s *Set) orderRemove(ref proto.NodeRef) {
 	s.order = append(s.order[:pos], s.order[pos+1:]...)
 }
 
-// newSlot takes a slab slot from the free list or extends the slab. The
-// first extension reserves a handful of slots at once: routing sets hold
-// several entries from their first use, and seeding the capacity skips
-// the 1-2-4-8 growth ladder on every set in a large population.
+// newSlot takes a slab slot from the free chain or extends the slab,
+// growing slab and order together when full.
 func (s *Set) newSlot() int32 {
-	if n := len(s.free); n > 0 {
-		slot := s.free[n-1]
-		s.free = s.free[:n-1]
+	if slot := s.free - 1; slot >= 0 {
+		s.free = int32(s.slab[slot].Version)
 		return slot
 	}
-	if s.slab == nil {
-		s.slab = make([]Entry, 0, 8)
+	if c := cap(s.slab); len(s.slab) == c {
+		c += max(2, c/4)
+		s.slab = append(make([]Entry, 0, c), s.slab...)
+		s.order = append(make([]int32, 0, c), s.order...)
 	}
 	s.slab = append(s.slab, Entry{})
 	return int32(len(s.slab) - 1)
+}
+
+// freeSlot puts a slot no view refers to any more on the free chain.
+func (s *Set) freeSlot(slot int32) {
+	s.slab[slot].Version = uint32(s.free)
+	s.free = slot + 1
 }
 
 // UpsertMode grades how trustworthy an update's source is. The grades
@@ -355,7 +380,7 @@ func (s *Set) Remove(addr uint64) bool {
 	}
 	s.orderRemove(s.slab[slot].Ref)
 	s.idxDelete(pos)
-	s.free = append(s.free, slot)
+	s.freeSlot(slot)
 	s.dirty = true
 	return true
 }
@@ -376,11 +401,10 @@ func (s *Set) sweepInto(out []proto.NodeRef, now, ttl time.Duration) []proto.Nod
 		e := &s.slab[slot]
 		if now-e.LastSeen > ttl {
 			out = append(out, e.Ref)
-			pos, _, ok := s.lookup(e.Ref.Addr)
-			if ok {
+			if pos, _, ok := s.lookup(e.Ref.Addr); ok {
 				s.idxDelete(pos)
 			}
-			s.free = append(s.free, slot)
+			s.freeSlot(slot)
 			continue
 		}
 		s.order[w] = slot
@@ -397,6 +421,9 @@ func (s *Set) sweepInto(out []proto.NodeRef, now, ttl time.Duration) []proto.Nod
 // set's cache: callers must not mutate it.
 func (s *Set) Refs() []proto.NodeRef {
 	if s.dirty || s.sorted == nil {
+		if cap(s.sorted) < len(s.order) {
+			s.sorted = make([]proto.NodeRef, 0, cap(s.order))
+		}
 		s.sorted = s.sorted[:0]
 		for _, slot := range s.order {
 			s.sorted = append(s.sorted, s.slab[slot].Ref)

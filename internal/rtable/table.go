@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unsafe"
 
 	"treep/internal/idspace"
 	"treep/internal/proto"
@@ -43,26 +44,31 @@ type Table struct {
 	levels      []uint8
 	levelsDirty bool
 
-	// sweepScratch backs the SweepResult slices handed out by Sweep, so
-	// the per-node sweep tick allocates nothing in steady state. One
-	// sweep's result is valid until the next Sweep on this table.
-	sweepScratch struct {
-		level0, children, nbrChildren, superiors []proto.NodeRef
-		bus                                      []proto.NodeRef // shared backing for all levels
-		busLvls                                  []uint8
-		busEnds                                  []int
-		busMap                                   map[uint8][]proto.NodeRef
-	}
+	// sc backs the slices Sweep hands out.
+	sc *Scratch
 }
 
-// New returns an empty table.
-func New() *Table {
+// Scratch backs the slices of a SweepResult. The tables of one event loop
+// share one (NewWith), so no table carries sweep buffers of its own and a
+// sweep tick allocates nothing in steady state; a result is valid until
+// the next Sweep through the same Scratch.
+type Scratch struct {
+	refs  []proto.NodeRef // every expired ref of one sweep, structure after structure
+	spans []BusSweep
+}
+
+// New returns an empty table with a scratch of its own.
+func New() *Table { return NewWith(&Scratch{}) }
+
+// NewWith returns an empty table sweeping through the caller's scratch.
+func NewWith(sc *Scratch) *Table {
 	return &Table{
 		Level0:      NewSet(),
 		Bus:         map[uint8]*Set{},
 		Children:    NewSet(),
 		NbrChildren: NewSet(),
 		Superiors:   NewSet(),
+		sc:          sc,
 	}
 }
 
@@ -153,8 +159,8 @@ func (t *Table) ParentExpired(now, ttl time.Duration) bool {
 // communication with the corresponding node".
 func (t *Table) Touch(addr uint64, now time.Duration) {
 	t.Level0.Touch(addr, now)
-	for _, s := range t.Bus {
-		s.Touch(addr, now)
+	for _, lvl := range t.busLevels() { // the cached list: ranging over the map costs more than the probes
+		t.Bus[lvl].Touch(addr, now)
 	}
 	t.Children.Touch(addr, now)
 	t.NbrChildren.Touch(addr, now)
@@ -237,12 +243,18 @@ func (t *Table) DowngradeLevels(addr uint64, maxLevel uint8) bool {
 // (restart elections, adopt orphans, relink the bus).
 type SweepResult struct {
 	Level0      []proto.NodeRef
-	Bus         map[uint8][]proto.NodeRef
+	Bus         []BusSweep // levels that lost members, ascending
 	Children    []proto.NodeRef
 	NbrChildren []proto.NodeRef
 	Superiors   []proto.NodeRef
 	ParentLost  bool
 	Parent      proto.NodeRef
+}
+
+// BusSweep is what one bus level lost in a sweep.
+type BusSweep struct {
+	Level uint8
+	Refs  []proto.NodeRef
 }
 
 // Empty reports whether the sweep removed nothing.
@@ -252,52 +264,39 @@ func (r SweepResult) Empty() bool {
 }
 
 // Sweep expires stale entries in every structure. The slices in the
-// result share the table's scratch buffers and are valid until the next
-// Sweep on this table.
+// result share the table's Scratch (see there for how long they last).
 func (t *Table) Sweep(now, ttl time.Duration) SweepResult {
-	sc := &t.sweepScratch
-	res := SweepResult{}
-	res.Level0 = t.Level0.sweepInto(sc.level0[:0], now, ttl)
-	sc.level0 = res.Level0
-
-	// Bus removals for all levels share one backing array; per-level
-	// sub-slices are cut from it after the loop. Growth inside append
-	// copies the prefix, so earlier spans stay valid in the final array.
-	bus := sc.bus[:0]
-	sc.busLvls, sc.busEnds = sc.busLvls[:0], sc.busEnds[:0]
-	for lvl, s := range t.Bus {
-		start := len(bus)
-		bus = s.sweepInto(bus, now, ttl)
-		if len(bus) > start {
-			sc.busLvls = append(sc.busLvls, lvl)
-			sc.busEnds = append(sc.busEnds, len(bus))
+	// One backing array takes every removal; the result is cut from it at
+	// the end, once append can no longer move it.
+	refs := t.Level0.sweepInto(t.sc.refs[:0], now, ttl)
+	spans := t.sc.spans[:0]
+	n0 := len(refs)
+	for _, lvl := range t.busLevels() {
+		s, before := t.Bus[lvl], len(refs)
+		refs = s.sweepInto(refs, now, ttl)
+		if len(refs) > before {
+			spans = append(spans, BusSweep{Level: lvl, Refs: refs[before:]})
 		}
 		if s.Len() == 0 {
 			delete(t.Bus, lvl)
 			t.levelsDirty = true
 		}
 	}
-	sc.bus = bus
-	if len(sc.busLvls) > 0 {
-		if sc.busMap == nil {
-			sc.busMap = map[uint8][]proto.NodeRef{}
-		}
-		clear(sc.busMap)
-		res.Bus = sc.busMap
-		start := 0
-		for i, lvl := range sc.busLvls {
-			end := sc.busEnds[i]
-			res.Bus[lvl] = bus[start:end:end]
-			start = end
-		}
-	}
+	nb := len(refs)
+	refs = t.Children.sweepInto(refs, now, ttl)
+	nc := len(refs)
+	refs = t.NbrChildren.sweepInto(refs, now, ttl)
+	nn := len(refs)
+	refs = t.Superiors.sweepInto(refs, now, ttl)
+	t.sc.refs, t.sc.spans = refs, spans
 
-	res.Children = t.Children.sweepInto(sc.children[:0], now, ttl)
-	sc.children = res.Children
-	res.NbrChildren = t.NbrChildren.sweepInto(sc.nbrChildren[:0], now, ttl)
-	sc.nbrChildren = res.NbrChildren
-	res.Superiors = t.Superiors.sweepInto(sc.superiors[:0], now, ttl)
-	sc.superiors = res.Superiors
+	res := SweepResult{Level0: refs[:n0:n0], Bus: spans, Children: refs[nb:nc:nc],
+		NbrChildren: refs[nc:nn:nn], Superiors: refs[nn:]}
+	for i, end := 0, n0; i < len(spans); i++ {
+		start := end
+		end += len(spans[i].Refs)
+		spans[i].Refs = refs[start:end:end]
+	}
 	if t.ParentExpired(now, ttl) {
 		res.ParentLost = true
 		res.Parent = t.parent.Ref
@@ -434,6 +433,21 @@ func (sc *nearScan) consider(r proto.NodeRef) {
 		(d == sc.bestDist && (r.ID < sc.best.ID || (r.ID == sc.best.ID && r.Addr < sc.best.Addr))) {
 		sc.best, sc.bestDist, sc.found = r, d, true
 	}
+}
+
+// MemBytes reports the heap the table holds, the shared Scratch excluded.
+func (t *Table) MemBytes() Mem {
+	m := Mem{Fixed: int(unsafe.Sizeof(*t)) + MapBytes(len(t.Bus), 16) + cap(t.levels)}
+	if t.hasParent {
+		m.Fixed += int(unsafe.Sizeof(*t.parent))
+	}
+	for _, s := range [...]*Set{t.Level0, t.Children, t.NbrChildren, t.Superiors} {
+		m.Add(s.MemBytes())
+	}
+	for _, s := range t.Bus {
+		m.Add(s.MemBytes())
+	}
+	return m
 }
 
 // Size returns the total number of entries across all structures (the

@@ -1,6 +1,7 @@
 package rtable
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -81,6 +82,52 @@ func TestRemoveEverywhere(t *testing.T) {
 	}
 }
 
+// TestTableSweepBusSpans: the bus removals come back as ascending (level,
+// refs) pairs, each span holding exactly its level's expired refs in ID
+// order — also when the shared backing array moved while it was filled,
+// and when two tables sweep through one Scratch in turn.
+func TestTableSweepBusSpans(t *testing.T) {
+	sc := &Scratch{}
+	for round := 0; round < 2; round++ { // the second round reuses the grown buffers
+		tb := NewWith(sc)
+		addr := uint64(1)
+		want := map[uint8][]uint64{}
+		for _, lvl := range []uint8{5, 2, 9, 3} {
+			for i := 0; i < 3+int(lvl); i++ {
+				seen := time.Duration(0)
+				if lvl == 3 || i%4 == 3 {
+					seen = 10 * time.Second // survives
+				} else {
+					want[lvl] = append(want[lvl], addr)
+				}
+				tb.BusLevel(lvl).Upsert(ref(idspace.ID(uint64(lvl)*1000+addr), addr), 0, seen, 1, Direct)
+				addr++
+			}
+		}
+		tb.Level0.Upsert(ref(7, 900), 0, 0, 1, Direct)
+		tb.Superiors.Upsert(ref(8, 901), 0, 0, 1, Direct)
+		res := tb.Sweep(12*time.Second, 5*time.Second)
+		if len(res.Level0) != 1 || res.Level0[0].Addr != 900 || len(res.Superiors) != 1 || res.Superiors[0].Addr != 901 ||
+			len(res.Children) != 0 || len(res.NbrChildren) != 0 {
+			t.Fatalf("round %d: non-bus spans wrong: %+v", round, res)
+		}
+		var levels []uint8
+		for _, b := range res.Bus {
+			levels = append(levels, b.Level)
+			var got []uint64
+			for _, r := range b.Refs {
+				got = append(got, r.Addr)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want[b.Level]) {
+				t.Fatalf("round %d: level %d lost %v, want %v", round, b.Level, got, want[b.Level])
+			}
+		}
+		if fmt.Sprint(levels) != "[2 5 9]" {
+			t.Fatalf("round %d: levels %v, want [2 5 9]", round, levels)
+		}
+	}
+}
+
 func TestTableSweep(t *testing.T) {
 	tb := New()
 	tb.Level0.Upsert(ref(10, 1), 0, 0, 1, Direct)
@@ -95,7 +142,7 @@ func TestTableSweep(t *testing.T) {
 	if len(res.Level0) != 1 || res.Level0[0].ID != 10 {
 		t.Fatalf("level0 sweep %v", res.Level0)
 	}
-	if len(res.Bus[1]) != 1 {
+	if len(res.Bus) != 1 || res.Bus[0].Level != 1 || len(res.Bus[0].Refs) != 1 || res.Bus[0].Refs[0].ID != 30 {
 		t.Fatalf("bus sweep %v", res.Bus)
 	}
 	if len(res.Children) != 1 {

@@ -30,6 +30,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Kernel is a discrete-event scheduler with a virtual clock starting at 0.
@@ -278,6 +279,16 @@ func (k *Kernel) Stop() { k.stopped.Store(true) }
 
 // Pending returns the number of live (scheduled, non-cancelled) events.
 func (k *Kernel) Pending() int { return k.live }
+
+// MemBytes reports the heap behind the event records, scheduled and
+// pooled: the pool keeps the most that were ever pending at once.
+func (k *Kernel) MemBytes() int {
+	n := k.live
+	for ev := k.free; ev != nil; ev = ev.next {
+		n++
+	}
+	return n * int(unsafe.Sizeof(event{}))
+}
 
 // fire delivers one event previously returned by peek (the ready-heap
 // minimum). One-shot records are recycled before the callback runs, so the

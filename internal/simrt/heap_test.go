@@ -1,0 +1,176 @@
+package simrt
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"treep/internal/dht"
+	"treep/internal/rtable"
+)
+
+// The heap ledger (DESIGN.md §16): what a simulated peer holds, structure
+// by structure, against what the runtime says the overlay costs. The
+// MemBytes methods count what each package owns (capacity × element size,
+// exact; maps estimated); the rows below them are this runtime's own
+// per-peer objects, at the sizes the allocator rounds them to.
+const (
+	ledgerPeers = 2000
+	// heapBudgetBare and heapBudgetStore are the committed ceilings on heap
+	// per peer at N=2000, measured figure + 5 %. Bare: no DHT, at the 10 s
+	// keep-alive instant with the round's pings in flight — what
+	// sim-churn's heap_bytes_per_node snapshot sees. Store: DHT attached
+	// and loaded with 4096 records × 3, at a quiet instant — sim-reads and
+	// sim-writes. CI holds the benchmark's figures to the same two numbers
+	// (.github/workflows/ci.yml reads them from this file).
+	heapBudgetBare  = 23750
+	heapBudgetStore = 22550
+	// ledgerFloorPct is how much of the measured heap the rows must
+	// explain at a quiet instant.
+	ledgerFloorPct = 85
+
+	// Per-peer objects of the simulated runtime, by allocator size class.
+	// math/rand's lagged-Fibonacci source is 607 words plus two ints: 4 872
+	// bytes in the 5 376 class, and a 48-byte Rand in front of it.
+	rngBytes = 5376 + 48
+	// A simEnv (48), the netsim handler closure (32) and handler slot (8),
+	// and the cluster's Nodes/byAddr/alive slots (17).
+	envBytes = 48 + 32 + 8 + 17
+	// A periodic node timer: its Timer handle (16), the liveness guard
+	// closure (32) and the bound method it guards (16).
+	timerBytes = 16 + 32 + 16
+)
+
+// settledHeap collects twice, as the benchmark does, and reads HeapAlloc.
+func settledHeap() int {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int(m.HeapAlloc)
+}
+
+// ledgerRow is one line of the table, in bytes for the whole overlay.
+type ledgerRow struct {
+	name  string
+	bytes int
+}
+
+// heapLedger sums what every structure of the overlay reports it holds.
+func heapLedger(c *Cluster, svcs []*dht.Service) []ledgerRow {
+	var tbl rtable.Mem
+	var node, peers, hold, store, dhtFixed, scratch int
+	for _, n := range c.Nodes {
+		m := n.MemBytes()
+		tbl.Add(m.Table)
+		node, peers, hold = node+m.Node, peers+m.Peers, hold+m.Hold
+	}
+	for _, s := range svcs {
+		st, fx := s.MemBytes()
+		store, dhtFixed = store+st, dhtFixed+fx
+	}
+	for i := range c.scratch {
+		scratch += c.scratch[i].MemBytes()
+	}
+	timers := 3 * len(c.Nodes) // keep-alive, sweep, child report
+	if svcs != nil {
+		timers += len(svcs) // replica maintenance
+	}
+	return []ledgerRow{
+		{"rtable slabs", tbl.Slabs},
+		{"rtable index", tbl.Index},
+		{"rtable views (order, sorted)", tbl.Views},
+		{"rtable structs, bus map, parent", tbl.Fixed},
+		{"core.Node + anchors", node},
+		{"peers + pending", peers},
+		{"hold table", hold},
+		{"dht store + caches", store},
+		{"dht.Service + memo ring", dhtFixed},
+		{"loop scratch", scratch},
+		{"env, handler, cluster slots", envBytes * len(c.Nodes)},
+		{"math/rand source", rngBytes * len(c.Nodes)},
+		{"kernel events (pool) and timers", c.Kernel.MemBytes() + timers*timerBytes},
+		{"netsim datagram records (pool)", c.Net.MemBytes()},
+	}
+}
+
+// checkLedger logs the table and holds the rows to the measured heap.
+func checkLedger(t *testing.T, what string, rows []ledgerRow, measured, n int) {
+	t.Helper()
+	sum := 0
+	out := fmt.Sprintf("%s: %d B/peer measured\n", what, measured/n)
+	for _, r := range rows {
+		sum += r.bytes
+		out += fmt.Sprintf("  %-34s %7d\n", r.name, r.bytes/n)
+	}
+	pct := 100 * sum / measured
+	t.Logf("%s  %-34s %7d (%d %% of measured)", out, "ledger total", sum/n, pct)
+	if pct < ledgerFloorPct || pct > 100 {
+		t.Errorf("%s: the ledger explains %d %% of the measured heap, want %d..100", what, pct, ledgerFloorPct)
+	}
+}
+
+// TestHeapLedger builds the benchmark's overlay twice — bare, and with the
+// DHT attached and loaded — and checks that the per-structure ledger adds
+// up to the heap the runtime reports, and that heap per peer stays inside
+// the committed budgets.
+func TestHeapLedger(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what objects cost")
+	}
+	perPeer := func(base int) int { return (settledHeap() - base) / ledgerPeers }
+
+	t.Run("bare", func(t *testing.T) {
+		base := settledHeap()
+		c := New(Options{N: ledgerPeers, Seed: 1, Bulk: true})
+		c.StartAll()
+		c.Run(10 * time.Second)
+		busy := perPeer(base)
+		// Half a second on every ping and pong has landed, and the two
+		// collections have emptied the message pools.
+		c.Run(500 * time.Millisecond)
+		quiet := settledHeap() - base
+		checkLedger(t, "bare, quiet instant", heapLedger(c, nil), quiet, ledgerPeers)
+		t.Logf("bare, keep-alive instant: %d B/peer (%d in flight), budget %d", busy, busy-quiet/ledgerPeers, heapBudgetBare)
+		if busy > heapBudgetBare {
+			t.Errorf("bare overlay holds %d B/peer at the keep-alive instant, budget %d", busy, heapBudgetBare)
+		}
+		runtime.KeepAlive(c)
+	})
+
+	t.Run("store", func(t *testing.T) {
+		base := settledHeap()
+		c := New(Options{N: ledgerPeers, Seed: 1, Bulk: true})
+		c.StartAll()
+		svcs := make([]*dht.Service, len(c.Nodes))
+		for i, n := range c.Nodes {
+			svcs[i] = dht.Attach(n)
+		}
+		c.Run(10 * time.Second)
+		rng := c.Rand()
+		value := make([]byte, 64)
+		failed := 0
+		for i := 0; i < 4096; i++ {
+			svcs[rng.Intn(len(svcs))].Put([]byte(fmt.Sprintf("rec/%06d", i)), value, func(err error) {
+				if err != nil {
+					failed++
+				}
+			})
+			if i%64 == 63 {
+				c.Run(10 * time.Millisecond)
+			}
+		}
+		c.Run(4500 * time.Millisecond) // acks, two replica-maintenance rounds; ends off the keep-alive instant
+		if failed > 0 {
+			t.Fatalf("%d of 4096 preload puts failed", failed)
+		}
+		heap := settledHeap() - base
+		checkLedger(t, "store, quiet instant", heapLedger(c, svcs), heap, ledgerPeers)
+		if got := heap / ledgerPeers; got > heapBudgetStore {
+			t.Errorf("loaded overlay holds %d B/peer, budget %d", got, heapBudgetStore)
+		}
+		runtime.KeepAlive(c)
+		runtime.KeepAlive(svcs)
+	})
+}

@@ -75,6 +75,10 @@ type Cluster struct {
 	// LevelCounts reports the bulk-built members per level (nil without
 	// Bulk).
 	LevelCounts []int
+	// scratch holds one core.Scratch per event loop: one per shard kernel,
+	// a single one in classic mode. Never one for two loops — shard workers
+	// run concurrently.
+	scratch []core.Scratch
 
 	// Construction machinery retained for dynamic spawns: the base config,
 	// the profile generator, and a dedicated ID stream. Spawned nodes draw
@@ -129,6 +133,7 @@ func New(opts Options) *Cluster {
 		alive:   make([]bool, 1, opts.N+1),
 		baseCfg: opts.Config,
 		gen:     gen,
+		scratch: make([]core.Scratch, max(1, opts.Shards)),
 	}
 	// Every control-plane stream goes through c.Stream, which derives
 	// identically in both modes, so a seed's node IDs, profiles, anchors
@@ -170,7 +175,7 @@ func (c *Cluster) attach(cfg core.Config) *core.Node {
 	}
 	addr := c.Net.AttachOn(shard, func(netsim.Addr, interface{}, int) {})
 	kern := c.kernelFor(shard)
-	env := &simEnv{cluster: c, addr: uint64(addr), rng: kern.Stream(uint64(addr)), kern: kern}
+	env := &simEnv{cluster: c, addr: uint64(addr), rng: kern.Stream(uint64(addr)), kern: kern, sc: &c.scratch[shard]}
 	node := core.NewNode(cfg, env)
 	c.Net.SetHandler(addr, func(from netsim.Addr, payload interface{}, size int) {
 		if msg, ok := payload.(proto.Message); ok {
@@ -446,11 +451,13 @@ type simEnv struct {
 	addr    uint64
 	rng     *rand.Rand
 	kern    *sim.Kernel
+	sc      *core.Scratch // the scratch of kern's loop
 }
 
-func (e *simEnv) Addr() uint64       { return e.addr }
-func (e *simEnv) Now() time.Duration { return e.kern.Now() }
-func (e *simEnv) Rand() *rand.Rand   { return e.rng }
+func (e *simEnv) Addr() uint64           { return e.addr }
+func (e *simEnv) Now() time.Duration     { return e.kern.Now() }
+func (e *simEnv) Rand() *rand.Rand       { return e.rng }
+func (e *simEnv) Scratch() *core.Scratch { return e.sc }
 
 func (e *simEnv) Send(to uint64, msg proto.Message) {
 	// Dead senders cannot transmit: a killed node's queued timer closures

@@ -162,11 +162,13 @@ type env struct {
 	tr   *Transport
 	addr uint64
 	rng  *rand.Rand
+	sc   core.Scratch // the transport's event loop drives this one node
 }
 
-func (e *env) Addr() uint64       { return e.addr }
-func (e *env) Now() time.Duration { return time.Since(e.tr.start) }
-func (e *env) Rand() *rand.Rand   { return e.rng }
+func (e *env) Addr() uint64           { return e.addr }
+func (e *env) Now() time.Duration     { return time.Since(e.tr.start) }
+func (e *env) Rand() *rand.Rand       { return e.rng }
+func (e *env) Scratch() *core.Scratch { return &e.sc }
 
 // Send queues one datagram on the transport's send queue; the event loop
 // flushes the whole queue in one WriteBatch when the current inbound
