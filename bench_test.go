@@ -143,30 +143,14 @@ func BenchmarkFigI_HopSurface_NG_VarNC(b *testing.B) {
 // the final phase boundary.
 func benchScenario(b *testing.B, phases []scenario.Phase) {
 	b.Helper()
-	benchScenarioN(b, 300, phases)
-}
-
-// benchScenarioN is benchScenario at an explicit population; the scale
-// points (2k, 5k) track the substrate's events/sec and allocs/op as the
-// simulated population grows (EXPERIMENTS.md scale table).
-func benchScenarioN(b *testing.B, n int, phases []scenario.Phase) {
-	b.Helper()
-	benchScenarioSharded(b, n, 0, phases)
-}
-
-// benchScenarioSharded is benchScenarioN on an explicit engine
-// configuration (shards 0 = classic kernel, ≥1 = sharded kernel).
-func benchScenarioSharded(b *testing.B, n, shards int, phases []scenario.Phase) {
-	b.Helper()
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		res := experiment.RunScenario(experiment.ScenarioOptions{
-			N:               n,
+			N:               300,
 			Seeds:           []int64{1},
 			Phases:          phases,
 			LookupsPerPhase: 60,
-			Shards:          shards,
 		})
 		last := len(res.Trials[0].Steps) - 1
 		fail := res.FailRateByPhase(proto.AlgoG)
@@ -182,43 +166,13 @@ func benchScenarioSharded(b *testing.B, n, shards int, phases []scenario.Phase) 
 	}
 }
 
+// BenchmarkScenarioChurn is the canonical churn timeline at N=300; the
+// populations above it are treep-bench's -scale ladder.
 func BenchmarkScenarioChurn(b *testing.B) {
-	benchScenario(b, churnPhases())
-}
-
-// churnPhases is the canonical churn timeline used at every scale point.
-func churnPhases() []scenario.Phase {
-	return []scenario.Phase{
+	benchScenario(b, []scenario.Phase{
 		scenario.Churn{For: 15 * time.Second, JoinRate: 2, LeaveRate: 2},
 		scenario.Settle{For: 12 * time.Second},
-	}
-}
-
-func BenchmarkScenarioChurn2k(b *testing.B) {
-	benchScenarioN(b, 2000, churnPhases())
-}
-
-// BenchmarkScenarioChurnSharded2k runs the canonical churn timeline on
-// the sharded kernel (4 shards) — the CI smoke point for the parallel
-// engine. Events/s against BenchmarkScenarioChurn2k is the speedup on
-// the runner; allocs/op guards the exchange path staying allocation-free
-// at steady state.
-func BenchmarkScenarioChurnSharded2k(b *testing.B) {
-	benchScenarioSharded(b, 2000, 4, churnPhases())
-}
-
-func BenchmarkScenarioChurn5k(b *testing.B) {
-	if testing.Short() {
-		b.Skip("N=5000 scenario: skipped in -short mode")
-	}
-	benchScenarioN(b, 5000, churnPhases())
-}
-
-func BenchmarkScenarioChurn10k(b *testing.B) {
-	if testing.Short() {
-		b.Skip("N=10000 scenario: skipped in -short mode")
-	}
-	benchScenarioN(b, 10000, churnPhases())
+	})
 }
 
 // benchDHTChurn is the canonical storage workload: seed records, then a
@@ -251,9 +205,7 @@ func benchDHTChurn(b *testing.B, n int) {
 	}
 }
 
-// dhtChurnPhases is the canonical put/get-under-churn timeline, mirrored
-// by treep-bench's -storage scale rows so CI's allocation guard and the
-// EXPERIMENTS table track the same workload.
+// dhtChurnPhases is the canonical put/get-under-churn timeline.
 func dhtChurnPhases() []scenario.Phase {
 	return []scenario.Phase{
 		scenario.Settle{For: 8 * time.Second},
@@ -273,12 +225,10 @@ func BenchmarkDHTChurn2k(b *testing.B) {
 
 // benchZipfBalanced is the skewed-read smoke point: a Zipf(1.0) read
 // storm against the full balancer stack (load observability + hot-key
-// fan-out), the regime the capacity balancer exists for. The timeline is
-// mirrored by treep-bench's -zipf scale rows, so CI's allocation guard
-// and this benchmark track the same workload. Reported metrics are the
-// read-miss percentage, the fraction of reads absorbed by reader-side
-// caches, and the end-state violation count with both balance checkers
-// gating.
+// fan-out), the regime the capacity balancer exists for. Reported metrics
+// are the read-miss percentage, the fraction of reads absorbed by
+// reader-side caches, and the end-state violation count with both
+// balance checkers gating.
 func benchZipfBalanced(b *testing.B, n int) {
 	b.Helper()
 	b.ReportAllocs()
@@ -328,6 +278,9 @@ func BenchmarkZipfBalanced(b *testing.B) {
 	benchZipfBalanced(b, 300)
 }
 
+// BenchmarkZipfBalanced2k is the one allocation figure with the balancer
+// and the hot-key cache on: every BENCHMARK.json workload runs with both
+// off, so its allocs/op is covered by no repo-benchmark metric.
 func BenchmarkZipfBalanced2k(b *testing.B) {
 	benchZipfBalanced(b, 2000)
 }

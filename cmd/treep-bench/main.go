@@ -43,33 +43,14 @@ per-phase CSV + JSON records:
 Scale mode (-scale): run the canonical churn scenario at each listed
 population (k/M suffixes accepted: 100k, 1M) and export the substrate
 scale table (events/s, allocs/run, peak heap, speedup) as CSV + JSON —
-the machine-readable source of the EXPERIMENTS.md scale table and CI's
-allocation-budget guard. -shards lists engine configurations per
-population (0 = classic single-threaded kernel, ≥1 = sharded multi-core
-kernel; sharded rows report wall-clock speedup against the shards=1
-row). -budget caps each row's wall clock: rows that overrun are marked
-truncated and excluded from speedup and benchguard comparisons. With
--storage, each population also plays the DHT put/get-under-churn
-workload and exports it as "dht" rows in the same table; with -zipf,
-the skewed Zipf(1.0) read workload with the load balancer on as "zipf"
-rows. -shards applies only to the churn rows: the dht and zipf rows
-always run on the classic single-threaded kernel (their shard column is
-0), so listing more shard counts multiplies the churn rows but never
-the workload rows:
+the machine-readable source of the EXPERIMENTS.md scale table. -shards
+lists engine configurations per population (0 = classic single-threaded
+kernel, ≥1 = sharded multi-core kernel; sharded rows report wall-clock
+speedup against the shards=1 row). -budget caps each row's wall clock:
+rows that overrun are marked truncated and excluded from the speedup
+column:
 
   treep-bench -scale 10k,100k,1M -shards 1,4 -budget 5m -out results/
-  treep-bench -scale 500,2000 -lookups 60 -storage -zipf -out results/
-
-UDP mode (-udp): run the real-socket benchmark — an -n node loopback
-cluster (real UDP sockets, wall-clock timers, the binary codec) carrying
-saturating keep-alive traffic plus rate-paced DHT reads, measured as
-msgs/s, allocs/msg and syscalls/msg. -udp-variant both (the default)
-runs the kernel-batched fast path and the single-datagram fallback on
-identical workloads and prints the before/after table; rows export as
-udp-bench.{csv,json} ("udp" and "udpsingle" workloads, allocs_run
-normalised to allocations per 1000 messages):
-
-  treep-bench -udp -n 50 -udp-for 5s -out results/
 
 -cpuprofile/-memprofile/-blockprofile write pprof profiles of any mode.
 
@@ -113,14 +94,6 @@ func main() {
 	scale := flag.String("scale", "", "comma-separated populations (e.g. 500,2000,100k,1M): run the canonical churn scenario per N and export the substrate scale table; enables scale mode")
 	shards := flag.String("shards", "0", "scale mode: comma-separated engine configurations per population (0 = classic kernel, ≥1 = sharded kernel with that many shards)")
 	budget := flag.Duration("budget", 0, "scale mode: wall-clock cap per row; rows that overrun are interrupted and marked truncated (0 = no cap)")
-	storage := flag.Bool("storage", false, "scale mode: additionally run the DHT put/get-under-churn workload per N (workload \"dht\" rows)")
-	zipf := flag.Bool("zipf", false, "scale mode: additionally run the skewed Zipf(1.0) read workload with the load balancer on per N (workload \"zipf\" rows)")
-	udp := flag.Bool("udp", false, "real-socket benchmark: an -n node loopback UDP cluster measured as msgs/s, allocs/msg, syscalls/msg; enables udp mode")
-	udpFor := flag.Duration("udp-for", 5*time.Second, "udp mode: measurement window per variant")
-	udpWorkers := flag.Int("udp-workers", 8, "udp mode: DHT read workers")
-	udpRecords := flag.Int("udp-records", 64, "udp mode: DHT records preloaded for the read workload")
-	udpRate := flag.Int("udp-rate", 500, "udp mode: gets/s per worker, so both variants do identical application work (0 = unpaced closed loop: the faster arm serves more gets and is charged their allocations)")
-	udpVariant := flag.String("udp-variant", "both", "udp mode: batch, single, or both (the ablation pair)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit (shard workers park at epoch barriers; this shows where)")
@@ -188,44 +161,11 @@ func main() {
 	if *scale != "" && *compare != "" {
 		fail("-scale and -compare are mutually exclusive")
 	}
-	if *udp && (*scale != "" || *compare != "") {
-		fail("-udp is mutually exclusive with -scale and -compare")
-	}
-	if *storage && *scale == "" {
-		fail("-storage requires -scale")
-	}
-	if *zipf && *scale == "" {
-		fail("-zipf requires -scale")
-	}
 	if *scale == "" && (*shards != "0" || *budget != 0) {
 		fail("-shards and -budget require -scale")
 	}
-	if !*udp && (*udpFor != 5*time.Second || *udpWorkers != 8 || *udpRecords != 64 || *udpRate != 500 || *udpVariant != "both") {
-		fail("-udp-for, -udp-workers, -udp-records, -udp-rate and -udp-variant require -udp")
-	}
-	if *udp {
-		switch *udpVariant {
-		case "both", "batch", "single":
-		default:
-			fail("-udp-variant must be both, batch or single (got %q)", *udpVariant)
-		}
-		if *n < 2 {
-			fail("udp mode needs -n >= 2 nodes")
-		}
-		if *udpWorkers < 1 || *udpRecords < 1 {
-			fail("-udp-workers and -udp-records must be positive")
-		}
-		if *udpRate < 0 {
-			fail("-udp-rate must be non-negative")
-		}
-		if *udpFor <= 0 {
-			fail("-udp-for must be positive")
-		}
-		runUDP(*udpVariant, *n, *udpWorkers, *udpRecords, *udpRate, *udpFor, *out)
-		return
-	}
 	if *scale != "" {
-		runScale(*scale, *shards, *out, *lookups, *storage, *zipf, *budget)
+		runScale(*scale, *shards, *out, *lookups, *budget)
 		return
 	}
 	if *compare != "" {

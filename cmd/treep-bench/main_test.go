@@ -48,24 +48,11 @@ func TestConflictingFlagsExit2(t *testing.T) {
 		args []string
 	}{
 		{"scale-and-compare", []string{"-scale", "500", "-compare", "chord"}},
-		{"storage-without-scale", []string{"-storage"}},
-		{"zipf-without-scale", []string{"-zipf"}},
 		{"shards-without-scale", []string{"-shards", "2"}},
 		{"budget-without-scale", []string{"-budget", "1m"}},
 		{"bad-population", []string{"-scale", "abc"}},
 		{"bad-shard-count", []string{"-scale", "100", "-shards", "-3"}},
 		{"stray-operand", []string{"extra"}},
-		{"udp-and-scale", []string{"-udp", "-scale", "500"}},
-		{"udp-and-compare", []string{"-udp", "-compare", "chord"}},
-		{"udp-variant-without-udp", []string{"-udp-variant", "batch"}},
-		{"udp-for-without-udp", []string{"-udp-for", "2s"}},
-		{"udp-workers-without-udp", []string{"-udp-workers", "4"}},
-		{"bad-udp-variant", []string{"-udp", "-udp-variant", "fast"}},
-		{"udp-one-node", []string{"-udp", "-n", "1"}},
-		{"udp-zero-workers", []string{"-udp", "-udp-workers", "0"}},
-		{"udp-negative-window", []string{"-udp", "-udp-for", "-1s"}},
-		{"udp-rate-without-udp", []string{"-udp-rate", "100"}},
-		{"udp-negative-rate", []string{"-udp", "-udp-rate", "-5"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,15 +67,16 @@ func TestConflictingFlagsExit2(t *testing.T) {
 	}
 }
 
-// TestScaleZipfRow runs a real (tiny) -scale -zipf invocation end to end
-// and checks the exported table carries the zipf workload row with the
-// keying fields benchguard compares on.
-func TestScaleZipfRow(t *testing.T) {
+// TestScaleChurnRow runs a real (tiny) -scale invocation end to end on
+// both engines and checks the exported table carries one row per engine
+// configuration, keyed by (n, shards), with the sharded row's speedup
+// column filled against itself.
+func TestScaleChurnRow(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a real scale point")
+		t.Skip("runs two real scale points")
 	}
 	dir := t.TempDir()
-	out, code := runBench(t, "-scale", "80", "-zipf", "-lookups", "5", "-out", dir)
+	out, code := runBench(t, "-scale", "80", "-shards", "0,1", "-lookups", "5", "-out", dir)
 	if code != 0 {
 		t.Fatalf("scale run exited %d\noutput:\n%s", code, out)
 	}
@@ -97,73 +85,31 @@ func TestScaleZipfRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rows []struct {
-		Workload string  `json:"workload"`
-		N        int     `json:"n"`
-		Shards   int     `json:"shards"`
-		FailPct  float64 `json:"fail_pct"`
+		N       int     `json:"n"`
+		Shards  int     `json:"shards"`
+		Events  uint64  `json:"events"`
+		Speedup float64 `json:"speedup"`
 	}
 	if err := json.Unmarshal(data, &rows); err != nil {
 		t.Fatal(err)
 	}
-	var zipf, churn bool
-	for _, r := range rows {
-		switch r.Workload {
-		case "zipf":
-			zipf = true
-			if r.N != 80 || r.Shards != 0 {
-				t.Errorf("zipf row keyed (n=%d, shards=%d), want (80, 0)", r.N, r.Shards)
-			}
-			if r.FailPct != 0 {
-				t.Errorf("zipf row read-miss %.2f%%, want 0", r.FailPct)
-			}
-		case "":
-			churn = true
+	if len(rows) != 2 {
+		t.Fatalf("scale-churn.json has %d rows, want 2:\n%s", len(rows), data)
+	}
+	for i, r := range rows {
+		if r.N != 80 || r.Shards != i || r.Events == 0 {
+			t.Errorf("row %d keyed (n=%d, shards=%d) with %d events, want (80, %d) and events > 0", i, r.N, r.Shards, r.Events, i)
 		}
 	}
-	if !zipf || !churn {
-		t.Errorf("exported rows missing workloads (zipf=%v churn=%v):\n%s", zipf, churn, data)
+	// The classic row has no sharded reference; the shards=1 row is its own.
+	if rows[0].Speedup != 0 || rows[1].Speedup != 1 {
+		t.Errorf("speedup column = (%v, %v), want (0, 1)", rows[0].Speedup, rows[1].Speedup)
 	}
-}
-
-// TestUDPBenchRow runs a real (tiny) -udp invocation end to end: a
-// 3-node loopback cluster, one worker, a short window — and checks the
-// exported table carries the udp workload row keyed the way benchguard
-// compares it, with traffic actually measured.
-func TestUDPBenchRow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real UDP cluster")
-	}
-	dir := t.TempDir()
-	out, code := runBench(t, "-udp", "-n", "3", "-udp-for", "500ms",
-		"-udp-workers", "1", "-udp-records", "2", "-udp-variant", "batch", "-out", dir)
-	if code != 0 {
-		t.Fatalf("udp run exited %d\noutput:\n%s", code, out)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "udp-bench.json"))
+	csv, err := os.ReadFile(filepath.Join(dir, "scale-churn.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []struct {
-		Workload string  `json:"workload"`
-		N        int     `json:"n"`
-		Shards   int     `json:"shards"`
-		Events   uint64  `json:"events"`
-		FailPct  float64 `json:"fail_pct"`
-	}
-	if err := json.Unmarshal(data, &rows); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("udp-bench.json has %d rows, want 1 (batch only):\n%s", len(rows), data)
-	}
-	r := rows[0]
-	if r.Workload != "udp" || r.N != 3 || r.Shards != 0 {
-		t.Errorf("udp row keyed (%q, n=%d, shards=%d), want (\"udp\", 3, 0)", r.Workload, r.N, r.Shards)
-	}
-	if r.Events == 0 {
-		t.Errorf("udp row measured zero datagrams:\n%s", data)
-	}
-	if r.FailPct > 50 {
-		t.Errorf("udp row read-miss %.1f%%: cluster unhealthy\noutput:\n%s", r.FailPct, out)
+	if head, _, _ := strings.Cut(string(csv), "\n"); !strings.Contains(head, ",speedup,") {
+		t.Errorf("CSV header lacks the speedup column: %s", head)
 	}
 }

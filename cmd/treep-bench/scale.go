@@ -12,33 +12,25 @@ import (
 	"sync/atomic"
 	"time"
 
-	"treep/internal/core"
 	"treep/internal/experiment"
 	"treep/internal/proto"
 	"treep/internal/scenario"
-	"treep/internal/simrt"
 )
 
 // ScalePoint is one row of the machine-generated substrate scale table
-// (EXPERIMENTS.md): one workload at one population on one engine
-// configuration, with the quantities the scale claims are judged on —
-// events/s must stay flat as N grows, allocs/run and peak heap must grow
-// linearly at worst, and sharded rows must show wall-clock speedup over
-// the single-shard reference when cores are available.
+// (EXPERIMENTS.md): the canonical churn timeline at one population on one
+// engine configuration, with the quantities the scale claims are judged
+// on — events/s must stay flat as N grows, allocs/run and peak heap must
+// grow linearly at worst, and sharded rows must show wall-clock speedup
+// over the single-shard reference when cores are available.
 type ScalePoint struct {
-	// Workload identifies the scenario: "" (the canonical churn timeline,
-	// kept empty for baseline compatibility) or "dht" (the
-	// put/get-under-churn storage workload).
-	Workload string `json:"workload,omitempty"`
-	N        int    `json:"n"`
+	N int `json:"n"`
 	// Shards is the engine configuration: 0 is the classic
 	// single-threaded kernel, ≥1 the sharded kernel with that many
 	// worker shards.
 	Shards int `json:"shards"`
 	// MaxProcs records GOMAXPROCS at measurement time. Speedup claims are
-	// only meaningful when MaxProcs covers the shard count; benchguard
-	// gates its speedup floor on this field so a single-core CI runner
-	// cannot fail (or trivially pass) a parallelism assertion.
+	// only meaningful when MaxProcs covers the shard count.
 	MaxProcs   int     `json:"maxprocs"`
 	WallSec    float64 `json:"wall_sec"`
 	Events     uint64  `json:"events"`
@@ -51,16 +43,14 @@ type ScalePoint struct {
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
 	// Speedup is wall-clock of this row's single-shard counterpart
 	// divided by this row's wall-clock — the parallel speedup at this
-	// shard count. Zero when no shards=1 row for the same (workload, N)
-	// exists in the run, or when either row was truncated.
+	// shard count. Zero when no shards=1 row for the same N exists in the
+	// run, or when either row was truncated.
 	Speedup float64 `json:"speedup,omitempty"`
 	// Truncated reports the -budget wall-clock cap expired mid-row: the
 	// virtual timeline did not finish and every measurement covers only
-	// the completed prefix. Truncated rows are incomparable — benchguard
-	// skips them in both directions.
+	// the completed prefix. Truncated rows are incomparable.
 	Truncated bool `json:"truncated,omitempty"`
-	// FailPct is the workload's failure metric: failed-lookup percentage
-	// for churn, read-miss percentage for dht.
+	// FailPct is the failed-lookup percentage after the last phase.
 	FailPct    float64 `json:"fail_pct"`
 	Violations float64 `json:"violations_end"`
 }
@@ -83,8 +73,7 @@ func parsePop(s string) (int, error) {
 }
 
 // scaleChurnPhases is the canonical churn timeline used at every scale
-// point — identical to BenchmarkScenarioChurn* in bench_test.go so the
-// table and the CI benchmarks track the same workload.
+// point.
 func scaleChurnPhases() []scenario.Phase {
 	return []scenario.Phase{
 		scenario.Churn{For: 15 * time.Second, JoinRate: 2, LeaveRate: 2},
@@ -127,17 +116,6 @@ func (w *heapWatcher) Stop() uint64 {
 	close(w.stop)
 	<-w.done
 	return w.peak.Load()
-}
-
-// dhtChurnPhases mirrors BenchmarkDHTChurn*'s canonical storage timeline:
-// seed records, run a put/get mix with concurrent churn, settle.
-func dhtChurnPhases() []scenario.Phase {
-	return []scenario.Phase{
-		scenario.Settle{For: 8 * time.Second},
-		scenario.StoreRecords{Count: 300},
-		scenario.StorageWorkload{For: 15 * time.Second, PutRate: 5, GetRate: 10, JoinRate: 2, LeaveRate: 2},
-		scenario.Settle{For: 10 * time.Second},
-	}
 }
 
 // runChurnPoint plays the canonical churn timeline at one population on
@@ -186,130 +164,15 @@ func runChurnPoint(n, shards, lookups int, budget time.Duration) ScalePoint {
 	return p
 }
 
-// runStoragePoint plays the storage workload at one population and
-// returns its scale row (workload "dht"). The DHT workload always runs
-// on the classic engine: it is the baseline-continuity row, and the
-// sharded engine's scaling story is told by the churn rows.
-func runStoragePoint(n int, budget time.Duration) ScalePoint {
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	mallocs0 := ms.Mallocs
-	w := watchHeap()
-	start := time.Now()
-
-	c := simrt.New(simrt.Options{N: n, Seed: 1, Bulk: true})
-	if budget > 0 {
-		watchdog := time.AfterFunc(budget, c.Interrupt)
-		defer watchdog.Stop()
-	}
-	st := scenario.NewStorage(3)
-	st.AttachAll(c)
-	c.StartAll()
-	res := scenario.Run(c, scenario.Options{
-		Checkers:    append(scenario.AllCheckers(), scenario.StorageCheckers(0.99)...),
-		Storage:     st,
-		FinalGrace:  3 * time.Second,
-		FinalChecks: 4,
-	}, dhtChurnPhases()...)
-
-	wall := time.Since(start)
-	peak := w.Stop()
-	runtime.ReadMemStats(&ms)
-
-	p := ScalePoint{
-		Workload:      "dht",
-		N:             n,
-		MaxProcs:      runtime.GOMAXPROCS(0),
-		WallSec:       wall.Seconds(),
-		Events:        res.Events,
-		EventsPerS:    float64(res.Events) / wall.Seconds(),
-		AllocsRun:     ms.Mallocs - mallocs0,
-		PeakHeapBytes: peak,
-		Truncated:     c.Interrupted(),
-		Violations:    float64(len(res.Final)),
-	}
-	if st.Gets > 0 {
-		p.FailPct = 100 * float64(st.GetMiss) / float64(st.Gets)
-	}
-	return p
-}
-
-// zipfReadPhases mirrors BenchmarkZipfBalanced2k's skewed-read timeline:
-// ledger records, then a Zipf(1.0) read storm whose aggregate rate scales
-// with the population (N/2 reads per virtual second, floor 100).
-func zipfReadPhases(n int) []scenario.Phase {
-	rate := float64(n) / 2
-	if rate < 100 {
-		rate = 100
-	}
-	return []scenario.Phase{
-		scenario.Settle{For: 8 * time.Second},
-		scenario.StoreRecords{Count: 64},
-		scenario.Settle{For: 2 * time.Second},
-		scenario.ZipfReads{For: 20 * time.Second, Rate: rate, Theta: 1.0, Readers: 64},
-	}
-}
-
-// runZipfPoint plays the skewed-read workload with the balancer on at one
-// population and returns its scale row (workload "zipf"). Like dht rows
-// it always runs the classic engine; the overlay invariants plus both
-// balance checkers gate the end state.
-func runZipfPoint(n int, budget time.Duration) ScalePoint {
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	mallocs0 := ms.Mallocs
-	w := watchHeap()
-	start := time.Now()
-
-	c := simrt.New(simrt.Options{N: n, Seed: 1, Bulk: true, Config: core.Config{Balancer: true}})
-	if budget > 0 {
-		watchdog := time.AfterFunc(budget, c.Interrupt)
-		defer watchdog.Stop()
-	}
-	st := scenario.NewStorage(3)
-	st.HotCache = true
-	st.AttachAll(c)
-	c.StartAll()
-	res := scenario.Run(c, scenario.Options{
-		Checkers:    append(scenario.AllCheckers(), scenario.BalanceCheckers()...),
-		Storage:     st,
-		FinalGrace:  3 * time.Second,
-		FinalChecks: 4,
-	}, zipfReadPhases(n)...)
-
-	wall := time.Since(start)
-	peak := w.Stop()
-	runtime.ReadMemStats(&ms)
-
-	p := ScalePoint{
-		Workload:      "zipf",
-		N:             n,
-		MaxProcs:      runtime.GOMAXPROCS(0),
-		WallSec:       wall.Seconds(),
-		Events:        res.Events,
-		EventsPerS:    float64(res.Events) / wall.Seconds(),
-		AllocsRun:     ms.Mallocs - mallocs0,
-		PeakHeapBytes: peak,
-		Truncated:     c.Interrupted(),
-		Violations:    float64(len(res.Final)),
-	}
-	if st.Gets > 0 {
-		p.FailPct = 100 * float64(st.GetMiss) / float64(st.Gets)
-	}
-	return p
-}
-
 // fillSpeedups computes each sharded row's wall-clock speedup against its
-// single-shard counterpart at the same (workload, N). Truncated rows get
-// no speedup in either role: a row cut short by the budget is
-// incomparable, not fast.
+// single-shard counterpart at the same N. Truncated rows get no speedup
+// in either role: a row cut short by the budget is incomparable, not
+// fast.
 func fillSpeedups(points []ScalePoint) {
-	ref := make(map[string]float64) // (workload, n) -> shards=1 wall
+	ref := make(map[int]float64) // n -> shards=1 wall
 	for _, p := range points {
 		if p.Shards == 1 && !p.Truncated {
-			ref[p.Workload+"/"+strconv.Itoa(p.N)] = p.WallSec
+			ref[p.N] = p.WallSec
 		}
 	}
 	for i := range points {
@@ -317,17 +180,15 @@ func fillSpeedups(points []ScalePoint) {
 		if p.Shards < 1 || p.Truncated {
 			continue
 		}
-		if base, ok := ref[p.Workload+"/"+strconv.Itoa(p.N)]; ok && p.WallSec > 0 {
+		if base, ok := ref[p.N]; ok && p.WallSec > 0 {
 			p.Speedup = base / p.WallSec
 		}
 	}
 }
 
-// runScale executes the churn scenario once per (population, shard
-// count) — and, with storage/zipf, the dht and skewed-read workloads
-// once per population — and writes the scale table as CSV + JSON under
-// outDir.
-func runScale(spec, shardsSpec, outDir string, lookups int, storage, zipf bool, budget time.Duration) {
+// runScale executes the churn scenario once per (population, shard count)
+// and writes the scale table as CSV + JSON under outDir.
+func runScale(spec, shardsSpec, outDir string, lookups int, budget time.Duration) {
 	var ns []int
 	for _, f := range strings.Split(spec, ",") {
 		f = strings.TrimSpace(f)
@@ -362,28 +223,18 @@ func runScale(spec, shardsSpec, outDir string, lookups int, storage, zipf bool, 
 	fmt.Printf("# Substrate scale — churn 15s@2+2, settle 12s, %d lookups/phase, seed 1, GOMAXPROCS=%d\n",
 		lookups, runtime.GOMAXPROCS(0))
 	if budget > 0 {
-		fmt.Printf("# wall-clock budget %v per row: truncated rows marked T, excluded from speedup and benchguard\n", budget)
+		fmt.Printf("# wall-clock budget %v per row: truncated rows marked T, excluded from speedup\n", budget)
 	}
 	fmt.Println()
-	fmt.Printf("| %8s | %8s | %6s | %9s | %9s | %11s | %9s | %6s | %10s |\n",
-		"workload", "N", "shards", "wall", "events/s", "allocs/run", "peak heap", "fail%", "violations")
+	fmt.Printf("| %8s | %6s | %9s | %9s | %11s | %9s | %6s | %10s |\n",
+		"N", "shards", "wall", "events/s", "allocs/run", "peak heap", "fail%", "violations")
 
-	points := make([]ScalePoint, 0, len(ns)*(len(shardCounts)+1))
+	points := make([]ScalePoint, 0, len(ns)*len(shardCounts))
 	for _, n := range ns {
 		for _, s := range shardCounts {
 			p := runChurnPoint(n, s, lookups, budget)
 			points = append(points, p)
 			printScaleRow(p)
-		}
-		if storage {
-			sp := runStoragePoint(n, budget)
-			points = append(points, sp)
-			printScaleRow(sp)
-		}
-		if zipf {
-			zp := runZipfPoint(n, budget)
-			points = append(points, zp)
-			printScaleRow(zp)
 		}
 	}
 
@@ -395,8 +246,7 @@ func runScale(spec, shardsSpec, outDir string, lookups int, storage, zipf bool, 
 				fmt.Println()
 				speedups = true
 			}
-			fmt.Printf("speedup: %s N=%d %d shards: %.2fx vs 1 shard\n",
-				workloadName(p.Workload), p.N, p.Shards, p.Speedup)
+			fmt.Printf("speedup: N=%d %d shards: %.2fx vs 1 shard\n", p.N, p.Shards, p.Speedup)
 		}
 	}
 
@@ -407,15 +257,8 @@ func runScale(spec, shardsSpec, outDir string, lookups int, storage, zipf bool, 
 		filepath.Join(outDir, "scale-churn.csv"), filepath.Join(outDir, "scale-churn.json"))
 }
 
-func workloadName(wl string) string {
-	if wl == "" {
-		return "churn"
-	}
-	return wl
-}
-
-// printScaleRow prints one table row (workload "" renders as churn;
-// classic-engine rows render shards as "-").
+// printScaleRow prints one table row (classic-engine rows render shards
+// as "-").
 func printScaleRow(p ScalePoint) {
 	shards := "-"
 	if p.Shards > 0 {
@@ -425,20 +268,15 @@ func printScaleRow(p ScalePoint) {
 	if p.Truncated {
 		trunc = "T"
 	}
-	fmt.Printf("| %8s | %8d | %6s | %7.1fs%s | %9.0f | %11d | %8.1fM | %6.1f | %10.1f |\n",
-		workloadName(p.Workload), p.N, shards, p.WallSec, trunc,
+	fmt.Printf("| %8d | %6s | %7.1fs%s | %9.0f | %11d | %8.1fM | %6.1f | %10.1f |\n",
+		p.N, shards, p.WallSec, trunc,
 		p.EventsPerS, p.AllocsRun, float64(p.PeakHeapBytes)/(1<<20), p.FailPct, p.Violations)
 }
 
-// writeScale exports the scale table as CSV + JSON.
+// writeScale exports the scale table under outDir as scale-churn.csv and
+// scale-churn.json.
 func writeScale(outDir string, points []ScalePoint) error {
-	return writeScaleAs(outDir, "scale-churn", points)
-}
-
-// writeScaleAs exports a scale table under outDir as <base>.csv and
-// <base>.json (the udp bench writes its rows beside the simulator's scale
-// table without clobbering it).
-func writeScaleAs(outDir, base string, points []ScalePoint) error {
+	const base = "scale-churn"
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
@@ -461,10 +299,9 @@ func writeScaleAs(outDir, base string, points []ScalePoint) error {
 		return err
 	}
 	cw := csv.NewWriter(cf)
-	_ = cw.Write([]string{"workload", "n", "shards", "maxprocs", "wall_sec", "events", "events_per_sec", "allocs_run", "peak_heap_bytes", "speedup", "truncated", "fail_pct", "violations_end"})
+	_ = cw.Write([]string{"n", "shards", "maxprocs", "wall_sec", "events", "events_per_sec", "allocs_run", "peak_heap_bytes", "speedup", "truncated", "fail_pct", "violations_end"})
 	for _, p := range points {
 		_ = cw.Write([]string{
-			workloadName(p.Workload),
 			strconv.Itoa(p.N),
 			strconv.Itoa(p.Shards),
 			strconv.Itoa(p.MaxProcs),

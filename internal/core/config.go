@@ -152,11 +152,6 @@ func (c Config) withDefaults() Config {
 	if c.LoadRef == 0 {
 		c.LoadRef = DefaultLoadRef
 	}
-	// Balancer deliberately does NOT enable Routing.PreferHighScore:
-	// measured runs showed next-hop diversion — even bounded to near-tie
-	// candidates — stretching mean lookup paths 15–30% and multiplying
-	// dead-end walks, for no per-node load relief the fan-out cache does
-	// not already deliver. The bias remains an opt-in routing parameter.
 	return c
 }
 

@@ -217,7 +217,7 @@ func runCompareTrial(o CompareOptions, backend string, seed int64) ([]metrics.Ph
 	var out []metrics.PhaseRecord
 	for idx, ph := range o.Phases {
 		before := ov.NetStats()
-		phaseStart := ov.Kernel().Now()
+		phaseStart := ov.Now()
 		played, err := overlay.Play(ov, rng, ph)
 		if err != nil {
 			// withDefaults validated the script, so this only fires when
@@ -227,7 +227,7 @@ func runCompareTrial(o CompareOptions, backend string, seed int64) ([]metrics.Ph
 		}
 		ov.MaintenanceTick()
 		maint := ov.NetStats()
-		phaseSecs := (ov.Kernel().Now() - phaseStart).Seconds()
+		phaseSecs := (ov.Now() - phaseStart).Seconds()
 
 		rec := metrics.PhaseRecord{
 			Backend:    ov.Name(),

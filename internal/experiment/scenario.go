@@ -49,8 +49,8 @@ type ScenarioOptions struct {
 	// trial's cluster is interrupted — the virtual clock freezes, the
 	// remaining timeline drains without advancing, and the trial is marked
 	// Truncated. Zero means no cap. Truncated trials report whatever was
-	// measured before the cut; consumers (benchguard, the scale table)
-	// must treat them as incomplete, not as fast.
+	// measured before the cut; consumers (the scale table) must treat
+	// them as incomplete, not as fast.
 	Budget time.Duration
 }
 

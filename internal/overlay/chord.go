@@ -7,7 +7,6 @@ import (
 	"treep/internal/chord"
 	"treep/internal/idspace"
 	"treep/internal/netsim"
-	"treep/internal/sim"
 )
 
 // Chord adapts the chord.Cluster baseline to the Overlay interface. A
@@ -30,8 +29,8 @@ func NewChord(n int, seed int64) *Chord {
 // Name implements Overlay.
 func (a *Chord) Name() string { return "chord" }
 
-// Kernel implements Overlay.
-func (a *Chord) Kernel() *sim.Kernel { return a.C.Kernel }
+// Now implements Overlay.
+func (a *Chord) Now() time.Duration { return a.C.Kernel.Now() }
 
 // NetStats implements Overlay.
 func (a *Chord) NetStats() netsim.Stats { return a.C.Net.Stats() }

@@ -7,7 +7,6 @@ import (
 	"treep/internal/flood"
 	"treep/internal/idspace"
 	"treep/internal/netsim"
-	"treep/internal/sim"
 )
 
 // DefaultFloodDegree is the random-graph degree used when callers do not
@@ -43,8 +42,8 @@ func NewFlood(n, degree, ttl int, seed int64) *Flood {
 // Name implements Overlay.
 func (a *Flood) Name() string { return "flood" }
 
-// Kernel implements Overlay.
-func (a *Flood) Kernel() *sim.Kernel { return a.C.Kernel }
+// Now implements Overlay.
+func (a *Flood) Now() time.Duration { return a.C.Kernel.Now() }
 
 // NetStats implements Overlay.
 func (a *Flood) NetStats() netsim.Stats { return a.C.Net.Stats() }

@@ -14,20 +14,19 @@
 //   - PlayResult — the event accounting of a scenario script interpreted
 //     against a backend by Play.
 //
-// Play re-uses the phase scripts of internal/scenario (Settle, Churn,
-// FlashCrowd, ZoneFailure, PartitionHeal) and interprets them through the
-// Overlay interface, so all backends absorb the *same* workload timeline:
+// Play runs the Portable phases of internal/scenario (Settle, Churn,
+// FlashCrowd, ZoneFailure, PartitionHeal) against the backend — an Overlay
+// is a scenario.World — so all backends absorb the *same* workload timeline:
 // event times and intensities come from a caller-owned RNG, which the
 // comparative runner re-seeds identically per backend.
 package overlay
 
 import (
-	"math/rand"
 	"time"
 
 	"treep/internal/idspace"
 	"treep/internal/netsim"
-	"treep/internal/sim"
+	"treep/internal/scenario"
 )
 
 // Outcome is one lookup's origin-observed result, normalised across
@@ -47,8 +46,11 @@ type Outcome struct {
 type Overlay interface {
 	// Name identifies the backend in records ("treep", "chord", "flood").
 	Name() string
-	// Kernel exposes the simulation clock the overlay runs on.
-	Kernel() *sim.Kernel
+	// World is the clock plus the membership and connectivity faults the
+	// scenario phases inject (Now, Run, Join, Leave, KillZone, Partition,
+	// Heal). Leave's victim comes from the overlay's own deterministic
+	// stream; a joiner integrates asynchronously as virtual time advances.
+	scenario.World
 	// NetStats returns the network's cumulative message accounting;
 	// callers diff snapshots to charge traffic to phases.
 	NetStats() netsim.Stats
@@ -58,22 +60,6 @@ type Overlay interface {
 	// a snapshot owned by the caller; index i corresponds to origin i of
 	// Lookup until the next membership change.
 	AliveIDs() []idspace.ID
-	// Join spawns a brand-new node and bootstraps it through a live peer,
-	// reporting whether a bootstrap existed. Integration completes
-	// asynchronously as virtual time advances.
-	Join() bool
-	// Leave fail-stops one live node chosen by the overlay's own
-	// deterministic stream (no goodbye message), refusing to shrink the
-	// population below two.
-	Leave() bool
-	// KillZone fail-stops every live node whose ID falls in the region and
-	// returns how many died (correlated regional failure).
-	KillZone(zone idspace.Region) int
-	// Partition splits the network at the coordinate: datagrams between
-	// nodes on opposite sides vanish in flight until Heal.
-	Partition(split idspace.ID)
-	// Heal removes the partition installed by Partition.
-	Heal()
 	// MaintenanceTick runs the protocol-specific failure handling that the
 	// simulation models out-of-band (Chord's timeout-based eviction, the
 	// flooding graph's neighbour re-wiring). TreeP detects failures in
@@ -87,28 +73,7 @@ type Overlay interface {
 	// LookupWindow is how much virtual time guarantees every issued lookup
 	// has resolved or timed out.
 	LookupWindow() time.Duration
-	// Run advances virtual time by d, firing deliveries and maintenance.
-	Run(d time.Duration)
 	// StateSize returns the total routing-state entry count across live
 	// nodes (the per-protocol "memory cost" metric).
 	StateSize() int
 }
-
-// runUntil advances the overlay's clock to the absolute virtual time t.
-func runUntil(ov Overlay, t time.Duration) {
-	if d := t - ov.Kernel().Now(); d > 0 {
-		ov.Run(d)
-	}
-}
-
-// expDelay draws a Poisson inter-arrival gap for the given events/second
-// rate from rng; a non-positive rate means the event never fires.
-func expDelay(rng *rand.Rand, rate float64) time.Duration {
-	if rate <= 0 {
-		return maxDuration
-	}
-	return time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-}
-
-// maxDuration is "never" for next-event bookkeeping.
-const maxDuration = time.Duration(1<<63 - 1)

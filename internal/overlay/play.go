@@ -3,7 +3,6 @@ package overlay
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"treep/internal/idspace"
 	"treep/internal/scenario"
@@ -19,22 +18,39 @@ type PlayResult struct {
 	ZoneKilled int
 }
 
-// Add accumulates another result into r.
-func (r *PlayResult) Add(o PlayResult) {
-	r.Joins += o.Joins
-	r.Leaves += o.Leaves
-	r.ZoneKilled += o.ZoneKilled
-}
-
 // Supported reports whether the comparative interpreter can play the
 // phase (callers validate scripts before fanning out trials).
 func Supported(ph scenario.Phase) bool {
-	switch ph.(type) {
-	case scenario.Settle, scenario.Churn, scenario.FlashCrowd,
-		scenario.ZoneFailure, scenario.PartitionHeal:
-		return true
+	_, ok := ph.(scenario.Portable)
+	return ok
+}
+
+// counted is the backend as the phases see it, tallying what they inject.
+type counted struct {
+	Overlay
+	res PlayResult
+}
+
+func (c *counted) Join() bool {
+	ok := c.Overlay.Join()
+	if ok {
+		c.res.Joins++
 	}
-	return false
+	return ok
+}
+
+func (c *counted) Leave() bool {
+	ok := c.Overlay.Leave()
+	if ok {
+		c.res.Leaves++
+	}
+	return ok
+}
+
+func (c *counted) KillZone(zone idspace.Region) int {
+	n := c.Overlay.KillZone(zone)
+	c.res.ZoneKilled += n
+	return n
 }
 
 // Play interprets scenario phase scripts against any backend. It supports
@@ -44,93 +60,13 @@ func Supported(ph scenario.Phase) bool {
 // not model). Event times and intensities are drawn from rng, so two
 // backends played with identically seeded RNGs absorb the same timeline.
 func Play(ov Overlay, rng *rand.Rand, phases ...scenario.Phase) (PlayResult, error) {
-	var res PlayResult
+	c := counted{Overlay: ov}
 	for _, ph := range phases {
-		r, err := playOne(ov, rng, ph)
-		if err != nil {
-			return res, err
+		p, ok := ph.(scenario.Portable)
+		if !ok {
+			return c.res, fmt.Errorf("overlay: phase %q is not supported by the comparative interpreter", ph.Name())
 		}
-		res.Add(r)
+		p.Drive(&c, rng)
 	}
-	return res, nil
-}
-
-// playOne interprets a single phase.
-func playOne(ov Overlay, rng *rand.Rand, ph scenario.Phase) (PlayResult, error) {
-	var res PlayResult
-	switch p := ph.(type) {
-	case scenario.Settle:
-		ov.Run(p.For)
-
-	case scenario.Churn:
-		playChurn(ov, rng, p, &res)
-
-	case scenario.FlashCrowd:
-		if p.Joins <= 0 {
-			break
-		}
-		step := p.Over / time.Duration(p.Joins)
-		for i := 0; i < p.Joins; i++ {
-			if ov.Join() {
-				res.Joins++
-			}
-			if step > 0 {
-				ov.Run(step)
-			}
-		}
-
-	case scenario.ZoneFailure:
-		res.ZoneKilled = ov.KillZone(p.Zone)
-		ov.Run(p.Settle)
-
-	case scenario.PartitionHeal:
-		at := p.At
-		if at == 0 {
-			at = idspace.MaxID / 2
-		}
-		ov.Partition(at)
-		ov.Run(p.Hold)
-		ov.Heal()
-		ov.Run(p.Heal)
-
-	default:
-		return res, fmt.Errorf("overlay: phase %q is not supported by the comparative interpreter", ph.Name())
-	}
-	return res, nil
-}
-
-// playChurn replays scenario.Churn's Poisson arrival/departure process
-// through the Overlay interface, drawing inter-event gaps from rng.
-func playChurn(ov Overlay, rng *rand.Rand, c scenario.Churn, res *PlayResult) {
-	now := ov.Kernel().Now()
-	end := now + c.For
-	nextJoin, nextLeave := maxDuration, maxDuration
-	if d := expDelay(rng, c.JoinRate); d < maxDuration {
-		nextJoin = now + d
-	}
-	if d := expDelay(rng, c.LeaveRate); d < maxDuration {
-		nextLeave = now + d
-	}
-	for {
-		next := nextJoin
-		if nextLeave < next {
-			next = nextLeave
-		}
-		if next > end {
-			runUntil(ov, end)
-			return
-		}
-		runUntil(ov, next)
-		if next == nextJoin {
-			if ov.Join() {
-				res.Joins++
-			}
-			nextJoin = next + expDelay(rng, c.JoinRate)
-		} else {
-			if ov.Leave() {
-				res.Leaves++
-			}
-			nextLeave = next + expDelay(rng, c.LeaveRate)
-		}
-	}
+	return c.res, nil
 }

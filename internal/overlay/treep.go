@@ -8,7 +8,6 @@ import (
 	"treep/internal/idspace"
 	"treep/internal/netsim"
 	"treep/internal/proto"
-	"treep/internal/sim"
 	"treep/internal/simrt"
 )
 
@@ -38,8 +37,8 @@ func NewTreeP(n int, seed int64) *TreeP {
 // Name implements Overlay.
 func (t *TreeP) Name() string { return "treep" }
 
-// Kernel implements Overlay.
-func (t *TreeP) Kernel() *sim.Kernel { return t.C.Kernel }
+// Now implements Overlay.
+func (t *TreeP) Now() time.Duration { return t.C.Kernel.Now() }
 
 // NetStats implements Overlay.
 func (t *TreeP) NetStats() netsim.Stats { return t.C.Net.Stats() }

@@ -66,14 +66,6 @@ type Params struct {
 	// MaxAlternates caps the NGSA fall-back list ("at the expense of
 	// adding data to the request").
 	MaxAlternates int
-	// PreferHighScore biases algorithm G's next-hop choice toward
-	// higher-capability candidates: among candidates that already satisfy
-	// the halving rule, the highest advertised score wins instead of the
-	// strictly nearest. Distance ordering is otherwise untouched — every
-	// forward still makes at least halving progress, so loop-freedom and
-	// termination are exactly as without the bias. Set by core when the
-	// capacity balancer is on.
-	PreferHighScore bool
 }
 
 // DefaultMaxAlternates bounds the NGSA list when Params leaves it zero.
@@ -300,30 +292,7 @@ func routeGreedy(self proto.NodeRef, req *proto.LookupRequest, model Model, cand
 	if bestD < dSelf {
 		switch {
 		case bestD <= dSelf/2:
-			// The halving-distance jump of Figure 4. With the balancer's
-			// score preference on, any candidate inside the halving radius
-			// is an equally valid geometric jump, so the strongest one
-			// takes the traffic: load concentrates on nodes advertising
-			// head-room instead of whichever peer is marginally nearest.
-			// cands is distance-sorted with deterministic tiebreaks, so
-			// the choice is deterministic too.
-			if p.PreferHighScore {
-				// Divert to a stronger candidate only among near-ties:
-				// remaining distance within 12.5% of the true nearest.
-				// Opt-in: even this bounded window measurably stretches
-				// mean path length (wider windows are worse), which is
-				// why the load balancer does not enable it by default.
-				nearD := bestD
-				for _, c := range cands {
-					d := model.D(c, x)
-					if d > dSelf/2 || d > nearD+nearD/8 {
-						continue
-					}
-					if c.Score > best.Score {
-						best, bestD = c, d
-					}
-				}
-			}
+			// The halving-distance jump of Figure 4.
 			return Step{Action: Forward, Next: best, Alternates: req.Alternates}
 		case self.MaxLevel == 0:
 			// "ELSE IF Level_A == 0 THEN forward the request to N":

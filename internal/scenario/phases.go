@@ -1,11 +1,64 @@
 package scenario
 
 import (
+	"math/rand"
 	"time"
 
 	"treep/internal/core"
 	"treep/internal/idspace"
 )
+
+// World is what the protocol-agnostic phases act on: a clock and the
+// membership and connectivity faults any overlay can absorb. *Engine
+// satisfies it for TreeP clusters on either kernel, and every
+// overlay.Overlay backend embeds it, which is how the comparative harness
+// plays the same scripts against Chord and flooding. Each World picks its
+// own bootstrap and leave victim from its own stream and keeps its own
+// tally; the phases draw only event times, from the rng they are handed.
+type World interface {
+	// Now is the current virtual time; Run advances it by d.
+	Now() time.Duration
+	Run(d time.Duration)
+	// Join spawns a node and bootstraps it through a live peer, reporting
+	// whether a bootstrap existed.
+	Join() bool
+	// Leave fail-stops one live node with no goodbye, refusing to shrink
+	// the population below two.
+	Leave() bool
+	// KillZone fail-stops every live node whose ID falls in the region and
+	// returns how many died (correlated regional failure).
+	KillZone(zone idspace.Region) int
+	// Partition splits the network at the coordinate: datagrams between
+	// nodes on opposite sides vanish in flight until Heal.
+	Partition(split idspace.ID)
+	Heal()
+}
+
+// Portable is a phase that needs nothing but a World, so every backend
+// can play it. TreeP-only phases (RevivalWave, IslandsMerge, the storage
+// and skewed-read workloads) reach into the cluster through *Engine and
+// implement Phase alone.
+type Portable interface {
+	Phase
+	// Drive runs the phase against w, drawing event times from rng.
+	Drive(w World, rng *rand.Rand)
+}
+
+// runUntil advances w's clock to the absolute virtual time t.
+func runUntil(w World, t time.Duration) {
+	if d := t - w.Now(); d > 0 {
+		w.Run(d)
+	}
+}
+
+// expDelay draws a Poisson inter-arrival gap for the given events/second
+// rate from rng; a non-positive rate means the event never fires.
+func expDelay(rng *rand.Rand, rate float64) time.Duration {
+	if rate <= 0 {
+		return maxDuration
+	}
+	return time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+}
 
 // Settle runs the overlay quietly for a duration: maintenance, repair and
 // elections proceed with no injected events. Every stress phase is
@@ -18,7 +71,10 @@ type Settle struct {
 func (Settle) Name() string { return "settle" }
 
 // Run implements Phase.
-func (s Settle) Run(e *Engine) { e.advance(s.For) }
+func (s Settle) Run(e *Engine) { s.Drive(e, e.rng) }
+
+// Drive implements Portable.
+func (s Settle) Drive(w World, _ *rand.Rand) { w.Run(s.For) }
 
 // Churn injects continuous Poisson arrivals and departures: joins spawn
 // brand-new nodes that bootstrap through the live overlay (dynamic
@@ -36,14 +92,17 @@ type Churn struct {
 func (Churn) Name() string { return "churn" }
 
 // Run implements Phase.
-func (c Churn) Run(e *Engine) {
-	now := e.C.Now()
+func (c Churn) Run(e *Engine) { c.Drive(e, e.rng) }
+
+// Drive implements Portable.
+func (c Churn) Drive(w World, rng *rand.Rand) {
+	now := w.Now()
 	end := now + c.For
 	nextJoin, nextLeave := maxDuration, maxDuration
-	if d := e.expDelay(c.JoinRate); d < maxDuration {
+	if d := expDelay(rng, c.JoinRate); d < maxDuration {
 		nextJoin = now + d
 	}
-	if d := e.expDelay(c.LeaveRate); d < maxDuration {
+	if d := expDelay(rng, c.LeaveRate); d < maxDuration {
 		nextLeave = now + d
 	}
 	for {
@@ -52,16 +111,16 @@ func (c Churn) Run(e *Engine) {
 			next = nextLeave
 		}
 		if next > end {
-			e.advanceUntil(end)
+			runUntil(w, end)
 			return
 		}
-		e.advanceUntil(next)
+		runUntil(w, next)
 		if next == nextJoin {
-			e.join()
-			nextJoin = next + e.expDelay(c.JoinRate)
+			w.Join()
+			nextJoin = next + expDelay(rng, c.JoinRate)
 		} else {
-			e.leave()
-			nextLeave = next + e.expDelay(c.LeaveRate)
+			w.Leave()
+			nextLeave = next + expDelay(rng, c.LeaveRate)
 		}
 	}
 }
@@ -78,15 +137,18 @@ type FlashCrowd struct {
 func (FlashCrowd) Name() string { return "flash-crowd" }
 
 // Run implements Phase.
-func (f FlashCrowd) Run(e *Engine) {
+func (f FlashCrowd) Run(e *Engine) { f.Drive(e, e.rng) }
+
+// Drive implements Portable.
+func (f FlashCrowd) Drive(w World, _ *rand.Rand) {
 	if f.Joins <= 0 {
 		return
 	}
 	step := f.Over / time.Duration(f.Joins)
 	for i := 0; i < f.Joins; i++ {
-		e.join()
+		w.Join()
 		if step > 0 {
-			e.advance(step)
+			w.Run(step)
 		}
 	}
 }
@@ -104,14 +166,12 @@ type ZoneFailure struct {
 func (ZoneFailure) Name() string { return "zone-failure" }
 
 // Run implements Phase.
-func (z ZoneFailure) Run(e *Engine) {
-	for _, n := range e.C.AliveNodes() {
-		if z.Zone.Contains(n.ID()) {
-			e.C.Kill(n)
-			e.res.ZoneKilled++
-		}
-	}
-	e.advance(z.Settle)
+func (z ZoneFailure) Run(e *Engine) { z.Drive(e, e.rng) }
+
+// Drive implements Portable.
+func (z ZoneFailure) Drive(w World, _ *rand.Rand) {
+	w.KillZone(z.Zone)
+	w.Run(z.Settle)
 }
 
 // ZoneFraction builds the zone [lo, hi] from fractions of the ID space,
@@ -137,15 +197,18 @@ type PartitionHeal struct {
 func (PartitionHeal) Name() string { return "partition-heal" }
 
 // Run implements Phase.
-func (p PartitionHeal) Run(e *Engine) {
+func (p PartitionHeal) Run(e *Engine) { p.Drive(e, e.rng) }
+
+// Drive implements Portable.
+func (p PartitionHeal) Drive(w World, _ *rand.Rand) {
 	at := p.At
 	if at == 0 {
 		at = idspace.MaxID / 2
 	}
-	e.C.Partition(at)
-	e.advance(p.Hold)
-	e.C.Heal()
-	e.advance(p.Heal)
+	w.Partition(at)
+	w.Run(p.Hold)
+	w.Heal()
+	w.Run(p.Heal)
 }
 
 // RevivalWave brings dead nodes back over a window: each revived node
@@ -183,7 +246,7 @@ func (w RevivalWave) Run(e *Engine) {
 		n.Join(boot.Addr())
 		e.res.Revived++
 		if step > 0 {
-			e.advance(step)
+			e.Run(step)
 		}
 	}
 }
@@ -217,7 +280,7 @@ func (IslandsMerge) Name() string { return "islands-merge" }
 func (p IslandsMerge) Run(e *Engine) {
 	side := func(n *core.Node) bool { return n.Addr()%2 == 0 }
 	e.C.PartitionBy(side)
-	e.advance(p.Hold)
+	e.Run(p.Hold)
 	e.C.Heal()
 	// One bridge: the lowest-ID live node of each island, deterministic
 	// across runs.
@@ -233,5 +296,5 @@ func (p IslandsMerge) Run(e *Engine) {
 	if a != nil && b != nil {
 		a.Join(b.Addr())
 	}
-	e.advance(p.Merge)
+	e.Run(p.Merge)
 }

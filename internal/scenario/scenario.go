@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"time"
 
+	"treep/internal/idspace"
 	"treep/internal/simrt"
 )
 
@@ -144,7 +145,7 @@ func (e *Engine) Play(phases ...Phase) *Result {
 		grace = 2 * time.Second
 	}
 	for retry := 0; len(final) > 0 && retry < e.opts.FinalChecks; retry++ {
-		e.advance(grace)
+		e.Run(grace)
 		final = e.CheckNow()
 	}
 	e.res.Final = final
@@ -169,9 +170,12 @@ func (e *Engine) CheckNow() []Violation {
 	return out
 }
 
-// advance moves virtual time forward by d, taking invariant samples on the
-// configured cadence.
-func (e *Engine) advance(d time.Duration) { e.advanceUntil(e.C.Now() + d) }
+// Now implements World.
+func (e *Engine) Now() time.Duration { return e.C.Now() }
+
+// Run implements World: it moves virtual time forward by d, taking
+// invariant samples on the configured cadence.
+func (e *Engine) Run(d time.Duration) { e.advanceUntil(e.C.Now() + d) }
 
 // advanceUntil moves virtual time to t (absolute), sampling on the way.
 // After a wall-clock Interrupt the cluster clock freezes, so the loop
@@ -200,35 +204,52 @@ func (e *Engine) takeSample() {
 	})
 }
 
-// join spawns one node and bootstraps it through a live peer; with storage
-// enabled the joiner gets its DHT service immediately, so it participates
-// in replication (and can be handed ownership) from its first tick.
-func (e *Engine) join() {
+// Join implements World: it spawns one node and bootstraps it through a
+// live peer; with storage enabled the joiner gets its DHT service
+// immediately, so it participates in replication (and can be handed
+// ownership) from its first tick.
+func (e *Engine) Join() bool {
 	n := e.C.SpawnJoin()
 	if n == nil {
-		return
+		return false
 	}
 	e.res.Joins++
 	if e.opts.Storage != nil {
 		e.opts.Storage.Attach(n)
 	}
+	return true
 }
 
-// leave fail-stops a random live node, never shrinking below two.
-func (e *Engine) leave() {
+// Leave implements World: it fail-stops a random live node, never
+// shrinking below two.
+func (e *Engine) Leave() bool {
 	alive := e.C.AliveNodes()
 	if len(alive) <= 2 {
-		return
+		return false
 	}
 	e.C.Kill(alive[e.rng.Intn(len(alive))])
 	e.res.Leaves++
+	return true
 }
 
-// expDelay draws a Poisson inter-arrival gap for the given events/second
-// rate; a non-positive rate means the event never fires.
-func (e *Engine) expDelay(rate float64) time.Duration {
-	if rate <= 0 {
-		return maxDuration
+// KillZone implements World.
+func (e *Engine) KillZone(zone idspace.Region) int {
+	killed := 0
+	for _, n := range e.C.AliveNodes() {
+		if zone.Contains(n.ID()) {
+			e.C.Kill(n)
+			killed++
+		}
 	}
-	return time.Duration(e.rng.ExpFloat64() / rate * float64(time.Second))
+	e.res.ZoneKilled += killed
+	return killed
 }
+
+// Partition implements World.
+func (e *Engine) Partition(split idspace.ID) { e.C.Partition(split) }
+
+// Heal implements World.
+func (e *Engine) Heal() { e.C.Heal() }
+
+// expDelay draws a Poisson inter-arrival gap from the engine's stream.
+func (e *Engine) expDelay(rate float64) time.Duration { return expDelay(e.rng, rate) }

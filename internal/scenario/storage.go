@@ -199,7 +199,7 @@ func (p StoreRecords) Run(e *Engine) {
 			if done {
 				break
 			}
-			e.advance(100 * time.Millisecond)
+			e.Run(100 * time.Millisecond)
 		}
 	}
 }
@@ -287,9 +287,9 @@ func (w StorageWorkload) Run(e *Engine) {
 				}
 			}
 		case 2:
-			e.join()
+			e.Join()
 		case 3:
-			e.leave()
+			e.Leave()
 		}
 		next[which] = at + e.expDelay(rates[which])
 	}

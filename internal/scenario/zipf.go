@@ -145,7 +145,7 @@ func (ZipfReads) Name() string { return "zipf-reads" }
 func (z ZipfReads) Run(e *Engine) {
 	st := e.opts.Storage
 	if st == nil || len(st.keys) == 0 || z.Rate <= 0 {
-		e.advance(z.For)
+		e.Run(z.For)
 		return
 	}
 	dist := NewZipf(len(st.keys), z.Theta)
@@ -176,7 +176,7 @@ func (FlashCrowdReads) Name() string { return "flash-crowd-reads" }
 func (f FlashCrowdReads) Run(e *Engine) {
 	st := e.opts.Storage
 	if st == nil || len(st.keys) == 0 || f.Rate <= 0 {
-		e.advance(f.For)
+		e.Run(f.For)
 		return
 	}
 	idx := f.KeyIndex

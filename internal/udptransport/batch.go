@@ -43,10 +43,10 @@ type batchIO interface {
 	Batched() bool
 }
 
-// singleIO is the portable fallback and the ablation arm: one blocking
-// socket call per datagram through the net package, exactly the pre-batch
-// transport's syscall profile (including the per-read *UDPAddr and
-// per-write UintToAddr allocations the batch path eliminates).
+// singleIO is the portable fallback, the only path on platforms without
+// a verified mmsg implementation: one blocking socket call per datagram
+// through the net package (including the per-read *UDPAddr and per-write
+// UintToAddr allocations the batch path eliminates).
 type singleIO struct {
 	conn *net.UDPConn
 	slot [1]rslot

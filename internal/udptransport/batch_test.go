@@ -157,32 +157,20 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestBatchedReportsPath checks the variant selection: SingleDatagram
-// forces the fallback everywhere, and the default path is the kernel
-// batch implementation exactly on the gated platforms.
+// TestBatchedReportsPath checks the platform selection: the default path
+// is the kernel batch implementation exactly on the gated platforms.
 func TestBatchedReportsPath(t *testing.T) {
 	cfg := core.Defaults()
-	cfg.ID = 1
-	tr, err := ListenOpts(cfg, "127.0.0.1:0", 1, Options{SingleDatagram: true})
+	cfg.ID = 2
+	tr, err := Listen(cfg, "127.0.0.1:0", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if tr.Batched() {
-		t.Fatal("SingleDatagram transport reports the batch path")
-	}
-
-	cfg2 := core.Defaults()
-	cfg2.ID = 2
-	tr2, err := Listen(cfg2, "127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr2.Close()
 	wantBatch := runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64")
-	if tr2.Batched() != wantBatch {
+	if tr.Batched() != wantBatch {
 		t.Fatalf("default transport Batched()=%v on %s/%s, want %v",
-			tr2.Batched(), runtime.GOOS, runtime.GOARCH, wantBatch)
+			tr.Batched(), runtime.GOOS, runtime.GOARCH, wantBatch)
 	}
 }
 
@@ -283,7 +271,7 @@ func TestReadLoopCountsDropsAndDecodeErrors(t *testing.T) {
 	}
 	cfg := core.Defaults()
 	cfg.ID = 4
-	tr, err := newTransport(cfg, conn, 4, sio, false)
+	tr, err := newTransport(cfg, conn, 4, sio)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,24 +291,40 @@ func TestReadLoopCountsDropsAndDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestOverlayFormsSingleDatagram runs a small cluster on the forced
-// fallback path: the ablation arm must remain a fully working transport,
-// with the 1:1 syscall-per-datagram profile the batch path amortises.
+// listenSingle is Listen over the portable fallback: the transport every
+// platform without a verified mmsg path runs (mmsg_other.go).
+func listenSingle(cfg core.Config, seed int64) (*Transport, error) {
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		return nil, err
+	}
+	return newTransport(cfg, conn, seed, newSingleIO(conn))
+}
+
+// TestOverlayFormsSingleDatagram runs a small cluster over singleIO, the
+// only path on non-Linux platforms: it must remain a fully working
+// transport, with the 1:1 syscall-per-datagram profile the batch path
+// amortises.
 func TestOverlayFormsSingleDatagram(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time UDP cluster; skipped with -short")
 	}
-	trs := startNodesOpts(t, 6, Options{SingleDatagram: true})
+	trs := startNodesVia(t, 6, listenSingle)
 	time.Sleep(1500 * time.Millisecond)
 	for i, tr := range trs {
+		if tr.Batched() {
+			t.Fatalf("node %d reports the batch path over singleIO", i)
+		}
+		// Sampled on the loop, where the send queue is empty between events:
+		// Sent counts at queue time, SendSyscalls at the flush.
 		var l0 int
-		if err := tr.Do(func(n *core.Node) { l0 = n.Table().Level0.Len() }); err != nil {
+		var st Snapshot
+		if err := tr.Do(func(n *core.Node) { l0, st = n.Table().Level0.Len(), tr.Stats() }); err != nil {
 			t.Fatal(err)
 		}
 		if l0 == 0 {
 			t.Fatalf("node %d isolated on the single-datagram path", i)
 		}
-		st := tr.Stats()
 		if st.SendSyscalls != st.Sent {
 			t.Fatalf("node %d: single path made %d send syscalls for %d datagrams (must be 1:1)",
 				i, st.SendSyscalls, st.Sent)

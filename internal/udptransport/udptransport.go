@@ -55,17 +55,6 @@ func UintToAddr(u uint64) *net.UDPAddr {
 	}
 }
 
-// Options tunes a transport. The zero value is the production
-// configuration.
-type Options struct {
-	// SingleDatagram runs the pre-batch data path — the ablation arm of
-	// treep-bench -udp, kept in-tree so the batched path's win stays
-	// measurable: one blocking syscall per datagram, a fresh buffer per
-	// encode, a fresh message per decode (no pooling, no recycling), and
-	// a closure per inbound dispatch.
-	SingleDatagram bool
-}
-
 // maxQueuedSends bounds the send queue between flushes: a pathological
 // handler that emits hundreds of datagrams flushes inline rather than
 // growing the arena without bound.
@@ -112,8 +101,6 @@ type Transport struct {
 	io    batchIO
 	node  *core.Node
 	start time.Time
-	// legacy selects the pre-batch data path (see Options.SingleDatagram).
-	legacy bool
 
 	loop chan func()
 	msgs chan inMsg
@@ -186,15 +173,6 @@ func (e *env) Send(to uint64, msg proto.Message) {
 		// instead of letting the kernel truncate or refuse it silently.
 		t.oversize.Add(1)
 		proto.ReleaseDecoded(msg)
-		return
-	}
-	if t.legacy {
-		// Ablation arm: fresh buffer, immediate blocking write, no
-		// recycling — exactly one syscall and the pre-batch allocation
-		// profile per datagram.
-		_, _ = t.conn.WriteToUDP(proto.Encode(msg), UintToAddr(to))
-		t.sendCount.Add(1)
-		t.sendSyscalls.Add(1)
 		return
 	}
 	off := len(t.arena)
@@ -277,11 +255,6 @@ func (e *env) SetPeriodic(d time.Duration, fn func()) core.Timer {
 // node with the given configuration. The node's overlay address derives
 // from the bound socket address.
 func Listen(cfg core.Config, bind string, seed int64) (*Transport, error) {
-	return ListenOpts(cfg, bind, seed, Options{})
-}
-
-// ListenOpts is Listen with transport options.
-func ListenOpts(cfg core.Config, bind string, seed int64, opts Options) (*Transport, error) {
 	laddr, err := net.ResolveUDPAddr("udp4", bind)
 	if err != nil {
 		return nil, fmt.Errorf("udptransport: resolve %q: %w", bind, err)
@@ -290,26 +263,23 @@ func ListenOpts(cfg core.Config, bind string, seed int64, opts Options) (*Transp
 	if err != nil {
 		return nil, fmt.Errorf("udptransport: listen %q: %w", bind, err)
 	}
-	var io batchIO
-	if opts.SingleDatagram {
-		io = newSingleIO(conn)
-	} else if io, err = newBatchIO(conn); err != nil {
+	io, err := newBatchIO(conn)
+	if err != nil {
 		io = newSingleIO(conn)
 	}
-	return newTransport(cfg, conn, seed, io, opts.SingleDatagram)
+	return newTransport(cfg, conn, seed, io)
 }
 
 // newTransport assembles a transport around an already-bound socket and a
 // chosen batchIO implementation (tests inject scripted ones here).
-func newTransport(cfg core.Config, conn *net.UDPConn, seed int64, io batchIO, legacy bool) (*Transport, error) {
+func newTransport(cfg core.Config, conn *net.UDPConn, seed int64, io batchIO) (*Transport, error) {
 	tr := &Transport{
-		conn:   conn,
-		io:     io,
-		start:  time.Now(),
-		legacy: legacy,
-		loop:   make(chan func(), 1024),
-		msgs:   make(chan inMsg, 1024),
-		done:   make(chan struct{}),
+		conn:  conn,
+		io:    io,
+		start: time.Now(),
+		loop:  make(chan func(), 1024),
+		msgs:  make(chan inMsg, 1024),
+		done:  make(chan struct{}),
 	}
 	self := AddrToUint(conn.LocalAddr().(*net.UDPAddr))
 	if self == 0 {
@@ -437,22 +407,6 @@ func (t *Transport) readLoop() {
 				// A datagram whose source cannot be represented in the
 				// overlay address space is a drop, not a clean receive.
 				t.dropCount.Add(1)
-				continue
-			}
-			if t.legacy {
-				// Ablation arm: fresh-allocation decode and a dispatch
-				// closure per datagram, the pre-batch inbound profile.
-				msg, derr := proto.Decode(s.buf[:s.n])
-				if derr != nil {
-					t.decodeErr.Add(1)
-					continue
-				}
-				from := s.from
-				select {
-				case t.loop <- func() { t.node.HandleMessage(from, msg) }:
-				case <-t.done:
-					return
-				}
 				continue
 			}
 			msg, derr := proto.DecodePooled(s.buf[:s.n])

@@ -2,6 +2,8 @@ package udptransport
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -38,12 +40,14 @@ func TestAddrPacking(t *testing.T) {
 
 // startNodes brings up n UDP nodes on loopback, joined through the first.
 func startNodes(t *testing.T, n int) []*Transport {
-	return startNodesOpts(t, n, Options{})
+	return startNodesVia(t, n, func(cfg core.Config, seed int64) (*Transport, error) {
+		return Listen(cfg, "127.0.0.1:0", seed)
+	})
 }
 
-// startNodesOpts is startNodes with transport options (the batch-vs-single
-// ablation tests force the fallback path through here).
-func startNodesOpts(t *testing.T, n int, opts Options) []*Transport {
+// startNodesVia is startNodes with the transport constructor chosen by the
+// caller (the portable-fallback test builds its nodes over singleIO here).
+func startNodesVia(t *testing.T, n int, listen func(core.Config, int64) (*Transport, error)) []*Transport {
 	t.Helper()
 	trs := make([]*Transport, 0, n)
 	for i := 0; i < n; i++ {
@@ -57,7 +61,7 @@ func startNodesOpts(t *testing.T, n int, opts Options) []*Transport {
 		cfg.ElectionMin = 50 * time.Millisecond
 		cfg.ElectionMax = 200 * time.Millisecond
 		cfg.LookupTimeout = 2 * time.Second
-		tr, err := ListenOpts(cfg, "127.0.0.1:0", int64(i+1), opts)
+		tr, err := listen(cfg, int64(i+1))
 		if err != nil {
 			t.Fatalf("listen %d: %v", i, err)
 		}
@@ -247,6 +251,82 @@ func TestDHTPutGetOverUDP(t *testing.T) {
 	}
 	if holders < len(keys)*2 {
 		t.Fatalf("only %d copies of %d records across the UDP cluster", holders, len(keys))
+	}
+}
+
+// TestFiftyNodeClusterServesReads is the real-plane health check at the
+// largest population the repository has real-socket evidence for: fifty
+// loopback nodes form one overlay, and a few hundred DHT reads issued
+// from random members all hit, with nothing malformed or oversized on
+// the wire.
+func TestFiftyNodeClusterServesReads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time UDP cluster; skipped with -short")
+	}
+	const n, records, gets = 50, 16, 300
+	trs := startNodes(t, n)
+	svcs := make([]*dht.Service, n)
+	for i, tr := range trs {
+		if err := tr.Do(func(nd *core.Node) { svcs[i] = dht.Attach(nd) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for connected := 0; connected < n; time.Sleep(100 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d nodes know a peer after 10s", connected, n)
+		}
+		connected = 0
+		for _, tr := range trs {
+			var l0 int
+			_ = tr.Do(func(nd *core.Node) { l0 = nd.Table().Level0.Len() })
+			if l0 > 0 {
+				connected++
+			}
+		}
+	}
+	// Elections and the first child reports settle before the workload.
+	time.Sleep(2 * time.Second)
+
+	// call runs one DHT operation on node i's loop and waits for its result.
+	call := func(i int, op func(done func(error))) error {
+		ch := make(chan error, 1)
+		if err := trs[i].Do(func(*core.Node) { op(func(e error) { ch <- e }) }); err != nil {
+			return err
+		}
+		select {
+		case err := <-ch:
+			return err
+		case <-time.After(5 * time.Second):
+			return errors.New("no reply within 5s")
+		}
+	}
+	keys := make([][]byte, records)
+	for k := range keys {
+		keys[k] = []byte(fmt.Sprintf("rec-%d", k))
+		if err := call(k%n, func(done func(error)) { svcs[k%n].Put(keys[k], keys[k], done) }); err != nil {
+			t.Fatalf("put %d: %v", k, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for g := 0; g < gets; g++ {
+		i, key := rng.Intn(n), keys[rng.Intn(records)]
+		err := call(i, func(done func(error)) {
+			svcs[i].GetRecord(key, func(r dht.Record, e error) {
+				if e == nil && string(r.Value) != string(key) {
+					e = fmt.Errorf("value %q", r.Value)
+				}
+				done(e)
+			})
+		})
+		if err != nil {
+			t.Fatalf("get %d of %q from node %d: %v", g, key, i, err)
+		}
+	}
+	for i, tr := range trs {
+		if st := tr.Stats(); st.DecodeErrs != 0 || st.Oversize != 0 || st.Recv == 0 {
+			t.Errorf("node %d wire counters unhealthy: %+v", i, st)
+		}
 	}
 }
 
