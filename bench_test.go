@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"treep/internal/chord"
-	"treep/internal/core"
 	"treep/internal/experiment"
 	"treep/internal/flood"
 	"treep/internal/nodeprof"
@@ -185,7 +184,7 @@ func benchDHTChurn(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := simrt.New(simrt.Options{N: n, Seed: 1, Bulk: true})
-		st := scenario.NewStorage(3)
+		st := scenario.NewStorage()
 		st.AttachAll(c)
 		c.StartAll()
 		opts := scenario.Options{
@@ -237,8 +236,8 @@ func benchZipfBalanced(b *testing.B, n int) {
 		rate = 100
 	}
 	for i := 0; i < b.N; i++ {
-		c := simrt.New(simrt.Options{N: n, Seed: 1, Bulk: true, Config: core.Config{Balancer: true}})
-		st := scenario.NewStorage(3)
+		c := simrt.New(simrt.Options{N: n, Seed: 1, Bulk: true})
+		st := scenario.NewStorage()
 		st.HotCache = true
 		st.AttachAll(c)
 		c.StartAll()

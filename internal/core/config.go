@@ -58,20 +58,6 @@ type Config struct {
 	// children (the §VI future-work strategy, ABL-3).
 	RetainUpperLevels bool
 
-	// Balancer turns on per-node load measurement: the node tracks its
-	// observed message rate (EWMA, updated each sweep, normalised by
-	// LoadRef) and exposes it through LoadEstimate. The estimate is
-	// observability only — it deliberately does not feed the advertised
-	// score, elections, demotions, or child capacity (see updateLoad
-	// for the measured reasons). Traffic-layer balancing — the DHT's
-	// hot-key fan-out cache — is what acts on load. Off by default:
-	// every pre-balancer experiment stays bit-identical.
-	Balancer bool
-	// LoadRef is the message rate (msgs/sec, in and out combined) that
-	// counts as full network load for the balancer; rates are clamped at
-	// 1.0 above it. Zero means DefaultLoadRef.
-	LoadRef float64
-
 	// Anchors are well-known rendezvous addresses (the paper's §III
 	// "anchor system"): contacted only when the node is isolated or cannot
 	// find a parent through the overlay, never used for routing. In a real
@@ -149,15 +135,5 @@ func (c Config) withDefaults() Config {
 	if c.Routing.Model == nil {
 		c.Routing.Model = routing.PaperModel{Height: c.MaxHeight}
 	}
-	if c.LoadRef == 0 {
-		c.LoadRef = DefaultLoadRef
-	}
 	return c
 }
-
-// DefaultLoadRef is the message rate treated as full network load when
-// the balancer is on. The steady-state maintenance rate of a node with
-// a handful of active connections is ~5–10 msgs/sec under the default
-// timers, so the default keeps healthy nodes well below 0.1 load while
-// a hot-key owner taking hundreds of requests a second saturates.
-const DefaultLoadRef = 200.0

@@ -51,9 +51,9 @@ func (n *Node) startElectionCountdown(level uint8) {
 	// the traffic layer (the DHT's hot-key fan-out), never by reshaping
 	// the hierarchy. Folding live load into the countdown was tried:
 	// the reshaped topologies looped ~1% of lookups to TTL death (255
-	// hops of wandering each), inflating the very per-node load the
-	// balancer exists to cap. See updateLoad for the full ledger of
-	// rejected load→topology couplings.
+	// hops of wandering each), inflating the very per-node load it was
+	// meant to cap. DESIGN.md §13 has the full ledger of rejected
+	// load→topology couplings.
 	d := n.cfg.Profile.ElectionCountdown(n.cfg.ElectionMin, n.cfg.ElectionMax, n.env.Rand())
 	n.electionTimer = n.env.SetTimer(d, func() {
 		n.electionTimer = nil
@@ -494,12 +494,10 @@ func (n *Node) maybeStartDemotion() {
 		// status even without children.
 		return
 	}
-	// Demotion stays on the STATIC profile even with the balancer on:
-	// a funnel node's message load is positional — whoever holds the
-	// level inherits it — so load-accelerated demotion just moves the
-	// hotspot to the next victim and thrashes elections. Load steers
-	// who wins promotions (election countdown, routing bias), not how
-	// long an incumbent survives.
+	// Demotion runs on the STATIC profile, like elections: a funnel
+	// node's message load is positional — whoever holds the level
+	// inherits it — so load-accelerated demotion just moves the hotspot
+	// to the next victim and thrashes elections (DESIGN.md §13).
 	n.demotionTimer = n.env.SetTimer(n.cfg.Profile.DemotionCountdown(n.cfg.DemotionMin, n.cfg.DemotionMax), func() {
 		n.demotionTimer = nil
 		n.demotionExpired()

@@ -79,9 +79,6 @@ func (n *Node) pushUpdates() {
 // lost members.
 func (n *Node) sweepTick() {
 	now := n.env.Now()
-	if n.cfg.Balancer {
-		n.updateLoad(now)
-	}
 	freshDegree := n.farewellCheck(now)
 	res := n.table.Sweep(now, n.cfg.EntryTTL)
 	n.expireSuspects(now)

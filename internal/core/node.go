@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"treep/internal/idspace"
-	"treep/internal/nodeprof"
 	"treep/internal/proto"
 	"treep/internal/routing"
 	"treep/internal/rtable"
@@ -64,15 +63,6 @@ type Node struct {
 
 	// lastSplit rate-limits promotion grants (see maybeSplit).
 	lastSplit time.Duration
-
-	// Balancer load tracking (Config.Balancer): loadEWMA smooths the
-	// message rate observed between sweeps, normalised by LoadRef;
-	// lastLoadMsgs/lastLoadAt are the previous sweep's counter snapshot;
-	// loadSweeps counts observations (see loadWarmupSweeps).
-	loadEWMA     nodeprof.EWMA
-	lastLoadMsgs uint64
-	lastLoadAt   time.Duration
-	loadSweeps   int
 
 	// Periodic timers.
 	keepaliveTimer Timer
@@ -315,36 +305,6 @@ func (n *Node) Score() float64 { return n.score }
 // MaxChildren returns nc for this node under the configured policy.
 func (n *Node) MaxChildren() int { return n.maxChildren }
 
-// LoadEstimate returns the balancer's smoothed load estimate in [0, 1]
-// (zero when the balancer is off or has not observed a sweep yet).
-func (n *Node) LoadEstimate() float64 { return n.loadEWMA.Value() }
-
-// updateLoad folds the message traffic since the last sweep into the
-// load estimate. Called once per sweep when the balancer is on.
-//
-// The estimate deliberately does NOT feed back into the advertised
-// score, child capacity, or election/demotion countdowns. Every such
-// coupling was tried and measured under a Zipf read workload, and every
-// one reshaped the hierarchy in response to traffic: load-discounted
-// scores made maybeSplit promote storm-idle (poorly connected) children
-// and stretched mean lookup paths 15–30%; load-biased elections built
-// topologies that looped ~1% of lookups to TTL death; load-shrunk child
-// capacity evicted children and deepened the tree. Capacity (the static
-// profile) decides who holds hierarchy roles; load is redistributed at
-// the traffic layer instead — the DHT's hot-key fan-out cache — which
-// cuts tail load 3×+ without moving a single hierarchy role.
-func (n *Node) updateLoad(now time.Duration) {
-	dt := now - n.lastLoadAt
-	if dt <= 0 {
-		return
-	}
-	total := n.Stats.MsgsIn + n.Stats.MsgsOut
-	rate := float64(total-n.lastLoadMsgs) / dt.Seconds()
-	n.lastLoadMsgs, n.lastLoadAt = total, now
-	n.loadEWMA.Observe(rate / n.cfg.LoadRef)
-	n.loadSweeps++
-}
-
 // Mem is the heap one node holds, in bytes (maps as rtable.MapBytes
 // estimates them; the loop's Scratch is not the node's): its table, the
 // struct with its anchor list, the peers and pending maps with what they
@@ -386,8 +346,6 @@ func (n *Node) Start() {
 		return
 	}
 	n.started = true
-	n.lastLoadMsgs = n.Stats.MsgsIn + n.Stats.MsgsOut
-	n.lastLoadAt = n.env.Now()
 	n.armKeepalive()
 	n.armSweep()
 	n.armReport()
@@ -716,15 +674,6 @@ func (n *Node) regionAt(level uint8) idspace.Region {
 		return idspace.FullRegion()
 	}
 	return idspace.FullRegion().CellOf(ids, idx)
-}
-
-// covers reports whether the node's tessellation at the given level
-// contains the coordinate.
-func (n *Node) covers(x idspace.ID, level uint8) bool {
-	if level > n.maxLevel {
-		return false
-	}
-	return n.regionAt(level).Contains(x)
 }
 
 // busNeighbors returns the node's direct left/right neighbours at a level

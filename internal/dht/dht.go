@@ -37,7 +37,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/maphash"
-	"sort"
 	"time"
 	"unsafe"
 
@@ -110,33 +109,11 @@ type Service struct {
 	node  *core.Node
 	plane *svc.Plane
 
-	// recs and keys are the same store: the map serves point lookups, the
-	// sorted slice gives maintenance a deterministic iteration order (the
-	// simulator's reproducibility forbids ranging over a map here).
-	recs map[idspace.ID]*record
-	keys []idspace.ID
-
-	// ReplicationFactor is the total number of copies a record aims for:
-	// the owner plus factor-1 ring neighbours. Default 3.
-	ReplicationFactor int
-	// ActiveRepair enables the churn-resilience machinery: periodic
-	// replica maintenance, ownership handoff, and read-repair consults.
-	// Disabling it reverts to put-time-only replication — the seed
-	// implementation's behaviour, kept as the ablation switch behind
-	// EXPERIMENTS.md's durability table.
-	ActiveRepair bool
-	// RequestTimeout bounds each attempt of an owner exchange.
-	RequestTimeout time.Duration
-	// Retries is how many times a timed-out attempt is re-tried (with a
-	// fresh owner lookup each time). Default 2.
-	Retries int
-	// MaintainInterval is the replica-maintenance cadence (default 2s).
-	// Attach arms the timer with it; changing the cadence afterwards goes
-	// through SetMaintainInterval, which re-arms.
-	MaintainInterval time.Duration
+	// recs is the authoritative store; maintenance walks it in key order.
+	recs idspace.Keyed[*record]
 
 	// HotCache enables hot-key replica fan-out: owners count reads per
-	// key per maintenance window, and keys read at least HotThreshold
+	// key per maintenance window, and keys read at least hotThreshold
 	// times are pushed (fire-and-forget DHTReplicate) to their recent
 	// readers and the strongest ring contacts. Receivers outside the
 	// key's replica set file the copy in a bounded TTL'd cache instead of
@@ -147,36 +124,15 @@ type Service struct {
 	// default; the durability story is unchanged either way because
 	// cached copies never count as replicas.
 	HotCache bool
-	// HotThreshold is the reads-per-window level that marks an owned key
-	// hot (default 4 per 2s window — low on purpose: the owner only ever
-	// sees the reads its fan-out has NOT absorbed, and a key worth two
-	// full lookups a second is already worth a paced push).
-	HotThreshold int
-	// FanoutWidth caps how many reader-side copies one hot key maintains
-	// (default hotReaderSlots, so every remembered reader is covered — a
-	// reader outside the fan-out set re-fetches through the lookup
-	// funnel every CacheTTL, which is the load the fan-out exists to
-	// absorb).
-	FanoutWidth int
-	// CacheTTL bounds the staleness of cached copies between refresh
-	// pushes (default 30s). The bound only bites for keys that are read
-	// but not hot: hot keys' copies are refreshed (and invalidated on
-	// store) by owner pushes every few maintenance windows, far inside
-	// the TTL.
-	CacheTTL time.Duration
 
 	maintTimer core.Timer
 	scratch    []proto.NodeRef
 
-	// cache and cacheKeys are the reader-side hot-key cache (same
-	// map+sorted-keys shape as recs: deterministic iteration, bounded by
-	// maxCacheEntries).
-	cache     map[idspace.ID]*cacheEntry
-	cacheKeys []idspace.ID
+	// cache is the reader-side hot-key cache, bounded by maxCacheEntries.
+	cache idspace.Keyed[*cacheEntry]
 
-	// hot and hotKeys track read popularity of locally owned keys.
-	hot     map[idspace.ID]*hotKey
-	hotKeys []idspace.ID
+	// hot tracks read popularity of locally owned keys.
+	hot idspace.Keyed[*hotKey]
 
 	// horizonHits counts local cache hits toward the next horizon
 	// refresh (see horizonEvery).
@@ -205,14 +161,16 @@ type Service struct {
 // estimates them): the store and caches with their values and key orders,
 // and the struct with its memo ring and scratch.
 func (s *Service) MemBytes() (store, fixed int) {
-	store = rtable.MapBytes(len(s.recs), 16) + len(s.recs)*int(unsafe.Sizeof(record{})) +
-		rtable.MapBytes(len(s.cache), 16) + len(s.cache)*int(unsafe.Sizeof(cacheEntry{})) +
-		rtable.MapBytes(len(s.hot), 16) + len(s.hot)*int(unsafe.Sizeof(hotKey{})) +
-		(cap(s.keys)+cap(s.cacheKeys)+cap(s.hotKeys))*8
-	for _, r := range s.recs {
+	store = rtable.MapBytes(s.recs.Len(), 16) + s.recs.Len()*int(unsafe.Sizeof(record{})) +
+		rtable.MapBytes(s.cache.Len(), 16) + s.cache.Len()*int(unsafe.Sizeof(cacheEntry{})) +
+		rtable.MapBytes(s.hot.Len(), 16) + s.hot.Len()*int(unsafe.Sizeof(hotKey{})) +
+		(cap(s.recs.Keys())+cap(s.cache.Keys())+cap(s.hot.Keys()))*8
+	for _, k := range s.recs.Keys() {
+		r, _ := s.recs.Get(k)
 		store += cap(r.value)
 	}
-	for _, c := range s.cache {
+	for _, k := range s.cache.Keys() {
+		c, _ := s.cache.Get(k)
 		store += cap(c.value)
 	}
 	fixed = int(unsafe.Sizeof(*s)) + cap(s.memos)*int(unsafe.Sizeof(storeMemo{})) +
@@ -264,15 +222,37 @@ type hotKey struct {
 }
 
 const (
+	// replicationFactor is the total number of copies a record aims for:
+	// the owner plus two ring neighbours.
+	replicationFactor = 3
+	// requestTimeout bounds each attempt of an owner exchange;
+	// requestRetries is how many times a timed-out attempt is re-tried,
+	// with a fresh owner lookup each time.
+	requestTimeout = 2 * time.Second
+	requestRetries = 2
+	// maintainInterval is the replica-maintenance cadence, and the window
+	// over which an owner counts reads.
+	maintainInterval = 2 * time.Second
+	// hotThreshold is the reads-per-window level that marks an owned key
+	// hot — low on purpose: the owner only ever sees the reads its fan-out
+	// has NOT absorbed, and a key worth two full lookups a second is
+	// already worth a paced push.
+	hotThreshold = 4
+	// cacheTTL bounds the staleness of cached copies between refresh
+	// pushes. The bound only bites for keys that are read but not hot: hot
+	// keys' copies are refreshed (and invalidated on store) by owner
+	// pushes every few maintenance windows, far inside the TTL.
+	cacheTTL = 30 * time.Second
 	// hotReaderSlots rings the distinct readers remembered per hot key.
 	// Sized to cover a realistic repeat-reader population: every reader
 	// the ring remembers gets refresh pushes and never re-enters the
 	// lookup funnel for the key, so coverage here converts directly into
-	// hierarchy load removed.
+	// hierarchy load removed. It is also the width of a fan-out set: a
+	// reader outside it re-fetches through the funnel every cacheTTL.
 	hotReaderSlots = 64
 	// hotLinger is the warm lease: how many maintenance windows a
 	// fan-out set is kept refreshed after the last window that tripped
-	// HotThreshold. Long on purpose — a working fan-out hides its own
+	// hotThreshold. Long on purpose — a working fan-out hides its own
 	// demand from the owner, so a short lease would oscillate
 	// (fan → quiet → drop → burst → fan).
 	hotLinger = 30
@@ -301,6 +281,9 @@ const (
 
 var sigSeed = maphash.MakeSeed()
 
+// callOpts is the retry policy of every owner exchange.
+var callOpts = svc.CallOpts{Timeout: requestTimeout, Retries: requestRetries}
+
 // Attach creates the service on a fresh service plane and hooks it into
 // the node's extension slot.
 func Attach(n *core.Node) *Service { return AttachPlane(svc.Attach(n)) }
@@ -309,19 +292,11 @@ func Attach(n *core.Node) *Service { return AttachPlane(svc.Attach(n)) }
 // one node compose by sharing its plane).
 func AttachPlane(p *svc.Plane) *Service {
 	s := &Service{
-		node:              p.Node(),
-		plane:             p,
-		recs:              map[idspace.ID]*record{},
-		ReplicationFactor: 3,
-		ActiveRepair:      true,
-		RequestTimeout:    2 * time.Second,
-		Retries:           2,
-		MaintainInterval:  2 * time.Second,
-		HotThreshold:      4,
-		FanoutWidth:       hotReaderSlots,
-		CacheTTL:          30 * time.Second,
-		cache:             map[idspace.ID]*cacheEntry{},
-		hot:               map[idspace.ID]*hotKey{},
+		node:  p.Node(),
+		plane: p,
+		recs:  idspace.NewKeyed[*record](),
+		cache: idspace.NewKeyed[*cacheEntry](),
+		hot:   idspace.NewKeyed[*hotKey](),
 	}
 	p.Handle(proto.TDHTStore, s.handleStore)
 	p.Handle(proto.TDHTFetch, s.handleFetch)
@@ -329,7 +304,7 @@ func AttachPlane(p *svc.Plane) *Service {
 	p.ExpectResponse(proto.TDHTStoreAck)
 	p.ExpectResponse(proto.TDHTFetchReply)
 	p.ExpectResponse(proto.TDHTReplicateAck)
-	s.maintTimer = s.node.SetPeriodic(s.MaintainInterval, s.maintainTick)
+	s.maintTimer = s.node.SetPeriodic(maintainInterval, s.maintainTick)
 	s.node.SetRingChangeHook(s.ringNudge)
 	return s
 }
@@ -338,7 +313,7 @@ func AttachPlane(p *svc.Plane) *Service {
 // repaired gap, a merged partition. One near-immediate maintenance pass
 // re-runs ownership handoff and replica placement, so keys whose owner
 // changed in a merge reconcile in milliseconds instead of waiting out
-// MaintainInterval. The periodic tick remains the backstop.
+// maintainInterval. The periodic tick remains the backstop.
 func (s *Service) ringNudge() {
 	if s.nudgePending {
 		return
@@ -356,38 +331,16 @@ const ringNudgeDelay = 250 * time.Millisecond
 // Node returns the underlying TreeP node.
 func (s *Service) Node() *core.Node { return s.node }
 
-// SetMaintainInterval re-arms the replica-maintenance timer with a new
-// cadence (the timer is armed at Attach, so writing the field alone after
-// that has no effect).
-func (s *Service) SetMaintainInterval(d time.Duration) {
-	s.MaintainInterval = d
-	if s.maintTimer != nil {
-		s.maintTimer.Cancel()
-	}
-	s.maintTimer = s.node.SetPeriodic(d, s.maintainTick)
-}
-
-// Plane returns the service plane the DHT runs on.
-func (s *Service) Plane() *svc.Plane { return s.plane }
-
 // Len returns the number of records stored locally.
-func (s *Service) Len() int { return len(s.keys) }
+func (s *Service) Len() int { return s.recs.Len() }
 
-// Local returns the locally stored record for a raw (unhashed) key, for
-// tests and diagnostics.
-func (s *Service) Local(key []byte) (Record, bool) { return s.LocalHashed(idspace.HashKey(key)) }
-
-// LocalHashed is Local for an already-hashed key.
+// LocalHashed returns the locally stored record for a hashed key, for the
+// durability checkers, tests and diagnostics.
 func (s *Service) LocalHashed(k idspace.ID) (Record, bool) {
-	if rec, ok := s.recs[k]; ok {
+	if rec, ok := s.recs.Get(k); ok {
 		return Record{Value: rec.value, Version: rec.version, Origin: rec.origin}, true
 	}
 	return Record{}, false
-}
-
-// callOpts bundles the service's retry policy.
-func (s *Service) callOpts() svc.CallOpts {
-	return svc.CallOpts{Timeout: s.RequestTimeout, Retries: s.Retries}
 }
 
 // Put stores value under key unconditionally: the owner assigns the next
@@ -407,7 +360,7 @@ func (s *Service) PutIf(key []byte, value []byte, base uint64, cb func(version u
 func (s *Service) storeVia(key, value []byte, cond bool, base uint64, cb func(uint64, error)) {
 	k := idspace.HashKey(key)
 	req := &proto.DHTStore{Key: k, Value: value, Base: base, Cond: cond}
-	s.plane.CallKey(k, proto.AlgoG, req, s.callOpts(),
+	s.plane.CallKey(k, proto.AlgoG, req, callOpts,
 		func(_ proto.NodeRef, resp proto.SvcResponse, err error) {
 			if err != nil {
 				cb(0, mapErr(err))
@@ -438,12 +391,12 @@ func (s *Service) GetRecord(key []byte, cb func(Record, error)) {
 	k := idspace.HashKey(key)
 	// Hot-key short-circuit: a fresh cached copy answers locally — this
 	// is where a flash crowd's traffic disappears from the owner's inbox.
-	// Staleness is bounded by CacheTTL, and the owner's refresh pushes
+	// Staleness is bounded by cacheTTL, and the owner's refresh pushes
 	// keep a fanned-out key's caches both warm and current. The callback
 	// still fires asynchronously (zero-delay timer) so callers see one
 	// calling convention on hit and miss alike.
 	if s.HotCache {
-		if ce, ok := s.cache[k]; ok && s.node.Now() < ce.expires {
+		if ce, ok := s.cache.Get(k); ok && s.node.Now() < ce.expires {
 			s.Stats.CacheServes++
 			rec := Record{
 				Value:   append([]byte(nil), ce.value...),
@@ -459,7 +412,7 @@ func (s *Service) GetRecord(key []byte, cb func(Record, error)) {
 		}
 	}
 	req := &proto.DHTFetch{Key: k}
-	s.plane.CallKey(k, proto.AlgoG, req, s.callOpts(),
+	s.plane.CallKey(k, proto.AlgoG, req, callOpts,
 		func(_ proto.NodeRef, resp proto.SvcResponse, err error) {
 			if err != nil {
 				cb(Record{}, mapErr(err))
@@ -504,17 +457,13 @@ func mapErr(err error) error {
 // merge applies an incoming copy by the (version, origin) order and
 // reports whether it won. Values are always copied in.
 func (s *Service) merge(k idspace.ID, value []byte, version, origin uint64) bool {
-	cur, ok := s.recs[k]
+	cur, ok := s.recs.Get(k)
 	if ok && (version < cur.version || (version == cur.version && origin <= cur.origin)) {
 		return false
 	}
 	if !ok {
 		cur = &record{}
-		s.recs[k] = cur
-		i := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= k })
-		s.keys = append(s.keys, 0)
-		copy(s.keys[i+1:], s.keys[i:])
-		s.keys[i] = k
+		s.recs.Put(k, cur)
 	}
 	cur.value = append(cur.value[:0], value...)
 	cur.version, cur.origin = version, origin
@@ -524,15 +473,9 @@ func (s *Service) merge(k idspace.ID, value []byte, version, origin uint64) bool
 
 // drop releases the local copy of k.
 func (s *Service) drop(k idspace.ID) {
-	if _, ok := s.recs[k]; !ok {
-		return
+	if s.recs.Delete(k) {
+		s.Stats.Dropped++
 	}
-	delete(s.recs, k)
-	i := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= k })
-	if i < len(s.keys) && s.keys[i] == k {
-		s.keys = append(s.keys[:i], s.keys[i+1:]...)
-	}
-	s.Stats.Dropped++
 }
 
 // --- hot-key cache ----------------------------------------------------------
@@ -544,28 +487,24 @@ func (s *Service) drop(k idspace.ID) {
 // neither overwrite nor refresh.
 func (s *Service) cacheMerge(k idspace.ID, value []byte, version, origin uint64) {
 	now := s.node.Now()
-	ce, ok := s.cache[k]
+	ce, ok := s.cache.Get(k)
 	if ok {
 		if version < ce.version || (version == ce.version && origin < ce.origin) {
 			return
 		}
 	} else {
-		if len(s.cacheKeys) >= maxCacheEntries {
+		if s.cache.Len() >= maxCacheEntries {
 			s.evictCache(now)
-			if len(s.cacheKeys) >= maxCacheEntries {
+			if s.cache.Len() >= maxCacheEntries {
 				return
 			}
 		}
 		ce = &cacheEntry{}
-		s.cache[k] = ce
-		i := sort.Search(len(s.cacheKeys), func(i int) bool { return s.cacheKeys[i] >= k })
-		s.cacheKeys = append(s.cacheKeys, 0)
-		copy(s.cacheKeys[i+1:], s.cacheKeys[i:])
-		s.cacheKeys[i] = k
+		s.cache.Put(k, ce)
 	}
 	ce.value = append(ce.value[:0], value...)
 	ce.version, ce.origin = version, origin
-	ce.expires = now + s.CacheTTL
+	ce.expires = now + cacheTTL
 	s.Stats.CacheStores++
 }
 
@@ -573,60 +512,39 @@ func (s *Service) cacheMerge(k idspace.ID, value []byte, version, origin uint64)
 // entry closest to expiry (smallest key on ties), so admission under a
 // full cache is deterministic.
 func (s *Service) evictCache(now time.Duration) {
-	n := 0
+	full := s.cache.Len()
 	var victim idspace.ID
 	var victimAt time.Duration
-	hasVictim := false
-	for _, k := range s.cacheKeys {
-		ce := s.cache[k]
+	for i := 0; i < s.cache.Len(); { // i entries kept so far
+		k := s.cache.Keys()[i]
+		ce, _ := s.cache.Get(k)
 		if ce.expires <= now {
-			delete(s.cache, k)
+			s.cache.Delete(k)
 			continue
 		}
-		if !hasVictim || ce.expires < victimAt {
-			victim, victimAt, hasVictim = k, ce.expires, true
+		if i == 0 || ce.expires < victimAt {
+			victim, victimAt = k, ce.expires
 		}
-		s.cacheKeys[n] = k
-		n++
+		i++
 	}
-	if n == len(s.cacheKeys) && hasVictim {
-		delete(s.cache, victim)
-		i := sort.Search(n, func(i int) bool { return s.cacheKeys[i] >= victim })
-		copy(s.cacheKeys[i:], s.cacheKeys[i+1:])
-		n--
+	if s.cache.Len() == full {
+		s.cache.Delete(victim)
 	}
-	s.cacheKeys = s.cacheKeys[:n]
-}
-
-// CacheLen returns the number of live cache entries, for tests.
-func (s *Service) CacheLen() int { return len(s.cacheKeys) }
-
-// CachedHashed returns the cached copy for an already-hashed key if it
-// is still fresh, for tests and diagnostics.
-func (s *Service) CachedHashed(k idspace.ID) (Record, bool) {
-	if ce, ok := s.cache[k]; ok && s.node.Now() < ce.expires {
-		return Record{Value: ce.value, Version: ce.version, Origin: ce.origin}, true
-	}
-	return Record{}, false
 }
 
 // noteRead counts a fetch against the owner-side popularity table and
 // remembers the reader for the fan-out audience.
 func (s *Service) noteRead(k idspace.ID, from uint64) {
-	if _, owned := s.recs[k]; !owned {
+	if _, owned := s.recs.Get(k); !owned {
 		return
 	}
-	hk, ok := s.hot[k]
+	hk, ok := s.hot.Get(k)
 	if !ok {
-		if len(s.hotKeys) >= maxHotKeys {
+		if s.hot.Len() >= maxHotKeys {
 			return
 		}
 		hk = &hotKey{}
-		s.hot[k] = hk
-		i := sort.Search(len(s.hotKeys), func(i int) bool { return s.hotKeys[i] >= k })
-		s.hotKeys = append(s.hotKeys, 0)
-		copy(s.hotKeys[i+1:], s.hotKeys[i:])
-		s.hotKeys[i] = k
+		s.hot.Put(k, hk)
 	}
 	hk.reads++
 	if from == 0 || from == s.node.Addr() {
@@ -641,23 +559,6 @@ func (s *Service) noteRead(k idspace.ID, from uint64) {
 	hk.readerIdx = (hk.readerIdx + 1) % hotReaderSlots
 }
 
-// dropHot forgets the popularity state at index i of hotKeys.
-func (s *Service) dropHot(i int, k idspace.ID) {
-	delete(s.hot, k)
-	s.hotKeys = append(s.hotKeys[:i], s.hotKeys[i+1:]...)
-}
-
-// fanoutTick runs once per maintenance window: reads are windowed, and
-// keys at or above HotThreshold (re)build their fan-out set and take a
-// long warm lease. A fanned-out key's cached copies absorb the reads
-// that would re-mark it hot — the owner goes quiet precisely because the
-// fan-out works — so the lease, not the owner-visible read rate, decides
-// how long copies are maintained: refresh pushes go out every
-// fanoutRefreshEvery windows (re-arming the readers' cache TTLs and
-// carrying any version the set has not seen), and when the lease runs
-// out the pushes stop, the copies age out, and genuinely surviving
-// demand re-trips the threshold within a window or two. Iteration is
-// over the sorted key slice, deterministic.
 // refreshHorizon fires one pure lookup (no fetch) at a deterministic
 // rotating coordinate. The reply's direct ref from a distant responder
 // is exactly the long-range table entry that ordinary lookup traffic
@@ -670,21 +571,31 @@ func (s *Service) refreshHorizon() {
 	s.node.Lookup(idspace.HashKey(b[:]), proto.AlgoG, func(core.LookupResult) {})
 }
 
+// fanoutTick runs once per maintenance window: reads are windowed, and
+// keys at or above hotThreshold (re)build their fan-out set and take a
+// long warm lease. A fanned-out key's cached copies absorb the reads
+// that would re-mark it hot — the owner goes quiet precisely because the
+// fan-out works — so the lease, not the owner-visible read rate, decides
+// how long copies are maintained: refresh pushes go out every
+// fanoutRefreshEvery windows (re-arming the readers' cache TTLs and
+// carrying any version the set has not seen), and when the lease runs
+// out the pushes stop, the copies age out, and genuinely surviving
+// demand re-trips the threshold within a window or two. Iteration is
+// in key order, deterministic.
 func (s *Service) fanoutTick() {
-	i := 0
-	for i < len(s.hotKeys) {
-		k := s.hotKeys[i]
-		hk := s.hot[k]
+	for i := 0; i < s.hot.Len(); {
+		k := s.hot.Keys()[i]
+		hk, _ := s.hot.Get(k)
 		reads := hk.reads
 		hk.reads = 0
-		rec, owned := s.recs[k]
+		rec, owned := s.recs.Get(k)
 		if !owned {
 			// Handed off or dropped: the new owner rebuilds its own
 			// popularity picture.
-			s.dropHot(i, k)
+			s.hot.Delete(k)
 			continue
 		}
-		if reads >= s.HotThreshold {
+		if reads >= hotThreshold {
 			hk.cool = hotLinger
 			hk.fanout = s.fanoutTargets(k, hk)
 			hk.age = 0 // push immediately below, then every refresh interval
@@ -703,7 +614,7 @@ func (s *Service) fanoutTick() {
 			hk.age++
 		}
 		if hk.cool == 0 {
-			s.dropHot(i, k)
+			s.hot.Delete(k)
 			continue
 		}
 		i++
@@ -718,10 +629,7 @@ func (s *Service) fanoutTick() {
 // node nobody reads through is pure push traffic, so the reader ring is
 // the audience and capacity only breaks the tie for the standby slots.
 func (s *Service) fanoutTargets(k idspace.ID, hk *hotKey) []uint64 {
-	width := s.FanoutWidth
-	if width <= 0 {
-		width = 1
-	}
+	width := hotReaderSlots
 	out := hk.fanout[:0]
 	self := s.node.Addr()
 	add := func(addr uint64) {
@@ -749,29 +657,32 @@ func (s *Service) fanoutTargets(k idspace.ID, hk *hotKey) []uint64 {
 	refs := l0.AppendNeighborsFreshK(s.scratch[:0], k, now, ttl, fanoutNeighborSeed, true)
 	refs = l0.AppendNeighborsFreshK(refs, k, now, ttl, fanoutNeighborSeed, false)
 	s.scratch = refs
-	// Insertion sort by score descending (ID, Addr tiebreak): the
-	// strongest nearby nodes take the standby slots.
-	for a := 1; a < len(refs); a++ {
-		for b := a; b > 0 && scoreBetter(refs[b], refs[b-1]); b-- {
-			refs[b-1], refs[b] = refs[b], refs[b-1]
-		}
-	}
+	// By advertised score, highest first: the strongest nearby nodes take
+	// the standby slots.
+	sortRefs(refs, func(r proto.NodeRef) uint64 { return uint64(^r.Score) })
 	for _, r := range refs {
 		add(r.Addr)
 	}
 	return out
 }
 
-// scoreBetter orders fan-out candidates by advertised score descending
-// with deterministic tiebreaks.
-func scoreBetter(a, b proto.NodeRef) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
+// sortRefs orders a handful of candidates by rank ascending, with a
+// deterministic (ID, Addr) tiebreak (insertion sort: the lists are tiny).
+func sortRefs(refs []proto.NodeRef, rank func(proto.NodeRef) uint64) {
+	before := func(a, b proto.NodeRef) bool {
+		if ra, rb := rank(a), rank(b); ra != rb {
+			return ra < rb
+		}
+		if a.ID != b.ID {
+			return a.ID < b.ID
+		}
+		return a.Addr < b.Addr
 	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
+	for i := 1; i < len(refs); i++ {
+		for j := i; j > 0 && before(refs[j], refs[j-1]); j-- {
+			refs[j-1], refs[j] = refs[j], refs[j-1]
+		}
 	}
-	return a.Addr < b.Addr
 }
 
 // pushFanout sends fire-and-forget copies of rec to the key's fan-out
@@ -780,16 +691,8 @@ func scoreBetter(a, b proto.NodeRef) bool {
 // already has.
 func (s *Service) pushFanout(k idspace.ID, rec *record, hk *hotKey) {
 	for _, addr := range hk.fanout {
-		m := &proto.DHTReplicate{
-			From:    s.node.Ref(),
-			Key:     k,
-			Value:   append([]byte(nil), rec.value...),
-			Version: rec.version,
-			Origin:  rec.origin,
-			Cache:   true,
-		}
 		s.Stats.Fanouts++
-		s.node.Send(addr, m)
+		s.node.Send(addr, s.replicaOf(k, rec, true))
 	}
 }
 
@@ -817,7 +720,7 @@ func (s *Service) handleStore(from uint64, req proto.SvcRequest, respond func(pr
 			return
 		}
 	}
-	if _, ok := s.recs[m.Key]; ok || !s.ActiveRepair {
+	if _, ok := s.recs.Get(m.Key); ok {
 		// Synchronous path: merge copies the value into the record's own
 		// buffer within this frame, so m.Value passes through uncopied.
 		s.finishStore(m.Key, m.Value, m.Base, m.Cond, from, m.ReqID, respond)
@@ -841,7 +744,7 @@ func (s *Service) handleStore(from uint64, req proto.SvcRequest, respond func(pr
 func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bool, from, reqID uint64,
 	respond func(proto.SvcResponse)) {
 	var curVersion, curOrigin uint64
-	if cur, ok := s.recs[key]; ok {
+	if cur, ok := s.recs.Get(key); ok {
 		curVersion, curOrigin = cur.version, cur.origin
 	}
 	ack := proto.AcquireDHTStoreAck()
@@ -851,18 +754,17 @@ func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bo
 	} else {
 		version := curVersion + 1
 		s.merge(key, value, version, from)
-		if rec, ok := s.recs[key]; ok {
-			s.pushReplicas(key, rec)
-			rec.pushedSig, rec.pushedVersion = s.ringSig(), rec.version
-			// Versioned invalidation: a fanned-out key's cached copies
-			// must not serve the old value for a full CacheTTL. The new
-			// version goes straight to the fan-out set; cacheMerge at the
-			// receivers makes it win by version order.
-			if s.HotCache {
-				if hk, ok := s.hot[key]; ok && len(hk.fanout) > 0 {
-					s.Stats.Invalidations++
-					s.pushFanout(key, rec, hk)
-				}
+		rec, _ := s.recs.Get(key)
+		s.pushReplicas(key, rec)
+		rec.pushedSig, rec.pushedVersion = s.ringSig(), rec.version
+		// Versioned invalidation: a fanned-out key's cached copies must
+		// not serve the old value for a full cacheTTL. The new version
+		// goes straight to the fan-out set; cacheMerge at the receivers
+		// makes it win by version order.
+		if s.HotCache {
+			if hk, ok := s.hot.Get(key); ok && len(hk.fanout) > 0 {
+				s.Stats.Invalidations++
+				s.pushFanout(key, rec, hk)
 			}
 		}
 		ack.Status, ack.Version, ack.Origin = proto.StoreOK, version, from
@@ -886,47 +788,34 @@ func (s *Service) handleFetch(from uint64, req proto.SvcRequest, respond func(pr
 	if s.HotCache && !m.Local {
 		s.noteRead(m.Key, from)
 	}
-	if rec, ok := s.recs[m.Key]; ok {
-		respond(s.fetchReply(rec))
+	if rec, ok := s.recs.Get(m.Key); ok {
+		respond(foundReply(rec.value, rec.version, rec.origin))
 		return
 	}
 	// Not holding the record: a fresh cached copy still answers (a reader
 	// that got routed here benefits from the fan-out too). Versioned
 	// staleness bounds apply as for the local-serve path.
 	if s.HotCache {
-		if ce, ok := s.cache[m.Key]; ok && s.node.Now() < ce.expires {
+		if ce, ok := s.cache.Get(m.Key); ok && s.node.Now() < ce.expires {
 			s.Stats.CacheServes++
-			rep := proto.AcquireDHTFetchReply()
-			rep.Found = true
-			rep.Value = append(rep.Value[:0], ce.value...)
-			rep.Version, rep.Origin = ce.version, ce.origin
-			respond(rep)
+			respond(foundReply(ce.value, ce.version, ce.origin))
 			return
 		}
 	}
-	if m.Local || !s.ActiveRepair {
-		rep := proto.AcquireDHTFetchReply()
-		rep.Found = false
-		respond(rep)
+	if m.Local {
+		respond(notFound())
 		return
 	}
 	key := m.Key
 	s.consult(key, func(found bool, rec Record) {
 		if !found {
-			rep := proto.AcquireDHTFetchReply()
-			rep.Found = false
-			respond(rep)
+			respond(notFound())
 			return
 		}
 		s.Stats.Repairs++
 		s.merge(key, rec.Value, rec.Version, rec.Origin)
-		if cur, ok := s.recs[key]; ok {
-			respond(s.fetchReply(cur))
-			return
-		}
-		rep := proto.AcquireDHTFetchReply()
-		rep.Found = false
-		respond(rep)
+		cur, _ := s.recs.Get(key)
+		respond(foundReply(cur.value, cur.version, cur.origin))
 	})
 }
 
@@ -947,7 +836,7 @@ func (s *Service) consult(key idspace.ID, cb func(bool, Record)) {
 	found := false
 	for _, tgt := range targets {
 		sub := &proto.DHTFetch{Key: key, Local: true}
-		s.plane.Call(tgt.Addr, sub, svc.CallOpts{Timeout: s.RequestTimeout / 2},
+		s.plane.Call(tgt.Addr, sub, svc.CallOpts{Timeout: requestTimeout / 2},
 			func(resp proto.SvcResponse, err error) {
 				remaining--
 				if err == nil {
@@ -968,14 +857,17 @@ func (s *Service) consult(key idspace.ID, cb func(bool, Record)) {
 	}
 }
 
-// fetchReply builds a pooled found-reply carrying a copy of the record.
-func (s *Service) fetchReply(rec *record) *proto.DHTFetchReply {
+// foundReply builds a pooled reply carrying a copy of the value.
+func foundReply(value []byte, version, origin uint64) *proto.DHTFetchReply {
 	rep := proto.AcquireDHTFetchReply()
 	rep.Found = true
-	rep.Value = append(rep.Value[:0], rec.value...)
-	rep.Version, rep.Origin = rec.version, rec.origin
+	rep.Value = append(rep.Value[:0], value...)
+	rep.Version, rep.Origin = version, origin
 	return rep
 }
+
+// notFound is the pooled miss reply: a fresh one says Found=false.
+func notFound() *proto.DHTFetchReply { return proto.AcquireDHTFetchReply() }
 
 // handleReplicate merges a pushed copy; ReqID zero is fire-and-forget.
 // With the hot-key cache on, a fire-and-forget push for a key outside
@@ -993,7 +885,7 @@ func (s *Service) handleReplicate(from uint64, req proto.SvcRequest, respond fun
 		// real (it is in the replica set and the push carries a newer
 		// version): the ordinary merge keeps the authoritative copy
 		// current.
-		if _, held := s.recs[m.Key]; held {
+		if _, held := s.recs.Get(m.Key); held {
 			s.merge(m.Key, m.Value, m.Version, m.Origin)
 		} else {
 			s.cacheMerge(m.Key, m.Value, m.Version, m.Origin)
@@ -1021,17 +913,14 @@ func (s *Service) maintainTick() {
 	if s.HotCache {
 		s.fanoutTick()
 	}
-	if !s.ActiveRepair || len(s.keys) == 0 {
+	if s.recs.Len() == 0 {
 		return
 	}
 	sig := s.ringSig()
-	for _, k := range s.keys {
-		rec, ok := s.recs[k]
-		if !ok {
-			continue
-		}
-		if best, betterOwner := s.closerOwner(k); betterOwner {
-			s.handoff(k, rec, best)
+	for _, k := range s.recs.Keys() {
+		rec, _ := s.recs.Get(k)
+		if owner, closer := s.closer(k); closer > 0 {
+			s.handoff(k, rec, owner)
 			continue
 		}
 		if rec.pushedSig == sig && rec.pushedVersion == rec.version {
@@ -1042,21 +931,26 @@ func (s *Service) maintainTick() {
 	}
 }
 
+// replicaOf builds one push of rec. Each push gets its own message and
+// value copy: in the simulator payloads travel by reference, and the
+// record may be rewritten while the datagram is in flight.
+func (s *Service) replicaOf(k idspace.ID, rec *record, cache bool) *proto.DHTReplicate {
+	return &proto.DHTReplicate{
+		From:    s.node.Ref(),
+		Key:     k,
+		Value:   append([]byte(nil), rec.value...),
+		Version: rec.version,
+		Origin:  rec.origin,
+		Cache:   cache,
+	}
+}
+
 // pushReplicas sends fire-and-forget copies of rec to the key's current
-// replica targets. Each push gets its own message and value copy: in the
-// simulator payloads travel by reference, and the record may be rewritten
-// while the datagram is in flight.
+// replica targets.
 func (s *Service) pushReplicas(k idspace.ID, rec *record) {
 	for _, tgt := range s.replicaTargets(k) {
-		m := &proto.DHTReplicate{
-			From:    s.node.Ref(),
-			Key:     k,
-			Value:   append([]byte(nil), rec.value...),
-			Version: rec.version,
-			Origin:  rec.origin,
-		}
 		s.Stats.Replicas++
-		s.node.Send(tgt.Addr, m)
+		s.node.Send(tgt.Addr, s.replicaOf(k, rec, false))
 	}
 }
 
@@ -1067,29 +961,22 @@ func (s *Service) pushReplicas(k idspace.ID, rec *record) {
 func (s *Service) handoff(k idspace.ID, rec *record, owner proto.NodeRef) {
 	s.Stats.Handoffs++
 	pushedVersion := rec.version
-	m := &proto.DHTReplicate{
-		Key:     k,
-		Value:   append([]byte(nil), rec.value...),
-		Version: rec.version,
-		Origin:  rec.origin,
-	}
-	s.plane.Call(owner.Addr, m, svc.CallOpts{Timeout: s.RequestTimeout, Retries: 1},
+	s.plane.Call(owner.Addr, s.replicaOf(k, rec, false), svc.CallOpts{Timeout: requestTimeout, Retries: 1},
 		func(resp proto.SvcResponse, err error) {
 			if err != nil {
 				return // keep the copy; next tick retries
 			}
-			cur, ok := s.recs[k]
+			cur, ok := s.recs.Get(k)
 			if !ok || cur.version != pushedVersion {
 				return // rewritten while in flight; next tick reconsiders
 			}
-			if s.withinReplicaSet(k) {
-				return
+			if _, closer := s.closer(k); closer >= replicationFactor {
+				s.drop(k)
 			}
-			s.drop(k)
 		})
 }
 
-// ReplicaTargets returns up to ReplicationFactor-1 fresh ring contacts
+// ReplicaTargets returns up to replicationFactor-1 fresh ring contacts
 // nearest to k: the replica set this node would push to as owner, and the
 // consult set it would query on a miss. The slice is a shared scratch
 // buffer; callers must not retain it across another call into the service.
@@ -1098,10 +985,7 @@ func (s *Service) handoff(k idspace.ID, rec *record, owner proto.NodeRef) {
 func (s *Service) ReplicaTargets(k idspace.ID) []proto.NodeRef { return s.replicaTargets(k) }
 
 func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
-	want := s.ReplicationFactor - 1
-	if want <= 0 {
-		return nil
-	}
+	const want = replicationFactor - 1
 	l0 := s.node.Table().Level0
 	now, ttl := s.node.Now(), s.node.Config().EntryTTL
 	// Collect up to `want` fresh contacts from each side, then keep the
@@ -1120,12 +1004,7 @@ func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
 		}
 	}
 	out = out[:n]
-	// Insertion sort by (distance, ID, Addr): at most 2·want tiny entries.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && replicaCloser(out[j], out[j-1], k); j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	sortRefs(out, func(r proto.NodeRef) uint64 { return idspace.Dist(r.ID, k) })
 	if len(out) > want {
 		out = out[:want]
 	}
@@ -1133,32 +1012,23 @@ func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
 	return out
 }
 
-// replicaCloser orders replica candidates by distance to k with a
-// deterministic (ID, Addr) tiebreak.
-func replicaCloser(a, b proto.NodeRef, k idspace.ID) bool {
-	da, db := idspace.Dist(a.ID, k), idspace.Dist(b.ID, k)
-	if da != db {
-		return da < db
-	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	return a.Addr < b.Addr
-}
-
-// closerOwner reports whether a known *fresh* level-0 contact is strictly
-// closer to k than this node (with the deterministic ID tiebreak), i.e.
-// whether the key has a better owner to hand off to. Staleness matters:
-// handing off to a dead-but-unexpired neighbour burns the call's retries
-// for nothing.
-func (s *Service) closerOwner(k idspace.ID) (proto.NodeRef, bool) {
+// closer scans this node's *fresh* level-0 contacts for those strictly
+// closer to k than the node itself (lower ID on equal distance): it
+// returns how many there are and the nearest of them. A count above zero
+// means the key has a better owner to hand off to; a count of
+// replicationFactor or more means this node is outside the key's replica
+// set and need not keep a copy. Only direct-fresh contacts count: handing
+// off to a dead-but-unexpired neighbour burns the call's retries for
+// nothing, and letting one displace a live replica makes churn
+// concentrate every copy on one node (the survivors each see the corpses
+// as "closer" and drop), so that a single further failure loses the
+// record.
+func (s *Service) closer(k idspace.ID) (nearest proto.NodeRef, count int) {
 	l0 := s.node.Table().Level0
 	now, ttl := s.node.Now(), s.node.Config().EntryTTL
-	dSelf := idspace.Dist(s.node.ID(), k)
 	selfID := s.node.ID()
-	var best proto.NodeRef
-	var bestD uint64
-	found := false
+	dSelf := idspace.Dist(selfID, k)
+	var nearestD uint64
 	for _, r := range l0.Refs() {
 		if r.Addr == s.node.Addr() {
 			continue
@@ -1171,43 +1041,12 @@ func (s *Service) closerOwner(k idspace.ID) (proto.NodeRef, bool) {
 		if d > dSelf || (d == dSelf && r.ID >= selfID) {
 			continue
 		}
-		if !found || d < bestD || (d == bestD && r.ID < best.ID) {
-			best, bestD, found = r, d, true
+		if count == 0 || d < nearestD || (d == nearestD && r.ID < nearest.ID) {
+			nearest, nearestD = r, d
 		}
+		count++
 	}
-	return best, found
-}
-
-// withinReplicaSet reports whether this node is among the
-// ReplicationFactor nearest *fresh* holders of k (itself plus level-0
-// contacts), i.e. still responsible for keeping a copy. Only direct-fresh
-// contacts count: a dead-but-unexpired neighbour must not displace a live
-// replica, or churn concentrates every copy on one node (the survivors
-// each see the corpses as "closer" and drop) and a single further failure
-// loses the record.
-func (s *Service) withinReplicaSet(k idspace.ID) bool {
-	l0 := s.node.Table().Level0
-	now, ttl := s.node.Now(), s.node.Config().EntryTTL
-	dSelf := idspace.Dist(s.node.ID(), k)
-	selfID := s.node.ID()
-	closer := 0
-	for _, r := range l0.Refs() {
-		if r.Addr == s.node.Addr() {
-			continue
-		}
-		e := l0.Get(r.Addr)
-		if e == nil || !e.DirectFresh(now, ttl) {
-			continue
-		}
-		d := idspace.Dist(r.ID, k)
-		if d < dSelf || (d == dSelf && r.ID < selfID) {
-			closer++
-			if closer >= s.ReplicationFactor {
-				return false
-			}
-		}
-	}
-	return true
+	return nearest, count
 }
 
 // ringSig hashes the current replica neighbourhood of this node's own

@@ -236,7 +236,7 @@ func TestReplicationSurvivesOwnerFailure(t *testing.T) {
 	if !done {
 		t.Fatal("put never resolved")
 	}
-	if _, ok := svcs[owner.Addr()].Local(key); !ok {
+	if _, ok := svcs[owner.Addr()].LocalHashed(idspace.HashKey(key)); !ok {
 		t.Fatal("owner does not hold the key it owns")
 	}
 
@@ -281,7 +281,7 @@ func TestHandoffToRejoiningCloserNode(t *testing.T) {
 	if !done {
 		t.Fatal("put never resolved")
 	}
-	if _, ok := svcs[owner.Addr()].Local(key); ok {
+	if _, ok := svcs[owner.Addr()].LocalHashed(idspace.HashKey(key)); ok {
 		t.Fatal("dead owner holds the record")
 	}
 
@@ -292,7 +292,7 @@ func TestHandoffToRejoiningCloserNode(t *testing.T) {
 	owner.Join(alive[0].Addr())
 	c.Run(20 * time.Second)
 
-	if rec, ok := svcs[owner.Addr()].Local(key); !ok || string(rec.Value) != "migrant" {
+	if rec, ok := svcs[owner.Addr()].LocalHashed(idspace.HashKey(key)); !ok || string(rec.Value) != "migrant" {
 		t.Fatalf("record did not migrate to the rejoined closer node (ok=%v)", ok)
 	}
 }
@@ -306,7 +306,7 @@ func TestReadRepairWithoutMaintenance(t *testing.T) {
 	for _, nd := range c.Nodes {
 		s := Attach(nd)
 		// Disarm periodic maintenance so only the read path can heal.
-		s.SetMaintainInterval(time.Hour)
+		s.maintTimer.Cancel()
 		svcs[nd.Addr()] = s
 	}
 	c.StartAll()
@@ -437,12 +437,96 @@ func TestStoreMemoRingGrowsThenWraps(t *testing.T) {
 	}
 }
 
-// TestServiceFitsItsSizeClass: with the memo ring out of line a Service is
-// 384 bytes, a size class of its own; inline it was 2 904 in the 3 072
-// class on every peer (DESIGN.md §16).
+// TestServiceFitsItsSizeClass: with the memo ring out of line and the
+// single-valued options gone a Service is 320 bytes, a size class of its
+// own (384 with the options; inline the ring made it 2 904 in the 3 072
+// class on every peer, DESIGN.md §16).
 func TestServiceFitsItsSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Service{}); sz > 384 {
-		t.Fatalf("dht.Service is %d bytes: past the 384-byte size class", sz)
+	if sz := unsafe.Sizeof(Service{}); sz > 320 {
+		t.Fatalf("dht.Service is %d bytes: past the 320-byte size class", sz)
+	}
+}
+
+// fillCache files one copy per key at the service's current time.
+func fillCache(s *Service, keys ...idspace.ID) {
+	for _, k := range keys {
+		s.cacheMerge(k, []byte("v"), 1, 1)
+	}
+}
+
+// idRange is lo, lo+1, … hi.
+func idRange(lo, hi idspace.ID) []idspace.ID {
+	var out []idspace.ID
+	for k := lo; k <= hi; k++ {
+		out = append(out, k)
+	}
+	return out
+}
+
+// checkCache holds the cache to exactly the wanted keys: the key order
+// ascending, every key of it answering Get, every absent key not.
+func checkCache(t *testing.T, s *Service, want, absent []idspace.ID) {
+	t.Helper()
+	keys := s.cache.Keys()
+	if len(keys) != len(want) || s.cache.Len() != len(want) {
+		t.Fatalf("cache holds %d keys (Len %d), want %d", len(keys), s.cache.Len(), len(want))
+	}
+	for i, k := range keys {
+		if k != want[i] {
+			t.Fatalf("key %d of the order is %v, want %v", i, k, want[i])
+		}
+		if _, ok := s.cache.Get(k); !ok {
+			t.Fatalf("key %v is in the order but not in the map", k)
+		}
+	}
+	for _, k := range absent {
+		if _, ok := s.cache.Get(k); ok {
+			t.Fatalf("evicted key %v is still in the map", k)
+		}
+	}
+}
+
+// TestEvictCacheDropsOnlyTheExpired: a full cache holding expired entries
+// admits a newcomer after releasing those and nothing else.
+func TestEvictCacheDropsOnlyTheExpired(t *testing.T) {
+	c := simrt.New(simrt.Options{N: 2, Seed: 12, Bulk: false})
+	s := Attach(c.Nodes[0])
+	old, young := idRange(1, 10), idRange(11, maxCacheEntries)
+	fillCache(s, old...)
+	c.Run(5 * time.Second)
+	fillCache(s, young...)
+	c.Run(cacheTTL - 4*time.Second) // the first ten lapsed a second ago
+	fillCache(s, 1000)
+	checkCache(t, s, append(young, 1000), old)
+}
+
+// TestEvictCacheDropsNearestExpiry: with nothing expired a full cache
+// gives up one entry per newcomer — the one closest to expiry, the
+// smallest key among equals — whatever order the entries arrived in.
+func TestEvictCacheDropsNearestExpiry(t *testing.T) {
+	oldest := []idspace.ID{50, 20, 70}
+	rest := idRange(100, 100+maxCacheEntries-4)
+	for _, reversed := range []bool{false, true} {
+		c := simrt.New(simrt.Options{N: 2, Seed: 12, Bulk: false})
+		s := Attach(c.Nodes[0])
+		first, second := append([]idspace.ID(nil), oldest...), append([]idspace.ID(nil), rest...)
+		if reversed {
+			for _, l := range [][]idspace.ID{first, second} {
+				for i, j := 0, len(l)-1; i < j; i, j = i+1, j-1 {
+					l[i], l[j] = l[j], l[i]
+				}
+			}
+		}
+		fillCache(s, first...)
+		c.Run(time.Second)
+		fillCache(s, second...)
+		c.Run(time.Second)
+		fillCache(s, 1000)
+		want := append(append([]idspace.ID{50, 70}, rest...), 1000)
+		checkCache(t, s, want, []idspace.ID{20})
+		fillCache(s, 1001)
+		want = append(append([]idspace.ID{70}, rest...), 1000, 1001)
+		checkCache(t, s, want, []idspace.ID{20, 50})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"treep/internal/metrics"
@@ -174,19 +173,9 @@ func RunCompare(o CompareOptions) (*CompareResult, error) {
 	}
 	records := make([][]metrics.PhaseRecord, len(keys))
 	errs := make([]error, len(keys))
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Parallel)
-	for i, key := range keys {
-		wg.Add(1)
-		go func(slot int, key trialKey) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			records[slot], errs[slot] = runCompareTrial(o, key.backend, key.seed)
-		}(i, key)
-	}
-	wg.Wait()
+	runTrials(len(keys), o.Parallel, func(slot int) {
+		records[slot], errs[slot] = runCompareTrial(o, keys[slot].backend, keys[slot].seed)
+	})
 
 	for i, err := range errs {
 		if err != nil {

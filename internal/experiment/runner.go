@@ -15,7 +15,6 @@ import (
 
 	"treep/internal/core"
 	"treep/internal/metrics"
-	"treep/internal/netsim"
 	"treep/internal/nodeprof"
 	"treep/internal/proto"
 	"treep/internal/routing"
@@ -145,20 +144,27 @@ type SweepResult struct {
 func RunKillSweep(o Options) *SweepResult {
 	o = o.withDefaults()
 	res := &SweepResult{Opts: o, Trials: make([]Trial, len(o.Seeds))}
+	runTrials(len(o.Seeds), o.Parallel, func(slot int) { res.Trials[slot] = runTrial(o, o.Seeds[slot]) })
+	return res
+}
 
+// runTrials is the worker pool of all three runners: it calls trial for
+// every slot in [0, n), at most parallel at a time, and returns when all
+// have finished. Each trial writes only its own slot of the caller's
+// result slice, so the results need no lock.
+func runTrials(n, parallel int, trial func(slot int)) {
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Parallel)
-	for i, seed := range o.Seeds {
+	sem := make(chan struct{}, parallel)
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(slot int, seed int64) {
+		go func(slot int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res.Trials[slot] = runTrial(o, seed)
-		}(i, seed)
+			trial(slot)
+		}(i)
 	}
 	wg.Wait()
-	return res
 }
 
 func runTrial(o Options, seed int64) Trial {
@@ -392,7 +398,3 @@ func (r *SweepResult) perStep(fn func(killPct int, steps []*AlgoStep), algo prot
 		}
 	}
 }
-
-// NetOptions exposes netsim configuration for scenario tools (latency and
-// loss sweeps in cmd/treep-sim).
-type NetOptions = []netsim.Option

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"runtime"
-	"sync"
 	"time"
 
 	"treep/internal/core"
@@ -115,19 +114,7 @@ type ScenarioSweepResult struct {
 func RunScenario(o ScenarioOptions) *ScenarioSweepResult {
 	o = o.withDefaults()
 	res := &ScenarioSweepResult{Opts: o, Trials: make([]ScenarioTrial, len(o.Seeds))}
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Parallel)
-	for i, seed := range o.Seeds {
-		wg.Add(1)
-		go func(slot int, seed int64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res.Trials[slot] = runScenarioTrial(o, seed)
-		}(i, seed)
-	}
-	wg.Wait()
+	runTrials(len(o.Seeds), o.Parallel, func(slot int) { res.Trials[slot] = runScenarioTrial(o, o.Seeds[slot]) })
 	return res
 }
 

@@ -211,9 +211,6 @@ func (c *Cluster) Heal() { c.Net.SetLinkFilter(nil) }
 // origin gives up.
 func (c *Cluster) LookupTimeout() time.Duration { return c.timeout }
 
-// Degree returns the target adjacency degree of the random graph.
-func (c *Cluster) Degree() int { return c.degree }
-
 // StateSize returns the node's routing-state entry count (its adjacency
 // list — flooding keeps no other routing state).
 func (nd *Node) StateSize() int { return len(nd.peers) }

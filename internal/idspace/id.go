@@ -45,10 +45,6 @@ func Dist(a, b ID) uint64 {
 // function where it is compared against fractions of SpaceExtent.
 func DistF(a, b ID) float64 { return float64(Dist(a, b)) }
 
-// Less reports whether a sorts before b in the space. It exists so call
-// sites read as intent rather than as integer comparison.
-func Less(a, b ID) bool { return a < b }
-
 // Between reports whether x lies in the closed interval [lo, hi].
 // lo must be ≤ hi; Between does not wrap.
 func Between(x, lo, hi ID) bool { return lo <= x && x <= hi }
@@ -123,12 +119,6 @@ type RandomAssigner struct{ Rand *rand.Rand }
 func (r RandomAssigner) Assign(i, n int, addr string) ID {
 	return ID(r.Rand.Uint64())
 }
-
-// HashAssigner derives each ID from the node's address.
-type HashAssigner struct{}
-
-// Assign implements Assigner.
-func (HashAssigner) Assign(i, n int, addr string) ID { return HashAddr(addr) }
 
 // BalancedAssigner spreads n nodes evenly over the space with optional
 // jitter, realising the paper's "preliminary search for an ID range to

@@ -283,16 +283,8 @@ func NewSharded(seed int64, shards int, opts ...Option) *Network {
 	return n
 }
 
-// Kernel returns the kernel the network runs on (shard 0's in sharded
-// mode; prefer Engine there).
-func (n *Network) Kernel() *sim.Kernel { return n.kernel }
-
 // Engine returns the sharded engine, or nil in classic mode.
 func (n *Network) Engine() *sim.Sharded { return n.engine }
-
-// Floor returns the latency floor the sharded engine runs on (zero in
-// classic mode).
-func (n *Network) Floor() time.Duration { return n.floor }
 
 // Attach registers a new endpoint and returns its address. The handler is
 // invoked from the kernel's event loop for each delivered datagram. In
@@ -396,9 +388,6 @@ func SplitFilter(split idspace.ID, idOf func(Addr) (idspace.ID, bool)) func(from
 
 // Alive reports whether the endpoint exists and is live.
 func (n *Network) Alive(a Addr) bool { return n.valid(a) && n.epAlive[a] }
-
-// Size returns the number of attached endpoints (live or dead).
-func (n *Network) Size() int { return len(n.handlers) - 1 }
 
 // Stats returns a copy of the accumulated counters (summed across shards
 // in sharded mode; control plane only).

@@ -60,6 +60,38 @@ func expDelay(rng *rand.Rand, rate float64) time.Duration {
 	return time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
 }
 
+// poisson plays independent Poisson streams against w in time order:
+// stream i fires at rates[i] events per second by calling fire(i), up to
+// and including the absolute time last. First gaps are drawn in index
+// order, a stream's next gap right after it fires, and streams due at the
+// same instant fire lowest index first — the draw order every recorded
+// trajectory depends on. The clock is left at the last event; the caller
+// runs out its window.
+func poisson(w World, rng *rand.Rand, last time.Duration, rates []float64, fire func(stream int)) {
+	now := w.Now()
+	next := make([]time.Duration, len(rates))
+	for i, r := range rates {
+		next[i] = maxDuration
+		if d := expDelay(rng, r); d < maxDuration {
+			next[i] = now + d
+		}
+	}
+	for {
+		which, at := -1, maxDuration
+		for i, t := range next {
+			if t < at {
+				which, at = i, t
+			}
+		}
+		if which < 0 || at > last {
+			return
+		}
+		runUntil(w, at)
+		fire(which)
+		next[which] = at + expDelay(rng, rates[which])
+	}
+}
+
 // Settle runs the overlay quietly for a duration: maintenance, repair and
 // elections proceed with no injected events. Every stress phase is
 // normally followed by one before invariants are asserted.
@@ -96,33 +128,15 @@ func (c Churn) Run(e *Engine) { c.Drive(e, e.rng) }
 
 // Drive implements Portable.
 func (c Churn) Drive(w World, rng *rand.Rand) {
-	now := w.Now()
-	end := now + c.For
-	nextJoin, nextLeave := maxDuration, maxDuration
-	if d := expDelay(rng, c.JoinRate); d < maxDuration {
-		nextJoin = now + d
-	}
-	if d := expDelay(rng, c.LeaveRate); d < maxDuration {
-		nextLeave = now + d
-	}
-	for {
-		next := nextJoin
-		if nextLeave < next {
-			next = nextLeave
-		}
-		if next > end {
-			runUntil(w, end)
-			return
-		}
-		runUntil(w, next)
-		if next == nextJoin {
+	end := w.Now() + c.For
+	poisson(w, rng, end, []float64{c.JoinRate, c.LeaveRate}, func(stream int) {
+		if stream == 0 {
 			w.Join()
-			nextJoin = next + expDelay(rng, c.JoinRate)
 		} else {
 			w.Leave()
-			nextLeave = next + expDelay(rng, c.LeaveRate)
 		}
-	}
+	})
+	runUntil(w, end)
 }
 
 // FlashCrowd is a mass-arrival burst: Joins new nodes bootstrap over the

@@ -50,7 +50,7 @@ func TestIslandsMergeBridge(t *testing.T) {
 		t.Skip("slow simulation; skipped with -short")
 	}
 	c := newCluster(t, 200, 21)
-	opts := storageOpts(c, 3, 0.99, 0)
+	opts := storageOpts(c, 0.99, 0)
 	res := Run(c, opts,
 		Settle{For: 8 * time.Second},
 		StoreRecords{Count: 60},

@@ -250,6 +250,3 @@ func (e *Engine) Partition(split idspace.ID) { e.C.Partition(split) }
 
 // Heal implements World.
 func (e *Engine) Heal() { e.C.Heal() }
-
-// expDelay draws a Poisson inter-arrival gap from the engine's stream.
-func (e *Engine) expDelay(rate float64) time.Duration { return expDelay(e.rng, rate) }

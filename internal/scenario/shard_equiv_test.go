@@ -1,10 +1,11 @@
 package scenario
 
 import (
+	"slices"
 	"testing"
 	"time"
 
-	"treep/internal/core"
+	"treep/internal/idspace"
 	"treep/internal/simrt"
 )
 
@@ -74,8 +75,8 @@ func TestShardEquivalenceChurn(t *testing.T) {
 // flash crowd, hot-key fan-out, horizon-refresh probes and the balance
 // checkers sampling mid-run — must reach a bit-identical cluster digest
 // at every shard count, across a wide seed sweep. Everything the
-// balancer added (load EWMAs, cache fan-out, versioned invalidation,
-// deterministic horizon lookups) rides the same virtual-time kernel as
+// balancer added (cache fan-out, versioned invalidation, deterministic
+// horizon lookups) rides the same virtual-time kernel as
 // the rest of the overlay, so any hidden wall-clock or map-order
 // dependence shows up here as a digest mismatch.
 func TestShardBalancerEquivalence(t *testing.T) {
@@ -99,9 +100,8 @@ func TestShardBalancerEquivalence(t *testing.T) {
 		for _, shards := range shardCounts {
 			c := simrt.New(simrt.Options{
 				N: 300, Seed: seed, Bulk: true, Shards: shards,
-				Config: core.Config{Balancer: true},
 			})
-			st := NewStorage(3)
+			st := NewStorage()
 			st.HotCache = true
 			st.AttachAll(c)
 			c.StartAll()
@@ -142,6 +142,48 @@ func TestShardBalancerEquivalence(t *testing.T) {
 						seed, shards, i, s.Alive, len(s.Violations), w.Alive, len(w.Violations))
 				}
 			}
+		}
+	}
+}
+
+// TestShardStorageWorkloadRaceFree drives the continuous put/get mix on the
+// sharded engine, where Put and Get completions run on the issuing nodes'
+// shard workers: two of them may land in one epoch, and both write the
+// storage context's counters and ledger. Under -race (CI's race-sharded
+// job selects this test by name) it fails if a completion touches them
+// without Storage.mu; in any mode the counters and the ledger must come
+// out the same at every shard count.
+func TestShardStorageWorkloadRaceFree(t *testing.T) {
+	type outcome struct {
+		puts, putFails, gets, getMiss uint64
+		ledger                        []idspace.ID
+	}
+	var want outcome
+	for _, shards := range []int{1, 2, 4} {
+		c := simrt.New(simrt.Options{N: 200, Seed: 5, Bulk: true, Shards: shards})
+		st := NewStorage()
+		st.AttachAll(c)
+		c.StartAll()
+		NewEngine(c, Options{Storage: st}).Play(
+			Settle{For: 4 * time.Second},
+			StorageWorkload{For: 10 * time.Second, PutRate: 40, GetRate: 80},
+			Settle{For: 4 * time.Second},
+		)
+		c.Engine.Close()
+		got := outcome{st.Puts, st.PutFails, st.Gets, st.GetMiss, st.ledger.Keys()}
+		if got.puts == 0 || got.gets == 0 || len(got.ledger) == 0 {
+			t.Fatalf("%d shards: the workload did nothing: %+v", shards, got)
+		}
+		if shards == 1 {
+			want = got
+			continue
+		}
+		if got.puts != want.puts || got.putFails != want.putFails || got.gets != want.gets || got.getMiss != want.getMiss {
+			t.Errorf("%d shards counted puts %d/%d failed, gets %d/%d missed; 1 shard %d/%d, %d/%d", shards,
+				got.puts, got.putFails, got.gets, got.getMiss, want.puts, want.putFails, want.gets, want.getMiss)
+		}
+		if !slices.Equal(got.ledger, want.ledger) {
+			t.Errorf("%d shards ledgered %d keys, 1 shard %d, or not the same ones", shards, len(got.ledger), len(want.ledger))
 		}
 	}
 }

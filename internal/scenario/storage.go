@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -18,17 +17,9 @@ import (
 // backs the durability checkers that judge whether the overlay kept its
 // data through the timeline.
 type Storage struct {
-	// Factor is the replication factor configured on attached services.
-	Factor int
-	// PutTimeOnly disables active repair (replica maintenance, handoff,
-	// read-repair) on every service this context attaches — the seed
-	// implementation's put-time-only replication, for the durability
-	// ablation in EXPERIMENTS.md.
-	PutTimeOnly bool
 	// HotCache enables hot-key replica fan-out and reader-side caching on
-	// every attached service — the storage half of the load balancer
-	// (core's side is Config.Balancer). Off by default so pre-balancer
-	// timelines stay bit-identical.
+	// every attached service. Off by default so timelines recorded without
+	// it stay bit-identical.
 	HotCache bool
 
 	services map[uint64]*dht.Service
@@ -41,25 +32,18 @@ type Storage struct {
 	// key set), so determinism does not depend on completion order.
 	mu sync.Mutex
 
-	// The ledger: every key the scenario successfully wrote, with the raw
-	// key bytes for re-reading. keys stays sorted for deterministic
-	// iteration.
-	keys []idspace.ID
-	raw  map[idspace.ID][]byte
+	// ledger holds every key the scenario successfully wrote, with the raw
+	// key bytes for re-reading; reads pick from it by rank.
+	ledger idspace.Keyed[[]byte]
 
 	// Workload counters (read by benchmarks and tests).
 	Puts, PutFails uint64
 	Gets, GetMiss  uint64
 }
 
-// NewStorage creates a storage context with the given replication factor
-// (0 means the dht default).
-func NewStorage(factor int) *Storage {
-	return &Storage{
-		Factor:   factor,
-		services: map[uint64]*dht.Service{},
-		raw:      map[idspace.ID][]byte{},
-	}
+// NewStorage creates an empty storage context.
+func NewStorage() *Storage {
+	return &Storage{services: map[uint64]*dht.Service{}, ledger: idspace.NewKeyed[[]byte]()}
 }
 
 // AttachAll creates and binds a DHT service on every current cluster node.
@@ -74,32 +58,16 @@ func (st *Storage) AttachAll(c *simrt.Cluster) {
 // Attach creates and binds a DHT service on one node (the engine calls
 // this for nodes spawned mid-scenario).
 func (st *Storage) Attach(n *core.Node) {
-	if _, ok := st.services[n.Addr()]; ok {
-		return
+	if _, ok := st.services[n.Addr()]; !ok {
+		st.Bind(dht.Attach(n))
 	}
-	s := dht.Attach(n)
-	if st.Factor > 0 {
-		s.ReplicationFactor = st.Factor
-	}
-	if st.PutTimeOnly {
-		s.ActiveRepair = false
-	}
-	if st.HotCache {
-		s.HotCache = true
-	}
-	st.services[n.Addr()] = s
 }
 
 // Bind registers an existing service (a caller that attached DHT services
-// itself — the public SimNetwork does — shares them with the scenario).
+// itself — the public SimNetwork does — shares them with the scenario) and
+// applies the context's settings to it.
 func (st *Storage) Bind(s *dht.Service) {
 	st.services[s.Node().Addr()] = s
-	if st.Factor > 0 {
-		s.ReplicationFactor = st.Factor
-	}
-	if st.PutTimeOnly {
-		s.ActiveRepair = false
-	}
 	if st.HotCache {
 		s.HotCache = true
 	}
@@ -109,19 +77,39 @@ func (st *Storage) Bind(s *dht.Service) {
 func (st *Storage) Service(addr uint64) *dht.Service { return st.services[addr] }
 
 // Records returns the number of ledgered records.
-func (st *Storage) Records() int { return len(st.keys) }
+func (st *Storage) Records() int { return st.ledger.Len() }
 
-// ledger records a successful write.
-func (st *Storage) ledger(rawKey []byte) {
-	k := idspace.HashKey(rawKey)
-	if _, ok := st.raw[k]; ok {
+// notePut is a Put's completion: it counts a failure, or ledgers the key.
+// It takes mu, as every completion callback must.
+func (st *Storage) notePut(rawKey []byte, err error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err != nil {
+		st.PutFails++
 		return
 	}
-	i := sort.Search(len(st.keys), func(i int) bool { return st.keys[i] >= k })
-	st.keys = append(st.keys, 0)
-	copy(st.keys[i+1:], st.keys[i:])
-	st.keys[i] = k
-	st.raw[k] = append([]byte(nil), rawKey...)
+	k := idspace.HashKey(rawKey)
+	if _, ok := st.ledger.Get(k); !ok {
+		st.ledger.Put(k, append([]byte(nil), rawKey...))
+	}
+}
+
+// noteGet is a Get's completion: it counts a miss, under mu.
+func (st *Storage) noteGet(err error) {
+	if err != nil {
+		st.mu.Lock()
+		st.GetMiss++
+		st.mu.Unlock()
+	}
+}
+
+// get issues one counted read of the ledger's rank-th key through s.
+func (st *Storage) get(s *dht.Service, rank int) {
+	raw, _ := st.ledger.Get(st.ledger.Keys()[rank])
+	st.mu.Lock()
+	st.Gets++
+	st.mu.Unlock()
+	s.Get(raw, func(_ []byte, err error) { st.noteGet(err) })
 }
 
 // serviceOf picks the storage client bound to a live node, preferring the
@@ -181,14 +169,10 @@ func (p StoreRecords) Run(e *Engine) {
 			pending++
 			st.Puts++
 			s.Put(key, value, func(err error) {
+				st.notePut(key, err)
 				st.mu.Lock()
-				defer st.mu.Unlock()
 				pending--
-				if err != nil {
-					st.PutFails++
-					return
-				}
-				st.ledger(key)
+				st.mu.Unlock()
 			})
 		}
 		deadline := e.C.Now() + 30*time.Second
@@ -237,53 +221,23 @@ func (w StorageWorkload) Run(e *Engine) {
 	if prefix == "" {
 		prefix = "wl"
 	}
-	now := e.C.Now()
-	end := now + w.For
-	next := [4]time.Duration{maxDuration, maxDuration, maxDuration, maxDuration}
-	rates := [4]float64{w.PutRate, w.GetRate, w.JoinRate, w.LeaveRate}
-	for i, r := range rates {
-		if d := e.expDelay(r); d < maxDuration {
-			next[i] = now + d
-		}
-	}
+	end := e.C.Now() + w.For
 	seq := 0
-	for {
-		which, at := -1, end
-		for i, t := range next {
-			if t < at {
-				which, at = i, t
-			}
-		}
-		if which < 0 {
-			e.advanceUntil(end)
-			return
-		}
-		e.advanceUntil(at)
-		switch which {
+	// An event due exactly at end belongs to the next phase: last is end-1.
+	poisson(e, e.rng, end-1, []float64{w.PutRate, w.GetRate, w.JoinRate, w.LeaveRate}, func(stream int) {
+		switch stream {
 		case 0: // put
 			if s := st.serviceOf(e); s != nil {
 				key := []byte(fmt.Sprintf("%s-%06d", prefix, seq))
 				value := []byte(fmt.Sprintf("v-%s-%06d", prefix, seq))
 				seq++
 				st.Puts++
-				s.Put(key, value, func(err error) {
-					if err != nil {
-						st.PutFails++
-						return
-					}
-					st.ledger(key)
-				})
+				s.Put(key, value, func(err error) { st.notePut(key, err) })
 			}
 		case 1: // get
-			if len(st.keys) > 0 {
+			if st.ledger.Len() > 0 {
 				if s := st.serviceOf(e); s != nil {
-					k := st.keys[e.rng.Intn(len(st.keys))]
-					st.Gets++
-					s.Get(st.raw[k], func(_ []byte, err error) {
-						if err != nil {
-							st.GetMiss++
-						}
-					})
+					st.get(s, e.rng.Intn(st.ledger.Len()))
 				}
 			}
 		case 2:
@@ -291,8 +245,8 @@ func (w StorageWorkload) Run(e *Engine) {
 		case 3:
 			e.Leave()
 		}
-		next[which] = at + e.expDelay(rates[which])
-	}
+	})
+	e.advanceUntil(end)
 }
 
 // --- durability checkers ----------------------------------------------------
@@ -312,7 +266,7 @@ func StorageNoLoss() Checker {
 			return nil
 		}
 		var out []Violation
-		for _, k := range st.keys {
+		for _, k := range st.ledger.Keys() {
 			if !anyLiveHolder(x, st, k) {
 				out = append(out, Violation{
 					Checker: "storage-no-loss",
@@ -332,23 +286,23 @@ func StorageNoLoss() Checker {
 func StorageDurability(minReadable float64) Checker {
 	return Checker{Name: "storage-durability", Check: func(x *Ctx) []Violation {
 		st := x.Storage
-		if st == nil || len(st.keys) == 0 {
+		if st == nil || st.ledger.Len() == 0 {
 			return nil
 		}
 		readable := 0
-		for _, k := range st.keys {
+		for _, k := range st.ledger.Keys() {
 			if recordReadable(x, st, k) {
 				readable++
 			}
 		}
-		frac := float64(readable) / float64(len(st.keys))
+		frac := float64(readable) / float64(st.ledger.Len())
 		if frac >= minReadable {
 			return nil
 		}
 		return []Violation{{
 			Checker: "storage-durability",
 			Detail: fmt.Sprintf("%d/%d records readable (%.2f%% < %.2f%%)",
-				readable, len(st.keys), 100*frac, 100*minReadable),
+				readable, st.ledger.Len(), 100*frac, 100*minReadable),
 		}}
 	}}
 }
@@ -389,10 +343,6 @@ func recordReadable(x *Ctx, st *Storage, k idspace.ID) bool {
 	}
 	if _, ok := os.LocalHashed(k); ok {
 		return true
-	}
-	if !os.ActiveRepair {
-		// Put-time-only services never consult replicas on a miss.
-		return false
 	}
 	for _, tgt := range os.ReplicaTargets(k) {
 		ts := st.services[tgt.Addr]

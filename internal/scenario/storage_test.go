@@ -11,8 +11,8 @@ import (
 
 // storageOpts is checkedOpts plus a bound storage context and the
 // durability checkers.
-func storageOpts(c *simrt.Cluster, factor int, minReadable float64, sample time.Duration) Options {
-	st := NewStorage(factor)
+func storageOpts(c *simrt.Cluster, minReadable float64, sample time.Duration) Options {
+	st := NewStorage()
 	st.AttachAll(c)
 	o := checkedOpts(sample)
 	o.Storage = st
@@ -37,7 +37,7 @@ func TestStoreRecordsSeedsLedger(t *testing.T) {
 		t.Skip("slow simulation; skipped with -short")
 	}
 	c := newCluster(t, 200, 11)
-	opts := storageOpts(c, 3, 0.99, 0)
+	opts := storageOpts(c, 0.99, 0)
 	res := Run(c, opts,
 		Settle{For: 8 * time.Second},
 		StoreRecords{Count: 60},
@@ -57,7 +57,7 @@ func TestStorageWorkloadUnderChurn(t *testing.T) {
 		t.Skip("slow simulation; skipped with -short")
 	}
 	c := newCluster(t, 300, 12)
-	opts := storageOpts(c, 3, 0.99, 5*time.Second)
+	opts := storageOpts(c, 0.99, 5*time.Second)
 	res := Run(c, opts,
 		Settle{For: 8 * time.Second},
 		StoreRecords{Count: 80},
@@ -88,7 +88,7 @@ func TestDurabilityUnderChurn2000(t *testing.T) {
 		t.Skip("N=2000 durability scenario; skipped with -short")
 	}
 	c := newCluster(t, 2000, 13)
-	opts := storageOpts(c, 3, 0.99, 0)
+	opts := storageOpts(c, 0.99, 0)
 	// 30% of 2000 = 600 replacements: 60 virtual seconds at 10 leaves and
 	// 10 joins per second.
 	res := Run(c, opts,
@@ -121,7 +121,7 @@ func TestDurabilityZoneFailSingleNode(t *testing.T) {
 		t.Skip("N=2000 durability scenario; skipped with -short")
 	}
 	c := newCluster(t, 2000, 14)
-	opts := storageOpts(c, 3, 1.0, 0)
+	opts := storageOpts(c, 1.0, 0)
 	// A zone that contains exactly one live node: the one with the median
 	// ID (any would do; the median avoids space-edge special cases).
 	ids := make([]idspace.ID, 0, len(c.Nodes))
@@ -151,58 +151,13 @@ func TestDurabilityZoneFailSingleNode(t *testing.T) {
 	}
 }
 
-// TestDurabilityAblation pits active repair against the seed's
-// put-time-only replication on an identical churn timeline: the repair
-// machinery must keep strictly more records readable.
-func TestDurabilityAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow simulation; skipped with -short")
-	}
-	run := func(putTimeOnly bool) (readable, total int) {
-		c := newCluster(t, 500, 16)
-		st := NewStorage(3)
-		st.PutTimeOnly = putTimeOnly
-		st.AttachAll(c)
-		opts := Options{Storage: st}
-		Run(c, opts,
-			Settle{For: 8 * time.Second},
-			StoreRecords{Count: 200},
-			Churn{For: 30 * time.Second, JoinRate: 5, LeaveRate: 5},
-			Settle{For: 14 * time.Second})
-		ctx := NewCtx(c)
-		ctx.Storage = st
-		for _, k := range st.keys {
-			if recordReadable(ctx, st, k) {
-				readable++
-			}
-		}
-		return readable, st.Records()
-	}
-	repairedOK, repairedTotal := run(false)
-	ablatedOK, ablatedTotal := run(true)
-	t.Logf("active repair: %d/%d readable; put-time-only: %d/%d readable",
-		repairedOK, repairedTotal, ablatedOK, ablatedTotal)
-	if repairedTotal == 0 || ablatedTotal == 0 {
-		t.Fatal("seeding failed")
-	}
-	repairedFrac := float64(repairedOK) / float64(repairedTotal)
-	ablatedFrac := float64(ablatedOK) / float64(ablatedTotal)
-	if repairedFrac < 0.99 {
-		t.Fatalf("active repair kept only %.1f%% readable", 100*repairedFrac)
-	}
-	if repairedFrac <= ablatedFrac {
-		t.Fatalf("ablation did not degrade durability: repair %.1f%% vs put-time-only %.1f%%",
-			100*repairedFrac, 100*ablatedFrac)
-	}
-}
-
 func TestStorageScenarioDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow simulation; skipped with -short")
 	}
 	run := func() (int, uint64, uint64) {
 		c := newCluster(t, 150, 15)
-		opts := storageOpts(c, 3, 0.99, 0)
+		opts := storageOpts(c, 0.99, 0)
 		Run(c, opts,
 			Settle{For: 6 * time.Second},
 			StoreRecords{Count: 40},
@@ -216,4 +171,29 @@ func TestStorageScenarioDeterministic(t *testing.T) {
 		t.Fatalf("storage scenario not deterministic: (%d,%d,%d) vs (%d,%d,%d)",
 			r1, p1, g1, r2, p2, g2)
 	}
+}
+
+// TestSmallWorldRevivalAndIslands is the short-mode pass over the phases
+// and oracles the N=200–2000 suites otherwise keep to themselves: a zone
+// dies and revives (Cluster.DeadNodes, Revive), the overlay is cut into two
+// interleaved islands and re-merged through one bridge (PartitionBy), and
+// the durability checkers mirror the read path (Service.ReplicaTargets,
+// LocalHashed) on every record written beforehand.
+func TestSmallWorldRevivalAndIslands(t *testing.T) {
+	c := newCluster(t, 64, 31)
+	opts := storageOpts(c, 0.99, time.Second) // sampled mid-repair, when owners miss
+	res := Run(c, opts,
+		Settle{For: 6 * time.Second},
+		StoreRecords{Count: 24},
+		ZoneFailure{Zone: ZoneFraction(0.40, 0.55), Settle: 8 * time.Second},
+		RevivalWave{Over: 2 * time.Second},
+		Settle{For: 8 * time.Second},
+		IslandsMerge{Hold: 10 * time.Second, Merge: 30 * time.Second})
+	if opts.Storage.Records() != 24 {
+		t.Fatalf("%d of 24 records ledgered (put fails: %d)", opts.Storage.Records(), opts.Storage.PutFails)
+	}
+	if res.ZoneKilled == 0 || res.Revived != res.ZoneKilled || len(c.AliveNodes()) != 64 {
+		t.Fatalf("killed %d, revived %d, %d alive: want every victim back", res.ZoneKilled, res.Revived, len(c.AliveNodes()))
+	}
+	assertClean(t, res)
 }

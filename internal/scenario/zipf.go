@@ -144,11 +144,11 @@ func (ZipfReads) Name() string { return "zipf-reads" }
 // Run implements Phase.
 func (z ZipfReads) Run(e *Engine) {
 	st := e.opts.Storage
-	if st == nil || len(st.keys) == 0 || z.Rate <= 0 {
+	if st == nil || st.ledger.Len() == 0 || z.Rate <= 0 {
 		e.Run(z.For)
 		return
 	}
-	dist := NewZipf(len(st.keys), z.Theta)
+	dist := NewZipf(st.ledger.Len(), z.Theta)
 	pool := e.readerPool(z.Readers)
 	runReads(e, z.For, z.Rate, pool, func() int { return dist.Rank(e.rng.Float64()) })
 }
@@ -175,46 +175,32 @@ func (FlashCrowdReads) Name() string { return "flash-crowd-reads" }
 // Run implements Phase.
 func (f FlashCrowdReads) Run(e *Engine) {
 	st := e.opts.Storage
-	if st == nil || len(st.keys) == 0 || f.Rate <= 0 {
+	if st == nil || st.ledger.Len() == 0 || f.Rate <= 0 {
 		e.Run(f.For)
 		return
 	}
 	idx := f.KeyIndex
-	if idx < 0 || idx >= len(st.keys) {
+	if idx < 0 || idx >= st.ledger.Len() {
 		idx = 0
 	}
 	pool := e.readerPool(f.Readers)
 	runReads(e, f.For, f.Rate, pool, func() int { return idx })
 }
 
-// runReads is the shared Poisson next-event loop: each event picks a
-// reader from the pool and a ledger rank from rankOf, issues the Get,
-// and counts the outcome into the storage context.
+// runReads paces reads as one Poisson stream: each event picks a reader
+// from the pool and a ledger rank from rankOf and issues the counted Get.
+// Once the cluster is interrupted the clock stands still and the remaining
+// events issue nothing.
 func runReads(e *Engine, dur time.Duration, rate float64, pool *readerPool, rankOf func() int) {
 	st := e.opts.Storage
-	now := e.C.Now()
-	end := now + dur
-	next := now + e.expDelay(rate)
-	for next <= end {
-		e.advanceUntil(next)
+	end := e.C.Now() + dur
+	poisson(e, e.rng, end, []float64{rate}, func(int) {
 		if e.C.Interrupted() {
 			return
 		}
 		if addr, ok := pool.pick(e); ok {
-			s := st.services[addr]
-			k := st.keys[rankOf()]
-			st.mu.Lock()
-			st.Gets++
-			st.mu.Unlock()
-			s.Get(st.raw[k], func(_ []byte, err error) {
-				if err != nil {
-					st.mu.Lock()
-					st.GetMiss++
-					st.mu.Unlock()
-				}
-			})
+			st.get(st.services[addr], rankOf())
 		}
-		next += e.expDelay(rate)
-	}
+	})
 	e.advanceUntil(end)
 }

@@ -81,12 +81,8 @@ type balanceArm struct {
 // armCluster builds the standard balance-experiment fixture: every node
 // carries a DHT service, records are ledgered, the overlay is settled.
 func armCluster(n int, seed int64, balanced bool, records int) (*simrt.Cluster, *Storage, *Engine) {
-	opts := simrt.Options{N: n, Seed: seed, Bulk: true}
-	if balanced {
-		opts.Config = core.Config{Balancer: true}
-	}
-	c := simrt.New(opts)
-	st := NewStorage(3)
+	c := simrt.New(simrt.Options{N: n, Seed: seed, Bulk: true})
+	st := NewStorage()
 	st.HotCache = balanced
 	st.AttachAll(c)
 	c.StartAll()
@@ -126,7 +122,7 @@ func measureArm(c *simrt.Cluster, st *Storage, e *Engine, warm, measure Phase) b
 			readers = append(readers, nd)
 		}
 	}
-	arm.ReaderHops, arm.RWalks = StaticHops(c, readers, st.keys)
+	arm.ReaderHops, arm.RWalks = StaticHops(c, readers, st.ledger.Keys())
 	return arm
 }
 
@@ -251,8 +247,8 @@ func TestBalanceCheckersHealthyUnderZipf(t *testing.T) {
 		seeds = 4
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
-		c := simrt.New(simrt.Options{N: 300, Seed: seed, Bulk: true, Config: core.Config{Balancer: true}})
-		st := NewStorage(3)
+		c := simrt.New(simrt.Options{N: 300, Seed: seed, Bulk: true})
+		st := NewStorage()
 		st.HotCache = true
 		st.AttachAll(c)
 		c.StartAll()

@@ -91,9 +91,6 @@ func (k *Kernel) Now() time.Duration { return k.now }
 // Executed returns the number of events delivered so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
-// Seed returns the seed the kernel was created with.
-func (k *Kernel) Seed() int64 { return k.seed }
-
 // Timer is a handle to a scheduled event; Cancel prevents a pending event
 // from firing. The handle pins a (record, generation) pair: once the event
 // completes and its record is recycled, the handle goes permanently inert.
@@ -212,17 +209,6 @@ func (k *Kernel) newEvent(at time.Duration) *event {
 	k.seq++
 	k.live++
 	return ev
-}
-
-// Step executes the next pending event. It reports false when nothing is
-// scheduled (skipping over cancelled events without executing them).
-func (k *Kernel) Step() bool {
-	ev := k.peek()
-	if ev == nil {
-		return false
-	}
-	k.fire(ev)
-	return true
 }
 
 // Run executes events until the queue drains, the budget is exhausted, or

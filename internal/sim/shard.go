@@ -75,13 +75,12 @@ type XEvent struct {
 type ExchangeHandler func(shard int, k *Kernel, ev XEvent)
 
 // Sharded runs S kernels in lockstep epochs. Construction, topology
-// changes and all inspection methods (Now, Executed, Pending, Stream)
+// changes and all inspection methods (Now, Executed, Stream)
 // belong to the control plane: they must only be called between Run
 // calls, when every worker is parked at a barrier. RunUntil itself
 // blocks until the target time is reached, so ordinary sequential use —
 // build, run, inspect, mutate, run — is safe without further care.
 type Sharded struct {
-	seed   int64
 	lambda time.Duration
 	shards []*Kernel
 
@@ -124,7 +123,6 @@ func NewSharded(seed int64, shards int, lookahead time.Duration) *Sharded {
 		panic("sim: NewSharded needs a positive lookahead (zero-latency links cannot be sharded)")
 	}
 	s := &Sharded{
-		seed:   seed,
 		lambda: lookahead,
 		shards: make([]*Kernel, shards),
 		inbox:  make([]xheap, shards),
@@ -152,12 +150,6 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // Shard returns shard i's kernel. Scheduling on it directly is safe
 // only from that shard's own event callbacks or from the control plane.
 func (s *Sharded) Shard(i int) *Kernel { return s.shards[i] }
-
-// Lookahead returns the epoch bound λ.
-func (s *Sharded) Lookahead() time.Duration { return s.lambda }
-
-// Seed returns the seed every shard kernel derives its streams from.
-func (s *Sharded) Seed() int64 { return s.seed }
 
 // Now returns the global barrier clock. Individual shard kernels may
 // briefly run ahead of it inside an epoch, never behind.
@@ -192,24 +184,6 @@ func (s *Sharded) Executed() uint64 {
 	var total uint64
 	for _, k := range s.shards {
 		total += k.Executed()
-	}
-	return total
-}
-
-// Pending returns the live scheduled events across all shards plus the
-// exchanged events still waiting in inboxes and outboxes.
-func (s *Sharded) Pending() int {
-	total := 0
-	for _, k := range s.shards {
-		total += k.Pending()
-	}
-	for i := range s.inbox {
-		total += s.inbox[i].Len()
-	}
-	for p := 0; p < 2; p++ {
-		for _, cell := range s.out[p] {
-			total += len(cell)
-		}
 	}
 	return total
 }

@@ -241,14 +241,6 @@ func (c *Cluster) kernelFor(shard int) *sim.Kernel {
 	return c.Kernel
 }
 
-// Shards returns the shard count (0 = classic engine).
-func (c *Cluster) Shards() int {
-	if c.Engine != nil {
-		return c.Engine.Shards()
-	}
-	return 0
-}
-
 // Now returns the cluster's virtual clock: the kernel clock, or the
 // sharded engine's barrier clock (control plane only).
 func (c *Cluster) Now() time.Duration {

@@ -108,18 +108,12 @@ type Plane struct {
 	pending map[uint64]*call
 	nextID  uint64
 
-	// next receives messages the plane does not consume, preserving the
-	// one-extension-per-node contract for services that bypass the plane.
-	next func(from uint64, msg proto.Message) bool
-
 	// Stats counters.
 	Stats Stats
 }
 
 // Attach creates the plane and installs it in the node's extension slot,
-// replacing whatever extension was installed before. A caller that wants
-// its own extension to keep receiving the messages the plane does not
-// consume must chain it explicitly with SetNext.
+// replacing whatever extension was installed before.
 func Attach(n *core.Node) *Plane {
 	p := &Plane{
 		node:      n,
@@ -133,9 +127,6 @@ func Attach(n *core.Node) *Plane {
 
 // Node returns the underlying TreeP node.
 func (p *Plane) Node() *core.Node { return p.node }
-
-// SetNext chains a fallback extension for messages the plane ignores.
-func (p *Plane) SetNext(fn func(from uint64, msg proto.Message) bool) { p.next = fn }
 
 // Handle registers the handler for one request message type. Last
 // registration wins; services own disjoint type sets by construction.
@@ -312,9 +303,6 @@ func (p *Plane) handle(from uint64, msg proto.Message) bool {
 	}
 	if _, isReq := msg.(proto.SvcRequest); isReq {
 		p.Stats.Unhandled++
-	}
-	if p.next != nil {
-		return p.next(from, msg)
 	}
 	return false
 }

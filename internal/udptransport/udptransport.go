@@ -296,10 +296,6 @@ func newTransport(cfg core.Config, conn *net.UDPConn, seed int64, io batchIO) (*
 	return tr, nil
 }
 
-// Node returns the transport's node. Protocol state must only be inspected
-// via Do (or after Close).
-func (t *Transport) Node() *core.Node { return t.node }
-
 // OverlayAddr returns the node's packed overlay address.
 func (t *Transport) OverlayAddr() uint64 { return t.node.Addr() }
 

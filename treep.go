@@ -16,6 +16,11 @@
 //   - a real UDP transport (StartUDPNode) running the identical protocol
 //     state machines on sockets.
 //
+// The DHT keeps three copies of every record (the owner and its two
+// nearest ring neighbours) and re-replicates, hands off and read-repairs
+// them as membership changes. Those are properties of the store, not
+// options: DESIGN.md §17 lists the few switches the overlay still has.
+//
 // See DESIGN.md for the paper-to-code map and EXPERIMENTS.md for the
 // reproduction results.
 package treep
@@ -132,7 +137,7 @@ func NewSimNetwork(o SimOptions) (*SimNetwork, error) {
 		cfg.MaxHeight = o.Height
 	}
 	c := simrt.New(simrt.Options{N: o.N, Seed: o.Seed, Config: cfg, Bulk: true})
-	nw := &SimNetwork{cluster: c, storage: scenario.NewStorage(0)}
+	nw := &SimNetwork{cluster: c, storage: scenario.NewStorage()}
 	for _, nd := range c.Nodes {
 		s := dht.Attach(nd)
 		nw.services = append(nw.services, s)
