@@ -34,7 +34,8 @@ type Node struct {
 	// message instead of one map per concern. curAddr/curPeer cache the
 	// state of the message currently being handled, so the per-entry
 	// claimCap checks on the apply path cost no extra lookups for the
-	// sender itself.
+	// sender itself. curPeer is nil while the sender has no state: only a
+	// write (peerFor) creates one; readers take absence for the zero state.
 	peers   map[uint64]*peerState
 	curAddr uint64
 	curPeer *peerState
@@ -210,7 +211,8 @@ type peerState struct {
 	refusedAt  time.Duration
 }
 
-// peerFor returns the peer-state entry for addr, creating it on first use.
+// peerFor returns the peer-state entry for addr, creating it on first use:
+// for writers of a claim, refusal or delta cursor only.
 func (n *Node) peerFor(addr uint64) *peerState {
 	if addr == n.curAddr && n.curPeer != nil {
 		return n.curPeer
@@ -219,6 +221,9 @@ func (n *Node) peerFor(addr uint64) *peerState {
 	if !ok {
 		ps = &peerState{}
 		n.peers[addr] = ps
+	}
+	if addr == n.curAddr {
+		n.curPeer = ps
 	}
 	return ps
 }
@@ -472,7 +477,7 @@ func (n *Node) HandleMessage(from uint64, msg proto.Message) {
 	n.Stats.MsgsIn++
 	// One peer-state lookup per inbound message; everything downstream
 	// (claim checks, delta cursor) reads the cached pointer.
-	n.curAddr, n.curPeer = from, n.peerFor(from)
+	n.curAddr, n.curPeer = from, n.peers[from]
 	defer func() {
 		n.curAddr, n.curPeer, n.curNew = 0, nil, false
 		if p := n.firstPing; p != 0 {
@@ -500,7 +505,8 @@ func (n *Node) HandleMessage(from uint64, msg proto.Message) {
 	// longer claims is stale knowledge, dropped on the spot and barred
 	// from hearsay re-introduction while the claim stays fresh.
 	if ref, ok := senderRef(msg); ok && ref.Addr == from {
-		n.curPeer.claimLevel, n.curPeer.hasClaim, n.curPeer.claimAt = ref.MaxLevel, true, n.env.Now()
+		ps := n.peerFor(from)
+		ps.claimLevel, ps.hasClaim, ps.claimAt = ref.MaxLevel, true, n.env.Now()
 		n.table.DowngradeLevels(from, ref.MaxLevel)
 	}
 	// A courted parent proves itself alive with any direct message —

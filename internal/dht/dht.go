@@ -21,7 +21,8 @@
 //     neighbour joined), and re-pushes records whose version moved;
 //   - ownership handoff: a node that finds a known peer closer to one of
 //     its keys pushes the record to that peer and, once acknowledged,
-//     drops its copy only if it is no longer within replica distance;
+//     drops its copy only if it is no longer within replica distance; a
+//     copy a closer peer is known to hold is not sent again;
 //   - read-repair: an owner that misses on a Get consults its ring
 //     neighbours before answering, adopts the highest-versioned surviving
 //     copy, and serves it — so a freshly responsible node heals from its
@@ -70,16 +71,17 @@ type Record struct {
 	Origin  uint64
 }
 
-// record is the stored form, with replica-push bookkeeping.
+// record is the stored form, with placement bookkeeping.
 type record struct {
 	value   []byte
 	version uint64
 	origin  uint64
-	// pushedSig and pushedVersion remember the ring-neighbourhood signature
-	// and version of the last replica push, so maintenance re-replicates
-	// exactly when neighbours changed or the record did.
-	pushedSig     uint64
-	pushedVersion uint64
+	// placedSig and placedVersion remember where which version is known to
+	// be: on the owner the ring signature of its last replica push, on any
+	// other holder the closer node that acknowledged this version or pushed
+	// it here (placedAt). Maintenance sends when one of them changed.
+	placedSig     uint64
+	placedVersion uint64
 }
 
 // Stats counts DHT events on one node.
@@ -756,7 +758,7 @@ func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bo
 		s.merge(key, value, version, from)
 		rec, _ := s.recs.Get(key)
 		s.pushReplicas(key, rec)
-		rec.pushedSig, rec.pushedVersion = s.ringSig(), rec.version
+		rec.placedSig, rec.placedVersion = s.ringSig(), rec.version
 		// Versioned invalidation: a fanned-out key's cached copies must
 		// not serve the old value for a full cacheTTL. The new version
 		// goes straight to the fan-out set; cacheMerge at the receivers
@@ -894,6 +896,12 @@ func (s *Service) handleReplicate(from uint64, req proto.SvcRequest, respond fun
 		return
 	}
 	stored := s.merge(m.Key, m.Value, m.Version, m.Origin)
+	if stored {
+		// The sender holds what it sent. An equal copy changes nothing: two
+		// would-be owners would otherwise trade pushes every tick.
+		rec, _ := s.recs.Get(m.Key)
+		rec.placedSig, rec.placedVersion = placedAt(from), rec.version
+	}
 	if m.ReqID == 0 {
 		respond(nil)
 		return
@@ -908,7 +916,10 @@ func (s *Service) handleReplicate(from uint64, req proto.SvcRequest, respond fun
 // maintainTick walks the local records (deterministic key order): records
 // this node still owns are re-pushed to the current replica set when the
 // neighbourhood or the version changed since the last push; records a
-// known closer node should own are handed off.
+// known closer node should own are handed off unless a closer node is
+// known to hold this version. A copy outside the replica set is offered
+// until a fresh acknowledgement releases it, never on the memory of one:
+// every closer node may have died inside the freshness window.
 func (s *Service) maintainTick() {
 	if s.HotCache {
 		s.fanoutTick()
@@ -919,15 +930,17 @@ func (s *Service) maintainTick() {
 	sig := s.ringSig()
 	for _, k := range s.recs.Keys() {
 		rec, _ := s.recs.Get(k)
-		if owner, closer := s.closer(k); closer > 0 {
+		current := rec.placedVersion == rec.version
+		owner, closer, held := s.closer(k, rec.placedSig)
+		switch {
+		case closer == 0:
+			if !current || rec.placedSig != sig {
+				s.pushReplicas(k, rec)
+				rec.placedSig, rec.placedVersion = sig, rec.version
+			}
+		case !current || !held || closer >= replicationFactor:
 			s.handoff(k, rec, owner)
-			continue
 		}
-		if rec.pushedSig == sig && rec.pushedVersion == rec.version {
-			continue
-		}
-		s.pushReplicas(k, rec)
-		rec.pushedSig, rec.pushedVersion = sig, rec.version
 	}
 }
 
@@ -955,22 +968,24 @@ func (s *Service) pushReplicas(k idspace.ID, rec *record) {
 }
 
 // handoff pushes rec to a closer node (the believed new owner) and, once
-// acknowledged, drops the local copy if this node is outside the replica
+// acknowledged (a lost request is retried next tick), records the
+// placement and drops the local copy if this node is outside the replica
 // set — so records migrate toward joiners instead of being lost when the
 // old owner eventually departs.
 func (s *Service) handoff(k idspace.ID, rec *record, owner proto.NodeRef) {
 	s.Stats.Handoffs++
-	pushedVersion := rec.version
+	version := rec.version
 	s.plane.Call(owner.Addr, s.replicaOf(k, rec, false), svc.CallOpts{Timeout: requestTimeout, Retries: 1},
 		func(resp proto.SvcResponse, err error) {
 			if err != nil {
 				return // keep the copy; next tick retries
 			}
 			cur, ok := s.recs.Get(k)
-			if !ok || cur.version != pushedVersion {
+			if !ok || cur.version != version {
 				return // rewritten while in flight; next tick reconsiders
 			}
-			if _, closer := s.closer(k); closer >= replicationFactor {
+			cur.placedSig, cur.placedVersion = placedAt(owner.Addr), version
+			if _, closer, _ := s.closer(k, cur.placedSig); closer >= replicationFactor {
 				s.drop(k)
 			}
 		})
@@ -1014,16 +1029,19 @@ func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
 
 // closer scans this node's *fresh* level-0 contacts for those strictly
 // closer to k than the node itself (lower ID on equal distance): it
-// returns how many there are and the nearest of them. A count above zero
-// means the key has a better owner to hand off to; a count of
-// replicationFactor or more means this node is outside the key's replica
-// set and need not keep a copy. Only direct-fresh contacts count: handing
-// off to a dead-but-unexpired neighbour burns the call's retries for
-// nothing, and letting one displace a live replica makes churn
-// concentrate every copy on one node (the survivors each see the corpses
-// as "closer" and drop), so that a single further failure loses the
-// record.
-func (s *Service) closer(k idspace.ID) (nearest proto.NodeRef, count int) {
+// returns how many there are, the nearest of them, and whether one of them
+// is the holder that mark names (placedAt). A count above zero means the key
+// has a better owner to hand off to; a count of replicationFactor or more
+// means this node is outside the key's replica set and need not keep a
+// copy. Only direct-fresh contacts count: handing off to a
+// dead-but-unexpired neighbour burns the call's retries for nothing, and
+// letting one displace a live replica makes churn concentrate every copy
+// on one node (the survivors each see the corpses as "closer" and drop),
+// so that a single further failure loses the record. The marked holder
+// may be any closer contact: one that is not a ring neighbour is pinged by
+// nobody and direct-fresh only now and then, and a mark tied to the
+// nearest would flip with every lapse.
+func (s *Service) closer(k idspace.ID, mark uint64) (nearest proto.NodeRef, count int, held bool) {
 	l0 := s.node.Table().Level0
 	now, ttl := s.node.Now(), s.node.Config().EntryTTL
 	selfID := s.node.ID()
@@ -1045,22 +1063,28 @@ func (s *Service) closer(k idspace.ID) (nearest proto.NodeRef, count int) {
 			nearest, nearestD = r, d
 		}
 		count++
+		held = held || placedAt(r.Addr) == mark
 	}
-	return nearest, count
+	return nearest, count, held
 }
 
-// ringSig hashes the current replica neighbourhood of this node's own
-// coordinate; a changed signature means a replica died or a new neighbour
-// joined, and every owned record needs a re-push.
+// ringSig hashes this node's two fresh ring neighbours, the contacts core
+// pings and so the only ones whose silence means death; a changed
+// signature means one died or a new neighbour joined, and every owned
+// record needs a re-push. (Contacts further along lapse from direct
+// freshness while nothing changes.)
 func (s *Service) ringSig() uint64 {
-	var h maphash.Hash
-	h.SetSeed(sigSeed)
-	for _, r := range s.replicaTargets(s.node.ID()) {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(r.Addr >> (8 * i))
-		}
-		_, _ = h.Write(b[:])
-	}
-	return h.Sum64()
+	l, r := s.node.Table().Level0.NeighborsFresh(s.node.ID(), s.node.Now(), s.node.Config().EntryTTL)
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:8], l.Addr)
+	binary.LittleEndian.PutUint64(b[8:], r.Addr)
+	return maphash.Bytes(sigSeed, b[:])
+}
+
+// placedAt is the placement mark of a copy known to be at holder; the
+// leading byte keeps it out of ringSig's domain (whole 8-byte words).
+func placedAt(holder uint64) uint64 {
+	b := [9]byte{0: '@'}
+	binary.LittleEndian.PutUint64(b[1:], holder)
+	return maphash.Bytes(sigSeed, b[:])
 }

@@ -1,6 +1,7 @@
 package simrt
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -120,6 +121,18 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	// The figure per engine is the floor of eight windows on one settled
+	// cluster. A single window right after the settle read 0.34–0.68
+	// allocs/event run to run, for two reasons that are not the engine's:
+	// the message pools are process-wide sync.Pools, which the forced
+	// collection below (and whichever collection the settle happened to end
+	// on) empties by an amount that depends on timing, so the first window
+	// pays to refill them; and the overlay's tables are still growing for
+	// some twenty virtual seconds. From the fifth window on both engines
+	// read under 0.1 and repeat to 0.002 (classic 0.085–0.086, sharded
+	// 0.077–0.079 over twenty whole-package runs). A per-event or per-epoch
+	// allocation in the exchange is in every window, so in the floor too.
+	const windows = 8
 	measure := func(shards int) float64 {
 		c := New(Options{N: 200, Seed: 9, Bulk: true, Shards: shards})
 		if c.Engine != nil {
@@ -127,31 +140,36 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 		}
 		c.StartAll()
 		c.Run(8 * time.Second) // settle: splits, elections, pool growth
-		ev0 := c.Events()
 		runtime.GC()
-		// No collection inside the window: each one empties the message
-		// pools, and how many fall into it depends on the heap the tests
+		// No collection inside the windows: each one empties the message
+		// pools, and how many fall into them depends on the heap the tests
 		// before this one left behind, not on the engine.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		c.Run(5 * time.Second)
-		runtime.ReadMemStats(&m1)
-		events := c.Events() - ev0
-		if events == 0 {
-			t.Fatal("no events in measurement window")
+		floor := math.Inf(1)
+		for w := 0; w < windows; w++ {
+			var m0, m1 runtime.MemStats
+			ev0 := c.Events()
+			runtime.ReadMemStats(&m0)
+			c.Run(5 * time.Second)
+			runtime.ReadMemStats(&m1)
+			events := c.Events() - ev0
+			if events == 0 {
+				t.Fatal("no events in measurement window")
+			}
+			per := float64(m1.Mallocs-m0.Mallocs) / float64(events)
+			floor = math.Min(floor, per)
 		}
-		return float64(m1.Mallocs-m0.Mallocs) / float64(events)
+		return floor
 	}
 	classic := measure(0)
 	sharded := measure(2)
 	t.Logf("allocs/event: classic %.4f, sharded(2) %.4f", classic, sharded)
 	// The two engines run different (individually deterministic) event
 	// streams, so compare budgets, not exact counts: steady state sits
-	// around 0.5 allocs/event for both (residual maintenance churn), and
-	// 0.05 of headroom catches any systematic per-event or per-epoch
-	// allocation the exchange might add.
-	if sharded > classic+0.05 {
+	// around 0.08 allocs/event for both (residual maintenance churn), and
+	// 0.03 of headroom — fifteen times what the floors move by — catches any
+	// systematic per-event or per-epoch allocation the exchange might add.
+	if sharded > classic+0.03 {
 		t.Fatalf("sharded steady state allocates: %.4f/event vs classic %.4f/event", sharded, classic)
 	}
 }

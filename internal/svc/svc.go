@@ -88,11 +88,17 @@ type Stats struct {
 	Unhandled    uint64 // inbound requests with no registered handler
 }
 
+// call is one in-flight remote request: what a re-send needs, and one timer
+// callback (fire, bound once to onDeadline) that re-arms itself per attempt.
 type call struct {
-	timer   core.Timer
-	cb      func(proto.SvcResponse, error)
-	resend  func()
+	plane   *Plane
+	id, to  uint64
+	req     proto.SvcRequest
+	timeout time.Duration
 	retries int
+	timer   core.Timer
+	fire    func()
+	cb      func(proto.SvcResponse, error)
 }
 
 // Plane is one node's service plane. Create with Attach; all methods must
@@ -164,11 +170,10 @@ func (p *Plane) callWithID(id, to uint64, req proto.SvcRequest, o CallOpts, cb f
 		return
 	}
 
-	c := &call{cb: cb, retries: o.Retries}
-	c.resend = func() { p.node.Send(to, req) }
+	c := &call{plane: p, id: id, to: to, req: req, timeout: o.Timeout, retries: o.Retries, cb: cb}
+	c.fire = c.onDeadline
 	p.pending[id] = c
-	p.armAttempt(id, c, o.Timeout)
-	c.resend()
+	c.attempt()
 }
 
 // CallKey resolves the overlay owner of key and Calls it. Every retry
@@ -220,23 +225,27 @@ func (p *Plane) CallKey(key idspace.ID, algo proto.Algo, req proto.SvcRequest, o
 	try()
 }
 
-// armAttempt schedules the deadline for one attempt of call id.
-func (p *Plane) armAttempt(id uint64, c *call, timeout time.Duration) {
-	c.timer = p.node.SetTimer(timeout, func() {
-		if _, ok := p.pending[id]; !ok {
-			return
-		}
-		if c.retries > 0 {
-			c.retries--
-			p.Stats.Retries++
-			p.armAttempt(id, c, timeout)
-			c.resend()
-			return
-		}
-		delete(p.pending, id)
-		p.Stats.Timeouts++
-		c.cb(nil, ErrTimeout)
-	})
+// attempt arms the deadline of one attempt and sends the request.
+func (c *call) attempt() {
+	c.timer = c.plane.node.SetTimer(c.timeout, c.fire)
+	c.plane.node.Send(c.to, c.req)
+}
+
+// onDeadline is the call's one timer: the next attempt, or ErrTimeout.
+func (c *call) onDeadline() {
+	p := c.plane
+	if _, ok := p.pending[c.id]; !ok {
+		return
+	}
+	if c.retries > 0 {
+		c.retries--
+		p.Stats.Retries++
+		c.attempt()
+		return
+	}
+	delete(p.pending, c.id)
+	p.Stats.Timeouts++
+	c.cb(nil, ErrTimeout)
 }
 
 // serveLocal dispatches a request whose owner is this node to the local
