@@ -15,7 +15,6 @@ import (
 	"treep/internal/flood"
 	"treep/internal/nodeprof"
 	"treep/internal/proto"
-	"treep/internal/routing"
 	"treep/internal/scenario"
 	"treep/internal/simrt"
 )
@@ -336,13 +335,8 @@ func BenchmarkEXT1_Baselines(b *testing.B) {
 		cc := chord.New(300, 1)
 		cc.Run(4 * time.Second)
 		rng := cc.Kernel.Stream(5)
-		killed := 0
-		for killed < 60 {
-			nd := cc.Nodes[rng.Intn(len(cc.Nodes))]
-			if cc.Alive(nd) {
-				cc.Kill(nd)
-				killed++
-			}
+		for _, victim := range rng.Perm(len(cc.Nodes))[:60] {
+			cc.Kill(cc.Nodes[victim])
 		}
 		cc.DropDead()
 		cc.Run(6 * time.Second)
@@ -363,24 +357,10 @@ func BenchmarkEXT1_Baselines(b *testing.B) {
 
 		// Flooding message cost for one lookup.
 		fc := flood.New(300, 4, 1)
-		before := fc.MessagesSent()
+		before := fc.Net.Stats().Sent
 		fc.Nodes[0].Lookup(fc, fc.Nodes[200].ID(), 8, func(flood.Result) {})
 		fc.Run(12 * time.Second)
-		b.ReportMetric(float64(fc.MessagesSent()-before), "flood-msgs-per-lookup")
-	}
-}
-
-func BenchmarkABL1_DistanceModels(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := benchSweep()
-		o.MaxKill = 0.30
-		res1 := experiment.RunKillSweep(o)
-		o2 := benchSweep()
-		o2.MaxKill = 0.30
-		o2.Model = routing.BranchingModel{Height: 6, Branching: 4}
-		res2 := experiment.RunKillSweep(o2)
-		reportFailAt(b, res1, proto.AlgoG, 30, "paper-failpct@30")
-		reportFailAt(b, res2, proto.AlgoG, 30, "branching-failpct@30")
+		b.ReportMetric(float64(fc.Net.Stats().Sent-before), "flood-msgs-per-lookup")
 	}
 }
 
@@ -395,19 +375,5 @@ func BenchmarkABL2_UpdatePolicy(b *testing.B) {
 		res2 := experiment.RunKillSweep(o2)
 		reportFailAt(b, res1, proto.AlgoG, 30, "immediate-failpct@30")
 		reportFailAt(b, res2, proto.AlgoG, 30, "piggyback-failpct@30")
-	}
-}
-
-func BenchmarkABL3_RetainUpper(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := benchSweep()
-		o.MaxKill = 0.30
-		res1 := experiment.RunKillSweep(o)
-		o2 := benchSweep()
-		o2.MaxKill = 0.30
-		o2.RetainUpperLevels = true
-		res2 := experiment.RunKillSweep(o2)
-		reportFailAt(b, res1, proto.AlgoG, 30, "demote-failpct@30")
-		reportFailAt(b, res2, proto.AlgoG, 30, "retain-failpct@30")
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"treep/internal/metrics"
 	"treep/internal/nodeprof"
 	"treep/internal/proto"
-	"treep/internal/routing"
 )
 
 // usage prints the synopsis to stderr (installed as flag.Usage, and called
@@ -233,7 +232,7 @@ func main() {
 	fmt.Println(experiment.RenderHeightLaw(experiment.HeightLaw([]int{256, 1024, 4096}, nil, 1)))
 
 	fmt.Println("## AN-2 — routing-table sizes vs §III.e formulas")
-	fmt.Println(experiment.RenderTableSizes(experiment.TableSizes(minInt(*n, 1000), 1)))
+	fmt.Println(experiment.RenderTableSizes(experiment.TableSizes(min(*n, 1000), 1)))
 
 	fmt.Println("## AN-3 — lookup hops vs n (O(log n) claim)")
 	fmt.Println(experiment.RenderHops(experiment.LogNHops([]int{250, 500, 1000, 2000}, 1, *lookups)))
@@ -243,18 +242,10 @@ func main() {
 	abl.Seeds = seeds[:1]
 	abl.MaxKill = 0.50
 
-	fmt.Println("## ABL-1 — distance model: paper L/2^(h-l) vs branching L/c^(h-l)")
-	ablBase := experiment.RunKillSweep(abl)
-	ablB := abl
-	ablB.Model = routing.BranchingModel{Height: 6, Branching: 4}
-	resB := experiment.RunKillSweep(ablB)
-	p1 := ablBase.FailRateSeries(proto.AlgoG)
-	p1.Name = "fail%/paper-model"
-	p2 := resB.FailRateSeries(proto.AlgoG)
-	p2.Name = "fail%/branching-model"
-	printSeries(ablBase.KillPcts(), p1, p2)
-
+	// ABL-1 (distance model) and ABL-3 (retain upper levels) are tables in
+	// EXPERIMENTS.md, reproducible at 8085ea0.
 	fmt.Println("## ABL-2 — immediate updates vs piggyback-only (§III.d)")
+	ablBase := experiment.RunKillSweep(abl)
 	ablP := abl
 	ablP.PiggybackOnly = true
 	resP := experiment.RunKillSweep(ablP)
@@ -263,16 +254,6 @@ func main() {
 	p4 := resP.FailRateSeries(proto.AlgoG)
 	p4.Name = "fail%/piggyback"
 	printSeries(ablBase.KillPcts(), p3, p4)
-
-	fmt.Println("## ABL-3 — retain upper levels without children (§VI future work)")
-	ablR := abl
-	ablR.RetainUpperLevels = true
-	resR := experiment.RunKillSweep(ablR)
-	p5 := ablBase.FailRateSeries(proto.AlgoG)
-	p5.Name = "fail%/demote"
-	p6 := resR.FailRateSeries(proto.AlgoG)
-	p6.Name = "fail%/retain"
-	printSeries(ablBase.KillPcts(), p5, p6)
 }
 
 // runCompare executes the cross-protocol harness and exports its records.
@@ -317,11 +298,4 @@ func runCompare(compare, scen, out string, n int, seeds []int64, lookups int) {
 
 func printSeries(xs []float64, cols ...*metrics.Series) {
 	fmt.Println(metrics.Table("kill%", xs, cols))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"treep"
@@ -63,6 +64,7 @@ func main() {
 
 	fmt.Printf("network: n=%d seed=%d levels=%v\n", *n, *seed, nw.Levels())
 
+	violations := 0
 	if *scen != "" {
 		phases, err := buildScenario(*scen, scenarioParams{
 			duration: *duration, joinRate: *joinRate, leaveRate: *leaveRate,
@@ -81,10 +83,10 @@ func main() {
 					s.At, s.Phase, s.Alive, len(s.Violations))
 			}
 		}
-		if len(res.Final) == 0 {
+		if violations = len(res.Final); violations == 0 {
 			fmt.Println("invariants: all hold after settle (ring closure, tessellation coverage, parent/child, loop freedom)")
 		} else {
-			fmt.Printf("invariants: %d violations after settle:\n", len(res.Final))
+			fmt.Printf("invariants: %d violations after settle:\n", violations)
 			for _, v := range res.Final {
 				fmt.Printf("  %s\n", v)
 			}
@@ -120,13 +122,16 @@ func main() {
 	}
 	fmt.Printf("lookups (%s): %d ok, %d failed (%.1f%%), avg hops %.2f\n",
 		*algoName, ok, failed, 100*float64(failed)/float64(total),
-		float64(hops)/float64(maxInt(ok, 1)))
+		float64(hops)/float64(max(ok, 1)))
 	// What it took, over the whole run. A false failover on the simulator's
 	// loss-free links, or a TTL drop, is a bug worth reporting.
 	st := nw.ProtocolStats()
 	fmt.Printf("  failover: %d of %d forwards ack-solicited (%d more un-held, table full), %d failed over (%d onto a live peer), %d re-issues, %d strict-regime forwards, %d TTL drops\n",
 		st.LookupAcksSolicited, st.LookupsForwarded, st.LookupHeldOverflows, st.LookupFailovers,
 		st.LookupFalseFailovers, st.LookupReissues, st.LookupsStrict, st.LookupsDropped)
+	if violations > 0 {
+		os.Exit(1)
+	}
 }
 
 type scenarioParams struct {
@@ -172,11 +177,4 @@ func buildScenario(name string, p scenarioParams) ([]treep.ScenarioPhase, error)
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown scenario %q (want churn, flashcrowd, zonefail, partition, bridge, or revival)", name)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -348,9 +348,6 @@ func (c *Cluster) Kill(nd *Node) {
 	c.Net.Kill(nd.addr)
 }
 
-// Alive reports liveness.
-func (c *Cluster) Alive(nd *Node) bool { return nd.alive }
-
 // AliveNodes lists surviving nodes.
 func (c *Cluster) AliveNodes() []*Node {
 	out := make([]*Node, 0, len(c.Nodes))

@@ -75,7 +75,7 @@ func TestSurvivesFailuresWithStabilization(t *testing.T) {
 	killed := 0
 	for killed < 40 { // 20%
 		nd := c.Nodes[rng.Intn(len(c.Nodes))]
-		if c.Alive(nd) {
+		if nd.alive {
 			c.Kill(nd)
 			killed++
 		}
@@ -108,7 +108,7 @@ func TestKillStopsNode(t *testing.T) {
 	c := New(16, 5)
 	nd := c.Nodes[3]
 	c.Kill(nd)
-	if c.Alive(nd) {
+	if nd.alive {
 		t.Fatal("alive after kill")
 	}
 	if len(c.AliveNodes()) != 15 {

@@ -53,7 +53,7 @@ func benchCluster(n int) (nodes []*Node, target *Node, from uint64, ping *proto.
 	nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
 		cfg := Defaults()
-		cfg.ID = assigner.Assign(i, n, "")
+		cfg.ID = assigner.Assign(i, n)
 		cfg.Profile = gen.Next()
 		nodes[i] = NewNode(cfg, &benchEnv{addr: uint64(i + 1), rng: rand.New(rand.NewSource(int64(i + 1)))})
 	}

@@ -18,7 +18,7 @@ func buildNodes(t *testing.T, n int, mutate ...func(*Config)) []*Node {
 	assigner := idspace.BalancedAssigner{}
 	for i := 0; i < n; i++ {
 		cfg := Defaults()
-		cfg.ID = assigner.Assign(i, n, "")
+		cfg.ID = assigner.Assign(i, n)
 		cfg.Profile = gen.Next()
 		for _, m := range mutate {
 			m(&cfg)
@@ -139,8 +139,8 @@ func TestBulkBuildBusLinks(t *testing.T) {
 	}
 	for _, nd := range nodes {
 		for lvl := uint8(1); lvl <= nd.MaxLevel(); lvl++ {
-			bus, ok := nd.Table().Bus[lvl]
-			if counts[lvl] > 1 && (!ok || bus.Len() == 0) {
+			bus := nd.Table().BusAt(lvl)
+			if counts[lvl] > 1 && (bus == nil || bus.Len() == 0) {
 				t.Fatalf("node %v member of lvl %d has no bus entries", nd.ID(), lvl)
 			}
 		}
@@ -179,10 +179,11 @@ func TestBulkBuildLookupWorksOffline(t *testing.T) {
 		req := &proto.LookupRequest{Origin: origin.Ref(), Target: target, TTL: 255, Algo: proto.AlgoG}
 		cur := origin
 		var from uint64
+		var sc routing.Scratch
 		for hops := 0; hops < 256; hops++ {
 			parent, hasParent := cur.Table().Parent()
 			fromParent := hasParent && parent.Addr == from
-			step := routing.Route(cur.Ref(), cur.Table(), req, fromParent, from, cur.Config().Routing)
+			step := routing.RouteWith(&sc, cur.Ref(), cur.Table(), req, fromParent, from, cur.Config().Routing)
 			switch step.Action {
 			case routing.Deliver:
 				return true, hops

@@ -9,7 +9,8 @@ import (
 )
 
 // Config parameterises one TreeP node. Zero-valued fields are filled from
-// Defaults by NewNode.
+// Defaults by NewNode, except ImmediateUpdates: a bool has no unset value,
+// so a Config not built from Defaults runs piggyback-only.
 type Config struct {
 	// ID is the node's coordinate in the 1-D space (§III: "the ID provides
 	// a spatial coordinates in the system").
@@ -52,11 +53,9 @@ type Config struct {
 	// ImmediateUpdates pushes routing deltas to active peers as soon as
 	// they happen, the paper's current implementation ("the update is
 	// exchanged immediately"); false delays them to the next keep-alive
-	// piggyback (ABL-2 compares the two).
+	// piggyback (ABL-2 compares the two). Defaults sets it; the zero Config
+	// the benchmark and most simulated clusters pass does not (DESIGN.md §17).
 	ImmediateUpdates bool
-	// RetainUpperLevels keeps nodes at levels > 1 in place even with no
-	// children (the §VI future-work strategy, ABL-3).
-	RetainUpperLevels bool
 
 	// Anchors are well-known rendezvous addresses (the paper's §III
 	// "anchor system"): contacted only when the node is isolated or cannot

@@ -489,11 +489,6 @@ func (n *Node) maybeStartDemotion() {
 	if n.table.Children.Len() >= 2 {
 		return
 	}
-	if n.cfg.RetainUpperLevels && n.maxLevel > 1 {
-		// §VI future-work strategy: strong upper-level nodes keep their
-		// status even without children.
-		return
-	}
 	// Demotion runs on the STATIC profile, like elections: a funnel
 	// node's message load is positional — whoever holds the level
 	// inherits it — so load-accelerated demotion just moves the hotspot
@@ -554,7 +549,7 @@ func (n *Node) handleDemote(from uint64, m *proto.Demote) {
 	demoted := m.From
 	demoted.MaxLevel = m.Level - 1
 	// Remove the node from the vacated level, keep it at the one below.
-	if s, ok := n.table.Bus[m.Level]; ok {
+	if s := n.table.BusAt(m.Level); s != nil {
 		s.Remove(from)
 	}
 	if m.Level-1 > 0 {

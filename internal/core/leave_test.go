@@ -21,7 +21,7 @@ func knows(n *Node, addr uint64) bool {
 		return true
 	}
 	for _, s := range t.Bus {
-		if s.Get(addr) != nil {
+		if s != nil && s.Get(addr) != nil {
 			return true
 		}
 	}

@@ -634,7 +634,7 @@ func (n *Node) degreeAt(level uint8) int {
 	if level == 0 {
 		return n.table.Level0.Len()
 	}
-	if s, ok := n.table.Bus[level]; ok {
+	if s := n.table.BusAt(level); s != nil {
 		return s.Len()
 	}
 	return 0
@@ -647,7 +647,7 @@ func (n *Node) busMembersWithSelf(level uint8) []proto.NodeRef {
 	var refs []proto.NodeRef
 	if level == 0 {
 		refs = n.table.Level0.Refs()
-	} else if s, ok := n.table.Bus[level]; ok {
+	} else if s := n.table.BusAt(level); s != nil {
 		refs = s.Refs()
 	}
 	out := append(n.sc.members[:0], refs...)
@@ -688,7 +688,7 @@ func (n *Node) busNeighbors(level uint8) (left, right proto.NodeRef) {
 	if level == 0 {
 		return n.table.Level0.Neighbors(n.cfg.ID)
 	}
-	if s, ok := n.table.Bus[level]; ok {
+	if s := n.table.BusAt(level); s != nil {
 		return s.Neighbors(n.cfg.ID)
 	}
 	return proto.NodeRef{}, proto.NodeRef{}
@@ -767,7 +767,7 @@ func (n *Node) bestKnownMember(level uint8, near idspace.ID) (proto.NodeRef, tim
 		}
 	}
 	for lvl := level; lvl <= n.cfg.MaxHeight; lvl++ {
-		if s, ok := n.table.Bus[lvl]; ok {
+		if s := n.table.BusAt(lvl); s != nil {
 			considerSet(s)
 		}
 	}
@@ -823,7 +823,7 @@ func (n *Node) structuralEntries(out []proto.Entry) []proto.Entry {
 			AgeDs: age(n.table.Level0, nb.Addr)})
 	}
 	for lvl := uint8(1); lvl <= n.maxLevel; lvl++ {
-		if s, ok := n.table.Bus[lvl]; ok {
+		if s := n.table.BusAt(lvl); s != nil {
 			bl, br := s.NeighborsFresh(n.cfg.ID, now, ttl)
 			for _, nb := range [2]proto.NodeRef{bl, br} {
 				if !nb.IsZero() {

@@ -387,15 +387,6 @@ func TestDemotionCancelledWhenChildrenRecover(t *testing.T) {
 	}
 }
 
-func TestRetainUpperLevelsSkipsDemotion(t *testing.T) {
-	n, env := testNode(idspace.FromFraction(0.5), 1, func(c *Config) { c.RetainUpperLevels = true })
-	n.InstallLevel(2)
-	env.advance(n.cfg.SweepInterval + n.cfg.DemotionMax + 2*time.Second)
-	if n.MaxLevel() != 2 {
-		t.Fatal("retain-upper-levels node demoted")
-	}
-}
-
 func TestDemoteMessageUpdatesParent(t *testing.T) {
 	n, env := testNode(idspace.FromFraction(0.5), 1)
 	parent := mkRef(idspace.FromFraction(0.4), 2, 1)

@@ -89,7 +89,7 @@ func TableSizes(n int, seed int64) []TableSizeRow {
 		// the live links a node maintains with keep-alives and reports).
 		active := min(nd.Table().Level0.Len(), 2)
 		for l := uint8(1); l <= nd.MaxLevel(); l++ {
-			if s, ok := nd.Table().Bus[l]; ok {
+			if s := nd.Table().BusAt(l); s != nil {
 				active += min(s.Len(), 2)
 			}
 		}
@@ -188,11 +188,4 @@ func RenderHops(points []HopsPoint) string {
 		fmt.Fprintf(&b, "%d\t%.2f\t%d\t%.3f\n", p.N, p.AvgHops, p.P95Hops, p.FailRate)
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

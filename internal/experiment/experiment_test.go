@@ -6,7 +6,6 @@ import (
 
 	"treep/internal/nodeprof"
 	"treep/internal/proto"
-	"treep/internal/routing"
 )
 
 // smallOpts keeps test sweeps fast.
@@ -163,9 +162,7 @@ func TestAblationOptionsRun(t *testing.T) {
 	o := smallOpts()
 	o.Seeds = []int64{1}
 	o.MaxKill = 0.2
-	o.RetainUpperLevels = true
 	o.PiggybackOnly = true
-	o.Model = routing.BranchingModel{Height: 6, Branching: 4}
 	res := RunKillSweep(o)
 	if len(res.Trials[0].Steps) != 2 {
 		t.Fatalf("steps %d", len(res.Trials[0].Steps))

@@ -17,7 +17,6 @@ import (
 	"treep/internal/metrics"
 	"treep/internal/nodeprof"
 	"treep/internal/proto"
-	"treep/internal/routing"
 	"treep/internal/simrt"
 )
 
@@ -34,8 +33,6 @@ type Options struct {
 	// Policy is the max-children policy (fixed nc=4 vs capacity-driven —
 	// the paper's two cases). Nil means fixed nc=4.
 	Policy nodeprof.ChildPolicy
-	// Model overrides the routing distance model (nil = paper model).
-	Model routing.Model
 	// KillStep is the fraction of the initial population killed per step.
 	KillStep float64
 	// MaxKill stops the sweep once this fraction has been killed.
@@ -49,8 +46,6 @@ type Options struct {
 	Settle time.Duration
 	// LookupsPerStep is the number of lookups per algorithm per step.
 	LookupsPerStep int
-	// RetainUpperLevels enables the §VI future-work demotion strategy.
-	RetainUpperLevels bool
 	// PiggybackOnly disables immediate update pushes (ABL-2).
 	PiggybackOnly bool
 	// Parallel caps concurrent trials (default: GOMAXPROCS).
@@ -170,11 +165,7 @@ func runTrials(n, parallel int, trial func(slot int)) {
 func runTrial(o Options, seed int64) Trial {
 	cfg := core.Defaults()
 	cfg.ChildPolicy = o.Policy
-	cfg.RetainUpperLevels = o.RetainUpperLevels
 	cfg.ImmediateUpdates = !o.PiggybackOnly
-	if o.Model != nil {
-		cfg.Routing.Model = o.Model
-	}
 	c := simrt.New(simrt.Options{
 		N:      o.N,
 		Seed:   seed,

@@ -233,9 +233,6 @@ func (c *Cluster) Kill(nd *Node) {
 	c.Net.Kill(nd.addr)
 }
 
-// Alive reports liveness.
-func (c *Cluster) Alive(nd *Node) bool { return nd.alive }
-
 // AliveNodes lists live nodes.
 func (c *Cluster) AliveNodes() []*Node {
 	out := make([]*Node, 0, len(c.Nodes))
@@ -249,10 +246,6 @@ func (c *Cluster) AliveNodes() []*Node {
 
 // ID returns the node's identifier.
 func (nd *Node) ID() idspace.ID { return nd.id }
-
-// MessagesSent returns the network-wide datagram count (flooding's cost
-// metric).
-func (c *Cluster) MessagesSent() uint64 { return c.Net.Stats().Sent }
 
 // Lookup floods for the exact target ID; cb fires once with the outcome.
 func (nd *Node) Lookup(c *Cluster, target idspace.ID, ttl uint8, cb func(Result)) {

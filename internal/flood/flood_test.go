@@ -32,11 +32,11 @@ func TestFloodMessageCostIsHigh(t *testing.T) {
 	c := New(300, 4, 2)
 	origin := c.Nodes[0]
 	target := c.Nodes[200]
-	before := c.MessagesSent()
+	before := c.Net.Stats().Sent
 	ok := false
 	origin.Lookup(c, target.ID(), 8, func(r Result) { ok = r.Found })
 	c.Run(15 * time.Second)
-	cost := c.MessagesSent() - before
+	cost := c.Net.Stats().Sent - before
 	if !ok {
 		t.Skip("unlucky graph; flood missed")
 	}
@@ -71,7 +71,7 @@ func TestFloodSurvivesFailures(t *testing.T) {
 	killed := 0
 	for killed < 50 {
 		nd := c.Nodes[rng.Intn(len(c.Nodes))]
-		if c.Alive(nd) {
+		if nd.alive {
 			c.Kill(nd)
 			killed++
 		}

@@ -5,8 +5,8 @@
 // via its node ID; the hierarchy is a tessellation of that space at each
 // level. This package provides the ID type, the Euclidean metric the paper's
 // distance function is built from, interval ("region") arithmetic for
-// tessellations, and the ID-assignment strategies discussed in §III
-// (random, hash of address, and range-balanced placement).
+// tessellations, and the ID-assignment strategies of §III in use (hash of
+// address and range-balanced placement).
 package idspace
 
 import (
@@ -45,10 +45,6 @@ func Dist(a, b ID) uint64 {
 // function where it is compared against fractions of SpaceExtent.
 func DistF(a, b ID) float64 { return float64(Dist(a, b)) }
 
-// Between reports whether x lies in the closed interval [lo, hi].
-// lo must be ≤ hi; Between does not wrap.
-func Between(x, lo, hi ID) bool { return lo <= x && x <= hi }
-
 // Mid returns the midpoint of a and b without overflow.
 func Mid(a, b ID) ID {
 	if a > b {
@@ -69,9 +65,6 @@ func FromFraction(f float64) ID {
 	}
 	return ID(f * SpaceExtent)
 }
-
-// Fraction returns the ID's position in the space as a value in [0,1].
-func (id ID) Fraction() float64 { return float64(id) / SpaceExtent }
 
 // HashAddr derives an ID from an opaque address string (e.g. "ip:port"),
 // the paper's "hash of the IP/Port numbers" assignment. FNV-1a provides
@@ -102,27 +95,11 @@ func finalize(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Assigner produces node IDs under one of the strategies of §III: the ID
-// "can be assigned randomly or based on a hash of the IP/Port numbers",
-// or chosen from a range to keep the tree balanced.
-type Assigner interface {
-	// Assign returns the ID for the i-th of n nodes. addr is the node's
-	// transport address (used only by hash assignment).
-	Assign(i, n int, addr string) ID
-}
-
-// RandomAssigner draws IDs uniformly at random from the whole space using
-// its own rand source, so that runs are reproducible from a seed.
-type RandomAssigner struct{ Rand *rand.Rand }
-
-// Assign implements Assigner.
-func (r RandomAssigner) Assign(i, n int, addr string) ID {
-	return ID(r.Rand.Uint64())
-}
-
 // BalancedAssigner spreads n nodes evenly over the space with optional
 // jitter, realising the paper's "preliminary search for an ID range to
-// choose from ... allow the system to maintain a balanced tree".
+// choose from ... allow the system to maintain a balanced tree" (of the
+// §III strategies — random, hash of the address, range-balanced — the one
+// the simulator uses; real peers hash their address, HashAddr).
 // JitterFrac ∈ [0,1) perturbs each coordinate by at most that fraction of
 // one inter-node gap.
 type BalancedAssigner struct {
@@ -130,8 +107,8 @@ type BalancedAssigner struct {
 	JitterFrac float64
 }
 
-// Assign implements Assigner.
-func (b BalancedAssigner) Assign(i, n int, addr string) ID {
+// Assign returns the ID for the i-th of n nodes.
+func (b BalancedAssigner) Assign(i, n int) ID {
 	if n <= 0 {
 		return 0
 	}
@@ -144,26 +121,6 @@ func (b BalancedAssigner) Assign(i, n int, addr string) ID {
 		base = 0
 	}
 	return FromFraction(base / SpaceExtent)
-}
-
-// SortIDs sorts ids ascending in place and returns the slice.
-func SortIDs(ids []ID) []ID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Dedup removes duplicate IDs from a sorted slice in place.
-func Dedup(sorted []ID) []ID {
-	if len(sorted) < 2 {
-		return sorted
-	}
-	out := sorted[:1]
-	for _, id := range sorted[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // NearestIndex returns the index into the sorted slice ids of the ID whose

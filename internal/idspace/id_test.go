@@ -2,6 +2,7 @@ package idspace
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -93,7 +94,7 @@ func TestFromFractionAndBack(t *testing.T) {
 	}
 	for _, f := range []float64{0, 0.25, 0.5, 0.75, 0.999} {
 		id := FromFraction(f)
-		got := id.Fraction()
+		got := float64(id) / SpaceExtent
 		if diff := got - f; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("roundtrip fraction %v -> %v", f, got)
 		}
@@ -114,34 +115,24 @@ func TestHashAddrDeterministicAndDispersed(t *testing.T) {
 	}
 }
 
-func TestRandomAssignerReproducible(t *testing.T) {
-	a1 := RandomAssigner{Rand: rand.New(rand.NewSource(7))}
-	a2 := RandomAssigner{Rand: rand.New(rand.NewSource(7))}
-	for i := 0; i < 100; i++ {
-		if a1.Assign(i, 100, "") != a2.Assign(i, 100, "") {
-			t.Fatal("same seed must give same IDs")
-		}
-	}
-}
-
 func TestBalancedAssignerSpread(t *testing.T) {
 	n := 64
 	a := BalancedAssigner{}
 	prev := ID(0)
 	for i := 0; i < n; i++ {
-		id := a.Assign(i, n, "")
+		id := a.Assign(i, n)
 		if i > 0 && id <= prev {
 			t.Fatalf("balanced IDs must be strictly increasing: i=%d %v <= %v", i, id, prev)
 		}
 		prev = id
 	}
 	// The first node should sit near 1/(2n) of the space.
-	first := a.Assign(0, n, "").Fraction()
+	first := float64(a.Assign(0, n)) / SpaceExtent
 	want := 1.0 / float64(2*n)
 	if diff := first - want; diff > 1e-6 || diff < -1e-6 {
 		t.Errorf("first balanced ID at fraction %v, want ~%v", first, want)
 	}
-	if (BalancedAssigner{}).Assign(0, 0, "") != 0 {
+	if (BalancedAssigner{}).Assign(0, 0) != 0 {
 		t.Error("n=0 should yield 0")
 	}
 }
@@ -151,38 +142,11 @@ func TestBalancedAssignerJitterStaysOrdered(t *testing.T) {
 	a := BalancedAssigner{Rand: rand.New(rand.NewSource(3)), JitterFrac: 0.5}
 	prev := ID(0)
 	for i := 0; i < n; i++ {
-		id := a.Assign(i, n, "")
+		id := a.Assign(i, n)
 		if i > 0 && id <= prev {
 			t.Fatalf("jittered balanced IDs should keep order at jitter 0.5: i=%d", i)
 		}
 		prev = id
-	}
-}
-
-func TestSortAndDedup(t *testing.T) {
-	ids := []ID{5, 3, 5, 1, 3, 9}
-	SortIDs(ids)
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] > ids[i] {
-			t.Fatal("not sorted")
-		}
-	}
-	d := Dedup(ids)
-	want := []ID{1, 3, 5, 9}
-	if len(d) != len(want) {
-		t.Fatalf("dedup length %d, want %d", len(d), len(want))
-	}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("dedup[%d] = %v, want %v", i, d[i], want[i])
-		}
-	}
-	if got := Dedup(nil); len(got) != 0 {
-		t.Error("dedup nil should be empty")
-	}
-	one := Dedup([]ID{42})
-	if len(one) != 1 || one[0] != 42 {
-		t.Error("dedup single element")
 	}
 }
 
@@ -223,7 +187,8 @@ func TestNearestIndexIsNearest(t *testing.T) {
 		for i, r := range raw {
 			ids[i] = ID(r)
 		}
-		ids = Dedup(SortIDs(ids))
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
 		got := NearestIndex(ids, ID(x))
 		best := Dist(ids[got], ID(x))
 		for _, id := range ids {
@@ -235,15 +200,6 @@ func TestNearestIndexIsNearest(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBetween(t *testing.T) {
-	if !Between(5, 1, 10) || !Between(1, 1, 10) || !Between(10, 1, 10) {
-		t.Error("inclusive bounds")
-	}
-	if Between(0, 1, 10) || Between(11, 1, 10) {
-		t.Error("outside bounds")
 	}
 }
 

@@ -15,94 +15,15 @@ func FullRegion() Region { return Region{Lo: 0, Hi: MaxID} }
 // String implements fmt.Stringer.
 func (r Region) String() string { return fmt.Sprintf("[%s, %s]", r.Lo, r.Hi) }
 
-// Valid reports whether the region is well-formed (Lo ≤ Hi).
-func (r Region) Valid() bool { return r.Lo <= r.Hi }
-
 // Contains reports whether x lies inside the region.
 func (r Region) Contains(x ID) bool { return r.Lo <= x && x <= r.Hi }
 
-// Extent returns the region's length as float64. The +1 for inclusivity is
-// deliberately dropped: extents feed ratio computations where one unit in
-// 2^64 is noise, and float64 cannot represent 2^64 exactly anyway.
-func (r Region) Extent() float64 {
-	return float64(uint64(r.Hi - r.Lo))
-}
-
-// Center returns the midpoint of the region.
-func (r Region) Center() ID { return Mid(r.Lo, r.Hi) }
-
-// ClampedDist returns the Euclidean distance from x to the region: zero when
-// x is inside, otherwise the distance to the nearest edge. The RegionModel
-// distance function (routing package) is built on it.
-func (r Region) ClampedDist(x ID) uint64 {
-	switch {
-	case x < r.Lo:
-		return uint64(r.Lo - x)
-	case x > r.Hi:
-		return uint64(x - r.Hi)
-	default:
-		return 0
-	}
-}
-
-// Overlaps reports whether r and o share at least one coordinate.
-func (r Region) Overlaps(o Region) bool { return r.Lo <= o.Hi && o.Lo <= r.Hi }
-
-// ContainsRegion reports whether o lies fully inside r.
-func (r Region) ContainsRegion(o Region) bool { return r.Lo <= o.Lo && o.Hi <= r.Hi }
-
-// Split cuts the region into two halves at its midpoint; the first half
-// receives the extra coordinate for odd extents. Splitting a single-point
-// region returns the region itself and a false second result.
-func (r Region) Split() (Region, Region, bool) {
-	if r.Lo >= r.Hi {
-		return r, Region{}, false
-	}
-	m := Mid(r.Lo, r.Hi)
-	return Region{r.Lo, m}, Region{m + 1, r.Hi}, true
-}
-
-// SplitAt cuts the region into [Lo, at] and [at+1, Hi]. It reports false if
-// at is outside the region or at == Hi (which would leave an empty right
-// half).
-func (r Region) SplitAt(at ID) (Region, Region, bool) {
-	if !r.Contains(at) || at == r.Hi {
-		return r, Region{}, false
-	}
-	return Region{r.Lo, at}, Region{at + 1, r.Hi}, true
-}
-
-// Tessellate partitions the region into the cells owned by the given sorted,
-// deduplicated owner IDs: cell boundaries fall on midpoints between adjacent
-// owners, so every coordinate belongs to the owner nearest to it (lower
-// owner wins midpoint ties). This is exactly the 1-D tessellation of §III:
-// each node is "responsible for its tessellation". All owners must lie
-// inside the region; the cells cover the region exactly.
-//
-// An empty owner list yields nil.
-func (r Region) Tessellate(owners []ID) []Region {
-	if len(owners) == 0 {
-		return nil
-	}
-	cells := make([]Region, len(owners))
-	lo := r.Lo
-	for i := range owners {
-		hi := r.Hi
-		if i+1 < len(owners) {
-			// Boundary at the midpoint between this owner and the next;
-			// the midpoint itself belongs to the lower owner.
-			hi = Mid(owners[i], owners[i+1])
-		}
-		cells[i] = Region{Lo: lo, Hi: hi}
-		if i+1 < len(owners) {
-			lo = hi + 1
-		}
-	}
-	return cells
-}
-
-// CellOf returns the tessellation cell owned by owners[i] within r, without
-// materialising every cell. owners must be sorted and lie inside r.
+// CellOf returns the cell owned by owners[i] when r is partitioned among the
+// sorted, deduplicated owner IDs, which must lie inside r: cell boundaries
+// fall on midpoints between adjacent owners, so every coordinate belongs to
+// the owner nearest to it (the lower owner wins a midpoint tie, as in
+// NearestIndex) and the cells cover r exactly. This is the 1-D tessellation
+// of §III: each node is "responsible for its tessellation".
 func (r Region) CellOf(owners []ID, i int) Region {
 	lo := r.Lo
 	if i > 0 {
@@ -113,11 +34,4 @@ func (r Region) CellOf(owners []ID, i int) Region {
 		hi = Mid(owners[i], owners[i+1])
 	}
 	return Region{Lo: lo, Hi: hi}
-}
-
-// OwnerIndex returns the index of the owner responsible for x under the
-// midpoint tessellation of r, i.e. the owner nearest to x. owners must be
-// sorted, non-empty and inside r.
-func (r Region) OwnerIndex(owners []ID, x ID) int {
-	return NearestIndex(owners, x)
 }

@@ -2,29 +2,18 @@ package idspace
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestRegionBasics(t *testing.T) {
 	r := Region{Lo: 100, Hi: 200}
-	if !r.Valid() {
-		t.Fatal("valid region reported invalid")
-	}
-	if (Region{Lo: 2, Hi: 1}).Valid() {
-		t.Fatal("inverted region reported valid")
-	}
 	if !r.Contains(100) || !r.Contains(200) || !r.Contains(150) {
 		t.Error("Contains inclusive bounds")
 	}
 	if r.Contains(99) || r.Contains(201) {
 		t.Error("Contains outside")
-	}
-	if r.Center() != 150 {
-		t.Errorf("Center = %v", r.Center())
-	}
-	if r.Extent() != 100 {
-		t.Errorf("Extent = %v", r.Extent())
 	}
 	full := FullRegion()
 	if !full.Contains(0) || !full.Contains(MaxID) {
@@ -32,108 +21,18 @@ func TestRegionBasics(t *testing.T) {
 	}
 }
 
-func TestClampedDist(t *testing.T) {
-	r := Region{Lo: 100, Hi: 200}
-	cases := []struct {
-		x    ID
-		want uint64
-	}{
-		{100, 0}, {150, 0}, {200, 0},
-		{90, 10}, {0, 100}, {210, 10}, {300, 100},
-	}
-	for _, c := range cases {
-		if got := r.ClampedDist(c.x); got != c.want {
-			t.Errorf("ClampedDist(%v) = %d, want %d", c.x, got, c.want)
-		}
-	}
-}
-
-func TestSplit(t *testing.T) {
-	r := Region{Lo: 0, Hi: 9}
-	a, b, ok := r.Split()
-	if !ok {
-		t.Fatal("split should succeed")
-	}
-	if a.Lo != 0 || a.Hi != 4 || b.Lo != 5 || b.Hi != 9 {
-		t.Errorf("split halves %v %v", a, b)
-	}
-	if _, _, ok := (Region{Lo: 5, Hi: 5}).Split(); ok {
-		t.Error("single point region must not split")
-	}
-}
-
-func TestSplitAt(t *testing.T) {
-	r := Region{Lo: 10, Hi: 20}
-	a, b, ok := r.SplitAt(13)
-	if !ok || a.Hi != 13 || b.Lo != 14 || b.Hi != 20 {
-		t.Errorf("SplitAt: %v %v ok=%v", a, b, ok)
-	}
-	if _, _, ok := r.SplitAt(20); ok {
-		t.Error("SplitAt(Hi) would create empty right half")
-	}
-	if _, _, ok := r.SplitAt(9); ok {
-		t.Error("SplitAt outside region")
-	}
-}
-
-func TestSplitProperty(t *testing.T) {
-	prop := func(loRaw, hiRaw uint64) bool {
-		lo, hi := ID(loRaw), ID(hiRaw)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		r := Region{Lo: lo, Hi: hi}
-		a, b, ok := r.Split()
-		if !ok {
-			return lo == hi
-		}
-		// Halves must be valid, adjacent and exactly cover r.
-		return a.Valid() && b.Valid() && a.Lo == r.Lo && b.Hi == r.Hi && a.Hi+1 == b.Lo
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestTessellate(t *testing.T) {
 	r := Region{Lo: 0, Hi: 100}
 	owners := []ID{10, 30, 80}
-	cells := r.Tessellate(owners)
-	if len(cells) != 3 {
-		t.Fatalf("want 3 cells, got %d", len(cells))
-	}
 	// Boundaries at midpoints 20 and 55.
 	want := []Region{{0, 20}, {21, 55}, {56, 100}}
 	for i := range want {
-		if cells[i] != want[i] {
-			t.Errorf("cell %d = %v, want %v", i, cells[i], want[i])
+		if got := r.CellOf(owners, i); got != want[i] {
+			t.Errorf("cell %d = %v, want %v", i, got, want[i])
 		}
 	}
-	if got := r.Tessellate(nil); got != nil {
-		t.Error("empty owners should yield nil")
-	}
-	single := r.Tessellate([]ID{50})
-	if len(single) != 1 || single[0] != r {
+	if r.CellOf([]ID{50}, 0) != r {
 		t.Error("single owner should own the whole region")
-	}
-}
-
-func TestCellOfMatchesTessellate(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(20)
-		owners := make([]ID, n)
-		for i := range owners {
-			owners[i] = ID(rng.Uint64())
-		}
-		owners = Dedup(SortIDs(owners))
-		r := FullRegion()
-		cells := r.Tessellate(owners)
-		for i := range owners {
-			if got := r.CellOf(owners, i); got != cells[i] {
-				t.Fatalf("CellOf(%d) = %v, Tessellate gave %v", i, got, cells[i])
-			}
-		}
 	}
 }
 
@@ -146,9 +45,13 @@ func TestTessellationCoversAndIsDisjoint(t *testing.T) {
 		for i, v := range raw {
 			owners[i] = ID(v)
 		}
-		owners = Dedup(SortIDs(owners))
+		slices.Sort(owners)
+		owners = slices.Compact(owners)
 		r := FullRegion()
-		cells := r.Tessellate(owners)
+		cells := make([]Region, len(owners))
+		for i := range owners {
+			cells[i] = r.CellOf(owners, i)
+		}
 		// Exact cover: first cell starts at r.Lo, last ends at r.Hi, and
 		// consecutive cells are adjacent.
 		if cells[0].Lo != r.Lo || cells[len(cells)-1].Hi != r.Hi {
@@ -178,30 +81,14 @@ func TestOwnerIndexAgreesWithCells(t *testing.T) {
 	for i := range owners {
 		owners[i] = ID(rng.Uint64())
 	}
-	owners = Dedup(SortIDs(owners))
+	slices.Sort(owners)
+	owners = slices.Compact(owners)
 	r := FullRegion()
-	cells := r.Tessellate(owners)
 	for trial := 0; trial < 1000; trial++ {
 		x := ID(rng.Uint64())
-		idx := r.OwnerIndex(owners, x)
-		if !cells[idx].Contains(x) {
-			t.Fatalf("owner %d cell %v does not contain %v", idx, cells[idx], x)
+		idx := NearestIndex(owners, x)
+		if cell := r.CellOf(owners, idx); !cell.Contains(x) {
+			t.Fatalf("owner %d cell %v does not contain %v", idx, cell, x)
 		}
-	}
-}
-
-func TestOverlapsAndContainsRegion(t *testing.T) {
-	a := Region{10, 20}
-	if !a.Overlaps(Region{20, 30}) || !a.Overlaps(Region{0, 10}) || !a.Overlaps(Region{12, 15}) {
-		t.Error("expected overlap")
-	}
-	if a.Overlaps(Region{21, 30}) || a.Overlaps(Region{0, 9}) {
-		t.Error("unexpected overlap")
-	}
-	if !a.ContainsRegion(Region{12, 15}) || !a.ContainsRegion(a) {
-		t.Error("expected containment")
-	}
-	if a.ContainsRegion(Region{5, 15}) {
-		t.Error("unexpected containment")
 	}
 }

@@ -44,16 +44,6 @@ func (h *Histogram) Count(v int) uint64 {
 	return h.counts[v]
 }
 
-// Max returns the largest observed value (0 when empty).
-func (h *Histogram) Max() int {
-	for v := len(h.counts) - 1; v >= 0; v-- {
-		if h.counts[v] > 0 {
-			return v
-		}
-	}
-	return 0
-}
-
 // Mean returns the average observed value (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
@@ -95,18 +85,6 @@ func (h *Histogram) Fraction(v int) float64 {
 		return 0
 	}
 	return float64(h.Count(v)) / float64(h.total)
-}
-
-// FractionLE returns the share of observations ≤ v.
-func (h *Histogram) FractionLE(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var acc uint64
-	for i := 0; i <= v && i < len(h.counts); i++ {
-		acc += h.counts[i]
-	}
-	return float64(acc) / float64(h.total)
 }
 
 // Merge adds all observations of o into h.
@@ -193,12 +171,6 @@ func (m *MinMax) Min() float64 { return m.min }
 // Max returns the largest observed value (0 when empty).
 func (m *MinMax) Max() float64 { return m.max }
 
-// Spread returns max − min.
-func (m *MinMax) Spread() float64 { return m.max - m.min }
-
-// Seen reports whether any value was observed.
-func (m *MinMax) Seen() bool { return m.seen }
-
 // UnionFind is a disjoint-set structure used to count connected components
 // of the live overlay's knowledge graph (partition detection).
 type UnionFind struct {
@@ -256,15 +228,6 @@ type Series struct {
 func (s *Series) Add(x, y float64) {
 	s.X = append(s.X, x)
 	s.Y = append(s.Y, y)
-}
-
-// Render prints the series as x→y lines.
-func (s *Series) Render() string {
-	var b strings.Builder
-	for i := range s.X {
-		fmt.Fprintf(&b, "%s\t%.2f\t%.3f\n", s.Name, s.X[i], s.Y[i])
-	}
-	return b.String()
 }
 
 // Table renders named columns against a shared x axis as a TSV with

@@ -9,7 +9,7 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	h := &Histogram{}
-	if h.Total() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Percentile(0.5) != 0 {
+	if h.Total() != 0 || h.Mean() != 0 || h.Percentile(0.5) != 0 {
 		t.Fatal("empty histogram invariants")
 	}
 	for _, v := range []int{1, 2, 2, 3, 3, 3} {
@@ -18,17 +18,14 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Total() != 6 || h.Count(2) != 2 || h.Count(3) != 3 || h.Count(9) != 0 {
 		t.Fatalf("counts wrong: %+v", h)
 	}
-	if h.Max() != 3 {
-		t.Fatalf("max %d", h.Max())
-	}
 	if mean := h.Mean(); mean < 2.3 || mean > 2.4 {
 		t.Fatalf("mean %v", mean)
 	}
 	if h.Percentile(0.5) != 2 || h.Percentile(1) != 3 {
 		t.Fatalf("percentiles %d %d", h.Percentile(0.5), h.Percentile(1))
 	}
-	if h.Fraction(3) != 0.5 || h.FractionLE(2) != 0.5 {
-		t.Fatalf("fractions %v %v", h.Fraction(3), h.FractionLE(2))
+	if h.Fraction(3) != 0.5 {
+		t.Fatalf("fraction %v", h.Fraction(3))
 	}
 	h.Observe(-5) // clamps to 0
 	if h.Count(0) != 1 {
@@ -91,13 +88,13 @@ func TestSurface(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	var m MinMax
-	if m.Seen() {
-		t.Fatal("empty seen")
+	if m.Min() != 0 || m.Max() != 0 {
+		t.Fatalf("empty minmax %+v", m)
 	}
 	m.Observe(5)
 	m.Observe(2)
 	m.Observe(9)
-	if m.Min() != 2 || m.Max() != 9 || m.Spread() != 7 || !m.Seen() {
+	if m.Min() != 2 || m.Max() != 9 {
 		t.Fatalf("minmax %+v", m)
 	}
 }
@@ -164,9 +161,6 @@ func TestSeriesAndTable(t *testing.T) {
 	s := &Series{Name: "G"}
 	s.Add(10, 0.5)
 	s.Add(20, 0.7)
-	if out := s.Render(); !strings.Contains(out, "G\t10.00\t0.500") {
-		t.Fatalf("series render:\n%s", out)
-	}
 	tbl := Table("kill%", []float64{10, 20}, []*Series{s})
 	if !strings.Contains(tbl, "kill%\tG") || !strings.Contains(tbl, "10\t0.50") {
 		t.Fatalf("table:\n%s", tbl)

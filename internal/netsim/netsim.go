@@ -323,14 +323,6 @@ func (n *Network) AttachOn(shard int, h Handler) Addr {
 // valid reports whether the address names an attached endpoint.
 func (n *Network) valid(a Addr) bool { return a != NoAddr && int(a) < len(n.handlers) }
 
-// ShardOf returns the shard an endpoint is pinned to (0 in classic mode).
-func (n *Network) ShardOf(a Addr) int {
-	if n.engine == nil || !n.valid(a) {
-		return 0
-	}
-	return int(n.epShard[a])
-}
-
 // SetHandler replaces the handler of an existing endpoint (used by runtimes
 // that attach before constructing the protocol state machine).
 func (n *Network) SetHandler(a Addr, h Handler) {
@@ -397,15 +389,6 @@ func (n *Network) Stats() Stats {
 		out.add(n.shardStats[i])
 	}
 	return out
-}
-
-// ResetStats zeroes the counters (used between experiment phases so that
-// steady-state maintenance traffic is not charged to the lookup phase).
-func (n *Network) ResetStats() {
-	n.stats = Stats{}
-	for i := range n.shardStats {
-		n.shardStats[i] = Stats{}
-	}
 }
 
 // Send transmits one datagram. Delivery is best-effort: the datagram may be

@@ -142,16 +142,6 @@ func TestTraceHook(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	k, n, a, b, _ := setup(t)
-	n.Send(a, b, "x", 1)
-	k.Run()
-	n.ResetStats()
-	if s := n.Stats(); s != (Stats{}) {
-		t.Fatalf("stats not reset: %+v", s)
-	}
-}
-
 func TestSetHandler(t *testing.T) {
 	k := sim.New(1)
 	n := New(k, WithLatency(FixedLatency(0)))

@@ -25,8 +25,8 @@ func TestShardedDelivery(t *testing.T) {
 	b := n.AttachOn(1, func(from Addr, p interface{}, size int) {
 		got = append(got, rec{from, p, size, n.Engine().Shard(1).Now()})
 	})
-	if n.ShardOf(a) != 0 || n.ShardOf(b) != 1 {
-		t.Fatalf("placement: ShardOf(a)=%d ShardOf(b)=%d", n.ShardOf(a), n.ShardOf(b))
+	if n.epShard[a] != 0 || n.epShard[b] != 1 {
+		t.Fatalf("placement: a on shard %d, b on shard %d", n.epShard[a], n.epShard[b])
 	}
 	n.Send(a, b, "hello", 5)
 	if err := n.Engine().RunFor(50 * time.Millisecond); err != nil {

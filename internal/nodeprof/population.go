@@ -126,15 +126,6 @@ func (g *Generator) Next() Profile {
 	return p
 }
 
-// Population draws n profiles.
-func (g *Generator) Population(n int) []Profile {
-	out := make([]Profile, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
 func (g *Generator) pick() Class {
 	r := g.rng.Float64() * g.total
 	acc := 0.0

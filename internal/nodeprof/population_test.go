@@ -5,6 +5,15 @@ import (
 	"time"
 )
 
+// population draws n profiles.
+func population(g *Generator, n int) []Profile {
+	out := make([]Profile, n)
+	for i := range out {
+		out[i] = g.Next()
+	}
+	return out
+}
+
 func TestGeneratorReproducible(t *testing.T) {
 	g1 := NewGenerator(DefaultClasses(), 42)
 	g2 := NewGenerator(DefaultClasses(), 42)
@@ -32,7 +41,7 @@ func TestGeneratorDifferentSeedsDiffer(t *testing.T) {
 
 func TestPopulationSizeAndValidity(t *testing.T) {
 	g := NewGenerator(DefaultClasses(), 7)
-	pop := g.Population(500)
+	pop := population(g, 500)
 	if len(pop) != 500 {
 		t.Fatalf("population size %d", len(pop))
 	}
@@ -51,7 +60,7 @@ func TestPopulationSizeAndValidity(t *testing.T) {
 
 func TestDefaultMixtureIsSkewed(t *testing.T) {
 	g := NewGenerator(DefaultClasses(), 99)
-	pop := g.Population(3000)
+	pop := population(g, 3000)
 	strong, weak := 0, 0
 	for _, p := range pop {
 		s := p.Score()
@@ -75,7 +84,7 @@ func TestDefaultMixtureIsSkewed(t *testing.T) {
 
 func TestUniformClassesAreHomogeneous(t *testing.T) {
 	g := NewGenerator(UniformClasses(), 3)
-	pop := g.Population(200)
+	pop := population(g, 200)
 	min, max := 1.0, 0.0
 	for _, p := range pop {
 		s := p.Score()

@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"math/rand"
 	"time"
 
 	"treep/internal/chord"
@@ -15,15 +14,14 @@ import (
 // run.
 type Chord struct {
 	C *chord.Cluster
-
-	rng *rand.Rand
+	members[*chord.Node]
 }
 
 // NewChord builds a steady-state Chord ring of n nodes with periodic
 // stabilisation running.
 func NewChord(n int, seed int64) *Chord {
 	c := chord.New(n, seed)
-	return &Chord{C: c, rng: c.Kernel.Stream(0x6f766c79)} // "ovly"
+	return &Chord{C: c, members: members[*chord.Node]{c, c.Kernel.Stream(0x6f766c79)}} // "ovly"
 }
 
 // Name implements Overlay.
@@ -35,43 +33,8 @@ func (a *Chord) Now() time.Duration { return a.C.Kernel.Now() }
 // NetStats implements Overlay.
 func (a *Chord) NetStats() netsim.Stats { return a.C.Net.Stats() }
 
-// AliveCount implements Overlay.
-func (a *Chord) AliveCount() int { return len(a.C.AliveNodes()) }
-
-// AliveIDs implements Overlay.
-func (a *Chord) AliveIDs() []idspace.ID {
-	alive := a.C.AliveNodes()
-	out := make([]idspace.ID, len(alive))
-	for i, n := range alive {
-		out[i] = n.ID()
-	}
-	return out
-}
-
 // Join implements Overlay.
 func (a *Chord) Join() bool { return a.C.Join() != nil }
-
-// Leave implements Overlay.
-func (a *Chord) Leave() bool {
-	alive := a.C.AliveNodes()
-	if len(alive) <= 2 {
-		return false
-	}
-	a.C.Kill(alive[a.rng.Intn(len(alive))])
-	return true
-}
-
-// KillZone implements Overlay.
-func (a *Chord) KillZone(zone idspace.Region) int {
-	killed := 0
-	for _, n := range a.C.AliveNodes() {
-		if zone.Contains(n.ID()) {
-			a.C.Kill(n)
-			killed++
-		}
-	}
-	return killed
-}
 
 // Partition implements Overlay.
 func (a *Chord) Partition(split idspace.ID) { a.C.Partition(split) }

@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"math/rand"
 	"time"
 
 	"treep/internal/flood"
@@ -21,9 +20,9 @@ const DefaultFloodTTL = 8
 // Lookups flood for the exact target ID with a fixed TTL.
 type Flood struct {
 	C *flood.Cluster
+	members[*flood.Node]
 
 	ttl uint8
-	rng *rand.Rand
 }
 
 // NewFlood builds a flooding network of n nodes wired at the given degree;
@@ -36,7 +35,7 @@ func NewFlood(n, degree, ttl int, seed int64) *Flood {
 		ttl = DefaultFloodTTL
 	}
 	c := flood.New(n, degree, seed)
-	return &Flood{C: c, ttl: uint8(ttl), rng: c.Kernel.Stream(0x6f766c79)} // "ovly"
+	return &Flood{C: c, members: members[*flood.Node]{c, c.Kernel.Stream(0x6f766c79)}, ttl: uint8(ttl)} // "ovly"
 }
 
 // Name implements Overlay.
@@ -48,43 +47,8 @@ func (a *Flood) Now() time.Duration { return a.C.Kernel.Now() }
 // NetStats implements Overlay.
 func (a *Flood) NetStats() netsim.Stats { return a.C.Net.Stats() }
 
-// AliveCount implements Overlay.
-func (a *Flood) AliveCount() int { return len(a.C.AliveNodes()) }
-
-// AliveIDs implements Overlay.
-func (a *Flood) AliveIDs() []idspace.ID {
-	alive := a.C.AliveNodes()
-	out := make([]idspace.ID, len(alive))
-	for i, n := range alive {
-		out[i] = n.ID()
-	}
-	return out
-}
-
 // Join implements Overlay.
 func (a *Flood) Join() bool { return a.C.Join() != nil }
-
-// Leave implements Overlay.
-func (a *Flood) Leave() bool {
-	alive := a.C.AliveNodes()
-	if len(alive) <= 2 {
-		return false
-	}
-	a.C.Kill(alive[a.rng.Intn(len(alive))])
-	return true
-}
-
-// KillZone implements Overlay.
-func (a *Flood) KillZone(zone idspace.Region) int {
-	killed := 0
-	for _, n := range a.C.AliveNodes() {
-		if zone.Contains(n.ID()) {
-			a.C.Kill(n)
-			killed++
-		}
-	}
-	return killed
-}
 
 // Partition implements Overlay.
 func (a *Flood) Partition(split idspace.ID) { a.C.Partition(split) }

@@ -22,6 +22,7 @@
 package overlay
 
 import (
+	"math/rand"
 	"time"
 
 	"treep/internal/idspace"
@@ -76,4 +77,49 @@ type Overlay interface {
 	// StateSize returns the total routing-state entry count across live
 	// nodes (the per-protocol "memory cost" metric).
 	StateSize() int
+}
+
+// members implements the membership side of Overlay over any simulated
+// cluster that can list and fail-stop its live nodes of type N.
+type members[N interface{ ID() idspace.ID }] struct {
+	c interface {
+		AliveNodes() []N
+		Kill(N)
+	}
+	rng *rand.Rand // picks Leave's victim
+}
+
+// AliveCount implements Overlay.
+func (m members[N]) AliveCount() int { return len(m.c.AliveNodes()) }
+
+// AliveIDs implements Overlay.
+func (m members[N]) AliveIDs() []idspace.ID {
+	alive := m.c.AliveNodes()
+	out := make([]idspace.ID, len(alive))
+	for i, n := range alive {
+		out[i] = n.ID()
+	}
+	return out
+}
+
+// Leave implements Overlay.
+func (m members[N]) Leave() bool {
+	alive := m.c.AliveNodes()
+	if len(alive) <= 2 {
+		return false
+	}
+	m.c.Kill(alive[m.rng.Intn(len(alive))])
+	return true
+}
+
+// KillZone implements Overlay.
+func (m members[N]) KillZone(zone idspace.Region) int {
+	killed := 0
+	for _, n := range m.c.AliveNodes() {
+		if zone.Contains(n.ID()) {
+			m.c.Kill(n)
+			killed++
+		}
+	}
+	return killed
 }

@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"math/rand"
 	"time"
 
 	"treep/internal/core"
@@ -17,9 +16,9 @@ import (
 // not the smartest retry strategy.
 type TreeP struct {
 	C *simrt.Cluster
+	members[*core.Node]
 
 	algo proto.Algo
-	rng  *rand.Rand
 }
 
 // NewTreeP builds a bulk-initialised, started TreeP cluster of n nodes.
@@ -31,7 +30,7 @@ func NewTreeP(n int, seed int64) *TreeP {
 		Bulk:   true,
 	})
 	c.StartAll()
-	return &TreeP{C: c, algo: proto.AlgoG, rng: c.Kernel.Stream(0x6f766c79)} // "ovly"
+	return &TreeP{C: c, members: members[*core.Node]{c, c.Kernel.Stream(0x6f766c79)}, algo: proto.AlgoG} // "ovly"
 }
 
 // Name implements Overlay.
@@ -43,44 +42,9 @@ func (t *TreeP) Now() time.Duration { return t.C.Kernel.Now() }
 // NetStats implements Overlay.
 func (t *TreeP) NetStats() netsim.Stats { return t.C.Net.Stats() }
 
-// AliveCount implements Overlay.
-func (t *TreeP) AliveCount() int { return t.C.AliveCount() }
-
-// AliveIDs implements Overlay.
-func (t *TreeP) AliveIDs() []idspace.ID {
-	alive := t.C.AliveNodes()
-	out := make([]idspace.ID, len(alive))
-	for i, n := range alive {
-		out[i] = n.ID()
-	}
-	return out
-}
-
 // Join implements Overlay: spawn a fresh node and bootstrap it through a
 // live peer (the protocol's dynamic join).
 func (t *TreeP) Join() bool { return t.C.SpawnJoin() != nil }
-
-// Leave implements Overlay.
-func (t *TreeP) Leave() bool {
-	alive := t.C.AliveNodes()
-	if len(alive) <= 2 {
-		return false
-	}
-	t.C.Kill(alive[t.rng.Intn(len(alive))])
-	return true
-}
-
-// KillZone implements Overlay.
-func (t *TreeP) KillZone(zone idspace.Region) int {
-	killed := 0
-	for _, n := range t.C.AliveNodes() {
-		if zone.Contains(n.ID()) {
-			t.C.Kill(n)
-			killed++
-		}
-	}
-	return killed
-}
 
 // Partition implements Overlay.
 func (t *TreeP) Partition(split idspace.ID) { t.C.Partition(split) }

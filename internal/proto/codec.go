@@ -113,13 +113,7 @@ func decode(b []byte, pooled bool) (Message, error) {
 	if b[1] != wireVersion {
 		return nil, fmt.Errorf("%w: %d", ErrVersion, b[1])
 	}
-	t := MsgType(b[2])
-	var m Message
-	if pooled {
-		m = acquireMessage(t)
-	} else {
-		m = newMessage(t)
-	}
+	m := newMessage(MsgType(b[2]), pooled)
 	if m == nil {
 		return nil, fmt.Errorf("%w: %d", ErrType, b[2])
 	}
@@ -145,62 +139,18 @@ func decode(b []byte, pooled bool) (Message, error) {
 // The simulator charges this many bytes per send without serialising.
 func WireSize(m Message) int { return headerSize + m.EncodedSize() }
 
-func newMessage(t MsgType) Message {
-	switch t {
-	case THello:
-		return &Hello{}
-	case TPing:
-		return &Ping{}
-	case TPong:
-		return &Pong{}
-	case TJoinRequest:
-		return &JoinRequest{}
-	case TJoinRedirect:
-		return &JoinRedirect{}
-	case TJoinAccept:
-		return &JoinAccept{}
-	case TElectionCall:
-		return &ElectionCall{}
-	case TParentClaim:
-		return &ParentClaim{}
-	case TChildReport:
-		return &ChildReport{}
-	case TPromoteGrant:
-		return &PromoteGrant{}
-	case TDemote:
-		return &Demote{}
-	case TBusLinkReq:
-		return &BusLinkReq{}
-	case TBusLinkAck:
-		return &BusLinkAck{}
-	case TLookupRequest:
-		return &LookupRequest{}
-	case TLookupReply:
-		return &LookupReply{}
-	case TDHTStore:
-		return &DHTStore{}
-	case TDHTStoreAck:
-		return &DHTStoreAck{}
-	case TDHTFetch:
-		return &DHTFetch{}
-	case TDHTFetchReply:
-		return &DHTFetchReply{}
-	case TDHTReplicate:
-		return &DHTReplicate{}
-	case TDHTReplicateAck:
-		return &DHTReplicateAck{}
-	case TReparent:
-		return &Reparent{}
-	case TLeave:
-		return &Leave{}
-	case TRingProbe:
-		return &RingProbe{}
-	case TRingProbeAck:
-		return &RingProbeAck{}
-	case TMergeIntro:
-		return &MergeIntro{}
+// newMessage returns the value a datagram of type t decodes into, or nil
+// for a type with no row in msgTypes. With pooled set, pooled types come
+// from their pools, with recycled slice capacity for the decode to append
+// into.
+func newMessage(t MsgType, pooled bool) Message {
+	if t >= tMaxMsgType || msgTypes[t].fresh == nil {
+		return nil
 	}
-	return nil
+	if pooled && msgTypes[t].pooled != nil {
+		return msgTypes[t].pooled()
+	}
+	return msgTypes[t].fresh()
 }
 
 // --- writer ----------------------------------------------------------------

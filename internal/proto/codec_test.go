@@ -295,7 +295,7 @@ func TestQuantizeScore(t *testing.T) {
 		}
 	}
 	for _, s := range []float64{0.1, 0.5, 0.9} {
-		back := UnquantizeScore(QuantizeScore(s))
+		back := float64(QuantizeScore(s)) / 65535
 		if diff := back - s; diff > 1e-4 || diff < -1e-4 {
 			t.Errorf("quantise roundtrip %v -> %v", s, back)
 		}

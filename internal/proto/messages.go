@@ -51,40 +51,61 @@ const (
 	tMaxMsgType // sentinel, keep last
 )
 
-var msgTypeNames = [...]string{
-	TInvalid:         "invalid",
-	THello:           "hello",
-	TPing:            "ping",
-	TPong:            "pong",
-	TJoinRequest:     "join-request",
-	TJoinRedirect:    "join-redirect",
-	TJoinAccept:      "join-accept",
-	TElectionCall:    "election-call",
-	TParentClaim:     "parent-claim",
-	TChildReport:     "child-report",
-	TPromoteGrant:    "promote-grant",
-	TDemote:          "demote",
-	TBusLinkReq:      "bus-link-req",
-	TBusLinkAck:      "bus-link-ack",
-	TLookupRequest:   "lookup-request",
-	TLookupReply:     "lookup-reply",
-	TDHTStore:        "dht-store",
-	TDHTStoreAck:     "dht-store-ack",
-	TDHTFetch:        "dht-fetch",
-	TDHTFetchReply:   "dht-fetch-reply",
-	TReparent:        "reparent",
-	TLeave:           "leave",
-	TDHTReplicate:    "dht-replicate",
-	TDHTReplicateAck: "dht-replicate-ack",
-	TRingProbe:       "ring-probe",
-	TRingProbeAck:    "ring-probe-ack",
-	TMergeIntro:      "merge-intro",
+// msgTypes is the one table of the wire types, a row each: the name
+// MsgType.String prints (the bench message ledger keys on it), a
+// constructor of the zero value Decode fills, and the pool-backed one
+// DecodePooled uses where the type is Recyclable (nil otherwise). A row
+// compiles only if its struct implements Message; a type without a row does
+// not decode.
+var msgTypes = [tMaxMsgType]struct {
+	name   string
+	fresh  func() Message
+	pooled func() Message
+}{
+	TInvalid:         {name: "invalid"},
+	THello:           {"hello", fresh[Hello], pooled(AcquireHello)},
+	TPing:            {"ping", fresh[Ping], pooled(AcquirePing)},
+	TPong:            {"pong", fresh[Pong], pooled(AcquirePong)},
+	TJoinRequest:     {"join-request", fresh[JoinRequest], nil},
+	TJoinRedirect:    {"join-redirect", fresh[JoinRedirect], nil},
+	TJoinAccept:      {"join-accept", fresh[JoinAccept], nil},
+	TElectionCall:    {"election-call", fresh[ElectionCall], nil},
+	TParentClaim:     {"parent-claim", fresh[ParentClaim], nil},
+	TChildReport:     {"child-report", fresh[ChildReport], pooled(AcquireChildReport)},
+	TPromoteGrant:    {"promote-grant", fresh[PromoteGrant], nil},
+	TDemote:          {"demote", fresh[Demote], nil},
+	TBusLinkReq:      {"bus-link-req", fresh[BusLinkReq], pooled(AcquireBusLinkReq)},
+	TBusLinkAck:      {"bus-link-ack", fresh[BusLinkAck], pooled(AcquireBusLinkAck)},
+	TLookupRequest:   {"lookup-request", fresh[LookupRequest], pooled(AcquireLookupRequest)},
+	TLookupReply:     {"lookup-reply", fresh[LookupReply], pooled(AcquireLookupReply)},
+	TDHTStore:        {"dht-store", fresh[DHTStore], nil},
+	TDHTStoreAck:     {"dht-store-ack", fresh[DHTStoreAck], pooled(AcquireDHTStoreAck)},
+	TDHTFetch:        {"dht-fetch", fresh[DHTFetch], nil},
+	TDHTFetchReply:   {"dht-fetch-reply", fresh[DHTFetchReply], pooled(AcquireDHTFetchReply)},
+	TReparent:        {"reparent", fresh[Reparent], nil},
+	TLeave:           {"leave", fresh[Leave], nil},
+	TDHTReplicate:    {"dht-replicate", fresh[DHTReplicate], nil},
+	TDHTReplicateAck: {"dht-replicate-ack", fresh[DHTReplicateAck], pooled(AcquireDHTReplicateAck)},
+	TRingProbe:       {"ring-probe", fresh[RingProbe], pooled(AcquireRingProbe)},
+	TRingProbeAck:    {"ring-probe-ack", fresh[RingProbeAck], pooled(AcquireRingProbeAck)},
+	TMergeIntro:      {"merge-intro", fresh[MergeIntro], pooled(AcquireMergeIntro)},
+}
+
+func fresh[T any, P interface {
+	*T
+	Message
+}]() Message {
+	return P(new(T))
+}
+
+func pooled[P Message](acquire func() P) func() Message {
+	return func() Message { return acquire() }
 }
 
 // String implements fmt.Stringer.
 func (t MsgType) String() string {
-	if int(t) < len(msgTypeNames) && msgTypeNames[t] != "" {
-		return msgTypeNames[t]
+	if t < tMaxMsgType {
+		return msgTypes[t].name
 	}
 	return fmt.Sprintf("msgtype(%d)", uint8(t))
 }
@@ -137,9 +158,6 @@ func QuantizeScore(s float64) uint16 {
 	}
 	return uint16(s * 65535)
 }
-
-// UnquantizeScore is the inverse of QuantizeScore.
-func UnquantizeScore(q uint16) float64 { return float64(q) / 65535 }
 
 // Region mirrors idspace.Region on the wire (a parent's tessellation).
 type Region struct {
@@ -522,36 +540,6 @@ type Reparent struct {
 	// indefinitely by redirecting each other to it.
 	AgeDs uint16
 }
-
-// Compile-time interface checks.
-var (
-	_ Message = (*Hello)(nil)
-	_ Message = (*Ping)(nil)
-	_ Message = (*Pong)(nil)
-	_ Message = (*JoinRequest)(nil)
-	_ Message = (*JoinRedirect)(nil)
-	_ Message = (*JoinAccept)(nil)
-	_ Message = (*ElectionCall)(nil)
-	_ Message = (*ParentClaim)(nil)
-	_ Message = (*ChildReport)(nil)
-	_ Message = (*PromoteGrant)(nil)
-	_ Message = (*Demote)(nil)
-	_ Message = (*BusLinkReq)(nil)
-	_ Message = (*BusLinkAck)(nil)
-	_ Message = (*LookupRequest)(nil)
-	_ Message = (*LookupReply)(nil)
-	_ Message = (*DHTStore)(nil)
-	_ Message = (*DHTStoreAck)(nil)
-	_ Message = (*DHTFetch)(nil)
-	_ Message = (*DHTFetchReply)(nil)
-	_ Message = (*DHTReplicate)(nil)
-	_ Message = (*DHTReplicateAck)(nil)
-	_ Message = (*Reparent)(nil)
-	_ Message = (*Leave)(nil)
-	_ Message = (*RingProbe)(nil)
-	_ Message = (*RingProbeAck)(nil)
-	_ Message = (*MergeIntro)(nil)
-)
 
 // --- service plane interfaces ----------------------------------------------
 

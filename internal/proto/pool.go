@@ -207,45 +207,6 @@ func AcquireDHTFetchReply() *DHTFetchReply {
 // Recycle implements Recyclable.
 func (m *DHTFetchReply) Recycle() { dhtFetchRepPool.Put(m) }
 
-// acquireMessage is DecodePooled's allocator: pooled types come from
-// their pools (with recycled slice capacity for the decode to append
-// into), everything else is a fresh value exactly as newMessage builds.
-// The two switches must stay in lockstep — TestDecodePooledCoversTypes
-// pins every wire type to a working pooled decode.
-func acquireMessage(t MsgType) Message {
-	switch t {
-	case THello:
-		return AcquireHello()
-	case TPing:
-		return AcquirePing()
-	case TPong:
-		return AcquirePong()
-	case TChildReport:
-		return AcquireChildReport()
-	case TBusLinkReq:
-		return AcquireBusLinkReq()
-	case TBusLinkAck:
-		return AcquireBusLinkAck()
-	case TRingProbe:
-		return AcquireRingProbe()
-	case TRingProbeAck:
-		return AcquireRingProbeAck()
-	case TMergeIntro:
-		return AcquireMergeIntro()
-	case TLookupRequest:
-		return AcquireLookupRequest()
-	case TLookupReply:
-		return AcquireLookupReply()
-	case TDHTStoreAck:
-		return AcquireDHTStoreAck()
-	case TDHTFetchReply:
-		return AcquireDHTFetchReply()
-	case TDHTReplicateAck:
-		return AcquireDHTReplicateAck()
-	}
-	return newMessage(t)
-}
-
 // AcquireDHTReplicateAck returns a pooled DHTReplicateAck.
 func AcquireDHTReplicateAck() *DHTReplicateAck {
 	m := dhtReplAckPool.Get().(*DHTReplicateAck)

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -72,24 +73,48 @@ var pooledWireTypes = map[MsgType]bool{
 	TDHTReplicateAck: true,
 }
 
+// TestEveryMsgTypeHasARow: a MsgType constant added without its msgTypes
+// row leaves a zero row behind, which would print "" and never decode.
+func TestEveryMsgTypeHasARow(t *testing.T) {
+	names := map[string]MsgType{}
+	for ty, row := range msgTypes {
+		ty := MsgType(ty)
+		if prev, dup := names[row.name]; row.name == "" || dup || ty.String() != row.name {
+			t.Fatalf("MsgType %d: name %q (also MsgType %d)", ty, row.name, prev)
+		}
+		names[row.name] = ty
+		if (row.fresh == nil) != (ty == TInvalid) {
+			t.Fatalf("%v: only TInvalid may lack a constructor", ty)
+		}
+	}
+	if want := fmt.Sprintf("msgtype(%d)", uint8(tMaxMsgType)); tMaxMsgType.String() != want {
+		t.Fatalf("an unknown type prints %q, want %q", tMaxMsgType.String(), want)
+	}
+}
+
 // TestDecodePooledCoversTypes pins every wire type to a working pooled
-// decode: acquireMessage and newMessage must stay in lockstep, the pooled
+// decode: both constructors of its registry row build that type, the pooled
 // decode must re-encode to the identical bytes, and exactly the types
 // listed in pooledWireTypes must come back Recyclable.
 func TestDecodePooledCoversTypes(t *testing.T) {
-	for ty := TInvalid + 1; ty < tMaxMsgType; ty++ {
-		m := acquireMessage(ty)
-		if m == nil {
-			t.Fatalf("acquireMessage(%v) returned nil but newMessage knows the type", ty)
+	for ty, row := range msgTypes {
+		ty := MsgType(ty)
+		if ty == TInvalid {
+			continue
 		}
-		if m.Type() != ty {
-			t.Fatalf("acquireMessage(%v) returned a %v", ty, m.Type())
+		for _, pooled := range []bool{false, true} {
+			m := newMessage(ty, pooled)
+			if m == nil || m.Type() != ty {
+				t.Fatalf("newMessage(%v, pooled=%v) returned %v", ty, pooled, m)
+			}
+			if _, recyclable := m.(Recyclable); recyclable != pooledWireTypes[ty] || (row.pooled != nil) != recyclable {
+				t.Fatalf("%v: recyclable=%v, pooled row=%v, pooledWireTypes says %v", ty, recyclable, row.pooled != nil, pooledWireTypes[ty])
+			}
+			ReleaseDecoded(m)
 		}
-		_, recyclable := m.(Recyclable)
-		if recyclable != pooledWireTypes[ty] {
-			t.Fatalf("%v: recyclable=%v, pooledWireTypes says %v", ty, recyclable, pooledWireTypes[ty])
-		}
-		ReleaseDecoded(m)
+	}
+	if newMessage(TInvalid, true) != nil || newMessage(tMaxMsgType, false) != nil {
+		t.Fatal("a type without a row decodes")
 	}
 
 	// Round-trip every sample through the pooled path twice, so the second

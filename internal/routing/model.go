@@ -29,8 +29,6 @@ import (
 type Model interface {
 	// D returns the distance from node a to coordinate b.
 	D(a proto.NodeRef, b idspace.ID) float64
-	// Name identifies the model in experiment output.
-	Name() string
 }
 
 // PaperModel is the literal reconstruction of the paper's formula with
@@ -45,44 +43,12 @@ func (m PaperModel) D(a proto.NodeRef, b idspace.ID) float64 {
 	if a.MaxLevel == 0 {
 		return d
 	}
-	cover := coverage(2, m.Height, a.MaxLevel)
+	cover := coverage(m.Height, a.MaxLevel)
 	if d <= cover {
 		return 0
 	}
 	return d - cover
 }
-
-// Name implements Model.
-func (PaperModel) Name() string { return "paper" }
-
-// BranchingModel generalises the coverage radius to L/c^(h−lvl), where c is
-// the tree's average branching factor — the radius a level-lvl node's
-// tessellation actually has in a c-ary TreeP. The ABL-1 ablation compares
-// it against PaperModel.
-type BranchingModel struct {
-	Height    uint8
-	Branching float64
-}
-
-// D implements Model.
-func (m BranchingModel) D(a proto.NodeRef, b idspace.ID) float64 {
-	d := idspace.DistF(a.ID, b)
-	if a.MaxLevel == 0 {
-		return d
-	}
-	c := m.Branching
-	if c < 2 {
-		c = 2
-	}
-	cover := coverage(c, m.Height, a.MaxLevel)
-	if d <= cover {
-		return 0
-	}
-	return d - cover
-}
-
-// Name implements Model.
-func (BranchingModel) Name() string { return "branching" }
 
 // EuclideanModel ignores the hierarchy entirely: D(a,b) = d(a,b). It is
 // both the TTL>h fall-back of §III.f ("the Euclidian distance is used
@@ -94,19 +60,11 @@ func (EuclideanModel) D(a proto.NodeRef, b idspace.ID) float64 {
 	return idspace.DistF(a.ID, b)
 }
 
-// Name implements Model.
-func (EuclideanModel) Name() string { return "euclidean" }
-
-// coverage returns L/base^(h−lvl), clamped to L. A node at the top of the
-// hierarchy (lvl = h) covers the whole space.
-func coverage(base float64, height, lvl uint8) float64 {
+// coverage returns L/2^(h−lvl). A node at the top of the hierarchy
+// (lvl = h) covers the whole space.
+func coverage(height, lvl uint8) float64 {
 	if lvl >= height {
 		return idspace.SpaceExtent
 	}
-	exp := float64(height - lvl)
-	denom := math.Pow(base, exp)
-	if denom < 1 {
-		denom = 1
-	}
-	return idspace.SpaceExtent / denom
+	return idspace.SpaceExtent / math.Pow(2, float64(height-lvl))
 }

@@ -58,37 +58,9 @@ func TestPaperModelMonotoneInLevel(t *testing.T) {
 	}
 }
 
-func TestBranchingModelWiderCoverage(t *testing.T) {
-	paper := PaperModel{Height: 6}
-	branch := BranchingModel{Height: 6, Branching: 4}
-	a := refAt(0, 3)
-	target := idspace.FromFraction(0.2)
-	dp := paper.D(a, target)
-	db := branch.D(a, target)
-	// Base 4 coverage at level 3 is L/4^3 = L/64, smaller than paper's
-	// L/2^3 = L/8, so the branching distance is LARGER here.
-	if db < dp {
-		t.Fatalf("branching(4) coverage should be narrower than paper at mid level: %v < %v", db, dp)
-	}
-	if got := branch.D(refAt(5, 0), 10); got != 5 {
-		t.Fatalf("branching at level 0 should be Euclidean: %v", got)
-	}
-	// Degenerate branching below 2 is clamped to 2 (same as paper).
-	clamped := BranchingModel{Height: 6, Branching: 0.5}
-	if clamped.D(a, target) != paper.D(a, target) {
-		t.Fatal("branching < 2 should clamp to paper behaviour")
-	}
-}
-
 func TestEuclideanModel(t *testing.T) {
 	m := EuclideanModel{}
 	if m.D(refAt(10, 5), 4) != 6 {
 		t.Fatal("euclidean ignores level")
-	}
-}
-
-func TestModelNames(t *testing.T) {
-	if (PaperModel{}).Name() != "paper" || (BranchingModel{}).Name() != "branching" || (EuclideanModel{}).Name() != "euclidean" {
-		t.Fatal("model names")
 	}
 }

@@ -63,13 +63,11 @@ type Params struct {
 	// switches to plain Euclidean distance (§III.f: "a request that has a
 	// higher TTL means that the network is unstable and/or disrupted").
 	Height uint8
-	// MaxAlternates caps the NGSA fall-back list ("at the expense of
-	// adding data to the request").
-	MaxAlternates int
 }
 
-// DefaultMaxAlternates bounds the NGSA list when Params leaves it zero.
-const DefaultMaxAlternates = 8
+// maxAlternates caps the NGSA fall-back list ("at the expense of adding
+// data to the request").
+const maxAlternates = 8
 
 // HopBudget is the number of forwards a request may take under the
 // hierarchy's own rules: a climb to the root and a descent from it
@@ -133,8 +131,9 @@ func (ex Excluded) has(addr uint64) bool {
 	return false
 }
 
-// Route makes the §III.f forwarding decision for req at the node self with
-// routing table tbl.
+// RouteWith makes the §III.f forwarding decision for req at the node self
+// with routing table tbl, collecting candidates in the caller's scratch so
+// the per-message forwarding path allocates nothing.
 //
 // fromParent reports whether the request arrived from this node's own
 // parent: a parent delegating into its tessellation restricts the child to
@@ -145,13 +144,6 @@ func (ex Excluded) has(addr uint64) bool {
 // sender is the address the request arrived from (0 for locally
 // originated); it is excluded from candidates to avoid immediate
 // bounce-backs.
-func Route(self proto.NodeRef, tbl *rtable.Table, req *proto.LookupRequest, fromParent bool, sender uint64, p Params) Step {
-	var sc Scratch
-	return RouteWith(&sc, self, tbl, req, fromParent, sender, p)
-}
-
-// RouteWith is Route reusing the caller's scratch buffers; it is the
-// allocation-free form used on the per-message forwarding path.
 func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.LookupRequest, fromParent bool, sender uint64, p Params) Step {
 	if req.TTL == 0 {
 		return Step{Action: Drop}
@@ -327,7 +319,7 @@ func routeNG(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []
 	}
 	out := req.Alternates
 	if collectAlternates {
-		out = mergeAlternates(req.Alternates, alternates, maxAlternates(p))
+		out = mergeAlternates(req.Alternates, alternates, maxAlternates)
 	}
 	return Step{Action: Forward, Next: first, Alternates: out}
 }
@@ -544,7 +536,7 @@ func mergeAlternates(old, fresh []proto.NodeRef, max int) []proto.NodeRef {
 	if len(fresh) == 0 {
 		return old
 	}
-	// Linear-scan dedup: the list is capped at max (default 8), so a map
+	// Linear-scan dedup: the list is capped at max (maxAlternates), so a map
 	// here costs two allocations per NGSA hop for no win. The result
 	// still allocates — it escapes into the forwarded request.
 	out := make([]proto.NodeRef, 0, len(old)+len(fresh))
@@ -566,13 +558,6 @@ func mergeAlternates(old, fresh []proto.NodeRef, max int) []proto.NodeRef {
 		out = out[:max]
 	}
 	return out
-}
-
-func maxAlternates(p Params) int {
-	if p.MaxAlternates > 0 {
-		return p.MaxAlternates
-	}
-	return DefaultMaxAlternates
 }
 
 // sortByDistanceTo orders refs by Euclidean distance to x (ties by ID then

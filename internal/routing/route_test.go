@@ -25,6 +25,12 @@ func lookupReq(target idspace.ID, algo proto.Algo) *proto.LookupRequest {
 
 func params() Params { return Params{Model: PaperModel{Height: 6}, Height: 6} }
 
+// Route is RouteWith over a scratch of its own, for one-off decisions.
+func Route(self proto.NodeRef, tbl *rtable.Table, req *proto.LookupRequest, fromParent bool, sender uint64, p Params) Step {
+	var sc Scratch
+	return RouteWith(&sc, self, tbl, req, fromParent, sender, p)
+}
+
 func TestRouteTTLDrop(t *testing.T) {
 	self := refAt(100, 0)
 	req := lookupReq(500, proto.AlgoG)

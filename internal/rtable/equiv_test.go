@@ -256,14 +256,14 @@ func (s *refSet) HasID(x idspace.ID) (proto.NodeRef, bool) {
 const (
 	poolSmall  = iota // 1..24, the simulator's sequential addresses
 	poolLow32         // 24 addresses equal in their low 32 bits (packed IP:port differing in the upper IP bytes)
-	poolTag           // 24 addresses with one hash tag: every probe hit must be confirmed in the slab
+	poolTag           // 24 addresses that differ in all 64 bits (multiples of a large odd constant)
 	poolWide          // 1..96: crosses every growth step up to 97 slots, then frees and reuses
+	poolTail          // 1..200: the linear scan's tail (0.1 % of a settled overlay's sets exceed 24 entries)
 	poolShapes        // number of pools
 )
 
-// fibInverse is the inverse of the probe hash's multiplier modulo 2^64
-// (Newton's iteration doubles the correct bits each round): the addresses
-// fibInverse*(T<<32|k) all hash to tag T.
+// fibInverse is the inverse of the Fibonacci-hash multiplier modulo 2^64
+// (Newton's iteration doubles the correct bits each round).
 var fibInverse = func() uint64 {
 	const a = 0x9E3779B97F4A7C15
 	x := uint64(a) // correct to 3 bits for any odd a
@@ -284,6 +284,8 @@ func poolAddr(pool uint8, i uint64) (slot, addr uint64) {
 		return slot, fibInverse * (0xBEEF<<32 | slot)
 	case poolWide:
 		slot = 1 + i%96
+	case poolTail:
+		slot = 1 + i%200
 	}
 	return slot, slot
 }
@@ -338,7 +340,7 @@ func equivOps(t *testing.T, ops []byte, pool uint8) {
 				t.Fatalf("op %d: Remove(%d) slab=%v ref=%v", i, addr, got, want)
 			}
 		case 4:
-			a := slab.Sweep(now, ttl)
+			a := slab.sweepInto(nil, now, ttl)
 			b := ref.Sweep(now, ttl)
 			if fmt.Sprint(a) != fmt.Sprint(b) {
 				t.Fatalf("op %d: Sweep diverged:\nslab %v\nref  %v", i, a, b)
@@ -357,6 +359,24 @@ func equivOps(t *testing.T, ops []byte, pool uint8) {
 	// Final full sweep over every view.
 	for sel := 0; sel < 8; sel++ {
 		checkEquiv(t, -1, slab, ref, now, ttl, idspace.ID(0x4000000000000000), sel)
+	}
+	checkMirror(t, slab)
+}
+
+// checkMirror fails unless the address mirror and the slab agree entry for
+// entry and the slab is in strict (ID, Addr) order.
+func checkMirror(t *testing.T, s *Set) {
+	t.Helper()
+	if len(s.addrs) != len(s.slab) {
+		t.Fatalf("mirror holds %d addresses, slab %d entries", len(s.addrs), len(s.slab))
+	}
+	for i := range s.slab {
+		if s.addrs[i] != s.slab[i].Ref.Addr {
+			t.Fatalf("entry %d: mirror %#x, slab %#x", i, s.addrs[i], s.slab[i].Ref.Addr)
+		}
+		if i > 0 && !refLess(s.slab[i-1].Ref, s.slab[i].Ref) {
+			t.Fatalf("entries %d and %d out of order: %v, %v", i-1, i, s.slab[i-1].Ref, s.slab[i].Ref)
+		}
 	}
 }
 
@@ -386,7 +406,7 @@ func checkEquiv(t *testing.T, op int, slab *Set, ref *refSet, now, ttl time.Dura
 			t.Fatalf("op %d: ChangedSince diverged:\nslab %v\nref  %v", op, da, db)
 		}
 	case 2:
-		fa, fb := slab.FreshRefs(now, ttl), ref.FreshRefs(now, ttl)
+		fa, fb := slab.AppendFreshRefs(nil, now, ttl), ref.FreshRefs(now, ttl)
 		if fmt.Sprint(fa) != fmt.Sprint(fb) {
 			t.Fatalf("op %d: FreshRefs diverged:\nslab %v\nref  %v", op, fa, fb)
 		}
@@ -404,7 +424,7 @@ func checkEquiv(t *testing.T, op int, slab *Set, ref *refSet, now, ttl time.Dura
 		}
 	case 5:
 		for _, left := range []bool{true, false} {
-			ka := slab.NeighborsFreshK(x, now, ttl, 3, left)
+			ka := slab.AppendNeighborsFreshK(nil, x, now, ttl, 3, left)
 			kb := ref.NeighborsFreshK(x, now, ttl, 3, left)
 			if fmt.Sprint(ka) != fmt.Sprint(kb) {
 				t.Fatalf("op %d: NeighborsFreshK(%v,left=%v) diverged:\nslab %v\nref  %v", op, x, left, ka, kb)
@@ -448,29 +468,30 @@ func TestSetEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// growFreeReuseOps is a scripted sequence for poolWide: fill the set past
-// several growth steps, remove most of it, refill through the free chain
-// and beyond into the next steps, let everything expire in one sweep, and
-// fill again — with a query after every operation.
-func growFreeReuseOps() []byte {
+// growFreeReuseOps is a scripted sequence over the first n slots of a pool
+// (96 for poolWide): fill the set past several growth steps, remove most of
+// it, refill through the free chain and beyond into the next steps, let
+// everything expire in one sweep, and fill again — with a query after every
+// operation.
+func growFreeReuseOps(n int) []byte {
 	var ops []byte
 	op := func(code byte, slot int, dt byte, param byte) {
 		// The second address byte also steers ID moves (multiples of 16).
 		ops = append(ops, code, byte(slot>>8), byte(slot), dt, param)
 	}
-	for slot := 0; slot < 45; slot++ {
+	for slot := 0; slot < 45*n/96; slot++ {
 		op(0, slot, 0, byte(slot))
 	}
-	for slot := 5; slot < 40; slot++ {
+	for slot := 5; slot < 40*n/96; slot++ {
 		op(3, slot, 0, byte(slot))
 	}
-	for slot := 50; slot < 96; slot++ {
+	for slot := 50 * n / 96; slot < n; slot++ {
 		op(1, slot, 0, byte(slot))
 	}
 	op(4, 0, 49, 0)
 	op(4, 0, 49, 1)
 	op(4, 0, 49, 2) // 147 ms on: everything has expired
-	for slot := 95; slot >= 0; slot-- {
+	for slot := n - 1; slot >= 0; slot-- {
 		op(0, slot, 0, byte(slot))
 	}
 	op(5, 0, 0, 0)
@@ -478,17 +499,21 @@ func growFreeReuseOps() []byte {
 }
 
 // TestSetEquivalenceScripted runs the scripted growth sequence over every
-// pool, and the committed fuzz seeds' shapes with them.
+// pool, and over 64 and 200 slots of poolTail: sets the address scan was
+// not sized for must still answer as the oracle does.
 func TestSetEquivalenceScripted(t *testing.T) {
 	for pool := uint8(0); pool < poolShapes; pool++ {
-		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) { equivOps(t, growFreeReuseOps(), pool) })
+		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) { equivOps(t, growFreeReuseOps(96), pool) })
+	}
+	for _, n := range []int{64, 200} {
+		t.Run(fmt.Sprintf("tail%d", n), func(t *testing.T) { equivOps(t, growFreeReuseOps(n), poolTail) })
 	}
 }
 
-// TestSetGrowthPolicy pins how storage follows contents: slab, order and
-// sorted step together by a quarter (at least two) from empty, the probe
-// table stays under 3/4 full from eight slots, freed slots are reused
-// before anything grows, and MemBytes is exactly capacity × element size.
+// TestSetGrowthPolicy pins how storage follows contents: slab, address
+// mirror and sorted step together by a quarter (at least two) from empty,
+// removal keeps the capacity for the next insert, and MemBytes is exactly
+// capacity × element size.
 func TestSetGrowthPolicy(t *testing.T) {
 	s := NewSet()
 	if m := s.MemBytes(); m.Slabs+m.Index+m.Views != 0 {
@@ -501,19 +526,19 @@ func TestSetGrowthPolicy(t *testing.T) {
 		if len(caps) == 0 || caps[len(caps)-1] != cap(s.slab) {
 			caps = append(caps, cap(s.slab))
 		}
-		if cap(s.order) != cap(s.slab) || cap(s.sorted) != cap(s.slab) {
-			t.Fatalf("at %d entries slab/order/sorted caps are %d/%d/%d, want equal", i, cap(s.slab), cap(s.order), cap(s.sorted))
+		if cap(s.sorted) != cap(s.slab) || cap(s.addrs) != cap(s.slab) {
+			t.Fatalf("at %d entries slab/sorted/addrs caps are %d/%d/%d, want equal", i, cap(s.slab), cap(s.sorted), cap(s.addrs))
 		}
-		if 4*i > 3*len(s.idx) || (i > 6 && 8*i <= 3*len(s.idx)) {
-			t.Fatalf("at %d entries the probe table has %d slots", i, len(s.idx))
+		if m := s.MemBytes(); m.Index != cap(s.slab)*8 {
+			t.Fatalf("at %d entries the address mirror counts %d B against %d slab slots", i, m.Index, cap(s.slab))
 		}
 	}
 	if got, want := fmt.Sprint(caps), "[2 4 6 8 10 12 15 18 22 27 33 41 51 63]"; got != want {
 		t.Fatalf("growth steps %s, want %s", got, want)
 	}
 	m := s.MemBytes()
-	if m.Slabs != 63*48 || m.Index != 128*8 || m.Views != 63*4+63*24 {
-		t.Fatalf("MemBytes %+v does not match 63 slots, 128 probe slots", m)
+	if m.Slabs != 63*48 || m.Index != 63*8 || m.Views != 63*24 {
+		t.Fatalf("MemBytes %+v does not match 63 slots", m)
 	}
 	for i := 1; i <= 40; i++ {
 		s.Remove(uint64(i))
@@ -521,8 +546,8 @@ func TestSetGrowthPolicy(t *testing.T) {
 	for i := 101; i <= 140; i++ {
 		s.Upsert(proto.NodeRef{ID: idspace.ID(i) << 40, Addr: uint64(i)}, 0, 0, 1, Direct)
 	}
-	if len(s.slab) != 60 || cap(s.slab) != 63 || s.free != 0 {
-		t.Fatalf("40 removals and 40 inserts left slab len %d cap %d free %d, want 60/63/0", len(s.slab), cap(s.slab), s.free)
+	if len(s.slab) != 60 || cap(s.slab) != 63 || cap(s.addrs) != 63 {
+		t.Fatalf("40 removals and 40 inserts left slab len %d cap %d, mirror cap %d, want 60/63/63", len(s.slab), cap(s.slab), cap(s.addrs))
 	}
 }
 
@@ -535,6 +560,8 @@ func FuzzSetEquivalence(f *testing.F) {
 		rng.Read(ops)
 		f.Add(ops, uint8(i))
 	}
+	f.Add(growFreeReuseOps(64), uint8(poolTail))
+	f.Add(growFreeReuseOps(200), uint8(poolTail))
 	f.Fuzz(func(t *testing.T, ops []byte, pool uint8) {
 		if len(ops) < 5 {
 			return
@@ -570,8 +597,9 @@ func TestSetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSetSlotReuse verifies expired slots are recycled rather than growing
-// the slab: a churn loop (insert + expire) must keep slab capacity bounded.
+// TestSetSlotReuse verifies expired entries give their room back rather
+// than growing the slab: a churn loop (insert + expire) must keep slab
+// capacity bounded.
 func TestSetSlotReuse(t *testing.T) {
 	s := NewSet()
 	const ttl = 10 * time.Millisecond
@@ -581,9 +609,9 @@ func TestSetSlotReuse(t *testing.T) {
 		addr := uint64(1 + round%7)
 		s.Upsert(proto.NodeRef{ID: idspace.ID(round) << 32, Addr: addr}, proto.FNeighbor, now, uint32(round), Direct)
 		now += time.Minute
-		s.Sweep(now, ttl)
+		s.sweepInto(nil, now, ttl)
 	}
 	if cap(s.slab) > 16 {
-		t.Fatalf("slab grew to %d slots under churn; free-list reuse broken", cap(s.slab))
+		t.Fatalf("slab grew to %d entries under churn; removal does not give room back", cap(s.slab))
 	}
 }

@@ -22,6 +22,7 @@
 package rtable
 
 import (
+	"slices"
 	"sort"
 	"time"
 	"unsafe"
@@ -59,44 +60,36 @@ func (e *Entry) DirectFresh(now, ttl time.Duration) bool {
 	return now-e.LastDirect <= ttl
 }
 
-// Set is a collection of entries keyed by transport address, with an
-// ID-sorted view for neighbour queries. The zero value is not usable; use
+// Set is a collection of entries keyed by transport address and kept in
+// (ID, Addr) order for neighbour queries. The zero value is not usable; use
 // NewSet.
 //
 // Storage layout (the protocol hot path runs through these sets several
 // times per message, so the representation is chosen for cache locality
 // over pointer convenience):
 //
-//   - slab: a contiguous []Entry. Slots freed by Remove/Sweep are chained
-//     through their Version field (free is the head) and reused by the next
-//     insert, last freed first, so steady-state churn allocates nothing.
-//   - idx: a small open-addressed (linear probing, backward-shift
-//     deletion) hash table mapping address → slab slot, eight bytes a
-//     slot: the upper half of the address hash and the slot. A probe
-//     compares hashes and confirms the full address in the slab on a
-//     match, so a miss never leaves the probe table's cache line.
-//   - order: the live slots in (ID, Addr) order, maintained incrementally
-//     on insert/remove/ID-change (an O(n) memmove on sets §III.e bounds
-//     to a handful of entries — never a full re-sort).
+//   - slab: the entries, contiguous and in (ID, Addr) order. An insert,
+//     removal or ID change shifts the tail by memmove, never a re-sort: of
+//     the 11 058 sets of a settled 2000-peer overlay the median holds 4
+//     entries, 99.1 % at most 16 and the largest 44 (DESIGN.md §16).
+//   - addrs: the slab's addresses, one word an entry. Finding an address
+//     is a linear scan of it, one or two cache lines for those sizes.
+//   - sorted: the cached refs view (see Refs).
 //
 // Most sets are a few entries long and a population holds several per
-// peer, so slab, order and sorted grow together by a quarter (at least two
-// slots) from empty: exact fit would allocate on every insert, doubling
-// left half of every array unused (DESIGN.md §16).
+// peer, so slab, addrs and sorted grow together by a quarter (at least two
+// entries) from empty: exact fit would allocate on every insert, doubling
+// left half of every array unused (DESIGN.md §16). Removal keeps the
+// capacity, so steady-state churn allocates nothing.
 //
 // Pointers returned by Get/Upsert point into the slab and are valid only
 // until the next mutating call on the set.
 type Set struct {
 	slab  []Entry
-	order []int32
-	// idx[i].ref == 0 means empty, otherwise the slab slot is idx[i].ref-1.
-	// len(idx) is a power of two (this probe is the hottest operation on
-	// the protocol path — six structures are touched per inbound message).
-	idx []setSlot
-	// sorted caches the ID-ordered refs; rebuilt lazily (a straight copy
-	// through order, no sorting) after a membership or ID change.
+	addrs []uint64 // addrs[i] == slab[i].Ref.Addr
+	// sorted caches the ID-ordered refs; rebuilt lazily (a straight copy of
+	// the slab's refs) after a membership or ID change.
 	sorted []proto.NodeRef
-	free   int32 // head of the free-slot chain as slot+1; 0: none
 	dirty  bool
 }
 
@@ -104,11 +97,11 @@ type Set struct {
 func NewSet() *Set { return &Set{} }
 
 // Len returns the number of entries.
-func (s *Set) Len() int { return len(s.order) }
+func (s *Set) Len() int { return len(s.slab) }
 
-// Mem is heap held, in bytes, by kind of storage: entry slabs, probe
-// tables, the order and sorted views, and fixed-size structs. Backing
-// arrays count at capacity × element size, before size-class rounding.
+// Mem is heap held, in bytes, by kind of storage: entry slabs, address
+// mirrors, the sorted views, and fixed-size structs. Backing arrays count
+// at capacity × element size, before size-class rounding.
 type Mem struct{ Slabs, Index, Views, Fixed int }
 
 // Add accumulates o into m.
@@ -118,8 +111,8 @@ func (m *Mem) Add(o Mem) {
 
 // MemBytes reports the heap the set holds.
 func (s *Set) MemBytes() Mem {
-	return Mem{cap(s.slab) * int(unsafe.Sizeof(Entry{})), cap(s.idx) * int(unsafe.Sizeof(setSlot{})),
-		cap(s.order)*4 + cap(s.sorted)*int(unsafe.Sizeof(proto.NodeRef{})), int(unsafe.Sizeof(*s))}
+	return Mem{cap(s.slab) * int(unsafe.Sizeof(Entry{})), cap(s.addrs) * 8,
+		cap(s.sorted) * int(unsafe.Sizeof(proto.NodeRef{})), int(unsafe.Sizeof(*s))}
 }
 
 // MapBytes estimates the heap behind a built-in map of n entries of slot
@@ -128,100 +121,21 @@ func (s *Set) MemBytes() Mem {
 // so for one that has been larger it is a floor.
 func MapBytes(n, slot int) int { return 48 + (n+6)/7*8*(slot+1) }
 
-// setSlot is one probe-table slot: the address's hash tag and its slab
-// index + 1 (0 marks an empty slot, so any tag — including 0 — is valid).
-type setSlot struct {
-	tag uint32
-	ref int32
-}
-
-// hashTag spreads an address over 32 bits (Fibonacci hashing: the upper
-// half of the product depends on every address bit). Its low bits are the
-// preferred probe slot.
-func hashTag(addr uint64) uint32 { return uint32(addr * 0x9E3779B97F4A7C15 >> 32) }
-
-// lookup returns the probe position and slab slot for addr, or ok=false
-// (with the position of the first empty probe slot) when absent.
-func (s *Set) lookup(addr uint64) (pos uint32, slot int32, ok bool) {
-	if len(s.idx) == 0 {
-		return 0, 0, false
-	}
-	mask := uint32(len(s.idx) - 1)
-	tag := hashTag(addr)
-	for pos = tag & mask; ; pos = (pos + 1) & mask {
-		sl := s.idx[pos]
-		if sl.ref == 0 {
-			return pos, 0, false
-		}
-		if sl.tag == tag && s.slab[sl.ref-1].Ref.Addr == addr {
-			return pos, sl.ref - 1, true
+// lookup returns the position of addr's entry in the slab.
+func (s *Set) lookup(addr uint64) (int, bool) {
+	for i, a := range s.addrs {
+		if a == addr {
+			return i, true
 		}
 	}
-}
-
-// idxInsert adds addr→slot to the probe table, growing it as needed. addr
-// must not be present.
-func (s *Set) idxInsert(addr uint64, slot int32) {
-	if 4*(len(s.order)+1) > 3*len(s.idx) {
-		s.idxGrow()
-	}
-	pos, _, _ := s.lookup(addr)
-	s.idx[pos] = setSlot{tag: hashTag(addr), ref: slot + 1}
-}
-
-// idxGrow rebuilds the probe table at double capacity; the tags carry
-// every slot's home, so the slab is not read.
-func (s *Set) idxGrow() {
-	old := s.idx
-	s.idx = make([]setSlot, max(8, 2*len(old)))
-	mask := uint32(len(s.idx) - 1)
-	for _, sl := range old {
-		if sl.ref == 0 {
-			continue
-		}
-		pos := sl.tag & mask
-		for s.idx[pos].ref != 0 {
-			pos = (pos + 1) & mask
-		}
-		s.idx[pos] = sl
-	}
-}
-
-// idxDelete removes the probe entry at pos, backward-shifting the cluster
-// so linear probing needs no tombstones.
-func (s *Set) idxDelete(pos uint32) {
-	mask := uint32(len(s.idx) - 1)
-	i := pos
-	for {
-		s.idx[i].ref = 0
-		j := i
-		for {
-			j = (j + 1) & mask
-			if s.idx[j].ref == 0 {
-				return
-			}
-			home := s.idx[j].tag & mask
-			// Move j back to i unless j's home lies cyclically in (i, j]
-			// — then j is already as close to home as it can get.
-			if i <= j {
-				if i < home && home <= j {
-					continue
-				}
-			} else if i < home || home <= j {
-				continue
-			}
-			s.idx[i] = s.idx[j]
-			i = j
-			break
-		}
-	}
+	return 0, false
 }
 
 // Get returns the entry for addr, or nil. The pointer is valid until the
 // next mutating call on the set.
 func (s *Set) Get(addr uint64) *Entry {
-	if _, slot, ok := s.lookup(addr); ok {
-		return &s.slab[slot]
+	if i, ok := s.lookup(addr); ok {
+		return &s.slab[i]
 	}
 	return nil
 }
@@ -231,50 +145,26 @@ func refLess(a, b proto.NodeRef) bool {
 	return a.ID < b.ID || (a.ID == b.ID && a.Addr < b.Addr)
 }
 
-// orderPos returns the position in order where ref belongs (the first
-// live entry not ordered before ref).
-func (s *Set) orderPos(ref proto.NodeRef) int {
-	return sort.Search(len(s.order), func(i int) bool {
-		return !refLess(s.slab[s.order[i]].Ref, ref)
-	})
-}
-
-// orderInsert places slot into the ordered view.
-func (s *Set) orderInsert(slot int32) {
-	pos := s.orderPos(s.slab[slot].Ref)
-	s.order = append(s.order, 0) // newSlot keeps cap(order) == cap(slab)
-	copy(s.order[pos+1:], s.order[pos:])
-	s.order[pos] = slot
-}
-
-// orderRemove drops the entry holding ref from the ordered view.
-func (s *Set) orderRemove(ref proto.NodeRef) {
-	pos := s.orderPos(ref)
-	// Duplicate (ID, Addr) pairs cannot exist (Addr is the key), so pos
-	// names the slot exactly.
-	s.order = append(s.order[:pos], s.order[pos+1:]...)
-}
-
-// newSlot takes a slab slot from the free chain or extends the slab,
-// growing slab and order together when full.
-func (s *Set) newSlot() int32 {
-	if slot := s.free - 1; slot >= 0 {
-		s.free = int32(s.slab[slot].Version)
-		return slot
-	}
+// insert places e at its (ID, Addr) position, growing slab and addrs
+// together when full. e.Ref.Addr must not be present.
+func (s *Set) insert(e Entry) *Entry {
 	if c := cap(s.slab); len(s.slab) == c {
 		c += max(2, c/4)
 		s.slab = append(make([]Entry, 0, c), s.slab...)
-		s.order = append(make([]int32, 0, c), s.order...)
+		s.addrs = append(make([]uint64, 0, c), s.addrs...)
 	}
-	s.slab = append(s.slab, Entry{})
-	return int32(len(s.slab) - 1)
+	i := sort.Search(len(s.slab), func(i int) bool { return !refLess(s.slab[i].Ref, e.Ref) })
+	s.slab = slices.Insert(s.slab, i, e)
+	s.addrs = slices.Insert(s.addrs, i, e.Ref.Addr)
+	s.dirty = true
+	return &s.slab[i]
 }
 
-// freeSlot puts a slot no view refers to any more on the free chain.
-func (s *Set) freeSlot(slot int32) {
-	s.slab[slot].Version = uint32(s.free)
-	s.free = slot + 1
+// remove drops the entry at position i.
+func (s *Set) remove(i int) {
+	s.slab = slices.Delete(s.slab, i, i+1)
+	s.addrs = slices.Delete(s.addrs, i, i+1)
+	s.dirty = true
 }
 
 // UpsertMode grades how trustworthy an update's source is. The grades
@@ -311,30 +201,25 @@ const (
 //
 // The returned pointer is valid until the next mutating call on the set.
 func (s *Set) Upsert(ref proto.NodeRef, flags proto.EntryFlag, validated time.Duration, version uint32, mode UpsertMode) *Entry {
-	_, slot, ok := s.lookup(ref.Addr)
+	i, ok := s.lookup(ref.Addr)
 	if !ok {
-		slot = s.newSlot()
-		e := &s.slab[slot]
-		*e = Entry{Ref: ref, Flags: flags, LastSeen: validated, Version: version, LastDirect: neverDirect}
+		e := Entry{Ref: ref, Flags: flags, LastSeen: validated, Version: version, LastDirect: neverDirect}
 		if mode == Direct {
 			e.LastDirect = validated
 		}
-		s.idxInsert(ref.Addr, slot)
-		s.orderInsert(slot)
-		s.dirty = true
-		return e
+		return s.insert(e)
 	}
-	e := &s.slab[slot]
+	e := &s.slab[i]
 	applyContent := e.Ref != ref
 	if mode == Hearsay && ref.MaxLevel < e.Ref.MaxLevel {
 		applyContent = false
 	}
 	if applyContent {
 		if e.Ref.ID != ref.ID {
-			s.orderRemove(e.Ref)
-			e.Ref = ref
-			s.orderInsert(slot)
-			s.dirty = true
+			moved := *e
+			s.remove(i)
+			moved.Ref = ref
+			e = s.insert(moved)
 		} else {
 			e.Ref = ref
 		}
@@ -363,8 +248,8 @@ func (s *Set) Upsert(ref proto.NodeRef, flags proto.EntryFlag, validated time.Du
 // Touch records an active communication with addr, refreshing both
 // timestamps. It reports whether the entry exists.
 func (s *Set) Touch(addr uint64, now time.Duration) bool {
-	if _, slot, ok := s.lookup(addr); ok {
-		e := &s.slab[slot]
+	if i, ok := s.lookup(addr); ok {
+		e := &s.slab[i]
 		e.LastSeen = now
 		e.LastDirect = now
 		return true
@@ -374,44 +259,30 @@ func (s *Set) Touch(addr uint64, now time.Duration) bool {
 
 // Remove deletes the entry for addr, reporting whether it existed.
 func (s *Set) Remove(addr uint64) bool {
-	pos, slot, ok := s.lookup(addr)
-	if !ok {
-		return false
+	i, ok := s.lookup(addr)
+	if ok {
+		s.remove(i)
 	}
-	s.orderRemove(s.slab[slot].Ref)
-	s.idxDelete(pos)
-	s.freeSlot(slot)
-	s.dirty = true
-	return true
+	return ok
 }
 
-// Sweep removes entries whose LastSeen is older than now-ttl and returns
-// the removed refs in (ID, Addr) order (callers react to losses, e.g. a
-// vanished parent). The returned slice is freshly allocated; Table.Sweep
-// uses the scratch-buffered sweepInto instead.
-func (s *Set) Sweep(now, ttl time.Duration) []proto.NodeRef {
-	return s.sweepInto(nil, now, ttl)
-}
-
-// sweepInto is Sweep appending into out (Table.Sweep reuses one scratch
-// buffer per structure across sweep ticks).
+// sweepInto removes entries whose LastSeen is older than now-ttl and
+// appends the removed refs to out in (ID, Addr) order (callers react to
+// losses, e.g. a vanished parent; Table.Sweep passes its scratch buffer).
 func (s *Set) sweepInto(out []proto.NodeRef, now, ttl time.Duration) []proto.NodeRef {
 	w := 0
-	for _, slot := range s.order {
-		e := &s.slab[slot]
-		if now-e.LastSeen > ttl {
+	for i := range s.slab {
+		if e := &s.slab[i]; now-e.LastSeen > ttl {
 			out = append(out, e.Ref)
-			if pos, _, ok := s.lookup(e.Ref.Addr); ok {
-				s.idxDelete(pos)
-			}
-			s.freeSlot(slot)
 			continue
 		}
-		s.order[w] = slot
+		if w != i {
+			s.slab[w], s.addrs[w] = s.slab[i], s.addrs[i]
+		}
 		w++
 	}
-	if w != len(s.order) {
-		s.order = s.order[:w]
+	if w != len(s.slab) {
+		s.slab, s.addrs = s.slab[:w], s.addrs[:w]
 		s.dirty = true
 	}
 	return out
@@ -421,12 +292,12 @@ func (s *Set) sweepInto(out []proto.NodeRef, now, ttl time.Duration) []proto.Nod
 // set's cache: callers must not mutate it.
 func (s *Set) Refs() []proto.NodeRef {
 	if s.dirty || s.sorted == nil {
-		if cap(s.sorted) < len(s.order) {
-			s.sorted = make([]proto.NodeRef, 0, cap(s.order))
+		if cap(s.sorted) < len(s.slab) {
+			s.sorted = make([]proto.NodeRef, 0, cap(s.slab))
 		}
 		s.sorted = s.sorted[:0]
-		for _, slot := range s.order {
-			s.sorted = append(s.sorted, s.slab[slot].Ref)
+		for i := range s.slab {
+			s.sorted = append(s.sorted, s.slab[i].Ref)
 		}
 		s.dirty = false
 	}
@@ -437,8 +308,8 @@ func (s *Set) Refs() []proto.NodeRef {
 // duration of the callback; fn must not mutate the set.
 func (s *Set) Each(fn func(*Entry)) {
 	s.Refs() // keep the cache-refresh side effect of the refs-driven walk
-	for _, slot := range s.order {
-		fn(&s.slab[slot])
+	for i := range s.slab {
+		fn(&s.slab[i])
 	}
 }
 
@@ -482,10 +353,10 @@ func (s *Set) Neighbors(x idspace.ID) (left, right proto.NodeRef) {
 	return left, right
 }
 
-// entryAt returns the live entry at ordered position i. Callers must have
+// entryAt returns the entry at position i of Refs(). Callers must have
 // materialised refs via Refs() in the same unmutated state, so positions
-// align between the refs cache and the order view.
-func (s *Set) entryAt(i int) *Entry { return &s.slab[s.order[i]] }
+// align between the refs cache and the slab.
+func (s *Set) entryAt(i int) *Entry { return &s.slab[i] }
 
 // NeighborsFresh returns the direct-fresh refs immediately left and right
 // of x: the neighbours this node may legitimately vouch for to others.
@@ -512,14 +383,8 @@ func (s *Set) NeighborsFresh(x idspace.ID, now, ttl time.Duration) (left, right 
 	return left, right
 }
 
-// NeighborsFreshK returns up to k direct-fresh refs on one side of x
-// (left = below x), nearest first.
-func (s *Set) NeighborsFreshK(x idspace.ID, now, ttl time.Duration, k int, leftSide bool) []proto.NodeRef {
-	return s.AppendNeighborsFreshK(nil, x, now, ttl, k, leftSide)
-}
-
-// AppendNeighborsFreshK is NeighborsFreshK appending into out, for callers
-// that reuse a scratch buffer on the per-keep-alive hot path.
+// AppendNeighborsFreshK appends to out up to k direct-fresh refs on one
+// side of x (left = below x), nearest first.
 func (s *Set) AppendNeighborsFreshK(out []proto.NodeRef, x idspace.ID, now, ttl time.Duration, k int, leftSide bool) []proto.NodeRef {
 	refs := s.Refs()
 	i := s.searchID(refs, x)
@@ -573,13 +438,8 @@ func (s *Set) SideRank(x, id idspace.ID) int {
 	return rank
 }
 
-// FreshRefs returns the refs of entries heard from directly within ttl.
-func (s *Set) FreshRefs(now, ttl time.Duration) []proto.NodeRef {
-	return s.AppendFreshRefs(nil, now, ttl)
-}
-
-// AppendFreshRefs is FreshRefs appending into out (scratch-buffer form).
-// Like every refs-returning query it hands out the cached view (which may
+// AppendFreshRefs appends to out the refs of entries heard from directly
+// within ttl. Like every refs-returning query it hands out the cached view (which may
 // lag content-only updates until the next membership change), not the live
 // entry refs — callers advertise from the same snapshot Refs() shows.
 func (s *Set) AppendFreshRefs(out []proto.NodeRef, now, ttl time.Duration) []proto.NodeRef {
@@ -612,8 +472,8 @@ func (s *Set) ChangedSince(since uint32, level uint8, now time.Duration, out []p
 	// Refs() here) is what bounds how long content-only updates stay
 	// invisible to the positional queries.
 	s.Refs()
-	for _, slot := range s.order {
-		e := &s.slab[slot]
+	for i := range s.slab {
+		e := &s.slab[i]
 		if e.Version > since {
 			out = append(out, proto.Entry{
 				Ref: e.Ref, Level: level, Flags: e.Flags, Version: e.Version,

@@ -86,7 +86,7 @@ func TestSweep(t *testing.T) {
 	s.Upsert(ref(10, 1), 0, 0, 1, Direct)
 	s.Upsert(ref(20, 2), 0, 5*time.Second, 2, Direct)
 	s.Upsert(ref(30, 3), 0, 10*time.Second, 3, Direct)
-	removed := s.Sweep(6*time.Second, 5*time.Second)
+	removed := s.sweepInto(nil, 6*time.Second, 5*time.Second)
 	if len(removed) != 1 || removed[0].ID != 10 {
 		t.Fatalf("sweep removed %v", removed)
 	}
@@ -94,7 +94,7 @@ func TestSweep(t *testing.T) {
 		t.Fatalf("len after sweep %d", s.Len())
 	}
 	// Entries at exactly ttl age survive (strict >): ages are 5s and 0s.
-	removed = s.Sweep(10*time.Second, 5*time.Second)
+	removed = s.sweepInto(nil, 10*time.Second, 5*time.Second)
 	if len(removed) != 0 {
 		t.Fatalf("boundary sweep removed %v", removed)
 	}
@@ -106,7 +106,7 @@ func TestSweepDeterministicOrder(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.Upsert(ref(idspace.ID(rng.Uint64()), uint64(i+1)), 0, 0, 1, Direct)
 	}
-	removed := s.Sweep(time.Hour, time.Second)
+	removed := s.sweepInto(nil, time.Hour, time.Second)
 	for i := 1; i < len(removed); i++ {
 		if removed[i-1].ID > removed[i].ID {
 			t.Fatal("sweep result not ID-sorted")
@@ -212,4 +212,58 @@ func TestEachOrder(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 10 || ids[1] != 30 {
 		t.Fatalf("each order %v", ids)
 	}
+}
+
+// TestMirrorFollowsChurn churns one set through Remove, the expiry sweep,
+// re-insertion and ID moves, checking after every step that the address
+// mirror names the slab's entries in their order and that a lookup finds
+// what was just stored.
+func TestMirrorFollowsChurn(t *testing.T) {
+	s := NewSet()
+	rng := rand.New(rand.NewSource(5))
+	now := time.Duration(0)
+	for step := 0; step < 2000; step++ {
+		now += time.Millisecond
+		addr := uint64(rng.Intn(41)) // 0 is a key like any other
+		switch rng.Intn(5) {
+		case 0:
+			s.Remove(addr)
+			if s.Get(addr) != nil || s.Touch(addr, now) {
+				t.Fatalf("step %d: %d found after Remove", step, addr)
+			}
+		case 1:
+			s.sweepInto(nil, now, 25*time.Millisecond)
+		default:
+			s.Upsert(ref(idspace.ID(rng.Uint64()), addr), 0, now, uint32(step), Direct)
+			if e := s.Get(addr); e == nil || e.Ref.Addr != addr {
+				t.Fatalf("step %d: Get(%d) after Upsert returned %+v", step, addr, e)
+			}
+		}
+		checkMirror(t, s)
+	}
+	if cap(s.slab) > 41 {
+		t.Fatalf("slab grew to %d entries for 41 addresses", cap(s.slab))
+	}
+}
+
+// TestZeroAddressIsAnOrdinaryKey: the mirror holds live entries only, so no
+// value of it stands for "free". Address 0 misses until it is stored, and
+// storing it touches no other entry.
+func TestZeroAddressIsAnOrdinaryKey(t *testing.T) {
+	s := NewSet()
+	for i := uint64(1); i <= 4; i++ {
+		s.Upsert(ref(idspace.ID(10*i), i), 0, 0, 1, Direct)
+	}
+	s.Remove(2)
+	s.Remove(3)
+	if s.Get(0) != nil || s.Touch(0, time.Second) || s.Remove(0) {
+		t.Fatal("address 0 matched an entry of a set that never stored it")
+	}
+	if e := s.Upsert(proto.NodeRef{ID: 25}, proto.FNeighbor, time.Second, 2, Direct); e == nil || s.Len() != 3 || s.Get(0) != e {
+		t.Fatalf("Upsert of the zero ref: entry %+v, Len %d", e, s.Len())
+	}
+	if s.Get(1).Ref.ID != 10 || s.Get(4).Ref.ID != 40 || !s.Remove(0) || s.Len() != 2 {
+		t.Fatal("storing and removing address 0 disturbed the other entries")
+	}
+	checkMirror(t, s)
 }

@@ -18,7 +18,9 @@ type Table struct {
 	// Bus holds, per level i > 0, the node's same-level view: direct bus
 	// neighbours, indirect neighbours (neighbours-of-neighbours), and
 	// level-0 contacts known to be members of level i (§III.c table 2).
-	Bus map[uint8]*Set
+	// Indexed by level, nil where the node holds no view (slot 0 always);
+	// read one level through BusAt, which takes any level.
+	Bus []*Set
 	// Children holds the node's own children (§III.c table 3, first part).
 	Children *Set
 	// NbrChildren holds children of direct bus neighbours (table 3, second
@@ -32,17 +34,12 @@ type Table struct {
 	// parent is the immediate parent of the node's top level (table 4).
 	// Tracked outside the sets because it is a single slot with dedicated
 	// loss semantics.
-	parent    *Entry
+	parent    Entry
 	hasParent bool
 
 	// version is the monotone stamp for delta sync; bumped on every
 	// data-changing mutation.
 	version uint32
-
-	// levels caches the ascending occupied bus levels (rebuilt lazily; the
-	// delta composition walks them once per outgoing keep-alive).
-	levels      []uint8
-	levelsDirty bool
 
 	// sc backs the slices Sweep hands out.
 	sc *Scratch
@@ -64,7 +61,6 @@ func New() *Table { return NewWith(&Scratch{}) }
 func NewWith(sc *Scratch) *Table {
 	return &Table{
 		Level0:      NewSet(),
-		Bus:         map[uint8]*Set{},
 		Children:    NewSet(),
 		NbrChildren: NewSet(),
 		Superiors:   NewSet(),
@@ -81,49 +77,39 @@ func (t *Table) NextVersion() uint32 {
 // Version returns the current version stamp.
 func (t *Table) Version() uint32 { return t.version }
 
+// BusAt returns the set for level i, or nil when the node holds none.
+func (t *Table) BusAt(i uint8) *Set {
+	if int(i) < len(t.Bus) {
+		return t.Bus[i]
+	}
+	return nil
+}
+
 // BusLevel returns the set for level i, creating it when needed.
 func (t *Table) BusLevel(i uint8) *Set {
-	s, ok := t.Bus[i]
-	if !ok {
-		s = NewSet()
-		t.Bus[i] = s
-		t.levelsDirty = true
+	if int(i) >= len(t.Bus) {
+		bus := make([]*Set, int(i)+1)
+		copy(bus, t.Bus)
+		t.Bus = bus
 	}
-	return s
+	if t.Bus[i] == nil {
+		t.Bus[i] = NewSet()
+	}
+	return t.Bus[i]
 }
 
 // DropLevel removes the whole set for a bus level (demotion vacates it).
 func (t *Table) DropLevel(i uint8) {
-	if _, ok := t.Bus[i]; ok {
-		delete(t.Bus, i)
-		t.levelsDirty = true
+	if int(i) < len(t.Bus) {
+		t.Bus[i] = nil
 	}
-}
-
-// busLevels returns the occupied bus levels in ascending order, so that
-// behaviour never depends on map iteration order. The slice is cached and
-// must not be mutated by callers.
-func (t *Table) busLevels() []uint8 {
-	if t.levelsDirty || (t.levels == nil && len(t.Bus) > 0) {
-		t.levels = t.levels[:0]
-		for lvl := range t.Bus {
-			t.levels = append(t.levels, lvl)
-		}
-		for i := 1; i < len(t.levels); i++ {
-			for j := i; j > 0 && t.levels[j-1] > t.levels[j]; j-- {
-				t.levels[j-1], t.levels[j] = t.levels[j], t.levels[j-1]
-			}
-		}
-		t.levelsDirty = false
-	}
-	return t.levels
 }
 
 // SetParent installs or refreshes the parent slot. Adoption counts as
 // direct credit: the relationship is probed immediately by a child report,
 // and expiry reclaims the slot if the parent never answers.
 func (t *Table) SetParent(ref proto.NodeRef, now time.Duration) {
-	t.parent = &Entry{Ref: ref, Flags: proto.FParent, LastSeen: now, LastDirect: now, Version: t.NextVersion()}
+	t.parent = Entry{Ref: ref, Flags: proto.FParent, LastSeen: now, LastDirect: now, Version: t.NextVersion()}
 	t.hasParent = true
 }
 
@@ -136,10 +122,7 @@ func (t *Table) Parent() (proto.NodeRef, bool) {
 }
 
 // ClearParent drops the parent slot.
-func (t *Table) ClearParent() {
-	t.parent = nil
-	t.hasParent = false
-}
+func (t *Table) ClearParent() { t.hasParent = false }
 
 // TouchParent refreshes the parent's timestamps if from matches it.
 func (t *Table) TouchParent(from uint64, now time.Duration) {
@@ -159,8 +142,10 @@ func (t *Table) ParentExpired(now, ttl time.Duration) bool {
 // communication with the corresponding node".
 func (t *Table) Touch(addr uint64, now time.Duration) {
 	t.Level0.Touch(addr, now)
-	for _, lvl := range t.busLevels() { // the cached list: ranging over the map costs more than the probes
-		t.Bus[lvl].Touch(addr, now)
+	for _, s := range t.Bus {
+		if s != nil {
+			s.Touch(addr, now)
+		}
 	}
 	t.Children.Touch(addr, now)
 	t.NbrChildren.Touch(addr, now)
@@ -175,6 +160,9 @@ func (t *Table) Touch(addr uint64, now time.Duration) {
 func (t *Table) LastDirect(addr uint64) (time.Duration, bool) {
 	last := neverDirect
 	see := func(s *Set) {
+		if s == nil {
+			return
+		}
 		if e := s.Get(addr); e != nil && e.LastDirect > last {
 			last = e.LastDirect
 		}
@@ -200,7 +188,7 @@ func (t *Table) RemoveEverywhere(addr uint64) (removed, parentLost bool) {
 		removed = true
 	}
 	for _, s := range t.Bus {
-		if s.Remove(addr) {
+		if s != nil && s.Remove(addr) {
 			removed = true
 		}
 	}
@@ -227,12 +215,11 @@ func (t *Table) RemoveEverywhere(addr uint64) (removed, parentLost bool) {
 // until this, since any direct traffic keeps refreshing its timestamp.)
 func (t *Table) DowngradeLevels(addr uint64, maxLevel uint8) bool {
 	removed := false
-	for lvl, s := range t.Bus {
-		if lvl > maxLevel && s.Remove(addr) {
+	for lvl := int(maxLevel) + 1; lvl < len(t.Bus); lvl++ {
+		if s := t.Bus[lvl]; s != nil && s.Remove(addr) {
 			removed = true
 			if s.Len() == 0 {
-				delete(t.Bus, lvl)
-				t.levelsDirty = true
+				t.Bus[lvl] = nil
 			}
 		}
 	}
@@ -271,15 +258,17 @@ func (t *Table) Sweep(now, ttl time.Duration) SweepResult {
 	refs := t.Level0.sweepInto(t.sc.refs[:0], now, ttl)
 	spans := t.sc.spans[:0]
 	n0 := len(refs)
-	for _, lvl := range t.busLevels() {
-		s, before := t.Bus[lvl], len(refs)
+	for lvl, s := range t.Bus {
+		if s == nil {
+			continue
+		}
+		before := len(refs)
 		refs = s.sweepInto(refs, now, ttl)
 		if len(refs) > before {
-			spans = append(spans, BusSweep{Level: lvl, Refs: refs[before:]})
+			spans = append(spans, BusSweep{Level: uint8(lvl), Refs: refs[before:]})
 		}
 		if s.Len() == 0 {
-			delete(t.Bus, lvl)
-			t.levelsDirty = true
+			t.Bus[lvl] = nil
 		}
 	}
 	nb := len(refs)
@@ -311,8 +300,8 @@ func (t *Table) FindID(x idspace.ID) (proto.NodeRef, bool) {
 	if r, ok := t.Level0.HasID(x); ok {
 		return r, true
 	}
-	for _, lvl := range t.busLevels() {
-		if s := t.Bus[lvl]; s != nil {
+	for _, s := range t.Bus {
+		if s != nil {
 			if r, ok := s.HasID(x); ok {
 				return r, true
 			}
@@ -344,8 +333,8 @@ func (t *Table) Candidates(out []proto.NodeRef) []proto.NodeRef {
 	// closure) keeps the hot path allocation-free.
 	base := len(out)
 	out = appendCandidates(out, base, t.Level0.Refs())
-	for _, lvl := range t.busLevels() {
-		if s := t.Bus[lvl]; s != nil {
+	for _, s := range t.Bus {
+		if s != nil {
 			out = appendCandidates(out, base, s.Refs())
 		}
 	}
@@ -394,8 +383,8 @@ func (t *Table) NearestInRange(lo, hi, toward idspace.ID, exclude uint64) (proto
 		return proto.NodeRef{}, false
 	}
 	sc.refs(t.Level0.Refs())
-	for _, lvl := range t.busLevels() {
-		if s := t.Bus[lvl]; s != nil {
+	for _, s := range t.Bus {
+		if s != nil {
 			sc.refs(s.Refs())
 		}
 	}
@@ -437,15 +426,14 @@ func (sc *nearScan) consider(r proto.NodeRef) {
 
 // MemBytes reports the heap the table holds, the shared Scratch excluded.
 func (t *Table) MemBytes() Mem {
-	m := Mem{Fixed: int(unsafe.Sizeof(*t)) + MapBytes(len(t.Bus), 16) + cap(t.levels)}
-	if t.hasParent {
-		m.Fixed += int(unsafe.Sizeof(*t.parent))
-	}
+	m := Mem{Fixed: int(unsafe.Sizeof(*t)) + cap(t.Bus)*8}
 	for _, s := range [...]*Set{t.Level0, t.Children, t.NbrChildren, t.Superiors} {
 		m.Add(s.MemBytes())
 	}
 	for _, s := range t.Bus {
-		m.Add(s.MemBytes())
+		if s != nil {
+			m.Add(s.MemBytes())
+		}
 	}
 	return m
 }
@@ -455,7 +443,9 @@ func (t *Table) MemBytes() Mem {
 func (t *Table) Size() int {
 	n := t.Level0.Len() + t.Children.Len() + t.NbrChildren.Len() + t.Superiors.Len()
 	for _, s := range t.Bus {
-		n += s.Len()
+		if s != nil {
+			n += s.Len()
+		}
 	}
 	if t.hasParent {
 		n++
@@ -463,20 +453,15 @@ func (t *Table) Size() int {
 	return n
 }
 
-// Delta collects every entry newer than since across all structures, for
-// shipment to a neighbour that last saw version since. Entries carry their
-// age at this node (relative to now) so staleness accumulates across hops.
-func (t *Table) Delta(since uint32, now time.Duration) []proto.Entry {
-	return t.AppendDelta(nil, since, now)
-}
-
-// AppendDelta is Delta appending into out, for callers that reuse a
-// scratch buffer on the per-message hot path.
+// AppendDelta appends to out every entry newer than since across all
+// structures, for shipment to a neighbour that last saw version since.
+// Entries carry their age at this node (relative to now) so staleness
+// accumulates across hops.
 func (t *Table) AppendDelta(out []proto.Entry, since uint32, now time.Duration) []proto.Entry {
 	out = t.Level0.ChangedSince(since, 0, now, out)
-	for _, lvl := range t.busLevels() {
-		if s := t.Bus[lvl]; s != nil {
-			out = s.ChangedSince(since, lvl, now, out)
+	for lvl, s := range t.Bus {
+		if s != nil {
+			out = s.ChangedSince(since, uint8(lvl), now, out)
 		}
 	}
 	out = t.Children.ChangedSince(since, 0, now, out)
@@ -497,7 +482,7 @@ func (t *Table) ParentEntry() (Entry, bool) {
 	if !t.hasParent {
 		return Entry{}, false
 	}
-	return *t.parent, true
+	return t.parent, true
 }
 
 // String renders a compact summary for debugging.
@@ -505,7 +490,9 @@ func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rtable{l0:%d", t.Level0.Len())
 	for lvl, s := range t.Bus {
-		fmt.Fprintf(&b, " l%d:%d", lvl, s.Len())
+		if s != nil {
+			fmt.Fprintf(&b, " l%d:%d", lvl, s.Len())
+		}
 	}
 	fmt.Fprintf(&b, " ch:%d nch:%d sup:%d", t.Children.Len(), t.NbrChildren.Len(), t.Superiors.Len())
 	if t.hasParent {

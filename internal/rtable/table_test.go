@@ -151,8 +151,8 @@ func TestTableSweep(t *testing.T) {
 	if !res.ParentLost || res.Parent.ID != 50 {
 		t.Fatalf("parent sweep %+v", res)
 	}
-	// Emptied bus level is dropped from the map.
-	if _, ok := tb.Bus[1]; ok {
+	// Emptied bus level is dropped.
+	if tb.BusAt(1) != nil {
 		t.Fatal("empty bus level should be pruned")
 	}
 	// A fresh table sweeps empty.
@@ -224,7 +224,7 @@ func TestTableDelta(t *testing.T) {
 	mark := tb.Version()
 	tb.BusLevel(2).Upsert(ref(20, 2), proto.FNeighbor, 0, tb.NextVersion(), Direct) // v2
 	tb.SetParent(ref(60, 6), 0)                                                     // v3
-	delta := tb.Delta(mark, 0)
+	delta := tb.AppendDelta(nil, mark, 0)
 	if len(delta) != 2 {
 		t.Fatalf("delta %v", delta)
 	}
@@ -240,7 +240,7 @@ func TestTableDelta(t *testing.T) {
 	if !seenParent || !seenBus {
 		t.Fatalf("delta contents %+v", delta)
 	}
-	if len(tb.Delta(tb.Version(), 0)) != 0 {
+	if len(tb.AppendDelta(nil, tb.Version(), 0)) != 0 {
 		t.Fatal("delta since current version must be empty")
 	}
 }

@@ -227,7 +227,7 @@ func TessellationCoverage() Checker {
 // rule; self is always a member).
 func memberCell(x *Ctx, n *core.Node, lvl uint8) idspace.Region {
 	ids := append(x.ids[:0], n.ID())
-	if s, ok := n.Table().Bus[lvl]; ok {
+	if s := n.Table().BusAt(lvl); s != nil {
 		for _, r := range s.Refs() {
 			actual := x.C.NodeByAddr(r.Addr)
 			if actual != nil && x.C.Alive(actual) && actual.MaxLevel() >= lvl {

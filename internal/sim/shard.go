@@ -194,12 +194,6 @@ func (s *Sharded) Executed() uint64 {
 // with the global clock short of the target.
 func (s *Sharded) Interrupt() { s.interrupted.Store(true) }
 
-// Interrupted reports whether Interrupt cut the last run short.
-func (s *Sharded) Interrupted() bool { return s.interrupted.Load() }
-
-// ClearInterrupt re-arms the engine after an interrupted run.
-func (s *Sharded) ClearInterrupt() { s.interrupted.Store(false) }
-
 // RunUntil advances every shard to the target time in lockstep epochs.
 // Epoch boundaries land on the λ grid plus the target itself, so two
 // runs that reach the same target through different RunUntil splits

@@ -2,7 +2,6 @@ package simrt
 
 import (
 	"hash/fnv"
-	"sort"
 
 	"treep/internal/rtable"
 )
@@ -41,7 +40,6 @@ func (c *Cluster) StateDigest() uint64 {
 		})
 	}
 
-	levels := make([]int, 0, 8)
 	for addr := 1; addr < len(c.byAddr); addr++ {
 		n := c.byAddr[addr]
 		w(uint64(addr))
@@ -64,14 +62,11 @@ func (c *Cluster) StateDigest() uint64 {
 		wset(t.Children)
 		wset(t.NbrChildren)
 		wset(t.Superiors)
-		levels = levels[:0]
-		for lvl := range t.Bus {
-			levels = append(levels, int(lvl))
-		}
-		sort.Ints(levels)
-		for _, lvl := range levels {
-			w(uint64(lvl))
-			wset(t.Bus[uint8(lvl)])
+		for lvl, s := range t.Bus {
+			if s != nil {
+				w(uint64(lvl))
+				wset(s)
+			}
 		}
 	}
 

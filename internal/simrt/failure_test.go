@@ -135,9 +135,10 @@ func TestMaintenanceTrafficBounded(t *testing.T) {
 	c := New(Options{N: 300, Seed: 25, Bulk: true})
 	c.StartAll()
 	c.Run(10 * time.Second) // warm up past the initial bursts
-	c.Net.ResetStats()
+	warm := c.Net.Stats()
 	c.Run(20 * time.Second)
 	s := c.Net.Stats()
+	s.Sent, s.Bytes = s.Sent-warm.Sent, s.Bytes-warm.Bytes
 	perNodePerSecond := float64(s.Sent) / 300 / 20
 	// Keep-alive interval 2s: L/R pings + pongs + child reports + acks +
 	// bus pings ≈ 10 msgs / 2s. Flag anything wildly above.

@@ -5,7 +5,6 @@
 package simrt
 
 import (
-	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -30,9 +29,6 @@ type Options struct {
 	Config core.Config
 	// Classes is the profile mixture (nodeprof.DefaultClasses when nil).
 	Classes []nodeprof.Class
-	// Assigner produces node IDs (balanced with jitter when nil, which
-	// keeps bulk-built trees near the paper's height law).
-	Assigner idspace.Assigner
 	// NetOpts configures the simulated network (latency, loss, tracing).
 	NetOpts []netsim.Option
 	// Bulk installs the steady-state hierarchy via core.BulkBuild. When
@@ -139,15 +135,13 @@ func New(opts Options) *Cluster {
 	// identically in both modes, so a seed's node IDs, profiles, anchors
 	// and workload are the same population classic or sharded.
 	c.spawnRand = c.Stream(0x7370776e) // "spwn"
-	assigner := opts.Assigner
-	if assigner == nil {
-		assigner = idspace.BalancedAssigner{Rand: c.Stream(0x696473), JitterFrac: 0.8} // "ids"
-	}
+	// Balanced with jitter keeps bulk-built trees near the paper's height law.
+	assigner := idspace.BalancedAssigner{Rand: c.Stream(0x696473), JitterFrac: 0.8} // "ids"
 
 	anchorRand := c.Stream(0x616e6368) // "anch"
 	for i := 0; i < opts.N; i++ {
 		cfg := opts.Config
-		cfg.ID = assigner.Assign(i, opts.N, fmt.Sprintf("10.0.%d.%d:7000", i/256, i%256))
+		cfg.ID = assigner.Assign(i, opts.N)
 		cfg.Profile = gen.Next()
 		// Three random anchors per node (addresses are assigned 1..N in
 		// construction order by netsim).

@@ -290,3 +290,21 @@ func TestNodeByAddr(t *testing.T) {
 		t.Fatal("unknown addr should be nil")
 	}
 }
+
+// TestZeroConfigRunsPiggybackOnly pins a split nobody chose: withDefaults
+// cannot default a bool, so a cluster built without a Config — the gated
+// benchmark's and most tests' — runs ImmediateUpdates off, while
+// core.Defaults(), which treep.go, the kill sweep and the compare harness
+// pass, turns it on. Resolving it either way resamples every trajectory
+// (ROADMAP item 4); until then this test keeps the two arms from drifting
+// unnoticed.
+func TestZeroConfigRunsPiggybackOnly(t *testing.T) {
+	bare := New(Options{N: 4, Seed: 1, Bulk: true})
+	if bare.Nodes[0].Config().ImmediateUpdates {
+		t.Fatal("a cluster built from the zero Config pushes updates immediately: the benchmark's configuration moved")
+	}
+	shipped := New(Options{N: 4, Seed: 1, Bulk: true, Config: core.Defaults()})
+	if !shipped.Nodes[0].Config().ImmediateUpdates {
+		t.Fatal("core.Defaults() no longer pushes updates immediately")
+	}
+}
