@@ -92,16 +92,6 @@ type Node struct {
 
 	nextReq uint64
 	pending map[uint64]*pendingLookup
-
-	// Stats counters.
-	Stats Stats
-}
-
-// Stats counts chord events.
-type Stats struct {
-	LookupsStarted uint64
-	Forwards       uint64
-	StabilizeMsgs  uint64
 }
 
 type pendingLookup struct {
@@ -365,7 +355,6 @@ func (nd *Node) ID() idspace.ID { return nd.id }
 // Lookup resolves successor(target) and calls cb exactly once. The kernel
 // must be advanced by the caller (Cluster.Run).
 func (nd *Node) Lookup(c *Cluster, target idspace.ID, cb func(LookupResult)) {
-	nd.Stats.LookupsStarted++
 	nd.nextReq++
 	req := nd.nextReq
 	pl := &pendingLookup{cb: cb}
@@ -401,7 +390,6 @@ func (nd *Node) route(m *findSuccessor) {
 	fwd := *m
 	fwd.Hops++
 	fwd.TTL--
-	nd.Stats.Forwards++
 	nd.net.Send(nd.addr, next.Addr, &fwd, 64)
 }
 
@@ -456,7 +444,6 @@ func (nd *Node) stabilize(c *Cluster) {
 		c.bootstrapJoin(nd)
 		return
 	}
-	nd.Stats.StabilizeMsgs++
 	nd.net.Send(nd.addr, succ.Addr, &getPredecessor{From: ref{ID: nd.id, Addr: nd.addr}}, 32)
 	nd.fixFinger(c)
 }

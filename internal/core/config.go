@@ -21,9 +21,6 @@ type Config struct {
 	// ChildPolicy computes the maximum number of children nc (fixed 4 or
 	// capacity-driven in the paper's two evaluation cases).
 	ChildPolicy nodeprof.ChildPolicy
-	// MaxHeight caps the hierarchy height h (6 in the paper's evaluation);
-	// elections stop promoting at this level.
-	MaxHeight uint8
 	// Routing selects the distance model and lookup parameters.
 	Routing routing.Params
 
@@ -47,6 +44,9 @@ type Config struct {
 	DemotionMin, DemotionMax time.Duration
 	// LookupTimeout bounds how long an origin waits for a reply.
 	LookupTimeout time.Duration
+	// MaxHeight caps the hierarchy height h (6 in the paper's evaluation);
+	// elections stop promoting at this level.
+	MaxHeight uint8
 	// MaxTTL is the lookup hop budget ("IF TTL > 255 THEN discard").
 	MaxTTL uint8
 

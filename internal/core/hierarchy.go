@@ -334,7 +334,7 @@ func (n *Node) handleReparent(from uint64, m *proto.Reparent) {
 // parent from re-issuing grants faster than a promotee can accept and the
 // moved children can re-home.
 func (n *Node) maybeSplit() {
-	if n.table.Children.Len() <= n.maxChildren {
+	if n.table.Children.Len() <= int(n.maxChildren) {
 		return
 	}
 	now := n.env.Now()

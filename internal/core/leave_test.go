@@ -28,7 +28,7 @@ func knows(n *Node, addr uint64) bool {
 	if p, ok := t.Parent(); ok && p.Addr == addr {
 		return true
 	}
-	if _, ok := n.peers[addr]; ok {
+	if n.peers.Find(addr) != nil {
 		return true
 	}
 	for _, a := range n.recentPeers {

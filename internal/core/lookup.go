@@ -77,7 +77,7 @@ func (n *Node) Lookup(target idspace.ID, algo proto.Algo, cb func(LookupResult))
 
 	pl := &pendingLookup{node: n, cb: cb, target: target, reqID: reqID, algo: algo, started: n.env.Now(), rto: n.lookupRTO()}
 	pl.fire = pl.onTimer
-	n.pending[reqID] = pl
+	n.pending.Put(reqID, pl)
 	pl.arm()
 	n.forward(0, &req, step)
 	return reqID
@@ -103,11 +103,11 @@ func (pl *pendingLookup) arm() {
 // still ahead, the failure once it is reached.
 func (pl *pendingLookup) onTimer() {
 	n := pl.node
-	if n.pending[pl.reqID] != pl {
+	if cur, _ := n.pending.Get(pl.reqID); cur != pl {
 		return
 	}
 	if elapsed := n.env.Now() - pl.started; elapsed >= n.cfg.LookupTimeout {
-		delete(n.pending, pl.reqID)
+		n.pending.Delete(pl.reqID)
 		pl.cb(LookupResult{Status: LookupTimeout, Hops: int(n.cfg.MaxTTL), Latency: elapsed})
 		return
 	}
@@ -121,14 +121,17 @@ func (pl *pendingLookup) onTimer() {
 }
 
 // PendingLookups returns the number of in-flight origin lookups.
-func (n *Node) PendingLookups() int { return len(n.pending) }
+func (n *Node) PendingLookups() int { return n.pending.Len() }
 
 // route makes the forwarding decision for m, received from the peer at
 // from (0: the request starts, or starts again, here).
 func (n *Node) route(from uint64, m *proto.LookupRequest) routing.Step {
 	parent, hasParent := n.table.Parent()
 	fromParent := from != 0 && hasParent && parent.Addr == from
-	n.sc.route.Excluded = n.excluded
+	n.sc.route.Excluded = nil
+	if n.fo != nil {
+		n.sc.route.Excluded = n.fo.suspects[:n.fo.suspectN]
+	}
 	return routing.RouteWith(&n.sc.route, n.Ref(), n.table, m, fromParent, from, n.cfg.Routing)
 }
 
@@ -206,11 +209,11 @@ func (n *Node) handleLookupReply(from uint64, m *proto.LookupReply) {
 // duplicate or late replies: the other copy of a re-issued request, or an
 // answer that lost the race with the timeout.
 func (n *Node) completeLookup(reqID uint64, status proto.LookupStatus, best proto.NodeRef, hops uint8) {
-	pl, ok := n.pending[reqID]
+	pl, ok := n.pending.Get(reqID)
 	if !ok {
 		return
 	}
-	delete(n.pending, reqID)
+	n.pending.Delete(reqID)
 	pl.timer.Cancel()
 	res := LookupResult{Status: LookupNotFound, Hops: int(hops), Latency: n.env.Now() - pl.started}
 	if status == proto.LookupFound {

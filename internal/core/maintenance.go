@@ -69,7 +69,7 @@ func (n *Node) pushUpdates() {
 	}
 	v := n.table.Version()
 	for _, peer := range n.activePeers() {
-		if ps, ok := n.peers[peer.Addr]; !ok || ps.lastSent < v {
+		if ps := n.peers.Find(peer.Addr); ps == nil || ps.LastSent < v {
 			n.sendPing(peer.Addr)
 		}
 	}
@@ -82,12 +82,13 @@ func (n *Node) sweepTick() {
 	freshDegree := n.farewellCheck(now)
 	res := n.table.Sweep(now, n.cfg.EntryTTL)
 	n.expireSuspects(now)
-	for addr, ps := range n.peers {
-		if ps.hasClaim && now-ps.claimAt >= n.cfg.EntryTTL {
-			ps.hasClaim = false
+	for addrs, i := n.peers.Keys(), n.peers.Len()-1; i >= 0; i-- { // from the back: it deletes
+		ps := n.peers.Find(addrs[i])
+		if ps.HasClaim && now-ps.ClaimAt >= n.cfg.EntryTTL {
+			ps.HasClaim = false
 		}
-		if ps.refused && now-ps.refusedAt >= n.cfg.EntryTTL {
-			n.clearRefusal(ps)
+		if ps.Refused && now-ps.RefusedAt >= n.cfg.EntryTTL {
+			ps.Refused = false
 		}
 		// A state that carries nothing any more is dropped. Delta cursors
 		// for long-idle peers go too — without this the table grows with
@@ -96,9 +97,9 @@ func (n *Node) sweepTick() {
 		// just resends a full (receiver-deduplicated) table once. The
 		// horizon is several TTLs so active-connection cursors, which
 		// refresh every keep-alive, are never touched.
-		idleCursor := ps.lastSent == 0 || now-ps.lastSentAt >= 4*n.cfg.EntryTTL
-		if !ps.hasClaim && !ps.refused && idleCursor {
-			delete(n.peers, addr)
+		idleCursor := ps.LastSent == 0 || now-ps.LastSentAt >= 4*n.cfg.EntryTTL
+		if !ps.HasClaim && !ps.Refused && idleCursor {
+			n.peers.Delete(addrs[i])
 		}
 	}
 	if n.table.Level0.Len() == 0 {
@@ -407,17 +408,12 @@ func (n *Node) noteRefAt(r proto.NodeRef, direct bool, validated time.Duration) 
 // claim: hearsay advertising a level above what the peer last said about
 // itself is stale and must not resurrect phantom bus membership.
 func (n *Node) claimCap(addr uint64, advertised uint8) uint8 {
-	var ps *peerState
-	if addr == n.curAddr && n.curPeer != nil {
-		ps = n.curPeer // the sender itself: no extra lookup
-	} else if p, ok := n.peers[addr]; ok {
-		ps = p
-	}
-	if ps == nil || !ps.hasClaim || n.env.Now()-ps.claimAt >= n.cfg.EntryTTL {
+	ps := n.peers.Find(addr)
+	if ps == nil || !ps.HasClaim || n.env.Now()-ps.ClaimAt >= n.cfg.EntryTTL {
 		return advertised
 	}
-	if ps.claimLevel < advertised {
-		return ps.claimLevel
+	if ps.ClaimLevel < advertised {
+		return ps.ClaimLevel
 	}
 	return advertised
 }
@@ -470,7 +466,7 @@ func (n *Node) applyEntries(from uint64, sender proto.NodeRef, entries []proto.E
 			// its own reporting children. Capped so neighbour turnover
 			// cannot accumulate history.
 			set := n.table.NbrChildren
-			if set.Get(e.Ref.Addr) != nil || set.Len() < 2*n.maxChildren {
+			if set.Get(e.Ref.Addr) != nil || set.Len() < 2*int(n.maxChildren) {
 				set.Upsert(e.Ref, proto.FChild|proto.FIndirect, validated, n.table.NextVersion(), rtable.Vouched)
 			}
 		case e.Level == 0:

@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 	"unsafe"
 
 	"treep/internal/idspace"
 	"treep/internal/proto"
-	"treep/internal/routing"
 	"treep/internal/rtable"
 )
 
@@ -22,34 +22,27 @@ type Node struct {
 	// maxLevel is the node's top hierarchy level; the node is a member of
 	// every level 0..maxLevel.
 	maxLevel uint8
+	// maxChildren is nc under the configured child policy.
+	maxChildren uint16
 	// score caches the capability score of the profile.
 	score float64
-	// maxChildren is nc under the configured child policy.
-	maxChildren int
 
 	table *rtable.Table
 
 	// peers is the per-peer protocol state (delta-sync cursor, fresh level
-	// claim, courtship refusal), one table looked up once per inbound
-	// message instead of one map per concern. curAddr/curPeer cache the
-	// state of the message currently being handled, so the per-entry
-	// claimCap checks on the apply path cost no extra lookups for the
-	// sender itself. curPeer is nil while the sender has no state: only a
-	// write (peerFor) creates one; readers take absence for the zero state.
-	peers   map[uint64]*peerState
-	curAddr uint64
-	curPeer *peerState
-	// curNew marks the in-flight message's sender as NOT direct-fresh in
-	// Level0 before this message arrived. It must be computed up front in
-	// HandleMessage: the Touch below advances LastDirect, so by the time a
-	// handler runs, the entry always looks fresh. ringUpsert reads it to
-	// detect genuinely new ring contacts — the trigger for the merge-zip
+	// claim, courtship refusal) by address, one table for every concern:
+	// median 10 states, 53 at most on a loaded overlay (DESIGN.md §16). Only
+	// a write (peerFor) creates a state; readers take absence for the zero
+	// state.
+	peers idspace.Keyed[uint64, peerState]
+	// curNew is the in-flight message's sender when it was NOT direct-fresh
+	// in Level0 before this message arrived, else 0. It must be computed up
+	// front in HandleMessage: the Touch below advances LastDirect, so by the
+	// time a handler runs, the entry always looks fresh. ringUpsert reads it
+	// to detect genuinely new ring contacts — the trigger for the merge-zip
 	// introductions (repair.go).
-	curNew bool
-	// refusals counts peers with a live refusal, so the candidate search
-	// skips per-candidate lookups entirely in the common all-clear state.
-	refusals int
-	pingSeq  uint32
+	curNew  uint64
+	pingSeq uint32
 
 	// Election/demotion countdowns (§III.b). One of each at a time.
 	electionTimer Timer
@@ -75,13 +68,11 @@ type Node struct {
 	// sc is the event loop's scratch (env.Scratch(), cached): the buffers
 	// of the per-message composition hot path, which keep the
 	// keep-alive/delta path allocation-free except for the entry slice
-	// that escapes into each outgoing message. excluded is this node's
-	// input to the routing decisions made with it (failover.go).
-	sc       *Scratch
-	excluded routing.Excluded
+	// that escapes into each outgoing message.
+	sc *Scratch
 
 	// Origin-side lookup bookkeeping.
-	pending   map[uint64]*pendingLookup
+	pending   idspace.Keyed[uint64, *pendingLookup]
 	nextReqID uint64
 
 	// Lookup failover (failover.go): the hold table and exclusion list,
@@ -122,10 +113,8 @@ type Node struct {
 	// rejoin fallback: the static anchors can all die under sustained
 	// churn, and a node whose table has fully drained would otherwise
 	// retry dead rendezvous addresses forever (maintenance.go,
-	// contactAnchor). recentScan rotates the fallback target.
+	// contactAnchor).
 	recentPeers [recentPeerSlots]uint64
-	recentIdx   int
-	recentScan  int
 
 	// bootCache is the second, longer-memory rejoin fallback. The recent
 	// ring is recency-biased: a node at the centre of a dying
@@ -139,7 +128,9 @@ type Node struct {
 	// survives any churn wave. Hash-slotting rather than reservoir
 	// sampling keeps the choice deterministic and free of RNG draws.
 	bootCache [bootCacheSlots]uint64
-	bootScan  int
+	// recentIdx is where the recent ring is written next; recentScan and
+	// bootScan rotate the fallback target through the two tables.
+	recentIdx, recentScan, bootScan uint8
 }
 
 // recentPeerSlots sizes the recent-peers ring. Sixteen distinct senders
@@ -190,7 +181,7 @@ func (n *Node) Now() time.Duration { return n.env.Now() }
 // peerState is everything the node tracks about one peer outside the
 // routing table:
 //
-//   - lastSent: the table version already shipped to the peer — the
+//   - LastSent: the table version already shipped to the peer — the
 //     "exchange only out-of-date data" delta cursor of §III.d;
 //   - the peer's fresh self-claimed level. Hearsay cannot raise a peer's
 //     believed membership above its own fresh claim: without this, stale
@@ -201,49 +192,36 @@ func (n *Node) Now() time.Duration { return n.env.Now() }
 //     (usually because our knowledge of their level was stale), so the
 //     candidate search skips them for a TTL instead of re-courting in a
 //     livelock.
+//
+// The states lie by value in the peers slab, 32 bytes each: the instants
+// first, the small fields sharing the last word. The field names are
+// exported for the slab's symbol alone: an instantiation is named after the
+// struct, package path of every unexported field included, and the
+// benchmark's CPU ledger splits a symbol at its last slash.
 type peerState struct {
-	lastSent   uint32
-	lastSentAt time.Duration
-	claimLevel uint8
-	hasClaim   bool
-	claimAt    time.Duration
-	refused    bool
-	refusedAt  time.Duration
+	LastSentAt time.Duration
+	ClaimAt    time.Duration
+	RefusedAt  time.Duration
+	LastSent   uint32
+	ClaimLevel uint8
+	HasClaim   bool
+	Refused    bool
 }
 
 // peerFor returns the peer-state entry for addr, creating it on first use:
-// for writers of a claim, refusal or delta cursor only.
+// for writers of a claim, refusal or delta cursor only. The pointer is
+// valid until the next state is created or dropped.
 func (n *Node) peerFor(addr uint64) *peerState {
-	if addr == n.curAddr && n.curPeer != nil {
-		return n.curPeer
+	if ps := n.peers.Find(addr); ps != nil {
+		return ps
 	}
-	ps, ok := n.peers[addr]
-	if !ok {
-		ps = &peerState{}
-		n.peers[addr] = ps
-	}
-	if addr == n.curAddr {
-		n.curPeer = ps
-	}
-	return ps
+	return n.peers.Put(addr, peerState{})
 }
 
 // markRefused records an explicit parenting refusal from addr.
 func (n *Node) markRefused(addr uint64) {
 	ps := n.peerFor(addr)
-	if !ps.refused {
-		n.refusals++
-	}
-	ps.refused = true
-	ps.refusedAt = n.env.Now()
-}
-
-// clearRefusal drops an expired refusal mark.
-func (n *Node) clearRefusal(ps *peerState) {
-	if ps.refused {
-		ps.refused = false
-		n.refusals--
-	}
+	ps.Refused, ps.RefusedAt = true, n.env.Now()
 }
 
 // pendingLookup is a lookup that has left its origin and not come back:
@@ -268,20 +246,15 @@ func NewNode(cfg Config, env Env) *Node {
 	cfg = cfg.withDefaults()
 	sc := env.Scratch()
 	n := &Node{
-		cfg:     cfg,
-		env:     env,
-		sc:      sc,
-		score:   cfg.Profile.Score(),
-		table:   rtable.NewWith(&sc.sweep),
-		peers:   map[uint64]*peerState{},
-		pending: map[uint64]*pendingLookup{},
-		srtt:    rttPrior(cfg.KeepAlive),
-		rttvar:  rttPrior(cfg.KeepAlive) / 2,
+		cfg:    cfg,
+		env:    env,
+		sc:     sc,
+		score:  cfg.Profile.Score(),
+		table:  rtable.NewWith(&sc.sweep),
+		srtt:   rttPrior(cfg.KeepAlive),
+		rttvar: rttPrior(cfg.KeepAlive) / 2,
 	}
-	n.maxChildren = cfg.ChildPolicy.MaxChildren(cfg.Profile)
-	if n.maxChildren < 2 {
-		n.maxChildren = 2
-	}
+	n.maxChildren = uint16(min(max(cfg.ChildPolicy.MaxChildren(cfg.Profile), 2), math.MaxUint16))
 	return n
 }
 
@@ -308,12 +281,12 @@ func (n *Node) MaxLevel() uint8 { return n.maxLevel }
 func (n *Node) Score() float64 { return n.score }
 
 // MaxChildren returns nc for this node under the configured policy.
-func (n *Node) MaxChildren() int { return n.maxChildren }
+func (n *Node) MaxChildren() int { return int(n.maxChildren) }
 
-// Mem is the heap one node holds, in bytes (maps as rtable.MapBytes
-// estimates them; the loop's Scratch is not the node's): its table, the
-// struct with its anchor list, the peers and pending maps with what they
-// point to, and the failover table once allocated.
+// Mem is the heap one node holds, in bytes (the loop's Scratch is not the
+// node's): its table, the struct with its anchor list, the peers and
+// pending slabs with the lookups in flight, and the failover table once
+// allocated.
 type Mem struct {
 	Table             rtable.Mem
 	Node, Peers, Hold int
@@ -324,8 +297,7 @@ func (n *Node) MemBytes() Mem {
 	m := Mem{
 		Table: n.table.MemBytes(),
 		Node:  int(unsafe.Sizeof(*n)) + cap(n.cfg.Anchors)*8,
-		Peers: rtable.MapBytes(len(n.peers), 16) + len(n.peers)*int(unsafe.Sizeof(peerState{})) +
-			rtable.MapBytes(len(n.pending), 16) + len(n.pending)*int(unsafe.Sizeof(pendingLookup{})),
+		Peers: n.peers.MemBytes() + n.pending.MemBytes() + n.pending.Len()*int(unsafe.Sizeof(pendingLookup{})),
 	}
 	if n.fo != nil {
 		m.Hold = int(unsafe.Sizeof(*n.fo))
@@ -367,10 +339,11 @@ func (n *Node) Stop() {
 	}
 	n.electionTimer, n.demotionTimer, n.courtTimer = nil, nil, nil
 	n.courting = 0
-	for id, p := range n.pending {
-		p.timer.Cancel()
-		delete(n.pending, id)
+	for _, id := range n.pending.Keys() {
+		pl, _ := n.pending.Get(id)
+		pl.timer.Cancel()
 	}
+	n.pending = idspace.Keyed[uint64, *pendingLookup]{}
 	n.stopFailover()
 }
 
@@ -437,10 +410,7 @@ func (n *Node) handleLeave(from uint64, m *proto.Leave) {
 	if n.bootCache[bootSlot(from)] == from {
 		n.bootCache[bootSlot(from)] = 0
 	}
-	if ps, ok := n.peers[from]; ok {
-		n.clearRefusal(ps)
-		delete(n.peers, from)
-	}
+	n.peers.Delete(from)
 	if n.courting == from {
 		n.courting = 0
 		if n.courtTimer != nil {
@@ -475,11 +445,8 @@ func (n *Node) handleLeave(from uint64, m *proto.Leave) {
 // ignored (wire compatibility).
 func (n *Node) HandleMessage(from uint64, msg proto.Message) {
 	n.Stats.MsgsIn++
-	// One peer-state lookup per inbound message; everything downstream
-	// (claim checks, delta cursor) reads the cached pointer.
-	n.curAddr, n.curPeer = from, n.peers[from]
 	defer func() {
-		n.curAddr, n.curPeer, n.curNew = 0, nil, false
+		n.curNew = 0
 		if p := n.firstPing; p != 0 {
 			n.firstPing = 0
 			n.sendPing(p)
@@ -489,7 +456,7 @@ func (n *Node) HandleMessage(from uint64, msg proto.Message) {
 	// Touch below refreshes its timestamps; handlers cannot recover this
 	// afterwards, and ringUpsert keys the merge-zip trigger on it.
 	if e := n.table.Level0.Get(from); e == nil || !e.DirectFresh(n.env.Now(), n.cfg.EntryTTL) {
-		n.curNew = true
+		n.curNew = from
 		if last := (n.recentIdx + recentPeerSlots - 1) % recentPeerSlots; n.recentPeers[last] != from {
 			n.recentPeers[n.recentIdx] = from
 			n.recentIdx = (n.recentIdx + 1) % recentPeerSlots
@@ -504,9 +471,11 @@ func (n *Node) HandleMessage(from uint64, msg proto.Message) {
 	// The sender's self-identification is first-hand: bus membership it no
 	// longer claims is stale knowledge, dropped on the spot and barred
 	// from hearsay re-introduction while the claim stays fresh.
-	if ref, ok := senderRef(msg); ok && ref.Addr == from {
+	ref := msg.Sender()
+	vouched := !ref.IsZero() && ref.Addr == from
+	if vouched {
 		ps := n.peerFor(from)
-		ps.claimLevel, ps.hasClaim, ps.claimAt = ref.MaxLevel, true, n.env.Now()
+		ps.ClaimLevel, ps.HasClaim, ps.ClaimAt = ref.MaxLevel, true, n.env.Now()
 		n.table.DowngradeLevels(from, ref.MaxLevel)
 	}
 	// A courted parent proves itself alive with any direct message —
@@ -516,7 +485,7 @@ func (n *Node) HandleMessage(from uint64, msg proto.Message) {
 		switch msg.(type) {
 		case *proto.Reparent, *proto.Demote, *proto.Leave:
 		default:
-			if ref, ok := senderRef(msg); ok && ref.Addr == from {
+			if vouched {
 				n.confirmCourtship(from, ref)
 			}
 		}
@@ -568,52 +537,6 @@ func (n *Node) HandleMessage(from uint64, msg proto.Message) {
 			n.extension(from, msg)
 		}
 	}
-}
-
-// senderRef extracts the self-identification a message carries about its
-// sender (not origin fields that name third parties).
-func senderRef(msg proto.Message) (proto.NodeRef, bool) {
-	switch m := msg.(type) {
-	case *proto.Hello:
-		return m.From, true
-	case *proto.Ping:
-		return m.From, true
-	case *proto.Pong:
-		return m.From, true
-	case *proto.JoinRequest:
-		return m.From, true
-	case *proto.JoinRedirect:
-		return m.From, true
-	case *proto.JoinAccept:
-		return m.From, true
-	case *proto.ElectionCall:
-		return m.From, true
-	case *proto.ParentClaim:
-		return m.From, true
-	case *proto.ChildReport:
-		return m.From, true
-	case *proto.PromoteGrant:
-		return m.From, true
-	case *proto.Demote:
-		return m.From, true
-	case *proto.Reparent:
-		return m.From, true
-	case *proto.BusLinkReq:
-		return m.From, true
-	case *proto.BusLinkAck:
-		return m.From, true
-	case *proto.LookupReply:
-		return m.From, true
-	case *proto.Leave:
-		return m.From, true
-	case *proto.RingProbe:
-		return m.From, true
-	case *proto.RingProbeAck:
-		return m.From, true
-	case *proto.MergeIntro:
-		return m.From, true
-	}
-	return proto.NodeRef{}, false
 }
 
 // send transmits a message and counts it.
@@ -743,13 +666,11 @@ func (n *Node) bestKnownMember(level uint8, near idspace.ID) (proto.NodeRef, tim
 		if r.IsZero() || r.Addr == n.Addr() || r.MaxLevel < level {
 			return
 		}
-		if n.refusals > 0 {
-			if ps, ok := n.peers[r.Addr]; ok && ps.refused {
-				if now-ps.refusedAt < n.cfg.EntryTTL {
-					return
-				}
-				n.clearRefusal(ps)
+		if ps := n.peers.Find(r.Addr); ps != nil && ps.Refused {
+			if now-ps.RefusedAt < n.cfg.EntryTTL {
+				return
 			}
+			ps.Refused = false
 		}
 		d := idspace.Dist(r.ID, near)
 		if !found || d < bestD ||
@@ -866,10 +787,10 @@ func (n *Node) superiorEntries(out []proto.Entry) []proto.Entry {
 // state. forChild additionally ships the superior list.
 func (n *Node) composeUpdateInto(out []proto.Entry, peer uint64, forChild bool) []proto.Entry {
 	ps := n.peerFor(peer)
-	delta := n.table.AppendDelta(n.sc.delta[:0], ps.lastSent, n.env.Now())
+	delta := n.table.AppendDelta(n.sc.delta[:0], ps.LastSent, n.env.Now())
 	n.sc.delta = delta
-	ps.lastSent = n.table.Version()
-	ps.lastSentAt = n.env.Now()
+	ps.LastSent = n.table.Version()
+	ps.LastSentAt = n.env.Now()
 	structural := n.structuralEntries(n.sc.entries[:0])
 	if forChild {
 		structural = n.superiorEntries(structural)

@@ -282,7 +282,7 @@ func (n *Node) handleRingProbeAck(from uint64, m *proto.RingProbeAck) {
 func (n *Node) ringUpsert(r proto.NodeRef) {
 	now := n.env.Now()
 	var prev proto.NodeRef
-	if n.curNew && r.Addr == n.curAddr && r.ID != n.cfg.ID &&
+	if n.curNew != 0 && r.Addr == n.curNew && r.ID != n.cfg.ID &&
 		n.table.Level0.SideRank(n.cfg.ID, r.ID) < level0Span {
 		left, right := n.table.Level0.NeighborsFresh(n.cfg.ID, now, n.cfg.EntryTTL)
 		if r.ID < n.cfg.ID && !left.IsZero() && r.ID < left.ID {
@@ -296,7 +296,7 @@ func (n *Node) ringUpsert(r proto.NodeRef) {
 		n.sendMergeIntro(prev.Addr, r, now)
 		n.sendMergeIntro(r.Addr, prev, now)
 	}
-	if n.curNew && r.Addr == n.curAddr {
+	if n.curNew != 0 && r.Addr == n.curNew {
 		// First-contact handshake ("when two nodes communicate for the
 		// first time they exchange information about their resources and
 		// state"): ping back without waiting out the keep-alive, deferred

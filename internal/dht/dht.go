@@ -37,14 +37,12 @@ package dht
 import (
 	"encoding/binary"
 	"errors"
-	"hash/maphash"
 	"time"
 	"unsafe"
 
 	"treep/internal/core"
 	"treep/internal/idspace"
 	"treep/internal/proto"
-	"treep/internal/rtable"
 	"treep/internal/svc"
 )
 
@@ -112,7 +110,7 @@ type Service struct {
 	plane *svc.Plane
 
 	// recs is the authoritative store; maintenance walks it in key order.
-	recs idspace.Keyed[*record]
+	recs idspace.Keyed[idspace.ID, *record]
 
 	// HotCache enables hot-key replica fan-out: owners count reads per
 	// key per maintenance window, and keys read at least hotThreshold
@@ -126,23 +124,16 @@ type Service struct {
 	// default; the durability story is unchanged either way because
 	// cached copies never count as replicas.
 	HotCache bool
+	// nudgePending debounces ring-change nudges: a merge zip reports a
+	// burst of new contacts, and one maintenance pass covers them all.
+	nudgePending bool
 
 	maintTimer core.Timer
 	scratch    []proto.NodeRef
 
-	// cache is the reader-side hot-key cache, bounded by maxCacheEntries.
-	cache idspace.Keyed[*cacheEntry]
-
-	// hot tracks read popularity of locally owned keys.
-	hot idspace.Keyed[*hotKey]
-
-	// horizonHits counts local cache hits toward the next horizon
-	// refresh (see horizonEvery).
-	horizonHits uint64
-
-	// nudgePending debounces ring-change nudges: a merge zip reports a
-	// burst of new contacts, and one maintenance pass covers them all.
-	nudgePending bool
+	// hc is the hot-key state, created on first use (hotc): a peer that
+	// has HotCache off and is sent no fan-out copy never holds one.
+	hc *hotCache
 
 	// memos is a bounded ring of recent store outcomes keyed by
 	// (requester, request id). The service plane retries a store whose
@@ -159,21 +150,40 @@ type Service struct {
 	Stats Stats
 }
 
-// MemBytes reports the heap the service holds (maps as rtable.MapBytes
-// estimates them): the store and caches with their values and key orders,
-// and the struct with its memo ring and scratch.
+// hotCache is what the hot-key machinery keeps on one node.
+type hotCache struct {
+	// cache is the reader-side hot-key cache, bounded by maxCacheEntries.
+	cache idspace.Keyed[idspace.ID, *cacheEntry]
+	// hot tracks read popularity of locally owned keys.
+	hot idspace.Keyed[idspace.ID, *hotKey]
+	// horizonHits counts local cache hits toward the next horizon
+	// refresh (see horizonEvery).
+	horizonHits uint64
+}
+
+// hotc returns the hot-key state, creating it on first use.
+func (s *Service) hotc() *hotCache {
+	if s.hc == nil {
+		s.hc = &hotCache{}
+	}
+	return s.hc
+}
+
+// MemBytes reports the heap the service holds: the store and caches with
+// what they point to, and the struct with its memo ring and scratch.
 func (s *Service) MemBytes() (store, fixed int) {
-	store = rtable.MapBytes(s.recs.Len(), 16) + s.recs.Len()*int(unsafe.Sizeof(record{})) +
-		rtable.MapBytes(s.cache.Len(), 16) + s.cache.Len()*int(unsafe.Sizeof(cacheEntry{})) +
-		rtable.MapBytes(s.hot.Len(), 16) + s.hot.Len()*int(unsafe.Sizeof(hotKey{})) +
-		(cap(s.recs.Keys())+cap(s.cache.Keys())+cap(s.hot.Keys()))*8
+	store = s.recs.MemBytes() + s.recs.Len()*int(unsafe.Sizeof(record{}))
 	for _, k := range s.recs.Keys() {
 		r, _ := s.recs.Get(k)
 		store += cap(r.value)
 	}
-	for _, k := range s.cache.Keys() {
-		c, _ := s.cache.Get(k)
-		store += cap(c.value)
+	if hc := s.hc; hc != nil {
+		store += int(unsafe.Sizeof(*hc)) + hc.cache.MemBytes() + hc.cache.Len()*int(unsafe.Sizeof(cacheEntry{})) +
+			hc.hot.MemBytes() + hc.hot.Len()*int(unsafe.Sizeof(hotKey{}))
+		for _, k := range hc.cache.Keys() {
+			c, _ := hc.cache.Get(k)
+			store += cap(c.value)
+		}
 	}
 	fixed = int(unsafe.Sizeof(*s)) + cap(s.memos)*int(unsafe.Sizeof(storeMemo{})) +
 		cap(s.scratch)*int(unsafe.Sizeof(proto.NodeRef{}))
@@ -281,8 +291,6 @@ const (
 	horizonEvery = 16
 )
 
-var sigSeed = maphash.MakeSeed()
-
 // callOpts is the retry policy of every owner exchange.
 var callOpts = svc.CallOpts{Timeout: requestTimeout, Retries: requestRetries}
 
@@ -296,9 +304,6 @@ func AttachPlane(p *svc.Plane) *Service {
 	s := &Service{
 		node:  p.Node(),
 		plane: p,
-		recs:  idspace.NewKeyed[*record](),
-		cache: idspace.NewKeyed[*cacheEntry](),
-		hot:   idspace.NewKeyed[*hotKey](),
 	}
 	p.Handle(proto.TDHTStore, s.handleStore)
 	p.Handle(proto.TDHTFetch, s.handleFetch)
@@ -398,7 +403,7 @@ func (s *Service) GetRecord(key []byte, cb func(Record, error)) {
 	// still fires asynchronously (zero-delay timer) so callers see one
 	// calling convention on hit and miss alike.
 	if s.HotCache {
-		if ce, ok := s.cache.Get(k); ok && s.node.Now() < ce.expires {
+		if ce, ok := s.hotc().cache.Get(k); ok && s.node.Now() < ce.expires {
 			s.Stats.CacheServes++
 			rec := Record{
 				Value:   append([]byte(nil), ce.value...),
@@ -406,8 +411,8 @@ func (s *Service) GetRecord(key []byte, cb func(Record, error)) {
 				Origin:  ce.origin,
 			}
 			s.node.SetTimer(0, func() { cb(rec, nil) })
-			s.horizonHits++
-			if s.horizonHits%horizonEvery == 0 {
+			s.hotc().horizonHits++
+			if s.hotc().horizonHits%horizonEvery == 0 {
 				s.refreshHorizon()
 			}
 			return
@@ -488,21 +493,22 @@ func (s *Service) drop(k idspace.ID) {
 // re-push rides this to keep hot caches warm). Strictly older copies
 // neither overwrite nor refresh.
 func (s *Service) cacheMerge(k idspace.ID, value []byte, version, origin uint64) {
+	cache := &s.hotc().cache
 	now := s.node.Now()
-	ce, ok := s.cache.Get(k)
+	ce, ok := cache.Get(k)
 	if ok {
 		if version < ce.version || (version == ce.version && origin < ce.origin) {
 			return
 		}
 	} else {
-		if s.cache.Len() >= maxCacheEntries {
+		if cache.Len() >= maxCacheEntries {
 			s.evictCache(now)
-			if s.cache.Len() >= maxCacheEntries {
+			if cache.Len() >= maxCacheEntries {
 				return
 			}
 		}
 		ce = &cacheEntry{}
-		s.cache.Put(k, ce)
+		cache.Put(k, ce)
 	}
 	ce.value = append(ce.value[:0], value...)
 	ce.version, ce.origin = version, origin
@@ -514,14 +520,15 @@ func (s *Service) cacheMerge(k idspace.ID, value []byte, version, origin uint64)
 // entry closest to expiry (smallest key on ties), so admission under a
 // full cache is deterministic.
 func (s *Service) evictCache(now time.Duration) {
-	full := s.cache.Len()
+	cache := &s.hotc().cache
+	full := cache.Len()
 	var victim idspace.ID
 	var victimAt time.Duration
-	for i := 0; i < s.cache.Len(); { // i entries kept so far
-		k := s.cache.Keys()[i]
-		ce, _ := s.cache.Get(k)
+	for i := 0; i < cache.Len(); { // i entries kept so far
+		k := cache.Keys()[i]
+		ce, _ := cache.Get(k)
 		if ce.expires <= now {
-			s.cache.Delete(k)
+			cache.Delete(k)
 			continue
 		}
 		if i == 0 || ce.expires < victimAt {
@@ -529,24 +536,25 @@ func (s *Service) evictCache(now time.Duration) {
 		}
 		i++
 	}
-	if s.cache.Len() == full {
-		s.cache.Delete(victim)
+	if cache.Len() == full {
+		cache.Delete(victim)
 	}
 }
 
 // noteRead counts a fetch against the owner-side popularity table and
 // remembers the reader for the fan-out audience.
 func (s *Service) noteRead(k idspace.ID, from uint64) {
+	hot := &s.hotc().hot
 	if _, owned := s.recs.Get(k); !owned {
 		return
 	}
-	hk, ok := s.hot.Get(k)
+	hk, ok := hot.Get(k)
 	if !ok {
-		if s.hot.Len() >= maxHotKeys {
+		if hot.Len() >= maxHotKeys {
 			return
 		}
 		hk = &hotKey{}
-		s.hot.Put(k, hk)
+		hot.Put(k, hk)
 	}
 	hk.reads++
 	if from == 0 || from == s.node.Addr() {
@@ -569,7 +577,7 @@ func (s *Service) refreshHorizon() {
 	s.Stats.HorizonProbes++
 	var b [16]byte
 	binary.LittleEndian.PutUint64(b[:8], s.node.Addr())
-	binary.LittleEndian.PutUint64(b[8:], s.horizonHits)
+	binary.LittleEndian.PutUint64(b[8:], s.hotc().horizonHits)
 	s.node.Lookup(idspace.HashKey(b[:]), proto.AlgoG, func(core.LookupResult) {})
 }
 
@@ -585,16 +593,17 @@ func (s *Service) refreshHorizon() {
 // demand re-trips the threshold within a window or two. Iteration is
 // in key order, deterministic.
 func (s *Service) fanoutTick() {
-	for i := 0; i < s.hot.Len(); {
-		k := s.hot.Keys()[i]
-		hk, _ := s.hot.Get(k)
+	hot := &s.hotc().hot
+	for i := 0; i < hot.Len(); {
+		k := hot.Keys()[i]
+		hk, _ := hot.Get(k)
 		reads := hk.reads
 		hk.reads = 0
 		rec, owned := s.recs.Get(k)
 		if !owned {
 			// Handed off or dropped: the new owner rebuilds its own
 			// popularity picture.
-			s.hot.Delete(k)
+			hot.Delete(k)
 			continue
 		}
 		if reads >= hotThreshold {
@@ -616,7 +625,7 @@ func (s *Service) fanoutTick() {
 			hk.age++
 		}
 		if hk.cool == 0 {
-			s.hot.Delete(k)
+			hot.Delete(k)
 			continue
 		}
 		i++
@@ -764,7 +773,7 @@ func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bo
 		// goes straight to the fan-out set; cacheMerge at the receivers
 		// makes it win by version order.
 		if s.HotCache {
-			if hk, ok := s.hot.Get(key); ok && len(hk.fanout) > 0 {
+			if hk, ok := s.hotc().hot.Get(key); ok && len(hk.fanout) > 0 {
 				s.Stats.Invalidations++
 				s.pushFanout(key, rec, hk)
 			}
@@ -798,7 +807,7 @@ func (s *Service) handleFetch(from uint64, req proto.SvcRequest, respond func(pr
 	// that got routed here benefits from the fan-out too). Versioned
 	// staleness bounds apply as for the local-serve path.
 	if s.HotCache {
-		if ce, ok := s.cache.Get(m.Key); ok && s.node.Now() < ce.expires {
+		if ce, ok := s.hotc().cache.Get(m.Key); ok && s.node.Now() < ce.expires {
 			s.Stats.CacheServes++
 			respond(foundReply(ce.value, ce.version, ce.origin))
 			return
@@ -1075,16 +1084,19 @@ func (s *Service) closer(k idspace.ID, mark uint64) (nearest proto.NodeRef, coun
 // freshness while nothing changes.)
 func (s *Service) ringSig() uint64 {
 	l, r := s.node.Table().Level0.NeighborsFresh(s.node.ID(), s.node.Now(), s.node.Config().EntryTTL)
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[:8], l.Addr)
-	binary.LittleEndian.PutUint64(b[8:], r.Addr)
-	return maphash.Bytes(sigSeed, b[:])
+	return mix(mix(0, l.Addr), r.Addr)
 }
 
-// placedAt is the placement mark of a copy known to be at holder; the
-// leading byte keeps it out of ringSig's domain (whole 8-byte words).
-func placedAt(holder uint64) uint64 {
-	b := [9]byte{0: '@'}
-	binary.LittleEndian.PutUint64(b[1:], holder)
-	return maphash.Bytes(sigSeed, b[:])
+// placedAt is the placement mark of a copy known to be at holder; the '@'
+// it starts from keeps it out of ringSig's domain, which starts from 0.
+func placedAt(holder uint64) uint64 { return mix('@', holder) }
+
+// mix folds one word into a running 64-bit hash (the splitmix64 finaliser
+// over the sum): the same in every process, as the marks must be for two
+// runs of one seed to agree.
+func mix(h, x uint64) uint64 {
+	h += x + 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }

@@ -467,20 +467,20 @@ func idRange(lo, hi idspace.ID) []idspace.ID {
 // ascending, every key of it answering Get, every absent key not.
 func checkCache(t *testing.T, s *Service, want, absent []idspace.ID) {
 	t.Helper()
-	keys := s.cache.Keys()
-	if len(keys) != len(want) || s.cache.Len() != len(want) {
-		t.Fatalf("cache holds %d keys (Len %d), want %d", len(keys), s.cache.Len(), len(want))
+	keys := s.hotc().cache.Keys()
+	if len(keys) != len(want) || s.hotc().cache.Len() != len(want) {
+		t.Fatalf("cache holds %d keys (Len %d), want %d", len(keys), s.hotc().cache.Len(), len(want))
 	}
 	for i, k := range keys {
 		if k != want[i] {
 			t.Fatalf("key %d of the order is %v, want %v", i, k, want[i])
 		}
-		if _, ok := s.cache.Get(k); !ok {
+		if _, ok := s.hotc().cache.Get(k); !ok {
 			t.Fatalf("key %v is in the order but not in the map", k)
 		}
 	}
 	for _, k := range absent {
-		if _, ok := s.cache.Get(k); ok {
+		if _, ok := s.hotc().cache.Get(k); ok {
 			t.Fatalf("evicted key %v is still in the map", k)
 		}
 	}

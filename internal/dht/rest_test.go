@@ -335,3 +335,44 @@ func mustRec(t *testing.T, s *Service, k idspace.ID) *record {
 	}
 	return rec
 }
+
+// TestPlacementMarksAreTheSameInEveryProcess pins ringSig and placedAt of
+// fixed addresses to constants — a mark seeded per process would make two
+// runs of one seed part ways on a collision, out of any digest's sight — and
+// keeps the two domains apart over every address a test overlay hands out.
+func TestPlacementMarksAreTheSameInEveryProcess(t *testing.T) {
+	if got, want := placedAt(7), uint64(0xd0b1b125e467daaf); got != want {
+		t.Errorf("placedAt(7) = %#x, want %#x", got, want)
+	}
+	if got, want := placedAt(0), uint64(0xd6967248fbe68cc3); got != want {
+		t.Errorf("placedAt(0) = %#x, want %#x", got, want)
+	}
+	r := newRing(t)
+	left, right := r.n[1].Addr(), r.n[3].Addr()
+	if sig, want := r.s[2].ringSig(), uint64(0xa706dd2f4d197e6f); sig != mix(mix(0, 0), 0) || sig != want {
+		t.Errorf("ringSig with no neighbour = %#x, want %#x", sig, want)
+	}
+	r.knows(2, 1, 3)
+	if sig, want := r.s[2].ringSig(), uint64(0x81cfbd65ec1ce8f4); left != 2 || right != 4 || sig != mix(mix(0, left), right) || sig != want {
+		t.Errorf("ringSig between addresses %d and %d = %#x, want %#x", left, right, sig, want)
+	}
+	if r.s[2].ringSig() == mix(mix(0, right), left) {
+		t.Error("ringSig does not tell left from right")
+	}
+
+	const addrs = 300 // neighbours 0 (none) to addrs-1, holders likewise
+	sigs := make(map[uint64]bool, addrs*addrs)
+	for l := uint64(0); l < addrs; l++ {
+		for rt := uint64(0); rt < addrs; rt++ {
+			sigs[mix(mix(0, l), rt)] = true
+		}
+	}
+	if len(sigs) != addrs*addrs {
+		t.Errorf("%d neighbour pairs share %d signatures", addrs*addrs, len(sigs))
+	}
+	for h := uint64(0); h < addrs; h++ {
+		if sigs[placedAt(h)] {
+			t.Errorf("placedAt(%d) is also a ring signature", h)
+		}
+	}
+}

@@ -45,16 +45,6 @@ type Node struct {
 
 	seen    map[uint64]bool
 	pending map[uint64]*pending
-
-	// Stats counters.
-	Stats Stats
-}
-
-// Stats counts flooding traffic.
-type Stats struct {
-	LookupsStarted uint64
-	Floods         uint64
-	Hits           uint64
 }
 
 type pending struct {
@@ -249,7 +239,6 @@ func (nd *Node) ID() idspace.ID { return nd.id }
 
 // Lookup floods for the exact target ID; cb fires once with the outcome.
 func (nd *Node) Lookup(c *Cluster, target idspace.ID, ttl uint8, cb func(Result)) {
-	nd.Stats.LookupsStarted++
 	c.nextReq++
 	req := c.nextReq
 	p := &pending{cb: cb}
@@ -283,7 +272,6 @@ func (nd *Node) flood(q *query, except netsim.Addr) {
 		if p == except {
 			continue
 		}
-		nd.Stats.Floods++
 		nd.net.Send(nd.addr, p, &next, 32)
 	}
 }
@@ -299,7 +287,6 @@ func (nd *Node) handle(from netsim.Addr, payload interface{}) {
 		}
 		nd.seen[m.ReqID] = true
 		if nd.id == m.Target {
-			nd.Stats.Hits++
 			nd.net.Send(nd.addr, m.Origin, &queryHit{ReqID: m.ReqID, ID: nd.id, Addr: nd.addr, Hops: m.Hops}, 32)
 			return
 		}

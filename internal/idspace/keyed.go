@@ -1,55 +1,80 @@
 package idspace
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"unsafe"
+)
 
-// Keyed is a map from ID that also keeps its keys in ascending order: the
-// map serves point lookups, the slice gives a deterministic iteration
-// order and a rank (the simulator's reproducibility forbids ranging over
-// a map). Build one with NewKeyed.
-type Keyed[V any] struct {
-	m    map[ID]V
-	keys []ID
+// Keyed is a slab of values held by key, the keys ascending and the values
+// beside them: the order is the index (a lookup bisects it), a rank, and an
+// iteration order that is the same in every run (ranging over a map is
+// not). A peer keeps its small sets in it — per-peer states, lookups and
+// calls in flight, handlers, stored records: a median of ten entries in the
+// largest, 53 at most (DESIGN.md §16), where a hash table costs more bytes
+// and no less time. The zero value is an empty set.
+//
+// The slices grow together by a quarter (at least two entries), as
+// rtable.Set does and for its reason; removal keeps the capacity. Pointers
+// into the slab (Find, Put) are valid until the next Put of a new key or
+// Delete. Deleting keys[i] moves only what lies behind it: a walk that
+// deletes runs over Keys() from the back.
+type Keyed[K cmp.Ordered, V any] struct {
+	keys []K
+	vals []V // vals[i] belongs to keys[i]
 }
 
-// NewKeyed returns an empty set.
-func NewKeyed[V any]() Keyed[V] { return Keyed[V]{m: map[ID]V{}} }
-
 // Len returns the number of keys held.
-func (s *Keyed[V]) Len() int { return len(s.keys) }
+func (s *Keyed[K, V]) Len() int { return len(s.keys) }
 
 // Keys returns the keys in ascending order. The slice is the set's own:
 // callers must not modify it, and a Delete shifts it in place.
-func (s *Keyed[V]) Keys() []ID { return s.keys }
+func (s *Keyed[K, V]) Keys() []K { return s.keys }
 
-// Get returns the value stored under k.
-func (s *Keyed[V]) Get(k ID) (V, bool) {
-	v, ok := s.m[k]
-	return v, ok
+// Find returns where the value stored under k lies, or nil.
+func (s *Keyed[K, V]) Find(k K) *V {
+	if i, ok := slices.BinarySearch(s.keys, k); ok {
+		return &s.vals[i]
+	}
+	return nil
 }
 
-// Put stores v under k, replacing any value already there.
-func (s *Keyed[V]) Put(k ID, v V) {
-	if _, ok := s.m[k]; !ok {
-		i := s.rank(k)
-		s.keys = append(s.keys, 0)
-		copy(s.keys[i+1:], s.keys[i:])
-		s.keys[i] = k
+// Get returns a copy of the value stored under k.
+func (s *Keyed[K, V]) Get(k K) (v V, ok bool) {
+	if p := s.Find(k); p != nil {
+		return *p, true
 	}
-	s.m[k] = v
+	return v, false
+}
+
+// Put stores v under k, replacing any value already there, and returns
+// where it lies.
+func (s *Keyed[K, V]) Put(k K, v V) *V {
+	i, ok := slices.BinarySearch(s.keys, k)
+	if !ok {
+		if c := cap(s.keys); len(s.keys) == c {
+			c += max(2, c/4)
+			s.keys = append(make([]K, 0, c), s.keys...)
+			s.vals = append(make([]V, 0, c), s.vals...)
+		}
+		s.keys, s.vals = slices.Insert(s.keys, i, k), slices.Insert(s.vals, i, v)
+	}
+	s.vals[i] = v
+	return &s.vals[i]
 }
 
 // Delete removes k and reports whether it was held.
-func (s *Keyed[V]) Delete(k ID) bool {
-	if _, ok := s.m[k]; !ok {
-		return false
+func (s *Keyed[K, V]) Delete(k K) bool {
+	i, ok := slices.BinarySearch(s.keys, k)
+	if ok {
+		s.keys, s.vals = slices.Delete(s.keys, i, i+1), slices.Delete(s.vals, i, i+1)
 	}
-	delete(s.m, k)
-	i := s.rank(k)
-	s.keys = append(s.keys[:i], s.keys[i+1:]...)
-	return true
+	return ok
 }
 
-// rank is the index of the first key not below k.
-func (s *Keyed[V]) rank(k ID) int {
-	return sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= k })
+// MemBytes reports the heap behind the set: capacity × element size.
+func (s *Keyed[K, V]) MemBytes() int {
+	var k K
+	var v V
+	return cap(s.keys)*int(unsafe.Sizeof(k)) + cap(s.vals)*int(unsafe.Sizeof(v))
 }

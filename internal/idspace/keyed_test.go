@@ -8,10 +8,10 @@ import (
 
 // TestKeyedAgainstMap drives random puts and deletes over a small key
 // range and holds the set to a plain map: same contents, key order
-// ascending without duplicates, map and order the same size.
+// ascending without duplicates, Len and the key order the same size.
 func TestKeyedAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	s, want := NewKeyed[int](), map[ID]int{}
+	s, want := Keyed[ID, int]{}, map[ID]int{}
 	for step := 0; step < 4000; step++ {
 		k := ID(rng.Intn(64))
 		if rng.Intn(3) == 0 {
@@ -24,8 +24,8 @@ func TestKeyedAgainstMap(t *testing.T) {
 			want[k] = step
 			s.Put(k, step)
 		}
-		if s.Len() != len(want) || len(s.m) != len(want) || len(s.Keys()) != len(want) {
-			t.Fatalf("step %d: Len %d, map %d, order %d, want %d", step, s.Len(), len(s.m), len(s.Keys()), len(want))
+		if s.Len() != len(want) || len(s.Keys()) != len(want) {
+			t.Fatalf("step %d: Len %d, order %d, want %d", step, s.Len(), len(s.Keys()), len(want))
 		}
 		if !slices.IsSorted(s.Keys()) {
 			t.Fatalf("step %d: key order %v is not ascending", step, s.Keys())

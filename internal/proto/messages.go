@@ -114,6 +114,9 @@ func (t MsgType) String() string {
 type Message interface {
 	// Type returns the wire discriminator.
 	Type() MsgType
+	// Sender returns what the message says of the peer that sent it, which
+	// core takes as that peer's own level claim, or the zero ref.
+	Sender() NodeRef
 	// EncodedSize returns the exact number of body bytes the message
 	// encodes to (excluding the 3-byte header). It is computed analytically
 	// so the simulator can account bytes without serialising.
@@ -540,6 +543,41 @@ type Reparent struct {
 	// indefinitely by redirecting each other to it.
 	AgeDs uint16
 }
+
+// --- sender identification ---------------------------------------------------
+
+// Sender implements Message: the core protocol's messages vouch for their
+// sender with From.
+func (m *Hello) Sender() NodeRef        { return m.From }
+func (m *Ping) Sender() NodeRef         { return m.From }
+func (m *Pong) Sender() NodeRef         { return m.From }
+func (m *JoinRequest) Sender() NodeRef  { return m.From }
+func (m *JoinRedirect) Sender() NodeRef { return m.From }
+func (m *JoinAccept) Sender() NodeRef   { return m.From }
+func (m *ElectionCall) Sender() NodeRef { return m.From }
+func (m *ParentClaim) Sender() NodeRef  { return m.From }
+func (m *ChildReport) Sender() NodeRef  { return m.From }
+func (m *PromoteGrant) Sender() NodeRef { return m.From }
+func (m *Demote) Sender() NodeRef       { return m.From }
+func (m *Reparent) Sender() NodeRef     { return m.From }
+func (m *BusLinkReq) Sender() NodeRef   { return m.From }
+func (m *BusLinkAck) Sender() NodeRef   { return m.From }
+func (m *LookupReply) Sender() NodeRef  { return m.From }
+func (m *Leave) Sender() NodeRef        { return m.From }
+func (m *RingProbe) Sender() NodeRef    { return m.From }
+func (m *RingProbeAck) Sender() NodeRef { return m.From }
+func (m *MergeIntro) Sender() NodeRef   { return m.From }
+
+// Sender implements Message with the zero ref: a LookupRequest names its
+// origin, not the hop that forwards it, and the DHT types' From has never
+// been read as a level claim (reading it resamples every run: DESIGN.md §17).
+func (*LookupRequest) Sender() NodeRef   { return NodeRef{} }
+func (*DHTStore) Sender() NodeRef        { return NodeRef{} }
+func (*DHTStoreAck) Sender() NodeRef     { return NodeRef{} }
+func (*DHTFetch) Sender() NodeRef        { return NodeRef{} }
+func (*DHTFetchReply) Sender() NodeRef   { return NodeRef{} }
+func (*DHTReplicate) Sender() NodeRef    { return NodeRef{} }
+func (*DHTReplicateAck) Sender() NodeRef { return NodeRef{} }
 
 // --- service plane interfaces ----------------------------------------------
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -221,5 +222,53 @@ func TestPooledDecodeLifetime(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state pooled decode allocated %.1f times per message", allocs)
+	}
+}
+
+// TestWhichTypesVouchForTheirSender pins Message.Sender type by type: the
+// core protocol's messages return their From, which core takes as the
+// sender's level claim; LookupRequest (it names an origin) and the DHT
+// types return the zero ref. A wire type in neither list fails here, so a
+// new one has to say which it is.
+func TestWhichTypesVouchForTheirSender(t *testing.T) {
+	vouch := map[MsgType]bool{
+		THello: true, TPing: true, TPong: true, TJoinRequest: true, TJoinRedirect: true, TJoinAccept: true,
+		TElectionCall: true, TParentClaim: true, TChildReport: true, TPromoteGrant: true, TDemote: true,
+		TReparent: true, TBusLinkReq: true, TBusLinkAck: true, TLookupReply: true, TLeave: true,
+		TRingProbe: true, TRingProbeAck: true, TMergeIntro: true,
+		TLookupRequest: false, TDHTStore: false, TDHTStoreAck: false, TDHTFetch: false, TDHTFetchReply: false,
+		TDHTReplicate: false, TDHTReplicateAck: false,
+	}
+	if len(vouch) != int(tMaxMsgType)-1 {
+		t.Fatalf("%d types listed, the registry has %d", len(vouch), tMaxMsgType-1)
+	}
+	for ty := TInvalid + 1; ty < tMaxMsgType; ty++ {
+		want, listed := vouch[ty]
+		if !listed {
+			t.Fatalf("%v is in neither list: does its From vouch for the sender's level?", ty)
+		}
+		// Every ref the message carries gets an address of its own, From's
+		// is 1000: Sender must be From or nothing, never another field.
+		m := newMessage(ty, false)
+		v, addr := reflect.ValueOf(m).Elem(), uint64(1000)
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Type() == reflect.TypeOf(NodeRef{}) {
+				f.Set(reflect.ValueOf(NodeRef{ID: 9, Addr: addr + uint64(i), MaxLevel: 3}))
+				if v.Type().Field(i).Name == "From" && i != 0 {
+					t.Fatalf("%v: From is field %d, the test assumes 0", ty, i)
+				}
+			}
+		}
+		got := m.Sender()
+		if want && (got != NodeRef{ID: 9, Addr: 1000, MaxLevel: 3}) {
+			t.Errorf("%v: Sender() = %v, want its From", ty, got)
+		}
+		if !want && !got.IsZero() {
+			t.Errorf("%v: Sender() = %v, want the zero ref", ty, got)
+		}
+	}
+	// svc.Plane keeps its response types as bits of a uint32.
+	if tMaxMsgType > 32 {
+		t.Fatalf("%d wire types no longer fit the service plane's 32-bit set", tMaxMsgType)
 	}
 }

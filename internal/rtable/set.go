@@ -115,12 +115,6 @@ func (s *Set) MemBytes() Mem {
 		cap(s.sorted) * int(unsafe.Sizeof(proto.NodeRef{})), int(unsafe.Sizeof(*s))}
 }
 
-// MapBytes estimates the heap behind a built-in map of n entries of slot
-// bytes each (key plus value, aligned): a 48-byte header and groups of
-// eight slots with a control byte each, seven in use. Maps never shrink,
-// so for one that has been larger it is a floor.
-func MapBytes(n, slot int) int { return 48 + (n+6)/7*8*(slot+1) }
-
 // lookup returns the position of addr's entry in the slab.
 func (s *Set) lookup(addr uint64) (int, bool) {
 	for i, a := range s.addrs {

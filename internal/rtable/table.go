@@ -137,19 +137,44 @@ func (t *Table) ParentExpired(now, ttl time.Duration) bool {
 	return t.hasParent && now-t.parent.LastSeen > ttl
 }
 
+// walk is the number of positions in the one order every walk observes —
+// Level0, the bus levels ascending, Children, NbrChildren, Superiors — and
+// setAt the set at position i with its bus level (0 off the bus), nil for
+// a level the node holds no view of. A walk is
+//
+//	for i, end := 0, t.walk(); i < end; i++ {
+//		if s, lvl := t.setAt(i); s != nil { … }
+//	}
+//
+// and handles the parent slot, which is not a set, once after the loop
+// where it covers it. A plain loop over two inlinable calls, not a
+// range-over-func iterator: that form makes every loop body a closure and
+// every variable the body assigns a memory cell (DESIGN.md §16).
+func (t *Table) walk() int { return max(len(t.Bus), 1) + 3 }
+
+func (t *Table) setAt(i int) (*Set, uint8) {
+	switch nb := max(len(t.Bus), 1); {
+	case i == 0:
+		return t.Level0, 0
+	case i < nb:
+		return t.Bus[i], uint8(i)
+	case i == nb:
+		return t.Children, 0
+	case i == nb+1:
+		return t.NbrChildren, 0
+	}
+	return t.Superiors, 0
+}
+
 // Touch refreshes LastSeen for addr in every structure that knows it; it
 // implements "this timestamp is reset at every occurrence of an active
 // communication with the corresponding node".
 func (t *Table) Touch(addr uint64, now time.Duration) {
-	t.Level0.Touch(addr, now)
-	for _, s := range t.Bus {
-		if s != nil {
+	for i, end := 0, t.walk(); i < end; i++ {
+		if s, _ := t.setAt(i); s != nil {
 			s.Touch(addr, now)
 		}
 	}
-	t.Children.Touch(addr, now)
-	t.NbrChildren.Touch(addr, now)
-	t.Superiors.Touch(addr, now)
 	t.TouchParent(addr, now)
 }
 
@@ -159,21 +184,13 @@ func (t *Table) Touch(addr uint64, now time.Duration) {
 // knowledge or hearsay.
 func (t *Table) LastDirect(addr uint64) (time.Duration, bool) {
 	last := neverDirect
-	see := func(s *Set) {
-		if s == nil {
-			return
-		}
-		if e := s.Get(addr); e != nil && e.LastDirect > last {
-			last = e.LastDirect
+	for i, end := 0, t.walk(); i < end; i++ {
+		if s, _ := t.setAt(i); s != nil {
+			if e := s.Get(addr); e != nil && e.LastDirect > last {
+				last = e.LastDirect
+			}
 		}
 	}
-	see(t.Level0)
-	for _, s := range t.Bus {
-		see(s)
-	}
-	see(t.Children)
-	see(t.NbrChildren)
-	see(t.Superiors)
 	if t.hasParent && t.parent.Ref.Addr == addr && t.parent.LastDirect > last {
 		last = t.parent.LastDirect
 	}
@@ -184,22 +201,10 @@ func (t *Table) LastDirect(addr uint64) (time.Duration, bool) {
 // It reports whether anything was removed and whether the parent slot was
 // cleared.
 func (t *Table) RemoveEverywhere(addr uint64) (removed, parentLost bool) {
-	if t.Level0.Remove(addr) {
-		removed = true
-	}
-	for _, s := range t.Bus {
-		if s != nil && s.Remove(addr) {
+	for i, end := 0, t.walk(); i < end; i++ {
+		if s, _ := t.setAt(i); s != nil && s.Remove(addr) {
 			removed = true
 		}
-	}
-	if t.Children.Remove(addr) {
-		removed = true
-	}
-	if t.NbrChildren.Remove(addr) {
-		removed = true
-	}
-	if t.Superiors.Remove(addr) {
-		removed = true
 	}
 	if t.hasParent && t.parent.Ref.Addr == addr {
 		t.ClearParent()
@@ -254,38 +259,38 @@ func (r SweepResult) Empty() bool {
 // result share the table's Scratch (see there for how long they last).
 func (t *Table) Sweep(now, ttl time.Duration) SweepResult {
 	// One backing array takes every removal; the result is cut from it at
-	// the end, once append can no longer move it.
-	refs := t.Level0.sweepInto(t.sc.refs[:0], now, ttl)
-	spans := t.sc.spans[:0]
-	n0 := len(refs)
-	for lvl, s := range t.Bus {
-		if s == nil {
-			continue
-		}
-		before := len(refs)
-		refs = s.sweepInto(refs, now, ttl)
-		if len(refs) > before {
-			spans = append(spans, BusSweep{Level: uint8(lvl), Refs: refs[before:]})
-		}
-		if s.Len() == 0 {
-			t.Bus[lvl] = nil
+	// the end, once append can no longer move it. ends[k] is where the k-th
+	// set off the bus (Level0, Children, NbrChildren, Superiors) stops.
+	refs, spans := t.sc.refs[:0], t.sc.spans[:0]
+	var ends [4]int
+	k := 0
+	for i, end := 0, t.walk(); i < end; i++ {
+		if s, lvl := t.setAt(i); s != nil {
+			before := len(refs)
+			refs = s.sweepInto(refs, now, ttl)
+			if lvl == 0 {
+				ends[k], k = len(refs), k+1
+				continue
+			}
+			if len(refs) > before {
+				spans = append(spans, BusSweep{Level: lvl, Refs: refs[before:]})
+			}
+			if s.Len() == 0 {
+				t.Bus[lvl] = nil
+			}
 		}
 	}
-	nb := len(refs)
-	refs = t.Children.sweepInto(refs, now, ttl)
-	nc := len(refs)
-	refs = t.NbrChildren.sweepInto(refs, now, ttl)
-	nn := len(refs)
-	refs = t.Superiors.sweepInto(refs, now, ttl)
 	t.sc.refs, t.sc.spans = refs, spans
 
+	n0, nc, nn := ends[0], ends[1], ends[2]
+	nb := n0 // where the bus levels' removals stop
+	for i := range spans {
+		start := nb
+		nb += len(spans[i].Refs)
+		spans[i].Refs = refs[start:nb:nb]
+	}
 	res := SweepResult{Level0: refs[:n0:n0], Bus: spans, Children: refs[nb:nc:nc],
 		NbrChildren: refs[nc:nn:nn], Superiors: refs[nn:]}
-	for i, end := 0, n0; i < len(spans); i++ {
-		start := end
-		end += len(spans[i].Refs)
-		spans[i].Refs = refs[start:end:end]
-	}
 	if t.ParentExpired(now, ttl) {
 		res.ParentLost = true
 		res.Parent = t.parent.Ref
@@ -297,24 +302,12 @@ func (t *Table) Sweep(now, ttl time.Duration) SweepResult {
 // FindID looks for an exact ID anywhere in the table (the "target X is in
 // the routing table" test of the §III.f routing algorithm).
 func (t *Table) FindID(x idspace.ID) (proto.NodeRef, bool) {
-	if r, ok := t.Level0.HasID(x); ok {
-		return r, true
-	}
-	for _, s := range t.Bus {
-		if s != nil {
+	for i, end := 0, t.walk(); i < end; i++ {
+		if s, _ := t.setAt(i); s != nil {
 			if r, ok := s.HasID(x); ok {
 				return r, true
 			}
 		}
-	}
-	if r, ok := t.Children.HasID(x); ok {
-		return r, true
-	}
-	if r, ok := t.NbrChildren.HasID(x); ok {
-		return r, true
-	}
-	if r, ok := t.Superiors.HasID(x); ok {
-		return r, true
 	}
 	if t.hasParent && t.parent.Ref.ID == x {
 		return t.parent.Ref, true
@@ -329,33 +322,23 @@ func (t *Table) FindID(x idspace.ID) (proto.NodeRef, bool) {
 func (t *Table) Candidates(out []proto.NodeRef) []proto.NodeRef {
 	// Linear-scan dedup from the caller's starting point: the table holds
 	// a few dozen entries at most (§III.e), and a map here costs two
-	// allocations on every routing decision. A plain helper (not a
-	// closure) keeps the hot path allocation-free.
+	// allocations on every routing decision.
 	base := len(out)
-	out = appendCandidates(out, base, t.Level0.Refs())
-	for _, s := range t.Bus {
-		if s != nil {
-			out = appendCandidates(out, base, s.Refs())
+	for i, end := 0, t.walk(); i < end; i++ {
+		if s, _ := t.setAt(i); s != nil {
+			for _, r := range s.Refs() {
+				out = appendCandidate(out, base, r)
+			}
 		}
 	}
-	out = appendCandidates(out, base, t.Children.Refs())
-	out = appendCandidates(out, base, t.NbrChildren.Refs())
-	out = appendCandidates(out, base, t.Superiors.Refs())
 	if t.hasParent {
 		out = appendCandidate(out, base, t.parent.Ref)
 	}
 	return out
 }
 
-// appendCandidates merges refs into out[base:], deduplicating by address
-// and keeping the higher MaxLevel per peer.
-func appendCandidates(out []proto.NodeRef, base int, refs []proto.NodeRef) []proto.NodeRef {
-	for _, r := range refs {
-		out = appendCandidate(out, base, r)
-	}
-	return out
-}
-
+// appendCandidate merges r into out[base:], deduplicating by address and
+// keeping the higher MaxLevel per peer.
 func appendCandidate(out []proto.NodeRef, base int, r proto.NodeRef) []proto.NodeRef {
 	for i := base; i < len(out); i++ {
 		if out[i].Addr == r.Addr {
@@ -382,35 +365,26 @@ func (t *Table) NearestInRange(lo, hi, toward idspace.ID, exclude uint64) (proto
 	if lo > hi {
 		return proto.NodeRef{}, false
 	}
-	sc.refs(t.Level0.Refs())
-	for _, s := range t.Bus {
-		if s != nil {
-			sc.refs(s.Refs())
+	for i, end := 0, t.walk(); i < end; i++ {
+		if s, _ := t.setAt(i); s != nil {
+			for _, r := range s.Refs() {
+				sc.consider(r)
+			}
 		}
 	}
-	sc.refs(t.Children.Refs())
-	sc.refs(t.NbrChildren.Refs())
-	sc.refs(t.Superiors.Refs())
 	if t.hasParent {
 		sc.consider(t.parent.Ref)
 	}
 	return sc.best, sc.found
 }
 
-// nearScan accumulates the NearestInRange winner. A plain struct with
-// methods (not closures over locals) keeps the scan allocation-free.
+// nearScan accumulates the NearestInRange winner.
 type nearScan struct {
 	lo, hi, toward idspace.ID
 	exclude        uint64
 	best           proto.NodeRef
 	bestDist       uint64
 	found          bool
-}
-
-func (sc *nearScan) refs(refs []proto.NodeRef) {
-	for _, r := range refs {
-		sc.consider(r)
-	}
 }
 
 func (sc *nearScan) consider(r proto.NodeRef) {
@@ -427,11 +401,8 @@ func (sc *nearScan) consider(r proto.NodeRef) {
 // MemBytes reports the heap the table holds, the shared Scratch excluded.
 func (t *Table) MemBytes() Mem {
 	m := Mem{Fixed: int(unsafe.Sizeof(*t)) + cap(t.Bus)*8}
-	for _, s := range [...]*Set{t.Level0, t.Children, t.NbrChildren, t.Superiors} {
-		m.Add(s.MemBytes())
-	}
-	for _, s := range t.Bus {
-		if s != nil {
+	for i, end := 0, t.walk(); i < end; i++ {
+		if s, _ := t.setAt(i); s != nil {
 			m.Add(s.MemBytes())
 		}
 	}
@@ -441,9 +412,9 @@ func (t *Table) MemBytes() Mem {
 // Size returns the total number of entries across all structures (the
 // quantity §III.e bounds analytically), counting the parent slot.
 func (t *Table) Size() int {
-	n := t.Level0.Len() + t.Children.Len() + t.NbrChildren.Len() + t.Superiors.Len()
-	for _, s := range t.Bus {
-		if s != nil {
+	n := 0
+	for i, end := 0, t.walk(); i < end; i++ {
+		if s, _ := t.setAt(i); s != nil {
 			n += s.Len()
 		}
 	}
@@ -458,15 +429,11 @@ func (t *Table) Size() int {
 // Entries carry their age at this node (relative to now) so staleness
 // accumulates across hops.
 func (t *Table) AppendDelta(out []proto.Entry, since uint32, now time.Duration) []proto.Entry {
-	out = t.Level0.ChangedSince(since, 0, now, out)
-	for lvl, s := range t.Bus {
-		if s != nil {
-			out = s.ChangedSince(since, uint8(lvl), now, out)
+	for i, end := 0, t.walk(); i < end; i++ {
+		if s, lvl := t.setAt(i); s != nil {
+			out = s.ChangedSince(since, lvl, now, out)
 		}
 	}
-	out = t.Children.ChangedSince(since, 0, now, out)
-	out = t.NbrChildren.ChangedSince(since, 0, now, out)
-	out = t.Superiors.ChangedSince(since, 0, now, out)
 	if t.hasParent && t.parent.Version > since {
 		out = append(out, proto.Entry{
 			Ref: t.parent.Ref, Level: t.parent.Ref.MaxLevel, Flags: proto.FParent,
@@ -488,13 +455,18 @@ func (t *Table) ParentEntry() (Entry, bool) {
 // String renders a compact summary for debugging.
 func (t *Table) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "rtable{l0:%d", t.Level0.Len())
-	for lvl, s := range t.Bus {
-		if s != nil {
-			fmt.Fprintf(&b, " l%d:%d", lvl, s.Len())
+	b.WriteString("rtable{")
+	names := []string{"l0", " ch", " nch", " sup"} // the sets off the bus, in walk order
+	for i, end := 0, t.walk(); i < end; i++ {
+		if s, lvl := t.setAt(i); s != nil {
+			if lvl > 0 {
+				fmt.Fprintf(&b, " l%d:%d", lvl, s.Len())
+				continue
+			}
+			fmt.Fprintf(&b, "%s:%d", names[0], s.Len())
+			names = names[1:]
 		}
 	}
-	fmt.Fprintf(&b, " ch:%d nch:%d sup:%d", t.Children.Len(), t.NbrChildren.Len(), t.Superiors.Len())
 	if t.hasParent {
 		fmt.Fprintf(&b, " parent:%s", t.parent.Ref.ID)
 	}

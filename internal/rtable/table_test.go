@@ -253,3 +253,105 @@ func TestTableString(t *testing.T) {
 		t.Fatal("string empty")
 	}
 }
+
+// walkTable holds one entry in each structure, two bus levels and a parent;
+// every entry but one has the address of its place in the walk order —
+// Level0 1, bus level 2 then 4, Children, NbrChildren, Superiors, parent 7 —
+// and the duplicate ID 500 in every set, so that whatever a walk reports
+// first shows where it started. Version v+1 stamps the entry of address v.
+func walkTable() *Table {
+	tb := New()
+	put := func(s *Set, addr uint64) {
+		s.Upsert(proto.NodeRef{ID: 500, Addr: addr, MaxLevel: uint8(addr)}, 0, 0, uint32(addr)+1, Direct)
+	}
+	put(tb.Superiors, 6) // filled back to front: the order is the table's, not the caller's
+	put(tb.NbrChildren, 5)
+	put(tb.Children, 4)
+	put(tb.BusLevel(4), 3)
+	put(tb.BusLevel(2), 2)
+	put(tb.Level0, 1)
+	tb.BusLevel(3) // a level the node holds no view of any more
+	tb.DropLevel(3)
+	tb.SetParent(proto.NodeRef{ID: 500, Addr: 7}, 0)
+	return tb
+}
+
+// TestTableWalkOrder: every walk over the table observes the one order of
+// Table.setAt, the parent slot after it.
+func TestTableWalkOrder(t *testing.T) {
+	addrs := func(refs []proto.NodeRef) string {
+		var out []uint64
+		for _, r := range refs {
+			out = append(out, r.Addr)
+		}
+		return fmt.Sprint(out)
+	}
+	tb := walkTable()
+	if got := addrs(tb.Candidates(nil)); got != "[1 2 3 4 5 6 7]" {
+		t.Errorf("Candidates walked %s", got)
+	}
+	var delta []proto.NodeRef
+	for _, e := range tb.AppendDelta(nil, 0, 0) {
+		delta = append(delta, e.Ref)
+		if want := map[uint64]uint8{2: 2, 3: 4}[e.Ref.Addr]; e.Level != want && e.Ref.Addr != 7 {
+			t.Errorf("delta entry of address %d carries level %d, want %d", e.Ref.Addr, e.Level, want)
+		}
+	}
+	if got := addrs(delta); got != "[1 2 3 4 5 6 7]" {
+		t.Errorf("AppendDelta walked %s", got)
+	}
+	// FindID reports the first set that holds the ID; removing that entry
+	// moves the answer one place along the walk, down to the parent slot.
+	for want := uint64(1); want <= 7; want++ {
+		r, ok := tb.FindID(500)
+		if !ok || r.Addr != want {
+			t.Fatalf("FindID found address %d (%v), want %d", r.Addr, ok, want)
+		}
+		tb.RemoveEverywhere(want)
+	}
+	if _, ok := tb.FindID(500); ok || tb.Size() != 0 {
+		t.Fatalf("table not empty after removing every address: size %d", tb.Size())
+	}
+	// Sweep cuts its result from one backing array, filled in walk order.
+	tb = walkTable()
+	res := tb.Sweep(time.Hour, time.Second)
+	if !res.ParentLost || res.Parent.Addr != 7 || len(res.Bus) != 2 || res.Bus[0].Level != 2 || res.Bus[1].Level != 4 {
+		t.Fatalf("sweep result %+v", res)
+	}
+	all := res.Level0[:1:1]
+	for _, part := range [][]proto.NodeRef{res.Bus[0].Refs, res.Bus[1].Refs, res.Children, res.NbrChildren, res.Superiors} {
+		if len(part) != 1 || (cap(part) != 1 && &part[0] != &res.Superiors[0]) {
+			t.Fatalf("sweep span %v (cap %d), want one ref with no room before the next span", part, cap(part))
+		}
+		all = append(all, part...)
+	}
+	if got := addrs(all); got != "[1 2 3 4 5 6]" || &res.Level0[0] != &tb.sc.refs[0] || &res.Superiors[0] != &tb.sc.refs[5] {
+		t.Errorf("Sweep walked %s, or cut its spans from somewhere else than the scratch", got)
+	}
+	if s := tb.String(); s != "rtable{l0:0 ch:0 nch:0 sup:0}" {
+		t.Errorf("String of the swept table: %s", s)
+	}
+	if s := walkTable().String(); s != "rtable{l0:1 l2:1 l4:1 ch:1 nch:1 sup:1 parent:00000000000001f4}" {
+		t.Errorf("String: %s", s)
+	}
+}
+
+// TestTableWalksDoNotAllocate: the walks run per datagram and per routing
+// decision; the enumeration they share must cost them no allocation.
+func TestTableWalksDoNotAllocate(t *testing.T) {
+	tb := walkTable()
+	refs, entries := make([]proto.NodeRef, 0, 16), make([]proto.Entry, 0, 16)
+	for name, walk := range map[string]func(){
+		"Touch":            func() { tb.Touch(3, time.Second) },
+		"Candidates":       func() { refs = tb.Candidates(refs[:0]) },
+		"AppendDelta":      func() { entries = tb.AppendDelta(entries[:0], 0, time.Second) },
+		"RemoveEverywhere": func() { tb.RemoveEverywhere(99) },
+		"NearestInRange":   func() { tb.NearestInRange(0, idspace.MaxID, 800, 3) },
+		"LastDirect":       func() { tb.LastDirect(3) },
+		"FindID":           func() { tb.FindID(501) },
+	} {
+		if allocs := testing.AllocsPerRun(100, walk); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)
+		}
+	}
+}

@@ -34,7 +34,7 @@ type Storage struct {
 
 	// ledger holds every key the scenario successfully wrote, with the raw
 	// key bytes for re-reading; reads pick from it by rank.
-	ledger idspace.Keyed[[]byte]
+	ledger idspace.Keyed[idspace.ID, []byte]
 
 	// Workload counters (read by benchmarks and tests).
 	Puts, PutFails uint64
@@ -43,7 +43,7 @@ type Storage struct {
 
 // NewStorage creates an empty storage context.
 func NewStorage() *Storage {
-	return &Storage{services: map[uint64]*dht.Service{}, ledger: idspace.NewKeyed[[]byte]()}
+	return &Storage{services: map[uint64]*dht.Service{}}
 }
 
 // AttachAll creates and binds a DHT service on every current cluster node.

@@ -13,8 +13,8 @@ import (
 // The heap ledger (DESIGN.md §16): what a simulated peer holds, structure
 // by structure, against what the runtime says the overlay costs. The
 // MemBytes methods count what each package owns (capacity × element size,
-// exact; maps estimated); the rows below them are this runtime's own
-// per-peer objects, at the sizes the allocator rounds them to.
+// exact: a peer holds no built-in map); the rows below them are this
+// runtime's own per-peer objects, at the sizes the allocator rounds them to.
 const (
 	ledgerPeers = 2000
 	// heapBudgetBare and heapBudgetStore are the committed ceilings on heap
@@ -24,11 +24,13 @@ const (
 	// and loaded with 4096 records × 3, at a quiet instant — sim-reads and
 	// sim-writes. CI holds the benchmark's figures to the same two numbers
 	// (.github/workflows/ci.yml reads them from this file).
-	heapBudgetBare  = 22565
-	heapBudgetStore = 19980
+	heapBudgetBare  = 22124
+	heapBudgetStore = 18797
 	// ledgerFloorPct is how much of the measured heap the rows must
-	// explain at a quiet instant.
-	ledgerFloorPct = 85
+	// explain at a quiet instant: two points under what they do (96 % bare,
+	// 94 % loaded; what is left is size-class rounding and the service
+	// plane).
+	ledgerFloorPct = 92
 
 	// Per-peer objects of the simulated runtime, by allocator size class.
 	// math/rand's lagged-Fibonacci source is 607 words plus two ints: 4 872

@@ -106,12 +106,17 @@ type call struct {
 type Plane struct {
 	node *core.Node
 
-	// handlers is indexed by request MsgType; respTypes marks the message
-	// types matched against the pending-call table.
-	handlers  map[proto.MsgType]Handler
-	respTypes map[proto.MsgType]bool
+	// handlers holds the Handler of each request MsgType; respTypes is the
+	// set (bit t for MsgType t) of the message types matched against the
+	// pending-call table. A plane serves a few types and has a few calls in
+	// flight (DESIGN.md §16). The Handlers are held as any for the slab's
+	// symbol alone, as core.peerState's fields are exported: Handler's own
+	// type spells a package path, and the benchmark's CPU ledger could not
+	// place the lookup.
+	handlers  idspace.Keyed[proto.MsgType, any]
+	respTypes uint32
 
-	pending map[uint64]*call
+	pending idspace.Keyed[uint64, *call]
 	nextID  uint64
 
 	// Stats counters.
@@ -121,12 +126,7 @@ type Plane struct {
 // Attach creates the plane and installs it in the node's extension slot,
 // replacing whatever extension was installed before.
 func Attach(n *core.Node) *Plane {
-	p := &Plane{
-		node:      n,
-		handlers:  map[proto.MsgType]Handler{},
-		respTypes: map[proto.MsgType]bool{},
-		pending:   map[uint64]*call{},
-	}
+	p := &Plane{node: n}
 	n.SetExtension(p.handle)
 	return p
 }
@@ -136,16 +136,16 @@ func (p *Plane) Node() *core.Node { return p.node }
 
 // Handle registers the handler for one request message type. Last
 // registration wins; services own disjoint type sets by construction.
-func (p *Plane) Handle(t proto.MsgType, h Handler) { p.handlers[t] = h }
+func (p *Plane) Handle(t proto.MsgType, h Handler) { p.handlers.Put(t, h) }
 
 // ExpectResponse declares a message type to be a response: inbound
 // messages of this type are matched against the pending-call table by
 // SvcID instead of being dispatched to a handler.
-func (p *Plane) ExpectResponse(t proto.MsgType) { p.respTypes[t] = true }
+func (p *Plane) ExpectResponse(t proto.MsgType) { p.respTypes |= 1 << t }
 
 // Pending returns the number of in-flight calls (tests and shutdown
 // diagnostics).
-func (p *Plane) Pending() int { return len(p.pending) }
+func (p *Plane) Pending() int { return p.pending.Len() }
 
 // Call sends req to a known overlay address and invokes cb exactly once
 // with the response or an error. The request id is assigned here; retries
@@ -172,7 +172,7 @@ func (p *Plane) callWithID(id, to uint64, req proto.SvcRequest, o CallOpts, cb f
 
 	c := &call{plane: p, id: id, to: to, req: req, timeout: o.Timeout, retries: o.Retries, cb: cb}
 	c.fire = c.onDeadline
-	p.pending[id] = c
+	p.pending.Put(id, c)
 	c.attempt()
 }
 
@@ -234,7 +234,7 @@ func (c *call) attempt() {
 // onDeadline is the call's one timer: the next attempt, or ErrTimeout.
 func (c *call) onDeadline() {
 	p := c.plane
-	if _, ok := p.pending[c.id]; !ok {
+	if p.pending.Find(c.id) == nil {
 		return
 	}
 	if c.retries > 0 {
@@ -243,7 +243,7 @@ func (c *call) onDeadline() {
 		c.attempt()
 		return
 	}
-	delete(p.pending, c.id)
+	p.pending.Delete(c.id)
 	p.Stats.Timeouts++
 	c.cb(nil, ErrTimeout)
 }
@@ -254,13 +254,13 @@ func (c *call) onDeadline() {
 // end-of-datagram on the remote path — so callbacks must copy anything
 // they keep (the same contract they already obey for remote responses).
 func (p *Plane) serveLocal(req proto.SvcRequest, cb func(proto.SvcResponse, error)) {
-	h, ok := p.handlers[req.Type()]
+	h, ok := p.handlers.Get(req.Type())
 	if !ok {
 		cb(nil, ErrNoHandler)
 		return
 	}
 	p.Stats.Served++
-	h(p.node.Addr(), req, func(resp proto.SvcResponse) {
+	h.(Handler)(p.node.Addr(), req, func(resp proto.SvcResponse) {
 		if resp == nil {
 			cb(nil, ErrTimeout)
 			return
@@ -277,16 +277,16 @@ func (p *Plane) serveLocal(req proto.SvcRequest, cb func(proto.SvcResponse, erro
 // requests dispatch to their registered handler.
 func (p *Plane) handle(from uint64, msg proto.Message) bool {
 	t := msg.Type()
-	if p.respTypes[t] {
+	if p.respTypes>>t&1 != 0 {
 		resp, ok := msg.(proto.SvcResponse)
 		if !ok {
 			return false
 		}
-		c, ok := p.pending[resp.SvcID()]
+		c, ok := p.pending.Get(resp.SvcID())
 		if !ok {
 			return true // duplicate or late response
 		}
-		delete(p.pending, resp.SvcID())
+		p.pending.Delete(resp.SvcID())
 		if c.timer != nil {
 			c.timer.Cancel()
 		}
@@ -294,14 +294,14 @@ func (p *Plane) handle(from uint64, msg proto.Message) bool {
 		c.cb(resp, nil)
 		return true
 	}
-	if h, ok := p.handlers[t]; ok {
+	if h, ok := p.handlers.Get(t); ok {
 		req, isReq := msg.(proto.SvcRequest)
 		if !isReq {
 			return false
 		}
 		p.Stats.Served++
 		id := req.SvcID()
-		h(from, req, func(resp proto.SvcResponse) {
+		h.(Handler)(from, req, func(resp proto.SvcResponse) {
 			if resp == nil {
 				return
 			}

@@ -213,3 +213,54 @@ func TestLateResponseAbsorbed(t *testing.T) {
 		t.Fatalf("fired=%d err=%v", fired, firstErr)
 	}
 }
+
+// TestSixtyFourInFlight holds 64 lookups from one origin, then 64 calls on
+// one plane, in flight at the same instant and sees every one through: the
+// pending tables are scanned linearly and sized for the five a loaded peer
+// has been measured to hold (DESIGN.md §16).
+func TestSixtyFourInFlight(t *testing.T) {
+	const n = 64
+	c, planes := planeCluster(t, 80, 6)
+	p, node := planes[0], c.Nodes[0]
+
+	answered := map[idspace.ID]int{}
+	for i := 0; i < n; i++ {
+		key := idspace.ID(uint64(i+1) * (uint64(idspace.MaxID) / (n + 1)))
+		p.CallKey(key, proto.AlgoG, &proto.DHTFetch{Key: key}, CallOpts{Retries: 2},
+			func(_ proto.NodeRef, r proto.SvcResponse, err error) {
+				if err != nil || r.(*proto.DHTFetchReply).Version != uint64(key) {
+					t.Errorf("key %v: %v %#v", key, err, r)
+				}
+				answered[key]++
+			})
+	}
+	if got := node.PendingLookups(); got < n*3/4 {
+		t.Fatalf("%d lookups in flight at once, want most of %d", got, n)
+	}
+	c.Run(10 * time.Second)
+	if len(answered) != n || node.PendingLookups() != 0 || p.Pending() != 0 {
+		t.Fatalf("%d of %d keys answered; %d lookups and %d calls still pending", len(answered), n, node.PendingLookups(), p.Pending())
+	}
+
+	done := 0
+	for i := 0; i < n; i++ {
+		p.Call(c.Nodes[1+i].Addr(), &proto.DHTFetch{Key: idspace.ID(i)}, CallOpts{Retries: 2}, func(r proto.SvcResponse, err error) {
+			if err != nil || r.(*proto.DHTFetchReply).Version != uint64(i) {
+				t.Errorf("call %d: %v %#v", i, err, r)
+			}
+			done++
+		})
+	}
+	if p.Pending() != n {
+		t.Fatalf("%d calls in flight at once, want %d", p.Pending(), n)
+	}
+	c.Run(5 * time.Second)
+	if done != n || p.Pending() != 0 {
+		t.Fatalf("%d of %d calls answered, %d still pending", done, n, p.Pending())
+	}
+	for key, times := range answered {
+		if times != 1 {
+			t.Errorf("key %v answered %d times", key, times)
+		}
+	}
+}
