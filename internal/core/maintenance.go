@@ -13,39 +13,32 @@ func distTo(a, b idspace.ID) uint64 { return idspace.Dist(a, b) }
 
 // --- periodic timers ---------------------------------------------------------
 
-// The three maintenance loops are recurring timers armed once at Start and
+// The three maintenance loops are recurring timers armed once, by Start, and
 // cancelled at Stop: no per-tick re-arm closure, which matters at scale
 // (three timers per node per interval across a 10k-node simulation).
 
-func (n *Node) armKeepalive() {
-	if !n.started {
-		return
-	}
-	n.keepaliveTimer = n.env.SetPeriodic(n.cfg.KeepAlive, n.keepaliveTick)
-}
+func (n *Node) armKeepalive() { n.keepaliveTimer = n.env.SetPeriodic(n.cfg.KeepAlive, n.keepaliveTick) }
+func (n *Node) armSweep()     { n.sweepTimer = n.env.SetPeriodic(n.cfg.SweepInterval, n.sweepTick) }
+func (n *Node) armReport()    { n.reportTimer = n.env.SetPeriodic(n.cfg.ChildReport, n.reportTick) }
 
-func (n *Node) armSweep() {
-	if !n.started {
-		return
-	}
-	n.sweepTimer = n.env.SetPeriodic(n.cfg.SweepInterval, n.sweepTick)
-}
-
-func (n *Node) armReport() {
-	if !n.started {
-		return
-	}
-	n.reportTimer = n.env.SetPeriodic(n.cfg.ChildReport, n.reportTick)
-}
-
-// keepaliveTick pings every active connection, piggybacking the routing
-// delta each peer has not yet seen (§III.d: "the update can be delayed,
-// waiting to be piggybacked during a keep-alive exchange").
+// keepaliveTick pings active connections, piggybacking the routing delta
+// each peer has not yet seen (§III.d: "the update can be delayed, waiting
+// to be piggybacked during a keep-alive exchange"). A ping and its pong
+// carry both ends' deltas, so a pair needs one a round: the lower (ID,
+// Addr) end sends it; the higher pings only when the lower has been silent
+// past KeepAlive+rttBound, the window hold trusts. An order, not "heard
+// lately": ends that tick in lock-step would both skip every other round
+// (DESIGN.md §2).
 func (n *Node) keepaliveTick() {
+	now := n.env.Now()
 	// The round's pings share one send instant, which makes them the
 	// round-trip samples (handlePong): no per-ping bookkeeping.
-	n.rttFirst, n.rttSentAt = n.pingSeq+1, n.env.Now()
+	n.rttFirst, n.rttSentAt = n.pingSeq+1, now
 	for _, peer := range n.activePeers() {
+		lower := peer.ID < n.cfg.ID || (peer.ID == n.cfg.ID && peer.Addr < n.Addr())
+		if last, ok := n.table.LastDirect(peer.Addr); lower && ok && now-last <= n.cfg.KeepAlive+n.rttBound() {
+			continue
+		}
 		n.sendPing(peer.Addr)
 	}
 	n.rttPings = n.pingSeq + 1 - n.rttFirst
@@ -76,7 +69,8 @@ func (n *Node) pushUpdates() {
 }
 
 // sweepTick expires stale routing entries and repairs the structures that
-// lost members.
+// lost members. Most level-0 expiries are hearsay contacts further out
+// aging away: those cost nothing while both nearest neighbours are live.
 func (n *Node) sweepTick() {
 	now := n.env.Now()
 	freshDegree := n.farewellCheck(now)
@@ -121,11 +115,12 @@ func (n *Node) sweepTick() {
 	}
 
 	// Level-0 repair: if a direct neighbour disappeared, promote the next
-	// nearest known contact to a direct link by greeting it.
+	// nearest known contact to a direct link by greeting it — unless it
+	// already is one (heard from first-hand within the TTL).
 	if len(res.Level0) > 0 {
 		l, r := n.table.Level0.Neighbors(n.cfg.ID)
 		for _, nb := range []proto.NodeRef{l, r} {
-			if !nb.IsZero() {
+			if !nb.IsZero() && !n.table.Level0.Get(nb.Addr).DirectFresh(now, n.cfg.EntryTTL) {
 				n.sendHello(nb.Addr)
 			}
 		}

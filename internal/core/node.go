@@ -621,7 +621,8 @@ func (n *Node) busNeighbors(level uint8) (left, right proto.NodeRef) {
 // maintained connections: level-0 direct neighbours and per-level bus
 // neighbours (§III.a "all the edges of the hierarchy (called active
 // connections) are actively maintained"; parent and children links have
-// their own report mechanism).
+// their own report mechanism). Each connection is kept alive by one ping a
+// round from its lower end (keepaliveTick).
 func (n *Node) activePeers() []proto.NodeRef {
 	out := n.sc.peers[:0]
 	self := n.Addr()

@@ -6,6 +6,7 @@ import (
 
 	"treep/internal/idspace"
 	"treep/internal/proto"
+	"treep/internal/rtable"
 )
 
 func TestNewNodeDefaults(t *testing.T) {
@@ -83,17 +84,107 @@ func TestPingPongDelta(t *testing.T) {
 	}
 }
 
-func TestKeepaliveTickPingsActivePeers(t *testing.T) {
+// ofTypeTo returns the recorded messages of type T addressed to addr.
+func ofTypeTo[T proto.Message](sent []sentMsg, addr uint64) []T {
+	var out []T
+	for _, s := range sent {
+		if m, ok := s.msg.(T); ok && s.to == addr {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// TestKeepaliveOnePingPerPair: of an active pair the lower (ID, Addr) end
+// pings every round; the higher end pings only once the lower has been
+// silent past a round and its slack.
+func TestKeepaliveOnePingPerPair(t *testing.T) {
+	// Piggyback-only: the pings counted are the keep-alive round's, not
+	// the update push of the election this lone node wins.
+	piggyback := func(c *Config) { c.ImmediateUpdates = false }
+	n, env := testNode(100, 1, piggyback)
+	ka := n.cfg.KeepAlive
+	lo, hi := mkRef(90, 2, 0), mkRef(110, 3, 0)
+	n.InstallLevel0(lo, hi)
+	var heardLo time.Duration
+	var pingedLo []int
+	for round := 1; round <= 5; round++ {
+		env.advance(ka)
+		bound := n.rttBound() // what the tick saw: no pong has arrived since
+		sent := env.drain()
+		toHi := ofTypeTo[*proto.Ping](sent, hi.Addr)
+		if len(toHi) != 1 {
+			t.Fatalf("round %d: %d pings to the higher peer, want 1", round, len(toHi))
+		}
+		n.HandleMessage(hi.Addr, &proto.Pong{From: hi, Seq: toHi[0].Seq})
+		quiet := env.now-heardLo > ka+bound
+		if got := len(ofTypeTo[*proto.Ping](sent, lo.Addr)); got != 0 {
+			if !quiet {
+				t.Fatalf("round %d: pinged the lower peer %v after hearing it", round, env.now-heardLo)
+			}
+			pingedLo = append(pingedLo, round)
+		} else if quiet {
+			t.Fatalf("round %d: lower peer silent %v and not pinged", round, env.now-heardLo)
+		}
+		if round <= 3 { // the lower end pings us, then goes quiet
+			n.HandleMessage(lo.Addr, &proto.Ping{From: lo, Seq: uint32(round)})
+			heardLo = env.now
+		}
+	}
+	if len(pingedLo) != 1 || pingedLo[0] != 5 {
+		t.Fatalf("lower peer pinged in rounds %v, want [5]", pingedLo)
+	}
+
+	// A one-sided active view: the lower peer answers but never pings.
+	n, env = testNode(100, 1, piggyback)
+	n.InstallLevel0(lo)
+	last := time.Duration(0)
+	for round := 1; round <= 8; round++ {
+		env.advance(ka)
+		if p := ofTypeTo[*proto.Ping](env.drain(), lo.Addr); len(p) > 0 {
+			n.HandleMessage(lo.Addr, &proto.Pong{From: lo, Seq: p[0].Seq})
+			last = env.now
+		}
+		if env.now-last > 2*ka {
+			t.Fatalf("round %d: lower peer unpinged for %v", round, env.now-last)
+		}
+		if e := n.Table().Level0.Get(lo.Addr); e == nil || !e.DirectFresh(env.now, n.cfg.EntryTTL) {
+			t.Fatalf("round %d: one-sided neighbour lapsed", round)
+		}
+	}
+}
+
+// TestSweepRegreetsOnlyStaleNeighbours: an expiring level-0 entry greets
+// the nearest neighbours only if they are not direct-fresh already.
+func TestSweepRegreetsOnlyStaleNeighbours(t *testing.T) {
+	far := mkRef(80, 4, 0)
+	expiring := func(n *Node, env *fakeEnv) {
+		n.table.Level0.Upsert(far, proto.FNeighbor|proto.FIndirect, env.now-n.cfg.EntryTTL, n.table.NextVersion(), rtable.Hearsay)
+	}
+	hellosTo := func(sent []sentMsg, addr uint64) int { return len(ofTypeTo[*proto.Hello](sent, addr)) }
+
+	// Both neighbours pinged and live: the hearsay contact ages out quietly.
 	n, env := testNode(100, 1)
 	n.InstallLevel0(mkRef(90, 2, 0), mkRef(110, 3, 0))
-	env.drain()
-	env.advance(n.cfg.KeepAlive + time.Millisecond)
-	pings := msgsOfType[*proto.Ping](env.drain())
-	if len(pings) < 2 {
-		t.Fatalf("keepalive pinged %d peers, want >= 2", len(pings))
+	expiring(n, env)
+	env.advance(n.cfg.SweepInterval)
+	if n.Table().Level0.Get(far.Addr) != nil {
+		t.Fatal("the hearsay contact did not expire")
 	}
-	if n.Stats.PingsSent < 2 {
-		t.Fatal("stats not counted")
+	sent := env.drain()
+	if h := hellosTo(sent, 2) + hellosTo(sent, 3); h != 0 {
+		t.Fatalf("%d hellos to direct-fresh neighbours", h)
+	}
+
+	// The right nearest is hearsay only: it is the one greeted.
+	n, env = testNode(100, 1)
+	n.InstallLevel0(mkRef(90, 2, 0))
+	n.table.Level0.Upsert(mkRef(110, 3, 0), proto.FNeighbor, env.now, n.table.NextVersion(), rtable.Hearsay)
+	expiring(n, env)
+	env.advance(n.cfg.SweepInterval)
+	sent = env.drain()
+	if hellosTo(sent, 3) != 1 || hellosTo(sent, 2) != 0 {
+		t.Fatalf("hellos to the stale / live neighbour: %d / %d, want 1 / 0", hellosTo(sent, 3), hellosTo(sent, 2))
 	}
 }
 

@@ -27,6 +27,10 @@ func goldenScript() []scenario.Phase {
 // 28b0a6f, when scenario.Engine and overlay.Play each carried their own
 // copy of the phase logic; they must hold unchanged now that both run the
 // one copy in scenario/phases.go (no RNG draw moved, no victim changed).
+// PR 25 (parent 59e1167) re-recorded the engine's events and digest and
+// TreeP's sent: one keep-alive ping per active pair and no re-greeting of
+// live neighbours send fewer datagrams. Every joins, leaves, zoneKilled,
+// PlayResult and members value, and the chord and flood rows, held.
 func TestPhaseInterpreterGolden(t *testing.T) {
 	const n = 300
 	type engineWant struct {
@@ -46,18 +50,18 @@ func TestPhaseInterpreterGolden(t *testing.T) {
 		engine engineWant
 		play   map[string]playWant
 	}{
-		{1, engineWant{25, 23, 41, 68560, 0xddb3b1f134002987}, map[string]playWant{
-			"treep": {PlayResult{32, 23, 47}, 55686, 0x8ad7c04a7a2ddd57},
+		{1, engineWant{25, 23, 41, 50471, 0x6d2f7ce37cb1105d}, map[string]playWant{
+			"treep": {PlayResult{32, 23, 47}, 37086, 0x8ad7c04a7a2ddd57},
 			"chord": {PlayResult{32, 23, 41}, 16120, 0xfe6e5833afce61e6},
 			"flood": {PlayResult{32, 23, 58}, 0, 0x441754d7355d7189},
 		}},
-		{2, engineWant{23, 16, 46, 67986, 0xe46d877ba2daca4e}, map[string]playWant{
-			"treep": {PlayResult{31, 23, 44}, 52758, 0x7355bbcfd8df2510},
+		{2, engineWant{23, 16, 46, 50779, 0x6645b914099346d2}, map[string]playWant{
+			"treep": {PlayResult{31, 23, 44}, 34344, 0x7355bbcfd8df2510},
 			"chord": {PlayResult{31, 23, 45}, 15862, 0x30db0fe99afdcf09},
 			"flood": {PlayResult{31, 23, 46}, 0, 0xb973bb7a9472d450},
 		}},
-		{3, engineWant{28, 22, 51, 66286, 0x49abe42dad471914}, map[string]playWant{
-			"treep": {PlayResult{18, 16, 48}, 52624, 0xafba25b60ee9102a},
+		{3, engineWant{28, 22, 51, 49284, 0xcbee60c3e7482018}, map[string]playWant{
+			"treep": {PlayResult{18, 16, 48}, 35358, 0xafba25b60ee9102a},
 			"chord": {PlayResult{18, 16, 41}, 15740, 0xcdabf674b9da2d72},
 			"flood": {PlayResult{18, 16, 39}, 0, 0xf1e2485567951ba2},
 		}},
