@@ -22,20 +22,18 @@ import (
 // benchSweep is the shared scaled-down sweep configuration.
 func benchSweep() experiment.Options {
 	return experiment.Options{
-		N:              300,
-		Seeds:          []int64{1},
-		KillStep:       0.10,
-		MaxKill:        0.50,
-		WarmUp:         6 * time.Second,
-		Settle:         3 * time.Second,
-		LookupsPerStep: 60,
+		N:       300,
+		Seeds:   []int64{1},
+		Phases:  experiment.KillSweep(10, 50, 3*time.Second),
+		WarmUp:  6 * time.Second,
+		Lookups: 60,
 	}
 }
 
-func reportFailAt(b *testing.B, res *experiment.SweepResult, algo proto.Algo, killPct float64, label string) {
+func reportFailAt(b *testing.B, res *experiment.Result, algo proto.Algo, killPct float64, label string) {
 	b.Helper()
 	s := res.FailRateSeries(algo)
-	for i, x := range s.X {
+	for i, x := range res.KillPcts() {
 		if x == killPct {
 			b.ReportMetric(s.Y[i], label)
 			return
@@ -47,7 +45,7 @@ func BenchmarkFigA_FailedLookups_FixedNC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchSweep()
 		o.Policy = nodeprof.FixedPolicy{NC: 4}
-		res := experiment.RunKillSweep(o)
+		res := experiment.Run(o)
 		reportFailAt(b, res, proto.AlgoG, 30, "failpct@30kill")
 		reportFailAt(b, res, proto.AlgoG, 50, "failpct@50kill")
 	}
@@ -56,7 +54,7 @@ func BenchmarkFigA_FailedLookups_FixedNC(b *testing.B) {
 func BenchmarkFigB_AvgHops_FixedNC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchSweep()
-		res := experiment.RunKillSweep(o)
+		res := experiment.Run(o)
 		h := res.AvgHopsSeries(proto.AlgoG)
 		if len(h.Y) > 0 {
 			b.ReportMetric(h.Y[0], "hops@10kill")
@@ -69,7 +67,7 @@ func BenchmarkFigC_FailedLookups_VarNC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchSweep()
 		o.Policy = nodeprof.CapacityPolicy{Min: 2, Max: 16}
-		res := experiment.RunKillSweep(o)
+		res := experiment.Run(o)
 		reportFailAt(b, res, proto.AlgoG, 30, "failpct@30kill")
 	}
 }
@@ -77,10 +75,10 @@ func BenchmarkFigC_FailedLookups_VarNC(b *testing.B) {
 func BenchmarkFigD_AvgHops_FixedVsVar(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fixed := benchSweep()
-		res1 := experiment.RunKillSweep(fixed)
+		res1 := experiment.Run(fixed)
 		variable := benchSweep()
 		variable.Policy = nodeprof.CapacityPolicy{Min: 2, Max: 16}
-		res2 := experiment.RunKillSweep(variable)
+		res2 := experiment.Run(variable)
 		h1, h2 := res1.AvgHopsSeries(proto.AlgoG), res2.AvgHopsSeries(proto.AlgoG)
 		if len(h1.Y) > 0 && len(h2.Y) > 0 {
 			b.ReportMetric(h1.Y[len(h1.Y)-1], "hops-fixed@50kill")
@@ -93,7 +91,7 @@ func BenchmarkFigE_MinMaxEnvelope(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchSweep()
 		o.Seeds = []int64{1, 2, 3}
-		res := experiment.RunKillSweep(o)
+		res := experiment.Run(o)
 		lo, hi := res.FailEnvelope(proto.AlgoG)
 		if n := len(hi.Y); n > 0 {
 			b.ReportMetric(hi.Y[n-1]-lo.Y[n-1], "spread@50kill")
@@ -111,7 +109,7 @@ func benchSurface(b *testing.B, policy nodeprof.ChildPolicy, algo proto.Algo) {
 		o := benchSweep()
 		o.Policy = policy
 		o.Algos = []proto.Algo{algo}
-		res := experiment.RunKillSweep(o)
+		res := experiment.Run(o)
 		surf := res.HopSurface(algo)
 		if h := surf.At(10); h.Total() > 0 {
 			b.ReportMetric(100*h.Fraction(h.Percentile(0.5)), "pct-at-modal-hops")
@@ -144,16 +142,18 @@ func benchScenario(b *testing.B, phases []scenario.Phase) {
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunScenario(experiment.ScenarioOptions{
-			N:               300,
-			Seeds:           []int64{1},
-			Phases:          phases,
-			LookupsPerPhase: 60,
+		res := experiment.Run(experiment.Options{
+			N:        300,
+			Seeds:    []int64{1},
+			Algos:    []proto.Algo{proto.AlgoG},
+			Phases:   phases,
+			Checkers: scenario.AllCheckers(),
+			Lookups:  60,
 		})
 		last := len(res.Trials[0].Steps) - 1
-		fail := res.FailRateByPhase(proto.AlgoG)
+		fail := res.FailRateSeries(proto.AlgoG)
 		b.ReportMetric(fail.Y[last], "failpct@end")
-		viol := res.ViolationsByPhase()
+		viol := res.ViolationSeries()
 		b.ReportMetric(viol.Y[last], "violations@end")
 		if r := res.Trials[0].Result; r != nil {
 			events += r.Events
@@ -304,7 +304,7 @@ func BenchmarkScenarioPartitionHeal(b *testing.B) {
 
 func BenchmarkAN1_HeightLaw(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points := experiment.HeightLaw([]int{256, 1024}, nil, 1)
+		points := experiment.HeightLaw([]int{256, 1024}, 1)
 		last := points[len(points)-1]
 		b.ReportMetric(float64(last.Height), "height@1024")
 		b.ReportMetric(last.Predicted, "predicted@1024")
@@ -367,12 +367,11 @@ func BenchmarkEXT1_Baselines(b *testing.B) {
 func BenchmarkABL2_UpdatePolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchSweep()
-		o.MaxKill = 0.30
-		res1 := experiment.RunKillSweep(o)
-		o2 := benchSweep()
-		o2.MaxKill = 0.30
+		o.Phases = experiment.KillSweep(10, 30, 3*time.Second)
+		res1 := experiment.Run(o)
+		o2 := o
 		o2.PiggybackOnly = true
-		res2 := experiment.RunKillSweep(o2)
+		res2 := experiment.Run(o2)
 		reportFailAt(b, res1, proto.AlgoG, 30, "immediate-failpct@30")
 		reportFailAt(b, res2, proto.AlgoG, 30, "piggyback-failpct@30")
 	}

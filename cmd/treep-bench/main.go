@@ -5,22 +5,21 @@
 //
 // With -compare it instead runs the cross-protocol harness: TreeP and the
 // named baselines play the same scenario script from identical seeds, and
-// the per-phase records are exported as CSV + JSON under -out:
+// the per-phase records are exported as JSON under -out:
 //
 //	treep-bench -compare chord,flood -scenario churn -n 2000 -out results/
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"treep/internal/experiment"
-	"treep/internal/metrics"
 	"treep/internal/nodeprof"
 	"treep/internal/proto"
 )
@@ -35,14 +34,14 @@ ablations of §IV / §III.e.
 
 Compare mode (-compare): run TreeP head-to-head against the named
 baselines through one scenario script from identical seeds, exporting
-per-phase CSV + JSON records:
+per-phase JSON records:
 
   treep-bench -compare chord,flood -scenario churn -n 2000 -out results/
 
 Scale mode (-scale): run the canonical churn scenario at each listed
 population (k/M suffixes accepted: 100k, 1M) and export the substrate
-scale table (events/s, allocs/run, peak heap, speedup) as CSV + JSON —
-the machine-readable source of the EXPERIMENTS.md scale table. -shards
+scale table (events/s, allocs/run, peak heap, speedup) as JSON — the
+machine-readable source of the EXPERIMENTS.md scale table. -shards
 lists engine configurations per population (0 = classic single-threaded
 kernel, ≥1 = sharded multi-core kernel; sharded rows report wall-clock
 speedup against the shards=1 row). -budget caps each row's wall clock:
@@ -51,8 +50,6 @@ column:
 
   treep-bench -scale 10k,100k,1M -shards 1,4 -budget 5m -out results/
 
--cpuprofile/-memprofile/-blockprofile write pprof profiles of any mode.
-
 Backends: %s. Scenarios: %s.
 
 Flags:
@@ -60,24 +57,17 @@ Flags:
 	flag.PrintDefaults()
 }
 
-// flushProfiles finalises any active -cpuprofile/-memprofile output; it
-// must run before every exit path or the profile files are truncated.
-// main installs the real implementation once the flags are parsed.
-var flushProfiles = func() {}
-
 // fail prints the error and the usage, then exits non-zero.
 func fail(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "treep-bench: "+format+"\n\n", args...)
 	usage()
-	flushProfiles()
 	os.Exit(2)
 }
 
 // fatal prints the error (no usage — the flags were fine) and exits
-// non-zero, flushing profiles first.
+// non-zero.
 func fatal(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "treep-bench: "+format+"\n", args...)
-	flushProfiles()
 	os.Exit(1)
 }
 
@@ -89,65 +79,16 @@ func main() {
 	settle := flag.Duration("settle", 8*time.Second, "repair window after each kill step")
 	compare := flag.String("compare", "", "comma-separated baselines to compare TreeP against (chord, flood); enables compare mode")
 	scen := flag.String("scenario", "churn", "compare mode: scenario script (churn, flashcrowd, zonefail, partition)")
-	out := flag.String("out", "results", "compare/scale mode: directory for the CSV/JSON records")
+	out := flag.String("out", "results", "compare/scale mode: directory for the JSON records")
 	scale := flag.String("scale", "", "comma-separated populations (e.g. 500,2000,100k,1M): run the canonical churn scenario per N and export the substrate scale table; enables scale mode")
 	shards := flag.String("shards", "0", "scale mode: comma-separated engine configurations per population (0 = classic kernel, ≥1 = sharded kernel with that many shards)")
 	budget := flag.Duration("budget", 0, "scale mode: wall-clock cap per row; rows that overrun are interrupted and marked truncated (0 = no cap)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit (shard workers park at epoch barriers; this shows where)")
 	flag.Usage = usage
 	flag.Parse()
 
 	if flag.NArg() > 0 {
 		fail("unexpected argument %q", flag.Arg(0))
 	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fail("cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail("cpuprofile: %v", err)
-		}
-	}
-	if *blockprofile != "" {
-		// Rate 1 records every blocking event; the sharded kernel's barrier
-		// parks dominate, which is exactly what the profile is for.
-		runtime.SetBlockProfileRate(1)
-	}
-	cpuOn, memPath, blockPath := *cpuprofile != "", *memprofile, *blockprofile
-	flushed := false
-	flushProfiles = func() {
-		if flushed {
-			return
-		}
-		flushed = true
-		if cpuOn {
-			pprof.StopCPUProfile()
-		}
-		writeProfile := func(path, profile string, gc bool) {
-			if path == "" {
-				return
-			}
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "treep-bench: %s profile: %v\n", profile, err)
-				return
-			}
-			defer f.Close()
-			if gc {
-				runtime.GC()
-			}
-			if err := pprof.Lookup(profile).WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "treep-bench: %s profile: %v\n", profile, err)
-			}
-		}
-		writeProfile(memPath, "allocs", true)
-		writeProfile(blockPath, "block", false)
-	}
-	defer flushProfiles()
 
 	if *quick {
 		*n, *trials, *lookups = 400, 2, 60
@@ -172,8 +113,8 @@ func main() {
 		return
 	}
 	base := experiment.Options{
-		N: *n, Seeds: seeds, LookupsPerStep: *lookups, Settle: *settle,
-		KillStep: 0.05, MaxKill: 0.80,
+		N: *n, Seeds: seeds, Lookups: *lookups,
+		Phases: experiment.KillSweep(5, 80, *settle),
 	}
 
 	fmt.Printf("# TreeP paper reproduction — n=%d trials=%d lookups/step=%d settle=%v\n\n",
@@ -183,7 +124,7 @@ func main() {
 	fixed := base
 	fixed.Policy = nodeprof.FixedPolicy{NC: 4}
 	start := time.Now()
-	resFixed := experiment.RunKillSweep(fixed)
+	resFixed := experiment.Run(fixed)
 	fmt.Printf("## FIG-A — failed lookups %% vs killed %% (nc=4)  [%v]\n", time.Since(start).Truncate(time.Second))
 	printSeries(resFixed.KillPcts(),
 		resFixed.FailRateSeries(proto.AlgoG),
@@ -208,7 +149,7 @@ func main() {
 	// --- Case 2: nc variable (capacity-driven, paper §IV.b) ---------------
 	variable := base
 	variable.Policy = nodeprof.CapacityPolicy{Min: 2, Max: 16}
-	resVar := experiment.RunKillSweep(variable)
+	resVar := experiment.Run(variable)
 	fmt.Println("## FIG-C — failed lookups % vs killed % (nc variable)")
 	printSeries(resVar.KillPcts(),
 		resVar.FailRateSeries(proto.AlgoG),
@@ -229,7 +170,7 @@ func main() {
 
 	// --- Analytic checks (§III.e/f) ----------------------------------------
 	fmt.Println("## AN-1 — height law h ≈ log_c((n+1)/2)")
-	fmt.Println(experiment.RenderHeightLaw(experiment.HeightLaw([]int{256, 1024, 4096}, nil, 1)))
+	fmt.Println(experiment.RenderHeightLaw(experiment.HeightLaw([]int{256, 1024, 4096}, 1)))
 
 	fmt.Println("## AN-2 — routing-table sizes vs §III.e formulas")
 	fmt.Println(experiment.RenderTableSizes(experiment.TableSizes(min(*n, 1000), 1)))
@@ -240,15 +181,15 @@ func main() {
 	// --- Ablations ----------------------------------------------------------
 	abl := base
 	abl.Seeds = seeds[:1]
-	abl.MaxKill = 0.50
+	abl.Phases = experiment.KillSweep(5, 50, *settle)
 
 	// ABL-1 (distance model) and ABL-3 (retain upper levels) are tables in
 	// EXPERIMENTS.md, reproducible at 8085ea0.
 	fmt.Println("## ABL-2 — immediate updates vs piggyback-only (§III.d)")
-	ablBase := experiment.RunKillSweep(abl)
+	ablBase := experiment.Run(abl)
 	ablP := abl
 	ablP.PiggybackOnly = true
-	resP := experiment.RunKillSweep(ablP)
+	resP := experiment.Run(ablP)
 	p3 := ablBase.FailRateSeries(proto.AlgoG)
 	p3.Name = "fail%/immediate"
 	p4 := resP.FailRateSeries(proto.AlgoG)
@@ -288,14 +229,28 @@ func runCompare(compare, scen, out string, n int, seeds []int64, lookups int) {
 	fmt.Printf("## per-phase means across %d trials  [%v]\n", len(seeds), time.Since(start).Truncate(time.Second))
 	fmt.Println(experiment.CompareSummary(res))
 
-	csvPath, jsonPath, err := res.Recorder.Export(out, "compare-"+scen)
+	path, err := writeJSON(out, "compare-"+scen, res.Records)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "treep-bench: writing records: %v\n", err)
-		os.Exit(1)
+		fatal("writing records: %v", err)
 	}
-	fmt.Printf("records: %s, %s (%d rows)\n", csvPath, jsonPath, len(res.Recorder.Records))
+	fmt.Printf("records: %s (%d rows)\n", path, len(res.Records))
 }
 
-func printSeries(xs []float64, cols ...*metrics.Series) {
-	fmt.Println(metrics.Table("kill%", xs, cols))
+// writeJSON writes v, indented, to <dir>/<base>.json, creating dir as
+// needed, and returns the path: the one exporter of compare and scale
+// mode.
+func writeJSON(dir, base string, v any) (string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, base+".json")
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return "", err
+	}
+	return path, os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+func printSeries(xs []float64, cols ...*experiment.Series) {
+	fmt.Println(experiment.Table("kill%", xs, cols))
 }

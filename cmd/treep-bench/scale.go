@@ -1,11 +1,7 @@
 package main
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -127,14 +123,15 @@ func runChurnPoint(n, shards, lookups int, budget time.Duration) ScalePoint {
 	mallocs0 := ms.Mallocs
 	w := watchHeap()
 	start := time.Now()
-	res := experiment.RunScenario(experiment.ScenarioOptions{
-		N:               n,
-		Seeds:           []int64{1},
-		Phases:          scaleChurnPhases(),
-		LookupsPerPhase: lookups,
-		Parallel:        1,
-		Shards:          shards,
-		Budget:          budget,
+	res := experiment.Run(experiment.Options{
+		N:        n,
+		Seeds:    []int64{1},
+		Algos:    []proto.Algo{proto.AlgoG},
+		Phases:   scaleChurnPhases(),
+		Checkers: scenario.AllCheckers(),
+		Lookups:  lookups,
+		Shards:   shards,
+		Budget:   budget,
 	})
 	wall := time.Since(start)
 	peak := w.Stop()
@@ -153,11 +150,11 @@ func runChurnPoint(n, shards, lookups int, budget time.Duration) ScalePoint {
 		p.Events = r.Events
 		p.EventsPerS = float64(r.Events) / wall.Seconds()
 	}
-	fr := res.FailRateByPhase(proto.AlgoG)
+	fr := res.FailRateSeries(proto.AlgoG)
 	if len(fr.Y) > 0 {
 		p.FailPct = fr.Y[len(fr.Y)-1]
 	}
-	vi := res.ViolationsByPhase()
+	vi := res.ViolationSeries()
 	if len(vi.Y) > 0 {
 		p.Violations = vi.Y[len(vi.Y)-1]
 	}
@@ -187,7 +184,7 @@ func fillSpeedups(points []ScalePoint) {
 }
 
 // runScale executes the churn scenario once per (population, shard count)
-// and writes the scale table as CSV + JSON under outDir.
+// and writes the scale table as JSON under outDir.
 func runScale(spec, shardsSpec, outDir string, lookups int, budget time.Duration) {
 	var ns []int
 	for _, f := range strings.Split(spec, ",") {
@@ -250,11 +247,11 @@ func runScale(spec, shardsSpec, outDir string, lookups int, budget time.Duration
 		}
 	}
 
-	if err := writeScale(outDir, points); err != nil {
+	path, err := writeJSON(outDir, "scale-churn", points)
+	if err != nil {
 		fatal("writing scale records: %v", err)
 	}
-	fmt.Printf("\nrecords: %s, %s\n",
-		filepath.Join(outDir, "scale-churn.csv"), filepath.Join(outDir, "scale-churn.json"))
+	fmt.Printf("\nrecords: %s\n", path)
 }
 
 // printScaleRow prints one table row (classic-engine rows render shards
@@ -271,55 +268,4 @@ func printScaleRow(p ScalePoint) {
 	fmt.Printf("| %8d | %6s | %7.1fs%s | %9.0f | %11d | %8.1fM | %6.1f | %10.1f |\n",
 		p.N, shards, p.WallSec, trunc,
 		p.EventsPerS, p.AllocsRun, float64(p.PeakHeapBytes)/(1<<20), p.FailPct, p.Violations)
-}
-
-// writeScale exports the scale table under outDir as scale-churn.csv and
-// scale-churn.json.
-func writeScale(outDir string, points []ScalePoint) error {
-	const base = "scale-churn"
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	jf, err := os.Create(filepath.Join(outDir, base+".json"))
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(jf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(points); err != nil {
-		jf.Close()
-		return err
-	}
-	if err := jf.Close(); err != nil {
-		return err
-	}
-
-	cf, err := os.Create(filepath.Join(outDir, base+".csv"))
-	if err != nil {
-		return err
-	}
-	cw := csv.NewWriter(cf)
-	_ = cw.Write([]string{"n", "shards", "maxprocs", "wall_sec", "events", "events_per_sec", "allocs_run", "peak_heap_bytes", "speedup", "truncated", "fail_pct", "violations_end"})
-	for _, p := range points {
-		_ = cw.Write([]string{
-			strconv.Itoa(p.N),
-			strconv.Itoa(p.Shards),
-			strconv.Itoa(p.MaxProcs),
-			strconv.FormatFloat(p.WallSec, 'f', 3, 64),
-			strconv.FormatUint(p.Events, 10),
-			strconv.FormatFloat(p.EventsPerS, 'f', 1, 64),
-			strconv.FormatUint(p.AllocsRun, 10),
-			strconv.FormatUint(p.PeakHeapBytes, 10),
-			strconv.FormatFloat(p.Speedup, 'f', 3, 64),
-			strconv.FormatBool(p.Truncated),
-			strconv.FormatFloat(p.FailPct, 'f', 2, 64),
-			strconv.FormatFloat(p.Violations, 'f', 2, 64),
-		})
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		cf.Close()
-		return err
-	}
-	return cf.Close()
 }

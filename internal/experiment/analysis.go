@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"treep/internal/core"
-	"treep/internal/nodeprof"
 	"treep/internal/proto"
+	"treep/internal/scenario"
 	"treep/internal/simrt"
 )
 
@@ -22,16 +22,13 @@ type HeightPoint struct {
 	LevelCounts []int
 }
 
-// HeightLaw builds steady-state networks across sizes and compares the
-// measured hierarchy height with the B-tree bound of §III.e (AN-1).
-func HeightLaw(ns []int, policy nodeprof.ChildPolicy, seed int64) []HeightPoint {
-	if policy == nil {
-		policy = nodeprof.FixedPolicy{NC: 4}
-	}
+// HeightLaw builds steady-state networks (fixed nc=4) across sizes and
+// compares the measured hierarchy height with the B-tree bound of §III.e
+// (AN-1).
+func HeightLaw(ns []int, seed int64) []HeightPoint {
 	out := make([]HeightPoint, 0, len(ns))
 	for _, n := range ns {
 		cfg := core.Defaults()
-		cfg.ChildPolicy = policy
 		cfg.MaxHeight = 12 // let the build find its natural height
 		c := simrt.New(simrt.Options{N: n, Seed: seed, Config: cfg, Bulk: true})
 		// Average branching for the prediction: mean nc across nodes.
@@ -135,21 +132,17 @@ type HopsPoint struct {
 	FailRate float64
 }
 
-// LogNHops measures steady-state lookup hops across network sizes (AN-3).
+// LogNHops measures steady-state lookup hops across network sizes (AN-3):
+// one trial per size whose timeline is a single empty settle, so the
+// boundary measurement follows the warm-up directly.
 func LogNHops(ns []int, seed int64, lookups int) []HopsPoint {
 	out := make([]HopsPoint, 0, len(ns))
 	for _, n := range ns {
-		cfg := core.Defaults()
-		c := simrt.New(simrt.Options{N: n, Seed: seed, Config: cfg, Bulk: true})
-		c.StartAll()
-		c.Run(8 * time.Second)
-		alive := c.AliveNodes()
-		rng := c.Rand()
-		pairs := make([][2]*core.Node, lookups)
-		for i := range pairs {
-			pairs[i] = [2]*core.Node{alive[rng.Intn(len(alive))], alive[rng.Intn(len(alive))]}
-		}
-		st := measure(c, pairs, proto.AlgoG)
+		res := Run(Options{
+			N: n, Seeds: []int64{seed}, Algos: []proto.Algo{proto.AlgoG},
+			Phases: []scenario.Phase{scenario.Settle{}}, Lookups: lookups,
+		})
+		st := res.Trials[0].Steps[0].PerAlgo[proto.AlgoG]
 		out = append(out, HopsPoint{
 			N:        n,
 			AvgHops:  st.Hops.Mean(),

@@ -1,14 +1,14 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
-	"treep/internal/metrics"
 	"treep/internal/overlay"
 	"treep/internal/scenario"
 )
@@ -39,11 +39,6 @@ type CompareOptions struct {
 	WarmUp time.Duration
 	// LookupsPerPhase is the number of lookups measured at each boundary.
 	LookupsPerPhase int
-	// FloodDegree and FloodTTL configure the flooding baseline (package
-	// defaults when zero).
-	FloodDegree, FloodTTL int
-	// Parallel caps concurrent trials (default: GOMAXPROCS).
-	Parallel int
 }
 
 func (o CompareOptions) withDefaults() (CompareOptions, error) {
@@ -81,9 +76,6 @@ func (o CompareOptions) withDefaults() (CompareOptions, error) {
 	}
 	if o.LookupsPerPhase == 0 {
 		o.LookupsPerPhase = 200
-	}
-	if o.Parallel == 0 {
-		o.Parallel = runtime.GOMAXPROCS(0)
 	}
 	return o, nil
 }
@@ -133,22 +125,24 @@ func validateBackend(name string) error {
 }
 
 // newBackendSeeded constructs one backend instance of n nodes.
-func newBackendSeeded(name string, n int, seed int64, o CompareOptions) (overlay.Overlay, error) {
+func newBackendSeeded(name string, n int, seed int64) (overlay.Overlay, error) {
 	switch name {
 	case "treep":
 		return overlay.NewTreeP(n, seed), nil
 	case "chord":
 		return overlay.NewChord(n, seed), nil
 	case "flood":
-		return overlay.NewFlood(n, o.FloodDegree, o.FloodTTL, seed), nil
+		return overlay.NewFlood(n, seed), nil
 	}
 	return nil, validateBackend(name)
 }
 
-// CompareResult holds every trial's per-phase records.
+// CompareResult holds every trial's per-phase records, sorted by
+// (backend, seed, phase index) so exports are stable regardless of trial
+// completion order.
 type CompareResult struct {
-	Opts     CompareOptions
-	Recorder metrics.Recorder
+	Opts    CompareOptions
+	Records []PhaseRecord
 }
 
 // RunCompare drives every configured backend through the same phase
@@ -171,9 +165,9 @@ func RunCompare(o CompareOptions) (*CompareResult, error) {
 			keys = append(keys, trialKey{b, s})
 		}
 	}
-	records := make([][]metrics.PhaseRecord, len(keys))
+	records := make([][]PhaseRecord, len(keys))
 	errs := make([]error, len(keys))
-	runTrials(len(keys), o.Parallel, func(slot int) {
+	runTrials(len(keys), func(slot int) {
 		records[slot], errs[slot] = runCompareTrial(o, keys[slot].backend, keys[slot].seed)
 	})
 
@@ -183,27 +177,32 @@ func RunCompare(o CompareOptions) (*CompareResult, error) {
 		}
 	}
 	for _, rs := range records {
-		for _, r := range rs {
-			res.Recorder.Add(r)
-		}
+		res.Records = append(res.Records, rs...)
 	}
-	res.Recorder.Sort()
+	sortRecords(res.Records)
 	return res, nil
+}
+
+// sortRecords orders records by (backend, seed, phase index).
+func sortRecords(rs []PhaseRecord) {
+	slices.SortStableFunc(rs, func(a, b PhaseRecord) int {
+		return cmp.Or(strings.Compare(a.Backend, b.Backend), cmp.Compare(a.Seed, b.Seed), cmp.Compare(a.PhaseIdx, b.PhaseIdx))
+	})
 }
 
 // runCompareTrial plays the phase script against one backend with one
 // seed, measuring at every phase boundary. The workload RNG is seeded
 // from the trial seed alone, so every backend sees the same event
 // timeline and the same lookup draws.
-func runCompareTrial(o CompareOptions, backend string, seed int64) ([]metrics.PhaseRecord, error) {
-	ov, err := newBackendSeeded(backend, o.N, seed, o)
+func runCompareTrial(o CompareOptions, backend string, seed int64) ([]PhaseRecord, error) {
+	ov, err := newBackendSeeded(backend, o.N, seed)
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	ov.Run(o.WarmUp)
 
-	var out []metrics.PhaseRecord
+	var out []PhaseRecord
 	for idx, ph := range o.Phases {
 		before := ov.NetStats()
 		phaseStart := ov.Now()
@@ -218,7 +217,7 @@ func runCompareTrial(o CompareOptions, backend string, seed int64) ([]metrics.Ph
 		maint := ov.NetStats()
 		phaseSecs := (ov.Now() - phaseStart).Seconds()
 
-		rec := metrics.PhaseRecord{
+		rec := PhaseRecord{
 			Backend:    ov.Name(),
 			Scenario:   o.Scenario,
 			Phase:      ph.Name(),
@@ -246,13 +245,13 @@ func runCompareTrial(o CompareOptions, backend string, seed int64) ([]metrics.Ph
 // measureLookups issues lookups between random live pairs, advances
 // virtual time until all have resolved or timed out, and fills the
 // record's lookup fields plus the measurement-window traffic delta.
-func measureLookups(ov overlay.Overlay, rng *rand.Rand, lookups int, rec *metrics.PhaseRecord) {
+func measureLookups(ov overlay.Overlay, rng *rand.Rand, lookups int, rec *PhaseRecord) {
 	ids := ov.AliveIDs()
 	if len(ids) < 2 {
 		return
 	}
 	before := ov.NetStats()
-	hops := &metrics.Histogram{}
+	hops := &Histogram{}
 	var latencySum time.Duration
 	for i := 0; i < lookups; i++ {
 		origin := rng.Intn(len(ids))
@@ -316,8 +315,8 @@ func CompareSummary(res *CompareResult) string {
 		measuredN, foundN int
 	}
 	byKey := map[key]*agg{}
-	for i := range res.Recorder.Records {
-		r := &res.Recorder.Records[i]
+	for i := range res.Records {
+		r := &res.Records[i]
 		k := key{r.Backend, r.PhaseIdx}
 		a := byKey[k]
 		if a == nil {

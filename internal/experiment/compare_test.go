@@ -2,12 +2,12 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
-	"treep/internal/metrics"
 	"treep/internal/scenario"
 )
 
@@ -27,13 +27,14 @@ func compareOpts() CompareOptions {
 }
 
 // TestRunCompareProducesCompleteRecords: every backend × seed × phase has
-// exactly one record with lookups measured and maintenance accounted.
+// exactly one record with lookups measured and maintenance accounted, and
+// the records come ordered by (backend, seed, phase index).
 func TestRunCompareProducesCompleteRecords(t *testing.T) {
 	res, err := RunCompare(compareOpts())
 	if err != nil {
 		t.Fatalf("RunCompare: %v", err)
 	}
-	recs := res.Recorder.Records
+	recs := res.Records
 	wantRows := len(CompareBackends) * 2 /*seeds*/ * 2 /*phases*/
 	if len(recs) != wantRows {
 		t.Fatalf("got %d records, want %d", len(recs), wantRows)
@@ -45,7 +46,14 @@ func TestRunCompareProducesCompleteRecords(t *testing.T) {
 		idx     int
 	}
 	seen := map[cell]bool{}
-	for _, r := range recs {
+	for i, r := range recs {
+		if i > 0 {
+			p := recs[i-1]
+			if p.Backend > r.Backend || p.Backend == r.Backend && (p.Seed > r.Seed || p.Seed == r.Seed && p.PhaseIdx >= r.PhaseIdx) {
+				t.Errorf("record %d (%s/%d/%d) sorts before record %d (%s/%d/%d)",
+					i, r.Backend, r.Seed, r.PhaseIdx, i-1, p.Backend, p.Seed, p.PhaseIdx)
+			}
+		}
 		seen[cell{r.Backend, r.Seed, r.PhaseIdx}] = true
 		if r.Lookups == 0 {
 			t.Errorf("%s seed=%d phase=%d: no lookups measured", r.Backend, r.Seed, r.PhaseIdx)
@@ -93,7 +101,7 @@ func TestRunCompareProducesCompleteRecords(t *testing.T) {
 	}
 }
 
-// TestRunCompareDeterministic: the same options give byte-identical CSV.
+// TestRunCompareDeterministic: the same options give byte-identical JSON.
 func TestRunCompareDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deterministic replay is a double run; skipped in -short")
@@ -103,20 +111,19 @@ func TestRunCompareDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RunCompare: %v", err)
 		}
-		var buf bytes.Buffer
-		if err := res.Recorder.WriteCSV(&buf); err != nil {
-			t.Fatalf("WriteCSV: %v", err)
+		out, err := json.Marshal(res.Records)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return out
 	}
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {
-		t.Error("two runs with identical options produced different CSV records")
+		t.Error("two runs with identical options produced different records")
 	}
 }
 
-// TestRunCompareExport: the CSV parses with the right shape and the JSON
-// round-trips.
+// TestRunCompareExport: the records survive the JSON export unchanged.
 func TestRunCompareExport(t *testing.T) {
 	opts := compareOpts()
 	opts.Seeds = []int64{1}
@@ -125,37 +132,59 @@ func TestRunCompareExport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunCompare: %v", err)
 	}
-	dir := t.TempDir()
-	csvPath, jsonPath, err := res.Recorder.Export(dir, "compare-churn")
+	data, err := json.Marshal(res.Records)
 	if err != nil {
-		t.Fatalf("Export: %v", err)
+		t.Fatal(err)
 	}
-
-	var buf bytes.Buffer
-	if err := res.Recorder.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatalf("parsing exported CSV: %v", err)
-	}
-	if len(rows) != 1+len(res.Recorder.Records) {
-		t.Errorf("CSV has %d rows, want header + %d", len(rows), len(res.Recorder.Records))
-	}
-
-	var jbuf bytes.Buffer
-	if err := res.Recorder.WriteJSON(&jbuf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var back []metrics.PhaseRecord
-	if err := json.Unmarshal(jbuf.Bytes(), &back); err != nil {
+	var back []PhaseRecord
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("parsing exported JSON: %v", err)
 	}
-	if len(back) != len(res.Recorder.Records) {
-		t.Errorf("JSON round-trip has %d records, want %d", len(back), len(res.Recorder.Records))
+	if !reflect.DeepEqual(back, res.Records) {
+		t.Errorf("JSON round trip changed the records:\n got %+v\nwant %+v", back, res.Records)
 	}
-	if csvPath == "" || jsonPath == "" {
-		t.Error("Export returned empty paths")
+}
+
+func sampleRecords() []PhaseRecord {
+	return []PhaseRecord{
+		{Backend: "treep", Scenario: "churn", Phase: "churn", PhaseIdx: 0, Seed: 2, N: 100, Alive: 96, Lookups: 50, Found: 49},
+		{Backend: "flood", Scenario: "churn", Phase: "settle", PhaseIdx: 1, Seed: 2, N: 100, Alive: 98, Lookups: 50, Found: 50},
+		{Backend: "treep", Scenario: "churn", Phase: "settle", PhaseIdx: 1, Seed: 1, N: 100, Alive: 97, Lookups: 50, Found: 50},
+		{Backend: "treep", Scenario: "churn", Phase: "churn", PhaseIdx: 0, Seed: 1, N: 100, Alive: 97,
+			Lookups: 50, Found: 45, FailPct: 10, HopMean: 2.5, MaintMsgs: 1234, MsgsPerLookup: 7.5},
+	}
+}
+
+// TestRecordSortOrder: records order by (backend, seed, phase index).
+func TestRecordSortOrder(t *testing.T) {
+	recs := sampleRecords()
+	sortRecords(recs)
+	got := make([]string, len(recs))
+	for i, r := range recs {
+		got[i] = fmt.Sprintf("%s/%d/%s", r.Backend, r.Seed, r.Phase)
+	}
+	want := []string{"flood/2/settle", "treep/1/churn", "treep/1/settle", "treep/2/churn"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sorted order %v, want %v", got, want)
+	}
+}
+
+// TestRecordJSONRoundTrip: the exported JSON unmarshals back losslessly.
+func TestRecordJSONRoundTrip(t *testing.T) {
+	recs := sampleRecords()
+	data, err := json.MarshalIndent(recs, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []PhaseRecord
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if len(back) != len(recs) {
+		t.Fatalf("round trip has %d records, want %d", len(back), len(recs))
+	}
+	if back[3] != recs[3] {
+		t.Errorf("record 3 changed in round trip:\n got %+v\nwant %+v", back[3], recs[3])
 	}
 }
 

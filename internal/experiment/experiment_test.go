@@ -11,13 +11,11 @@ import (
 // smallOpts keeps test sweeps fast.
 func smallOpts() Options {
 	return Options{
-		N:              150,
-		Seeds:          []int64{1, 2},
-		KillStep:       0.10,
-		MaxKill:        0.50,
-		WarmUp:         6 * time.Second,
-		Settle:         3 * time.Second,
-		LookupsPerStep: 40,
+		N:       150,
+		Seeds:   []int64{1, 2},
+		Phases:  KillSweep(10, 50, 3*time.Second),
+		WarmUp:  6 * time.Second,
+		Lookups: 40,
 	}
 }
 
@@ -25,7 +23,7 @@ func TestKillSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow simulation; skipped with -short")
 	}
-	res := RunKillSweep(smallOpts())
+	res := Run(smallOpts())
 	if len(res.Trials) != 2 {
 		t.Fatalf("trials %d", len(res.Trials))
 	}
@@ -50,14 +48,34 @@ func TestKillSweepShape(t *testing.T) {
 	}
 }
 
+// TestKillSweepTargetsAreExact: the step labelled p % has killed exactly
+// p·N/100 peers. A float accumulator (frac += 0.05, int(frac·N)) leaves
+// the 45, 50 and 55 % steps one peer short at N=100.
+func TestKillSweepTargetsAreExact(t *testing.T) {
+	const n = 100
+	res := Run(Options{
+		N: n, Seeds: []int64{1}, Algos: []proto.Algo{proto.AlgoG},
+		Phases: KillSweep(5, 55, time.Second), WarmUp: time.Second, Lookups: 1,
+	})
+	steps := res.Trials[0].Steps
+	if len(steps) != 11 {
+		t.Fatalf("%d steps, want 11 (5..55 %%)", len(steps))
+	}
+	for i, st := range steps {
+		if want := (i + 1) * 5; st.KillPct != want || st.Alive != n-want*n/100 {
+			t.Errorf("step %d: %d alive at %d %%, want %d alive at %d %%", i, st.Alive, st.KillPct, n-want*n/100, want)
+		}
+	}
+}
+
 func TestKillSweepDeterministicPerSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow simulation; skipped with -short")
 	}
 	o := smallOpts()
 	o.Seeds = []int64{7}
-	a := RunKillSweep(o)
-	b := RunKillSweep(o)
+	a := Run(o)
+	b := Run(o)
 	for i := range a.Trials[0].Steps {
 		sa, sb := a.Trials[0].Steps[i], b.Trials[0].Steps[i]
 		for _, algo := range []proto.Algo{proto.AlgoG, proto.AlgoNG, proto.AlgoNGSA} {
@@ -73,7 +91,7 @@ func TestSweepAggregations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow simulation; skipped with -short")
 	}
-	res := RunKillSweep(smallOpts())
+	res := Run(smallOpts())
 	kills := res.KillPcts()
 	if len(kills) != 5 || kills[0] != 10 || kills[4] != 50 {
 		t.Fatalf("kill pcts %v", kills)
@@ -116,7 +134,7 @@ func TestSweepPaperShape(t *testing.T) {
 	// each other; hop counts stay bounded.
 	o := smallOpts()
 	o.Seeds = []int64{1, 2, 3}
-	res := RunKillSweep(o)
+	res := Run(o)
 
 	g := res.FailRateSeries(proto.AlgoG)
 	if g.Y[0] > 30 {
@@ -149,7 +167,7 @@ func TestVariablePolicySweep(t *testing.T) {
 	o := smallOpts()
 	o.Seeds = []int64{1}
 	o.Policy = nodeprof.CapacityPolicy{Min: 2, Max: 16}
-	res := RunKillSweep(o)
+	res := Run(o)
 	if len(res.Trials[0].Steps) == 0 {
 		t.Fatal("no steps")
 	}
@@ -161,16 +179,16 @@ func TestAblationOptionsRun(t *testing.T) {
 	}
 	o := smallOpts()
 	o.Seeds = []int64{1}
-	o.MaxKill = 0.2
+	o.Phases = KillSweep(10, 20, 3*time.Second)
 	o.PiggybackOnly = true
-	res := RunKillSweep(o)
+	res := Run(o)
 	if len(res.Trials[0].Steps) != 2 {
 		t.Fatalf("steps %d", len(res.Trials[0].Steps))
 	}
 }
 
 func TestHeightLaw(t *testing.T) {
-	points := HeightLaw([]int{64, 256, 1024}, nil, 1)
+	points := HeightLaw([]int{64, 256, 1024}, 1)
 	if len(points) != 3 {
 		t.Fatal("points")
 	}

@@ -1,4 +1,4 @@
-package metrics
+package experiment
 
 import (
 	"math/rand"
@@ -44,28 +44,51 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
+// TestHistogramPercentileProperty: Percentile is the nearest rank. It is
+// monotone in p, always an observed value, the minimum at p=0 and the
+// maximum at p=1. A ⌊p·total⌋ rank fails it: p50 of {1,2,3} comes out 1
+// and p0 of anything 0.
 func TestHistogramPercentileProperty(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		h := &Histogram{}
+		lo, hi := 32, -1
 		for _, v := range raw {
 			h.Observe(int(v) % 32)
+			lo, hi = min(lo, int(v)%32), max(hi, int(v)%32)
 		}
 		if h.Total() == 0 {
 			return true
 		}
-		// Percentile must be monotone in p.
 		prev := -1
-		for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		for _, p := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1} {
 			v := h.Percentile(p)
-			if v < prev {
+			if v < prev || h.Count(v) == 0 {
 				return false
 			}
 			prev = v
 		}
-		return true
+		return h.Percentile(0) == lo && h.Percentile(1) == hi
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+	for _, c := range []struct {
+		obs  []int
+		p    float64
+		want int
+	}{
+		{[]int{1, 2, 3}, 0.5, 2},
+		{[]int{3}, 0, 3},
+		{[]int{1, 2, 3, 4}, 0.5, 2},
+		{[]int{1, 2, 3, 4}, 0.51, 3},
+	} {
+		h := &Histogram{}
+		for _, v := range c.obs {
+			h.Observe(v)
+		}
+		if got := h.Percentile(c.p); got != c.want {
+			t.Errorf("p%v of %v = %d, want %d", c.p*100, c.obs, got, c.want)
+		}
 	}
 }
 
@@ -86,36 +109,23 @@ func TestSurface(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	var m MinMax
-	if m.Min() != 0 || m.Max() != 0 {
-		t.Fatalf("empty minmax %+v", m)
-	}
-	m.Observe(5)
-	m.Observe(2)
-	m.Observe(9)
-	if m.Min() != 2 || m.Max() != 9 {
-		t.Fatalf("minmax %+v", m)
-	}
-}
-
 func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind(5)
-	if uf.Sets() != 5 {
+	uf := newUnionFind(5)
+	if uf.sets != 5 {
 		t.Fatal("initial sets")
 	}
-	if !uf.Union(0, 1) || uf.Union(0, 1) {
+	if !uf.union(0, 1) || uf.union(0, 1) {
 		t.Fatal("union semantics")
 	}
-	uf.Union(2, 3)
-	if uf.Sets() != 3 {
-		t.Fatalf("sets %d", uf.Sets())
+	uf.union(2, 3)
+	if uf.sets != 3 {
+		t.Fatalf("sets %d", uf.sets)
 	}
-	if uf.Find(0) != uf.Find(1) || uf.Find(0) == uf.Find(2) {
+	if uf.find(0) != uf.find(1) || uf.find(0) == uf.find(2) {
 		t.Fatal("find")
 	}
-	uf.Union(1, 3)
-	if uf.Sets() != 2 || uf.Find(0) != uf.Find(2) {
+	uf.union(1, 3)
+	if uf.sets != 2 || uf.find(0) != uf.find(2) {
 		t.Fatal("transitive union")
 	}
 }
@@ -123,7 +133,7 @@ func TestUnionFind(t *testing.T) {
 func TestUnionFindRandomProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := 64
-	uf := NewUnionFind(n)
+	uf := newUnionFind(n)
 	// Reference components via adjacency + flood fill.
 	adj := make([][]bool, n)
 	for i := range adj {
@@ -131,7 +141,7 @@ func TestUnionFindRandomProperty(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		a, b := rng.Intn(n), rng.Intn(n)
-		uf.Union(a, b)
+		uf.union(a, b)
 		adj[a][b], adj[b][a] = true, true
 	}
 	// Count components by DFS.
@@ -152,15 +162,13 @@ func TestUnionFindRandomProperty(t *testing.T) {
 			dfs(v)
 		}
 	}
-	if uf.Sets() != comps {
-		t.Fatalf("union-find %d vs dfs %d", uf.Sets(), comps)
+	if uf.sets != comps {
+		t.Fatalf("union-find %d vs dfs %d", uf.sets, comps)
 	}
 }
 
 func TestSeriesAndTable(t *testing.T) {
-	s := &Series{Name: "G"}
-	s.Add(10, 0.5)
-	s.Add(20, 0.7)
+	s := &Series{Name: "G", Y: []float64{0.5, 0.7}}
 	tbl := Table("kill%", []float64{10, 20}, []*Series{s})
 	if !strings.Contains(tbl, "kill%\tG") || !strings.Contains(tbl, "10\t0.50") {
 		t.Fatalf("table:\n%s", tbl)

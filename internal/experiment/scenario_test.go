@@ -12,14 +12,16 @@ func TestRunScenarioShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow simulation; skipped with -short")
 	}
-	res := RunScenario(ScenarioOptions{
+	res := Run(Options{
 		N:     150,
 		Seeds: []int64{1, 2},
+		Algos: []proto.Algo{proto.AlgoG},
 		Phases: []scenario.Phase{
 			scenario.Churn{For: 10 * time.Second, JoinRate: 2, LeaveRate: 2},
 			scenario.Settle{For: 12 * time.Second},
 		},
-		LookupsPerPhase: 30,
+		Checkers: scenario.AllCheckers(),
+		Lookups:  30,
 	})
 	if len(res.Trials) != 2 {
 		t.Fatalf("trials %d", len(res.Trials))
@@ -45,10 +47,10 @@ func TestRunScenarioShape(t *testing.T) {
 		}
 	}
 	// Aggregations cover every phase boundary.
-	if s := res.FailRateByPhase(proto.AlgoG); len(s.Y) != 2 {
+	if s := res.FailRateSeries(proto.AlgoG); len(s.Y) != 2 {
 		t.Fatalf("fail series %v", s.Y)
 	}
-	if s := res.ViolationsByPhase(); len(s.Y) != 2 {
+	if s := res.ViolationSeries(); len(s.Y) != 2 {
 		t.Fatalf("violation series %v", s.Y)
 	}
 }
@@ -57,16 +59,18 @@ func TestRunScenarioDeterministicPerSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow simulation; skipped with -short")
 	}
-	opts := ScenarioOptions{
+	opts := Options{
 		N:     120,
 		Seeds: []int64{7},
+		Algos: []proto.Algo{proto.AlgoG},
 		Phases: []scenario.Phase{
 			scenario.FlashCrowd{Joins: 20, Over: 3 * time.Second},
 			scenario.Settle{For: 8 * time.Second},
 		},
-		LookupsPerPhase: 20,
+		Checkers: scenario.AllCheckers(),
+		Lookups:  20,
 	}
-	a, b := RunScenario(opts), RunScenario(opts)
+	a, b := Run(opts), Run(opts)
 	sa, sb := a.Trials[0].Steps, b.Trials[0].Steps
 	for i := range sa {
 		ga, gb := sa[i].PerAlgo[proto.AlgoG], sb[i].PerAlgo[proto.AlgoG]

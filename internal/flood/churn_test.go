@@ -37,7 +37,7 @@ func measure(ov overlay.Overlay, seed int64, issued int) (int, int) {
 // TestFloodLookupUnderChurn: joined nodes become reachable flood targets
 // and the graph keeps finding the surviving population.
 func TestFloodLookupUnderChurn(t *testing.T) {
-	ov := overlay.NewFlood(150, 0, 0, 1)
+	ov := overlay.NewFlood(150, 1)
 	ov.Run(4 * time.Second)
 
 	res, err := overlay.Play(ov, rand.New(rand.NewSource(42)),
@@ -65,7 +65,7 @@ func TestFloodLookupUnderChurn(t *testing.T) {
 // the prune/re-wire tick must keep the survivors connected enough for
 // floods to reach their targets.
 func TestFloodRewireAfterZoneFailure(t *testing.T) {
-	ov := overlay.NewFlood(150, 0, 0, 3)
+	ov := overlay.NewFlood(150, 3)
 	ov.Run(4 * time.Second)
 
 	res, err := overlay.Play(ov, rand.New(rand.NewSource(4)),

@@ -36,12 +36,6 @@ func (a *Chord) NetStats() netsim.Stats { return a.C.Net.Stats() }
 // Join implements Overlay.
 func (a *Chord) Join() bool { return a.C.Join() != nil }
 
-// Partition implements Overlay.
-func (a *Chord) Partition(split idspace.ID) { a.C.Partition(split) }
-
-// Heal implements Overlay.
-func (a *Chord) Heal() { a.C.Heal() }
-
 // MaintenanceTick implements Overlay: run Chord's timeout-based failure
 // eviction (modelled out-of-band, see chord.DropDead).
 func (a *Chord) MaintenanceTick() { a.C.DropDead() }
@@ -66,9 +60,6 @@ func (a *Chord) Lookup(origin int, target idspace.ID, cb func(Outcome)) {
 
 // LookupWindow implements Overlay.
 func (a *Chord) LookupWindow() time.Duration { return a.C.LookupTimeout() + time.Second }
-
-// Run implements Overlay.
-func (a *Chord) Run(d time.Duration) { a.C.Run(d) }
 
 // StateSize implements Overlay.
 func (a *Chord) StateSize() int {

@@ -8,34 +8,25 @@ import (
 	"treep/internal/netsim"
 )
 
-// DefaultFloodDegree is the random-graph degree used when callers do not
-// specify one (a typical Gnutella client keeps 4–8 neighbours).
-const DefaultFloodDegree = 6
+// floodDegree is the random-graph degree of the flooding baseline (a
+// typical Gnutella client keeps 4–8 neighbours).
+const floodDegree = 6
 
-// DefaultFloodTTL is the flood hop budget (Gnutella shipped with TTL 7; one
-// extra hop covers the sparser corners of a churned graph).
-const DefaultFloodTTL = 8
+// floodTTL is the flood hop budget (Gnutella shipped with TTL 7; one extra
+// hop covers the sparser corners of a churned graph).
+const floodTTL = 8
 
 // Flood adapts the flood.Cluster baseline to the Overlay interface.
 // Lookups flood for the exact target ID with a fixed TTL.
 type Flood struct {
 	C *flood.Cluster
 	members[*flood.Node]
-
-	ttl uint8
 }
 
-// NewFlood builds a flooding network of n nodes wired at the given degree;
-// degree and ttl fall back to the package defaults when non-positive.
-func NewFlood(n, degree, ttl int, seed int64) *Flood {
-	if degree <= 0 {
-		degree = DefaultFloodDegree
-	}
-	if ttl <= 0 {
-		ttl = DefaultFloodTTL
-	}
-	c := flood.New(n, degree, seed)
-	return &Flood{C: c, members: members[*flood.Node]{c, c.Kernel.Stream(0x6f766c79)}, ttl: uint8(ttl)} // "ovly"
+// NewFlood builds a flooding network of n nodes wired at degree 6.
+func NewFlood(n int, seed int64) *Flood {
+	c := flood.New(n, floodDegree, seed)
+	return &Flood{C: c, members: members[*flood.Node]{c, c.Kernel.Stream(0x6f766c79)}} // "ovly"
 }
 
 // Name implements Overlay.
@@ -50,12 +41,6 @@ func (a *Flood) NetStats() netsim.Stats { return a.C.Net.Stats() }
 // Join implements Overlay.
 func (a *Flood) Join() bool { return a.C.Join() != nil }
 
-// Partition implements Overlay.
-func (a *Flood) Partition(split idspace.ID) { a.C.Partition(split) }
-
-// Heal implements Overlay.
-func (a *Flood) Heal() { a.C.Heal() }
-
 // MaintenanceTick implements Overlay: evict dead neighbours and re-dial
 // under-connected nodes (modelled out-of-band, see flood.PruneDead).
 func (a *Flood) MaintenanceTick() { a.C.PruneDead() }
@@ -69,7 +54,7 @@ func (a *Flood) Lookup(origin int, target idspace.ID, cb func(Outcome)) {
 	}
 	n := alive[origin%len(alive)]
 	start := a.C.Kernel.Now()
-	n.Lookup(a.C, target, a.ttl, func(r flood.Result) {
+	n.Lookup(a.C, target, floodTTL, func(r flood.Result) {
 		cb(Outcome{
 			Found:   r.Found,
 			Hops:    r.Hops,
@@ -80,9 +65,6 @@ func (a *Flood) Lookup(origin int, target idspace.ID, cb func(Outcome)) {
 
 // LookupWindow implements Overlay.
 func (a *Flood) LookupWindow() time.Duration { return a.C.LookupTimeout() + time.Second }
-
-// Run implements Overlay.
-func (a *Flood) Run(d time.Duration) { a.C.Run(d) }
 
 // StateSize implements Overlay.
 func (a *Flood) StateSize() int {

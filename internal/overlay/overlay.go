@@ -79,15 +79,28 @@ type Overlay interface {
 	StateSize() int
 }
 
-// members implements the membership side of Overlay over any simulated
-// cluster that can list and fail-stop its live nodes of type N.
+// members implements the membership and connectivity side of Overlay over
+// any simulated cluster that can run its clock, list and fail-stop its
+// live nodes of type N, and split and heal its network.
 type members[N interface{ ID() idspace.ID }] struct {
 	c interface {
+		Run(time.Duration)
 		AliveNodes() []N
 		Kill(N)
+		Partition(idspace.ID)
+		Heal()
 	}
 	rng *rand.Rand // picks Leave's victim
 }
+
+// Run implements Overlay.
+func (m members[N]) Run(d time.Duration) { m.c.Run(d) }
+
+// Partition implements Overlay.
+func (m members[N]) Partition(split idspace.ID) { m.c.Partition(split) }
+
+// Heal implements Overlay.
+func (m members[N]) Heal() { m.c.Heal() }
 
 // AliveCount implements Overlay.
 func (m members[N]) AliveCount() int { return len(m.c.AliveNodes()) }

@@ -14,7 +14,7 @@ func backends(t *testing.T, n int, seed int64) []Overlay {
 	return []Overlay{
 		NewTreeP(n, seed),
 		NewChord(n, seed),
-		NewFlood(n, 0, 0, seed),
+		NewFlood(n, seed),
 	}
 }
 
@@ -172,7 +172,7 @@ func TestPlayPartitionHeal(t *testing.T) {
 // TestPlayRejectsUnsupportedPhase: TreeP-specific phases are refused, not
 // silently skipped.
 func TestPlayRejectsUnsupportedPhase(t *testing.T) {
-	ov := NewFlood(20, 0, 0, 1)
+	ov := NewFlood(20, 1)
 	if _, err := Play(ov, rand.New(rand.NewSource(1)), scenario.RevivalWave{Over: time.Second}); err == nil {
 		t.Fatal("Play accepted RevivalWave; want an unsupported-phase error")
 	}

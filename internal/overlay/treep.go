@@ -46,12 +46,6 @@ func (t *TreeP) NetStats() netsim.Stats { return t.C.Net.Stats() }
 // live peer (the protocol's dynamic join).
 func (t *TreeP) Join() bool { return t.C.SpawnJoin() != nil }
 
-// Partition implements Overlay.
-func (t *TreeP) Partition(split idspace.ID) { t.C.Partition(split) }
-
-// Heal implements Overlay.
-func (t *TreeP) Heal() { t.C.Heal() }
-
 // MaintenanceTick implements Overlay. TreeP's failure detection is fully
 // in-protocol (parent keepalives, table sweeps), so there is nothing to
 // model out-of-band.
@@ -78,9 +72,6 @@ func (t *TreeP) Lookup(origin int, target idspace.ID, cb func(Outcome)) {
 func (t *TreeP) LookupWindow() time.Duration {
 	return t.C.Nodes[0].Config().LookupTimeout + time.Second
 }
-
-// Run implements Overlay.
-func (t *TreeP) Run(d time.Duration) { t.C.Run(d) }
 
 // StateSize implements Overlay: total routing-table entries across live
 // nodes (parents, buses, rings — everything the table holds).
