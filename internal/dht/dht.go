@@ -368,7 +368,7 @@ func (s *Service) storeVia(key, value []byte, cond bool, base uint64, cb func(ui
 	k := idspace.HashKey(key)
 	req := &proto.DHTStore{Key: k, Value: value, Base: base, Cond: cond}
 	s.plane.CallKey(k, proto.AlgoG, req, callOpts,
-		func(_ proto.NodeRef, resp proto.SvcResponse, err error) {
+		func(_ proto.NodeRef, resp proto.SvcMessage, err error) {
 			if err != nil {
 				cb(0, mapErr(err))
 				return
@@ -420,7 +420,7 @@ func (s *Service) GetRecord(key []byte, cb func(Record, error)) {
 	}
 	req := &proto.DHTFetch{Key: k}
 	s.plane.CallKey(k, proto.AlgoG, req, callOpts,
-		func(_ proto.NodeRef, resp proto.SvcResponse, err error) {
+		func(_ proto.NodeRef, resp proto.SvcMessage, err error) {
 			if err != nil {
 				cb(Record{}, mapErr(err))
 				return
@@ -715,7 +715,7 @@ func (s *Service) pushFanout(k idspace.ID, rec *record, hk *hotKey) {
 // a freshly responsible owner would restart versions at 1 and its writes
 // would lose every merge against the surviving higher-versioned copies
 // (and conditional stores would pass a base check they should fail).
-func (s *Service) handleStore(from uint64, req proto.SvcRequest, respond func(proto.SvcResponse)) {
+func (s *Service) handleStore(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
 	m := req.(*proto.DHTStore)
 	s.Stats.PutsServed++
 	// A retried store (ack lost in flight) replays the recorded outcome
@@ -753,7 +753,7 @@ func (s *Service) handleStore(from uint64, req proto.SvcRequest, respond func(pr
 // finishStore applies a store against the now-settled current version and
 // records the outcome for ack replay.
 func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bool, from, reqID uint64,
-	respond func(proto.SvcResponse)) {
+	respond func(proto.SvcMessage)) {
 	var curVersion, curOrigin uint64
 	if cur, ok := s.recs.Get(key); ok {
 		curVersion, curOrigin = cur.version, cur.origin
@@ -793,7 +793,7 @@ func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bo
 // handleFetch serves reads. A miss on a non-local fetch consults the ring
 // neighbours — the replica set of whoever owned the key before us — and
 // adopts the best surviving copy before answering (read-repair).
-func (s *Service) handleFetch(from uint64, req proto.SvcRequest, respond func(proto.SvcResponse)) {
+func (s *Service) handleFetch(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
 	m := req.(*proto.DHTFetch)
 	s.Stats.GetsServed++
 	if s.HotCache && !m.Local {
@@ -848,7 +848,7 @@ func (s *Service) consult(key idspace.ID, cb func(bool, Record)) {
 	for _, tgt := range targets {
 		sub := &proto.DHTFetch{Key: key, Local: true}
 		s.plane.Call(tgt.Addr, sub, svc.CallOpts{Timeout: requestTimeout / 2},
-			func(resp proto.SvcResponse, err error) {
+			func(resp proto.SvcMessage, err error) {
 				remaining--
 				if err == nil {
 					if rep, ok := resp.(*proto.DHTFetchReply); ok && rep.Found {
@@ -886,7 +886,7 @@ func notFound() *proto.DHTFetchReply { return proto.AcquireDHTFetchReply() }
 // than the authoritative store — it must not become a durable orphan the
 // maintenance loop then tries to hand back. Acked pushes (handoff) and
 // pushes we are genuinely in the replica set for merge as before.
-func (s *Service) handleReplicate(from uint64, req proto.SvcRequest, respond func(proto.SvcResponse)) {
+func (s *Service) handleReplicate(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
 	m := req.(*proto.DHTReplicate)
 	if m.Cache {
 		// Fan-out copy: cache it, never adopt it as an authoritative
@@ -985,7 +985,7 @@ func (s *Service) handoff(k idspace.ID, rec *record, owner proto.NodeRef) {
 	s.Stats.Handoffs++
 	version := rec.version
 	s.plane.Call(owner.Addr, s.replicaOf(k, rec, false), svc.CallOpts{Timeout: requestTimeout, Retries: 1},
-		func(resp proto.SvcResponse, err error) {
+		func(resp proto.SvcMessage, err error) {
 			if err != nil {
 				return // keep the copy; next tick retries
 			}

@@ -375,7 +375,7 @@ func TestStoreRetryReplaysAck(t *testing.T) {
 	store := func() {
 		s.handleStore(42, &proto.DHTStore{From: proto.NodeRef{Addr: 42}, ReqID: 7,
 			Key: k, Value: []byte("v"), Cond: true, Base: AnyVersion},
-			func(resp proto.SvcResponse) { acks = append(acks, resp.(*proto.DHTStoreAck)) })
+			func(resp proto.SvcMessage) { acks = append(acks, resp.(*proto.DHTStoreAck)) })
 	}
 	store()
 	store() // the retry: same requester, same request id
@@ -395,7 +395,7 @@ func TestStoreRetryReplaysAck(t *testing.T) {
 	// A different id from the same requester is a new operation.
 	s.handleStore(42, &proto.DHTStore{From: proto.NodeRef{Addr: 42}, ReqID: 8,
 		Key: k, Value: []byte("w"), Cond: true, Base: AnyVersion},
-		func(resp proto.SvcResponse) { acks = append(acks, resp.(*proto.DHTStoreAck)) })
+		func(resp proto.SvcMessage) { acks = append(acks, resp.(*proto.DHTStoreAck)) })
 	if acks[2].Status != proto.StoreConflict {
 		t.Fatalf("fresh conditional store with stale base must conflict, got %+v", acks[2])
 	}
@@ -412,7 +412,7 @@ func TestStoreMemoRingGrowsThenWraps(t *testing.T) {
 		var ack *proto.DHTStoreAck
 		s.handleStore(42, &proto.DHTStore{From: proto.NodeRef{Addr: 42}, ReqID: reqID,
 			Key: idspace.ID(reqID), Value: []byte("v")},
-			func(resp proto.SvcResponse) { ack = resp.(*proto.DHTStoreAck) })
+			func(resp proto.SvcMessage) { ack = resp.(*proto.DHTStoreAck) })
 		return ack
 	}
 	for id := uint64(1); id <= 6; id++ {

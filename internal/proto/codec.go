@@ -46,33 +46,23 @@ const MaxKeepAliveEntries = (MaxDatagram - headerSize - nodeRefSize - 4 - 2) / e
 
 // Encode serialises a message into a fresh buffer, header included.
 func Encode(m Message) []byte {
-	return EncodeAppend(make([]byte, 0, headerSize+m.EncodedSize()), m)
+	return EncodeAppend(make([]byte, 0, WireSize(m)), m)
 }
-
-// writerPool and readerPool recycle the codec cursors. A stack-local
-// cursor would be free, but escape analysis can't keep one on the stack
-// across the encodeBody/decodeBody interface call, so without pooling
-// every encode and decode pays one heap allocation just for the cursor.
-var (
-	writerPool = sync.Pool{New: func() interface{} { return new(writer) }}
-	readerPool = sync.Pool{New: func() interface{} { return new(reader) }}
-)
 
 // EncodeAppend serialises a message, header included, appending to dst and
 // returning the extended slice. With a dst of sufficient capacity the
 // encode allocates nothing, which is what lets the batched UDP transport
 // serialise a whole send queue into one recycled arena.
 func EncodeAppend(dst []byte, m Message) []byte {
-	w := writerPool.Get().(*writer)
-	w.buf = dst
-	w.u8(wireMagic)
-	w.u8(wireVersion)
-	w.u8(uint8(m.Type()))
-	m.encodeBody(w)
-	out := w.buf
-	w.buf = nil
-	writerPool.Put(w)
+	_, out, _ := walk(m, writing, append(dst, wireMagic, wireVersion, uint8(m.Type())))
 	return out
+}
+
+// WireSize returns the total datagram size for a message, header included.
+// The simulator charges this many bytes per send without serialising.
+func WireSize(m Message) int {
+	n, _, _ := walk(m, sizing, nil)
+	return headerSize + n
 }
 
 // Decode parses one datagram into a fresh message value. The whole buffer
@@ -117,15 +107,10 @@ func decode(b []byte, pooled bool) (Message, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: %d", ErrType, b[2])
 	}
-	r := readerPool.Get().(*reader)
-	r.buf, r.err = b[headerSize:], nil
-	m.decodeBody(r)
-	if r.err == nil && len(r.buf) != 0 {
-		r.err = ErrTrail
+	_, rest, err := walk(m, reading, b[headerSize:])
+	if err == nil && len(rest) != 0 {
+		err = ErrTrail
 	}
-	err := r.err
-	r.buf, r.err = nil, nil
-	readerPool.Put(r)
 	if err != nil {
 		if pooled {
 			ReleaseDecoded(m)
@@ -134,10 +119,6 @@ func decode(b []byte, pooled bool) (Message, error) {
 	}
 	return m, nil
 }
-
-// WireSize returns the total datagram size for a message, header included.
-// The simulator charges this many bytes per send without serialising.
-func WireSize(m Message) int { return headerSize + m.EncodedSize() }
 
 // newMessage returns the value a datagram of type t decodes into, or nil
 // for a type with no row in msgTypes. With pooled set, pooled types come
@@ -153,614 +134,386 @@ func newMessage(t MsgType, pooled bool) Message {
 	return msgTypes[t].fresh()
 }
 
-// --- writer ----------------------------------------------------------------
+// --- cursor ----------------------------------------------------------------
 
-type writer struct{ buf []byte }
+// direction is what a cursor does with each field a body walk names.
+type direction uint8
 
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
-func (w *writer) boolean(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
+const (
+	sizing  direction = iota // add the field's wire size to n
+	writing                  // append the field to buf
+	reading                  // consume the field from buf into the struct
+)
 
-func (w *writer) ref(r NodeRef) {
-	w.u64(uint64(r.ID))
-	w.u64(r.Addr)
-	w.u8(r.MaxLevel)
-	w.u16(r.Score)
-}
-
-func (w *writer) region(r Region) {
-	w.u64(uint64(r.Lo))
-	w.u64(uint64(r.Hi))
-}
-
-func (w *writer) entry(e Entry) {
-	w.ref(e.Ref)
-	w.u8(e.Level)
-	w.u8(uint8(e.Flags))
-	w.u32(e.Version)
-	w.u16(e.AgeDs)
-}
-
-func (w *writer) entries(es []Entry) {
-	w.u16(uint16(len(es)))
-	for _, e := range es {
-		w.entry(e)
-	}
-}
-
-func (w *writer) refs(rs []NodeRef) {
-	w.u16(uint16(len(rs)))
-	for _, r := range rs {
-		w.ref(r)
-	}
-}
-
-func (w *writer) bytes(b []byte) {
-	w.u16(uint16(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// --- reader ----------------------------------------------------------------
-
-type reader struct {
+// cursor carries one body walk. A field method takes a pointer to the
+// field, so one walk serves all three directions. A read that runs out of
+// bytes sets err and empties buf, so every later read of the walk fails
+// too; the walk needs no error checks of its own.
+type cursor struct {
+	dir direction
+	n   int
 	buf []byte
 	err error
 }
 
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = ErrShort
-	}
-	r.buf = nil
+// cursorPool recycles cursors. A stack-local cursor would be free, but
+// escape analysis cannot keep one on the stack across the body interface
+// call, so without the pool every size, encode and decode would pay one
+// heap allocation for the cursor alone.
+var cursorPool = sync.Pool{New: func() interface{} { return new(cursor) }}
+
+// walk runs m's body in direction dir over buf and returns the bytes
+// counted, the buffer as the walk left it, and the read error.
+func walk(m Message, dir direction, buf []byte) (int, []byte, error) {
+	c := cursorPool.Get().(*cursor)
+	c.dir, c.buf = dir, buf
+	m.body(c)
+	n, out, err := c.n, c.buf, c.err
+	*c = cursor{}
+	cursorPool.Put(c)
+	return n, out, err
 }
 
-func (r *reader) u8() uint8 {
-	if r.err != nil || len(r.buf) < 1 {
-		r.fail()
-		return 0
+var be = binary.BigEndian
+
+// fail ends a read walk: err becomes ErrShort unless it is already set,
+// and buf empties.
+func (c *cursor) fail() {
+	if c.err == nil {
+		c.err = ErrShort
 	}
-	v := r.buf[0]
-	r.buf = r.buf[1:]
-	return v
+	c.buf = nil
 }
 
-func (r *reader) u16() uint16 {
-	if r.err != nil || len(r.buf) < 2 {
-		r.fail()
-		return 0
+// short reports whether fewer than k bytes are left to read, and fails
+// the walk if so.
+func (c *cursor) short(k int) bool {
+	if len(c.buf) < k {
+		c.fail()
+		return true
 	}
-	v := binary.BigEndian.Uint16(r.buf)
-	r.buf = r.buf[2:]
-	return v
+	return false
 }
 
-func (r *reader) u32() uint32 {
-	if r.err != nil || len(r.buf) < 4 {
-		r.fail()
-		return 0
+func (c *cursor) u8(v *uint8) {
+	switch c.dir {
+	case sizing:
+		c.n++
+	case writing:
+		c.buf = append(c.buf, *v)
+	default:
+		if !c.short(1) {
+			*v, c.buf = c.buf[0], c.buf[1:]
+		}
 	}
-	v := binary.BigEndian.Uint32(r.buf)
-	r.buf = r.buf[4:]
-	return v
 }
 
-func (r *reader) u64() uint64 {
-	if r.err != nil || len(r.buf) < 8 {
-		r.fail()
-		return 0
+func (c *cursor) u16(v *uint16) {
+	switch c.dir {
+	case sizing:
+		c.n += 2
+	case writing:
+		c.buf = be.AppendUint16(c.buf, *v)
+	default:
+		if !c.short(2) {
+			*v, c.buf = be.Uint16(c.buf), c.buf[2:]
+		}
 	}
-	v := binary.BigEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return v
 }
 
-func (r *reader) boolean() bool { return r.u8() != 0 }
+func (c *cursor) u32(v *uint32) {
+	switch c.dir {
+	case sizing:
+		c.n += 4
+	case writing:
+		c.buf = be.AppendUint32(c.buf, *v)
+	default:
+		if !c.short(4) {
+			*v, c.buf = be.Uint32(c.buf), c.buf[4:]
+		}
+	}
+}
 
-func (r *reader) ref() NodeRef {
+func (c *cursor) u64(v *uint64) {
+	switch c.dir {
+	case sizing:
+		c.n += 8
+	case writing:
+		c.buf = be.AppendUint64(c.buf, *v)
+	default:
+		if !c.short(8) {
+			*v, c.buf = be.Uint64(c.buf), c.buf[8:]
+		}
+	}
+}
+
+func (c *cursor) id(v *idspace.ID) { c.u64((*uint64)(v)) }
+
+func (c *cursor) region(r *Region) { c.id(&r.Lo); c.id(&r.Hi) }
+
+// boolean is one byte, 1 for true; a read takes any non-zero byte as true.
+func (c *cursor) boolean(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	c.u8(&b)
+	if c.dir == reading {
+		*v = b != 0
+	}
+}
+
+// ref and the entries list take one direction branch for the whole struct,
+// not one per field: refs and entries are most of what the keep-alive
+// traffic carries.
+func (c *cursor) ref(r *NodeRef) {
+	switch c.dir {
+	case sizing:
+		c.n += nodeRefSize
+	case writing:
+		c.buf = appendRef(c.buf, r)
+	default:
+		if !c.short(nodeRefSize) {
+			*r, c.buf = readRef(c.buf), c.buf[nodeRefSize:]
+		}
+	}
+}
+
+func appendRef(b []byte, r *NodeRef) []byte {
+	b = be.AppendUint64(b, uint64(r.ID))
+	b = be.AppendUint64(b, r.Addr)
+	b = append(b, r.MaxLevel)
+	return be.AppendUint16(b, r.Score)
+}
+
+func readRef(b []byte) NodeRef {
 	return NodeRef{
-		ID:       idspace.ID(r.u64()),
-		Addr:     r.u64(),
-		MaxLevel: r.u8(),
-		Score:    r.u16(),
+		ID:       idspace.ID(be.Uint64(b)),
+		Addr:     be.Uint64(b[8:]),
+		MaxLevel: b[16],
+		Score:    be.Uint16(b[17:]),
 	}
 }
 
-func (r *reader) region() Region {
-	return Region{Lo: idspace.ID(r.u64()), Hi: idspace.ID(r.u64())}
+func appendEntry(b []byte, e *Entry) []byte {
+	b = appendRef(b, &e.Ref)
+	b = append(b, e.Level, uint8(e.Flags))
+	b = be.AppendUint32(b, e.Version)
+	return be.AppendUint16(b, e.AgeDs)
 }
 
-func (r *reader) entry() Entry {
+func readEntry(b []byte) Entry {
+	const at = nodeRefSize
 	return Entry{
-		Ref:     r.ref(),
-		Level:   r.u8(),
-		Flags:   EntryFlag(r.u8()),
-		Version: r.u32(),
-		AgeDs:   r.u16(),
+		Ref:     readRef(b),
+		Level:   b[at],
+		Flags:   EntryFlag(b[at+1]),
+		Version: be.Uint32(b[at+2:]),
+		AgeDs:   be.Uint16(b[at+6:]),
 	}
 }
 
-// entriesInto decodes an entry list, appending into dst so pooled
-// messages reuse their recycled capacity. A nil dst (the fresh Decode
-// path) behaves exactly like the old allocate-per-decode reader,
-// including returning nil for an empty list.
-func (r *reader) entriesInto(dst []Entry) []Entry {
-	n := int(r.u16())
-	if r.err != nil {
-		return nil
+// listLen reads a list's uint16 length prefix and checks that the n items
+// of size bytes it announces are all there; more than limit items fail the
+// walk.
+func (c *cursor) listLen(size, limit int) (int, bool) {
+	var n uint16
+	c.u16(&n)
+	if c.err == nil && int(n) > limit {
+		c.fail()
 	}
-	if n > maxListLen || len(r.buf) < n*entrySize {
-		r.fail()
-		return nil
+	return int(n), c.err == nil && !c.short(int(n)*size)
+}
+
+// entries, refs and bytes are length-prefixed lists. A read appends into
+// the field's own capacity, so a pooled message decodes without allocating,
+// and leaves a nil field nil when the list is empty.
+func (c *cursor) entries(es *[]Entry) {
+	switch c.dir {
+	case sizing:
+		c.n += 2 + len(*es)*entrySize
+	case writing:
+		c.buf = be.AppendUint16(c.buf, uint16(len(*es)))
+		for i := range *es {
+			c.buf = appendEntry(c.buf, &(*es)[i])
+		}
+	default:
+		n, ok := c.listLen(entrySize, maxListLen)
+		if !ok {
+			return
+		}
+		dst := (*es)[:0]
+		if cap(dst) < n {
+			dst = make([]Entry, 0, n)
+		}
+		for ; n > 0; n-- {
+			dst = append(dst, readEntry(c.buf))
+			c.buf = c.buf[entrySize:]
+		}
+		*es = dst
 	}
-	if n == 0 {
-		return dst
+}
+
+func (c *cursor) refs(rs *[]NodeRef) {
+	switch c.dir {
+	case sizing:
+		c.n += 2 + len(*rs)*nodeRefSize
+	case writing:
+		c.buf = be.AppendUint16(c.buf, uint16(len(*rs)))
+		for i := range *rs {
+			c.buf = appendRef(c.buf, &(*rs)[i])
+		}
+	default:
+		n, ok := c.listLen(nodeRefSize, maxListLen)
+		if !ok {
+			return
+		}
+		dst := (*rs)[:0]
+		if cap(dst) < n {
+			dst = make([]NodeRef, 0, n)
+		}
+		for ; n > 0; n-- {
+			dst = append(dst, readRef(c.buf))
+			c.buf = c.buf[nodeRefSize:]
+		}
+		*rs = dst
 	}
-	if cap(dst) < n {
-		dst = make([]Entry, 0, n)
+}
+
+// bytes copies out of the wire buffer on a read: a decoded message never
+// aliases the datagram it came from. A value is bounded by its uint16
+// length prefix alone.
+func (c *cursor) bytes(v *[]byte) {
+	switch c.dir {
+	case sizing:
+		c.n += 2 + len(*v)
+	case writing:
+		c.buf = be.AppendUint16(c.buf, uint16(len(*v)))
+		c.buf = append(c.buf, *v...)
+	default:
+		n, ok := c.listLen(1, 0xFFFF)
+		if ok {
+			*v, c.buf = append((*v)[:0], c.buf[:n]...), c.buf[n:]
+		}
 	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, r.entry())
-	}
-	return dst
 }
 
-func (r *reader) refs() []NodeRef {
-	n := int(r.u16())
-	if r.err != nil {
-		return nil
-	}
-	if n > maxListLen || len(r.buf) < n*nodeRefSize {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]NodeRef, n)
-	for i := range out {
-		out[i] = r.ref()
-	}
-	return out
+// --- per-message layouts -----------------------------------------------------
+
+// Each body names the message's fields once, in wire order.
+
+func (m *Hello) body(c *cursor)        { c.ref(&m.From); c.u8(&m.MaxChildren) }
+func (m *Ping) body(c *cursor)         { c.ref(&m.From); c.u32(&m.Seq); c.entries(&m.Entries) }
+func (m *Pong) body(c *cursor)         { c.ref(&m.From); c.u32(&m.Seq); c.entries(&m.Entries) }
+func (m *JoinRequest) body(c *cursor)  { c.ref(&m.From) }
+func (m *JoinRedirect) body(c *cursor) { c.ref(&m.From); c.ref(&m.Closer) }
+
+func (m *JoinAccept) body(c *cursor) {
+	c.ref(&m.From)
+	c.ref(&m.Left)
+	c.ref(&m.Right)
+	c.ref(&m.Parent)
 }
 
-// bytesInto decodes a length-prefixed byte field, appending into dst (see
-// entriesInto). The bytes are always copied out of the wire buffer: a
-// decoded message never aliases the datagram it came from.
-func (r *reader) bytesInto(dst []byte) []byte {
-	n := int(r.u16())
-	if r.err != nil {
-		return nil
-	}
-	if len(r.buf) < n {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return dst
-	}
-	dst = append(dst, r.buf[:n]...)
-	r.buf = r.buf[n:]
-	return dst
+func (m *ElectionCall) body(c *cursor) { c.ref(&m.From); c.u8(&m.Level) }
+func (m *ParentClaim) body(c *cursor)  { c.ref(&m.From); c.u8(&m.Level); c.region(&m.Region) }
+func (m *ChildReport) body(c *cursor)  { c.ref(&m.From); c.u8(&m.Degree) }
+
+func (m *PromoteGrant) body(c *cursor) {
+	c.ref(&m.From)
+	c.u8(&m.Level)
+	c.region(&m.Region)
+	c.ref(&m.Left)
+	c.ref(&m.Right)
 }
 
-// --- per-message encode/decode/size ----------------------------------------
-
-// Type implements Message.
-func (*Hello) Type() MsgType { return THello }
-
-// EncodedSize implements Message.
-func (*Hello) EncodedSize() int { return nodeRefSize + 1 }
-
-func (m *Hello) encodeBody(w *writer) { w.ref(m.From); w.u8(m.MaxChildren) }
-func (m *Hello) decodeBody(r *reader) { m.From = r.ref(); m.MaxChildren = r.u8() }
-
-// Type implements Message.
-func (*Ping) Type() MsgType { return TPing }
-
-// EncodedSize implements Message.
-func (m *Ping) EncodedSize() int { return nodeRefSize + 4 + 2 + len(m.Entries)*entrySize }
-
-func (m *Ping) encodeBody(w *writer) { w.ref(m.From); w.u32(m.Seq); w.entries(m.Entries) }
-func (m *Ping) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.Seq = r.u32()
-	m.Entries = r.entriesInto(m.Entries[:0])
-}
-
-// Type implements Message.
-func (*Pong) Type() MsgType { return TPong }
-
-// EncodedSize implements Message.
-func (m *Pong) EncodedSize() int { return nodeRefSize + 4 + 2 + len(m.Entries)*entrySize }
-
-func (m *Pong) encodeBody(w *writer) { w.ref(m.From); w.u32(m.Seq); w.entries(m.Entries) }
-func (m *Pong) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.Seq = r.u32()
-	m.Entries = r.entriesInto(m.Entries[:0])
-}
-
-// Type implements Message.
-func (*JoinRequest) Type() MsgType { return TJoinRequest }
-
-// EncodedSize implements Message.
-func (*JoinRequest) EncodedSize() int { return nodeRefSize }
-
-func (m *JoinRequest) encodeBody(w *writer) { w.ref(m.From) }
-func (m *JoinRequest) decodeBody(r *reader) { m.From = r.ref() }
-
-// Type implements Message.
-func (*JoinRedirect) Type() MsgType { return TJoinRedirect }
-
-// EncodedSize implements Message.
-func (*JoinRedirect) EncodedSize() int { return 2 * nodeRefSize }
-
-func (m *JoinRedirect) encodeBody(w *writer) { w.ref(m.From); w.ref(m.Closer) }
-func (m *JoinRedirect) decodeBody(r *reader) { m.From = r.ref(); m.Closer = r.ref() }
-
-// Type implements Message.
-func (*JoinAccept) Type() MsgType { return TJoinAccept }
-
-// EncodedSize implements Message.
-func (*JoinAccept) EncodedSize() int { return 4 * nodeRefSize }
-
-func (m *JoinAccept) encodeBody(w *writer) {
-	w.ref(m.From)
-	w.ref(m.Left)
-	w.ref(m.Right)
-	w.ref(m.Parent)
-}
-
-func (m *JoinAccept) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.Left = r.ref()
-	m.Right = r.ref()
-	m.Parent = r.ref()
-}
-
-// Type implements Message.
-func (*ElectionCall) Type() MsgType { return TElectionCall }
-
-// EncodedSize implements Message.
-func (*ElectionCall) EncodedSize() int { return nodeRefSize + 1 }
-
-func (m *ElectionCall) encodeBody(w *writer) { w.ref(m.From); w.u8(m.Level) }
-func (m *ElectionCall) decodeBody(r *reader) { m.From = r.ref(); m.Level = r.u8() }
-
-// Type implements Message.
-func (*ParentClaim) Type() MsgType { return TParentClaim }
-
-// EncodedSize implements Message.
-func (*ParentClaim) EncodedSize() int { return nodeRefSize + 1 + regionSize }
-
-func (m *ParentClaim) encodeBody(w *writer) { w.ref(m.From); w.u8(m.Level); w.region(m.Region) }
-func (m *ParentClaim) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.Level = r.u8()
-	m.Region = r.region()
-}
-
-// Type implements Message.
-func (*ChildReport) Type() MsgType { return TChildReport }
-
-// EncodedSize implements Message.
-func (*ChildReport) EncodedSize() int { return nodeRefSize + 1 }
-
-func (m *ChildReport) encodeBody(w *writer) { w.ref(m.From); w.u8(m.Degree) }
-func (m *ChildReport) decodeBody(r *reader) { m.From = r.ref(); m.Degree = r.u8() }
-
-// Type implements Message.
-func (*PromoteGrant) Type() MsgType { return TPromoteGrant }
-
-// EncodedSize implements Message.
-func (*PromoteGrant) EncodedSize() int { return nodeRefSize + 1 + regionSize + 2*nodeRefSize }
-
-func (m *PromoteGrant) encodeBody(w *writer) {
-	w.ref(m.From)
-	w.u8(m.Level)
-	w.region(m.Region)
-	w.ref(m.Left)
-	w.ref(m.Right)
-}
-
-func (m *PromoteGrant) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.Level = r.u8()
-	m.Region = r.region()
-	m.Left = r.ref()
-	m.Right = r.ref()
-}
-
-// Type implements Message.
-func (*Demote) Type() MsgType { return TDemote }
-
-// EncodedSize implements Message.
-func (*Demote) EncodedSize() int { return nodeRefSize + 1 + nodeRefSize }
-
-func (m *Demote) encodeBody(w *writer) { w.ref(m.From); w.u8(m.Level); w.ref(m.Successor) }
-func (m *Demote) decodeBody(r *reader) { m.From = r.ref(); m.Level = r.u8(); m.Successor = r.ref() }
-
-// Type implements Message.
-func (*BusLinkReq) Type() MsgType { return TBusLinkReq }
-
-// EncodedSize implements Message.
-func (*BusLinkReq) EncodedSize() int { return nodeRefSize + 1 }
-
-func (m *BusLinkReq) encodeBody(w *writer) { w.ref(m.From); w.u8(m.Level) }
-func (m *BusLinkReq) decodeBody(r *reader) { m.From = r.ref(); m.Level = r.u8() }
-
-// Type implements Message.
-func (*BusLinkAck) Type() MsgType { return TBusLinkAck }
-
-// EncodedSize implements Message.
-func (*BusLinkAck) EncodedSize() int { return nodeRefSize + 1 + 2*nodeRefSize }
-
-func (m *BusLinkAck) encodeBody(w *writer) {
-	w.ref(m.From)
-	w.u8(m.Level)
-	w.ref(m.Left)
-	w.ref(m.Right)
-}
-
-func (m *BusLinkAck) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.Level = r.u8()
-	m.Left = r.ref()
-	m.Right = r.ref()
-}
-
-// Type implements Message.
-func (*LookupRequest) Type() MsgType { return TLookupRequest }
-
-// EncodedSize implements Message.
-func (m *LookupRequest) EncodedSize() int {
-	return nodeRefSize + 8 + 8 + 1 + 1 + 1 + 2 + len(m.Alternates)*nodeRefSize
-}
-
-func (m *LookupRequest) encodeBody(w *writer) {
-	w.ref(m.Origin)
-	w.u64(uint64(m.Target))
-	w.u64(m.ReqID)
-	w.u8(m.TTL)
-	w.u8(m.Hops)
-	algo := uint8(m.Algo) &^ lookupAckWanted
-	if m.AckWanted {
-		algo |= lookupAckWanted
-	}
-	w.u8(algo)
-	w.refs(m.Alternates)
-}
+func (m *Demote) body(c *cursor)     { c.ref(&m.From); c.u8(&m.Level); c.ref(&m.Successor) }
+func (m *BusLinkReq) body(c *cursor) { c.ref(&m.From); c.u8(&m.Level) }
+func (m *BusLinkAck) body(c *cursor) { c.ref(&m.From); c.u8(&m.Level); c.ref(&m.Left); c.ref(&m.Right) }
 
 // lookupAckWanted is LookupRequest.AckWanted on the wire: the top bit of
 // the Algo byte, which no algorithm identifier reaches.
 const lookupAckWanted = 0x80
 
-func (m *LookupRequest) decodeBody(r *reader) {
-	m.Origin = r.ref()
-	m.Target = idspace.ID(r.u64())
-	m.ReqID = r.u64()
-	m.TTL = r.u8()
-	m.Hops = r.u8()
-	algo := r.u8()
-	m.Algo, m.AckWanted = Algo(algo&^lookupAckWanted), algo&lookupAckWanted != 0
-	m.Alternates = r.refs()
+func (m *LookupRequest) body(c *cursor) {
+	c.ref(&m.Origin)
+	c.id(&m.Target)
+	c.u64(&m.ReqID)
+	c.u8(&m.TTL)
+	c.u8(&m.Hops)
+	algo := uint8(m.Algo) &^ lookupAckWanted
+	if m.AckWanted {
+		algo |= lookupAckWanted
+	}
+	c.u8(&algo)
+	if c.dir == reading {
+		m.Algo, m.AckWanted = Algo(algo&^lookupAckWanted), algo&lookupAckWanted != 0
+	}
+	c.refs(&m.Alternates)
 }
 
-// Type implements Message.
-func (*LookupReply) Type() MsgType { return TLookupReply }
-
-// EncodedSize implements Message.
-func (*LookupReply) EncodedSize() int { return nodeRefSize + 8 + 1 + nodeRefSize + 1 }
-
-func (m *LookupReply) encodeBody(w *writer) {
-	w.ref(m.From)
-	w.u64(m.ReqID)
-	w.u8(uint8(m.Status))
-	w.ref(m.Best)
-	w.u8(m.Hops)
+func (m *LookupReply) body(c *cursor) {
+	c.ref(&m.From)
+	c.u64(&m.ReqID)
+	c.u8((*uint8)(&m.Status))
+	c.ref(&m.Best)
+	c.u8(&m.Hops)
 }
 
-func (m *LookupReply) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.ReqID = r.u64()
-	m.Status = LookupStatus(r.u8())
-	m.Best = r.ref()
-	m.Hops = r.u8()
+func (m *DHTStore) body(c *cursor) {
+	c.ref(&m.From)
+	c.u64(&m.ReqID)
+	c.id(&m.Key)
+	c.bytes(&m.Value)
+	c.u64(&m.Base)
+	c.boolean(&m.Cond)
 }
 
-// Type implements Message.
-func (*DHTStore) Type() MsgType { return TDHTStore }
-
-// EncodedSize implements Message.
-func (m *DHTStore) EncodedSize() int { return nodeRefSize + 8 + 8 + 2 + len(m.Value) + 8 + 1 }
-
-func (m *DHTStore) encodeBody(w *writer) {
-	w.ref(m.From)
-	w.u64(m.ReqID)
-	w.u64(uint64(m.Key))
-	w.bytes(m.Value)
-	w.u64(m.Base)
-	w.boolean(m.Cond)
+func (m *DHTStoreAck) body(c *cursor) {
+	c.ref(&m.From)
+	c.u64(&m.ReqID)
+	c.u8((*uint8)(&m.Status))
+	c.u64(&m.Version)
+	c.u64(&m.Origin)
 }
 
-func (m *DHTStore) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.ReqID = r.u64()
-	m.Key = idspace.ID(r.u64())
-	m.Value = r.bytesInto(m.Value[:0])
-	m.Base = r.u64()
-	m.Cond = r.boolean()
+func (m *DHTFetch) body(c *cursor) {
+	c.ref(&m.From)
+	c.u64(&m.ReqID)
+	c.id(&m.Key)
+	c.boolean(&m.Local)
 }
 
-// Type implements Message.
-func (*DHTStoreAck) Type() MsgType { return TDHTStoreAck }
-
-// EncodedSize implements Message.
-func (*DHTStoreAck) EncodedSize() int { return nodeRefSize + 8 + 1 + 8 + 8 }
-
-func (m *DHTStoreAck) encodeBody(w *writer) {
-	w.ref(m.From)
-	w.u64(m.ReqID)
-	w.u8(uint8(m.Status))
-	w.u64(m.Version)
-	w.u64(m.Origin)
+func (m *DHTFetchReply) body(c *cursor) {
+	c.ref(&m.From)
+	c.u64(&m.ReqID)
+	c.boolean(&m.Found)
+	c.bytes(&m.Value)
+	c.u64(&m.Version)
+	c.u64(&m.Origin)
 }
 
-func (m *DHTStoreAck) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.ReqID = r.u64()
-	m.Status = StoreStatus(r.u8())
-	m.Version = r.u64()
-	m.Origin = r.u64()
+func (m *DHTReplicate) body(c *cursor) {
+	c.ref(&m.From)
+	c.u64(&m.ReqID)
+	c.id(&m.Key)
+	c.bytes(&m.Value)
+	c.u64(&m.Version)
+	c.u64(&m.Origin)
+	c.boolean(&m.Cache)
 }
 
-// Type implements Message.
-func (*DHTFetch) Type() MsgType { return TDHTFetch }
+func (m *DHTReplicateAck) body(c *cursor) { c.ref(&m.From); c.u64(&m.ReqID); c.boolean(&m.Stored) }
+func (m *Leave) body(c *cursor)           { c.ref(&m.From) }
+func (m *Reparent) body(c *cursor)        { c.ref(&m.From); c.ref(&m.NewParent); c.u16(&m.AgeDs) }
 
-// EncodedSize implements Message.
-func (*DHTFetch) EncodedSize() int { return nodeRefSize + 8 + 8 + 1 }
-
-func (m *DHTFetch) encodeBody(w *writer) {
-	w.ref(m.From)
-	w.u64(m.ReqID)
-	w.u64(uint64(m.Key))
-	w.boolean(m.Local)
+func (m *RingProbe) body(c *cursor) {
+	c.ref(&m.From)
+	c.ref(&m.Origin)
+	c.boolean(&m.Left)
+	c.u8(&m.TTL)
+	c.u16(&m.AgeDs)
 }
 
-func (m *DHTFetch) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.ReqID = r.u64()
-	m.Key = idspace.ID(r.u64())
-	m.Local = r.boolean()
-}
-
-// Type implements Message.
-func (*DHTFetchReply) Type() MsgType { return TDHTFetchReply }
-
-// EncodedSize implements Message.
-func (m *DHTFetchReply) EncodedSize() int { return nodeRefSize + 8 + 1 + 2 + len(m.Value) + 8 + 8 }
-
-func (m *DHTFetchReply) encodeBody(w *writer) {
-	w.ref(m.From)
-	w.u64(m.ReqID)
-	w.boolean(m.Found)
-	w.bytes(m.Value)
-	w.u64(m.Version)
-	w.u64(m.Origin)
-}
-
-func (m *DHTFetchReply) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.ReqID = r.u64()
-	m.Found = r.boolean()
-	m.Value = r.bytesInto(m.Value[:0])
-	m.Version = r.u64()
-	m.Origin = r.u64()
-}
-
-// Type implements Message.
-func (*DHTReplicate) Type() MsgType { return TDHTReplicate }
-
-// EncodedSize implements Message.
-func (m *DHTReplicate) EncodedSize() int {
-	return nodeRefSize + 8 + 8 + 2 + len(m.Value) + 8 + 8 + 1
-}
-
-func (m *DHTReplicate) encodeBody(w *writer) {
-	w.ref(m.From)
-	w.u64(m.ReqID)
-	w.u64(uint64(m.Key))
-	w.bytes(m.Value)
-	w.u64(m.Version)
-	w.u64(m.Origin)
-	w.boolean(m.Cache)
-}
-
-func (m *DHTReplicate) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.ReqID = r.u64()
-	m.Key = idspace.ID(r.u64())
-	m.Value = r.bytesInto(m.Value[:0])
-	m.Version = r.u64()
-	m.Origin = r.u64()
-	m.Cache = r.boolean()
-}
-
-// Type implements Message.
-func (*DHTReplicateAck) Type() MsgType { return TDHTReplicateAck }
-
-// EncodedSize implements Message.
-func (*DHTReplicateAck) EncodedSize() int { return nodeRefSize + 8 + 1 }
-
-func (m *DHTReplicateAck) encodeBody(w *writer) { w.ref(m.From); w.u64(m.ReqID); w.boolean(m.Stored) }
-func (m *DHTReplicateAck) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.ReqID = r.u64()
-	m.Stored = r.boolean()
-}
-
-// Type implements Message.
-func (*Leave) Type() MsgType { return TLeave }
-
-// EncodedSize implements Message.
-func (*Leave) EncodedSize() int { return nodeRefSize }
-
-func (m *Leave) encodeBody(w *writer) { w.ref(m.From) }
-func (m *Leave) decodeBody(r *reader) { m.From = r.ref() }
-
-// Type implements Message.
-func (*Reparent) Type() MsgType { return TReparent }
-
-// EncodedSize implements Message.
-func (*Reparent) EncodedSize() int { return 2*nodeRefSize + 2 }
-
-func (m *Reparent) encodeBody(w *writer) { w.ref(m.From); w.ref(m.NewParent); w.u16(m.AgeDs) }
-func (m *Reparent) decodeBody(r *reader) { m.From = r.ref(); m.NewParent = r.ref(); m.AgeDs = r.u16() }
-
-// Type implements Message.
-func (*RingProbe) Type() MsgType { return TRingProbe }
-
-// EncodedSize implements Message.
-func (*RingProbe) EncodedSize() int { return 2*nodeRefSize + 1 + 1 + 2 }
-
-func (m *RingProbe) encodeBody(w *writer) {
-	w.ref(m.From)
-	w.ref(m.Origin)
-	w.boolean(m.Left)
-	w.u8(m.TTL)
-	w.u16(m.AgeDs)
-}
-
-func (m *RingProbe) decodeBody(r *reader) {
-	m.From = r.ref()
-	m.Origin = r.ref()
-	m.Left = r.boolean()
-	m.TTL = r.u8()
-	m.AgeDs = r.u16()
-}
-
-// Type implements Message.
-func (*RingProbeAck) Type() MsgType { return TRingProbeAck }
-
-// EncodedSize implements Message.
-func (*RingProbeAck) EncodedSize() int { return nodeRefSize + 1 + 1 }
-
-func (m *RingProbeAck) encodeBody(w *writer) { w.ref(m.From); w.boolean(m.Left); w.u8(m.Hops) }
-func (m *RingProbeAck) decodeBody(r *reader) { m.From = r.ref(); m.Left = r.boolean(); m.Hops = r.u8() }
-
-// Type implements Message.
-func (*MergeIntro) Type() MsgType { return TMergeIntro }
-
-// EncodedSize implements Message.
-func (*MergeIntro) EncodedSize() int { return 2*nodeRefSize + 2 }
-
-func (m *MergeIntro) encodeBody(w *writer) { w.ref(m.From); w.ref(m.Peer); w.u16(m.AgeDs) }
-func (m *MergeIntro) decodeBody(r *reader) { m.From = r.ref(); m.Peer = r.ref(); m.AgeDs = r.u16() }
+func (m *RingProbeAck) body(c *cursor) { c.ref(&m.From); c.boolean(&m.Left); c.u8(&m.Hops) }
+func (m *MergeIntro) body(c *cursor)   { c.ref(&m.From); c.ref(&m.Peer); c.u16(&m.AgeDs) }

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,6 +14,12 @@ import (
 // on the wire produces a message the codec cannot faithfully reproduce.
 // (Byte-identity of the re-encoding is not required — booleans decode any
 // non-zero byte as true and re-encode as 1.)
+//
+// The transport decodes with DecodePooled, into recycled values whose
+// slices still hold an earlier message's capacity and contents. So every
+// input also goes through that path: it must fail exactly when Decode
+// fails, with the same error, and otherwise re-encode to Decode's bytes
+// before it is released.
 func FuzzRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, m := range sampleMessages(rng) {
@@ -29,13 +36,21 @@ func FuzzRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
+		pm, perr := DecodePooled(data)
+		if (err == nil) != (perr == nil) || (err != nil && err.Error() != perr.Error()) {
+			t.Fatalf("Decode error %v, DecodePooled error %v", err, perr)
+		}
 		if err != nil {
-			if m != nil {
-				t.Fatalf("Decode returned both a message and error %v", err)
+			if m != nil || pm != nil {
+				t.Fatalf("a decode returned both a message and error %v", err)
 			}
 			return
 		}
 		b := Encode(m)
+		if pb := Encode(pm); !bytes.Equal(pb, b) {
+			t.Fatalf("%v: pooled decode re-encodes differently:\n fresh: %x\npooled: %x", m.Type(), b, pb)
+		}
+		ReleaseDecoded(pm)
 		if len(b) != WireSize(m) {
 			t.Fatalf("%v: WireSize=%d but re-encoded %d bytes", m.Type(), WireSize(m), len(b))
 		}

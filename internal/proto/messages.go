@@ -117,12 +117,9 @@ type Message interface {
 	// Sender returns what the message says of the peer that sent it, which
 	// core takes as that peer's own level claim, or the zero ref.
 	Sender() NodeRef
-	// EncodedSize returns the exact number of body bytes the message
-	// encodes to (excluding the 3-byte header). It is computed analytically
-	// so the simulator can account bytes without serialising.
-	EncodedSize() int
-	encodeBody(w *writer)
-	decodeBody(r *reader)
+	// body names the message's fields once, in wire order; the cursor
+	// sizes, writes or reads each of them (codec.go).
+	body(c *cursor)
 }
 
 // NodeRef names a peer: its coordinate in the ID space, its transport
@@ -166,8 +163,6 @@ func QuantizeScore(s float64) uint16 {
 type Region struct {
 	Lo, Hi idspace.ID
 }
-
-const regionSize = 16
 
 // ToIDSpace converts to the idspace representation.
 func (r Region) ToIDSpace() idspace.Region { return idspace.Region{Lo: r.Lo, Hi: r.Hi} }
@@ -544,6 +539,36 @@ type Reparent struct {
 	AgeDs uint16
 }
 
+// --- wire discriminators ----------------------------------------------------
+
+// Type implements Message.
+func (*Hello) Type() MsgType           { return THello }
+func (*Ping) Type() MsgType            { return TPing }
+func (*Pong) Type() MsgType            { return TPong }
+func (*JoinRequest) Type() MsgType     { return TJoinRequest }
+func (*JoinRedirect) Type() MsgType    { return TJoinRedirect }
+func (*JoinAccept) Type() MsgType      { return TJoinAccept }
+func (*ElectionCall) Type() MsgType    { return TElectionCall }
+func (*ParentClaim) Type() MsgType     { return TParentClaim }
+func (*ChildReport) Type() MsgType     { return TChildReport }
+func (*PromoteGrant) Type() MsgType    { return TPromoteGrant }
+func (*Demote) Type() MsgType          { return TDemote }
+func (*BusLinkReq) Type() MsgType      { return TBusLinkReq }
+func (*BusLinkAck) Type() MsgType      { return TBusLinkAck }
+func (*LookupRequest) Type() MsgType   { return TLookupRequest }
+func (*LookupReply) Type() MsgType     { return TLookupReply }
+func (*DHTStore) Type() MsgType        { return TDHTStore }
+func (*DHTStoreAck) Type() MsgType     { return TDHTStoreAck }
+func (*DHTFetch) Type() MsgType        { return TDHTFetch }
+func (*DHTFetchReply) Type() MsgType   { return TDHTFetchReply }
+func (*DHTReplicate) Type() MsgType    { return TDHTReplicate }
+func (*DHTReplicateAck) Type() MsgType { return TDHTReplicateAck }
+func (*Leave) Type() MsgType           { return TLeave }
+func (*Reparent) Type() MsgType        { return TReparent }
+func (*RingProbe) Type() MsgType       { return TRingProbe }
+func (*RingProbeAck) Type() MsgType    { return TRingProbeAck }
+func (*MergeIntro) Type() MsgType      { return TMergeIntro }
+
 // --- sender identification ---------------------------------------------------
 
 // Sender implements Message: the core protocol's messages vouch for their
@@ -581,69 +606,37 @@ func (*DHTReplicateAck) Sender() NodeRef { return NodeRef{} }
 
 // --- service plane interfaces ----------------------------------------------
 
-// SvcRequest is a message the generic service plane (internal/svc) can
-// dispatch as a request: it carries a request id for response matching and
-// a From ref the plane stamps at send time.
-type SvcRequest interface {
+// SvcMessage is a message the generic service plane (internal/svc)
+// carries, as a request or as the response to one: it names a request id,
+// which matches a response to its pending call, and has a From ref. The
+// plane stamps both at send time. Whether a type is a request or a
+// response is the plane's to know (a handler, or ExpectResponse), not the
+// type's.
+type SvcMessage interface {
 	Message
-	// SvcID returns the request id.
+	// SvcID returns the request id; a response's is the id it answers.
 	SvcID() uint64
 	// SetSvc stamps the request id and sender identity before transmission.
 	SetSvc(id uint64, from NodeRef)
 }
 
-// SvcResponse is a message that answers a SvcRequest: the plane matches it
-// to the pending call by id and stamps the responder identity on send.
-type SvcResponse interface {
-	Message
-	// SvcID returns the id of the request this message answers.
-	SvcID() uint64
-	// SetSvc stamps the answered id and responder identity.
-	SetSvc(id uint64, from NodeRef)
-}
-
-// SvcID implements SvcRequest.
-func (m *DHTStore) SvcID() uint64 { return m.ReqID }
-
-// SetSvc implements SvcRequest.
-func (m *DHTStore) SetSvc(id uint64, from NodeRef) { m.ReqID, m.From = id, from }
-
-// SvcID implements SvcResponse.
-func (m *DHTStoreAck) SvcID() uint64 { return m.ReqID }
-
-// SetSvc implements SvcResponse.
-func (m *DHTStoreAck) SetSvc(id uint64, from NodeRef) { m.ReqID, m.From = id, from }
-
-// SvcID implements SvcRequest.
-func (m *DHTFetch) SvcID() uint64 { return m.ReqID }
-
-// SetSvc implements SvcRequest.
-func (m *DHTFetch) SetSvc(id uint64, from NodeRef) { m.ReqID, m.From = id, from }
-
-// SvcID implements SvcResponse.
-func (m *DHTFetchReply) SvcID() uint64 { return m.ReqID }
-
-// SetSvc implements SvcResponse.
-func (m *DHTFetchReply) SetSvc(id uint64, from NodeRef) { m.ReqID, m.From = id, from }
-
-// SvcID implements SvcRequest.
-func (m *DHTReplicate) SvcID() uint64 { return m.ReqID }
-
-// SetSvc implements SvcRequest.
-func (m *DHTReplicate) SetSvc(id uint64, from NodeRef) { m.ReqID, m.From = id, from }
-
-// SvcID implements SvcResponse.
+// SvcID and SetSvc implement SvcMessage.
+func (m *DHTStore) SvcID() uint64        { return m.ReqID }
+func (m *DHTStoreAck) SvcID() uint64     { return m.ReqID }
+func (m *DHTFetch) SvcID() uint64        { return m.ReqID }
+func (m *DHTFetchReply) SvcID() uint64   { return m.ReqID }
+func (m *DHTReplicate) SvcID() uint64    { return m.ReqID }
 func (m *DHTReplicateAck) SvcID() uint64 { return m.ReqID }
 
-// SetSvc implements SvcResponse.
+func (m *DHTStore) SetSvc(id uint64, from NodeRef)        { m.ReqID, m.From = id, from }
+func (m *DHTStoreAck) SetSvc(id uint64, from NodeRef)     { m.ReqID, m.From = id, from }
+func (m *DHTFetch) SetSvc(id uint64, from NodeRef)        { m.ReqID, m.From = id, from }
+func (m *DHTFetchReply) SetSvc(id uint64, from NodeRef)   { m.ReqID, m.From = id, from }
+func (m *DHTReplicate) SetSvc(id uint64, from NodeRef)    { m.ReqID, m.From = id, from }
 func (m *DHTReplicateAck) SetSvc(id uint64, from NodeRef) { m.ReqID, m.From = id, from }
 
 // Compile-time service-plane interface checks.
-var (
-	_ SvcRequest  = (*DHTStore)(nil)
-	_ SvcResponse = (*DHTStoreAck)(nil)
-	_ SvcRequest  = (*DHTFetch)(nil)
-	_ SvcResponse = (*DHTFetchReply)(nil)
-	_ SvcRequest  = (*DHTReplicate)(nil)
-	_ SvcResponse = (*DHTReplicateAck)(nil)
-)
+var _ = [...]SvcMessage{
+	(*DHTStore)(nil), (*DHTStoreAck)(nil), (*DHTFetch)(nil),
+	(*DHTFetchReply)(nil), (*DHTReplicate)(nil), (*DHTReplicateAck)(nil),
+}

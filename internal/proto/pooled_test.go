@@ -34,7 +34,9 @@ func TestEncodeAppendMatchesEncode(t *testing.T) {
 }
 
 // TestEncodeAppendZeroAlloc pins the arena promise: appending into a
-// buffer with sufficient capacity performs no allocation.
+// buffer with sufficient capacity performs no allocation. WireSize, which
+// the simulator calls on every send, allocates nothing either: the pooled
+// cursor is all that keeps its walk off the heap.
 func TestEncodeAppendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -50,6 +52,15 @@ func TestEncodeAppendZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("EncodeAppend into a pre-sized arena allocated %.1f times per run", allocs)
+	}
+	size := 0
+	allocs = testing.AllocsPerRun(200, func() {
+		for _, m := range msgs {
+			size += WireSize(m)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("WireSize over every type allocated %.1f times per run", allocs)
 	}
 }
 

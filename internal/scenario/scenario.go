@@ -113,7 +113,7 @@ type Engine struct {
 	nextSample time.Duration
 	// readers is the shared repeat-reader pool for skewed-read phases
 	// (lazily built by the first such phase, reused by the rest).
-	readers *readerPool
+	readers *repeatReaders
 	// ctx is the shared invariant-checking context, reset per pass so all
 	// checkers in one CheckNow share a single sorted alive-list and the
 	// walk scratch buffers.

@@ -52,26 +52,26 @@ func (z *Zipf) Rank(u float64) int {
 
 // --- skewed-read phases -----------------------------------------------------
 
-// readerPool is a bounded set of repeat readers: real clients are
+// repeatReaders is a bounded set of repeat readers: real clients are
 // long-lived processes that issue many reads each, not a fresh node per
 // request — and that repetition is exactly what reader-side caching
 // exploits. Dead pool members are replaced on use so churn does not
 // silently shrink the read rate.
-type readerPool struct {
+type repeatReaders struct {
 	addrs []uint64
 }
 
-// readerPool returns the engine's shared reader pool, creating or
+// repeatReaders returns the engine's shared reader pool, creating or
 // growing it to want members. The pool persists across phases: the same
 // client population keeps reading through warmup, measurement and
 // flash-crowd phases, which is both realistic and what lets reader-side
 // caches built in one phase serve the next.
-func (e *Engine) readerPool(want int) *readerPool {
+func (e *Engine) repeatReaders(want int) *repeatReaders {
 	if want <= 0 {
 		want = 64
 	}
 	if e.readers == nil {
-		e.readers = &readerPool{}
+		e.readers = &repeatReaders{}
 	}
 	e.readers.fill(e, want)
 	return e.readers
@@ -79,7 +79,7 @@ func (e *Engine) readerPool(want int) *readerPool {
 
 // fill draws distinct live service-bearing nodes through the engine's
 // deterministic stream until the pool has want members (or tries run out).
-func (p *readerPool) fill(e *Engine, want int) {
+func (p *repeatReaders) fill(e *Engine, want int) {
 	st := e.opts.Storage
 	alive := e.C.AliveNodes()
 	for tries := 0; tries < want*8 && len(p.addrs) < want && len(alive) > 0; tries++ {
@@ -101,7 +101,7 @@ func (p *readerPool) fill(e *Engine, want int) {
 }
 
 // pick returns a live reader's service, replacing dead slots in place.
-func (p *readerPool) pick(e *Engine) (uint64, bool) {
+func (p *repeatReaders) pick(e *Engine) (uint64, bool) {
 	st := e.opts.Storage
 	for tries := 0; tries < 8 && len(p.addrs) > 0; tries++ {
 		i := e.rng.Intn(len(p.addrs))
@@ -149,7 +149,7 @@ func (z ZipfReads) Run(e *Engine) {
 		return
 	}
 	dist := NewZipf(st.ledger.Len(), z.Theta)
-	pool := e.readerPool(z.Readers)
+	pool := e.repeatReaders(z.Readers)
 	runReads(e, z.For, z.Rate, pool, func() int { return dist.Rank(e.rng.Float64()) })
 }
 
@@ -183,7 +183,7 @@ func (f FlashCrowdReads) Run(e *Engine) {
 	if idx < 0 || idx >= st.ledger.Len() {
 		idx = 0
 	}
-	pool := e.readerPool(f.Readers)
+	pool := e.repeatReaders(f.Readers)
 	runReads(e, f.For, f.Rate, pool, func() int { return idx })
 }
 
@@ -191,7 +191,7 @@ func (f FlashCrowdReads) Run(e *Engine) {
 // from the pool and a ledger rank from rankOf and issues the counted Get.
 // Once the cluster is interrupted the clock stands still and the remaining
 // events issue nothing.
-func runReads(e *Engine, dur time.Duration, rate float64, pool *readerPool, rankOf func() int) {
+func runReads(e *Engine, dur time.Duration, rate float64, pool *repeatReaders, rankOf func() int) {
 	st := e.opts.Storage
 	end := e.C.Now() + dur
 	poisson(e, e.rng, end, []float64{rate}, func(int) {

@@ -57,7 +57,7 @@ var (
 // before returning: pooled request messages are recycled when the
 // delivering datagram ends (see proto.Recyclable), so retaining req or any
 // slice it carries past the handler's own frame is a use-after-recycle.
-type Handler func(from uint64, req proto.SvcRequest, respond func(proto.SvcResponse))
+type Handler func(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage))
 
 // CallOpts bounds one logical request.
 type CallOpts struct {
@@ -93,12 +93,12 @@ type Stats struct {
 type call struct {
 	plane   *Plane
 	id, to  uint64
-	req     proto.SvcRequest
+	req     proto.SvcMessage
 	timeout time.Duration
 	retries int
 	timer   core.Timer
 	fire    func()
-	cb      func(proto.SvcResponse, error)
+	cb      func(proto.SvcMessage, error)
 }
 
 // Plane is one node's service plane. Create with Attach; all methods must
@@ -152,7 +152,7 @@ func (p *Plane) Pending() int { return p.pending.Len() }
 // re-send with the same id, so duplicate responses are absorbed by the
 // pending-table delete and receivers can deduplicate re-applied requests.
 // A local destination dispatches to the local handler directly.
-func (p *Plane) Call(to uint64, req proto.SvcRequest, o CallOpts, cb func(proto.SvcResponse, error)) {
+func (p *Plane) Call(to uint64, req proto.SvcMessage, o CallOpts, cb func(proto.SvcMessage, error)) {
 	p.nextID++
 	p.callWithID(p.nextID, to, req, o, cb)
 }
@@ -160,7 +160,7 @@ func (p *Plane) Call(to uint64, req proto.SvcRequest, o CallOpts, cb func(proto.
 // callWithID is Call with a caller-chosen request id: CallKey keeps one id
 // across its re-resolved attempts so the (eventual) owner can recognise a
 // retried request whose earlier ack was lost.
-func (p *Plane) callWithID(id, to uint64, req proto.SvcRequest, o CallOpts, cb func(proto.SvcResponse, error)) {
+func (p *Plane) callWithID(id, to uint64, req proto.SvcMessage, o CallOpts, cb func(proto.SvcMessage, error)) {
 	o = o.withDefaults()
 	p.Stats.CallsStarted++
 	req.SetSvc(id, p.node.Ref())
@@ -184,8 +184,8 @@ func (p *Plane) callWithID(id, to uint64, req proto.SvcRequest, o CallOpts, cb f
 // repairs on its keep-alive cadence) and an immediate re-lookup would hit
 // the same stale tables. cb receives the owner that answered alongside the
 // response.
-func (p *Plane) CallKey(key idspace.ID, algo proto.Algo, req proto.SvcRequest, o CallOpts,
-	cb func(proto.NodeRef, proto.SvcResponse, error)) {
+func (p *Plane) CallKey(key idspace.ID, algo proto.Algo, req proto.SvcMessage, o CallOpts,
+	cb func(proto.NodeRef, proto.SvcMessage, error)) {
 	o = o.withDefaults()
 	// One id for the whole logical operation: every attempt — even against
 	// a re-resolved owner — carries it, so a receiver that already applied
@@ -207,7 +207,7 @@ func (p *Plane) CallKey(key idspace.ID, algo proto.Algo, req proto.SvcRequest, o
 				return
 			}
 			owner := r.Best
-			p.callWithID(id, owner.Addr, req, CallOpts{Timeout: o.Timeout}, func(resp proto.SvcResponse, err error) {
+			p.callWithID(id, owner.Addr, req, CallOpts{Timeout: o.Timeout}, func(resp proto.SvcMessage, err error) {
 				if err == nil {
 					cb(owner, resp, nil)
 					return
@@ -253,14 +253,14 @@ func (c *call) onDeadline() {
 // recycled after the callback returns — exactly what the network does at
 // end-of-datagram on the remote path — so callbacks must copy anything
 // they keep (the same contract they already obey for remote responses).
-func (p *Plane) serveLocal(req proto.SvcRequest, cb func(proto.SvcResponse, error)) {
+func (p *Plane) serveLocal(req proto.SvcMessage, cb func(proto.SvcMessage, error)) {
 	h, ok := p.handlers.Get(req.Type())
 	if !ok {
 		cb(nil, ErrNoHandler)
 		return
 	}
 	p.Stats.Served++
-	h.(Handler)(p.node.Addr(), req, func(resp proto.SvcResponse) {
+	h.(Handler)(p.node.Addr(), req, func(resp proto.SvcMessage) {
 		if resp == nil {
 			cb(nil, ErrTimeout)
 			return
@@ -274,44 +274,40 @@ func (p *Plane) serveLocal(req proto.SvcRequest, cb func(proto.SvcResponse, erro
 }
 
 // handle is the node-extension hook: responses match pending calls,
-// requests dispatch to their registered handler.
+// requests dispatch to their registered handler. A message is a response
+// if its type was declared with ExpectResponse, a request otherwise.
 func (p *Plane) handle(from uint64, msg proto.Message) bool {
-	t := msg.Type()
+	m, ok := msg.(proto.SvcMessage)
+	if !ok {
+		return false
+	}
+	t := m.Type()
 	if p.respTypes>>t&1 != 0 {
-		resp, ok := msg.(proto.SvcResponse)
-		if !ok {
-			return false
-		}
-		c, ok := p.pending.Get(resp.SvcID())
+		c, ok := p.pending.Get(m.SvcID())
 		if !ok {
 			return true // duplicate or late response
 		}
-		p.pending.Delete(resp.SvcID())
+		p.pending.Delete(m.SvcID())
 		if c.timer != nil {
 			c.timer.Cancel()
 		}
 		p.Stats.Responses++
-		c.cb(resp, nil)
+		c.cb(m, nil)
 		return true
 	}
-	if h, ok := p.handlers.Get(t); ok {
-		req, isReq := msg.(proto.SvcRequest)
-		if !isReq {
-			return false
-		}
-		p.Stats.Served++
-		id := req.SvcID()
-		h.(Handler)(from, req, func(resp proto.SvcResponse) {
-			if resp == nil {
-				return
-			}
-			resp.SetSvc(id, p.node.Ref())
-			p.node.Send(from, resp)
-		})
-		return true
-	}
-	if _, isReq := msg.(proto.SvcRequest); isReq {
+	h, ok := p.handlers.Get(t)
+	if !ok {
 		p.Stats.Unhandled++
+		return false
 	}
-	return false
+	p.Stats.Served++
+	id := m.SvcID()
+	h.(Handler)(from, m, func(resp proto.SvcMessage) {
+		if resp == nil {
+			return
+		}
+		resp.SetSvc(id, p.node.Ref())
+		p.node.Send(from, resp)
+	})
+	return true
 }

@@ -15,7 +15,7 @@ import (
 // reply's Version carries back the request's Key so tests can check the
 // right request reached the right handler.
 func echoHandler(p *Plane) {
-	p.Handle(proto.TDHTFetch, func(from uint64, req proto.SvcRequest, respond func(proto.SvcResponse)) {
+	p.Handle(proto.TDHTFetch, func(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
 		f := req.(*proto.DHTFetch)
 		respond(&proto.DHTFetchReply{Found: true, Version: uint64(f.Key)})
 	})
@@ -37,11 +37,11 @@ func planeCluster(t *testing.T, n int, seed int64, netOpts ...netsim.Option) (*s
 
 func TestCallRoundTrip(t *testing.T) {
 	c, planes := planeCluster(t, 20, 1)
-	var got proto.SvcResponse
+	var got proto.SvcMessage
 	var err error
 	done := false
 	to := c.Nodes[7].Addr()
-	planes[0].Call(to, &proto.DHTFetch{Key: 42}, CallOpts{}, func(r proto.SvcResponse, e error) {
+	planes[0].Call(to, &proto.DHTFetch{Key: 42}, CallOpts{}, func(r proto.SvcMessage, e error) {
 		got, err, done = r, e, true
 	})
 	c.Run(2 * time.Second)
@@ -60,7 +60,7 @@ func TestCallLocalFastPath(t *testing.T) {
 	_, planes := planeCluster(t, 4, 2)
 	done := false
 	planes[1].Call(planes[1].Node().Addr(), &proto.DHTFetch{Key: 9}, CallOpts{},
-		func(r proto.SvcResponse, e error) {
+		func(r proto.SvcMessage, e error) {
 			if e != nil || r.(*proto.DHTFetchReply).Version != 9 {
 				t.Fatalf("local call: %v %#v", e, r)
 			}
@@ -79,7 +79,7 @@ func TestCallTimeoutOnDeadPeer(t *testing.T) {
 	var err error
 	done := false
 	planes[0].Call(dead.Addr(), &proto.DHTFetch{Key: 1}, CallOpts{Timeout: time.Second},
-		func(_ proto.SvcResponse, e error) { err = e; done = true })
+		func(_ proto.SvcMessage, e error) { err = e; done = true })
 	c.Run(3 * time.Second)
 	if !done || !errors.Is(err, ErrTimeout) {
 		t.Fatalf("done=%v err=%v", done, err)
@@ -98,7 +98,7 @@ func TestCallRetriesThroughLoss(t *testing.T) {
 	const calls = 20
 	for i := 0; i < calls; i++ {
 		planes[2].Call(to, &proto.DHTFetch{Key: idspace.ID(i)}, CallOpts{Timeout: 500 * time.Millisecond, Retries: 4},
-			func(r proto.SvcResponse, e error) {
+			func(r proto.SvcMessage, e error) {
 				if e == nil {
 					ok++
 				}
@@ -124,7 +124,7 @@ func TestCallKeyResolvesOwner(t *testing.T) {
 	var err error
 	done := false
 	planes[3].CallKey(target, proto.AlgoG, &proto.DHTFetch{Key: target}, CallOpts{},
-		func(o proto.NodeRef, r proto.SvcResponse, e error) { owner, err, done = o, e, true })
+		func(o proto.NodeRef, r proto.SvcMessage, e error) { owner, err, done = o, e, true })
 	c.Run(4 * time.Second)
 	if !done || err != nil {
 		t.Fatalf("callkey: done=%v err=%v", done, err)
@@ -140,7 +140,7 @@ func TestCallKeyLocalOwner(t *testing.T) {
 	self := c.Nodes[2].ID()
 	done := false
 	planes[2].CallKey(self, proto.AlgoG, &proto.DHTFetch{Key: self}, CallOpts{},
-		func(o proto.NodeRef, r proto.SvcResponse, e error) {
+		func(o proto.NodeRef, r proto.SvcMessage, e error) {
 			if e != nil || o.Addr != c.Nodes[2].Addr() {
 				t.Fatalf("local owner: %v %v", o, e)
 			}
@@ -158,7 +158,7 @@ func TestNoHandlerError(t *testing.T) {
 	// DHTStore has no registered handler in this test fixture; a local
 	// call reports ErrNoHandler immediately.
 	planes[0].Call(c.Nodes[0].Addr(), &proto.DHTStore{Key: 1}, CallOpts{},
-		func(_ proto.SvcResponse, e error) { err = e })
+		func(_ proto.SvcMessage, e error) { err = e })
 	if !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("err=%v", err)
 	}
@@ -169,7 +169,7 @@ func TestAsyncHandlerResponds(t *testing.T) {
 	// Re-register node 5's fetch handler to answer after a delay, as a
 	// handler that consults other nodes would.
 	nd := c.Nodes[5]
-	planes[5].Handle(proto.TDHTFetch, func(from uint64, req proto.SvcRequest, respond func(proto.SvcResponse)) {
+	planes[5].Handle(proto.TDHTFetch, func(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
 		key := req.(*proto.DHTFetch).Key // copy before going async
 		nd.SetTimer(700*time.Millisecond, func() {
 			respond(&proto.DHTFetchReply{Found: true, Version: uint64(key)})
@@ -177,7 +177,7 @@ func TestAsyncHandlerResponds(t *testing.T) {
 	})
 	done := false
 	planes[1].Call(nd.Addr(), &proto.DHTFetch{Key: 77}, CallOpts{Timeout: 2 * time.Second},
-		func(r proto.SvcResponse, e error) {
+		func(r proto.SvcMessage, e error) {
 			if e != nil || r.(*proto.DHTFetchReply).Version != 77 {
 				t.Fatalf("async response: %v %#v", e, r)
 			}
@@ -194,7 +194,7 @@ func TestLateResponseAbsorbed(t *testing.T) {
 	nd := c.Nodes[4]
 	// Answer after the caller's deadline: the caller must see exactly one
 	// callback (the timeout), and the late response must be dropped.
-	planes[4].Handle(proto.TDHTFetch, func(from uint64, req proto.SvcRequest, respond func(proto.SvcResponse)) {
+	planes[4].Handle(proto.TDHTFetch, func(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
 		nd.SetTimer(2*time.Second, func() {
 			respond(&proto.DHTFetchReply{Found: true})
 		})
@@ -202,7 +202,7 @@ func TestLateResponseAbsorbed(t *testing.T) {
 	fired := 0
 	var firstErr error
 	planes[0].Call(nd.Addr(), &proto.DHTFetch{Key: 3}, CallOpts{Timeout: 500 * time.Millisecond},
-		func(_ proto.SvcResponse, e error) {
+		func(_ proto.SvcMessage, e error) {
 			fired++
 			if fired == 1 {
 				firstErr = e
@@ -227,7 +227,7 @@ func TestSixtyFourInFlight(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := idspace.ID(uint64(i+1) * (uint64(idspace.MaxID) / (n + 1)))
 		p.CallKey(key, proto.AlgoG, &proto.DHTFetch{Key: key}, CallOpts{Retries: 2},
-			func(_ proto.NodeRef, r proto.SvcResponse, err error) {
+			func(_ proto.NodeRef, r proto.SvcMessage, err error) {
 				if err != nil || r.(*proto.DHTFetchReply).Version != uint64(key) {
 					t.Errorf("key %v: %v %#v", key, err, r)
 				}
@@ -244,7 +244,7 @@ func TestSixtyFourInFlight(t *testing.T) {
 
 	done := 0
 	for i := 0; i < n; i++ {
-		p.Call(c.Nodes[1+i].Addr(), &proto.DHTFetch{Key: idspace.ID(i)}, CallOpts{Retries: 2}, func(r proto.SvcResponse, err error) {
+		p.Call(c.Nodes[1+i].Addr(), &proto.DHTFetch{Key: idspace.ID(i)}, CallOpts{Retries: 2}, func(r proto.SvcMessage, err error) {
 			if err != nil || r.(*proto.DHTFetchReply).Version != uint64(i) {
 				t.Errorf("call %d: %v %#v", i, err, r)
 			}
