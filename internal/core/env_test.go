@@ -7,16 +7,20 @@ import (
 
 	"treep/internal/idspace"
 	"treep/internal/proto"
+	"treep/internal/sim"
 )
 
 // fakeEnv is a manually driven core.Env for unit tests: sent messages are
-// recorded, timers fire only when the test advances the clock.
+// recorded, timers sit on a sim.Kernel and fire only when the test advances
+// the clock.
 type fakeEnv struct {
-	addr   uint64
-	now    time.Duration
-	sent   []sentMsg
-	timers []*fakeTimer
-	rng    *rand.Rand
+	addr uint64
+	// now mirrors the kernel clock: set before every timer callback and at
+	// the end of every advance, so tests read it as a plain field.
+	now  time.Duration
+	k    *sim.Kernel
+	sent []sentMsg
+	rng  *rand.Rand
 	// sc is the loop scratch: the env's own unless a test points several
 	// envs at one, as the nodes of a simulated loop share theirs.
 	sc *Scratch
@@ -27,26 +31,8 @@ type sentMsg struct {
 	msg proto.Message
 }
 
-type fakeTimer struct {
-	at        time.Duration
-	fn        func()
-	cancelled bool
-	fired     bool
-	// period > 0 marks a recurring timer: advance re-arms it after each
-	// firing instead of marking it fired.
-	period time.Duration
-}
-
-func (t *fakeTimer) Cancel() bool {
-	if t.cancelled || t.fired {
-		return false
-	}
-	t.cancelled = true
-	return true
-}
-
 func newFakeEnv(addr uint64) *fakeEnv {
-	return &fakeEnv{addr: addr, rng: rand.New(rand.NewSource(int64(addr))), sc: &Scratch{}}
+	return &fakeEnv{addr: addr, k: sim.New(int64(addr)), rng: rand.New(rand.NewSource(int64(addr))), sc: &Scratch{}}
 }
 
 func (e *fakeEnv) Addr() uint64       { return e.addr }
@@ -59,42 +45,22 @@ func (e *fakeEnv) Send(to uint64, msg proto.Message) {
 }
 
 func (e *fakeEnv) SetTimer(d time.Duration, fn func()) Timer {
-	t := &fakeTimer{at: e.now + d, fn: fn}
-	e.timers = append(e.timers, t)
-	return t
+	return e.k.Schedule(d, e.at(fn))
 }
 
 func (e *fakeEnv) SetPeriodic(d time.Duration, fn func()) Timer {
-	t := &fakeTimer{at: e.now + d, fn: fn, period: d}
-	e.timers = append(e.timers, t)
-	return t
+	return e.k.SchedulePeriodic(d, e.at(fn))
+}
+
+// at wraps a timer callback so the now field reads the firing instant.
+func (e *fakeEnv) at(fn func()) func() {
+	return func() { e.now = e.k.Now(); fn() }
 }
 
 // advance moves the clock forward, firing due timers in time order.
 func (e *fakeEnv) advance(d time.Duration) {
-	target := e.now + d
-	for {
-		var next *fakeTimer
-		for _, t := range e.timers {
-			if t.cancelled || t.fired || t.at > target {
-				continue
-			}
-			if next == nil || t.at < next.at {
-				next = t
-			}
-		}
-		if next == nil {
-			break
-		}
-		e.now = next.at
-		if next.period > 0 {
-			next.at += next.period
-		} else {
-			next.fired = true
-		}
-		next.fn()
-	}
-	e.now = target
+	_ = e.k.RunFor(d)
+	e.now = e.k.Now()
 }
 
 // drain returns and clears the recorded sends.

@@ -6,6 +6,7 @@ import (
 
 	"treep/internal/idspace"
 	"treep/internal/proto"
+	"treep/internal/sim"
 )
 
 // leaveFrom delivers ref's graceful departure to n.
@@ -125,7 +126,7 @@ func TestLeavePurgesEverySlot(t *testing.T) {
 	n.InstallNbrChildren(leaver)
 	n.InstallSuperiors(leaver)
 	n.courtRef(leaver)
-	court := n.courtTimer.(*fakeTimer)
+	court := n.courtTimer.(*sim.Timer)
 	if !knows(n, leaver.Addr) || n.bootCache[bootSlot(leaver.Addr)] != leaver.Addr {
 		t.Fatal("the leaver was not filed in the first place")
 	}
@@ -134,9 +135,9 @@ func TestLeavePurgesEverySlot(t *testing.T) {
 	if knows(n, leaver.Addr) {
 		t.Fatal("the leaver survives its Leave somewhere in the node")
 	}
-	if n.courting != 0 || n.courtTimer != nil || !court.cancelled {
-		t.Fatalf("courting %d, timer held %v, cancelled %v: the courtship of the leaver goes on",
-			n.courting, n.courtTimer != nil, court.cancelled)
+	if n.courting != 0 || n.courtTimer != nil || court.Pending() {
+		t.Fatalf("courting %d, timer held %v, pending %v: the courtship of the leaver goes on",
+			n.courting, n.courtTimer != nil, court.Pending())
 	}
 	if n.table.Level0.Get(other.Addr) == nil {
 		t.Fatal("a bystander was purged with the leaver")

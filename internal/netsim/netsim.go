@@ -19,9 +19,12 @@
 // every datagram travels through the engine's deterministic barrier
 // exchange keyed by (due time, origin endpoint, per-origin sequence), and
 // latency/loss draws come from per-origin streams so the draw sequence —
-// and therefore the entire run — is invariant under the shard count. The
-// two modes share the drop/accounting semantics but not their random
-// streams: classic consumes one global stream in global send order, which
+// and therefore the entire run — is invariant under the shard count. A
+// classic network is one shard, and both modes share one send path, one
+// delivery path and the per-shard counters and record pools. They differ
+// in two places only: which stream an origin draws from, and whether a
+// datagram is posted straight onto the kernel or exchanged at the
+// barrier. Classic consumes one global stream in global send order, which
 // no parallel schedule can reproduce, so classic and sharded runs of the
 // same seed are each internally deterministic but differ from each other.
 package netsim
@@ -58,7 +61,7 @@ type Stats struct {
 	Bytes        uint64 // wire bytes of all sent datagrams
 }
 
-// add folds another counter set in (sharded-mode aggregation).
+// add folds another shard's counter set in.
 func (s *Stats) add(o Stats) {
 	s.Sent += o.Sent
 	s.Delivered += o.Delivered
@@ -102,7 +105,6 @@ type Network struct {
 	handlers []Handler
 	epAlive  []bool
 
-	stats Stats
 	trace func(TraceEvent)
 	// mtu drops datagrams larger than this size when > 0, mirroring the
 	// 64 KiB UDP limit by default.
@@ -111,15 +113,19 @@ type Network struct {
 	// in flight when the filter returns false for its (from, to) pair.
 	// Scenario tools use it to simulate network partitions.
 	linkFilter func(from, to Addr) bool
-	// freeDeliveries pools in-flight datagram records so the per-datagram
+	// stats / free are per-shard counter and free-list slabs (one shard on
+	// a classic network): send-side counters belong to the origin's shard,
+	// arrival-side to the destination's, so no counter is written by two
+	// workers. free pools in-flight datagram records so the per-datagram
 	// hot path (one delivery event per Send) does not allocate.
-	freeDeliveries *delivery
+	stats []Stats
+	free  []*delivery
 
 	// Sharded mode (nil engine = classic).
 	engine *sim.Sharded
 	// floor is the latency model's minimum one-way delay — the engine's
 	// lookahead. Draws are clamped to it defensively; for the shipped
-	// models the clamp never binds.
+	// models the clamp never binds. Zero on a classic network.
 	floor time.Duration
 	// epShard pins each endpoint to its shard.
 	epShard []int32
@@ -130,11 +136,6 @@ type Network struct {
 	// how endpoints are placed across shards.
 	originSeq []uint64
 	originRng []*rand.Rand
-	// shardStats / shardFree are per-shard counter and free-list slabs:
-	// send-side counters belong to the origin's shard, arrival-side to
-	// the destination's, so no counter is written by two workers.
-	shardStats []Stats
-	shardFree  []*delivery
 }
 
 // recyclable matches payloads that want to be returned to a pool once
@@ -156,9 +157,8 @@ func (n *Network) release(payload interface{}) {
 
 // delivery is one in-flight datagram, scheduled through the kernel's
 // closure-free dispatch path and recycled on arrival. shard is the
-// destination shard whose free list owns the record (-1 in classic
-// mode): records never migrate between shards, so recycling needs no
-// atomics.
+// destination shard whose free list owns the record: records never
+// migrate between shards, so recycling needs no atomics.
 type delivery struct {
 	net     *Network
 	from    Addr
@@ -169,11 +169,27 @@ type delivery struct {
 	next    *delivery
 }
 
-// MemBytes reports the heap behind the classic network's pooled datagram
-// records: as many as were ever in flight at once, less those in flight.
+// take pops a record from a shard's free list, allocating when it is
+// empty, and fills it in.
+func (n *Network) take(shard int, from, to Addr, payload interface{}, size int) *delivery {
+	d := n.free[shard]
+	if d == nil {
+		d = &delivery{}
+	} else {
+		n.free[shard] = d.next
+		d.next = nil
+	}
+	d.net, d.from, d.to, d.payload, d.size, d.shard = n, from, to, payload, size, int32(shard)
+	return d
+}
+
+// MemBytes reports the heap behind the network's pooled datagram records:
+// as many as were ever in flight at once, less those in flight.
 func (n *Network) MemBytes() (bytes int) {
-	for d := n.freeDeliveries; d != nil; d = d.next {
-		bytes += int(unsafe.Sizeof(*d))
+	for _, d := range n.free {
+		for ; d != nil; d = d.next {
+			bytes += int(unsafe.Sizeof(*d))
+		}
 	}
 	return bytes
 }
@@ -185,18 +201,10 @@ func deliverDatagram(arg interface{}) { arg.(*delivery).deliver() }
 func (d *delivery) deliver() {
 	n, from, to, payload, size, shard := d.net, d.from, d.to, d.payload, d.size, d.shard
 	d.net, d.payload = nil, nil
-	if shard >= 0 {
-		d.next = n.shardFree[shard]
-		n.shardFree[shard] = d
-	} else {
-		d.next = n.freeDeliveries
-		n.freeDeliveries = d
-	}
+	d.next = n.free[shard]
+	n.free[shard] = d
 
-	stats := &n.stats
-	if shard >= 0 {
-		stats = &n.shardStats[shard]
-	}
+	stats := &n.stats[shard]
 	// Liveness is checked at arrival, not at send: UDP gives the sender
 	// no feedback, so a datagram to a dead host leaves the sender
 	// normally and vanishes in the network.
@@ -229,19 +237,26 @@ func WithMTU(mtu int) Option { return func(n *Network) { n.mtu = mtu } }
 // WithTrace installs a hook invoked for every datagram send.
 func WithTrace(fn func(TraceEvent)) Option { return func(n *Network) { n.trace = fn } }
 
-// New creates a classic single-threaded network bound to the kernel.
-func New(k *sim.Kernel, opts ...Option) *Network {
+// newNetwork applies the defaults and options both modes share.
+func newNetwork(shards int, opts []Option) *Network {
 	n := &Network{
-		kernel:   k,
 		latency:  UniformLatency{Min: 10 * time.Millisecond, Max: 60 * time.Millisecond},
-		rng:      k.Stream(0x6e6574), // "net"
-		handlers: []Handler{nil},     // slot 0 = NoAddr
+		handlers: []Handler{nil}, // slot 0 = NoAddr
 		epAlive:  []bool{false},
 		mtu:      64 << 10,
+		stats:    make([]Stats, max(shards, 1)),
+		free:     make([]*delivery, max(shards, 1)),
 	}
 	for _, o := range opts {
 		o(n)
 	}
+	return n
+}
+
+// New creates a classic single-threaded network bound to the kernel.
+func New(k *sim.Kernel, opts ...Option) *Network {
+	n := newNetwork(1, opts)
+	n.kernel, n.rng = k, k.Stream(0x6e6574) // "net"
 	return n
 }
 
@@ -252,15 +267,7 @@ func New(k *sim.Kernel, opts ...Option) *Network {
 // with zero minimum latency). Tracing is control-plane machinery and is
 // not supported sharded.
 func NewSharded(seed int64, shards int, opts ...Option) *Network {
-	n := &Network{
-		latency:  UniformLatency{Min: 10 * time.Millisecond, Max: 60 * time.Millisecond},
-		handlers: []Handler{nil},
-		epAlive:  []bool{false},
-		mtu:      64 << 10,
-	}
-	for _, o := range opts {
-		o(n)
-	}
+	n := newNetwork(shards, opts)
 	if n.trace != nil {
 		panic("netsim: tracing is not supported in sharded mode")
 	}
@@ -277,8 +284,6 @@ func NewSharded(seed int64, shards int, opts ...Option) *Network {
 	n.epShard = []int32{0}
 	n.originSeq = []uint64{0}
 	n.originRng = []*rand.Rand{nil}
-	n.shardStats = make([]Stats, shards)
-	n.shardFree = make([]*delivery, shards)
 	n.engine.SetExchange(n.exchange)
 	return n
 }
@@ -384,9 +389,9 @@ func (n *Network) Alive(a Addr) bool { return n.valid(a) && n.epAlive[a] }
 // Stats returns a copy of the accumulated counters (summed across shards
 // in sharded mode; control plane only).
 func (n *Network) Stats() Stats {
-	out := n.stats
-	for i := range n.shardStats {
-		out.add(n.shardStats[i])
+	var out Stats
+	for i := range n.stats {
+		out.add(n.stats[i])
 	}
 	return out
 }
@@ -397,96 +402,54 @@ func (n *Network) Stats() Stats {
 // carried by reference for speed; see package comment). The in-flight leg
 // is a pooled record dispatched through the kernel's closure-free path, so
 // steady-state traffic does not allocate per datagram.
+//
+// On a sharded network Send runs on the origin endpoint's shard worker (or
+// on the control plane while parked). Loss and latency come from the
+// origin's own stream, and the datagram goes through the engine's barrier
+// exchange under the origin's send ordinal — intra-shard traffic too, so
+// all same-instant deliveries share one placement-invariant order. A
+// classic network draws from its one stream and posts straight onto its
+// kernel.
 func (n *Network) Send(from, to Addr, payload interface{}, size int) {
+	shard, rng := 0, n.rng
 	if n.engine != nil {
-		n.sendSharded(from, to, payload, size)
-		return
+		shard, rng = int(n.epShard[from]), n.originRng[from]
 	}
-	n.stats.Sent++
-	n.stats.Bytes += uint64(size)
-
-	if n.mtu > 0 && size > n.mtu {
-		n.stats.LostDead++ // accounted as undeliverable
-		n.traceDrop(from, to, payload, size, "mtu")
-		n.release(payload)
-		return
-	}
-	if !n.valid(to) {
-		n.stats.LostDead++
-		n.traceDrop(from, to, payload, size, "dead")
-		n.release(payload)
-		return
-	}
-	if n.linkFilter != nil && !n.linkFilter(from, to) {
-		n.stats.LostFiltered++
-		n.traceDrop(from, to, payload, size, "filtered")
-		n.release(payload)
-		return
-	}
-	if n.lossRate > 0 && n.rng.Float64() < n.lossRate {
-		n.stats.LostRandom++
-		n.traceDrop(from, to, payload, size, "loss")
-		n.release(payload)
-		return
-	}
-	if n.trace != nil {
-		n.trace(TraceEvent{At: n.kernel.Now(), From: from, To: to, Size: size, Payload: payload})
-	}
-	delay := n.latency.Delay(from, to, n.rng)
-	d := n.freeDeliveries
-	if d == nil {
-		d = &delivery{shard: -1}
-	} else {
-		n.freeDeliveries = d.next
-		d.next = nil
-	}
-	d.net, d.from, d.to, d.payload, d.size = n, from, to, payload, size
-	n.kernel.Post(delay, deliverDatagram, d)
-}
-
-// sendSharded is Send on a sharded network: callable from the origin
-// endpoint's shard worker (or the control plane while parked). It mirrors
-// the classic drop semantics, but draws loss and latency from the origin's
-// own stream, stamps the origin's send ordinal, and hands the datagram to
-// the engine's barrier exchange instead of posting it directly — including
-// for intra-shard traffic, so all same-instant deliveries share one
-// placement-invariant order.
-func (n *Network) sendSharded(from, to Addr, payload interface{}, size int) {
-	os := int(n.epShard[from])
-	st := &n.shardStats[os]
+	st := &n.stats[shard]
 	st.Sent++
 	st.Bytes += uint64(size)
 
-	if n.mtu > 0 && size > n.mtu {
+	var drop string
+	switch {
+	case n.mtu > 0 && size > n.mtu:
+		st.LostDead++ // accounted as undeliverable
+		drop = "mtu"
+	case !n.valid(to):
 		st.LostDead++
-		n.release(payload)
-		return
-	}
-	if !n.valid(to) {
-		st.LostDead++
-		n.release(payload)
-		return
-	}
-	if n.linkFilter != nil && !n.linkFilter(from, to) {
+		drop = "dead"
+	case n.linkFilter != nil && !n.linkFilter(from, to):
 		st.LostFiltered++
-		n.release(payload)
-		return
-	}
-	rng := n.originRng[from]
-	if n.lossRate > 0 && rng.Float64() < n.lossRate {
+		drop = "filtered"
+	case n.lossRate > 0 && rng.Float64() < n.lossRate:
 		st.LostRandom++
+		drop = "loss"
+	}
+	if n.trace != nil {
+		n.trace(TraceEvent{At: n.kernel.Now(), From: from, To: to, Size: size, Payload: payload, Dropped: drop != "", Reason: drop})
+	}
+	if drop != "" {
 		n.release(payload)
 		return
 	}
-	delay := n.latency.Delay(from, to, rng)
-	if delay < n.floor {
-		delay = n.floor
+	delay := max(n.latency.Delay(from, to, rng), n.floor)
+	if n.engine == nil {
+		n.kernel.Post(delay, deliverDatagram, n.take(0, from, to, payload, size))
+		return
 	}
 	seq := n.originSeq[from]
 	n.originSeq[from]++
-	k := n.engine.Shard(os)
-	n.engine.Exchange(os, int(n.epShard[to]), sim.XEvent{
-		At:      k.Now() + delay,
+	n.engine.Exchange(shard, int(n.epShard[to]), sim.XEvent{
+		At:      n.engine.Shard(shard).Now() + delay,
 		Origin:  uint64(from),
 		Seq:     seq,
 		To:      uint64(to),
@@ -500,19 +463,5 @@ func (n *Network) sendSharded(from, to Addr, payload interface{}, size int) {
 // shard's own free list — the origin never touches destination-owned
 // memory, which is what keeps both free lists atomic-free.
 func (n *Network) exchange(shard int, k *sim.Kernel, ev sim.XEvent) {
-	d := n.shardFree[shard]
-	if d == nil {
-		d = &delivery{}
-	} else {
-		n.shardFree[shard] = d.next
-		d.next = nil
-	}
-	d.net, d.from, d.to, d.payload, d.size, d.shard = n, Addr(ev.Origin), Addr(ev.To), ev.Payload, int(ev.Size), int32(shard)
-	k.Post(ev.At-k.Now(), deliverDatagram, d)
-}
-
-func (n *Network) traceDrop(from, to Addr, payload interface{}, size int, reason string) {
-	if n.trace != nil {
-		n.trace(TraceEvent{At: n.kernel.Now(), From: from, To: to, Size: size, Payload: payload, Dropped: true, Reason: reason})
-	}
+	k.Post(ev.At-k.Now(), deliverDatagram, n.take(shard, Addr(ev.Origin), Addr(ev.To), ev.Payload, int(ev.Size)))
 }

@@ -6,8 +6,6 @@ import (
 
 	"treep/internal/core"
 	"treep/internal/idspace"
-	"treep/internal/proto"
-	"treep/internal/routing"
 	"treep/internal/simrt"
 )
 
@@ -95,72 +93,25 @@ func LoadPercentiles(deltas []uint64) LoadStats {
 // its own path-length distribution. This walk asks the mix-controlled
 // question — for the SAME origin/target pairs, did the balancer's routing
 // bias stretch paths?
+//
+// Only delivered walks are samples: one that cycles, exhausts the TTL or
+// hits a dead next hop is a loop-freedom or liveness matter with its own
+// checker, not a path length.
 func StaticHops(c *simrt.Cluster, origins []*core.Node, targets []idspace.ID) (mean float64, delivered int) {
-	var scratch routing.Scratch
-	seen := make(map[walkState]bool, 64)
-	var sum, n int
+	x := NewCtx(c)
+	sum := 0
 	for _, origin := range origins {
 		for _, target := range targets {
-			if hops, ok := staticWalk(c, &scratch, seen, origin, target); ok {
+			if hops, _, end := x.walk(origin, target); end == walkDelivered {
 				sum += hops
-				n++
+				delivered++
 			}
 		}
 	}
-	if n == 0 {
+	if delivered == 0 {
 		return 0, 0
 	}
-	return float64(sum) / float64(n), n
-}
-
-// staticWalk follows Route decisions from origin toward target and counts
-// forwarding steps. ok is false when the walk cycles, exhausts the TTL,
-// or hits a dead next hop — those are loop-freedom/liveness matters with
-// their own checkers, not path-length samples.
-func staticWalk(c *simrt.Cluster, scratch *routing.Scratch, seen map[walkState]bool, origin *core.Node, target idspace.ID) (int, bool) {
-	req := &proto.LookupRequest{
-		Origin: origin.Ref(),
-		Target: target,
-		TTL:    origin.Config().MaxTTL,
-		Algo:   proto.AlgoG,
-	}
-	clear(seen)
-	cur := origin
-	var sender uint64
-	hops := 0
-	for {
-		if req.TTL == 0 {
-			return 0, false
-		}
-		params := cur.Config().Routing
-		st := walkState{cur.Addr(), sender, params.Regime(req.Hops)}
-		if seen[st] {
-			return 0, false
-		}
-		seen[st] = true
-		parent, has := cur.Table().Parent()
-		fromParent := sender != 0 && has && parent.Addr == sender
-		step := routing.RouteWith(scratch, cur.Ref(), cur.Table(), req, fromParent, sender, params)
-		switch step.Action {
-		case routing.Deliver:
-			return hops, true
-		case routing.Forward:
-		default:
-			return 0, false
-		}
-		next := c.NodeByAddr(step.Next.Addr)
-		if next == nil || !c.Alive(next) {
-			return 0, false
-		}
-		fwd := *req
-		fwd.TTL--
-		fwd.Hops++
-		fwd.Alternates = step.Alternates
-		req = &fwd
-		sender = cur.Addr()
-		cur = next
-		hops++
-	}
+	return float64(sum) / float64(delivered), delivered
 }
 
 // --- invariant checkers -----------------------------------------------------

@@ -355,12 +355,40 @@ func LookupLoopFreedom(samples int) Checker {
 	}}
 }
 
-// walkForLoop follows Route decisions from origin toward target without
-// advancing time. It returns ok=false with a violation when the walk
-// cycles or exhausts the TTL (detail "TTL exhausted ..."); termination
-// (delivery, not-found, or a dead next hop — a liveness matter, judged by
-// the lookup metrics instead) is ok.
+// walkForLoop walks from origin toward target (Ctx.walk). It returns
+// ok=false with a violation when the walk cycles or exhausts the TTL
+// (detail "TTL exhausted ..."); termination (delivery, not-found, or a
+// dead next hop — a liveness matter, judged by the lookup metrics
+// instead) is ok.
 func walkForLoop(x *Ctx, origin *core.Node, target idspace.ID) (Violation, bool) {
+	var detail string
+	switch _, at, end := x.walk(origin, target); end {
+	case walkTTL:
+		detail = fmt.Sprintf("TTL exhausted from %s to %s", origin.ID(), target)
+	case walkCycle:
+		detail = fmt.Sprintf("cycle at %s routing %s", at.ID(), target)
+	default:
+		return Violation{}, true
+	}
+	return Violation{Checker: "lookup-loop-freedom", Detail: detail}, false
+}
+
+// walkEnd is how a static forwarding walk ended.
+type walkEnd uint8
+
+const (
+	walkDelivered walkEnd = iota // the node it stopped at owns the target
+	walkStopped                  // routing neither delivered nor forwarded
+	walkDeadHop                  // the next hop is unknown or dead
+	walkCycle                    // a walkState came round again
+	walkTTL                      // the TTL ran out
+)
+
+// walk follows the greedy (G) forwarding decision from origin toward
+// target over the current routing tables; no time advances and no message
+// is sent. It returns the forwarding steps taken, the node the walk
+// stopped at, and how it ended.
+func (x *Ctx) walk(origin *core.Node, target idspace.ID) (hops int, at *core.Node, end walkEnd) {
 	req := &proto.LookupRequest{
 		Origin: origin.Ref(),
 		Target: target,
@@ -371,34 +399,31 @@ func walkForLoop(x *Ctx, origin *core.Node, target idspace.ID) (Violation, bool)
 		x.walkSeen = make(map[walkState]bool, 64)
 	}
 	clear(x.walkSeen)
-	seen := x.walkSeen
 	cur := origin
 	var sender uint64
-	for {
+	for ; ; hops++ {
 		if req.TTL == 0 {
-			return Violation{
-				Checker: "lookup-loop-freedom",
-				Detail:  fmt.Sprintf("TTL exhausted from %s to %s", origin.ID(), target),
-			}, false
+			return hops, cur, walkTTL
 		}
 		params := cur.Config().Routing
 		st := walkState{cur.Addr(), sender, params.Regime(req.Hops)}
-		if seen[st] {
-			return Violation{
-				Checker: "lookup-loop-freedom",
-				Detail:  fmt.Sprintf("cycle at %s routing %s", cur.ID(), target),
-			}, false
+		if x.walkSeen[st] {
+			return hops, cur, walkCycle
 		}
-		seen[st] = true
+		x.walkSeen[st] = true
 		parent, has := cur.Table().Parent()
 		fromParent := sender != 0 && has && parent.Addr == sender
 		step := routing.RouteWith(&x.route, cur.Ref(), cur.Table(), req, fromParent, sender, params)
-		if step.Action != routing.Forward {
-			return Violation{}, true
+		switch step.Action {
+		case routing.Deliver:
+			return hops, cur, walkDelivered
+		case routing.Forward:
+		default:
+			return hops, cur, walkStopped
 		}
 		next := x.C.NodeByAddr(step.Next.Addr)
 		if next == nil || !x.C.Alive(next) {
-			return Violation{}, true
+			return hops, cur, walkDeadHop
 		}
 		fwd := *req
 		fwd.TTL--

@@ -80,6 +80,19 @@ func (k *refKernel) runUntil(deadline time.Duration) {
 	}
 }
 
+// next is the earliest live event's time by a full scan: the oracle for
+// Kernel.Next.
+func (k *refKernel) next() (time.Duration, bool) {
+	var at time.Duration
+	ok := false
+	for _, ev := range k.events {
+		if !ev.cancelled && (!ok || ev.at < at) {
+			at, ok = ev.at, true
+		}
+	}
+	return at, ok
+}
+
 // testSched abstracts the two schedulers for the shared workload driver.
 // schedule and schedulePeriodic return cancel functions.
 type testSched interface {
@@ -87,6 +100,7 @@ type testSched interface {
 	schedule(d time.Duration, fn func()) func() bool
 	schedulePeriodic(d time.Duration, fn func()) func() bool
 	runUntil(t time.Duration)
+	next() (time.Duration, bool)
 }
 
 type wheelSched struct{ k *Kernel }
@@ -100,7 +114,8 @@ func (s wheelSched) schedulePeriodic(d time.Duration, fn func()) func() bool {
 	tm := s.k.SchedulePeriodic(d, fn)
 	return tm.Cancel
 }
-func (s wheelSched) runUntil(t time.Duration) { _ = s.k.RunUntil(t) }
+func (s wheelSched) runUntil(t time.Duration)    { _ = s.k.RunUntil(t) }
+func (s wheelSched) next() (time.Duration, bool) { return s.k.Next() }
 
 type refSched struct{ k *refKernel }
 
@@ -139,10 +154,12 @@ func (s refSched) schedulePeriodic(d time.Duration, fn func()) func() bool {
 		return true
 	}
 }
-func (s refSched) runUntil(t time.Duration) { s.k.runUntil(t) }
+func (s refSched) runUntil(t time.Duration)    { s.k.runUntil(t) }
+func (s refSched) next() (time.Duration, bool) { return s.k.next() }
 
 // driveWorkload runs a randomized schedule/cancel/periodic workload on the
-// given scheduler and returns the fire log ("id@virtualtime" per event).
+// given scheduler and returns the fire log ("id@virtualtime" per event,
+// "next=time,ok" after every step).
 // All randomness flows from the shared rng, whose draw order depends only
 // on the event fire order — so two schedulers produce identical logs iff
 // they order events identically.
@@ -160,6 +177,17 @@ func driveWorkload(s testSched, seed int64) []string {
 		271 * time.Millisecond, 900 * time.Millisecond,
 		3 * time.Second, 67 * time.Second, 2 * time.Minute,
 		3 * time.Hour, 26 * time.Hour,
+	}
+	// probe logs the earliest pending time, so the equivalence test holds
+	// Next to the reference heap's scan after every step. Asking must fire
+	// nothing and leave the clock where it was.
+	probe := func() {
+		n, now := len(log), s.now()
+		at, ok := s.next()
+		if len(log) != n || s.now() != now {
+			log = append(log, "next fired an event or moved the clock")
+		}
+		log = append(log, fmt.Sprintf("next=%d,%v", at, ok))
 	}
 	var fire func(id int) func()
 	schedule := func() {
@@ -191,20 +219,25 @@ func driveWorkload(s testSched, seed int64) []string {
 			if len(cancels) > 0 && rng.Intn(3) == 0 {
 				cancels[rng.Intn(len(cancels))]()
 			}
+			probe()
 		}
 	}
 	for i := 0; i < 50; i++ {
 		schedule()
 	}
+	probe()
 	// Deadline-bounded runs with awkward boundaries, then cancel the
 	// periodics and drain the far future (the overflow heap).
 	for t := 900 * time.Millisecond; t <= 40*time.Second; t += 6*time.Second + 13*time.Millisecond {
 		s.runUntil(t)
+		probe()
 	}
 	for _, c := range cancels {
 		c()
 	}
+	probe()
 	s.runUntil(40 * time.Hour)
+	probe()
 	return log
 }
 

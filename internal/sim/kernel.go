@@ -266,6 +266,17 @@ func (k *Kernel) Stop() { k.stopped.Store(true) }
 // Pending returns the number of live (scheduled, non-cancelled) events.
 func (k *Kernel) Pending() int { return k.live }
 
+// Next returns the due time of the earliest live event, or false when
+// nothing is scheduled. It fires nothing and leaves the clock alone: a
+// runtime on a real clock sleeps until the returned time, then calls
+// RunUntil.
+func (k *Kernel) Next() (time.Duration, bool) {
+	if ev := k.peek(); ev != nil {
+		return ev.at, true
+	}
+	return 0, false
+}
+
 // MemBytes reports the heap behind the event records, scheduled and
 // pooled: the pool keeps the most that were ever pending at once.
 func (k *Kernel) MemBytes() int {

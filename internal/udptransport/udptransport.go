@@ -1,13 +1,17 @@
 // Package udptransport runs TreeP nodes over real UDP sockets. The paper's
 // overlay "is a UDP based overlay architecture" (§III); this transport
 // drives the exact same core.Node state machines as the simulator, with
-// wall-clock timers and the binary wire codec, proving the protocol is a
-// real network program and not a simulation artifact.
+// the simulator's timing wheel run against the wall clock and the binary
+// wire codec, proving the protocol is a real network program and not a
+// simulation artifact.
 //
 // Concurrency model: each node owns one goroutine (the event loop). The
 // socket reader pushes typed {from, msg} records into an inbound ring and
-// timer callbacks post closures into the control channel; all protocol
-// state is touched only from the loop, exactly matching the
+// Do posts closures into the control channel. Timers live on a sim.Kernel
+// that only the loop touches: before each step the loop runs the kernel
+// up to the wall clock, firing due callbacks inline, and between steps it
+// sleeps until the kernel's next due time or the next arrival. All
+// protocol state is touched only from the loop, exactly matching the
 // single-threaded contract of core.Node.
 //
 // Data path (PR 9): socket I/O is batched — recvmmsg/sendmmsg on Linux
@@ -33,6 +37,7 @@ import (
 
 	"treep/internal/core"
 	"treep/internal/proto"
+	"treep/internal/sim"
 )
 
 // AddrToUint packs an IPv4 UDP address into the overlay's uint64 address
@@ -101,6 +106,9 @@ type Transport struct {
 	io    batchIO
 	node  *core.Node
 	start time.Time
+	// k holds the node's timers and its clock, time since start as of the
+	// loop's last step. Event-loop goroutine only.
+	k *sim.Kernel
 
 	loop chan func()
 	msgs chan inMsg
@@ -129,21 +137,6 @@ type Transport struct {
 	flushCount   atomic.Uint64
 }
 
-// timer adapts time.Timer to core.Timer, posting the callback into the
-// event loop so protocol state stays single-threaded.
-type timer struct {
-	t       *time.Timer
-	stopped bool
-}
-
-func (t *timer) Cancel() bool {
-	if t.stopped {
-		return false
-	}
-	t.stopped = true
-	return t.t.Stop()
-}
-
 // env implements core.Env over the transport.
 type env struct {
 	tr   *Transport
@@ -153,7 +146,7 @@ type env struct {
 }
 
 func (e *env) Addr() uint64           { return e.addr }
-func (e *env) Now() time.Duration     { return time.Since(e.tr.start) }
+func (e *env) Now() time.Duration     { return e.tr.k.Now() }
 func (e *env) Rand() *rand.Rand       { return e.rng }
 func (e *env) Scratch() *core.Scratch { return &e.sc }
 
@@ -186,69 +179,11 @@ func (e *env) Send(to uint64, msg proto.Message) {
 }
 
 func (e *env) SetTimer(d time.Duration, fn func()) core.Timer {
-	tm := &timer{}
-	tm.t = time.AfterFunc(d, func() {
-		// Deliver on the loop; drop if the transport is closing.
-		select {
-		case e.tr.loop <- fn:
-		case <-e.tr.done:
-		}
-	})
-	return tm
-}
-
-// periodicTimer re-arms a wall-clock timer after each delivered tick. The
-// mutex covers the re-arm/cancel race: AfterFunc fires on the runtime
-// timer goroutine while Cancel arrives from the event loop.
-type periodicTimer struct {
-	mu      sync.Mutex
-	t       *time.Timer
-	stopped bool
-}
-
-func (p *periodicTimer) Cancel() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stopped {
-		return false
-	}
-	p.stopped = true
-	if p.t != nil {
-		p.t.Stop()
-	}
-	return true
+	return e.tr.k.Schedule(d, fn)
 }
 
 func (e *env) SetPeriodic(d time.Duration, fn func()) core.Timer {
-	p := &periodicTimer{}
-	// One timer and two closures for the timer's whole life: the first arm
-	// creates the AfterFunc, every later arm is a Reset. Keep-alive ticks
-	// are the transport's highest-frequency timer — allocating a fresh
-	// timer per tick would put several allocations per tick on the hot
-	// path for nothing.
-	var tick func()
-	arm := func() {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.stopped {
-			return
-		}
-		if p.t == nil {
-			p.t = time.AfterFunc(d, func() {
-				// Deliver the tick on the loop, then re-arm from the loop so
-				// ticks cannot pile up faster than the node consumes them.
-				select {
-				case e.tr.loop <- tick:
-				case <-e.tr.done:
-				}
-			})
-		} else {
-			p.t.Reset(d)
-		}
-	}
-	tick = func() { fn(); arm() }
-	arm()
-	return p
+	return e.tr.k.SchedulePeriodic(d, fn)
 }
 
 // Listen binds a UDP socket on bind (e.g. "127.0.0.1:0") and creates the
@@ -277,6 +212,7 @@ func newTransport(cfg core.Config, conn *net.UDPConn, seed int64, io batchIO) (*
 		conn:  conn,
 		io:    io,
 		start: time.Now(),
+		k:     sim.New(seed),
 		loop:  make(chan func(), 1024),
 		msgs:  make(chan inMsg, 1024),
 		done:  make(chan struct{}),
@@ -441,17 +377,35 @@ func (t *Transport) drainInbound() {
 	}
 }
 
+// advance runs the kernel up to the wall clock: every timer due by now
+// fires, inline and in due order, and Now moves to the present.
+func (t *Transport) advance() { _ = t.k.RunUntil(time.Since(t.start)) }
+
+// eventLoop sleeps until a datagram, a Do closure, the kernel's next due
+// time or Close; advances the kernel before the step it woke for; then
+// flushes every send the step queued. Timers are fixed-rate, as in the
+// simulator: a step that holds the loop past several periods leaves the
+// missed ticks due, and the next advance fires each of them in turn.
 func (t *Transport) eventLoop() {
 	defer t.loopWG.Done()
+	wake := time.NewTimer(time.Hour)
+	defer wake.Stop()
 	for {
+		var due <-chan time.Time
+		if at, ok := t.k.Next(); ok {
+			wake.Reset(at - time.Since(t.start))
+			due = wake.C
+		}
 		select {
 		case m := <-t.msgs:
+			t.advance()
 			t.dispatch(m)
 			t.drainInbound()
-			t.flush()
 		case fn := <-t.loop:
+			t.advance()
 			fn()
-			t.flush()
+		case <-due:
+			t.advance()
 		case <-t.done:
 			// Drain whatever is queued, flush the final sends, then stop
 			// the node.
@@ -468,5 +422,6 @@ func (t *Transport) eventLoop() {
 				}
 			}
 		}
+		t.flush()
 	}
 }

@@ -1,10 +1,12 @@
 package udptransport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -362,6 +364,117 @@ func TestGracefulLeaveOverUDP(t *testing.T) {
 	_ = survivor.Do(func(n *core.Node) { still = n.Table().Level0.Get(leaverAddr) != nil })
 	if still {
 		t.Fatal("survivor still lists the departed peer 300ms after Leave")
+	}
+}
+
+// goroutine names the calling goroutine by the header runtime.Stack prints.
+func goroutine() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// TestLoopTimers pins the timers of one transport: one-shots fire in due
+// order on the loop goroutine; a periodic timer cancelled from its own
+// callback stops; a loop held up for three periods then fires the three
+// missed ticks, each at its own due time (fixed rate, as in the
+// simulator); and Close returns promptly with timers still pending.
+func TestLoopTimers(t *testing.T) {
+	cfg := core.Defaults()
+	cfg.ID = 5
+	tr, err := Listen(cfg, "127.0.0.1:0", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &env{tr: tr, addr: tr.OverlayAddr()}
+	on := func(fn func()) {
+		t.Helper()
+		if err := tr.Do(func(*core.Node) { fn() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			ok := false
+			on(func() { ok = cond() })
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within 2s", what)
+			}
+		}
+	}
+
+	var loop string
+	var order []int
+	offLoop := 0
+	on(func() {
+		loop = goroutine()
+		for i, d := range []time.Duration{30, 10, 20} {
+			e.SetTimer(d*time.Millisecond, func() {
+				order = append(order, i)
+				if goroutine() != loop {
+					offLoop++
+				}
+			})
+		}
+	})
+	waitFor("three one-shots", func() bool { return len(order) == 3 })
+	on(func() {
+		if fmt.Sprint(order) != "[1 2 0]" || offLoop != 0 {
+			t.Errorf("one-shots fired as %v, %d off the loop; want [1 2 0], none", order, offLoop)
+		}
+	})
+
+	ticks := 0
+	var self core.Timer
+	on(func() {
+		self = e.SetPeriodic(5*time.Millisecond, func() {
+			if ticks++; ticks == 3 && !self.Cancel() {
+				t.Error("a periodic timer could not cancel itself from its own callback")
+			}
+		})
+	})
+	waitFor("three ticks", func() bool { return ticks >= 3 })
+	time.Sleep(30 * time.Millisecond)
+	on(func() {
+		if ticks != 3 || self.Cancel() {
+			t.Errorf("%d ticks of a timer that cancelled itself at the third", ticks)
+		}
+	})
+
+	const period = 20 * time.Millisecond
+	var t0 time.Duration
+	var at []time.Duration
+	var p core.Timer
+	on(func() {
+		t0 = e.Now()
+		p = e.SetPeriodic(period, func() { at = append(at, e.Now()) })
+	})
+	waitFor("the first tick", func() bool { return len(at) >= 1 })
+	before := 0
+	on(func() { before = len(at); time.Sleep(3*period + period/2) })
+	on(func() {
+		p.Cancel()
+		if len(at) < before+3 {
+			t.Errorf("%d ticks fired after holding the loop for three periods, want the 3 missed", len(at)-before)
+		}
+		for i, a := range at {
+			if want := time.Duration(i+1) * period; a-t0 != want {
+				t.Errorf("tick %d due at %v fired at %v", i, want, a-t0)
+			}
+		}
+	})
+
+	on(func() {
+		e.SetTimer(time.Hour, func() {})
+		e.SetPeriodic(time.Minute, func() {})
+	})
+	begin := time.Now()
+	tr.Close()
+	if took := time.Since(begin); took > time.Second {
+		t.Errorf("Close with timers pending took %v", took)
 	}
 }
 

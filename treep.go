@@ -213,17 +213,13 @@ var ErrDead = errors.New("treep: peer is dead")
 // advancing the simulation until the result is known.
 func (nw *SimNetwork) Lookup(origin int, target ID, algo Algo) (LookupResult, error) {
 	nd := nw.cluster.Nodes[origin]
-	if !nw.cluster.Alive(nd) {
+	if !nw.Alive(origin) {
 		return LookupResult{}, ErrDead
 	}
-	var res LookupResult
-	done := false
-	nd.Lookup(target, algo, func(r LookupResult) { res = r; done = true })
-	deadline := nw.Now() + nd.Config().LookupTimeout + 2*time.Second
-	for !done && nw.Now() < deadline {
-		nw.cluster.Run(100 * time.Millisecond)
-	}
-	if !done {
+	res, err := await(nw, nd.Config().LookupTimeout+2*time.Second, func(done func(LookupResult, error)) {
+		nd.Lookup(target, algo, func(r LookupResult) { done(r, nil) })
+	})
+	if err != nil {
 		return LookupResult{Status: core.LookupTimeout}, nil
 	}
 	return res, nil
@@ -231,72 +227,40 @@ func (nw *SimNetwork) Lookup(origin int, target ID, algo Algo) (LookupResult, er
 
 // Put stores a key/value pair through peer origin's DHT service.
 func (nw *SimNetwork) Put(origin int, key, value []byte) error {
-	nd := nw.cluster.Nodes[origin]
-	if !nw.cluster.Alive(nd) {
+	if !nw.Alive(origin) {
 		return ErrDead
 	}
-	var err error
-	done := false
-	nw.services[origin].Put(key, value, func(e error) { err = e; done = true })
-	nw.drive(&done)
-	if !done {
-		return dht.ErrTimeout
-	}
+	_, err := await(nw, simOpWait, func(done func(struct{}, error)) {
+		nw.services[origin].Put(key, value, func(e error) { done(struct{}{}, e) })
+	})
 	return err
 }
 
 // Get fetches a key through peer origin's DHT service.
 func (nw *SimNetwork) Get(origin int, key []byte) ([]byte, error) {
-	nd := nw.cluster.Nodes[origin]
-	if !nw.cluster.Alive(nd) {
+	if !nw.Alive(origin) {
 		return nil, ErrDead
 	}
-	var val []byte
-	var err error
-	done := false
-	nw.services[origin].Get(key, func(v []byte, e error) { val, err, done = v, e, true })
-	nw.drive(&done)
-	if !done {
-		return nil, dht.ErrTimeout
-	}
-	return val, err
+	return await(nw, simOpWait, func(done func([]byte, error)) { nw.services[origin].Get(key, done) })
 }
 
 // GetRecord fetches a key with its version through peer origin's DHT
 // service, for read-modify-write sequences ending in PutIf.
 func (nw *SimNetwork) GetRecord(origin int, key []byte) (Record, error) {
-	nd := nw.cluster.Nodes[origin]
-	if !nw.cluster.Alive(nd) {
+	if !nw.Alive(origin) {
 		return Record{}, ErrDead
 	}
-	var rec Record
-	var err error
-	done := false
-	nw.services[origin].GetRecord(key, func(r Record, e error) { rec, err, done = r, e, true })
-	nw.drive(&done)
-	if !done {
-		return Record{}, dht.ErrTimeout
-	}
-	return rec, err
+	return await(nw, simOpWait, func(done func(Record, error)) { nw.services[origin].GetRecord(key, done) })
 }
 
 // PutIf stores key conditionally on the owner's version matching base
 // (compare-and-swap; AnyVersion for "no record yet"). On ErrConflict,
 // re-read with GetRecord and retry. Returns the new version on success.
 func (nw *SimNetwork) PutIf(origin int, key, value []byte, base uint64) (uint64, error) {
-	nd := nw.cluster.Nodes[origin]
-	if !nw.cluster.Alive(nd) {
+	if !nw.Alive(origin) {
 		return 0, ErrDead
 	}
-	var version uint64
-	var err error
-	done := false
-	nw.services[origin].PutIf(key, value, base, func(v uint64, e error) { version, err, done = v, e, true })
-	nw.drive(&done)
-	if !done {
-		return 0, dht.ErrTimeout
-	}
-	return version, err
+	return await(nw, simOpWait, func(done func(uint64, error)) { nw.services[origin].PutIf(key, value, base, done) })
 }
 
 // Directory returns a discovery/load-balancing client bound to peer i.
@@ -304,12 +268,24 @@ func (nw *SimNetwork) Directory(i int) *Directory {
 	return &Directory{nw: nw, dir: dget.NewDirectory(nw.services[i])}
 }
 
-// drive advances the simulation until *done or a generous deadline.
-func (nw *SimNetwork) drive(done *bool) {
-	deadline := nw.Now() + 30*time.Second
-	for !*done && nw.Now() < deadline {
+// simOpWait bounds one blocking storage or directory operation in virtual
+// time.
+const simOpWait = 30 * time.Second
+
+// await is the blocking shape of every SimNetwork operation: start issues
+// it with a completion callback, and the simulation advances in 100 ms
+// steps until the callback has run or within has passed. An operation
+// still open then reports dht.ErrTimeout.
+func await[T any](nw *SimNetwork, within time.Duration, start func(done func(T, error))) (T, error) {
+	var res T
+	err := dht.ErrTimeout
+	finished := false
+	start(func(v T, e error) { res, err, finished = v, e, true })
+	deadline := nw.Now() + within
+	for !finished && nw.Now() < deadline {
 		nw.cluster.Run(100 * time.Millisecond)
 	}
+	return res, err
 }
 
 // Directory is a synchronous facade over the discovery layer.
@@ -320,40 +296,20 @@ type Directory struct {
 
 // Advertise registers a resource under its attributes.
 func (d *Directory) Advertise(res Resource) error {
-	var err error
-	done := false
-	d.dir.Advertise(res, func(e error) { err = e; done = true })
-	d.nw.drive(&done)
-	if !done {
-		return dht.ErrTimeout
-	}
+	_, err := await(d.nw, simOpWait, func(done func(struct{}, error)) {
+		d.dir.Advertise(res, func(e error) { done(struct{}{}, e) })
+	})
 	return err
 }
 
 // Discover lists resources advertised under attribute k=v.
 func (d *Directory) Discover(k, v string) ([]Resource, error) {
-	var out []Resource
-	var err error
-	done := false
-	d.dir.Discover(k, v, func(rs []Resource, e error) { out, err, done = rs, e, true })
-	d.nw.drive(&done)
-	if !done {
-		return nil, dht.ErrTimeout
-	}
-	return out, err
+	return await(d.nw, simOpWait, func(done func([]Resource, error)) { d.dir.Discover(k, v, done) })
 }
 
 // PickLeastLoaded returns the matching resource with the most head-room.
 func (d *Directory) PickLeastLoaded(k, v string) (Resource, error) {
-	var out Resource
-	var err error
-	done := false
-	d.dir.PickLeastLoaded(k, v, func(r Resource, e error) { out, err, done = r, e, true })
-	d.nw.drive(&done)
-	if !done {
-		return Resource{}, dht.ErrTimeout
-	}
-	return out, err
+	return await(d.nw, simOpWait, func(done func(Resource, error)) { d.dir.PickLeastLoaded(k, v, done) })
 }
 
 // --- scenarios and invariants -------------------------------------------------
@@ -460,7 +416,8 @@ type UDPOptions struct {
 
 // UDPNode is a TreeP peer on a real socket, with the full storage stack:
 // the same DHT service (and service plane under it) that the simulator
-// runs, over the binary codec and wall-clock timers.
+// runs, over the binary codec, with its timers on the simulator's timing
+// wheel run against the wall clock.
 type UDPNode struct {
 	tr  *udptransport.Transport
 	dht *dht.Service
@@ -508,19 +465,13 @@ func (u *UDPNode) Join(bootstrap uint64) error { return u.tr.Join(bootstrap) }
 // Lookup resolves target over the real network, blocking up to the node's
 // lookup timeout.
 func (u *UDPNode) Lookup(target ID, algo Algo) (LookupResult, error) {
-	resCh := make(chan LookupResult, 1)
-	err := u.tr.Do(func(n *core.Node) {
-		n.Lookup(target, algo, func(r LookupResult) { resCh <- r })
+	res, err := call(u, func(n *core.Node, done func(LookupResult, error)) {
+		n.Lookup(target, algo, func(r LookupResult) { done(r, nil) })
 	})
-	if err != nil {
-		return LookupResult{}, err
-	}
-	select {
-	case r := <-resCh:
-		return r, nil
-	case <-time.After(15 * time.Second):
+	if err == dht.ErrTimeout {
 		return LookupResult{Status: core.LookupTimeout}, nil
 	}
+	return res, err
 }
 
 // ID returns the node's coordinate.
@@ -570,21 +521,37 @@ func (u *UDPNode) StoredRecords() int {
 // lookup + request retries all happen inside it).
 const udpOpTimeout = 15 * time.Second
 
+// call is the blocking shape of every UDPNode operation: start issues it
+// on the node's event loop with a completion callback, and the caller
+// waits up to udpOpTimeout for the callback. An operation still open then
+// reports dht.ErrTimeout; a closed node reports Do's error.
+func call[T any](u *UDPNode, start func(n *core.Node, done func(T, error))) (T, error) {
+	type out struct {
+		v   T
+		err error
+	}
+	ch := make(chan out, 1)
+	var zero T
+	if err := u.tr.Do(func(n *core.Node) {
+		start(n, func(v T, e error) { ch <- out{v, e} })
+	}); err != nil {
+		return zero, err
+	}
+	select {
+	case o := <-ch:
+		return o.v, o.err
+	case <-time.After(udpOpTimeout):
+		return zero, dht.ErrTimeout
+	}
+}
+
 // Put stores a key/value pair through this node over the real network,
 // blocking until the owner acknowledges (or the retries are exhausted).
 func (u *UDPNode) Put(key, value []byte) error {
-	errCh := make(chan error, 1)
-	if err := u.tr.Do(func(*core.Node) {
-		u.dht.Put(key, value, func(e error) { errCh <- e })
-	}); err != nil {
-		return err
-	}
-	select {
-	case err := <-errCh:
-		return err
-	case <-time.After(udpOpTimeout):
-		return dht.ErrTimeout
-	}
+	_, err := call(u, func(_ *core.Node, done func(struct{}, error)) {
+		u.dht.Put(key, value, func(e error) { done(struct{}{}, e) })
+	})
+	return err
 }
 
 // Get fetches a key over the real network.
@@ -595,43 +562,13 @@ func (u *UDPNode) Get(key []byte) ([]byte, error) {
 
 // GetRecord fetches a key with its version over the real network.
 func (u *UDPNode) GetRecord(key []byte) (Record, error) {
-	type out struct {
-		rec Record
-		err error
-	}
-	ch := make(chan out, 1)
-	if err := u.tr.Do(func(*core.Node) {
-		u.dht.GetRecord(key, func(r Record, e error) { ch <- out{r, e} })
-	}); err != nil {
-		return Record{}, err
-	}
-	select {
-	case o := <-ch:
-		return o.rec, o.err
-	case <-time.After(udpOpTimeout):
-		return Record{}, dht.ErrTimeout
-	}
+	return call(u, func(_ *core.Node, done func(Record, error)) { u.dht.GetRecord(key, done) })
 }
 
 // PutIf stores key conditionally on base (compare-and-swap; see
 // SimNetwork.PutIf) over the real network.
 func (u *UDPNode) PutIf(key, value []byte, base uint64) (uint64, error) {
-	type out struct {
-		version uint64
-		err     error
-	}
-	ch := make(chan out, 1)
-	if err := u.tr.Do(func(*core.Node) {
-		u.dht.PutIf(key, value, base, func(v uint64, e error) { ch <- out{v, e} })
-	}); err != nil {
-		return 0, err
-	}
-	select {
-	case o := <-ch:
-		return o.version, o.err
-	case <-time.After(udpOpTimeout):
-		return 0, dht.ErrTimeout
-	}
+	return call(u, func(_ *core.Node, done func(uint64, error)) { u.dht.PutIf(key, value, base, done) })
 }
 
 // Close gracefully shuts the node down: it announces the departure to its
