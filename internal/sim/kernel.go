@@ -70,12 +70,12 @@ type Kernel struct {
 
 	// streams caches the per-label random streams so hot paths can call
 	// Stream repeatedly without re-allocating a generator.
-	streams map[uint64]*rand.Rand
+	streams map[uint64]*stream
 }
 
 // New returns a kernel whose random streams derive from seed.
 func New(seed int64) *Kernel {
-	return &Kernel{seed: seed, streams: make(map[uint64]*rand.Rand)}
+	return &Kernel{seed: seed, streams: make(map[uint64]*stream)}
 }
 
 // SetEventBudget caps the number of events a run may execute; Run returns
@@ -278,13 +278,20 @@ func (k *Kernel) Next() (time.Duration, bool) {
 }
 
 // MemBytes reports the heap behind the event records, scheduled and
-// pooled: the pool keeps the most that were ever pending at once.
-func (k *Kernel) MemBytes() int {
+// pooled (the pool keeps the most that were ever pending at once), and
+// behind the random streams minted, registers included.
+func (k *Kernel) MemBytes() (events, streams int) {
 	n := k.live
 	for ev := k.free; ev != nil; ev = ev.next {
 		n++
 	}
-	return n * int(unsafe.Sizeof(event{}))
+	for _, s := range k.streams {
+		streams += int(unsafe.Sizeof(*s))
+		if s.reg != nil {
+			streams += int(unsafe.Sizeof(*s.reg))
+		}
+	}
+	return n * int(unsafe.Sizeof(event{})), streams
 }
 
 // fire delivers one event previously returned by peek (the ready-heap
@@ -325,14 +332,15 @@ func (k *Kernel) fire(ev *event) {
 // give uncorrelated streams (seed mixing via splitmix64). Repeated calls
 // with the same label return the same stream object — the stream continues
 // rather than restarting — so per-event callers pay a map hit, not a
-// generator allocation.
+// generator allocation. A stream draws what math/rand's source draws for
+// its seed, in 64 bytes until its 274th draw (stream.go).
 func (k *Kernel) Stream(label uint64) *rand.Rand {
-	if r, ok := k.streams[label]; ok {
-		return r
+	s, ok := k.streams[label]
+	if !ok {
+		s = newStream(int64(mix64(uint64(k.seed) ^ mix64(label))))
+		k.streams[label] = s
 	}
-	r := rand.New(rand.NewSource(int64(mix64(uint64(k.seed) ^ mix64(label)))))
-	k.streams[label] = r
-	return r
+	return &s.r
 }
 
 // mix64 is the splitmix64 finaliser, a cheap strong bit mixer.

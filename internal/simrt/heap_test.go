@@ -13,8 +13,9 @@ import (
 // The heap ledger (DESIGN.md §16): what a simulated peer holds, structure
 // by structure, against what the runtime says the overlay costs. The
 // MemBytes methods count what each package owns (capacity × element size,
-// exact: a peer holds no built-in map); the rows below them are this
-// runtime's own per-peer objects, at the sizes the allocator rounds them to.
+// exact: a peer holds no built-in map, and the kernel's map of streams is
+// left out); the rows below them are this runtime's own per-peer objects,
+// at the sizes the allocator rounds them to.
 const (
 	ledgerPeers = 2000
 	// heapBudgetBare and heapBudgetStore are the committed ceilings on heap
@@ -24,18 +25,15 @@ const (
 	// and loaded with 4096 records × 3, at a quiet instant — sim-reads and
 	// sim-writes. CI holds the benchmark's figures to the same two numbers
 	// (.github/workflows/ci.yml reads them from this file).
-	heapBudgetBare  = 22124
-	heapBudgetStore = 18797
+	heapBudgetBare  = 13207
+	heapBudgetStore = 12780
 	// ledgerFloorPct is how much of the measured heap the rows must
-	// explain at a quiet instant: two points under what they do (96 % bare,
-	// 94 % loaded; what is left is size-class rounding and the service
-	// plane).
+	// explain at a quiet instant: they explain 95 % bare and 92 % loaded;
+	// what is left is size-class rounding, the service plane and the
+	// kernel's map of streams.
 	ledgerFloorPct = 92
 
 	// Per-peer objects of the simulated runtime, by allocator size class.
-	// math/rand's lagged-Fibonacci source is 607 words plus two ints: 4 872
-	// bytes in the 5 376 class, and a 48-byte Rand in front of it.
-	rngBytes = 5376 + 48
 	// A simEnv (48), the netsim handler closure (32) and handler slot (8),
 	// and the cluster's Nodes/byAddr/alive slots (17).
 	envBytes = 48 + 32 + 8 + 17
@@ -75,6 +73,7 @@ func heapLedger(c *Cluster, svcs []*dht.Service) []ledgerRow {
 	for i := range c.scratch {
 		scratch += c.scratch[i].MemBytes()
 	}
+	events, streams := c.Kernel.MemBytes()
 	timers := 3 * len(c.Nodes) // keep-alive, sweep, child report
 	if svcs != nil {
 		timers += len(svcs) // replica maintenance
@@ -91,8 +90,8 @@ func heapLedger(c *Cluster, svcs []*dht.Service) []ledgerRow {
 		{"dht.Service + memo ring", dhtFixed},
 		{"loop scratch", scratch},
 		{"env, handler, cluster slots", envBytes * len(c.Nodes)},
-		{"math/rand source", rngBytes * len(c.Nodes)},
-		{"kernel events (pool) and timers", c.Kernel.MemBytes() + timers*timerBytes},
+		{"random streams", streams},
+		{"kernel events (pool) and timers", events + timers*timerBytes},
 		{"netsim datagram records (pool)", c.Net.MemBytes()},
 	}
 }

@@ -222,7 +222,7 @@ func newTransport(cfg core.Config, conn *net.UDPConn, seed int64, io batchIO) (*
 		conn.Close()
 		return nil, errors.New("udptransport: unsupported local address (need IPv4)")
 	}
-	e := &env{tr: tr, addr: self, rng: rand.New(rand.NewSource(seed ^ int64(self)))}
+	e := &env{tr: tr, addr: self, rng: sim.NewRand(seed ^ int64(self))}
 	tr.node = core.NewNode(cfg, e)
 
 	tr.readWG.Add(1)
