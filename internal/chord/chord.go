@@ -88,7 +88,7 @@ type Node struct {
 	bootstrapping bool
 	// stabTimer is the periodic stabilisation driver, cancelled on Kill so
 	// dead nodes stop consuming kernel events.
-	stabTimer *sim.Timer
+	stabTimer sim.Timer
 
 	nextReq uint64
 	pending map[uint64]*pendingLookup
@@ -96,7 +96,7 @@ type Node struct {
 
 type pendingLookup struct {
 	cb    func(LookupResult)
-	timer *sim.Timer
+	timer sim.Timer
 }
 
 // LookupResult reports a chord lookup outcome.
@@ -331,10 +331,8 @@ func (c *Cluster) Run(d time.Duration) { _ = c.Kernel.RunFor(d) }
 // Kill fail-stops a node.
 func (c *Cluster) Kill(nd *Node) {
 	nd.alive = false
-	if nd.stabTimer != nil {
-		nd.stabTimer.Cancel()
-		nd.stabTimer = nil
-	}
+	nd.stabTimer.Cancel()
+	nd.stabTimer = sim.Timer{}
 	c.Net.Kill(nd.addr)
 }
 

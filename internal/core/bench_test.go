@@ -37,12 +37,8 @@ func (e *benchEnv) Send(to uint64, msg proto.Message) {
 	}
 }
 
-type benchTimer struct{}
-
-func (benchTimer) Cancel() bool { return false }
-
-func (e *benchEnv) SetTimer(d time.Duration, fn func()) Timer    { return benchTimer{} }
-func (e *benchEnv) SetPeriodic(d time.Duration, fn func()) Timer { return benchTimer{} }
+func (e *benchEnv) SetTimer(d time.Duration, fn func()) Timer    { return Timer{} }
+func (e *benchEnv) SetPeriodic(d time.Duration, fn func()) Timer { return Timer{} }
 
 // benchCluster bulk-builds n steady-state nodes on benchEnvs and returns
 // them in ID order together with a realistic inbound Ping for the target
@@ -93,9 +89,9 @@ func BenchmarkProtocolKeepalive(b *testing.B) {
 
 // TestProtocolSteadyStateAllocs pins the pooled protocol paths at zero
 // steady-state allocations: handling an inbound keep-alive (including the
-// pooled Pong reply), running an outbound keep-alive tick, and forwarding
-// a lookup through the whole hold → hop-ack → release cycle must not
-// allocate once buffers are warm.
+// pooled Pong reply), running an outbound keep-alive tick, an origin lookup
+// that is forwarded and answered, and forwarding a lookup through the whole
+// hold → hop-ack → release cycle must not allocate once buffers are warm.
 func TestProtocolSteadyStateAllocs(t *testing.T) {
 	// Pooled paths cannot be alloc-free under the race detector: race-mode
 	// sync.Pool deliberately drops a quarter of all Puts on the floor
@@ -126,6 +122,34 @@ func TestProtocolSteadyStateAllocs(t *testing.T) {
 		target.keepaliveTick()
 	}); allocs != 0 {
 		t.Fatalf("keep-alive tick allocated %.1f times per tick, want 0", allocs)
+	}
+
+	// An origin lookup that leaves the node and is answered: its record
+	// comes from the pool and goes back to it, and the request goes out as
+	// a pooled copy. The callback is made once, outside the count.
+	far := nodes[len(nodes)-1]
+	answer := &proto.LookupReply{From: far.Ref(), Status: proto.LookupFound, Best: far.Ref(), Hops: 3}
+	found := 0
+	cb := func(r LookupResult) {
+		if r.Status == LookupFound {
+			found++
+		}
+	}
+	lookup := func() {
+		answer.ReqID = target.Lookup(far.ID(), proto.AlgoG, cb)
+		if target.PendingLookups() != 1 {
+			t.Fatal("the lookup did not leave the node")
+		}
+		target.HandleMessage(far.Addr(), answer)
+	}
+	for i := 0; i < 16; i++ {
+		lookup()
+	}
+	if allocs := testing.AllocsPerRun(200, lookup); allocs != 0 {
+		t.Fatalf("a forwarded and answered lookup allocated %.1f times, want 0", allocs)
+	}
+	if found != 217 {
+		t.Fatalf("%d of 217 lookups found their target", found)
 	}
 
 	// A lookup forward to a peer last heard from an hour ago: answered

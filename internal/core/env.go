@@ -29,14 +29,14 @@ import (
 	"treep/internal/proto"
 	"treep/internal/routing"
 	"treep/internal/rtable"
+	"treep/internal/sim"
 )
 
 // Timer is a cancellable timer handle (single-shot or periodic; cancelling
-// a periodic timer stops all future firings).
-type Timer interface {
-	// Cancel stops the timer, reporting whether it was still pending.
-	Cancel() bool
-}
+// a periodic timer stops all future firings). Every runtime schedules on a
+// sim.Kernel, so the handle is the kernel's, held by value; its zero value
+// is inert and means "no timer".
+type Timer = sim.Timer
 
 // Env is everything a node needs from its runtime: identity, virtual or
 // real time, best-effort datagram sending, timers, and a deterministic

@@ -15,7 +15,7 @@ import (
 // contacting its neighbours". Each participant runs a countdown scaled
 // inversely to its capability; the first to expire claims parenthood.
 func (n *Node) maybeStartElection() {
-	if !n.started || n.electionTimer != nil {
+	if !n.started || n.electionTimer != (Timer{}) {
 		return
 	}
 	if _, ok := n.table.Parent(); ok {
@@ -43,7 +43,7 @@ func (n *Node) maybeStartElection() {
 }
 
 func (n *Node) startElectionCountdown(level uint8) {
-	if n.electionTimer != nil {
+	if n.electionTimer != (Timer{}) {
 		return
 	}
 	// Election races run on the STATIC profile, like demotion: capacity
@@ -56,7 +56,7 @@ func (n *Node) startElectionCountdown(level uint8) {
 	// load→topology couplings.
 	d := n.cfg.Profile.ElectionCountdown(n.cfg.ElectionMin, n.cfg.ElectionMax, n.env.Rand())
 	n.electionTimer = n.env.SetTimer(d, func() {
-		n.electionTimer = nil
+		n.electionTimer = Timer{}
 		n.electionExpired(level)
 	})
 }
@@ -149,9 +149,7 @@ func (n *Node) courtRef(ref proto.NodeRef) {
 	if ref.IsZero() || ref.Addr == n.Addr() {
 		return
 	}
-	if n.courtTimer != nil {
-		n.courtTimer.Cancel()
-	}
+	n.courtTimer.Cancel()
 	n.courting = ref.Addr
 	n.sendChildReport(ref.Addr)
 	probation := n.cfg.ElectionMin
@@ -159,7 +157,7 @@ func (n *Node) courtRef(ref proto.NodeRef) {
 		probation = 500 * time.Millisecond
 	}
 	n.courtTimer = n.env.SetTimer(3*probation, func() {
-		n.courtTimer = nil
+		n.courtTimer = Timer{}
 		dead := n.courting
 		n.courting = 0
 		if _, ok := n.table.Parent(); ok || dead == 0 {
@@ -178,10 +176,8 @@ func (n *Node) confirmCourtship(from uint64, ref proto.NodeRef) {
 		return
 	}
 	n.courting = 0
-	if n.courtTimer != nil {
-		n.courtTimer.Cancel()
-		n.courtTimer = nil
-	}
+	n.courtTimer.Cancel()
+	n.courtTimer = Timer{}
 	if _, ok := n.table.Parent(); ok {
 		return
 	}
@@ -192,10 +188,8 @@ func (n *Node) confirmCourtship(from uint64, ref proto.NodeRef) {
 	}
 	n.table.SetParent(ref, n.env.Now())
 	n.Stats.ParentAdopted++
-	if n.electionTimer != nil {
-		n.electionTimer.Cancel()
-		n.electionTimer = nil
-	}
+	n.electionTimer.Cancel()
+	n.electionTimer = Timer{}
 }
 
 // adoptOrElect is the parent-loss reaction: prefer the superior-node-list
@@ -215,10 +209,8 @@ func (n *Node) handleParentClaim(from uint64, m *proto.ParentClaim) {
 		if !has || distTo(m.From.ID, n.cfg.ID) < distTo(cur.ID, n.cfg.ID) {
 			n.table.SetParent(m.From, n.env.Now())
 			n.Stats.ParentAdopted++
-			if n.electionTimer != nil {
-				n.electionTimer.Cancel()
-				n.electionTimer = nil
-			}
+			n.electionTimer.Cancel()
+			n.electionTimer = Timer{}
 			n.sendChildReport(m.From.Addr)
 		}
 		return
@@ -296,10 +288,8 @@ func (n *Node) handleReparent(from uint64, m *proto.Reparent) {
 	if m.NewParent.IsZero() && n.courting == from {
 		n.markRefused(from)
 		n.courting = 0
-		if n.courtTimer != nil {
-			n.courtTimer.Cancel()
-			n.courtTimer = nil
-		}
+		n.courtTimer.Cancel()
+		n.courtTimer = Timer{}
 		n.adoptOrElect()
 		return
 	}
@@ -483,7 +473,7 @@ func (n *Node) handlePromoteGrant(from uint64, m *proto.PromoteGrant) {
 // two children, it will start a countdown ... the higher the characteristic
 // the longer the countdown".
 func (n *Node) maybeStartDemotion() {
-	if !n.started || n.demotionTimer != nil || n.maxLevel == 0 {
+	if !n.started || n.demotionTimer != (Timer{}) || n.maxLevel == 0 {
 		return
 	}
 	if n.table.Children.Len() >= 2 {
@@ -494,15 +484,15 @@ func (n *Node) maybeStartDemotion() {
 	// inherits it — so load-accelerated demotion just moves the hotspot
 	// to the next victim and thrashes elections (DESIGN.md §13).
 	n.demotionTimer = n.env.SetTimer(n.cfg.Profile.DemotionCountdown(n.cfg.DemotionMin, n.cfg.DemotionMax), func() {
-		n.demotionTimer = nil
+		n.demotionTimer = Timer{}
 		n.demotionExpired()
 	})
 }
 
 func (n *Node) maybeCancelDemotion() {
-	if n.demotionTimer != nil && n.table.Children.Len() >= 2 {
+	if n.table.Children.Len() >= 2 {
 		n.demotionTimer.Cancel()
-		n.demotionTimer = nil
+		n.demotionTimer = Timer{}
 	}
 }
 

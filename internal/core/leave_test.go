@@ -6,7 +6,6 @@ import (
 
 	"treep/internal/idspace"
 	"treep/internal/proto"
-	"treep/internal/sim"
 )
 
 // leaveFrom delivers ref's graceful departure to n.
@@ -74,9 +73,9 @@ func TestLeaveOfParentAdoptsOrElects(t *testing.T) {
 		n.InstallLevel0(left, right)
 		n.InstallParent(parent)
 		leaveFrom(n, parent)
-		if n.courting != 0 || n.electionTimer == nil || n.Stats.ElectionsStarted != 1 {
+		if n.courting != 0 || n.electionTimer == (Timer{}) || n.Stats.ElectionsStarted != 1 {
 			t.Fatalf("courting %d, election timer %v, %d elections started: want an election and nobody courted",
-				n.courting, n.electionTimer != nil, n.Stats.ElectionsStarted)
+				n.courting, n.electionTimer != (Timer{}), n.Stats.ElectionsStarted)
 		}
 		if calls := msgsOfType[*proto.ElectionCall](env.sent); len(calls) != 2 {
 			t.Fatalf("%d election calls, want one per ring neighbour", len(calls))
@@ -96,13 +95,13 @@ func TestLeaveOfChildArmsDemotion(t *testing.T) {
 	stays, leaves := mkRef(idspace.FromFraction(0.49), 7, 0), mkRef(idspace.FromFraction(0.51), 8, 0)
 	n.InstallChildren(stays, leaves)
 	env.advance(n.cfg.SweepInterval + time.Millisecond)
-	if n.demotionTimer != nil {
+	if n.demotionTimer != (Timer{}) {
 		t.Fatal("two children, yet a demotion countdown runs")
 	}
 	leaveFrom(n, leaves)
-	if n.table.Children.Len() != 1 || n.demotionTimer == nil {
+	if n.table.Children.Len() != 1 || n.demotionTimer == (Timer{}) {
 		t.Fatalf("%d children, demotion timer %v: want one child and the countdown armed",
-			n.table.Children.Len(), n.demotionTimer != nil)
+			n.table.Children.Len(), n.demotionTimer != (Timer{}))
 	}
 	env.advance(n.cfg.DemotionMax + time.Second)
 	if n.MaxLevel() != 0 || n.Stats.Demotions != 1 {
@@ -126,7 +125,7 @@ func TestLeavePurgesEverySlot(t *testing.T) {
 	n.InstallNbrChildren(leaver)
 	n.InstallSuperiors(leaver)
 	n.courtRef(leaver)
-	court := n.courtTimer.(*sim.Timer)
+	court := n.courtTimer
 	if !knows(n, leaver.Addr) || n.bootCache[bootSlot(leaver.Addr)] != leaver.Addr {
 		t.Fatal("the leaver was not filed in the first place")
 	}
@@ -135,9 +134,9 @@ func TestLeavePurgesEverySlot(t *testing.T) {
 	if knows(n, leaver.Addr) {
 		t.Fatal("the leaver survives its Leave somewhere in the node")
 	}
-	if n.courting != 0 || n.courtTimer != nil || court.Pending() {
+	if n.courting != 0 || n.courtTimer != (Timer{}) || court.Pending() {
 		t.Fatalf("courting %d, timer held %v, pending %v: the courtship of the leaver goes on",
-			n.courting, n.courtTimer != nil, court.Pending())
+			n.courting, n.courtTimer != (Timer{}), court.Pending())
 	}
 	if n.table.Level0.Get(other.Addr) == nil {
 		t.Fatal("a bystander was purged with the leaver")
@@ -158,7 +157,7 @@ func TestLeaveFromStrangerChangesNothing(t *testing.T) {
 	if n.table.Version() != version || n.table.Size() != size {
 		t.Fatalf("table moved from version %d size %d to %d/%d", version, size, n.table.Version(), n.table.Size())
 	}
-	if _, ok := n.table.Parent(); !ok || n.electionTimer != nil || n.demotionTimer != nil {
+	if _, ok := n.table.Parent(); !ok || n.electionTimer != (Timer{}) || n.demotionTimer != (Timer{}) {
 		t.Fatal("the stranger's Leave started a hierarchy repair")
 	}
 	if len(env.sent) != 0 || n.Stats.LeavesRecv != 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"treep/internal/idspace"
@@ -75,12 +76,30 @@ func (n *Node) Lookup(target idspace.ID, algo proto.Algo, cb func(LookupResult))
 		return reqID
 	}
 
-	pl := &pendingLookup{node: n, cb: cb, target: target, reqID: reqID, algo: algo, started: n.env.Now(), rto: n.lookupRTO()}
-	pl.fire = pl.onTimer
+	pl, _ := lookupPool.Get().(*pendingLookup)
+	if pl == nil {
+		pl = new(pendingLookup)
+		pl.fire = pl.onTimer
+	}
+	pl.node, pl.cb, pl.target, pl.reqID, pl.algo, pl.started, pl.rto = n, cb, target, reqID, algo, n.env.Now(), n.lookupRTO()
 	n.pending.Put(reqID, pl)
 	pl.arm()
 	n.forward(0, &req, step)
 	return reqID
+}
+
+// lookupPool holds the origin-side lookup records of every node in the
+// process, each with its timer callback bound when it was made.
+var lookupPool sync.Pool
+
+// release hands the record back to lookupPool once nothing refers to it
+// (out of the pending table, its timer fired or cancelled) and returns the
+// callback to answer.
+func (pl *pendingLookup) release() func(LookupResult) {
+	cb := pl.cb
+	pl.node, pl.cb = nil, nil
+	lookupPool.Put(pl)
+	return cb
 }
 
 // originRequest is the request as it leaves (or leaves again) its origin.
@@ -108,7 +127,7 @@ func (pl *pendingLookup) onTimer() {
 	}
 	if elapsed := n.env.Now() - pl.started; elapsed >= n.cfg.LookupTimeout {
 		n.pending.Delete(pl.reqID)
-		pl.cb(LookupResult{Status: LookupTimeout, Hops: int(n.cfg.MaxTTL), Latency: elapsed})
+		pl.release()(LookupResult{Status: LookupTimeout, Hops: int(n.cfg.MaxTTL), Latency: elapsed})
 		return
 	}
 	n.Stats.LookupReissues++
@@ -219,5 +238,5 @@ func (n *Node) completeLookup(reqID uint64, status proto.LookupStatus, best prot
 	if status == proto.LookupFound {
 		res.Status, res.Best = LookupFound, best
 	}
-	pl.cb(res)
+	pl.release()(res)
 }

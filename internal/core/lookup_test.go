@@ -160,6 +160,37 @@ func TestStopClearsPendingLookups(t *testing.T) {
 	}
 }
 
+// TestRecycledLookupRecordCompletesOnce: a finished lookup's record goes
+// back to the pool, and the next lookup takes it. Neither a late duplicate
+// of the finished lookup's reply nor the re-issue timer it had armed may
+// complete or re-issue the lookup that now holds the record.
+func TestRecycledLookupRecordCompletesOnce(t *testing.T) {
+	n, env := testNode(100, 1)
+	nbr := mkRef(400, 4, 0)
+	n.InstallLevel0(nbr)
+	env.drain()
+	reply := func(id uint64, status proto.LookupStatus) {
+		n.HandleMessage(4, &proto.LookupReply{From: nbr, ReqID: id, Status: status, Best: mkRef(500, 5, 0), Hops: 1})
+	}
+	var first, second []LookupResult
+	a := n.Lookup(500, proto.AlgoG, func(r LookupResult) { first = append(first, r) })
+	reply(a, proto.LookupFound)
+	rto := n.lookupRTO()
+	env.advance(rto / 2)
+	b := n.Lookup(600, proto.AlgoG, func(r LookupResult) { second = append(second, r) })
+	reply(a, proto.LookupNotFound) // the duplicate, late
+	// Past the instant a's cancelled timer was due, short of b's own.
+	env.advance(rto * 3 / 4)
+	if len(first) != 1 || len(second) != 0 || n.Stats.LookupReissues != 0 || n.PendingLookups() != 1 {
+		t.Fatalf("after a's late reply and timer: a answered %d times, b %d times, %d re-issues, %d pending",
+			len(first), len(second), n.Stats.LookupReissues, n.PendingLookups())
+	}
+	reply(b, proto.LookupFound)
+	if len(second) != 1 || second[0].Status != LookupFound {
+		t.Fatalf("b's own reply: %+v", second)
+	}
+}
+
 func TestLookupHopsZeroBased(t *testing.T) {
 	// The origin resolving from its own table reports 0 hops; a neighbour
 	// that delivers reports the hops the request had accumulated.

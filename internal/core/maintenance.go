@@ -168,7 +168,7 @@ func (n *Node) reportTick() {
 	// candidate, not enough degree to elect). Pull fresh knowledge through
 	// an anchor (§III's anchor system) — isolation and fragment merging
 	// both need an out-of-band contact.
-	if _, ok := n.table.Parent(); !ok && n.courting == 0 && n.electionTimer == nil {
+	if _, ok := n.table.Parent(); !ok && n.courting == 0 && n.electionTimer == (Timer{}) {
 		n.contactAnchor()
 	}
 }

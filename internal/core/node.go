@@ -226,7 +226,11 @@ func (n *Node) markRefused(addr uint64) {
 
 // pendingLookup is a lookup that has left its origin and not come back:
 // what to tell the caller, what to send again, and the one timer (with
-// its callback, bound once) that does both.
+// its callback, bound once) that does both. Records come from lookupPool
+// and go back to it when the lookup completes; the id checks of
+// completeLookup and onTimer, and the generation check of the timer
+// handle, keep a late reply or a cancelled timer of one lookup away from
+// the next lookup to hold the record.
 type pendingLookup struct {
 	node    *Node
 	cb      func(LookupResult)
@@ -332,16 +336,15 @@ func (n *Node) Start() {
 // the node are the runtime's concern.
 func (n *Node) Stop() {
 	n.started = false
-	for _, t := range []Timer{n.keepaliveTimer, n.sweepTimer, n.reportTimer, n.electionTimer, n.demotionTimer, n.courtTimer} {
-		if t != nil {
-			t.Cancel()
-		}
+	for _, t := range [...]Timer{n.keepaliveTimer, n.sweepTimer, n.reportTimer, n.electionTimer, n.demotionTimer, n.courtTimer} {
+		t.Cancel()
 	}
-	n.electionTimer, n.demotionTimer, n.courtTimer = nil, nil, nil
+	n.electionTimer, n.demotionTimer, n.courtTimer = Timer{}, Timer{}, Timer{}
 	n.courting = 0
 	for _, id := range n.pending.Keys() {
 		pl, _ := n.pending.Get(id)
 		pl.timer.Cancel()
+		pl.release()
 	}
 	n.pending = idspace.Keyed[uint64, *pendingLookup]{}
 	n.stopFailover()
@@ -413,10 +416,8 @@ func (n *Node) handleLeave(from uint64, m *proto.Leave) {
 	n.peers.Delete(from)
 	if n.courting == from {
 		n.courting = 0
-		if n.courtTimer != nil {
-			n.courtTimer.Cancel()
-			n.courtTimer = nil
-		}
+		n.courtTimer.Cancel()
+		n.courtTimer = Timer{}
 	}
 	if !removed && !parentLost {
 		return

@@ -37,6 +37,7 @@ package dht
 import (
 	"encoding/binary"
 	"errors"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -353,7 +354,7 @@ func (s *Service) LocalHashed(k idspace.ID) (Record, bool) {
 // Put stores value under key unconditionally: the owner assigns the next
 // version. cb fires exactly once.
 func (s *Service) Put(key []byte, value []byte, cb func(error)) {
-	s.storeVia(key, value, false, 0, func(_ uint64, err error) { cb(err) })
+	s.storeVia(key, value, false, 0, cb)
 }
 
 // PutIf stores value under key only while the owner's current version
@@ -364,37 +365,25 @@ func (s *Service) PutIf(key []byte, value []byte, base uint64, cb func(version u
 	s.storeVia(key, value, true, base, cb)
 }
 
-func (s *Service) storeVia(key, value []byte, cond bool, base uint64, cb func(uint64, error)) {
+// storeVia runs a Put (cb a func(error)) or a PutIf (a func(uint64, error)).
+func (s *Service) storeVia(key, value []byte, cond bool, base uint64, cb any) {
 	k := idspace.HashKey(key)
-	req := &proto.DHTStore{Key: k, Value: value, Base: base, Cond: cond}
-	s.plane.CallKey(k, proto.AlgoG, req, callOpts,
-		func(_ proto.NodeRef, resp proto.SvcMessage, err error) {
-			if err != nil {
-				cb(0, mapErr(err))
-				return
-			}
-			ack, ok := resp.(*proto.DHTStoreAck)
-			if !ok {
-				cb(0, ErrTimeout)
-				return
-			}
-			if ack.Status == proto.StoreConflict {
-				cb(ack.Version, ErrConflict)
-				return
-			}
-			cb(ack.Version, nil)
-		})
+	o := s.newOp(cb)
+	o.store = proto.DHTStore{Key: k, Value: value, Base: base, Cond: cond}
+	s.plane.CallKey(k, proto.AlgoG, &o.store, callOpts, o.stored)
 }
 
 // Get fetches the value for key. cb fires exactly once with the value or
 // an error.
-func (s *Service) Get(key []byte, cb func([]byte, error)) {
-	s.GetRecord(key, func(rec Record, err error) { cb(rec.Value, err) })
-}
+func (s *Service) Get(key []byte, cb func([]byte, error)) { s.get(key, cb) }
 
 // GetRecord fetches the record for key with its version, for writers that
 // intend a PutIf against what they read.
-func (s *Service) GetRecord(key []byte, cb func(Record, error)) {
+func (s *Service) GetRecord(key []byte, cb func(Record, error)) { s.get(key, cb) }
+
+// get runs a Get (cb a func([]byte, error)) or a GetRecord (a
+// func(Record, error)).
+func (s *Service) get(key []byte, cb any) {
 	k := idspace.HashKey(key)
 	// Hot-key short-circuit: a fresh cached copy answers locally — this
 	// is where a flash crowd's traffic disappears from the owner's inbox.
@@ -410,7 +399,7 @@ func (s *Service) GetRecord(key []byte, cb func(Record, error)) {
 				Version: ce.version,
 				Origin:  ce.origin,
 			}
-			s.node.SetTimer(0, func() { cb(rec, nil) })
+			s.node.SetTimer(0, func() { answerGet(cb, rec, nil) })
 			s.hotc().horizonHits++
 			if s.hotc().horizonHits%horizonEvery == 0 {
 				s.refreshHorizon()
@@ -418,33 +407,106 @@ func (s *Service) GetRecord(key []byte, cb func(Record, error)) {
 			return
 		}
 	}
-	req := &proto.DHTFetch{Key: k}
-	s.plane.CallKey(k, proto.AlgoG, req, callOpts,
-		func(_ proto.NodeRef, resp proto.SvcMessage, err error) {
-			if err != nil {
-				cb(Record{}, mapErr(err))
-				return
-			}
-			rep, ok := resp.(*proto.DHTFetchReply)
-			if !ok || !rep.Found {
-				cb(Record{}, ErrNotFound)
-				return
-			}
-			// Copy out: the reply message may be pooled and is recycled when
-			// this delivery ends.
-			rec := Record{
-				Value:   append([]byte(nil), rep.Value...),
-				Version: rep.Version,
-				Origin:  rep.Origin,
-			}
-			if s.HotCache {
-				// Every successful remote read primes the local cache, so a
-				// repeat reader stops asking the owner even before any
-				// fan-out reaches it.
-				s.cacheMerge(k, rec.Value, rec.Version, rec.Origin)
-			}
-			cb(rec, nil)
-		})
+	o := s.newOp(cb)
+	o.fetch = proto.DHTFetch{Key: k}
+	s.plane.CallKey(k, proto.AlgoG, &o.fetch, callOpts, o.fetched)
+}
+
+// op is one Get, GetRecord, Put or PutIf in flight: the request the service
+// plane sends copies of, and the caller's callback. Its two reply callbacks
+// are bound once, when the record is made; records come from opPool, which
+// is process-wide as proto's message pools are, and go back to it before
+// the caller is answered.
+type op struct {
+	s     *Service
+	fetch proto.DHTFetch
+	store proto.DHTStore
+	cb    any
+
+	fetched, stored func(proto.NodeRef, proto.SvcMessage, error)
+}
+
+var opPool sync.Pool
+
+func (s *Service) newOp(cb any) *op {
+	o, _ := opPool.Get().(*op)
+	if o == nil {
+		o = new(op)
+		o.fetched, o.stored = o.onFetched, o.onStored
+	}
+	o.s, o.cb = s, cb
+	return o
+}
+
+// release hands the record back to opPool, returning what the answer needs.
+func (o *op) release() (s *Service, k idspace.ID, cb any) {
+	s, k, cb = o.s, o.fetch.Key, o.cb
+	o.s, o.cb, o.store.Value = nil, nil, nil
+	opPool.Put(o)
+	return s, k, cb
+}
+
+// onFetched answers a Get or GetRecord.
+func (o *op) onFetched(_ proto.NodeRef, resp proto.SvcMessage, err error) {
+	s, k, cb := o.release()
+	if err != nil {
+		answerGet(cb, Record{}, mapErr(err))
+		return
+	}
+	rep, ok := resp.(*proto.DHTFetchReply)
+	if !ok || !rep.Found {
+		answerGet(cb, Record{}, ErrNotFound)
+		return
+	}
+	// Copy out: the reply message may be pooled and is recycled when this
+	// delivery ends.
+	rec := Record{
+		Value:   append([]byte(nil), rep.Value...),
+		Version: rep.Version,
+		Origin:  rep.Origin,
+	}
+	if s.HotCache {
+		// Every successful remote read primes the local cache, so a repeat
+		// reader stops asking the owner even before any fan-out reaches it.
+		s.cacheMerge(k, rec.Value, rec.Version, rec.Origin)
+	}
+	answerGet(cb, rec, nil)
+}
+
+// onStored answers a Put or PutIf.
+func (o *op) onStored(_ proto.NodeRef, resp proto.SvcMessage, err error) {
+	_, _, cb := o.release()
+	if err != nil {
+		answerPut(cb, 0, mapErr(err))
+		return
+	}
+	ack, ok := resp.(*proto.DHTStoreAck)
+	switch {
+	case !ok:
+		answerPut(cb, 0, ErrTimeout)
+	case ack.Status == proto.StoreConflict:
+		answerPut(cb, ack.Version, ErrConflict)
+	default:
+		answerPut(cb, ack.Version, nil)
+	}
+}
+
+// answerGet calls a Get or a GetRecord callback.
+func answerGet(cb any, rec Record, err error) {
+	if f, ok := cb.(func([]byte, error)); ok {
+		f(rec.Value, err)
+		return
+	}
+	cb.(func(Record, error))(rec, err)
+}
+
+// answerPut calls a Put or a PutIf callback.
+func answerPut(cb any, version uint64, err error) {
+	if f, ok := cb.(func(error)); ok {
+		f(err)
+		return
+	}
+	cb.(func(uint64, error))(version, err)
 }
 
 // mapErr translates service-plane errors into the DHT's error set.
@@ -953,18 +1015,15 @@ func (s *Service) maintainTick() {
 	}
 }
 
-// replicaOf builds one push of rec. Each push gets its own message and
-// value copy: in the simulator payloads travel by reference, and the
-// record may be rewritten while the datagram is in flight.
+// replicaOf builds one push of rec: a pooled message with its own copy of
+// the value, which the network recycles. In the simulator payloads travel
+// by reference, and the record may be rewritten while the datagram is in
+// flight.
 func (s *Service) replicaOf(k idspace.ID, rec *record, cache bool) *proto.DHTReplicate {
-	return &proto.DHTReplicate{
-		From:    s.node.Ref(),
-		Key:     k,
-		Value:   append([]byte(nil), rec.value...),
-		Version: rec.version,
-		Origin:  rec.origin,
-		Cache:   cache,
-	}
+	m := proto.AcquireDHTReplicate()
+	m.From, m.Key, m.Version, m.Origin, m.Cache = s.node.Ref(), k, rec.version, rec.origin, cache
+	m.Value = append(m.Value, rec.value...)
+	return m
 }
 
 // pushReplicas sends fire-and-forget copies of rec to the key's current
@@ -984,8 +1043,10 @@ func (s *Service) pushReplicas(k idspace.ID, rec *record) {
 func (s *Service) handoff(k idspace.ID, rec *record, owner proto.NodeRef) {
 	s.Stats.Handoffs++
 	version := rec.version
-	s.plane.Call(owner.Addr, s.replicaOf(k, rec, false), svc.CallOpts{Timeout: requestTimeout, Retries: 1},
+	push := s.replicaOf(k, rec, false) // the plane sends copies of it
+	s.plane.Call(owner.Addr, push, svc.CallOpts{Timeout: requestTimeout, Retries: 1},
 		func(resp proto.SvcMessage, err error) {
+			push.Recycle()
 			if err != nil {
 				return // keep the copy; next tick retries
 			}

@@ -49,7 +49,7 @@ type Node struct {
 
 type pending struct {
 	cb    func(Result)
-	timer *sim.Timer
+	timer sim.Timer
 	hops  uint8
 	done  bool
 }

@@ -78,13 +78,13 @@ var msgTypes = [tMaxMsgType]struct {
 	TBusLinkAck:      {"bus-link-ack", fresh[BusLinkAck], pooled(AcquireBusLinkAck)},
 	TLookupRequest:   {"lookup-request", fresh[LookupRequest], pooled(AcquireLookupRequest)},
 	TLookupReply:     {"lookup-reply", fresh[LookupReply], pooled(AcquireLookupReply)},
-	TDHTStore:        {"dht-store", fresh[DHTStore], nil},
+	TDHTStore:        {"dht-store", fresh[DHTStore], pooled(AcquireDHTStore)},
 	TDHTStoreAck:     {"dht-store-ack", fresh[DHTStoreAck], pooled(AcquireDHTStoreAck)},
-	TDHTFetch:        {"dht-fetch", fresh[DHTFetch], nil},
+	TDHTFetch:        {"dht-fetch", fresh[DHTFetch], pooled(AcquireDHTFetch)},
 	TDHTFetchReply:   {"dht-fetch-reply", fresh[DHTFetchReply], pooled(AcquireDHTFetchReply)},
 	TReparent:        {"reparent", fresh[Reparent], nil},
 	TLeave:           {"leave", fresh[Leave], nil},
-	TDHTReplicate:    {"dht-replicate", fresh[DHTReplicate], nil},
+	TDHTReplicate:    {"dht-replicate", fresh[DHTReplicate], pooled(AcquireDHTReplicate)},
 	TDHTReplicateAck: {"dht-replicate-ack", fresh[DHTReplicateAck], pooled(AcquireDHTReplicateAck)},
 	TRingProbe:       {"ring-probe", fresh[RingProbe], pooled(AcquireRingProbe)},
 	TRingProbeAck:    {"ring-probe-ack", fresh[RingProbeAck], pooled(AcquireRingProbeAck)},

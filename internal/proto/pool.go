@@ -26,8 +26,11 @@ var (
 	ringProbePool   = sync.Pool{New: func() interface{} { return new(RingProbe) }}
 	ringProbeAckPl  = sync.Pool{New: func() interface{} { return new(RingProbeAck) }}
 	mergeIntroPool  = sync.Pool{New: func() interface{} { return new(MergeIntro) }}
+	dhtStorePool    = sync.Pool{New: func() interface{} { return new(DHTStore) }}
 	dhtStoreAckPool = sync.Pool{New: func() interface{} { return new(DHTStoreAck) }}
+	dhtFetchPool    = sync.Pool{New: func() interface{} { return new(DHTFetch) }}
 	dhtFetchRepPool = sync.Pool{New: func() interface{} { return new(DHTFetchReply) }}
+	dhtReplPool     = sync.Pool{New: func() interface{} { return new(DHTReplicate) }}
 	dhtReplAckPool  = sync.Pool{New: func() interface{} { return new(DHTReplicateAck) }}
 	lookupReqPool   = sync.Pool{New: func() interface{} { return new(LookupRequest) }}
 	lookupReplyPool = sync.Pool{New: func() interface{} { return new(LookupReply) }}
@@ -166,15 +169,16 @@ func (m *LookupReply) Recycle() { lookupReplyPool.Put(m) }
 
 // valueSeedCap pre-sizes a pooled DHT message's value buffer; typical
 // records are small key-value payloads, and keeping the capacity across
-// pool cycles makes the steady-state reply path allocation-free.
+// pool cycles makes the steady-state request and reply paths
+// allocation-free.
 //
-// Only the DHT *response* types are pooled. The request types (DHTStore,
-// DHTFetch, DHTReplicate) deliberately do not implement Recyclable: the
-// service plane retries requests by re-sending the same message value, and
-// the simulator recycles every Recyclable payload when its datagram ends —
-// a pooled request would be recycled out from under its own retry closure.
-// Responses are sent exactly once by the plane and never retained, so they
-// pool safely.
+// Every DHT type is pooled, requests included. A request the service plane
+// may send again is never itself handed to the network: the plane keeps it
+// and sends each attempt as its own pooled copy (PooledCopy), which the
+// simulator recycles when that datagram ends and the UDP transport once it
+// is encoded. A value a message carries is copied into the message's own
+// buffer, never shared: in the simulator a payload in flight is read after
+// its sender has moved on.
 const valueSeedCap = 256
 
 func seedValue(v []byte) []byte {
@@ -182,6 +186,59 @@ func seedValue(v []byte) []byte {
 		return make([]byte, 0, valueSeedCap)
 	}
 	return v[:0]
+}
+
+// AcquireDHTStore returns a pooled DHTStore with an empty value buffer.
+func AcquireDHTStore() *DHTStore {
+	m := dhtStorePool.Get().(*DHTStore)
+	*m = DHTStore{Value: seedValue(m.Value)}
+	return m
+}
+
+// Recycle implements Recyclable.
+func (m *DHTStore) Recycle() { dhtStorePool.Put(m) }
+
+// AcquireDHTFetch returns a pooled DHTFetch.
+func AcquireDHTFetch() *DHTFetch {
+	m := dhtFetchPool.Get().(*DHTFetch)
+	*m = DHTFetch{}
+	return m
+}
+
+// Recycle implements Recyclable.
+func (m *DHTFetch) Recycle() { dhtFetchPool.Put(m) }
+
+// AcquireDHTReplicate returns a pooled DHTReplicate with an empty value
+// buffer.
+func AcquireDHTReplicate() *DHTReplicate {
+	m := dhtReplPool.Get().(*DHTReplicate)
+	*m = DHTReplicate{Value: seedValue(m.Value)}
+	return m
+}
+
+// Recycle implements Recyclable.
+func (m *DHTReplicate) Recycle() { dhtReplPool.Put(m) }
+
+// PooledCopy returns a pooled copy of a service-plane request, value
+// included, for the network to carry and recycle: what the plane sends for
+// one attempt of a call it holds req for. A message of any other type is
+// returned as it is.
+func PooledCopy(req SvcMessage) SvcMessage {
+	switch m := req.(type) {
+	case *DHTStore:
+		c := AcquireDHTStore()
+		*c, c.Value = *m, append(c.Value, m.Value...)
+		return c
+	case *DHTFetch:
+		c := AcquireDHTFetch()
+		*c = *m
+		return c
+	case *DHTReplicate:
+		c := AcquireDHTReplicate()
+		*c, c.Value = *m, append(c.Value, m.Value...)
+		return c
+	}
+	return req
 }
 
 // AcquireDHTStoreAck returns a pooled DHTStoreAck.

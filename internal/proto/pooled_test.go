@@ -80,8 +80,11 @@ var pooledWireTypes = map[MsgType]bool{
 	TMergeIntro:      true,
 	TLookupRequest:   true,
 	TLookupReply:     true,
+	TDHTStore:        true,
 	TDHTStoreAck:     true,
+	TDHTFetch:        true,
 	TDHTFetchReply:   true,
+	TDHTReplicate:    true,
 	TDHTReplicateAck: true,
 }
 
@@ -281,5 +284,30 @@ func TestWhichTypesVouchForTheirSender(t *testing.T) {
 	// svc.Plane keeps its response types as bits of a uint32.
 	if tMaxMsgType > 32 {
 		t.Fatalf("%d wire types no longer fit the service plane's 32-bit set", tMaxMsgType)
+	}
+}
+
+// TestPooledCopyOwnsItsValue: the copy the service plane sends for one
+// attempt of a request encodes as the request does and carries its own
+// value buffer, so the caller may rewrite its request while the copy is in
+// flight.
+func TestPooledCopyOwnsItsValue(t *testing.T) {
+	value := []byte("value")
+	for _, req := range []SvcMessage{
+		&DHTStore{ReqID: 7, Key: 9, Value: value, Base: 2, Cond: true},
+		&DHTFetch{ReqID: 7, Key: 9, Local: true},
+		&DHTReplicate{ReqID: 7, Key: 9, Value: value, Version: 3, Origin: 4, Cache: true},
+	} {
+		want := Encode(req)
+		c := PooledCopy(req)
+		value[0] = 'V'
+		if c == req || !bytes.Equal(Encode(c), want) {
+			t.Fatalf("%v: the copy is the request, or differs from it on the wire", req.Type())
+		}
+		value[0] = 'v'
+		if _, ok := c.(Recyclable); !ok {
+			t.Fatalf("%v: the copy is not recyclable", req.Type())
+		}
+		ReleaseDecoded(c)
 	}
 }

@@ -109,7 +109,7 @@ func BenchmarkKernelMixed(b *testing.B) {
 	k := New(1)
 	fn := func() {}
 	h := func(interface{}) {}
-	var periodics []*Timer
+	var periodics []Timer
 	for i := 0; i < 32; i++ {
 		periodics = append(periodics, k.SchedulePeriodic(time.Duration(500+i)*time.Millisecond, fn))
 	}

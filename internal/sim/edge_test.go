@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // Edge cases of the timing-wheel kernel: deadline boundaries, past
@@ -132,7 +133,7 @@ func TestPeriodicFiresAtMultiples(t *testing.T) {
 func TestPeriodicCancelFromOwnCallback(t *testing.T) {
 	k := New(1)
 	count := 0
-	var tm *Timer
+	var tm Timer
 	tm = k.SchedulePeriodic(time.Millisecond, func() {
 		count++
 		if count == 3 {
@@ -185,7 +186,7 @@ func TestOverflowCompaction(t *testing.T) {
 	k := New(1)
 	// Far beyond the three wheel levels (~4.9 h): straight to overflow.
 	far := 24 * time.Hour
-	var timers []*Timer
+	var timers []Timer
 	fired := 0
 	for i := 0; i < 100; i++ {
 		timers = append(timers, k.Schedule(far+time.Duration(i)*time.Second, func() { fired++ }))
@@ -242,6 +243,55 @@ func TestSteadyStatePostDoesNotAllocate(t *testing.T) {
 	})
 	if avg > 1 {
 		t.Fatalf("steady-state Post allocates %.1f objects per batch, want ~0", avg)
+	}
+}
+
+// TestSteadyStateTimersDoNotAllocate: a timer handle is a value, so
+// scheduling and cancelling, and scheduling a one-shot that fires, reuse
+// pooled records and allocate nothing once the pool is warm.
+func TestSteadyStateTimersDoNotAllocate(t *testing.T) {
+	k := New(1)
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		k.Schedule(time.Duration(i)*time.Millisecond, fn)
+	}
+	k.Run()
+	if avg := testing.AllocsPerRun(100, func() {
+		k.Schedule(time.Second, fn).Cancel()
+	}); avg != 0 {
+		t.Fatalf("Schedule + Cancel allocates %.1f objects, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		k.Schedule(time.Millisecond, fn)
+		_ = k.Run()
+	}); avg != 0 {
+		t.Fatalf("a fired one-shot allocates %.1f objects, want 0", avg)
+	}
+	if size := unsafe.Sizeof(event{}); size > 96 {
+		t.Fatalf("an event record is %d bytes, over the 96-byte size class", size)
+	}
+}
+
+// TestGatedTimers: a shut gate swallows one-shot and periodic firings
+// alike (the periodic one stays queued), and reopening it lets the later
+// firings through.
+func TestGatedTimers(t *testing.T) {
+	k := New(1)
+	open := true
+	var once, ticks int
+	k.ScheduleGated(&open, 10*time.Millisecond, func() { once++ })
+	k.ScheduleGated(&open, 30*time.Millisecond, func() { once++ })
+	p := k.SchedulePeriodicGated(&open, 10*time.Millisecond, func() { ticks++ })
+	_ = k.RunUntil(15 * time.Millisecond)
+	open = false
+	_ = k.RunUntil(35 * time.Millisecond)
+	if once != 1 || ticks != 1 || !p.Pending() {
+		t.Fatalf("behind a shut gate: once=%d ticks=%d pending=%v, want 1, 1, true", once, ticks, p.Pending())
+	}
+	open = true
+	_ = k.RunUntil(45 * time.Millisecond)
+	if once != 1 || ticks != 2 {
+		t.Fatalf("after reopening: once=%d ticks=%d, want 1, 2", once, ticks)
 	}
 }
 

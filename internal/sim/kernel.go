@@ -15,8 +15,8 @@
 // covering ~4.9 h); far-future events overflow into a second heap. Event
 // records are pooled on a free list and recycled the moment they fire or
 // are cancelled, so steady-state scheduling does not allocate. Timer
-// handles carry a generation number so a handle kept past its event's
-// recycling can never cancel the record's next occupant.
+// handles are values that carry a generation number, so a handle kept past
+// its event's recycling can never cancel the record's next occupant.
 //
 // The kernel is intentionally single-threaded: determinism is the property
 // the figures depend on. Parallelism lives one level up, in the experiment
@@ -91,9 +91,10 @@ func (k *Kernel) Now() time.Duration { return k.now }
 // Executed returns the number of events delivered so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
-// Timer is a handle to a scheduled event; Cancel prevents a pending event
-// from firing. The handle pins a (record, generation) pair: once the event
-// completes and its record is recycled, the handle goes permanently inert.
+// Timer is a handle to a scheduled event, held by value; Cancel prevents a
+// pending event from firing. The handle pins a (record, generation) pair:
+// once the event completes and its record is recycled, the handle and every
+// copy of it go permanently inert. The zero Timer is inert too.
 type Timer struct {
 	ev  *event
 	gen uint32
@@ -102,12 +103,9 @@ type Timer struct {
 // Cancel stops the timer. Cancelling an already-fired or already-cancelled
 // timer is a no-op. It reports whether the event was still pending. For
 // periodic timers, Cancel stops all future firings.
-func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil {
-		return false
-	}
+func (t Timer) Cancel() bool {
 	ev := t.ev
-	if ev.gen != t.gen || ev.cancelled {
+	if ev == nil || ev.gen != t.gen || ev.cancelled {
 		return false
 	}
 	k := ev.k
@@ -136,30 +134,21 @@ func (t *Timer) Cancel() bool {
 
 // Pending reports whether the timer has neither fired nor been cancelled.
 // A periodic timer stays pending until cancelled.
-func (t *Timer) Pending() bool {
-	return t != nil && t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled
+func (t Timer) Pending() bool {
+	return t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled
 }
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
 // as zero (fires "now", after currently queued simultaneous events).
-func (k *Kernel) Schedule(delay time.Duration, fn func()) *Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	return k.ScheduleAt(k.now+delay, fn)
+func (k *Kernel) Schedule(delay time.Duration, fn func()) Timer {
+	return k.ScheduleGated(nil, delay, fn)
 }
 
 // ScheduleAt runs fn at the given absolute virtual time. Times in the past
 // are clamped to now. Events scheduled for the same instant fire in
 // scheduling order.
-func (k *Kernel) ScheduleAt(at time.Duration, fn func()) *Timer {
-	if fn == nil {
-		panic("sim: ScheduleAt with nil fn")
-	}
-	ev := k.newEvent(at)
-	ev.fn = fn
-	k.insert(ev)
-	return &Timer{ev: ev, gen: ev.gen}
+func (k *Kernel) ScheduleAt(at time.Duration, fn func()) Timer {
+	return k.schedule(at, 0, fn, nil)
 }
 
 // SchedulePeriodic runs fn every interval of virtual time, first after one
@@ -167,18 +156,39 @@ func (k *Kernel) ScheduleAt(at time.Duration, fn func()) *Timer {
 // record is re-queued after each firing (with a fresh sequence number, so
 // FIFO ordering against other events at the same instant is preserved),
 // replacing the allocate-a-closure-per-tick reschedule idiom.
-func (k *Kernel) SchedulePeriodic(interval time.Duration, fn func()) *Timer {
-	if fn == nil {
-		panic("sim: SchedulePeriodic with nil fn")
-	}
+func (k *Kernel) SchedulePeriodic(interval time.Duration, fn func()) Timer {
+	return k.SchedulePeriodicGated(nil, interval, fn)
+}
+
+// ScheduleGated is Schedule for a callback that runs only if *gate holds
+// when the event comes due; otherwise the firing is consumed without
+// calling fn. A runtime points every timer of one node at one flag, so a
+// fail-stopped node's timers fall silent without being walked at kill time
+// and speak again if the node is revived. The flag is read on the
+// kernel's own loop.
+func (k *Kernel) ScheduleGated(gate *bool, delay time.Duration, fn func()) Timer {
+	return k.schedule(k.now+max(delay, 0), 0, fn, gate)
+}
+
+// SchedulePeriodicGated is SchedulePeriodic behind a gate (ScheduleGated):
+// a firing that finds the gate shut is skipped, and the timer stays queued
+// for the next interval.
+func (k *Kernel) SchedulePeriodicGated(gate *bool, interval time.Duration, fn func()) Timer {
 	if interval <= 0 {
 		panic("sim: SchedulePeriodic with non-positive interval")
 	}
-	ev := k.newEvent(k.now + interval)
-	ev.fn = fn
-	ev.period = interval
+	return k.schedule(k.now+interval, interval, fn, gate)
+}
+
+// schedule queues one closure event, periodic when period > 0.
+func (k *Kernel) schedule(at, period time.Duration, fn func(), gate *bool) Timer {
+	if fn == nil {
+		panic("sim: Schedule with nil fn")
+	}
+	ev := k.newEvent(at)
+	ev.fn, ev.period, ev.gate = fn, period, gate
 	k.insert(ev)
-	return &Timer{ev: ev, gen: ev.gen}
+	return Timer{ev: ev, gen: ev.gen}
 }
 
 // Post schedules h(arg) after delay without allocating: no closure is
@@ -305,7 +315,9 @@ func (k *Kernel) fire(ev *event) {
 	k.executed++
 	if ev.period > 0 {
 		ev.where = locFiring
-		ev.fn()
+		if ev.open() {
+			ev.fn()
+		}
 		if ev.cancelled || ev.period <= 0 {
 			k.recycle(ev) // cancelled from inside its own callback
 			return
@@ -317,12 +329,13 @@ func (k *Kernel) fire(ev *event) {
 		return
 	}
 	k.live--
-	fn, h, arg := ev.fn, ev.h, ev.arg
+	fn, h, arg, open := ev.fn, ev.h, ev.arg, ev.open()
 	k.recycle(ev)
-	if fn != nil {
-		fn()
-	} else {
+	switch {
+	case fn == nil:
 		h(arg)
+	case open:
+		fn()
 	}
 }
 

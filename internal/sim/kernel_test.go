@@ -87,9 +87,9 @@ func TestCancelAfterFire(t *testing.T) {
 }
 
 func TestNilTimerSafe(t *testing.T) {
-	var tm *Timer
+	var tm Timer
 	if tm.Cancel() || tm.Pending() {
-		t.Fatal("nil timer must be inert")
+		t.Fatal("the zero timer must be inert")
 	}
 }
 

@@ -42,6 +42,8 @@ type event struct {
 	arg interface{}
 	// period > 0 marks a periodic event, re-queued after each firing.
 	period time.Duration
+	// gate, when set, is the flag fn runs behind (Kernel.ScheduleGated).
+	gate *bool
 
 	k          *Kernel
 	next, prev *event
@@ -53,9 +55,12 @@ type event struct {
 // cancel clears the callback fields so long-lived queues do not pin memory.
 func (ev *event) cancel() {
 	ev.cancelled = true
-	ev.fn, ev.h, ev.arg = nil, nil, nil
+	ev.fn, ev.h, ev.arg, ev.gate = nil, nil, nil, nil
 	ev.period = 0
 }
+
+// open reports whether the event's gate, if it has one, lets fn run.
+func (ev *event) open() bool { return ev.gate == nil || *ev.gate }
 
 // eventTick is the wheel tick an event's timestamp falls in.
 func eventTick(ev *event) int64 { return int64(ev.at) >> tickShift }
@@ -152,7 +157,7 @@ func (k *Kernel) alloc() *event {
 // invalidates every Timer handle still pointing at the record.
 func (k *Kernel) recycle(ev *event) {
 	ev.gen++
-	ev.fn, ev.h, ev.arg = nil, nil, nil
+	ev.fn, ev.h, ev.arg, ev.gate = nil, nil, nil, nil
 	ev.period = 0
 	ev.cancelled = false
 	ev.where = locFree

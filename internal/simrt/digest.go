@@ -43,7 +43,7 @@ func (c *Cluster) StateDigest() uint64 {
 	for addr := 1; addr < len(c.byAddr); addr++ {
 		n := c.byAddr[addr]
 		w(uint64(addr))
-		if c.alive[addr] {
+		if c.envs[addr].up {
 			w(1)
 		} else {
 			w(0)

@@ -35,11 +35,14 @@ const (
 
 	// Per-peer objects of the simulated runtime, by allocator size class.
 	// A simEnv (48), the netsim handler closure (32) and handler slot (8),
-	// and the cluster's Nodes/byAddr/alive slots (17).
-	envBytes = 48 + 32 + 8 + 17
-	// A periodic node timer: its Timer handle (16), the liveness guard
-	// closure (32) and the bound method it guards (16).
-	timerBytes = 16 + 32 + 16
+	// and the cluster's Nodes/byAddr/envs slots (24).
+	envBytes = 48 + 32 + 8 + 24
+	// A periodic node timer: the bound method it runs (16). Its handle is
+	// a value inside the node, and the kill guard a pointer in the event
+	// record. The operation records the service plane and the DHT recycle
+	// sit in process-wide sync.Pools, which the settling collections empty,
+	// so no loop owns a pool the ledger has to count.
+	timerBytes = 16
 )
 
 // settledHeap collects twice, as the benchmark does, and reads HeapAlloc.

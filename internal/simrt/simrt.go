@@ -58,12 +58,13 @@ type Cluster struct {
 	Net    *netsim.Network
 	Nodes  []*core.Node
 
-	// byAddr and alive are indexed by transport address: the cluster's
+	// byAddr and envs are indexed by transport address: the cluster's
 	// netsim hands out sequential addresses from 1, and both are read on
-	// the per-event hot path (every send and every timer fire checks
-	// liveness), where an array index beats a map probe. Slot 0 is unused.
+	// the per-event hot path (every send checks liveness), where an array
+	// index beats a map probe. Slot 0 is unused. A node's liveness is its
+	// env's up flag, the gate every timer of the node runs behind.
 	byAddr []*core.Node
-	alive  []bool
+	envs   []*simEnv
 	// aliveList caches AliveNodes (construction order); nil means stale.
 	// Churn scenarios query liveness per injected event, which was an
 	// O(N) rebuild each time and dominated at N ≥ 5k populations.
@@ -126,7 +127,7 @@ func New(opts Options) *Cluster {
 		Engine:  net.Engine(),
 		Net:     net,
 		byAddr:  make([]*core.Node, 1, opts.N+1),
-		alive:   make([]bool, 1, opts.N+1),
+		envs:    make([]*simEnv, 1, opts.N+1),
 		baseCfg: opts.Config,
 		gen:     gen,
 		scratch: make([]core.Scratch, max(1, opts.Shards)),
@@ -169,7 +170,7 @@ func (c *Cluster) attach(cfg core.Config) *core.Node {
 	}
 	addr := c.Net.AttachOn(shard, func(netsim.Addr, interface{}, int) {})
 	kern := c.kernelFor(shard)
-	env := &simEnv{cluster: c, addr: uint64(addr), rng: kern.Stream(uint64(addr)), kern: kern, sc: &c.scratch[shard]}
+	env := &simEnv{cluster: c, addr: uint64(addr), rng: kern.Stream(uint64(addr)), kern: kern, sc: &c.scratch[shard], up: true}
 	node := core.NewNode(cfg, env)
 	c.Net.SetHandler(addr, func(from netsim.Addr, payload interface{}, size int) {
 		if msg, ok := payload.(proto.Message); ok {
@@ -182,7 +183,7 @@ func (c *Cluster) attach(cfg core.Config) *core.Node {
 		panic("simrt: non-sequential address from netsim")
 	}
 	c.byAddr = append(c.byAddr, node)
-	c.alive = append(c.alive, true)
+	c.envs = append(c.envs, env)
 	c.aliveList = nil
 	return node
 }
@@ -302,7 +303,7 @@ func (c *Cluster) Kill(n *core.Node) {
 	if !c.isAlive(addr) {
 		return
 	}
-	c.alive[addr] = false
+	c.envs[addr].up = false
 	c.aliveList = nil
 	c.Net.Kill(netsim.Addr(addr))
 	n.Stop()
@@ -316,14 +317,14 @@ func (c *Cluster) Revive(n *core.Node) {
 	if c.isAlive(addr) {
 		return
 	}
-	c.alive[addr] = true
+	c.envs[addr].up = true
 	c.aliveList = nil
 	c.Net.Revive(netsim.Addr(addr))
 }
 
 // isAlive reports liveness for a transport address.
 func (c *Cluster) isAlive(addr uint64) bool {
-	return addr < uint64(len(c.alive)) && c.alive[addr]
+	return addr != 0 && addr < uint64(len(c.envs)) && c.envs[addr].up
 }
 
 // Alive reports whether the node is still up.
@@ -360,8 +361,8 @@ func (c *Cluster) AliveCount() int {
 		return len(c.aliveList)
 	}
 	count := 0
-	for _, up := range c.alive {
-		if up {
+	for _, e := range c.envs[1:] {
+		if e.up {
 			count++
 		}
 	}
@@ -438,6 +439,10 @@ type simEnv struct {
 	rng     *rand.Rand
 	kern    *sim.Kernel
 	sc      *core.Scratch // the scratch of kern's loop
+	// up is the node's liveness and the gate of every timer it sets: a
+	// killed node's timers never run, and an operation whose origin died
+	// never calls back.
+	up bool
 }
 
 func (e *simEnv) Addr() uint64           { return e.addr }
@@ -446,30 +451,18 @@ func (e *simEnv) Rand() *rand.Rand       { return e.rng }
 func (e *simEnv) Scratch() *core.Scratch { return e.sc }
 
 func (e *simEnv) Send(to uint64, msg proto.Message) {
-	// Dead senders cannot transmit: a killed node's queued timer closures
-	// are cancelled, but guard against stragglers.
-	if !e.cluster.isAlive(e.addr) {
+	// Dead senders cannot transmit: a control-plane call on a killed node
+	// may still try.
+	if !e.up {
 		return
 	}
 	e.cluster.Net.Send(netsim.Addr(e.addr), netsim.Addr(to), msg, proto.WireSize(msg))
 }
 
 func (e *simEnv) SetTimer(d time.Duration, fn func()) core.Timer {
-	guarded := func() {
-		if e.cluster.isAlive(e.addr) {
-			fn()
-		}
-	}
-	return e.kern.Schedule(d, guarded)
+	return e.kern.ScheduleGated(&e.up, d, fn)
 }
 
 func (e *simEnv) SetPeriodic(d time.Duration, fn func()) core.Timer {
-	// One guard closure for the timer's whole lifetime; the kernel
-	// re-queues the same pooled event every interval.
-	guarded := func() {
-		if e.cluster.isAlive(e.addr) {
-			fn()
-		}
-	}
-	return e.kern.SchedulePeriodic(d, guarded)
+	return e.kern.SchedulePeriodicGated(&e.up, d, fn)
 }

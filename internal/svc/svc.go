@@ -27,6 +27,7 @@ package svc
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"treep/internal/core"
@@ -56,7 +57,9 @@ var (
 // A handler that answers asynchronously must copy what it needs out of req
 // before returning: pooled request messages are recycled when the
 // delivering datagram ends (see proto.Recyclable), so retaining req or any
-// slice it carries past the handler's own frame is a use-after-recycle.
+// slice it carries past the handler's own frame is a use-after-recycle. So
+// is a second call of respond: it is a pooled responder's, and may already
+// answer another request.
 type Handler func(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage))
 
 // CallOpts bounds one logical request.
@@ -90,6 +93,7 @@ type Stats struct {
 
 // call is one in-flight remote request: what a re-send needs, and one timer
 // callback (fire, bound once to onDeadline) that re-arms itself per attempt.
+// Records come from callPool and go back to it when the call completes.
 type call struct {
 	plane   *Plane
 	id, to  uint64
@@ -100,6 +104,42 @@ type call struct {
 	fire    func()
 	cb      func(proto.SvcMessage, error)
 }
+
+// keyCall is one CallKey: the owner lookup and the call to the owner, run
+// again on each retry under one request id. Its three callbacks are bound
+// once, when the record is made; records come from keyCallPool and go back
+// to it when the caller is answered.
+type keyCall struct {
+	plane   *Plane
+	id      uint64
+	key     idspace.ID
+	algo    proto.Algo
+	req     proto.SvcMessage
+	timeout time.Duration
+	retries int // retries left
+	owner   proto.NodeRef
+	cb      func(proto.NodeRef, proto.SvcMessage, error)
+
+	try      func()
+	resolved func(core.LookupResult)
+	answered func(proto.SvcMessage, error)
+}
+
+// responder answers one served request: a remote one by datagram to its
+// sender, a local one through the local caller's callback. Its respond is
+// bound once; records come from responderPool and go back once respond
+// has run.
+type responder struct {
+	plane   *Plane
+	id, to  uint64
+	local   func(proto.SvcMessage, error)
+	respond func(proto.SvcMessage)
+}
+
+// The record pools are process-wide, like proto's message pools: shard
+// workers take and return records concurrently, and a peer holds no
+// records of its own between operations.
+var callPool, keyCallPool, responderPool sync.Pool
 
 // Plane is one node's service plane. Create with Attach; all methods must
 // run on the node's event loop.
@@ -170,8 +210,12 @@ func (p *Plane) callWithID(id, to uint64, req proto.SvcMessage, o CallOpts, cb f
 		return
 	}
 
-	c := &call{plane: p, id: id, to: to, req: req, timeout: o.Timeout, retries: o.Retries, cb: cb}
-	c.fire = c.onDeadline
+	c, _ := callPool.Get().(*call)
+	if c == nil {
+		c = new(call)
+		c.fire = c.onDeadline
+	}
+	c.plane, c.id, c.to, c.req, c.timeout, c.retries, c.cb = p, id, to, req, o.Timeout, o.Retries, cb
 	p.pending.Put(id, c)
 	c.attempt()
 }
@@ -191,50 +235,72 @@ func (p *Plane) CallKey(key idspace.ID, algo proto.Algo, req proto.SvcMessage, o
 	// a re-resolved owner — carries it, so a receiver that already applied
 	// the request replays its recorded answer instead of re-applying.
 	p.nextID++
-	id := p.nextID
-	attempt := 0
-	var try func()
-	try = func() {
-		p.node.Lookup(key, algo, func(r core.LookupResult) {
-			if r.Status != core.LookupFound {
-				if attempt < o.Retries {
-					attempt++
-					p.Stats.Retries++
-					p.node.SetTimer(o.Timeout/2, try)
-					return
-				}
-				cb(proto.NodeRef{}, nil, ErrLookupFailed)
-				return
-			}
-			owner := r.Best
-			p.callWithID(id, owner.Addr, req, CallOpts{Timeout: o.Timeout}, func(resp proto.SvcMessage, err error) {
-				if err == nil {
-					cb(owner, resp, nil)
-					return
-				}
-				if attempt < o.Retries {
-					attempt++
-					p.Stats.Retries++
-					try()
-					return
-				}
-				cb(owner, nil, err)
-			})
-		})
+	k, _ := keyCallPool.Get().(*keyCall)
+	if k == nil {
+		k = new(keyCall)
+		k.try, k.resolved, k.answered = k.lookup, k.onLookup, k.onResponse
 	}
-	try()
+	k.plane, k.id, k.key, k.algo, k.req, k.timeout, k.retries, k.cb = p, p.nextID, key, algo, req, o.Timeout, o.Retries, cb
+	k.lookup()
 }
 
-// attempt arms the deadline of one attempt and sends the request.
+// lookup starts one attempt by resolving the key's owner.
+func (k *keyCall) lookup() { k.plane.node.Lookup(k.key, k.algo, k.resolved) }
+
+// onLookup calls the owner the lookup found, or backs off and retries.
+func (k *keyCall) onLookup(r core.LookupResult) {
+	if r.Status != core.LookupFound {
+		if k.retry() {
+			k.plane.node.SetTimer(k.timeout/2, k.try)
+			return
+		}
+		k.finish(proto.NodeRef{}, nil, ErrLookupFailed)
+		return
+	}
+	k.owner = r.Best
+	k.plane.callWithID(k.id, k.owner.Addr, k.req, CallOpts{Timeout: k.timeout}, k.answered)
+}
+
+// onResponse answers the caller, or starts the next attempt on an error.
+func (k *keyCall) onResponse(resp proto.SvcMessage, err error) {
+	if err != nil && k.retry() {
+		k.lookup()
+		return
+	}
+	k.finish(k.owner, resp, err)
+}
+
+// retry spends one retry, reporting whether there was one left.
+func (k *keyCall) retry() bool {
+	if k.retries == 0 {
+		return false
+	}
+	k.retries--
+	k.plane.Stats.Retries++
+	return true
+}
+
+// finish hands the record back to keyCallPool and answers the caller.
+func (k *keyCall) finish(owner proto.NodeRef, resp proto.SvcMessage, err error) {
+	cb := k.cb
+	k.plane, k.req, k.cb = nil, nil, nil
+	keyCallPool.Put(k)
+	cb(owner, resp, err)
+}
+
+// attempt arms the deadline of one attempt and sends the request. What goes
+// out is a pooled copy for the network to recycle, never c.req itself: the
+// call sends it again on a retry, and its owner may reuse it once the call
+// is answered while a datagram is still in flight.
 func (c *call) attempt() {
 	c.timer = c.plane.node.SetTimer(c.timeout, c.fire)
-	c.plane.node.Send(c.to, c.req)
+	c.plane.node.Send(c.to, proto.PooledCopy(c.req))
 }
 
 // onDeadline is the call's one timer: the next attempt, or ErrTimeout.
 func (c *call) onDeadline() {
 	p := c.plane
-	if p.pending.Find(c.id) == nil {
+	if cur, _ := p.pending.Get(c.id); cur != c {
 		return
 	}
 	if c.retries > 0 {
@@ -243,9 +309,18 @@ func (c *call) onDeadline() {
 		c.attempt()
 		return
 	}
-	p.pending.Delete(c.id)
 	p.Stats.Timeouts++
-	c.cb(nil, ErrTimeout)
+	c.finish()(nil, ErrTimeout)
+}
+
+// finish takes the call out of the pending table, hands the record back to
+// callPool, and returns the callback to answer.
+func (c *call) finish() func(proto.SvcMessage, error) {
+	c.plane.pending.Delete(c.id)
+	cb := c.cb
+	c.plane, c.req, c.cb = nil, nil, nil
+	callPool.Put(c)
+	return cb
 }
 
 // serveLocal dispatches a request whose owner is this node to the local
@@ -260,17 +335,39 @@ func (p *Plane) serveLocal(req proto.SvcMessage, cb func(proto.SvcMessage, error
 		return
 	}
 	p.Stats.Served++
-	h.(Handler)(p.node.Addr(), req, func(resp proto.SvcMessage) {
-		if resp == nil {
-			cb(nil, ErrTimeout)
-			return
+	h.(Handler)(p.node.Addr(), req, p.responder(req.SvcID(), 0, cb))
+}
+
+// responder returns the respond function of a pooled responder.
+func (p *Plane) responder(id, to uint64, local func(proto.SvcMessage, error)) func(proto.SvcMessage) {
+	r, _ := responderPool.Get().(*responder)
+	if r == nil {
+		r = new(responder)
+		r.respond = r.answer
+	}
+	r.plane, r.id, r.to, r.local = p, id, to, local
+	return r.respond
+}
+
+// answer stamps the response and delivers it; a nil response drops the
+// request, which a remote caller sees as a timeout.
+func (r *responder) answer(resp proto.SvcMessage) {
+	p, id, to, local := r.plane, r.id, r.to, r.local
+	r.plane, r.local = nil, nil
+	responderPool.Put(r)
+	switch {
+	case local != nil && resp == nil:
+		local(nil, ErrTimeout)
+	case local != nil:
+		resp.SetSvc(id, p.node.Ref())
+		local(resp, nil)
+		if rc, ok := resp.(proto.Recyclable); ok {
+			rc.Recycle()
 		}
-		resp.SetSvc(req.SvcID(), p.node.Ref())
-		cb(resp, nil)
-		if r, ok := resp.(proto.Recyclable); ok {
-			r.Recycle()
-		}
-	})
+	case resp != nil:
+		resp.SetSvc(id, p.node.Ref())
+		p.node.Send(to, resp)
+	}
 }
 
 // handle is the node-extension hook: responses match pending calls,
@@ -287,12 +384,9 @@ func (p *Plane) handle(from uint64, msg proto.Message) bool {
 		if !ok {
 			return true // duplicate or late response
 		}
-		p.pending.Delete(m.SvcID())
-		if c.timer != nil {
-			c.timer.Cancel()
-		}
+		c.timer.Cancel()
 		p.Stats.Responses++
-		c.cb(m, nil)
+		c.finish()(m, nil)
 		return true
 	}
 	h, ok := p.handlers.Get(t)
@@ -301,13 +395,6 @@ func (p *Plane) handle(from uint64, msg proto.Message) bool {
 		return false
 	}
 	p.Stats.Served++
-	id := m.SvcID()
-	h.(Handler)(from, m, func(resp proto.SvcMessage) {
-		if resp == nil {
-			return
-		}
-		resp.SetSvc(id, p.node.Ref())
-		p.node.Send(from, resp)
-	})
+	h.(Handler)(from, m, p.responder(m.SvcID(), from, nil))
 	return true
 }
