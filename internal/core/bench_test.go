@@ -179,4 +179,59 @@ func TestProtocolSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("each forward must be held once and released: held=%d solicited=%d failovers=%d",
 			held, target.Stats.LookupAcksSolicited, target.Stats.LookupFailovers)
 	}
+
+	// A refused courtship: a parented level-0 node courts a level-0 ring
+	// neighbour (pooled child report, courtship timer bound once), the
+	// neighbour turns it away (pooled Reparent), and the refusal ends the
+	// courtship.
+	var suitor, courted *Node
+	for i := 1; i+1 < len(nodes) && suitor == nil; i++ {
+		if _, ok := nodes[i].table.Parent(); ok && nodes[i].MaxLevel() == 0 && nodes[i+1].MaxLevel() == 0 {
+			suitor, courted = nodes[i], nodes[i+1]
+		}
+	}
+	if suitor == nil {
+		t.Fatal("no parented level-0 node with a level-0 neighbour")
+	}
+	report := &proto.ChildReport{From: suitor.Ref()}
+	refusal := &proto.Reparent{From: courted.Ref()}
+	court := func() {
+		suitor.courtRef(courted.Ref())
+		courted.HandleMessage(suitor.Addr(), report)
+		suitor.HandleMessage(courted.Addr(), refusal)
+	}
+	for i := 0; i < 16; i++ {
+		court()
+	}
+	answered := courted.Stats.MsgsOut
+	if allocs := testing.AllocsPerRun(200, court); allocs != 0 {
+		t.Fatalf("a refused courtship allocated %.1f times, want 0", allocs)
+	}
+	if suitor.courting != 0 || courted.Stats.MsgsOut-answered != 201 {
+		t.Fatalf("courtship left open (courting %d) or the report went unanswered (%d replies to 201)",
+			suitor.courting, courted.Stats.MsgsOut-answered)
+	}
+
+	// A join-redirect hop: a node far from the joiner's coordinate sends it
+	// on towards a nearer peer (pooled JoinRedirect), and the joiner asks
+	// that peer next (pooled JoinRequest).
+	joiner, via := nodes[0], nodes[len(nodes)/2]
+	closer, _ := via.table.Level0.Neighbors(via.ID())
+	join := &proto.JoinRequest{From: joiner.Ref()}
+	redirect := &proto.JoinRedirect{From: via.Ref(), Closer: closer}
+	hop := func() {
+		via.HandleMessage(joiner.Addr(), join)
+		joiner.HandleMessage(via.Addr(), redirect)
+	}
+	for i := 0; i < 16; i++ {
+		hop()
+	}
+	redirects, asked := via.Stats.MsgsOut, joiner.Stats.MsgsOut
+	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
+		t.Fatalf("a join-redirect hop allocated %.1f times, want 0", allocs)
+	}
+	if via.Stats.MsgsOut-redirects != 201 || joiner.Stats.MsgsOut-asked != 201 || via.table.Level0.Get(joiner.Addr()) != nil {
+		t.Fatalf("%d redirects and %d onward requests for 201 hops, or the joiner was accepted",
+			via.Stats.MsgsOut-redirects, joiner.Stats.MsgsOut-asked)
+	}
 }

@@ -110,7 +110,8 @@ func (n *Node) promoteSelf(level uint8) {
 	// parent level we now are.
 	region := n.regionAt(level)
 	claim := &proto.ParentClaim{From: n.Ref(), Level: level, Region: proto.FromIDSpace(region)}
-	for _, c := range n.table.Candidates(nil) {
+	n.sc.refs = n.table.Candidates(n.sc.refs[:0])
+	for _, c := range n.sc.refs {
 		if c.Addr == n.Addr() || !region.Contains(c.ID) {
 			continue
 		}
@@ -156,17 +157,23 @@ func (n *Node) courtRef(ref proto.NodeRef) {
 	if probation < 500*time.Millisecond {
 		probation = 500 * time.Millisecond
 	}
-	n.courtTimer = n.env.SetTimer(3*probation, func() {
-		n.courtTimer = Timer{}
-		dead := n.courting
-		n.courting = 0
-		if _, ok := n.table.Parent(); ok || dead == 0 {
-			return
-		}
-		// No answer: the candidate is gone; purge and try the next one.
-		n.table.RemoveEverywhere(dead)
-		n.adoptOrElect()
-	})
+	if n.courtFire == nil {
+		n.courtFire = n.courtExpired
+	}
+	n.courtTimer = n.env.SetTimer(3*probation, n.courtFire)
+}
+
+// courtExpired ends a courtship the candidate never answered: the
+// candidate is gone; purge it and try the next one.
+func (n *Node) courtExpired() {
+	n.courtTimer = Timer{}
+	dead := n.courting
+	n.courting = 0
+	if _, ok := n.table.Parent(); ok || dead == 0 {
+		return
+	}
+	n.table.RemoveEverywhere(dead)
+	n.adoptOrElect()
 }
 
 // confirmCourtship installs the courted parent once it has proven itself
@@ -243,14 +250,13 @@ func (n *Node) handleChildReport(from uint64, m *proto.ChildReport) {
 			distTo(best.ID, child.ID) < distTo(n.cfg.ID, child.ID) {
 			n.Stats.Reparents++
 			n.Stats.ReparentsStation++
-			n.send(from, &proto.Reparent{From: n.Ref(), NewParent: best,
-				AgeDs: proto.AgeFrom(n.env.Now(), seen)})
+			n.sendReparent(from, best, proto.AgeFrom(n.env.Now(), seen))
 			return
 		}
 		// No redirect available: refuse explicitly (zero NewParent) so the
 		// child stops courting us — its knowledge of our level is stale,
 		// and silence would leave it re-courting forever.
-		n.send(from, &proto.Reparent{From: n.Ref()})
+		n.sendReparent(from, proto.NodeRef{}, 0)
 		return
 	}
 
@@ -263,8 +269,7 @@ func (n *Node) handleChildReport(from uint64, m *proto.ChildReport) {
 		if distTo(best.ID, child.ID) < distTo(n.cfg.ID, child.ID) {
 			n.Stats.Reparents++
 			n.Stats.ReparentsCloser++
-			n.send(from, &proto.Reparent{From: n.Ref(), NewParent: best,
-				AgeDs: proto.AgeFrom(n.env.Now(), seen)})
+			n.sendReparent(from, best, proto.AgeFrom(n.env.Now(), seen))
 			return
 		}
 	}
@@ -372,17 +377,18 @@ func (n *Node) maybeSplit() {
 			right = mref
 		}
 	}
-	region := cellAround(members, best)
+	region := n.cellAround(members, best)
 	n.send(best.Addr, &proto.PromoteGrant{
 		From: n.Ref(), Level: newLvl,
 		Region: proto.FromIDSpace(region),
 		Left:   left, Right: right,
 	})
 
-	// Re-home the children that fall into the promotee's new cell.
+	// Re-home the children that fall into the promotee's new cell. The
+	// list is copied out of the view: the loop below removes from it.
 	promoted := best
 	promoted.MaxLevel = newLvl
-	var moved []proto.NodeRef
+	moved := n.sc.peers[:0]
 	for _, r := range n.table.Children.Refs() {
 		if r.Addr == best.Addr {
 			continue
@@ -391,10 +397,11 @@ func (n *Node) maybeSplit() {
 			moved = append(moved, r)
 		}
 	}
+	n.sc.peers = moved
 	for _, r := range moved {
 		n.Stats.Reparents++
 		n.Stats.ReparentsSplit++
-		n.send(r.Addr, &proto.Reparent{From: n.Ref(), NewParent: promoted})
+		n.sendReparent(r.Addr, promoted, 0)
 		n.table.Children.Remove(r.Addr)
 	}
 	// The promotee stops being a child when it reaches our own level.
@@ -409,8 +416,8 @@ func (n *Node) maybeSplit() {
 // cellAround computes the tessellation cell ref will own among the sorted
 // member list once inserted (ref is being promoted into the level, so it is
 // not a member yet). Used to scope a promotion grant.
-func cellAround(members []proto.NodeRef, ref proto.NodeRef) idspace.Region {
-	ids := make([]idspace.ID, 0, len(members)+1)
+func (n *Node) cellAround(members []proto.NodeRef, ref proto.NodeRef) idspace.Region {
+	ids := n.sc.ids[:0]
 	for _, m := range members {
 		if m.Addr == ref.Addr {
 			continue
@@ -424,6 +431,7 @@ func cellAround(members []proto.NodeRef, ref proto.NodeRef) idspace.Region {
 	ids = append(ids, 0)
 	copy(ids[pos+1:], ids[pos:])
 	ids[pos] = ref.ID
+	n.sc.ids = ids
 	return idspace.FullRegion().CellOf(ids, pos)
 }
 
@@ -453,7 +461,8 @@ func (n *Node) handlePromoteGrant(from uint64, m *proto.PromoteGrant) {
 	}
 	claim := &proto.ParentClaim{From: n.Ref(), Level: m.Level, Region: m.Region}
 	region := m.Region.ToIDSpace()
-	for _, c := range n.table.Candidates(nil) {
+	n.sc.refs = n.table.Candidates(n.sc.refs[:0])
+	for _, c := range n.sc.refs {
 		if c.Addr == n.Addr() || c.Addr == from || !region.Contains(c.ID) {
 			continue
 		}
@@ -517,7 +526,7 @@ func (n *Node) demotionExpired() {
 	}
 	for _, c := range n.table.Children.Refs() {
 		n.Stats.Reparents++
-		n.send(c.Addr, &proto.Reparent{From: n.Ref(), NewParent: successor})
+		n.sendReparent(c.Addr, successor, 0)
 	}
 
 	n.maxLevel = oldLvl - 1

@@ -194,6 +194,21 @@ func (n *Node) sendChildReport(to uint64) {
 	n.send(to, cr)
 }
 
+// sendReparent sends a pooled hand-off to newParent, whose knowledge is
+// ageDs old; the zero newParent is a refusal.
+func (n *Node) sendReparent(to uint64, newParent proto.NodeRef, ageDs uint16) {
+	r := proto.AcquireReparent()
+	r.From, r.NewParent, r.AgeDs = n.Ref(), newParent, ageDs
+	n.send(to, r)
+}
+
+// sendJoinRequest sends a pooled join request.
+func (n *Node) sendJoinRequest(to uint64) {
+	r := proto.AcquireJoinRequest()
+	r.From = n.Ref()
+	n.send(to, r)
+}
+
 // contactAnchor greets a random anchor; isolated nodes rejoin through it.
 // A fully dark node (empty level-0 table) additionally retries through its
 // recent-peers ring: under sustained churn every static anchor can be
@@ -204,14 +219,14 @@ func (n *Node) contactAnchor() {
 	dark := n.table.Level0.Len() == 0
 	if dark {
 		if p := n.nextRecentPeer(); p != 0 {
-			n.send(p, &proto.JoinRequest{From: n.Ref()})
+			n.sendJoinRequest(p)
 		}
 		// The recent ring can consist entirely of peers that died in the
 		// same wave (a dying neighbourhood talks mostly to itself near
 		// the end); the bootstrap cache reaches back over the node's
 		// whole lifetime and across the whole ID space.
 		if p := n.nextBootPeer(); p != 0 {
-			n.send(p, &proto.JoinRequest{From: n.Ref()})
+			n.sendJoinRequest(p)
 		}
 	}
 	if len(n.cfg.Anchors) == 0 {
@@ -223,7 +238,7 @@ func (n *Node) contactAnchor() {
 	}
 	if dark {
 		// Fully dark: full re-join.
-		n.send(a, &proto.JoinRequest{From: n.Ref()})
+		n.sendJoinRequest(a)
 		return
 	}
 	n.sendHello(a)
@@ -300,7 +315,9 @@ func (n *Node) handleJoinRequest(from uint64, m *proto.JoinRequest) {
 	nearest, ok := n.table.Level0.Nearest(m.From.ID)
 	selfD := distTo(n.cfg.ID, m.From.ID)
 	if ok && distTo(nearest.ID, m.From.ID) < selfD && nearest.Addr != from {
-		n.send(from, &proto.JoinRedirect{From: n.Ref(), Closer: nearest})
+		r := proto.AcquireJoinRedirect()
+		r.From, r.Closer = n.Ref(), nearest
+		n.send(from, r)
 		return
 	}
 	// This node is the best known position: hand the joiner its
@@ -324,7 +341,9 @@ func (n *Node) handleJoinRequest(from uint64, m *proto.JoinRequest) {
 	// ringUpsert, not a plain upsert: a joiner arriving over a bridge link
 	// from a foreign ring must fire the zip introductions here too.
 	n.ringUpsert(m.From)
-	n.send(from, &proto.JoinAccept{From: n.Ref(), Left: left, Right: right, Parent: parent})
+	acc := proto.AcquireJoinAccept()
+	acc.From, acc.Left, acc.Right, acc.Parent = n.Ref(), left, right, parent
+	n.send(from, acc)
 	n.pushUpdates()
 }
 
@@ -333,7 +352,7 @@ func (n *Node) handleJoinRedirect(from uint64, m *proto.JoinRedirect) {
 		return
 	}
 	n.noteRefAt(m.Closer, false, n.env.Now()-n.cfg.EntryTTL/2)
-	n.send(m.Closer.Addr, &proto.JoinRequest{From: n.Ref()})
+	n.sendJoinRequest(m.Closer.Addr)
 }
 
 func (n *Node) handleJoinAccept(from uint64, m *proto.JoinAccept) {

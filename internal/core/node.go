@@ -22,6 +22,9 @@ type Node struct {
 	// maxLevel is the node's top hierarchy level; the node is a member of
 	// every level 0..maxLevel.
 	maxLevel uint8
+	// started sits in padding, which keeps Node in its size class
+	// (TestNodeFitsItsSizeClass).
+	started bool
 	// maxChildren is nc under the configured child policy.
 	maxChildren uint16
 	// score caches the capability score of the profile.
@@ -51,9 +54,11 @@ type Node struct {
 	// courting is the address of a prospective parent that has been sent a
 	// child report but has not yet answered; the slot is only installed on
 	// the candidate's direct reply, so a dead candidate costs one short
-	// probation instead of a full entry TTL.
+	// probation instead of a full entry TTL. courtFire is courtExpired,
+	// bound on the first courtship and reused by every later one.
 	courting   uint64
 	courtTimer Timer
+	courtFire  func()
 
 	// lastSplit rate-limits promotion grants (see maybeSplit).
 	lastSplit time.Duration
@@ -62,8 +67,6 @@ type Node struct {
 	keepaliveTimer Timer
 	sweepTimer     Timer
 	reportTimer    Timer
-
-	started bool
 
 	// sc is the event loop's scratch (env.Scratch(), cached): the buffers
 	// of the per-message composition hot path, which keep the
@@ -306,6 +309,9 @@ func (n *Node) MemBytes() Mem {
 	if n.fo != nil {
 		m.Hold = int(unsafe.Sizeof(*n.fo))
 	}
+	if n.courtFire != nil {
+		m.Node += 16 // the bound method: code pointer and receiver
+	}
 	return m
 }
 
@@ -354,7 +360,7 @@ func (n *Node) Stop() {
 // (§III.a: "the joining peers are assigned to the lowest [level]").
 func (n *Node) Join(bootstrap uint64) {
 	n.Start()
-	n.send(bootstrap, &proto.JoinRequest{From: n.Ref()})
+	n.sendJoinRequest(bootstrap)
 }
 
 // Depart is the graceful shutdown: it announces the departure to every

@@ -66,9 +66,9 @@ var msgTypes = [tMaxMsgType]struct {
 	THello:           {"hello", fresh[Hello], pooled(AcquireHello)},
 	TPing:            {"ping", fresh[Ping], pooled(AcquirePing)},
 	TPong:            {"pong", fresh[Pong], pooled(AcquirePong)},
-	TJoinRequest:     {"join-request", fresh[JoinRequest], nil},
-	TJoinRedirect:    {"join-redirect", fresh[JoinRedirect], nil},
-	TJoinAccept:      {"join-accept", fresh[JoinAccept], nil},
+	TJoinRequest:     {"join-request", fresh[JoinRequest], pooled(AcquireJoinRequest)},
+	TJoinRedirect:    {"join-redirect", fresh[JoinRedirect], pooled(AcquireJoinRedirect)},
+	TJoinAccept:      {"join-accept", fresh[JoinAccept], pooled(AcquireJoinAccept)},
 	TElectionCall:    {"election-call", fresh[ElectionCall], nil},
 	TParentClaim:     {"parent-claim", fresh[ParentClaim], nil},
 	TChildReport:     {"child-report", fresh[ChildReport], pooled(AcquireChildReport)},
@@ -82,7 +82,7 @@ var msgTypes = [tMaxMsgType]struct {
 	TDHTStoreAck:     {"dht-store-ack", fresh[DHTStoreAck], pooled(AcquireDHTStoreAck)},
 	TDHTFetch:        {"dht-fetch", fresh[DHTFetch], pooled(AcquireDHTFetch)},
 	TDHTFetchReply:   {"dht-fetch-reply", fresh[DHTFetchReply], pooled(AcquireDHTFetchReply)},
-	TReparent:        {"reparent", fresh[Reparent], nil},
+	TReparent:        {"reparent", fresh[Reparent], pooled(AcquireReparent)},
 	TLeave:           {"leave", fresh[Leave], nil},
 	TDHTReplicate:    {"dht-replicate", fresh[DHTReplicate], pooled(AcquireDHTReplicate)},
 	TDHTReplicateAck: {"dht-replicate-ack", fresh[DHTReplicateAck], pooled(AcquireDHTReplicateAck)},

@@ -26,6 +26,10 @@ var (
 	ringProbePool   = sync.Pool{New: func() interface{} { return new(RingProbe) }}
 	ringProbeAckPl  = sync.Pool{New: func() interface{} { return new(RingProbeAck) }}
 	mergeIntroPool  = sync.Pool{New: func() interface{} { return new(MergeIntro) }}
+	reparentPool    = sync.Pool{New: func() interface{} { return new(Reparent) }}
+	joinReqPool     = sync.Pool{New: func() interface{} { return new(JoinRequest) }}
+	joinRedirPool   = sync.Pool{New: func() interface{} { return new(JoinRedirect) }}
+	joinAcceptPool  = sync.Pool{New: func() interface{} { return new(JoinAccept) }}
 	dhtStorePool    = sync.Pool{New: func() interface{} { return new(DHTStore) }}
 	dhtStoreAckPool = sync.Pool{New: func() interface{} { return new(DHTStoreAck) }}
 	dhtFetchPool    = sync.Pool{New: func() interface{} { return new(DHTFetch) }}
@@ -141,6 +145,50 @@ func AcquireMergeIntro() *MergeIntro {
 
 // Recycle implements Recyclable.
 func (m *MergeIntro) Recycle() { mergeIntroPool.Put(m) }
+
+// AcquireReparent returns a pooled Reparent. Splits, demotions and
+// courtship redirects and refusals send one per child under churn; each
+// goes to one child and is read by value.
+func AcquireReparent() *Reparent {
+	m := reparentPool.Get().(*Reparent)
+	*m = Reparent{}
+	return m
+}
+
+// Recycle implements Recyclable.
+func (m *Reparent) Recycle() { reparentPool.Put(m) }
+
+// AcquireJoinRequest returns a pooled JoinRequest. A join walks a chain
+// of redirects, one request and one redirect a hop, so the three join
+// types pool together.
+func AcquireJoinRequest() *JoinRequest {
+	m := joinReqPool.Get().(*JoinRequest)
+	*m = JoinRequest{}
+	return m
+}
+
+// Recycle implements Recyclable.
+func (m *JoinRequest) Recycle() { joinReqPool.Put(m) }
+
+// AcquireJoinRedirect returns a pooled JoinRedirect.
+func AcquireJoinRedirect() *JoinRedirect {
+	m := joinRedirPool.Get().(*JoinRedirect)
+	*m = JoinRedirect{}
+	return m
+}
+
+// Recycle implements Recyclable.
+func (m *JoinRedirect) Recycle() { joinRedirPool.Put(m) }
+
+// AcquireJoinAccept returns a pooled JoinAccept.
+func AcquireJoinAccept() *JoinAccept {
+	m := joinAcceptPool.Get().(*JoinAccept)
+	*m = JoinAccept{}
+	return m
+}
+
+// Recycle implements Recyclable.
+func (m *JoinAccept) Recycle() { joinAcceptPool.Put(m) }
 
 // AcquireLookupRequest returns a pooled LookupRequest: the copy a hop
 // sends on, read and never kept by the hop that receives it. Alternates

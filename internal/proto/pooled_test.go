@@ -72,7 +72,11 @@ var pooledWireTypes = map[MsgType]bool{
 	THello:           true,
 	TPing:            true,
 	TPong:            true,
+	TJoinRequest:     true,
+	TJoinRedirect:    true,
+	TJoinAccept:      true,
 	TChildReport:     true,
+	TReparent:        true,
 	TBusLinkReq:      true,
 	TBusLinkAck:      true,
 	TRingProbe:       true,

@@ -360,21 +360,14 @@ func equivOps(t *testing.T, ops []byte, pool uint8) {
 	for sel := 0; sel < 8; sel++ {
 		checkEquiv(t, -1, slab, ref, now, ttl, idspace.ID(0x4000000000000000), sel)
 	}
-	checkMirror(t, slab)
+	checkOrder(t, slab)
 }
 
-// checkMirror fails unless the address mirror and the slab agree entry for
-// entry and the slab is in strict (ID, Addr) order.
-func checkMirror(t *testing.T, s *Set) {
+// checkOrder fails unless the slab is in strict (ID, Addr) order.
+func checkOrder(t *testing.T, s *Set) {
 	t.Helper()
-	if len(s.addrs) != len(s.slab) {
-		t.Fatalf("mirror holds %d addresses, slab %d entries", len(s.addrs), len(s.slab))
-	}
-	for i := range s.slab {
-		if s.addrs[i] != s.slab[i].Ref.Addr {
-			t.Fatalf("entry %d: mirror %#x, slab %#x", i, s.addrs[i], s.slab[i].Ref.Addr)
-		}
-		if i > 0 && !refLess(s.slab[i-1].Ref, s.slab[i].Ref) {
+	for i := 1; i < len(s.slab); i++ {
+		if !refLess(s.slab[i-1].Ref, s.slab[i].Ref) {
 			t.Fatalf("entries %d and %d out of order: %v, %v", i-1, i, s.slab[i-1].Ref, s.slab[i].Ref)
 		}
 	}
@@ -510,13 +503,13 @@ func TestSetEquivalenceScripted(t *testing.T) {
 	}
 }
 
-// TestSetGrowthPolicy pins how storage follows contents: slab, address
-// mirror and sorted step together by a quarter (at least two) from empty,
-// removal keeps the capacity for the next insert, and MemBytes is exactly
-// capacity × element size.
+// TestSetGrowthPolicy pins how storage follows contents: slab and sorted
+// step together by a quarter (at least two) from empty, removal keeps the
+// capacity for the next insert, and MemBytes is exactly capacity × element
+// size.
 func TestSetGrowthPolicy(t *testing.T) {
 	s := NewSet()
-	if m := s.MemBytes(); m.Slabs+m.Index+m.Views != 0 {
+	if m := s.MemBytes(); m.Slabs+m.Views != 0 {
 		t.Fatalf("an empty set holds %+v", m)
 	}
 	var caps []int
@@ -526,18 +519,15 @@ func TestSetGrowthPolicy(t *testing.T) {
 		if len(caps) == 0 || caps[len(caps)-1] != cap(s.slab) {
 			caps = append(caps, cap(s.slab))
 		}
-		if cap(s.sorted) != cap(s.slab) || cap(s.addrs) != cap(s.slab) {
-			t.Fatalf("at %d entries slab/sorted/addrs caps are %d/%d/%d, want equal", i, cap(s.slab), cap(s.sorted), cap(s.addrs))
-		}
-		if m := s.MemBytes(); m.Index != cap(s.slab)*8 {
-			t.Fatalf("at %d entries the address mirror counts %d B against %d slab slots", i, m.Index, cap(s.slab))
+		if cap(s.sorted) != cap(s.slab) {
+			t.Fatalf("at %d entries slab/sorted caps are %d/%d, want equal", i, cap(s.slab), cap(s.sorted))
 		}
 	}
 	if got, want := fmt.Sprint(caps), "[2 4 6 8 10 12 15 18 22 27 33 41 51 63]"; got != want {
 		t.Fatalf("growth steps %s, want %s", got, want)
 	}
 	m := s.MemBytes()
-	if m.Slabs != 63*48 || m.Index != 63*8 || m.Views != 63*24 {
+	if m.Slabs != 63*48 || m.Views != 63*24 {
 		t.Fatalf("MemBytes %+v does not match 63 slots", m)
 	}
 	for i := 1; i <= 40; i++ {
@@ -546,8 +536,8 @@ func TestSetGrowthPolicy(t *testing.T) {
 	for i := 101; i <= 140; i++ {
 		s.Upsert(proto.NodeRef{ID: idspace.ID(i) << 40, Addr: uint64(i)}, 0, 0, 1, Direct)
 	}
-	if len(s.slab) != 60 || cap(s.slab) != 63 || cap(s.addrs) != 63 {
-		t.Fatalf("40 removals and 40 inserts left slab len %d cap %d, mirror cap %d, want 60/63/63", len(s.slab), cap(s.slab), cap(s.addrs))
+	if len(s.slab) != 60 || cap(s.slab) != 63 {
+		t.Fatalf("40 removals and 40 inserts left slab len %d cap %d, want 60/63", len(s.slab), cap(s.slab))
 	}
 }
 

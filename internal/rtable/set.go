@@ -72,12 +72,11 @@ func (e *Entry) DirectFresh(now, ttl time.Duration) bool {
 //     removal or ID change shifts the tail by memmove, never a re-sort: of
 //     the 11 058 sets of a settled 2000-peer overlay the median holds 4
 //     entries, 99.1 % at most 16 and the largest 44 (DESIGN.md §16).
-//   - addrs: the slab's addresses, one word an entry. Finding an address
-//     is a linear scan of it, one or two cache lines for those sizes.
+//     Finding an address is a linear scan of the slab's refs.
 //   - sorted: the cached refs view (see Refs).
 //
 // Most sets are a few entries long and a population holds several per
-// peer, so slab, addrs and sorted grow together by a quarter (at least two
+// peer, so slab and sorted grow together by a quarter (at least two
 // entries) from empty: exact fit would allocate on every insert, doubling
 // left half of every array unused (DESIGN.md §16). Removal keeps the
 // capacity, so steady-state churn allocates nothing.
@@ -85,8 +84,7 @@ func (e *Entry) DirectFresh(now, ttl time.Duration) bool {
 // Pointers returned by Get/Upsert point into the slab and are valid only
 // until the next mutating call on the set.
 type Set struct {
-	slab  []Entry
-	addrs []uint64 // addrs[i] == slab[i].Ref.Addr
+	slab []Entry
 	// sorted caches the ID-ordered refs; rebuilt lazily (a straight copy of
 	// the slab's refs) after a membership or ID change.
 	sorted []proto.NodeRef
@@ -99,26 +97,26 @@ func NewSet() *Set { return &Set{} }
 // Len returns the number of entries.
 func (s *Set) Len() int { return len(s.slab) }
 
-// Mem is heap held, in bytes, by kind of storage: entry slabs, address
-// mirrors, the sorted views, and fixed-size structs. Backing arrays count
-// at capacity × element size, before size-class rounding.
-type Mem struct{ Slabs, Index, Views, Fixed int }
+// Mem is heap held, in bytes, by kind of storage: entry slabs, the sorted
+// views, and fixed-size structs. Backing arrays count at capacity ×
+// element size, before size-class rounding.
+type Mem struct{ Slabs, Views, Fixed int }
 
 // Add accumulates o into m.
 func (m *Mem) Add(o Mem) {
-	m.Slabs, m.Index, m.Views, m.Fixed = m.Slabs+o.Slabs, m.Index+o.Index, m.Views+o.Views, m.Fixed+o.Fixed
+	m.Slabs, m.Views, m.Fixed = m.Slabs+o.Slabs, m.Views+o.Views, m.Fixed+o.Fixed
 }
 
 // MemBytes reports the heap the set holds.
 func (s *Set) MemBytes() Mem {
-	return Mem{cap(s.slab) * int(unsafe.Sizeof(Entry{})), cap(s.addrs) * 8,
+	return Mem{cap(s.slab) * int(unsafe.Sizeof(Entry{})),
 		cap(s.sorted) * int(unsafe.Sizeof(proto.NodeRef{})), int(unsafe.Sizeof(*s))}
 }
 
 // lookup returns the position of addr's entry in the slab.
 func (s *Set) lookup(addr uint64) (int, bool) {
-	for i, a := range s.addrs {
-		if a == addr {
+	for i := range s.slab {
+		if s.slab[i].Ref.Addr == addr {
 			return i, true
 		}
 	}
@@ -139,17 +137,14 @@ func refLess(a, b proto.NodeRef) bool {
 	return a.ID < b.ID || (a.ID == b.ID && a.Addr < b.Addr)
 }
 
-// insert places e at its (ID, Addr) position, growing slab and addrs
-// together when full. e.Ref.Addr must not be present.
+// insert places e at its (ID, Addr) position, growing the slab by a
+// quarter when full. e.Ref.Addr must not be present.
 func (s *Set) insert(e Entry) *Entry {
 	if c := cap(s.slab); len(s.slab) == c {
-		c += max(2, c/4)
-		s.slab = append(make([]Entry, 0, c), s.slab...)
-		s.addrs = append(make([]uint64, 0, c), s.addrs...)
+		s.slab = append(make([]Entry, 0, c+max(2, c/4)), s.slab...)
 	}
 	i := sort.Search(len(s.slab), func(i int) bool { return !refLess(s.slab[i].Ref, e.Ref) })
 	s.slab = slices.Insert(s.slab, i, e)
-	s.addrs = slices.Insert(s.addrs, i, e.Ref.Addr)
 	s.dirty = true
 	return &s.slab[i]
 }
@@ -157,7 +152,6 @@ func (s *Set) insert(e Entry) *Entry {
 // remove drops the entry at position i.
 func (s *Set) remove(i int) {
 	s.slab = slices.Delete(s.slab, i, i+1)
-	s.addrs = slices.Delete(s.addrs, i, i+1)
 	s.dirty = true
 }
 
@@ -271,12 +265,12 @@ func (s *Set) sweepInto(out []proto.NodeRef, now, ttl time.Duration) []proto.Nod
 			continue
 		}
 		if w != i {
-			s.slab[w], s.addrs[w] = s.slab[i], s.addrs[i]
+			s.slab[w] = s.slab[i]
 		}
 		w++
 	}
 	if w != len(s.slab) {
-		s.slab, s.addrs = s.slab[:w], s.addrs[:w]
+		s.slab = s.slab[:w]
 		s.dirty = true
 	}
 	return out

@@ -214,40 +214,8 @@ func TestEachOrder(t *testing.T) {
 	}
 }
 
-// TestMirrorFollowsChurn churns one set through Remove, the expiry sweep,
-// re-insertion and ID moves, checking after every step that the address
-// mirror names the slab's entries in their order and that a lookup finds
-// what was just stored.
-func TestMirrorFollowsChurn(t *testing.T) {
-	s := NewSet()
-	rng := rand.New(rand.NewSource(5))
-	now := time.Duration(0)
-	for step := 0; step < 2000; step++ {
-		now += time.Millisecond
-		addr := uint64(rng.Intn(41)) // 0 is a key like any other
-		switch rng.Intn(5) {
-		case 0:
-			s.Remove(addr)
-			if s.Get(addr) != nil || s.Touch(addr, now) {
-				t.Fatalf("step %d: %d found after Remove", step, addr)
-			}
-		case 1:
-			s.sweepInto(nil, now, 25*time.Millisecond)
-		default:
-			s.Upsert(ref(idspace.ID(rng.Uint64()), addr), 0, now, uint32(step), Direct)
-			if e := s.Get(addr); e == nil || e.Ref.Addr != addr {
-				t.Fatalf("step %d: Get(%d) after Upsert returned %+v", step, addr, e)
-			}
-		}
-		checkMirror(t, s)
-	}
-	if cap(s.slab) > 41 {
-		t.Fatalf("slab grew to %d entries for 41 addresses", cap(s.slab))
-	}
-}
-
-// TestZeroAddressIsAnOrdinaryKey: the mirror holds live entries only, so no
-// value of it stands for "free". Address 0 misses until it is stored, and
+// TestZeroAddressIsAnOrdinaryKey: the slab holds live entries only, so no
+// address stands for "free". Address 0 misses until it is stored, and
 // storing it touches no other entry.
 func TestZeroAddressIsAnOrdinaryKey(t *testing.T) {
 	s := NewSet()
@@ -265,5 +233,5 @@ func TestZeroAddressIsAnOrdinaryKey(t *testing.T) {
 	if s.Get(1).Ref.ID != 10 || s.Get(4).Ref.ID != 40 || !s.Remove(0) || s.Len() != 2 {
 		t.Fatal("storing and removing address 0 disturbed the other entries")
 	}
-	checkMirror(t, s)
+	checkOrder(t, s)
 }

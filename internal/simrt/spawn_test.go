@@ -1,6 +1,8 @@
 package simrt
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -47,6 +49,60 @@ func TestSpawnJoinIntegrates(t *testing.T) {
 	found, failed, _ := runLookups(c, pairs, proto.AlgoG)
 	if failed > 0 {
 		t.Fatalf("spawned nodes resolvable: %d found, %d failed", found, failed)
+	}
+}
+
+// spawnJoinAllocCap is the committed ceiling on what one join costs the
+// heap, in allocations: the SpawnJoin call (node, table, sets, env, timers,
+// the first request) and everything the overlay does about the joiner in
+// the seconds after — redirect hops, acceptance, courtship, table growth
+// at its neighbours — net of a same-seed run without joins. Measured 87.3
+// (16.4 of them the call); the cap is that + 15 %. It read 123 before the
+// join and hierarchy messages were pooled, the courtship timer bound once
+// and the sets' address mirror dropped.
+const spawnJoinAllocCap = 100
+
+// TestSpawnJoinAllocs holds a join's allocations to spawnJoinAllocCap: a
+// settled N=200 overlay takes 20 joins, one every 250 ms, and runs 5 s on;
+// the control takes none. The collector is off, so no pool empties, and a
+// first pair of runs warms everything a process allocates once.
+func TestSpawnJoinAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const joins = 20
+	mallocs := func() uint64 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.Mallocs
+	}
+	window := func(spawn bool) (total, calls uint64) {
+		c := New(Options{N: 200, Seed: 34, Bulk: true})
+		c.StartAll()
+		c.Run(6 * time.Second)
+		start := mallocs()
+		for i := 0; i < joins; i++ {
+			if spawn {
+				before := mallocs()
+				if c.SpawnJoin() == nil {
+					t.Fatal("SpawnJoin returned nil with a live overlay")
+				}
+				calls += mallocs() - before
+			}
+			c.Run(250 * time.Millisecond)
+		}
+		c.Run(5 * time.Second)
+		return mallocs() - start, calls
+	}
+	window(false)
+	window(true)
+	quiet, _ := window(false)
+	churn, calls := window(true)
+	perJoin := (float64(churn) - float64(quiet)) / joins
+	t.Logf("%.1f allocations per join, %.1f of them the SpawnJoin call (cap %d)", perJoin, float64(calls)/joins, spawnJoinAllocCap)
+	if perJoin > spawnJoinAllocCap {
+		t.Fatalf("a join costs %.1f allocations, cap %d", perJoin, spawnJoinAllocCap)
 	}
 }
 
