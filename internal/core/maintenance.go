@@ -312,7 +312,7 @@ func (n *Node) handlePong(from uint64, m *proto.Pong) {
 
 func (n *Node) handleJoinRequest(from uint64, m *proto.JoinRequest) {
 	// Route the joiner to the level-0 position nearest its coordinate.
-	nearest, ok := n.table.Level0.Nearest(m.From.ID)
+	nearest, ok := n.table.Level0.Nearest(m.From.ID, nil)
 	selfD := distTo(n.cfg.ID, m.From.ID)
 	if ok && distTo(nearest.ID, m.From.ID) < selfD && nearest.Addr != from {
 		r := proto.AcquireJoinRedirect()

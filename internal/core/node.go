@@ -663,11 +663,10 @@ func appendPeerDedup(out []proto.NodeRef, r proto.NodeRef, self uint64) []proto.
 // (searching bus knowledge, superiors and the parent slot), excluding the
 // node itself, together with the time that knowledge was last validated —
 // callers relaying the ref to third parties must ship that age along. Ties
-// break on (ID, Addr) so behaviour is deterministic.
+// break by proto.Nearer so behaviour is deterministic.
 func (n *Node) bestKnownMember(level uint8, near idspace.ID) (proto.NodeRef, time.Duration, bool) {
 	var best proto.NodeRef
 	var bestSeen time.Duration
-	var bestD uint64
 	found := false
 	now := n.env.Now()
 	consider := func(r proto.NodeRef, seen time.Duration) {
@@ -680,10 +679,8 @@ func (n *Node) bestKnownMember(level uint8, near idspace.ID) (proto.NodeRef, tim
 			}
 			ps.Refused = false
 		}
-		d := idspace.Dist(r.ID, near)
-		if !found || d < bestD ||
-			(d == bestD && (r.ID < best.ID || (r.ID == best.ID && r.Addr < best.Addr))) {
-			best, bestSeen, bestD, found = r, seen, d, true
+		if !found || proto.Nearer(near, r, best) {
+			best, bestSeen, found = r, seen, true
 		}
 	}
 	considerSet := func(s *rtable.Set) {

@@ -730,21 +730,21 @@ func (s *Service) fanoutTargets(k idspace.ID, hk *hotKey) []uint64 {
 	refs := l0.AppendNeighborsFreshK(s.scratch[:0], k, now, ttl, fanoutNeighborSeed, true)
 	refs = l0.AppendNeighborsFreshK(refs, k, now, ttl, fanoutNeighborSeed, false)
 	s.scratch = refs
-	// By advertised score, highest first: the strongest nearby nodes take
-	// the standby slots.
-	sortRefs(refs, func(r proto.NodeRef) uint64 { return uint64(^r.Score) })
+	// The strongest nearby nodes take the standby slots.
+	sortByScore(refs)
 	for _, r := range refs {
 		add(r.Addr)
 	}
 	return out
 }
 
-// sortRefs orders a handful of candidates by rank ascending, with a
-// deterministic (ID, Addr) tiebreak (insertion sort: the lists are tiny).
-func sortRefs(refs []proto.NodeRef, rank func(proto.NodeRef) uint64) {
+// sortByScore orders a handful of candidates by advertised score, highest
+// first, with a deterministic (ID, Addr) tiebreak (insertion sort: the
+// lists are tiny).
+func sortByScore(refs []proto.NodeRef) {
 	before := func(a, b proto.NodeRef) bool {
-		if ra, rb := rank(a), rank(b); ra != rb {
-			return ra < rb
+		if a.Score != b.Score {
+			return a.Score > b.Score
 		}
 		if a.ID != b.ID {
 			return a.ID < b.ID
@@ -1080,21 +1080,22 @@ func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
 	// side must make up the difference.
 	out := l0.AppendNeighborsFreshK(s.scratch[:0], k, now, ttl, want, true)
 	out = l0.AppendNeighborsFreshK(out, k, now, ttl, want, false)
+	// Self dropped, the rest insertion-sorted in place into the
+	// nearest-first order, which is the order the replicas are sent in.
 	self := s.node.Addr()
 	n := 0
 	for _, r := range out {
-		if r.Addr != self {
-			out[n] = r
-			n++
+		if r.Addr == self {
+			continue
 		}
-	}
-	out = out[:n]
-	sortRefs(out, func(r proto.NodeRef) uint64 { return idspace.Dist(r.ID, k) })
-	if len(out) > want {
-		out = out[:want]
+		i := n
+		for ; i > 0 && proto.Nearer(k, r, out[i-1]); i-- {
+			out[i] = out[i-1]
+		}
+		out[i], n = r, n+1
 	}
 	s.scratch = out
-	return out
+	return out[:min(n, want)]
 }
 
 // closer scans this node's *fresh* level-0 contacts for those strictly
@@ -1116,7 +1117,6 @@ func (s *Service) closer(k idspace.ID, mark uint64) (nearest proto.NodeRef, coun
 	now, ttl := s.node.Now(), s.node.Config().EntryTTL
 	selfID := s.node.ID()
 	dSelf := idspace.Dist(selfID, k)
-	var nearestD uint64
 	for _, r := range l0.Refs() {
 		if r.Addr == s.node.Addr() {
 			continue
@@ -1129,8 +1129,8 @@ func (s *Service) closer(k idspace.ID, mark uint64) (nearest proto.NodeRef, coun
 		if d > dSelf || (d == dSelf && r.ID >= selfID) {
 			continue
 		}
-		if count == 0 || d < nearestD || (d == nearestD && r.ID < nearest.ID) {
-			nearest, nearestD = r, d
+		if count == 0 || proto.Nearer(k, r, nearest) {
+			nearest = r
 		}
 		count++
 		held = held || placedAt(r.Addr) == mark

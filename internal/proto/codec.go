@@ -27,9 +27,10 @@ var (
 	ErrTrail   = errors.New("proto: trailing bytes after message body")
 )
 
-// maxListLen bounds decoded list lengths; a datagram cannot legitimately
+// maxListLen bounds decoded entry lists; a datagram cannot legitimately
 // carry more (64 KiB / 19-byte refs), and the bound stops hostile length
-// prefixes from forcing huge allocations.
+// prefixes from forcing huge allocations. A ref list is the alternates of
+// a lookup and is bounded by MaxAlternates.
 const maxListLen = 4096
 
 // MaxDatagram is the largest wire encoding a transport will carry: the
@@ -364,7 +365,7 @@ func (c *cursor) refs(rs *[]NodeRef) {
 			c.buf = appendRef(c.buf, &(*rs)[i])
 		}
 	default:
-		n, ok := c.listLen(nodeRefSize, maxListLen)
+		n, ok := c.listLen(nodeRefSize, MaxAlternates)
 		if !ok {
 			return
 		}

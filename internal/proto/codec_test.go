@@ -203,6 +203,25 @@ func TestHostileListLength(t *testing.T) {
 	}
 }
 
+// TestAlternatesBound: a lookup request carrying MaxAlternates alternates
+// decodes on both paths; one more is malformed on both.
+func TestAlternatesBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{MaxAlternates, MaxAlternates + 1} {
+		b := Encode(&LookupRequest{Origin: NodeRef{ID: 9, Addr: 9}, Target: 42, ReqID: 7, TTL: 8, Algo: AlgoNGSA,
+			Alternates: sampleRefs(rng, n)})
+		for name, decode := range map[string]func([]byte) (Message, error){"Decode": Decode, "DecodePooled": DecodePooled} {
+			m, err := decode(b)
+			switch {
+			case n > MaxAlternates && err == nil:
+				t.Fatalf("%s accepted %d alternates", name, n)
+			case n <= MaxAlternates && (err != nil || len(m.(*LookupRequest).Alternates) != n):
+				t.Fatalf("%s of %d alternates: %v", name, n, err)
+			}
+		}
+	}
+}
+
 func TestCorruptionDetectionBitFlips(t *testing.T) {
 	// Flipping any single header bit must fail; body flips may still parse
 	// (no checksum — UDP provides one) but must never panic.

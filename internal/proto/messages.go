@@ -148,6 +148,22 @@ func (r NodeRef) String() string {
 	return fmt.Sprintf("ref(%s@%d lvl%d)", r.ID, r.Addr, r.MaxLevel)
 }
 
+// Nearer reports whether a comes before b in the nearest-first order to x:
+// by distance to x, then by ID (the lower of two IDs equidistant either
+// side of x), then by address. It is a strict total order on distinct
+// (ID, address) pairs, so every node holding the same refs picks the same
+// one. It is the tie-break of every scan for the peer nearest a point by
+// exact distance (routing, rtable, core, dht); no other copy of it exists.
+func Nearer(x idspace.ID, a, b NodeRef) bool {
+	if da, db := idspace.Dist(a.ID, x), idspace.Dist(b.ID, x); da != db {
+		return da < db
+	}
+	if a.ID != b.ID {
+		return a.ID < b.ID
+	}
+	return a.Addr < b.Addr
+}
+
 // QuantizeScore maps a capability score in [0,1] to the wire representation.
 func QuantizeScore(s float64) uint16 {
 	if s <= 0 {
@@ -360,6 +376,12 @@ type LookupRequest struct {
 	AckWanted  bool
 	Alternates []NodeRef
 }
+
+// MaxAlternates caps the NGSA fall-back list a LookupRequest carries. The
+// forwarding decision never makes a longer one, and a decode rejects a
+// longer one as malformed: every hop that merges the list scans it
+// quadratically.
+const MaxAlternates = 8
 
 // LookupStatus is the outcome carried by a LookupReply.
 type LookupStatus uint8

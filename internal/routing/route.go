@@ -1,8 +1,6 @@
 package routing
 
 import (
-	"slices"
-
 	"treep/internal/idspace"
 	"treep/internal/proto"
 	"treep/internal/rtable"
@@ -65,10 +63,6 @@ type Params struct {
 	Height uint8
 }
 
-// maxAlternates caps the NGSA fall-back list ("at the expense of adding
-// data to the request").
-const maxAlternates = 8
-
 // HopBudget is the number of forwards a request may take under the
 // hierarchy's own rules: a climb to the root and a descent from it
 // (2·Height), plus a lateral hop at either end. A request past it is in a
@@ -109,6 +103,7 @@ func (p Params) Regime(hops uint8) Regime {
 // zero value is ready to use.
 type Scratch struct {
 	cands []proto.NodeRef
+	skip  Excluded // the sender, self, then Excluded: who the decision treats as absent
 	// Excluded lists peers that the next decision treats as absent from
 	// the table: the deciding node's next hops that stayed silent when
 	// asked for a sign of life. The entries themselves stay where they are
@@ -129,6 +124,62 @@ func (ex Excluded) has(addr uint64) bool {
 		}
 	}
 	return false
+}
+
+// decision is one RouteWith call: its inputs, and what one pass over the
+// candidates takes for the branches to read. Every "nearest" below is
+// first in the nearest-first order to x (proto.Nearer), and every value
+// is what the first such candidate of a list sorted in that order would
+// be; no list is sorted.
+type decision struct {
+	self   proto.NodeRef
+	req    *proto.LookupRequest
+	tbl    *rtable.Table
+	x      idspace.ID
+	dSelf  float64 // D(self, x) under the decision's model
+	dE     uint64  // Euclidean distance from self to x
+	sender uint64
+	skip   Excluded // sender, self, then ex
+	ex     Excluded
+
+	nearest   proto.NodeRef // the nearest candidate: strict regime, owner check
+	modelMin  proto.NodeRef // G: the model minimum, nearest among ties
+	modelMinD float64
+	// improving holds the nImproving nearest candidates whose model
+	// distance improves on dSelf, nearest first: NG's next hop and NGSA's
+	// fresh alternates.
+	improving  [proto.MaxAlternates + 1]proto.NodeRef
+	nImproving int
+	lateral    proto.NodeRef // the nearest candidate of self's level or above
+}
+
+// take folds one candidate, at model distance dc, into every value a
+// branch reads. limit bounds improving: NG reads the first, NGSA the first
+// and MaxAlternates more.
+func (d *decision) take(c proto.NodeRef, dc float64, limit int) {
+	x := d.x
+	if d.nearest.IsZero() || proto.Nearer(x, c, d.nearest) {
+		d.nearest = c
+	}
+	if d.modelMin.IsZero() || dc < d.modelMinD || dc == d.modelMinD && proto.Nearer(x, c, d.modelMin) {
+		d.modelMin, d.modelMinD = c, dc
+	}
+	if dc < d.dSelf && (d.nImproving < limit || proto.Nearer(x, c, d.improving[limit-1])) {
+		i := min(d.nImproving, limit-1) // a full list drops its last
+		for ; i > 0 && proto.Nearer(x, c, d.improving[i-1]); i-- {
+			d.improving[i] = d.improving[i-1]
+		}
+		d.improving[i] = c
+		d.nImproving = min(d.nImproving+1, limit)
+	}
+	if c.MaxLevel >= d.self.MaxLevel && (d.lateral.IsZero() || proto.Nearer(x, c, d.lateral)) {
+		d.lateral = c
+	}
+}
+
+// forward is a Forward step to next carrying the request's alternates.
+func (d *decision) forward(next proto.NodeRef) Step {
+	return Step{Action: Forward, Next: next, Alternates: d.req.Alternates}
 }
 
 // RouteWith makes the §III.f forwarding decision for req at the node self
@@ -165,25 +216,27 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 	if model == nil || regime != Hierarchical {
 		model = EuclideanModel{}
 	}
-	dSelf := model.D(self, x)
+	// The model stays out of the decision: a call through an interface
+	// leaks what holds it, and req and tbl would leak with it.
+	sc.skip = append(append(sc.skip[:0], sender, self.Addr), sc.Excluded...)
+	d := decision{self: self, req: req, tbl: tbl, x: x, dSelf: model.D(self, x),
+		dE: idspace.Dist(self.ID, x), sender: sender, skip: sc.skip, ex: sc.skip[2:]}
 
-	// Candidate set: every peer in the table, except the sender. Collected
-	// once per decision into the scratch buffer; escalate and the
-	// ownership checks reuse the same collection.
-	cands := tbl.Candidates(sc.cands[:0])
-	sc.cands = cands
-	filtered := cands[:0]
-	ex := sc.Excluded
-	for _, c := range cands {
-		if c.Addr == sender || c.Addr == self.Addr || ex.has(c.Addr) {
-			continue
-		}
-		filtered = append(filtered, c)
+	// Candidate set: every peer in the table, except the sender, self and
+	// the excluded, collected once per decision into the scratch buffer
+	// and read in one pass.
+	limit := 1
+	if req.Algo == proto.AlgoNGSA {
+		limit = len(d.improving)
 	}
-	cands = filtered
-	sortByDistanceTo(cands, x)
+	sc.cands = tbl.Candidates(sc.cands[:0])
+	for _, c := range sc.cands {
+		if !d.skip.has(c.Addr) {
+			d.take(c, model.D(c, x), limit)
+		}
+	}
 
-	if len(cands) == 0 {
+	if d.nearest.IsZero() {
 		// No candidates. For a locally originated request (sender 0) that
 		// means the table is empty: the node is isolated — never joined or
 		// fully cut off — and claiming ownership would let writes succeed
@@ -198,9 +251,9 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 		// estimate still counts as a miss. NGSA falls back to a carried
 		// alternate before either answer.
 		if sender == 0 {
-			return finishNGSA(req, p, ex, Step{Action: NotFound})
+			return finishNGSA(req, d.ex, Step{Action: NotFound})
 		}
-		return finishNGSA(req, p, ex, Step{Action: Deliver, Found: self})
+		return finishNGSA(req, d.ex, Step{Action: Deliver, Found: self})
 	}
 
 	// Past the hop budget the hierarchy's rules have had their chance: the
@@ -212,116 +265,77 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 	// such step shrinks the distance, so the walk cannot revisit a node
 	// and ends at a local minimum — on an intact ring, the owner.
 	if regime == StrictProgress {
-		if next := cands[0]; idspace.Dist(next.ID, x) < idspace.Dist(self.ID, x) {
-			return Step{Action: Forward, Next: next, Alternates: req.Alternates, Strict: true}
+		if idspace.Dist(d.nearest.ID, x) < d.dE {
+			return Step{Action: Forward, Next: d.nearest, Alternates: req.Alternates, Strict: true}
 		}
 		return Step{Action: Deliver, Found: self, Strict: true}
 	}
 
-	// A request delegated by the own parent searches level 0 only
-	// (Figure 3: "IF request from the parent of Level 1 THEN
-	// N = Search_Level_Zero()"). The level-0 search is positional, so it
-	// runs on plain Euclidean distance; with no lateral or downward
-	// progress the answer is Not Found (never back up — that is the
-	// ping-pong Figure 3 forbids).
 	if fromParent {
-		eu := EuclideanModel{}
-		dE := idspace.DistF(self.ID, x)
-		if best, ok := bestImproving(eu, tbl.Level0.Refs(), x, dE, sender, self.Addr, ex); ok {
-			return Step{Action: Forward, Next: best, Alternates: req.Alternates}
-		}
-		if child, ok := nearestChild(tbl, x, ex); ok && child.Addr != self.Addr && child.Addr != sender {
-			if idspace.Dist(child.ID, x) < idspace.Dist(self.ID, x) {
-				return Step{Action: Forward, Next: child, Alternates: req.Alternates}
-			}
-		}
-		// Owner resolution in the restricted search: the owner of a
-		// coordinate is the positionally nearest node, so only ring and
-		// child competitors matter here. If neither is closer, we own it.
-		closer := false
-		for _, r := range tbl.Level0.Refs() {
-			if r.Addr != sender && r.Addr != self.Addr && !ex.has(r.Addr) && idspace.Dist(r.ID, x) < idspace.Dist(self.ID, x) {
-				closer = true
-				break
-			}
-		}
-		if !closer {
-			for _, r := range tbl.Children.Refs() {
-				if r.Addr != sender && r.Addr != self.Addr && !ex.has(r.Addr) && idspace.Dist(r.ID, x) < idspace.Dist(self.ID, x) {
-					closer = true
-					break
-				}
-			}
-		}
-		if !closer {
-			return Step{Action: Deliver, Found: self}
-		}
-		// "IF Request from parent of level 1 THEN Reply Not Found".
-		return finishNGSA(req, p, ex, Step{Action: NotFound})
+		return d.fromParent()
 	}
-
-	switch req.Algo {
-	case proto.AlgoNG:
-		return routeNG(self, req, model, cands, x, dSelf, tbl, p, sender, ex, false)
-	case proto.AlgoNGSA:
-		return routeNG(self, req, model, cands, x, dSelf, tbl, p, sender, ex, true)
-	default:
-		return routeGreedy(self, req, model, cands, x, dSelf, tbl, p, sender, ex)
+	if req.Algo == proto.AlgoNG || req.Algo == proto.AlgoNGSA {
+		return d.nonGreedy(model)
 	}
+	return d.greedy(model)
 }
 
-// routeGreedy is algorithm G: pick the candidate minimising D, forward when
-// the halving rule D(n,x) ≤ ½·D(a,x) holds or the node is at level 0;
-// otherwise escalate through children/superiors.
-func routeGreedy(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded) Step {
-	best := cands[0]
-	bestD := model.D(best, x)
-	for _, c := range cands[1:] {
-		if d := model.D(c, x); d < bestD {
-			best, bestD = c, d
+// fromParent is the search of a request delegated by the own parent, which
+// covers level 0 only (Figure 3: "IF request from the parent of Level 1
+// THEN N = Search_Level_Zero()"). The level-0 search is positional, so it
+// runs on plain Euclidean distance; with no lateral or downward progress
+// the answer is Not Found (never back up — that is the ping-pong Figure 3
+// forbids).
+func (d *decision) fromParent() Step {
+	if step, ok := d.ringWalk(); ok {
+		return step
+	}
+	if step, ok := d.descend(); ok {
+		return step
+	}
+	// Owner resolution in the restricted search: the owner of a
+	// coordinate is the positionally nearest node, so only ring and
+	// child competitors matter here. If neither is closer, we own it.
+	for _, s := range [...]*rtable.Set{d.tbl.Level0, d.tbl.Children} {
+		if r, ok := s.Nearest(d.x, d.skip); ok && idspace.Dist(r.ID, d.x) < d.dE {
+			// "IF Request from parent of level 1 THEN Reply Not Found".
+			return finishNGSA(d.req, d.ex, Step{Action: NotFound})
 		}
 	}
-	if bestD < dSelf {
+	return Step{Action: Deliver, Found: d.self}
+}
+
+// greedy is algorithm G: take the candidate minimising D, forward when the
+// halving rule D(n,x) ≤ ½·D(a,x) holds or the node is at level 0;
+// otherwise escalate through children/superiors.
+func (d *decision) greedy(model Model) Step {
+	if d.modelMinD < d.dSelf {
 		switch {
-		case bestD <= dSelf/2:
+		case d.modelMinD <= d.dSelf/2:
 			// The halving-distance jump of Figure 4.
-			return Step{Action: Forward, Next: best, Alternates: req.Alternates}
-		case self.MaxLevel == 0:
+			return d.forward(d.modelMin)
+		case d.self.MaxLevel == 0:
 			// "ELSE IF Level_A == 0 THEN forward the request to N":
 			// level-0 progress is linear, not geometric.
-			return Step{Action: Forward, Next: best, Alternates: req.Alternates}
+			return d.forward(d.modelMin)
 		}
 	}
-	return escalate(self, req, model, cands, x, dSelf, tbl, p, sender, ex, false)
+	return d.escalate(model)
 }
 
-// routeNG is algorithms NG and NGSA: take the first candidate strictly
-// closer to the target ("the procedure basically ends when a node
-// satisfying the condition is found"); NGSA additionally accumulates the
-// remaining improving candidates as fall-back alternates.
-func routeNG(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded, collectAlternates bool) Step {
-	var first proto.NodeRef
-	found := false
-	var alternates []proto.NodeRef
-	for _, c := range cands {
-		if model.D(c, x) < dSelf {
-			if !found {
-				first, found = c, true
-				continue
-			}
-			if collectAlternates {
-				alternates = append(alternates, c)
-			}
-		}
+// nonGreedy is algorithms NG and NGSA: take the nearest candidate strictly
+// closer to the target under D ("the procedure basically ends when a node
+// satisfying the condition is found"); NGSA additionally carries the next
+// improving candidates as fall-back alternates.
+func (d *decision) nonGreedy(model Model) Step {
+	if d.nImproving == 0 {
+		return d.escalate(model)
 	}
-	if !found {
-		return escalate(self, req, model, cands, x, dSelf, tbl, p, sender, ex, collectAlternates)
+	step := d.forward(d.improving[0])
+	if d.req.Algo == proto.AlgoNGSA {
+		step.Alternates = mergeAlternates(d.req.Alternates, d.improving[1:d.nImproving], proto.MaxAlternates)
 	}
-	out := req.Alternates
-	if collectAlternates {
-		out = mergeAlternates(req.Alternates, alternates, maxAlternates)
-	}
-	return Step{Action: Forward, Next: first, Alternates: out}
+	return step
 }
 
 // escalate handles the no-progress cases of Figure 3: descend to the
@@ -330,7 +344,7 @@ func routeNG(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []
 // list (closest member satisfying the halving rule, else the highest-level
 // member), else — for NGSA — fall back to an alternate carried in the
 // request, else give up.
-func escalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded, ngsa bool) Step {
+func (d *decision) escalate(model Model) Step {
 	// Lateral hand-off: when this node's coverage makes D = 0 it believes
 	// it owns the target — but the coverage radius is an approximation,
 	// and the true owner of a 1-D tessellation is the *nearest* member.
@@ -338,38 +352,19 @@ func escalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cands [
 	// the target owns it; descending into our own subtree instead would
 	// orbit the request (parent → child → ring → parent) until the TTL
 	// kills it.
-	if dSelf == 0 {
-		dE := idspace.Dist(self.ID, x)
-		var lateral proto.NodeRef
-		bestD := dE
-		for _, c := range cands {
-			if c.MaxLevel < self.MaxLevel {
-				continue
-			}
-			if d := idspace.Dist(c.ID, x); d < bestD {
-				lateral, bestD = c, d
-			}
-		}
-		if !lateral.IsZero() {
-			return Step{Action: Forward, Next: lateral, Alternates: req.Alternates}
-		}
+	if d.dSelf == 0 && !d.lateral.IsZero() && idspace.Dist(d.lateral.ID, d.x) < d.dE {
+		return d.forward(d.lateral)
 	}
 
-	// Descend: "N = Closest_Child(X)". The child needs no model-distance
-	// improvement (a parent covering the target has D = 0, which nothing
-	// improves on); strict Euclidean progress is required instead, so a
-	// parent/child pair cannot ping-pong.
-	if child, ok := nearestChild(tbl, x, ex); ok && child.Addr != self.Addr && child.Addr != sender {
-		if idspace.Dist(child.ID, x) < idspace.Dist(self.ID, x) {
-			return Step{Action: Forward, Next: child, Alternates: req.Alternates}
-		}
+	if step, ok := d.descend(); ok {
+		return step
 	}
 
 	// Covering node with no useful child: the target's owner sits on the
 	// level-0 ring nearby; walk it by Euclidean progress. Climbing would
 	// only bounce the request back down.
-	if dSelf == 0 {
-		if step, ok := ringWalk(self, req, tbl, x, sender, ex); ok {
+	if d.dSelf == 0 {
+		if step, ok := d.ringWalk(); ok {
 			return step
 		}
 	}
@@ -383,50 +378,46 @@ func escalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cands [
 	// between node IDs and terminate here. Exact-node lookups are
 	// unaffected — while the target is alive and reachable, someone
 	// strictly closer is always known until the request stands on it.
-	if !anyCloser(cands, self, x) {
-		return Step{Action: Deliver, Found: self}
+	if idspace.Dist(d.nearest.ID, d.x) >= d.dE {
+		return Step{Action: Deliver, Found: d.self}
 	}
 
-	// Climb: superiors = superior node list plus the immediate parent.
-	// Walked in place (refs slice + parent slot) rather than materialised:
-	// this path runs once per escalating hop.
-	parent, hasParent := tbl.Parent()
-	eachSup := func(fn func(proto.NodeRef)) {
-		for _, s := range tbl.Superiors.Refs() {
-			if s.Addr != self.Addr && s.Addr != sender && !ex.has(s.Addr) {
-				fn(s)
-			}
+	// Climb: the superior node list, then the immediate parent, read in
+	// place in one loop. It takes the closest member satisfying the
+	// halving rule ("forward the request to the Node that is the closest
+	// to X satisfying D(n,x) ≤ ½·D(a,x)", the later of equals) and the
+	// highest-level member ("IF none match the criteria THEN send the
+	// request to the superior node with the highest level", the nearer of
+	// equals, then the earlier).
+	sups := d.tbl.Superiors.Refs()
+	parent, hasParent := d.tbl.Parent()
+	n := len(sups)
+	if hasParent {
+		n++
+	}
+	var best, top proto.NodeRef
+	bestD := d.dSelf / 2
+	for i := 0; i < n; i++ {
+		s := parent
+		if i < len(sups) {
+			s = sups[i]
 		}
-		if hasParent && parent.Addr != self.Addr && parent.Addr != sender && !ex.has(parent.Addr) {
-			fn(parent)
+		if d.skip.has(s.Addr) {
+			continue
+		}
+		if ds := model.D(s, d.x); ds <= bestD {
+			best, bestD = s, ds
+		}
+		if top.IsZero() || s.MaxLevel > top.MaxLevel ||
+			(s.MaxLevel == top.MaxLevel && idspace.Dist(s.ID, d.x) < idspace.Dist(top.ID, d.x)) {
+			top = s
 		}
 	}
-	{
-		// "forward the request to the Node that is the closest to X
-		// satisfying D(n,x) ≤ ½·D(a,x)".
-		var best proto.NodeRef
-		bestD := dSelf / 2
-		found := false
-		eachSup(func(s proto.NodeRef) {
-			if d := model.D(s, x); d <= bestD {
-				best, bestD, found = s, d, true
-			}
-		})
-		if found {
-			return Step{Action: Forward, Next: best, Alternates: req.Alternates}
-		}
-		// "IF none match the criteria THEN send the request to the
-		// superior node with the highest level."
-		var top proto.NodeRef
-		eachSup(func(s proto.NodeRef) {
-			if top.IsZero() || s.MaxLevel > top.MaxLevel ||
-				(s.MaxLevel == top.MaxLevel && idspace.Dist(s.ID, x) < idspace.Dist(top.ID, x)) {
-				top = s
-			}
-		})
-		if !top.IsZero() {
-			return Step{Action: Forward, Next: top, Alternates: req.Alternates}
-		}
+	if !best.IsZero() {
+		return d.forward(best)
+	}
+	if !top.IsZero() {
+		return d.forward(top)
 	}
 
 	// Last resort before giving up: degrade to a level-0 ring walk. The
@@ -434,33 +425,43 @@ func escalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cands [
 	// reachable target is eventually found within the TTL — the linear
 	// cost only bites in the heavily damaged regimes where the paper
 	// itself falls back to Euclidean routing.
-	if step, ok := ringWalk(self, req, tbl, x, sender, ex); ok {
+	if step, ok := d.ringWalk(); ok {
 		return step
 	}
-
-	if ngsa {
-		return finishNGSA(req, p, ex, Step{Action: NotFound})
-	}
-	return Step{Action: NotFound}
+	return finishNGSA(d.req, d.ex, Step{Action: NotFound})
 }
 
-// anyCloser reports whether any candidate is strictly Euclidean-closer to
-// x than self. cands is already sender- and self-filtered.
-func anyCloser(cands []proto.NodeRef, self proto.NodeRef, x idspace.ID) bool {
-	for _, c := range cands {
-		if idspace.Dist(c.ID, x) < idspace.Dist(self.ID, x) {
-			return true
-		}
+// descend is "N = Closest_Child(X)": the nearest child that is not
+// excluded, taken when it is neither self nor the sender and is strictly
+// Euclidean-closer. The child needs no model-distance improvement (a
+// parent covering the target has D = 0, which nothing improves on); strict
+// Euclidean progress is required instead, so a parent/child pair cannot
+// ping-pong.
+func (d *decision) descend() (Step, bool) {
+	child, ok := d.tbl.Children.Nearest(d.x, d.ex)
+	if ok && child.Addr != d.self.Addr && child.Addr != d.sender && idspace.Dist(child.ID, d.x) < d.dE {
+		return d.forward(child), true
 	}
-	return false
+	return Step{}, false
 }
 
 // ringWalk forwards to the level-0 contact that makes the best strict
-// Euclidean progress toward x, if any.
-func ringWalk(self proto.NodeRef, req *proto.LookupRequest, tbl *rtable.Table, x idspace.ID, sender uint64, ex Excluded) (Step, bool) {
-	dE := idspace.DistF(self.ID, x)
-	if best, ok := bestImproving(EuclideanModel{}, tbl.Level0.Refs(), x, dE, sender, self.Addr, ex); ok {
-		return Step{Action: Forward, Next: best, Alternates: req.Alternates}, true
+// Euclidean progress toward x, if any: the minimum in float64, as the
+// model compares, and the first in ID order among equals.
+func (d *decision) ringWalk() (Step, bool) {
+	var best proto.NodeRef
+	bestD := idspace.DistF(d.self.ID, d.x)
+	found := false
+	for _, r := range d.tbl.Level0.Refs() {
+		if d.skip.has(r.Addr) {
+			continue
+		}
+		if dr := idspace.DistF(r.ID, d.x); dr < bestD {
+			best, bestD, found = r, dr, true
+		}
+	}
+	if found {
+		return d.forward(best), true
 	}
 	return Step{}, false
 }
@@ -469,11 +470,11 @@ func ringWalk(self proto.NodeRef, req *proto.LookupRequest, tbl *rtable.Table, x
 // alternate when the request has any (the "fall back" of NGSA). An
 // excluded alternate is no fall-back: it stays in the list for the next
 // hop to judge.
-func finishNGSA(req *proto.LookupRequest, p Params, ex Excluded, dead Step) Step {
+func finishNGSA(req *proto.LookupRequest, ex Excluded, dead Step) Step {
 	if req.Algo != proto.AlgoNGSA {
 		return dead
 	}
-	// Pop the alternate nearest to the target.
+	// Pop the alternate nearest to the target, the first of equals.
 	bestIdx := -1
 	var bestD uint64
 	for i, a := range req.Alternates {
@@ -494,51 +495,16 @@ func finishNGSA(req *proto.LookupRequest, p Params, ex Excluded, dead Step) Step
 	return Step{Action: Forward, Next: next, Alternates: rest}
 }
 
-// nearestChild is tbl.Children.Nearest(x) over the children that are not
-// excluded (same scan, same ties: the lowest ID among the equidistant).
-func nearestChild(tbl *rtable.Table, x idspace.ID, ex Excluded) (proto.NodeRef, bool) {
-	var best proto.NodeRef
-	var bestD uint64
-	found := false
-	for _, r := range tbl.Children.Refs() {
-		if ex.has(r.Addr) {
-			continue
-		}
-		if d := idspace.Dist(r.ID, x); !found || d < bestD {
-			best, bestD, found = r, d, true
-		}
-	}
-	return best, found
-}
-
-// bestImproving returns the ref in refs (excluding two addresses and the
-// excluded peers) that minimises D and strictly improves on dSelf.
-func bestImproving(model Model, refs []proto.NodeRef, x idspace.ID, dSelf float64, exclude1, exclude2 uint64, ex Excluded) (proto.NodeRef, bool) {
-	var best proto.NodeRef
-	bestD := dSelf
-	found := false
-	for _, r := range refs {
-		if r.Addr == exclude1 || r.Addr == exclude2 || ex.has(r.Addr) {
-			continue
-		}
-		if d := model.D(r, x); d < bestD {
-			best, bestD, found = r, d, true
-		}
-	}
-	return best, found
-}
-
 // mergeAlternates unions old and fresh alternates (deduplicated by
-// address), keeping the ones nearest to nothing in particular — insertion
-// order, truncated to max. Order suffices because finishNGSA re-ranks by
-// distance when popping.
+// address), old first, truncated to max. Order suffices because
+// finishNGSA re-ranks by distance when popping.
 func mergeAlternates(old, fresh []proto.NodeRef, max int) []proto.NodeRef {
 	if len(fresh) == 0 {
 		return old
 	}
-	// Linear-scan dedup: the list is capped at max (maxAlternates), so a map
-	// here costs two allocations per NGSA hop for no win. The result
-	// still allocates — it escapes into the forwarded request.
+	// Linear-scan dedup: the list is capped at max (proto.MaxAlternates),
+	// so a map here costs two allocations per NGSA hop for no win. The
+	// result still allocates — it escapes into the forwarded request.
 	out := make([]proto.NodeRef, 0, len(old)+len(fresh))
 	appendDedup := func(r proto.NodeRef) {
 		for i := range out {
@@ -558,32 +524,4 @@ func mergeAlternates(old, fresh []proto.NodeRef, max int) []proto.NodeRef {
 		out = out[:max]
 	}
 	return out
-}
-
-// sortByDistanceTo orders refs by Euclidean distance to x (ties by ID then
-// address) so that candidate iteration is deterministic and NG's "first
-// improving" choice is the nearest improving. slices.SortFunc rather than
-// sort.Slice: the latter builds a reflection-based swapper per call, and
-// this runs on every lookup hop.
-func sortByDistanceTo(refs []proto.NodeRef, x idspace.ID) {
-	slices.SortFunc(refs, func(a, b proto.NodeRef) int {
-		da, db := idspace.Dist(a.ID, x), idspace.Dist(b.ID, x)
-		switch {
-		case da != db:
-			if da < db {
-				return -1
-			}
-			return 1
-		case a.ID != b.ID:
-			if a.ID < b.ID {
-				return -1
-			}
-			return 1
-		case a.Addr < b.Addr:
-			return -1
-		case a.Addr > b.Addr:
-			return 1
-		}
-		return 0
-	})
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math/rand"
 	"testing"
 
 	"treep/internal/idspace"
@@ -318,6 +319,38 @@ func TestMergeAlternatesDedupAndCap(t *testing.T) {
 	}
 	if got := mergeAlternates(old, nil, 3); len(got) != 2 {
 		t.Fatal("no fresh: keep old")
+	}
+}
+
+// TestRouteAllocs pins what a decision allocates on a warmed scratch: G
+// and NG nothing, in every regime and delegated from the parent or not;
+// NGSA at most the alternates list it hands on.
+func TestRouteAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	p := params()
+	var sc Scratch
+	for trial := 0; trial < 100; trial++ {
+		selfAddr := rng.Uint64()%1000 + 1
+		self := proto.NodeRef{ID: idspace.ID(rng.Uint64()), Addr: selfAddr, MaxLevel: uint8(rng.Intn(7))}
+		tb := randomTable(rng, selfAddr)
+		sender := rng.Uint64()%1100 + 1
+		sc.Excluded = Excluded{rng.Uint64()%1000 + 1}
+		for _, hops := range []uint8{0, p.Height + 1, uint8(p.HopBudget() + 1)} {
+			for _, fromParent := range []bool{false, true} {
+				for _, algo := range []proto.Algo{proto.AlgoG, proto.AlgoNG, proto.AlgoNGSA} {
+					req := &proto.LookupRequest{Target: idspace.ID(rng.Uint64()), TTL: 255, Hops: hops, Algo: algo,
+						Alternates: []proto.NodeRef{{ID: idspace.ID(rng.Uint64()), Addr: 3000}}}
+					allocs := testing.AllocsPerRun(5, func() { RouteWith(&sc, self, tb, req, fromParent, sender, p) })
+					limit := 0.0
+					if algo == proto.AlgoNGSA {
+						limit = 1
+					}
+					if allocs > limit {
+						t.Fatalf("trial %d: %v at %d hops (fromParent %v) allocates %.1f, limit %.0f", trial, algo, hops, fromParent, allocs, limit)
+					}
+				}
+			}
+		}
 	}
 }
 

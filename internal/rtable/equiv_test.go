@@ -427,7 +427,7 @@ func checkEquiv(t *testing.T, op int, slab *Set, ref *refSet, now, ttl time.Dura
 		if ga, gb := slab.SideRank(x, x+1), ref.SideRank(x, x+1); ga != gb {
 			t.Fatalf("op %d: SideRank diverged: slab=%d ref=%d", op, ga, gb)
 		}
-		na, oka := slab.Nearest(x)
+		na, oka := slab.Nearest(x, nil)
 		nb, okb := ref.Nearest(x)
 		if oka != okb || na != nb {
 			t.Fatalf("op %d: Nearest(%v) diverged: slab=(%v,%v) ref=(%v,%v)", op, x, na, oka, nb, okb)

@@ -1,6 +1,8 @@
 package rtable
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -70,5 +72,79 @@ func TestNearestInRangeNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("NearestInRange allocates %.1f per call; must be 0 (sweep path)", allocs)
+	}
+}
+
+// TestNearerOrder: proto.Nearer is a strict total order on distinct (ID,
+// address) pairs, and the nearest-peer queries agree with it: Set.Nearest,
+// with and without a skip list, and NearestInRange over the full range.
+// The IDs crowd within 4 of x, so equidistant pairs either side of it and
+// equal IDs with different addresses are common.
+func TestNearerOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	const x = idspace.ID(1000)
+	for trial := 0; trial < 500; trial++ {
+		var refs []proto.NodeRef
+		s, tb := NewSet(), New()
+		for addr, n := uint64(1), uint64(1+rng.Intn(12)); addr <= n; addr++ {
+			r := ref(x+idspace.ID(rng.Intn(9))-4, addr)
+			refs = append(refs, r)
+			s.Upsert(r, 0, 0, 1, Direct)
+			switch rng.Intn(6) {
+			case 1:
+				tb.BusLevel(uint8(1+rng.Intn(3))).Upsert(r, 0, 0, 1, Direct)
+			case 2:
+				tb.Children.Upsert(r, 0, 0, 1, Direct)
+			case 3:
+				tb.NbrChildren.Upsert(r, 0, 0, 1, Direct)
+			case 4:
+				tb.Superiors.Upsert(r, 0, 0, 1, Direct)
+			case 5:
+				tb.SetParent(r, 0) // the parent slot is one: a later one displaces it
+				tb.Level0.Upsert(r, 0, 0, 1, Direct)
+			default:
+				tb.Level0.Upsert(r, 0, 0, 1, Direct)
+			}
+		}
+		for _, a := range refs {
+			if proto.Nearer(x, a, a) {
+				t.Fatalf("%v nearer than itself", a)
+			}
+			for _, b := range refs {
+				if a != b && proto.Nearer(x, a, b) == proto.Nearer(x, b, a) {
+					t.Fatalf("%v and %v not ordered", a, b)
+				}
+				for _, c := range refs {
+					if proto.Nearer(x, a, b) && proto.Nearer(x, b, c) && !proto.Nearer(x, a, c) {
+						t.Fatalf("not transitive: %v, %v, %v", a, b, c)
+					}
+				}
+			}
+		}
+		// first reports whether r is first in the order among the refs not
+		// in skip.
+		first := func(r proto.NodeRef, skip []uint64) bool {
+			for _, o := range refs {
+				if !slices.Contains(skip, o.Addr) && proto.Nearer(x, o, r) {
+					return false
+				}
+			}
+			return !slices.Contains(skip, r.Addr)
+		}
+		var skip []uint64
+		for _, r := range refs {
+			if rng.Intn(3) == 0 {
+				skip = append(skip, r.Addr)
+			}
+		}
+		if r, ok := s.Nearest(x, nil); !ok || !first(r, nil) {
+			t.Fatalf("Set.Nearest = %v in %v", r, refs)
+		}
+		if r, ok := s.Nearest(x, skip); ok != (len(skip) < len(refs)) || ok && !first(r, skip) {
+			t.Fatalf("Set.Nearest skipping %v = %v, %v in %v", skip, r, ok, refs)
+		}
+		if r, ok := tb.NearestInRange(0, idspace.MaxID, x, 0); !ok || !first(r, nil) {
+			t.Fatalf("NearestInRange = %v in %v", r, refs)
+		}
 	}
 }

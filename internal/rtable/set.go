@@ -301,21 +301,18 @@ func (s *Set) Each(fn func(*Entry)) {
 	}
 }
 
-// Nearest returns the ref whose ID is Euclidean-nearest to x, and false on
-// an empty set.
-func (s *Set) Nearest(x idspace.ID) (proto.NodeRef, bool) {
-	refs := s.Refs()
-	if len(refs) == 0 {
-		return proto.NodeRef{}, false
-	}
-	best := refs[0]
-	bestD := idspace.Dist(best.ID, x)
-	for _, r := range refs[1:] {
-		if d := idspace.Dist(r.ID, x); d < bestD {
-			best, bestD = r, d
+// Nearest returns the ref first in the nearest-first order to x
+// (proto.Nearer) among those whose address is not in skip, and false when
+// there is none.
+func (s *Set) Nearest(x idspace.ID, skip []uint64) (proto.NodeRef, bool) {
+	var best proto.NodeRef
+	found := false
+	for _, r := range s.Refs() {
+		if !slices.Contains(skip, r.Addr) && (!found || proto.Nearer(x, r, best)) {
+			best, found = r, true
 		}
 	}
-	return best, true
+	return best, found
 }
 
 // searchID returns the first position in the ordered view whose ID is >= x.

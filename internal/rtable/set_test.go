@@ -133,19 +133,19 @@ func TestRefsSortedAndCached(t *testing.T) {
 
 func TestNearest(t *testing.T) {
 	s := NewSet()
-	if _, ok := s.Nearest(5); ok {
+	if _, ok := s.Nearest(5, nil); ok {
 		t.Fatal("nearest on empty set")
 	}
 	s.Upsert(ref(10, 1), 0, 0, 1, Direct)
 	s.Upsert(ref(100, 2), 0, 0, 1, Direct)
 	s.Upsert(ref(1000, 3), 0, 0, 1, Direct)
-	if r, _ := s.Nearest(90); r.ID != 100 {
+	if r, _ := s.Nearest(90, nil); r.ID != 100 {
 		t.Fatalf("nearest(90) = %v", r.ID)
 	}
-	if r, _ := s.Nearest(0); r.ID != 10 {
+	if r, _ := s.Nearest(0, nil); r.ID != 10 {
 		t.Fatalf("nearest(0) = %v", r.ID)
 	}
-	if r, _ := s.Nearest(2000); r.ID != 1000 {
+	if r, _ := s.Nearest(2000, nil); r.ID != 1000 {
 		t.Fatalf("nearest(2000) = %v", r.ID)
 	}
 }

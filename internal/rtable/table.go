@@ -356,9 +356,9 @@ func appendCandidate(out []proto.NodeRef, base int, r proto.NodeRef) []proto.Nod
 // table. Ring repair probes use it to pick the next hop toward a void:
 // the interval is the unexplored gap, toward is its near edge, and the
 // hierarchy/bus entries let a probe cross stretches where level-0
-// knowledge has died out. Ties break on (distance, ID, address) so every
-// replica of the same table picks the same hop. lo > hi means an empty
-// interval. Allocation-free: it runs on the periodic sweep path.
+// knowledge has died out. Ties break by proto.Nearer, so every replica of
+// the same table picks the same hop. lo > hi means an empty interval.
+// Allocation-free: it runs on the periodic sweep path.
 func (t *Table) NearestInRange(lo, hi, toward idspace.ID, exclude uint64) (proto.NodeRef, bool) {
 	var sc nearScan
 	sc.lo, sc.hi, sc.toward, sc.exclude = lo, hi, toward, exclude
@@ -383,7 +383,6 @@ type nearScan struct {
 	lo, hi, toward idspace.ID
 	exclude        uint64
 	best           proto.NodeRef
-	bestDist       uint64
 	found          bool
 }
 
@@ -391,10 +390,8 @@ func (sc *nearScan) consider(r proto.NodeRef) {
 	if r.Addr == sc.exclude || r.ID < sc.lo || r.ID > sc.hi {
 		return
 	}
-	d := idspace.Dist(r.ID, sc.toward)
-	if !sc.found || d < sc.bestDist ||
-		(d == sc.bestDist && (r.ID < sc.best.ID || (r.ID == sc.best.ID && r.Addr < sc.best.Addr))) {
-		sc.best, sc.bestDist, sc.found = r, d, true
+	if !sc.found || proto.Nearer(sc.toward, r, sc.best) {
+		sc.best, sc.found = r, true
 	}
 }
 
