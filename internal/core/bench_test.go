@@ -32,9 +32,7 @@ func (e *benchEnv) Scratch() *Scratch  { return &e.sc }
 
 func (e *benchEnv) Send(to uint64, msg proto.Message) {
 	e.sent++
-	if r, ok := msg.(proto.Recyclable); ok {
-		r.Recycle()
-	}
+	proto.ReleaseDecoded(msg)
 }
 
 func (e *benchEnv) SetTimer(d time.Duration, fn func()) Timer    { return Timer{} }

@@ -36,7 +36,9 @@ func (n *Node) maybeStartElection() {
 	l, r := n.busNeighbors(n.maxLevel)
 	for _, nb := range []proto.NodeRef{l, r} {
 		if !nb.IsZero() {
-			n.send(nb.Addr, &proto.ElectionCall{From: n.Ref(), Level: level})
+			call := proto.Acquire(proto.TElectionCall).(*proto.ElectionCall)
+			call.From, call.Level = n.Ref(), level
+			n.send(nb.Addr, call)
 		}
 	}
 	n.startElectionCountdown(level)
@@ -279,7 +281,7 @@ func (n *Node) handleChildReport(from uint64, m *proto.ChildReport) {
 
 	// Ack so children learn our ancestors and bus neighbours (their
 	// superior node lists) and keep that knowledge fresh.
-	ack := proto.AcquirePong()
+	ack := proto.Acquire(proto.TPong).(*proto.Pong)
 	ack.From = n.Ref()
 	ack.Entries = n.composeUpdateInto(ack.Entries, from, true)
 	n.send(from, ack)
@@ -378,11 +380,10 @@ func (n *Node) maybeSplit() {
 		}
 	}
 	region := n.cellAround(members, best)
-	n.send(best.Addr, &proto.PromoteGrant{
-		From: n.Ref(), Level: newLvl,
-		Region: proto.FromIDSpace(region),
-		Left:   left, Right: right,
-	})
+	grant := proto.Acquire(proto.TPromoteGrant).(*proto.PromoteGrant)
+	grant.From, grant.Level, grant.Region = n.Ref(), newLvl, proto.FromIDSpace(region)
+	grant.Left, grant.Right = left, right
+	n.send(best.Addr, grant)
 
 	// Re-home the children that fall into the promotee's new cell. The
 	// list is copied out of the view: the loop below removes from it.
@@ -521,7 +522,9 @@ func (n *Node) demotionExpired() {
 	// Tell the bus and hand children to the successor.
 	for _, nb := range []proto.NodeRef{left, right} {
 		if !nb.IsZero() {
-			n.send(nb.Addr, &proto.Demote{From: n.Ref(), Level: oldLvl, Successor: successor})
+			d := proto.Acquire(proto.TDemote).(*proto.Demote)
+			d.From, d.Level, d.Successor = n.Ref(), oldLvl, successor
+			n.send(nb.Addr, d)
 		}
 	}
 	for _, c := range n.table.Children.Refs() {
@@ -602,7 +605,7 @@ func (n *Node) handleBusLinkReq(from uint64, m *proto.BusLinkReq) {
 			right = mref
 		}
 	}
-	ack := proto.AcquireBusLinkAck()
+	ack := proto.Acquire(proto.TBusLinkAck).(*proto.BusLinkAck)
 	ack.From, ack.Level, ack.Left, ack.Right = n.Ref(), lvl, left, right
 	n.send(from, ack)
 }

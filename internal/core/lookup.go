@@ -157,7 +157,7 @@ func (n *Node) route(from uint64, m *proto.LookupRequest) routing.Step {
 func (n *Node) handleLookupRequest(from uint64, m *proto.LookupRequest) {
 	if m.AckWanted {
 		// The previous hop is holding this request until it hears from us.
-		ack := proto.AcquireLookupReply()
+		ack := proto.Acquire(proto.TLookupReply).(*proto.LookupReply)
 		ack.From, ack.ReqID, ack.Status = n.Ref(), m.ReqID, proto.LookupHopAck
 		n.send(from, ack)
 	}
@@ -187,7 +187,7 @@ func (n *Node) advance(from uint64, m *proto.LookupRequest) {
 // to be alive, the request as received is held until it shows a sign of
 // life (failover.go).
 func (n *Node) forward(from uint64, m *proto.LookupRequest, step routing.Step) {
-	fwd := proto.AcquireLookupRequest()
+	fwd := proto.Acquire(proto.TLookupRequest).(*proto.LookupRequest)
 	*fwd = *m
 	fwd.TTL--
 	fwd.Hops++
@@ -208,7 +208,7 @@ func (n *Node) reply(req *proto.LookupRequest, status proto.LookupStatus, best p
 		n.completeLookup(req.ReqID, status, best, req.Hops)
 		return
 	}
-	rep := proto.AcquireLookupReply()
+	rep := proto.Acquire(proto.TLookupReply).(*proto.LookupReply)
 	rep.From, rep.ReqID, rep.Status, rep.Best, rep.Hops = n.Ref(), req.ReqID, status, best, req.Hops
 	n.send(req.Origin.Addr, rep)
 }

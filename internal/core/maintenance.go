@@ -47,7 +47,7 @@ func (n *Node) keepaliveTick() {
 func (n *Node) sendPing(to uint64) {
 	n.pingSeq++
 	n.Stats.PingsSent++
-	p := proto.AcquirePing()
+	p := proto.Acquire(proto.TPing).(*proto.Ping)
 	p.From, p.Seq = n.Ref(), n.pingSeq
 	p.Entries = n.composeUpdateInto(p.Entries, to, false)
 	n.send(to, p)
@@ -175,21 +175,21 @@ func (n *Node) reportTick() {
 
 // sendHello sends a pooled first-contact/repair greeting.
 func (n *Node) sendHello(to uint64) {
-	h := proto.AcquireHello()
+	h := proto.Acquire(proto.THello).(*proto.Hello)
 	h.From, h.MaxChildren = n.Ref(), uint8(n.maxChildren)
 	n.send(to, h)
 }
 
 // sendBusLinkReq sends a pooled bus (re)link request.
 func (n *Node) sendBusLinkReq(to uint64, lvl uint8) {
-	r := proto.AcquireBusLinkReq()
+	r := proto.Acquire(proto.TBusLinkReq).(*proto.BusLinkReq)
 	r.From, r.Level = n.Ref(), lvl
 	n.send(to, r)
 }
 
 // sendChildReport sends the pooled child→parent heartbeat.
 func (n *Node) sendChildReport(to uint64) {
-	cr := proto.AcquireChildReport()
+	cr := proto.Acquire(proto.TChildReport).(*proto.ChildReport)
 	cr.From, cr.Degree = n.Ref(), uint8(n.degreeAt(0))
 	n.send(to, cr)
 }
@@ -197,14 +197,14 @@ func (n *Node) sendChildReport(to uint64) {
 // sendReparent sends a pooled hand-off to newParent, whose knowledge is
 // ageDs old; the zero newParent is a refusal.
 func (n *Node) sendReparent(to uint64, newParent proto.NodeRef, ageDs uint16) {
-	r := proto.AcquireReparent()
+	r := proto.Acquire(proto.TReparent).(*proto.Reparent)
 	r.From, r.NewParent, r.AgeDs = n.Ref(), newParent, ageDs
 	n.send(to, r)
 }
 
 // sendJoinRequest sends a pooled join request.
 func (n *Node) sendJoinRequest(to uint64) {
-	r := proto.AcquireJoinRequest()
+	r := proto.Acquire(proto.TJoinRequest).(*proto.JoinRequest)
 	r.From = n.Ref()
 	n.send(to, r)
 }
@@ -295,7 +295,7 @@ func (n *Node) handlePing(from uint64, m *proto.Ping) {
 	n.noteRef(m.From, true)
 	n.applyEntries(from, m.From, m.Entries)
 	n.Stats.PongsSent++
-	pong := proto.AcquirePong()
+	pong := proto.Acquire(proto.TPong).(*proto.Pong)
 	pong.From, pong.Seq = n.Ref(), m.Seq
 	pong.Entries = n.composeUpdateInto(pong.Entries, from, n.table.Children.Get(from) != nil)
 	n.send(from, pong)
@@ -315,7 +315,7 @@ func (n *Node) handleJoinRequest(from uint64, m *proto.JoinRequest) {
 	nearest, ok := n.table.Level0.Nearest(m.From.ID, nil)
 	selfD := distTo(n.cfg.ID, m.From.ID)
 	if ok && distTo(nearest.ID, m.From.ID) < selfD && nearest.Addr != from {
-		r := proto.AcquireJoinRedirect()
+		r := proto.Acquire(proto.TJoinRedirect).(*proto.JoinRedirect)
 		r.From, r.Closer = n.Ref(), nearest
 		n.send(from, r)
 		return
@@ -341,7 +341,7 @@ func (n *Node) handleJoinRequest(from uint64, m *proto.JoinRequest) {
 	// ringUpsert, not a plain upsert: a joiner arriving over a bridge link
 	// from a foreign ring must fire the zip introductions here too.
 	n.ringUpsert(m.From)
-	acc := proto.AcquireJoinAccept()
+	acc := proto.Acquire(proto.TJoinAccept).(*proto.JoinAccept)
 	acc.From, acc.Left, acc.Right, acc.Parent = n.Ref(), left, right, parent
 	n.send(from, acc)
 	n.pushUpdates()
@@ -500,7 +500,7 @@ func (n *Node) applyEntries(from uint64, sender proto.NodeRef, entries []proto.E
 		if n.noteRefAt(e.Ref, false, validated) && e.Ref.MaxLevel > 0 && hasParent &&
 			from != parent.Addr && e.Ref.Addr != parent.Addr {
 			if up == nil {
-				up = proto.AcquirePong()
+				up = proto.Acquire(proto.TPong).(*proto.Pong)
 				up.From = n.Ref()
 			}
 			if len(up.Entries) >= proto.MaxKeepAliveEntries {

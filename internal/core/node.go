@@ -546,9 +546,11 @@ func (n *Node) HandleMessage(from uint64, msg proto.Message) {
 	}
 }
 
-// send transmits a message and counts it.
+// send transmits a message and counts it. A message with no one to go to
+// goes back to its pool.
 func (n *Node) send(to uint64, msg proto.Message) {
 	if to == 0 || to == n.Addr() {
+		proto.ReleaseDecoded(msg)
 		return
 	}
 	n.Stats.MsgsOut++

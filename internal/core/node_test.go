@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -597,5 +598,30 @@ func TestReparentFromStrangerIgnored(t *testing.T) {
 	n.HandleMessage(99, &proto.Reparent{From: mkRef(0, 99, 1), NewParent: mkRef(1, 98, 1)})
 	if p, _ := n.Table().Parent(); p.Addr != 2 {
 		t.Fatal("stranger moved our parent")
+	}
+}
+
+// TestSendToNobodyReleases: a pooled message with no one to go to — the
+// node itself, or address 0 — goes back to its pool, so the next acquire
+// reuses it instead of allocating.
+func TestSendToNobodyReleases(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race; pooled paths cannot be alloc-free")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
+	n, env := testNode(idspace.FromFraction(0.5), 1)
+	send := func() {
+		for _, to := range []uint64{n.Addr(), 0} {
+			p := proto.Acquire(proto.TPing).(*proto.Ping)
+			p.From = n.Ref()
+			n.send(to, p)
+		}
+	}
+	send()
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+		t.Fatalf("a ping sent to nobody allocated %.1f times per run, want 0", allocs)
+	}
+	if len(env.sent) != 0 || n.Stats.MsgsOut != 0 {
+		t.Fatalf("%d sends reached the network, %d counted", len(env.sent), n.Stats.MsgsOut)
 	}
 }

@@ -196,7 +196,7 @@ func (n *Node) probeSide(side int, nearest proto.NodeRef, now time.Duration) {
 
 func (n *Node) sendRingProbe(to uint64, left bool) {
 	n.Stats.ProbesSent++
-	p := proto.AcquireRingProbe()
+	p := proto.Acquire(proto.TRingProbe).(*proto.RingProbe)
 	p.From, p.Origin, p.Left, p.TTL = n.Ref(), n.Ref(), left, probeTTL
 	n.send(to, p)
 }
@@ -227,7 +227,7 @@ func (n *Node) handleRingProbe(from uint64, m *proto.RingProbe) {
 		// with a greeting, making the link mutual.
 		n.Stats.ProbeEdges++
 		n.table.Level0.Upsert(m.Origin, proto.FNeighbor, validated, n.table.NextVersion(), rtable.Hearsay)
-		ack := proto.AcquireRingProbeAck()
+		ack := proto.Acquire(proto.TRingProbeAck).(*proto.RingProbeAck)
 		ack.From, ack.Left, ack.Hops = n.Ref(), m.Left, probeTTL-m.TTL
 		n.send(m.Origin.Addr, ack)
 	case !next.IsZero():
@@ -235,7 +235,7 @@ func (n *Node) handleRingProbe(from uint64, m *proto.RingProbe) {
 			return
 		}
 		n.Stats.ProbesForwarded++
-		fwd := proto.AcquireRingProbe()
+		fwd := proto.Acquire(proto.TRingProbe).(*proto.RingProbe)
 		fwd.From, fwd.Origin, fwd.Left, fwd.TTL = n.Ref(), m.Origin, m.Left, m.TTL-1
 		fwd.AgeDs = proto.AgeFrom(now, validated)
 		n.send(next.Addr, fwd)
@@ -325,7 +325,7 @@ func (n *Node) sendMergeIntro(to uint64, peer proto.NodeRef, now time.Duration) 
 		age = proto.AgeFrom(now, e.LastDirect)
 	}
 	n.Stats.MergeIntrosSent++
-	m := proto.AcquireMergeIntro()
+	m := proto.Acquire(proto.TMergeIntro).(*proto.MergeIntro)
 	m.From, m.Peer, m.AgeDs = n.Ref(), peer, age
 	n.send(to, m)
 }

@@ -787,7 +787,7 @@ func (s *Service) handleStore(from uint64, req proto.SvcMessage, respond func(pr
 	for i := range s.memos {
 		mm := &s.memos[i]
 		if mm.reqID == m.ReqID && mm.from == from && mm.reqID != 0 {
-			ack := proto.AcquireDHTStoreAck()
+			ack := proto.Acquire(proto.TDHTStoreAck).(*proto.DHTStoreAck)
 			ack.Status, ack.Version, ack.Origin = mm.status, mm.version, mm.origin
 			respond(ack)
 			return
@@ -820,7 +820,7 @@ func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bo
 	if cur, ok := s.recs.Get(key); ok {
 		curVersion, curOrigin = cur.version, cur.origin
 	}
-	ack := proto.AcquireDHTStoreAck()
+	ack := proto.Acquire(proto.TDHTStoreAck).(*proto.DHTStoreAck)
 	if cond && base != curVersion {
 		s.Stats.Conflicts++
 		ack.Status, ack.Version, ack.Origin = proto.StoreConflict, curVersion, curOrigin
@@ -932,7 +932,7 @@ func (s *Service) consult(key idspace.ID, cb func(bool, Record)) {
 
 // foundReply builds a pooled reply carrying a copy of the value.
 func foundReply(value []byte, version, origin uint64) *proto.DHTFetchReply {
-	rep := proto.AcquireDHTFetchReply()
+	rep := proto.Acquire(proto.TDHTFetchReply).(*proto.DHTFetchReply)
 	rep.Found = true
 	rep.Value = append(rep.Value[:0], value...)
 	rep.Version, rep.Origin = version, origin
@@ -940,7 +940,9 @@ func foundReply(value []byte, version, origin uint64) *proto.DHTFetchReply {
 }
 
 // notFound is the pooled miss reply: a fresh one says Found=false.
-func notFound() *proto.DHTFetchReply { return proto.AcquireDHTFetchReply() }
+func notFound() *proto.DHTFetchReply {
+	return proto.Acquire(proto.TDHTFetchReply).(*proto.DHTFetchReply)
+}
 
 // handleReplicate merges a pushed copy; ReqID zero is fire-and-forget.
 // With the hot-key cache on, a fire-and-forget push for a key outside
@@ -977,7 +979,7 @@ func (s *Service) handleReplicate(from uint64, req proto.SvcMessage, respond fun
 		respond(nil)
 		return
 	}
-	ack := proto.AcquireDHTReplicateAck()
+	ack := proto.Acquire(proto.TDHTReplicateAck).(*proto.DHTReplicateAck)
 	ack.Stored = stored
 	respond(ack)
 }
@@ -1020,7 +1022,7 @@ func (s *Service) maintainTick() {
 // by reference, and the record may be rewritten while the datagram is in
 // flight.
 func (s *Service) replicaOf(k idspace.ID, rec *record, cache bool) *proto.DHTReplicate {
-	m := proto.AcquireDHTReplicate()
+	m := proto.Acquire(proto.TDHTReplicate).(*proto.DHTReplicate)
 	m.From, m.Key, m.Version, m.Origin, m.Cache = s.node.Ref(), k, rec.version, rec.origin, cache
 	m.Value = append(m.Value, rec.value...)
 	return m
@@ -1046,7 +1048,7 @@ func (s *Service) handoff(k idspace.ID, rec *record, owner proto.NodeRef) {
 	push := s.replicaOf(k, rec, false) // the plane sends copies of it
 	s.plane.Call(owner.Addr, push, svc.CallOpts{Timeout: requestTimeout, Retries: 1},
 		func(resp proto.SvcMessage, err error) {
-			push.Recycle()
+			proto.ReleaseDecoded(push)
 			if err != nil {
 				return // keep the copy; next tick retries
 			}

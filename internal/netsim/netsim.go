@@ -36,6 +36,7 @@ import (
 	"unsafe"
 
 	"treep/internal/idspace"
+	"treep/internal/proto"
 	"treep/internal/sim"
 )
 
@@ -138,20 +139,16 @@ type Network struct {
 	originRng []*rand.Rand
 }
 
-// recyclable matches payloads that want to be returned to a pool once
-// the network is finished with them (see proto.Recyclable). Recycling is
-// suppressed while a trace hook is installed: trace consumers may retain
-// payloads beyond the delivery instant.
-type recyclable interface{ Recycle() }
-
-// release recycles a payload whose datagram life has ended (delivered or
-// dropped), unless tracing retains payloads.
+// release hands a wire message whose datagram life has ended (delivered or
+// dropped) to proto.ReleaseDecoded, which returns a pooled type to its
+// pool. Releasing is suppressed while a trace hook is installed: trace
+// consumers may retain payloads beyond the delivery instant.
 func (n *Network) release(payload interface{}) {
 	if n.trace != nil {
 		return
 	}
-	if r, ok := payload.(recyclable); ok {
-		r.Recycle()
+	if m, ok := payload.(proto.Message); ok {
+		proto.ReleaseDecoded(m)
 	}
 }
 

@@ -79,19 +79,9 @@ func Decode(b []byte) (Message, error) {
 // path allocates nothing. Every decoded field is copied out of b: the
 // caller may reuse b the moment DecodePooled returns. The returned
 // message must be handed back via ReleaseDecoded once dispatch is done
-// (non-recyclable types make that a no-op).
+// (unpooled types make that a no-op).
 func DecodePooled(b []byte) (Message, error) {
 	return decode(b, true)
-}
-
-// ReleaseDecoded returns a DecodePooled message to its pool after the
-// handler is finished with it — the transport's end-of-dispatch hook,
-// mirroring netsim's end-of-datagram release. The message (and any slice
-// it carries) must not be touched afterwards.
-func ReleaseDecoded(m Message) {
-	if r, ok := m.(Recyclable); ok {
-		r.Recycle()
-	}
 }
 
 func decode(b []byte, pooled bool) (Message, error) {
@@ -129,8 +119,8 @@ func newMessage(t MsgType, pooled bool) Message {
 	if t >= tMaxMsgType || msgTypes[t].fresh == nil {
 		return nil
 	}
-	if pooled && msgTypes[t].pooled != nil {
-		return msgTypes[t].pooled()
+	if pooled && msgTypes[t].pooled {
+		return Acquire(t)
 	}
 	return msgTypes[t].fresh()
 }
@@ -141,13 +131,14 @@ func newMessage(t MsgType, pooled bool) Message {
 type direction uint8
 
 const (
-	sizing  direction = iota // add the field's wire size to n
-	writing                  // append the field to buf
-	reading                  // consume the field from buf into the struct
+	sizing   direction = iota // add the field's wire size to n
+	writing                   // append the field to buf
+	reading                   // consume the field from buf into the struct
+	clearing                  // reset the field for a pooled message's next use
 )
 
 // cursor carries one body walk. A field method takes a pointer to the
-// field, so one walk serves all three directions. A read that runs out of
+// field, so one walk serves all four directions. A read that runs out of
 // bytes sets err and empties buf, so every later read of the walk fails
 // too; the walk needs no error checks of its own.
 type cursor struct {
@@ -162,6 +153,11 @@ type cursor struct {
 // call, so without the pool every size, encode and decode would pay one
 // heap allocation for the cursor alone.
 var cursorPool = sync.Pool{New: func() interface{} { return new(cursor) }}
+
+// clearer is the one clearing cursor, shared by every Acquire at once: a
+// clearing walk writes only the message's fields, never the cursor, so it
+// needs neither the pool nor a cursor of its own.
+var clearer = cursor{dir: clearing}
 
 // walk runs m's body in direction dir over buf and returns the bytes
 // counted, the buffer as the walk left it, and the read error.
@@ -202,6 +198,8 @@ func (c *cursor) u8(v *uint8) {
 		c.n++
 	case writing:
 		c.buf = append(c.buf, *v)
+	case clearing:
+		*v = 0
 	default:
 		if !c.short(1) {
 			*v, c.buf = c.buf[0], c.buf[1:]
@@ -215,6 +213,8 @@ func (c *cursor) u16(v *uint16) {
 		c.n += 2
 	case writing:
 		c.buf = be.AppendUint16(c.buf, *v)
+	case clearing:
+		*v = 0
 	default:
 		if !c.short(2) {
 			*v, c.buf = be.Uint16(c.buf), c.buf[2:]
@@ -228,6 +228,8 @@ func (c *cursor) u32(v *uint32) {
 		c.n += 4
 	case writing:
 		c.buf = be.AppendUint32(c.buf, *v)
+	case clearing:
+		*v = 0
 	default:
 		if !c.short(4) {
 			*v, c.buf = be.Uint32(c.buf), c.buf[4:]
@@ -241,6 +243,8 @@ func (c *cursor) u64(v *uint64) {
 		c.n += 8
 	case writing:
 		c.buf = be.AppendUint64(c.buf, *v)
+	case clearing:
+		*v = 0
 	default:
 		if !c.short(8) {
 			*v, c.buf = be.Uint64(c.buf), c.buf[8:]
@@ -253,13 +257,14 @@ func (c *cursor) id(v *idspace.ID) { c.u64((*uint64)(v)) }
 func (c *cursor) region(r *Region) { c.id(&r.Lo); c.id(&r.Hi) }
 
 // boolean is one byte, 1 for true; a read takes any non-zero byte as true.
+// A read or a clear (dir >= reading) stores the byte back.
 func (c *cursor) boolean(v *bool) {
 	var b uint8
 	if *v {
 		b = 1
 	}
 	c.u8(&b)
-	if c.dir == reading {
+	if c.dir >= reading {
 		*v = b != 0
 	}
 }
@@ -273,6 +278,8 @@ func (c *cursor) ref(r *NodeRef) {
 		c.n += nodeRefSize
 	case writing:
 		c.buf = appendRef(c.buf, r)
+	case clearing:
+		*r = NodeRef{}
 	default:
 		if !c.short(nodeRefSize) {
 			*r, c.buf = readRef(c.buf), c.buf[nodeRefSize:]
@@ -328,7 +335,9 @@ func (c *cursor) listLen(size, limit int) (int, bool) {
 
 // entries, refs and bytes are length-prefixed lists. A read appends into
 // the field's own capacity, so a pooled message decodes without allocating,
-// and leaves a nil field nil when the list is empty.
+// and leaves a nil field nil when the list is empty. A clear keeps an entry
+// or value buffer's capacity, seeded to entrySeedCap or valueSeedCap, and
+// drops a ref list's.
 func (c *cursor) entries(es *[]Entry) {
 	switch c.dir {
 	case sizing:
@@ -338,6 +347,8 @@ func (c *cursor) entries(es *[]Entry) {
 		for i := range *es {
 			c.buf = appendEntry(c.buf, &(*es)[i])
 		}
+	case clearing:
+		*es = seedEntries(*es)
 	default:
 		n, ok := c.listLen(entrySize, maxListLen)
 		if !ok {
@@ -364,6 +375,8 @@ func (c *cursor) refs(rs *[]NodeRef) {
 		for i := range *rs {
 			c.buf = appendRef(c.buf, &(*rs)[i])
 		}
+	case clearing:
+		*rs = nil // a forwarded request shares its alternates' backing
 	default:
 		n, ok := c.listLen(nodeRefSize, MaxAlternates)
 		if !ok {
@@ -391,6 +404,8 @@ func (c *cursor) bytes(v *[]byte) {
 	case writing:
 		c.buf = be.AppendUint16(c.buf, uint16(len(*v)))
 		c.buf = append(c.buf, *v...)
+	case clearing:
+		*v = seedValue(*v)
 	default:
 		n, ok := c.listLen(1, 0xFFFF)
 		if ok {
@@ -447,7 +462,7 @@ func (m *LookupRequest) body(c *cursor) {
 		algo |= lookupAckWanted
 	}
 	c.u8(&algo)
-	if c.dir == reading {
+	if c.dir >= reading {
 		m.Algo, m.AckWanted = Algo(algo&^lookupAckWanted), algo&lookupAckWanted != 0
 	}
 	c.refs(&m.Alternates)

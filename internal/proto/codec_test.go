@@ -280,7 +280,7 @@ func TestLookupAckWantedWire(t *testing.T) {
 // TestLookupHopAckRoundTrip: the hop acknowledgement is a LookupReply
 // with its own status, through both decode paths.
 func TestLookupHopAckRoundTrip(t *testing.T) {
-	ack := AcquireLookupReply()
+	ack := Acquire(TLookupReply).(*LookupReply)
 	ack.From, ack.ReqID, ack.Status = NodeRef{ID: 5, Addr: 6, MaxLevel: 2}, 77, LookupHopAck
 	b := Encode(ack)
 	for _, dec := range []func([]byte) (Message, error){Decode, DecodePooled} {

@@ -52,54 +52,46 @@ const (
 )
 
 // msgTypes is the one table of the wire types, a row each: the name
-// MsgType.String prints (the bench message ledger keys on it), a
-// constructor of the zero value Decode fills, and the pool-backed one
-// DecodePooled uses where the type is Recyclable (nil otherwise). A row
-// compiles only if its struct implements Message; a type without a row does
-// not decode.
+// MsgType.String prints (the bench message ledger keys on it), the
+// constructor of the zero value Decode fills, and whether the type is
+// pooled. Acquire calls the constructor when the type's pool is empty, and
+// DecodePooled and ReleaseDecoded serve a type by this flag alone
+// (pool.go). A row compiles only if its struct implements Message; a type
+// without a row does not decode.
 var msgTypes = [tMaxMsgType]struct {
 	name   string
 	fresh  func() Message
-	pooled func() Message
+	pooled bool
 }{
-	TInvalid:         {name: "invalid"},
-	THello:           {"hello", fresh[Hello], pooled(AcquireHello)},
-	TPing:            {"ping", fresh[Ping], pooled(AcquirePing)},
-	TPong:            {"pong", fresh[Pong], pooled(AcquirePong)},
-	TJoinRequest:     {"join-request", fresh[JoinRequest], pooled(AcquireJoinRequest)},
-	TJoinRedirect:    {"join-redirect", fresh[JoinRedirect], pooled(AcquireJoinRedirect)},
-	TJoinAccept:      {"join-accept", fresh[JoinAccept], pooled(AcquireJoinAccept)},
-	TElectionCall:    {"election-call", fresh[ElectionCall], nil},
-	TParentClaim:     {"parent-claim", fresh[ParentClaim], nil},
-	TChildReport:     {"child-report", fresh[ChildReport], pooled(AcquireChildReport)},
-	TPromoteGrant:    {"promote-grant", fresh[PromoteGrant], nil},
-	TDemote:          {"demote", fresh[Demote], nil},
-	TBusLinkReq:      {"bus-link-req", fresh[BusLinkReq], pooled(AcquireBusLinkReq)},
-	TBusLinkAck:      {"bus-link-ack", fresh[BusLinkAck], pooled(AcquireBusLinkAck)},
-	TLookupRequest:   {"lookup-request", fresh[LookupRequest], pooled(AcquireLookupRequest)},
-	TLookupReply:     {"lookup-reply", fresh[LookupReply], pooled(AcquireLookupReply)},
-	TDHTStore:        {"dht-store", fresh[DHTStore], pooled(AcquireDHTStore)},
-	TDHTStoreAck:     {"dht-store-ack", fresh[DHTStoreAck], pooled(AcquireDHTStoreAck)},
-	TDHTFetch:        {"dht-fetch", fresh[DHTFetch], pooled(AcquireDHTFetch)},
-	TDHTFetchReply:   {"dht-fetch-reply", fresh[DHTFetchReply], pooled(AcquireDHTFetchReply)},
-	TReparent:        {"reparent", fresh[Reparent], pooled(AcquireReparent)},
-	TLeave:           {"leave", fresh[Leave], nil},
-	TDHTReplicate:    {"dht-replicate", fresh[DHTReplicate], pooled(AcquireDHTReplicate)},
-	TDHTReplicateAck: {"dht-replicate-ack", fresh[DHTReplicateAck], pooled(AcquireDHTReplicateAck)},
-	TRingProbe:       {"ring-probe", fresh[RingProbe], pooled(AcquireRingProbe)},
-	TRingProbeAck:    {"ring-probe-ack", fresh[RingProbeAck], pooled(AcquireRingProbeAck)},
-	TMergeIntro:      {"merge-intro", fresh[MergeIntro], pooled(AcquireMergeIntro)},
-}
-
-func fresh[T any, P interface {
-	*T
-	Message
-}]() Message {
-	return P(new(T))
-}
-
-func pooled[P Message](acquire func() P) func() Message {
-	return func() Message { return acquire() }
+	TInvalid:      {name: "invalid"},
+	THello:        {"hello", func() Message { return new(Hello) }, true},
+	TPing:         {"ping", func() Message { return new(Ping) }, true},
+	TPong:         {"pong", func() Message { return new(Pong) }, true},
+	TJoinRequest:  {"join-request", func() Message { return new(JoinRequest) }, true},
+	TJoinRedirect: {"join-redirect", func() Message { return new(JoinRedirect) }, true},
+	TJoinAccept:   {"join-accept", func() Message { return new(JoinAccept) }, true},
+	TElectionCall: {"election-call", func() Message { return new(ElectionCall) }, true},
+	// One claim object goes to every peer in the new region: unpooled.
+	TParentClaim:   {"parent-claim", func() Message { return new(ParentClaim) }, false},
+	TChildReport:   {"child-report", func() Message { return new(ChildReport) }, true},
+	TPromoteGrant:  {"promote-grant", func() Message { return new(PromoteGrant) }, true},
+	TDemote:        {"demote", func() Message { return new(Demote) }, true},
+	TBusLinkReq:    {"bus-link-req", func() Message { return new(BusLinkReq) }, true},
+	TBusLinkAck:    {"bus-link-ack", func() Message { return new(BusLinkAck) }, true},
+	TLookupRequest: {"lookup-request", func() Message { return new(LookupRequest) }, true},
+	TLookupReply:   {"lookup-reply", func() Message { return new(LookupReply) }, true},
+	TDHTStore:      {"dht-store", func() Message { return new(DHTStore) }, true},
+	TDHTStoreAck:   {"dht-store-ack", func() Message { return new(DHTStoreAck) }, true},
+	TDHTFetch:      {"dht-fetch", func() Message { return new(DHTFetch) }, true},
+	TDHTFetchReply: {"dht-fetch-reply", func() Message { return new(DHTFetchReply) }, true},
+	TReparent:      {"reparent", func() Message { return new(Reparent) }, true},
+	// One leave object goes to every neighbour: unpooled.
+	TLeave:           {"leave", func() Message { return new(Leave) }, false},
+	TDHTReplicate:    {"dht-replicate", func() Message { return new(DHTReplicate) }, true},
+	TDHTReplicateAck: {"dht-replicate-ack", func() Message { return new(DHTReplicateAck) }, true},
+	TRingProbe:       {"ring-probe", func() Message { return new(RingProbe) }, true},
+	TRingProbeAck:    {"ring-probe-ack", func() Message { return new(RingProbeAck) }, true},
+	TMergeIntro:      {"merge-intro", func() Message { return new(MergeIntro) }, true},
 }
 
 // String implements fmt.Stringer.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
+	"sync"
 	"testing"
 )
 
@@ -65,8 +67,8 @@ func TestEncodeAppendZeroAlloc(t *testing.T) {
 }
 
 // pooledWireTypes is the authoritative list of message types DecodePooled
-// must draw from a pool. It mirrors the pool declarations in pool.go; a
-// type added there must be added here (and vice versa) or
+// must draw from a pool. It mirrors the pooled flags of the msgTypes rows;
+// a type flagged there must be added here (and vice versa) or
 // TestDecodePooledCoversTypes fails.
 var pooledWireTypes = map[MsgType]bool{
 	THello:           true,
@@ -75,7 +77,10 @@ var pooledWireTypes = map[MsgType]bool{
 	TJoinRequest:     true,
 	TJoinRedirect:    true,
 	TJoinAccept:      true,
+	TElectionCall:    true,
 	TChildReport:     true,
+	TPromoteGrant:    true,
+	TDemote:          true,
 	TReparent:        true,
 	TBusLinkReq:      true,
 	TBusLinkAck:      true,
@@ -112,22 +117,22 @@ func TestEveryMsgTypeHasARow(t *testing.T) {
 }
 
 // TestDecodePooledCoversTypes pins every wire type to a working pooled
-// decode: both constructors of its registry row build that type, the pooled
+// decode: its registry row builds that type fresh and pooled, the pooled
 // decode must re-encode to the identical bytes, and exactly the types
-// listed in pooledWireTypes must come back Recyclable.
+// listed in pooledWireTypes must carry the registry's pooled flag.
 func TestDecodePooledCoversTypes(t *testing.T) {
 	for ty, row := range msgTypes {
 		ty := MsgType(ty)
 		if ty == TInvalid {
 			continue
 		}
+		if row.pooled != pooledWireTypes[ty] {
+			t.Fatalf("%v: pooled row=%v, pooledWireTypes says %v", ty, row.pooled, pooledWireTypes[ty])
+		}
 		for _, pooled := range []bool{false, true} {
 			m := newMessage(ty, pooled)
 			if m == nil || m.Type() != ty {
 				t.Fatalf("newMessage(%v, pooled=%v) returned %v", ty, pooled, m)
-			}
-			if _, recyclable := m.(Recyclable); recyclable != pooledWireTypes[ty] || (row.pooled != nil) != recyclable {
-				t.Fatalf("%v: recyclable=%v, pooled row=%v, pooledWireTypes says %v", ty, recyclable, row.pooled != nil, pooledWireTypes[ty])
 			}
 			ReleaseDecoded(m)
 		}
@@ -152,6 +157,123 @@ func TestDecodePooledCoversTypes(t *testing.T) {
 			ReleaseDecoded(got)
 		}
 	}
+}
+
+// TestAcquireResetsEveryPooledType dirties a pooled object of every pooled
+// row — every field non-zero, slices with spare capacity, the alternates
+// aliasing another live slice — releases it and acquires it again. The
+// acquired object has every field zero, its entry or value buffer empty
+// with at least the seed capacity (kept when it already had that much),
+// and its alternates nil, so appending to them cannot write into the slice
+// they aliased.
+func TestAcquireResetsEveryPooledType(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
+	for ty, row := range msgTypes {
+		if !row.pooled {
+			continue
+		}
+		for _, spare := range []int{2, entrySeedCap + valueSeedCap} {
+			m := Acquire(MsgType(ty))
+			other := []NodeRef{{ID: 1, Addr: 1}, {ID: 2, Addr: 2}}
+			buffers := dirty(reflect.ValueOf(m).Elem(), other, spare)
+			ReleaseDecoded(m)
+			got := Acquire(MsgType(ty))
+			if got != m && !raceEnabled { // -race drops Puts at random
+				t.Fatalf("%v: a released object did not come back", got.Type())
+			}
+			v := reflect.ValueOf(got).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				f, name := v.Field(i), v.Type().Field(i).Name
+				switch f.Interface().(type) {
+				case []Entry, []byte:
+					seed := valueSeedCap
+					if name == "Entries" {
+						seed = entrySeedCap
+					}
+					if f.Len() != 0 || f.Cap() < seed {
+						t.Fatalf("%v.%s: len %d cap %d, want empty with cap >= %d", got.Type(), name, f.Len(), f.Cap(), seed)
+					}
+					if kept := buffers[name]; got == m && spare > seed && f.Pointer() != kept {
+						t.Fatalf("%v.%s: a buffer of capacity %d was not kept", got.Type(), name, spare)
+					}
+				case []NodeRef:
+					if !f.IsNil() {
+						t.Fatalf("%v.%s: %d refs of capacity %d, want nil", got.Type(), name, f.Len(), f.Cap())
+					}
+					f.Set(reflect.Append(f, reflect.ValueOf(NodeRef{ID: 9, Addr: 9})))
+					if other[0].Addr != 1 || other[1].Addr != 2 {
+						t.Fatalf("%v.%s: appending wrote into the slice it aliased", got.Type(), name)
+					}
+				default:
+					if !f.IsZero() {
+						t.Fatalf("%v.%s = %v after Acquire, want zero", got.Type(), name, f.Interface())
+					}
+				}
+			}
+			ReleaseDecoded(got)
+		}
+	}
+}
+
+// TestAcquireFromManyGoroutines: shard workers acquire at once, and every
+// clearing walk runs on the one shared clearer cursor. Under -race this
+// fails if a clearing walk ever writes the cursor.
+func TestAcquireFromManyGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				for ty, row := range msgTypes {
+					if row.pooled {
+						m := Acquire(MsgType(ty))
+						if WireSize(m) == 0 {
+							t.Error("a pooled message sizes to nothing")
+						}
+						ReleaseDecoded(m)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// dirty sets every field of the message struct v non-zero: a ref list
+// aliases other's first element with other's spare capacity behind it,
+// entry and value buffers get spare capacity of spare. It returns each
+// buffer's backing array by field name.
+func dirty(v reflect.Value, other []NodeRef, spare int) map[string]uintptr {
+	buffers := map[string]uintptr{}
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch p := f.Addr().Interface().(type) {
+		case *NodeRef:
+			*p = NodeRef{ID: 7, Addr: 7, MaxLevel: 7, Score: 7}
+		case *Region:
+			*p = Region{Lo: 7, Hi: 8}
+		case *[]Entry:
+			*p = append(make([]Entry, 0, spare), Entry{Ref: NodeRef{Addr: 7}, Version: 7})
+		case *[]byte:
+			*p = append(make([]byte, 0, spare), 7)
+		case *[]NodeRef:
+			*p = other[:1]
+		default:
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				f.SetUint(1)
+			default:
+				panic(fmt.Sprintf("dirty: field %s of kind %v", v.Type().Field(i).Name, f.Kind()))
+			}
+		}
+		if f.Kind() == reflect.Slice {
+			buffers[v.Type().Field(i).Name] = f.Pointer()
+		}
+	}
+	return buffers
 }
 
 // TestDecodePooledReleasesOnError checks that a failed pooled decode does
@@ -309,8 +431,8 @@ func TestPooledCopyOwnsItsValue(t *testing.T) {
 			t.Fatalf("%v: the copy is the request, or differs from it on the wire", req.Type())
 		}
 		value[0] = 'v'
-		if _, ok := c.(Recyclable); !ok {
-			t.Fatalf("%v: the copy is not recyclable", req.Type())
+		if !msgTypes[c.Type()].pooled {
+			t.Fatalf("%v: the copy is not pooled", req.Type())
 		}
 		ReleaseDecoded(c)
 	}

@@ -452,8 +452,9 @@ func (e *simEnv) Scratch() *core.Scratch { return e.sc }
 
 func (e *simEnv) Send(to uint64, msg proto.Message) {
 	// Dead senders cannot transmit: a control-plane call on a killed node
-	// may still try.
+	// may still try. The message goes back to its pool unsent.
 	if !e.up {
+		proto.ReleaseDecoded(msg)
 		return
 	}
 	e.cluster.Net.Send(netsim.Addr(e.addr), netsim.Addr(to), msg, proto.WireSize(msg))

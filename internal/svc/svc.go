@@ -55,9 +55,10 @@ var (
 // handlers fill only their own fields.
 //
 // A handler that answers asynchronously must copy what it needs out of req
-// before returning: pooled request messages are recycled when the
-// delivering datagram ends (see proto.Recyclable), so retaining req or any
-// slice it carries past the handler's own frame is a use-after-recycle. So
+// before returning: a pooled request message goes back to its pool
+// (proto.ReleaseDecoded) when the delivering datagram ends, so retaining
+// req or any slice it carries past the handler's own frame is a
+// use-after-release. So
 // is a second call of respond: it is a pooled responder's, and may already
 // answer another request.
 type Handler func(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage))
@@ -361,9 +362,7 @@ func (r *responder) answer(resp proto.SvcMessage) {
 	case local != nil:
 		resp.SetSvc(id, p.node.Ref())
 		local(resp, nil)
-		if rc, ok := resp.(proto.Recyclable); ok {
-			rc.Recycle()
-		}
+		proto.ReleaseDecoded(resp)
 	case resp != nil:
 		resp.SetSvc(id, p.node.Ref())
 		p.node.Send(to, resp)

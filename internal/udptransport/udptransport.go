@@ -153,12 +153,14 @@ func (e *env) Scratch() *core.Scratch { return &e.sc }
 // Send queues one datagram on the transport's send queue; the event loop
 // flushes the whole queue in one WriteBatch when the current inbound
 // burst or timer tick finishes. Encoding appends into the recycled arena
-// (zero-copy, zero-alloc in steady state), and a recyclable message goes
-// back to its pool here — serialisation is the end of its life, the
-// send-side mirror of the receive path's end-of-dispatch release.
+// (zero-copy, zero-alloc in steady state), and a pooled message goes back
+// to its pool here — serialisation is the end of its life, the send-side
+// mirror of the receive path's end-of-dispatch release. So does one that
+// is never sent.
 func (e *env) Send(to uint64, msg proto.Message) {
 	t := e.tr
 	if to == 0 {
+		proto.ReleaseDecoded(msg)
 		return
 	}
 	if proto.WireSize(msg) > proto.MaxDatagram {
