@@ -257,14 +257,14 @@ func (c *cursor) id(v *idspace.ID) { c.u64((*uint64)(v)) }
 func (c *cursor) region(r *Region) { c.id(&r.Lo); c.id(&r.Hi) }
 
 // boolean is one byte, 1 for true; a read takes any non-zero byte as true.
-// A read or a clear (dir >= reading) stores the byte back.
+// A read or a clear stores the byte back.
 func (c *cursor) boolean(v *bool) {
 	var b uint8
 	if *v {
 		b = 1
 	}
 	c.u8(&b)
-	if c.dir >= reading {
+	if c.dir == reading || c.dir == clearing {
 		*v = b != 0
 	}
 }
@@ -462,7 +462,7 @@ func (m *LookupRequest) body(c *cursor) {
 		algo |= lookupAckWanted
 	}
 	c.u8(&algo)
-	if c.dir >= reading {
+	if c.dir == reading || c.dir == clearing {
 		m.Algo, m.AckWanted = Algo(algo&^lookupAckWanted), algo&lookupAckWanted != 0
 	}
 	c.refs(&m.Alternates)

@@ -81,14 +81,14 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 // without a register; the next draw builds one, and the kernel counts it.
 func TestStreamDrawsLazilyUntilTheTap(t *testing.T) {
 	k := New(3)
-	streams := make([]*stream, 12)
-	for i := range streams {
+	fresh := make([]*stream, 12)
+	for i := range fresh {
 		k.Stream(uint64(i))
-		streams[i] = k.streams[uint64(i)]
+		fresh[i] = k.streams[uint64(i)]
 	}
 	next := 0
-	allocs := testing.AllocsPerRun(len(streams)-1, func() {
-		s := streams[next]
+	allocs := testing.AllocsPerRun(len(fresh)-1, func() {
+		s := fresh[next]
 		next++
 		for range rngTap {
 			s.r.Uint64()
@@ -97,18 +97,18 @@ func TestStreamDrawsLazilyUntilTheTap(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("draws 0…%d of a fresh stream allocate %.1f times", rngTap-1, allocs)
 	}
-	s := streams[0]
+	s := fresh[0]
 	if s.reg != nil {
 		t.Fatal("the register exists before draw rngTap")
 	}
-	if _, bytes := k.MemBytes(); bytes != len(streams)*int(unsafe.Sizeof(stream{})) || unsafe.Sizeof(stream{}) != 64 {
-		t.Fatalf("%d streams without registers: MemBytes %d, %d bytes each", len(streams), bytes, unsafe.Sizeof(stream{}))
+	if _, bytes := k.MemBytes(); bytes != len(fresh)*int(unsafe.Sizeof(stream{})) || unsafe.Sizeof(stream{}) != 64 {
+		t.Fatalf("%d streams without registers: MemBytes %d, %d bytes each", len(fresh), bytes, unsafe.Sizeof(stream{}))
 	}
 	s.r.Uint64()
 	if s.reg == nil {
 		t.Fatal("draw rngTap did not build the register")
 	}
-	if _, bytes := k.MemBytes(); bytes != len(streams)*int(unsafe.Sizeof(stream{}))+int(unsafe.Sizeof([rngLen]uint64{})) {
+	if _, bytes := k.MemBytes(); bytes != len(fresh)*int(unsafe.Sizeof(stream{}))+int(unsafe.Sizeof([rngLen]uint64{})) {
 		t.Fatalf("one register built: MemBytes %d", bytes)
 	}
 }
