@@ -2,7 +2,7 @@
 // evaluation harness drives: an Overlay is any routed peer-to-peer network
 // (TreeP, the Chord baseline, the flooding baseline) that can join and
 // lose members, resolve lookups for node IDs, and run its own maintenance
-// on the shared timing-wheel kernel.
+// on the shared event kernel.
 //
 // Key types:
 //

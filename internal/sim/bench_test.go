@@ -143,3 +143,31 @@ func BenchmarkKernelMixed(b *testing.B) {
 	_ = k.Run()
 	benchEvents(b, b.N)
 }
+
+// BenchmarkKernelStanding holds the queue at the depth a simulation runs
+// at: a bulk-built N=2000 world with the DHT attached keeps about 17 000
+// events pending after 20 virtual s. 16 384 periodic timers with periods
+// spread over 1–2 s each post one datagram delivery 10–59 ms out when
+// they fire, so about 16 900 events stand in the queue.
+func BenchmarkKernelStanding(b *testing.B) {
+	k := New(1)
+	h := func(interface{}) {}
+	sent := 0
+	fn := func() {
+		k.Post(time.Duration(10+sent%50)*time.Millisecond, h, nil)
+		sent++
+	}
+	const timers = 1 << 14
+	for i := 0; i < timers; i++ {
+		k.SchedulePeriodic(time.Second+time.Duration(i)*61*time.Microsecond, fn)
+	}
+	_ = k.RunFor(2 * time.Second) // every timer has fired once: the standing depth
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := k.Executed()
+	for k.Executed()-start < uint64(b.N) {
+		_ = k.RunFor(10 * time.Millisecond)
+	}
+	b.ReportMetric(float64(k.Pending()), "pending")
+	benchEvents(b, b.N)
+}

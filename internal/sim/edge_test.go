@@ -6,9 +6,9 @@ import (
 	"unsafe"
 )
 
-// Edge cases of the timing-wheel kernel: deadline boundaries, past
-// scheduling against an advanced cursor, pooled-record reuse through
-// stale Timer handles, periodic semantics, and overflow compaction.
+// Edge cases of the kernel: deadline boundaries, past scheduling against
+// an advanced clock, pooled-record reuse through stale Timer handles,
+// periodic semantics, and cancels that leave nothing queued.
 
 func TestRunUntilSimultaneousAtDeadline(t *testing.T) {
 	k := New(1)
@@ -47,7 +47,7 @@ func TestRunUntilSimultaneousAtDeadline(t *testing.T) {
 
 func TestScheduleAtPastAfterIdleAdvance(t *testing.T) {
 	k := New(1)
-	// An idle RunUntil advances the wheel cursor far ahead of any event.
+	// An idle RunUntil advances the clock far ahead of any event.
 	k.RunUntil(10 * time.Minute)
 	fired := time.Duration(-1)
 	k.ScheduleAt(time.Second, func() { fired = k.Now() }) // deep in the past
@@ -182,24 +182,23 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	}
 }
 
-func TestOverflowCompaction(t *testing.T) {
+func TestCancelLeavesNothingQueued(t *testing.T) {
 	k := New(1)
-	// Far beyond the three wheel levels (~4.9 h): straight to overflow.
 	far := 24 * time.Hour
 	var timers []Timer
 	fired := 0
 	for i := 0; i < 100; i++ {
 		timers = append(timers, k.Schedule(far+time.Duration(i)*time.Second, func() { fired++ }))
 	}
-	if got := k.overflow.Len(); got != 100 {
-		t.Fatalf("overflow holds %d, want 100", got)
+	if got := len(k.q); got != 100 {
+		t.Fatalf("queue holds %d, want 100", got)
 	}
-	// Cancelling more than half must trigger compaction.
+	// A cancel takes its record out of the queue at once.
 	for i := 0; i < 80; i++ {
 		timers[i].Cancel()
 	}
-	if got := k.overflow.Len(); got > 40 {
-		t.Fatalf("overflow not compacted: %d entries for 20 live", got)
+	if got := len(k.q); got != 20 {
+		t.Fatalf("queue holds %d entries for 20 live", got)
 	}
 	if k.Pending() != 20 {
 		t.Fatalf("pending = %d, want 20", k.Pending())
@@ -269,6 +268,16 @@ func TestSteadyStateTimersDoNotAllocate(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(event{}); size > 96 {
 		t.Fatalf("an event record is %d bytes, over the 96-byte size class", size)
+	}
+}
+
+// TestEventFitsItsSizeClass guards the queue's footprint: an event record
+// of 80 bytes fills its allocator size class, and one more word costs
+// every pending and pooled event 16 bytes (the 96-byte class). Growing the
+// record is allowed; doing it without noticing is not.
+func TestEventFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 80 {
+		t.Fatalf("an event record is %d bytes, past the 80-byte size class (see comment)", size)
 	}
 }
 

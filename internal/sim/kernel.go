@@ -2,21 +2,19 @@
 //
 // The TreeP paper evaluates the overlay with a packet-switching simulation
 // (§IV); this kernel is the substrate for that evaluation. It provides a
-// virtual clock, a hierarchical timing-wheel scheduler with stable FIFO
-// ordering for simultaneous events, cancellable one-shot and periodic
-// timers, a pooled closure-free dispatch path for high-volume events, and
-// seed-derived random streams, so that every experiment in the repository
-// is exactly reproducible from its seed.
+// virtual clock, one event queue with stable FIFO ordering for
+// simultaneous events, cancellable one-shot and periodic timers, a pooled
+// closure-free dispatch path for high-volume events, and seed-derived
+// random streams, so that every experiment in the repository is exactly
+// reproducible from its seed.
 //
-// Scheduler architecture (see DESIGN.md §7): events live in one of four
-// places. Events due at or before the wheel cursor sit in a small binary
-// heap (the ready heap) ordered by (time, sequence); near-future events
-// hash into three cascading wheel levels of 256 slots each (~1 ms ticks,
-// covering ~4.9 h); far-future events overflow into a second heap. Event
-// records are pooled on a free list and recycled the moment they fire or
-// are cancelled, so steady-state scheduling does not allocate. Timer
-// handles are values that carry a generation number, so a handle kept past
-// its event's recycling can never cancel the record's next occupant.
+// Scheduler architecture (see DESIGN.md §7): every pending event sits in
+// one binary min-heap ordered by (time, sequence), and each record knows
+// its heap position, so a cancel takes it out at once. Event records are
+// pooled on a free list and recycled the moment they fire or are
+// cancelled, so steady-state scheduling does not allocate. Timer handles
+// are values that carry a generation number, so a handle kept past its
+// event's recycling can never cancel the record's next occupant.
 //
 // The kernel is intentionally single-threaded: determinism is the property
 // the figures depend on. Parallelism lives one level up, in the experiment
@@ -25,7 +23,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -39,19 +36,9 @@ type Kernel struct {
 	now time.Duration
 	seq uint64
 
-	// curTick is the wheel cursor: every live event with a tick at or
-	// before it is in the ready heap. The cursor may run ahead of the
-	// clock (after a deadline-bounded run); it never moves backwards.
-	curTick int64
-	levels  [wheelLevels]wheelLevel
-	// ready holds events that are due: popped in (at, seq) order, which
-	// gives the exact global ordering a single binary heap would.
-	ready eventHeap
-	// overflow holds events beyond the wheels' horizon, plus lazily
-	// cancelled entries counted by overflowCancelled and compacted when
-	// they outnumber the live ones.
-	overflow          eventHeap
-	overflowCancelled int
+	// q is the event queue: a binary min-heap over (at, seq), each record
+	// holding its own position (event.idx).
+	q []*event
 
 	// free is the event-record pool (intrusive list through event.next).
 	free *event
@@ -105,37 +92,25 @@ type Timer struct {
 // periodic timers, Cancel stops all future firings.
 func (t Timer) Cancel() bool {
 	ev := t.ev
-	if ev == nil || ev.gen != t.gen || ev.cancelled {
+	if ev == nil || ev.gen != t.gen || ev.idx == cancelledFiring {
 		return false
 	}
 	k := ev.k
 	k.live--
-	switch {
-	case ev.where >= locWheel0:
-		// Wheel buckets are doubly linked: unlink and recycle on the
-		// spot, keeping occupancy bitmaps exact so the cursor never
-		// jumps to a slot holding only dead events.
-		lvl := int(ev.where - locWheel0)
-		k.levels[lvl].remove(ev, wheelSlot(eventTick(ev), lvl))
-		k.recycle(ev)
-	case ev.where == locOverflow:
-		// Heap entries are cancelled lazily; compact once the dead
-		// outnumber the live.
-		ev.cancel()
-		k.overflowCancelled++
-		if k.overflowCancelled*2 > k.overflow.Len() {
-			k.compactOverflow()
-		}
-	default: // locReady, locFiring
-		ev.cancel()
+	if ev.idx == notQueued {
+		// A periodic inside its own callback: fire recycles it after.
+		ev.idx = cancelledFiring
+		return true
 	}
+	k.remove(int(ev.idx))
+	k.recycle(ev)
 	return true
 }
 
 // Pending reports whether the timer has neither fired nor been cancelled.
 // A periodic timer stays pending until cancelled.
 func (t Timer) Pending() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled
+	return t.ev != nil && t.ev.gen == t.gen && t.ev.idx != cancelledFiring
 }
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
@@ -186,8 +161,8 @@ func (k *Kernel) schedule(at, period time.Duration, fn func(), gate *bool) Timer
 		panic("sim: Schedule with nil fn")
 	}
 	ev := k.newEvent(at)
-	ev.fn, ev.period, ev.gate = fn, period, gate
-	k.insert(ev)
+	ev.arg, ev.period, ev.gate = fn, period, gate
+	k.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -205,7 +180,7 @@ func (k *Kernel) Post(delay time.Duration, h func(arg interface{}), arg interfac
 	ev := k.newEvent(k.now + delay)
 	ev.h = h
 	ev.arg = arg
-	k.insert(ev)
+	k.push(ev)
 }
 
 // newEvent takes a record from the pool and stamps time and sequence.
@@ -229,11 +204,10 @@ func (k *Kernel) Run() error {
 		if k.maxEvents > 0 && k.executed >= k.maxEvents {
 			return ErrBudget
 		}
-		ev := k.peek()
-		if ev == nil {
+		if len(k.q) == 0 {
 			return nil
 		}
-		k.fire(ev)
+		k.fire()
 	}
 	return nil
 }
@@ -241,30 +215,27 @@ func (k *Kernel) Run() error {
 // RunUntil executes events with timestamps ≤ deadline and then advances the
 // clock to the deadline. Events scheduled beyond the deadline stay queued;
 // events scheduled exactly at the deadline (including from callbacks firing
-// at the deadline) are executed.
+// at the deadline) are executed. A run that Stop ends while an event is
+// still due leaves the clock at the stopping event.
 func (k *Kernel) RunUntil(deadline time.Duration) error {
 	k.stopped.Store(false)
 	for !k.stopped.Load() {
 		if k.maxEvents > 0 && k.executed >= k.maxEvents {
 			return ErrBudget
 		}
-		ev := k.peek()
-		if ev == nil || ev.at > deadline {
-			// Idle until the deadline: move the cursor too, so the wheel
-			// windows stay centred on the clock for future inserts. Safe
-			// because nothing live remains at or before the deadline.
-			if dt := int64(deadline) >> tickShift; k.curTick < dt {
-				k.setTick(dt)
-			}
+		if !k.due(deadline) {
 			break
 		}
-		k.fire(ev)
+		k.fire()
 	}
-	if k.now < deadline {
+	if !k.due(deadline) && k.now < deadline {
 		k.now = deadline
 	}
 	return nil
 }
+
+// due reports whether an event is queued at or before t.
+func (k *Kernel) due(t time.Duration) bool { return len(k.q) > 0 && k.q[0].at <= t }
 
 // RunFor advances the simulation by d of virtual time from now.
 func (k *Kernel) RunFor(d time.Duration) error { return k.RunUntil(k.now + d) }
@@ -281,15 +252,16 @@ func (k *Kernel) Pending() int { return k.live }
 // runtime on a real clock sleeps until the returned time, then calls
 // RunUntil.
 func (k *Kernel) Next() (time.Duration, bool) {
-	if ev := k.peek(); ev != nil {
-		return ev.at, true
+	if len(k.q) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return k.q[0].at, true
 }
 
 // MemBytes reports the heap behind the event records, scheduled and
 // pooled (the pool keeps the most that were ever pending at once), and
-// behind the random streams minted, registers included.
+// behind the queue's backing array and the random streams minted,
+// registers included.
 func (k *Kernel) MemBytes() (events, streams int) {
 	n := k.live
 	for ev := k.free; ev != nil; ev = ev.next {
@@ -301,41 +273,41 @@ func (k *Kernel) MemBytes() (events, streams int) {
 			streams += int(unsafe.Sizeof(*s.reg))
 		}
 	}
-	return n * int(unsafe.Sizeof(event{})), streams
+	return n*int(unsafe.Sizeof(event{})) + cap(k.q)*int(unsafe.Sizeof(k.q[0])), streams
 }
 
-// fire delivers one event previously returned by peek (the ready-heap
-// minimum). One-shot records are recycled before the callback runs, so the
-// callback may immediately reuse the record by scheduling; periodic records
-// are re-queued with a fresh sequence number after the callback, matching
-// the ordering of the schedule-inside-the-callback idiom they replace.
-func (k *Kernel) fire(ev *event) {
-	heap.Pop(&k.ready)
+// fire delivers the queue's earliest event. One-shot records are recycled
+// before the callback runs, so the callback may immediately reuse the
+// record by scheduling; periodic records are re-queued with a fresh
+// sequence number after the callback, matching the ordering of the
+// schedule-inside-the-callback idiom they replace.
+func (k *Kernel) fire() {
+	ev := k.q[0]
+	k.remove(0)
 	k.now = ev.at
 	k.executed++
 	if ev.period > 0 {
-		ev.where = locFiring
 		if ev.open() {
-			ev.fn()
+			ev.arg.(func())()
 		}
-		if ev.cancelled || ev.period <= 0 {
-			k.recycle(ev) // cancelled from inside its own callback
+		if ev.idx == cancelledFiring {
+			k.recycle(ev)
 			return
 		}
 		ev.at += ev.period
 		ev.seq = k.seq
 		k.seq++
-		k.insert(ev)
+		k.push(ev)
 		return
 	}
 	k.live--
-	fn, h, arg, open := ev.fn, ev.h, ev.arg, ev.open()
+	h, arg, open := ev.h, ev.arg, ev.open()
 	k.recycle(ev)
 	switch {
-	case fn == nil:
+	case h != nil:
 		h(arg)
 	case open:
-		fn()
+		arg.(func())()
 	}
 }
 

@@ -167,6 +167,25 @@ func TestStop(t *testing.T) {
 	if count != 10 {
 		t.Fatalf("count = %d after resume", count)
 	}
+
+	// A RunUntil that Stop ends early leaves the clock at the stopping
+	// event, and the clock never moves back.
+	k = New(1)
+	k.Schedule(time.Second, k.Stop)
+	var at []time.Duration
+	k.Schedule(2*time.Second, func() { at = append(at, k.Now()) })
+	k.RunUntil(10 * time.Second)
+	if k.Now() != time.Second || len(at) != 0 {
+		t.Fatalf("stopped RunUntil: now = %v, fired at %v; want 1s, nothing", k.Now(), at)
+	}
+	k.Run()
+	if k.Now() != 2*time.Second || len(at) != 1 || at[0] != 2*time.Second {
+		t.Fatalf("after resuming: now = %v, fired at %v; want 2s, [2s]", k.Now(), at)
+	}
+	k.RunUntil(10 * time.Second)
+	if k.Now() != 10*time.Second {
+		t.Fatalf("idle RunUntil: now = %v, want 10s", k.Now())
+	}
 }
 
 func TestEventBudget(t *testing.T) {

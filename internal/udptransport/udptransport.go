@@ -1,7 +1,7 @@
 // Package udptransport runs TreeP nodes over real UDP sockets. The paper's
 // overlay "is a UDP based overlay architecture" (§III); this transport
 // drives the exact same core.Node state machines as the simulator, with
-// the simulator's timing wheel run against the wall clock and the binary
+// the simulator's event queue run against the wall clock and the binary
 // wire codec, proving the protocol is a real network program and not a
 // simulation artifact.
 //

@@ -416,8 +416,8 @@ type UDPOptions struct {
 
 // UDPNode is a TreeP peer on a real socket, with the full storage stack:
 // the same DHT service (and service plane under it) that the simulator
-// runs, over the binary codec, with its timers on the simulator's timing
-// wheel run against the wall clock.
+// runs, over the binary codec, with its timers on the simulator's event
+// queue run against the wall clock.
 type UDPNode struct {
 	tr  *udptransport.Transport
 	dht *dht.Service
