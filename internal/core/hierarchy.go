@@ -349,11 +349,10 @@ func (n *Node) maybeSplit() {
 	var best proto.NodeRef
 	var bestScore uint16
 	found := false
-	for _, r := range n.table.Children.Refs() {
-		if r.MaxLevel+1 > n.maxLevel || r.MaxLevel+1 > n.cfg.MaxHeight {
-			continue
-		}
-		if e := n.table.Children.Get(r.Addr); e == nil || !e.DirectFresh(now, n.cfg.EntryTTL) {
+	children := n.table.Children
+	for i := range children.Len() {
+		r, e := children.At(i)
+		if r.MaxLevel+1 > n.maxLevel || r.MaxLevel+1 > n.cfg.MaxHeight || !e.DirectFresh(now, n.cfg.EntryTTL) {
 			continue
 		}
 		if !found || r.Score > bestScore || (r.Score == bestScore && r.ID < best.ID) {
@@ -386,11 +385,12 @@ func (n *Node) maybeSplit() {
 	n.send(best.Addr, grant)
 
 	// Re-home the children that fall into the promotee's new cell. The
-	// list is copied out of the view: the loop below removes from it.
+	// list is copied out of the set: the loop below removes from it.
 	promoted := best
 	promoted.MaxLevel = newLvl
 	moved := n.sc.peers[:0]
-	for _, r := range n.table.Children.Refs() {
+	for i := range children.Len() {
+		r, _ := children.At(i)
 		if r.Addr == best.Addr {
 			continue
 		}
@@ -527,7 +527,8 @@ func (n *Node) demotionExpired() {
 			n.send(nb.Addr, d)
 		}
 	}
-	for _, c := range n.table.Children.Refs() {
+	for i := range n.table.Children.Len() {
+		c, _ := n.table.Children.At(i)
 		n.Stats.Reparents++
 		n.sendReparent(c.Addr, successor, 0)
 	}

@@ -389,7 +389,8 @@ func (n *Node) Depart() {
 	for _, p := range n.activePeers() {
 		add(p.Addr)
 	}
-	for _, c := range n.table.Children.Refs() {
+	for i := range n.table.Children.Len() {
+		c, _ := n.table.Children.At(i)
 		add(c.Addr)
 	}
 	if p, ok := n.table.Parent(); ok {
@@ -576,15 +577,19 @@ func (n *Node) degreeAt(level uint8) int {
 // including itself, sorted by ID. The slice is a shared scratch buffer:
 // callers must not retain it across another call into the node.
 func (n *Node) busMembersWithSelf(level uint8) []proto.NodeRef {
-	var refs []proto.NodeRef
-	if level == 0 {
-		refs = n.table.Level0.Refs()
-	} else if s := n.table.BusAt(level); s != nil {
-		refs = s.Refs()
+	s := n.table.Level0
+	if level > 0 {
+		s = n.table.BusAt(level)
 	}
-	out := append(n.sc.members[:0], refs...)
+	out := n.sc.members[:0]
+	if s != nil {
+		for i := range s.Len() {
+			r, _ := s.At(i)
+			out = append(out, r)
+		}
+	}
 	out = append(out, n.Ref())
-	// refs is already ID-sorted; a single insertion places self.
+	// The set is ID-ordered; a single insertion places self.
 	for i := len(out) - 1; i > 0 && out[i-1].ID > out[i].ID; i-- {
 		out[i-1], out[i] = out[i], out[i-1]
 	}
@@ -686,12 +691,9 @@ func (n *Node) bestKnownMember(level uint8, near idspace.ID) (proto.NodeRef, tim
 		}
 	}
 	considerSet := func(s *rtable.Set) {
-		for _, r := range s.Refs() {
-			seen := time.Duration(0)
-			if e := s.Get(r.Addr); e != nil {
-				seen = e.LastSeen
-			}
-			consider(r, seen)
+		for i := range s.Len() {
+			r, e := s.At(i)
+			consider(r, e.LastSeen)
 		}
 	}
 	for lvl := level; lvl <= n.cfg.MaxHeight; lvl++ {
@@ -777,12 +779,10 @@ func (n *Node) structuralEntries(out []proto.Entry) []proto.Entry {
 func (n *Node) superiorEntries(out []proto.Entry) []proto.Entry {
 	now := n.env.Now()
 	v := n.table.Version()
-	for _, s := range n.table.Superiors.Refs() {
-		var ds uint16
-		if e := n.table.Superiors.Get(s.Addr); e != nil {
-			ds = proto.AgeFrom(now, e.LastSeen)
-		}
-		out = append(out, proto.Entry{Ref: s, Level: s.MaxLevel, Flags: proto.FSuperior, Version: v, AgeDs: ds})
+	sups := n.table.Superiors
+	for i := range sups.Len() {
+		s, e := sups.At(i)
+		out = append(out, proto.Entry{Ref: s, Level: s.MaxLevel, Flags: proto.FSuperior, Version: v, AgeDs: proto.AgeFrom(now, e.LastSeen)})
 	}
 	return out
 }

@@ -91,8 +91,9 @@ func (n *Node) farewellCheck(now time.Duration) int {
 	fresh := 0
 	// Nearest surviving (non-expiring) entry per side.
 	var survLeft, survRight proto.NodeRef
-	for _, r := range n.table.Level0.Refs() {
-		e := n.table.Level0.Get(r.Addr)
+	l0 := n.table.Level0
+	for i := range l0.Len() {
+		r, e := l0.At(i)
 		if now-e.LastSeen > ttl {
 			continue
 		}
@@ -103,8 +104,8 @@ func (n *Node) farewellCheck(now time.Duration) int {
 			survRight = r
 		}
 	}
-	for _, r := range n.table.Level0.Refs() {
-		e := n.table.Level0.Get(r.Addr)
+	for i := range l0.Len() {
+		r, e := l0.At(i)
 		if now-e.LastSeen <= ttl || now-e.LastDirect > farewellWindow*ttl {
 			continue
 		}

@@ -1119,12 +1119,9 @@ func (s *Service) closer(k idspace.ID, mark uint64) (nearest proto.NodeRef, coun
 	now, ttl := s.node.Now(), s.node.Config().EntryTTL
 	selfID := s.node.ID()
 	dSelf := idspace.Dist(selfID, k)
-	for _, r := range l0.Refs() {
-		if r.Addr == s.node.Addr() {
-			continue
-		}
-		e := l0.Get(r.Addr)
-		if e == nil || !e.DirectFresh(now, ttl) {
+	for i := range l0.Len() {
+		r, e := l0.At(i)
+		if r.Addr == s.node.Addr() || !e.DirectFresh(now, ttl) {
 			continue
 		}
 		d := idspace.Dist(r.ID, k)

@@ -389,9 +389,9 @@ func (d *decision) escalate(model Model) Step {
 	// highest-level member ("IF none match the criteria THEN send the
 	// request to the superior node with the highest level", the nearer of
 	// equals, then the earlier).
-	sups := d.tbl.Superiors.Refs()
+	sups := d.tbl.Superiors
 	parent, hasParent := d.tbl.Parent()
-	n := len(sups)
+	n := sups.Len()
 	if hasParent {
 		n++
 	}
@@ -399,8 +399,8 @@ func (d *decision) escalate(model Model) Step {
 	bestD := d.dSelf / 2
 	for i := 0; i < n; i++ {
 		s := parent
-		if i < len(sups) {
-			s = sups[i]
+		if i < sups.Len() {
+			s, _ = sups.At(i)
 		}
 		if d.skip.has(s.Addr) {
 			continue
@@ -452,7 +452,8 @@ func (d *decision) ringWalk() (Step, bool) {
 	var best proto.NodeRef
 	bestD := idspace.DistF(d.self.ID, d.x)
 	found := false
-	for _, r := range d.tbl.Level0.Refs() {
+	for i := range d.tbl.Level0.Len() {
+		r, _ := d.tbl.Level0.At(i)
 		if d.skip.has(r.Addr) {
 			continue
 		}

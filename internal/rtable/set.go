@@ -48,6 +48,18 @@ type Entry struct {
 	// Version is the table-local modification stamp used for delta sync.
 	Version uint32
 	Flags   proto.EntryFlag
+	// shownLevel and shownScore are Ref.MaxLevel and Ref.Score as queries
+	// show them: they lag content-only updates until the next query after a
+	// membership or ID change (Set.show, DESIGN.md §9). They fill padding.
+	shownLevel uint8
+	shownScore uint16
+}
+
+// shown returns the entry's ref as the set's queries show it.
+func (e *Entry) shown() proto.NodeRef {
+	r := e.Ref
+	r.MaxLevel, r.Score = e.shownLevel, e.shownScore
+	return r
 }
 
 // neverDirect marks an entry that has never been heard from directly. Far
@@ -60,35 +72,24 @@ func (e *Entry) DirectFresh(now, ttl time.Duration) bool {
 	return now-e.LastDirect <= ttl
 }
 
-// Set is a collection of entries keyed by transport address and kept in
-// (ID, Addr) order for neighbour queries. The zero value is not usable; use
-// NewSet.
+// Set is a collection of entries keyed by transport address: one slab in
+// (ID, Addr) order and a dirty bit, 32 bytes. The zero value is not usable;
+// use NewSet.
 //
-// Storage layout (the protocol hot path runs through these sets several
-// times per message, so the representation is chosen for cache locality
-// over pointer convenience):
+// An insert, removal or ID change shifts the slab's tail by memmove, never
+// a re-sort: of the 11 058 sets of a settled 2000-peer overlay the median
+// holds 4 entries, 99.1 % at most 16 and the largest 44 (DESIGN.md §16).
+// Finding an address is a linear scan. The slab grows by a quarter (at
+// least two entries) from empty: exact fit would allocate on every insert,
+// doubling left half of every array unused. Removal keeps the capacity, so
+// steady-state churn allocates nothing.
 //
-//   - slab: the entries, contiguous and in (ID, Addr) order. An insert,
-//     removal or ID change shifts the tail by memmove, never a re-sort: of
-//     the 11 058 sets of a settled 2000-peer overlay the median holds 4
-//     entries, 99.1 % at most 16 and the largest 44 (DESIGN.md §16).
-//     Finding an address is a linear scan of the slab's refs.
-//   - sorted: the cached refs view (see Refs).
-//
-// Most sets are a few entries long and a population holds several per
-// peer, so slab and sorted grow together by a quarter (at least two
-// entries) from empty: exact fit would allocate on every insert, doubling
-// left half of every array unused (DESIGN.md §16). Removal keeps the
-// capacity, so steady-state churn allocates nothing.
-//
-// Pointers returned by Get/Upsert point into the slab and are valid only
-// until the next mutating call on the set.
+// Queries hand out refs as shown (see Entry). Get, Upsert and At give the
+// live entry, valid until the next mutating call on the set.
 type Set struct {
 	slab []Entry
-	// sorted caches the ID-ordered refs; rebuilt lazily (a straight copy of
-	// the slab's refs) after a membership or ID change.
-	sorted []proto.NodeRef
-	dirty  bool
+	// dirty marks a membership or ID change that no query has shown yet.
+	dirty bool
 }
 
 // NewSet returns an empty set.
@@ -97,20 +98,17 @@ func NewSet() *Set { return &Set{} }
 // Len returns the number of entries.
 func (s *Set) Len() int { return len(s.slab) }
 
-// Mem is heap held, in bytes, by kind of storage: entry slabs, the sorted
-// views, and fixed-size structs. Backing arrays count at capacity ×
-// element size, before size-class rounding.
-type Mem struct{ Slabs, Views, Fixed int }
+// Mem is heap held, in bytes, by kind of storage: entry slabs and
+// fixed-size structs. Backing arrays count at capacity × element size,
+// before size-class rounding.
+type Mem struct{ Slabs, Fixed int }
 
 // Add accumulates o into m.
-func (m *Mem) Add(o Mem) {
-	m.Slabs, m.Views, m.Fixed = m.Slabs+o.Slabs, m.Views+o.Views, m.Fixed+o.Fixed
-}
+func (m *Mem) Add(o Mem) { m.Slabs, m.Fixed = m.Slabs+o.Slabs, m.Fixed+o.Fixed }
 
 // MemBytes reports the heap the set holds.
 func (s *Set) MemBytes() Mem {
-	return Mem{cap(s.slab) * int(unsafe.Sizeof(Entry{})),
-		cap(s.sorted) * int(unsafe.Sizeof(proto.NodeRef{})), int(unsafe.Sizeof(*s))}
+	return Mem{cap(s.slab) * int(unsafe.Sizeof(Entry{})), int(unsafe.Sizeof(*s))}
 }
 
 // lookup returns the position of addr's entry in the slab.
@@ -276,26 +274,43 @@ func (s *Set) sweepInto(out []proto.NodeRef, now, ttl time.Duration) []proto.Nod
 	return out
 }
 
-// Refs returns the entries' refs sorted by ID. The slice is shared with the
-// set's cache: callers must not mutate it.
-func (s *Set) Refs() []proto.NodeRef {
-	if s.dirty || s.sorted == nil {
-		if cap(s.sorted) < len(s.slab) {
-			s.sorted = make([]proto.NodeRef, 0, cap(s.slab))
-		}
-		s.sorted = s.sorted[:0]
-		for i := range s.slab {
-			s.sorted = append(s.sorted, s.slab[i].Ref)
-		}
-		s.dirty = false
+// show refreshes every entry's shown fields after a membership or ID change.
+// Every refs-reading query, Each and ChangedSince call it first; nothing
+// else may, because when a level becomes visible decides elections.
+func (s *Set) show() {
+	if !s.dirty {
+		return
 	}
-	return s.sorted
+	for i := range s.slab {
+		e := &s.slab[i]
+		e.shownLevel, e.shownScore = e.Ref.MaxLevel, e.Ref.Score
+	}
+	s.dirty = false
+}
+
+// At returns position i in ID order: the ref as the queries show it and the
+// live entry. A walk is `for i := range s.Len() { r, e := s.At(i); … }`,
+// an index loop, not a range-over-func iterator whose body would be a
+// closure (DESIGN.md §16), and must not mutate the set.
+func (s *Set) At(i int) (proto.NodeRef, *Entry) {
+	s.show()
+	e := &s.slab[i]
+	return e.shown(), e
+}
+
+// Refs returns a copy of the refs in ID order, as the queries show them.
+func (s *Set) Refs() []proto.NodeRef {
+	refs := make([]proto.NodeRef, len(s.slab))
+	for i := range refs {
+		refs[i], _ = s.At(i)
+	}
+	return refs
 }
 
 // Each calls fn for every entry in ID order. The *Entry is valid for the
 // duration of the callback; fn must not mutate the set.
 func (s *Set) Each(fn func(*Entry)) {
-	s.Refs() // keep the cache-refresh side effect of the refs-driven walk
+	s.show()
 	for i := range s.slab {
 		fn(&s.slab[i])
 	}
@@ -305,9 +320,11 @@ func (s *Set) Each(fn func(*Entry)) {
 // (proto.Nearer) among those whose address is not in skip, and false when
 // there is none.
 func (s *Set) Nearest(x idspace.ID, skip []uint64) (proto.NodeRef, bool) {
+	s.show()
 	var best proto.NodeRef
 	found := false
-	for _, r := range s.Refs() {
+	for i := range s.slab {
+		r := s.slab[i].shown()
 		if !slices.Contains(skip, r.Addr) && (!found || proto.Nearer(x, r, best)) {
 			best, found = r, true
 		}
@@ -315,53 +332,44 @@ func (s *Set) Nearest(x idspace.ID, skip []uint64) (proto.NodeRef, bool) {
 	return best, found
 }
 
-// searchID returns the first position in the ordered view whose ID is >= x.
-func (s *Set) searchID(refs []proto.NodeRef, x idspace.ID) int {
-	return sort.Search(len(refs), func(i int) bool { return refs[i].ID >= x })
+// searchID shows the set and returns the first position whose ID is >= x.
+func (s *Set) searchID(x idspace.ID) int {
+	s.show()
+	return sort.Search(len(s.slab), func(i int) bool { return s.slab[i].Ref.ID >= x })
 }
 
 // Neighbors returns the refs immediately left and right of x in ID order
 // (excluding any entry with exactly ID x). Either result may be zero when x
 // is at an edge of the set.
 func (s *Set) Neighbors(x idspace.ID) (left, right proto.NodeRef) {
-	refs := s.Refs()
-	i := s.searchID(refs, x)
+	i := s.searchID(x)
 	if i > 0 {
-		left = refs[i-1]
+		left = s.slab[i-1].shown()
 	}
-	for i < len(refs) && refs[i].ID == x {
+	for i < len(s.slab) && s.slab[i].Ref.ID == x {
 		i++
 	}
-	if i < len(refs) {
-		right = refs[i]
+	if i < len(s.slab) {
+		right = s.slab[i].shown()
 	}
 	return left, right
 }
-
-// entryAt returns the entry at position i of Refs(). Callers must have
-// materialised refs via Refs() in the same unmutated state, so positions
-// align between the refs cache and the slab.
-func (s *Set) entryAt(i int) *Entry { return &s.slab[i] }
 
 // NeighborsFresh returns the direct-fresh refs immediately left and right
 // of x: the neighbours this node may legitimately vouch for to others.
 // Hearsay entries (never heard from directly, or silent beyond ttl) are
 // skipped, which is what keeps dead nodes from circulating forever.
 func (s *Set) NeighborsFresh(x idspace.ID, now, ttl time.Duration) (left, right proto.NodeRef) {
-	refs := s.Refs()
-	i := s.searchID(refs, x)
+	i := s.searchID(x)
 	for l := i - 1; l >= 0; l-- {
-		if s.entryAt(l).DirectFresh(now, ttl) {
-			left = refs[l]
+		if e := &s.slab[l]; e.DirectFresh(now, ttl) {
+			left = e.shown()
 			break
 		}
 	}
-	for r := i; r < len(refs); r++ {
-		if refs[r].ID == x {
-			continue
-		}
-		if s.entryAt(r).DirectFresh(now, ttl) {
-			right = refs[r]
+	for r := i; r < len(s.slab); r++ {
+		if e := &s.slab[r]; e.Ref.ID != x && e.DirectFresh(now, ttl) {
+			right = e.shown()
 			break
 		}
 	}
@@ -371,24 +379,20 @@ func (s *Set) NeighborsFresh(x idspace.ID, now, ttl time.Duration) (left, right 
 // AppendNeighborsFreshK appends to out up to k direct-fresh refs on one
 // side of x (left = below x), nearest first.
 func (s *Set) AppendNeighborsFreshK(out []proto.NodeRef, x idspace.ID, now, ttl time.Duration, k int, leftSide bool) []proto.NodeRef {
-	refs := s.Refs()
-	i := s.searchID(refs, x)
+	i := s.searchID(x)
 	found := 0
 	if leftSide {
 		for l := i - 1; l >= 0 && found < k; l-- {
-			if s.entryAt(l).DirectFresh(now, ttl) {
-				out = append(out, refs[l])
+			if e := &s.slab[l]; e.DirectFresh(now, ttl) {
+				out = append(out, e.shown())
 				found++
 			}
 		}
 		return out
 	}
-	for r := i; r < len(refs) && found < k; r++ {
-		if refs[r].ID == x {
-			continue
-		}
-		if s.entryAt(r).DirectFresh(now, ttl) {
-			out = append(out, refs[r])
+	for r := i; r < len(s.slab) && found < k; r++ {
+		if e := &s.slab[r]; e.Ref.ID != x && e.DirectFresh(now, ttl) {
+			out = append(out, e.shown())
 			found++
 		}
 	}
@@ -399,39 +403,29 @@ func (s *Set) AppendNeighborsFreshK(out []proto.NodeRef, x idspace.ID, now, ttl 
 // side of x — 0 for the immediate neighbour. Used to bound how much
 // level-0 knowledge a node accumulates per side.
 func (s *Set) SideRank(x, id idspace.ID) int {
-	refs := s.Refs()
-	i := s.searchID(refs, x)
+	i := s.searchID(x)
 	rank := 0
 	if id < x {
-		for l := i - 1; l >= 0; l-- {
-			if refs[l].ID <= id {
-				break
-			}
+		for l := i - 1; l >= 0 && s.slab[l].Ref.ID > id; l-- {
 			rank++
 		}
 		return rank
 	}
-	for r := i; r < len(refs); r++ {
-		if refs[r].ID == x {
-			continue
+	for r := i; r < len(s.slab) && s.slab[r].Ref.ID < id; r++ {
+		if s.slab[r].Ref.ID != x {
+			rank++
 		}
-		if refs[r].ID >= id {
-			break
-		}
-		rank++
 	}
 	return rank
 }
 
-// AppendFreshRefs appends to out the refs of entries heard from directly
-// within ttl. Like every refs-returning query it hands out the cached view (which may
-// lag content-only updates until the next membership change), not the live
-// entry refs — callers advertise from the same snapshot Refs() shows.
+// AppendFreshRefs appends to out the refs, as shown, of entries heard from
+// directly within ttl: callers advertise what the other queries show.
 func (s *Set) AppendFreshRefs(out []proto.NodeRef, now, ttl time.Duration) []proto.NodeRef {
-	refs := s.Refs()
-	for i, r := range refs {
-		if s.entryAt(i).DirectFresh(now, ttl) {
-			out = append(out, r)
+	s.show()
+	for i := range s.slab {
+		if e := &s.slab[i]; e.DirectFresh(now, ttl) {
+			out = append(out, e.shown())
 		}
 	}
 	return out
@@ -439,10 +433,9 @@ func (s *Set) AppendFreshRefs(out []proto.NodeRef, now, ttl time.Duration) []pro
 
 // HasID reports whether any entry has exactly the given ID and returns it.
 func (s *Set) HasID(x idspace.ID) (proto.NodeRef, bool) {
-	refs := s.Refs()
-	i := s.searchID(refs, x)
-	if i < len(refs) && refs[i].ID == x {
-		return refs[i], true
+	i := s.searchID(x)
+	if i < len(s.slab) && s.slab[i].Ref.ID == x {
+		return s.slab[i].shown(), true
 	}
 	return proto.NodeRef{}, false
 }
@@ -450,13 +443,10 @@ func (s *Set) HasID(x idspace.ID) (proto.NodeRef, bool) {
 // ChangedSince appends to out one proto.Entry per item whose version is
 // newer than since, tagging each with level, the entry flags, and its age
 // at this provider. It implements the "exchange only out-of-date data"
-// delta of §III.d.
+// delta of §III.d, with the live refs. It runs on every keep-alive, so its
+// show bounds how long the queries lag content-only updates.
 func (s *Set) ChangedSince(since uint32, level uint8, now time.Duration, out []proto.Entry) []proto.Entry {
-	// Materialise the refs cache first: delta composition runs on every
-	// keep-alive, and the cache-refresh side effect (old code iterated
-	// Refs() here) is what bounds how long content-only updates stay
-	// invisible to the positional queries.
-	s.Refs()
+	s.show()
 	for i := range s.slab {
 		e := &s.slab[i]
 		if e.Version > since {

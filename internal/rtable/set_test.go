@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"treep/internal/idspace"
 	"treep/internal/proto"
@@ -114,6 +115,18 @@ func TestSweepDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestSetFitsItsSizeClass pins the layouts the heap ledger counts: the
+// shown level and score fill an entry's tail padding, and a set is one
+// slice and its dirty bit.
+func TestSetFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n != 48 {
+		t.Fatalf("Entry is %d bytes, want 48", n)
+	}
+	if n := unsafe.Sizeof(Set{}); n > 32 {
+		t.Fatalf("Set is %d bytes, want at most 32", n)
+	}
+}
+
 func TestRefsSortedAndCached(t *testing.T) {
 	s := NewSet()
 	s.Upsert(ref(30, 3), 0, 0, 1, Direct)
@@ -123,7 +136,7 @@ func TestRefsSortedAndCached(t *testing.T) {
 	if len(refs) != 3 || refs[0].ID != 10 || refs[1].ID != 20 || refs[2].ID != 30 {
 		t.Fatalf("refs %v", refs)
 	}
-	// Mutation invalidates the cache.
+	// Removal shows at the next query.
 	s.Remove(2)
 	refs = s.Refs()
 	if len(refs) != 2 || refs[1].ID != 30 {

@@ -326,7 +326,8 @@ func (t *Table) Candidates(out []proto.NodeRef) []proto.NodeRef {
 	base := len(out)
 	for i, end := 0, t.walk(); i < end; i++ {
 		if s, _ := t.setAt(i); s != nil {
-			for _, r := range s.Refs() {
+			for j := range s.Len() {
+				r, _ := s.At(j)
 				out = appendCandidate(out, base, r)
 			}
 		}
@@ -367,7 +368,8 @@ func (t *Table) NearestInRange(lo, hi, toward idspace.ID, exclude uint64) (proto
 	}
 	for i, end := 0, t.walk(); i < end; i++ {
 		if s, _ := t.setAt(i); s != nil {
-			for _, r := range s.Refs() {
+			for j := range s.Len() {
+				r, _ := s.At(j)
 				sc.consider(r)
 			}
 		}

@@ -141,11 +141,13 @@ func RingWalk() Checker {
 }
 
 // nextAliveRight resolves the walker's nearest live level-0 contact
-// strictly to its right, or nil. Refs() is ID-sorted, so the first live
+// strictly to its right, or nil. The set is ID-ordered, so the first live
 // hit is the nearest; skipping a live node here means the walker does not
 // know its true successor and the walk undercounts — the violation.
 func nextAliveRight(x *Ctx, cur *core.Node) *core.Node {
-	for _, r := range cur.Table().Level0.Refs() {
+	l0 := cur.Table().Level0
+	for i := range l0.Len() {
+		r, _ := l0.At(i)
 		if r.ID <= cur.ID() {
 			continue
 		}
@@ -228,7 +230,8 @@ func TessellationCoverage() Checker {
 func memberCell(x *Ctx, n *core.Node, lvl uint8) idspace.Region {
 	ids := append(x.ids[:0], n.ID())
 	if s := n.Table().BusAt(lvl); s != nil {
-		for _, r := range s.Refs() {
+		for i := range s.Len() {
+			r, _ := s.At(i)
 			actual := x.C.NodeByAddr(r.Addr)
 			if actual != nil && x.C.Alive(actual) && actual.MaxLevel() >= lvl {
 				ids = append(ids, r.ID)
