@@ -56,7 +56,7 @@ func benchCluster(n int) (nodes []*Node, target *Node, from uint64, ping *proto.
 	target = nodes[n/2]
 	nbr := nodes[n/2-1]
 	ping = &proto.Ping{From: nbr.Ref(), Seq: 1}
-	ping.Entries = nbr.composeUpdateInto(nil, target.Addr(), false)
+	ping.Entries = nbr.composeUpdate(target.Addr(), false)
 	return nodes, target, nbr.Addr(), ping
 }
 

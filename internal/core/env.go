@@ -70,12 +70,12 @@ type Env interface {
 //
 // Ownership rule: nothing in a Scratch may be handed to Env.Send, captured
 // by a timer callback, or read after the step returns to the loop; what
-// must outlive the step is copied out (a message keeps the entries
-// appended to its own buffer, never a scratch slice). Env.Send and the
-// timer calls run no node code before they return, which is what lets a
-// step keep reading its buffers across them.
+// must outlive the step is copied out (a message carries its entries in a
+// buffer of its own from proto.EntryBuf, never a scratch slice). Env.Send
+// and the timer calls run no node code before they return, which is what
+// lets a step keep reading its buffers across them.
 type Scratch struct {
-	entries, delta       []proto.Entry
+	entries, up          []proto.Entry
 	refs, peers, members []proto.NodeRef
 	ids                  []idspace.ID
 	route                routing.Scratch
@@ -85,6 +85,6 @@ type Scratch struct {
 // MemBytes reports the heap behind the composition buffers (the routing
 // and sweep scratches, a few dozen refs each, keep theirs to themselves).
 func (sc *Scratch) MemBytes() int {
-	return (cap(sc.entries)+cap(sc.delta))*int(unsafe.Sizeof(proto.Entry{})) +
+	return (cap(sc.entries)+cap(sc.up))*int(unsafe.Sizeof(proto.Entry{})) +
 		(cap(sc.refs)+cap(sc.peers)+cap(sc.members))*int(unsafe.Sizeof(proto.NodeRef{})) + cap(sc.ids)*8
 }

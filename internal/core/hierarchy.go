@@ -283,7 +283,7 @@ func (n *Node) handleChildReport(from uint64, m *proto.ChildReport) {
 	// superior node lists) and keep that knowledge fresh.
 	ack := proto.Acquire(proto.TPong).(*proto.Pong)
 	ack.From = n.Ref()
-	ack.Entries = n.composeUpdateInto(ack.Entries, from, true)
+	ack.Entries = n.composeUpdate(from, true)
 	n.send(from, ack)
 
 	n.maybeSplit()

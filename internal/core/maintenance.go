@@ -49,7 +49,7 @@ func (n *Node) sendPing(to uint64) {
 	n.Stats.PingsSent++
 	p := proto.Acquire(proto.TPing).(*proto.Ping)
 	p.From, p.Seq = n.Ref(), n.pingSeq
-	p.Entries = n.composeUpdateInto(p.Entries, to, false)
+	p.Entries = n.composeUpdate(to, false)
 	n.send(to, p)
 }
 
@@ -297,7 +297,7 @@ func (n *Node) handlePing(from uint64, m *proto.Ping) {
 	n.Stats.PongsSent++
 	pong := proto.Acquire(proto.TPong).(*proto.Pong)
 	pong.From, pong.Seq = n.Ref(), m.Seq
-	pong.Entries = n.composeUpdateInto(pong.Entries, from, n.table.Children.Get(from) != nil)
+	pong.Entries = n.composeUpdate(from, n.table.Children.Get(from) != nil)
 	n.send(from, pong)
 }
 
@@ -446,7 +446,7 @@ func (n *Node) applyEntries(from uint64, sender proto.NodeRef, entries []proto.E
 	fromBusNbr := (!bl.IsZero() && bl.Addr == from) || (!br.IsZero() && br.Addr == from)
 	// Newly learned upper-level members are forwarded to the parent in a
 	// pooled Pong, acquired only when something actually flows upward.
-	var up *proto.Pong
+	up := n.sc.up[:0]
 	for _, e := range entries {
 		if e.Ref.IsZero() || e.Ref.Addr == n.Addr() {
 			continue
@@ -499,23 +499,23 @@ func (n *Node) applyEntries(from uint64, sender proto.NodeRef, entries []proto.E
 		// from having two roots of the tree that are not connected."
 		if n.noteRefAt(e.Ref, false, validated) && e.Ref.MaxLevel > 0 && hasParent &&
 			from != parent.Addr && e.Ref.Addr != parent.Addr {
-			if up == nil {
-				up = proto.Acquire(proto.TPong).(*proto.Pong)
-				up.From = n.Ref()
-			}
-			if len(up.Entries) >= proto.MaxKeepAliveEntries {
-				// Wire-safety clamp (see composeUpdateInto): the forward
+			if len(up) >= proto.MaxKeepAliveEntries {
+				// Wire-safety clamp (see composeUpdate): the forward
 				// must stay sendable over real UDP.
 				continue
 			}
-			up.Entries = append(up.Entries, proto.Entry{
+			up = append(up, proto.Entry{
 				Ref: e.Ref, Level: e.Ref.MaxLevel, Flags: proto.FNeighbor,
 				Version: n.table.Version(), AgeDs: proto.AgeFrom(now, validated),
 			})
 		}
 	}
-	if up != nil {
-		n.send(parent.Addr, up)
+	n.sc.up = up
+	if len(up) > 0 {
+		fwd := proto.Acquire(proto.TPong).(*proto.Pong)
+		fwd.From = n.Ref()
+		fwd.Entries = append(proto.EntryBuf(len(up)), up...)
+		n.send(parent.Addr, fwd)
 	}
 	n.ensureHierarchy()
 }

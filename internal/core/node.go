@@ -787,47 +787,41 @@ func (n *Node) superiorEntries(out []proto.Entry) []proto.Entry {
 	return out
 }
 
-// composeUpdateInto merges the version-gated delta for a peer with the
-// always-shipped structural entries (deduplicated by address+flags, delta
-// first), appending into out — normally a pooled message's recycled entry
-// buffer, which makes the keep-alive path allocation-free in steady
-// state. forChild additionally ships the superior list.
-func (n *Node) composeUpdateInto(out []proto.Entry, peer uint64, forChild bool) []proto.Entry {
+// composeUpdate merges the version-gated delta for a peer with the
+// always-shipped structural entries, deduplicated by address+flags, delta
+// first, and returns them in a buffer of their own from proto.EntryBuf,
+// sized to what they are: the buffer a keep-alive carries while in flight.
+// forChild additionally ships the superior list.
+func (n *Node) composeUpdate(peer uint64, forChild bool) []proto.Entry {
 	ps := n.peerFor(peer)
-	delta := n.table.AppendDelta(n.sc.delta[:0], ps.LastSent, n.env.Now())
-	n.sc.delta = delta
+	all := n.table.AppendDelta(n.sc.entries[:0], ps.LastSent, n.env.Now())
 	ps.LastSent = n.table.Version()
 	ps.LastSentAt = n.env.Now()
-	structural := n.structuralEntries(n.sc.entries[:0])
+	all = n.structuralEntries(all)
 	if forChild {
-		structural = n.superiorEntries(structural)
+		all = n.superiorEntries(all)
 	}
-	n.sc.entries = structural
-	for _, e := range delta {
-		out = appendEntryDedup(out, e)
+	n.sc.entries = all
+	// Dedup in place: what is kept is a prefix of what has been read.
+	// Linear scan: updates are a few dozen entries at most (§III.e bounds
+	// the table, the delta is the changed subset), and a map here costs an
+	// allocation per outgoing message.
+	kept := all[:0]
+next:
+	for _, e := range all {
+		for _, k := range kept {
+			if k.Ref.Addr == e.Ref.Addr && k.Flags == e.Flags {
+				continue next
+			}
+		}
+		kept = append(kept, e)
 	}
-	for _, e := range structural {
-		out = appendEntryDedup(out, e)
-	}
-	if len(out) > proto.MaxKeepAliveEntries {
+	if len(kept) > proto.MaxKeepAliveEntries {
 		// Wire-safety clamp: a keep-alive must fit proto.MaxDatagram on
 		// the real-socket plane. §III.e bounds tables to dozens of
 		// entries, so this never fires in practice; dropped entries
 		// simply ride a later piggyback.
-		out = out[:proto.MaxKeepAliveEntries]
+		kept = kept[:proto.MaxKeepAliveEntries]
 	}
-	return out
-}
-
-// appendEntryDedup appends e unless an entry with the same (address,
-// flags) is already present. Linear scan: updates are a few dozen entries
-// at most (§III.e bounds the table, the delta is the changed subset), and
-// a map here costs an allocation per outgoing message.
-func appendEntryDedup(out []proto.Entry, e proto.Entry) []proto.Entry {
-	for i := range out {
-		if out[i].Ref.Addr == e.Ref.Addr && out[i].Flags == e.Flags {
-			return out
-		}
-	}
-	return append(out, e)
+	return append(proto.EntryBuf(len(kept)), kept...)
 }

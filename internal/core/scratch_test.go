@@ -21,7 +21,7 @@ func (sc *Scratch) poison() {
 			full[i] = junk
 		}
 	}
-	for _, buf := range [][]proto.Entry{sc.entries, sc.delta} {
+	for _, buf := range [][]proto.Entry{sc.entries, sc.up} {
 		full := buf[:cap(buf)]
 		for i := range full {
 			full[i] = proto.Entry{Ref: junk, Level: 7, Flags: 0xFF, Version: ^uint32(0)}

@@ -333,11 +333,12 @@ func (c *cursor) listLen(size, limit int) (int, bool) {
 	return int(n), c.err == nil && !c.short(int(n)*size)
 }
 
-// entries, refs and bytes are length-prefixed lists. A read appends into
-// the field's own capacity, so a pooled message decodes without allocating,
-// and leaves a nil field nil when the list is empty. A clear keeps an entry
-// or value buffer's capacity, seeded to entrySeedCap or valueSeedCap, and
-// drops a ref list's.
+// entries, refs and bytes are length-prefixed lists, and a read leaves a
+// nil field nil when the list is empty. An entry list is read into a buffer
+// from EntryBuf, and a clear gives the buffer back to its class and leaves
+// the field nil. Refs and values are read into the field's own capacity, so
+// a pooled message decodes without allocating; a clear keeps a value
+// buffer's capacity, seeded to valueSeedCap, and drops a ref list's.
 func (c *cursor) entries(es *[]Entry) {
 	switch c.dir {
 	case sizing:
@@ -348,16 +349,14 @@ func (c *cursor) entries(es *[]Entry) {
 			c.buf = appendEntry(c.buf, &(*es)[i])
 		}
 	case clearing:
-		*es = seedEntries(*es)
+		putEntries(*es)
+		*es = nil
 	default:
 		n, ok := c.listLen(entrySize, maxListLen)
 		if !ok {
 			return
 		}
-		dst := (*es)[:0]
-		if cap(dst) < n {
-			dst = make([]Entry, 0, n)
-		}
+		dst := EntryBuf(n)
 		for ; n > 0; n-- {
 			dst = append(dst, readEntry(c.buf))
 			c.buf = c.buf[entrySize:]

@@ -197,14 +197,18 @@ const (
 // the age keeps staleness cumulative across hops — without it, every
 // re-advertisement would reset a dead node's timestamp and gossip chains
 // could keep it alive far beyond its TTL.
+//
+// Level, Flags and AgeDs share one 8-byte word with Version: 32 bytes,
+// where wire order pads to 40. The codec writes the fields in wire order
+// one by one (appendEntry, readEntry), so the struct layout is free.
 type Entry struct {
-	Ref     NodeRef
-	Level   uint8
-	Flags   EntryFlag
-	Version uint32
+	Ref   NodeRef
+	Level uint8
+	Flags EntryFlag
 	// AgeDs is the time since the provider last validated this entry, in
 	// deciseconds (6553 s max, far beyond any entry TTL).
-	AgeDs uint16
+	AgeDs   uint16
+	Version uint32
 }
 
 const entrySize = nodeRefSize + 1 + 1 + 4 + 2

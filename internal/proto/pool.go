@@ -1,6 +1,10 @@
 package proto
 
-import "sync"
+import (
+	"slices"
+	"sync"
+	"unsafe"
+)
 
 // pools holds one pool per wire type whose msgTypes row is marked pooled,
 // indexed by MsgType. A pool has no New: Acquire calls the row's
@@ -19,9 +23,10 @@ import "sync"
 var pools [tMaxMsgType]sync.Pool
 
 // Acquire returns a pooled message of type t, reset by its body walk
-// (cursor direction clearing): every field zero, an entry or value buffer
-// empty with its capacity kept and seeded, a lookup's alternates nil. The caller
-// asserts the concrete type: Acquire(TPing).(*Ping).
+// (cursor direction clearing): every field zero, an entry buffer back in
+// its class and the field nil, a value buffer empty with its capacity kept
+// and seeded, a lookup's alternates nil. The caller asserts the concrete
+// type: Acquire(TPing).(*Ping).
 func Acquire(t MsgType) Message {
 	m, _ := pools[t].Get().(Message)
 	if m == nil {
@@ -42,16 +47,48 @@ func ReleaseDecoded(m Message) {
 	}
 }
 
-// entrySeedCap pre-sizes a pooled message's entry buffer: typical updates
-// carry a dozen-odd entries, and seeding the capacity once per pool
-// object avoids the 1→2→4→8 append ladder on every fresh buffer.
-const entrySeedCap = 24
+// entryClasses are the capacities an entry buffer comes in: each n for
+// which n entries (32 B each) fill an allocator size class exactly, up to
+// the allocator's 32 KiB small-object limit. A keep-alive's buffer is the
+// smallest class that holds its entries, so a message in flight holds about
+// what it carries, and nothing is lost to the allocator's rounding.
+var entryClasses = [...]int{
+	1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 20, 22, 24,
+	28, 32, 36, 40, 44, 48, 56, 64, 72, 84, 96, 100, 108, 128, 152, 168, 192,
+	204, 212, 216, 256, 296, 304, 320, 340, 384, 424, 448, 512, 576, 596, 640,
+	680, 768, 852, 896, 1024,
+}
 
-func seedEntries(es []Entry) []Entry {
-	if cap(es) < entrySeedCap {
-		return make([]Entry, 0, entrySeedCap)
+// entryPools holds the idle buffers of each class, by index into
+// entryClasses. A pool holds a buffer by its first element: a pointer goes
+// into an interface without allocating, a slice header would not.
+var entryPools [len(entryClasses)]sync.Pool
+
+// EntryBuf returns an empty entry buffer with room for n entries: one of the
+// smallest class that holds n, from its pool when one is idle. Above the
+// largest class it is made to measure and never pooled; for n ≤ 0 it is nil.
+// The buffer goes back to its pool when the message carrying it is reset
+// (the clearing walk of Acquire).
+func EntryBuf(n int) []Entry {
+	if n <= 0 {
+		return nil
 	}
-	return es[:0]
+	i, _ := slices.BinarySearch(entryClasses[:], n)
+	if i == len(entryClasses) {
+		return make([]Entry, 0, n)
+	}
+	if p, _ := entryPools[i].Get().(*Entry); p != nil {
+		return unsafe.Slice(p, entryClasses[i])[:0]
+	}
+	return make([]Entry, 0, entryClasses[i])
+}
+
+// putEntries gives an entry buffer back to its class. A buffer of any other
+// capacity (made to measure, or built outside EntryBuf) is dropped.
+func putEntries(es []Entry) {
+	if i, ok := slices.BinarySearch(entryClasses[:], cap(es)); ok {
+		entryPools[i].Put(unsafe.SliceData(es))
+	}
 }
 
 // valueSeedCap pre-sizes a pooled DHT message's value buffer; typical

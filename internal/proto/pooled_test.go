@@ -162,17 +162,17 @@ func TestDecodePooledCoversTypes(t *testing.T) {
 // TestAcquireResetsEveryPooledType dirties a pooled object of every pooled
 // row — every field non-zero, slices with spare capacity, the alternates
 // aliasing another live slice — releases it and acquires it again. The
-// acquired object has every field zero, its entry or value buffer empty
-// with at least the seed capacity (kept when it already had that much),
-// and its alternates nil, so appending to them cannot write into the slice
-// they aliased.
+// acquired object has every field zero, its entries nil (the buffer went
+// back to its class), its value buffer empty with at least the seed
+// capacity (kept when it already had that much), and its alternates nil,
+// so appending to them cannot write into the slice they aliased.
 func TestAcquireResetsEveryPooledType(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
 	for ty, row := range msgTypes {
 		if !row.pooled {
 			continue
 		}
-		for _, spare := range []int{2, entrySeedCap + valueSeedCap} {
+		for _, spare := range []int{2, 2 * valueSeedCap} {
 			m := Acquire(MsgType(ty))
 			other := []NodeRef{{ID: 1, Addr: 1}, {ID: 2, Addr: 2}}
 			buffers := dirty(reflect.ValueOf(m).Elem(), other, spare)
@@ -185,15 +185,15 @@ func TestAcquireResetsEveryPooledType(t *testing.T) {
 			for i := 0; i < v.NumField(); i++ {
 				f, name := v.Field(i), v.Type().Field(i).Name
 				switch f.Interface().(type) {
-				case []Entry, []byte:
-					seed := valueSeedCap
-					if name == "Entries" {
-						seed = entrySeedCap
+				case []Entry:
+					if !f.IsNil() {
+						t.Fatalf("%v.%s: %d entries of capacity %d, want nil", got.Type(), name, f.Len(), f.Cap())
 					}
-					if f.Len() != 0 || f.Cap() < seed {
-						t.Fatalf("%v.%s: len %d cap %d, want empty with cap >= %d", got.Type(), name, f.Len(), f.Cap(), seed)
+				case []byte:
+					if f.Len() != 0 || f.Cap() < valueSeedCap {
+						t.Fatalf("%v.%s: len %d cap %d, want empty with cap >= %d", got.Type(), name, f.Len(), f.Cap(), valueSeedCap)
 					}
-					if kept := buffers[name]; got == m && spare > seed && f.Pointer() != kept {
+					if kept := buffers[name]; got == m && spare > valueSeedCap && f.Pointer() != kept {
 						t.Fatalf("%v.%s: a buffer of capacity %d was not kept", got.Type(), name, spare)
 					}
 				case []NodeRef:
@@ -215,8 +215,9 @@ func TestAcquireResetsEveryPooledType(t *testing.T) {
 	}
 }
 
-// TestAcquireFromManyGoroutines: shard workers acquire at once, and every
-// clearing walk runs on the one shared clearer cursor. Under -race this
+// TestAcquireFromManyGoroutines: shard workers acquire at once, every
+// clearing walk runs on the one shared clearer cursor, and keep-alives
+// take and give back entry buffers of every small class. Under -race this
 // fails if a clearing walk ever writes the cursor.
 func TestAcquireFromManyGoroutines(t *testing.T) {
 	var wg sync.WaitGroup
@@ -228,6 +229,9 @@ func TestAcquireFromManyGoroutines(t *testing.T) {
 				for ty, row := range msgTypes {
 					if row.pooled {
 						m := Acquire(MsgType(ty))
+						if p, ok := m.(*Ping); ok {
+							p.Entries = append(EntryBuf(i%40), make([]Entry, i%40)...)
+						}
 						if WireSize(m) == 0 {
 							t.Error("a pooled message sizes to nothing")
 						}

@@ -23,7 +23,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -45,11 +44,9 @@ type Kernel struct {
 	// live counts scheduled, non-cancelled events (what Pending reports).
 	live int
 
-	// executed counts delivered events, for budget enforcement and stats.
+	// executed counts delivered events, for stats.
 	executed uint64
-	// maxEvents aborts runaway simulations (protocol loops); 0 = unlimited.
-	maxEvents uint64
-	seed      int64
+	seed     int64
 	// stopped is atomic so wall-clock watchdogs (bench -budget) may call
 	// Stop from another goroutine; everything else on the kernel remains
 	// single-threaded.
@@ -64,13 +61,6 @@ type Kernel struct {
 func New(seed int64) *Kernel {
 	return &Kernel{seed: seed, streams: make(map[uint64]*stream)}
 }
-
-// SetEventBudget caps the number of events a run may execute; Run returns
-// ErrBudget once the cap is hit. Zero disables the cap.
-func (k *Kernel) SetEventBudget(n uint64) { k.maxEvents = n }
-
-// ErrBudget is returned by Run and RunUntil when the event budget is hit.
-var ErrBudget = fmt.Errorf("sim: event budget exhausted")
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
@@ -196,17 +186,11 @@ func (k *Kernel) newEvent(at time.Duration) *event {
 	return ev
 }
 
-// Run executes events until the queue drains, the budget is exhausted, or
-// Stop is called. It returns nil on a drained queue or voluntary stop.
+// Run executes events until the queue drains or Stop is called. It always
+// returns nil.
 func (k *Kernel) Run() error {
 	k.stopped.Store(false)
-	for !k.stopped.Load() {
-		if k.maxEvents > 0 && k.executed >= k.maxEvents {
-			return ErrBudget
-		}
-		if len(k.q) == 0 {
-			return nil
-		}
+	for !k.stopped.Load() && len(k.q) > 0 {
 		k.fire()
 	}
 	return nil
@@ -216,16 +200,10 @@ func (k *Kernel) Run() error {
 // clock to the deadline. Events scheduled beyond the deadline stay queued;
 // events scheduled exactly at the deadline (including from callbacks firing
 // at the deadline) are executed. A run that Stop ends while an event is
-// still due leaves the clock at the stopping event.
+// still due leaves the clock at the stopping event. It always returns nil.
 func (k *Kernel) RunUntil(deadline time.Duration) error {
 	k.stopped.Store(false)
-	for !k.stopped.Load() {
-		if k.maxEvents > 0 && k.executed >= k.maxEvents {
-			return ErrBudget
-		}
-		if !k.due(deadline) {
-			break
-		}
+	for !k.stopped.Load() && k.due(deadline) {
 		k.fire()
 	}
 	if !k.due(deadline) && k.now < deadline {

@@ -188,20 +188,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestEventBudget(t *testing.T) {
-	k := New(1)
-	k.SetEventBudget(100)
-	var loop func()
-	loop = func() { k.Schedule(time.Millisecond, loop) }
-	k.Schedule(0, loop)
-	if err := k.Run(); err != ErrBudget {
-		t.Fatalf("err = %v, want ErrBudget", err)
-	}
-	if k.Executed() != 100 {
-		t.Fatalf("executed %d", k.Executed())
-	}
-}
-
 func TestScheduleAtPastClamps(t *testing.T) {
 	k := New(1)
 	k.Schedule(time.Second, func() {})
