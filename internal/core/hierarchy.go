@@ -349,7 +349,7 @@ func (n *Node) maybeSplit() {
 	var best proto.NodeRef
 	var bestScore uint16
 	found := false
-	children := n.table.Children
+	children := &n.table.Children
 	for i := range children.Len() {
 		r, e := children.At(i)
 		if r.MaxLevel+1 > n.maxLevel || r.MaxLevel+1 > n.cfg.MaxHeight || !e.DirectFresh(now, n.cfg.EntryTTL) {

@@ -479,7 +479,7 @@ func (n *Node) applyEntries(from uint64, sender proto.NodeRef, entries []proto.E
 			// nodes above level 0 maintain it); the neighbour vouches for
 			// its own reporting children. Capped so neighbour turnover
 			// cannot accumulate history.
-			set := n.table.NbrChildren
+			set := &n.table.NbrChildren
 			if set.Get(e.Ref.Addr) != nil || set.Len() < 2*int(n.maxChildren) {
 				set.Upsert(e.Ref, proto.FChild|proto.FIndirect, validated, n.table.NextVersion(), rtable.Vouched)
 			}

@@ -577,7 +577,7 @@ func (n *Node) degreeAt(level uint8) int {
 // including itself, sorted by ID. The slice is a shared scratch buffer:
 // callers must not retain it across another call into the node.
 func (n *Node) busMembersWithSelf(level uint8) []proto.NodeRef {
-	s := n.table.Level0
+	s := &n.table.Level0
 	if level > 0 {
 		s = n.table.BusAt(level)
 	}
@@ -701,7 +701,7 @@ func (n *Node) bestKnownMember(level uint8, near idspace.ID) (proto.NodeRef, tim
 			considerSet(s)
 		}
 	}
-	considerSet(n.table.Superiors)
+	considerSet(&n.table.Superiors)
 	if p, ok := n.table.Parent(); ok {
 		seen := time.Duration(0)
 		if pe, ok2 := n.table.ParentEntry(); ok2 {
@@ -709,7 +709,7 @@ func (n *Node) bestKnownMember(level uint8, near idspace.ID) (proto.NodeRef, tim
 		}
 		consider(p, seen)
 	}
-	considerSet(n.table.Level0)
+	considerSet(&n.table.Level0)
 	return best, bestSeen, found
 }
 
@@ -750,7 +750,7 @@ func (n *Node) structuralEntries(out []proto.Entry) []proto.Entry {
 	n.sc.refs = nbrs
 	for _, nb := range nbrs {
 		out = append(out, proto.Entry{Ref: nb, Level: 0, Flags: proto.FNeighbor, Version: v,
-			AgeDs: age(n.table.Level0, nb.Addr)})
+			AgeDs: age(&n.table.Level0, nb.Addr)})
 	}
 	for lvl := uint8(1); lvl <= n.maxLevel; lvl++ {
 		if s := n.table.BusAt(lvl); s != nil {
@@ -767,7 +767,7 @@ func (n *Node) structuralEntries(out []proto.Entry) []proto.Entry {
 	n.sc.refs = fresh
 	for _, c := range fresh {
 		out = append(out, proto.Entry{Ref: c, Level: c.MaxLevel, Flags: proto.FChild, Version: v,
-			AgeDs: age(n.table.Children, c.Addr)})
+			AgeDs: age(&n.table.Children, c.Addr)})
 	}
 	return out
 }
@@ -779,7 +779,7 @@ func (n *Node) structuralEntries(out []proto.Entry) []proto.Entry {
 func (n *Node) superiorEntries(out []proto.Entry) []proto.Entry {
 	now := n.env.Now()
 	v := n.table.Version()
-	sups := n.table.Superiors
+	sups := &n.table.Superiors
 	for i := range sups.Len() {
 		s, e := sups.At(i)
 		out = append(out, proto.Entry{Ref: s, Level: s.MaxLevel, Flags: proto.FSuperior, Version: v, AgeDs: proto.AgeFrom(now, e.LastSeen)})

@@ -91,7 +91,7 @@ func (n *Node) farewellCheck(now time.Duration) int {
 	fresh := 0
 	// Nearest surviving (non-expiring) entry per side.
 	var survLeft, survRight proto.NodeRef
-	l0 := n.table.Level0
+	l0 := &n.table.Level0
 	for i := range l0.Len() {
 		r, e := l0.At(i)
 		if now-e.LastSeen > ttl {

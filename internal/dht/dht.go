@@ -725,7 +725,7 @@ func (s *Service) fanoutTargets(k idspace.ID, hk *hotKey) []uint64 {
 	if seed := len(out) + fanoutNeighborSeed; seed < width {
 		width = seed
 	}
-	l0 := s.node.Table().Level0
+	l0 := &s.node.Table().Level0
 	now, ttl := s.node.Now(), s.node.Config().EntryTTL
 	refs := l0.AppendNeighborsFreshK(s.scratch[:0], k, now, ttl, fanoutNeighborSeed, true)
 	refs = l0.AppendNeighborsFreshK(refs, k, now, ttl, fanoutNeighborSeed, false)
@@ -1073,7 +1073,7 @@ func (s *Service) ReplicaTargets(k idspace.ID) []proto.NodeRef { return s.replic
 
 func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
 	const want = replicationFactor - 1
-	l0 := s.node.Table().Level0
+	l0 := &s.node.Table().Level0
 	now, ttl := s.node.Now(), s.node.Config().EntryTTL
 	// Collect up to `want` fresh contacts from each side, then keep the
 	// `want` nearest by distance. The ID space is a line, not a ring: a
@@ -1115,7 +1115,7 @@ func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
 // nobody and direct-fresh only now and then, and a mark tied to the
 // nearest would flip with every lapse.
 func (s *Service) closer(k idspace.ID, mark uint64) (nearest proto.NodeRef, count int, held bool) {
-	l0 := s.node.Table().Level0
+	l0 := &s.node.Table().Level0
 	now, ttl := s.node.Now(), s.node.Config().EntryTTL
 	selfID := s.node.ID()
 	dSelf := idspace.Dist(selfID, k)

@@ -73,20 +73,20 @@ func TestFivePeerCycleEndsAtTheHopBudget(t *testing.T) {
 	}
 	nodes := map[uint64]*walkNode{
 		a.Addr: mk(a, q, func(tb *rtable.Table) {
-			add(tb.NbrChildren, proto.FChild|proto.FIndirect, b) // closer, but neither child nor ring contact
-			add(tb.Superiors, proto.FSuperior, root)
+			add(&tb.NbrChildren, proto.FChild|proto.FIndirect, b) // closer, but neither child nor ring contact
+			add(&tb.Superiors, proto.FSuperior, root)
 		}),
-		root.Addr: mk(root, proto.NodeRef{}, func(tb *rtable.Table) { add(tb.Children, proto.FChild, p5) }),
-		p5.Addr:   mk(p5, root, func(tb *rtable.Table) { add(tb.Children, proto.FChild, p4) }),
-		p4.Addr:   mk(p4, p5, func(tb *rtable.Table) { add(tb.Children, proto.FChild, p3) }),
+		root.Addr: mk(root, proto.NodeRef{}, func(tb *rtable.Table) { add(&tb.Children, proto.FChild, p5) }),
+		p5.Addr:   mk(p5, root, func(tb *rtable.Table) { add(&tb.Children, proto.FChild, p4) }),
+		p4.Addr:   mk(p4, p5, func(tb *rtable.Table) { add(&tb.Children, proto.FChild, p3) }),
 		// The tables are a snapshot of an overlay in motion: P4 still lists
 		// P3 as a child, P3 has since re-parented (a delegation from one's
 		// own parent is a level-0 search and would end the walk there), and
 		// P3 knows A only as a neighbour's child.
-		p3.Addr:    mk(p3, q, func(tb *rtable.Table) { add(tb.NbrChildren, proto.FChild|proto.FIndirect, a) }),
-		q.Addr:     mk(q, p4, func(tb *rtable.Table) { add(tb.Children, proto.FChild, a) }),
-		b.Addr:     mk(b, a, func(tb *rtable.Table) { add(tb.Level0, proto.FNeighbor, owner) }),
-		owner.Addr: mk(owner, a, func(tb *rtable.Table) { add(tb.Level0, proto.FNeighbor, b) }),
+		p3.Addr:    mk(p3, q, func(tb *rtable.Table) { add(&tb.NbrChildren, proto.FChild|proto.FIndirect, a) }),
+		q.Addr:     mk(q, p4, func(tb *rtable.Table) { add(&tb.Children, proto.FChild, a) }),
+		b.Addr:     mk(b, a, func(tb *rtable.Table) { add(&tb.Level0, proto.FNeighbor, owner) }),
+		owner.Addr: mk(owner, a, func(tb *rtable.Table) { add(&tb.Level0, proto.FNeighbor, b) }),
 	}
 
 	p := params()
@@ -231,7 +231,7 @@ func TestExcludedPeersAreInvisible(t *testing.T) {
 		ring, child, child2 := refAt(idspace.FromFraction(0.45), 0), refAt(idspace.FromFraction(0.47), 0), refAt(idspace.FromFraction(0.46), 0)
 		parent := refAt(idspace.FromFraction(0.2), 2)
 		tb := buildTable(ring)
-		direct(tb.Children, proto.FChild, child, child2)
+		direct(&tb.Children, proto.FChild, child, child2)
 		tb.SetParent(parent, 0)
 		if step := route(self, tb, lookupReq(x, proto.AlgoG), true, parent.Addr, ring.Addr); step.Next.Addr != child.Addr {
 			t.Fatalf("ring contact excluded: %+v", step)
@@ -249,8 +249,8 @@ func TestExcludedPeersAreInvisible(t *testing.T) {
 		hint := refAt(idspace.FromFraction(0.31), 0) // closer, fails the halving rule
 		top, parent := refAt(idspace.FromFraction(0.9), 6), refAt(idspace.FromFraction(0.28), 3)
 		tb := rtable.New()
-		direct(tb.NbrChildren, proto.FChild, hint)
-		direct(tb.Superiors, proto.FSuperior, top)
+		direct(&tb.NbrChildren, proto.FChild, hint)
+		direct(&tb.Superiors, proto.FSuperior, top)
 		tb.SetParent(parent, 0)
 		if step := route(self, tb, lookupReq(x, proto.AlgoG), false, 0); step.Next.Addr != top.Addr {
 			t.Fatalf("baseline climb: %+v", step)

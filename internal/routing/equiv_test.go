@@ -86,15 +86,15 @@ func decodeRouteCase(data []byte) routeCase {
 		var s *rtable.Set
 		switch where {
 		case 0, 1:
-			s = c.tbl.Level0
+			s = &c.tbl.Level0
 		case 2:
 			s = c.tbl.BusLevel(1 + b.next()%5)
 		case 3:
-			s = c.tbl.Children
+			s = &c.tbl.Children
 		case 4:
-			s = c.tbl.NbrChildren
+			s = &c.tbl.NbrChildren
 		case 5:
-			s = c.tbl.Superiors
+			s = &c.tbl.Superiors
 		default:
 			c.tbl.SetParent(r, 0)
 			continue

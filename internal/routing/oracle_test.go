@@ -340,11 +340,11 @@ func oldCandidates(tbl *rtable.Table) []proto.NodeRef {
 		}
 		out = append(out, r)
 	}
-	sets := []*rtable.Set{tbl.Level0}
+	sets := []*rtable.Set{&tbl.Level0}
 	for i := 1; i < len(tbl.Bus); i++ {
 		sets = append(sets, tbl.Bus[i])
 	}
-	for _, s := range append(sets, tbl.Children, tbl.NbrChildren, tbl.Superiors) {
+	for _, s := range append(sets, &tbl.Children, &tbl.NbrChildren, &tbl.Superiors) {
 		if s != nil {
 			for _, r := range s.Refs() {
 				add(r)

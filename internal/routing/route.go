@@ -296,7 +296,7 @@ func (d *decision) fromParent() Step {
 	// Owner resolution in the restricted search: the owner of a
 	// coordinate is the positionally nearest node, so only ring and
 	// child competitors matter here. If neither is closer, we own it.
-	for _, s := range [...]*rtable.Set{d.tbl.Level0, d.tbl.Children} {
+	for _, s := range [...]*rtable.Set{&d.tbl.Level0, &d.tbl.Children} {
 		if r, ok := s.Nearest(d.x, d.skip); ok && idspace.Dist(r.ID, d.x) < d.dE {
 			// "IF Request from parent of level 1 THEN Reply Not Found".
 			return finishNGSA(d.req, d.ex, Step{Action: NotFound})
@@ -389,7 +389,7 @@ func (d *decision) escalate(model Model) Step {
 	// highest-level member ("IF none match the criteria THEN send the
 	// request to the superior node with the highest level", the nearer of
 	// equals, then the earlier).
-	sups := d.tbl.Superiors
+	sups := &d.tbl.Superiors
 	parent, hasParent := d.tbl.Parent()
 	n := sups.Len()
 	if hasParent {

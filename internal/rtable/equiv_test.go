@@ -31,7 +31,8 @@ func (s *refSet) Get(addr uint64) *Entry { return s.byAddr[addr] }
 func (s *refSet) Upsert(ref proto.NodeRef, flags proto.EntryFlag, validated time.Duration, version uint32, mode UpsertMode) *Entry {
 	e, ok := s.byAddr[ref.Addr]
 	if !ok {
-		e = &Entry{Ref: ref, Flags: flags, LastSeen: validated, Version: version, LastDirect: neverDirect}
+		e = &Entry{Flags: flags, LastSeen: validated, Version: version, LastDirect: neverDirect}
+		e.setRef(ref)
 		if mode == Direct {
 			e.LastDirect = validated
 		}
@@ -39,15 +40,15 @@ func (s *refSet) Upsert(ref proto.NodeRef, flags proto.EntryFlag, validated time
 		s.dirty = true
 		return e
 	}
-	applyContent := e.Ref != ref
-	if mode == Hearsay && ref.MaxLevel < e.Ref.MaxLevel {
+	applyContent := e.Ref() != ref
+	if mode == Hearsay && ref.MaxLevel < e.MaxLevel {
 		applyContent = false
 	}
 	if applyContent {
-		if e.Ref.ID != ref.ID {
+		if e.ID != ref.ID {
 			s.dirty = true
 		}
-		e.Ref = ref
+		e.setRef(ref)
 		e.Version = version
 	}
 	if e.Flags|flags != e.Flags {
@@ -92,7 +93,7 @@ func (s *refSet) Sweep(now, ttl time.Duration) []proto.NodeRef {
 	var removed []proto.NodeRef
 	for addr, e := range s.byAddr {
 		if now-e.LastSeen > ttl {
-			removed = append(removed, e.Ref)
+			removed = append(removed, e.Ref())
 			delete(s.byAddr, addr)
 		}
 	}
@@ -109,7 +110,7 @@ func (s *refSet) Refs() []proto.NodeRef {
 	if s.dirty || s.sorted == nil {
 		s.sorted = s.sorted[:0]
 		for _, e := range s.byAddr {
-			s.sorted = append(s.sorted, e.Ref)
+			s.sorted = append(s.sorted, e.Ref())
 		}
 		sort.Slice(s.sorted, func(i, j int) bool {
 			return refLess(s.sorted[i], s.sorted[j])
@@ -124,7 +125,7 @@ func (s *refSet) ChangedSince(since uint32, level uint8, now time.Duration, out 
 		e := s.byAddr[r.Addr]
 		if e != nil && e.Version > since {
 			out = append(out, proto.Entry{
-				Ref: e.Ref, Level: level, Flags: e.Flags, Version: e.Version,
+				Ref: e.Ref(), Level: level, Flags: e.Flags, Version: e.Version,
 				AgeDs: proto.AgeFrom(now, e.LastSeen),
 			})
 		}
@@ -293,10 +294,19 @@ func poolAddr(pool uint8, i uint64) (slot, addr uint64) {
 	return slot, slot
 }
 
+// lagBatch, set in a sequence's pool byte, batches its queries: only the
+// query op (5) compares the sets, so mutations pile up unshown between
+// queries — a content update while the set is dirty, or a lagging address
+// removed and re-inserted before any query. Without it every op is
+// followed by a query, which leaves the set clean.
+const lagBatch = 0x80
+
 // equivOps drives one operation sequence against both implementations and
 // fails at the first observable divergence.
 func equivOps(t *testing.T, ops []byte, pool uint8) {
 	t.Helper()
+	batch := pool&lagBatch != 0
+	pool &^= lagBatch
 	slab := NewSet()
 	ref := newRefSet()
 	now := time.Duration(0)
@@ -358,7 +368,9 @@ func equivOps(t *testing.T, ops []byte, pool uint8) {
 		// fresh and mask divergences in exactly that laziness. The
 		// selector lets staleness windows build up differently per
 		// sequence.
-		checkEquiv(t, i, slab, ref, now, ttl, id, int(ops[i+4]%8))
+		if !batch || op == 5 {
+			checkEquiv(t, i, slab, ref, now, ttl, id, int(ops[i+4]%8))
+		}
 	}
 	// Final full sweep over every view.
 	for sel := 0; sel < 8; sel++ {
@@ -367,25 +379,22 @@ func equivOps(t *testing.T, ops []byte, pool uint8) {
 	checkOrder(t, slab)
 }
 
-// sameEntry compares two entries on their exported fields. The set keeps
-// its lag in private fields the oracle's entries do not carry; the oracle
-// keeps it in its view, which the queries compare.
+// sameEntry compares two live entries. The set keeps its lag in its lag
+// list and the oracle in its view, which the queries compare.
 func sameEntry(a, b *Entry) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	x, y := *a, *b
-	x.shownLevel, x.shownScore = 0, 0
-	y.shownLevel, y.shownScore = 0, 0
-	return x == y
+	return *a == *b
 }
 
 // checkOrder fails unless the slab is in strict (ID, Addr) order.
 func checkOrder(t *testing.T, s *Set) {
 	t.Helper()
-	for i := 1; i < len(s.slab); i++ {
-		if !refLess(s.slab[i-1].Ref, s.slab[i].Ref) {
-			t.Fatalf("entries %d and %d out of order: %v, %v", i-1, i, s.slab[i-1].Ref, s.slab[i].Ref)
+	sl := s.slab()
+	for i := 1; i < len(sl); i++ {
+		if !refLess(sl[i-1].Ref(), sl[i].Ref()) {
+			t.Fatalf("entries %d and %d out of order: %v, %v", i-1, i, sl[i-1].Ref(), sl[i].Ref())
 		}
 	}
 }
@@ -450,7 +459,7 @@ func checkEquiv(t *testing.T, op int, slab *Set, ref *refSet, now, ttl time.Dura
 			t.Fatalf("op %d: Nearest(%v) diverged: slab=(%v,%v) ref=(%v,%v)", op, x, na, oka, nb, okb)
 		}
 	case 7:
-		ha, oka := slab.HasID(x)
+		ha, oka := slab.hasID(x)
 		hb, okb := ref.HasID(x)
 		if oka != okb || ha != hb {
 			t.Fatalf("op %d: HasID(%v) diverged: slab=(%v,%v) ref=(%v,%v)", op, x, ha, oka, hb, okb)
@@ -522,25 +531,24 @@ func TestSetEquivalenceScripted(t *testing.T) {
 
 // TestSetGrowthPolicy pins how storage follows contents: the slab steps by
 // a quarter (at least two) from empty, removal keeps the capacity for the
-// next insert, and MemBytes is exactly capacity × entry size.
+// next insert, and slabBytes is exactly capacity × entry size.
 func TestSetGrowthPolicy(t *testing.T) {
 	s := NewSet()
-	if m := s.MemBytes(); m.Slabs != 0 {
-		t.Fatalf("an empty set holds %+v", m)
+	if m := s.slabBytes(); m != 0 {
+		t.Fatalf("an empty set holds %d B", m)
 	}
 	var caps []int
 	for i := 1; i <= 60; i++ {
 		s.Upsert(proto.NodeRef{ID: idspace.ID(i) << 40, Addr: uint64(i)}, 0, 0, 1, Direct)
-		if len(caps) == 0 || caps[len(caps)-1] != cap(s.slab) {
-			caps = append(caps, cap(s.slab))
+		if len(caps) == 0 || caps[len(caps)-1] != int(s.c) {
+			caps = append(caps, int(s.c))
 		}
 	}
 	if got, want := fmt.Sprint(caps), "[2 4 6 8 10 12 15 18 22 27 33 41 51 63]"; got != want {
 		t.Fatalf("growth steps %s, want %s", got, want)
 	}
-	m := s.MemBytes()
-	if m.Slabs != 63*48 {
-		t.Fatalf("MemBytes %+v does not match 63 slots", m)
+	if m := s.slabBytes(); m != 63*40 {
+		t.Fatalf("slabBytes %d does not match 63 slots", m)
 	}
 	for i := 1; i <= 40; i++ {
 		s.Remove(uint64(i))
@@ -548,8 +556,8 @@ func TestSetGrowthPolicy(t *testing.T) {
 	for i := 101; i <= 140; i++ {
 		s.Upsert(proto.NodeRef{ID: idspace.ID(i) << 40, Addr: uint64(i)}, 0, 0, 1, Direct)
 	}
-	if len(s.slab) != 60 || cap(s.slab) != 63 {
-		t.Fatalf("40 removals and 40 inserts left slab len %d cap %d, want 60/63", len(s.slab), cap(s.slab))
+	if s.Len() != 60 || int(s.c) != 63 {
+		t.Fatalf("40 removals and 40 inserts left slab len %d cap %d, want 60/63", s.Len(), int(s.c))
 	}
 }
 
@@ -572,6 +580,30 @@ func lagOps(sel byte, x uint16) []byte {
 	return ops
 }
 
+// lagRecOps is a batched poolSmall sequence around one edge case of the
+// lag records. A, B, C and D are slots 1 to 4 (address bytes 0 to 3); byte
+// 48 is slot 1 under another ID. A prologue inserts A at level 0, B at
+// level 3 and C at level 2, each with a score of its own, so a record
+// shown for the wrong entry is seen; shows them; and makes A and C lag
+// with content-only Direct updates to level 3, score 3. Then come the
+// case's steps, unshown; a query of Refs and Get for every member; an
+// insert of D; and the query again. Each step is {code, address byte, dt
+// in ms, param} as equivOps reads them.
+func lagRecOps(steps ...[4]byte) []byte {
+	var ops []byte
+	op := func(st [4]byte) { ops = append(ops, st[0], 0, st[1], st[2], st[3]) }
+	for _, st := range [][4]byte{{0, 0, 10, 240}, {0, 1, 10, 243}, {0, 2, 10, 246}, {5, 0, 10, 0}, {1, 0, 10, 3}, {1, 2, 10, 3}} {
+		op(st)
+	}
+	for _, st := range steps {
+		op(st)
+	}
+	for _, st := range [][4]byte{{5, 0, 10, 0}, {0, 3, 10, 252}, {5, 0, 10, 0}} {
+		op(st)
+	}
+	return ops
+}
+
 // FuzzSetEquivalence lets the fuzzer search for diverging sequences.
 func FuzzSetEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint8(poolSmall))
@@ -586,6 +618,25 @@ func FuzzSetEquivalence(f *testing.F) {
 	f.Add(lagOps(3, 2), uint8(poolSmall)) // Neighbors of B: A on its left
 	f.Add(lagOps(6, 1), uint8(poolSmall)) // Nearest to A
 	f.Add(lagOps(7, 1), uint8(poolSmall)) // HasID of A
+	// The lag records' edge cases. Each catches at least one of three
+	// mutants of Set: stash overwriting an existing record ("twice"), a
+	// membership change keeping the records past the next show (all six,
+	// and the lagOps seeds above) and a removal leaving the set clean
+	// ("swept" in sweepInto, "removed" and "dirty" in remove). No seed
+	// above catches the first or the last.
+	batched := uint8(lagBatch | poolSmall)
+	// swept: C and B touched, then A expires in a sweep.
+	f.Add(lagRecOps([4]byte{2, 2, 49, 0}, [4]byte{2, 1, 0, 0}, [4]byte{4, 0, 49, 0}), batched)
+	// removed: A removed.
+	f.Add(lagRecOps([4]byte{3, 0, 10, 0}), batched)
+	// moved: A under a new ID, past B, at level 2.
+	f.Add(lagRecOps([4]byte{0, 48, 10, 6}), batched)
+	// twice: A updated again, to level 2; it still shows level 0.
+	f.Add(lagRecOps([4]byte{0, 0, 10, 6}), batched)
+	// dirty: B removed, then A updated to level 2 before any query.
+	f.Add(lagRecOps([4]byte{3, 1, 10, 0}, [4]byte{0, 0, 10, 6}), batched)
+	// reinserted: A removed and back at level 2 while its record stands.
+	f.Add(lagRecOps([4]byte{3, 0, 10, 0}, [4]byte{0, 0, 10, 6}), batched)
 	f.Fuzz(func(t *testing.T, ops []byte, pool uint8) {
 		if len(ops) < 5 {
 			return
@@ -614,8 +665,8 @@ func TestSetSteadyStateAllocs(t *testing.T) {
 		}
 		scratch = s.ChangedSince(0, 0, now, scratch[:0])
 		for i := range s.Len() {
-			if r, e := s.At(i); r.Addr != e.Ref.Addr {
-				t.Fatalf("At(%d) paired ref %v with entry %v", i, r, e.Ref)
+			if r, e := s.At(i); r.Addr != e.Addr {
+				t.Fatalf("At(%d) paired ref %v with entry %v", i, r, e.Ref())
 			}
 		}
 		s.NeighborsFresh(refs[3].ID, now, time.Hour)
@@ -639,7 +690,7 @@ func TestSetSlotReuse(t *testing.T) {
 		now += time.Minute
 		s.sweepInto(nil, now, ttl)
 	}
-	if cap(s.slab) > 16 {
-		t.Fatalf("slab grew to %d entries under churn; removal does not give room back", cap(s.slab))
+	if int(s.c) > 16 {
+		t.Fatalf("slab grew to %d entries under churn; removal does not give room back", int(s.c))
 	}
 }

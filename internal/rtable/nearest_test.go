@@ -16,11 +16,11 @@ func TestNearestInRange(t *testing.T) {
 	add := func(s *Set, id idspace.ID, addr uint64) {
 		s.Upsert(ref(id, addr), proto.FNeighbor, now, tb.NextVersion(), Direct)
 	}
-	add(tb.Level0, 100, 1)
-	add(tb.Level0, 300, 3)
+	add(&tb.Level0, 100, 1)
+	add(&tb.Level0, 300, 3)
 	add(tb.BusLevel(1), 200, 2)
-	add(tb.Children, 250, 4)
-	add(tb.Superiors, 260, 5)
+	add(&tb.Children, 250, 4)
+	add(&tb.Superiors, 260, 5)
 	tb.SetParent(ref(280, 6), now)
 
 	// Nearest to 290 within [150, 290]: the parent at 280.

@@ -24,6 +24,7 @@ package rtable
 import (
 	"slices"
 	"sort"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -31,10 +32,11 @@ import (
 	"treep/internal/proto"
 )
 
-// Entry is one routing-table item: 48 bytes, the small fields last so
-// they share one word.
+// Entry is one routing-table item: a flattened proto.NodeRef and its
+// timestamps, 40 bytes, the small fields last so they share one word.
 type Entry struct {
-	Ref proto.NodeRef
+	ID   idspace.ID
+	Addr uint64
 	// LastSeen is the time this knowledge was last refreshed — by direct
 	// contact or by a peer re-advertising it. Entries expire TTL after it.
 	LastSeen time.Duration
@@ -46,20 +48,20 @@ type Entry struct {
 	// gossip loops.
 	LastDirect time.Duration
 	// Version is the table-local modification stamp used for delta sync.
-	Version uint32
-	Flags   proto.EntryFlag
-	// shownLevel and shownScore are Ref.MaxLevel and Ref.Score as queries
-	// show them: they lag content-only updates until the next query after a
-	// membership or ID change (Set.show, DESIGN.md §9). They fill padding.
-	shownLevel uint8
-	shownScore uint16
+	Version  uint32
+	Score    uint16
+	MaxLevel uint8
+	Flags    proto.EntryFlag
 }
 
-// shown returns the entry's ref as the set's queries show it.
-func (e *Entry) shown() proto.NodeRef {
-	r := e.Ref
-	r.MaxLevel, r.Score = e.shownLevel, e.shownScore
-	return r
+// Ref returns the entry's node reference, live.
+func (e *Entry) Ref() proto.NodeRef {
+	return proto.NodeRef{ID: e.ID, Addr: e.Addr, MaxLevel: e.MaxLevel, Score: e.Score}
+}
+
+// setRef stores r's fields in the entry.
+func (e *Entry) setRef(r proto.NodeRef) {
+	e.ID, e.Addr, e.MaxLevel, e.Score = r.ID, r.Addr, r.MaxLevel, r.Score
 }
 
 // neverDirect marks an entry that has never been heard from directly. Far
@@ -73,8 +75,9 @@ func (e *Entry) DirectFresh(now, ttl time.Duration) bool {
 }
 
 // Set is a collection of entries keyed by transport address: one slab in
-// (ID, Addr) order and a dirty bit, 32 bytes. The zero value is not usable;
-// use NewSet.
+// (ID, Addr) order, its lag records and a dirty bit, 32 bytes. The zero
+// value is an empty set; NewSet makes one on the heap. A set must not be
+// copied.
 //
 // An insert, removal or ID change shifts the slab's tail by memmove, never
 // a re-sort: of the 11 058 sets of a settled 2000-peer overlay the median
@@ -84,37 +87,93 @@ func (e *Entry) DirectFresh(now, ttl time.Duration) bool {
 // doubling left half of every array unused. Removal keeps the capacity, so
 // steady-state churn allocates nothing.
 //
-// Queries hand out refs as shown (see Entry). Get, Upsert and At give the
-// live entry, valid until the next mutating call on the set.
+// Queries show each entry's level and score with a lag: a content-only
+// update stays invisible until the next query after a membership or ID
+// change (DESIGN.md §9). The set's lag records hold what they show for the
+// entries that changed while the set was clean; every other entry shows
+// its live ref. Get, Upsert and At give the live entry, valid until the
+// next mutating call on the set.
 type Set struct {
-	slab []Entry
+	_ noCopy
+	// base is the slab's first element: n entries, room for c.
+	base *Entry
+	n, c uint32
+	// more holds the lag records after the first; nil while at most one
+	// entry lags.
+	more *lagList
 	// dirty marks a membership or ID change that no query has shown yet.
 	dirty bool
+	// lagLevel, lagScore and lagPos are the first lag record, held in what
+	// would be padding; lagPos is 0 while no entry lags.
+	lagLevel uint8
+	lagScore uint16
+	lagPos   uint32
 }
+
+// noCopy makes go vet's copylocks check reject a copied Set: a copy would
+// share the slab and the pooled lag list with the original.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// lagRec is the level and score the queries show for the entry at slab
+// position pos-1. A record lives only while its set is clean, when no entry
+// moves, so the position names the entry as its address would.
+type lagRec struct {
+	pos   uint32
+	score uint16
+	level uint8
+}
+
+// lagList holds a set's lag records after the first, at most one a
+// position. The first four sit in buf, so a list is one allocation.
+type lagList struct {
+	recs []lagRec
+	buf  [4]lagRec
+}
+
+// lagPool holds the idle lag lists of every set in the process: a list
+// lives from a set's second lagging entry to its next show, and few sets
+// hold one at any instant.
+var lagPool sync.Pool
 
 // NewSet returns an empty set.
 func NewSet() *Set { return &Set{} }
 
-// Len returns the number of entries.
-func (s *Set) Len() int { return len(s.slab) }
+// slab returns the entries in (ID, Addr) order. It is built without the
+// set's capacity, which only insert reaches for: slicing to n within c
+// made Table.Touch ~40 % slower.
+func (s *Set) slab() []Entry { return unsafe.Slice(s.base, s.n) }
 
-// Mem is heap held, in bytes, by kind of storage: entry slabs and
-// fixed-size structs. Backing arrays count at capacity × element size,
-// before size-class rounding.
+// Len returns the number of entries.
+func (s *Set) Len() int { return int(s.n) }
+
+// Mem is heap held, in bytes, by kind of storage: entry slabs (with the lag
+// lists) and fixed-size structs. Backing arrays count at capacity × element
+// size, before size-class rounding.
 type Mem struct{ Slabs, Fixed int }
 
 // Add accumulates o into m.
 func (m *Mem) Add(o Mem) { m.Slabs, m.Fixed = m.Slabs+o.Slabs, m.Fixed+o.Fixed }
 
-// MemBytes reports the heap the set holds.
-func (s *Set) MemBytes() Mem {
-	return Mem{cap(s.slab) * int(unsafe.Sizeof(Entry{})), int(unsafe.Sizeof(*s))}
+// slabBytes is the heap behind the set's pointers: its slab and lag list.
+func (s *Set) slabBytes() int {
+	n := int(s.c) * int(unsafe.Sizeof(Entry{}))
+	if l := s.more; l != nil {
+		n += int(unsafe.Sizeof(*l))
+		if cap(l.recs) > len(l.buf) {
+			n += cap(l.recs) * int(unsafe.Sizeof(lagRec{}))
+		}
+	}
+	return n
 }
 
 // lookup returns the position of addr's entry in the slab.
 func (s *Set) lookup(addr uint64) (int, bool) {
-	for i := range s.slab {
-		if s.slab[i].Ref.Addr == addr {
+	sl := s.slab()
+	for i := range sl {
+		if sl[i].Addr == addr {
 			return i, true
 		}
 	}
@@ -125,7 +184,7 @@ func (s *Set) lookup(addr uint64) (int, bool) {
 // next mutating call on the set.
 func (s *Set) Get(addr uint64) *Entry {
 	if i, ok := s.lookup(addr); ok {
-		return &s.slab[i]
+		return &s.slab()[i]
 	}
 	return nil
 }
@@ -136,21 +195,101 @@ func refLess(a, b proto.NodeRef) bool {
 }
 
 // insert places e at its (ID, Addr) position, growing the slab by a
-// quarter when full. e.Ref.Addr must not be present.
+// quarter when full. e.Addr must not be present.
 func (s *Set) insert(e Entry) *Entry {
-	if c := cap(s.slab); len(s.slab) == c {
-		s.slab = append(make([]Entry, 0, c+max(2, c/4)), s.slab...)
+	sl := unsafe.Slice(s.base, s.c)[:s.n]
+	if c := cap(sl); len(sl) == c {
+		sl = append(make([]Entry, 0, c+max(2, c/4)), sl...)
 	}
-	i := sort.Search(len(s.slab), func(i int) bool { return !refLess(s.slab[i].Ref, e.Ref) })
-	s.slab = slices.Insert(s.slab, i, e)
-	s.dirty = true
-	return &s.slab[i]
+	i := sort.Search(len(sl), func(i int) bool { return !refLess(sl[i].Ref(), e.Ref()) })
+	sl = slices.Insert(sl, i, e)
+	s.base, s.n, s.c = unsafe.SliceData(sl), uint32(len(sl)), uint32(cap(sl))
+	s.changed()
+	return &sl[i]
 }
 
 // remove drops the entry at position i.
 func (s *Set) remove(i int) {
-	s.slab = slices.Delete(s.slab, i, i+1)
-	s.dirty = true
+	sl := s.slab()
+	copy(sl[i:], sl[i+1:])
+	s.n--
+	s.changed()
+}
+
+// lagged returns the level and score the queries show for position i, and
+// whether it lags.
+func (s *Set) lagged(i int) (level uint8, score uint16, ok bool) {
+	p := uint32(i) + 1
+	if s.lagPos == p {
+		return s.lagLevel, s.lagScore, true
+	}
+	if s.more != nil {
+		for _, r := range s.more.recs {
+			if r.pos == p {
+				return r.level, r.score, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// stash records the level and score the queries show for position i,
+// before a content-only update: unless the set is dirty, when the next
+// query shows every entry live, or i lags already, when the first record
+// stands.
+func (s *Set) stash(i int) {
+	if s.dirty {
+		return
+	}
+	if _, _, ok := s.lagged(i); ok {
+		return
+	}
+	e := &s.slab()[i]
+	if s.lagPos == 0 {
+		s.lagLevel, s.lagScore, s.lagPos = e.MaxLevel, e.Score, uint32(i)+1
+		return
+	}
+	if s.more == nil {
+		if s.more, _ = lagPool.Get().(*lagList); s.more == nil {
+			s.more = new(lagList)
+			s.more.recs = s.more.buf[:0]
+		}
+	}
+	s.more.recs = append(s.more.recs, lagRec{pos: uint32(i) + 1, score: e.Score, level: e.MaxLevel})
+}
+
+// show ends the lag after a membership or ID change, and every entry shows
+// its live ref. Every refs-reading query, Each and ChangedSince call it
+// first; nothing else may, because when a level becomes visible decides
+// elections. The records went at the change (changed); from here on a
+// content-only update is recorded again.
+func (s *Set) show() { s.dirty = false }
+
+// changed marks a membership or ID change: the lag records end, the list
+// goes back to the pool, and no record is made until the next query.
+func (s *Set) changed() {
+	s.dirty, s.lagPos = true, 0
+	if s.more != nil {
+		s.more.recs = s.more.recs[:0]
+		lagPool.Put(s.more)
+		s.more = nil
+	}
+}
+
+// shown returns the ref of e, the entry at position i, as the queries show
+// it. It spells out lagged's scan so that it inlines into the walks.
+func (s *Set) shown(e *Entry, i int) proto.NodeRef {
+	r := e.Ref()
+	if p := uint32(i) + 1; s.lagPos == p {
+		r.MaxLevel, r.Score = s.lagLevel, s.lagScore
+	} else if s.more != nil {
+		for _, l := range s.more.recs {
+			if l.pos == p {
+				r.MaxLevel, r.Score = l.level, l.score
+			}
+		}
+	}
+	return r
 }
 
 // UpsertMode grades how trustworthy an update's source is. The grades
@@ -189,25 +328,27 @@ const (
 func (s *Set) Upsert(ref proto.NodeRef, flags proto.EntryFlag, validated time.Duration, version uint32, mode UpsertMode) *Entry {
 	i, ok := s.lookup(ref.Addr)
 	if !ok {
-		e := Entry{Ref: ref, Flags: flags, LastSeen: validated, Version: version, LastDirect: neverDirect}
+		e := Entry{Flags: flags, LastSeen: validated, Version: version, LastDirect: neverDirect}
+		e.setRef(ref)
 		if mode == Direct {
 			e.LastDirect = validated
 		}
 		return s.insert(e)
 	}
-	e := &s.slab[i]
-	applyContent := e.Ref != ref
-	if mode == Hearsay && ref.MaxLevel < e.Ref.MaxLevel {
+	e := &s.slab()[i]
+	applyContent := e.Ref() != ref
+	if mode == Hearsay && ref.MaxLevel < e.MaxLevel {
 		applyContent = false
 	}
 	if applyContent {
-		if e.Ref.ID != ref.ID {
+		if e.ID != ref.ID {
 			moved := *e
 			s.remove(i)
-			moved.Ref = ref
+			moved.setRef(ref)
 			e = s.insert(moved)
 		} else {
-			e.Ref = ref
+			s.stash(i)
+			e.setRef(ref)
 		}
 		e.Version = version
 	}
@@ -235,7 +376,7 @@ func (s *Set) Upsert(ref proto.NodeRef, flags proto.EntryFlag, validated time.Du
 // timestamps. It reports whether the entry exists.
 func (s *Set) Touch(addr uint64, now time.Duration) bool {
 	if i, ok := s.lookup(addr); ok {
-		e := &s.slab[i]
+		e := &s.slab()[i]
 		e.LastSeen = now
 		e.LastDirect = now
 		return true
@@ -256,36 +397,23 @@ func (s *Set) Remove(addr uint64) bool {
 // appends the removed refs to out in (ID, Addr) order (callers react to
 // losses, e.g. a vanished parent; Table.Sweep passes its scratch buffer).
 func (s *Set) sweepInto(out []proto.NodeRef, now, ttl time.Duration) []proto.NodeRef {
+	sl := s.slab()
 	w := 0
-	for i := range s.slab {
-		if e := &s.slab[i]; now-e.LastSeen > ttl {
-			out = append(out, e.Ref)
+	for i := range sl {
+		if e := &sl[i]; now-e.LastSeen > ttl {
+			out = append(out, e.Ref())
 			continue
 		}
 		if w != i {
-			s.slab[w] = s.slab[i]
+			sl[w] = sl[i]
 		}
 		w++
 	}
-	if w != len(s.slab) {
-		s.slab = s.slab[:w]
-		s.dirty = true
+	if w != len(sl) {
+		s.n = uint32(w)
+		s.changed()
 	}
 	return out
-}
-
-// show refreshes every entry's shown fields after a membership or ID change.
-// Every refs-reading query, Each and ChangedSince call it first; nothing
-// else may, because when a level becomes visible decides elections.
-func (s *Set) show() {
-	if !s.dirty {
-		return
-	}
-	for i := range s.slab {
-		e := &s.slab[i]
-		e.shownLevel, e.shownScore = e.Ref.MaxLevel, e.Ref.Score
-	}
-	s.dirty = false
 }
 
 // At returns position i in ID order: the ref as the queries show it and the
@@ -294,13 +422,13 @@ func (s *Set) show() {
 // closure (DESIGN.md §16), and must not mutate the set.
 func (s *Set) At(i int) (proto.NodeRef, *Entry) {
 	s.show()
-	e := &s.slab[i]
-	return e.shown(), e
+	e := &s.slab()[i]
+	return s.shown(e, i), e
 }
 
 // Refs returns a copy of the refs in ID order, as the queries show them.
 func (s *Set) Refs() []proto.NodeRef {
-	refs := make([]proto.NodeRef, len(s.slab))
+	refs := make([]proto.NodeRef, s.Len())
 	for i := range refs {
 		refs[i], _ = s.At(i)
 	}
@@ -311,8 +439,9 @@ func (s *Set) Refs() []proto.NodeRef {
 // duration of the callback; fn must not mutate the set.
 func (s *Set) Each(fn func(*Entry)) {
 	s.show()
-	for i := range s.slab {
-		fn(&s.slab[i])
+	sl := s.slab()
+	for i := range sl {
+		fn(&sl[i])
 	}
 }
 
@@ -323,8 +452,9 @@ func (s *Set) Nearest(x idspace.ID, skip []uint64) (proto.NodeRef, bool) {
 	s.show()
 	var best proto.NodeRef
 	found := false
-	for i := range s.slab {
-		r := s.slab[i].shown()
+	sl := s.slab()
+	for i := range sl {
+		r := s.shown(&sl[i], i)
 		if !slices.Contains(skip, r.Addr) && (!found || proto.Nearer(x, r, best)) {
 			best, found = r, true
 		}
@@ -332,25 +462,27 @@ func (s *Set) Nearest(x idspace.ID, skip []uint64) (proto.NodeRef, bool) {
 	return best, found
 }
 
-// searchID shows the set and returns the first position whose ID is >= x.
-func (s *Set) searchID(x idspace.ID) int {
+// searchID shows the set and returns its slab and the first position whose
+// ID is >= x.
+func (s *Set) searchID(x idspace.ID) ([]Entry, int) {
 	s.show()
-	return sort.Search(len(s.slab), func(i int) bool { return s.slab[i].Ref.ID >= x })
+	sl := s.slab()
+	return sl, sort.Search(len(sl), func(i int) bool { return sl[i].ID >= x })
 }
 
 // Neighbors returns the refs immediately left and right of x in ID order
 // (excluding any entry with exactly ID x). Either result may be zero when x
 // is at an edge of the set.
 func (s *Set) Neighbors(x idspace.ID) (left, right proto.NodeRef) {
-	i := s.searchID(x)
+	sl, i := s.searchID(x)
 	if i > 0 {
-		left = s.slab[i-1].shown()
+		left = s.shown(&sl[i-1], i-1)
 	}
-	for i < len(s.slab) && s.slab[i].Ref.ID == x {
+	for i < len(sl) && sl[i].ID == x {
 		i++
 	}
-	if i < len(s.slab) {
-		right = s.slab[i].shown()
+	if i < len(sl) {
+		right = s.shown(&sl[i], i)
 	}
 	return left, right
 }
@@ -360,16 +492,16 @@ func (s *Set) Neighbors(x idspace.ID) (left, right proto.NodeRef) {
 // Hearsay entries (never heard from directly, or silent beyond ttl) are
 // skipped, which is what keeps dead nodes from circulating forever.
 func (s *Set) NeighborsFresh(x idspace.ID, now, ttl time.Duration) (left, right proto.NodeRef) {
-	i := s.searchID(x)
+	sl, i := s.searchID(x)
 	for l := i - 1; l >= 0; l-- {
-		if e := &s.slab[l]; e.DirectFresh(now, ttl) {
-			left = e.shown()
+		if sl[l].DirectFresh(now, ttl) {
+			left = s.shown(&sl[l], l)
 			break
 		}
 	}
-	for r := i; r < len(s.slab); r++ {
-		if e := &s.slab[r]; e.Ref.ID != x && e.DirectFresh(now, ttl) {
-			right = e.shown()
+	for r := i; r < len(sl); r++ {
+		if e := &sl[r]; e.ID != x && e.DirectFresh(now, ttl) {
+			right = s.shown(&sl[r], r)
 			break
 		}
 	}
@@ -379,20 +511,20 @@ func (s *Set) NeighborsFresh(x idspace.ID, now, ttl time.Duration) (left, right 
 // AppendNeighborsFreshK appends to out up to k direct-fresh refs on one
 // side of x (left = below x), nearest first.
 func (s *Set) AppendNeighborsFreshK(out []proto.NodeRef, x idspace.ID, now, ttl time.Duration, k int, leftSide bool) []proto.NodeRef {
-	i := s.searchID(x)
+	sl, i := s.searchID(x)
 	found := 0
 	if leftSide {
 		for l := i - 1; l >= 0 && found < k; l-- {
-			if e := &s.slab[l]; e.DirectFresh(now, ttl) {
-				out = append(out, e.shown())
+			if sl[l].DirectFresh(now, ttl) {
+				out = append(out, s.shown(&sl[l], l))
 				found++
 			}
 		}
 		return out
 	}
-	for r := i; r < len(s.slab) && found < k; r++ {
-		if e := &s.slab[r]; e.Ref.ID != x && e.DirectFresh(now, ttl) {
-			out = append(out, e.shown())
+	for r := i; r < len(sl) && found < k; r++ {
+		if e := &sl[r]; e.ID != x && e.DirectFresh(now, ttl) {
+			out = append(out, s.shown(&sl[r], r))
 			found++
 		}
 	}
@@ -403,16 +535,16 @@ func (s *Set) AppendNeighborsFreshK(out []proto.NodeRef, x idspace.ID, now, ttl 
 // side of x — 0 for the immediate neighbour. Used to bound how much
 // level-0 knowledge a node accumulates per side.
 func (s *Set) SideRank(x, id idspace.ID) int {
-	i := s.searchID(x)
+	sl, i := s.searchID(x)
 	rank := 0
 	if id < x {
-		for l := i - 1; l >= 0 && s.slab[l].Ref.ID > id; l-- {
+		for l := i - 1; l >= 0 && sl[l].ID > id; l-- {
 			rank++
 		}
 		return rank
 	}
-	for r := i; r < len(s.slab) && s.slab[r].Ref.ID < id; r++ {
-		if s.slab[r].Ref.ID != x {
+	for r := i; r < len(sl) && sl[r].ID < id; r++ {
+		if sl[r].ID != x {
 			rank++
 		}
 	}
@@ -423,19 +555,20 @@ func (s *Set) SideRank(x, id idspace.ID) int {
 // directly within ttl: callers advertise what the other queries show.
 func (s *Set) AppendFreshRefs(out []proto.NodeRef, now, ttl time.Duration) []proto.NodeRef {
 	s.show()
-	for i := range s.slab {
-		if e := &s.slab[i]; e.DirectFresh(now, ttl) {
-			out = append(out, e.shown())
+	sl := s.slab()
+	for i := range sl {
+		if sl[i].DirectFresh(now, ttl) {
+			out = append(out, s.shown(&sl[i], i))
 		}
 	}
 	return out
 }
 
-// HasID reports whether any entry has exactly the given ID and returns it.
-func (s *Set) HasID(x idspace.ID) (proto.NodeRef, bool) {
-	i := s.searchID(x)
-	if i < len(s.slab) && s.slab[i].Ref.ID == x {
-		return s.slab[i].shown(), true
+// hasID reports whether any entry has exactly the given ID and returns it.
+func (s *Set) hasID(x idspace.ID) (proto.NodeRef, bool) {
+	sl, i := s.searchID(x)
+	if i < len(sl) && sl[i].ID == x {
+		return s.shown(&sl[i], i), true
 	}
 	return proto.NodeRef{}, false
 }
@@ -447,11 +580,12 @@ func (s *Set) HasID(x idspace.ID) (proto.NodeRef, bool) {
 // show bounds how long the queries lag content-only updates.
 func (s *Set) ChangedSince(since uint32, level uint8, now time.Duration, out []proto.Entry) []proto.Entry {
 	s.show()
-	for i := range s.slab {
-		e := &s.slab[i]
+	sl := s.slab()
+	for i := range sl {
+		e := &sl[i]
 		if e.Version > since {
 			out = append(out, proto.Entry{
-				Ref: e.Ref, Level: level, Flags: e.Flags, Version: e.Version,
+				Ref: e.Ref(), Level: level, Flags: e.Flags, Version: e.Version,
 				AgeDs: proto.AgeFrom(now, e.LastSeen),
 			})
 		}

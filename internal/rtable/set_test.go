@@ -115,15 +115,20 @@ func TestSweepDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestSetFitsItsSizeClass pins the layouts the heap ledger counts: the
-// shown level and score fill an entry's tail padding, and a set is one
-// slice and its dirty bit.
+// TestSetFitsItsSizeClass pins the layouts the heap ledger counts: an
+// entry is a flattened ref and its timestamps with no lag of its own, a set
+// is a slab pointer with 32-bit length and capacity, the lag list pointer
+// and the dirty bit, and a table holding four sets and the parent slot by
+// value stays in the allocator's 208-byte size class.
 func TestSetFitsItsSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Entry{}); n != 48 {
-		t.Fatalf("Entry is %d bytes, want 48", n)
+	if n := unsafe.Sizeof(Entry{}); n != 40 {
+		t.Fatalf("Entry is %d bytes, want 40", n)
 	}
 	if n := unsafe.Sizeof(Set{}); n > 32 {
 		t.Fatalf("Set is %d bytes, want at most 32", n)
+	}
+	if n := unsafe.Sizeof(Table{}); n > 208 {
+		t.Fatalf("Table is %d bytes, want at most 208 (its size class)", n)
 	}
 }
 
@@ -189,11 +194,11 @@ func TestNeighbors(t *testing.T) {
 func TestHasID(t *testing.T) {
 	s := NewSet()
 	s.Upsert(ref(10, 1), 0, 0, 1, Direct)
-	if _, ok := s.HasID(10); !ok {
-		t.Fatal("HasID miss")
+	if _, ok := s.hasID(10); !ok {
+		t.Fatal("hasID miss")
 	}
-	if _, ok := s.HasID(11); ok {
-		t.Fatal("HasID false positive")
+	if _, ok := s.hasID(11); ok {
+		t.Fatal("hasID false positive")
 	}
 }
 
@@ -221,7 +226,7 @@ func TestEachOrder(t *testing.T) {
 	s.Upsert(ref(30, 3), 0, 0, 1, Direct)
 	s.Upsert(ref(10, 1), 0, 0, 1, Direct)
 	var ids []idspace.ID
-	s.Each(func(e *Entry) { ids = append(ids, e.Ref.ID) })
+	s.Each(func(e *Entry) { ids = append(ids, e.ID) })
 	if len(ids) != 2 || ids[0] != 10 || ids[1] != 30 {
 		t.Fatalf("each order %v", ids)
 	}
@@ -243,7 +248,7 @@ func TestZeroAddressIsAnOrdinaryKey(t *testing.T) {
 	if e := s.Upsert(proto.NodeRef{ID: 25}, proto.FNeighbor, time.Second, 2, Direct); e == nil || s.Len() != 3 || s.Get(0) != e {
 		t.Fatalf("Upsert of the zero ref: entry %+v, Len %d", e, s.Len())
 	}
-	if s.Get(1).Ref.ID != 10 || s.Get(4).Ref.ID != 40 || !s.Remove(0) || s.Len() != 2 {
+	if s.Get(1).ID != 10 || s.Get(4).ID != 40 || !s.Remove(0) || s.Len() != 2 {
 		t.Fatal("storing and removing address 0 disturbed the other entries")
 	}
 	checkOrder(t, s)

@@ -13,8 +13,9 @@ import (
 // Table aggregates a node's complete routing state: the six structures of
 // §III.c plus the version counter driving delta synchronisation.
 type Table struct {
-	// Level0 holds the node's level-0 neighbours (§III.c table 1).
-	Level0 *Set
+	// Level0 holds the node's level-0 neighbours (§III.c table 1). The
+	// four sets off the bus live inside the table.
+	Level0 Set
 	// Bus holds, per level i > 0, the node's same-level view: direct bus
 	// neighbours, indirect neighbours (neighbours-of-neighbours), and
 	// level-0 contacts known to be members of level i (§III.c table 2).
@@ -22,14 +23,14 @@ type Table struct {
 	// read one level through BusAt, which takes any level.
 	Bus []*Set
 	// Children holds the node's own children (§III.c table 3, first part).
-	Children *Set
+	Children Set
 	// NbrChildren holds children of direct bus neighbours (table 3, second
 	// part) — the replication that lets a node adopt orphans when a
 	// neighbour dies.
-	NbrChildren *Set
+	NbrChildren Set
 	// Superiors is the superior node list: ancestors plus the immediate
 	// parent's direct neighbours (§III.c table 5).
-	Superiors *Set
+	Superiors Set
 
 	// parent is the immediate parent of the node's top level (table 4).
 	// Tracked outside the sets because it is a single slot with dedicated
@@ -59,13 +60,7 @@ func New() *Table { return NewWith(&Scratch{}) }
 
 // NewWith returns an empty table sweeping through the caller's scratch.
 func NewWith(sc *Scratch) *Table {
-	return &Table{
-		Level0:      NewSet(),
-		Children:    NewSet(),
-		NbrChildren: NewSet(),
-		Superiors:   NewSet(),
-		sc:          sc,
-	}
+	return &Table{sc: sc}
 }
 
 // NextVersion bumps and returns the table version stamp.
@@ -109,7 +104,8 @@ func (t *Table) DropLevel(i uint8) {
 // direct credit: the relationship is probed immediately by a child report,
 // and expiry reclaims the slot if the parent never answers.
 func (t *Table) SetParent(ref proto.NodeRef, now time.Duration) {
-	t.parent = Entry{Ref: ref, Flags: proto.FParent, LastSeen: now, LastDirect: now, Version: t.NextVersion()}
+	t.parent = Entry{Flags: proto.FParent, LastSeen: now, LastDirect: now, Version: t.NextVersion()}
+	t.parent.setRef(ref)
 	t.hasParent = true
 }
 
@@ -118,15 +114,15 @@ func (t *Table) Parent() (proto.NodeRef, bool) {
 	if !t.hasParent {
 		return proto.NodeRef{}, false
 	}
-	return t.parent.Ref, true
+	return t.parent.Ref(), true
 }
 
 // ClearParent drops the parent slot.
 func (t *Table) ClearParent() { t.hasParent = false }
 
-// TouchParent refreshes the parent's timestamps if from matches it.
-func (t *Table) TouchParent(from uint64, now time.Duration) {
-	if t.hasParent && t.parent.Ref.Addr == from {
+// touchParent refreshes the parent's timestamps if from matches it.
+func (t *Table) touchParent(from uint64, now time.Duration) {
+	if t.hasParent && t.parent.Addr == from {
 		t.parent.LastSeen = now
 		t.parent.LastDirect = now
 	}
@@ -155,15 +151,15 @@ func (t *Table) walk() int { return max(len(t.Bus), 1) + 3 }
 func (t *Table) setAt(i int) (*Set, uint8) {
 	switch nb := max(len(t.Bus), 1); {
 	case i == 0:
-		return t.Level0, 0
+		return &t.Level0, 0
 	case i < nb:
 		return t.Bus[i], uint8(i)
 	case i == nb:
-		return t.Children, 0
+		return &t.Children, 0
 	case i == nb+1:
-		return t.NbrChildren, 0
+		return &t.NbrChildren, 0
 	}
-	return t.Superiors, 0
+	return &t.Superiors, 0
 }
 
 // Touch refreshes LastSeen for addr in every structure that knows it; it
@@ -175,7 +171,7 @@ func (t *Table) Touch(addr uint64, now time.Duration) {
 			s.Touch(addr, now)
 		}
 	}
-	t.TouchParent(addr, now)
+	t.touchParent(addr, now)
 }
 
 // LastDirect returns the latest active communication with addr recorded
@@ -191,7 +187,7 @@ func (t *Table) LastDirect(addr uint64) (time.Duration, bool) {
 			}
 		}
 	}
-	if t.hasParent && t.parent.Ref.Addr == addr && t.parent.LastDirect > last {
+	if t.hasParent && t.parent.Addr == addr && t.parent.LastDirect > last {
 		last = t.parent.LastDirect
 	}
 	return last, last != neverDirect
@@ -206,7 +202,7 @@ func (t *Table) RemoveEverywhere(addr uint64) (removed, parentLost bool) {
 			removed = true
 		}
 	}
-	if t.hasParent && t.parent.Ref.Addr == addr {
+	if t.hasParent && t.parent.Addr == addr {
 		t.ClearParent()
 		removed, parentLost = true, true
 	}
@@ -293,7 +289,7 @@ func (t *Table) Sweep(now, ttl time.Duration) SweepResult {
 		NbrChildren: refs[nc:nn:nn], Superiors: refs[nn:]}
 	if t.ParentExpired(now, ttl) {
 		res.ParentLost = true
-		res.Parent = t.parent.Ref
+		res.Parent = t.parent.Ref()
 		t.ClearParent()
 	}
 	return res
@@ -304,13 +300,13 @@ func (t *Table) Sweep(now, ttl time.Duration) SweepResult {
 func (t *Table) FindID(x idspace.ID) (proto.NodeRef, bool) {
 	for i, end := 0, t.walk(); i < end; i++ {
 		if s, _ := t.setAt(i); s != nil {
-			if r, ok := s.HasID(x); ok {
+			if r, ok := s.hasID(x); ok {
 				return r, true
 			}
 		}
 	}
-	if t.hasParent && t.parent.Ref.ID == x {
-		return t.parent.Ref, true
+	if t.hasParent && t.parent.ID == x {
+		return t.parent.Ref(), true
 	}
 	return proto.NodeRef{}, false
 }
@@ -326,14 +322,15 @@ func (t *Table) Candidates(out []proto.NodeRef) []proto.NodeRef {
 	base := len(out)
 	for i, end := 0, t.walk(); i < end; i++ {
 		if s, _ := t.setAt(i); s != nil {
-			for j := range s.Len() {
-				r, _ := s.At(j)
-				out = appendCandidate(out, base, r)
+			s.show()
+			sl := s.slab()
+			for j := range sl {
+				out = appendCandidate(out, base, s.shown(&sl[j], j))
 			}
 		}
 	}
 	if t.hasParent {
-		out = appendCandidate(out, base, t.parent.Ref)
+		out = appendCandidate(out, base, t.parent.Ref())
 	}
 	return out
 }
@@ -368,14 +365,15 @@ func (t *Table) NearestInRange(lo, hi, toward idspace.ID, exclude uint64) (proto
 	}
 	for i, end := 0, t.walk(); i < end; i++ {
 		if s, _ := t.setAt(i); s != nil {
-			for j := range s.Len() {
-				r, _ := s.At(j)
-				sc.consider(r)
+			s.show()
+			sl := s.slab()
+			for j := range sl {
+				sc.consider(s.shown(&sl[j], j))
 			}
 		}
 	}
 	if t.hasParent {
-		sc.consider(t.parent.Ref)
+		sc.consider(t.parent.Ref())
 	}
 	return sc.best, sc.found
 }
@@ -398,11 +396,14 @@ func (sc *nearScan) consider(r proto.NodeRef) {
 }
 
 // MemBytes reports the heap the table holds, the shared Scratch excluded.
+// The sets off the bus are part of the table's own struct.
 func (t *Table) MemBytes() Mem {
 	m := Mem{Fixed: int(unsafe.Sizeof(*t)) + cap(t.Bus)*8}
 	for i, end := 0, t.walk(); i < end; i++ {
-		if s, _ := t.setAt(i); s != nil {
-			m.Add(s.MemBytes())
+		if s, lvl := t.setAt(i); s != nil {
+			if m.Slabs += s.slabBytes(); lvl > 0 {
+				m.Fixed += int(unsafe.Sizeof(*s))
+			}
 		}
 	}
 	return m
@@ -435,7 +436,7 @@ func (t *Table) AppendDelta(out []proto.Entry, since uint32, now time.Duration) 
 	}
 	if t.hasParent && t.parent.Version > since {
 		out = append(out, proto.Entry{
-			Ref: t.parent.Ref, Level: t.parent.Ref.MaxLevel, Flags: proto.FParent,
+			Ref: t.parent.Ref(), Level: t.parent.MaxLevel, Flags: proto.FParent,
 			Version: t.parent.Version, AgeDs: proto.AgeFrom(now, t.parent.LastSeen),
 		})
 	}
@@ -467,7 +468,7 @@ func (t *Table) String() string {
 		}
 	}
 	if t.hasParent {
-		fmt.Fprintf(&b, " parent:%s", t.parent.Ref.ID)
+		fmt.Fprintf(&b, " parent:%s", t.parent.ID)
 	}
 	b.WriteString("}")
 	return b.String()

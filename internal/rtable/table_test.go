@@ -36,11 +36,11 @@ func TestTableParentExpiry(t *testing.T) {
 		t.Fatal("stale parent not expired")
 	}
 	tb.SetParent(ref(50, 7), 0)
-	tb.TouchParent(7, 6*time.Second)
+	tb.touchParent(7, 6*time.Second)
 	if tb.ParentExpired(8*time.Second, 5*time.Second) {
 		t.Fatal("touched parent should be fresh")
 	}
-	tb.TouchParent(99, 100*time.Second) // wrong addr: no-op
+	tb.touchParent(99, 100*time.Second) // wrong addr: no-op
 	if !tb.ParentExpired(100*time.Second, 5*time.Second) {
 		t.Fatal("touch with wrong addr must not refresh")
 	}
@@ -264,12 +264,12 @@ func walkTable() *Table {
 	put := func(s *Set, addr uint64) {
 		s.Upsert(proto.NodeRef{ID: 500, Addr: addr, MaxLevel: uint8(addr)}, 0, 0, uint32(addr)+1, Direct)
 	}
-	put(tb.Superiors, 6) // filled back to front: the order is the table's, not the caller's
-	put(tb.NbrChildren, 5)
-	put(tb.Children, 4)
+	put(&tb.Superiors, 6) // filled back to front: the order is the table's, not the caller's
+	put(&tb.NbrChildren, 5)
+	put(&tb.Children, 4)
 	put(tb.BusLevel(4), 3)
 	put(tb.BusLevel(2), 2)
-	put(tb.Level0, 1)
+	put(&tb.Level0, 1)
 	tb.BusLevel(3) // a level the node holds no view of any more
 	tb.DropLevel(3)
 	tb.SetParent(proto.NodeRef{ID: 500, Addr: 7}, 0)

@@ -145,7 +145,7 @@ func RingWalk() Checker {
 // hit is the nearest; skipping a live node here means the walker does not
 // know its true successor and the walk undercounts — the violation.
 func nextAliveRight(x *Ctx, cur *core.Node) *core.Node {
-	l0 := cur.Table().Level0
+	l0 := &cur.Table().Level0
 	for i := range l0.Len() {
 		r, _ := l0.At(i)
 		if r.ID <= cur.ID() {

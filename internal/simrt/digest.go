@@ -31,9 +31,9 @@ func (c *Cluster) StateDigest() uint64 {
 		}
 		w(uint64(s.Len()))
 		s.Each(func(e *rtable.Entry) {
-			w(uint64(e.Ref.ID))
-			w(e.Ref.Addr)
-			w(uint64(e.Ref.MaxLevel)<<16 | uint64(e.Ref.Score))
+			w(uint64(e.ID))
+			w(e.Addr)
+			w(uint64(e.MaxLevel)<<16 | uint64(e.Score))
 			w(uint64(e.Flags))
 			w(uint64(e.LastSeen))
 			w(uint64(e.LastDirect))
@@ -58,10 +58,10 @@ func (c *Cluster) StateDigest() uint64 {
 		} else {
 			w(0)
 		}
-		wset(t.Level0)
-		wset(t.Children)
-		wset(t.NbrChildren)
-		wset(t.Superiors)
+		wset(&t.Level0)
+		wset(&t.Children)
+		wset(&t.NbrChildren)
+		wset(&t.Superiors)
 		for lvl, s := range t.Bus {
 			if s != nil {
 				w(uint64(lvl))
