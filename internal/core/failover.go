@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync"
 	"time"
 
 	"treep/internal/proto"
@@ -45,10 +46,11 @@ type heldForward struct {
 	req      proto.LookupRequest
 }
 
-// failover is a node's hold table and exclusion list, allocated on the
-// node's first hold: an overlay that carries no lookups pays nothing for
-// it. The whole of it fits a 512-byte allocation.
+// failover is a node's hold table and exclusion list, taken from foPool on
+// the node's first hold and handed back once idle (putFailover). It fits a
+// 512-byte allocation.
 type failover struct {
+	n     *Node // the holder; nil in the pool
 	slots [heldSlots]heldForward
 	// suspects[:suspectN] are the excluded peers, oldest first, with the
 	// time each was excluded; Node.route hands routing the addresses.
@@ -56,13 +58,17 @@ type failover struct {
 	suspectAt [suspectSlots]time.Duration
 	// One deadline timer serves every slot. It is armed when a hold finds
 	// none pending and left to run out when its slot is released early; the
-	// firing re-arms for the earliest deadline still held.
+	// firing re-arms for the earliest deadline still held. fire is expired,
+	// bound once for the record, whichever node holds it.
 	timer    Timer
 	fire     func()
 	armed    bool
 	held     uint8
 	suspectN uint8
 }
+
+// foPool holds the idle failover records of every node in the process.
+var foPool sync.Pool
 
 // --- round-trip estimate -------------------------------------------------------
 
@@ -121,9 +127,11 @@ func (n *Node) hold(from uint64, m *proto.LookupRequest, next uint64) bool {
 	}
 	fo := n.fo
 	if fo == nil {
-		fo = &failover{}
-		fo.fire = n.heldExpired
-		n.fo = fo
+		if fo, _ = foPool.Get().(*failover); fo == nil {
+			fo = new(failover)
+			fo.fire = fo.expired
+		}
+		fo.n, n.fo = n, fo
 	}
 	if fo.held == heldSlots {
 		n.Stats.LookupHeldOverflows++
@@ -174,12 +182,13 @@ func (n *Node) heardFrom(peer uint64) {
 			break
 		}
 	}
+	n.putFailover()
 }
 
-// heldExpired is the deadline timer: every hold whose peer stayed silent
+// expired is the deadline timer: every hold whose peer stayed silent
 // excludes that peer and routes its request again.
-func (n *Node) heldExpired() {
-	fo := n.fo
+func (fo *failover) expired() {
+	n := fo.n
 	now := n.env.Now()
 	// armed stays set while requests are re-routed, so a hold made on the
 	// way does not arm a second timer; one is armed below for whatever is
@@ -202,6 +211,7 @@ func (n *Node) heldExpired() {
 	}
 	fo.armed = false
 	if fo.held == 0 {
+		n.putFailover()
 		return
 	}
 	var earliest time.Duration
@@ -251,6 +261,16 @@ func (n *Node) expireSuspects(now time.Duration) {
 	}
 	for fo.suspectN > 0 && now-fo.suspectAt[0] >= n.cfg.EntryTTL {
 		n.dropSuspect(0)
+	}
+	n.putFailover()
+}
+
+// putFailover hands the record back once it is idle: no slot held, no one
+// excluded, no deadline armed (the firing calls here again).
+func (n *Node) putFailover() {
+	if fo := n.fo; fo.held == 0 && fo.suspectN == 0 && !fo.armed {
+		fo.n, n.fo = nil, nil
+		foPool.Put(fo)
 	}
 }
 

@@ -23,11 +23,20 @@ func foreignRequest(reqID uint64) *proto.LookupRequest {
 	return &proto.LookupRequest{Origin: mkRef(50, 9, 0), Target: 500, ReqID: reqID, TTL: 100, Hops: 2, Algo: proto.AlgoG}
 }
 
+// heldCount and suspectCount read a node's failover record, one handed
+// back to the pool reading as empty.
 func heldCount(n *Node) int {
 	if n.fo == nil {
 		return 0
 	}
 	return int(n.fo.held)
+}
+
+func suspectCount(n *Node) int {
+	if n.fo == nil {
+		return 0
+	}
+	return int(n.fo.suspectN)
 }
 
 func hopAck(from proto.NodeRef, reqID uint64) *proto.LookupReply {
@@ -139,15 +148,15 @@ func TestExclusionExpiresWithTheEntry(t *testing.T) {
 	hearsay(n, mkRef(400, 4, 0))
 	n.HandleMessage(9, foreignRequest(7))
 	env.advance(2 * n.rttBound())
-	if n.fo.suspectN != 1 {
-		t.Fatalf("suspects %d", n.fo.suspectN)
+	if suspectCount(n) != 1 {
+		t.Fatalf("suspects %d", suspectCount(n))
 	}
 	// With its only candidate excluded the node is its own owner estimate.
 	if reps := msgsOfType[*proto.LookupReply](env.drain()); len(reps) != 1 || reps[0].Best.Addr != 1 {
 		t.Fatalf("replies %+v", reps)
 	}
 	env.advance(n.cfg.EntryTTL + n.cfg.SweepInterval)
-	if n.fo.suspectN != 0 {
+	if suspectCount(n) != 0 {
 		t.Fatal("exclusion outlived the entry TTL")
 	}
 }
@@ -353,6 +362,96 @@ func TestStopFreesFailover(t *testing.T) {
 	if len(env.drain()) != 0 {
 		t.Fatal("deadline timer survived Stop")
 	}
+}
+
+// TestFailoverRecordLifecycle: a node holds a failover record only while
+// something is held, excluded or armed, and idle records pass between nodes
+// through foPool. It catches three mutants: a record returned while its
+// timer is armed (the early release finds it gone before the firing), fire
+// bound to the first node that made the record (node B's deadline panics on
+// node A, which holds none, instead of re-routing B's request), and a
+// record returned with a suspect left (B's exclusion is gone after the
+// firing).
+func TestFailoverRecordLifecycle(t *testing.T) {
+	// holdThenAck holds one forward to nbr, the only candidate toward the
+	// target, and releases it with nbr's hop-ack; the timer stays armed.
+	holdThenAck := func(n *Node, nbr proto.NodeRef, reqID uint64) *failover {
+		t.Helper()
+		hearsay(n, nbr)
+		n.HandleMessage(9, foreignRequest(reqID))
+		rec := n.fo
+		if rec == nil || heldCount(n) != 1 {
+			t.Fatalf("forward to a never-heard-from peer was not held (held=%d)", heldCount(n))
+		}
+		n.HandleMessage(nbr.Addr, hopAck(nbr, reqID))
+		if heldCount(n) != 0 {
+			t.Fatal("hop-ack did not release the hold")
+		}
+		return rec
+	}
+
+	t.Run("kept while armed", func(t *testing.T) {
+		n, env := testNode(100, 1)
+		rec := holdThenAck(n, mkRef(400, 4, 0), 7)
+		if n.fo != rec || !rec.armed {
+			t.Fatal("an early release handed back a record whose timer is still armed")
+		}
+		env.advance(2 * n.rttBound())
+		if n.fo != nil {
+			t.Fatal("the firing did not hand the idle record back")
+		}
+	})
+
+	t.Run("returned when idle, then reused", func(t *testing.T) {
+		n, env := testNode(100, 1)
+		rec := holdThenAck(n, mkRef(400, 4, 0), 7)
+		env.advance(2 * n.rttBound()) // the firing finds the table empty
+		if n.fo != nil || n.MemBytes().Hold != 0 {
+			t.Fatalf("an idle record stayed with its node (Hold=%d)", n.MemBytes().Hold)
+		}
+		if n.Stats.LookupFailovers != 0 {
+			t.Fatal("a released hold failed over")
+		}
+		env.drain()
+		hearsay(n, mkRef(450, 5, 0)) // nearer the target, never heard from
+		n.HandleMessage(9, foreignRequest(8))
+		if heldCount(n) != 1 || n.MemBytes().Hold == 0 {
+			t.Fatalf("second forward not held (held=%d)", heldCount(n))
+		}
+		if !raceEnabled && n.fo != rec {
+			t.Fatal("the next hold made a new record instead of taking the idle one back")
+		}
+	})
+
+	t.Run("recycled record fires for its new node", func(t *testing.T) {
+		a, envA := testNode(100, 1)
+		rec := holdThenAck(a, mkRef(400, 4, 0), 7)
+		envA.advance(2 * a.rttBound())
+		b, envB := testNode(200, 2)
+		hearsay(b, mkRef(600, 6, 0))
+		b.HandleMessage(9, foreignRequest(8))
+		if heldCount(b) != 1 {
+			t.Fatalf("B's forward not held (held=%d)", heldCount(b))
+		}
+		if !raceEnabled && b.fo != rec {
+			t.Fatal("B's hold did not take A's idle record")
+		}
+		envB.drain()
+		envB.advance(2 * b.rttBound())
+		if b.Stats.LookupFailovers != 1 || a.Stats.LookupFailovers != 0 {
+			t.Fatalf("failovers A=%d B=%d, want 0 and 1", a.Stats.LookupFailovers, b.Stats.LookupFailovers)
+		}
+		// With its only candidate excluded B is its own owner estimate.
+		if reps := msgsOfType[*proto.LookupReply](envB.drain()); len(reps) != 1 || reps[0].Best.Addr != 2 {
+			t.Fatalf("B did not re-route its request: replies %+v", reps)
+		}
+		if suspectCount(b) != 1 || b.MemBytes().Hold == 0 {
+			t.Fatalf("B's record went back with its exclusion (suspects=%d)", suspectCount(b))
+		}
+		if a.fo != nil {
+			t.Fatal("A holds a record again")
+		}
+	})
 }
 
 func TestRTTEstimateFromKeepalive(t *testing.T) {

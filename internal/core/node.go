@@ -79,10 +79,10 @@ type Node struct {
 	nextReqID uint64
 
 	// Lookup failover (failover.go): the hold table and exclusion list,
-	// allocated on first use, and the node-wide round-trip estimate that
-	// times them and the origin's re-issues. The last keep-alive round's
-	// pings are the rttPings sequence numbers from rttFirst on, all sent at
-	// rttSentAt; a pong echoing one of them is a sample.
+	// pooled and held only while in use, and the node-wide round-trip
+	// estimate that times them and the origin's re-issues. The last
+	// keep-alive round's pings are the rttPings sequence numbers from
+	// rttFirst on, all sent at rttSentAt; a pong echoing one is a sample.
 	fo                 *failover
 	srtt, rttvar       time.Duration
 	rttFirst, rttPings uint32
@@ -292,8 +292,8 @@ func (n *Node) MaxChildren() int { return int(n.maxChildren) }
 
 // Mem is the heap one node holds, in bytes (the loop's Scratch is not the
 // node's): its table, the struct with its anchor list, the peers and
-// pending slabs with the lookups in flight, and the failover table once
-// allocated.
+// pending slabs with the lookups in flight, and the failover record while
+// the node holds one.
 type Mem struct {
 	Table             rtable.Mem
 	Node, Peers, Hold int
@@ -307,7 +307,7 @@ func (n *Node) MemBytes() Mem {
 		Peers: n.peers.MemBytes() + n.pending.MemBytes() + n.pending.Len()*int(unsafe.Sizeof(pendingLookup{})),
 	}
 	if n.fo != nil {
-		m.Hold = int(unsafe.Sizeof(*n.fo))
+		m.Hold = 512 + 16 // the record's size class and its bound fire
 	}
 	if n.courtFire != nil {
 		m.Node += 16 // the bound method: code pointer and receiver

@@ -107,8 +107,7 @@ type Stats struct {
 // Node). Callers must not mutate key or value slices they pass in until
 // the callback fires.
 type Service struct {
-	node  *core.Node
-	plane *svc.Plane
+	plane svc.Plane // by value, with the service as its server: one allocation
 
 	// recs is the authoritative store; maintenance walks it in key order.
 	recs idspace.Keyed[idspace.ID, *record]
@@ -171,7 +170,8 @@ func (s *Service) hotc() *hotCache {
 }
 
 // MemBytes reports the heap the service holds: the store and caches with
-// what they point to, and the struct with its memo ring and scratch.
+// what they point to, and the struct with its plane, memo ring, scratch and
+// three bound methods (extension, maintenance and ring hooks, 16 B each).
 func (s *Service) MemBytes() (store, fixed int) {
 	store = s.recs.MemBytes() + s.recs.Len()*int(unsafe.Sizeof(record{}))
 	for _, k := range s.recs.Keys() {
@@ -186,8 +186,8 @@ func (s *Service) MemBytes() (store, fixed int) {
 			store += cap(c.value)
 		}
 	}
-	fixed = int(unsafe.Sizeof(*s)) + cap(s.memos)*int(unsafe.Sizeof(storeMemo{})) +
-		cap(s.scratch)*int(unsafe.Sizeof(proto.NodeRef{}))
+	fixed = int(unsafe.Sizeof(*s)) + s.plane.MemBytes() + 3*16 +
+		cap(s.memos)*int(unsafe.Sizeof(storeMemo{})) + cap(s.scratch)*int(unsafe.Sizeof(proto.NodeRef{}))
 	return store, fixed
 }
 
@@ -295,26 +295,29 @@ const (
 // callOpts is the retry policy of every owner exchange.
 var callOpts = svc.CallOpts{Timeout: requestTimeout, Retries: requestRetries}
 
-// Attach creates the service on a fresh service plane and hooks it into
+// Attach creates the service on its own service plane and hooks it into
 // the node's extension slot.
-func Attach(n *core.Node) *Service { return AttachPlane(svc.Attach(n)) }
-
-// AttachPlane creates the service on an existing plane (services sharing
-// one node compose by sharing its plane).
-func AttachPlane(p *svc.Plane) *Service {
-	s := &Service{
-		node:  p.Node(),
-		plane: p,
-	}
-	p.Handle(proto.TDHTStore, s.handleStore)
-	p.Handle(proto.TDHTFetch, s.handleFetch)
-	p.Handle(proto.TDHTReplicate, s.handleReplicate)
-	p.ExpectResponse(proto.TDHTStoreAck)
-	p.ExpectResponse(proto.TDHTFetchReply)
-	p.ExpectResponse(proto.TDHTReplicateAck)
-	s.maintTimer = s.node.SetPeriodic(maintainInterval, s.maintainTick)
-	s.node.SetRingChangeHook(s.ringNudge)
+func Attach(n *core.Node) *Service {
+	s := new(Service)
+	s.plane.Init(n, s, proto.TDHTStoreAck, proto.TDHTFetchReply, proto.TDHTReplicateAck)
+	s.maintTimer = n.SetPeriodic(maintainInterval, s.maintainTick)
+	n.SetRingChangeHook(s.ringNudge)
 	return s
+}
+
+// Serve is the service plane's server: the store's three request types.
+func (s *Service) Serve(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) bool {
+	switch m := req.(type) {
+	case *proto.DHTStore:
+		s.handleStore(from, m, respond)
+	case *proto.DHTFetch:
+		s.handleFetch(from, m, respond)
+	case *proto.DHTReplicate:
+		s.handleReplicate(from, m, respond)
+	default:
+		return false
+	}
+	return true
 }
 
 // ringNudge reacts to a ring-adjacency change reported by the core — a
@@ -327,7 +330,7 @@ func (s *Service) ringNudge() {
 		return
 	}
 	s.nudgePending = true
-	s.node.SetTimer(ringNudgeDelay, func() {
+	s.Node().SetTimer(ringNudgeDelay, func() {
 		s.nudgePending = false
 		s.maintainTick()
 	})
@@ -336,8 +339,9 @@ func (s *Service) ringNudge() {
 // ringNudgeDelay lets one zip burst settle before reconciling.
 const ringNudgeDelay = 250 * time.Millisecond
 
-// Node returns the underlying TreeP node.
-func (s *Service) Node() *core.Node { return s.node }
+// Node returns the underlying TreeP node, and Plane the service plane.
+func (s *Service) Node() *core.Node  { return s.plane.Node() }
+func (s *Service) Plane() *svc.Plane { return &s.plane }
 
 // Len returns the number of records stored locally.
 func (s *Service) Len() int { return s.recs.Len() }
@@ -392,14 +396,14 @@ func (s *Service) get(key []byte, cb any) {
 	// still fires asynchronously (zero-delay timer) so callers see one
 	// calling convention on hit and miss alike.
 	if s.HotCache {
-		if ce, ok := s.hotc().cache.Get(k); ok && s.node.Now() < ce.expires {
+		if ce, ok := s.hotc().cache.Get(k); ok && s.Node().Now() < ce.expires {
 			s.Stats.CacheServes++
 			rec := Record{
 				Value:   append([]byte(nil), ce.value...),
 				Version: ce.version,
 				Origin:  ce.origin,
 			}
-			s.node.SetTimer(0, func() { answerGet(cb, rec, nil) })
+			s.Node().SetTimer(0, func() { answerGet(cb, rec, nil) })
 			s.hotc().horizonHits++
 			if s.hotc().horizonHits%horizonEvery == 0 {
 				s.refreshHorizon()
@@ -556,7 +560,7 @@ func (s *Service) drop(k idspace.ID) {
 // neither overwrite nor refresh.
 func (s *Service) cacheMerge(k idspace.ID, value []byte, version, origin uint64) {
 	cache := &s.hotc().cache
-	now := s.node.Now()
+	now := s.Node().Now()
 	ce, ok := cache.Get(k)
 	if ok {
 		if version < ce.version || (version == ce.version && origin < ce.origin) {
@@ -619,7 +623,7 @@ func (s *Service) noteRead(k idspace.ID, from uint64) {
 		hot.Put(k, hk)
 	}
 	hk.reads++
-	if from == 0 || from == s.node.Addr() {
+	if from == 0 || from == s.Node().Addr() {
 		return
 	}
 	for _, a := range hk.readers {
@@ -638,9 +642,9 @@ func (s *Service) noteRead(k idspace.ID, from uint64) {
 func (s *Service) refreshHorizon() {
 	s.Stats.HorizonProbes++
 	var b [16]byte
-	binary.LittleEndian.PutUint64(b[:8], s.node.Addr())
+	binary.LittleEndian.PutUint64(b[:8], s.Node().Addr())
 	binary.LittleEndian.PutUint64(b[8:], s.hotc().horizonHits)
-	s.node.Lookup(idspace.HashKey(b[:]), proto.AlgoG, func(core.LookupResult) {})
+	s.Node().Lookup(idspace.HashKey(b[:]), proto.AlgoG, func(core.LookupResult) {})
 }
 
 // fanoutTick runs once per maintenance window: reads are windowed, and
@@ -704,7 +708,7 @@ func (s *Service) fanoutTick() {
 func (s *Service) fanoutTargets(k idspace.ID, hk *hotKey) []uint64 {
 	width := hotReaderSlots
 	out := hk.fanout[:0]
-	self := s.node.Addr()
+	self := s.Node().Addr()
 	add := func(addr uint64) {
 		if addr == 0 || addr == self || len(out) >= width {
 			return
@@ -725,8 +729,8 @@ func (s *Service) fanoutTargets(k idspace.ID, hk *hotKey) []uint64 {
 	if seed := len(out) + fanoutNeighborSeed; seed < width {
 		width = seed
 	}
-	l0 := &s.node.Table().Level0
-	now, ttl := s.node.Now(), s.node.Config().EntryTTL
+	l0 := &s.Node().Table().Level0
+	now, ttl := s.Node().Now(), s.Node().Config().EntryTTL
 	refs := l0.AppendNeighborsFreshK(s.scratch[:0], k, now, ttl, fanoutNeighborSeed, true)
 	refs = l0.AppendNeighborsFreshK(refs, k, now, ttl, fanoutNeighborSeed, false)
 	s.scratch = refs
@@ -765,7 +769,7 @@ func sortByScore(refs []proto.NodeRef) {
 func (s *Service) pushFanout(k idspace.ID, rec *record, hk *hotKey) {
 	for _, addr := range hk.fanout {
 		s.Stats.Fanouts++
-		s.node.Send(addr, s.replicaOf(k, rec, true))
+		s.Node().Send(addr, s.replicaOf(k, rec, true))
 	}
 }
 
@@ -777,8 +781,7 @@ func (s *Service) pushFanout(k idspace.ID, rec *record, hk *hotKey) {
 // a freshly responsible owner would restart versions at 1 and its writes
 // would lose every merge against the surviving higher-versioned copies
 // (and conditional stores would pass a base check they should fail).
-func (s *Service) handleStore(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
-	m := req.(*proto.DHTStore)
+func (s *Service) handleStore(from uint64, m *proto.DHTStore, respond func(proto.SvcMessage)) {
 	s.Stats.PutsServed++
 	// A retried store (ack lost in flight) replays the recorded outcome
 	// instead of re-applying: stores are not idempotent (the owner assigns
@@ -855,8 +858,7 @@ func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bo
 // handleFetch serves reads. A miss on a non-local fetch consults the ring
 // neighbours — the replica set of whoever owned the key before us — and
 // adopts the best surviving copy before answering (read-repair).
-func (s *Service) handleFetch(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
-	m := req.(*proto.DHTFetch)
+func (s *Service) handleFetch(from uint64, m *proto.DHTFetch, respond func(proto.SvcMessage)) {
 	s.Stats.GetsServed++
 	if s.HotCache && !m.Local {
 		s.noteRead(m.Key, from)
@@ -869,7 +871,7 @@ func (s *Service) handleFetch(from uint64, req proto.SvcMessage, respond func(pr
 	// that got routed here benefits from the fan-out too). Versioned
 	// staleness bounds apply as for the local-serve path.
 	if s.HotCache {
-		if ce, ok := s.hotc().cache.Get(m.Key); ok && s.node.Now() < ce.expires {
+		if ce, ok := s.hotc().cache.Get(m.Key); ok && s.Node().Now() < ce.expires {
 			s.Stats.CacheServes++
 			respond(foundReply(ce.value, ce.version, ce.origin))
 			return
@@ -950,8 +952,7 @@ func notFound() *proto.DHTFetchReply {
 // than the authoritative store — it must not become a durable orphan the
 // maintenance loop then tries to hand back. Acked pushes (handoff) and
 // pushes we are genuinely in the replica set for merge as before.
-func (s *Service) handleReplicate(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
-	m := req.(*proto.DHTReplicate)
+func (s *Service) handleReplicate(from uint64, m *proto.DHTReplicate, respond func(proto.SvcMessage)) {
 	if m.Cache {
 		// Fan-out copy: cache it, never adopt it as an authoritative
 		// replica — adopting would leave this node believing a "closer
@@ -1023,7 +1024,7 @@ func (s *Service) maintainTick() {
 // flight.
 func (s *Service) replicaOf(k idspace.ID, rec *record, cache bool) *proto.DHTReplicate {
 	m := proto.Acquire(proto.TDHTReplicate).(*proto.DHTReplicate)
-	m.From, m.Key, m.Version, m.Origin, m.Cache = s.node.Ref(), k, rec.version, rec.origin, cache
+	m.From, m.Key, m.Version, m.Origin, m.Cache = s.Node().Ref(), k, rec.version, rec.origin, cache
 	m.Value = append(m.Value, rec.value...)
 	return m
 }
@@ -1033,7 +1034,7 @@ func (s *Service) replicaOf(k idspace.ID, rec *record, cache bool) *proto.DHTRep
 func (s *Service) pushReplicas(k idspace.ID, rec *record) {
 	for _, tgt := range s.replicaTargets(k) {
 		s.Stats.Replicas++
-		s.node.Send(tgt.Addr, s.replicaOf(k, rec, false))
+		s.Node().Send(tgt.Addr, s.replicaOf(k, rec, false))
 	}
 }
 
@@ -1073,8 +1074,8 @@ func (s *Service) ReplicaTargets(k idspace.ID) []proto.NodeRef { return s.replic
 
 func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
 	const want = replicationFactor - 1
-	l0 := &s.node.Table().Level0
-	now, ttl := s.node.Now(), s.node.Config().EntryTTL
+	l0 := &s.Node().Table().Level0
+	now, ttl := s.Node().Now(), s.Node().Config().EntryTTL
 	// Collect up to `want` fresh contacts from each side, then keep the
 	// `want` nearest by distance. The ID space is a line, not a ring: a
 	// key near an extreme has fewer (or no) contacts on one side, and
@@ -1084,7 +1085,7 @@ func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
 	out = l0.AppendNeighborsFreshK(out, k, now, ttl, want, false)
 	// Self dropped, the rest insertion-sorted in place into the
 	// nearest-first order, which is the order the replicas are sent in.
-	self := s.node.Addr()
+	self := s.Node().Addr()
 	n := 0
 	for _, r := range out {
 		if r.Addr == self {
@@ -1115,13 +1116,13 @@ func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
 // nobody and direct-fresh only now and then, and a mark tied to the
 // nearest would flip with every lapse.
 func (s *Service) closer(k idspace.ID, mark uint64) (nearest proto.NodeRef, count int, held bool) {
-	l0 := &s.node.Table().Level0
-	now, ttl := s.node.Now(), s.node.Config().EntryTTL
-	selfID := s.node.ID()
+	l0 := &s.Node().Table().Level0
+	now, ttl := s.Node().Now(), s.Node().Config().EntryTTL
+	selfID := s.Node().ID()
 	dSelf := idspace.Dist(selfID, k)
 	for i := range l0.Len() {
 		r, e := l0.At(i)
-		if r.Addr == s.node.Addr() || !e.DirectFresh(now, ttl) {
+		if r.Addr == s.Node().Addr() || !e.DirectFresh(now, ttl) {
 			continue
 		}
 		d := idspace.Dist(r.ID, k)
@@ -1143,7 +1144,7 @@ func (s *Service) closer(k idspace.ID, mark uint64) (nearest proto.NodeRef, coun
 // record needs a re-push. (Contacts further along lapse from direct
 // freshness while nothing changes.)
 func (s *Service) ringSig() uint64 {
-	l, r := s.node.Table().Level0.NeighborsFresh(s.node.ID(), s.node.Now(), s.node.Config().EntryTTL)
+	l, r := s.Node().Table().Level0.NeighborsFresh(s.Node().ID(), s.Node().Now(), s.Node().Config().EntryTTL)
 	return mix(mix(0, l.Addr), r.Addr)
 }
 

@@ -437,13 +437,13 @@ func TestStoreMemoRingGrowsThenWraps(t *testing.T) {
 	}
 }
 
-// TestServiceFitsItsSizeClass: with the memo ring out of line and the
-// single-valued options gone a Service is 320 bytes, a size class of its
-// own (384 with the options; inline the ring made it 2 904 in the 3 072
-// class on every peer, DESIGN.md §16).
+// TestServiceFitsItsSizeClass: with its service plane held by value a
+// Service is 384 bytes, the whole of the 384-byte size class, where the
+// two structs apart took 288 and 176 (with the memo ring inline it was
+// 2 904 in the 3 072 class on every peer, DESIGN.md §16).
 func TestServiceFitsItsSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Service{}); sz > 320 {
-		t.Fatalf("dht.Service is %d bytes: past the 320-byte size class", sz)
+	if sz := unsafe.Sizeof(Service{}); sz > 384 {
+		t.Fatalf("dht.Service is %d bytes: past the 384-byte size class", sz)
 	}
 }
 

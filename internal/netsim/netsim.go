@@ -221,15 +221,8 @@ func (d *delivery) deliver() {
 // Option configures a Network.
 type Option func(*Network)
 
-// WithLatency sets the latency model (default: Uniform 10–60 ms, roughly a
-// wide-area mix).
-func WithLatency(m LatencyModel) Option { return func(n *Network) { n.latency = m } }
-
 // WithLoss sets the random loss probability in [0,1).
 func WithLoss(p float64) Option { return func(n *Network) { n.lossRate = p } }
-
-// WithMTU sets the maximum datagram size in bytes (0 disables the check).
-func WithMTU(mtu int) Option { return func(n *Network) { n.mtu = mtu } }
 
 // WithTrace installs a hook invoked for every datagram send.
 func WithTrace(fn func(TraceEvent)) Option { return func(n *Network) { n.trace = fn } }

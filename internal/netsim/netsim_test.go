@@ -7,6 +7,13 @@ import (
 	"treep/internal/sim"
 )
 
+// WithLatency sets the latency model (default: Uniform 10–60 ms, roughly a
+// wide-area mix).
+func WithLatency(m LatencyModel) Option { return func(n *Network) { n.latency = m } }
+
+// WithMTU sets the maximum datagram size in bytes (0 disables the check).
+func WithMTU(mtu int) Option { return func(n *Network) { n.mtu = mtu } }
+
 type rec struct {
 	from    Addr
 	payload interface{}

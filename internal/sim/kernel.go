@@ -109,13 +109,6 @@ func (k *Kernel) Schedule(delay time.Duration, fn func()) Timer {
 	return k.ScheduleGated(nil, delay, fn)
 }
 
-// ScheduleAt runs fn at the given absolute virtual time. Times in the past
-// are clamped to now. Events scheduled for the same instant fire in
-// scheduling order.
-func (k *Kernel) ScheduleAt(at time.Duration, fn func()) Timer {
-	return k.schedule(at, 0, fn, nil)
-}
-
 // SchedulePeriodic runs fn every interval of virtual time, first after one
 // interval, until the returned timer is cancelled. The single pooled event
 // record is re-queued after each firing (with a fresh sequence number, so

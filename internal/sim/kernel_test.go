@@ -5,6 +5,13 @@ import (
 	"time"
 )
 
+// ScheduleAt runs fn at the given absolute virtual time. Times in the past
+// are clamped to now. Events scheduled for the same instant fire in
+// scheduling order.
+func (k *Kernel) ScheduleAt(at time.Duration, fn func()) Timer {
+	return k.schedule(at, 0, fn, nil)
+}
+
 func TestScheduleOrdering(t *testing.T) {
 	k := New(1)
 	var got []int

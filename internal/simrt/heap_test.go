@@ -26,12 +26,13 @@ const (
 	// sim-writes. CI holds the benchmark's figures to the same two numbers
 	// (.github/workflows/ci.yml reads them from this file).
 	heapBudgetBare  = 7413
-	heapBudgetStore = 9065
+	heapBudgetStore = 8380
 	// ledgerFloorPct is how much of the measured heap the rows must
-	// explain at a quiet instant: they explain 96 % bare and 91 % loaded;
-	// what is left is size-class rounding, the service plane and the
-	// kernel's map of streams, ~750 B a peer loaded.
-	ledgerFloorPct = 91
+	// explain at a quiet instant: they explain 97 % both bare and loaded
+	// (the loaded overlay by 5 B a peer, inside the few bytes runs differ
+	// by, hence one point of room); what is left is size-class rounding and
+	// the kernel's map of streams, ~230 B a peer loaded.
+	ledgerFloorPct = 96
 
 	// Per-peer objects of the simulated runtime, by allocator size class.
 	// A simEnv (48), the netsim handler closure (32) and handler slot (8),
@@ -39,9 +40,10 @@ const (
 	envBytes = 48 + 32 + 8 + 24
 	// A periodic node timer: the bound method it runs (16). Its handle is
 	// a value inside the node, and the kill guard a pointer in the event
-	// record. The operation records the service plane and the DHT recycle
-	// sit in process-wide sync.Pools, which the settling collections empty,
-	// so no loop owns a pool the ledger has to count.
+	// record. The operation records the service plane and the DHT recycle,
+	// and idle failover records, sit in process-wide sync.Pools, which the
+	// settling collections empty, so no loop owns a pool the ledger has to
+	// count.
 	timerBytes = 16
 )
 
@@ -77,10 +79,7 @@ func heapLedger(c *Cluster, svcs []*dht.Service) []ledgerRow {
 		scratch += c.scratch[i].MemBytes()
 	}
 	events, streams := c.Kernel.MemBytes()
-	timers := 3 * len(c.Nodes) // keep-alive, sweep, child report
-	if svcs != nil {
-		timers += len(svcs) // replica maintenance
-	}
+	timers := 3 * len(c.Nodes) // keep-alive, sweep, child report; the DHT's is its own row
 	return []ledgerRow{
 		{"rtable slabs", tbl.Slabs},
 		{"rtable structs, bus slice", tbl.Fixed},
@@ -88,7 +87,7 @@ func heapLedger(c *Cluster, svcs []*dht.Service) []ledgerRow {
 		{"peers + pending", peers},
 		{"hold table", hold},
 		{"dht store + caches", store},
-		{"dht.Service + memo ring", dhtFixed},
+		{"service plane: dht + svc, hooks", dhtFixed},
 		{"loop scratch", scratch},
 		{"env, handler, cluster slots", envBytes * len(c.Nodes)},
 		{"random streams", streams},

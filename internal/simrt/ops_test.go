@@ -15,19 +15,30 @@ import (
 	"treep/internal/svc"
 )
 
-// dhtOverlay is a settled bulk-built cluster with a DHT service, on its own
-// service plane, attached to every node.
-func dhtOverlay(n int, seed int64, cfg core.Config) (*Cluster, []*svc.Plane, []*dht.Service) {
+// dhtOverlay is a settled bulk-built cluster with a DHT service attached to
+// every node.
+func dhtOverlay(n int, seed int64, cfg core.Config) (*Cluster, []*dht.Service) {
 	c := New(Options{N: n, Seed: seed, Bulk: true, Config: cfg})
-	planes := make([]*svc.Plane, n)
 	svcs := make([]*dht.Service, n)
 	for i, nd := range c.Nodes {
-		planes[i] = svc.Attach(nd)
-		svcs[i] = dht.AttachPlane(planes[i])
+		svcs[i] = dht.Attach(nd)
 	}
 	c.StartAll()
 	c.Run(6 * time.Second)
-	return c, planes, svcs
+	return c, svcs
+}
+
+// silentOwner serves a node's DHT but takes every fetch and store and
+// drops it unanswered: an owner that never answers.
+type silentOwner struct{ *dht.Service }
+
+func (s silentOwner) Serve(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) bool {
+	switch req.Type() {
+	case proto.TDHTFetch, proto.TDHTStore:
+		respond(nil)
+		return true
+	}
+	return s.Service.Serve(from, req, respond)
 }
 
 // ownerOf is the node nearest to a key's hash: the node a lookup on the
@@ -60,16 +71,16 @@ func remoteKey(c *Cluster, origin *core.Node, prefix string) []byte {
 // again. The benchmark books such an operation as abandoned; a late
 // failure callback would turn it into a failed one.
 func TestKilledOriginNeverCallsBack(t *testing.T) {
-	c, planes, svcs := dhtOverlay(64, 5, core.Config{LookupTimeout: time.Second})
+	c, svcs := dhtOverlay(64, 5, core.Config{LookupTimeout: time.Second})
 	const o = 10
-	origin, p, s := c.Nodes[o], planes[o], svcs[o]
-	// Owners that never answer: the calls are still in flight when the
+	origin, s := c.Nodes[o], svcs[o]
+	p := s.Plane()
+	// Owners that never answer, each on a plane of its own that takes over
+	// the node's extension slot: the calls are still in flight when the
 	// origin dies.
-	silent := func(_ uint64, _ proto.SvcMessage, respond func(proto.SvcMessage)) { respond(nil) }
-	for i, q := range planes {
+	for i, nd := range c.Nodes {
 		if i != o {
-			q.Handle(proto.TDHTFetch, silent)
-			q.Handle(proto.TDHTStore, silent)
+			new(svc.Plane).Init(nd, silentOwner{svcs[i]}, proto.TDHTStoreAck, proto.TDHTFetchReply, proto.TDHTReplicateAck)
 		}
 	}
 	var fired []string
@@ -114,7 +125,7 @@ func TestRemoteGetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	c, _, svcs := dhtOverlay(64, 3, core.Config{})
+	c, svcs := dhtOverlay(64, 3, core.Config{})
 	value := make([]byte, 64)
 	type read struct {
 		s   *dht.Service

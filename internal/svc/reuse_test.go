@@ -15,8 +15,8 @@ func TestLateResponseMissesTheNextCall(t *testing.T) {
 	c, planes := planeCluster(t, 8, 9)
 	slow := func(i int, after time.Duration) {
 		nd := c.Nodes[i]
-		planes[i].Handle(proto.TDHTFetch, func(_ uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
-			key := req.(*proto.DHTFetch).Key
+		planes[i].srv = fetchServer(func(req *proto.DHTFetch, respond func(proto.SvcMessage)) {
+			key := req.Key
 			nd.SetTimer(after, func() { respond(&proto.DHTFetchReply{Found: true, Version: uint64(key)}) })
 		})
 	}

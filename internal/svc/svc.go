@@ -7,10 +7,9 @@
 // in-flight exchange — and none of them retried, so a single lost datagram
 // failed the operation. The plane centralises that once, per node:
 //
-//   - a typed handler registry hanging off core.Node's extension slot:
-//     services register a handler per request message type and the plane
-//     dispatches inbound requests to it, stamping the response's id and
-//     sender automatically;
+//   - one Server per plane, set when the plane is made and reached from
+//     core.Node's extension slot: the plane dispatches inbound requests
+//     to it, stamping the response's id and sender automatically;
 //   - Call: a direct request to a known address with a per-attempt
 //     deadline and bounded retries (UDP loses datagrams; requests are
 //     idempotent or receiver-deduplicated by design);
@@ -42,26 +41,28 @@ var (
 	// ErrTimeout: no response arrived within the deadline, all retries
 	// included.
 	ErrTimeout = errors.New("svc: request timed out")
-	// ErrNoHandler: the (possibly local) destination has no handler
-	// registered for the request type.
+	// ErrNoHandler: the (possibly local) destination does not serve the
+	// request type.
 	ErrNoHandler = errors.New("svc: no handler for request type")
 )
 
-// Handler serves one request type. It must call respond exactly once —
-// synchronously or later (a handler may itself issue Calls before
-// answering). Responding nil drops the request silently: the caller times
-// out and retries, which is the correct reaction when the handler cannot
-// answer authoritatively. The plane stamps the response's id and sender;
-// handlers fill only their own fields.
+// Server serves the requests that reach a plane. Serve reports whether it
+// serves req's type, and if so calls respond exactly once — synchronously
+// or later (a server may itself issue Calls before answering). Responding
+// nil drops the request silently: the caller times out and retries, which
+// is the correct reaction when the server cannot answer authoritatively.
+// The plane stamps the response's id and sender; servers fill only their
+// own fields.
 //
-// A handler that answers asynchronously must copy what it needs out of req
+// A server that answers asynchronously must copy what it needs out of req
 // before returning: a pooled request message goes back to its pool
 // (proto.ReleaseDecoded) when the delivering datagram ends, so retaining
-// req or any slice it carries past the handler's own frame is a
-// use-after-release. So
-// is a second call of respond: it is a pooled responder's, and may already
-// answer another request.
-type Handler func(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage))
+// req or any slice it carries past Serve's own frame is a
+// use-after-release. So is a second call of respond: it is a pooled
+// responder's, and may already answer another request.
+type Server interface {
+	Serve(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) bool
+}
 
 // CallOpts bounds one logical request.
 type CallOpts struct {
@@ -88,8 +89,8 @@ type Stats struct {
 	Responses    uint64
 	Retries      uint64
 	Timeouts     uint64
-	Served       uint64 // requests dispatched to a local handler
-	Unhandled    uint64 // inbound requests with no registered handler
+	Served       uint64 // requests the server took
+	Unhandled    uint64 // inbound requests of a type the server does not serve
 }
 
 // call is one in-flight remote request: what a re-send needs, and one timer
@@ -142,19 +143,15 @@ type responder struct {
 // records of its own between operations.
 var callPool, keyCallPool, responderPool sync.Pool
 
-// Plane is one node's service plane. Create with Attach; all methods must
-// run on the node's event loop.
+// Plane is one node's service plane, held by value in its service and
+// readied by Init; all methods must run on the node's event loop.
 type Plane struct {
 	node *core.Node
+	srv  Server
 
-	// handlers holds the Handler of each request MsgType; respTypes is the
-	// set (bit t for MsgType t) of the message types matched against the
-	// pending-call table. A plane serves a few types and has a few calls in
-	// flight (DESIGN.md §16). The Handlers are held as any for the slab's
-	// symbol alone, as core.peerState's fields are exported: Handler's own
-	// type spells a package path, and the benchmark's CPU ledger could not
-	// place the lookup.
-	handlers  idspace.Keyed[proto.MsgType, any]
+	// respTypes is the set (bit t for MsgType t) of the message types
+	// matched against the pending-call table. A plane has a few calls in
+	// flight (DESIGN.md §16).
 	respTypes uint32
 
 	pending idspace.Keyed[uint64, *call]
@@ -164,29 +161,27 @@ type Plane struct {
 	Stats Stats
 }
 
-// Attach creates the plane and installs it in the node's extension slot,
-// replacing whatever extension was installed before.
-func Attach(n *core.Node) *Plane {
-	p := &Plane{node: n}
+// Init readies the plane to serve srv and installs it in the node's
+// extension slot, replacing whatever extension was installed before.
+// Inbound messages of the types in responses answer the plane's own calls.
+func (p *Plane) Init(n *core.Node, srv Server, responses ...proto.MsgType) {
+	p.node, p.srv = n, srv
+	for _, t := range responses {
+		p.respTypes |= 1 << t
+	}
 	n.SetExtension(p.handle)
-	return p
 }
 
 // Node returns the underlying TreeP node.
 func (p *Plane) Node() *core.Node { return p.node }
 
-// Handle registers the handler for one request message type. Last
-// registration wins; services own disjoint type sets by construction.
-func (p *Plane) Handle(t proto.MsgType, h Handler) { p.handlers.Put(t, h) }
-
-// ExpectResponse declares a message type to be a response: inbound
-// messages of this type are matched against the pending-call table by
-// SvcID instead of being dispatched to a handler.
-func (p *Plane) ExpectResponse(t proto.MsgType) { p.respTypes |= 1 << t }
-
 // Pending returns the number of in-flight calls (tests and shutdown
 // diagnostics).
 func (p *Plane) Pending() int { return p.pending.Len() }
+
+// MemBytes reports the heap behind the plane's pending-call table; the
+// call records are pooled.
+func (p *Plane) MemBytes() int { return p.pending.MemBytes() }
 
 // Call sends req to a known overlay address and invokes cb exactly once
 // with the response or an error. The request id is assigned here; retries
@@ -207,7 +202,9 @@ func (p *Plane) callWithID(id, to uint64, req proto.SvcMessage, o CallOpts, cb f
 	req.SetSvc(id, p.node.Ref())
 
 	if to == p.node.Addr() || to == 0 {
-		p.serveLocal(req, cb)
+		if !p.serve(p.node.Addr(), req, cb) {
+			cb(nil, ErrNoHandler)
+		}
 		return
 	}
 
@@ -324,30 +321,27 @@ func (c *call) finish() func(proto.SvcMessage, error) {
 	return cb
 }
 
-// serveLocal dispatches a request whose owner is this node to the local
-// handler, keeping local and remote keys on one code path. The response is
-// recycled after the callback returns — exactly what the network does at
-// end-of-datagram on the remote path — so callbacks must copy anything
-// they keep (the same contract they already obey for remote responses).
-func (p *Plane) serveLocal(req proto.SvcMessage, cb func(proto.SvcMessage, error)) {
-	h, ok := p.handlers.Get(req.Type())
-	if !ok {
-		cb(nil, ErrNoHandler)
-		return
-	}
-	p.Stats.Served++
-	h.(Handler)(p.node.Addr(), req, p.responder(req.SvcID(), 0, cb))
-}
-
-// responder returns the respond function of a pooled responder.
-func (p *Plane) responder(id, to uint64, local func(proto.SvcMessage, error)) func(proto.SvcMessage) {
+// serve hands req to the server with a pooled responder, reporting whether
+// the server took it; a responder it did not take goes back unused. A
+// request whose owner is this node comes here too, with local its caller's
+// callback, keeping local and remote keys on one code path. A local
+// response is recycled after the callback returns — exactly what the
+// network does at end-of-datagram on the remote path — so callbacks must
+// copy anything they keep, as they do for remote responses.
+func (p *Plane) serve(from uint64, req proto.SvcMessage, local func(proto.SvcMessage, error)) bool {
 	r, _ := responderPool.Get().(*responder)
 	if r == nil {
 		r = new(responder)
 		r.respond = r.answer
 	}
-	r.plane, r.id, r.to, r.local = p, id, to, local
-	return r.respond
+	r.plane, r.id, r.to, r.local = p, req.SvcID(), from, local
+	if !p.srv.Serve(from, req, r.respond) {
+		r.plane, r.local = nil, nil
+		responderPool.Put(r)
+		return false
+	}
+	p.Stats.Served++
+	return true
 }
 
 // answer stamps the response and delivers it; a nil response drops the
@@ -370,8 +364,8 @@ func (r *responder) answer(resp proto.SvcMessage) {
 }
 
 // handle is the node-extension hook: responses match pending calls,
-// requests dispatch to their registered handler. A message is a response
-// if its type was declared with ExpectResponse, a request otherwise.
+// requests go to the server. A message is a response if its type was
+// named at Init, a request otherwise.
 func (p *Plane) handle(from uint64, msg proto.Message) bool {
 	m, ok := msg.(proto.SvcMessage)
 	if !ok {
@@ -388,12 +382,9 @@ func (p *Plane) handle(from uint64, msg proto.Message) bool {
 		c.finish()(m, nil)
 		return true
 	}
-	h, ok := p.handlers.Get(t)
-	if !ok {
+	if !p.serve(from, m, nil) {
 		p.Stats.Unhandled++
 		return false
 	}
-	p.Stats.Served++
-	h.(Handler)(from, m, p.responder(m.SvcID(), from, nil))
 	return true
 }

@@ -11,24 +11,38 @@ import (
 	"treep/internal/simrt"
 )
 
-// echoHandler registers a DHTFetch→DHTFetchReply echo on a plane: the
-// reply's Version carries back the request's Key so tests can check the
-// right request reached the right handler.
-func echoHandler(p *Plane) {
-	p.Handle(proto.TDHTFetch, func(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
-		f := req.(*proto.DHTFetch)
-		respond(&proto.DHTFetchReply{Found: true, Version: uint64(f.Key)})
-	})
-	p.ExpectResponse(proto.TDHTFetchReply)
+// serveFunc adapts a function to Server.
+type serveFunc func(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) bool
+
+func (f serveFunc) Serve(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) bool {
+	return f(from, req, respond)
 }
+
+// fetchServer serves DHTFetch alone, with h.
+func fetchServer(h func(req *proto.DHTFetch, respond func(proto.SvcMessage))) Server {
+	return serveFunc(func(_ uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) bool {
+		f, ok := req.(*proto.DHTFetch)
+		if ok {
+			h(f, respond)
+		}
+		return ok
+	})
+}
+
+// echo answers a DHTFetch with a DHTFetchReply whose Version carries back
+// the request's Key, so tests can check the right request reached the
+// right server.
+var echo = fetchServer(func(f *proto.DHTFetch, respond func(proto.SvcMessage)) {
+	respond(&proto.DHTFetchReply{Found: true, Version: uint64(f.Key)})
+})
 
 func planeCluster(t *testing.T, n int, seed int64, netOpts ...netsim.Option) (*simrt.Cluster, []*Plane) {
 	t.Helper()
 	c := simrt.New(simrt.Options{N: n, Seed: seed, Bulk: true, NetOpts: netOpts})
 	planes := make([]*Plane, n)
 	for i, nd := range c.Nodes {
-		planes[i] = Attach(nd)
-		echoHandler(planes[i])
+		planes[i] = new(Plane)
+		planes[i].Init(nd, echo, proto.TDHTFetchReply)
 	}
 	c.StartAll()
 	c.Run(4 * time.Second)
@@ -155,8 +169,8 @@ func TestCallKeyLocalOwner(t *testing.T) {
 func TestNoHandlerError(t *testing.T) {
 	c, planes := planeCluster(t, 4, 7)
 	var err error
-	// DHTStore has no registered handler in this test fixture; a local
-	// call reports ErrNoHandler immediately.
+	// The fixture's server does not serve DHTStore; a local call reports
+	// ErrNoHandler immediately.
 	planes[0].Call(c.Nodes[0].Addr(), &proto.DHTStore{Key: 1}, CallOpts{},
 		func(_ proto.SvcMessage, e error) { err = e })
 	if !errors.Is(err, ErrNoHandler) {
@@ -164,13 +178,32 @@ func TestNoHandlerError(t *testing.T) {
 	}
 }
 
+// TestUnservedTypeFallsThrough: a request the server does not serve is
+// counted as unhandled and handed back to the node's extension chain.
+func TestUnservedTypeFallsThrough(t *testing.T) {
+	c, planes := planeCluster(t, 4, 7)
+	p := planes[0]
+	if p.handle(c.Nodes[1].Addr(), &proto.DHTStore{Key: 1}) {
+		t.Fatal("the plane consumed a request type its server does not serve")
+	}
+	if p.Stats.Unhandled != 1 || p.Stats.Served != 0 {
+		t.Fatalf("unhandled=%d served=%d, want 1 and 0", p.Stats.Unhandled, p.Stats.Served)
+	}
+	if !p.handle(c.Nodes[1].Addr(), &proto.DHTFetch{Key: 1}) {
+		t.Fatal("the plane passed on a request type its server serves")
+	}
+	if p.Stats.Unhandled != 1 || p.Stats.Served != 1 {
+		t.Fatalf("unhandled=%d served=%d, want 1 and 1", p.Stats.Unhandled, p.Stats.Served)
+	}
+}
+
 func TestAsyncHandlerResponds(t *testing.T) {
 	c, planes := planeCluster(t, 8, 8)
-	// Re-register node 5's fetch handler to answer after a delay, as a
-	// handler that consults other nodes would.
+	// Node 5's server answers after a delay, as a server that consults
+	// other nodes would.
 	nd := c.Nodes[5]
-	planes[5].Handle(proto.TDHTFetch, func(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
-		key := req.(*proto.DHTFetch).Key // copy before going async
+	planes[5].srv = fetchServer(func(req *proto.DHTFetch, respond func(proto.SvcMessage)) {
+		key := req.Key // copy before going async
 		nd.SetTimer(700*time.Millisecond, func() {
 			respond(&proto.DHTFetchReply{Found: true, Version: uint64(key)})
 		})
@@ -194,7 +227,7 @@ func TestLateResponseAbsorbed(t *testing.T) {
 	nd := c.Nodes[4]
 	// Answer after the caller's deadline: the caller must see exactly one
 	// callback (the timeout), and the late response must be dropped.
-	planes[4].Handle(proto.TDHTFetch, func(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) {
+	planes[4].srv = fetchServer(func(_ *proto.DHTFetch, respond func(proto.SvcMessage)) {
 		nd.SetTimer(2*time.Second, func() {
 			respond(&proto.DHTFetchReply{Found: true})
 		})
