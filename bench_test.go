@@ -221,68 +221,6 @@ func BenchmarkDHTChurn2k(b *testing.B) {
 	benchDHTChurn(b, 2000)
 }
 
-// benchZipfBalanced is the skewed-read smoke point: a Zipf(1.0) read
-// storm against the full balancer stack (load observability + hot-key
-// fan-out), the regime the capacity balancer exists for. Reported metrics
-// are the read-miss percentage, the fraction of reads absorbed by
-// reader-side caches, and the end-state violation count with both
-// balance checkers gating.
-func benchZipfBalanced(b *testing.B, n int) {
-	b.Helper()
-	b.ReportAllocs()
-	rate := float64(n) / 2
-	if rate < 100 {
-		rate = 100
-	}
-	for i := 0; i < b.N; i++ {
-		c := simrt.New(simrt.Options{N: n, Seed: 1, Bulk: true})
-		st := scenario.NewStorage()
-		st.HotCache = true
-		st.AttachAll(c)
-		c.StartAll()
-		opts := scenario.Options{
-			Checkers:    append(scenario.AllCheckers(), scenario.BalanceCheckers()...),
-			Storage:     st,
-			FinalGrace:  3 * time.Second,
-			FinalChecks: 4,
-		}
-		res := scenario.Run(c, opts,
-			scenario.Settle{For: 8 * time.Second},
-			scenario.StoreRecords{Count: 64},
-			scenario.Settle{For: 2 * time.Second},
-			scenario.ZipfReads{For: 20 * time.Second, Rate: rate, Theta: 1.0, Readers: 64},
-		)
-		miss := 0.0
-		if st.Gets > 0 {
-			miss = 100 * float64(st.GetMiss) / float64(st.Gets)
-		}
-		b.ReportMetric(miss, "getmiss%")
-		var serves uint64
-		for _, nd := range c.Nodes {
-			if s := st.Service(nd.Addr()); s != nil {
-				serves += s.Stats.CacheServes
-			}
-		}
-		absorbed := 0.0
-		if st.Gets > 0 {
-			absorbed = 100 * float64(serves) / float64(st.Gets)
-		}
-		b.ReportMetric(absorbed, "cached%")
-		b.ReportMetric(float64(len(res.Final)), "violations@end")
-	}
-}
-
-func BenchmarkZipfBalanced(b *testing.B) {
-	benchZipfBalanced(b, 300)
-}
-
-// BenchmarkZipfBalanced2k is the one allocation figure with the balancer
-// and the hot-key cache on: every BENCHMARK.json workload runs with both
-// off, so its allocs/op is covered by no repo-benchmark metric.
-func BenchmarkZipfBalanced2k(b *testing.B) {
-	benchZipfBalanced(b, 2000)
-}
-
 func BenchmarkScenarioFlashCrowd(b *testing.B) {
 	benchScenario(b, []scenario.Phase{
 		scenario.FlashCrowd{Joins: 60, Over: 4 * time.Second},

@@ -35,7 +35,6 @@
 package dht
 
 import (
-	"encoding/binary"
 	"errors"
 	"sync"
 	"time"
@@ -94,12 +93,6 @@ type Stats struct {
 	Dropped    uint64 // local copies released after handoff
 	Consults   uint64 // fetch misses that consulted replicas
 	Repairs    uint64 // records adopted from a replica on read-repair
-
-	CacheServes   uint64 // reads answered from the hot-key cache
-	CacheStores   uint64 // cache entries stored or refreshed
-	Fanouts       uint64 // hot-key copies pushed to reader-side caches
-	Invalidations uint64 // store-time re-pushes to an active fan-out set
-	HorizonProbes uint64 // table-training lookups fired by cache hits
 }
 
 // Service layers the replicated store on a TreeP node. Create one per node
@@ -112,28 +105,12 @@ type Service struct {
 	// recs is the authoritative store; maintenance walks it in key order.
 	recs idspace.Keyed[idspace.ID, *record]
 
-	// HotCache enables hot-key replica fan-out: owners count reads per
-	// key per maintenance window, and keys read at least hotThreshold
-	// times are pushed (fire-and-forget DHTReplicate) to their recent
-	// readers and the strongest ring contacts. Receivers outside the
-	// key's replica set file the copy in a bounded TTL'd cache instead of
-	// the authoritative store; readers serve fresh cached copies locally,
-	// and a store on a fanned-out key re-pushes the new version to the
-	// fan-out set (versioned invalidation — the ordinary (version,
-	// origin) merge makes the newer copy win everywhere). Off by
-	// default; the durability story is unchanged either way because
-	// cached copies never count as replicas.
-	HotCache bool
 	// nudgePending debounces ring-change nudges: a merge zip reports a
 	// burst of new contacts, and one maintenance pass covers them all.
 	nudgePending bool
 
 	maintTimer core.Timer
 	scratch    []proto.NodeRef
-
-	// hc is the hot-key state, created on first use (hotc): a peer that
-	// has HotCache off and is sent no fan-out copy never holds one.
-	hc *hotCache
 
 	// memos is a bounded ring of recent store outcomes keyed by
 	// (requester, request id). The service plane retries a store whose
@@ -150,41 +127,15 @@ type Service struct {
 	Stats Stats
 }
 
-// hotCache is what the hot-key machinery keeps on one node.
-type hotCache struct {
-	// cache is the reader-side hot-key cache, bounded by maxCacheEntries.
-	cache idspace.Keyed[idspace.ID, *cacheEntry]
-	// hot tracks read popularity of locally owned keys.
-	hot idspace.Keyed[idspace.ID, *hotKey]
-	// horizonHits counts local cache hits toward the next horizon
-	// refresh (see horizonEvery).
-	horizonHits uint64
-}
-
-// hotc returns the hot-key state, creating it on first use.
-func (s *Service) hotc() *hotCache {
-	if s.hc == nil {
-		s.hc = &hotCache{}
-	}
-	return s.hc
-}
-
-// MemBytes reports the heap the service holds: the store and caches with
-// what they point to, and the struct with its plane, memo ring, scratch and
-// three bound methods (extension, maintenance and ring hooks, 16 B each).
+// MemBytes reports the heap the service holds: the store with the values
+// its records point to, and the struct with its plane, memo ring, scratch
+// and three bound methods (extension, maintenance and ring hooks, 16 B
+// each).
 func (s *Service) MemBytes() (store, fixed int) {
 	store = s.recs.MemBytes() + s.recs.Len()*int(unsafe.Sizeof(record{}))
 	for _, k := range s.recs.Keys() {
 		r, _ := s.recs.Get(k)
 		store += cap(r.value)
-	}
-	if hc := s.hc; hc != nil {
-		store += int(unsafe.Sizeof(*hc)) + hc.cache.MemBytes() + hc.cache.Len()*int(unsafe.Sizeof(cacheEntry{})) +
-			hc.hot.MemBytes() + hc.hot.Len()*int(unsafe.Sizeof(hotKey{}))
-		for _, k := range hc.cache.Keys() {
-			c, _ := hc.cache.Get(k)
-			store += cap(c.value)
-		}
 	}
 	fixed = int(unsafe.Sizeof(*s)) + s.plane.MemBytes() + 3*16 +
 		cap(s.memos)*int(unsafe.Sizeof(storeMemo{})) + cap(s.scratch)*int(unsafe.Sizeof(proto.NodeRef{}))
@@ -204,36 +155,6 @@ type storeMemo struct {
 	origin  uint64
 }
 
-// cacheEntry is one reader-side copy of a hot record. It lives outside
-// recs: it is never replicated, never handed off, and never counted by
-// the durability machinery — it only short-circuits reads while fresh.
-type cacheEntry struct {
-	value   []byte
-	version uint64
-	origin  uint64
-	expires time.Duration
-}
-
-// hotKey is the owner-side popularity state for one stored key.
-type hotKey struct {
-	// reads counts fetches in the current maintenance window.
-	reads int
-	// readers rings the most recent distinct reader addresses; they are
-	// the primary fan-out audience.
-	readers   [hotReaderSlots]uint64
-	readerIdx int
-	// fanout is the address set the last push went to; stores re-push
-	// here (invalidation) and refresh pushes keep its caches warm.
-	fanout []uint64
-	// cool counts the remaining lease windows; the key stays fanned-out
-	// until it reaches zero (refresh pushes suppress the reads that
-	// would re-mark it hot, so the lease is the hysteresis).
-	cool int
-	// age counts windows since the fan-out set was (re)built, pacing
-	// refresh pushes to every fanoutRefreshEvery windows.
-	age int
-}
-
 const (
 	// replicationFactor is the total number of copies a record aims for:
 	// the owner plus two ring neighbours.
@@ -243,53 +164,8 @@ const (
 	// with a fresh owner lookup each time.
 	requestTimeout = 2 * time.Second
 	requestRetries = 2
-	// maintainInterval is the replica-maintenance cadence, and the window
-	// over which an owner counts reads.
+	// maintainInterval is the replica-maintenance cadence.
 	maintainInterval = 2 * time.Second
-	// hotThreshold is the reads-per-window level that marks an owned key
-	// hot — low on purpose: the owner only ever sees the reads its fan-out
-	// has NOT absorbed, and a key worth two full lookups a second is
-	// already worth a paced push.
-	hotThreshold = 4
-	// cacheTTL bounds the staleness of cached copies between refresh
-	// pushes. The bound only bites for keys that are read but not hot: hot
-	// keys' copies are refreshed (and invalidated on store) by owner
-	// pushes every few maintenance windows, far inside the TTL.
-	cacheTTL = 30 * time.Second
-	// hotReaderSlots rings the distinct readers remembered per hot key.
-	// Sized to cover a realistic repeat-reader population: every reader
-	// the ring remembers gets refresh pushes and never re-enters the
-	// lookup funnel for the key, so coverage here converts directly into
-	// hierarchy load removed. It is also the width of a fan-out set: a
-	// reader outside it re-fetches through the funnel every cacheTTL.
-	hotReaderSlots = 64
-	// hotLinger is the warm lease: how many maintenance windows a
-	// fan-out set is kept refreshed after the last window that tripped
-	// hotThreshold. Long on purpose — a working fan-out hides its own
-	// demand from the owner, so a short lease would oscillate
-	// (fan → quiet → drop → burst → fan).
-	hotLinger = 30
-	// fanoutNeighborSeed caps the capacity-weighted standby copies kept
-	// at ring contacts alongside the reader-side set.
-	fanoutNeighborSeed = 2
-	// fanoutRefreshEvery paces refresh pushes to one per this many
-	// maintenance windows — often enough to keep fanned copies well
-	// inside the cache TTL, without flooding a push per window.
-	fanoutRefreshEvery = 4
-	// maxHotKeys bounds the per-owner popularity table.
-	maxHotKeys = 64
-	// maxCacheEntries bounds the reader-side cache.
-	maxCacheEntries = 128
-	// horizonEvery paces the cache-hit-driven horizon refresh: every
-	// this many locally served cache hits, the node fires one pure
-	// lookup at a rotating uniform coordinate. Absorbing reads into
-	// caches starves the overlay of the long-range table entries that
-	// lookup replies incidentally train (direct refs from distant
-	// high-level responders); without the refresh those entries age out
-	// and the residual cold-key lookups run ~15% longer paths. The
-	// refresh budget is proportional to the traffic a cache absorbs,
-	// so idle caches cost nothing.
-	horizonEvery = 16
 )
 
 // callOpts is the retry policy of every owner exchange.
@@ -372,7 +248,7 @@ func (s *Service) PutIf(key []byte, value []byte, base uint64, cb func(version u
 // storeVia runs a Put (cb a func(error)) or a PutIf (a func(uint64, error)).
 func (s *Service) storeVia(key, value []byte, cond bool, base uint64, cb any) {
 	k := idspace.HashKey(key)
-	o := s.newOp(cb)
+	o := newOp(cb)
 	o.store = proto.DHTStore{Key: k, Value: value, Base: base, Cond: cond}
 	s.plane.CallKey(k, proto.AlgoG, &o.store, callOpts, o.stored)
 }
@@ -389,29 +265,7 @@ func (s *Service) GetRecord(key []byte, cb func(Record, error)) { s.get(key, cb)
 // func(Record, error)).
 func (s *Service) get(key []byte, cb any) {
 	k := idspace.HashKey(key)
-	// Hot-key short-circuit: a fresh cached copy answers locally — this
-	// is where a flash crowd's traffic disappears from the owner's inbox.
-	// Staleness is bounded by cacheTTL, and the owner's refresh pushes
-	// keep a fanned-out key's caches both warm and current. The callback
-	// still fires asynchronously (zero-delay timer) so callers see one
-	// calling convention on hit and miss alike.
-	if s.HotCache {
-		if ce, ok := s.hotc().cache.Get(k); ok && s.Node().Now() < ce.expires {
-			s.Stats.CacheServes++
-			rec := Record{
-				Value:   append([]byte(nil), ce.value...),
-				Version: ce.version,
-				Origin:  ce.origin,
-			}
-			s.Node().SetTimer(0, func() { answerGet(cb, rec, nil) })
-			s.hotc().horizonHits++
-			if s.hotc().horizonHits%horizonEvery == 0 {
-				s.refreshHorizon()
-			}
-			return
-		}
-	}
-	o := s.newOp(cb)
+	o := newOp(cb)
 	o.fetch = proto.DHTFetch{Key: k}
 	s.plane.CallKey(k, proto.AlgoG, &o.fetch, callOpts, o.fetched)
 }
@@ -422,7 +276,6 @@ func (s *Service) get(key []byte, cb any) {
 // is process-wide as proto's message pools are, and go back to it before
 // the caller is answered.
 type op struct {
-	s     *Service
 	fetch proto.DHTFetch
 	store proto.DHTStore
 	cb    any
@@ -432,27 +285,27 @@ type op struct {
 
 var opPool sync.Pool
 
-func (s *Service) newOp(cb any) *op {
+func newOp(cb any) *op {
 	o, _ := opPool.Get().(*op)
 	if o == nil {
 		o = new(op)
 		o.fetched, o.stored = o.onFetched, o.onStored
 	}
-	o.s, o.cb = s, cb
+	o.cb = cb
 	return o
 }
 
-// release hands the record back to opPool, returning what the answer needs.
-func (o *op) release() (s *Service, k idspace.ID, cb any) {
-	s, k, cb = o.s, o.fetch.Key, o.cb
-	o.s, o.cb, o.store.Value = nil, nil, nil
+// release hands the record back to opPool, returning the caller's callback.
+func (o *op) release() (cb any) {
+	cb = o.cb
+	o.cb, o.store.Value = nil, nil
 	opPool.Put(o)
-	return s, k, cb
+	return cb
 }
 
 // onFetched answers a Get or GetRecord.
 func (o *op) onFetched(_ proto.NodeRef, resp proto.SvcMessage, err error) {
-	s, k, cb := o.release()
+	cb := o.release()
 	if err != nil {
 		answerGet(cb, Record{}, mapErr(err))
 		return
@@ -469,17 +322,12 @@ func (o *op) onFetched(_ proto.NodeRef, resp proto.SvcMessage, err error) {
 		Version: rep.Version,
 		Origin:  rep.Origin,
 	}
-	if s.HotCache {
-		// Every successful remote read primes the local cache, so a repeat
-		// reader stops asking the owner even before any fan-out reaches it.
-		s.cacheMerge(k, rec.Value, rec.Version, rec.Origin)
-	}
 	answerGet(cb, rec, nil)
 }
 
 // onStored answers a Put or PutIf.
 func (o *op) onStored(_ proto.NodeRef, resp proto.SvcMessage, err error) {
-	_, _, cb := o.release()
+	cb := o.release()
 	if err != nil {
 		answerPut(cb, 0, mapErr(err))
 		return
@@ -551,228 +399,6 @@ func (s *Service) drop(k idspace.ID) {
 	}
 }
 
-// --- hot-key cache ----------------------------------------------------------
-
-// cacheMerge files a pushed or fetched copy in the reader-side cache by
-// the same (version, origin) order as the authoritative store; an equal
-// or newer copy also refreshes the entry's TTL (the owner's periodic
-// re-push rides this to keep hot caches warm). Strictly older copies
-// neither overwrite nor refresh.
-func (s *Service) cacheMerge(k idspace.ID, value []byte, version, origin uint64) {
-	cache := &s.hotc().cache
-	now := s.Node().Now()
-	ce, ok := cache.Get(k)
-	if ok {
-		if version < ce.version || (version == ce.version && origin < ce.origin) {
-			return
-		}
-	} else {
-		if cache.Len() >= maxCacheEntries {
-			s.evictCache(now)
-			if cache.Len() >= maxCacheEntries {
-				return
-			}
-		}
-		ce = &cacheEntry{}
-		cache.Put(k, ce)
-	}
-	ce.value = append(ce.value[:0], value...)
-	ce.version, ce.origin = version, origin
-	ce.expires = now + cacheTTL
-	s.Stats.CacheStores++
-}
-
-// evictCache clears expired entries; if nothing has expired it drops the
-// entry closest to expiry (smallest key on ties), so admission under a
-// full cache is deterministic.
-func (s *Service) evictCache(now time.Duration) {
-	cache := &s.hotc().cache
-	full := cache.Len()
-	var victim idspace.ID
-	var victimAt time.Duration
-	for i := 0; i < cache.Len(); { // i entries kept so far
-		k := cache.Keys()[i]
-		ce, _ := cache.Get(k)
-		if ce.expires <= now {
-			cache.Delete(k)
-			continue
-		}
-		if i == 0 || ce.expires < victimAt {
-			victim, victimAt = k, ce.expires
-		}
-		i++
-	}
-	if cache.Len() == full {
-		cache.Delete(victim)
-	}
-}
-
-// noteRead counts a fetch against the owner-side popularity table and
-// remembers the reader for the fan-out audience.
-func (s *Service) noteRead(k idspace.ID, from uint64) {
-	hot := &s.hotc().hot
-	if _, owned := s.recs.Get(k); !owned {
-		return
-	}
-	hk, ok := hot.Get(k)
-	if !ok {
-		if hot.Len() >= maxHotKeys {
-			return
-		}
-		hk = &hotKey{}
-		hot.Put(k, hk)
-	}
-	hk.reads++
-	if from == 0 || from == s.Node().Addr() {
-		return
-	}
-	for _, a := range hk.readers {
-		if a == from {
-			return
-		}
-	}
-	hk.readers[hk.readerIdx] = from
-	hk.readerIdx = (hk.readerIdx + 1) % hotReaderSlots
-}
-
-// refreshHorizon fires one pure lookup (no fetch) at a deterministic
-// rotating coordinate. The reply's direct ref from a distant responder
-// is exactly the long-range table entry that ordinary lookup traffic
-// would have trained before the cache absorbed it; see horizonEvery.
-func (s *Service) refreshHorizon() {
-	s.Stats.HorizonProbes++
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[:8], s.Node().Addr())
-	binary.LittleEndian.PutUint64(b[8:], s.hotc().horizonHits)
-	s.Node().Lookup(idspace.HashKey(b[:]), proto.AlgoG, func(core.LookupResult) {})
-}
-
-// fanoutTick runs once per maintenance window: reads are windowed, and
-// keys at or above hotThreshold (re)build their fan-out set and take a
-// long warm lease. A fanned-out key's cached copies absorb the reads
-// that would re-mark it hot — the owner goes quiet precisely because the
-// fan-out works — so the lease, not the owner-visible read rate, decides
-// how long copies are maintained: refresh pushes go out every
-// fanoutRefreshEvery windows (re-arming the readers' cache TTLs and
-// carrying any version the set has not seen), and when the lease runs
-// out the pushes stop, the copies age out, and genuinely surviving
-// demand re-trips the threshold within a window or two. Iteration is
-// in key order, deterministic.
-func (s *Service) fanoutTick() {
-	hot := &s.hotc().hot
-	for i := 0; i < hot.Len(); {
-		k := hot.Keys()[i]
-		hk, _ := hot.Get(k)
-		reads := hk.reads
-		hk.reads = 0
-		rec, owned := s.recs.Get(k)
-		if !owned {
-			// Handed off or dropped: the new owner rebuilds its own
-			// popularity picture.
-			hot.Delete(k)
-			continue
-		}
-		if reads >= hotThreshold {
-			hk.cool = hotLinger
-			hk.fanout = s.fanoutTargets(k, hk)
-			hk.age = 0 // push immediately below, then every refresh interval
-		} else if hk.cool > 0 {
-			hk.cool--
-		}
-		if hk.cool > 0 && len(hk.fanout) > 0 {
-			if hk.age%fanoutRefreshEvery == 0 {
-				// Rebuild from the current reader ring before pushing: a
-				// reader that missed (and got ringed) after the key went
-				// hot must join the set, or it re-fetches through the
-				// funnel every TTL for the whole lease.
-				hk.fanout = s.fanoutTargets(k, hk)
-				s.pushFanout(k, rec, hk)
-			}
-			hk.age++
-		}
-		if hk.cool == 0 {
-			hot.Delete(k)
-			continue
-		}
-		i++
-	}
-}
-
-// fanoutTargets assembles the addresses a hot key's copies go to: the
-// recent distinct readers (they asked; their caches pay off on their
-// very next read), plus a couple of the highest-scoring fresh level-0
-// contacts — capacity-weighted standby copies that answer fetches
-// mid-ownership-transition. The seed is deliberately tiny: a copy at a
-// node nobody reads through is pure push traffic, so the reader ring is
-// the audience and capacity only breaks the tie for the standby slots.
-func (s *Service) fanoutTargets(k idspace.ID, hk *hotKey) []uint64 {
-	width := hotReaderSlots
-	out := hk.fanout[:0]
-	self := s.Node().Addr()
-	add := func(addr uint64) {
-		if addr == 0 || addr == self || len(out) >= width {
-			return
-		}
-		for _, a := range out {
-			if a == addr {
-				return
-			}
-		}
-		out = append(out, addr)
-	}
-	// Ring order starting at readerIdx: oldest remembered reader first,
-	// most recent last — a stable order for a deterministically filled
-	// ring.
-	for j := 0; j < hotReaderSlots; j++ {
-		add(hk.readers[(hk.readerIdx+j)%hotReaderSlots])
-	}
-	if seed := len(out) + fanoutNeighborSeed; seed < width {
-		width = seed
-	}
-	l0 := &s.Node().Table().Level0
-	now, ttl := s.Node().Now(), s.Node().Config().EntryTTL
-	refs := l0.AppendNeighborsFreshK(s.scratch[:0], k, now, ttl, fanoutNeighborSeed, true)
-	refs = l0.AppendNeighborsFreshK(refs, k, now, ttl, fanoutNeighborSeed, false)
-	s.scratch = refs
-	// The strongest nearby nodes take the standby slots.
-	sortByScore(refs)
-	for _, r := range refs {
-		add(r.Addr)
-	}
-	return out
-}
-
-// sortByScore orders a handful of candidates by advertised score, highest
-// first, with a deterministic (ID, Addr) tiebreak (insertion sort: the
-// lists are tiny).
-func sortByScore(refs []proto.NodeRef) {
-	before := func(a, b proto.NodeRef) bool {
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		return a.Addr < b.Addr
-	}
-	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && before(refs[j], refs[j-1]); j-- {
-			refs[j-1], refs[j] = refs[j], refs[j-1]
-		}
-	}
-}
-
-// pushFanout sends fire-and-forget copies of rec to the key's fan-out
-// set. Receivers outside the replica set cache them (handleReplicate);
-// the occasional true replica in the set just re-merges a version it
-// already has.
-func (s *Service) pushFanout(k idspace.ID, rec *record, hk *hotKey) {
-	for _, addr := range hk.fanout {
-		s.Stats.Fanouts++
-		s.Node().Send(addr, s.replicaOf(k, rec, true))
-	}
-}
-
 // --- handlers ---------------------------------------------------------------
 
 // handleStore is the owner's store path: version assignment, CAS check,
@@ -833,16 +459,6 @@ func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bo
 		rec, _ := s.recs.Get(key)
 		s.pushReplicas(key, rec)
 		rec.placedSig, rec.placedVersion = s.ringSig(), rec.version
-		// Versioned invalidation: a fanned-out key's cached copies must
-		// not serve the old value for a full cacheTTL. The new version
-		// goes straight to the fan-out set; cacheMerge at the receivers
-		// makes it win by version order.
-		if s.HotCache {
-			if hk, ok := s.hotc().hot.Get(key); ok && len(hk.fanout) > 0 {
-				s.Stats.Invalidations++
-				s.pushFanout(key, rec, hk)
-			}
-		}
 		ack.Status, ack.Version, ack.Origin = proto.StoreOK, version, from
 	}
 	memo := storeMemo{from: from, reqID: reqID, status: ack.Status, version: ack.Version, origin: ack.Origin}
@@ -860,22 +476,9 @@ func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bo
 // adopts the best surviving copy before answering (read-repair).
 func (s *Service) handleFetch(from uint64, m *proto.DHTFetch, respond func(proto.SvcMessage)) {
 	s.Stats.GetsServed++
-	if s.HotCache && !m.Local {
-		s.noteRead(m.Key, from)
-	}
 	if rec, ok := s.recs.Get(m.Key); ok {
 		respond(foundReply(rec.value, rec.version, rec.origin))
 		return
-	}
-	// Not holding the record: a fresh cached copy still answers (a reader
-	// that got routed here benefits from the fan-out too). Versioned
-	// staleness bounds apply as for the local-serve path.
-	if s.HotCache {
-		if ce, ok := s.hotc().cache.Get(m.Key); ok && s.Node().Now() < ce.expires {
-			s.Stats.CacheServes++
-			respond(foundReply(ce.value, ce.version, ce.origin))
-			return
-		}
 	}
 	if m.Local {
 		respond(notFound())
@@ -947,29 +550,11 @@ func notFound() *proto.DHTFetchReply {
 }
 
 // handleReplicate merges a pushed copy; ReqID zero is fire-and-forget.
-// With the hot-key cache on, a fire-and-forget push for a key outside
-// this node's replica set is a fan-out copy, filed in the cache rather
-// than the authoritative store — it must not become a durable orphan the
-// maintenance loop then tries to hand back. Acked pushes (handoff) and
-// pushes we are genuinely in the replica set for merge as before.
+// A push marked Cache asks for a reader-side cache copy, which this store
+// does not keep and no peer sends: it is input from outside, answered as
+// any push is and never stored.
 func (s *Service) handleReplicate(from uint64, m *proto.DHTReplicate, respond func(proto.SvcMessage)) {
-	if m.Cache {
-		// Fan-out copy: cache it, never adopt it as an authoritative
-		// replica — adopting would leave this node believing a "closer
-		// owner" exists and re-handing the record off every maintenance
-		// tick. The one exception is a key this node already holds for
-		// real (it is in the replica set and the push carries a newer
-		// version): the ordinary merge keeps the authoritative copy
-		// current.
-		if _, held := s.recs.Get(m.Key); held {
-			s.merge(m.Key, m.Value, m.Version, m.Origin)
-		} else {
-			s.cacheMerge(m.Key, m.Value, m.Version, m.Origin)
-		}
-		respond(nil)
-		return
-	}
-	stored := s.merge(m.Key, m.Value, m.Version, m.Origin)
+	stored := !m.Cache && s.merge(m.Key, m.Value, m.Version, m.Origin)
 	if stored {
 		// The sender holds what it sent. An equal copy changes nothing: two
 		// would-be owners would otherwise trade pushes every tick.
@@ -995,9 +580,6 @@ func (s *Service) handleReplicate(from uint64, m *proto.DHTReplicate, respond fu
 // until a fresh acknowledgement releases it, never on the memory of one:
 // every closer node may have died inside the freshness window.
 func (s *Service) maintainTick() {
-	if s.HotCache {
-		s.fanoutTick()
-	}
 	if s.recs.Len() == 0 {
 		return
 	}
@@ -1022,9 +604,9 @@ func (s *Service) maintainTick() {
 // the value, which the network recycles. In the simulator payloads travel
 // by reference, and the record may be rewritten while the datagram is in
 // flight.
-func (s *Service) replicaOf(k idspace.ID, rec *record, cache bool) *proto.DHTReplicate {
+func (s *Service) replicaOf(k idspace.ID, rec *record) *proto.DHTReplicate {
 	m := proto.Acquire(proto.TDHTReplicate).(*proto.DHTReplicate)
-	m.From, m.Key, m.Version, m.Origin, m.Cache = s.Node().Ref(), k, rec.version, rec.origin, cache
+	m.From, m.Key, m.Version, m.Origin = s.Node().Ref(), k, rec.version, rec.origin
 	m.Value = append(m.Value, rec.value...)
 	return m
 }
@@ -1034,7 +616,7 @@ func (s *Service) replicaOf(k idspace.ID, rec *record, cache bool) *proto.DHTRep
 func (s *Service) pushReplicas(k idspace.ID, rec *record) {
 	for _, tgt := range s.replicaTargets(k) {
 		s.Stats.Replicas++
-		s.Node().Send(tgt.Addr, s.replicaOf(k, rec, false))
+		s.Node().Send(tgt.Addr, s.replicaOf(k, rec))
 	}
 }
 
@@ -1046,7 +628,7 @@ func (s *Service) pushReplicas(k idspace.ID, rec *record) {
 func (s *Service) handoff(k idspace.ID, rec *record, owner proto.NodeRef) {
 	s.Stats.Handoffs++
 	version := rec.version
-	push := s.replicaOf(k, rec, false) // the plane sends copies of it
+	push := s.replicaOf(k, rec) // the plane sends copies of it
 	s.plane.Call(owner.Addr, push, svc.CallOpts{Timeout: requestTimeout, Retries: 1},
 		func(resp proto.SvcMessage, err error) {
 			proto.ReleaseDecoded(push)

@@ -199,7 +199,7 @@ func TestOwnerPushIsNotEchoed(t *testing.T) {
 
 	// The same version arriving from a node that is no closer says nothing
 	// about the owner: it goes there, once.
-	r.n[other].Send(r.n[replica].Addr(), r.s[other].replicaOf(k, &record{value: []byte("v3"), version: 3, origin: 9}, false))
+	r.n[other].Send(r.n[replica].Addr(), r.s[other].replicaOf(k, &record{value: []byte("v3"), version: 3, origin: 9}))
 	r.c.Run(time.Second)
 	r.expect("replica holding a third party's version", r.tick(replica), sentReplicate{replica, owner, k, 3, true})
 	if !r.holds(owner, k, 3) {

@@ -466,11 +466,8 @@ type DHTFetchReply struct {
 // never re-versions it. Replica maintenance and ownership handoff ride on
 // this message; ReqID zero means fire-and-forget, non-zero requests a
 // DHTReplicateAck (the handoff path frees the sender's copy on ack).
-// Cache marks a hot-key fan-out copy: the receiver files it in its
-// bounded TTL'd read cache and must NOT adopt it as an authoritative
-// replica — the sender remains the owner and the copy expires on its
-// own. Only the sender knows that intent, which is why it rides the
-// wire instead of being re-derived at the receiver.
+// Cache stays for the wire layout alone: nothing sends it set, and a
+// receiver stores no push that carries it (DESIGN.md §13).
 type DHTReplicate struct {
 	From    NodeRef
 	ReqID   uint64

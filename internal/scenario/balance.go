@@ -3,123 +3,14 @@ package scenario
 import (
 	"fmt"
 	"sort"
-
-	"treep/internal/core"
-	"treep/internal/idspace"
-	"treep/internal/simrt"
 )
 
-// balance.go holds the load-balance observability plane: per-node
-// message-load measurement (the p50/p99/max the EXPERIMENTS.md tables
-// report) and the two runtime invariant checkers that make hotspots a
-// test failure instead of a graph to eyeball.
+// balance.go holds the two load-balance invariant checkers, which make a
+// hotspot a test failure instead of a graph to eyeball.
 
-// LoadStats summarises per-node message-load deltas over one window.
-type LoadStats struct {
-	Nodes int
-	Mean  float64
-	P50   uint64
-	P99   uint64
-	Max   uint64
-}
-
-// String formats the stats for logs and experiment tables.
-func (s LoadStats) String() string {
-	return fmt.Sprintf("nodes=%d mean=%.1f p50=%d p99=%d max=%d", s.Nodes, s.Mean, s.P50, s.P99, s.Max)
-}
-
-// SnapshotLoad captures every node's cumulative message count (in plus
-// out). Diff two snapshots with LoadDeltas to get per-window loads.
-func SnapshotLoad(c *simrt.Cluster) map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(c.Nodes))
-	for _, n := range c.Nodes {
-		out[n.Addr()] = n.Stats.MsgsIn + n.Stats.MsgsOut
-	}
-	return out
-}
-
-// LoadDeltas returns the per-node message-count growth since prev for
-// every currently live node that prev covered, ordered by node ID
-// (deterministic). Nodes that joined after prev are skipped — their
-// window is shorter and would read as artificially idle.
-func LoadDeltas(c *simrt.Cluster, prev map[uint64]uint64) []uint64 {
-	nodes := append([]*core.Node(nil), c.AliveNodes()...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID() < nodes[j].ID() })
-	out := make([]uint64, 0, len(nodes))
-	for _, n := range nodes {
-		base, ok := prev[n.Addr()]
-		if !ok {
-			continue
-		}
-		cur := n.Stats.MsgsIn + n.Stats.MsgsOut
-		if cur >= base {
-			out = append(out, cur-base)
-		}
-	}
-	return out
-}
-
-// LoadPercentiles computes the window summary over a delta slice.
-func LoadPercentiles(deltas []uint64) LoadStats {
-	if len(deltas) == 0 {
-		return LoadStats{}
-	}
-	sorted := append([]uint64(nil), deltas...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum uint64
-	for _, d := range sorted {
-		sum += d
-	}
-	pct := func(p float64) uint64 {
-		i := int(p * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	return LoadStats{
-		Nodes: len(sorted),
-		Mean:  float64(sum) / float64(len(sorted)),
-		P50:   pct(0.50),
-		P99:   pct(0.99),
-		Max:   sorted[len(sorted)-1],
-	}
-}
-
-// StaticHops walks the greedy (G) forwarding decision from each origin
-// toward each target over the current routing tables — no time advances,
-// no messages are sent — and returns the mean number of forwarding steps
-// over the walks that delivered, plus how many of the origin×target walks
-// that was. The runtime hops counter (LookupsForwarded/LookupsStarted)
-// is confounded by the lookup MIX: a cache layer absorbs exactly the
-// hot-key lookups, so the surviving lookups are the cold Zipf tail with
-// its own path-length distribution. This walk asks the mix-controlled
-// question — for the SAME origin/target pairs, did the balancer's routing
-// bias stretch paths?
-//
-// Only delivered walks are samples: one that cycles, exhausts the TTL or
-// hits a dead next hop is a loop-freedom or liveness matter with its own
-// checker, not a path length.
-func StaticHops(c *simrt.Cluster, origins []*core.Node, targets []idspace.ID) (mean float64, delivered int) {
-	x := NewCtx(c)
-	sum := 0
-	for _, origin := range origins {
-		for _, target := range targets {
-			if hops, _, end := x.walk(origin, target); end == walkDelivered {
-				sum += hops
-				delivered++
-			}
-		}
-	}
-	if delivered == 0 {
-		return 0, 0
-	}
-	return float64(sum) / float64(delivered), delivered
-}
-
-// --- invariant checkers -----------------------------------------------------
-
-// BalanceCheckers returns the two load-balance invariants with the
-// default bounds the balancer is expected to hold. They are not part of
-// AllCheckers: pre-balancer timelines (and deliberately unbalanced
-// ablation runs) would trip them by design.
+// BalanceCheckers returns the two load-balance invariants with their
+// default bounds. They are not part of AllCheckers: a skewed-read timeline
+// loads a hot key's owner past them by design.
 func BalanceCheckers() []Checker {
 	return []Checker{LoadSpread(8, 40), ChildBalance(3, 2)}
 }

@@ -17,8 +17,6 @@ import (
 // claim to: each test primes a healthy cluster (no violations), injects
 // a synthetic violation of exactly the invariant under test, and
 // demands the checker fire — with a detail string naming the culprit.
-// TestBalanceCheckersHealthyUnderZipf (zipf_test.go) is the other half:
-// healthy balanced runs across 16 seeds never trip them.
 
 // TestLoadSpreadTripsOnInjectedHotspot drives the windowed load checker
 // through its whole lifecycle: priming pass, healthy window, an

@@ -17,11 +17,6 @@ import (
 // backs the durability checkers that judge whether the overlay kept its
 // data through the timeline.
 type Storage struct {
-	// HotCache enables hot-key replica fan-out and reader-side caching on
-	// every attached service. Off by default so timelines recorded without
-	// it stay bit-identical.
-	HotCache bool
-
 	services map[uint64]*dht.Service
 
 	// mu guards the ledger, the counters and wave bookkeeping against
@@ -64,13 +59,9 @@ func (st *Storage) Attach(n *core.Node) {
 }
 
 // Bind registers an existing service (a caller that attached DHT services
-// itself — the public SimNetwork does — shares them with the scenario) and
-// applies the context's settings to it.
+// itself — the public SimNetwork does — shares them with the scenario).
 func (st *Storage) Bind(s *dht.Service) {
 	st.services[s.Node().Addr()] = s
-	if st.HotCache {
-		s.HotCache = true
-	}
 }
 
 // Service returns the bound service for a node address (nil if none).

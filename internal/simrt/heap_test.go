@@ -26,12 +26,12 @@ const (
 	// sim-writes. CI holds the benchmark's figures to the same two numbers
 	// (.github/workflows/ci.yml reads them from this file).
 	heapBudgetBare  = 7413
-	heapBudgetStore = 8380
+	heapBudgetStore = 8346
 	// ledgerFloorPct is how much of the measured heap the rows must
-	// explain at a quiet instant: they explain 97 % both bare and loaded
-	// (the loaded overlay by 5 B a peer, inside the few bytes runs differ
-	// by, hence one point of room); what is left is size-class rounding and
-	// the kernel's map of streams, ~230 B a peer loaded.
+	// explain at a quiet instant: they explain 97 % bare and 96.9 % loaded
+	// (the dht.Service is booked at its 336 B, not the 352 B class it
+	// takes); what is left is size-class rounding and the kernel's map of
+	// streams, ~250 B a peer loaded.
 	ledgerFloorPct = 96
 
 	// Per-peer objects of the simulated runtime, by allocator size class.
@@ -86,7 +86,7 @@ func heapLedger(c *Cluster, svcs []*dht.Service) []ledgerRow {
 		{"core.Node + anchors", node},
 		{"peers + pending", peers},
 		{"hold table", hold},
-		{"dht store + caches", store},
+		{"dht store", store},
 		{"service plane: dht + svc, hooks", dhtFixed},
 		{"loop scratch", scratch},
 		{"env, handler, cluster slots", envBytes * len(c.Nodes)},

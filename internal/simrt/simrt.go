@@ -27,8 +27,6 @@ type Options struct {
 	// Config is the per-node protocol configuration (ID and Profile fields
 	// are filled per node).
 	Config core.Config
-	// Classes is the profile mixture (nodeprof.DefaultClasses when nil).
-	Classes []nodeprof.Class
 	// NetOpts configures the simulated network (latency, loss, tracing).
 	NetOpts []netsim.Option
 	// Bulk installs the steady-state hierarchy via core.BulkBuild. When
@@ -116,11 +114,7 @@ func New(opts Options) *Cluster {
 		k = sim.New(opts.Seed)
 		net = netsim.New(k, opts.NetOpts...)
 	}
-	classes := opts.Classes
-	if classes == nil {
-		classes = nodeprof.DefaultClasses()
-	}
-	gen := nodeprof.NewGenerator(classes, opts.Seed^0x70726f66) // "prof"
+	gen := nodeprof.NewGenerator(nodeprof.DefaultClasses(), opts.Seed^0x70726f66) // "prof"
 
 	c := &Cluster{
 		Kernel:  k,
