@@ -37,18 +37,19 @@ const (
 
 // heldForward is one held request: who was asked, until when, and the
 // request exactly as it reached this node (from is its previous hop, 0
-// when it started here). req.Alternates is the slot's own backing, kept
-// across reuse, so holding an NGSA request does not allocate.
+// when it started here), as a pooled copy that owns its alternates and the
+// request it carries. The copy goes back to its pool when the slot is
+// released or its request re-routed.
 type heldForward struct {
 	peer     uint64 // 0: slot is free
 	from     uint64
 	deadline time.Duration
-	req      proto.LookupRequest
+	req      *proto.LookupRequest
 }
 
 // failover is a node's hold table and exclusion list, taken from foPool on
 // the node's first hold and handed back once idle (putFailover). It fits a
-// 512-byte allocation.
+// 240-byte allocation.
 type failover struct {
 	n     *Node // the holder; nil in the pool
 	slots [heldSlots]heldForward
@@ -145,10 +146,10 @@ func (n *Node) hold(from uint64, m *proto.LookupRequest, next uint64) bool {
 		}
 	}
 	fo.held++
-	slot.peer, slot.from, slot.deadline = next, from, now+2*bound
-	alts := append(slot.req.Alternates[:0], m.Alternates...)
-	slot.req = *m
-	slot.req.Alternates = alts
+	req := proto.Acquire(proto.TLookupRequest).(*proto.LookupRequest)
+	*req = *m
+	req.Alternates, req.Carried = slices.Clone(m.Alternates), proto.PooledCopy(m.Carried)
+	slot.peer, slot.from, slot.deadline, slot.req = next, from, now+2*bound, req
 	n.Stats.LookupAcksSolicited++
 	if !fo.armed {
 		fo.armed = true
@@ -167,8 +168,9 @@ func (n *Node) heardFrom(peer uint64) {
 	}
 	if fo.held > 0 {
 		for i := range fo.slots {
-			if fo.slots[i].peer == peer {
-				fo.slots[i].peer = 0
+			if slot := &fo.slots[i]; slot.peer == peer {
+				proto.ReleaseDecoded(slot.req)
+				slot.peer, slot.req = 0, nil
 				fo.held--
 			}
 		}
@@ -200,14 +202,13 @@ func (fo *failover) expired() {
 		}
 		n.Stats.LookupFailovers++
 		n.suspect(slot.peer, now)
-		// Route from a copy: the re-routed request may be held again, in
-		// this slot or another, and what goes on the wire must not share
-		// the slot's alternates backing.
+		// The slot is free before the request is routed again: the new
+		// forward may be held, in this slot or another.
 		from, req := slot.from, slot.req
-		req.Alternates = slices.Clone(req.Alternates)
-		slot.peer = 0
+		slot.peer, slot.req = 0, nil
 		fo.held--
-		n.advance(from, &req)
+		n.advance(from, req)
+		proto.ReleaseDecoded(req)
 	}
 	fo.armed = false
 	if fo.held == 0 {

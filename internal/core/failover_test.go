@@ -499,7 +499,10 @@ func TestNodeFitsItsSizeClass(t *testing.T) {
 	if sz := unsafe.Sizeof(Node{}); sz > 1272 {
 		t.Fatalf("core.Node is %d bytes: past the 1280-byte size class (see comment)", sz)
 	}
-	if sz := unsafe.Sizeof(failover{}); sz > 504 {
-		t.Fatalf("failover is %d bytes: past the 512-byte size class", sz)
+	if sz := unsafe.Sizeof(failover{}); sz > 240 {
+		t.Fatalf("failover is %d bytes: past the 240-byte size class", sz)
+	}
+	if sz := unsafe.Sizeof(proto.LookupRequest{}); sz > 96 {
+		t.Fatalf("a held LookupRequest is %d bytes: past the 96-byte size class", sz)
 	}
 }

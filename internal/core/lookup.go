@@ -50,7 +50,8 @@ type LookupResult struct {
 
 // Lookup resolves the node responsible for target using the given §III.f
 // algorithm and invokes cb exactly once (found, not-found, or timeout).
-// It returns the request id.
+// It returns the request id of the lookup in flight, or 0 when it ended
+// here and cb has already run.
 //
 // A lookup that leaves this node has one timer. It first fires at the
 // retransmission timeout (lookupRTO) and each time it does, the request is
@@ -59,21 +60,33 @@ type LookupResult struct {
 // reply finding nothing pending. Only the firing at LookupTimeout reports
 // failure to the caller.
 func (n *Node) Lookup(target idspace.ID, algo proto.Algo, cb func(LookupResult)) uint64 {
+	return n.LookupCarrying(target, algo, nil, cb)
+}
+
+// LookupCarrying is Lookup taking the service request carried (nil: none)
+// to the owner of target, which serves it as if this node had sent it and
+// answers here directly. cb hears of the lookup only when no other node
+// took carried: LookupFound with Best this node (carried is the caller's
+// to serve), not-found, or timeout. Once the owner's answer is in, the
+// caller ends the lookup with EndLookup. carried is read, never changed,
+// and must stay valid until the lookup ends: every datagram carries a
+// pooled copy of it.
+func (n *Node) LookupCarrying(target idspace.ID, algo proto.Algo, carried proto.SvcMessage, cb func(LookupResult)) uint64 {
 	n.nextReqID++
 	reqID := n.nextReqID
 	n.Stats.LookupsStarted++
 
-	req := n.originRequest(target, reqID, algo)
+	req := n.originRequest(target, reqID, algo, carried)
 	step := n.route(0, &req)
 	switch step.Action {
 	case routing.Deliver:
 		n.Stats.LookupsDelivered++
 		cb(LookupResult{Status: LookupFound, Best: step.Found})
-		return reqID
+		return 0
 	case routing.NotFound, routing.Drop:
 		n.Stats.LookupsNotFound++
 		cb(LookupResult{Status: LookupNotFound})
-		return reqID
+		return 0
 	}
 
 	pl, _ := lookupPool.Get().(*pendingLookup)
@@ -81,7 +94,8 @@ func (n *Node) Lookup(target idspace.ID, algo proto.Algo, cb func(LookupResult))
 		pl = new(pendingLookup)
 		pl.fire = pl.onTimer
 	}
-	pl.node, pl.cb, pl.target, pl.reqID, pl.algo, pl.started, pl.rto = n, cb, target, reqID, algo, n.env.Now(), n.lookupRTO()
+	pl.node, pl.cb, pl.target, pl.reqID, pl.algo, pl.carried = n, cb, target, reqID, algo, carried
+	pl.started, pl.rto = n.env.Now(), n.lookupRTO()
 	n.pending.Put(reqID, pl)
 	pl.arm()
 	n.forward(0, &req, step)
@@ -97,14 +111,23 @@ var lookupPool sync.Pool
 // callback to answer.
 func (pl *pendingLookup) release() func(LookupResult) {
 	cb := pl.cb
-	pl.node, pl.cb = nil, nil
+	pl.node, pl.cb, pl.carried = nil, nil, nil
 	lookupPool.Put(pl)
 	return cb
 }
 
+// EndLookup ends the lookup reqID without answering its callback: the
+// owner answered the request it carried. An id no longer pending is
+// ignored.
+func (n *Node) EndLookup(reqID uint64) {
+	if pl := n.takeLookup(reqID); pl != nil {
+		pl.release()
+	}
+}
+
 // originRequest is the request as it leaves (or leaves again) its origin.
-func (n *Node) originRequest(target idspace.ID, reqID uint64, algo proto.Algo) proto.LookupRequest {
-	return proto.LookupRequest{Origin: n.Ref(), Target: target, ReqID: reqID, TTL: n.cfg.MaxTTL, Algo: algo}
+func (n *Node) originRequest(target idspace.ID, reqID uint64, algo proto.Algo, carried proto.SvcMessage) proto.LookupRequest {
+	return proto.LookupRequest{Origin: n.Ref(), Target: target, ReqID: reqID, TTL: n.cfg.MaxTTL, Algo: algo, Carried: carried}
 }
 
 // arm schedules the lookup's next timer firing: one rto from now, or the
@@ -135,7 +158,7 @@ func (pl *pendingLookup) onTimer() {
 	// Arm before routing: the new first step may resolve here and now, and
 	// completing the lookup cancels whatever timer it holds.
 	pl.arm()
-	req := n.originRequest(pl.target, pl.reqID, pl.algo)
+	req := n.originRequest(pl.target, pl.reqID, pl.algo, pl.carried)
 	n.advance(0, &req)
 }
 
@@ -143,7 +166,9 @@ func (pl *pendingLookup) onTimer() {
 func (n *Node) PendingLookups() int { return n.pending.Len() }
 
 // route makes the forwarding decision for m, received from the peer at
-// from (0: the request starts, or starts again, here).
+// from (0: the request starts, or starts again, here). A request that
+// carries a service request is delivered only where it is to be served:
+// resolved to another node, it goes one hop further, to that node.
 func (n *Node) route(from uint64, m *proto.LookupRequest) routing.Step {
 	parent, hasParent := n.table.Parent()
 	fromParent := from != 0 && hasParent && parent.Addr == from
@@ -151,7 +176,11 @@ func (n *Node) route(from uint64, m *proto.LookupRequest) routing.Step {
 	if n.fo != nil {
 		n.sc.route.Excluded = n.fo.suspects[:n.fo.suspectN]
 	}
-	return routing.RouteWith(&n.sc.route, n.Ref(), n.table, m, fromParent, from, n.cfg.Routing)
+	step := routing.RouteWith(&n.sc.route, n.Ref(), n.table, m, fromParent, from, n.cfg.Routing)
+	if step.Action == routing.Deliver && m.Carried != nil && step.Found.Addr != n.Addr() {
+		step.Action, step.Next = routing.Forward, step.Found
+	}
+	return step
 }
 
 func (n *Node) handleLookupRequest(from uint64, m *proto.LookupRequest) {
@@ -164,13 +193,23 @@ func (n *Node) handleLookupRequest(from uint64, m *proto.LookupRequest) {
 	n.advance(from, m)
 }
 
-// advance takes m one routing decision further: answer its origin, hand
-// it to the next hop, or let it die. m is read, never kept or changed.
+// advance takes m one routing decision further: answer its origin (or
+// serve what it carries for the origin), hand it to the next hop, or let it
+// die. m is read, never kept or changed.
 func (n *Node) advance(from uint64, m *proto.LookupRequest) {
 	step := n.route(from, m)
 	switch step.Action {
 	case routing.Deliver:
 		n.Stats.LookupsDelivered++
+		if m.Carried != nil && m.Origin.Addr != n.Addr() {
+			// The origin is the sender, and the owner answers it directly.
+			// The origin did not send this datagram: its entry here stays
+			// as it was (only first-hand datagrams mint freshness).
+			if n.extension != nil {
+				n.extension(m.Origin.Addr, m.Carried)
+			}
+			return
+		}
 		n.reply(m, proto.LookupFound, step.Found)
 	case routing.Forward:
 		n.forward(from, m, step)
@@ -189,6 +228,7 @@ func (n *Node) advance(from uint64, m *proto.LookupRequest) {
 func (n *Node) forward(from uint64, m *proto.LookupRequest, step routing.Step) {
 	fwd := proto.Acquire(proto.TLookupRequest).(*proto.LookupRequest)
 	*fwd = *m
+	fwd.Carried = proto.PooledCopy(m.Carried)
 	fwd.TTL--
 	fwd.Hops++
 	fwd.Alternates = step.Alternates
@@ -228,15 +268,25 @@ func (n *Node) handleLookupReply(from uint64, m *proto.LookupReply) {
 // duplicate or late replies: the other copy of a re-issued request, or an
 // answer that lost the race with the timeout.
 func (n *Node) completeLookup(reqID uint64, status proto.LookupStatus, best proto.NodeRef, hops uint8) {
-	pl, ok := n.pending.Get(reqID)
-	if !ok {
+	pl := n.takeLookup(reqID)
+	if pl == nil {
 		return
 	}
-	n.pending.Delete(reqID)
-	pl.timer.Cancel()
 	res := LookupResult{Status: LookupNotFound, Hops: int(hops), Latency: n.env.Now() - pl.started}
 	if status == proto.LookupFound {
 		res.Status, res.Best = LookupFound, best
 	}
 	pl.release()(res)
+}
+
+// takeLookup takes the lookup reqID out of the pending table with its
+// timer cancelled, or returns nil for an id no longer pending.
+func (n *Node) takeLookup(reqID uint64) *pendingLookup {
+	pl, ok := n.pending.Get(reqID)
+	if !ok {
+		return nil
+	}
+	n.pending.Delete(reqID)
+	pl.timer.Cancel()
+	return pl
 }

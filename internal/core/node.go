@@ -242,6 +242,7 @@ type pendingLookup struct {
 	target  idspace.ID
 	reqID   uint64
 	algo    proto.Algo
+	carried proto.SvcMessage // the caller's, read for each re-issue
 	started time.Duration
 	// rto is the wait before the next re-issue; it doubles each time.
 	rto time.Duration
@@ -307,7 +308,9 @@ func (n *Node) MemBytes() Mem {
 		Peers: n.peers.MemBytes() + n.pending.MemBytes() + n.pending.Len()*int(unsafe.Sizeof(pendingLookup{})),
 	}
 	if n.fo != nil {
-		m.Hold = 512 + 16 // the record's size class and its bound fire
+		// The record's size class, its bound fire, and each held copy in
+		// its class (the requests those carry aside).
+		m.Hold = 240 + 16 + int(n.fo.held)*96
 	}
 	if n.courtFire != nil {
 		m.Node += 16 // the bound method: code pointer and receiver

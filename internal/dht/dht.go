@@ -50,7 +50,8 @@ import (
 var (
 	// ErrLookupFailed: the overlay could not resolve the key's owner.
 	ErrLookupFailed = errors.New("dht: owner lookup failed")
-	// ErrTimeout: the owner resolved but did not answer in time.
+	// ErrTimeout: no answer came back in time, the routed request's
+	// lookup included.
 	ErrTimeout = errors.New("dht: request timed out")
 	// ErrNotFound: the owner answered but has no value for the key.
 	ErrNotFound = errors.New("dht: key not found")
@@ -76,8 +77,9 @@ type record struct {
 	origin  uint64
 	// placedSig and placedVersion remember where which version is known to
 	// be: on the owner the ring signature of its last replica push, on any
-	// other holder the closer node that acknowledged this version or pushed
-	// it here (placedAt). Maintenance sends when one of them changed.
+	// other holder the closer node that acknowledged this version (placedAt)
+	// or pushed it here as the key's owner (placedBy). Maintenance sends
+	// when one of them changed.
 	placedSig     uint64
 	placedVersion uint64
 }
@@ -159,9 +161,9 @@ const (
 	// replicationFactor is the total number of copies a record aims for:
 	// the owner plus two ring neighbours.
 	replicationFactor = 3
-	// requestTimeout bounds each attempt of an owner exchange;
-	// requestRetries is how many times a timed-out attempt is re-tried,
-	// with a fresh owner lookup each time.
+	// requestTimeout bounds each attempt of a direct exchange (half of it
+	// is a keyed call's backoff); requestRetries is how many times a failed
+	// attempt is re-tried, routed afresh each time.
 	requestTimeout = 2 * time.Second
 	requestRetries = 2
 	// maintainInterval is the replica-maintenance cadence.
@@ -556,10 +558,15 @@ func notFound() *proto.DHTFetchReply {
 func (s *Service) handleReplicate(from uint64, m *proto.DHTReplicate, respond func(proto.SvcMessage)) {
 	stored := !m.Cache && s.merge(m.Key, m.Value, m.Version, m.Origin)
 	if stored {
-		// The sender holds what it sent. An equal copy changes nothing: two
+		// The sender holds what it sent, and a fire-and-forget push is an
+		// owner placing its replicas. An equal copy changes nothing: two
 		// would-be owners would otherwise trade pushes every tick.
+		mark := placedAt(from)
+		if m.ReqID == 0 {
+			mark = placedBy(from)
+		}
 		rec, _ := s.recs.Get(m.Key)
-		rec.placedSig, rec.placedVersion = placedAt(from), rec.version
+		rec.placedSig, rec.placedVersion = mark, rec.version
 	}
 	if m.ReqID == 0 {
 		respond(nil)
@@ -594,6 +601,11 @@ func (s *Service) maintainTick() {
 				s.pushReplicas(k, rec)
 				rec.placedSig, rec.placedVersion = sig, rec.version
 			}
+		case current && rec.placedSig == placedBy(owner.Addr):
+			// The believed owner placed this version here: the replica set
+			// is its to keep, and a count of closer contacts swollen by a
+			// passing exchange (a new parent's hello, a ring zip) does not
+			// overrule it.
 		case !current || !held || closer >= replicationFactor:
 			s.handoff(k, rec, owner)
 		}
@@ -686,17 +698,17 @@ func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
 // closer scans this node's *fresh* level-0 contacts for those strictly
 // closer to k than the node itself (lower ID on equal distance): it
 // returns how many there are, the nearest of them, and whether one of them
-// is the holder that mark names (placedAt). A count above zero means the key
-// has a better owner to hand off to; a count of replicationFactor or more
-// means this node is outside the key's replica set and need not keep a
-// copy. Only direct-fresh contacts count: handing off to a
-// dead-but-unexpired neighbour burns the call's retries for nothing, and
-// letting one displace a live replica makes churn concentrate every copy
-// on one node (the survivors each see the corpses as "closer" and drop),
-// so that a single further failure loses the record. The marked holder
-// may be any closer contact: one that is not a ring neighbour is pinged by
-// nobody and direct-fresh only now and then, and a mark tied to the
-// nearest would flip with every lapse.
+// is the holder that mark names (placedAt, placedBy). A count above zero
+// means the key has a better owner to hand off to; a count of
+// replicationFactor or more means this node is outside the key's replica
+// set and need not keep a copy. Only direct-fresh contacts count: handing
+// off to a dead-but-unexpired neighbour burns the call's retries for
+// nothing, and letting one displace a live replica makes churn concentrate
+// every copy on one node (the survivors each see the corpses as "closer"
+// and drop), so that a single further failure loses the record. The marked
+// holder may be any closer contact: one that is not a ring neighbour is
+// pinged by nobody and direct-fresh only now and then, and a mark tied to
+// the nearest would flip with every lapse.
 func (s *Service) closer(k idspace.ID, mark uint64) (nearest proto.NodeRef, count int, held bool) {
 	l0 := &s.Node().Table().Level0
 	now, ttl := s.Node().Now(), s.Node().Config().EntryTTL
@@ -715,7 +727,7 @@ func (s *Service) closer(k idspace.ID, mark uint64) (nearest proto.NodeRef, coun
 			nearest = r
 		}
 		count++
-		held = held || placedAt(r.Addr) == mark
+		held = held || placedAt(r.Addr) == mark || placedBy(r.Addr) == mark
 	}
 	return nearest, count, held
 }
@@ -733,6 +745,11 @@ func (s *Service) ringSig() uint64 {
 // placedAt is the placement mark of a copy known to be at holder; the '@'
 // it starts from keeps it out of ringSig's domain, which starts from 0.
 func placedAt(holder uint64) uint64 { return mix('@', holder) }
+
+// placedBy is the mark of a copy that holder, as the key's owner, pushed
+// here: held there too, and placed here by the one that keeps the replica
+// set. The '#' keeps it apart from placedAt's domain.
+func placedBy(holder uint64) uint64 { return mix('#', holder) }
 
 // mix folds one word into a running 64-bit hash (the splitmix64 finaliser
 // over the sum): the same in every process, as the marks must be for two

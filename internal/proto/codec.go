@@ -25,6 +25,12 @@ var (
 	ErrVersion = errors.New("proto: unsupported protocol version")
 	ErrType    = errors.New("proto: unknown message type")
 	ErrTrail   = errors.New("proto: trailing bytes after message body")
+	// ErrCarried: a lookup carries a message other than a service request
+	// it may take to an owner (DHTFetch, DHTStore).
+	ErrCarried = errors.New("proto: lookup carries a message it may not")
+	// ErrSize: a lookup and the request it carries exceed MaxDatagram; no
+	// hop could forward it.
+	ErrSize = errors.New("proto: carried request exceeds the datagram bound")
 )
 
 // maxListLen bounds decoded entry lists; a datagram cannot legitimately
@@ -175,9 +181,12 @@ var be = binary.BigEndian
 
 // fail ends a read walk: err becomes ErrShort unless it is already set,
 // and buf empties.
-func (c *cursor) fail() {
+func (c *cursor) fail() { c.reject(ErrShort) }
+
+// reject ends a read walk with err unless an error is already set.
+func (c *cursor) reject(err error) {
 	if c.err == nil {
-		c.err = ErrShort
+		c.err = err
 	}
 	c.buf = nil
 }
@@ -413,6 +422,31 @@ func (c *cursor) bytes(v *[]byte) {
 	}
 }
 
+// carried is a lookup's service request: its type byte, then its body. A
+// read takes the two types a lookup may carry from their pools; a clear
+// hands the request back to its pool.
+func (c *cursor) carried(m *SvcMessage) {
+	switch c.dir {
+	case clearing:
+		ReleaseDecoded(*m)
+		*m = nil
+	case reading:
+		var b uint8
+		c.u8(&b)
+		t := MsgType(b)
+		if t != TDHTFetch && t != TDHTStore {
+			c.reject(ErrCarried)
+			return
+		}
+		*m = Acquire(t).(SvcMessage)
+		(*m).body(c)
+	default:
+		t := uint8((*m).Type())
+		c.u8(&t)
+		(*m).body(c)
+	}
+}
+
 // --- per-message layouts -----------------------------------------------------
 
 // Each body names the message's fields once, in wire order.
@@ -446,9 +480,13 @@ func (m *Demote) body(c *cursor)     { c.ref(&m.From); c.u8(&m.Level); c.ref(&m.
 func (m *BusLinkReq) body(c *cursor) { c.ref(&m.From); c.u8(&m.Level) }
 func (m *BusLinkAck) body(c *cursor) { c.ref(&m.From); c.u8(&m.Level); c.ref(&m.Left); c.ref(&m.Right) }
 
-// lookupAckWanted is LookupRequest.AckWanted on the wire: the top bit of
-// the Algo byte, which no algorithm identifier reaches.
-const lookupAckWanted = 0x80
+// lookupAckWanted and lookupCarries are LookupRequest.AckWanted and the
+// presence of LookupRequest.Carried on the wire: the top two bits of the
+// Algo byte, which no algorithm identifier reaches.
+const (
+	lookupAckWanted = 0x80
+	lookupCarries   = 0x40
+)
 
 func (m *LookupRequest) body(c *cursor) {
 	c.ref(&m.Origin)
@@ -456,15 +494,31 @@ func (m *LookupRequest) body(c *cursor) {
 	c.u64(&m.ReqID)
 	c.u8(&m.TTL)
 	c.u8(&m.Hops)
-	algo := uint8(m.Algo) &^ lookupAckWanted
+	carries := m.Carried != nil
+	algo := uint8(m.Algo) &^ (lookupAckWanted | lookupCarries)
 	if m.AckWanted {
 		algo |= lookupAckWanted
 	}
+	if carries {
+		algo |= lookupCarries
+	}
 	c.u8(&algo)
 	if c.dir == reading || c.dir == clearing {
-		m.Algo, m.AckWanted = Algo(algo&^lookupAckWanted), algo&lookupAckWanted != 0
+		m.Algo, m.AckWanted = Algo(algo&^(lookupAckWanted|lookupCarries)), algo&lookupAckWanted != 0
+	}
+	if c.dir == reading {
+		carries = algo&lookupCarries != 0
 	}
 	c.refs(&m.Alternates)
+	if !carries {
+		return
+	}
+	c.carried(&m.Carried)
+	// Every hop forwards what it received: a request too large for one
+	// datagram could not leave the first of them.
+	if c.dir == reading && c.err == nil && WireSize(m) > MaxDatagram {
+		c.reject(ErrSize)
+	}
 }
 
 func (m *LookupReply) body(c *cursor) {

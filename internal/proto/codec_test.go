@@ -277,6 +277,78 @@ func TestLookupAckWantedWire(t *testing.T) {
 	}
 }
 
+// TestLookupCarriesOnlyRequests: a lookup carries a DHTFetch or a
+// DHTStore, round-trips it through both decode paths, and is rejected when
+// it carries anything else (another lookup, a response) or a store too
+// large for one datagram. A plain lookup's bytes do not change.
+func TestLookupCarriesOnlyRequests(t *testing.T) {
+	plain := &LookupRequest{Origin: NodeRef{ID: 9, Addr: 9}, Target: 42, ReqID: 7, TTL: 8, Hops: 2, Algo: AlgoG}
+	algoAt := headerSize + nodeRefSize + 8 + 8 + 1 + 1
+	carrying := func(m SvcMessage) []byte {
+		req := *plain
+		req.Carried = m
+		return Encode(&req)
+	}
+	for _, m := range []SvcMessage{
+		&DHTFetch{From: NodeRef{ID: 5, Addr: 5}, ReqID: 3, Key: 42, Local: true},
+		&DHTStore{From: NodeRef{ID: 5, Addr: 5}, ReqID: 3, Key: 42, Value: []byte("v"), Base: 1, Cond: true},
+	} {
+		b, want := carrying(m), Encode(plain)
+		if !bytes.Equal(b[:algoAt], want[:algoAt]) || b[algoAt] != want[algoAt]|lookupCarries ||
+			!bytes.Equal(b[algoAt+1:len(want)], want[algoAt+1:]) {
+			t.Fatalf("%v: the carrying lookup's own fields moved: %x", m.Type(), b[:len(want)])
+		}
+		if rest := b[len(want):]; rest[0] != uint8(m.Type()) || !bytes.Equal(rest[1:], Encode(m)[headerSize:]) {
+			t.Fatalf("%v: carried as %x", m.Type(), rest)
+		}
+		for _, dec := range []func([]byte) (Message, error){Decode, DecodePooled} {
+			got, err := dec(b)
+			if err != nil {
+				t.Fatalf("%v: %v", m.Type(), err)
+			}
+			if c := got.(*LookupRequest).Carried; !reflect.DeepEqual(c, m) {
+				t.Fatalf("%v: carried %#v, want %#v", m.Type(), c, m)
+			}
+			ReleaseDecoded(got)
+		}
+	}
+
+	// What may not ride: a lookup, a response, and a datagram's worth of
+	// value. Each encodes (the encoder does not judge) and must not decode.
+	for _, c := range []struct {
+		name string
+		wire []byte
+		want error
+	}{
+		{"a lookup", carryingAny(plain, plain), ErrCarried},
+		{"a response", carryingAny(plain, &DHTFetchReply{ReqID: 3, Found: true, Value: []byte("v")}), ErrCarried},
+		{"a value past the datagram bound", carrying(&DHTStore{ReqID: 3, Key: 42, Value: make([]byte, MaxDatagram-60)}), ErrSize},
+	} {
+		for _, dec := range []func([]byte) (Message, error){Decode, DecodePooled} {
+			if m, err := dec(c.wire); !errors.Is(err, c.want) || m != nil {
+				t.Fatalf("a lookup carrying %s: decoded %v, %v; want %v", c.name, m, err, c.want)
+			}
+		}
+	}
+	// The largest store that fits still goes.
+	fits := &DHTStore{ReqID: 3, Key: 42}
+	fits.Value = make([]byte, MaxDatagram-len(carrying(fits)))
+	if b := carrying(fits); len(b) != MaxDatagram {
+		t.Fatalf("the largest carrying lookup is %d bytes", len(b))
+	} else if _, err := Decode(b); err != nil {
+		t.Fatalf("a carrying lookup of exactly MaxDatagram bytes: %v", err)
+	}
+}
+
+// carryingAny encodes req with the carried-request flag set and m's type
+// and body after it, whatever m is: the wire a hostile peer could send.
+func carryingAny(req *LookupRequest, m Message) []byte {
+	b := Encode(req)
+	b[headerSize+nodeRefSize+8+8+1+1] |= lookupCarries
+	b = append(b, uint8(m.Type()))
+	return append(b, Encode(m)[headerSize:]...)
+}
+
 // TestLookupHopAckRoundTrip: the hop acknowledgement is a LookupReply
 // with its own status, through both decode paths.
 func TestLookupHopAckRoundTrip(t *testing.T) {

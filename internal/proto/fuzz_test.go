@@ -29,6 +29,12 @@ func FuzzRoundTrip(f *testing.F) {
 	// happened to pick: the ack-wanted bit and the hop-ack status.
 	f.Add(Encode(&LookupRequest{Origin: NodeRef{ID: 9, Addr: 9}, Target: 42, ReqID: 7, TTL: 8, Algo: AlgoNGSA, AckWanted: true}))
 	f.Add(Encode(&LookupReply{From: NodeRef{ID: 9, Addr: 9}, ReqID: 7, Status: LookupHopAck}))
+	// A lookup carrying each service request it may take to an owner.
+	f.Add(Encode(&LookupRequest{Origin: NodeRef{ID: 9, Addr: 9}, Target: 42, ReqID: 7, TTL: 8, Algo: AlgoG,
+		Carried: &DHTFetch{From: NodeRef{ID: 9, Addr: 9}, ReqID: 3, Key: 42}}))
+	f.Add(Encode(&LookupRequest{Origin: NodeRef{ID: 9, Addr: 9}, Target: 42, ReqID: 7, TTL: 8, Algo: AlgoNGSA, AckWanted: true,
+		Alternates: []NodeRef{{ID: 1, Addr: 3}},
+		Carried:    &DHTStore{From: NodeRef{ID: 9, Addr: 9}, ReqID: 4, Key: 42, Value: []byte("value"), Base: 2, Cond: true}}))
 	// A few malformed shapes so the corpus exercises the error paths too.
 	f.Add([]byte{})
 	f.Add([]byte{wireMagic, wireVersion})

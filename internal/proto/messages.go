@@ -371,6 +371,15 @@ type LookupRequest struct {
 	// the size it always was and a request without the bit is unchanged.
 	AckWanted  bool
 	Alternates []NodeRef
+	// Carried is the service request (a DHTFetch or a DHTStore) the lookup
+	// takes to the target's owner, nil for a plain lookup. The node where
+	// routing delivers hands it to its service plane as if the origin had
+	// sent it, and the response goes straight back to the origin: one
+	// routed exchange, no LookupReply. On the wire it follows the
+	// alternates as its type byte and body, flagged by bit 0x40 of the Algo
+	// byte, so a plain lookup encodes as it always did. A message owns its
+	// carried request: resetting the message releases it.
+	Carried SvcMessage
 }
 
 // MaxAlternates caps the NGSA fall-back list a LookupRequest carries. The
@@ -633,15 +642,24 @@ type SvcMessage interface {
 	SvcID() uint64
 	// SetSvc stamps the request id and sender identity before transmission.
 	SetSvc(id uint64, from NodeRef)
+	// SvcFrom returns the sender identity SetSvc stamped.
+	SvcFrom() NodeRef
 }
 
-// SvcID and SetSvc implement SvcMessage.
+// SvcID, SvcFrom and SetSvc implement SvcMessage.
 func (m *DHTStore) SvcID() uint64        { return m.ReqID }
 func (m *DHTStoreAck) SvcID() uint64     { return m.ReqID }
 func (m *DHTFetch) SvcID() uint64        { return m.ReqID }
 func (m *DHTFetchReply) SvcID() uint64   { return m.ReqID }
 func (m *DHTReplicate) SvcID() uint64    { return m.ReqID }
 func (m *DHTReplicateAck) SvcID() uint64 { return m.ReqID }
+
+func (m *DHTStore) SvcFrom() NodeRef        { return m.From }
+func (m *DHTStoreAck) SvcFrom() NodeRef     { return m.From }
+func (m *DHTFetch) SvcFrom() NodeRef        { return m.From }
+func (m *DHTFetchReply) SvcFrom() NodeRef   { return m.From }
+func (m *DHTReplicate) SvcFrom() NodeRef    { return m.From }
+func (m *DHTReplicateAck) SvcFrom() NodeRef { return m.From }
 
 func (m *DHTStore) SetSvc(id uint64, from NodeRef)        { m.ReqID, m.From = id, from }
 func (m *DHTStoreAck) SetSvc(id uint64, from NodeRef)     { m.ReqID, m.From = id, from }

@@ -114,8 +114,9 @@ func seedValue(v []byte) []byte {
 
 // PooledCopy returns a pooled copy of a service-plane request, value
 // included, for the network to carry and recycle: what the plane sends for
-// one attempt of a call it holds req for. A message of any other type is
-// returned as it is.
+// one attempt of a call it holds req for, and the request a lookup hop
+// forwards or holds of the one it carries. A message of any other type,
+// nil included, is returned as it is.
 func PooledCopy(req SvcMessage) SvcMessage {
 	switch m := req.(type) {
 	case *DHTStore:

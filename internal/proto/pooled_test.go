@@ -263,6 +263,8 @@ func dirty(v reflect.Value, other []NodeRef, spare int) map[string]uintptr {
 			*p = append(make([]byte, 0, spare), 7)
 		case *[]NodeRef:
 			*p = other[:1]
+		case *SvcMessage:
+			*p = Acquire(TDHTFetch).(SvcMessage)
 		default:
 			switch f.Kind() {
 			case reflect.Bool:

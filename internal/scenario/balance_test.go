@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// balance.go holds the two load-balance invariant checkers, which make a
+// balance_test.go holds the two load-balance invariant checkers, which make a
 // hotspot a test failure instead of a graph to eyeball.
 
 // BalanceCheckers returns the two load-balance invariants with their

@@ -13,8 +13,12 @@
 //   - Call: a direct request to a known address with a per-attempt
 //     deadline and bounded retries (UDP loses datagrams; requests are
 //     idempotent or receiver-deduplicated by design);
-//   - CallKey: resolve the overlay owner of a coordinate via the §III.f
-//     lookup, then Call it — re-resolving on every retry, because under
+//   - CallKey: one routed exchange with the overlay owner of a
+//     coordinate. The request rides the §III.f owner lookup
+//     (core.Node.LookupCarrying); the node where routing delivers serves it
+//     with this node as the sender and answers here directly, so an
+//     operation costs the lookup's hops and one reply, not a lookup, its
+//     reply and a round trip. Every attempt routes afresh, because under
 //     churn the owner may have changed between attempts. When the lookup
 //     resolves to the local node the request is dispatched to the local
 //     handler through the same code path, so services behave identically
@@ -66,7 +70,9 @@ type Server interface {
 
 // CallOpts bounds one logical request.
 type CallOpts struct {
-	// Timeout is the per-attempt deadline (default 2s).
+	// Timeout is the per-attempt deadline of a Call (default 2s). A
+	// CallKey attempt ends with the lookup carrying it (the node's
+	// LookupTimeout), and waits Timeout/2 before the next.
 	Timeout time.Duration
 	// Retries is how many times a timed-out attempt is re-sent before the
 	// caller sees ErrTimeout (default 0: single attempt).
@@ -93,38 +99,29 @@ type Stats struct {
 	Unhandled    uint64 // inbound requests of a type the server does not serve
 }
 
-// call is one in-flight remote request: what a re-send needs, and one timer
-// callback (fire, bound once to onDeadline) that re-arms itself per attempt.
-// Records come from callPool and go back to it when the call completes.
+// call is one in-flight request: a direct one (Call) to a known address,
+// or a keyed one (CallKey), each attempt of which rides the owner lookup
+// of its key. It is in the pending table from start to answer. Its
+// callbacks are bound once, when the record is made: fire, the one timer
+// (an attempt's deadline, or a keyed call's backoff), resolved, the
+// lookup's report, and local, a local owner's answer. Records come from
+// callPool and go back to it when the caller is answered.
 type call struct {
 	plane   *Plane
-	id, to  uint64
+	id, to  uint64 // to is 0 for a keyed call
+	key     idspace.ID
+	algo    proto.Algo
+	lookup  uint64 // the node's lookup carrying a keyed attempt, 0 when none is
 	req     proto.SvcMessage
 	timeout time.Duration
 	retries int
 	timer   core.Timer
-	fire    func()
 	cb      func(proto.SvcMessage, error)
-}
+	keyCb   func(proto.NodeRef, proto.SvcMessage, error)
 
-// keyCall is one CallKey: the owner lookup and the call to the owner, run
-// again on each retry under one request id. Its three callbacks are bound
-// once, when the record is made; records come from keyCallPool and go back
-// to it when the caller is answered.
-type keyCall struct {
-	plane   *Plane
-	id      uint64
-	key     idspace.ID
-	algo    proto.Algo
-	req     proto.SvcMessage
-	timeout time.Duration
-	retries int // retries left
-	owner   proto.NodeRef
-	cb      func(proto.NodeRef, proto.SvcMessage, error)
-
-	try      func()
+	fire     func()
 	resolved func(core.LookupResult)
-	answered func(proto.SvcMessage, error)
+	local    func(proto.SvcMessage, error)
 }
 
 // responder answers one served request: a remote one by datagram to its
@@ -141,7 +138,7 @@ type responder struct {
 // The record pools are process-wide, like proto's message pools: shard
 // workers take and return records concurrently, and a peer holds no
 // records of its own between operations.
-var callPool, keyCallPool, responderPool sync.Pool
+var callPool, responderPool sync.Pool
 
 // Plane is one node's service plane, held by value in its service and
 // readied by Init; all methods must run on the node's event loop.
@@ -189,136 +186,158 @@ func (p *Plane) MemBytes() int { return p.pending.MemBytes() }
 // pending-table delete and receivers can deduplicate re-applied requests.
 // A local destination dispatches to the local handler directly.
 func (p *Plane) Call(to uint64, req proto.SvcMessage, o CallOpts, cb func(proto.SvcMessage, error)) {
-	p.nextID++
-	p.callWithID(p.nextID, to, req, o, cb)
-}
-
-// callWithID is Call with a caller-chosen request id: CallKey keeps one id
-// across its re-resolved attempts so the (eventual) owner can recognise a
-// retried request whose earlier ack was lost.
-func (p *Plane) callWithID(id, to uint64, req proto.SvcMessage, o CallOpts, cb func(proto.SvcMessage, error)) {
-	o = o.withDefaults()
-	p.Stats.CallsStarted++
-	req.SetSvc(id, p.node.Ref())
-
 	if to == p.node.Addr() || to == 0 {
+		p.start(req)
 		if !p.serve(p.node.Addr(), req, cb) {
 			cb(nil, ErrNoHandler)
 		}
 		return
 	}
-
-	c, _ := callPool.Get().(*call)
-	if c == nil {
-		c = new(call)
-		c.fire = c.onDeadline
-	}
-	c.plane, c.id, c.to, c.req, c.timeout, c.retries, c.cb = p, id, to, req, o.Timeout, o.Retries, cb
-	p.pending.Put(id, c)
+	c := p.newCall(req, o)
+	c.to, c.cb = to, cb
 	c.attempt()
 }
 
-// CallKey resolves the overlay owner of key and Calls it. Every retry
-// re-runs the lookup: under churn the owner of a coordinate changes, and
-// re-sending to a dead owner would burn the whole retry budget on a node
-// that can no longer answer. A failed lookup also consumes a retry, after
-// a short backoff — mid-churn lookup failures are transient (the overlay
-// repairs on its keep-alive cadence) and an immediate re-lookup would hit
-// the same stale tables. cb receives the owner that answered alongside the
-// response.
+// CallKey sends req to the overlay owner of key in one routed exchange:
+// req rides the §III.f lookup of key, the owner serves it as if this node
+// had sent it, and its response comes straight back. cb receives the
+// owner that answered alongside the response. Each attempt is one lookup,
+// re-issued along the way as lookups are; one that fails (not found, or
+// nothing back by the lookup timeout) consumes a retry after a short
+// backoff — mid-churn failures are transient (the overlay repairs on its
+// keep-alive cadence) and an immediate re-lookup would hit the same stale
+// tables. An owner that is this node serves req locally, through the same
+// code path.
 func (p *Plane) CallKey(key idspace.ID, algo proto.Algo, req proto.SvcMessage, o CallOpts,
 	cb func(proto.NodeRef, proto.SvcMessage, error)) {
-	o = o.withDefaults()
-	// One id for the whole logical operation: every attempt — even against
-	// a re-resolved owner — carries it, so a receiver that already applied
-	// the request replays its recorded answer instead of re-applying.
+	c := p.newCall(req, o)
+	c.key, c.algo, c.keyCb = key, algo, cb
+	c.route()
+}
+
+// start stamps req with the next request id and the sender, once for the
+// whole call: every attempt — even one a re-resolved owner serves — carries
+// it, so a receiver that already applied the request replays its recorded
+// answer instead of re-applying.
+func (p *Plane) start(req proto.SvcMessage) {
 	p.nextID++
-	k, _ := keyCallPool.Get().(*keyCall)
-	if k == nil {
-		k = new(keyCall)
-		k.try, k.resolved, k.answered = k.lookup, k.onLookup, k.onResponse
+	p.Stats.CallsStarted++
+	req.SetSvc(p.nextID, p.node.Ref())
+}
+
+// newCall starts a call for req on a pooled record in the pending table.
+func (p *Plane) newCall(req proto.SvcMessage, o CallOpts) *call {
+	p.start(req)
+	o = o.withDefaults()
+	c, _ := callPool.Get().(*call)
+	if c == nil {
+		c = new(call)
+		c.fire, c.resolved, c.local = c.onTimer, c.onLookup, c.onLocal
 	}
-	k.plane, k.id, k.key, k.algo, k.req, k.timeout, k.retries, k.cb = p, p.nextID, key, algo, req, o.Timeout, o.Retries, cb
-	k.lookup()
+	c.plane, c.id, c.req, c.timeout, c.retries = p, p.nextID, req, o.Timeout, o.Retries
+	p.pending.Put(c.id, c)
+	return c
 }
 
-// lookup starts one attempt by resolving the key's owner.
-func (k *keyCall) lookup() { k.plane.node.Lookup(k.key, k.algo, k.resolved) }
-
-// onLookup calls the owner the lookup found, or backs off and retries.
-func (k *keyCall) onLookup(r core.LookupResult) {
-	if r.Status != core.LookupFound {
-		if k.retry() {
-			k.plane.node.SetTimer(k.timeout/2, k.try)
-			return
-		}
-		k.finish(proto.NodeRef{}, nil, ErrLookupFailed)
-		return
-	}
-	k.owner = r.Best
-	k.plane.callWithID(k.id, k.owner.Addr, k.req, CallOpts{Timeout: k.timeout}, k.answered)
-}
-
-// onResponse answers the caller, or starts the next attempt on an error.
-func (k *keyCall) onResponse(resp proto.SvcMessage, err error) {
-	if err != nil && k.retry() {
-		k.lookup()
-		return
-	}
-	k.finish(k.owner, resp, err)
-}
-
-// retry spends one retry, reporting whether there was one left.
-func (k *keyCall) retry() bool {
-	if k.retries == 0 {
-		return false
-	}
-	k.retries--
-	k.plane.Stats.Retries++
-	return true
-}
-
-// finish hands the record back to keyCallPool and answers the caller.
-func (k *keyCall) finish(owner proto.NodeRef, resp proto.SvcMessage, err error) {
-	cb := k.cb
-	k.plane, k.req, k.cb = nil, nil, nil
-	keyCallPool.Put(k)
-	cb(owner, resp, err)
-}
-
-// attempt arms the deadline of one attempt and sends the request. What goes
-// out is a pooled copy for the network to recycle, never c.req itself: the
-// call sends it again on a retry, and its owner may reuse it once the call
-// is answered while a datagram is still in flight.
+// attempt arms the deadline of one attempt of a direct call and sends the
+// request. What goes out is a pooled copy for the network to recycle, never
+// c.req itself: the call sends it again on a retry, and its owner may reuse
+// it once the call is answered while a datagram is still in flight.
 func (c *call) attempt() {
 	c.timer = c.plane.node.SetTimer(c.timeout, c.fire)
 	c.plane.node.Send(c.to, proto.PooledCopy(c.req))
 }
 
-// onDeadline is the call's one timer: the next attempt, or ErrTimeout.
-func (c *call) onDeadline() {
-	p := c.plane
-	if cur, _ := p.pending.Get(c.id); cur != c {
-		return
+// route starts one attempt of a keyed call: the owner lookup carrying req.
+// A lookup that ended here has reported to onLookup before it returns, and
+// the call may be answered and its record reused: only a lookup in flight
+// is noted.
+func (c *call) route() {
+	if id := c.plane.node.LookupCarrying(c.key, c.algo, c.req, c.resolved); id != 0 {
+		c.lookup = id
 	}
-	if c.retries > 0 {
-		c.retries--
-		p.Stats.Retries++
-		c.attempt()
-		return
-	}
-	p.Stats.Timeouts++
-	c.finish()(nil, ErrTimeout)
 }
 
-// finish takes the call out of the pending table, hands the record back to
-// callPool, and returns the callback to answer.
-func (c *call) finish() func(proto.SvcMessage, error) {
-	c.plane.pending.Delete(c.id)
-	cb := c.cb
-	c.plane, c.req, c.cb = nil, nil, nil
+// onLookup hears of a keyed attempt the lookup ended without a remote
+// owner's answer: the owner is this node, or the attempt failed.
+func (c *call) onLookup(r core.LookupResult) {
+	c.lookup = 0
+	p := c.plane
+	switch {
+	case r.Status == core.LookupFound:
+		if !p.serve(p.node.Addr(), c.req, c.local) {
+			c.onLocal(nil, ErrNoHandler)
+		}
+	case c.retry():
+		c.timer = p.node.SetTimer(c.timeout/2, c.fire)
+	case r.Status == core.LookupTimeout:
+		p.Stats.Timeouts++
+		c.finish(nil, ErrTimeout)
+	default:
+		c.finish(nil, ErrLookupFailed)
+	}
+}
+
+// onLocal takes the local owner's answer, or starts the next attempt on an
+// error.
+func (c *call) onLocal(resp proto.SvcMessage, err error) {
+	if err != nil && c.retry() {
+		c.route()
+		return
+	}
+	c.finish(resp, err)
+}
+
+// onTimer is the call's one timer: for a keyed call the end of a backoff,
+// for a direct one an attempt's deadline, which sends the next attempt or
+// answers ErrTimeout.
+func (c *call) onTimer() {
+	if cur, _ := c.plane.pending.Get(c.id); cur != c {
+		return
+	}
+	switch {
+	case c.to == 0:
+		c.route()
+	case c.retry():
+		c.attempt()
+	default:
+		c.plane.Stats.Timeouts++
+		c.finish(nil, ErrTimeout)
+	}
+}
+
+// retry spends one retry, reporting whether there was one left.
+func (c *call) retry() bool {
+	if c.retries == 0 {
+		return false
+	}
+	c.retries--
+	c.plane.Stats.Retries++
+	return true
+}
+
+// finish ends the call — its timer, and the lookup carrying it if one is in
+// flight — hands the record back to callPool and answers the caller; a
+// keyed caller also hears which owner answered.
+func (c *call) finish(resp proto.SvcMessage, err error) {
+	p := c.plane
+	c.timer.Cancel()
+	if c.lookup != 0 {
+		p.node.EndLookup(c.lookup)
+	}
+	p.pending.Delete(c.id)
+	cb, keyCb := c.cb, c.keyCb
+	*c = call{fire: c.fire, resolved: c.resolved, local: c.local}
 	callPool.Put(c)
-	return cb
+	if keyCb == nil {
+		cb(resp, err)
+		return
+	}
+	var owner proto.NodeRef
+	if resp != nil {
+		owner = resp.SvcFrom()
+	}
+	keyCb(owner, resp, err)
 }
 
 // serve hands req to the server with a pooled responder, reporting whether
@@ -377,9 +396,8 @@ func (p *Plane) handle(from uint64, msg proto.Message) bool {
 		if !ok {
 			return true // duplicate or late response
 		}
-		c.timer.Cancel()
 		p.Stats.Responses++
-		c.finish()(m, nil)
+		c.finish(m, nil)
 		return true
 	}
 	if !p.serve(from, m, nil) {
