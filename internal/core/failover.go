@@ -13,7 +13,7 @@ import (
 // A routing table mixes first-hand knowledge with hearsay: entries for
 // peers this node has exchanged datagrams with lately, and entries a
 // third party mentioned. Under churn the second kind is where forwarded
-// requests go to die. So a forward to a peer not heard from within one
+// requests go to die. So a forward to a peer not heard from within half a
 // keep-alive round is *held*: the request as received stays in a slot, the
 // forwarded copy carries the ack-wanted bit, and the next hop answers with
 // a hop acknowledgement. Any datagram from that peer releases the slot.
@@ -117,13 +117,19 @@ func (n *Node) lookupRTO() time.Duration {
 
 // hold decides whether the forward of m to next must be acknowledged, and
 // if so keeps m (received from the peer at from). It reports whether the
-// forwarded copy should carry the ack-wanted bit.
-func (n *Node) hold(from uint64, m *proto.LookupRequest, next uint64) bool {
+// forwarded copy should carry the ack-wanted bit. A re-issue is held
+// whatever next's age: the walk before it went silent somewhere, and the
+// origin's fresh first hop is where it would go silent again.
+func (n *Node) hold(from uint64, m *proto.LookupRequest, next uint64, reissue bool) bool {
 	now := n.env.Now()
 	bound := n.rttBound()
-	// Heard from within a keep-alive round (and the slack one round trip
-	// needs): the entry is first-hand and as fresh as entries get.
-	if last, ok := n.table.LastDirect(next); ok && now-last <= n.cfg.KeepAlive+bound {
+	// Heard from within half a keep-alive round (and the slack one round
+	// trip needs): the entry is first-hand and fresh. An active connection
+	// is heard from once a round, so its forwards are held in the older
+	// half: a peer cannot have been silent for more than that when a
+	// forward reaches it un-held, and one that stopped earlier is caught by
+	// the hold deadline rather than by the origin's RTO.
+	if last, ok := n.table.LastDirect(next); ok && !reissue && now-last <= n.cfg.KeepAlive/2+bound {
 		return false
 	}
 	fo := n.fo
@@ -207,7 +213,7 @@ func (fo *failover) expired() {
 		from, req := slot.from, slot.req
 		slot.peer, slot.req = 0, nil
 		fo.held--
-		n.advance(from, req)
+		n.advance(from, req, false)
 		proto.ReleaseDecoded(req)
 	}
 	fo.armed = false

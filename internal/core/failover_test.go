@@ -92,6 +92,53 @@ func TestAckWantedIsAnsweredAndNotPassedOn(t *testing.T) {
 	}
 }
 
+// TestHeldInTheOlderHalfOfTheRound: a peer heard from within half a
+// keep-alive round (plus the round-trip bound) takes forwards un-held; one
+// heard from earlier in the round is asked for an ack, though a live
+// active peer would still ping before the round ends.
+func TestHeldInTheOlderHalfOfTheRound(t *testing.T) {
+	n, env := testNode(100, 1)
+	nbr := mkRef(400, 4, 0)
+	n.InstallLevel0(nbr)
+	env.drain()
+	fresh := n.cfg.KeepAlive/2 + n.rttBound()
+	env.advance(fresh - time.Millisecond)
+	env.drain()
+	n.HandleMessage(9, foreignRequest(7))
+	if fwds := msgsOfType[*proto.LookupRequest](env.drain()); len(fwds) != 1 || fwds[0].AckWanted {
+		t.Fatalf("forward to a peer heard from %v ago must go un-held: %+v", fresh-time.Millisecond, fwds)
+	}
+	env.advance(2 * time.Millisecond)
+	env.drain()
+	n.HandleMessage(9, foreignRequest(8))
+	if fwds := msgsOfType[*proto.LookupRequest](env.drain()); len(fwds) != 1 || !fwds[0].AckWanted || heldCount(n) != 1 {
+		t.Fatalf("forward to a peer heard from %v ago must be held: %+v (held %d)", fresh+time.Millisecond, fwds, heldCount(n))
+	}
+}
+
+// TestReissueHoldsItsFirstHop: the origin's re-issue is held even to a
+// peer it heard from a moment ago — the walk before it went silent, and a
+// dead first hop the origin still counts fresh would take this one too.
+func TestReissueHoldsItsFirstHop(t *testing.T) {
+	n, env := testNode(100, 1)
+	nbr := mkRef(400, 4, 0)
+	n.InstallLevel0(nbr)
+	env.drain()
+	n.Lookup(500, proto.AlgoG, func(LookupResult) {})
+	if fwds := msgsOfType[*proto.LookupRequest](env.drain()); len(fwds) != 1 || fwds[0].AckWanted {
+		t.Fatalf("first walk to a fresh peer must go un-held: %+v", fwds)
+	}
+	rto := n.lookupRTO()
+	env.advance(rto - time.Millisecond)
+	n.HandleMessage(4, hopAck(nbr, 99)) // heard from just before the re-issue
+	env.drain()
+	env.advance(time.Millisecond)
+	fwds := msgsOfType[*proto.LookupRequest](env.drain())
+	if n.Stats.LookupReissues != 1 || len(fwds) != 1 || !fwds[0].AckWanted || heldCount(n) != 1 {
+		t.Fatalf("re-issue: %d re-issues, forwards %+v, held %d", n.Stats.LookupReissues, fwds, heldCount(n))
+	}
+}
+
 func TestHoldSilenceExcludesAndReroutes(t *testing.T) {
 	n, env := testNode(100, 1)
 	near, far := mkRef(400, 4, 0), mkRef(300, 3, 0)

@@ -98,7 +98,7 @@ func (n *Node) LookupCarrying(target idspace.ID, algo proto.Algo, carried proto.
 	pl.started, pl.rto = n.env.Now(), n.lookupRTO()
 	n.pending.Put(reqID, pl)
 	pl.arm()
-	n.forward(0, &req, step)
+	n.forward(0, &req, step, false)
 	return reqID
 }
 
@@ -159,7 +159,7 @@ func (pl *pendingLookup) onTimer() {
 	// completing the lookup cancels whatever timer it holds.
 	pl.arm()
 	req := n.originRequest(pl.target, pl.reqID, pl.algo, pl.carried)
-	n.advance(0, &req)
+	n.advance(0, &req, true)
 }
 
 // PendingLookups returns the number of in-flight origin lookups.
@@ -190,13 +190,14 @@ func (n *Node) handleLookupRequest(from uint64, m *proto.LookupRequest) {
 		ack.From, ack.ReqID, ack.Status = n.Ref(), m.ReqID, proto.LookupHopAck
 		n.send(from, ack)
 	}
-	n.advance(from, m)
+	n.advance(from, m, false)
 }
 
 // advance takes m one routing decision further: answer its origin (or
 // serve what it carries for the origin), hand it to the next hop, or let it
-// die. m is read, never kept or changed.
-func (n *Node) advance(from uint64, m *proto.LookupRequest) {
+// die. m is read, never kept or changed. reissue marks the origin's
+// re-issue, whose forward is always held (hold).
+func (n *Node) advance(from uint64, m *proto.LookupRequest, reissue bool) {
 	step := n.route(from, m)
 	switch step.Action {
 	case routing.Deliver:
@@ -212,7 +213,7 @@ func (n *Node) advance(from uint64, m *proto.LookupRequest) {
 		}
 		n.reply(m, proto.LookupFound, step.Found)
 	case routing.Forward:
-		n.forward(from, m, step)
+		n.forward(from, m, step, reissue)
 	case routing.NotFound:
 		n.Stats.LookupsNotFound++
 		n.reply(m, proto.LookupNotFound, proto.NodeRef{})
@@ -225,14 +226,14 @@ func (n *Node) advance(from uint64, m *proto.LookupRequest) {
 // forward sends m on to step.Next. When that peer is not known first-hand
 // to be alive, the request as received is held until it shows a sign of
 // life (failover.go).
-func (n *Node) forward(from uint64, m *proto.LookupRequest, step routing.Step) {
+func (n *Node) forward(from uint64, m *proto.LookupRequest, step routing.Step, reissue bool) {
 	fwd := proto.Acquire(proto.TLookupRequest).(*proto.LookupRequest)
 	*fwd = *m
 	fwd.Carried = proto.PooledCopy(m.Carried)
 	fwd.TTL--
 	fwd.Hops++
 	fwd.Alternates = step.Alternates
-	fwd.AckWanted = n.hold(from, m, step.Next.Addr)
+	fwd.AckWanted = n.hold(from, m, step.Next.Addr, reissue)
 	n.Stats.LookupsForwarded++
 	if step.Strict {
 		n.Stats.LookupsStrict++

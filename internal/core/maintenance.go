@@ -26,7 +26,7 @@ func (n *Node) armReport()    { n.reportTimer = n.env.SetPeriodic(n.cfg.ChildRep
 // to be piggybacked during a keep-alive exchange"). A ping and its pong
 // carry both ends' deltas, so a pair needs one a round: the lower (ID,
 // Addr) end sends it; the higher pings only when the lower has been silent
-// past KeepAlive+rttBound, the window hold trusts. An order, not "heard
+// past KeepAlive+rttBound, one round and its slack. An order, not "heard
 // lately": ends that tick in lock-step would both skip every other round
 // (DESIGN.md §2).
 func (n *Node) keepaliveTick() {

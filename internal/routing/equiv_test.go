@@ -143,6 +143,10 @@ func sameStep(a, b Step) bool {
 // (oldRoute): the same Step on every input, so no trajectory moves. The
 // scratch is reused across the inputs of one run, as an event loop reuses
 // its own, with the exclusions handed in per decision.
+//
+// Its seed corpus catches RouteWith with the owner check moved back behind
+// greedy: an owner whose table holds a covering node forwards to it by the
+// halving rule where the oracle Delivers self.
 func FuzzRouteEquivalence(f *testing.F) {
 	rng := rand.New(rand.NewSource(32))
 	for i := 0; i < 256; i++ {

@@ -11,12 +11,18 @@ import (
 // oldRoute is the forwarding decision as it stood before the one-pass
 // rewrite, kept as the behavioural oracle of FuzzRouteEquivalence: it
 // filters the candidates, sorts them nearest-first and scans the sorted
-// list, and each branch rescans the sets it reads. Only names changed (and
-// the sort, which any correct sort reproduces: the candidates are distinct
-// by address, so the comparator is a strict total order on them). It shares
+// list, and each branch rescans the sets it reads. Apart from the
+// owner-first rule below, only names changed (and the sort, which any
+// correct sort reproduces: the candidates are distinct by address, so the
+// comparator is a strict total order on them). It shares
 // nothing with RouteWith but the table's sets, FindID, the types and the
 // model: it collects and deduplicates the candidates itself, so a change to
 // Table.Candidates' rule shows too.
+//
+// It follows the owner-first rule in its sort-and-scan form: in every
+// regime, with no candidate strictly Euclidean-closer to x than self
+// (cands[0] no closer) it Delivers self, and a parent-delegated or
+// covering (D = 0) node steps to cands[0].
 func oldRoute(ex Excluded, self proto.NodeRef, tbl *rtable.Table, req *proto.LookupRequest, fromParent bool, sender uint64, p Params) Step {
 	if req.TTL == 0 {
 		return Step{Action: Drop}
@@ -55,43 +61,14 @@ func oldRoute(ex Excluded, self proto.NodeRef, tbl *rtable.Table, req *proto.Loo
 		return oldFinishNGSA(req, p, ex, Step{Action: Deliver, Found: self})
 	}
 
-	if regime == StrictProgress {
-		if next := cands[0]; idspace.Dist(next.ID, x) < idspace.Dist(self.ID, x) {
-			return Step{Action: Forward, Next: next, Alternates: req.Alternates, Strict: true}
-		}
-		return Step{Action: Deliver, Found: self, Strict: true}
+	if idspace.Dist(cands[0].ID, x) >= idspace.Dist(self.ID, x) {
+		return Step{Action: Deliver, Found: self, Strict: regime == StrictProgress}
 	}
-
+	if regime == StrictProgress {
+		return Step{Action: Forward, Next: cands[0], Alternates: req.Alternates, Strict: true}
+	}
 	if fromParent {
-		eu := EuclideanModel{}
-		dE := idspace.DistF(self.ID, x)
-		if best, ok := oldBestImproving(eu, tbl.Level0.Refs(), x, dE, sender, self.Addr, ex); ok {
-			return Step{Action: Forward, Next: best, Alternates: req.Alternates}
-		}
-		if child, ok := oldNearestChild(tbl, x, ex); ok && child.Addr != self.Addr && child.Addr != sender {
-			if idspace.Dist(child.ID, x) < idspace.Dist(self.ID, x) {
-				return Step{Action: Forward, Next: child, Alternates: req.Alternates}
-			}
-		}
-		closer := false
-		for _, r := range tbl.Level0.Refs() {
-			if r.Addr != sender && r.Addr != self.Addr && !ex.has(r.Addr) && idspace.Dist(r.ID, x) < idspace.Dist(self.ID, x) {
-				closer = true
-				break
-			}
-		}
-		if !closer {
-			for _, r := range tbl.Children.Refs() {
-				if r.Addr != sender && r.Addr != self.Addr && !ex.has(r.Addr) && idspace.Dist(r.ID, x) < idspace.Dist(self.ID, x) {
-					closer = true
-					break
-				}
-			}
-		}
-		if !closer {
-			return Step{Action: Deliver, Found: self}
-		}
-		return oldFinishNGSA(req, p, ex, Step{Action: NotFound})
+		return Step{Action: Forward, Next: cands[0], Alternates: req.Alternates}
 	}
 
 	switch req.Algo {
@@ -150,36 +127,13 @@ func oldNG(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []pr
 
 func oldEscalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded, ngsa bool) Step {
 	if dSelf == 0 {
-		dE := idspace.Dist(self.ID, x)
-		var lateral proto.NodeRef
-		bestD := dE
-		for _, c := range cands {
-			if c.MaxLevel < self.MaxLevel {
-				continue
-			}
-			if d := idspace.Dist(c.ID, x); d < bestD {
-				lateral, bestD = c, d
-			}
-		}
-		if !lateral.IsZero() {
-			return Step{Action: Forward, Next: lateral, Alternates: req.Alternates}
-		}
+		return Step{Action: Forward, Next: cands[0], Alternates: req.Alternates}
 	}
 
 	if child, ok := oldNearestChild(tbl, x, ex); ok && child.Addr != self.Addr && child.Addr != sender {
 		if idspace.Dist(child.ID, x) < idspace.Dist(self.ID, x) {
 			return Step{Action: Forward, Next: child, Alternates: req.Alternates}
 		}
-	}
-
-	if dSelf == 0 {
-		if step, ok := oldRingWalk(self, req, tbl, x, sender, ex); ok {
-			return step
-		}
-	}
-
-	if !oldCloserKnown(cands, self, x) {
-		return Step{Action: Deliver, Found: self}
 	}
 
 	parent, hasParent := tbl.Parent()
@@ -225,15 +179,6 @@ func oldEscalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cand
 		return oldFinishNGSA(req, p, ex, Step{Action: NotFound})
 	}
 	return Step{Action: NotFound}
-}
-
-func oldCloserKnown(cands []proto.NodeRef, self proto.NodeRef, x idspace.ID) bool {
-	for _, c := range cands {
-		if idspace.Dist(c.ID, x) < idspace.Dist(self.ID, x) {
-			return true
-		}
-	}
-	return false
 }
 
 func oldRingWalk(self proto.NodeRef, req *proto.LookupRequest, tbl *rtable.Table, x idspace.ID, sender uint64, ex Excluded) (Step, bool) {

@@ -142,7 +142,7 @@ type decision struct {
 	skip   Excluded // sender, self, then ex
 	ex     Excluded
 
-	nearest   proto.NodeRef // the nearest candidate: strict regime, owner check
+	nearest   proto.NodeRef // the nearest candidate: the owner check and every step to the nearest
 	modelMin  proto.NodeRef // G: the model minimum, nearest among ties
 	modelMinD float64
 	// improving holds the nImproving nearest candidates whose model
@@ -150,7 +150,6 @@ type decision struct {
 	// fresh alternates.
 	improving  [proto.MaxAlternates + 1]proto.NodeRef
 	nImproving int
-	lateral    proto.NodeRef // the nearest candidate of self's level or above
 }
 
 // take folds one candidate, at model distance dc, into every value a
@@ -172,9 +171,6 @@ func (d *decision) take(c proto.NodeRef, dc float64, limit int) {
 		d.improving[i] = c
 		d.nImproving = min(d.nImproving+1, limit)
 	}
-	if c.MaxLevel >= d.self.MaxLevel && (d.lateral.IsZero() || proto.Nearer(x, c, d.lateral)) {
-		d.lateral = c
-	}
 }
 
 // forward is a Forward step to next carrying the request's alternates.
@@ -187,10 +183,9 @@ func (d *decision) forward(next proto.NodeRef) Step {
 // the per-message forwarding path allocates nothing.
 //
 // fromParent reports whether the request arrived from this node's own
-// parent: a parent delegating into its tessellation restricts the child to
-// a level-0 search and, per Figure 3, the child answers NotFound rather
-// than re-escalating when it cannot make progress (preventing up-down
-// ping-pong).
+// parent, which has delegated it into its tessellation: the child takes
+// one step to the nearest node it knows rather than re-escalating (the
+// up-down ping-pong Figure 3 forbids).
 //
 // sender is the address the request arrived from (0 for locally
 // originated); it is excluded from candidates to avoid immediate
@@ -256,53 +251,40 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 		return finishNGSA(req, d.ex, Step{Action: Deliver, Found: self})
 	}
 
+	// Owner first: the owner of a coordinate in a 1-D tessellation is the
+	// nearest node, so when nothing known is strictly Euclidean-closer to x
+	// than this node, this node is the best owner estimate, in every
+	// regime. This is what lets the lookup "search for an object associated
+	// with ID ... used for resource discovery" (§III.f): object keys hash
+	// between node IDs and stop here, where the hierarchy would send them
+	// up to a covering node and back down. Exact-node lookups are
+	// unaffected — while the target is alive and reachable, someone
+	// strictly closer is always known until the request stands on it.
+	if idspace.Dist(d.nearest.ID, x) >= d.dE {
+		return Step{Action: Deliver, Found: self, Strict: regime == StrictProgress}
+	}
+
 	// Past the hop budget the hierarchy's rules have had their chance: the
 	// halving rule, the climb to the highest superior and the parent's
 	// delegation can between them send a request round the same few peers
 	// until the TTL kills it. From here the only move is to the
-	// Euclidean-nearest candidate strictly closer to the target than this
-	// node, and when there is none this node is the owner estimate. Every
-	// such step shrinks the distance, so the walk cannot revisit a node
-	// and ends at a local minimum — on an intact ring, the owner.
+	// Euclidean-nearest candidate, strictly closer than this node by the
+	// owner check. Every such step shrinks the distance, so the walk cannot
+	// revisit a node and ends at a local minimum — on an intact ring, the
+	// owner.
 	if regime == StrictProgress {
-		if idspace.Dist(d.nearest.ID, x) < d.dE {
-			return Step{Action: Forward, Next: d.nearest, Alternates: req.Alternates, Strict: true}
-		}
-		return Step{Action: Deliver, Found: self, Strict: true}
+		return Step{Action: Forward, Next: d.nearest, Alternates: req.Alternates, Strict: true}
 	}
 
+	// Figure 3: "IF request from the parent of Level 1 THEN N =
+	// Search_Level_Zero()", searched here over every set.
 	if fromParent {
-		return d.fromParent()
+		return d.forward(d.nearest)
 	}
 	if req.Algo == proto.AlgoNG || req.Algo == proto.AlgoNGSA {
 		return d.nonGreedy(model)
 	}
 	return d.greedy(model)
-}
-
-// fromParent is the search of a request delegated by the own parent, which
-// covers level 0 only (Figure 3: "IF request from the parent of Level 1
-// THEN N = Search_Level_Zero()"). The level-0 search is positional, so it
-// runs on plain Euclidean distance; with no lateral or downward progress
-// the answer is Not Found (never back up — that is the ping-pong Figure 3
-// forbids).
-func (d *decision) fromParent() Step {
-	if step, ok := d.ringWalk(); ok {
-		return step
-	}
-	if step, ok := d.descend(); ok {
-		return step
-	}
-	// Owner resolution in the restricted search: the owner of a
-	// coordinate is the positionally nearest node, so only ring and
-	// child competitors matter here. If neither is closer, we own it.
-	for _, s := range [...]*rtable.Set{&d.tbl.Level0, &d.tbl.Children} {
-		if r, ok := s.Nearest(d.x, d.skip); ok && idspace.Dist(r.ID, d.x) < d.dE {
-			// "IF Request from parent of level 1 THEN Reply Not Found".
-			return finishNGSA(d.req, d.ex, Step{Action: NotFound})
-		}
-	}
-	return Step{Action: Deliver, Found: d.self}
 }
 
 // greedy is algorithm G: take the candidate minimising D, forward when the
@@ -338,48 +320,23 @@ func (d *decision) nonGreedy(model Model) Step {
 	return step
 }
 
-// escalate handles the no-progress cases of Figure 3: descend to the
-// closest improving child, walk the level-0 ring when this node's own
-// tessellation already covers the target, else climb via the superior node
+// escalate handles the no-progress cases of Figure 3: when this node's own
+// tessellation covers the target, step to the nearest known node; else
+// descend to the closest improving child, else climb via the superior node
 // list (closest member satisfying the halving rule, else the highest-level
-// member), else — for NGSA — fall back to an alternate carried in the
-// request, else give up.
+// member), else walk the level-0 ring, else — for NGSA — fall back to an
+// alternate carried in the request, else give up.
 func (d *decision) escalate(model Model) Step {
-	// Lateral hand-off: when this node's coverage makes D = 0 it believes
-	// it owns the target — but the coverage radius is an approximation,
-	// and the true owner of a 1-D tessellation is the *nearest* member.
-	// A known same-or-higher-level member strictly Euclidean-closer to
-	// the target owns it; descending into our own subtree instead would
-	// orbit the request (parent → child → ring → parent) until the TTL
-	// kills it.
-	if d.dSelf == 0 && !d.lateral.IsZero() && idspace.Dist(d.lateral.ID, d.x) < d.dE {
-		return d.forward(d.lateral)
+	// Covering node (D = 0): the target is in this node's region, and the
+	// owner check has already found a known node strictly Euclidean-closer
+	// to it. Step there; descending into our own subtree or climbing would
+	// only orbit the request back.
+	if d.dSelf == 0 {
+		return d.forward(d.nearest)
 	}
 
 	if step, ok := d.descend(); ok {
 		return step
-	}
-
-	// Covering node with no useful child: the target's owner sits on the
-	// level-0 ring nearby; walk it by Euclidean progress. Climbing would
-	// only bounce the request back down.
-	if d.dSelf == 0 {
-		if step, ok := d.ringWalk(); ok {
-			return step
-		}
-	}
-
-	// Owner resolution: the owner of a coordinate in a 1-D tessellation is
-	// the nearest node. Descent, lateral hand-off and the ring walk (all
-	// requiring strict Euclidean progress) have failed — if nothing we know
-	// is strictly closer to x than we are, we are the best owner estimate.
-	// This is what lets the lookup "search for an object associated with
-	// ID ... used for resource discovery" (§III.f): object keys hash
-	// between node IDs and terminate here. Exact-node lookups are
-	// unaffected — while the target is alive and reachable, someone
-	// strictly closer is always known until the request stands on it.
-	if idspace.Dist(d.nearest.ID, d.x) >= d.dE {
-		return Step{Action: Deliver, Found: d.self}
 	}
 
 	// Climb: the superior node list, then the immediate parent, read in

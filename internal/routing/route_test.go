@@ -361,3 +361,29 @@ func TestActionString(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnerDeliversBeforeTheHierarchy: a level-0 node nearer to x than
+// both its ring contacts owns x, whatever covers x above it. A covering
+// level-3 superior (D = 0) satisfies the halving rule and is NG's first
+// improving candidate, so with the owner check behind the hierarchy every
+// algorithm would send the request up, away from its owner.
+func TestOwnerDeliversBeforeTheHierarchy(t *testing.T) {
+	self := refAt(idspace.FromFraction(0.5), 0)
+	left := refAt(idspace.FromFraction(0.49), 0)
+	right := refAt(idspace.FromFraction(0.52), 0)
+	sup := refAt(idspace.FromFraction(0.55), 3) // covers L/8 around it: D = 0
+	tb := buildTable(left, right)
+	tb.Superiors.Upsert(sup, proto.FSuperior, 0, tb.NextVersion(), rtable.Direct)
+	target := idspace.FromFraction(0.501)
+	if d := (PaperModel{Height: 6}).D(sup, target); d != 0 {
+		t.Fatalf("superior D = %v, want 0", d)
+	}
+	for _, algo := range []proto.Algo{proto.AlgoG, proto.AlgoNG, proto.AlgoNGSA} {
+		for _, sender := range []uint64{0, left.Addr} {
+			step := Route(self, tb, lookupReq(target, algo), false, sender, params())
+			if step.Action != Deliver || step.Found.Addr != self.Addr || step.Strict {
+				t.Fatalf("%v from %d: step %+v, want Deliver self", algo, sender, step)
+			}
+		}
+	}
+}
