@@ -324,40 +324,49 @@ func (n *Node) handleReparent(from uint64, m *proto.Reparent) {
 	n.courtRef(m.NewParent)
 }
 
-// maybeSplit performs the B+tree-style split: when the children table
-// exceeds nc, the strongest child is promoted one level and takes over the
-// half of the tessellation around it ("A parent is also responsible for
-// promoting a child to its level of the hierarchy"). A cooldown keeps the
+// maybeSplit performs the B+tree-style split: when one level of the
+// children table exceeds nc, the strongest child of that level is promoted
+// one level and takes over the half of the tessellation around it ("A
+// parent is also responsible for promoting a child to its level of the
+// hierarchy"). The children at level l−1 are this node's level-l cell, so
+// nc bounds each level's count, not the table's: counted together, every
+// node above level 1 is over nc from the bulk build on and promotes for
+// ever (DESIGN.md §2, "A tree that comes to rest"). A cooldown keeps the
 // parent from re-issuing grants faster than a promotee can accept and the
 // moved children can re-home.
 func (n *Node) maybeSplit() {
-	if n.table.Children.Len() <= int(n.maxChildren) {
+	children := &n.table.Children
+	if children.Len() <= int(n.maxChildren) {
 		return
 	}
 	now := n.env.Now()
 	if n.lastSplit != 0 && now-n.lastSplit < 2*n.cfg.ChildReport {
 		return
 	}
-	// Strongest child wins promotion (§III.a: promotion criteria are the
-	// node characteristics). Only children heard from directly within the
-	// TTL qualify: promoting a child that stopped reporting upserts it
-	// below as a direct-fresh bus member with a current timestamp, and if
-	// it is actually dead that single false entry re-advertises through
-	// the delta gossip and resurrects the dead node across the whole
+	// The lowest over-full level with a child to promote splits. Strongest
+	// child wins promotion (§III.a: promotion criteria are the node
+	// characteristics). Only children heard from directly within the TTL
+	// qualify: promoting a child that stopped reporting upserts it below
+	// as a direct-fresh bus member with a current timestamp, and if it is
+	// actually dead that single false entry re-advertises through the
+	// delta gossip and resurrects the dead node across the whole
 	// neighbourhood — every lookup routed at its coordinate black-holes
 	// until the false entry ages out again.
 	var best proto.NodeRef
-	var bestScore uint16
 	found := false
-	children := &n.table.Children
-	for i := range children.Len() {
-		r, e := children.At(i)
-		if r.MaxLevel+1 > n.maxLevel || r.MaxLevel+1 > n.cfg.MaxHeight || !e.DirectFresh(now, n.cfg.EntryTTL) {
-			continue
+	for lvl := uint8(1); lvl <= n.maxLevel && lvl <= n.cfg.MaxHeight && !found; lvl++ {
+		count := 0
+		for i := range children.Len() {
+			r, e := children.At(i)
+			if r.MaxLevel+1 != lvl {
+				continue
+			}
+			count++
+			if e.DirectFresh(now, n.cfg.EntryTTL) && (!found || r.Score > best.Score || (r.Score == best.Score && r.ID < best.ID)) {
+				best, found = r, true
+			}
 		}
-		if !found || r.Score > bestScore || (r.Score == bestScore && r.ID < best.ID) {
-			best, bestScore, found = r, r.Score, true
-		}
+		found = found && count > int(n.maxChildren)
 	}
 	if !found {
 		return

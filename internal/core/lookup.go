@@ -78,12 +78,15 @@ func (n *Node) LookupCarrying(target idspace.ID, algo proto.Algo, carried proto.
 
 	req := n.originRequest(target, reqID, algo, carried)
 	step := n.route(0, &req)
-	switch step.Action {
-	case routing.Deliver:
+	// A node whose join is not yet answered has no table to route on: the
+	// lookup waits for its first re-issue instead of dead-ending here.
+	parked := step.Action == routing.NotFound && n.joining
+	switch {
+	case step.Action == routing.Deliver:
 		n.Stats.LookupsDelivered++
 		cb(LookupResult{Status: LookupFound, Best: step.Found})
 		return 0
-	case routing.NotFound, routing.Drop:
+	case step.Action != routing.Forward && !parked:
 		n.Stats.LookupsNotFound++
 		cb(LookupResult{Status: LookupNotFound})
 		return 0
@@ -98,7 +101,9 @@ func (n *Node) LookupCarrying(target idspace.ID, algo proto.Algo, carried proto.
 	pl.started, pl.rto = n.env.Now(), n.lookupRTO()
 	n.pending.Put(reqID, pl)
 	pl.arm()
-	n.forward(0, &req, step, false)
+	if !parked {
+		n.forward(0, &req, step, false)
+	}
 	return reqID
 }
 

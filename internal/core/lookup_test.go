@@ -46,6 +46,33 @@ func TestLookupImmediateNotFound(t *testing.T) {
 	}
 }
 
+// TestJoiningLookupWaitsForItsJoin: a node whose join is not yet answered
+// has an empty table, and that is no dead end. Its lookup parks until the
+// first re-issue, which routes it on what the JoinAccept brought.
+func TestJoiningLookupWaitsForItsJoin(t *testing.T) {
+	env := newFakeEnv(1)
+	cfg := Defaults()
+	cfg.ID = 100
+	n := NewNode(cfg, env)
+	n.Join(9)
+	env.drain()
+	fired := false
+	id := n.Lookup(999, proto.AlgoG, func(LookupResult) { fired = true })
+	if fired || id == 0 || n.PendingLookups() != 1 {
+		t.Fatalf("a joining node's lookup should park: fired %v, id %d, pending %d", fired, id, n.PendingLookups())
+	}
+	if reqs := msgsOfType[*proto.LookupRequest](env.drain()); len(reqs) != 0 {
+		t.Fatalf("a parked lookup forwarded %d requests", len(reqs))
+	}
+	n.HandleMessage(9, &proto.JoinAccept{From: mkRef(400, 9, 0), Left: mkRef(50, 5, 0)})
+	env.drain()
+	env.advance(n.lookupRTO())
+	reqs := msgsOfType[*proto.LookupRequest](env.drain())
+	if len(reqs) != 1 || reqs[0].ReqID != id || fired {
+		t.Fatalf("the re-issue should forward the parked lookup: %d requests, fired %v", len(reqs), fired)
+	}
+}
+
 func TestLookupForwardAndReply(t *testing.T) {
 	n, env := testNode(100, 1)
 	nbr := mkRef(400, 4, 0)

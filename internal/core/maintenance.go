@@ -357,6 +357,7 @@ func (n *Node) handleJoinRedirect(from uint64, m *proto.JoinRedirect) {
 
 func (n *Node) handleJoinAccept(from uint64, m *proto.JoinAccept) {
 	now := n.env.Now()
+	n.joining = false
 	n.ringUpsert(m.From)
 	for _, nb := range []proto.NodeRef{m.Left, m.Right} {
 		if nb.IsZero() || nb.Addr == n.Addr() {
@@ -441,9 +442,13 @@ func (n *Node) applyEntries(from uint64, sender proto.NodeRef, entries []proto.E
 	now := n.env.Now()
 	parent, hasParent := n.table.Parent()
 	fromParent := hasParent && parent.Addr == from
-	// §III.c stores children of *direct* neighbours only.
-	bl, br := n.busNeighbors(n.maxLevel)
-	fromBusNbr := (!bl.IsZero() && bl.Addr == from) || (!br.IsZero() && br.Addr == from)
+	// §III.c stores children of *direct* neighbours only, on every bus
+	// the node holds.
+	fromBusNbr := false
+	for lvl := uint8(1); lvl <= n.maxLevel && !fromBusNbr; lvl++ {
+		bl, br := n.busNeighbors(lvl)
+		fromBusNbr = (!bl.IsZero() && bl.Addr == from) || (!br.IsZero() && br.Addr == from)
+	}
 	// Newly learned upper-level members are forwarded to the parent in a
 	// pooled Pong, acquired only when something actually flows upward.
 	up := n.sc.up[:0]
@@ -474,13 +479,13 @@ func (n *Node) applyEntries(from uint64, sender proto.NodeRef, entries []proto.E
 			// complete the superior node list; the parent's level-0 ring
 			// ads stay out of it.
 			n.table.Superiors.Upsert(e.Ref, proto.FSuperior, validated, n.table.NextVersion(), rtable.Vouched)
-		case e.Flags&proto.FChild != 0 && fromBusNbr && n.maxLevel >= 1:
+		case e.Flags&proto.FChild != 0 && fromBusNbr:
 			// Children of direct neighbours (§III.c children table — only
 			// nodes above level 0 maintain it); the neighbour vouches for
-			// its own reporting children. Capped so neighbour turnover
-			// cannot accumulate history.
+			// its own reporting children. Capped at 2·nc per held level so
+			// neighbour turnover cannot accumulate history.
 			set := &n.table.NbrChildren
-			if set.Get(e.Ref.Addr) != nil || set.Len() < 2*int(n.maxChildren) {
+			if set.Get(e.Ref.Addr) != nil || set.Len() < 2*int(n.maxChildren)*int(n.maxLevel) {
 				set.Upsert(e.Ref, proto.FChild|proto.FIndirect, validated, n.table.NextVersion(), rtable.Vouched)
 			}
 		case e.Level == 0:

@@ -22,9 +22,11 @@ type Node struct {
 	// maxLevel is the node's top hierarchy level; the node is a member of
 	// every level 0..maxLevel.
 	maxLevel uint8
-	// started sits in padding, which keeps Node in its size class
-	// (TestNodeFitsItsSizeClass).
-	started bool
+	// started and joining sit in padding, which keeps Node in its size
+	// class (TestNodeFitsItsSizeClass). joining is set by Join and cleared
+	// by the first JoinAccept: until then an empty table is no dead end
+	// (LookupCarrying).
+	started, joining bool
 	// maxChildren is nc under the configured child policy.
 	maxChildren uint16
 	// score caches the capability score of the profile.
@@ -363,6 +365,7 @@ func (n *Node) Stop() {
 // (§III.a: "the joining peers are assigned to the lowest [level]").
 func (n *Node) Join(bootstrap uint64) {
 	n.Start()
+	n.joining = true
 	n.sendJoinRequest(bootstrap)
 }
 

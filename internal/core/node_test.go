@@ -345,6 +345,40 @@ func TestSplitPromotesStrongestChild(t *testing.T) {
 	}
 }
 
+// TestSplitCountsOneLevel: nc bounds the children of one level, the node's
+// cell at the level above them. A level-3 parent with three children at
+// each of levels 0, 1 and 2 is under nc at every level and does not split;
+// a fifth level-1 child splits level 2, and the grant goes to the
+// strongest level-1 child, not to the stronger level-2 one.
+func TestSplitCountsOneLevel(t *testing.T) {
+	n, env := testNode(idspace.FromFraction(0.5), 1)
+	n.InstallLevel(3)
+	kid := func(frac float64, addr uint64, lvl uint8, score uint16) proto.NodeRef {
+		return proto.NodeRef{ID: idspace.FromFraction(frac), Addr: addr, MaxLevel: lvl, Score: score}
+	}
+	n.InstallChildren(
+		kid(0.10, 10, 0, 1000), kid(0.12, 11, 0, 1000),
+		kid(0.30, 20, 1, 2000), kid(0.32, 21, 1, 9000), kid(0.34, 22, 1, 3000),
+		kid(0.70, 30, 2, 60000), kid(0.72, 31, 2, 500), kid(0.74, 32, 2, 500),
+	)
+	n.HandleMessage(12, &proto.ChildReport{From: kid(0.14, 12, 0, 1000), Degree: 2})
+	n.HandleMessage(23, &proto.ChildReport{From: kid(0.36, 23, 1, 100), Degree: 2})
+	if grants := msgsOfType[*proto.PromoteGrant](env.drain()); len(grants) != 0 || n.Stats.Splits != 0 {
+		t.Fatalf("no level holds more than nc = 4 children, yet %d grants and %d splits", len(grants), n.Stats.Splits)
+	}
+	n.HandleMessage(24, &proto.ChildReport{From: kid(0.38, 24, 1, 100), Degree: 2})
+	var grantTo []uint64
+	var grantLvl uint8
+	for _, s := range env.drain() {
+		if g, ok := s.msg.(*proto.PromoteGrant); ok {
+			grantTo, grantLvl = append(grantTo, s.to), g.Level
+		}
+	}
+	if len(grantTo) != 1 || grantTo[0] != 21 || grantLvl != 2 {
+		t.Fatalf("grants to %v at level %d, want one to the strongest level-1 child 21 at level 2", grantTo, grantLvl)
+	}
+}
+
 func TestPromoteGrantAccepted(t *testing.T) {
 	n, env := testNode(idspace.FromFraction(0.5), 1)
 	parent := mkRef(idspace.FromFraction(0.4), 2, 1)
@@ -549,6 +583,24 @@ func TestApplyEntriesPlacement(t *testing.T) {
 	}
 	if n.Table().Superiors.Get(11) == nil {
 		t.Fatal("parent's bus neighbour should enter the superior list")
+	}
+}
+
+// TestNbrChildrenFromEveryBus: a node keeps the children of its direct
+// neighbours on every bus it holds, not only on its top one: a level-2
+// node files the children its level-1 bus neighbour advertises.
+func TestNbrChildrenFromEveryBus(t *testing.T) {
+	n, env := testNode(idspace.FromFraction(0.5), 1)
+	n.InstallLevel(2)
+	nbr1 := mkRef(idspace.FromFraction(0.45), 2, 1)
+	n.InstallBus(1, nbr1)
+	n.InstallBus(2, mkRef(idspace.FromFraction(0.7), 3, 2))
+	env.drain()
+	child := mkRef(idspace.FromFraction(0.44), 20, 0)
+	entries := []proto.Entry{{Ref: child, Level: 0, Flags: proto.FChild, Version: 1}}
+	n.HandleMessage(2, &proto.Pong{From: nbr1, Seq: 1, Entries: entries})
+	if n.Table().NbrChildren.Get(20) == nil {
+		t.Fatal("the level-1 bus neighbour's child should enter the neighbours' children table")
 	}
 }
 

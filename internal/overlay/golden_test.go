@@ -30,7 +30,10 @@ func goldenScript() []scenario.Phase {
 // PR 25 (parent 59e1167) re-recorded the engine's events and digest and
 // TreeP's sent: one keep-alive ping per active pair and no re-greeting of
 // live neighbours send fewer datagrams. Every joins, leaves, zoneKilled,
-// PlayResult and members value, and the chord and flood rows, held.
+// PlayResult and members value, and the chord and flood rows, held. The
+// same three moved again when a parent began to split only the level
+// whose children exceed nc (no standing promotions, fewer datagrams); the
+// rest held.
 func TestPhaseInterpreterGolden(t *testing.T) {
 	const n = 300
 	type engineWant struct {
@@ -50,18 +53,18 @@ func TestPhaseInterpreterGolden(t *testing.T) {
 		engine engineWant
 		play   map[string]playWant
 	}{
-		{1, engineWant{25, 23, 41, 50471, 0x6d2f7ce37cb1105d}, map[string]playWant{
-			"treep": {PlayResult{32, 23, 47}, 37086, 0x8ad7c04a7a2ddd57},
+		{1, engineWant{25, 23, 41, 48745, 0xdac95b3111ac25bb}, map[string]playWant{
+			"treep": {PlayResult{32, 23, 47}, 34708, 0x8ad7c04a7a2ddd57},
 			"chord": {PlayResult{32, 23, 41}, 16120, 0xfe6e5833afce61e6},
 			"flood": {PlayResult{32, 23, 58}, 0, 0x441754d7355d7189},
 		}},
-		{2, engineWant{23, 16, 46, 50779, 0x6645b914099346d2}, map[string]playWant{
-			"treep": {PlayResult{31, 23, 44}, 34344, 0x7355bbcfd8df2510},
+		{2, engineWant{23, 16, 46, 48007, 0x9d1c49d4130e2a18}, map[string]playWant{
+			"treep": {PlayResult{31, 23, 44}, 32740, 0x7355bbcfd8df2510},
 			"chord": {PlayResult{31, 23, 45}, 15862, 0x30db0fe99afdcf09},
 			"flood": {PlayResult{31, 23, 46}, 0, 0xb973bb7a9472d450},
 		}},
-		{3, engineWant{28, 22, 51, 49284, 0xcbee60c3e7482018}, map[string]playWant{
-			"treep": {PlayResult{18, 16, 48}, 35358, 0xafba25b60ee9102a},
+		{3, engineWant{28, 22, 51, 46406, 0x1c19af653203c63d}, map[string]playWant{
+			"treep": {PlayResult{18, 16, 48}, 31553, 0xafba25b60ee9102a},
 			"chord": {PlayResult{18, 16, 41}, 15740, 0xcdabf674b9da2d72},
 			"flood": {PlayResult{18, 16, 39}, 0, 0xf1e2485567951ba2},
 		}},

@@ -19,14 +19,16 @@ import (
 const (
 	ledgerPeers = 2000
 	// heapBudgetBare and heapBudgetStore are the committed ceilings on heap
-	// per peer at N=2000, measured figure + 5 %. Bare: no DHT, at the 10 s
+	// per peer at N=2000, measured figure + 5 % (store: + 6 %, the least
+	// whole percent that also holds the benchmark's store workloads, 8 172
+	// B a peer over ten seeds). Bare: no DHT, at the 10 s
 	// keep-alive instant with the round's pings in flight — what
 	// sim-churn's heap_bytes_per_node snapshot sees. Store: DHT attached
 	// and loaded with 4096 records × 3, at a quiet instant — sim-reads and
 	// sim-writes. CI holds the benchmark's figures to the same two numbers
 	// (.github/workflows/ci.yml reads them from this file).
-	heapBudgetBare  = 7413
-	heapBudgetStore = 8346
+	heapBudgetBare  = 7301
+	heapBudgetStore = 8215
 	// ledgerFloorPct is how much of the measured heap the rows must
 	// explain at a quiet instant: they explain 97 % bare and 96.9 % loaded
 	// (the dht.Service is booked at its 336 B, not the 352 B class it

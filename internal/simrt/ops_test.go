@@ -243,14 +243,18 @@ func TestRoutedPutReplaysItsAck(t *testing.T) {
 		for j := 0; key == nil && j < 16; j++ {
 			k := []byte(fmt.Sprintf("memo-%d-%d", i, j))
 			w := ownerOf(c, k)
-			e := w.Table().Level0.Get(c.Nodes[i].Addr())
-			if w == c.Nodes[i] || e == nil || e.DirectFresh(c.Now(), w.Config().EntryTTL) {
+			heardOf := func() bool { // a level-0 entry, not direct-fresh
+				e := w.Table().Level0.Get(c.Nodes[i].Addr())
+				return e != nil && !e.DirectFresh(c.Now(), w.Config().EntryTTL)
+			}
+			if w == c.Nodes[i] || !heardOf() {
 				continue
 			}
 			hops := 0
 			c.Nodes[i].Lookup(idspace.HashKey(k), proto.AlgoG, func(r core.LookupResult) { hops = r.Hops })
 			c.Run(time.Second)
-			if hops >= 2 {
+			// The probe's second may see the entry lapse: check again.
+			if hops >= 2 && heardOf() {
 				origin, owner, key, s = c.Nodes[i], w, k, svcs[i]
 			}
 		}
