@@ -194,7 +194,9 @@ func (n *Node) heardFrom(peer uint64) {
 }
 
 // expired is the deadline timer: every hold whose peer stayed silent
-// excludes that peer and routes its request again.
+// excludes that peer and routes its request again, naming the peer in the
+// request. The hops after this one route around it too, for that request
+// only: to them it is hearsay, and hearsay mints no state.
 func (fo *failover) expired() {
 	n := fo.n
 	now := n.env.Now()
@@ -211,6 +213,7 @@ func (fo *failover) expired() {
 		// The slot is free before the request is routed again: the new
 		// forward may be held, in this slot or another.
 		from, req := slot.from, slot.req
+		req.Silent = slot.peer
 		slot.peer, slot.req = 0, nil
 		fo.held--
 		n.advance(from, req, false)

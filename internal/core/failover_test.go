@@ -372,6 +372,66 @@ func TestOriginHoldsItsFirstHop(t *testing.T) {
 	}
 }
 
+// TestFailoverVerdictTravels: A holds its forward to P, hears nothing and
+// re-routes to Q, naming P in the request. Q's table also lists P as the
+// peer nearest the target; the verdict sends Q elsewhere and is passed on,
+// yet Q keeps P in its table and out of its suspects (to Q it is hearsay).
+func TestFailoverVerdictTravels(t *testing.T) {
+	a, envA := testNode(100, 1)
+	p, q, r := mkRef(400, 4, 0), mkRef(300, 3, 0), mkRef(350, 5, 0)
+	hearsay(a, p, q)
+	a.HandleMessage(9, foreignRequest(7))
+	if fwds := msgsOfType[*proto.LookupRequest](envA.drain()); len(fwds) != 1 || fwds[0].Silent != 0 {
+		t.Fatalf("a walk that found no one silent names no one: %+v", fwds)
+	}
+	envA.advance(2 * a.rttBound())
+	fwds := msgsOfType[*proto.LookupRequest](envA.sent)
+	if len(fwds) != 1 || len(envA.sentTo(q.Addr)) != 1 || fwds[0].Silent != p.Addr {
+		t.Fatalf("failover to Q must name P: %+v", envA.sent)
+	}
+
+	for _, tc := range []struct {
+		silent uint64
+		want   uint64
+	}{{0, p.Addr}, {p.Addr, r.Addr}} {
+		n, env := testNode(q.ID, q.Addr)
+		hearsay(n, p, r)
+		req := *fwds[0]
+		req.Silent = tc.silent
+		n.HandleMessage(a.Addr(), &req)
+		next := msgsOfType[*proto.LookupRequest](env.sent)
+		if len(next) != 1 || len(env.sentTo(tc.want)) != 1 || next[0].Silent != tc.silent {
+			t.Fatalf("Silent=%d: want one forward to %d carrying it, got %+v", tc.silent, tc.want, env.sent)
+		}
+		if suspectCount(n) != 0 || n.table.Level0.Get(p.Addr) == nil {
+			t.Fatalf("Silent=%d: %d suspects, P in table %v: hearsay minted state", tc.silent, suspectCount(n), n.table.Level0.Get(p.Addr) != nil)
+		}
+	}
+}
+
+// TestReissueCarriesNoVerdict: the origin's own failover names the peer it
+// found silent, and its re-issue, a new walk, names no one.
+func TestReissueCarriesNoVerdict(t *testing.T) {
+	n, env := testNode(100, 1)
+	hearsay(n, mkRef(400, 4, 0), mkRef(300, 3, 0))
+	n.Lookup(500, proto.AlgoG, func(LookupResult) {})
+	env.drain()
+	env.advance(2 * n.rttBound())
+	if again := msgsOfType[*proto.LookupRequest](env.drain()); len(again) != 1 || again[0].Silent != 4 {
+		t.Fatalf("origin failover must name the silent peer: %+v", again)
+	}
+	// Q is alive and says so; the walk is lost beyond it.
+	q := mkRef(300, 3, 0)
+	for i := 0; n.Stats.LookupReissues == 0 && i < 1000; i++ {
+		n.HandleMessage(q.Addr, &proto.Hello{From: q})
+		env.advance(10 * time.Millisecond)
+	}
+	re := msgsOfType[*proto.LookupRequest](env.drain())
+	if len(re) != 1 || re[0].Silent != 0 || re[0].Hops != 1 {
+		t.Fatalf("re-issue: %+v", re)
+	}
+}
+
 func TestHopAckNeverCompletesOwnLookup(t *testing.T) {
 	n, env := testNode(100, 1)
 	nbr := mkRef(400, 4, 0)

@@ -171,16 +171,22 @@ func (pl *pendingLookup) onTimer() {
 func (n *Node) PendingLookups() int { return n.pending.Len() }
 
 // route makes the forwarding decision for m, received from the peer at
-// from (0: the request starts, or starts again, here). A request that
-// carries a service request is delivered only where it is to be served:
-// resolved to another node, it goes one hop further, to that node.
+// from (0: the request starts, or starts again, here), skipping this
+// node's suspects and, for m alone, the peer m names silent (failover.go).
+// A request that carries a service request is delivered only where it is
+// to be served: resolved to another node, it goes one hop further, to that
+// node.
 func (n *Node) route(from uint64, m *proto.LookupRequest) routing.Step {
 	parent, hasParent := n.table.Parent()
 	fromParent := from != 0 && hasParent && parent.Addr == from
-	n.sc.route.Excluded = nil
+	ex := n.sc.excluded[:0]
 	if n.fo != nil {
-		n.sc.route.Excluded = n.fo.suspects[:n.fo.suspectN]
+		ex = append(ex, n.fo.suspects[:n.fo.suspectN]...)
 	}
+	if m.Silent != 0 {
+		ex = append(ex, m.Silent)
+	}
+	n.sc.route.Excluded = ex
 	step := routing.RouteWith(&n.sc.route, n.Ref(), n.table, m, fromParent, from, n.cfg.Routing)
 	if step.Action == routing.Deliver && m.Carried != nil && step.Found.Addr != n.Addr() {
 		step.Action, step.Next = routing.Forward, step.Found

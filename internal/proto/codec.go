@@ -480,12 +480,15 @@ func (m *Demote) body(c *cursor)     { c.ref(&m.From); c.u8(&m.Level); c.ref(&m.
 func (m *BusLinkReq) body(c *cursor) { c.ref(&m.From); c.u8(&m.Level) }
 func (m *BusLinkAck) body(c *cursor) { c.ref(&m.From); c.u8(&m.Level); c.ref(&m.Left); c.ref(&m.Right) }
 
-// lookupAckWanted and lookupCarries are LookupRequest.AckWanted and the
-// presence of LookupRequest.Carried on the wire: the top two bits of the
-// Algo byte, which no algorithm identifier reaches.
+// lookupAckWanted, lookupCarries and lookupSilent are
+// LookupRequest.AckWanted and the presence of LookupRequest.Carried and
+// LookupRequest.Silent on the wire: the top three bits of the Algo byte,
+// which no algorithm identifier reaches.
 const (
 	lookupAckWanted = 0x80
 	lookupCarries   = 0x40
+	lookupSilent    = 0x20
+	lookupFlags     = lookupAckWanted | lookupCarries | lookupSilent
 )
 
 func (m *LookupRequest) body(c *cursor) {
@@ -494,20 +497,26 @@ func (m *LookupRequest) body(c *cursor) {
 	c.u64(&m.ReqID)
 	c.u8(&m.TTL)
 	c.u8(&m.Hops)
-	carries := m.Carried != nil
-	algo := uint8(m.Algo) &^ (lookupAckWanted | lookupCarries)
+	carries, silent := m.Carried != nil, m.Silent != 0
+	algo := uint8(m.Algo) &^ lookupFlags
 	if m.AckWanted {
 		algo |= lookupAckWanted
 	}
 	if carries {
 		algo |= lookupCarries
 	}
+	if silent {
+		algo |= lookupSilent
+	}
 	c.u8(&algo)
 	if c.dir == reading || c.dir == clearing {
-		m.Algo, m.AckWanted = Algo(algo&^(lookupAckWanted|lookupCarries)), algo&lookupAckWanted != 0
+		m.Algo, m.AckWanted = Algo(algo&^lookupFlags), algo&lookupAckWanted != 0
 	}
 	if c.dir == reading {
-		carries = algo&lookupCarries != 0
+		carries, silent = algo&lookupCarries != 0, algo&lookupSilent != 0
+	}
+	if silent {
+		c.u64(&m.Silent)
 	}
 	c.refs(&m.Alternates)
 	if !carries {

@@ -35,6 +35,12 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(Encode(&LookupRequest{Origin: NodeRef{ID: 9, Addr: 9}, Target: 42, ReqID: 7, TTL: 8, Algo: AlgoNGSA, AckWanted: true,
 		Alternates: []NodeRef{{ID: 1, Addr: 3}},
 		Carried:    &DHTStore{From: NodeRef{ID: 9, Addr: 9}, ReqID: 4, Key: 42, Value: []byte("value"), Base: 2, Cond: true}}))
+	// A request carrying a failover's verdict, plain and with a carried
+	// service request behind it.
+	f.Add(Encode(&LookupRequest{Origin: NodeRef{ID: 9, Addr: 9}, Target: 42, ReqID: 7, TTL: 8, Hops: 3, Algo: AlgoG, Silent: 5}))
+	f.Add(Encode(&LookupRequest{Origin: NodeRef{ID: 9, Addr: 9}, Target: 42, ReqID: 7, TTL: 8, Algo: AlgoNGSA, AckWanted: true, Silent: 1 << 40,
+		Alternates: []NodeRef{{ID: 1, Addr: 3}},
+		Carried:    &DHTFetch{From: NodeRef{ID: 9, Addr: 9}, ReqID: 3, Key: 42}}))
 	// A few malformed shapes so the corpus exercises the error paths too.
 	f.Add([]byte{})
 	f.Add([]byte{wireMagic, wireVersion})

@@ -369,7 +369,14 @@ type LookupRequest struct {
 	// holding the request because it has not heard from this peer lately.
 	// On the wire it is the top bit of the Algo byte, so the encoding is
 	// the size it always was and a request without the bit is unchanged.
-	AckWanted  bool
+	AckWanted bool
+	// Silent is the last peer this walk found silent: a hop that held the
+	// request, heard nothing from that peer by the deadline and routed it
+	// again stamps it here, so the hops after it route around that peer
+	// too. 0 for none; an origin's re-issue starts without one. On the
+	// wire it follows the Algo byte, flagged by bit 0x20 of it, so a
+	// request without it encodes as it always did.
+	Silent     uint64
 	Alternates []NodeRef
 	// Carried is the service request (a DHTFetch or a DHTStore) the lookup
 	// takes to the target's owner, nil for a plain lookup. The node where

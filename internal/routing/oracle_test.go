@@ -22,7 +22,8 @@ import (
 // It follows the owner-first rule in its sort-and-scan form: in every
 // regime, with no candidate strictly Euclidean-closer to x than self
 // (cands[0] no closer) it Delivers self, and a parent-delegated or
-// covering (D = 0) node steps to cands[0].
+// covering (D = 0) node steps to cands[0], as does an escalation that
+// finds no child, superior, ring contact or alternate to take.
 func oldRoute(ex Excluded, self proto.NodeRef, tbl *rtable.Table, req *proto.LookupRequest, fromParent bool, sender uint64, p Params) Step {
 	if req.TTL == 0 {
 		return Step{Action: Drop}
@@ -175,10 +176,11 @@ func oldEscalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cand
 		return step
 	}
 
+	next := Step{Action: Forward, Next: cands[0], Alternates: req.Alternates}
 	if ngsa {
-		return oldFinishNGSA(req, p, ex, Step{Action: NotFound})
+		return oldFinishNGSA(req, p, ex, next)
 	}
-	return Step{Action: NotFound}
+	return next
 }
 
 func oldRingWalk(self proto.NodeRef, req *proto.LookupRequest, tbl *rtable.Table, x idspace.ID, sender uint64, ex Excluded) (Step, bool) {

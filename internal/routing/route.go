@@ -325,7 +325,7 @@ func (d *decision) nonGreedy(model Model) Step {
 // descend to the closest improving child, else climb via the superior node
 // list (closest member satisfying the halving rule, else the highest-level
 // member), else walk the level-0 ring, else — for NGSA — fall back to an
-// alternate carried in the request, else give up.
+// alternate carried in the request, else step to the nearest known node.
 func (d *decision) escalate(model Model) Step {
 	// Covering node (D = 0): the target is in this node's region, and the
 	// owner check has already found a known node strictly Euclidean-closer
@@ -385,7 +385,9 @@ func (d *decision) escalate(model Model) Step {
 	if step, ok := d.ringWalk(); ok {
 		return step
 	}
-	return finishNGSA(d.req, d.ex, Step{Action: NotFound})
+	// No dead end: the owner check found a known node strictly
+	// Euclidean-closer to x than this one.
+	return finishNGSA(d.req, d.ex, d.forward(d.nearest))
 }
 
 // descend is "N = Closest_Child(X)": the nearest child that is not

@@ -387,3 +387,32 @@ func TestOwnerDeliversBeforeTheHierarchy(t *testing.T) {
 		}
 	}
 }
+
+// TestEscalateStepsToANearerPeer: a parentless level-1 node without
+// superiors or children, whose only ring contact lies the far side of it,
+// knows one bus neighbour strictly Euclidean-closer to x. That neighbour
+// does not halve the model distance, so G escalates, and every rung of
+// the escalation comes up empty. The owner check has ruled out delivering
+// here, so the decision steps to that neighbour rather than answer
+// not-found with a closer peer in hand. Excluded, it leaves self the
+// nearest node known, and the owner check delivers here.
+func TestEscalateStepsToANearerPeer(t *testing.T) {
+	self := refAt(idspace.FromFraction(0.2), 1)
+	ring := refAt(idspace.FromFraction(0.1), 0)
+	bus := refAt(idspace.FromFraction(0.33), 1)
+	tb := buildTable(ring)
+	tb.BusLevel(1).Upsert(bus, proto.FNeighbor, 1, tb.NextVersion(), rtable.Direct)
+	target := idspace.FromFraction(0.5)
+	m := PaperModel{Height: 6}
+	if dSelf, dBus := m.D(self, target), m.D(bus, target); dBus >= dSelf || dBus <= dSelf/2 {
+		t.Fatalf("D(bus) = %v against D(self) = %v: want an improvement short of halving", dBus, dSelf)
+	}
+	step := Route(self, tb, lookupReq(target, proto.AlgoG), false, 0, params())
+	if step.Action != Forward || step.Next.Addr != bus.Addr {
+		t.Fatalf("step %+v, want a forward to the bus neighbour", step)
+	}
+	sc := Scratch{Excluded: Excluded{bus.Addr}}
+	if step := RouteWith(&sc, self, tb, lookupReq(target, proto.AlgoG), false, 0, params()); step.Action != Deliver || step.Found.Addr != self.Addr {
+		t.Fatalf("bus neighbour excluded: step %+v, want Deliver self", step)
+	}
+}

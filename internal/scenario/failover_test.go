@@ -9,7 +9,9 @@ import (
 
 	"treep/internal/core"
 	"treep/internal/idspace"
+	"treep/internal/netsim"
 	"treep/internal/proto"
+	"treep/internal/simrt"
 )
 
 // lookupChurn is Churn with a third Poisson stream: single-attempt AlgoG
@@ -147,5 +149,87 @@ func TestLookupsSurviveChurn(t *testing.T) {
 	}
 	if stats.LookupFailovers == 0 {
 		t.Error("no hop ever failed over: the churn exercised nothing")
+	}
+}
+
+// walkTracer follows lookup requests through the network trace and
+// counts the forwards that reached a dead peer, per lookup. A lookup is
+// followed until its origin re-issues it: from then on two copies of it
+// may be in flight, which the wire cannot tell apart. The re-issue is the
+// origin's send with no verdict after the first; the origin's own
+// failover carries one.
+type walkTracer struct {
+	inFlight map[*proto.LookupRequest][2]uint64 // sent, not yet arrived: its (origin, reqID)
+	starts   map[[2]uint64]int                  // walks each lookup started, re-issues included
+	deadAt   map[[3]uint64]bool                 // (origin, reqID, peer) reached dead
+	last     map[[2]uint64]uint64               // the peer each lookup last reached dead
+	dead     int                                // forwards that reached a dead peer
+	again    int                                // of those, to a peer their lookup had reached dead before
+	lastOnce int                                // of those, to the peer their lookup had reached dead last
+}
+
+func newWalkTracer() *walkTracer {
+	return &walkTracer{inFlight: map[*proto.LookupRequest][2]uint64{}, starts: map[[2]uint64]int{},
+		deadAt: map[[3]uint64]bool{}, last: map[[2]uint64]uint64{}}
+}
+
+func (w *walkTracer) trace(ev netsim.TraceEvent) {
+	req, ok := ev.Payload.(*proto.LookupRequest)
+	if !ok {
+		return
+	}
+	to := uint64(ev.To)
+	if key, ok := w.inFlight[req]; ok && ev.Dropped && ev.Reason == "dead" {
+		// Arrival at a dead peer (a send traced earlier).
+		delete(w.inFlight, req)
+		if w.starts[key] > 1 {
+			return
+		}
+		w.dead++
+		at := [3]uint64{key[0], key[1], to}
+		if w.deadAt[at] {
+			w.again++
+		}
+		if w.last[key] == to {
+			w.lastOnce++
+		}
+		w.deadAt[at], w.last[key] = true, to
+		return
+	}
+	key := [2]uint64{req.Origin.Addr, req.ReqID}
+	if uint64(ev.From) == key[0] && req.Hops == 1 && req.Silent == 0 {
+		w.starts[key]++
+	}
+	w.inFlight[req] = key
+}
+
+// TestWalksNeverRevisitTheirSilentPeer: under the churn of
+// TestLookupsSurviveChurn, no walk sends again to the peer it last found
+// silent, though the hop after a failover knows that peer from the request
+// alone and its own table may well list it nearest the target. The verdict
+// is one slot: a hop that fails over twice in a row passes on only the
+// second peer, and a walk may meet the first again further on. Those
+// repeats are logged, not failed.
+func TestWalksNeverRevisitTheirSilentPeer(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		w := newWalkTracer()
+		c := simrt.New(simrt.Options{N: 300, Seed: seed, Bulk: true, NetOpts: []netsim.Option{netsim.WithTrace(w.trace)}})
+		c.StartAll()
+		e := NewEngine(c, Options{})
+		load := &lookupChurn{Churn: Churn{For: 30 * time.Second, JoinRate: 4, LeaveRate: 4}, LookupRate: 10}
+		e.Play(Settle{For: 8 * time.Second}, load)
+		st := c.ProtocolStats()
+		t.Logf("seed %d: %d lookups, %d failovers; %d forwards reached a dead peer, %d one their lookup had reached dead before, %d the one it had last",
+			seed, len(w.starts), st.LookupFailovers, w.dead, w.again, w.lastOnce)
+		if st.LookupFailovers == 0 || w.dead == 0 {
+			t.Fatalf("seed %d: no forward reached a dead peer: the churn exercised nothing", seed)
+		}
+		if w.lastOnce != 0 {
+			t.Errorf("seed %d: %d of %d forwards went back to the peer their lookup had last found silent", seed, w.lastOnce, w.dead)
+		}
 	}
 }
