@@ -126,9 +126,9 @@ func main() {
 	// What it took, over the whole run. A false failover on the simulator's
 	// loss-free links, or a TTL drop, is a bug worth reporting.
 	st := nw.ProtocolStats()
-	fmt.Printf("  failover: %d of %d forwards ack-solicited (%d more un-held, table full), %d failed over (%d onto a live peer), %d re-issues, %d strict-regime forwards, %d TTL drops\n",
+	fmt.Printf("  failover: %d of %d forwards ack-solicited (%d more un-held, table full), %d failed over (%d onto a live peer, %d hedged early), %d re-issues, %d strict-regime forwards, %d TTL drops\n",
 		st.LookupAcksSolicited, st.LookupsForwarded, st.LookupHeldOverflows, st.LookupFailovers,
-		st.LookupFalseFailovers, st.LookupReissues, st.LookupsStrict, st.LookupsDropped)
+		st.LookupFalseFailovers, st.LookupHedgesEarly, st.LookupReissues, st.LookupsStrict, st.LookupsDropped)
 	if violations > 0 {
 		os.Exit(1)
 	}

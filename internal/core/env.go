@@ -81,8 +81,9 @@ type Scratch struct {
 	route                routing.Scratch
 	sweep                rtable.Scratch
 	// excluded is what one routing decision treats as absent: the node's
-	// suspects and the peer the request's last failover found silent.
-	excluded [suspectSlots + 1]uint64
+	// suspects, the peers its hedges left in doubt and the peer the
+	// request's last failover found silent.
+	excluded [suspectSlots + heldSlots + 1]uint64
 }
 
 // MemBytes reports the heap behind the composition buffers (the routing

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"treep/internal/proto"
+	"treep/internal/routing"
 )
 
 // Hop-level failover for lookups (DESIGN.md §15).
@@ -17,8 +18,9 @@ import (
 // keep-alive round is *held*: the request as received stays in a slot, the
 // forwarded copy carries the ack-wanted bit, and the next hop answers with
 // a hop acknowledgement. Any datagram from that peer releases the slot.
-// Silence past the deadline excludes the peer from this node's routing
-// decisions and routes the held request again, as if it had just arrived.
+// Silence for one round-trip bound routes the held request around the peer
+// (the hedge) and keeps the peer in doubt; silence for two excludes it from
+// this node's routing decisions (the verdict).
 //
 // Every interval below comes from the keep-alive period or from the
 // node's own round-trip estimate; there is nothing to configure.
@@ -39,7 +41,8 @@ const (
 // request exactly as it reached this node (from is its previous hop, 0
 // when it started here), as a pooled copy that owns its alternates and the
 // request it carries. The copy goes back to its pool when the slot is
-// released or its request re-routed.
+// released or its request re-routed. A copy naming no silent peer waits
+// for the hedge, any other slot for the verdict: req is nil once hedged.
 type heldForward struct {
 	peer     uint64 // 0: slot is free
 	from     uint64
@@ -57,12 +60,14 @@ type failover struct {
 	// time each was excluded; Node.route hands routing the addresses.
 	suspects  [suspectSlots]uint64
 	suspectAt [suspectSlots]time.Duration
-	// One deadline timer serves every slot. It is armed when a hold finds
-	// none pending and left to run out when its slot is released early; the
-	// firing re-arms for the earliest deadline still held. fire is expired,
-	// bound once for the record, whichever node holds it.
+	// One deadline timer, due at armedAt, serves every slot. A hold arms
+	// it when none is pending or its deadline comes first; it is left to
+	// run out when its slot is released early, and the firing re-arms for
+	// the earliest deadline still held. fire is expired, bound once for
+	// the record, whichever node holds it.
 	timer    Timer
 	fire     func()
+	armedAt  time.Duration
 	armed    bool
 	held     uint8
 	suspectN uint8
@@ -155,10 +160,17 @@ func (n *Node) hold(from uint64, m *proto.LookupRequest, next uint64, reissue bo
 	req := proto.Acquire(proto.TLookupRequest).(*proto.LookupRequest)
 	*req = *m
 	req.Alternates, req.Carried = slices.Clone(m.Alternates), proto.PooledCopy(m.Carried)
-	slot.peer, slot.from, slot.deadline, slot.req = next, from, now+2*bound, req
+	// A request that already names a silent peer skips the hedge: re-routed
+	// at one bound it would overwrite a verdict with a mere doubt.
+	wait := bound
+	if m.Silent != 0 {
+		wait = 2 * bound
+	}
+	slot.peer, slot.from, slot.deadline, slot.req = next, from, now+wait, req
 	n.Stats.LookupAcksSolicited++
-	if !fo.armed {
-		fo.armed = true
+	if !fo.armed || slot.deadline < fo.armedAt {
+		fo.timer.Cancel() // a no-op on a handle already fired
+		fo.armed, fo.armedAt = true, slot.deadline
 		fo.timer = n.env.SetTimer(slot.deadline-now, fo.fire)
 	}
 	return true
@@ -175,7 +187,11 @@ func (n *Node) heardFrom(peer uint64) {
 	if fo.held > 0 {
 		for i := range fo.slots {
 			if slot := &fo.slots[i]; slot.peer == peer {
-				proto.ReleaseDecoded(slot.req)
+				if slot.req == nil {
+					n.Stats.LookupHedgesEarly++ // in doubt, not excluded
+				} else {
+					proto.ReleaseDecoded(slot.req)
+				}
 				slot.peer, slot.req = 0, nil
 				fo.held--
 			}
@@ -193,31 +209,45 @@ func (n *Node) heardFrom(peer uint64) {
 	n.putFailover()
 }
 
-// expired is the deadline timer: every hold whose peer stayed silent
-// excludes that peer and routes its request again, naming the peer in the
-// request. The hops after this one route around it too, for that request
-// only: to them it is hearsay, and hearsay mints no state.
+// expired is the deadline timer. The hedge sends a request on to another
+// peer, naming the silent one, and keeps that one in doubt (Node.route
+// skips it); the verdict excludes the peer and routes a request still held
+// again, naming it. The hops after this one skip the named peer for that
+// request only: to them it is hearsay, and hearsay mints no state.
 func (fo *failover) expired() {
 	n := fo.n
 	now := n.env.Now()
-	// armed stays set while requests are re-routed, so a hold made on the
-	// way does not arm a second timer; one is armed below for whatever is
-	// still held.
+	// armed stays set, due now, while requests are re-routed, so a hold
+	// made on the way does not arm a second timer; one is armed below for
+	// whatever is still held.
 	for i := range fo.slots {
 		slot := &fo.slots[i]
 		if slot.peer == 0 || slot.deadline > now {
 			continue
 		}
+		from, req := slot.from, slot.req
+		if req != nil && req.Silent == 0 {
+			req.Silent = slot.peer
+			slot.deadline += n.rttBound()
+			if step := n.route(from, req); step.Action == routing.Forward {
+				slot.req = nil // in doubt before the forward takes a slot
+				n.forward(from, req, step, false)
+				proto.ReleaseDecoded(req)
+			}
+			continue
+		}
+		peer := slot.peer
 		n.Stats.LookupFailovers++
-		n.suspect(slot.peer, now)
+		n.suspect(peer, now)
 		// The slot is free before the request is routed again: the new
 		// forward may be held, in this slot or another.
-		from, req := slot.from, slot.req
-		req.Silent = slot.peer
 		slot.peer, slot.req = 0, nil
 		fo.held--
-		n.advance(from, req, false)
-		proto.ReleaseDecoded(req)
+		if req != nil {
+			req.Silent = peer
+			n.advance(from, req, false)
+			proto.ReleaseDecoded(req)
+		}
 	}
 	fo.armed = false
 	if fo.held == 0 {
@@ -230,7 +260,7 @@ func (fo *failover) expired() {
 			earliest = s.deadline
 		}
 	}
-	fo.armed = true
+	fo.armed, fo.armedAt = true, earliest
 	fo.timer = n.env.SetTimer(earliest-now, fo.fire)
 }
 

@@ -139,6 +139,9 @@ func TestReissueHoldsItsFirstHop(t *testing.T) {
 	}
 }
 
+// TestHoldSilenceExcludesAndReroutes: one round-trip bound of silence
+// re-routes the held request (the hedge), two exclude the peer (the
+// verdict).
 func TestHoldSilenceExcludesAndReroutes(t *testing.T) {
 	n, env := testNode(100, 1)
 	near, far := mkRef(400, 4, 0), mkRef(300, 3, 0)
@@ -149,7 +152,7 @@ func TestHoldSilenceExcludesAndReroutes(t *testing.T) {
 	}
 	env.drain()
 
-	env.advance(2*n.rttBound() - time.Millisecond)
+	env.advance(n.rttBound() - time.Millisecond)
 	if len(env.drain()) != 0 {
 		t.Fatal("failed over before the deadline")
 	}
@@ -163,6 +166,8 @@ func TestHoldSilenceExcludesAndReroutes(t *testing.T) {
 	if fwds[0].Hops != 3 || fwds[0].TTL != 99 || fwds[0].ReqID != 7 || !fwds[0].AckWanted {
 		t.Fatalf("re-routed request %+v", fwds[0])
 	}
+	env.drain()
+	env.advance(n.rttBound())
 	if n.Stats.LookupFailovers != 1 || heldCount(n) != 1 {
 		t.Fatalf("failovers=%d held=%d", n.Stats.LookupFailovers, heldCount(n))
 	}
@@ -187,6 +192,134 @@ func TestHoldSilenceExcludesAndReroutes(t *testing.T) {
 	n.HandleMessage(9, foreignRequest(9))
 	if fwds := msgsOfType[*proto.LookupRequest](env.drain()); len(fwds) != 1 || fwds[0].AckWanted {
 		t.Fatalf("peer heard from a moment ago needs no ack: %+v", fwds)
+	}
+}
+
+// TestFirstSilenceHedgesThenExcludes: a forward whose request names no
+// silent peer is routed around its peer after one round-trip bound; the
+// peer is in doubt, skipped by every decision of this node but not
+// excluded, until the verdict one bound later.
+func TestFirstSilenceHedgesThenExcludes(t *testing.T) {
+	n, env := testNode(100, 1)
+	hearsay(n, mkRef(400, 4, 0), mkRef(300, 3, 0))
+	n.HandleMessage(9, foreignRequest(7))
+	env.drain()
+	bound := n.rttBound()
+	env.advance(bound)
+	fwds := msgsOfType[*proto.LookupRequest](env.drain())
+	if len(fwds) != 1 || fwds[0].Silent != 4 || n.Stats.LookupFailovers != 0 || suspectCount(n) != 0 {
+		t.Fatalf("hedge: forwards %+v, failovers %d, suspects %d", fwds, n.Stats.LookupFailovers, suspectCount(n))
+	}
+	n.HandleMessage(9, foreignRequest(8))
+	if len(env.sentTo(4)) != 0 || len(env.sentTo(3)) != 1 {
+		t.Fatalf("a peer in doubt was chosen: %+v", env.sent)
+	}
+	env.drain()
+	env.advance(bound - time.Millisecond)
+	if n.Stats.LookupFailovers != 0 || suspectCount(n) != 0 {
+		t.Fatal("excluded before the verdict")
+	}
+	env.advance(time.Millisecond)
+	if n.Stats.LookupFailovers != 1 || suspectCount(n) != 1 {
+		t.Fatalf("verdict: failovers %d, suspects %d", n.Stats.LookupFailovers, suspectCount(n))
+	}
+	if got := msgsOfType[*proto.LookupRequest](env.drain()); len(got) != 0 {
+		t.Fatalf("the hedged request was routed again at the verdict: %+v", got)
+	}
+}
+
+// TestHedgeThatEndsTheWalkHolds: with no other peer to forward to, the
+// hedge leaves the request held; only the verdict answers it here.
+func TestHedgeThatEndsTheWalkHolds(t *testing.T) {
+	n, env := testNode(100, 1)
+	hearsay(n, mkRef(400, 4, 0))
+	n.HandleMessage(9, foreignRequest(7))
+	env.drain()
+	env.advance(n.rttBound())
+	if got := env.drain(); len(got) != 0 || heldCount(n) != 1 {
+		t.Fatalf("hedge with nowhere else to go: sent %+v, held %d", got, heldCount(n))
+	}
+	env.advance(n.rttBound())
+	if reps := msgsOfType[*proto.LookupReply](env.drain()); len(reps) != 1 || reps[0].Best.Addr != 1 {
+		t.Fatalf("verdict: replies %+v", reps)
+	}
+}
+
+// TestVerdictCarryingRequestSkipsTheHedge: a request that already names a
+// silent peer is held for two bounds, so a slow peer cannot overwrite the
+// verdict it carries.
+func TestVerdictCarryingRequestSkipsTheHedge(t *testing.T) {
+	n, env := testNode(100, 1)
+	hearsay(n, mkRef(400, 4, 0), mkRef(300, 3, 0))
+	req := foreignRequest(7)
+	req.Silent = 8
+	n.HandleMessage(9, req)
+	if fwds := msgsOfType[*proto.LookupRequest](env.drain()); len(fwds) != 1 || fwds[0].Silent != 8 || len(env.sentTo(4)) != 0 {
+		t.Fatalf("first forward: %+v", fwds)
+	}
+	env.advance(2*n.rttBound() - time.Millisecond)
+	if got := env.drain(); len(got) != 0 {
+		t.Fatalf("a verdict-carrying request was hedged: %+v", got)
+	}
+	env.advance(time.Millisecond)
+	fwds := msgsOfType[*proto.LookupRequest](env.sent)
+	if len(fwds) != 1 || len(env.sentTo(3)) != 1 || fwds[0].Silent != 4 || n.Stats.LookupFailovers != 1 {
+		t.Fatalf("verdict: %+v (failovers %d)", env.sent, n.Stats.LookupFailovers)
+	}
+}
+
+// TestHeardFromAfterTheHedge: a peer that speaks between the hedge and the
+// verdict was slow, not gone. It is neither excluded nor a false failover,
+// the early hedge is counted, and its doubt ends.
+func TestHeardFromAfterTheHedge(t *testing.T) {
+	n, env := testNode(100, 1)
+	near := mkRef(400, 4, 0)
+	hearsay(n, near, mkRef(300, 3, 0))
+	n.HandleMessage(9, foreignRequest(7))
+	bound := n.rttBound()
+	env.advance(bound + bound/2)
+	env.drain()
+	n.HandleMessage(4, hopAck(near, 7))
+	if n.Stats.LookupHedgesEarly != 1 || n.Stats.LookupFalseFailovers != 0 {
+		t.Fatalf("early hedges %d, false failovers %d", n.Stats.LookupHedgesEarly, n.Stats.LookupFalseFailovers)
+	}
+	env.advance(bound)
+	if n.Stats.LookupFailovers != 0 || suspectCount(n) != 0 {
+		t.Fatalf("a peer heard from before the verdict was excluded (failovers %d)", n.Stats.LookupFailovers)
+	}
+	env.drain()
+	n.HandleMessage(9, foreignRequest(8))
+	if fwds := env.sentTo(4); len(fwds) != 1 {
+		t.Fatalf("the peer heard from is still in doubt: %+v", env.sent)
+	}
+}
+
+// TestEarlierHoldRearmsTheTimer: a first-silence hold made while a
+// verdict-carrying hold's longer deadline is armed is hedged on its own
+// deadline, not when the armed timer fires.
+func TestEarlierHoldRearmsTheTimer(t *testing.T) {
+	n, env := testNode(100, 1)
+	hearsay(n, mkRef(400, 4, 0), mkRef(300, 3, 0))
+	bound := n.rttBound()
+	long := foreignRequest(7)
+	long.Silent = 8
+	n.HandleMessage(9, long)
+	env.advance(bound / 2)
+	n.HandleMessage(9, foreignRequest(9))
+	env.drain()
+	env.advance(bound - time.Millisecond)
+	if got := env.drain(); len(got) != 0 {
+		t.Fatalf("early: %+v", got)
+	}
+	env.advance(time.Millisecond)
+	fwds := msgsOfType[*proto.LookupRequest](env.drain())
+	if len(fwds) != 1 || fwds[0].ReqID != 9 || fwds[0].Silent != 4 {
+		t.Fatalf("the second hold was not hedged on its own deadline: %+v", fwds)
+	}
+	env.advance(bound / 2)
+	fwds = msgsOfType[*proto.LookupRequest](env.drain())
+	if len(fwds) != 1 || fwds[0].ReqID != 7 || n.Stats.LookupFailovers != 1 {
+		t.Fatalf("the first hold's verdict: %+v (failovers %d)", fwds, n.Stats.LookupFailovers)
 	}
 }
 
@@ -258,7 +391,7 @@ func TestHeldSlotOwnsItsAlternates(t *testing.T) {
 	n.HandleMessage(9, req)
 	alts[0] = mkRef(800, 8, 0) // the sender's buffer moves on
 	env.drain()
-	env.advance(2 * n.rttBound())
+	env.advance(n.rttBound())
 	fwds := msgsOfType[*proto.LookupRequest](env.drain())
 	if len(fwds) != 1 {
 		t.Fatalf("re-route: %+v", fwds)

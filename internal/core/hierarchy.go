@@ -82,10 +82,11 @@ func (n *Node) handleElectionCall(from uint64, m *proto.ElectionCall) {
 	if m.Level != n.maxLevel+1 {
 		return // different cohort
 	}
-	if _, ok := n.table.Parent(); ok {
+	if p, ok := n.table.Parent(); ok {
 		// Already parented: tell the caller about our parent so it can
-		// adopt instead of electing.
-		if p, ok := n.table.Parent(); ok {
+		// adopt instead of electing, unless that parent is the caller (our
+		// slot is stale): it would adopt itself.
+		if p.Addr != m.From.Addr {
 			n.send(from, &proto.ParentClaim{From: p, Level: m.Level, Region: proto.FromIDSpace(idspace.FullRegion())})
 		}
 		return
@@ -211,6 +212,9 @@ func (n *Node) adoptOrElect() {
 }
 
 func (n *Node) handleParentClaim(from uint64, m *proto.ParentClaim) {
+	if m.From.Addr == n.Addr() {
+		return // a peer's stale parent slot, naming us: never our own parent
+	}
 	n.noteRef(m.From, true)
 	region := m.Region.ToIDSpace()
 	if m.Level == n.maxLevel+1 && region.Contains(n.cfg.ID) {

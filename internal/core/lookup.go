@@ -172,7 +172,8 @@ func (n *Node) PendingLookups() int { return n.pending.Len() }
 
 // route makes the forwarding decision for m, received from the peer at
 // from (0: the request starts, or starts again, here), skipping this
-// node's suspects and, for m alone, the peer m names silent (failover.go).
+// node's suspects, the peers it has in doubt and, for m alone, the peer m
+// names silent (failover.go).
 // A request that carries a service request is delivered only where it is
 // to be served: resolved to another node, it goes one hop further, to that
 // node.
@@ -180,8 +181,13 @@ func (n *Node) route(from uint64, m *proto.LookupRequest) routing.Step {
 	parent, hasParent := n.table.Parent()
 	fromParent := from != 0 && hasParent && parent.Addr == from
 	ex := n.sc.excluded[:0]
-	if n.fo != nil {
-		ex = append(ex, n.fo.suspects[:n.fo.suspectN]...)
+	if fo := n.fo; fo != nil {
+		ex = append(ex, fo.suspects[:fo.suspectN]...)
+		for i := range fo.slots {
+			if s := &fo.slots[i]; s.peer != 0 && s.req == nil {
+				ex = append(ex, s.peer) // hedged: in doubt until the verdict
+			}
+		}
 	}
 	if m.Silent != 0 {
 		ex = append(ex, m.Silent)

@@ -23,10 +23,13 @@ type Node struct {
 	// every level 0..maxLevel.
 	maxLevel uint8
 	// started and joining sit in padding, which keeps Node in its size
-	// class (TestNodeFitsItsSizeClass). joining is set by Join and cleared
-	// by the first JoinAccept: until then an empty table is no dead end
-	// (LookupCarrying).
-	started, joining bool
+	// class (TestNodeFitsItsSizeClass), as do the rejoin cursors: recentIdx
+	// is where the recent ring is written next, recentScan and bootScan
+	// rotate the fallback target through recentPeers and bootCache. joining
+	// is set by Join and cleared by the first JoinAccept: until then an
+	// empty table is no dead end (LookupCarrying).
+	started, joining                bool
+	recentIdx, recentScan, bootScan uint8
 	// maxChildren is nc under the configured child policy.
 	maxChildren uint16
 	// score caches the capability score of the profile.
@@ -133,9 +136,6 @@ type Node struct {
 	// survives any churn wave. Hash-slotting rather than reservoir
 	// sampling keeps the choice deterministic and free of RNG draws.
 	bootCache [bootCacheSlots]uint64
-	// recentIdx is where the recent ring is written next; recentScan and
-	// bootScan rotate the fallback target through the two tables.
-	recentIdx, recentScan, bootScan uint8
 }
 
 // recentPeerSlots sizes the recent-peers ring. Sixteen distinct senders
@@ -311,8 +311,13 @@ func (n *Node) MemBytes() Mem {
 	}
 	if n.fo != nil {
 		// The record's size class, its bound fire, and each held copy in
-		// its class (the requests those carry aside).
-		m.Hold = 240 + 16 + int(n.fo.held)*96
+		// its class (the requests those carry aside; hedged slots hold none).
+		m.Hold = 240 + 16
+		for i := range n.fo.slots {
+			if n.fo.slots[i].req != nil {
+				m.Hold += 96
+			}
+		}
 	}
 	if n.courtFire != nil {
 		m.Node += 16 // the bound method: code pointer and receiver

@@ -472,6 +472,41 @@ func TestElectionCallFromParentedNodeAnswersWithClaim(t *testing.T) {
 	}
 }
 
+// TestElectionCallFromOwnParentGetsNoClaim: our parent slot is stale and
+// names the caller, which has since dropped to level 0 and calls an
+// election. Answering with our parent would hand the caller its own ref.
+func TestElectionCallFromOwnParentGetsNoClaim(t *testing.T) {
+	n, env := testNode(idspace.FromFraction(0.5), 1)
+	parent := mkRef(idspace.FromFraction(0.4), 2, 1)
+	n.InstallParent(parent)
+	env.drain()
+	caller := parent
+	caller.MaxLevel = 0
+	n.HandleMessage(2, &proto.ElectionCall{From: caller, Level: 1})
+	for _, c := range msgsOfType[*proto.ParentClaim](env.drain()) {
+		if c.From.Addr == caller.Addr {
+			t.Fatalf("the caller was offered itself as parent: %+v", c)
+		}
+	}
+}
+
+// TestParentClaimNamingReceiverIsIgnored: a claim that names the receiver
+// (a peer's stale parent slot, passed on) is never adopted.
+func TestParentClaimNamingReceiverIsIgnored(t *testing.T) {
+	n, env := testNode(idspace.FromFraction(0.5), 1)
+	n.InstallLevel0(mkRef(idspace.FromFraction(0.45), 2, 0))
+	env.drain()
+	self := n.Ref()
+	self.MaxLevel = 1
+	n.HandleMessage(2, &proto.ParentClaim{From: self, Level: 1, Region: proto.FromIDSpace(idspace.FullRegion())})
+	if p, ok := n.Table().Parent(); ok {
+		t.Fatalf("node adopted %+v as its parent", p)
+	}
+	if reports := msgsOfType[*proto.ChildReport](env.drain()); len(reports) != 0 {
+		t.Fatalf("node reported to itself: %+v", reports)
+	}
+}
+
 func TestDemotionAfterChildLoss(t *testing.T) {
 	// Long EntryTTL: this test exercises the demotion countdown, not entry
 	// expiry (no live peers are refreshing the installed refs).

@@ -31,8 +31,9 @@ type Stats struct {
 
 	// Lookup failover (failover.go).
 	LookupAcksSolicited  uint64 // forwards sent with the ack-wanted bit (held)
-	LookupFailovers      uint64 // held forwards re-routed after silence
+	LookupFailovers      uint64 // held forwards whose peer stayed silent to the verdict (excluded)
 	LookupFalseFailovers uint64 // peers excluded by a failover, then heard from
+	LookupHedgesEarly    uint64 // peers routed around by a hedge, then heard from before the verdict
 	LookupHeldOverflows  uint64 // stale forwards sent un-held: no free slot
 	LookupReissues       uint64 // requests routed again from the origin on RTO
 	LookupsStrict        uint64 // forwards made past the hop budget
@@ -73,6 +74,7 @@ func (s *Stats) Add(o Stats) {
 	s.LookupAcksSolicited += o.LookupAcksSolicited
 	s.LookupFailovers += o.LookupFailovers
 	s.LookupFalseFailovers += o.LookupFalseFailovers
+	s.LookupHedgesEarly += o.LookupHedgesEarly
 	s.LookupHeldOverflows += o.LookupHeldOverflows
 	s.LookupReissues += o.LookupReissues
 	s.LookupsStrict += o.LookupsStrict

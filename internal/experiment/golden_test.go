@@ -32,12 +32,17 @@ import (
 // growing a bus of roots); AN-3's p95 held. The first four again when a
 // failover began to name the silent peer in the request it re-routes, so
 // the hops after it route around that peer too (fewer failovers and
-// re-issues under churn); the AN rows held.
+// re-issues under churn); the AN rows held. The first three again when a
+// failover began to route around a silent peer after one round-trip bound
+// and to exclude it after two (walks re-routed one bound sooner,
+// fewer failovers under churn); the AN rows and the hop percentiles held.
+// The same change also stopped a node adopting itself as parent from a
+// stale claim, which alone moves none of the six.
 func TestHarnessGolden(t *testing.T) {
 	const (
-		wantSweep      = 0x1755bf89facb0faa
-		wantScenario   = 0x8d5761baeae7aa6c
-		wantCompare    = 0xa729bc4b57b7c952
+		wantSweep      = 0x0d68256982655090
+		wantScenario   = 0xd425b87f75c66369
+		wantCompare    = 0xaa8f86e0cf79cf63
 		wantComparePct = 0x9c713931fbe79d00
 		wantAnalysis   = 0x3872fee01bc33165
 		wantAnalysisPc = 0x08395607b4f139a5
