@@ -169,7 +169,12 @@ func (n *Node) hold(from uint64, m *proto.LookupRequest, next uint64, reissue bo
 	slot.peer, slot.from, slot.deadline, slot.req = next, from, now+wait, req
 	n.Stats.LookupAcksSolicited++
 	if !fo.armed || slot.deadline < fo.armedAt {
-		fo.timer.Cancel() // a no-op on a handle already fired
+		// A record that is not armed may come from the pool with another
+		// node's fired handle, whose event belongs to another shard's
+		// kernel: only an armed handle is this node's to cancel.
+		if fo.armed {
+			fo.timer.Cancel()
+		}
 		fo.armed, fo.armedAt = true, slot.deadline
 		fo.timer = n.env.SetTimer(slot.deadline-now, fo.fire)
 	}

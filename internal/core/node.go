@@ -96,9 +96,9 @@ type Node struct {
 	// Stats counts protocol events; the experiment harness reads it.
 	Stats Stats
 
-	// extension receives messages the core protocol does not handle
-	// (DHT, discovery); it reports whether it consumed the message.
-	extension func(from uint64, msg proto.Message) bool
+	// extension receives messages the core protocol does not handle: the
+	// DHT's, and the requests lookups carry to their owner.
+	extension func(from uint64, msg proto.Message)
 
 	// Ring self-healing state (repair.go): per-side probe pacing and
 	// empty-slot age tracking. Index 0 is the left side (IDs below ours).
@@ -167,9 +167,9 @@ func (n *Node) ringChanged() {
 	}
 }
 
-// SetExtension installs a handler for non-core messages (layered services
-// such as the DHT). One extension per node; services compose by chaining.
-func (n *Node) SetExtension(fn func(from uint64, msg proto.Message) bool) { n.extension = fn }
+// SetExtension installs the handler for non-core messages (the DHT's),
+// replacing the one installed before: a node has one extension.
+func (n *Node) SetExtension(fn func(from uint64, msg proto.Message)) { n.extension = fn }
 
 // Send exposes best-effort sending to layered services.
 func (n *Node) Send(to uint64, msg proto.Message) { n.send(to, msg) }

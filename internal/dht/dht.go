@@ -28,10 +28,10 @@
 //     copy, and serves it — so a freshly responsible node heals from its
 //     replicas on first touch instead of returning not-found.
 //
-// The request/response plumbing (request ids, deadlines, retries,
-// owner lookup) is the generic service plane of internal/svc; the same
-// Put/Get code path runs over the deterministic simulator and over real
-// UDP sockets.
+// The request/response plumbing (request ids, deadlines, retries, the
+// owner lookup carrying a request) is this package's own (call.go); the
+// same Put/Get code path runs over the deterministic simulator and over
+// real UDP sockets.
 package dht
 
 import (
@@ -43,7 +43,6 @@ import (
 	"treep/internal/core"
 	"treep/internal/idspace"
 	"treep/internal/proto"
-	"treep/internal/svc"
 )
 
 // Errors returned by Put/Get callbacks.
@@ -95,6 +94,7 @@ type Stats struct {
 	Dropped    uint64 // local copies released after handoff
 	Consults   uint64 // fetch misses that consulted replicas
 	Repairs    uint64 // records adopted from a replica on read-repair
+	Retries    uint64 // request attempts re-sent or re-routed
 }
 
 // Service layers the replicated store on a TreeP node. Create one per node
@@ -102,7 +102,12 @@ type Stats struct {
 // Node). Callers must not mutate key or value slices they pass in until
 // the callback fires.
 type Service struct {
-	plane svc.Plane // by value, with the service as its server: one allocation
+	node *core.Node
+
+	// pending holds the calls in flight by request id; a peer has a few
+	// (DESIGN.md §16).
+	pending idspace.Keyed[uint64, *call]
+	nextID  uint64
 
 	// recs is the authoritative store; maintenance walks it in key order.
 	recs idspace.Keyed[idspace.ID, *record]
@@ -115,13 +120,13 @@ type Service struct {
 	scratch    []proto.NodeRef
 
 	// memos is a bounded ring of recent store outcomes keyed by
-	// (requester, request id). The service plane retries a store whose
-	// ack was lost by re-sending the same request id; without replaying
-	// the recorded outcome the owner would re-apply the store — bumping
-	// the version again and, worse, answering a conditional store that
-	// already committed with a spurious conflict. The ring grows on demand
-	// to storeMemoSize slots (most peers own a handful of stores, ever),
-	// then memoPos is the oldest.
+	// (requester, request id). A store whose ack was lost is retried
+	// under the same request id; without replaying the recorded outcome
+	// the owner would re-apply the store — bumping the version again and,
+	// worse, answering a conditional store that already committed with a
+	// spurious conflict. The ring grows on demand to storeMemoSize slots
+	// (most peers own a handful of stores, ever), then memoPos is the
+	// oldest.
 	memos   []storeMemo
 	memoPos int
 
@@ -130,16 +135,16 @@ type Service struct {
 }
 
 // MemBytes reports the heap the service holds: the store with the values
-// its records point to, and the struct with its plane, memo ring, scratch
-// and three bound methods (extension, maintenance and ring hooks, 16 B
-// each).
+// its records point to, and the struct with its pending-call table, memo
+// ring, scratch and three bound methods (extension, maintenance and ring
+// hooks, 16 B each); the call records are pooled.
 func (s *Service) MemBytes() (store, fixed int) {
 	store = s.recs.MemBytes() + s.recs.Len()*int(unsafe.Sizeof(record{}))
 	for _, k := range s.recs.Keys() {
 		r, _ := s.recs.Get(k)
 		store += cap(r.value)
 	}
-	fixed = int(unsafe.Sizeof(*s)) + s.plane.MemBytes() + 3*16 +
+	fixed = int(unsafe.Sizeof(*s)) + s.pending.MemBytes() + 3*16 +
 		cap(s.memos)*int(unsafe.Sizeof(storeMemo{})) + cap(s.scratch)*int(unsafe.Sizeof(proto.NodeRef{}))
 	return store, fixed
 }
@@ -161,41 +166,24 @@ const (
 	// replicationFactor is the total number of copies a record aims for:
 	// the owner plus two ring neighbours.
 	replicationFactor = 3
-	// requestTimeout bounds each attempt of a direct exchange (half of it
-	// is a keyed call's backoff); requestRetries is how many times a failed
-	// attempt is re-tried, routed afresh each time.
+	// requestTimeout bounds each attempt of a handoff (half of it is a
+	// keyed call's backoff, and a consult's deadline); requestRetries is
+	// how many times a failed keyed attempt is re-tried, routed afresh
+	// each time.
 	requestTimeout = 2 * time.Second
 	requestRetries = 2
 	// maintainInterval is the replica-maintenance cadence.
 	maintainInterval = 2 * time.Second
 )
 
-// callOpts is the retry policy of every owner exchange.
-var callOpts = svc.CallOpts{Timeout: requestTimeout, Retries: requestRetries}
-
-// Attach creates the service on its own service plane and hooks it into
-// the node's extension slot.
+// Attach creates the service and hooks it into the node's extension slot,
+// replacing whatever extension was installed before.
 func Attach(n *core.Node) *Service {
-	s := new(Service)
-	s.plane.Init(n, s, proto.TDHTStoreAck, proto.TDHTFetchReply, proto.TDHTReplicateAck)
+	s := &Service{node: n}
+	n.SetExtension(s.handle)
 	s.maintTimer = n.SetPeriodic(maintainInterval, s.maintainTick)
 	n.SetRingChangeHook(s.ringNudge)
 	return s
-}
-
-// Serve is the service plane's server: the store's three request types.
-func (s *Service) Serve(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) bool {
-	switch m := req.(type) {
-	case *proto.DHTStore:
-		s.handleStore(from, m, respond)
-	case *proto.DHTFetch:
-		s.handleFetch(from, m, respond)
-	case *proto.DHTReplicate:
-		s.handleReplicate(from, m, respond)
-	default:
-		return false
-	}
-	return true
 }
 
 // ringNudge reacts to a ring-adjacency change reported by the core — a
@@ -217,9 +205,8 @@ func (s *Service) ringNudge() {
 // ringNudgeDelay lets one zip burst settle before reconciling.
 const ringNudgeDelay = 250 * time.Millisecond
 
-// Node returns the underlying TreeP node, and Plane the service plane.
-func (s *Service) Node() *core.Node  { return s.plane.Node() }
-func (s *Service) Plane() *svc.Plane { return &s.plane }
+// Node returns the underlying TreeP node.
+func (s *Service) Node() *core.Node { return s.node }
 
 // Len returns the number of records stored locally.
 func (s *Service) Len() int { return s.recs.Len() }
@@ -252,7 +239,7 @@ func (s *Service) storeVia(key, value []byte, cond bool, base uint64, cb any) {
 	k := idspace.HashKey(key)
 	o := newOp(cb)
 	o.store = proto.DHTStore{Key: k, Value: value, Base: base, Cond: cond}
-	s.plane.CallKey(k, proto.AlgoG, &o.store, callOpts, o.stored)
+	s.callOwner(k, &o.store, o.stored)
 }
 
 // Get fetches the value for key. cb fires exactly once with the value or
@@ -269,11 +256,11 @@ func (s *Service) get(key []byte, cb any) {
 	k := idspace.HashKey(key)
 	o := newOp(cb)
 	o.fetch = proto.DHTFetch{Key: k}
-	s.plane.CallKey(k, proto.AlgoG, &o.fetch, callOpts, o.fetched)
+	s.callOwner(k, &o.fetch, o.fetched)
 }
 
-// op is one Get, GetRecord, Put or PutIf in flight: the request the service
-// plane sends copies of, and the caller's callback. Its two reply callbacks
+// op is one Get, GetRecord, Put or PutIf in flight: the request its call
+// sends copies of, and the caller's callback. Its two reply callbacks
 // are bound once, when the record is made; records come from opPool, which
 // is process-wide as proto's message pools are, and go back to it before
 // the caller is answered.
@@ -282,7 +269,7 @@ type op struct {
 	store proto.DHTStore
 	cb    any
 
-	fetched, stored func(proto.NodeRef, proto.SvcMessage, error)
+	fetched, stored func(proto.SvcMessage, error)
 }
 
 var opPool sync.Pool
@@ -306,10 +293,10 @@ func (o *op) release() (cb any) {
 }
 
 // onFetched answers a Get or GetRecord.
-func (o *op) onFetched(_ proto.NodeRef, resp proto.SvcMessage, err error) {
+func (o *op) onFetched(resp proto.SvcMessage, err error) {
 	cb := o.release()
 	if err != nil {
-		answerGet(cb, Record{}, mapErr(err))
+		answerGet(cb, Record{}, err)
 		return
 	}
 	rep, ok := resp.(*proto.DHTFetchReply)
@@ -328,10 +315,10 @@ func (o *op) onFetched(_ proto.NodeRef, resp proto.SvcMessage, err error) {
 }
 
 // onStored answers a Put or PutIf.
-func (o *op) onStored(_ proto.NodeRef, resp proto.SvcMessage, err error) {
+func (o *op) onStored(resp proto.SvcMessage, err error) {
 	cb := o.release()
 	if err != nil {
-		answerPut(cb, 0, mapErr(err))
+		answerPut(cb, 0, err)
 		return
 	}
 	ack, ok := resp.(*proto.DHTStoreAck)
@@ -361,18 +348,6 @@ func answerPut(cb any, version uint64, err error) {
 		return
 	}
 	cb.(func(uint64, error))(version, err)
-}
-
-// mapErr translates service-plane errors into the DHT's error set.
-func mapErr(err error) error {
-	switch {
-	case errors.Is(err, svc.ErrLookupFailed):
-		return ErrLookupFailed
-	case errors.Is(err, svc.ErrTimeout):
-		return ErrTimeout
-	default:
-		return err
-	}
 }
 
 // --- local store ------------------------------------------------------------
@@ -516,7 +491,7 @@ func (s *Service) consult(key idspace.ID, cb func(bool, Record)) {
 	found := false
 	for _, tgt := range targets {
 		sub := &proto.DHTFetch{Key: key, Local: true}
-		s.plane.Call(tgt.Addr, sub, svc.CallOpts{Timeout: requestTimeout / 2},
+		s.callPeer(tgt.Addr, sub, requestTimeout/2, 0,
 			func(resp proto.SvcMessage, err error) {
 				remaining--
 				if err == nil {
@@ -552,11 +527,8 @@ func notFound() *proto.DHTFetchReply {
 }
 
 // handleReplicate merges a pushed copy; ReqID zero is fire-and-forget.
-// A push marked Cache asks for a reader-side cache copy, which this store
-// does not keep and no peer sends: it is input from outside, answered as
-// any push is and never stored.
 func (s *Service) handleReplicate(from uint64, m *proto.DHTReplicate, respond func(proto.SvcMessage)) {
-	stored := !m.Cache && s.merge(m.Key, m.Value, m.Version, m.Origin)
+	stored := s.merge(m.Key, m.Value, m.Version, m.Origin)
 	if stored {
 		// The sender holds what it sent, and a fire-and-forget push is an
 		// owner placing its replicas. An equal copy changes nothing: two
@@ -640,8 +612,8 @@ func (s *Service) pushReplicas(k idspace.ID, rec *record) {
 func (s *Service) handoff(k idspace.ID, rec *record, owner proto.NodeRef) {
 	s.Stats.Handoffs++
 	version := rec.version
-	push := s.replicaOf(k, rec) // the plane sends copies of it
-	s.plane.Call(owner.Addr, push, svc.CallOpts{Timeout: requestTimeout, Retries: 1},
+	push := s.replicaOf(k, rec) // the call sends copies of it
+	s.callPeer(owner.Addr, push, requestTimeout, 1,
 		func(resp proto.SvcMessage, err error) {
 			proto.ReleaseDecoded(push)
 			if err != nil {

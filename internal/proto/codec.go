@@ -14,7 +14,7 @@ import (
 // sections (entry lists, DHT values) carry a uint16 count/length prefix.
 const (
 	wireMagic   = 0x54 // 'T'
-	wireVersion = 1
+	wireVersion = 2
 	headerSize  = 3
 )
 
@@ -578,7 +578,6 @@ func (m *DHTReplicate) body(c *cursor) {
 	c.bytes(&m.Value)
 	c.u64(&m.Version)
 	c.u64(&m.Origin)
-	c.boolean(&m.Cache)
 }
 
 func (m *DHTReplicateAck) body(c *cursor) { c.ref(&m.From); c.u64(&m.ReqID); c.boolean(&m.Stored) }

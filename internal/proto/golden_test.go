@@ -15,8 +15,8 @@ import (
 // constants only together with the wire version.
 func TestWireLayoutGolden(t *testing.T) {
 	const (
-		wantDigest = "2a9c02c9b8c4b1c589ce267fa502c989724e769c6f9b5bc10142309a38d1a5bc"
-		wantSize   = 643626
+		wantDigest = "fcd53230bf618c22081bbe8b5eb517ec222ae04470526f3f3da7efae61f62d51"
+		wantSize   = 643126
 	)
 	rng := rand.New(rand.NewSource(99))
 	h := sha256.New()
@@ -46,9 +46,9 @@ func TestWireLayoutGolden(t *testing.T) {
 		silent uint64
 		want   string
 	}{
-		{9, "54010e" + "0000000000000001" + "0000000000000002" + "03" + "0004" + "0000000000000005" + "0000000000000006" + "07" + "08" +
+		{9, "54020e" + "0000000000000001" + "0000000000000002" + "03" + "0004" + "0000000000000005" + "0000000000000006" + "07" + "08" +
 			"a2" + "0000000000000009" + "0001" + "000000000000000a" + "000000000000000b" + "01" + "000c"},
-		{0, "54010e" + "0000000000000001" + "0000000000000002" + "03" + "0004" + "0000000000000005" + "0000000000000006" + "07" + "08" +
+		{0, "54020e" + "0000000000000001" + "0000000000000002" + "03" + "0004" + "0000000000000005" + "0000000000000006" + "07" + "08" +
 			"82" + "0001" + "000000000000000a" + "000000000000000b" + "01" + "000c"},
 	} {
 		req.Silent = row.silent

@@ -380,8 +380,8 @@ type LookupRequest struct {
 	Alternates []NodeRef
 	// Carried is the service request (a DHTFetch or a DHTStore) the lookup
 	// takes to the target's owner, nil for a plain lookup. The node where
-	// routing delivers hands it to its service plane as if the origin had
-	// sent it, and the response goes straight back to the origin: one
+	// routing delivers hands it to its extension (the DHT) as if the
+	// origin had sent it, and the response goes straight back to the origin: one
 	// routed exchange, no LookupReply. On the wire it follows the
 	// alternates as its type byte and body, flagged by bit 0x40 of the Algo
 	// byte, so a plain lookup encodes as it always did. A message owns its
@@ -482,8 +482,6 @@ type DHTFetchReply struct {
 // never re-versions it. Replica maintenance and ownership handoff ride on
 // this message; ReqID zero means fire-and-forget, non-zero requests a
 // DHTReplicateAck (the handoff path frees the sender's copy on ack).
-// Cache stays for the wire layout alone: nothing sends it set, and a
-// receiver stores no push that carries it (DESIGN.md §13).
 type DHTReplicate struct {
 	From    NodeRef
 	ReqID   uint64
@@ -491,7 +489,6 @@ type DHTReplicate struct {
 	Value   []byte
 	Version uint64
 	Origin  uint64
-	Cache   bool
 }
 
 // DHTReplicateAck confirms a replica push.
@@ -635,14 +632,14 @@ func (*DHTFetchReply) Sender() NodeRef   { return NodeRef{} }
 func (*DHTReplicate) Sender() NodeRef    { return NodeRef{} }
 func (*DHTReplicateAck) Sender() NodeRef { return NodeRef{} }
 
-// --- service plane interfaces ----------------------------------------------
+// --- DHT request and response interface ------------------------------------
 
-// SvcMessage is a message the generic service plane (internal/svc)
-// carries, as a request or as the response to one: it names a request id,
-// which matches a response to its pending call, and has a From ref. The
-// plane stamps both at send time. Whether a type is a request or a
-// response is the plane's to know (a handler, or ExpectResponse), not the
-// type's.
+// SvcMessage is one of the DHT's six request and response types: it names
+// a request id, which matches a response to its pending call, and has a
+// From ref, both stamped by the DHT at send time. It is also the type
+// through which core carries a DHT request in a LookupRequest, and copies
+// it hop by hop, without importing the DHT. Whether a type is a request or
+// a response is the DHT's to know, not the type's.
 type SvcMessage interface {
 	Message
 	// SvcID returns the request id; a response's is the id it answers.
@@ -675,7 +672,7 @@ func (m *DHTFetchReply) SetSvc(id uint64, from NodeRef)   { m.ReqID, m.From = id
 func (m *DHTReplicate) SetSvc(id uint64, from NodeRef)    { m.ReqID, m.From = id, from }
 func (m *DHTReplicateAck) SetSvc(id uint64, from NodeRef) { m.ReqID, m.From = id, from }
 
-// Compile-time service-plane interface checks.
+// Compile-time SvcMessage interface checks.
 var _ = [...]SvcMessage{
 	(*DHTStore)(nil), (*DHTStoreAck)(nil), (*DHTFetch)(nil),
 	(*DHTFetchReply)(nil), (*DHTReplicate)(nil), (*DHTReplicateAck)(nil),

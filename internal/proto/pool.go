@@ -96,9 +96,9 @@ func putEntries(es []Entry) {
 // pool cycles makes the steady-state request and reply paths
 // allocation-free.
 //
-// Every DHT type is pooled, requests included. A request the service plane
-// may send again is never itself handed to the network: the plane keeps it
-// and sends each attempt as its own pooled copy (PooledCopy), which the
+// Every DHT type is pooled, requests included. A request the DHT may send
+// again is never itself handed to the network: its call keeps it and sends
+// each attempt as its own pooled copy (PooledCopy), which the
 // simulator recycles when that datagram ends and the UDP transport once it
 // is encoded. A value a message carries is copied into the message's own
 // buffer, never shared: in the simulator a payload in flight is read after
@@ -112,11 +112,11 @@ func seedValue(v []byte) []byte {
 	return v[:0]
 }
 
-// PooledCopy returns a pooled copy of a service-plane request, value
-// included, for the network to carry and recycle: what the plane sends for
-// one attempt of a call it holds req for, and the request a lookup hop
-// forwards or holds of the one it carries. A message of any other type,
-// nil included, is returned as it is.
+// PooledCopy returns a pooled copy of a DHT request, value included, for
+// the network to carry and recycle: what a DHT call sends for each attempt
+// of the request it holds, and what a lookup hop forwards or holds of the
+// request its lookup carries. A message of any other type, nil included,
+// is returned as it is.
 func PooledCopy(req SvcMessage) SvcMessage {
 	switch m := req.(type) {
 	case *DHTStore:

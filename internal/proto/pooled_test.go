@@ -413,22 +413,18 @@ func TestWhichTypesVouchForTheirSender(t *testing.T) {
 			t.Errorf("%v: Sender() = %v, want the zero ref", ty, got)
 		}
 	}
-	// svc.Plane keeps its response types as bits of a uint32.
-	if tMaxMsgType > 32 {
-		t.Fatalf("%d wire types no longer fit the service plane's 32-bit set", tMaxMsgType)
-	}
 }
 
-// TestPooledCopyOwnsItsValue: the copy the service plane sends for one
-// attempt of a request encodes as the request does and carries its own
-// value buffer, so the caller may rewrite its request while the copy is in
-// flight.
+// TestPooledCopyOwnsItsValue: the copy a DHT call sends for one attempt
+// of its request, or a lookup hop forwards of the request it carries,
+// encodes as the request does and carries its own value buffer, so the
+// holder may rewrite its request while the copy is in flight.
 func TestPooledCopyOwnsItsValue(t *testing.T) {
 	value := []byte("value")
 	for _, req := range []SvcMessage{
 		&DHTStore{ReqID: 7, Key: 9, Value: value, Base: 2, Cond: true},
 		&DHTFetch{ReqID: 7, Key: 9, Local: true},
-		&DHTReplicate{ReqID: 7, Key: 9, Value: value, Version: 3, Origin: 4, Cache: true},
+		&DHTReplicate{ReqID: 7, Key: 9, Value: value, Version: 3, Origin: 4},
 	} {
 		want := Encode(req)
 		c := PooledCopy(req)

@@ -20,18 +20,18 @@ const (
 	ledgerPeers = 2000
 	// heapBudgetBare and heapBudgetStore are the committed ceilings on heap
 	// per peer at N=2000, measured figure + 5 % (store: + 6 %, the least
-	// whole percent that also holds the benchmark's store workloads, 8 172
-	// B a peer over ten seeds). Bare: no DHT, at the 10 s
-	// keep-alive instant with the round's pings in flight — what
-	// sim-churn's heap_bytes_per_node snapshot sees. Store: DHT attached
-	// and loaded with 4096 records × 3, at a quiet instant — sim-reads and
-	// sim-writes. CI holds the benchmark's figures to the same two numbers
-	// (.github/workflows/ci.yml reads them from this file).
+	// whole percent that also holds the benchmark's store workloads, 8 117
+	// B a peer over ten seeds and 8 121 in bench's -all document). Bare:
+	// no DHT, at the 10 s keep-alive instant with the round's pings in
+	// flight — what sim-churn's heap_bytes_per_node snapshot sees. Store:
+	// DHT attached and loaded with 4096 records × 3, at a quiet instant —
+	// sim-reads and sim-writes. CI holds the benchmark's figures to the
+	// same two numbers (.github/workflows/ci.yml reads them from this file).
 	heapBudgetBare  = 7301
-	heapBudgetStore = 8215
+	heapBudgetStore = 8154
 	// ledgerFloorPct is how much of the measured heap the rows must
-	// explain at a quiet instant: they explain 97 % bare and 96.9 % loaded
-	// (the dht.Service is booked at its 336 B, not the 352 B class it
+	// explain at a quiet instant: they explain 97 % bare and 96.7 % loaded
+	// (the dht.Service is booked at its 272 B, not the 288 B class it
 	// takes); what is left is size-class rounding and the kernel's map of
 	// streams, ~250 B a peer loaded.
 	ledgerFloorPct = 96
@@ -42,7 +42,7 @@ const (
 	envBytes = 48 + 32 + 8 + 24
 	// A periodic node timer: the bound method it runs (16). Its handle is
 	// a value inside the node, and the kill guard a pointer in the event
-	// record. The operation records the service plane and the DHT recycle,
+	// record. The call and operation records the DHT recycles,
 	// and idle failover records, sit in process-wide sync.Pools, which the
 	// settling collections empty, so no loop owns a pool the ledger has to
 	// count.
@@ -89,7 +89,7 @@ func heapLedger(c *Cluster, svcs []*dht.Service) []ledgerRow {
 		{"peers + pending", peers},
 		{"hold table", hold},
 		{"dht store", store},
-		{"service plane: dht + svc, hooks", dhtFixed},
+		{"dht.Service, pending calls, hooks", dhtFixed},
 		{"loop scratch", scratch},
 		{"env, handler, cluster slots", envBytes * len(c.Nodes)},
 		{"random streams", streams},

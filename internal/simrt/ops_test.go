@@ -13,7 +13,6 @@ import (
 	"treep/internal/idspace"
 	"treep/internal/netsim"
 	"treep/internal/proto"
-	"treep/internal/svc"
 )
 
 // dhtOverlay is a settled bulk-built cluster with a DHT service attached to
@@ -27,19 +26,6 @@ func dhtOverlay(n int, seed int64, cfg core.Config, netOpts ...netsim.Option) (*
 	c.StartAll()
 	c.Run(6 * time.Second)
 	return c, svcs
-}
-
-// silentOwner serves a node's DHT but takes every fetch and store and
-// drops it unanswered: an owner that never answers.
-type silentOwner struct{ *dht.Service }
-
-func (s silentOwner) Serve(from uint64, req proto.SvcMessage, respond func(proto.SvcMessage)) bool {
-	switch req.Type() {
-	case proto.TDHTFetch, proto.TDHTStore:
-		respond(nil)
-		return true
-	}
-	return s.Service.Serve(from, req, respond)
 }
 
 // ownerOf is the node nearest to a key's hash: the node a lookup on the
@@ -67,7 +53,7 @@ func remoteKey(c *Cluster, origin *core.Node, prefix string) []byte {
 
 // TestKilledOriginNeverCallsBack pins the kill guard: every timer a node
 // sets runs behind its liveness, so an operation whose origin was
-// fail-stopped never calls back — not with ErrTimeout from a call's
+// fail-stopped never calls back — not with ErrTimeout from a lookup's
 // deadline, not with ErrLookupFailed from a backoff that looks the owner up
 // again. The benchmark books such an operation as abandoned; a late
 // failure callback would turn it into a failed one.
@@ -75,24 +61,30 @@ func TestKilledOriginNeverCallsBack(t *testing.T) {
 	c, svcs := dhtOverlay(64, 5, core.Config{LookupTimeout: time.Second})
 	const o = 10
 	origin, s := c.Nodes[o], svcs[o]
-	p := s.Plane()
-	// Owners that never answer, each on a plane of its own that takes over
-	// the node's extension slot: the calls are still in flight when the
-	// origin dies.
+	// Owners that never answer: every other node's extension notes the key
+	// of each request it takes and drops it, so the calls are still in
+	// flight when the origin dies.
+	served := map[idspace.ID]bool{}
 	for i, nd := range c.Nodes {
 		if i != o {
-			new(svc.Plane).Init(nd, silentOwner{svcs[i]}, proto.TDHTStoreAck, proto.TDHTFetchReply, proto.TDHTReplicateAck)
+			nd.SetExtension(func(_ uint64, msg proto.Message) {
+				switch m := msg.(type) {
+				case *proto.DHTFetch:
+					served[m.Key] = true
+				case *proto.DHTStore:
+					served[m.Key] = true
+				}
+			})
 		}
 	}
 	var fired []string
 
-	// A CallKey whose owner lookup fails while the origin is cut off: it
-	// backs off for half its 20 s timeout before looking up again.
+	// A Get whose owner lookup fails while the origin is cut off: it backs
+	// off before looking up again.
 	c.PartitionBy(func(n *core.Node) bool { return n == origin })
-	far := c.Nodes[40].ID()
-	p.CallKey(far, proto.AlgoG, &proto.DHTFetch{Key: far}, svc.CallOpts{Timeout: 20 * time.Second, Retries: 1},
-		func(proto.NodeRef, proto.SvcMessage, error) { fired = append(fired, "CallKey") })
-	for i := 0; p.Stats.Retries == 0; i++ {
+	cut := remoteKey(c, origin, "cut")
+	s.Get(cut, func([]byte, error) { fired = append(fired, "Get (cut off)") })
+	for i := 0; s.Stats.Retries == 0; i++ {
 		if i == 300 {
 			t.Fatal("the cut-off origin's lookup never failed")
 		}
@@ -100,13 +92,19 @@ func TestKilledOriginNeverCallsBack(t *testing.T) {
 	}
 	c.Heal()
 
-	s.Get(remoteKey(c, origin, "get"), func([]byte, error) { fired = append(fired, "Get") })
-	s.Put(remoteKey(c, origin, "put"), []byte("v"), func(error) { fired = append(fired, "Put") })
-	for i := 0; p.Pending() < 2; i++ {
+	get, put := remoteKey(c, origin, "get"), remoteKey(c, origin, "put")
+	s.Get(get, func([]byte, error) { fired = append(fired, "Get") })
+	s.Put(put, []byte("v"), func(error) { fired = append(fired, "Put") })
+	for i := 0; !served[idspace.HashKey(get)] || !served[idspace.HashKey(put)]; i++ {
 		if i == 500 {
-			t.Fatalf("the Get's and the Put's calls were never in flight together (%d pending)", p.Pending())
+			t.Fatal("the Get's and the Put's requests never reached their owners")
 		}
 		c.Run(10 * time.Millisecond)
+	}
+	// The Get's and the Put's lookups wait out their deadlines; the cut-off
+	// Get is in its backoff, its request not yet sent again.
+	if served[idspace.HashKey(cut)] || origin.PendingLookups() != 2 {
+		t.Fatalf("cut-off Get re-sent: %v; %d lookups in flight, want 2", served[idspace.HashKey(cut)], origin.PendingLookups())
 	}
 	c.Kill(origin)
 	c.Run(30 * time.Second)
@@ -117,7 +115,7 @@ func TestKilledOriginNeverCallsBack(t *testing.T) {
 
 // TestRemoteGetAllocs pins the read path: a Get answered by a remote owner
 // allocates the value it hands back, and nothing of its own on the way
-// through the lookup, the service plane, the DHT and the kernel. Each
+// through the lookup, the DHT and the kernel. Each
 // figure counts a window's background maintenance too; the pin is the
 // floor over windows with the collector off, as TestShardedSteadyStateAllocs
 // takes it, because a collection empties the process-wide pools the

@@ -162,8 +162,8 @@ func TestHierarchyEmergesOverUDP(t *testing.T) {
 }
 
 // TestDHTPutGetOverUDP is the end-to-end proof that DHT storage is not a
-// simulation artifact: the identical Put/Get code path (service plane,
-// versioned records, replication) runs here over real UDP sockets and the
+// simulation artifact: the identical Put/Get code path (request ids,
+// retries, versioned records, replication) runs here over real UDP sockets and the
 // binary codec, across a multi-node cluster.
 func TestDHTPutGetOverUDP(t *testing.T) {
 	if testing.Short() {

@@ -415,7 +415,7 @@ type UDPOptions struct {
 }
 
 // UDPNode is a TreeP peer on a real socket, with the full storage stack:
-// the same DHT service (and service plane under it) that the simulator
+// the same DHT service (request plumbing included) that the simulator
 // runs, over the binary codec, with its timers on the simulator's event
 // queue run against the wall clock.
 type UDPNode struct {
