@@ -184,7 +184,9 @@ func benchDHTChurn(b *testing.B, n int) {
 	for i := 0; i < b.N; i++ {
 		c := simrt.New(simrt.Options{N: n, Seed: 1, Bulk: true})
 		st := scenario.NewStorage()
-		st.AttachAll(c)
+		for _, nd := range c.Nodes {
+			st.Attach(nd)
+		}
 		c.StartAll()
 		opts := scenario.Options{
 			Checkers:    append(scenario.AllCheckers(), scenario.StorageCheckers(0.99)...),

@@ -8,6 +8,34 @@ import (
 	"treep/internal/routing"
 )
 
+// The protocol's timers and hop budget. The paper fixes the maintenance
+// cadence (keep-alive, expiry after missed keep-alives, §III.c) as part of
+// the protocol; every node runs it at these values.
+const (
+	// keepAlive is the interval between Pings on active connections.
+	keepAlive = 2 * time.Second
+	// EntryTTL expires routing entries that have seen no active
+	// communication (§III.c): three missed keep-alives.
+	EntryTTL = 3 * keepAlive
+	// sweepInterval is how often the expiry sweep runs.
+	sweepInterval = time.Second
+	// probeInterval paces the ring self-healing probes (repair.go): each
+	// occupied side verifies its nearest neighbour's adjacency this often,
+	// and a side that stays empty past EntryTTL retries its void probe at
+	// the same cadence.
+	probeInterval = 5 * time.Second
+	// childReport is the child→parent heartbeat interval.
+	childReport = 2 * time.Second
+	// electionMin/Max bound the capability countdown of §III.b.
+	electionMin, electionMax = 200 * time.Millisecond, 2 * time.Second
+	// demotionMin/Max bound the reverse countdown for under-filled parents.
+	demotionMin, demotionMax = 5 * time.Second, 30 * time.Second
+	// LookupDeadline bounds how long an origin waits for a reply.
+	LookupDeadline = 10 * time.Second
+	// MaxTTL is the lookup hop budget ("IF TTL > 255 THEN discard").
+	MaxTTL = 255
+)
+
 // Config parameterises one TreeP node. Zero-valued fields are filled from
 // Defaults by NewNode, except ImmediateUpdates: a bool has no unset value,
 // so a Config not built from Defaults runs piggyback-only.
@@ -21,34 +49,13 @@ type Config struct {
 	// ChildPolicy computes the maximum number of children nc (fixed 4 or
 	// capacity-driven in the paper's two evaluation cases).
 	ChildPolicy nodeprof.ChildPolicy
-	// Routing selects the distance model and lookup parameters.
+	// Routing is derived, not set: NewNode fills it from MaxHeight, over
+	// whatever the caller put here, and Node.Config reports it.
 	Routing routing.Params
 
-	// KeepAlive is the interval between Pings on active connections.
-	KeepAlive time.Duration
-	// EntryTTL expires routing entries that have seen no active
-	// communication (§III.c); it should cover a few missed keep-alives.
-	EntryTTL time.Duration
-	// SweepInterval is how often the expiry sweep runs.
-	SweepInterval time.Duration
-	// ProbeInterval paces the ring self-healing probes (repair.go): each
-	// occupied side verifies its nearest neighbour's adjacency this often,
-	// and a side that stays empty past EntryTTL retries its void probe at
-	// the same cadence.
-	ProbeInterval time.Duration
-	// ChildReport is the child→parent heartbeat interval.
-	ChildReport time.Duration
-	// ElectionMin/Max bound the capability countdown of §III.b.
-	ElectionMin, ElectionMax time.Duration
-	// DemotionMin/Max bound the reverse countdown for under-filled parents.
-	DemotionMin, DemotionMax time.Duration
-	// LookupTimeout bounds how long an origin waits for a reply.
-	LookupTimeout time.Duration
 	// MaxHeight caps the hierarchy height h (6 in the paper's evaluation);
 	// elections stop promoting at this level.
 	MaxHeight uint8
-	// MaxTTL is the lookup hop budget ("IF TTL > 255 THEN discard").
-	MaxTTL uint8
 
 	// ImmediateUpdates pushes routing deltas to active peers as soon as
 	// they happen, the paper's current implementation ("the update is
@@ -65,28 +72,15 @@ type Config struct {
 }
 
 // Defaults returns the baseline configuration used by the experiments.
-// Times are virtual-time friendly: keep-alive 2 s, entries live for three
-// missed keep-alives.
 func Defaults() Config {
 	return Config{
 		ChildPolicy:      nodeprof.FixedPolicy{NC: 4},
 		MaxHeight:        6,
-		KeepAlive:        2 * time.Second,
-		EntryTTL:         6 * time.Second,
-		SweepInterval:    time.Second,
-		ProbeInterval:    5 * time.Second,
-		ChildReport:      2 * time.Second,
-		ElectionMin:      200 * time.Millisecond,
-		ElectionMax:      2 * time.Second,
-		DemotionMin:      5 * time.Second,
-		DemotionMax:      30 * time.Second,
-		LookupTimeout:    10 * time.Second,
-		MaxTTL:           255,
 		ImmediateUpdates: true,
 	}
 }
 
-// withDefaults fills zero fields from Defaults.
+// withDefaults fills zero fields from Defaults and derives Routing.
 func (c Config) withDefaults() Config {
 	d := Defaults()
 	if c.ChildPolicy == nil {
@@ -95,44 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxHeight == 0 {
 		c.MaxHeight = d.MaxHeight
 	}
-	if c.KeepAlive == 0 {
-		c.KeepAlive = d.KeepAlive
-	}
-	if c.EntryTTL == 0 {
-		c.EntryTTL = d.EntryTTL
-	}
-	if c.SweepInterval == 0 {
-		c.SweepInterval = d.SweepInterval
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = d.ProbeInterval
-	}
-	if c.ChildReport == 0 {
-		c.ChildReport = d.ChildReport
-	}
-	if c.ElectionMin == 0 {
-		c.ElectionMin = d.ElectionMin
-	}
-	if c.ElectionMax == 0 {
-		c.ElectionMax = d.ElectionMax
-	}
-	if c.DemotionMin == 0 {
-		c.DemotionMin = d.DemotionMin
-	}
-	if c.DemotionMax == 0 {
-		c.DemotionMax = d.DemotionMax
-	}
-	if c.LookupTimeout == 0 {
-		c.LookupTimeout = d.LookupTimeout
-	}
-	if c.MaxTTL == 0 {
-		c.MaxTTL = d.MaxTTL
-	}
-	if c.Routing.Height == 0 {
-		c.Routing.Height = c.MaxHeight
-	}
-	if c.Routing.Model == nil {
-		c.Routing.Model = routing.PaperModel{Height: c.MaxHeight}
-	}
+	c.Routing = routing.Params{Height: c.MaxHeight}
 	return c
 }

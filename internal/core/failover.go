@@ -88,7 +88,7 @@ var foPool sync.Pool
 // rttPrior is the estimate before any sample: a sixteenth of the
 // keep-alive period, far above any link the defaults are meant for, so a
 // fresh node errs toward waiting.
-func rttPrior(keepAlive time.Duration) time.Duration { return keepAlive / 16 }
+const rttPrior = keepAlive / 16
 
 func (n *Node) observeRTT(sample time.Duration) {
 	dev := n.srtt - sample
@@ -103,19 +103,19 @@ func (n *Node) observeRTT(sample time.Duration) {
 // 1/64 of the keep-alive period. Below it a late answer is scheduler and
 // timer granularity, not the network (a loopback round trip measures tens
 // of microseconds; a collector pause is longer).
-func (n *Node) rttFloor() time.Duration { return n.cfg.KeepAlive / 64 }
+const rttFloor = keepAlive / 64
 
 // rttBound is how long a round trip to an arbitrary peer may take before
 // silence means something: mean plus four deviations.
 func (n *Node) rttBound() time.Duration {
-	return max(n.srtt+4*n.rttvar, n.rttFloor())
+	return max(n.srtt+4*n.rttvar, rttFloor)
 }
 
 // lookupRTO is the origin's first retransmission timeout: a walk that uses
 // its whole hop budget, every forward and the reply charged a full round
 // trip (twice what they cost one way), and half as much again.
 func (n *Node) lookupRTO() time.Duration {
-	return time.Duration(n.cfg.Routing.HopBudget()) * max(n.srtt, n.rttFloor()) * 3 / 2
+	return time.Duration(n.cfg.Routing.HopBudget()) * max(n.srtt, rttFloor) * 3 / 2
 }
 
 // --- holding -------------------------------------------------------------------
@@ -134,7 +134,7 @@ func (n *Node) hold(from uint64, m *proto.LookupRequest, next uint64, reissue bo
 	// half: a peer cannot have been silent for more than that when a
 	// forward reaches it un-held, and one that stopped earlier is caught by
 	// the hold deadline rather than by the origin's RTO.
-	if last, ok := n.table.LastDirect(next); ok && !reissue && now-last <= n.cfg.KeepAlive/2+bound {
+	if last, ok := n.table.LastDirect(next); ok && !reissue && now-last <= keepAlive/2+bound {
 		return false
 	}
 	fo := n.fo
@@ -304,7 +304,7 @@ func (n *Node) expireSuspects(now time.Duration) {
 	if fo == nil {
 		return
 	}
-	for fo.suspectN > 0 && now-fo.suspectAt[0] >= n.cfg.EntryTTL {
+	for fo.suspectN > 0 && now-fo.suspectAt[0] >= EntryTTL {
 		n.dropSuspect(0)
 	}
 	n.putFailover()

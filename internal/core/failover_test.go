@@ -101,7 +101,7 @@ func TestHeldInTheOlderHalfOfTheRound(t *testing.T) {
 	nbr := mkRef(400, 4, 0)
 	n.InstallLevel0(nbr)
 	env.drain()
-	fresh := n.cfg.KeepAlive/2 + n.rttBound()
+	fresh := keepAlive/2 + n.rttBound()
 	env.advance(fresh - time.Millisecond)
 	env.drain()
 	n.HandleMessage(9, foreignRequest(7))
@@ -335,7 +335,7 @@ func TestExclusionExpiresWithTheEntry(t *testing.T) {
 	if reps := msgsOfType[*proto.LookupReply](env.drain()); len(reps) != 1 || reps[0].Best.Addr != 1 {
 		t.Fatalf("replies %+v", reps)
 	}
-	env.advance(n.cfg.EntryTTL + n.cfg.SweepInterval)
+	env.advance(EntryTTL + sweepInterval)
 	if suspectCount(n) != 0 {
 		t.Fatal("exclusion outlived the entry TTL")
 	}
@@ -429,8 +429,8 @@ func TestReissueSharesReqIDAndAbsorbsDuplicates(t *testing.T) {
 	var got LookupResult
 	id := n.Lookup(500, proto.AlgoG, func(r LookupResult) { calls++; got = r })
 	rto := n.lookupRTO()
-	if rto >= n.cfg.LookupTimeout/2 {
-		t.Fatalf("rto %v leaves no room to re-issue before the %v timeout", rto, n.cfg.LookupTimeout)
+	if rto >= LookupDeadline/2 {
+		t.Fatalf("rto %v leaves no room to re-issue before the %v timeout", rto, LookupDeadline)
 	}
 	keepFresh(n, env, nbr, rto+time.Second, nil)
 	reqs := msgsOfType[*proto.LookupRequest](env.drain())
@@ -438,7 +438,7 @@ func TestReissueSharesReqIDAndAbsorbsDuplicates(t *testing.T) {
 		t.Fatalf("want the request and one re-issue, got %d (reissues=%d)", len(reqs), n.Stats.LookupReissues)
 	}
 	for _, r := range reqs {
-		if r.ReqID != id || r.Hops != 1 || r.TTL != n.cfg.MaxTTL-1 || r.Origin.Addr != 1 {
+		if r.ReqID != id || r.Hops != 1 || r.TTL != MaxTTL-1 || r.Origin.Addr != 1 {
 			t.Fatalf("re-issue must be the request again, from the origin: %+v", r)
 		}
 	}
@@ -460,7 +460,7 @@ func TestReissueSharesReqIDAndAbsorbsDuplicates(t *testing.T) {
 func TestLookupTimeout(t *testing.T) {
 	// The peer is alive and says so; the lookup is lost beyond it. Re-issues
 	// go out on a doubling RTO and only the hard timeout fails the lookup,
-	// at LookupTimeout to the tick.
+	// at LookupDeadline to the tick.
 	n, env := testNode(100, 1)
 	nbr := mkRef(400, 4, 0)
 	n.InstallLevel0(nbr)
@@ -468,13 +468,13 @@ func TestLookupTimeout(t *testing.T) {
 	var firedAt time.Duration
 	n.Lookup(500, proto.AlgoG, func(r LookupResult) { got, firedAt = r, env.now })
 	start := env.now
-	keepFresh(n, env, nbr, n.cfg.LookupTimeout-time.Second, func() {
+	keepFresh(n, env, nbr, LookupDeadline-time.Second, func() {
 		if firedAt != 0 {
 			t.Fatalf("callback at %v, before the hard timeout", firedAt-start)
 		}
 	})
 	env.advance(time.Second)
-	if got.Status != LookupTimeout || firedAt-start != n.cfg.LookupTimeout || got.Latency != n.cfg.LookupTimeout {
+	if got.Status != LookupTimeout || firedAt-start != LookupDeadline || got.Latency != LookupDeadline {
 		t.Fatalf("result %+v at %v", got, firedAt-start)
 	}
 	if n.PendingLookups() != 0 {
@@ -699,7 +699,7 @@ func TestRTTEstimateFromKeepalive(t *testing.T) {
 	nbr := mkRef(400, 4, 0)
 	n.InstallLevel0(nbr)
 	prior := n.srtt
-	if prior != n.cfg.KeepAlive/16 || n.rttBound() != 3*prior {
+	if prior != keepAlive/16 || n.rttBound() != 3*prior {
 		t.Fatalf("prior %v bound %v", prior, n.rttBound())
 	}
 	// A pong that answers no ping of a keep-alive round is not a sample.
@@ -710,7 +710,7 @@ func TestRTTEstimateFromKeepalive(t *testing.T) {
 	}
 	env.advance(40 * time.Millisecond)
 	for round := 0; round < 40; round++ {
-		env.advance(n.cfg.KeepAlive - 40*time.Millisecond) // to the tick's instant
+		env.advance(keepAlive - 40*time.Millisecond) // to the tick's instant
 		pings := msgsOfType[*proto.Ping](env.drain())
 		if len(pings) == 0 {
 			t.Fatal("no keep-alive ping")
@@ -721,7 +721,7 @@ func TestRTTEstimateFromKeepalive(t *testing.T) {
 	if d := n.srtt - 40*time.Millisecond; d < -time.Millisecond || d > time.Millisecond {
 		t.Fatalf("srtt %v after forty 40 ms samples", n.srtt)
 	}
-	if n.rttBound() > 50*time.Millisecond || n.rttBound() < n.cfg.KeepAlive/64 {
+	if n.rttBound() > 50*time.Millisecond || n.rttBound() < keepAlive/64 {
 		t.Fatalf("bound %v", n.rttBound())
 	}
 	if got, want := n.lookupRTO(), time.Duration(n.cfg.Routing.HopBudget())*n.srtt*3/2; got != want {
@@ -730,14 +730,15 @@ func TestRTTEstimateFromKeepalive(t *testing.T) {
 }
 
 // TestNodeFitsItsSizeClass guards the benchmark's heap_bytes_per_node: a
-// Node is allocated with an 8-byte malloc header, so at 1272 bytes it fills
-// the 1280-byte class exactly and one more word costs every peer 128 bytes
-// (the 1408-byte class, where it sat until routing.Params lost its last
-// unset field, DESIGN.md §16). Growing Node is allowed; doing it without
-// noticing is not.
+// Node is allocated with an 8-byte malloc header, in the 1280-byte class
+// (nodeClass) up to 1272 bytes, and one more word costs every peer 128
+// bytes (the 1408-byte class, where it sat until routing.Params lost its
+// last unset field, DESIGN.md §16). It is 1168 bytes since the timers
+// became constants: 24 bytes above 1144, the most the 1152-byte class
+// holds. Growing Node is allowed; doing it without noticing is not.
 func TestNodeFitsItsSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Node{}); sz > 1272 {
-		t.Fatalf("core.Node is %d bytes: past the 1280-byte size class (see comment)", sz)
+	if sz := unsafe.Sizeof(Node{}); sz > 1168 {
+		t.Fatalf("core.Node is %d bytes, grown past 1168 (see comment)", sz)
 	}
 	if sz := unsafe.Sizeof(failover{}); sz > 240 {
 		t.Fatalf("failover is %d bytes: past the 240-byte size class", sz)

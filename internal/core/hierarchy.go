@@ -56,7 +56,7 @@ func (n *Node) startElectionCountdown(level uint8) {
 	// hops of wandering each), inflating the very per-node load it was
 	// meant to cap. DESIGN.md §13 has the full ledger of rejected
 	// load→topology couplings.
-	d := n.cfg.Profile.ElectionCountdown(n.cfg.ElectionMin, n.cfg.ElectionMax, n.env.Rand())
+	d := n.cfg.Profile.ElectionCountdown(electionMin, electionMax, n.env.Rand())
 	n.electionTimer = n.env.SetTimer(d, func() {
 		n.electionTimer = Timer{}
 		n.electionExpired(level)
@@ -156,7 +156,7 @@ func (n *Node) courtRef(ref proto.NodeRef) {
 	n.courtTimer.Cancel()
 	n.courting = ref.Addr
 	n.sendChildReport(ref.Addr)
-	probation := n.cfg.ElectionMin
+	probation := electionMin
 	if probation < 500*time.Millisecond {
 		probation = 500 * time.Millisecond
 	}
@@ -317,7 +317,7 @@ func (n *Node) handleReparent(from uint64, m *proto.Reparent) {
 	// cluster of confused nodes must not re-mint freshness for a dead
 	// node by redirecting each other to it.
 	age := time.Duration(m.AgeDs) * 100 * time.Millisecond
-	if age >= n.cfg.EntryTTL {
+	if age >= EntryTTL {
 		n.ensureHierarchy()
 		return
 	}
@@ -344,7 +344,7 @@ func (n *Node) maybeSplit() {
 		return
 	}
 	now := n.env.Now()
-	if n.lastSplit != 0 && now-n.lastSplit < 2*n.cfg.ChildReport {
+	if n.lastSplit != 0 && now-n.lastSplit < 2*childReport {
 		return
 	}
 	// The lowest over-full level with a child to promote splits. Strongest
@@ -366,7 +366,7 @@ func (n *Node) maybeSplit() {
 				continue
 			}
 			count++
-			if e.DirectFresh(now, n.cfg.EntryTTL) && (!found || r.Score > best.Score || (r.Score == best.Score && r.ID < best.ID)) {
+			if e.DirectFresh(now, EntryTTL) && (!found || r.Score > best.Score || (r.Score == best.Score && r.ID < best.ID)) {
 				best, found = r, true
 			}
 		}
@@ -506,7 +506,7 @@ func (n *Node) maybeStartDemotion() {
 	// node's message load is positional — whoever holds the level
 	// inherits it — so load-accelerated demotion just moves the hotspot
 	// to the next victim and thrashes elections (DESIGN.md §13).
-	n.demotionTimer = n.env.SetTimer(n.cfg.Profile.DemotionCountdown(n.cfg.DemotionMin, n.cfg.DemotionMax), func() {
+	n.demotionTimer = n.env.SetTimer(n.cfg.Profile.DemotionCountdown(demotionMin, demotionMax), func() {
 		n.demotionTimer = Timer{}
 		n.demotionExpired()
 	})
@@ -609,7 +609,7 @@ func (n *Node) handleBusLinkReq(from uint64, m *proto.BusLinkReq) {
 			continue
 		}
 		if mref.Addr != n.Addr() {
-			if e := s.Get(mref.Addr); e == nil || !e.DirectFresh(now, n.cfg.EntryTTL) {
+			if e := s.Get(mref.Addr); e == nil || !e.DirectFresh(now, EntryTTL) {
 				continue
 			}
 		}

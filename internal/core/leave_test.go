@@ -47,7 +47,7 @@ func TestLeaveOfParentAdoptsOrElects(t *testing.T) {
 	left, right := mkRef(idspace.FromFraction(0.4), 2, 0), mkRef(idspace.FromFraction(0.6), 3, 0)
 
 	t.Run("adopt", func(t *testing.T) {
-		n, env := testNode(idspace.FromFraction(0.5), 1, func(c *Config) { c.EntryTTL = time.Hour })
+		n, env := testNode(idspace.FromFraction(0.5), 1)
 		n.InstallLevel0(left, right)
 		n.InstallParent(parent)
 		uncle := mkRef(idspace.FromFraction(0.7), 6, 1)
@@ -69,7 +69,7 @@ func TestLeaveOfParentAdoptsOrElects(t *testing.T) {
 	})
 
 	t.Run("elect", func(t *testing.T) {
-		n, env := testNode(idspace.FromFraction(0.5), 1, func(c *Config) { c.EntryTTL = time.Hour })
+		n, env := testNode(idspace.FromFraction(0.5), 1)
 		n.InstallLevel0(left, right)
 		n.InstallParent(parent)
 		leaveFrom(n, parent)
@@ -80,7 +80,7 @@ func TestLeaveOfParentAdoptsOrElects(t *testing.T) {
 		if calls := msgsOfType[*proto.ElectionCall](env.sent); len(calls) != 2 {
 			t.Fatalf("%d election calls, want one per ring neighbour", len(calls))
 		}
-		env.advance(n.cfg.ElectionMax + time.Second)
+		env.advance(electionMax + time.Second)
 		if n.MaxLevel() != 1 || n.Stats.ElectionsWon != 1 {
 			t.Fatalf("level %d after the countdown (%d won), want the orphan promoted", n.MaxLevel(), n.Stats.ElectionsWon)
 		}
@@ -90,11 +90,11 @@ func TestLeaveOfParentAdoptsOrElects(t *testing.T) {
 // TestLeaveOfChildArmsDemotion: a parent left with fewer than two children
 // starts its demotion countdown at the Leave, not at the next sweep.
 func TestLeaveOfChildArmsDemotion(t *testing.T) {
-	n, env := testNode(idspace.FromFraction(0.5), 1, func(c *Config) { c.EntryTTL = time.Hour })
+	n, env := testNode(idspace.FromFraction(0.5), 1)
 	n.InstallLevel(1)
 	stays, leaves := mkRef(idspace.FromFraction(0.49), 7, 0), mkRef(idspace.FromFraction(0.51), 8, 0)
 	n.InstallChildren(stays, leaves)
-	env.advance(n.cfg.SweepInterval + time.Millisecond)
+	env.advance(sweepInterval + time.Millisecond)
 	if n.demotionTimer != (Timer{}) {
 		t.Fatal("two children, yet a demotion countdown runs")
 	}
@@ -103,7 +103,7 @@ func TestLeaveOfChildArmsDemotion(t *testing.T) {
 		t.Fatalf("%d children, demotion timer %v: want one child and the countdown armed",
 			n.table.Children.Len(), n.demotionTimer != (Timer{}))
 	}
-	env.advance(n.cfg.DemotionMax + time.Second)
+	env.advance(demotionMax + time.Second)
 	if n.MaxLevel() != 0 || n.Stats.Demotions != 1 {
 		t.Fatalf("level %d, %d demotions: the countdown the Leave armed did not run out", n.MaxLevel(), n.Stats.Demotions)
 	}
@@ -112,7 +112,7 @@ func TestLeaveOfChildArmsDemotion(t *testing.T) {
 // TestLeavePurgesEverySlot: the leaver goes from every table, the
 // peer-state map and both rejoin fallbacks, and a courtship of it ends.
 func TestLeavePurgesEverySlot(t *testing.T) {
-	n, env := testNode(idspace.FromFraction(0.5), 1, func(c *Config) { c.EntryTTL = time.Hour })
+	n, env := testNode(idspace.FromFraction(0.5), 1)
 	n.InstallLevel(1)
 	leaver := mkRef(idspace.FromFraction(0.55), 9, 2)
 	other := mkRef(idspace.FromFraction(0.45), 4, 0)
@@ -146,7 +146,7 @@ func TestLeavePurgesEverySlot(t *testing.T) {
 // TestLeaveFromStrangerChangesNothing: a Leave from an address the node
 // holds nowhere leaves no trace, repairs nothing and is not counted.
 func TestLeaveFromStrangerChangesNothing(t *testing.T) {
-	n, env := testNode(idspace.FromFraction(0.5), 1, func(c *Config) { c.EntryTTL = time.Hour })
+	n, env := testNode(idspace.FromFraction(0.5), 1)
 	n.InstallLevel0(mkRef(idspace.FromFraction(0.4), 2, 0), mkRef(idspace.FromFraction(0.6), 3, 0))
 	n.InstallParent(mkRef(idspace.FromFraction(0.52), 5, 1))
 	version, size := n.table.Version(), n.table.Size()
@@ -169,7 +169,7 @@ func TestLeaveFromStrangerChangesNothing(t *testing.T) {
 // child and parent — a peer holding two of the roles hears it once — and
 // the node is stopped afterwards.
 func TestDepartAnnouncesOnceAndStops(t *testing.T) {
-	n, env := testNode(idspace.FromFraction(0.5), 1, func(c *Config) { c.EntryTTL = time.Hour })
+	n, env := testNode(idspace.FromFraction(0.5), 1)
 	n.InstallLevel(1)
 	left, right := mkRef(idspace.FromFraction(0.4), 2, 0), mkRef(idspace.FromFraction(0.6), 3, 1)
 	far := mkRef(idspace.FromFraction(0.9), 4, 0) // known, but not an active connection

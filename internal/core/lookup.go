@@ -57,7 +57,7 @@ type LookupResult struct {
 // retransmission timeout (lookupRTO) and each time it does, the request is
 // routed again from here under the same id — tables have moved on since,
 // and whichever copy is answered first completes the lookup, the other
-// reply finding nothing pending. Only the firing at LookupTimeout reports
+// reply finding nothing pending. Only the firing at LookupDeadline reports
 // failure to the caller.
 func (n *Node) Lookup(target idspace.ID, algo proto.Algo, cb func(LookupResult)) uint64 {
 	return n.LookupCarrying(target, algo, nil, cb)
@@ -132,14 +132,14 @@ func (n *Node) EndLookup(reqID uint64) {
 
 // originRequest is the request as it leaves (or leaves again) its origin.
 func (n *Node) originRequest(target idspace.ID, reqID uint64, algo proto.Algo, carried proto.SvcMessage) proto.LookupRequest {
-	return proto.LookupRequest{Origin: n.Ref(), Target: target, ReqID: reqID, TTL: n.cfg.MaxTTL, Algo: algo, Carried: carried}
+	return proto.LookupRequest{Origin: n.Ref(), Target: target, ReqID: reqID, TTL: MaxTTL, Algo: algo, Carried: carried}
 }
 
 // arm schedules the lookup's next timer firing: one rto from now, or the
 // hard timeout if that comes first.
 func (pl *pendingLookup) arm() {
 	n := pl.node
-	wait := pl.started + n.cfg.LookupTimeout - n.env.Now()
+	wait := pl.started + LookupDeadline - n.env.Now()
 	if pl.rto < wait {
 		wait = pl.rto
 	}
@@ -153,9 +153,9 @@ func (pl *pendingLookup) onTimer() {
 	if cur, _ := n.pending.Get(pl.reqID); cur != pl {
 		return
 	}
-	if elapsed := n.env.Now() - pl.started; elapsed >= n.cfg.LookupTimeout {
+	if elapsed := n.env.Now() - pl.started; elapsed >= LookupDeadline {
 		n.pending.Delete(pl.reqID)
-		pl.release()(LookupResult{Status: LookupTimeout, Hops: int(n.cfg.MaxTTL), Latency: elapsed})
+		pl.release()(LookupResult{Status: LookupTimeout, Hops: int(MaxTTL), Latency: elapsed})
 		return
 	}
 	n.Stats.LookupReissues++

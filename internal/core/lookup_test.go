@@ -85,7 +85,7 @@ func TestLookupForwardAndReply(t *testing.T) {
 	if len(reqs) != 1 {
 		t.Fatalf("forwarded %d requests", len(reqs))
 	}
-	if reqs[0].Hops != 1 || reqs[0].TTL != n.cfg.MaxTTL-1 {
+	if reqs[0].Hops != 1 || reqs[0].TTL != MaxTTL-1 {
 		t.Fatalf("hop/ttl accounting: %+v", reqs[0])
 	}
 	if fired {

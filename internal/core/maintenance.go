@@ -17,16 +17,16 @@ func distTo(a, b idspace.ID) uint64 { return idspace.Dist(a, b) }
 // cancelled at Stop: no per-tick re-arm closure, which matters at scale
 // (three timers per node per interval across a 10k-node simulation).
 
-func (n *Node) armKeepalive() { n.keepaliveTimer = n.env.SetPeriodic(n.cfg.KeepAlive, n.keepaliveTick) }
-func (n *Node) armSweep()     { n.sweepTimer = n.env.SetPeriodic(n.cfg.SweepInterval, n.sweepTick) }
-func (n *Node) armReport()    { n.reportTimer = n.env.SetPeriodic(n.cfg.ChildReport, n.reportTick) }
+func (n *Node) armKeepalive() { n.keepaliveTimer = n.env.SetPeriodic(keepAlive, n.keepaliveTick) }
+func (n *Node) armSweep()     { n.sweepTimer = n.env.SetPeriodic(sweepInterval, n.sweepTick) }
+func (n *Node) armReport()    { n.reportTimer = n.env.SetPeriodic(childReport, n.reportTick) }
 
 // keepaliveTick pings active connections, piggybacking the routing delta
 // each peer has not yet seen (§III.d: "the update can be delayed, waiting
 // to be piggybacked during a keep-alive exchange"). A ping and its pong
 // carry both ends' deltas, so a pair needs one a round: the lower (ID,
 // Addr) end sends it; the higher pings only when the lower has been silent
-// past KeepAlive+rttBound, one round and its slack. An order, not "heard
+// past keepAlive+rttBound, one round and its slack. An order, not "heard
 // lately": ends that tick in lock-step would both skip every other round
 // (DESIGN.md §2).
 func (n *Node) keepaliveTick() {
@@ -36,7 +36,7 @@ func (n *Node) keepaliveTick() {
 	n.rttFirst, n.rttSentAt = n.pingSeq+1, now
 	for _, peer := range n.activePeers() {
 		lower := peer.ID < n.cfg.ID || (peer.ID == n.cfg.ID && peer.Addr < n.Addr())
-		if last, ok := n.table.LastDirect(peer.Addr); lower && ok && now-last <= n.cfg.KeepAlive+n.rttBound() {
+		if last, ok := n.table.LastDirect(peer.Addr); lower && ok && now-last <= keepAlive+n.rttBound() {
 			continue
 		}
 		n.sendPing(peer.Addr)
@@ -74,14 +74,14 @@ func (n *Node) pushUpdates() {
 func (n *Node) sweepTick() {
 	now := n.env.Now()
 	freshDegree := n.farewellCheck(now)
-	res := n.table.Sweep(now, n.cfg.EntryTTL)
+	res := n.table.Sweep(now, EntryTTL)
 	n.expireSuspects(now)
 	for addrs, i := n.peers.Keys(), n.peers.Len()-1; i >= 0; i-- { // from the back: it deletes
 		ps := n.peers.Find(addrs[i])
-		if ps.HasClaim && now-ps.ClaimAt >= n.cfg.EntryTTL {
+		if ps.HasClaim && now-ps.ClaimAt >= EntryTTL {
 			ps.HasClaim = false
 		}
-		if ps.Refused && now-ps.RefusedAt >= n.cfg.EntryTTL {
+		if ps.Refused && now-ps.RefusedAt >= EntryTTL {
 			ps.Refused = false
 		}
 		// A state that carries nothing any more is dropped. Delta cursors
@@ -91,7 +91,7 @@ func (n *Node) sweepTick() {
 		// just resends a full (receiver-deduplicated) table once. The
 		// horizon is several TTLs so active-connection cursors, which
 		// refresh every keep-alive, are never touched.
-		idleCursor := ps.LastSent == 0 || now-ps.LastSentAt >= 4*n.cfg.EntryTTL
+		idleCursor := ps.LastSent == 0 || now-ps.LastSentAt >= 4*EntryTTL
 		if !ps.HasClaim && !ps.Refused && idleCursor {
 			n.peers.Delete(addrs[i])
 		}
@@ -120,7 +120,7 @@ func (n *Node) sweepTick() {
 	if len(res.Level0) > 0 {
 		l, r := n.table.Level0.Neighbors(n.cfg.ID)
 		for _, nb := range []proto.NodeRef{l, r} {
-			if !nb.IsZero() && !n.table.Level0.Get(nb.Addr).DirectFresh(now, n.cfg.EntryTTL) {
+			if !nb.IsZero() && !n.table.Level0.Get(nb.Addr).DirectFresh(now, EntryTTL) {
 				n.sendHello(nb.Addr)
 			}
 		}
@@ -351,7 +351,7 @@ func (n *Node) handleJoinRedirect(from uint64, m *proto.JoinRedirect) {
 	if m.Closer.IsZero() || m.Closer.Addr == n.Addr() {
 		return
 	}
-	n.noteRefAt(m.Closer, false, n.env.Now()-n.cfg.EntryTTL/2)
+	n.noteRefAt(m.Closer, false, n.env.Now()-EntryTTL/2)
 	n.sendJoinRequest(m.Closer.Addr)
 }
 
@@ -369,7 +369,7 @@ func (n *Node) handleJoinAccept(from uint64, m *proto.JoinAccept) {
 	if !m.Parent.IsZero() && m.Parent.Addr != n.Addr() {
 		// The suggested parent is hearsay from the acceptor: court it
 		// (half-TTL knowledge credit until it answers).
-		n.noteRefAt(m.Parent, false, n.env.Now()-n.cfg.EntryTTL/2)
+		n.noteRefAt(m.Parent, false, n.env.Now()-EntryTTL/2)
 		n.courtRef(m.Parent)
 	}
 	n.ensureHierarchy()
@@ -424,7 +424,7 @@ func (n *Node) noteRefAt(r proto.NodeRef, direct bool, validated time.Duration) 
 // itself is stale and must not resurrect phantom bus membership.
 func (n *Node) claimCap(addr uint64, advertised uint8) uint8 {
 	ps := n.peers.Find(addr)
-	if ps == nil || !ps.HasClaim || n.env.Now()-ps.ClaimAt >= n.cfg.EntryTTL {
+	if ps == nil || !ps.HasClaim || n.env.Now()-ps.ClaimAt >= EntryTTL {
 		return advertised
 	}
 	if ps.ClaimLevel < advertised {
@@ -459,7 +459,7 @@ func (n *Node) applyEntries(from uint64, sender proto.NodeRef, entries []proto.E
 		// Shipped ages accumulate across hops; information already older
 		// than the entry TTL is dead on arrival.
 		age := e.AgeDuration()
-		if age >= n.cfg.EntryTTL {
+		if age >= EntryTTL {
 			continue
 		}
 		validated := now - age

@@ -168,7 +168,10 @@ func (n *Node) ringChanged() {
 }
 
 // SetExtension installs the handler for non-core messages (the DHT's),
-// replacing the one installed before: a node has one extension.
+// replacing the one installed before: a node has one extension. Stop calls
+// it once more, with a nil message: the node's lookups ended without a
+// report, and the extension frees what it holds for calls that can no
+// longer be answered.
 func (n *Node) SetExtension(fn func(from uint64, msg proto.Message)) { n.extension = fn }
 
 // Send exposes best-effort sending to layered services.
@@ -261,8 +264,8 @@ func NewNode(cfg Config, env Env) *Node {
 		sc:     sc,
 		score:  cfg.Profile.Score(),
 		table:  rtable.NewWith(&sc.sweep),
-		srtt:   rttPrior(cfg.KeepAlive),
-		rttvar: rttPrior(cfg.KeepAlive) / 2,
+		srtt:   rttPrior,
+		rttvar: rttPrior / 2,
 	}
 	n.maxChildren = uint16(min(max(cfg.ChildPolicy.MaxChildren(cfg.Profile), 2), math.MaxUint16))
 	return n
@@ -294,9 +297,9 @@ func (n *Node) Score() float64 { return n.score }
 func (n *Node) MaxChildren() int { return int(n.maxChildren) }
 
 // Mem is the heap one node holds, in bytes (the loop's Scratch is not the
-// node's): its table, the struct with its anchor list, the peers and
-// pending slabs with the lookups in flight, and the failover record while
-// the node holds one.
+// node's): its table, the struct in its size class with its anchor list,
+// the peers and pending slabs with the lookups in flight, and the failover
+// record while the node holds one.
 type Mem struct {
 	Table             rtable.Mem
 	Node, Peers, Hold int
@@ -306,7 +309,7 @@ type Mem struct {
 func (n *Node) MemBytes() Mem {
 	m := Mem{
 		Table: n.table.MemBytes(),
-		Node:  int(unsafe.Sizeof(*n)) + cap(n.cfg.Anchors)*8,
+		Node:  nodeClass + cap(n.cfg.Anchors)*8,
 		Peers: n.peers.MemBytes() + n.pending.MemBytes() + n.pending.Len()*int(unsafe.Sizeof(pendingLookup{})),
 	}
 	if n.fo != nil {
@@ -324,6 +327,10 @@ func (n *Node) MemBytes() Mem {
 	}
 	return m
 }
+
+// nodeClass is the allocator size class a Node takes, malloc header
+// included (TestNodeFitsItsSizeClass).
+const nodeClass = 1280
 
 // Table exposes the routing table for analysis (AN-2 measures its size
 // against the §III.e formulas). Callers must not mutate it.
@@ -348,8 +355,9 @@ func (n *Node) Start() {
 	n.armReport()
 }
 
-// Stop cancels all timers (node shutdown). In-flight messages addressed to
-// the node are the runtime's concern.
+// Stop cancels all timers (node shutdown) and ends the lookups in flight
+// without answering them; the extension hears of it last. In-flight messages
+// addressed to the node are the runtime's concern.
 func (n *Node) Stop() {
 	n.started = false
 	for _, t := range [...]Timer{n.keepaliveTimer, n.sweepTimer, n.reportTimer, n.electionTimer, n.demotionTimer, n.courtTimer} {
@@ -364,6 +372,9 @@ func (n *Node) Stop() {
 	}
 	n.pending = idspace.Keyed[uint64, *pendingLookup]{}
 	n.stopFailover()
+	if n.extension != nil {
+		n.extension(0, nil)
+	}
 }
 
 // Join bootstraps the node into an existing overlay through any live peer
@@ -474,7 +485,7 @@ func (n *Node) HandleMessage(from uint64, msg proto.Message) {
 	// Record whether the sender was a fresh direct ring contact BEFORE the
 	// Touch below refreshes its timestamps; handlers cannot recover this
 	// afterwards, and ringUpsert keys the merge-zip trigger on it.
-	if e := n.table.Level0.Get(from); e == nil || !e.DirectFresh(n.env.Now(), n.cfg.EntryTTL) {
+	if e := n.table.Level0.Get(from); e == nil || !e.DirectFresh(n.env.Now(), EntryTTL) {
 		n.curNew = from
 		if last := (n.recentIdx + recentPeerSlots - 1) % recentPeerSlots; n.recentPeers[last] != from {
 			n.recentPeers[n.recentIdx] = from
@@ -692,7 +703,7 @@ func (n *Node) bestKnownMember(level uint8, near idspace.ID) (proto.NodeRef, tim
 			return
 		}
 		if ps := n.peers.Find(r.Addr); ps != nil && ps.Refused {
-			if now-ps.RefusedAt < n.cfg.EntryTTL {
+			if now-ps.RefusedAt < EntryTTL {
 				return
 			}
 			ps.Refused = false
@@ -740,7 +751,7 @@ func (n *Node) bestKnownMember(level uint8, near idspace.ID) (proto.NodeRef, tim
 // there is bounded by depth × TTL rather than unbounded.
 func (n *Node) structuralEntries(out []proto.Entry) []proto.Entry {
 	now := n.env.Now()
-	ttl := n.cfg.EntryTTL
+	ttl := EntryTTL
 	v := n.table.Version()
 	if p, ok := n.table.Parent(); ok && !n.table.ParentExpired(now, ttl) {
 		pe, _ := n.table.ParentEntry()

@@ -7,13 +7,14 @@ import (
 
 	"treep/internal/idspace"
 	"treep/internal/proto"
+	"treep/internal/routing"
 	"treep/internal/rtable"
 )
 
 func TestNewNodeDefaults(t *testing.T) {
 	env := newFakeEnv(1)
-	n := NewNode(Config{ID: 42}, env)
-	if n.cfg.MaxHeight != 6 || n.cfg.MaxTTL != 255 {
+	n := NewNode(Config{ID: 42, Routing: routing.Params{Height: 3}}, env)
+	if n.cfg.MaxHeight != 6 || n.Config().Routing != (routing.Params{Height: 6}) {
 		t.Fatalf("defaults not applied: %+v", n.cfg)
 	}
 	if n.MaxChildren() < 2 {
@@ -104,7 +105,7 @@ func TestKeepaliveOnePingPerPair(t *testing.T) {
 	// the update push of the election this lone node wins.
 	piggyback := func(c *Config) { c.ImmediateUpdates = false }
 	n, env := testNode(100, 1, piggyback)
-	ka := n.cfg.KeepAlive
+	ka := keepAlive
 	lo, hi := mkRef(90, 2, 0), mkRef(110, 3, 0)
 	n.InstallLevel0(lo, hi)
 	var heardLo time.Duration
@@ -149,7 +150,7 @@ func TestKeepaliveOnePingPerPair(t *testing.T) {
 		if env.now-last > 2*ka {
 			t.Fatalf("round %d: lower peer unpinged for %v", round, env.now-last)
 		}
-		if e := n.Table().Level0.Get(lo.Addr); e == nil || !e.DirectFresh(env.now, n.cfg.EntryTTL) {
+		if e := n.Table().Level0.Get(lo.Addr); e == nil || !e.DirectFresh(env.now, EntryTTL) {
 			t.Fatalf("round %d: one-sided neighbour lapsed", round)
 		}
 	}
@@ -160,7 +161,7 @@ func TestKeepaliveOnePingPerPair(t *testing.T) {
 func TestSweepRegreetsOnlyStaleNeighbours(t *testing.T) {
 	far := mkRef(80, 4, 0)
 	expiring := func(n *Node, env *fakeEnv) {
-		n.table.Level0.Upsert(far, proto.FNeighbor|proto.FIndirect, env.now-n.cfg.EntryTTL, n.table.NextVersion(), rtable.Hearsay)
+		n.table.Level0.Upsert(far, proto.FNeighbor|proto.FIndirect, env.now-EntryTTL, n.table.NextVersion(), rtable.Hearsay)
 	}
 	hellosTo := func(sent []sentMsg, addr uint64) int { return len(ofTypeTo[*proto.Hello](sent, addr)) }
 
@@ -168,7 +169,7 @@ func TestSweepRegreetsOnlyStaleNeighbours(t *testing.T) {
 	n, env := testNode(100, 1)
 	n.InstallLevel0(mkRef(90, 2, 0), mkRef(110, 3, 0))
 	expiring(n, env)
-	env.advance(n.cfg.SweepInterval)
+	env.advance(sweepInterval)
 	if n.Table().Level0.Get(far.Addr) != nil {
 		t.Fatal("the hearsay contact did not expire")
 	}
@@ -182,7 +183,7 @@ func TestSweepRegreetsOnlyStaleNeighbours(t *testing.T) {
 	n.InstallLevel0(mkRef(90, 2, 0))
 	n.table.Level0.Upsert(mkRef(110, 3, 0), proto.FNeighbor, env.now, n.table.NextVersion(), rtable.Hearsay)
 	expiring(n, env)
-	env.advance(n.cfg.SweepInterval)
+	env.advance(sweepInterval)
 	sent = env.drain()
 	if hellosTo(sent, 3) != 1 || hellosTo(sent, 2) != 0 {
 		t.Fatalf("hellos to the stale / live neighbour: %d / %d, want 1 / 0", hellosTo(sent, 3), hellosTo(sent, 2))
@@ -418,7 +419,7 @@ func TestElectionFlow(t *testing.T) {
 	n, env := testNode(idspace.FromFraction(0.5), 1)
 	n.InstallLevel0(mkRef(idspace.FromFraction(0.45), 2, 0), mkRef(idspace.FromFraction(0.55), 3, 0))
 	env.drain()
-	env.advance(n.cfg.SweepInterval + time.Millisecond) // sweep runs ensureHierarchy
+	env.advance(sweepInterval + time.Millisecond) // sweep runs ensureHierarchy
 	calls := msgsOfType[*proto.ElectionCall](env.drain())
 	if len(calls) != 2 {
 		t.Fatalf("election calls %d, want 2 (both neighbours)", len(calls))
@@ -426,7 +427,7 @@ func TestElectionFlow(t *testing.T) {
 	if n.Stats.ElectionsStarted != 1 {
 		t.Fatal("election not counted")
 	}
-	env.advance(n.cfg.ElectionMax + time.Second)
+	env.advance(electionMax + time.Second)
 	if n.MaxLevel() != 1 {
 		t.Fatalf("maxLevel %d after winning election", n.MaxLevel())
 	}
@@ -442,7 +443,7 @@ func TestElectionFlow(t *testing.T) {
 func TestParentClaimAdoptionCancelsElection(t *testing.T) {
 	n, env := testNode(idspace.FromFraction(0.5), 1)
 	n.InstallLevel0(mkRef(idspace.FromFraction(0.45), 2, 0), mkRef(idspace.FromFraction(0.55), 3, 0))
-	env.advance(n.cfg.SweepInterval + time.Millisecond) // start election
+	env.advance(sweepInterval + time.Millisecond) // start election
 	env.drain()
 	claimant := mkRef(idspace.FromFraction(0.48), 4, 1)
 	n.HandleMessage(4, &proto.ParentClaim{From: claimant, Level: 1, Region: proto.FromIDSpace(idspace.FullRegion())})
@@ -508,9 +509,9 @@ func TestParentClaimNamingReceiverIsIgnored(t *testing.T) {
 }
 
 func TestDemotionAfterChildLoss(t *testing.T) {
-	// Long EntryTTL: this test exercises the demotion countdown, not entry
-	// expiry (no live peers are refreshing the installed refs).
-	n, env := testNode(idspace.FromFraction(0.5), 1, func(c *Config) { c.EntryTTL = time.Hour })
+	// The peers keep greeting: this test exercises the demotion countdown,
+	// not entry expiry.
+	n, env := testNode(idspace.FromFraction(0.5), 1)
 	n.InstallLevel(1)
 	peer := mkRef(idspace.FromFraction(0.7), 8, 1)
 	n.InstallBus(1, peer)
@@ -518,7 +519,9 @@ func TestDemotionAfterChildLoss(t *testing.T) {
 	n.InstallChildren(child)
 	env.drain()
 	// One child < 2: demotion countdown arms on the next sweep and fires.
-	env.advance(n.cfg.SweepInterval + n.cfg.DemotionMax + time.Second)
+	keepFresh(n, env, peer, sweepInterval+demotionMax+time.Second, func() {
+		n.HandleMessage(child.Addr, &proto.Hello{From: child})
+	})
 	if n.MaxLevel() != 0 {
 		t.Fatalf("maxLevel %d, want demoted to 0", n.MaxLevel())
 	}
@@ -536,13 +539,16 @@ func TestDemotionAfterChildLoss(t *testing.T) {
 }
 
 func TestDemotionCancelledWhenChildrenRecover(t *testing.T) {
-	n, env := testNode(idspace.FromFraction(0.5), 1, func(c *Config) { c.EntryTTL = time.Hour })
+	n, env := testNode(idspace.FromFraction(0.5), 1)
 	n.InstallLevel(1)
-	n.InstallChildren(mkRef(idspace.FromFraction(0.51), 7, 0))
-	env.advance(n.cfg.SweepInterval + time.Millisecond) // arm countdown
-	// Second child arrives before expiry.
-	n.HandleMessage(9, &proto.ChildReport{From: mkRef(idspace.FromFraction(0.49), 9, 0), Degree: 2})
-	env.advance(n.cfg.DemotionMax + time.Second)
+	first, second := mkRef(idspace.FromFraction(0.51), 7, 0), mkRef(idspace.FromFraction(0.49), 9, 0)
+	n.InstallChildren(first)
+	env.advance(sweepInterval + time.Millisecond) // arm countdown
+	// Second child arrives before expiry; both stay in touch.
+	n.HandleMessage(9, &proto.ChildReport{From: second, Degree: 2})
+	keepFresh(n, env, first, demotionMax+time.Second, func() {
+		n.HandleMessage(second.Addr, &proto.Hello{From: second})
+	})
 	if n.MaxLevel() != 1 {
 		t.Fatal("demotion fired despite recovered children")
 	}

@@ -19,7 +19,7 @@ import (
 // protocol ever closes such a gap — coverage is probabilistic. The
 // probes below make repair an enforced invariant:
 //
-//   - Verification probe: every ProbeInterval a node asks its nearest
+//   - Verification probe: every probeInterval a node asks its nearest
 //     direct-fresh neighbour on each side, "do you know anyone between
 //     us?" The probe ring-walks toward the void (ProbeStep), the gap
 //     shrinking strictly at every hop, until the true far edge answers
@@ -87,7 +87,7 @@ const ringDegreeFloor = 3
 // the node's fresh ring degree, which sweepTick uses to detect
 // stranded-segment membership.
 func (n *Node) farewellCheck(now time.Duration) int {
-	ttl := n.cfg.EntryTTL
+	ttl := EntryTTL
 	fresh := 0
 	// Nearest surviving (non-expiring) entry per side.
 	var survLeft, survRight proto.NodeRef
@@ -131,7 +131,7 @@ func (n *Node) farewellCheck(now time.Duration) int {
 // one datagram per entry TTL, the steady-state cost of not being
 // strandable.
 func (n *Node) anchorHello(now time.Duration) {
-	if len(n.cfg.Anchors) == 0 || now-n.lastAnchorHello < n.cfg.EntryTTL {
+	if len(n.cfg.Anchors) == 0 || now-n.lastAnchorHello < EntryTTL {
 		return
 	}
 	n.lastAnchorHello = now
@@ -144,7 +144,7 @@ func (n *Node) anchorHello(now time.Duration) {
 // probeTick drives one round of ring self-healing; called from sweepTick.
 func (n *Node) probeTick() {
 	now := n.env.Now()
-	left, right := n.table.Level0.NeighborsFresh(n.cfg.ID, now, n.cfg.EntryTTL)
+	left, right := n.table.Level0.NeighborsFresh(n.cfg.ID, now, EntryTTL)
 	n.probeSide(0, left, now)
 	n.probeSide(1, right, now)
 }
@@ -156,7 +156,7 @@ func (n *Node) probeSide(side int, nearest proto.NodeRef, now time.Duration) {
 		// neighbour we see may not be the survivor actually adjacent to
 		// us — the churn hole is exactly that state.
 		n.sideEmptySince[side] = 0
-		if now-n.lastProbe[side] < n.cfg.ProbeInterval {
+		if now-n.lastProbe[side] < probeInterval {
 			return
 		}
 		n.lastProbe[side] = now
@@ -167,7 +167,7 @@ func (n *Node) probeSide(side int, nearest proto.NodeRef, now time.Duration) {
 		n.sideEmptySince[side] = now
 		return
 	}
-	if now-n.sideEmptySince[side] < n.cfg.EntryTTL || now-n.lastProbe[side] < n.cfg.ProbeInterval {
+	if now-n.sideEmptySince[side] < EntryTTL || now-n.lastProbe[side] < probeInterval {
 		return
 	}
 	// The side has been empty past its TTL: hunt for the far edge through
@@ -208,7 +208,7 @@ func (n *Node) handleRingProbe(from uint64, m *proto.RingProbe) {
 	}
 	now := n.env.Now()
 	age := time.Duration(m.AgeDs) * 100 * time.Millisecond
-	if age >= n.cfg.EntryTTL {
+	if age >= EntryTTL {
 		return // knowledge of the origin drained in flight
 	}
 	validated := now - age
@@ -220,7 +220,7 @@ func (n *Node) handleRingProbe(from uint64, m *proto.RingProbe) {
 		// adjacent nodes ends here every round, and answering it would be
 		// steady-state noise. An ack is owed only when this side does not
 		// hold the origin fresh.
-		if e := n.table.Level0.Get(m.Origin.Addr); e != nil && e.DirectFresh(now, n.cfg.EntryTTL) {
+		if e := n.table.Level0.Get(m.Origin.Addr); e != nil && e.DirectFresh(now, EntryTTL) {
 			return
 		}
 		// File the origin (hearsay at the shipped age — the ack round
@@ -285,7 +285,7 @@ func (n *Node) ringUpsert(r proto.NodeRef) {
 	var prev proto.NodeRef
 	if n.curNew != 0 && r.Addr == n.curNew && r.ID != n.cfg.ID &&
 		n.table.Level0.SideRank(n.cfg.ID, r.ID) < level0Span {
-		left, right := n.table.Level0.NeighborsFresh(n.cfg.ID, now, n.cfg.EntryTTL)
+		left, right := n.table.Level0.NeighborsFresh(n.cfg.ID, now, EntryTTL)
 		if r.ID < n.cfg.ID && !left.IsZero() && r.ID < left.ID {
 			prev = left
 		} else if r.ID > n.cfg.ID && !right.IsZero() && r.ID > right.ID {
@@ -337,10 +337,10 @@ func (n *Node) handleMergeIntro(from uint64, m *proto.MergeIntro) {
 	}
 	now := n.env.Now()
 	age := time.Duration(m.AgeDs) * 100 * time.Millisecond
-	if age >= n.cfg.EntryTTL {
+	if age >= EntryTTL {
 		return
 	}
-	if e := n.table.Level0.Get(m.Peer.Addr); e != nil && e.DirectFresh(now, n.cfg.EntryTTL) {
+	if e := n.table.Level0.Get(m.Peer.Addr); e != nil && e.DirectFresh(now, EntryTTL) {
 		return // already merged here: the cascade stops
 	}
 	// Greet the named peer — and file NOTHING yet. The greeting exchange

@@ -167,17 +167,37 @@ func (c *call) finish(resp proto.SvcMessage, err error) {
 		s.node.EndLookup(c.lookup)
 	}
 	s.pending.Delete(c.id)
+	c.recycle()
+	cb(resp, err)
+}
+
+// recycle hands the record back to callPool, its bound callbacks kept.
+func (c *call) recycle() {
 	*c = call{fire: c.fire, resolved: c.resolved, local: c.local}
 	callPool.Put(c)
-	cb(resp, err)
+}
+
+// abandon frees every pending call without answering it, once the node
+// has stopped. The node ended the lookups carrying them without a report,
+// and a caller whose origin stopped is owed no answer: the operation is
+// abandoned, not failed.
+func (s *Service) abandon() {
+	for _, id := range s.pending.Keys() {
+		c, _ := s.pending.Get(id)
+		c.timer.Cancel()
+		c.recycle()
+	}
+	s.pending = idspace.Keyed[uint64, *call]{}
 }
 
 // handle is the node's extension hook: a response answers its pending call
 // (a duplicate or a late one finds none), a request is served. A carried
 // request comes here from the lookup that delivered it, with its origin as
-// the sender.
+// the sender. No message is the node's stop.
 func (s *Service) handle(from uint64, msg proto.Message) {
 	switch m := msg.(type) {
+	case nil:
+		s.abandon()
 	case *proto.DHTStore, *proto.DHTFetch, *proto.DHTReplicate:
 		s.serve(from, m.(proto.SvcMessage), nil)
 	case *proto.DHTStoreAck, *proto.DHTFetchReply, *proto.DHTReplicateAck:

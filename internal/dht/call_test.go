@@ -281,3 +281,71 @@ func TestSixtyFourInFlight(t *testing.T) {
 		}
 	}
 }
+
+// TestKilledOriginNeverCallsBack: an operation whose origin was
+// fail-stopped never calls back — not with ErrTimeout from a lookup's
+// deadline, not with ErrLookupFailed from a backoff that looks the owner up
+// again. The benchmark books such an operation as abandoned; a late
+// failure callback would turn it into a failed one. The kill frees the
+// calls' records, their timers cancelled, as the node's Stop ends their
+// lookups: nothing would ever answer them. (Every timer a node sets also
+// runs behind its liveness, the simulator's kill guard.)
+func TestKilledOriginNeverCallsBack(t *testing.T) {
+	c, svcs := dhtCluster(t, 64, 5)
+	origin := c.Nodes[10]
+	s := svcs[origin.Addr()]
+	// Owners that never answer: every other node's extension counts the
+	// requests it takes for each key and drops them, so the calls are still
+	// in flight when the origin dies.
+	served := map[idspace.ID]int{}
+	for _, nd := range c.Nodes {
+		if nd != origin {
+			nd.SetExtension(func(_ uint64, msg proto.Message) {
+				switch m := msg.(type) {
+				case *proto.DHTFetch:
+					served[m.Key]++
+				case *proto.DHTStore:
+					served[m.Key]++
+				}
+			})
+		}
+	}
+	var fired []string
+
+	// A Get whose owner lookup reaches its deadline unanswered: it backs
+	// off before looking the owner up again.
+	key := keyOwnedBy(t, c, c.Nodes[20])
+	first := idspace.HashKey(key)
+	s.Get(key, func([]byte, error) { fired = append(fired, "Get (backing off)") })
+	for i := 0; s.Stats.Retries == 0; i++ {
+		if i == 1200 {
+			t.Fatal("the first Get's lookup never timed out")
+		}
+		c.Run(10 * time.Millisecond)
+	}
+	sent := served[first]
+
+	get, put := keyOwnedBy(t, c, c.Nodes[30]), keyOwnedBy(t, c, c.Nodes[40])
+	s.Get(get, func([]byte, error) { fired = append(fired, "Get") })
+	s.Put(put, []byte("v"), func(error) { fired = append(fired, "Put") })
+	for i := 0; served[idspace.HashKey(get)] == 0 || served[idspace.HashKey(put)] == 0; i++ {
+		if i == 50 {
+			t.Fatal("the Get's and the Put's requests did not reach their owners within the backoff")
+		}
+		c.Run(10 * time.Millisecond)
+	}
+	// The Get's and the Put's lookups wait out their deadlines; the first
+	// Get is in its backoff, its request not yet sent again.
+	if served[first] != sent || origin.PendingLookups() != 2 || s.pending.Len() != 3 {
+		t.Fatalf("first Get re-sent: %v; %d lookups and %d calls in flight, want 2 and 3",
+			served[first] != sent, origin.PendingLookups(), s.pending.Len())
+	}
+	c.Kill(origin)
+	if s.pending.Len() != 0 {
+		t.Fatalf("%d calls still pending on the killed origin", s.pending.Len())
+	}
+	c.Run(30 * time.Second)
+	if len(fired) != 0 {
+		t.Fatalf("callbacks fired after their origin was killed: %v", fired)
+	}
+}

@@ -641,7 +641,7 @@ func (s *Service) ReplicaTargets(k idspace.ID) []proto.NodeRef { return s.replic
 func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
 	const want = replicationFactor - 1
 	l0 := &s.Node().Table().Level0
-	now, ttl := s.Node().Now(), s.Node().Config().EntryTTL
+	now, ttl := s.Node().Now(), core.EntryTTL
 	// Collect up to `want` fresh contacts from each side, then keep the
 	// `want` nearest by distance. The ID space is a line, not a ring: a
 	// key near an extreme has fewer (or no) contacts on one side, and
@@ -683,7 +683,7 @@ func (s *Service) replicaTargets(k idspace.ID) []proto.NodeRef {
 // the nearest would flip with every lapse.
 func (s *Service) closer(k idspace.ID, mark uint64) (nearest proto.NodeRef, count int, held bool) {
 	l0 := &s.Node().Table().Level0
-	now, ttl := s.Node().Now(), s.Node().Config().EntryTTL
+	now, ttl := s.Node().Now(), core.EntryTTL
 	selfID := s.Node().ID()
 	dSelf := idspace.Dist(selfID, k)
 	for i := range l0.Len() {
@@ -710,7 +710,7 @@ func (s *Service) closer(k idspace.ID, mark uint64) (nearest proto.NodeRef, coun
 // record needs a re-push. (Contacts further along lapse from direct
 // freshness while nothing changes.)
 func (s *Service) ringSig() uint64 {
-	l, r := s.Node().Table().Level0.NeighborsFresh(s.Node().ID(), s.Node().Now(), s.Node().Config().EntryTTL)
+	l, r := s.Node().Table().Level0.NeighborsFresh(s.Node().ID(), s.Node().Now(), core.EntryTTL)
 	return mix(mix(0, l.Addr), r.Addr)
 }
 

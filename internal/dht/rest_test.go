@@ -295,7 +295,7 @@ func TestOwnerDeathMakesTheReplicaOwner(t *testing.T) {
 	r.expect("replica while the owner lives", r.tick(replica))
 
 	r.c.Kill(r.n[owner])
-	r.c.Run(r.n[replica].Config().EntryTTL + time.Second) // the owner's entry lapses
+	r.c.Run(core.EntryTTL + time.Second) // the owner's entry lapses
 	r.knows(replica, next)
 	r.expect("replica become owner", r.tick(replica), sentReplicate{replica, next, k, 1, false})
 	r.knows(replica, next)
@@ -317,12 +317,12 @@ func TestPlacementSurvivesALapsingContact(t *testing.T) {
 	r.knows(outer, owner, mid)
 	r.expect("outer replica, owner fresh", r.tick(outer))
 
-	r.c.Run(r.n[outer].Config().EntryTTL + time.Second)
+	r.c.Run(core.EntryTTL + time.Second)
 	r.knows(outer, mid) // the owner has not been heard from; mid has
 	r.expect("outer replica, owner lapsed", r.tick(outer), sentReplicate{outer, mid, k, 1, true})
 	r.knows(outer, owner, mid)
 	r.expect("outer replica, owner back", r.tick(outer))
-	r.c.Run(r.n[outer].Config().EntryTTL + time.Second)
+	r.c.Run(core.EntryTTL + time.Second)
 	r.knows(outer, mid)
 	r.expect("outer replica, owner lapsed again", r.tick(outer))
 }

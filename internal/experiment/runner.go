@@ -300,8 +300,7 @@ func measure(c *simrt.Cluster, pairs [][2]*core.Node, algo proto.Algo) *AlgoStep
 			}
 		})
 	}
-	timeout := c.Nodes[0].Config().LookupTimeout
-	c.Run(timeout + time.Second)
+	c.Run(core.LookupDeadline + time.Second)
 	return out
 }
 

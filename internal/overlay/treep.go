@@ -70,7 +70,7 @@ func (t *TreeP) Lookup(origin int, target idspace.ID, cb func(Outcome)) {
 
 // LookupWindow implements Overlay.
 func (t *TreeP) LookupWindow() time.Duration {
-	return t.C.Nodes[0].Config().LookupTimeout + time.Second
+	return core.LookupDeadline + time.Second
 }
 
 // StateSize implements Overlay: total routing-table entries across live

@@ -15,8 +15,9 @@ import (
 	"treep/internal/proto"
 )
 
-// Model computes the distance D(a, b) between a node a (whose hierarchy
-// level matters) and a target coordinate b. The paper (§III.f):
+// distance is D(a, b), the distance between a node a (whose hierarchy
+// level matters) and a target coordinate b, in a hierarchy of height h.
+// The paper (§III.f):
 //
 //	D(a,b) = d(a,b)                      if lvl_a = 0
 //	D(a,b) = 0                           if d(a,b) ≤ L/2^(h−lvl_a)
@@ -25,39 +26,19 @@ import (
 // "This distance function takes into account the location of a and b in
 // the topology and the size of their tessellations": a node high in the
 // hierarchy covers a wide slice of the space, so targets within its
-// coverage radius are at distance zero.
-type Model interface {
-	// D returns the distance from node a to coordinate b.
-	D(a proto.NodeRef, b idspace.ID) float64
-}
-
-// PaperModel is the literal reconstruction of the paper's formula with
-// coverage radius L/2^(h−lvl). Height is the hierarchy height h.
-type PaperModel struct {
-	Height uint8
-}
-
-// D implements Model.
-func (m PaperModel) D(a proto.NodeRef, b idspace.ID) float64 {
+// coverage radius are at distance zero. Outside the Hierarchical regime it
+// is the Euclidean d(a,b) at every level, the fall-back of §III.f ("the
+// Euclidian distance is used instead").
+func distance(a proto.NodeRef, b idspace.ID, h uint8, r Regime) float64 {
 	d := idspace.DistF(a.ID, b)
-	if a.MaxLevel == 0 {
+	if a.MaxLevel == 0 || r != Hierarchical {
 		return d
 	}
-	cover := coverage(m.Height, a.MaxLevel)
+	cover := coverage(h, a.MaxLevel)
 	if d <= cover {
 		return 0
 	}
 	return d - cover
-}
-
-// EuclideanModel ignores the hierarchy entirely: D(a,b) = d(a,b). It is
-// both the TTL>h fall-back of §III.f ("the Euclidian distance is used
-// instead") and a baseline for ablations.
-type EuclideanModel struct{}
-
-// D implements Model.
-func (EuclideanModel) D(a proto.NodeRef, b idspace.ID) float64 {
-	return idspace.DistF(a.ID, b)
 }
 
 // coverage returns L/2^(h−lvl). A node at the top of the hierarchy

@@ -38,11 +38,8 @@ func oldRoute(ex Excluded, self proto.NodeRef, tbl *rtable.Table, req *proto.Loo
 	}
 
 	regime := p.Regime(req.Hops)
-	var model Model = p.Model
-	if model == nil || regime != Hierarchical {
-		model = EuclideanModel{}
-	}
-	dSelf := model.D(self, x)
+	model := func(a proto.NodeRef, b idspace.ID) float64 { return distance(a, b, p.Height, regime) }
+	dSelf := model(self, x)
 
 	cands := oldCandidates(tbl)
 	filtered := cands[:0]
@@ -82,11 +79,11 @@ func oldRoute(ex Excluded, self proto.NodeRef, tbl *rtable.Table, req *proto.Loo
 	}
 }
 
-func oldGreedy(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded) Step {
+func oldGreedy(self proto.NodeRef, req *proto.LookupRequest, model oldModel, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded) Step {
 	best := cands[0]
-	bestD := model.D(best, x)
+	bestD := model(best, x)
 	for _, c := range cands[1:] {
-		if d := model.D(c, x); d < bestD {
+		if d := model(c, x); d < bestD {
 			best, bestD = c, d
 		}
 	}
@@ -101,12 +98,12 @@ func oldGreedy(self proto.NodeRef, req *proto.LookupRequest, model Model, cands 
 	return oldEscalate(self, req, model, cands, x, dSelf, tbl, p, sender, ex, false)
 }
 
-func oldNG(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded, collectAlternates bool) Step {
+func oldNG(self proto.NodeRef, req *proto.LookupRequest, model oldModel, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded, collectAlternates bool) Step {
 	var first proto.NodeRef
 	found := false
 	var alternates []proto.NodeRef
 	for _, c := range cands {
-		if model.D(c, x) < dSelf {
+		if model(c, x) < dSelf {
 			if !found {
 				first, found = c, true
 				continue
@@ -126,7 +123,7 @@ func oldNG(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []pr
 	return Step{Action: Forward, Next: first, Alternates: out}
 }
 
-func oldEscalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded, ngsa bool) Step {
+func oldEscalate(self proto.NodeRef, req *proto.LookupRequest, model oldModel, cands []proto.NodeRef, x idspace.ID, dSelf float64, tbl *rtable.Table, p Params, sender uint64, ex Excluded, ngsa bool) Step {
 	if dSelf == 0 {
 		return Step{Action: Forward, Next: cands[0], Alternates: req.Alternates}
 	}
@@ -153,7 +150,7 @@ func oldEscalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cand
 		bestD := dSelf / 2
 		found := false
 		forSup(func(s proto.NodeRef) {
-			if d := model.D(s, x); d <= bestD {
+			if d := model(s, x); d <= bestD {
 				best, bestD, found = s, d, true
 			}
 		})
@@ -183,9 +180,15 @@ func oldEscalate(self proto.NodeRef, req *proto.LookupRequest, model Model, cand
 	return next
 }
 
+// oldModel is the distance D the oracle ranks candidates by.
+type oldModel func(a proto.NodeRef, b idspace.ID) float64
+
+// euclidean is D outside the hierarchical regime.
+func euclidean(a proto.NodeRef, b idspace.ID) float64 { return distance(a, b, 0, Euclidean) }
+
 func oldRingWalk(self proto.NodeRef, req *proto.LookupRequest, tbl *rtable.Table, x idspace.ID, sender uint64, ex Excluded) (Step, bool) {
 	dE := idspace.DistF(self.ID, x)
-	if best, ok := oldBestImproving(EuclideanModel{}, tbl.Level0.Refs(), x, dE, sender, self.Addr, ex); ok {
+	if best, ok := oldBestImproving(euclidean, tbl.Level0.Refs(), x, dE, sender, self.Addr, ex); ok {
 		return Step{Action: Forward, Next: best, Alternates: req.Alternates}, true
 	}
 	return Step{}, false
@@ -230,7 +233,7 @@ func oldNearestChild(tbl *rtable.Table, x idspace.ID, ex Excluded) (proto.NodeRe
 	return best, found
 }
 
-func oldBestImproving(model Model, refs []proto.NodeRef, x idspace.ID, dSelf float64, exclude1, exclude2 uint64, ex Excluded) (proto.NodeRef, bool) {
+func oldBestImproving(model oldModel, refs []proto.NodeRef, x idspace.ID, dSelf float64, exclude1, exclude2 uint64, ex Excluded) (proto.NodeRef, bool) {
 	var best proto.NodeRef
 	bestD := dSelf
 	found := false
@@ -238,7 +241,7 @@ func oldBestImproving(model Model, refs []proto.NodeRef, x idspace.ID, dSelf flo
 		if r.Addr == exclude1 || r.Addr == exclude2 || ex.has(r.Addr) {
 			continue
 		}
-		if d := model.D(r, x); d < bestD {
+		if d := model(r, x); d < bestD {
 			best, bestD, found = r, d, true
 		}
 	}

@@ -47,7 +47,7 @@ func randomTable(rng *rand.Rand, selfAddr uint64) *rtable.Table {
 // the decision invariants that the protocol relies on.
 func TestRoutePropertyInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
-	p := Params{Model: PaperModel{Height: 6}, Height: 6}
+	p := params()
 	for trial := 0; trial < 3000; trial++ {
 		selfAddr := rng.Uint64()%1000 + 1
 		self := proto.NodeRef{
@@ -110,7 +110,7 @@ func TestRoutePropertyInvariants(t *testing.T) {
 // decision function must treat the request as read-only.
 func TestRouteDoesNotMutateRequest(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	p := Params{Model: PaperModel{Height: 6}, Height: 6}
+	p := params()
 	for trial := 0; trial < 500; trial++ {
 		selfAddr := rng.Uint64()%1000 + 1
 		self := proto.NodeRef{ID: idspace.ID(rng.Uint64()), Addr: selfAddr, MaxLevel: uint8(rng.Intn(7))}
@@ -143,7 +143,7 @@ func TestRouteDoesNotMutateRequest(t *testing.T) {
 // admits G is not loop-free; the TTL is the guard).
 func TestGreedyPathTerminates(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	p := Params{Model: PaperModel{Height: 6}, Height: 6}
+	p := params()
 	// A static population of tables.
 	n := 40
 	selves := make([]proto.NodeRef, n)

@@ -55,11 +55,10 @@ type Step struct {
 
 // Params configures the decision logic.
 type Params struct {
-	// Model is the hierarchy-aware distance (PaperModel in experiments).
-	Model Model
-	// Height is the hierarchy height h; above this many hops the request
-	// switches to plain Euclidean distance (§III.f: "a request that has a
-	// higher TTL means that the network is unstable and/or disrupted").
+	// Height is the hierarchy height h of the distance D (§III.f); above
+	// this many hops the request switches to plain Euclidean distance
+	// (§III.f: "a request that has a higher TTL means that the network is
+	// unstable and/or disrupted").
 	Height uint8
 }
 
@@ -77,7 +76,7 @@ type Regime uint8
 
 // Routing regimes, in the order a request passes through them.
 const (
-	// Hierarchical: the model's tessellation-aware distance (§III.f).
+	// Hierarchical: the tessellation-aware distance D (§III.f).
 	Hierarchical Regime = iota
 	// Euclidean: past Height hops the network is assumed disrupted and
 	// plain Euclidean distance gives finer-grained routing (§III.f).
@@ -136,7 +135,9 @@ type decision struct {
 	req    *proto.LookupRequest
 	tbl    *rtable.Table
 	x      idspace.ID
-	dSelf  float64 // D(self, x) under the decision's model
+	height uint8   // the hierarchy height h of D
+	regime Regime  // D is Euclidean outside Hierarchical
+	dSelf  float64 // D(self, x)
 	dE     uint64  // Euclidean distance from self to x
 	sender uint64
 	skip   Excluded // sender, self, then ex
@@ -173,6 +174,9 @@ func (d *decision) take(c proto.NodeRef, dc float64, limit int) {
 	}
 }
 
+// dist is D(c, x) in the decision's regime.
+func (d *decision) dist(c proto.NodeRef) float64 { return distance(c, d.x, d.height, d.regime) }
+
 // forward is a Forward step to next carrying the request's alternates.
 func (d *decision) forward(next proto.NodeRef) Step {
 	return Step{Action: Forward, Next: next, Alternates: d.req.Alternates}
@@ -204,18 +208,13 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 		return Step{Action: Deliver, Found: ref}
 	}
 
-	// Distance model: the configured one while the request is within the
-	// hierarchy's height, plain Euclidean after.
+	// Distance: the hierarchy's while the request is within its height,
+	// plain Euclidean after.
 	regime := p.Regime(req.Hops)
-	var model Model = p.Model
-	if model == nil || regime != Hierarchical {
-		model = EuclideanModel{}
-	}
-	// The model stays out of the decision: a call through an interface
-	// leaks what holds it, and req and tbl would leak with it.
 	sc.skip = append(append(sc.skip[:0], sender, self.Addr), sc.Excluded...)
-	d := decision{self: self, req: req, tbl: tbl, x: x, dSelf: model.D(self, x),
+	d := decision{self: self, req: req, tbl: tbl, x: x, height: p.Height, regime: regime,
 		dE: idspace.Dist(self.ID, x), sender: sender, skip: sc.skip, ex: sc.skip[2:]}
+	d.dSelf = d.dist(self)
 
 	// Candidate set: every peer in the table, except the sender, self and
 	// the excluded, collected once per decision into the scratch buffer
@@ -227,7 +226,7 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 	sc.cands = tbl.Candidates(sc.cands[:0])
 	for _, c := range sc.cands {
 		if !d.skip.has(c.Addr) {
-			d.take(c, model.D(c, x), limit)
+			d.take(c, d.dist(c), limit)
 		}
 	}
 
@@ -282,15 +281,15 @@ func RouteWith(sc *Scratch, self proto.NodeRef, tbl *rtable.Table, req *proto.Lo
 		return d.forward(d.nearest)
 	}
 	if req.Algo == proto.AlgoNG || req.Algo == proto.AlgoNGSA {
-		return d.nonGreedy(model)
+		return d.nonGreedy()
 	}
-	return d.greedy(model)
+	return d.greedy()
 }
 
 // greedy is algorithm G: take the candidate minimising D, forward when the
 // halving rule D(n,x) ≤ ½·D(a,x) holds or the node is at level 0;
 // otherwise escalate through children/superiors.
-func (d *decision) greedy(model Model) Step {
+func (d *decision) greedy() Step {
 	if d.modelMinD < d.dSelf {
 		switch {
 		case d.modelMinD <= d.dSelf/2:
@@ -302,16 +301,16 @@ func (d *decision) greedy(model Model) Step {
 			return d.forward(d.modelMin)
 		}
 	}
-	return d.escalate(model)
+	return d.escalate()
 }
 
 // nonGreedy is algorithms NG and NGSA: take the nearest candidate strictly
 // closer to the target under D ("the procedure basically ends when a node
 // satisfying the condition is found"); NGSA additionally carries the next
 // improving candidates as fall-back alternates.
-func (d *decision) nonGreedy(model Model) Step {
+func (d *decision) nonGreedy() Step {
 	if d.nImproving == 0 {
-		return d.escalate(model)
+		return d.escalate()
 	}
 	step := d.forward(d.improving[0])
 	if d.req.Algo == proto.AlgoNGSA {
@@ -326,7 +325,7 @@ func (d *decision) nonGreedy(model Model) Step {
 // list (closest member satisfying the halving rule, else the highest-level
 // member), else walk the level-0 ring, else — for NGSA — fall back to an
 // alternate carried in the request, else step to the nearest known node.
-func (d *decision) escalate(model Model) Step {
+func (d *decision) escalate() Step {
 	// Covering node (D = 0): the target is in this node's region, and the
 	// owner check has already found a known node strictly Euclidean-closer
 	// to it. Step there; descending into our own subtree or climbing would
@@ -362,7 +361,7 @@ func (d *decision) escalate(model Model) Step {
 		if d.skip.has(s.Addr) {
 			continue
 		}
-		if ds := model.D(s, d.x); ds <= bestD {
+		if ds := d.dist(s); ds <= bestD {
 			best, bestD = s, ds
 		}
 		if top.IsZero() || s.MaxLevel > top.MaxLevel ||

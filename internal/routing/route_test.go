@@ -24,7 +24,7 @@ func lookupReq(target idspace.ID, algo proto.Algo) *proto.LookupRequest {
 	return &proto.LookupRequest{Target: target, TTL: 255, Algo: algo}
 }
 
-func params() Params { return Params{Model: PaperModel{Height: 6}, Height: 6} }
+func params() Params { return Params{Height: 6} }
 
 // Route is RouteWith over a scratch of its own, for one-off decisions.
 func Route(self proto.NodeRef, tbl *rtable.Table, req *proto.LookupRequest, fromParent bool, sender uint64, p Params) Step {
@@ -294,15 +294,6 @@ func TestEuclideanFallbackAfterHeightHops(t *testing.T) {
 	}
 }
 
-func TestNilModelDefaultsToEuclidean(t *testing.T) {
-	self := refAt(100, 0)
-	nbr := refAt(200, 0)
-	step := Route(self, buildTable(nbr), lookupReq(300, proto.AlgoG), false, 0, Params{Height: 6})
-	if step.Action != Forward {
-		t.Fatalf("step %+v", step)
-	}
-}
-
 func TestMergeAlternatesDedupAndCap(t *testing.T) {
 	old := []proto.NodeRef{{ID: 1, Addr: 1}, {ID: 2, Addr: 2}}
 	fresh := []proto.NodeRef{{ID: 2, Addr: 2}, {ID: 3, Addr: 3}, {ID: 4, Addr: 4}}
@@ -375,7 +366,7 @@ func TestOwnerDeliversBeforeTheHierarchy(t *testing.T) {
 	tb := buildTable(left, right)
 	tb.Superiors.Upsert(sup, proto.FSuperior, 0, tb.NextVersion(), rtable.Direct)
 	target := idspace.FromFraction(0.501)
-	if d := (PaperModel{Height: 6}).D(sup, target); d != 0 {
+	if d := paperD(sup, target); d != 0 {
 		t.Fatalf("superior D = %v, want 0", d)
 	}
 	for _, algo := range []proto.Algo{proto.AlgoG, proto.AlgoNG, proto.AlgoNGSA} {
@@ -403,8 +394,7 @@ func TestEscalateStepsToANearerPeer(t *testing.T) {
 	tb := buildTable(ring)
 	tb.BusLevel(1).Upsert(bus, proto.FNeighbor, 1, tb.NextVersion(), rtable.Direct)
 	target := idspace.FromFraction(0.5)
-	m := PaperModel{Height: 6}
-	if dSelf, dBus := m.D(self, target), m.D(bus, target); dBus >= dSelf || dBus <= dSelf/2 {
+	if dSelf, dBus := paperD(self, target), paperD(bus, target); dBus >= dSelf || dBus <= dSelf/2 {
 		t.Fatalf("D(bus) = %v against D(self) = %v: want an improvement short of halving", dBus, dSelf)
 	}
 	step := Route(self, tb, lookupReq(target, proto.AlgoG), false, 0, params())

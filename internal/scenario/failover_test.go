@@ -71,7 +71,7 @@ func (p *lookupChurn) Run(e *Engine) {
 	e.advanceUntil(end)
 	// Every lookup ends by its hard timeout; one whose origin was killed
 	// has no caller left and is not an attempt.
-	e.advance(origin0Timeout(e) + time.Second)
+	e.advance(core.LookupDeadline + time.Second)
 	for origin, n := range pending {
 		if n == 0 {
 			continue
@@ -85,8 +85,6 @@ func (p *lookupChurn) Run(e *Engine) {
 		}
 	}
 }
-
-func origin0Timeout(e *Engine) time.Duration { return e.C.Nodes[0].Config().LookupTimeout }
 
 // TestLookupsSurviveChurn is the paper's resilience claim as a number:
 // N=300 under 4 joins + 4 fail-stop leaves a second, sixteen seeds. A
@@ -113,8 +111,8 @@ func TestLookupsSurviveChurn(t *testing.T) {
 				load := &lookupChurn{Churn: Churn{For: 30 * time.Second, JoinRate: 4, LeaveRate: 4}, LookupRate: 10}
 				e.Play(Settle{For: 8 * time.Second}, load)
 
-				if limit := origin0Timeout(e); load.worst > limit {
-					t.Errorf("a caller waited %v, hard timeout is %v", load.worst, limit)
+				if load.worst > core.LookupDeadline {
+					t.Errorf("a caller waited %v, hard timeout is %v", load.worst, core.LookupDeadline)
 				}
 				st := c.ProtocolStats()
 				if st.LookupFalseFailovers != 0 {

@@ -395,7 +395,7 @@ func (x *Ctx) walk(origin *core.Node, target idspace.ID) (hops int, at *core.Nod
 	req := &proto.LookupRequest{
 		Origin: origin.Ref(),
 		Target: target,
-		TTL:    origin.Config().MaxTTL,
+		TTL:    core.MaxTTL,
 		Algo:   proto.AlgoG,
 	}
 	if x.walkSeen == nil {

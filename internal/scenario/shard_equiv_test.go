@@ -99,8 +99,7 @@ func TestShardBalancerEquivalence(t *testing.T) {
 			c := simrt.New(simrt.Options{
 				N: 300, Seed: seed, Bulk: true, Shards: shards,
 			})
-			st := NewStorage()
-			st.AttachAll(c)
+			st := attachedStorage(c)
 			c.StartAll()
 			eng := NewEngine(c, Options{
 				Storage:     st,
@@ -152,8 +151,7 @@ func TestShardStorageWorkloadRaceFree(t *testing.T) {
 	var want outcome
 	for _, shards := range []int{1, 2, 4} {
 		c := simrt.New(simrt.Options{N: 200, Seed: 5, Bulk: true, Shards: shards})
-		st := NewStorage()
-		st.AttachAll(c)
+		st := attachedStorage(c)
 		c.StartAll()
 		NewEngine(c, Options{Storage: st}).Play(
 			Settle{For: 4 * time.Second},

@@ -8,7 +8,6 @@ import (
 	"treep/internal/core"
 	"treep/internal/dht"
 	"treep/internal/idspace"
-	"treep/internal/simrt"
 )
 
 // Storage makes DHT records a first-class scenario workload: it binds a
@@ -39,15 +38,6 @@ type Storage struct {
 // NewStorage creates an empty storage context.
 func NewStorage() *Storage {
 	return &Storage{services: map[uint64]*dht.Service{}}
-}
-
-// AttachAll creates and binds a DHT service on every current cluster node.
-// Call once before the scenario when the cluster has no services yet; use
-// Bind when the caller already attached its own.
-func (st *Storage) AttachAll(c *simrt.Cluster) {
-	for _, nd := range c.Nodes {
-		st.Attach(nd)
-	}
 }
 
 // Attach creates and binds a DHT service on one node (the engine calls

@@ -9,11 +9,20 @@ import (
 	"treep/internal/simrt"
 )
 
+// attachedStorage is a storage context with a DHT service on every
+// current node of c.
+func attachedStorage(c *simrt.Cluster) *Storage {
+	st := NewStorage()
+	for _, nd := range c.Nodes {
+		st.Attach(nd)
+	}
+	return st
+}
+
 // storageOpts is checkedOpts plus a bound storage context and the
 // durability checkers.
 func storageOpts(c *simrt.Cluster, minReadable float64, sample time.Duration) Options {
-	st := NewStorage()
-	st.AttachAll(c)
+	st := attachedStorage(c)
 	o := checkedOpts(sample)
 	o.Storage = st
 	o.Checkers = append(o.Checkers, StorageCheckers(minReadable)...)

@@ -51,68 +51,6 @@ func remoteKey(c *Cluster, origin *core.Node, prefix string) []byte {
 	}
 }
 
-// TestKilledOriginNeverCallsBack pins the kill guard: every timer a node
-// sets runs behind its liveness, so an operation whose origin was
-// fail-stopped never calls back — not with ErrTimeout from a lookup's
-// deadline, not with ErrLookupFailed from a backoff that looks the owner up
-// again. The benchmark books such an operation as abandoned; a late
-// failure callback would turn it into a failed one.
-func TestKilledOriginNeverCallsBack(t *testing.T) {
-	c, svcs := dhtOverlay(64, 5, core.Config{LookupTimeout: time.Second})
-	const o = 10
-	origin, s := c.Nodes[o], svcs[o]
-	// Owners that never answer: every other node's extension notes the key
-	// of each request it takes and drops it, so the calls are still in
-	// flight when the origin dies.
-	served := map[idspace.ID]bool{}
-	for i, nd := range c.Nodes {
-		if i != o {
-			nd.SetExtension(func(_ uint64, msg proto.Message) {
-				switch m := msg.(type) {
-				case *proto.DHTFetch:
-					served[m.Key] = true
-				case *proto.DHTStore:
-					served[m.Key] = true
-				}
-			})
-		}
-	}
-	var fired []string
-
-	// A Get whose owner lookup fails while the origin is cut off: it backs
-	// off before looking up again.
-	c.PartitionBy(func(n *core.Node) bool { return n == origin })
-	cut := remoteKey(c, origin, "cut")
-	s.Get(cut, func([]byte, error) { fired = append(fired, "Get (cut off)") })
-	for i := 0; s.Stats.Retries == 0; i++ {
-		if i == 300 {
-			t.Fatal("the cut-off origin's lookup never failed")
-		}
-		c.Run(10 * time.Millisecond)
-	}
-	c.Heal()
-
-	get, put := remoteKey(c, origin, "get"), remoteKey(c, origin, "put")
-	s.Get(get, func([]byte, error) { fired = append(fired, "Get") })
-	s.Put(put, []byte("v"), func(error) { fired = append(fired, "Put") })
-	for i := 0; !served[idspace.HashKey(get)] || !served[idspace.HashKey(put)]; i++ {
-		if i == 500 {
-			t.Fatal("the Get's and the Put's requests never reached their owners")
-		}
-		c.Run(10 * time.Millisecond)
-	}
-	// The Get's and the Put's lookups wait out their deadlines; the cut-off
-	// Get is in its backoff, its request not yet sent again.
-	if served[idspace.HashKey(cut)] || origin.PendingLookups() != 2 {
-		t.Fatalf("cut-off Get re-sent: %v; %d lookups in flight, want 2", served[idspace.HashKey(cut)], origin.PendingLookups())
-	}
-	c.Kill(origin)
-	c.Run(30 * time.Second)
-	if len(fired) != 0 {
-		t.Fatalf("callbacks fired after their origin was killed: %v", fired)
-	}
-}
-
 // TestRemoteGetAllocs pins the read path: a Get answered by a remote owner
 // allocates the value it hands back, and nothing of its own on the way
 // through the lookup, the DHT and the kernel. Each
@@ -234,7 +172,7 @@ func TestRoutedPutReplaysItsAck(t *testing.T) {
 	// entries lapse in the first EntryTTL), and whose lookup of the key
 	// reaches the owner through another hop: the owner has a LastDirect for
 	// the origin that a routed request must not refresh.
-	c.Run(c.Nodes[0].Config().EntryTTL)
+	c.Run(core.EntryTTL)
 	var key []byte
 	var s *dht.Service
 	for i := 0; key == nil && i < len(c.Nodes); i++ {
@@ -243,7 +181,7 @@ func TestRoutedPutReplaysItsAck(t *testing.T) {
 			w := ownerOf(c, k)
 			heardOf := func() bool { // a level-0 entry, not direct-fresh
 				e := w.Table().Level0.Get(c.Nodes[i].Addr())
-				return e != nil && !e.DirectFresh(c.Now(), w.Config().EntryTTL)
+				return e != nil && !e.DirectFresh(c.Now(), core.EntryTTL)
 			}
 			if w == c.Nodes[i] || !heardOf() {
 				continue

@@ -57,7 +57,7 @@ func TestKeyLookupEndsAtOwner(t *testing.T) {
 				})
 			}
 		}
-		c.Run(origin0Timeout(c) + time.Second)
+		c.Run(core.LookupDeadline + time.Second)
 		for i, tl := range tallies {
 			if tl.done != perAlgo || tl.owner != perAlgo {
 				t.Errorf("seed %d %v: %d of %d key lookups ended at the owner (%d answered)",

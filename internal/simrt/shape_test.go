@@ -58,7 +58,7 @@ func shapeCensus(c *Cluster, lookups int) shapeRow {
 		})
 	}
 	if lookups > 0 {
-		c.Run(origin0Timeout(c) + time.Second)
+		c.Run(core.LookupDeadline + time.Second)
 	}
 	row.peerHops = float64(peerHops) / float64(max(row.peersFound, 1))
 	row.keyHops = float64(keyHops) / float64(max(row.keysDone, 1))

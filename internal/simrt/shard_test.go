@@ -86,7 +86,7 @@ func TestShardedClusterLookups(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	c.Run(origin0Timeout(c) + time.Second)
+	c.Run(core.LookupDeadline + time.Second)
 	if failed > found/20 {
 		t.Fatalf("sharded steady state: %d found, %d failed", found, failed)
 	}

@@ -27,12 +27,8 @@ func runLookups(c *Cluster, pairs [][2]*core.Node, algo proto.Algo) (found, fail
 		})
 	}
 	// Let requests, replies and timeouts play out.
-	c.Run(origin0Timeout(c) + time.Second)
+	c.Run(core.LookupDeadline + time.Second)
 	return found, failed, totalHops
-}
-
-func origin0Timeout(c *Cluster) time.Duration {
-	return c.Nodes[0].Config().LookupTimeout
 }
 
 // randomPairs picks k random (origin, target) pairs among live nodes.

@@ -55,14 +55,6 @@ func startNodesVia(t *testing.T, n int, listen func(core.Config, int64) (*Transp
 	for i := 0; i < n; i++ {
 		cfg := core.Defaults()
 		cfg.ID = idspace.FromFraction((float64(i) + 0.5) / float64(n))
-		// Faster timers: the test runs in real time.
-		cfg.KeepAlive = 200 * time.Millisecond
-		cfg.EntryTTL = 800 * time.Millisecond
-		cfg.SweepInterval = 100 * time.Millisecond
-		cfg.ChildReport = 200 * time.Millisecond
-		cfg.ElectionMin = 50 * time.Millisecond
-		cfg.ElectionMax = 200 * time.Millisecond
-		cfg.LookupTimeout = 2 * time.Second
 		tr, err := listen(cfg, int64(i+1))
 		if err != nil {
 			t.Fatalf("listen %d: %v", i, err)
@@ -357,8 +349,8 @@ func TestGracefulLeaveOverUDP(t *testing.T) {
 	if err := leaver.Do(func(n *core.Node) { n.Depart() }); err != nil {
 		t.Fatal(err)
 	}
-	// Well under the 800ms EntryTTL configured by startNodes: removal must
-	// come from the announcement, not expiry.
+	// Well under the 6 s EntryTTL: removal must come from the
+	// announcement, not expiry.
 	time.Sleep(300 * time.Millisecond)
 	var still bool
 	_ = survivor.Do(func(n *core.Node) { still = n.Table().Level0.Get(leaverAddr) != nil })

@@ -216,7 +216,7 @@ func (nw *SimNetwork) Lookup(origin int, target ID, algo Algo) (LookupResult, er
 	if !nw.Alive(origin) {
 		return LookupResult{}, ErrDead
 	}
-	res, err := await(nw, nd.Config().LookupTimeout+2*time.Second, func(done func(LookupResult, error)) {
+	res, err := await(nw, core.LookupDeadline+2*time.Second, func(done func(LookupResult, error)) {
 		nd.Lookup(target, algo, func(r LookupResult) { done(r, nil) })
 	})
 	if err != nil {
