@@ -260,6 +260,12 @@ func TestKillIsIdempotentAndStopsTraffic(t *testing.T) {
 	c.StartAll()
 	c.Run(2 * time.Second)
 	n := c.Nodes[3]
+	// Timers a layered service set through the node: the kill guard keeps
+	// them silent while the node is dead, and a periodic one speaks again
+	// once it is revived.
+	ticks, fired := 0, false
+	n.SetPeriodic(time.Second, func() { ticks++ })
+	n.SetTimer(5*time.Second, func() { fired = true })
 	c.Kill(n)
 	c.Kill(n) // idempotent
 	before := n.Stats.MsgsOut
@@ -267,11 +273,19 @@ func TestKillIsIdempotentAndStopsTraffic(t *testing.T) {
 	if n.Stats.MsgsOut != before {
 		t.Fatal("killed node kept sending")
 	}
+	if ticks != 0 || fired {
+		t.Fatalf("a killed node's timers ran: %d ticks, one-shot fired %v", ticks, fired)
+	}
 	if c.Alive(n) {
 		t.Fatal("alive after kill")
 	}
 	if got := len(c.AliveNodes()); got != 15 {
 		t.Fatalf("alive count %d", got)
+	}
+	c.Revive(n)
+	c.Run(2 * time.Second)
+	if ticks == 0 || fired {
+		t.Fatalf("revived: %d ticks, one-shot fired %v; want the periodic timer back and the one-shot gone", ticks, fired)
 	}
 }
 
