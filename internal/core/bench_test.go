@@ -42,7 +42,7 @@ func (e *benchEnv) SetPeriodic(d time.Duration, fn func()) Timer { return Timer{
 // them in ID order together with a realistic inbound Ping for the target
 // node (composed by its ring neighbour, delta plus structural entries).
 func benchCluster(n int) (nodes []*Node, target *Node, from uint64, ping *proto.Ping) {
-	gen := nodeprof.NewGenerator(nodeprof.DefaultClasses(), 42)
+	gen := nodeprof.NewGenerator(42)
 	assigner := idspace.BalancedAssigner{}
 	nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {

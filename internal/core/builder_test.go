@@ -14,7 +14,7 @@ import (
 func buildNodes(t *testing.T, n int, mutate ...func(*Config)) []*Node {
 	t.Helper()
 	nodes := make([]*Node, n)
-	gen := nodeprof.NewGenerator(nodeprof.DefaultClasses(), 42)
+	gen := nodeprof.NewGenerator(42)
 	assigner := idspace.BalancedAssigner{}
 	for i := 0; i < n; i++ {
 		cfg := Defaults()

@@ -117,7 +117,7 @@ func TestCallKeyResolvesOwner(t *testing.T) {
 	svcs[c.Nodes[3].Addr()].callOwner(target, &proto.DHTFetch{Key: target},
 		func(r proto.SvcMessage, e error) {
 			if err, done = e, true; e == nil {
-				owner = r.SvcFrom()
+				owner = r.(*proto.DHTFetchReply).From
 			}
 		})
 	c.Run(4 * time.Second)
@@ -136,7 +136,7 @@ func TestCallKeyLocalOwner(t *testing.T) {
 	done := false
 	svcs[self.Addr()].callOwner(self.ID(), &proto.DHTFetch{Key: self.ID()},
 		func(r proto.SvcMessage, e error) {
-			if e != nil || r.SvcFrom().Addr != self.Addr() {
+			if e != nil || r.(*proto.DHTFetchReply).From.Addr != self.Addr() {
 				t.Fatalf("local owner: %v %v", r, e)
 			}
 			done = true

@@ -44,39 +44,3 @@ func (u UniformLatency) Delay(_, _ Addr, rng *rand.Rand) time.Duration {
 
 // Floor implements Floorer: no draw undercuts Min.
 func (u UniformLatency) Floor() time.Duration { return u.Min }
-
-// ClusteredLatency models a two-tier topology: endpoints whose addresses
-// fall in the same cluster (addr / ClusterSize) see Near latency, others
-// see Far latency, each with ±25% jitter. It is a cheap stand-in for the
-// LAN/WAN mix of a grid deployment (the paper targets grid middleware).
-type ClusteredLatency struct {
-	ClusterSize uint64
-	Near, Far   time.Duration
-}
-
-// Delay implements LatencyModel.
-func (c ClusteredLatency) Delay(from, to Addr, rng *rand.Rand) time.Duration {
-	base := c.Far
-	if c.ClusterSize > 0 && uint64(from)/c.ClusterSize == uint64(to)/c.ClusterSize {
-		base = c.Near
-	}
-	if base <= 0 {
-		return 0
-	}
-	jitter := time.Duration(rng.Int63n(int64(base)/2+1)) - base/4
-	d := base + jitter
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// Floor implements Floorer: the jitter never subtracts more than a
-// quarter of the base, and the near tier is the smaller base.
-func (c ClusteredLatency) Floor() time.Duration {
-	base := c.Far
-	if c.ClusterSize > 0 && c.Near < base {
-		base = c.Near
-	}
-	return base - base/4
-}

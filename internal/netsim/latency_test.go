@@ -35,26 +35,3 @@ func TestUniformLatencyBounds(t *testing.T) {
 		t.Errorf("degenerate uniform = %v", d)
 	}
 }
-
-func TestClusteredLatency(t *testing.T) {
-	m := ClusteredLatency{ClusterSize: 10, Near: 2 * time.Millisecond, Far: 50 * time.Millisecond}
-	rng := rand.New(rand.NewSource(1))
-	var nearSum, farSum time.Duration
-	const n = 500
-	for i := 0; i < n; i++ {
-		nearSum += m.Delay(1, 2, rng)   // same cluster (0)
-		farSum += m.Delay(1, 2000, rng) // different cluster
-	}
-	if nearSum/n >= farSum/n {
-		t.Fatalf("near avg %v should be < far avg %v", nearSum/n, farSum/n)
-	}
-	for i := 0; i < 100; i++ {
-		if d := m.Delay(1, 999, rng); d < 0 {
-			t.Fatal("negative delay")
-		}
-	}
-	zero := ClusteredLatency{ClusterSize: 10}
-	if d := zero.Delay(1, 2, rng); d != 0 {
-		t.Errorf("zero-base latency should be 0, got %v", d)
-	}
-}

@@ -5,13 +5,12 @@ import (
 	"time"
 )
 
-// Class is a band of the peer population with similar hardware. Measured
+// class is a band of the peer population with similar hardware. Measured
 // P2P populations (e.g. the Napster/Gnutella host studies the paper cites)
 // are strongly skewed: a few well-provisioned, long-lived hosts and a large
 // mass of weak, transient ones. Populations are described as a mixture of
 // classes.
-type Class struct {
-	Name string
+type class struct {
 	// Weight is the relative share of peers drawn from this class.
 	Weight float64
 	// Base profile for the class; individual peers jitter around it.
@@ -20,14 +19,13 @@ type Class struct {
 	Jitter float64
 }
 
-// DefaultClasses is a three-band mixture: server-class peers (5%),
-// desktops (35%), and weak transient peers (60%). The shares follow the
-// shape (not the exact numbers) of the host-measurement studies in the
-// paper's references.
-func DefaultClasses() []Class {
-	return []Class{
+// defaultClasses is the population's three-band mixture: server-class
+// peers (5%), desktops (35%), and weak transient peers (60%). The shares
+// follow the shape (not the exact numbers) of the host-measurement studies
+// in the paper's references.
+func defaultClasses() []class {
+	return []class{
 		{
-			Name:   "server",
 			Weight: 0.05,
 			Base: Profile{
 				CPUGHz: 8, MemoryMB: 16384, BandwidthKB: 12800,
@@ -37,7 +35,6 @@ func DefaultClasses() []Class {
 			Jitter: 0.2,
 		},
 		{
-			Name:   "desktop",
 			Weight: 0.35,
 			Base: Profile{
 				CPUGHz: 3, MemoryMB: 4096, BandwidthKB: 2560,
@@ -47,7 +44,6 @@ func DefaultClasses() []Class {
 			Jitter: 0.35,
 		},
 		{
-			Name:   "transient",
 			Weight: 0.60,
 			Base: Profile{
 				CPUGHz: 1.5, MemoryMB: 1024, BandwidthKB: 640,
@@ -59,55 +55,29 @@ func DefaultClasses() []Class {
 	}
 }
 
-// UniformClasses is a homogeneous population (every peer a mid-range
-// desktop); useful as a control in ablations.
-func UniformClasses() []Class {
-	return []Class{{
-		Name:   "uniform",
-		Weight: 1,
-		Base: Profile{
-			CPUGHz: 3, MemoryMB: 4096, BandwidthKB: 2560,
-			StorageGB: 120, Uptime: 7 * 24 * time.Hour,
-			SysLoad: 0.4, NetLoad: 0.4,
-		},
-		Jitter: 0.05,
-	}}
-}
-
 // Generator draws peer profiles from a class mixture with a private RNG so
 // populations are reproducible from a seed.
 type Generator struct {
-	classes []Class
+	classes []class
 	total   float64
 	rng     *rand.Rand
 }
 
-// NewGenerator builds a Generator over the given classes. Classes with
-// non-positive weight are ignored; an empty (or fully ignored) class list
-// falls back to UniformClasses.
-func NewGenerator(classes []Class, seed int64) *Generator {
-	kept := make([]Class, 0, len(classes))
+// NewGenerator builds a Generator over the default mixture. The weights
+// are summed in list order, the order pick adds them up in.
+func NewGenerator(seed int64) *Generator {
+	classes := defaultClasses()
 	total := 0.0
 	for _, c := range classes {
-		if c.Weight > 0 {
-			kept = append(kept, c)
-			total += c.Weight
-		}
+		total += c.Weight
 	}
-	if len(kept) == 0 {
-		kept = UniformClasses()
-		total = kept[0].Weight
-	}
-	return &Generator{classes: kept, total: total, rng: rand.New(rand.NewSource(seed))}
+	return &Generator{classes: classes, total: total, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Next draws one profile.
 func (g *Generator) Next() Profile {
 	c := g.pick()
 	j := func(v float64) float64 {
-		if c.Jitter <= 0 {
-			return v
-		}
 		f := 1 + (g.rng.Float64()*2-1)*c.Jitter
 		if f < 0.05 {
 			f = 0.05
@@ -126,7 +96,7 @@ func (g *Generator) Next() Profile {
 	return p
 }
 
-func (g *Generator) pick() Class {
+func (g *Generator) pick() class {
 	r := g.rng.Float64() * g.total
 	acc := 0.0
 	for _, c := range g.classes {

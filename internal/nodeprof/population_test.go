@@ -1,9 +1,6 @@
 package nodeprof
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // population draws n profiles.
 func population(g *Generator, n int) []Profile {
@@ -15,8 +12,8 @@ func population(g *Generator, n int) []Profile {
 }
 
 func TestGeneratorReproducible(t *testing.T) {
-	g1 := NewGenerator(DefaultClasses(), 42)
-	g2 := NewGenerator(DefaultClasses(), 42)
+	g1 := NewGenerator(42)
+	g2 := NewGenerator(42)
 	for i := 0; i < 100; i++ {
 		a, b := g1.Next(), g2.Next()
 		if a != b {
@@ -26,8 +23,8 @@ func TestGeneratorReproducible(t *testing.T) {
 }
 
 func TestGeneratorDifferentSeedsDiffer(t *testing.T) {
-	g1 := NewGenerator(DefaultClasses(), 1)
-	g2 := NewGenerator(DefaultClasses(), 2)
+	g1 := NewGenerator(1)
+	g2 := NewGenerator(2)
 	same := 0
 	for i := 0; i < 50; i++ {
 		if g1.Next() == g2.Next() {
@@ -40,7 +37,7 @@ func TestGeneratorDifferentSeedsDiffer(t *testing.T) {
 }
 
 func TestPopulationSizeAndValidity(t *testing.T) {
-	g := NewGenerator(DefaultClasses(), 7)
+	g := NewGenerator(7)
 	pop := population(g, 500)
 	if len(pop) != 500 {
 		t.Fatalf("population size %d", len(pop))
@@ -59,7 +56,7 @@ func TestPopulationSizeAndValidity(t *testing.T) {
 }
 
 func TestDefaultMixtureIsSkewed(t *testing.T) {
-	g := NewGenerator(DefaultClasses(), 99)
+	g := NewGenerator(99)
 	pop := population(g, 3000)
 	strong, weak := 0, 0
 	for _, p := range pop {
@@ -82,51 +79,30 @@ func TestDefaultMixtureIsSkewed(t *testing.T) {
 	}
 }
 
-func TestUniformClassesAreHomogeneous(t *testing.T) {
-	g := NewGenerator(UniformClasses(), 3)
-	pop := population(g, 200)
-	min, max := 1.0, 0.0
-	for _, p := range pop {
-		s := p.Score()
-		if s < min {
-			min = s
-		}
-		if s > max {
-			max = s
-		}
-	}
-	if max-min > 0.15 {
-		t.Errorf("uniform population score spread too wide: [%v, %v]", min, max)
-	}
-}
-
-func TestGeneratorFallsBackOnEmptyClasses(t *testing.T) {
-	g := NewGenerator(nil, 1)
-	p := g.Next()
-	if p.CPUGHz <= 0 {
-		t.Fatal("fallback generator produced invalid profile")
-	}
-	g2 := NewGenerator([]Class{{Name: "zero", Weight: 0}}, 1)
-	if g2.Next().CPUGHz <= 0 {
-		t.Fatal("all-zero-weight classes should fall back to uniform")
-	}
-}
-
+// TestClassWeightsRespected draws from the default mixture: every server
+// peer (5 %, CPU 8 GHz ± 20 %) and no other reaches past 5 GHz (desktops
+// top out at 3 GHz + 35 %, transients at 1.5 GHz + 50 %), so the share of
+// such peers is the server band's share.
 func TestClassWeightsRespected(t *testing.T) {
-	classes := []Class{
-		{Name: "a", Weight: 0.9, Base: Profile{CPUGHz: 8, MemoryMB: 1024, BandwidthKB: 1024, StorageGB: 10, Uptime: time.Hour}},
-		{Name: "b", Weight: 0.1, Base: Profile{CPUGHz: 1, MemoryMB: 1024, BandwidthKB: 1024, StorageGB: 10, Uptime: time.Hour}},
+	classes := defaultClasses()
+	if low := classes[0].Base.CPUGHz * (1 - classes[0].Jitter); low <= 5 {
+		t.Fatalf("the server band reaches down to %.2f GHz; a 5 GHz cut no longer isolates it", low)
 	}
-	g := NewGenerator(classes, 4)
-	highCPU := 0
-	n := 2000
-	for i := 0; i < n; i++ {
-		if g.Next().CPUGHz > 4 {
-			highCPU++
+	for _, c := range classes[1:] {
+		if top := c.Base.CPUGHz * (1 + c.Jitter); top > 5 {
+			t.Fatalf("a non-server band reaches %.2f GHz; a 5 GHz cut no longer isolates the server band", top)
 		}
 	}
-	frac := float64(highCPU) / float64(n)
-	if frac < 0.8 || frac > 0.98 {
-		t.Errorf("class a share %v, want ~0.9", frac)
+	g := NewGenerator(4)
+	servers := 0
+	n := 20000
+	for i := 0; i < n; i++ {
+		if g.Next().CPUGHz > 5 {
+			servers++
+		}
+	}
+	frac := float64(servers) / float64(n)
+	if frac < 0.04 || frac > 0.06 {
+		t.Errorf("server band share %v, want ~0.05", frac)
 	}
 }

@@ -30,14 +30,14 @@ func NewTreeP(n int, seed int64) *TreeP {
 		Bulk:   true,
 	})
 	c.StartAll()
-	return &TreeP{C: c, members: members[*core.Node]{c, c.Kernel.Stream(0x6f766c79)}, algo: proto.AlgoG} // "ovly"
+	return &TreeP{C: c, members: members[*core.Node]{c, c.Stream(0x6f766c79)}, algo: proto.AlgoG} // "ovly"
 }
 
 // Name implements Overlay.
 func (t *TreeP) Name() string { return "treep" }
 
 // Now implements Overlay.
-func (t *TreeP) Now() time.Duration { return t.C.Kernel.Now() }
+func (t *TreeP) Now() time.Duration { return t.C.Now() }
 
 // NetStats implements Overlay.
 func (t *TreeP) NetStats() netsim.Stats { return t.C.Net.Stats() }

@@ -646,24 +646,15 @@ type SvcMessage interface {
 	SvcID() uint64
 	// SetSvc stamps the request id and sender identity before transmission.
 	SetSvc(id uint64, from NodeRef)
-	// SvcFrom returns the sender identity SetSvc stamped.
-	SvcFrom() NodeRef
 }
 
-// SvcID, SvcFrom and SetSvc implement SvcMessage.
+// SvcID and SetSvc implement SvcMessage.
 func (m *DHTStore) SvcID() uint64        { return m.ReqID }
 func (m *DHTStoreAck) SvcID() uint64     { return m.ReqID }
 func (m *DHTFetch) SvcID() uint64        { return m.ReqID }
 func (m *DHTFetchReply) SvcID() uint64   { return m.ReqID }
 func (m *DHTReplicate) SvcID() uint64    { return m.ReqID }
 func (m *DHTReplicateAck) SvcID() uint64 { return m.ReqID }
-
-func (m *DHTStore) SvcFrom() NodeRef        { return m.From }
-func (m *DHTStoreAck) SvcFrom() NodeRef     { return m.From }
-func (m *DHTFetch) SvcFrom() NodeRef        { return m.From }
-func (m *DHTFetchReply) SvcFrom() NodeRef   { return m.From }
-func (m *DHTReplicate) SvcFrom() NodeRef    { return m.From }
-func (m *DHTReplicateAck) SvcFrom() NodeRef { return m.From }
 
 func (m *DHTStore) SetSvc(id uint64, from NodeRef)        { m.ReqID, m.From = id, from }
 func (m *DHTStoreAck) SetSvc(id uint64, from NodeRef)     { m.ReqID, m.From = id, from }

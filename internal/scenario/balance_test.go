@@ -9,8 +9,9 @@ import (
 // hotspot a test failure instead of a graph to eyeball.
 
 // BalanceCheckers returns the two load-balance invariants with their
-// default bounds. They are not part of AllCheckers: a skewed-read timeline
-// loads a hot key's owner past them by design.
+// default bounds. They are not part of AllCheckers: they flag load and
+// fan-in hotspots, which a heavy read timeline or a churned tree may show
+// without breaking the overlay.
 func BalanceCheckers() []Checker {
 	return []Checker{LoadSpread(8, 40), ChildBalance(3, 2)}
 }

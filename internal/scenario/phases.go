@@ -36,8 +36,8 @@ type World interface {
 
 // Portable is a phase that needs nothing but a World, so every backend
 // can play it. TreeP-only phases (RevivalWave, IslandsMerge, the storage
-// and skewed-read workloads) reach into the cluster through *Engine and
-// implement Phase alone.
+// workloads) reach into the cluster through *Engine and implement Phase
+// alone.
 type Portable interface {
 	Phase
 	// Drive runs the phase against w, drawing event times from rng.

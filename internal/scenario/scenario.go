@@ -111,9 +111,6 @@ type Engine struct {
 	res        Result
 	curPhase   string
 	nextSample time.Duration
-	// readers is the shared repeat-reader pool for skewed-read phases
-	// (lazily built by the first such phase, reused by the rest).
-	readers *repeatReaders
 	// ctx is the shared invariant-checking context, reset per pass so all
 	// checkers in one CheckNow share a single sorted alive-list and the
 	// walk scratch buffers.

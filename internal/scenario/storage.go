@@ -84,15 +84,6 @@ func (st *Storage) noteGet(err error) {
 	}
 }
 
-// get issues one counted read of the ledger's rank-th key through s.
-func (st *Storage) get(s *dht.Service, rank int) {
-	raw, _ := st.ledger.Get(st.ledger.Keys()[rank])
-	st.mu.Lock()
-	st.Gets++
-	st.mu.Unlock()
-	s.Get(raw, func(_ []byte, err error) { st.noteGet(err) })
-}
-
 // serviceOf picks the storage client bound to a live node, preferring the
 // engine's deterministic random stream.
 func (st *Storage) serviceOf(e *Engine) *dht.Service {
@@ -218,7 +209,11 @@ func (w StorageWorkload) Run(e *Engine) {
 		case 1: // get
 			if st.ledger.Len() > 0 {
 				if s := st.serviceOf(e); s != nil {
-					st.get(s, e.rng.Intn(st.ledger.Len()))
+					raw, _ := st.ledger.Get(st.ledger.Keys()[e.rng.Intn(st.ledger.Len())])
+					st.mu.Lock()
+					st.Gets++
+					st.mu.Unlock()
+					s.Get(raw, func(_ []byte, err error) { st.noteGet(err) })
 				}
 			}
 		case 2:

@@ -114,7 +114,7 @@ func New(opts Options) *Cluster {
 		k = sim.New(opts.Seed)
 		net = netsim.New(k, opts.NetOpts...)
 	}
-	gen := nodeprof.NewGenerator(nodeprof.DefaultClasses(), opts.Seed^0x70726f66) // "prof"
+	gen := nodeprof.NewGenerator(opts.Seed ^ 0x70726f66) // "prof"
 
 	c := &Cluster{
 		Kernel:  k,

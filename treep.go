@@ -152,7 +152,7 @@ func NewSimNetwork(o SimOptions) (*SimNetwork, error) {
 func (nw *SimNetwork) Run(d time.Duration) { nw.cluster.Run(d) }
 
 // Now returns the current virtual time.
-func (nw *SimNetwork) Now() time.Duration { return nw.cluster.Kernel.Now() }
+func (nw *SimNetwork) Now() time.Duration { return nw.cluster.Now() }
 
 // N returns the total number of peers (alive or dead).
 func (nw *SimNetwork) N() int { return len(nw.cluster.Nodes) }
