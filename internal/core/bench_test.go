@@ -38,6 +38,9 @@ func (e *benchEnv) Send(to uint64, msg proto.Message) {
 func (e *benchEnv) SetTimer(d time.Duration, fn func()) Timer    { return Timer{} }
 func (e *benchEnv) SetPeriodic(d time.Duration, fn func()) Timer { return Timer{} }
 
+// sent is how many datagrams a node on a benchEnv has handed to the network.
+func sent(n *Node) uint64 { return n.env.(*benchEnv).sent }
+
 // benchCluster bulk-builds n steady-state nodes on benchEnvs and returns
 // them in ID order together with a realistic inbound Ping for the target
 // node (composed by its ring neighbour, delta plus structural entries).
@@ -71,7 +74,7 @@ func BenchmarkProtocolStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		target.HandleMessage(from, ping)
 	}
-	b.ReportMetric(float64(target.Stats.MsgsOut)/float64(b.N), "replies/op")
+	b.ReportMetric(float64(sent(target))/float64(b.N), "replies/op")
 }
 
 // BenchmarkProtocolKeepalive measures one outbound keep-alive tick: the
@@ -201,13 +204,13 @@ func TestProtocolSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		court()
 	}
-	answered := courted.Stats.MsgsOut
+	answered := sent(courted)
 	if allocs := testing.AllocsPerRun(200, court); allocs != 0 {
 		t.Fatalf("a refused courtship allocated %.1f times, want 0", allocs)
 	}
-	if suitor.courting != 0 || courted.Stats.MsgsOut-answered != 201 {
+	if suitor.courting != 0 || sent(courted)-answered != 201 {
 		t.Fatalf("courtship left open (courting %d) or the report went unanswered (%d replies to 201)",
-			suitor.courting, courted.Stats.MsgsOut-answered)
+			suitor.courting, sent(courted)-answered)
 	}
 
 	// A join-redirect hop: a node far from the joiner's coordinate sends it
@@ -224,12 +227,12 @@ func TestProtocolSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		hop()
 	}
-	redirects, asked := via.Stats.MsgsOut, joiner.Stats.MsgsOut
+	redirects, asked := sent(via), sent(joiner)
 	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
 		t.Fatalf("a join-redirect hop allocated %.1f times, want 0", allocs)
 	}
-	if via.Stats.MsgsOut-redirects != 201 || joiner.Stats.MsgsOut-asked != 201 || via.table.Level0.Get(joiner.Addr()) != nil {
+	if sent(via)-redirects != 201 || sent(joiner)-asked != 201 || via.table.Level0.Get(joiner.Addr()) != nil {
 		t.Fatalf("%d redirects and %d onward requests for 201 hops, or the joiner was accepted",
-			via.Stats.MsgsOut-redirects, joiner.Stats.MsgsOut-asked)
+			sent(via)-redirects, sent(joiner)-asked)
 	}
 }

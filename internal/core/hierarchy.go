@@ -197,7 +197,6 @@ func (n *Node) confirmCourtship(from uint64, ref proto.NodeRef) {
 		return
 	}
 	n.table.SetParent(ref, n.env.Now())
-	n.Stats.ParentAdopted++
 	n.electionTimer.Cancel()
 	n.electionTimer = Timer{}
 }
@@ -221,7 +220,6 @@ func (n *Node) handleParentClaim(from uint64, m *proto.ParentClaim) {
 		cur, has := n.table.Parent()
 		if !has || distTo(m.From.ID, n.cfg.ID) < distTo(cur.ID, n.cfg.ID) {
 			n.table.SetParent(m.From, n.env.Now())
-			n.Stats.ParentAdopted++
 			n.electionTimer.Cancel()
 			n.electionTimer = Timer{}
 			n.sendChildReport(m.From.Addr)
@@ -254,8 +252,6 @@ func (n *Node) handleChildReport(from uint64, m *proto.ChildReport) {
 		if best, seen, ok := n.bestKnownMember(needLevel, child.ID); ok &&
 			best.Addr != n.Addr() && best.Addr != from &&
 			distTo(best.ID, child.ID) < distTo(n.cfg.ID, child.ID) {
-			n.Stats.Reparents++
-			n.Stats.ReparentsStation++
 			n.sendReparent(from, best, proto.AgeFrom(n.env.Now(), seen))
 			return
 		}
@@ -273,8 +269,6 @@ func (n *Node) handleChildReport(from uint64, m *proto.ChildReport) {
 	// each other forever; a shared distance comparison cannot cycle.
 	if best, seen, ok := n.bestKnownMember(needLevel, child.ID); ok && best.Addr != from {
 		if distTo(best.ID, child.ID) < distTo(n.cfg.ID, child.ID) {
-			n.Stats.Reparents++
-			n.Stats.ReparentsCloser++
 			n.sendReparent(from, best, proto.AgeFrom(n.env.Now(), seen))
 			return
 		}
@@ -322,7 +316,6 @@ func (n *Node) handleReparent(from uint64, m *proto.Reparent) {
 		return
 	}
 	// The hand-off target is hearsay until it answers: court it.
-	n.Stats.Reparents++
 	n.table.ClearParent()
 	n.noteRefAt(m.NewParent, false, n.env.Now()-age)
 	n.courtRef(m.NewParent)
@@ -413,8 +406,6 @@ func (n *Node) maybeSplit() {
 	}
 	n.sc.peers = moved
 	for _, r := range moved {
-		n.Stats.Reparents++
-		n.Stats.ReparentsSplit++
 		n.sendReparent(r.Addr, promoted, 0)
 		n.table.Children.Remove(r.Addr)
 	}
@@ -542,7 +533,6 @@ func (n *Node) demotionExpired() {
 	}
 	for i := range n.table.Children.Len() {
 		c, _ := n.table.Children.At(i)
-		n.Stats.Reparents++
 		n.sendReparent(c.Addr, successor, 0)
 	}
 

@@ -195,9 +195,6 @@ func TestDepartAnnouncesOnceAndStops(t *testing.T) {
 			t.Fatalf("Leaves went to %v, want exactly %v", got, want)
 		}
 	}
-	if n.Stats.LeavesSent != 4 {
-		t.Fatalf("LeavesSent = %d, want 4", n.Stats.LeavesSent)
-	}
 	if n.started {
 		t.Fatal("the node is still started after Depart")
 	}

@@ -74,7 +74,6 @@ func (n *Node) Lookup(target idspace.ID, algo proto.Algo, cb func(LookupResult))
 func (n *Node) LookupCarrying(target idspace.ID, algo proto.Algo, carried proto.SvcMessage, cb func(LookupResult)) uint64 {
 	n.nextReqID++
 	reqID := n.nextReqID
-	n.Stats.LookupsStarted++
 
 	req := n.originRequest(target, reqID, algo, carried)
 	step := n.route(0, &req)
@@ -83,11 +82,9 @@ func (n *Node) LookupCarrying(target idspace.ID, algo proto.Algo, carried proto.
 	parked := step.Action == routing.NotFound && n.joining
 	switch {
 	case step.Action == routing.Deliver:
-		n.Stats.LookupsDelivered++
 		cb(LookupResult{Status: LookupFound, Best: step.Found})
 		return 0
 	case step.Action != routing.Forward && !parked:
-		n.Stats.LookupsNotFound++
 		cb(LookupResult{Status: LookupNotFound})
 		return 0
 	}
@@ -218,7 +215,6 @@ func (n *Node) advance(from uint64, m *proto.LookupRequest, reissue bool) {
 	step := n.route(from, m)
 	switch step.Action {
 	case routing.Deliver:
-		n.Stats.LookupsDelivered++
 		if m.Carried != nil && m.Origin.Addr != n.Addr() {
 			// The origin is the sender, and the owner answers it directly.
 			// The origin did not send this datagram: its entry here stays
@@ -232,7 +228,6 @@ func (n *Node) advance(from uint64, m *proto.LookupRequest, reissue bool) {
 	case routing.Forward:
 		n.forward(from, m, step, reissue)
 	case routing.NotFound:
-		n.Stats.LookupsNotFound++
 		n.reply(m, proto.LookupNotFound, proto.NodeRef{})
 	case routing.Drop:
 		// "IF TTL > 255 THEN discard the request" — the origin times out.

@@ -20,9 +20,6 @@ func TestLookupLocalDeliver(t *testing.T) {
 	if n.PendingLookups() != 0 {
 		t.Fatal("pending leak")
 	}
-	if n.Stats.LookupsStarted != 1 || n.Stats.LookupsDelivered != 1 {
-		t.Fatal("stats")
-	}
 }
 
 func TestLookupSelfTarget(t *testing.T) {

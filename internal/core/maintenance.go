@@ -46,7 +46,6 @@ func (n *Node) keepaliveTick() {
 
 func (n *Node) sendPing(to uint64) {
 	n.pingSeq++
-	n.Stats.PingsSent++
 	p := proto.Acquire(proto.TPing).(*proto.Ping)
 	p.From, p.Seq = n.Ref(), n.pingSeq
 	p.Entries = n.composeUpdate(to, false)
@@ -133,7 +132,6 @@ func (n *Node) sweepTick() {
 			continue
 		}
 		if best, _, ok := n.bestKnownMember(lost.Level, n.cfg.ID); ok {
-			n.Stats.BusRepairs++
 			n.sendBusLinkReq(best.Addr, lost.Level)
 		}
 	}
@@ -294,7 +292,6 @@ func (n *Node) handlePing(from uint64, m *proto.Ping) {
 	n.ringUpsert(m.From)
 	n.noteRef(m.From, true)
 	n.applyEntries(from, m.From, m.Entries)
-	n.Stats.PongsSent++
 	pong := proto.Acquire(proto.TPong).(*proto.Pong)
 	pong.From, pong.Seq = n.Ref(), m.Seq
 	pong.Entries = n.composeUpdate(from, n.table.Children.Get(from) != nil)
@@ -463,7 +460,6 @@ func (n *Node) applyEntries(from uint64, sender proto.NodeRef, entries []proto.E
 			continue
 		}
 		validated := now - age
-		n.Stats.UpdatesApplied++
 		switch {
 		case e.Flags&proto.FParent != 0 && fromParent:
 			// Parent's parent: an ancestor for the superior node list. The

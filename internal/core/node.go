@@ -22,8 +22,9 @@ type Node struct {
 	// maxLevel is the node's top hierarchy level; the node is a member of
 	// every level 0..maxLevel.
 	maxLevel uint8
-	// started and joining sit in padding, which keeps Node in its size
-	// class (TestNodeFitsItsSizeClass), as do the rejoin cursors: recentIdx
+	// started and joining share maxLevel's word with the rejoin cursors
+	// and maxChildren, so they cost Node nothing: it keeps 8 of the 1024
+	// bytes of its size class free (TestNodeFitsItsSizeClass). recentIdx
 	// is where the recent ring is written next, recentScan and bootScan
 	// rotate the fallback target through recentPeers and bootCache. joining
 	// is set by Join and cleared by the first JoinAccept: until then an
@@ -93,7 +94,8 @@ type Node struct {
 	rttFirst, rttPings uint32
 	rttSentAt          time.Duration
 
-	// Stats counts protocol events; the experiment harness reads it.
+	// Stats counts the node's decisions: treep-sim's failover line and
+	// the tests read it. Datagrams are the transport's to count.
 	Stats Stats
 
 	// extension receives messages the core protocol does not handle: the
@@ -330,7 +332,7 @@ func (n *Node) MemBytes() Mem {
 
 // nodeClass is the allocator size class a Node takes, malloc header
 // included (TestNodeFitsItsSizeClass).
-const nodeClass = 1280
+const nodeClass = 1024
 
 // Table exposes the routing table for analysis (AN-2 measures its size
 // against the §III.e formulas). Callers must not mutate it.
@@ -419,7 +421,6 @@ func (n *Node) Depart() {
 		add(p.Addr)
 	}
 	for _, a := range targets {
-		n.Stats.LeavesSent++
 		n.send(a, &msg)
 	}
 	n.Stop()
@@ -474,7 +475,6 @@ func (n *Node) handleLeave(from uint64, m *proto.Leave) {
 // HandleMessage dispatches one received datagram. Unknown message types are
 // ignored (wire compatibility).
 func (n *Node) HandleMessage(from uint64, msg proto.Message) {
-	n.Stats.MsgsIn++
 	defer func() {
 		n.curNew = 0
 		if p := n.firstPing; p != 0 {
@@ -576,7 +576,6 @@ func (n *Node) send(to uint64, msg proto.Message) {
 		proto.ReleaseDecoded(msg)
 		return
 	}
-	n.Stats.MsgsOut++
 	n.env.Send(to, msg)
 }
 

@@ -714,7 +714,7 @@ func TestSendToNobodyReleases(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
 		t.Fatalf("a ping sent to nobody allocated %.1f times per run, want 0", allocs)
 	}
-	if len(env.sent) != 0 || n.Stats.MsgsOut != 0 {
-		t.Fatalf("%d sends reached the network, %d counted", len(env.sent), n.Stats.MsgsOut)
+	if len(env.sent) != 0 {
+		t.Fatalf("%d sends reached the network", len(env.sent))
 	}
 }

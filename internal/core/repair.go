@@ -196,7 +196,6 @@ func (n *Node) probeSide(side int, nearest proto.NodeRef, now time.Duration) {
 }
 
 func (n *Node) sendRingProbe(to uint64, left bool) {
-	n.Stats.ProbesSent++
 	p := proto.Acquire(proto.TRingProbe).(*proto.RingProbe)
 	p.From, p.Origin, p.Left, p.TTL = n.Ref(), n.Ref(), left, probeTTL
 	n.send(to, p)
@@ -226,7 +225,6 @@ func (n *Node) handleRingProbe(from uint64, m *proto.RingProbe) {
 		// File the origin (hearsay at the shipped age — the ack round
 		// makes it direct) and introduce ourselves; the origin answers
 		// with a greeting, making the link mutual.
-		n.Stats.ProbeEdges++
 		n.table.Level0.Upsert(m.Origin, proto.FNeighbor, validated, n.table.NextVersion(), rtable.Hearsay)
 		ack := proto.Acquire(proto.TRingProbeAck).(*proto.RingProbeAck)
 		ack.From, ack.Left, ack.Hops = n.Ref(), m.Left, probeTTL-m.TTL
@@ -235,7 +233,6 @@ func (n *Node) handleRingProbe(from uint64, m *proto.RingProbe) {
 		if m.TTL == 0 {
 			return
 		}
-		n.Stats.ProbesForwarded++
 		fwd := proto.Acquire(proto.TRingProbe).(*proto.RingProbe)
 		fwd.From, fwd.Origin, fwd.Left, fwd.TTL = n.Ref(), m.Origin, m.Left, m.TTL-1
 		fwd.AgeDs = proto.AgeFrom(now, validated)
@@ -325,7 +322,6 @@ func (n *Node) sendMergeIntro(to uint64, peer proto.NodeRef, now time.Duration) 
 	if e := n.table.Level0.Get(peer.Addr); e != nil {
 		age = proto.AgeFrom(now, e.LastDirect)
 	}
-	n.Stats.MergeIntrosSent++
 	m := proto.Acquire(proto.TMergeIntro).(*proto.MergeIntro)
 	m.From, m.Peer, m.AgeDs = n.Ref(), peer, age
 	n.send(to, m)
@@ -352,6 +348,5 @@ func (n *Node) handleMergeIntro(from uint64, m *proto.MergeIntro) {
 	// routing trusts every table entry — after a correlated failure
 	// burst those pre-seeded ghosts black-hole greedy lookups from
 	// tables that never had the dead node in the first place.
-	n.Stats.MergeGreets++
 	n.sendHello(m.Peer.Addr)
 }

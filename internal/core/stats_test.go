@@ -8,7 +8,7 @@ import (
 // TestStatsAddAccumulates sets every counter in the source to a distinct
 // value and verifies Add sums them all — via reflection, so a counter
 // added to the struct but forgotten in Add fails here instead of silently
-// reading zero in experiment aggregation.
+// reading zero in a cluster-wide sum.
 func TestStatsAddAccumulates(t *testing.T) {
 	var s, o Stats
 	ov := reflect.ValueOf(&o).Elem()
@@ -28,10 +28,10 @@ func TestStatsAddAccumulates(t *testing.T) {
 // TestStatsAddTwiceDoubles checks accumulation on non-zero state.
 func TestStatsAddTwiceDoubles(t *testing.T) {
 	var s Stats
-	o := Stats{MsgsIn: 3, LookupsStarted: 5, Demotions: 7}
+	o := Stats{ElectionsStarted: 3, LookupsForwarded: 5, Demotions: 7}
 	s.Add(o)
 	s.Add(o)
-	if s.MsgsIn != 6 || s.LookupsStarted != 10 || s.Demotions != 14 {
+	if s.ElectionsStarted != 6 || s.LookupsForwarded != 10 || s.Demotions != 14 {
 		t.Fatalf("double add: %+v", s)
 	}
 }

@@ -88,11 +88,9 @@ type Stats struct {
 	PutsServed uint64 // store requests served as owner
 	GetsServed uint64 // fetch requests served
 	Stored     uint64 // merges that accepted a new record or version
-	Conflicts  uint64 // conditional stores rejected
 	Replicas   uint64 // replica pushes sent
 	Handoffs   uint64 // ownership handoffs initiated
 	Dropped    uint64 // local copies released after handoff
-	Consults   uint64 // fetch misses that consulted replicas
 	Repairs    uint64 // records adopted from a replica on read-repair
 	Retries    uint64 // request attempts re-sent or re-routed
 }
@@ -428,7 +426,6 @@ func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bo
 	}
 	ack := proto.Acquire(proto.TDHTStoreAck).(*proto.DHTStoreAck)
 	if cond && base != curVersion {
-		s.Stats.Conflicts++
 		ack.Status, ack.Version, ack.Origin = proto.StoreConflict, curVersion, curOrigin
 	} else {
 		version := curVersion + 1
@@ -485,7 +482,6 @@ func (s *Service) consult(key idspace.ID, cb func(bool, Record)) {
 		cb(false, Record{})
 		return
 	}
-	s.Stats.Consults++
 	remaining := len(targets)
 	best := Record{}
 	found := false

@@ -439,10 +439,11 @@ func TestStoreMemoRingGrowsThenWraps(t *testing.T) {
 }
 
 // TestServiceFitsItsSizeClass: with its pending-call table held by value a
-// Service is 272 bytes, in the 288-byte size class (DESIGN.md §16).
+// Service is 256 bytes and fills the 256-byte size class; one more word
+// costs every peer 32 bytes, the 288-byte class (DESIGN.md §16).
 func TestServiceFitsItsSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Service{}); sz > 288 {
-		t.Fatalf("dht.Service is %d bytes: past the 288-byte size class", sz)
+	if sz := unsafe.Sizeof(Service{}); sz > 256 {
+		t.Fatalf("dht.Service is %d bytes: past the 256-byte size class", sz)
 	}
 }
 

@@ -3,27 +3,41 @@ package scenario
 import (
 	"fmt"
 	"sort"
+
+	"treep/internal/netsim"
 )
 
 // balance_test.go holds the two load-balance invariant checkers, which make a
 // hotspot a test failure instead of a graph to eyeball.
 
-// BalanceCheckers returns the two load-balance invariants with their
-// default bounds. They are not part of AllCheckers: they flag load and
-// fan-in hotspots, which a heavy read timeline or a churned tree may show
-// without breaking the overlay.
-func BalanceCheckers() []Checker {
-	return []Checker{LoadSpread(8, 40), ChildBalance(3, 2)}
+// traffic is per-node message load as the network counts it, keyed by
+// node address. Its fold method is a netsim.WithTrace hook: a datagram
+// counts once for its sender and, unless the network dropped it at the
+// send, once for its receiver. The network's second report of a datagram
+// that reached a stopped peer counts for nobody. The benchmark's
+// core.node_load_* rows fold the same trace (receivers only). A sharded
+// network takes no trace hook, so the load checker runs on classic ones.
+type traffic map[uint64]uint64
+
+func (t traffic) fold(ev netsim.TraceEvent) {
+	if ev.Reason == "dead" {
+		return
+	}
+	t[uint64(ev.From)]++
+	if !ev.Dropped {
+		t[uint64(ev.To)]++
+	}
 }
 
 // LoadSpread checks that no live node's message load over the last
-// checking window exceeds bound × the window's mean load. The checker
-// keeps the previous pass's counters internally, so the first pass
-// only primes the window. Windows whose mean is below minMean messages
-// are skipped: ratios over near-idle traffic flag nothing but noise
-// (one node answering one lookup during a quiet window is 10× a mean
-// of 0.1).
-func LoadSpread(bound float64, minMean float64) Checker {
+// checking window exceeds bound × the window's mean load. It reads load,
+// which the cluster's trace hook must fill, and keeps the previous pass's
+// counts internally, so the first pass only primes the window. Windows
+// whose mean is below minMean messages are skipped: ratios over near-idle
+// traffic flag nothing but noise (one node answering one lookup during a
+// quiet window is 10× a mean of 0.1). It is not part of AllCheckers: a
+// heavy read timeline may show a hotspot without breaking the overlay.
+func LoadSpread(load traffic, bound float64, minMean float64) Checker {
 	prev := map[uint64]uint64{}
 	return Checker{Name: "load-spread", Check: func(x *Ctx) []Violation {
 		alive := x.AliveByID()
@@ -35,7 +49,7 @@ func LoadSpread(bound float64, minMean float64) Checker {
 		var samples []sample
 		var sum uint64
 		for _, n := range alive {
-			cur := n.Stats.MsgsIn + n.Stats.MsgsOut
+			cur := load[n.Addr()]
 			base, ok := prev[n.Addr()]
 			if ok && cur >= base {
 				samples = append(samples, sample{n.Addr(), n.ID().String(), cur - base})

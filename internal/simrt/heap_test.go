@@ -20,20 +20,19 @@ const (
 	ledgerPeers = 2000
 	// heapBudgetBare and heapBudgetStore are the committed ceilings on heap
 	// per peer at N=2000, measured figure + 5 % (store: + 6 %, the least
-	// whole percent that also holds the benchmark's store workloads, 8 117
-	// B a peer over ten seeds and 8 121 in bench's -all document). Bare:
+	// whole percent that also holds the benchmark's store workloads, 7 829
+	// B a peer over ten seeds and 7 835 in bench's -all document). Bare:
 	// no DHT, at the 10 s keep-alive instant with the round's pings in
 	// flight — what sim-churn's heap_bytes_per_node snapshot sees. Store:
 	// DHT attached and loaded with 4096 records × 3, at a quiet instant —
 	// sim-reads and sim-writes. CI holds the benchmark's figures to the
 	// same two numbers (.github/workflows/ci.yml reads them from this file).
-	heapBudgetBare  = 7301
-	heapBudgetStore = 8154
+	heapBudgetBare  = 7054
+	heapBudgetStore = 7845
 	// ledgerFloorPct is how much of the measured heap the rows must
-	// explain at a quiet instant: they explain 97 % bare and 96.7 % loaded
-	// (the dht.Service is booked at its 272 B, not the 288 B class it
-	// takes); what is left is size-class rounding and the kernel's map of
-	// streams, ~250 B a peer loaded.
+	// explain at a quiet instant: they explain 97 % bare and 97.0 % loaded;
+	// what is left is size-class rounding and the kernel's map of streams,
+	// ~225 B a peer loaded.
 	ledgerFloorPct = 96
 
 	// Per-peer objects of the simulated runtime, by allocator size class.

@@ -192,21 +192,14 @@ func TestProtocolBootstrapFromJoins(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	run := func() (uint64, uint64, netsim.Stats) {
+	run := func() netsim.Stats {
 		c := New(Options{N: 100, Seed: 42, Bulk: true})
 		c.StartAll()
 		c.Run(10 * time.Second)
-		var in, out uint64
-		for _, n := range c.Nodes {
-			in += n.Stats.MsgsIn
-			out += n.Stats.MsgsOut
-		}
-		return in, out, c.Net.Stats()
+		return c.Net.Stats()
 	}
-	in1, out1, net1 := run()
-	in2, out2, net2 := run()
-	if in1 != in2 || out1 != out2 || net1 != net2 {
-		t.Fatalf("non-deterministic: (%d,%d,%+v) vs (%d,%d,%+v)", in1, out1, net1, in2, out2, net2)
+	if net1, net2 := run(), run(); net1 != net2 {
+		t.Fatalf("non-deterministic: %+v vs %+v", net1, net2)
 	}
 }
 
@@ -268,11 +261,7 @@ func TestKillIsIdempotentAndStopsTraffic(t *testing.T) {
 	n.SetTimer(5*time.Second, func() { fired = true })
 	c.Kill(n)
 	c.Kill(n) // idempotent
-	before := n.Stats.MsgsOut
 	c.Run(10 * time.Second)
-	if n.Stats.MsgsOut != before {
-		t.Fatal("killed node kept sending")
-	}
 	if ticks != 0 || fired {
 		t.Fatalf("a killed node's timers ran: %d ticks, one-shot fired %v", ticks, fired)
 	}
