@@ -28,6 +28,10 @@
 //     copy, and serves it — so a freshly responsible node heals from its
 //     replicas on first touch instead of returning not-found.
 //
+// Reads lend rather than copy: the value a Get or GetRecord hands its
+// callback is the reply's own buffer, valid until the callback returns.
+// The caller must not modify it and must copy what it keeps.
+//
 // The request/response plumbing (request ids, deadlines, retries, the
 // owner lookup carrying a request) is this package's own (call.go); the
 // same Put/Get code path runs over the deterministic simulator and over
@@ -87,7 +91,6 @@ type record struct {
 type Stats struct {
 	PutsServed uint64 // store requests served as owner
 	GetsServed uint64 // fetch requests served
-	Stored     uint64 // merges that accepted a new record or version
 	Replicas   uint64 // replica pushes sent
 	Handoffs   uint64 // ownership handoffs initiated
 	Dropped    uint64 // local copies released after handoff
@@ -241,11 +244,12 @@ func (s *Service) storeVia(key, value []byte, cond bool, base uint64, cb any) {
 }
 
 // Get fetches the value for key. cb fires exactly once with the value or
-// an error.
+// an error. The value is lent: it is valid until cb returns, cb must not
+// modify it, and must copy what it keeps.
 func (s *Service) Get(key []byte, cb func([]byte, error)) { s.get(key, cb) }
 
 // GetRecord fetches the record for key with its version, for writers that
-// intend a PutIf against what they read.
+// intend a PutIf against what they read. Its Value is lent as Get's is.
 func (s *Service) GetRecord(key []byte, cb func(Record, error)) { s.get(key, cb) }
 
 // get runs a Get (cb a func([]byte, error)) or a GetRecord (a
@@ -293,23 +297,16 @@ func (o *op) release() (cb any) {
 // onFetched answers a Get or GetRecord.
 func (o *op) onFetched(resp proto.SvcMessage, err error) {
 	cb := o.release()
-	if err != nil {
-		answerGet(cb, Record{}, err)
-		return
-	}
 	rep, ok := resp.(*proto.DHTFetchReply)
-	if !ok || !rep.Found {
+	switch {
+	case err != nil:
+		answerGet(cb, Record{}, err)
+	case !ok || !rep.Found:
 		answerGet(cb, Record{}, ErrNotFound)
-		return
+	default:
+		// Lend the reply's own buffer, released after this callback returns.
+		answerGet(cb, Record{Value: rep.Value, Version: rep.Version, Origin: rep.Origin}, nil)
 	}
-	// Copy out: the reply message may be pooled and is recycled when this
-	// delivery ends.
-	rec := Record{
-		Value:   append([]byte(nil), rep.Value...),
-		Version: rep.Version,
-		Origin:  rep.Origin,
-	}
-	answerGet(cb, rec, nil)
 }
 
 // onStored answers a Put or PutIf.
@@ -363,7 +360,6 @@ func (s *Service) merge(k idspace.ID, value []byte, version, origin uint64) bool
 	}
 	cur.value = append(cur.value[:0], value...)
 	cur.version, cur.origin = version, origin
-	s.Stats.Stored++
 	return true
 }
 

@@ -69,7 +69,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	var got []byte
 	var getErr error
 	done = false
-	reader.Get([]byte("alpha"), func(v []byte, err error) { got, getErr, done = v, err, true })
+	reader.Get([]byte("alpha"), func(v []byte, err error) { got, getErr, done = append([]byte(nil), v...), err, true })
 	c.Run(8 * time.Second)
 	if !done || getErr != nil || string(got) != "value-1" {
 		t.Fatalf("get: done=%v err=%v got=%q", done, getErr, got)
@@ -114,6 +114,7 @@ func TestVersionsIncreaseAcrossPuts(t *testing.T) {
 		if err != nil {
 			t.Errorf("get: %v", err)
 		}
+		r.Value = append([]byte(nil), r.Value...) // lent until the callback returns
 		rec, done = r, true
 	})
 	c.Run(6 * time.Second)
@@ -171,7 +172,7 @@ func TestPutIfConflict(t *testing.T) {
 
 	var got []byte
 	done = false
-	svcs[c.Nodes[30].Addr()].Get(key, func(v []byte, err error) { got, done = v, true })
+	svcs[c.Nodes[30].Addr()].Get(key, func(v []byte, err error) { got, done = append([]byte(nil), v...), true })
 	c.Run(6 * time.Second)
 	if !done || string(got) != "second" {
 		t.Fatalf("read %q", got)
@@ -249,7 +250,7 @@ func TestReplicationSurvivesOwnerFailure(t *testing.T) {
 	var got []byte
 	var err error
 	done = false
-	svcs[c.Nodes[50].Addr()].Get(key, func(v []byte, e error) { got, err, done = v, e, true })
+	svcs[c.Nodes[50].Addr()].Get(key, func(v []byte, e error) { got, err, done = append([]byte(nil), v...), e, true })
 	c.Run(10 * time.Second)
 	if !done {
 		t.Fatal("get never resolved")
@@ -333,7 +334,7 @@ func TestReadRepairWithoutMaintenance(t *testing.T) {
 	var got []byte
 	var err error
 	done = false
-	svcs[c.Nodes[90].Addr()].Get(key, func(v []byte, e error) { got, err, done = v, e, true })
+	svcs[c.Nodes[90].Addr()].Get(key, func(v []byte, e error) { got, err, done = append([]byte(nil), v...), e, true })
 	c.Run(10 * time.Second)
 	if !done {
 		t.Fatal("get never resolved")

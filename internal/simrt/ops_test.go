@@ -52,12 +52,13 @@ func remoteKey(c *Cluster, origin *core.Node, prefix string) []byte {
 }
 
 // TestRemoteGetAllocs pins the read path: a Get answered by a remote owner
-// allocates the value it hands back, and nothing of its own on the way
-// through the lookup, the DHT and the kernel. Each
-// figure counts a window's background maintenance too; the pin is the
-// floor over windows with the collector off, as TestShardedSteadyStateAllocs
-// takes it, because a collection empties the process-wide pools the
-// records come from.
+// allocates nothing of its own, on the way through the lookup, the DHT and
+// the kernel or for the value it hands back, which is the reply's own
+// buffer, lent to the callback. A copy of that value is one allocation a
+// read, so the pin trips if it comes back. Each figure counts a window's
+// background maintenance too; the pin is the floor over windows with the
+// collector off, as TestShardedSteadyStateAllocs takes it, because a
+// collection empties the process-wide pools the records come from.
 func TestRemoteGetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -102,8 +103,8 @@ func TestRemoteGetAllocs(t *testing.T) {
 		floor = math.Min(floor, float64(m1.Mallocs-m0.Mallocs)/float64(len(reads)))
 	}
 	t.Logf("a remote Get: %.2f allocations (floor of 8 windows of %d reads)", floor, len(reads))
-	if floor > 3 {
-		t.Fatalf("a remote Get allocates %.2f times, want at most 3", floor)
+	if floor > 1 {
+		t.Fatalf("a remote Get allocates %.2f times, want at most 1", floor)
 	}
 }
 
@@ -134,7 +135,7 @@ func TestRemoteGetIsOneRoutedExchange(t *testing.T) {
 
 	counting = true
 	var got []byte
-	svcs[o].Get(key, func(v []byte, err error) { got = v })
+	svcs[o].Get(key, func(v []byte, err error) { got = append([]byte(nil), v...) })
 	c.Run(2 * time.Second)
 	counting = false
 	if string(got) != "v" {

@@ -199,7 +199,10 @@ func TestDHTPutGetOverUDP(t *testing.T) {
 		}
 		ch := make(chan out, 1)
 		if err := trs[7].Do(func(*core.Node) {
-			svcs[7].GetRecord([]byte(k), func(r dht.Record, e error) { ch <- out{r, e} })
+			svcs[7].GetRecord([]byte(k), func(r dht.Record, e error) {
+				r.Value = append([]byte(nil), r.Value...) // lent until the callback returns
+				ch <- out{r, e}
+			})
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -238,10 +238,8 @@ func (nw *SimNetwork) Put(origin int, key, value []byte) error {
 
 // Get fetches a key through peer origin's DHT service.
 func (nw *SimNetwork) Get(origin int, key []byte) ([]byte, error) {
-	if !nw.Alive(origin) {
-		return nil, ErrDead
-	}
-	return await(nw, simOpWait, func(done func([]byte, error)) { nw.services[origin].Get(key, done) })
+	rec, err := nw.GetRecord(origin, key)
+	return rec.Value, err
 }
 
 // GetRecord fetches a key with its version through peer origin's DHT
@@ -250,7 +248,12 @@ func (nw *SimNetwork) GetRecord(origin int, key []byte) (Record, error) {
 	if !nw.Alive(origin) {
 		return Record{}, ErrDead
 	}
-	return await(nw, simOpWait, func(done func(Record, error)) { nw.services[origin].GetRecord(key, done) })
+	return await(nw, simOpWait, func(done func(Record, error)) { nw.services[origin].GetRecord(key, kept(done)) })
+}
+
+// kept copies the value a GetRecord callback is lent; an empty value stays nil.
+func kept(done func(Record, error)) func(Record, error) {
+	return func(rec Record, err error) { rec.Value = append([]byte(nil), rec.Value...); done(rec, err) }
 }
 
 // PutIf stores key conditionally on the owner's version matching base
@@ -562,7 +565,7 @@ func (u *UDPNode) Get(key []byte) ([]byte, error) {
 
 // GetRecord fetches a key with its version over the real network.
 func (u *UDPNode) GetRecord(key []byte) (Record, error) {
-	return call(u, func(_ *core.Node, done func(Record, error)) { u.dht.GetRecord(key, done) })
+	return call(u, func(_ *core.Node, done func(Record, error)) { u.dht.GetRecord(key, kept(done)) })
 }
 
 // PutIf stores key conditionally on base (compare-and-swap; see

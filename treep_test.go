@@ -1,6 +1,8 @@
 package treep
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -68,6 +70,50 @@ func TestSimNetworkVersionedStore(t *testing.T) {
 	if _, err := nw.Get(7, []byte("missing")); err != ErrNotFound {
 		t.Fatalf("missing key: %v", err)
 	}
+}
+
+// checkReadsAreKept stores eight values of one length, reads them all
+// back through get, and only then compares them: the DHT lends a read the
+// reply's own buffer, and the public API must copy it out before the next
+// read reuses that buffer.
+func checkReadsAreKept(t *testing.T, put func(k, v []byte) error, get func(k []byte) ([]byte, error)) {
+	t.Helper()
+	var keys, vals [][]byte
+	for i := 0; i < 8; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("kept-%d", i)))
+		vals = append(vals, []byte(fmt.Sprintf("value-%d", i)))
+		if err := put(keys[i], vals[i]); err != nil {
+			t.Fatalf("put %q: %v", keys[i], err)
+		}
+	}
+	got := make([][]byte, len(keys))
+	for i, k := range keys {
+		v, err := get(k)
+		if err != nil {
+			t.Fatalf("get %q: %v", k, err)
+		}
+		got[i] = v
+	}
+	for i := range keys {
+		if !bytes.Equal(got[i], vals[i]) {
+			t.Errorf("the value read for %q became %q after later reads, want %q", keys[i], got[i], vals[i])
+		}
+	}
+}
+
+// TestSimNetworkReadsAreKept: values SimNetwork.Get and GetRecord return
+// stay intact across further reads of other keys.
+func TestSimNetworkReadsAreKept(t *testing.T) {
+	nw, err := NewSimNetwork(SimOptions{N: 80, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(k, v []byte) error { return nw.Put(5, k, v) }
+	checkReadsAreKept(t, put, func(k []byte) ([]byte, error) { return nw.Get(60, k) })
+	checkReadsAreKept(t, put, func(k []byte) ([]byte, error) {
+		rec, err := nw.GetRecord(60, k)
+		return rec.Value, err
+	})
 }
 
 // TestSimNetworkStorageScenario seeds records through the public scenario
@@ -266,4 +312,10 @@ func TestUDPNodePair(t *testing.T) {
 	if v, err := b.Get([]byte("pair-key")); err != nil || string(v) != "pair-value" {
 		t.Fatalf("get over UDP: %q %v", v, err)
 	}
+	// Values UDPNode.GetRecord returns outlive the transport's reuse of
+	// the decoded reply.
+	checkReadsAreKept(t, a.Put, func(k []byte) ([]byte, error) {
+		rec, err := b.GetRecord(k)
+		return rec.Value, err
+	})
 }
