@@ -28,14 +28,12 @@
 //     copy, and serves it — so a freshly responsible node heals from its
 //     replicas on first touch instead of returning not-found.
 //
-// Reads lend rather than copy: the value a Get or GetRecord hands its
-// callback is the reply's own buffer, valid until the callback returns.
-// The caller must not modify it and must copy what it keeps.
-//
 // The request/response plumbing (request ids, deadlines, retries, the
 // owner lookup carrying a request) is this package's own (call.go); the
 // same Put/Get code path runs over the deterministic simulator and over
-// real UDP sockets.
+// real UDP sockets. A read lends its callback the reply's own value
+// buffer, valid until the callback returns: the caller must not modify it
+// and must copy what it keeps.
 package dht
 
 import (
@@ -243,9 +241,8 @@ func (s *Service) storeVia(key, value []byte, cond bool, base uint64, cb any) {
 	s.callOwner(k, &o.store, o.stored)
 }
 
-// Get fetches the value for key. cb fires exactly once with the value or
-// an error. The value is lent: it is valid until cb returns, cb must not
-// modify it, and must copy what it keeps.
+// Get fetches the value for key. cb fires exactly once with the value or an
+// error; the value is lent until cb returns, not to be modified, copied if kept.
 func (s *Service) Get(key []byte, cb func([]byte, error)) { s.get(key, cb) }
 
 // GetRecord fetches the record for key with its version, for writers that
@@ -297,16 +294,17 @@ func (o *op) release() (cb any) {
 // onFetched answers a Get or GetRecord.
 func (o *op) onFetched(resp proto.SvcMessage, err error) {
 	cb := o.release()
-	rep, ok := resp.(*proto.DHTFetchReply)
-	switch {
-	case err != nil:
+	if err != nil {
 		answerGet(cb, Record{}, err)
-	case !ok || !rep.Found:
-		answerGet(cb, Record{}, ErrNotFound)
-	default:
-		// Lend the reply's own buffer, released after this callback returns.
-		answerGet(cb, Record{Value: rep.Value, Version: rep.Version, Origin: rep.Origin}, nil)
+		return
 	}
+	rep, ok := resp.(*proto.DHTFetchReply)
+	if !ok || !rep.Found {
+		answerGet(cb, Record{}, ErrNotFound)
+		return
+	}
+	// Lend the reply's own buffer, released after this delivery ends.
+	answerGet(cb, Record{Value: rep.Value, Version: rep.Version, Origin: rep.Origin}, nil)
 }
 
 // onStored answers a Put or PutIf.

@@ -248,12 +248,7 @@ func (nw *SimNetwork) GetRecord(origin int, key []byte) (Record, error) {
 	if !nw.Alive(origin) {
 		return Record{}, ErrDead
 	}
-	return await(nw, simOpWait, func(done func(Record, error)) { nw.services[origin].GetRecord(key, kept(done)) })
-}
-
-// kept copies the value a GetRecord callback is lent; an empty value stays nil.
-func kept(done func(Record, error)) func(Record, error) {
-	return func(rec Record, err error) { rec.Value = append([]byte(nil), rec.Value...); done(rec, err) }
+	return await(nw, simOpWait, func(done func(Record, error)) { nw.services[origin].GetRecord(key, done) })
 }
 
 // PutIf stores key conditionally on the owner's version matching base
@@ -283,12 +278,21 @@ func await[T any](nw *SimNetwork, within time.Duration, start func(done func(T, 
 	var res T
 	err := dht.ErrTimeout
 	finished := false
-	start(func(v T, e error) { res, err, finished = v, e, true })
+	start(func(v T, e error) { res, err, finished = owned(v), e, true })
 	deadline := nw.Now() + within
 	for !finished && nw.Now() < deadline {
 		nw.cluster.Run(100 * time.Millisecond)
 	}
 	return res, err
+}
+
+// owned copies out the value a read's callback is lent (dht.Service.Get),
+// inside the callback await and call make anyway; an empty value stays nil.
+func owned[T any](v T) T {
+	if rec, ok := any(&v).(*Record); ok {
+		rec.Value = append([]byte(nil), rec.Value...)
+	}
+	return v
 }
 
 // Directory is a synchronous facade over the discovery layer.
@@ -536,7 +540,7 @@ func call[T any](u *UDPNode, start func(n *core.Node, done func(T, error))) (T, 
 	ch := make(chan out, 1)
 	var zero T
 	if err := u.tr.Do(func(n *core.Node) {
-		start(n, func(v T, e error) { ch <- out{v, e} })
+		start(n, func(v T, e error) { ch <- out{owned(v), e} })
 	}); err != nil {
 		return zero, err
 	}
@@ -565,7 +569,7 @@ func (u *UDPNode) Get(key []byte) ([]byte, error) {
 
 // GetRecord fetches a key with its version over the real network.
 func (u *UDPNode) GetRecord(key []byte) (Record, error) {
-	return call(u, func(_ *core.Node, done func(Record, error)) { u.dht.GetRecord(key, kept(done)) })
+	return call(u, func(_ *core.Node, done func(Record, error)) { u.dht.GetRecord(key, done) })
 }
 
 // PutIf stores key conditionally on base (compare-and-swap; see
