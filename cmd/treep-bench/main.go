@@ -42,11 +42,12 @@ Scale mode (-scale): run the canonical churn scenario at each listed
 population (k/M suffixes accepted: 100k, 1M) and export the substrate
 scale table (events/s, allocs/run, peak heap, speedup) as JSON — the
 machine-readable source of the EXPERIMENTS.md scale table. -shards
-lists engine configurations per population (0 = classic single-threaded
-kernel, ≥1 = sharded multi-core kernel; sharded rows report wall-clock
-speedup against the shards=1 row). -budget caps each row's wall clock:
-rows that overrun are marked truncated and excluded from the speedup
-column:
+lists engine configurations per population (0 = one shard, classic draw
+order, ≥1 = that many shards drawing per origin; sharded rows report
+wall-clock speedup against the shards=1 row). -budget caps each row's
+wall clock: rows that overrun stop at the next epoch barrier (10 ms of
+virtual time at most, -shards 0 rows included), are marked truncated and
+are excluded from the speedup column:
 
   treep-bench -scale 10k,100k,1M -shards 1,4 -budget 5m -out results/
 
@@ -81,8 +82,8 @@ func main() {
 	scen := flag.String("scenario", "churn", "compare mode: scenario script (churn, flashcrowd, zonefail, partition)")
 	out := flag.String("out", "results", "compare/scale mode: directory for the JSON records")
 	scale := flag.String("scale", "", "comma-separated populations (e.g. 500,2000,100k,1M): run the canonical churn scenario per N and export the substrate scale table; enables scale mode")
-	shards := flag.String("shards", "0", "scale mode: comma-separated engine configurations per population (0 = classic kernel, ≥1 = sharded kernel with that many shards)")
-	budget := flag.Duration("budget", 0, "scale mode: wall-clock cap per row; rows that overrun are interrupted and marked truncated (0 = no cap)")
+	shards := flag.String("shards", "0", "scale mode: comma-separated engine configurations per population (0 = one shard, classic draw order, ≥1 = that many shards)")
+	budget := flag.Duration("budget", 0, "scale mode: wall-clock cap per row; rows that overrun stop at the next epoch barrier and are marked truncated (0 = no cap)")
 	flag.Usage = usage
 	flag.Parse()
 

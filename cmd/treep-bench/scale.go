@@ -21,9 +21,8 @@ import (
 // over the single-shard reference when cores are available.
 type ScalePoint struct {
 	N int `json:"n"`
-	// Shards is the engine configuration: 0 is the classic
-	// single-threaded kernel, ≥1 the sharded kernel with that many
-	// worker shards.
+	// Shards is the engine configuration: 0 is one shard in the classic
+	// draw order, ≥1 that many worker shards drawing per origin.
 	Shards int `json:"shards"`
 	// MaxProcs records GOMAXPROCS at measurement time. Speedup claims are
 	// only meaningful when MaxProcs covers the shard count.
@@ -254,8 +253,8 @@ func runScale(spec, shardsSpec, outDir string, lookups int, budget time.Duration
 	fmt.Printf("\nrecords: %s\n", path)
 }
 
-// printScaleRow prints one table row (classic-engine rows render shards
-// as "-").
+// printScaleRow prints one table row (classic-draw-order rows render
+// shards as "-").
 func printScaleRow(p ScalePoint) {
 	shards := "-"
 	if p.Shards > 0 {

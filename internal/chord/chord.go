@@ -326,7 +326,7 @@ func (nd *Node) StateSize() int {
 }
 
 // Run advances virtual time.
-func (c *Cluster) Run(d time.Duration) { _ = c.Kernel.RunFor(d) }
+func (c *Cluster) Run(d time.Duration) { c.Kernel.RunFor(d) }
 
 // Kill fail-stops a node.
 func (c *Cluster) Kill(nd *Node) {

@@ -59,7 +59,7 @@ func (e *fakeEnv) at(fn func()) func() {
 
 // advance moves the clock forward, firing due timers in time order.
 func (e *fakeEnv) advance(d time.Duration) {
-	_ = e.k.RunFor(d)
+	e.k.RunFor(d)
 	e.now = e.k.Now()
 }
 

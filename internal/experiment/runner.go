@@ -50,10 +50,9 @@ type Options struct {
 	Lookups int
 	// PiggybackOnly disables immediate update pushes (ABL-2).
 	PiggybackOnly bool
-	// Shards selects the simulation engine: 0 runs the classic
-	// single-threaded kernel, ≥1 runs the sharded multi-core kernel with
-	// that many shards (see simrt.Options.Shards for the determinism
-	// contract).
+	// Shards is the engine's shard count: 0 = one shard, classic draw
+	// order; ≥1 runs that many shards (see simrt.Options.Shards for the
+	// determinism contract).
 	Shards int
 	// Budget caps each trial's wall-clock time. When it expires the
 	// trial's cluster is interrupted — the virtual clock freezes, the
@@ -224,9 +223,7 @@ func runTrial(o Options, seed int64) Trial {
 	}
 	cfg.ImmediateUpdates = !o.PiggybackOnly
 	c := simrt.New(simrt.Options{N: o.N, Seed: seed, Config: cfg, Bulk: true, Shards: o.Shards})
-	if c.Engine != nil {
-		defer c.Engine.Close()
-	}
+	defer c.Engine.Close()
 	if o.Budget > 0 {
 		watchdog := time.AfterFunc(o.Budget, c.Interrupt)
 		defer watchdog.Stop()

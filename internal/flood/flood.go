@@ -215,7 +215,7 @@ func hasPeer(nd *Node, a netsim.Addr) bool {
 }
 
 // Run advances virtual time.
-func (c *Cluster) Run(d time.Duration) { _ = c.Kernel.RunFor(d) }
+func (c *Cluster) Run(d time.Duration) { c.Kernel.RunFor(d) }
 
 // Kill fail-stops a node.
 func (c *Cluster) Kill(nd *Node) {

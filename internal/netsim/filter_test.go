@@ -23,7 +23,7 @@ func TestLinkFilterDropsAndCounts(t *testing.T) {
 	n.Send(a, b, "x", 1)
 	n.Send(a, c, "x", 1)
 	n.Send(b, a, "x", 1)
-	_ = k.RunFor(time.Second)
+	k.RunFor(time.Second)
 	if got[2] != 0 {
 		t.Fatalf("filtered link delivered %d", got[2])
 	}
@@ -36,7 +36,7 @@ func TestLinkFilterDropsAndCounts(t *testing.T) {
 
 	n.SetLinkFilter(nil)
 	n.Send(a, b, "x", 1)
-	_ = k.RunFor(time.Second)
+	k.RunFor(time.Second)
 	if got[2] != 1 {
 		t.Fatalf("link still dead after filter removal: %d", got[2])
 	}

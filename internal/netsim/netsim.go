@@ -12,21 +12,23 @@
 // travel as Go values (zero-copy) for simulation speed; wire fidelity is
 // covered by the proto package's codec tests and by the real UDP transport.
 //
-// A network runs in one of two modes. Classic (New): one sim.Kernel, one
-// global latency/loss stream, strictly single-threaded — the reference
-// semantics every pre-sharding experiment was recorded under. Sharded
-// (NewSharded): endpoints are pinned to shards of a sim.Sharded engine,
-// every datagram travels through the engine's deterministic barrier
+// A network runs on a sim.Sharded engine it builds (NewSharded), or on a
+// bare sim.Kernel (New, for probes and the baseline overlays). It draws
+// latency and loss in one of two orders. The classic order (New, or
+// NewSharded with zero shards, which runs one shard) consumes one global
+// stream in global send order and posts each datagram straight onto the
+// kernel: the reference semantics every pre-sharding experiment was
+// recorded under, and the only order that takes a trace hook. The
+// per-origin order (NewSharded with one or more shards) pins endpoints to
+// shards, sends every datagram through the engine's deterministic barrier
 // exchange keyed by (due time, origin endpoint, per-origin sequence), and
-// latency/loss draws come from per-origin streams so the draw sequence —
-// and therefore the entire run — is invariant under the shard count. A
-// classic network is one shard, and both modes share one send path, one
-// delivery path and the per-shard counters and record pools. They differ
-// in two places only: which stream an origin draws from, and whether a
-// datagram is posted straight onto the kernel or exchanged at the
-// barrier. Classic consumes one global stream in global send order, which
-// no parallel schedule can reproduce, so classic and sharded runs of the
-// same seed are each internally deterministic but differ from each other.
+// draws from per-origin streams, so the entire run is invariant under the
+// shard count. Both orders share one send path, one delivery path and the
+// per-shard counters and record pools. They differ in two places only:
+// which stream an origin draws from, and whether a datagram is posted
+// straight onto the kernel or exchanged at the barrier. No parallel
+// schedule can reproduce one global stream, so runs of the same seed in
+// the two orders are each deterministic but differ from each other.
 package netsim
 
 import (
@@ -82,27 +84,28 @@ type TraceEvent struct {
 	Reason   string // "", "loss", "dead", "mtu", "filtered"
 }
 
-// Network is a simulated datagram network. In classic mode it is not safe
-// for concurrent use; one network belongs to one sim.Kernel and runs on
-// its event loop. In sharded mode the per-endpoint state is struct-of-
-// arrays so shard workers touch disjoint contiguous slots, and the only
-// cross-shard traffic is the engine's barrier exchange; construction and
-// topology changes (Attach, Kill, Revive, SetLinkFilter, Stats) remain
+// Network is a simulated datagram network. In the classic draw order it
+// runs on one kernel's event loop and is not safe for concurrent use. In
+// the per-origin order the per-endpoint state is struct-of-arrays so shard
+// workers touch disjoint contiguous slots, and the only cross-shard
+// traffic is the engine's barrier exchange; construction and topology
+// changes (Attach, Kill, Revive, SetLinkFilter, Stats) remain
 // control-plane-only, between engine runs.
 type Network struct {
 	kernel  *sim.Kernel
 	latency LatencyModel
 	// lossRate is the probability a datagram is silently dropped in flight.
 	lossRate float64
-	// rng draws loss and latency in classic mode: one global stream,
-	// consumed in global send order.
+	// rng is the classic draw order's one global stream, consumed in
+	// global send order; nil when every origin draws from its own
+	// (originRng). It is what the send path branches on.
 	rng *rand.Rand
 
 	// Endpoint state, indexed by address (slot 0 = NoAddr): Attach hands
 	// out sequential addresses, so the per-datagram path is an array
 	// index, not a map probe. Struct-of-arrays rather than a slice of
 	// endpoint structs: the delivery path reads alive then handler, and
-	// in sharded mode the slabs keep each shard's slots contiguous.
+	// across shards the slabs keep each shard's slots contiguous.
 	handlers []Handler
 	epAlive  []bool
 
@@ -114,19 +117,19 @@ type Network struct {
 	// in flight when the filter returns false for its (from, to) pair.
 	// Scenario tools use it to simulate network partitions.
 	linkFilter func(from, to Addr) bool
-	// stats / free are per-shard counter and free-list slabs (one shard on
-	// a classic network): send-side counters belong to the origin's shard,
-	// arrival-side to the destination's, so no counter is written by two
-	// workers. free pools in-flight datagram records so the per-datagram
+	// stats / free are per-shard counter and free-list slabs (one shard in
+	// the classic draw order): send-side counters belong to the origin's
+	// shard, arrival-side to the destination's, so no counter is written by
+	// two workers. free pools in-flight datagram records so the per-datagram
 	// hot path (one delivery event per Send) does not allocate.
 	stats []Stats
 	free  []*delivery
 
-	// Sharded mode (nil engine = classic).
+	// engine is the engine NewSharded built; nil on a bare kernel (New).
 	engine *sim.Sharded
 	// floor is the latency model's minimum one-way delay — the engine's
-	// lookahead. Draws are clamped to it defensively; for the shipped
-	// models the clamp never binds. Zero on a classic network.
+	// lookahead. Per-origin draws are clamped to it defensively; for the
+	// shipped models the clamp never binds. Zero in the classic order.
 	floor time.Duration
 	// epShard pins each endpoint to its shard.
 	epShard []int32
@@ -227,7 +230,7 @@ func WithLoss(p float64) Option { return func(n *Network) { n.lossRate = p } }
 // WithTrace installs a hook invoked for every datagram send.
 func WithTrace(fn func(TraceEvent)) Option { return func(n *Network) { n.trace = fn } }
 
-// newNetwork applies the defaults and options both modes share.
+// newNetwork applies the defaults and options both draw orders share.
 func newNetwork(shards int, opts []Option) *Network {
 	n := &Network{
 		latency:  UniformLatency{Min: 10 * time.Millisecond, Max: 60 * time.Millisecond},
@@ -243,34 +246,44 @@ func newNetwork(shards int, opts []Option) *Network {
 	return n
 }
 
-// New creates a classic single-threaded network bound to the kernel.
+// netLabel labels the classic draw order's stream and prefixes the
+// per-origin ones.
+const netLabel = 0x6e6574 // "net"
+
+// New creates a network on a bare kernel, in the classic draw order.
 func New(k *sim.Kernel, opts ...Option) *Network {
 	n := newNetwork(1, opts)
-	n.kernel, n.rng = k, k.Stream(0x6e6574) // "net"
+	n.kernel, n.rng = k, k.Stream(netLabel)
 	return n
 }
 
-// NewSharded creates a sharded network: it builds the sim.Sharded engine
-// itself, because the engine's lookahead is the latency model's floor and
-// the model arrives through the options. The latency model must implement
+// NewSharded creates a network on a sim.Sharded engine it builds itself,
+// because the engine's lookahead is the latency model's floor and the
+// model arrives through the options. The latency model must implement
 // Floorer with a positive floor (all shipped models do unless configured
-// with zero minimum latency). Tracing is control-plane machinery and is
-// not supported sharded.
+// with zero minimum latency). Zero shards runs one shard in the classic
+// draw order, New's, on the shard's kernel. One or more draw per origin;
+// tracing is control-plane machinery and is not supported there.
 func NewSharded(seed int64, shards int, opts ...Option) *Network {
 	n := newNetwork(shards, opts)
-	if n.trace != nil {
-		panic("netsim: tracing is not supported in sharded mode")
-	}
 	f, ok := n.latency.(Floorer)
 	if !ok {
 		panic(fmt.Sprintf("netsim: latency model %T has no Floor; sharding needs a latency lower bound", n.latency))
 	}
-	n.floor = f.Floor()
-	if n.floor <= 0 {
+	floor := f.Floor()
+	if floor <= 0 {
 		panic("netsim: latency floor must be positive to shard (zero-latency links serialize the world)")
 	}
-	n.engine = sim.NewSharded(seed, shards, n.floor)
+	n.engine = sim.NewSharded(seed, max(shards, 1), floor)
 	n.kernel = n.engine.Shard(0)
+	if shards <= 0 {
+		n.rng = n.kernel.Stream(netLabel)
+		return n
+	}
+	if n.trace != nil {
+		panic("netsim: tracing is not supported in the per-origin draw order")
+	}
+	n.floor = floor
 	n.epShard = []int32{0}
 	n.originSeq = []uint64{0}
 	n.originRng = []*rand.Rand{nil}
@@ -278,16 +291,16 @@ func NewSharded(seed int64, shards int, opts ...Option) *Network {
 	return n
 }
 
-// Engine returns the sharded engine, or nil in classic mode.
+// Engine returns the engine NewSharded built, or nil on a bare kernel.
 func (n *Network) Engine() *sim.Sharded { return n.engine }
 
 // Attach registers a new endpoint and returns its address. The handler is
-// invoked from the kernel's event loop for each delivered datagram. In
-// sharded mode the endpoint lands on shard 0; use AttachOn to place it.
+// invoked from the kernel's event loop for each delivered datagram. The
+// endpoint lands on shard 0; use AttachOn to place it.
 func (n *Network) Attach(h Handler) Addr { return n.AttachOn(0, h) }
 
 // AttachOn registers a new endpoint pinned to a shard (control plane
-// only). In classic mode the shard must be 0.
+// only). In the classic draw order the shard must be 0.
 func (n *Network) AttachOn(shard int, h Handler) Addr {
 	if h == nil {
 		panic("netsim: Attach with nil handler")
@@ -295,9 +308,9 @@ func (n *Network) AttachOn(shard int, h Handler) Addr {
 	a := Addr(len(n.handlers))
 	n.handlers = append(n.handlers, h)
 	n.epAlive = append(n.epAlive, true)
-	if n.engine == nil {
+	if n.rng != nil {
 		if shard != 0 {
-			panic("netsim: AttachOn with nonzero shard on a classic network")
+			panic("netsim: AttachOn with nonzero shard in the classic draw order")
 		}
 		return a
 	}
@@ -311,7 +324,7 @@ func (n *Network) AttachOn(shard int, h Handler) Addr {
 	// the four-byte control-plane labels); deriving it from the owning
 	// shard's kernel is a locality choice only — every shard kernel
 	// shares the seed, so placement cannot change the stream.
-	n.originRng = append(n.originRng, n.engine.Shard(shard).Stream(0x6e6574<<40|uint64(a)))
+	n.originRng = append(n.originRng, n.engine.Shard(shard).Stream(netLabel<<40|uint64(a)))
 	return a
 }
 
@@ -376,8 +389,8 @@ func SplitFilter(split idspace.ID, idOf func(Addr) (idspace.ID, bool)) func(from
 // Alive reports whether the endpoint exists and is live.
 func (n *Network) Alive(a Addr) bool { return n.valid(a) && n.epAlive[a] }
 
-// Stats returns a copy of the accumulated counters (summed across shards
-// in sharded mode; control plane only).
+// Stats returns a copy of the accumulated counters (summed across shards;
+// control plane only).
 func (n *Network) Stats() Stats {
 	var out Stats
 	for i := range n.stats {
@@ -393,16 +406,16 @@ func (n *Network) Stats() Stats {
 // is a pooled record dispatched through the kernel's closure-free path, so
 // steady-state traffic does not allocate per datagram.
 //
-// On a sharded network Send runs on the origin endpoint's shard worker (or
-// on the control plane while parked). Loss and latency come from the
-// origin's own stream, and the datagram goes through the engine's barrier
-// exchange under the origin's send ordinal — intra-shard traffic too, so
-// all same-instant deliveries share one placement-invariant order. A
-// classic network draws from its one stream and posts straight onto its
-// kernel.
+// In the per-origin draw order Send runs on the origin endpoint's shard
+// worker (or on the control plane while parked). Loss and latency come
+// from the origin's own stream, and the datagram goes through the engine's
+// barrier exchange under the origin's send ordinal — intra-shard traffic
+// too, so all same-instant deliveries share one placement-invariant order.
+// In the classic order it draws from the one stream and posts straight
+// onto the kernel.
 func (n *Network) Send(from, to Addr, payload interface{}, size int) {
 	shard, rng := 0, n.rng
-	if n.engine != nil {
+	if rng == nil {
 		shard, rng = int(n.epShard[from]), n.originRng[from]
 	}
 	st := &n.stats[shard]
@@ -432,7 +445,7 @@ func (n *Network) Send(from, to Addr, payload interface{}, size int) {
 		return
 	}
 	delay := max(n.latency.Delay(from, to, rng), n.floor)
-	if n.engine == nil {
+	if n.rng != nil {
 		n.kernel.Post(delay, deliverDatagram, n.take(0, from, to, payload, size))
 		return
 	}

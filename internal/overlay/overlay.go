@@ -42,8 +42,9 @@ type Outcome struct {
 }
 
 // Overlay is a routed peer-to-peer network under test. One Overlay owns
-// one sim.Kernel and one netsim.Network; all state mutation happens on the
-// kernel's event loop, so an Overlay is not safe for concurrent use.
+// one event loop (a sim.Kernel, or a one-shard sim.Sharded) and one
+// netsim.Network; all state mutation happens on that loop, so an Overlay
+// is not safe for concurrent use.
 type Overlay interface {
 	// Name identifies the backend in records ("treep", "chord", "flood").
 	Name() string

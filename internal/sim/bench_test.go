@@ -72,7 +72,7 @@ func BenchmarkKernelPeriodic(b *testing.B) {
 	b.ResetTimer()
 	start := k.Executed()
 	for k.Executed()-start < uint64(b.N) {
-		_ = k.RunFor(100 * time.Millisecond)
+		k.RunFor(100 * time.Millisecond)
 	}
 	benchEvents(b, b.N)
 }
@@ -132,7 +132,7 @@ func BenchmarkKernelMixed(b *testing.B) {
 				k.Post(time.Duration(10+i%50)*time.Millisecond, h, nil)
 			}
 		}
-		_ = k.RunFor(200 * time.Millisecond)
+		k.RunFor(200 * time.Millisecond)
 		done += batch
 	}
 	// Stop the maintenance population before the final drain: Run would
@@ -161,12 +161,12 @@ func BenchmarkKernelStanding(b *testing.B) {
 	for i := 0; i < timers; i++ {
 		k.SchedulePeriodic(time.Second+time.Duration(i)*61*time.Microsecond, fn)
 	}
-	_ = k.RunFor(2 * time.Second) // every timer has fired once: the standing depth
+	k.RunFor(2 * time.Second) // every timer has fired once: the standing depth
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := k.Executed()
 	for k.Executed()-start < uint64(b.N) {
-		_ = k.RunFor(10 * time.Millisecond)
+		k.RunFor(10 * time.Millisecond)
 	}
 	b.ReportMetric(float64(k.Pending()), "pending")
 	benchEvents(b, b.N)

@@ -24,9 +24,7 @@ func TestRunUntilSimultaneousAtDeadline(t *testing.T) {
 		k.Schedule(0, func() { fired = append(fired, 99) })
 	})
 	k.Schedule(deadline+1, func() { fired = append(fired, -1) })
-	if err := k.RunUntil(deadline); err != nil {
-		t.Fatal(err)
-	}
+	k.RunUntil(deadline)
 	want := []int{0, 1, 2, 3, 4, 99}
 	if len(fired) != len(want) {
 		t.Fatalf("fired %v, want %v", fired, want)
@@ -291,14 +289,14 @@ func TestGatedTimers(t *testing.T) {
 	k.ScheduleGated(&open, 10*time.Millisecond, func() { once++ })
 	k.ScheduleGated(&open, 30*time.Millisecond, func() { once++ })
 	p := k.SchedulePeriodicGated(&open, 10*time.Millisecond, func() { ticks++ })
-	_ = k.RunUntil(15 * time.Millisecond)
+	k.RunUntil(15 * time.Millisecond)
 	open = false
-	_ = k.RunUntil(35 * time.Millisecond)
+	k.RunUntil(35 * time.Millisecond)
 	if once != 1 || ticks != 1 || !p.Pending() {
 		t.Fatalf("behind a shut gate: once=%d ticks=%d pending=%v, want 1, 1, true", once, ticks, p.Pending())
 	}
 	open = true
-	_ = k.RunUntil(45 * time.Millisecond)
+	k.RunUntil(45 * time.Millisecond)
 	if once != 1 || ticks != 2 {
 		t.Fatalf("after reopening: once=%d ticks=%d, want 1, 2", once, ticks)
 	}

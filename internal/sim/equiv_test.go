@@ -11,7 +11,7 @@ import (
 // This file proves the kernel's queue is observationally identical to the
 // single closure-per-event binary heap the kernel started as: for the same
 // choices, the same workload of closures, posts, gated and periodic timers,
-// cancels, gate flips and stops fires in exactly the same order at the same
+// cancels and gate flips fires in exactly the same order at the same
 // virtual times, and every cancel, Next and Pending answers alike.
 // refKernel below is that original heap, kept as the ordering oracle.
 
@@ -45,11 +45,10 @@ func (h *refHeap) Pop() interface{} {
 }
 
 type refKernel struct {
-	now     time.Duration
-	seq     uint64
-	events  refHeap
-	live    int
-	stopped bool
+	now    time.Duration
+	seq    uint64
+	events refHeap
+	live   int
 }
 
 func (k *refKernel) schedule(d time.Duration, fn func()) *refEvent {
@@ -83,11 +82,9 @@ func (k *refKernel) due(t time.Duration) bool {
 	return ev != nil && ev.at <= t
 }
 
-// runUntil fires events up to deadline until stopped, and moves the clock
-// to the deadline only when no due event is left behind.
+// runUntil fires events up to deadline, then moves the clock to it.
 func (k *refKernel) runUntil(deadline time.Duration) {
-	k.stopped = false
-	for !k.stopped && k.due(deadline) {
+	for k.due(deadline) {
 		ev := heap.Pop(&k.events).(*refEvent)
 		k.now = ev.at
 		ev.fired = true
@@ -96,7 +93,7 @@ func (k *refKernel) runUntil(deadline time.Duration) {
 		}
 		ev.fn()
 	}
-	if !k.due(deadline) && k.now < deadline {
+	if k.now < deadline {
 		k.now = deadline
 	}
 }
@@ -122,7 +119,6 @@ type testSched interface {
 	schedule(gate *bool, d, period time.Duration, fn func()) func() bool
 	post(d time.Duration, h func(interface{}), arg interface{})
 	runUntil(t time.Duration)
-	stop()
 	next() (time.Duration, bool)
 	pending() int
 }
@@ -147,8 +143,7 @@ func (s kernelSched) schedule(gate *bool, d, period time.Duration, fn func()) fu
 func (s kernelSched) post(d time.Duration, h func(interface{}), arg interface{}) {
 	s.k.Post(d, h, arg)
 }
-func (s kernelSched) runUntil(t time.Duration)    { _ = s.k.RunUntil(t) }
-func (s kernelSched) stop()                       { s.k.Stop() }
+func (s kernelSched) runUntil(t time.Duration)    { s.k.RunUntil(t) }
 func (s kernelSched) next() (time.Duration, bool) { return s.k.Next() }
 func (s kernelSched) pending() int                { return s.k.Pending() }
 
@@ -205,7 +200,6 @@ func (s refSched) post(d time.Duration, h func(interface{}), arg interface{}) {
 	s.k.schedule(d, func() { h(arg) }).oneShot = true
 }
 func (s refSched) runUntil(t time.Duration)    { s.k.runUntil(t) }
-func (s refSched) stop()                       { s.k.stopped = true }
 func (s refSched) next() (time.Duration, bool) { return s.k.next() }
 func (s refSched) pending() int                { return s.k.live }
 
@@ -250,7 +244,6 @@ type workload struct {
 	cancels  []func() bool
 	gates    [2]bool
 	spawned  int
-	stopNext bool
 	draining bool
 }
 
@@ -325,7 +318,7 @@ func (w *workload) spawn() {
 func (w *workload) onPost(arg interface{}) { w.fired(arg.(int)) }
 
 // fired logs one delivery and makes the callback's own choices: spawn up
-// to two events, maybe cancel one, maybe stop the run.
+// to two events, maybe cancel one.
 func (w *workload) fired(id int) {
 	w.logf("%d@%d", id, w.s.now())
 	for n := w.c.Intn(3); n > 0; n-- {
@@ -334,10 +327,6 @@ func (w *workload) fired(id int) {
 	if len(w.cancels) > 0 && w.c.Intn(3) == 0 {
 		i := w.c.Intn(len(w.cancels))
 		w.logf("cancel %d=%v", i, w.cancels[i]())
-	}
-	if w.stopNext {
-		w.stopNext = false
-		w.s.stop()
 	}
 	w.probe()
 }
@@ -352,19 +341,16 @@ func driveWorkload(s testSched, c chooser) []string {
 		w.spawn()
 	}
 	w.probe()
-	// Deadline-bounded runs with awkward boundaries, gate flips and stops
-	// armed for the next delivery, then cancel everything still live and
-	// drain the far future.
+	// Deadline-bounded runs with awkward boundaries and gate flips, then
+	// cancel everything still live and drain the far future.
 	steps := []time.Duration{13 * time.Millisecond, 900 * time.Millisecond, 6*time.Second + 13*time.Millisecond}
 	for !c.done() && len(w.log) < maxLog {
-		switch c.Intn(8) {
+		switch c.Intn(7) {
 		case 0:
 			w.spawn()
 		case 1:
 			g := c.Intn(2)
 			w.gates[g] = !w.gates[g]
-		case 2:
-			w.stopNext = true
 		default:
 			to := s.now() + steps[c.Intn(len(steps))]
 			s.runUntil(to)
@@ -372,7 +358,7 @@ func driveWorkload(s testSched, c chooser) []string {
 		}
 		w.probe()
 	}
-	w.draining, w.stopNext = true, false
+	w.draining = true
 	for i, cancel := range w.cancels {
 		w.logf("cancel %d=%v", i, cancel())
 	}

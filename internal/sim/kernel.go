@@ -17,14 +17,14 @@
 // event's recycling can never cancel the record's next occupant.
 //
 // The kernel is intentionally single-threaded: determinism is the property
-// the figures depend on. Parallelism lives one level up, in the experiment
-// harness, which runs many independent kernels (trials, sweep points) on a
-// worker pool.
+// the figures depend on. Sharded (shard.go) is the engine every simulated
+// cluster runs on: one or more kernels in lockstep epochs. The experiment
+// harness adds parallelism across runs, many independent engines (trials,
+// sweep points) on a worker pool.
 package sim
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"time"
 	"unsafe"
 )
@@ -47,10 +47,6 @@ type Kernel struct {
 	// executed counts delivered events, for stats.
 	executed uint64
 	seed     int64
-	// stopped is atomic so wall-clock watchdogs (bench -budget) may call
-	// Stop from another goroutine; everything else on the kernel remains
-	// single-threaded.
-	stopped atomic.Bool
 
 	// streams caches the per-label random streams so hot paths can call
 	// Stream repeatedly without re-allocating a generator.
@@ -179,11 +175,9 @@ func (k *Kernel) newEvent(at time.Duration) *event {
 	return ev
 }
 
-// Run executes events until the queue drains or Stop is called. It always
-// returns nil.
+// Run executes events until the queue drains. It always returns nil.
 func (k *Kernel) Run() error {
-	k.stopped.Store(false)
-	for !k.stopped.Load() && len(k.q) > 0 {
+	for len(k.q) > 0 {
 		k.fire()
 	}
 	return nil
@@ -192,28 +186,21 @@ func (k *Kernel) Run() error {
 // RunUntil executes events with timestamps ≤ deadline and then advances the
 // clock to the deadline. Events scheduled beyond the deadline stay queued;
 // events scheduled exactly at the deadline (including from callbacks firing
-// at the deadline) are executed. A run that Stop ends while an event is
-// still due leaves the clock at the stopping event. It always returns nil.
-func (k *Kernel) RunUntil(deadline time.Duration) error {
-	k.stopped.Store(false)
-	for !k.stopped.Load() && k.due(deadline) {
+// at the deadline) are executed.
+func (k *Kernel) RunUntil(deadline time.Duration) {
+	for k.due(deadline) {
 		k.fire()
 	}
-	if !k.due(deadline) && k.now < deadline {
+	if k.now < deadline {
 		k.now = deadline
 	}
-	return nil
 }
 
 // due reports whether an event is queued at or before t.
 func (k *Kernel) due(t time.Duration) bool { return len(k.q) > 0 && k.q[0].at <= t }
 
 // RunFor advances the simulation by d of virtual time from now.
-func (k *Kernel) RunFor(d time.Duration) error { return k.RunUntil(k.now + d) }
-
-// Stop makes the innermost Run/RunUntil return after the current event.
-// It is safe to call from another goroutine.
-func (k *Kernel) Stop() { k.stopped.Store(true) }
+func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now + d) }
 
 // Pending returns the number of live (scheduled, non-cancelled) events.
 func (k *Kernel) Pending() int { return k.live }

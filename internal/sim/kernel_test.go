@@ -127,9 +127,7 @@ func TestRunUntil(t *testing.T) {
 		d := d * time.Second
 		k.Schedule(d, func() { fired = append(fired, d) })
 	}
-	if err := k.RunUntil(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.RunUntil(3 * time.Second)
 	if len(fired) != 3 {
 		t.Fatalf("fired %d events, want 3", len(fired))
 	}
@@ -151,47 +149,6 @@ func TestRunUntilAdvancesClockWithEmptyQueue(t *testing.T) {
 	k.RunUntil(time.Minute)
 	if k.Now() != time.Minute {
 		t.Errorf("now = %v", k.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	k := New(1)
-	count := 0
-	for i := 0; i < 10; i++ {
-		k.Schedule(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (stopped)", count)
-	}
-	// A fresh Run resumes.
-	k.Run()
-	if count != 10 {
-		t.Fatalf("count = %d after resume", count)
-	}
-
-	// A RunUntil that Stop ends early leaves the clock at the stopping
-	// event, and the clock never moves back.
-	k = New(1)
-	k.Schedule(time.Second, k.Stop)
-	var at []time.Duration
-	k.Schedule(2*time.Second, func() { at = append(at, k.Now()) })
-	k.RunUntil(10 * time.Second)
-	if k.Now() != time.Second || len(at) != 0 {
-		t.Fatalf("stopped RunUntil: now = %v, fired at %v; want 1s, nothing", k.Now(), at)
-	}
-	k.Run()
-	if k.Now() != 2*time.Second || len(at) != 1 || at[0] != 2*time.Second {
-		t.Fatalf("after resuming: now = %v, fired at %v; want 2s, [2s]", k.Now(), at)
-	}
-	k.RunUntil(10 * time.Second)
-	if k.Now() != 10*time.Second {
-		t.Fatalf("idle RunUntil: now = %v, want 10s", k.Now())
 	}
 }
 

@@ -79,7 +79,9 @@ type ExchangeHandler func(shard int, k *Kernel, ev XEvent)
 // belong to the control plane: they must only be called between Run
 // calls, when every worker is parked at a barrier. RunUntil itself
 // blocks until the target time is reached, so ordinary sequential use —
-// build, run, inspect, mutate, run — is safe without further care.
+// build, run, inspect, mutate, run — is safe without further care. One
+// shard runs its epochs inline on the caller's goroutine, so there its
+// event callbacks may call Now and Stream as well.
 type Sharded struct {
 	lambda time.Duration
 	shards []*Kernel
@@ -103,7 +105,7 @@ type Sharded struct {
 	// cmd/done run the epoch protocol: the coordinator sends the epoch's
 	// barrier time to every worker and collects one reply per shard.
 	cmd  []chan time.Duration
-	done chan error
+	done chan struct{}
 
 	interrupted atomic.Bool
 	closed      bool
@@ -126,7 +128,6 @@ func NewSharded(seed int64, shards int, lookahead time.Duration) *Sharded {
 		lambda: lookahead,
 		shards: make([]*Kernel, shards),
 		inbox:  make([]xheap, shards),
-		done:   make(chan error, shards),
 	}
 	for i := range s.shards {
 		s.shards[i] = New(seed)
@@ -135,6 +136,7 @@ func NewSharded(seed int64, shards int, lookahead time.Duration) *Sharded {
 		s.out[p] = make([][]XEvent, shards*shards)
 	}
 	if shards > 1 {
+		s.done = make(chan struct{}, shards)
 		s.cmd = make([]chan time.Duration, shards)
 		for i := range s.cmd {
 			s.cmd[i] = make(chan time.Duration)
@@ -152,8 +154,15 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 func (s *Sharded) Shard(i int) *Kernel { return s.shards[i] }
 
 // Now returns the global barrier clock. Individual shard kernels may
-// briefly run ahead of it inside an epoch, never behind.
-func (s *Sharded) Now() time.Duration { return s.now }
+// briefly run ahead of it inside an epoch, never behind. One shard runs
+// inline, so its kernel's clock is the engine's: read from an event
+// callback it is that event's time, not the barrier the epoch ends on.
+func (s *Sharded) Now() time.Duration {
+	if s.cmd == nil {
+		return s.shards[0].Now()
+	}
+	return s.now
+}
 
 // Stream returns the deterministic random stream for a label, shared
 // with shard 0's kernel. Because every shard kernel mixes the same
@@ -189,10 +198,14 @@ func (s *Sharded) Executed() uint64 {
 }
 
 // Interrupt makes the innermost RunUntil return at the next epoch
-// barrier. It is the only method safe to call from another goroutine
-// (wall-clock budget watchdogs); the run stops at a consistent barrier,
-// with the global clock short of the target.
+// barrier, and every later one return at once. It and Interrupted are
+// the only methods safe to call from another goroutine (wall-clock
+// budget watchdogs); the run stops at a consistent barrier, with the
+// global clock short of the target.
 func (s *Sharded) Interrupt() { s.interrupted.Store(true) }
+
+// Interrupted reports whether Interrupt has been called.
+func (s *Sharded) Interrupted() bool { return s.interrupted.Load() }
 
 // RunUntil advances every shard to the target time in lockstep epochs.
 // Epoch boundaries land on the λ grid plus the target itself, so two
@@ -201,8 +214,10 @@ func (s *Sharded) Interrupt() { s.interrupted.Store(true) }
 // point only ever subdivides an epoch, which cannot reorder events
 // (every exchanged event's due time still falls strictly beyond the
 // barrier that ships it).
-func (s *Sharded) RunUntil(target time.Duration) error {
-	var firstErr error
+//
+// A target at or before the barrier clock fires nothing, where
+// Kernel.RunUntil still fires the events due at its clock.
+func (s *Sharded) RunUntil(target time.Duration) {
 	for s.now < target && !s.interrupted.Load() {
 		b := (s.now/s.lambda + 1) * s.lambda
 		if target < b {
@@ -212,29 +227,21 @@ func (s *Sharded) RunUntil(target time.Duration) error {
 		if s.cmd == nil {
 			s.drain(0)
 			s.release(0, b)
-			if err := s.shards[0].RunUntil(b); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			s.shards[0].RunUntil(b)
 		} else {
 			for _, c := range s.cmd {
 				c <- b
 			}
 			for range s.cmd {
-				if err := <-s.done; err != nil && firstErr == nil {
-					firstErr = err
-				}
+				<-s.done
 			}
 		}
 		s.now = b
-		if firstErr != nil {
-			break
-		}
 	}
-	return firstErr
 }
 
 // RunFor advances the engine by d of virtual time.
-func (s *Sharded) RunFor(d time.Duration) error { return s.RunUntil(s.now + d) }
+func (s *Sharded) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 
 // Close terminates the worker goroutines. The engine is unusable
 // afterwards; Close is idempotent.
@@ -256,7 +263,8 @@ func (s *Sharded) worker(i int) {
 		for b := range s.cmd[i] {
 			s.drain(i)
 			s.release(i, b)
-			s.done <- s.shards[i].RunUntil(b)
+			s.shards[i].RunUntil(b)
+			s.done <- struct{}{}
 		}
 	})
 }

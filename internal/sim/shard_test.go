@@ -111,9 +111,7 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 		var want uint64
 		for _, shards := range []int{1, 2, 4, 8} {
 			h := newShardHarness(seed, shards, 24)
-			if err := h.s.RunFor(2 * time.Second); err != nil {
-				t.Fatalf("seed %d shards %d: %v", seed, shards, err)
-			}
+			h.s.RunFor(2 * time.Second)
 			got := h.digest()
 			h.s.Close()
 			if shards == 1 {
@@ -133,9 +131,7 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 // subdivide epochs, they never reorder events.
 func TestShardedRunUntilSplitInvariance(t *testing.T) {
 	one := newShardHarness(11, 4, 16)
-	if err := one.s.RunFor(1 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	one.s.RunFor(1 * time.Second)
 	defer one.s.Close()
 
 	many := newShardHarness(11, 4, 16)
@@ -147,9 +143,7 @@ func TestShardedRunUntilSplitInvariance(t *testing.T) {
 		if target > 1*time.Second {
 			target = 1 * time.Second
 		}
-		if err := many.s.RunUntil(target); err != nil {
-			t.Fatal(err)
-		}
+		many.s.RunUntil(target)
 	}
 	if got, want := many.digest(), one.digest(); got != want {
 		t.Fatalf("split runs digest %#x, want %#x", got, want)
@@ -173,9 +167,7 @@ func TestShardedBarrierEdgeDelivery(t *testing.T) {
 	// first barrier) and one due just past it.
 	s.Exchange(0, 1, XEvent{At: lambda, Origin: 1, Seq: 0, To: 2})
 	s.Exchange(0, 1, XEvent{At: lambda + time.Millisecond, Origin: 1, Seq: 1, To: 2})
-	if err := s.RunFor(50 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	s.RunFor(50 * time.Millisecond)
 	if len(got) != 2 || got[0] != lambda || got[1] != lambda+time.Millisecond {
 		t.Fatalf("deliveries at %v, want [%v %v]", got, lambda, lambda+time.Millisecond)
 	}
@@ -191,9 +183,7 @@ func TestShardedInterrupt(t *testing.T) {
 	defer h.s.Close()
 	h.s.Interrupt()
 	for range 2 {
-		if err := h.s.RunFor(time.Second); err != nil {
-			t.Fatal(err)
-		}
+		h.s.RunFor(time.Second)
 		if h.s.Now() != 0 || h.s.Executed() != 0 {
 			t.Fatalf("interrupted before start but advanced to %v, %d events", h.s.Now(), h.s.Executed())
 		}

@@ -79,7 +79,7 @@ func heapLedger(c *Cluster, svcs []*dht.Service) []ledgerRow {
 	for i := range c.scratch {
 		scratch += c.scratch[i].MemBytes()
 	}
-	events, streams := c.Kernel.MemBytes()
+	events, streams := c.Engine.Shard(0).MemBytes()
 	timers := 3 * len(c.Nodes) // keep-alive, sweep, child report; the DHT's is its own row
 	return []ledgerRow{
 		{"rtable slabs", tbl.Slabs},

@@ -1,12 +1,11 @@
 // Package simrt binds core TreeP nodes to the deterministic simulator: it
 // is the runtime the experiments and benchmarks use. A Cluster owns a sim
-// kernel, a netsim network, and a set of nodes whose core.Env is backed by
+// engine, a netsim network, and a set of nodes whose core.Env is backed by
 // virtual time and simulated datagrams.
 package simrt
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"treep/internal/core"
@@ -33,25 +32,22 @@ type Options struct {
 	// false the cluster starts as disconnected level-0 nodes (protocol
 	// bootstrap tests).
 	Bulk bool
-	// Shards selects the execution engine. 0 (the default) is the classic
-	// single-threaded kernel — bit-identical to every pre-sharding run.
-	// ≥ 1 runs the sharded engine: nodes are partitioned across shards by
-	// ID range and advanced in lockstep epochs with deterministic barrier
-	// exchange, so any Shards ≥ 1 value produces the same end state as
+	// Shards is the engine's shard count: 0 = one shard, classic draw
+	// order (the default). Every cluster runs on a sim.Sharded engine;
+	// what 0 keeps is netsim's classic draw order, one global latency/loss
+	// stream consumed in global send order — bit-identical to every
+	// pre-sharding run. ≥ 1 partitions nodes across that many shards by
+	// ID range, draws per origin and exchanges every datagram at the epoch
+	// barrier, so any Shards ≥ 1 value produces the same end state as
 	// Shards == 1 for a given seed (the equivalence the oracle test
-	// enforces). Classic and sharded runs of the same seed differ — the
-	// classic network consumes one global latency/loss stream in global
-	// send order, which no parallel schedule can reproduce.
+	// enforces). Runs of the same seed at 0 and at ≥ 1 differ: no
+	// parallel schedule can reproduce one global stream.
 	Shards int
 }
 
 // Cluster is a simulated TreeP deployment.
 type Cluster struct {
-	// Kernel is the classic single-threaded kernel; nil in sharded mode
-	// (use the dispatch methods Now/Run/RunUntil/Stream/Events, which
-	// cover both engines).
-	Kernel *sim.Kernel
-	// Engine is the sharded engine; nil in classic mode.
+	// Engine runs the cluster: one shard when Options.Shards is 0.
 	Engine *sim.Sharded
 	Net    *netsim.Network
 	Nodes  []*core.Node
@@ -70,9 +66,8 @@ type Cluster struct {
 	// LevelCounts reports the bulk-built members per level (nil without
 	// Bulk).
 	LevelCounts []int
-	// scratch holds one core.Scratch per event loop: one per shard kernel,
-	// a single one in classic mode. Never one for two loops — shard workers
-	// run concurrently.
+	// scratch holds one core.Scratch per event loop, one per shard kernel.
+	// Never one for two loops — shard workers run concurrently.
 	scratch []core.Scratch
 
 	// Construction machinery retained for dynamic spawns: the base config,
@@ -82,11 +77,6 @@ type Cluster struct {
 	baseCfg   core.Config
 	gen       *nodeprof.Generator
 	spawnRand *rand.Rand
-
-	// interrupted is set by Interrupt (wall-clock budget watchdogs); once
-	// set, Run/RunUntil become no-ops so scenario drivers wind down at
-	// the next control-plane check instead of burning more virtual time.
-	interrupted atomic.Bool
 }
 
 // shardOfID places a node ID on a shard by contiguous ID range: with the
@@ -106,29 +96,21 @@ func New(opts Options) *Cluster {
 	if opts.N <= 0 {
 		panic("simrt: N must be positive")
 	}
-	var net *netsim.Network
-	var k *sim.Kernel
-	if opts.Shards > 0 {
-		net = netsim.NewSharded(opts.Seed, opts.Shards, opts.NetOpts...)
-	} else {
-		k = sim.New(opts.Seed)
-		net = netsim.New(k, opts.NetOpts...)
-	}
+	net := netsim.NewSharded(opts.Seed, opts.Shards, opts.NetOpts...)
 	gen := nodeprof.NewGenerator(opts.Seed ^ 0x70726f66) // "prof"
 
 	c := &Cluster{
-		Kernel:  k,
 		Engine:  net.Engine(),
 		Net:     net,
 		byAddr:  make([]*core.Node, 1, opts.N+1),
 		envs:    make([]*simEnv, 1, opts.N+1),
 		baseCfg: opts.Config,
 		gen:     gen,
-		scratch: make([]core.Scratch, max(1, opts.Shards)),
+		scratch: make([]core.Scratch, net.Engine().Shards()),
 	}
 	// Every control-plane stream goes through c.Stream, which derives
-	// identically in both modes, so a seed's node IDs, profiles, anchors
-	// and workload are the same population classic or sharded.
+	// identically at every shard count, so a seed's node IDs, profiles,
+	// anchors and workload are the same population in either draw order.
 	c.spawnRand = c.Stream(0x7370776e) // "spwn"
 	// Balanced with jitter keeps bulk-built trees near the paper's height law.
 	assigner := idspace.BalancedAssigner{Rand: c.Stream(0x696473), JitterFrac: 0.8} // "ids"
@@ -154,16 +136,13 @@ func New(opts Options) *Cluster {
 }
 
 // attach wires one configured node into the network and bookkeeping maps.
-// In sharded mode the node lands on the shard owning its ID range, and
-// its environment (clock, timers, rng) binds to that shard's kernel —
-// the same-seed derivation keeps the rng identical at any shard count.
+// The node lands on the shard owning its ID range, and its environment
+// (clock, timers, rng) binds to that shard's kernel — the same-seed
+// derivation keeps the rng identical at any shard count.
 func (c *Cluster) attach(cfg core.Config) *core.Node {
-	shard := 0
-	if c.Engine != nil {
-		shard = shardOfID(uint64(cfg.ID), c.Engine.Shards())
-	}
+	shard := shardOfID(uint64(cfg.ID), c.Engine.Shards())
 	addr := c.Net.AttachOn(shard, func(netsim.Addr, interface{}, int) {})
-	kern := c.kernelFor(shard)
+	kern := c.Engine.Shard(shard)
 	env := &simEnv{cluster: c, addr: uint64(addr), rng: kern.Stream(uint64(addr)), kern: kern, sc: &c.scratch[shard], up: true}
 	node := core.NewNode(cfg, env)
 	c.Net.SetHandler(addr, func(from netsim.Addr, payload interface{}, size int) {
@@ -221,74 +200,34 @@ func (c *Cluster) StartAll() {
 	}
 }
 
-// kernelFor returns the kernel owning a shard (the classic kernel when
-// unsharded).
-func (c *Cluster) kernelFor(shard int) *sim.Kernel {
-	if c.Engine != nil {
-		return c.Engine.Shard(shard)
-	}
-	return c.Kernel
-}
+// Now returns the cluster's virtual clock, the engine's (sim.Sharded.Now):
+// on one shard it is exact inside event callbacks too, on more it is the
+// barrier clock (control plane only).
+func (c *Cluster) Now() time.Duration { return c.Engine.Now() }
 
-// Now returns the cluster's virtual clock: the kernel clock, or the
-// sharded engine's barrier clock (control plane only).
-func (c *Cluster) Now() time.Duration {
-	if c.Engine != nil {
-		return c.Engine.Now()
-	}
-	return c.Kernel.Now()
-}
-
-// RunUntil advances virtual time to the target on whichever engine the
-// cluster runs. After Interrupt it is a no-op, so scenario drivers wind
-// down at their next control-plane check.
-func (c *Cluster) RunUntil(t time.Duration) {
-	if c.interrupted.Load() {
-		return
-	}
-	if c.Engine != nil {
-		_ = c.Engine.RunUntil(t)
-		return
-	}
-	_ = c.Kernel.RunUntil(t)
-}
+// RunUntil advances virtual time to the target. After Interrupt it is a
+// no-op, so scenario loops wind down at their next control-plane check.
+func (c *Cluster) RunUntil(t time.Duration) { c.Engine.RunUntil(t) }
 
 // Run advances virtual time by d.
 func (c *Cluster) Run(d time.Duration) { c.RunUntil(c.Now() + d) }
 
 // Events returns the number of events executed so far (summed across
 // shards; control plane only).
-func (c *Cluster) Events() uint64 {
-	if c.Engine != nil {
-		return c.Engine.Executed()
-	}
-	return c.Kernel.Executed()
-}
+func (c *Cluster) Events() uint64 { return c.Engine.Executed() }
 
 // Stream returns the deterministic random stream for a label, identical
-// across engines and shard counts for a given seed (control plane only).
-func (c *Cluster) Stream(label uint64) *rand.Rand {
-	if c.Engine != nil {
-		return c.Engine.Stream(label)
-	}
-	return c.Kernel.Stream(label)
-}
+// at every shard count for a given seed (control plane only).
+func (c *Cluster) Stream(label uint64) *rand.Rand { return c.Engine.Stream(label) }
 
-// Interrupt aborts the run at the next event (classic) or epoch barrier
-// (sharded) and makes all further Run/RunUntil calls no-ops. It is the
-// one cluster method safe to call from another goroutine: wall-clock
-// budget watchdogs use it to cap a row's runtime.
-func (c *Cluster) Interrupt() {
-	c.interrupted.Store(true)
-	if c.Engine != nil {
-		c.Engine.Interrupt()
-		return
-	}
-	c.Kernel.Stop()
-}
+// Interrupt aborts the run at the next epoch barrier and makes all
+// further Run/RunUntil calls no-ops. It is the one cluster method safe to
+// call from another goroutine: wall-clock budget watchdogs use it to cap
+// a row's runtime.
+func (c *Cluster) Interrupt() { c.Engine.Interrupt() }
 
 // Interrupted reports whether Interrupt cut the run short.
-func (c *Cluster) Interrupted() bool { return c.interrupted.Load() }
+func (c *Cluster) Interrupted() bool { return c.Engine.Interrupted() }
 
 // Kill removes a node from the network (fail-stop, no goodbye): its
 // endpoint stops receiving and its timers stop firing.
@@ -422,8 +361,7 @@ func (c *Cluster) NodeByAddr(addr uint64) *core.Node {
 func (c *Cluster) Rand() *rand.Rand { return c.Stream(0x776b6c64) } // "wkld"
 
 // simEnv adapts the cluster to core.Env for one node. kern is the
-// kernel the node's shard runs on (the classic kernel when unsharded):
-// its clock and timers must be the node's own shard's, both for
+// kernel the node's shard runs on: its clock and timers must be the node's own shard's, both for
 // correctness (a node's events execute on its shard) and because the
 // shard kernel's clock is exact mid-epoch while the engine's barrier
 // clock lags it.

@@ -164,7 +164,7 @@ func TestProtocolBootstrapFromJoins(t *testing.T) {
 		}
 		i := i
 		n := n
-		c.Kernel.Schedule(time.Duration(i)*200*time.Millisecond, func() { n.Join(boot) })
+		c.Engine.Shard(0).Schedule(time.Duration(i)*200*time.Millisecond, func() { n.Join(boot) })
 	}
 	c.Run(60 * time.Second)
 
@@ -305,5 +305,38 @@ func TestZeroConfigRunsPiggybackOnly(t *testing.T) {
 	shipped := New(Options{N: 4, Seed: 1, Bulk: true, Config: core.Defaults()})
 	if !shipped.Nodes[0].Config().ImmediateUpdates {
 		t.Fatal("core.Defaults() no longer pushes updates immediately")
+	}
+}
+
+// TestNowInsideCallbacksIsTheEventTime holds Cluster.Now, read inside a
+// lookup's completion callback, to the node's own clock: issue time plus
+// LookupResult.Latency, which the origin measures on its shard kernel. On
+// one shard (Shards 0 and 1) the engine runs inline, so its clock is that
+// kernel's; the barrier clock would round every completion down to the
+// epoch grid, and the benchmark reads its latencies this way.
+func TestNowInsideCallbacksIsTheEventTime(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		c := New(Options{N: 100, Seed: 3, Bulk: true, Shards: shards})
+		c.StartAll()
+		c.Run(6 * time.Second)
+		rng := c.Rand()
+		const lookups = 50
+		done := 0
+		for i := 0; i < lookups; i++ {
+			issued := c.Now()
+			target := c.Nodes[rng.Intn(len(c.Nodes))].ID()
+			c.Nodes[rng.Intn(len(c.Nodes))].Lookup(target, proto.AlgoG, func(r core.LookupResult) {
+				done++
+				if got, want := c.Now(), issued+r.Latency; got != want {
+					t.Errorf("shards %d: Now() in the callback = %v, want issue time %v + latency %v = %v", shards, got, issued, r.Latency, want)
+				}
+			})
+			c.Run(37 * time.Millisecond)
+		}
+		c.Run(core.LookupDeadline)
+		c.Engine.Close()
+		if done != lookups {
+			t.Fatalf("shards %d: %d of %d lookups called back", shards, done, lookups)
+		}
 	}
 }

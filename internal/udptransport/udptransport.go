@@ -381,7 +381,7 @@ func (t *Transport) drainInbound() {
 
 // advance runs the kernel up to the wall clock: every timer due by now
 // fires, inline and in due order, and Now moves to the present.
-func (t *Transport) advance() { _ = t.k.RunUntil(time.Since(t.start)) }
+func (t *Transport) advance() { t.k.RunUntil(time.Since(t.start)) }
 
 // eventLoop sleeps until a datagram, a Do closure, the kernel's next due
 // time or Close; advances the kernel before the step it woke for; then

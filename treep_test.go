@@ -3,6 +3,7 @@ package treep
 import (
 	"bytes"
 	"fmt"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -114,6 +115,51 @@ func TestSimNetworkReadsAreKept(t *testing.T) {
 		rec, err := nw.GetRecord(60, k)
 		return rec.Value, err
 	})
+}
+
+// TestSimNetworkReadAllocs pins what a public read allocates, the
+// maintenance that runs during its 100 ms steps included: 5 a read, Get
+// or GetRecord, once a thousand reads have warmed the pools and slabs.
+// Counted exactly, 200-read batches cost 5.34–5.60 allocations a Get, of
+// which about 0.5 is maintenance (0.2–0.3 a step, about two steps a
+// read); AllocsPerRun truncates that to 5. One more allocation a read,
+// such as a wrapper closure around the read's callback, reads 6.
+func TestSimNetworkReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
+	nw, err := NewSimNetwork(SimOptions{N: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%d", i))
+		if err := nw.Put(i%nw.N(), keys[i], []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	read := func(get func(origin int, key []byte) error) {
+		if err := get(i*7%nw.N(), keys[i%len(keys)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	get := func(origin int, key []byte) error { _, err := nw.Get(origin, key); return err }
+	getRecord := func(origin int, key []byte) error { _, err := nw.GetRecord(origin, key); return err }
+	for i < 1000 {
+		read(get)
+	}
+	for _, c := range []struct {
+		name string
+		get  func(origin int, key []byte) error
+	}{{"Get", get}, {"GetRecord", getRecord}} {
+		if allocs := testing.AllocsPerRun(200, func() { read(c.get) }); allocs > 5 {
+			t.Errorf("SimNetwork.%s allocated %.0f times a read, want ≤ 5", c.name, allocs)
+		}
+	}
 }
 
 // TestSimNetworkStorageScenario seeds records through the public scenario
