@@ -186,20 +186,14 @@ func New(n int, seed int64) *Cluster {
 }
 
 // startStabilize schedules a node's periodic stabilisation with a random
-// phase offset so rounds do not synchronise cluster-wide. The recurring
-// leg rides the kernel's pooled periodic path and is cancelled on Kill.
+// phase offset so rounds do not synchronise cluster-wide. It rides the
+// kernel's pooled periodic path and is cancelled on Kill.
 func (c *Cluster) startStabilize(nd *Node) {
 	offset := time.Duration(nd.rng.Int63n(int64(c.stabilizeEvery)))
-	c.Kernel.Schedule(offset, func() {
-		if !nd.alive {
-			return
+	nd.stabTimer = c.Kernel.SchedulePeriodic(offset, c.stabilizeEvery, func() {
+		if nd.alive {
+			nd.stabilize(c)
 		}
-		nd.stabilize(c)
-		nd.stabTimer = c.Kernel.SchedulePeriodic(c.stabilizeEvery, func() {
-			if nd.alive {
-				nd.stabilize(c)
-			}
-		})
 	})
 }
 

@@ -35,8 +35,8 @@ func (e *benchEnv) Send(to uint64, msg proto.Message) {
 	proto.ReleaseDecoded(msg)
 }
 
-func (e *benchEnv) SetTimer(d time.Duration, fn func()) Timer    { return Timer{} }
-func (e *benchEnv) SetPeriodic(d time.Duration, fn func()) Timer { return Timer{} }
+func (e *benchEnv) SetTimer(d time.Duration, fn func()) Timer               { return Timer{} }
+func (e *benchEnv) SetPeriodic(first, every time.Duration, fn func()) Timer { return Timer{} }
 
 // sent is how many datagrams a node on a benchEnv has handed to the network.
 func sent(n *Node) uint64 { return n.env.(*benchEnv).sent }

@@ -51,10 +51,10 @@ type Env interface {
 	Send(to uint64, msg proto.Message)
 	// SetTimer schedules fn once, after d; the returned handle cancels it.
 	SetTimer(d time.Duration, fn func()) Timer
-	// SetPeriodic schedules fn every d (first firing after d) until the
-	// returned handle is cancelled. Runtimes back this with a recurring
-	// timer primitive so steady-state ticks do not re-arm per firing.
-	SetPeriodic(d time.Duration, fn func()) Timer
+	// SetPeriodic schedules fn after first and then every every until the
+	// returned handle is cancelled, on a recurring timer primitive so that
+	// steady-state ticks do not re-arm per firing.
+	SetPeriodic(first, every time.Duration, fn func()) Timer
 	// Rand returns this node's random stream.
 	Rand() *rand.Rand
 	// Scratch returns the event loop's scratch buffers: the same value for

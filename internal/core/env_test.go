@@ -48,8 +48,8 @@ func (e *fakeEnv) SetTimer(d time.Duration, fn func()) Timer {
 	return e.k.Schedule(d, e.at(fn))
 }
 
-func (e *fakeEnv) SetPeriodic(d time.Duration, fn func()) Timer {
-	return e.k.SchedulePeriodic(d, e.at(fn))
+func (e *fakeEnv) SetPeriodic(first, every time.Duration, fn func()) Timer {
+	return e.k.SchedulePeriodic(first, every, e.at(fn))
 }
 
 // at wraps a timer callback so the now field reads the firing instant.

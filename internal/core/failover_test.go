@@ -5,6 +5,7 @@ import (
 	"time"
 	"unsafe"
 
+	"treep/internal/idspace"
 	"treep/internal/proto"
 	"treep/internal/rtable"
 )
@@ -708,15 +709,15 @@ func TestRTTEstimateFromKeepalive(t *testing.T) {
 	if n.srtt != prior {
 		t.Fatal("stray pong moved the estimate")
 	}
-	env.advance(40 * time.Millisecond)
+	env.advance(idspace.Phase(n.cfg.ID, keepAlive)) // the first round's instant
 	for round := 0; round < 40; round++ {
-		env.advance(keepAlive - 40*time.Millisecond) // to the tick's instant
 		pings := msgsOfType[*proto.Ping](env.drain())
 		if len(pings) == 0 {
 			t.Fatal("no keep-alive ping")
 		}
 		env.advance(40 * time.Millisecond)
 		n.HandleMessage(4, &proto.Pong{From: nbr, Seq: pings[len(pings)-1].Seq})
+		env.advance(keepAlive - 40*time.Millisecond) // to the next round's instant
 	}
 	if d := n.srtt - 40*time.Millisecond; d < -time.Millisecond || d > time.Millisecond {
 		t.Fatalf("srtt %v after forty 40 ms samples", n.srtt)

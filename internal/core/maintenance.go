@@ -13,13 +13,15 @@ func distTo(a, b idspace.ID) uint64 { return idspace.Dist(a, b) }
 
 // --- periodic timers ---------------------------------------------------------
 
-// The three maintenance loops are recurring timers armed once, by Start, and
-// cancelled at Stop: no per-tick re-arm closure, which matters at scale
-// (three timers per node per interval across a 10k-node simulation).
-
-func (n *Node) armKeepalive() { n.keepaliveTimer = n.env.SetPeriodic(keepAlive, n.keepaliveTick) }
-func (n *Node) armSweep()     { n.sweepTimer = n.env.SetPeriodic(sweepInterval, n.sweepTick) }
-func (n *Node) armReport()    { n.reportTimer = n.env.SetPeriodic(childReport, n.reportTick) }
+// armMaintenance arms the three maintenance loops, recurring timers that Stop
+// cancels (no per-tick re-arm closure). The keep-alive and child-report rounds
+// first fire at the node's phase, not one period after Start, so peers started
+// at one instant do not tick in lock-step; the sweep does (DESIGN.md §2).
+func (n *Node) armMaintenance() {
+	n.keepaliveTimer = n.env.SetPeriodic(idspace.Phase(n.cfg.ID, keepAlive), keepAlive, n.keepaliveTick)
+	n.sweepTimer = n.env.SetPeriodic(sweepInterval, sweepInterval, n.sweepTick)
+	n.reportTimer = n.env.SetPeriodic(idspace.Phase(n.cfg.ID, childReport), childReport, n.reportTick)
+}
 
 // keepaliveTick pings active connections, piggybacking the routing delta
 // each peer has not yet seen (§III.d: "the update can be delayed, waiting

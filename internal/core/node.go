@@ -183,7 +183,9 @@ func (n *Node) Send(to uint64, msg proto.Message) { n.send(to, msg) }
 func (n *Node) SetTimer(d time.Duration, fn func()) Timer { return n.env.SetTimer(d, fn) }
 
 // SetPeriodic exposes the runtime's recurring timer to layered services.
-func (n *Node) SetPeriodic(d time.Duration, fn func()) Timer { return n.env.SetPeriodic(d, fn) }
+func (n *Node) SetPeriodic(first, every time.Duration, fn func()) Timer {
+	return n.env.SetPeriodic(first, every, fn)
+}
 
 // Now exposes the runtime clock to layered services.
 func (n *Node) Now() time.Duration { return n.env.Now() }
@@ -352,9 +354,7 @@ func (n *Node) Start() {
 		return
 	}
 	n.started = true
-	n.armKeepalive()
-	n.armSweep()
-	n.armReport()
+	n.armMaintenance()
 }
 
 // Stop cancels all timers (node shutdown) and ends the lookups in flight

@@ -180,7 +180,7 @@ const (
 func Attach(n *core.Node) *Service {
 	s := &Service{node: n}
 	n.SetExtension(s.handle)
-	s.maintTimer = n.SetPeriodic(maintainInterval, s.maintainTick)
+	s.maintTimer = n.SetPeriodic(maintainInterval, maintainInterval, s.maintainTick)
 	n.SetRingChangeHook(s.ringNudge)
 	return s
 }

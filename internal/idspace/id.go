@@ -14,6 +14,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"time"
 )
 
 // ID is a coordinate in the 1-D identifier space. The space is the full
@@ -84,6 +85,13 @@ func HashKey(key []byte) ID {
 	h := fnv.New64a()
 	_, _ = h.Write(key)
 	return ID(finalize(h.Sum64()))
+}
+
+// Phase returns a delay in (0, period] that is a pure function of id. The ID
+// is mixed first: id mod period of evenly spaced IDs is one arithmetic
+// progression, all on one phase if the gap is a multiple of the period.
+func Phase(id ID, period time.Duration) time.Duration {
+	return 1 + time.Duration(finalize(uint64(id))%uint64(period))
 }
 
 // finalize is the splitmix64 finaliser: a bijective mixer that spreads

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDist(t *testing.T) {
@@ -134,6 +135,27 @@ func TestBalancedAssignerSpread(t *testing.T) {
 	}
 	if (BalancedAssigner{}).Assign(0, 0) != 0 {
 		t.Error("n=0 should yield 0")
+	}
+}
+
+// TestPhaseSpreadsEvenlySpacedIDs: a thousand IDs a bulk build would space
+// evenly get phases inside (0, period] that fill its ten deciles alike, to
+// within three standard deviations of a uniform draw (100 ± 30).
+func TestPhaseSpreadsEvenlySpacedIDs(t *testing.T) {
+	const n, period = 1000, 2 * time.Second
+	var deciles [10]int
+	for i := 0; i < n; i++ {
+		id := BalancedAssigner{}.Assign(i, n)
+		p := Phase(id, period)
+		if p <= 0 || p > period || p != Phase(id, period) {
+			t.Fatalf("Phase(%v) = %v, want a fixed point of (0, %v]", id, p, period)
+		}
+		deciles[(p-1)*10/period]++
+	}
+	for d, k := range deciles {
+		if k < 70 || k > 130 {
+			t.Fatalf("decile %d holds %d of %d phases: %v", d, k, n, deciles)
+		}
 	}
 }
 

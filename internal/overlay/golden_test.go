@@ -33,7 +33,9 @@ func goldenScript() []scenario.Phase {
 // PlayResult and members value, and the chord and flood rows, held. The
 // same three moved again when a parent began to split only the level
 // whose children exceed nc (no standing promotions, fewer datagrams); the
-// rest held.
+// rest held. The same three moved again when each peer's keep-alive and
+// child-report rounds began at a phase of its own instead of all at one
+// instant; the rest held.
 func TestPhaseInterpreterGolden(t *testing.T) {
 	const n = 300
 	type engineWant struct {
@@ -53,18 +55,18 @@ func TestPhaseInterpreterGolden(t *testing.T) {
 		engine engineWant
 		play   map[string]playWant
 	}{
-		{1, engineWant{25, 23, 41, 48745, 0xdac95b3111ac25bb}, map[string]playWant{
-			"treep": {PlayResult{32, 23, 47}, 34708, 0x8ad7c04a7a2ddd57},
+		{1, engineWant{25, 23, 41, 49290, 0xe0ba433c55a5e36f}, map[string]playWant{
+			"treep": {PlayResult{32, 23, 47}, 34001, 0x8ad7c04a7a2ddd57},
 			"chord": {PlayResult{32, 23, 41}, 16120, 0xfe6e5833afce61e6},
 			"flood": {PlayResult{32, 23, 58}, 0, 0x441754d7355d7189},
 		}},
-		{2, engineWant{23, 16, 46, 48007, 0x9d1c49d4130e2a18}, map[string]playWant{
-			"treep": {PlayResult{31, 23, 44}, 32740, 0x7355bbcfd8df2510},
+		{2, engineWant{23, 16, 46, 48312, 0xc263cab6eee03bef}, map[string]playWant{
+			"treep": {PlayResult{31, 23, 44}, 31787, 0x7355bbcfd8df2510},
 			"chord": {PlayResult{31, 23, 45}, 15862, 0x30db0fe99afdcf09},
 			"flood": {PlayResult{31, 23, 46}, 0, 0xb973bb7a9472d450},
 		}},
-		{3, engineWant{28, 22, 51, 46406, 0x1c19af653203c63d}, map[string]playWant{
-			"treep": {PlayResult{18, 16, 48}, 31553, 0xafba25b60ee9102a},
+		{3, engineWant{28, 22, 51, 46635, 0x4d9a8c05d9728d3c}, map[string]playWant{
+			"treep": {PlayResult{18, 16, 48}, 31577, 0xafba25b60ee9102a},
 			"chord": {PlayResult{18, 16, 41}, 15740, 0xcdabf674b9da2d72},
 			"flood": {PlayResult{18, 16, 39}, 0, 0xf1e2485567951ba2},
 		}},

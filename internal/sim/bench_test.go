@@ -66,7 +66,8 @@ func BenchmarkKernelPeriodic(b *testing.B) {
 	fn := func() {}
 	const timers = 64
 	for i := 0; i < timers; i++ {
-		k.SchedulePeriodic(time.Duration(i+1)*time.Millisecond, fn)
+		d := time.Duration(i+1) * time.Millisecond
+		k.SchedulePeriodic(d, d, fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -111,7 +112,8 @@ func BenchmarkKernelMixed(b *testing.B) {
 	h := func(interface{}) {}
 	var periodics []Timer
 	for i := 0; i < 32; i++ {
-		periodics = append(periodics, k.SchedulePeriodic(time.Duration(500+i)*time.Millisecond, fn))
+		d := time.Duration(500+i) * time.Millisecond
+		periodics = append(periodics, k.SchedulePeriodic(d, d, fn))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -159,7 +161,8 @@ func BenchmarkKernelStanding(b *testing.B) {
 	}
 	const timers = 1 << 14
 	for i := 0; i < timers; i++ {
-		k.SchedulePeriodic(time.Second+time.Duration(i)*61*time.Microsecond, fn)
+		d := time.Second + time.Duration(i)*61*time.Microsecond
+		k.SchedulePeriodic(d, d, fn)
 	}
 	k.RunFor(2 * time.Second) // every timer has fired once: the standing depth
 	b.ReportAllocs()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 	"unsafe"
@@ -103,10 +104,23 @@ func TestFireThenRescheduleStaleHandle(t *testing.T) {
 	_ = d
 }
 
+// TestPeriodicFirstFiringIsItsOwn: the first firing comes after first (a
+// negative first is now), and the rest at multiples of the interval after it.
+func TestPeriodicFirstFiringIsItsOwn(t *testing.T) {
+	k := New(1)
+	var at, now []time.Duration
+	k.SchedulePeriodic(100*time.Millisecond, 250*time.Millisecond, func() { at = append(at, k.Now()) })
+	k.SchedulePeriodic(-time.Second, 400*time.Millisecond, func() { now = append(now, k.Now()) })
+	k.RunUntil(time.Second)
+	if fmt.Sprint(at) != "[100ms 350ms 600ms 850ms]" || fmt.Sprint(now) != "[0s 400ms 800ms]" {
+		t.Fatalf("phased timer fired at %v, the one due now at %v", at, now)
+	}
+}
+
 func TestPeriodicFiresAtMultiples(t *testing.T) {
 	k := New(1)
 	var at []time.Duration
-	tm := k.SchedulePeriodic(250*time.Millisecond, func() { at = append(at, k.Now()) })
+	tm := k.SchedulePeriodic(250*time.Millisecond, 250*time.Millisecond, func() { at = append(at, k.Now()) })
 	k.RunUntil(time.Second)
 	if len(at) != 4 {
 		t.Fatalf("fired %d times, want 4 (at %v)", len(at), at)
@@ -132,7 +146,7 @@ func TestPeriodicCancelFromOwnCallback(t *testing.T) {
 	k := New(1)
 	count := 0
 	var tm Timer
-	tm = k.SchedulePeriodic(time.Millisecond, func() {
+	tm = k.SchedulePeriodic(time.Millisecond, time.Millisecond, func() {
 		count++
 		if count == 3 {
 			if !tm.Cancel() {
@@ -155,7 +169,7 @@ func TestPeriodicFIFOAgainstOneShots(t *testing.T) {
 	// one scheduled earlier — the same ordering as the reschedule idiom.
 	k := New(1)
 	var order []string
-	k.SchedulePeriodic(10*time.Millisecond, func() { order = append(order, "p") })
+	k.SchedulePeriodic(10*time.Millisecond, 10*time.Millisecond, func() { order = append(order, "p") })
 	k.Schedule(10*time.Millisecond, func() { order = append(order, "a") })
 	k.RunUntil(10 * time.Millisecond)
 	want := []string{"p", "a"}
@@ -170,7 +184,7 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	k := New(1)
 	k.Schedule(time.Second, func() {})
 	tm := k.Schedule(2*time.Second, func() {})
-	k.SchedulePeriodic(time.Second, func() {})
+	k.SchedulePeriodic(time.Second, time.Second, func() {})
 	if k.Pending() != 3 {
 		t.Fatalf("pending = %d, want 3", k.Pending())
 	}
@@ -288,7 +302,7 @@ func TestGatedTimers(t *testing.T) {
 	var once, ticks int
 	k.ScheduleGated(&open, 10*time.Millisecond, func() { once++ })
 	k.ScheduleGated(&open, 30*time.Millisecond, func() { once++ })
-	p := k.SchedulePeriodicGated(&open, 10*time.Millisecond, func() { ticks++ })
+	p := k.SchedulePeriodicGated(&open, 10*time.Millisecond, 10*time.Millisecond, func() { ticks++ })
 	k.RunUntil(15 * time.Millisecond)
 	open = false
 	k.RunUntil(35 * time.Millisecond)

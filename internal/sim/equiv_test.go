@@ -130,9 +130,9 @@ func (s kernelSched) schedule(gate *bool, d, period time.Duration, fn func()) fu
 	var tm Timer
 	switch {
 	case period > 0 && gate == nil:
-		tm = s.k.SchedulePeriodic(period, fn)
+		tm = s.k.SchedulePeriodic(d, period, fn)
 	case period > 0:
-		tm = s.k.SchedulePeriodicGated(gate, period, fn)
+		tm = s.k.SchedulePeriodicGated(gate, d, period, fn)
 	case gate == nil:
 		tm = s.k.Schedule(d, fn)
 	default:
@@ -184,7 +184,7 @@ func (s refSched) schedule(gate *bool, d, period time.Duration, fn func()) func(
 			cur = k.schedule(period, tick)
 		}
 	}
-	cur = k.schedule(period, tick)
+	cur = k.schedule(d, tick)
 	return func() bool {
 		if cancelled {
 			return false
@@ -304,7 +304,7 @@ func (w *workload) spawn() {
 	}
 	if kind < 6 {
 		self := len(w.cancels)
-		w.cancels = append(w.cancels, w.s.schedule(gate, 0, max(d, 700*time.Millisecond), func() {
+		w.cancels = append(w.cancels, w.s.schedule(gate, d, max(d, 700*time.Millisecond), func() {
 			w.fired(id)
 			if w.c.Intn(8) == 0 {
 				w.logf("self-cancel %d=%v", id, w.cancels[self]())

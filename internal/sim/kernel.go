@@ -105,13 +105,13 @@ func (k *Kernel) Schedule(delay time.Duration, fn func()) Timer {
 	return k.ScheduleGated(nil, delay, fn)
 }
 
-// SchedulePeriodic runs fn every interval of virtual time, first after one
-// interval, until the returned timer is cancelled. The single pooled event
-// record is re-queued after each firing (with a fresh sequence number, so
-// FIFO ordering against other events at the same instant is preserved),
-// replacing the allocate-a-closure-per-tick reschedule idiom.
-func (k *Kernel) SchedulePeriodic(interval time.Duration, fn func()) Timer {
-	return k.SchedulePeriodicGated(nil, interval, fn)
+// SchedulePeriodic runs fn after first (negative is zero, as for Schedule)
+// and then every interval until the returned timer is cancelled. One pooled
+// event record is re-queued after each firing, with a fresh sequence number
+// so FIFO order against other events at the same instant holds, replacing
+// the allocate-a-closure-per-tick reschedule idiom.
+func (k *Kernel) SchedulePeriodic(first, interval time.Duration, fn func()) Timer {
+	return k.SchedulePeriodicGated(nil, first, interval, fn)
 }
 
 // ScheduleGated is Schedule for a callback that runs only if *gate holds
@@ -127,11 +127,11 @@ func (k *Kernel) ScheduleGated(gate *bool, delay time.Duration, fn func()) Timer
 // SchedulePeriodicGated is SchedulePeriodic behind a gate (ScheduleGated):
 // a firing that finds the gate shut is skipped, and the timer stays queued
 // for the next interval.
-func (k *Kernel) SchedulePeriodicGated(gate *bool, interval time.Duration, fn func()) Timer {
+func (k *Kernel) SchedulePeriodicGated(gate *bool, first, interval time.Duration, fn func()) Timer {
 	if interval <= 0 {
 		panic("sim: SchedulePeriodic with non-positive interval")
 	}
-	return k.schedule(k.now+interval, interval, fn, gate)
+	return k.schedule(k.now+max(first, 0), interval, fn, gate)
 }
 
 // schedule queues one closure event, periodic when period > 0.

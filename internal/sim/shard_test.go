@@ -48,7 +48,7 @@ func newShardHarness(seed int64, shards, m int) *shardHarness {
 		rng := k.Stream(ep)
 		idx := i
 		interval := time.Duration(1+idx%7) * 3 * time.Millisecond
-		k.SchedulePeriodic(interval, func() {
+		k.SchedulePeriodic(interval, interval, func() {
 			dest := rng.Intn(h.m)
 			delay := lambda + time.Duration(rng.Int63n(int64(40*time.Millisecond)))
 			h.send(idx, dest, delay)

@@ -211,7 +211,14 @@ func TestRoutedPutReplaysItsAck(t *testing.T) {
 		}
 		return 0, false
 	}
-	before, _ := entry()
+	// The entry is hearsay: it may lapse while the put runs, and a Touch
+	// refreshes only an entry that exists. So it is checked present and
+	// unchanged the moment the first request has landed, and unchanged at
+	// the end if it is still there.
+	before, has := entry()
+	if !has {
+		t.Fatal("the owner's entry for the origin lapsed before the put")
+	}
 
 	c.Net.SetLinkFilter(func(from, to netsim.Addr) bool {
 		return uint64(from) != owner.Addr() || uint64(to) != origin.Addr()
@@ -223,6 +230,9 @@ func TestRoutedPutReplaysItsAck(t *testing.T) {
 	s.PutIf(key, []byte("v"), dht.AnyVersion, func(v uint64, err error) { version, putErr, done = v, err, true })
 	for i := 0; ; i++ {
 		if _, ok := ownerSvc.LocalHashed(idspace.HashKey(key)); ok {
+			if now, has := entry(); !has || now != before {
+				t.Fatalf("the owner's entry for the origin once the store landed: LastDirect %v before, %v after (present %v)", before, now, has)
+			}
 			break // stored, and the ack sent into the filter
 		}
 		if i == 100 {
@@ -252,7 +262,7 @@ func TestRoutedPutReplaysItsAck(t *testing.T) {
 	if direct != 0 || routed == 0 {
 		t.Fatalf("%d datagrams went from the origin to the owner and %d requests came through other hops", direct, routed)
 	}
-	if after, has := entry(); !has || after != before {
+	if after, has := entry(); has && after != before {
 		t.Fatalf("the owner's entry for the origin: LastDirect %v before, %v after (present %v)", before, after, has)
 	}
 }

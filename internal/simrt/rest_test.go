@@ -63,3 +63,34 @@ func TestKeepaliveComesToRest(t *testing.T) {
 		})
 	}
 }
+
+// TestKeepalivesAreOutOfLockStep: a bulk build starts every peer at t = 0,
+// and each peer's keep-alive round fires at its own phase in the period,
+// so one round's pings spread across the period instead of leaving at one
+// instant. About 390 pings leave in a round here, 1.3 a peer. Over one 2 s
+// round cut into 200 slices of 10 ms, a uniform phase puts 300/200 = 1.5
+// peers' rounds in a slice on average, and ten in one slice is a Poisson
+// tail below 1e-5 a slice. Ten rounds at 1.3 pings is 3.3 % of the round;
+// the bound of 10 % leaves three times that for the busiest slice's peers
+// to have the widest fan-out. In lock-step one slice carries them all.
+func TestKeepalivesAreOutOfLockStep(t *testing.T) {
+	const n, slice, maxSharePct = 300, 10 * time.Millisecond, 10
+	const from = 10 * time.Second // settled: the round starting here is counted
+	var perSlice [200]int
+	trace := func(e netsim.TraceEvent) {
+		if _, ok := e.Payload.(*proto.Ping); ok && !e.Dropped && e.At >= from && e.At < from+200*slice {
+			perSlice[(e.At-from)/slice]++
+		}
+	}
+	c := New(Options{N: n, Seed: 1, Bulk: true, NetOpts: []netsim.Option{netsim.WithTrace(trace)}})
+	c.StartAll()
+	c.RunUntil(from + 200*slice)
+	total, busiest := 0, 0
+	for _, k := range perSlice {
+		total, busiest = total+k, max(busiest, k)
+	}
+	t.Logf("%d keep-alive pings in one round, %d in the busiest 10 ms slice", total, busiest)
+	if total == 0 || 100*busiest > maxSharePct*total {
+		t.Fatalf("the busiest 10 ms slice carries %d of the round's %d pings, over %d %%", busiest, total, maxSharePct)
+	}
+}

@@ -6,6 +6,7 @@ package simrt
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"treep/internal/core"
@@ -59,10 +60,11 @@ type Cluster struct {
 	// env's up flag, the gate every timer of the node runs behind.
 	byAddr []*core.Node
 	envs   []*simEnv
-	// aliveList caches AliveNodes (construction order); nil means stale.
-	// Churn scenarios query liveness per injected event, which was an
-	// O(N) rebuild each time and dominated at N ≥ 5k populations.
-	aliveList []*core.Node
+	// aliveList caches AliveNodes (construction order), rebuilt in its own
+	// array after a membership change sets aliveStale; aliveN counts it.
+	aliveList  []*core.Node
+	aliveStale bool
+	aliveN     int
 	// LevelCounts reports the bulk-built members per level (nil without
 	// Bulk).
 	LevelCounts []int
@@ -157,7 +159,8 @@ func (c *Cluster) attach(cfg core.Config) *core.Node {
 	}
 	c.byAddr = append(c.byAddr, node)
 	c.envs = append(c.envs, env)
-	c.aliveList = nil
+	c.aliveStale = true
+	c.aliveN++
 	return node
 }
 
@@ -237,7 +240,8 @@ func (c *Cluster) Kill(n *core.Node) {
 		return
 	}
 	c.envs[addr].up = false
-	c.aliveList = nil
+	c.aliveStale = true
+	c.aliveN--
 	c.Net.Kill(netsim.Addr(addr))
 	n.Stop()
 }
@@ -251,7 +255,8 @@ func (c *Cluster) Revive(n *core.Node) {
 		return
 	}
 	c.envs[addr].up = true
-	c.aliveList = nil
+	c.aliveStale = true
+	c.aliveN++
 	c.Net.Revive(netsim.Addr(addr))
 }
 
@@ -263,17 +268,19 @@ func (c *Cluster) isAlive(addr uint64) bool {
 // Alive reports whether the node is still up.
 func (c *Cluster) Alive(n *core.Node) bool { return c.isAlive(n.Addr()) }
 
-// AliveNodes returns the live nodes in construction order. The slice is
-// cached between membership changes and must not be mutated by callers; it
-// is a snapshot that goes stale at the next Kill/Revive/Spawn.
+// AliveNodes returns the live nodes in construction order, in a slice the
+// cluster owns (callers must not mutate it) and rebuilds in place on the first
+// call after a Kill, Revive or Spawn: a caller that holds it across a
+// membership change and a later call copies it first.
 func (c *Cluster) AliveNodes() []*core.Node {
-	if c.aliveList == nil {
-		c.aliveList = make([]*core.Node, 0, len(c.Nodes))
+	if c.aliveStale {
+		c.aliveList = slices.Grow(c.aliveList[:0], c.aliveN)
 		for _, n := range c.Nodes {
 			if c.isAlive(n.Addr()) {
 				c.aliveList = append(c.aliveList, n)
 			}
 		}
+		c.aliveStale = false
 	}
 	return c.aliveList
 }
@@ -289,18 +296,7 @@ func (c *Cluster) ProtocolStats() core.Stats {
 }
 
 // AliveCount returns the live population without materialising the list.
-func (c *Cluster) AliveCount() int {
-	if c.aliveList != nil {
-		return len(c.aliveList)
-	}
-	count := 0
-	for _, e := range c.envs[1:] {
-		if e.up {
-			count++
-		}
-	}
-	return count
-}
+func (c *Cluster) AliveCount() int { return c.aliveN }
 
 // DeadNodes returns the killed nodes in construction order (revival-wave
 // scenarios pick their candidates here).
@@ -396,6 +392,6 @@ func (e *simEnv) SetTimer(d time.Duration, fn func()) core.Timer {
 	return e.kern.ScheduleGated(&e.up, d, fn)
 }
 
-func (e *simEnv) SetPeriodic(d time.Duration, fn func()) core.Timer {
-	return e.kern.SchedulePeriodicGated(&e.up, d, fn)
+func (e *simEnv) SetPeriodic(first, every time.Duration, fn func()) core.Timer {
+	return e.kern.SchedulePeriodicGated(&e.up, first, every, fn)
 }

@@ -1,6 +1,7 @@
 package simrt
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -257,7 +258,7 @@ func TestKillIsIdempotentAndStopsTraffic(t *testing.T) {
 	// them silent while the node is dead, and a periodic one speaks again
 	// once it is revived.
 	ticks, fired := 0, false
-	n.SetPeriodic(time.Second, func() { ticks++ })
+	n.SetPeriodic(time.Second, time.Second, func() { ticks++ })
 	n.SetTimer(5*time.Second, func() { fired = true })
 	c.Kill(n)
 	c.Kill(n) // idempotent
@@ -276,6 +277,43 @@ func TestKillIsIdempotentAndStopsTraffic(t *testing.T) {
 	if ticks == 0 || fired {
 		t.Fatalf("revived: %d ticks, one-shot fired %v; want the periodic timer back and the one-shot gone", ticks, fired)
 	}
+}
+
+// TestAliveNodesReusesItsArray: a membership change does not cost the next
+// AliveNodes call a fresh slice, the list keeps construction order through
+// kills, revivals and spawns, and AliveCount agrees with it.
+func TestAliveNodesReusesItsArray(t *testing.T) {
+	c := New(Options{N: 64, Seed: 1, Bulk: true})
+	c.StartAll()
+	want := func() (out []*core.Node) {
+		for _, n := range c.Nodes {
+			if c.Alive(n) {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	check := func(when string) {
+		t.Helper()
+		if got := c.AliveNodes(); !slices.Equal(got, want()) || c.AliveCount() != len(got) {
+			t.Fatalf("%s: %d alive listed, %d counted, want %d in construction order", when, len(got), c.AliveCount(), len(want()))
+		}
+	}
+	check("built")
+	next := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		c.Kill(c.Nodes[next*3%len(c.Nodes)])
+		next++
+		_ = c.AliveNodes()
+	})
+	if allocs != 0 {
+		t.Errorf("Kill + AliveNodes allocates %.1f times", allocs)
+	}
+	check("after kills")
+	c.Revive(c.Nodes[3])
+	check("after a revival")
+	c.SpawnJoin()
+	check("after a spawn")
 }
 
 func TestNodeByAddr(t *testing.T) {

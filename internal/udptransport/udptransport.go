@@ -184,8 +184,8 @@ func (e *env) SetTimer(d time.Duration, fn func()) core.Timer {
 	return e.tr.k.Schedule(d, fn)
 }
 
-func (e *env) SetPeriodic(d time.Duration, fn func()) core.Timer {
-	return e.tr.k.SchedulePeriodic(d, fn)
+func (e *env) SetPeriodic(first, every time.Duration, fn func()) core.Timer {
+	return e.tr.k.SchedulePeriodic(first, every, fn)
 }
 
 // Listen binds a UDP socket on bind (e.g. "127.0.0.1:0") and creates the

@@ -370,9 +370,10 @@ func goroutine() string {
 
 // TestLoopTimers pins the timers of one transport: one-shots fire in due
 // order on the loop goroutine; a periodic timer cancelled from its own
-// callback stops; a loop held up for three periods then fires the three
-// missed ticks, each at its own due time (fixed rate, as in the
-// simulator); and Close returns promptly with timers still pending.
+// callback stops; a periodic timer first fires at its own phase, and a
+// loop held up for three periods then fires the three missed ticks, each
+// at its own due time (fixed rate, as in the simulator); and Close returns
+// promptly with timers still pending.
 func TestLoopTimers(t *testing.T) {
 	cfg := core.Defaults()
 	cfg.ID = 5
@@ -425,7 +426,7 @@ func TestLoopTimers(t *testing.T) {
 	ticks := 0
 	var self core.Timer
 	on(func() {
-		self = e.SetPeriodic(5*time.Millisecond, func() {
+		self = e.SetPeriodic(5*time.Millisecond, 5*time.Millisecond, func() {
 			if ticks++; ticks == 3 && !self.Cancel() {
 				t.Error("a periodic timer could not cancel itself from its own callback")
 			}
@@ -445,7 +446,7 @@ func TestLoopTimers(t *testing.T) {
 	var p core.Timer
 	on(func() {
 		t0 = e.Now()
-		p = e.SetPeriodic(period, func() { at = append(at, e.Now()) })
+		p = e.SetPeriodic(period/2, period, func() { at = append(at, e.Now()) })
 	})
 	waitFor("the first tick", func() bool { return len(at) >= 1 })
 	before := 0
@@ -456,7 +457,7 @@ func TestLoopTimers(t *testing.T) {
 			t.Errorf("%d ticks fired after holding the loop for three periods, want the 3 missed", len(at)-before)
 		}
 		for i, a := range at {
-			if want := time.Duration(i+1) * period; a-t0 != want {
+			if want := period/2 + time.Duration(i)*period; a-t0 != want {
 				t.Errorf("tick %d due at %v fired at %v", i, want, a-t0)
 			}
 		}
@@ -464,7 +465,7 @@ func TestLoopTimers(t *testing.T) {
 
 	on(func() {
 		e.SetTimer(time.Hour, func() {})
-		e.SetPeriodic(time.Minute, func() {})
+		e.SetPeriodic(time.Minute, time.Minute, func() {})
 	})
 	begin := time.Now()
 	tr.Close()
