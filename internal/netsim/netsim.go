@@ -121,9 +121,11 @@ type Network struct {
 	// the classic draw order): send-side counters belong to the origin's
 	// shard, arrival-side to the destination's, so no counter is written by
 	// two workers. free pools in-flight datagram records so the per-datagram
-	// hot path (one delivery event per Send) does not allocate.
+	// hot path (one delivery event per Send) does not allocate; made counts
+	// the records each shard's list ever allocated, free or queued.
 	stats []Stats
 	free  []*delivery
+	made  []int
 
 	// engine is the engine NewSharded built; nil on a bare kernel (New).
 	engine *sim.Sharded
@@ -175,6 +177,7 @@ func (n *Network) take(shard int, from, to Addr, payload interface{}, size int) 
 	d := n.free[shard]
 	if d == nil {
 		d = &delivery{}
+		n.made[shard]++
 	} else {
 		n.free[shard] = d.next
 		d.next = nil
@@ -184,12 +187,11 @@ func (n *Network) take(shard int, from, to Addr, payload interface{}, size int) 
 }
 
 // MemBytes reports the heap behind the network's pooled datagram records:
-// as many as were ever in flight at once, less those in flight.
+// as many as were ever in flight at once, queued or free. The payloads of
+// the queued ones are the senders' messages and are not counted.
 func (n *Network) MemBytes() (bytes int) {
-	for _, d := range n.free {
-		for ; d != nil; d = d.next {
-			bytes += int(unsafe.Sizeof(*d))
-		}
+	for _, m := range n.made {
+		bytes += m * int(unsafe.Sizeof(delivery{}))
 	}
 	return bytes
 }
@@ -239,6 +241,7 @@ func newNetwork(shards int, opts []Option) *Network {
 		mtu:      64 << 10,
 		stats:    make([]Stats, max(shards, 1)),
 		free:     make([]*delivery, max(shards, 1)),
+		made:     make([]int, max(shards, 1)),
 	}
 	for _, o := range opts {
 		o(n)

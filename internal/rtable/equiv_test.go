@@ -3,6 +3,7 @@ package rtable
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"time"
@@ -301,14 +302,24 @@ func poolAddr(pool uint8, i uint64) (slot, addr uint64) {
 // followed by a query, which leaves the set clean.
 const lagBatch = 0x80
 
+// equivSets is how many sets one sequence drives, each against an oracle
+// of its own; an op's code byte divided by 6 picks its set. The sets take
+// their slabs from the process's pools and give them back as they grow, so
+// a slab handed to one set while another still uses it shows as a
+// divergence in the other.
+const equivSets = 3
+
 // equivOps drives one operation sequence against both implementations and
 // fails at the first observable divergence.
 func equivOps(t *testing.T, ops []byte, pool uint8) {
 	t.Helper()
 	batch := pool&lagBatch != 0
 	pool &^= lagBatch
-	slab := NewSet()
-	ref := newRefSet()
+	var slabs [equivSets]*Set
+	var refs [equivSets]*refSet
+	for k := range slabs {
+		slabs[k], refs[k] = NewSet(), newRefSet()
+	}
 	now := time.Duration(0)
 	const ttl = 100 * time.Millisecond
 
@@ -322,6 +333,7 @@ func equivOps(t *testing.T, ops []byte, pool uint8) {
 
 	for i := 0; i+4 < len(ops); i += 5 {
 		op := ops[i] % 6
+		slab, ref := slabs[ops[i]/6%equivSets], refs[ops[i]/6%equivSets]
 		slot, addr := poolAddr(pool, u64(i+1))
 		// IDs derive from the pool slot so that re-upserting a live peer
 		// is usually a content-only update (level/score change, same ID) —
@@ -372,11 +384,13 @@ func equivOps(t *testing.T, ops []byte, pool uint8) {
 			checkEquiv(t, i, slab, ref, now, ttl, id, int(ops[i+4]%8))
 		}
 	}
-	// Final full sweep over every view.
-	for sel := 0; sel < 8; sel++ {
-		checkEquiv(t, -1, slab, ref, now, ttl, idspace.ID(0x4000000000000000), sel)
+	// Final full sweep over every view of every set.
+	for k := range slabs {
+		for sel := 0; sel < 8; sel++ {
+			checkEquiv(t, -1, slabs[k], refs[k], now, ttl, idspace.ID(0x4000000000000000), sel)
+		}
+		checkOrder(t, slabs[k])
 	}
-	checkOrder(t, slab)
 }
 
 // sameEntry compares two live entries. The set keeps its lag in its lag
@@ -517,15 +531,49 @@ func growFreeReuseOps(n int) []byte {
 	return ops
 }
 
+// interleavedGrowOps fills every set of equivOps to n entries side by
+// side, one insert into each in turn with a query after every insert, so
+// the sets step through the slab sizes together and each takes the sizes
+// the others gave back (96 slots of poolWide, 200 of poolTail).
+func interleavedGrowOps(n int) []byte {
+	var ops []byte
+	for slot := 0; slot < n; slot++ {
+		for k := byte(0); k < equivSets; k++ {
+			ops = append(ops, 6*k, byte(slot>>8), byte(slot), 1, byte(slot))
+		}
+	}
+	return ops
+}
+
 // TestSetEquivalenceScripted runs the scripted growth sequence over every
 // pool, and over 64 and 200 slots of poolTail: sets the address scan was
-// not sized for must still answer as the oracle does.
+// not sized for must still answer as the oracle does. The interleaved
+// sequence grows the sets side by side through every pooled slab size and
+// beyond.
 func TestSetEquivalenceScripted(t *testing.T) {
 	for pool := uint8(0); pool < poolShapes; pool++ {
 		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) { equivOps(t, growFreeReuseOps(96), pool) })
 	}
 	for _, n := range []int{64, 200} {
 		t.Run(fmt.Sprintf("tail%d", n), func(t *testing.T) { equivOps(t, growFreeReuseOps(n), poolTail) })
+	}
+	t.Run("interleaved", func(t *testing.T) { equivOps(t, interleavedGrowOps(200), poolTail) })
+}
+
+// TestSetEquivalenceShared runs interleaved sequences, batched so that
+// they are quick, on goroutines side by side, as the shards of one
+// simulation and the transports of one process run: their sets take slabs
+// from the same pools. A set that gives its old slab back before copying
+// out of it reads a slab another goroutine may be filling; the window is
+// too short to show as a divergence, but the race detector reports it.
+func TestSetEquivalenceShared(t *testing.T) {
+	for g := range 4 {
+		t.Run(fmt.Sprintf("g%d", g), func(t *testing.T) {
+			t.Parallel()
+			for range 50 {
+				equivOps(t, interleavedGrowOps(96), lagBatch|poolWide)
+			}
+		})
 	}
 }
 
@@ -558,6 +606,27 @@ func TestSetGrowthPolicy(t *testing.T) {
 	}
 	if s.Len() != 60 || int(s.c) != 63 {
 		t.Fatalf("40 removals and 40 inserts left slab len %d cap %d, want 60/63", s.Len(), int(s.c))
+	}
+}
+
+// TestSetGrowthReusesSlabs pins that growth takes its slabs from the
+// pools: with the collector off and the pools warmed by a first fill,
+// filling an empty set to 16 entries, through eight slab sizes, allocates
+// nothing.
+func TestSetGrowthReusesSlabs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := NewSet()
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 1; i <= 16; i++ {
+			s.Upsert(proto.NodeRef{ID: idspace.ID(i) << 40, Addr: uint64(i)}, 0, 0, 1, Direct)
+		}
+		s.release()
+	})
+	if allocs != 0 {
+		t.Fatalf("filling a set to 16 entries allocated %.1f slabs, want 0", allocs)
 	}
 }
 
@@ -615,6 +684,9 @@ func FuzzSetEquivalence(f *testing.F) {
 	}
 	f.Add(growFreeReuseOps(64), uint8(poolTail))
 	f.Add(growFreeReuseOps(200), uint8(poolTail))
+	// Sets that grow side by side share the slab pools.
+	f.Add(interleavedGrowOps(40), uint8(poolSmall))
+	f.Add(interleavedGrowOps(96), uint8(poolWide))
 	f.Add(lagOps(3, 2), uint8(poolSmall)) // Neighbors of B: A on its left
 	f.Add(lagOps(6, 1), uint8(poolSmall)) // Nearest to A
 	f.Add(lagOps(7, 1), uint8(poolSmall)) // HasID of A

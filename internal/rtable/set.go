@@ -85,14 +85,17 @@ func (e *Entry) DirectFresh(now, ttl time.Duration) bool {
 // Finding an address is a linear scan. The slab grows by a quarter (at
 // least two entries) from empty: exact fit would allocate on every insert,
 // doubling left half of every array unused. Removal keeps the capacity, so
-// steady-state churn allocates nothing.
+// steady-state churn allocates nothing, and growth leaves no garbage: the
+// outgrown slab goes back to a process-wide pool for its size, and the
+// next size comes from one when a set gave it back first.
 //
 // Queries show each entry's level and score with a lag: a content-only
 // update stays invisible until the next query after a membership or ID
 // change (DESIGN.md §9). The set's lag records hold what they show for the
 // entries that changed while the set was clean; every other entry shows
 // its live ref. Get, Upsert and At give the live entry, valid until the
-// next mutating call on the set.
+// next mutating call on the set: after it the slab the pointer reads may
+// belong to another set, anywhere in the process (DESIGN.md §16).
 type Set struct {
 	_ noCopy
 	// base is the slab's first element: n entries, room for c.
@@ -194,18 +197,66 @@ func refLess(a, b proto.NodeRef) bool {
 	return a.ID < b.ID || (a.ID == b.ID && a.Addr < b.Addr)
 }
 
-// insert places e at its (ID, Addr) position, growing the slab by a
-// quarter when full. e.Addr must not be present.
+// insert places e at its (ID, Addr) position, growing the slab when full.
+// e.Addr must not be present.
 func (s *Set) insert(e Entry) *Entry {
-	sl := unsafe.Slice(s.base, s.c)[:s.n]
-	if c := cap(sl); len(sl) == c {
-		sl = append(make([]Entry, 0, c+max(2, c/4)), sl...)
+	if s.n == s.c {
+		s.grow()
 	}
-	i := sort.Search(len(sl), func(i int) bool { return !refLess(sl[i].Ref(), e.Ref()) })
-	sl = slices.Insert(sl, i, e)
-	s.base, s.n, s.c = unsafe.SliceData(sl), uint32(len(sl)), uint32(cap(sl))
+	sl := unsafe.Slice(s.base, s.n+1)
+	i := sort.Search(int(s.n), func(i int) bool { return !refLess(sl[i].Ref(), e.Ref()) })
+	copy(sl[i+1:], sl[i:s.n])
+	sl[i], s.n = e, s.n+1
 	s.changed()
 	return &sl[i]
+}
+
+// grow moves the entries to a slab a quarter (at least two entries) larger
+// and gives the old one back to its pool.
+func (s *Set) grow() {
+	c := s.c + max(2, s.c/4)
+	next := takeSlab(c)
+	copy(next, s.slab())
+	putSlab(s.base, s.c)
+	s.base, s.c = unsafe.SliceData(next), c
+}
+
+// release gives the slab back to its pool and leaves the set empty, as the
+// zero value is: Table drops a vacated bus level's set through it.
+func (s *Set) release() {
+	putSlab(s.base, s.c)
+	s.base, s.n, s.c = nil, 0, 0
+	s.changed()
+}
+
+// slabCaps are the sizes grow steps through from empty, as pinned by
+// TestSetGrowthPolicy, up to the largest a pool keeps. No set of a settled
+// 2000-peer overlay outgrows 63; one that does makes its slabs to measure.
+var slabCaps = [...]uint32{2, 4, 6, 8, 10, 12, 15, 18, 22, 27, 33, 41, 51, 63}
+
+// slabPools holds the idle slabs of every set in the process, by index
+// into slabCaps: a joining peer's sets step through a dozen sizes, and
+// each step takes a slab another set outgrew. A pool holds a slab by its
+// first entry, as proto's entry buffers are held, so Put does not allocate.
+var slabPools [len(slabCaps)]sync.Pool
+
+// takeSlab returns a slab of c entries, from its pool when one is idle.
+// Its contents are stale: only the first n entries of a set are ever read.
+func takeSlab(c uint32) []Entry {
+	if i, ok := slices.BinarySearch(slabCaps[:], c); ok {
+		if p, _ := slabPools[i].Get().(*Entry); p != nil {
+			return unsafe.Slice(p, c)
+		}
+	}
+	return make([]Entry, c)
+}
+
+// putSlab gives the slab at base, of c entries, back to its pool; a slab
+// of any other capacity (none, or made to measure) is dropped.
+func putSlab(base *Entry, c uint32) {
+	if i, ok := slices.BinarySearch(slabCaps[:], c); ok {
+		slabPools[i].Put(base)
+	}
 }
 
 // remove drops the entry at position i.

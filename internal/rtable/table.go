@@ -95,9 +95,16 @@ func (t *Table) BusLevel(i uint8) *Set {
 
 // DropLevel removes the whole set for a bus level (demotion vacates it).
 func (t *Table) DropLevel(i uint8) {
-	if int(i) < len(t.Bus) {
-		t.Bus[i] = nil
+	if int(i) < len(t.Bus) && t.Bus[i] != nil {
+		t.dropBus(int(i))
 	}
+}
+
+// dropBus vacates bus level lvl, which holds a set: the set's slab goes
+// back to its pool, and a caller still holding the set finds it empty.
+func (t *Table) dropBus(lvl int) {
+	t.Bus[lvl].release()
+	t.Bus[lvl] = nil
 }
 
 // SetParent installs or refreshes the parent slot. Adoption counts as
@@ -220,7 +227,7 @@ func (t *Table) DowngradeLevels(addr uint64, maxLevel uint8) bool {
 		if s := t.Bus[lvl]; s != nil && s.Remove(addr) {
 			removed = true
 			if s.Len() == 0 {
-				t.Bus[lvl] = nil
+				t.dropBus(lvl)
 			}
 		}
 	}
@@ -272,7 +279,7 @@ func (t *Table) Sweep(now, ttl time.Duration) SweepResult {
 				spans = append(spans, BusSweep{Level: lvl, Refs: refs[before:]})
 			}
 			if s.Len() == 0 {
-				t.Bus[lvl] = nil
+				t.dropBus(int(lvl))
 			}
 		}
 	}
