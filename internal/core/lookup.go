@@ -151,7 +151,7 @@ func (pl *pendingLookup) onTimer() {
 		return
 	}
 	if elapsed := n.env.Now() - pl.started; elapsed >= LookupDeadline {
-		n.pending.Delete(pl.reqID)
+		n.unpend(pl.reqID)
 		pl.release()(LookupResult{Status: LookupTimeout, Hops: int(MaxTTL), Latency: elapsed})
 		return
 	}
@@ -299,7 +299,16 @@ func (n *Node) takeLookup(reqID uint64) *pendingLookup {
 	if !ok {
 		return nil
 	}
-	n.pending.Delete(reqID)
+	n.unpend(reqID)
 	pl.timer.Cancel()
 	return pl
+}
+
+// unpend takes reqID out of the pending table. The last lookup out hands
+// the table's slabs back, so an origin between lookups holds none.
+func (n *Node) unpend(reqID uint64) {
+	n.pending.Delete(reqID)
+	if n.pending.Len() == 0 {
+		n.pending.Release()
+	}
 }

@@ -372,7 +372,7 @@ func (n *Node) Stop() {
 		pl.timer.Cancel()
 		pl.release()
 	}
-	n.pending = idspace.Keyed[uint64, *pendingLookup]{}
+	n.pending.Release()
 	n.stopFailover()
 	if n.extension != nil {
 		n.extension(0, nil)

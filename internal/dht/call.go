@@ -167,6 +167,9 @@ func (c *call) finish(resp proto.SvcMessage, err error) {
 		s.node.EndLookup(c.lookup)
 	}
 	s.pending.Delete(c.id)
+	if s.pending.Len() == 0 {
+		s.pending.Release() // a service between calls holds no slabs
+	}
 	c.recycle()
 	cb(resp, err)
 }
@@ -187,7 +190,7 @@ func (s *Service) abandon() {
 		c.timer.Cancel()
 		c.recycle()
 	}
-	s.pending = idspace.Keyed[uint64, *call]{}
+	s.pending.Release()
 }
 
 // handle is the node's extension hook: a response answers its pending call

@@ -15,10 +15,15 @@ import (
 // and no less time. The zero value is an empty set.
 //
 // The slices grow together by a quarter (at least two entries), as
-// rtable.Set does and for its reason; removal keeps the capacity. Pointers
-// into the slab (Find, Put) are valid until the next Put of a new key or
-// Delete. Deleting keys[i] moves only what lies behind it: a walk that
-// deletes runs over Keys() from the back.
+// rtable.Set does and for its reason; removal keeps the capacity. Growth
+// leaves no garbage: the outgrown slabs go back to process-wide pools for
+// their element type and size, and the next size comes from one when a set
+// gave it back first; Release gives both slabs back at once. Pointers into
+// the slab (Find, Put) and the Keys() slice are valid until the next Put
+// of a new key, Delete or Release: after a growing Put or a Release the
+// slab they read may belong to another set, on any goroutine of the
+// process (DESIGN.md §16). Deleting keys[i] moves only what lies behind
+// it: a walk that deletes runs over Keys() from the back.
 type Keyed[K cmp.Ordered, V any] struct {
 	keys []K
 	vals []V // vals[i] belongs to keys[i]
@@ -53,14 +58,20 @@ func (s *Keyed[K, V]) Put(k K, v V) *V {
 	i, ok := slices.BinarySearch(s.keys, k)
 	if !ok {
 		if c := cap(s.keys); len(s.keys) == c {
-			c += max(2, c/4)
-			s.keys = append(make([]K, 0, c), s.keys...)
-			s.vals = append(make([]V, 0, c), s.vals...)
+			s.grow(c + max(2, c/4))
 		}
 		s.keys, s.vals = slices.Insert(s.keys, i, k), slices.Insert(s.vals, i, v)
 	}
 	s.vals[i] = v
 	return &s.vals[i]
+}
+
+// grow moves the set to slabs of c entries and gives the outgrown ones
+// back, after the copy out of them: until then they are the set's.
+func (s *Keyed[K, V]) grow(c int) {
+	keys, vals := append(TakeSlab[K](c), s.keys...), append(TakeSlab[V](c), s.vals...)
+	s.Release()
+	s.keys, s.vals = keys, vals
 }
 
 // Delete removes k and reports whether it was held.
@@ -70,6 +81,15 @@ func (s *Keyed[K, V]) Delete(k K) bool {
 		s.keys, s.vals = slices.Delete(s.keys, i, i+1), slices.Delete(s.vals, i, i+1)
 	}
 	return ok
+}
+
+// Release gives both slabs back to their pools and leaves the set empty,
+// as the zero value is: for a set that has emptied and may stay so, or
+// whose owner is done with it.
+func (s *Keyed[K, V]) Release() {
+	PutSlab(s.keys)
+	PutSlab(s.vals)
+	*s = Keyed[K, V]{}
 }
 
 // MemBytes reports the heap behind the set: capacity × element size.

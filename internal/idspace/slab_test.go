@@ -3,23 +3,36 @@ package idspace
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"testing"
+	"time"
 )
 
-// slabOps drives a Keyed and a plain map through the same operations, two
-// bytes each (operation, key; keys are taken modulo 40, so 0 is one of
-// them and a long sequence fills the slab past three growth steps), and
-// holds the slab to the map after every one.
+// slabSets is how many sets slabOps drives side by side.
+const slabSets = 3
+
+// slabOps drives three Keyed sets, each beside a plain map, through one
+// stream of operations, two bytes each (operation, key; keys are taken
+// modulo 40, so 0 is one of them and a long sequence fills a slab past
+// three growth steps), and holds every slab to its map after every one.
+// The operation byte modulo 7 is the operation and the byte / 7 picks the
+// set, so that the sets take the slabs the others gave back and a slab
+// handed on while its old set still reads it shows as a divergence.
 //
 //	0, 1  Put(k, step)                  2  write through Find's pointer
 //	3     Delete(k)                     4  Get(k)
 //	5     walk Keys() from the back deleting every key that shares k's remainder modulo 3
+//	6     Release()
 func slabOps(t *testing.T, ops []byte) {
-	var s Keyed[uint64, int]
-	want := map[uint64]int{}
-	caps := []int{0}
+	var sets [slabSets]Keyed[uint64, int]
+	var wants [slabSets]map[uint64]int
+	var caps [slabSets]int // the capacity each set last grew to
+	for i := range wants {
+		wants[i] = map[uint64]int{}
+	}
 	for step := 0; step+1 < len(ops); step += 2 {
-		op, k := ops[step]%6, uint64(ops[step+1]%40)
+		op, which, k := ops[step]%7, int(ops[step]/7)%slabSets, uint64(ops[step+1]%40)
+		s, want := &sets[which], wants[which]
 		switch op {
 		case 0, 1:
 			p := s.Put(k, step)
@@ -62,28 +75,42 @@ func slabOps(t *testing.T, ops []byte) {
 			if len(met) != before {
 				t.Fatalf("step %d: the deleting walk met %d of %d entries", step, len(met), before)
 			}
-		}
-		// The slab holds exactly the map: same size, every key once and in
-		// ascending order, each value beside its key.
-		if s.Len() != len(want) || len(s.Keys()) != len(want) {
-			t.Fatalf("step %d: Len %d, %d keys, want %d", step, s.Len(), len(s.Keys()), len(want))
-		}
-		for i, key := range s.Keys() {
-			v := s.Find(key)
-			if w, held := want[key]; !held || v != &s.vals[i] || *v != w || (i > 0 && s.keys[i-1] >= key) {
-				t.Fatalf("step %d: entry %d is %d→%v after key %v (held %v, want %d)", step, i, key, v, s.keys[:i], held, w)
+		case 6:
+			s.Release()
+			clear(want)
+			if s.Len() != 0 || s.Keys() != nil || s.MemBytes() != 0 {
+				t.Fatalf("step %d: Release left %d entries in %d B", step, s.Len(), s.MemBytes())
 			}
+			caps[which] = 0
 		}
-		// Keys and values grow together, a quarter at a time, and never shrink.
-		if cap(s.keys) != cap(s.vals) || s.MemBytes() != cap(s.keys)*16 {
-			t.Fatalf("step %d: caps %d/%d, MemBytes %d", step, cap(s.keys), cap(s.vals), s.MemBytes())
+		for i := range sets {
+			checkSlab(t, step, &sets[i], wants[i], &caps[i])
 		}
-		if c := cap(s.keys); c != caps[len(caps)-1] {
-			if prev := caps[len(caps)-1]; c != prev+max(2, prev/4) {
-				t.Fatalf("step %d: capacity went %d → %d", step, prev, c)
-			}
-			caps = append(caps, c)
+	}
+}
+
+// checkSlab holds s to want: same size, every key once and in ascending
+// order, each value beside its key; keys and values grow together, a
+// quarter at a time from the capacity last seen, and never shrink.
+func checkSlab(t *testing.T, step int, s *Keyed[uint64, int], want map[uint64]int, last *int) {
+	t.Helper()
+	if s.Len() != len(want) || len(s.Keys()) != len(want) {
+		t.Fatalf("step %d: Len %d, %d keys, want %d", step, s.Len(), len(s.Keys()), len(want))
+	}
+	for i, key := range s.Keys() {
+		v := s.Find(key)
+		if w, held := want[key]; !held || v != &s.vals[i] || *v != w || (i > 0 && s.keys[i-1] >= key) {
+			t.Fatalf("step %d: entry %d is %d→%v after key %v (held %v, want %d)", step, i, key, v, s.keys[:i], held, w)
 		}
+	}
+	if cap(s.keys) != cap(s.vals) || s.MemBytes() != cap(s.keys)*16 {
+		t.Fatalf("step %d: caps %d/%d, MemBytes %d", step, cap(s.keys), cap(s.vals), s.MemBytes())
+	}
+	if c := cap(s.keys); c != *last {
+		if c != *last+max(2, *last/4) {
+			t.Fatalf("step %d: capacity went %d → %d", step, *last, c)
+		}
+		*last = c
 	}
 }
 
@@ -104,8 +131,28 @@ func slabGrowOps(n int) []byte {
 	return ops
 }
 
+// slabInterleavedOps grows the three sets side by side to n keys each
+// (n <= 40), one Put into each in turn with a write through Find after
+// it, so that every growth step takes the slabs another set has just
+// given back; then releases the second set and refills it while reading
+// the first, thins the first with a deleting walk, and releases all three.
+func slabInterleavedOps(n int) []byte {
+	var ops []byte
+	for k := 0; k < n; k++ {
+		for set := byte(0); set < slabSets; set++ {
+			ops = append(ops, 7*set, byte(k), 7*set+2, byte(k))
+		}
+	}
+	ops = append(ops, 7+6, 0)
+	for k := 0; k < n; k++ {
+		ops = append(ops, 7, byte(k), 4, byte(k))
+	}
+	return append(ops, 5, 1, 6, 0, 7+6, 0, 14+6, 0)
+}
+
 func TestSlabAgainstMap(t *testing.T) {
 	slabOps(t, slabGrowOps(40))
+	slabOps(t, slabInterleavedOps(40))
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 50; round++ {
 		ops := make([]byte, 600)
@@ -144,6 +191,80 @@ func TestSlabGrowth(t *testing.T) {
 		if p != nil {
 			t.Fatalf("slot %d still points at a removed value", i)
 		}
+	}
+}
+
+// TestKeyedEquivalenceShared runs the interleaved sequence on goroutines
+// side by side, as the shards of one simulation and the transports of one
+// process run: their sets take slabs from the same pools. A set that gives
+// its old slab back before copying out of it reads a slab another
+// goroutine may be filling, which the race detector reports.
+func TestKeyedEquivalenceShared(t *testing.T) {
+	for g := range 4 {
+		t.Run(fmt.Sprintf("g%d", g), func(t *testing.T) {
+			t.Parallel()
+			for range 50 {
+				slabOps(t, slabInterleavedOps(40))
+			}
+		})
+	}
+}
+
+// peerShape is a 32-byte value without pointers, shaped as a node's
+// per-peer state is.
+type peerShape struct {
+	sentAt, claimAt, refusedAt time.Duration
+	sent                       uint32
+	level                      uint8
+	claim, refused             bool
+}
+
+// TestKeyedGrowthReusesSlabs pins that growth takes its slabs from the
+// pools: with the collector off and the pools warmed by a first fill,
+// filling an empty set to 16 entries, through eight slab sizes, allocates
+// nothing.
+func TestKeyedGrowthReusesSlabs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var s Keyed[uint64, peerShape]
+	allocs := testing.AllocsPerRun(20, func() {
+		for k := uint64(16); k > 0; k-- {
+			s.Put(k*7919, peerShape{sent: uint32(k)})
+		}
+		s.Release()
+	})
+	if allocs != 0 {
+		t.Fatalf("filling a set to 16 entries allocated %.1f slabs, want 0", allocs)
+	}
+}
+
+// TestReleaseClearsSlabs: a slab goes back to its pool holding nothing, so
+// an idle slab keeps no value alive, and the set is left empty; a removal
+// alone keeps the capacity.
+func TestReleaseClearsSlabs(t *testing.T) {
+	var s Keyed[string, *int]
+	for k := range 12 {
+		s.Put(fmt.Sprint(k), new(int))
+	}
+	s.Delete("3")
+	keys, vals := s.keys[:cap(s.keys)], s.vals[:cap(s.vals)]
+	if len(vals) != 12 {
+		t.Fatalf("12 puts and a removal left %d slots, want 12", len(vals))
+	}
+	s.Release()
+	for i := range vals {
+		if keys[i] != "" || vals[i] != nil {
+			t.Fatalf("slot %d of a released slab still holds %q→%p", i, keys[i], vals[i])
+		}
+	}
+	if s.Len() != 0 || s.Keys() != nil || s.MemBytes() != 0 || s.Find("1") != nil {
+		t.Fatalf("a released set holds %d entries in %d B", s.Len(), s.MemBytes())
+	}
+	s.Put("a", nil)
+	if s.Len() != 1 || cap(s.keys) != 2 {
+		t.Fatalf("a released set took %d entries in %d slots, want 1 in 2", s.Len(), cap(s.keys))
 	}
 }
 

@@ -212,51 +212,20 @@ func (s *Set) insert(e Entry) *Entry {
 }
 
 // grow moves the entries to a slab a quarter (at least two entries) larger
-// and gives the old one back to its pool.
+// and gives the old one back to its pool (idspace.TakeSlab, PutSlab).
 func (s *Set) grow() {
 	c := s.c + max(2, s.c/4)
-	next := takeSlab(c)
-	copy(next, s.slab())
-	putSlab(s.base, s.c)
+	next := append(idspace.TakeSlab[Entry](int(c)), s.slab()...)
+	idspace.PutSlab(unsafe.Slice(s.base, s.c))
 	s.base, s.c = unsafe.SliceData(next), c
 }
 
 // release gives the slab back to its pool and leaves the set empty, as the
 // zero value is: Table drops a vacated bus level's set through it.
 func (s *Set) release() {
-	putSlab(s.base, s.c)
+	idspace.PutSlab(unsafe.Slice(s.base, s.c))
 	s.base, s.n, s.c = nil, 0, 0
 	s.changed()
-}
-
-// slabCaps are the sizes grow steps through from empty, as pinned by
-// TestSetGrowthPolicy, up to the largest a pool keeps. No set of a settled
-// 2000-peer overlay outgrows 63; one that does makes its slabs to measure.
-var slabCaps = [...]uint32{2, 4, 6, 8, 10, 12, 15, 18, 22, 27, 33, 41, 51, 63}
-
-// slabPools holds the idle slabs of every set in the process, by index
-// into slabCaps: a joining peer's sets step through a dozen sizes, and
-// each step takes a slab another set outgrew. A pool holds a slab by its
-// first entry, as proto's entry buffers are held, so Put does not allocate.
-var slabPools [len(slabCaps)]sync.Pool
-
-// takeSlab returns a slab of c entries, from its pool when one is idle.
-// Its contents are stale: only the first n entries of a set are ever read.
-func takeSlab(c uint32) []Entry {
-	if i, ok := slices.BinarySearch(slabCaps[:], c); ok {
-		if p, _ := slabPools[i].Get().(*Entry); p != nil {
-			return unsafe.Slice(p, c)
-		}
-	}
-	return make([]Entry, c)
-}
-
-// putSlab gives the slab at base, of c entries, back to its pool; a slab
-// of any other capacity (none, or made to measure) is dropped.
-func putSlab(base *Entry, c uint32) {
-	if i, ok := slices.BinarySearch(slabCaps[:], c); ok {
-		slabPools[i].Put(base)
-	}
 }
 
 // remove drops the entry at position i.

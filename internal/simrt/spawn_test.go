@@ -57,12 +57,12 @@ func TestSpawnJoinIntegrates(t *testing.T) {
 // the first request) and everything the overlay does about the joiner in
 // the seconds after — redirect hops, acceptance, courtship, table growth
 // at its neighbours — net of a same-seed run without joins. Measured
-// 25.4–25.6 (11.2 of them the call); the cap is that + 15 %, rounded up.
-// It read 50.5 before the sets took their slabs from pools as they grew,
-// 87.3 before the join and hierarchy messages were pooled and the
+// 13.5–13.7 (11.2 of them the call); the cap is that + 20 %, rounded up.
+// It read 25.4–25.6 before the per-peer states took their slabs from pools
+// as they grew, 50.5 before the routing-table sets did, 87.3 before the join and hierarchy messages were pooled and the
 // courtship timer bound once, and 123 before the sets' address mirror was
 // dropped.
-const spawnJoinAllocCap = 30
+const spawnJoinAllocCap = 17
 
 // TestSpawnJoinAllocs holds a join's allocations to spawnJoinAllocCap: a
 // settled N=200 overlay takes 20 joins, one every 250 ms, and runs 5 s on;
