@@ -14,8 +14,10 @@ import (
 // largest, 53 at most (DESIGN.md §16), where a hash table costs more bytes
 // and no less time. The zero value is an empty set.
 //
-// The slices grow together by a quarter (at least two entries), as
-// rtable.Set does and for its reason; removal keeps the capacity. Growth
+// The slices grow together along NextCap's sequence, as rtable.Set does.
+// Removal keeps the capacity: Delete promises not to move the slab under a
+// walk, so a set that drains keeps its slabs until Release (rtable.Set
+// moves down to a smaller slab when a sweep drains it). Growth
 // leaves no garbage: the outgrown slabs go back to process-wide pools for
 // their element type and size, and the next size comes from one when a set
 // gave it back first; Release gives both slabs back at once. Pointers into
@@ -58,7 +60,7 @@ func (s *Keyed[K, V]) Put(k K, v V) *V {
 	i, ok := slices.BinarySearch(s.keys, k)
 	if !ok {
 		if c := cap(s.keys); len(s.keys) == c {
-			s.grow(c + max(2, c/4))
+			s.grow(NextCap(c))
 		}
 		s.keys, s.vals = slices.Insert(s.keys, i, k), slices.Insert(s.vals, i, v)
 	}

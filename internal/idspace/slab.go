@@ -11,12 +11,27 @@ import (
 // sets step through a dozen sizes leaves no garbage behind (DESIGN.md §16,
 // "Slabs that change hands"). Keyed and rtable.Set draw on them.
 
-// slabCaps are the sizes Keyed and rtable.Set step through from empty, a
-// quarter (at least two) at a time, as TestSlabGrowth and
-// TestSetGrowthPolicy pin, up to the largest a pool keeps. No set of a
-// settled 2000-peer overlay outgrows 63; one that does makes its slabs to
-// measure.
+// slabCaps are the sizes Keyed and rtable.Set step through from empty by
+// NextCap, as TestSlabGrowth and TestSetGrowthPolicy pin, up to the
+// largest a pool keeps; a set that a sweep drains steps back down to
+// FitCap. No set of a settled 2000-peer overlay outgrows 63; one that does
+// makes its slabs to measure.
 var slabCaps = [...]int{2, 4, 6, 8, 10, 12, 15, 18, 22, 27, 33, 41, 51, 63}
+
+// NextCap is the capacity a full set of capacity c grows to: a quarter
+// more, at least two. Exact fit would allocate on every insert, doubling
+// would leave half of every slab unused.
+func NextCap(c int) int { return c + max(2, c/4) }
+
+// FitCap is the least capacity on NextCap's sequence from empty that holds
+// n entries: the slab a drained set moves down to.
+func FitCap(n int) int {
+	c := 0
+	for c < n {
+		c = NextCap(c)
+	}
+	return c
+}
 
 // slabPools holds the idle slabs of one element type, by index into
 // slabCaps. A pool holds a slab by its first element, so Put does not

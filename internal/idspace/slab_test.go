@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 )
@@ -190,6 +191,26 @@ func TestSlabGrowth(t *testing.T) {
 	for i, p := range s.vals[:30] {
 		if p != nil {
 			t.Fatalf("slot %d still points at a removed value", i)
+		}
+	}
+}
+
+// TestFitCap: the slab a drained set moves down to is the least size on
+// NextCap's sequence that holds it, pooled up to 63 entries.
+func TestFitCap(t *testing.T) {
+	seq := []int{0}
+	for c := 0; c < 300; {
+		c = NextCap(c)
+		seq = append(seq, c)
+	}
+	for n := 0; n <= 300; n++ {
+		c := FitCap(n)
+		i, on := slices.BinarySearch(seq, c)
+		if !on || c < n || (i > 0 && seq[i-1] >= n) {
+			t.Fatalf("FitCap(%d) = %d; the sequence reads %v", n, c, seq)
+		}
+		if _, pooled := slices.BinarySearch(slabCaps[:], c); pooled != (n > 0 && n <= 63) {
+			t.Fatalf("FitCap(%d) = %d, pooled %v", n, c, pooled)
 		}
 	}
 }

@@ -545,11 +545,54 @@ func interleavedGrowOps(n int) []byte {
 	return ops
 }
 
+// drainRefillOps fills every set of equivOps to n entries side by side,
+// lets all but keep of them expire in one sweep of each set, refills them,
+// lets everything expire, and fills them again, with a query after every
+// step unless batched. A drain to at most half of the slab moves each set
+// to a smaller one while the others take the sizes it gave back; n is at
+// most 96 on poolWide and 200 on poolTail. Only a slab of at most 63
+// slots has a pool, so only a drain from one can hand a slab to another
+// goroutine's set.
+func drainRefillOps(n, keep int) []byte {
+	var ops []byte
+	each := func(code byte, slot int, dt, param byte) {
+		for k := byte(0); k < equivSets; k++ {
+			ops = append(ops, 6*k+code, byte(slot>>8), byte(slot), dt, param)
+		}
+	}
+	fill := func(survivors bool) {
+		for slot := 0; slot < n; slot++ {
+			if survivors || slot*keep%n >= keep {
+				each(0, slot, 0, 120) // Direct, validated now
+			}
+		}
+	}
+	age := func() { // 147 ms on: every entry not touched since has expired
+		for range 3 {
+			each(5, 0, 49, 0)
+		}
+	}
+	fill(true)
+	age()
+	for slot := 0; slot < n; slot++ {
+		if slot*keep%n < keep {
+			each(2, slot, 0, 0)
+		}
+	}
+	each(4, 0, 0, 0)
+	fill(false)
+	age()
+	each(4, 0, 0, 0)
+	fill(true)
+	return ops
+}
+
 // TestSetEquivalenceScripted runs the scripted growth sequence over every
 // pool, and over 64 and 200 slots of poolTail: sets the address scan was
 // not sized for must still answer as the oracle does. The interleaved
 // sequence grows the sets side by side through every pooled slab size and
-// beyond.
+// beyond; the drains move them down again, across the half-full line and
+// to empty.
 func TestSetEquivalenceScripted(t *testing.T) {
 	for pool := uint8(0); pool < poolShapes; pool++ {
 		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) { equivOps(t, growFreeReuseOps(96), pool) })
@@ -558,20 +601,26 @@ func TestSetEquivalenceScripted(t *testing.T) {
 		t.Run(fmt.Sprintf("tail%d", n), func(t *testing.T) { equivOps(t, growFreeReuseOps(n), poolTail) })
 	}
 	t.Run("interleaved", func(t *testing.T) { equivOps(t, interleavedGrowOps(200), poolTail) })
+	for _, keep := range []int{5, 31, 32} { // of 63 slots
+		t.Run(fmt.Sprintf("drain%d", keep), func(t *testing.T) { equivOps(t, drainRefillOps(60, keep), poolWide) })
+	}
+	t.Run("drain-tail", func(t *testing.T) { equivOps(t, drainRefillOps(200, 100), poolTail) }) // 235 slots to 121
 }
 
 // TestSetEquivalenceShared runs interleaved sequences, batched so that
 // they are quick, on goroutines side by side, as the shards of one
 // simulation and the transports of one process run: their sets take slabs
 // from the same pools. A set that gives its old slab back before copying
-// out of it reads a slab another goroutine may be filling; the window is
-// too short to show as a divergence, but the race detector reports it.
+// out of it, as it grows or as a sweep moves it down, reads a slab another
+// goroutine may be filling; the window is too short to show as a
+// divergence, but the race detector reports it.
 func TestSetEquivalenceShared(t *testing.T) {
 	for g := range 4 {
 		t.Run(fmt.Sprintf("g%d", g), func(t *testing.T) {
 			t.Parallel()
 			for range 50 {
 				equivOps(t, interleavedGrowOps(96), lagBatch|poolWide)
+				equivOps(t, drainRefillOps(40, 5), lagBatch|poolWide)
 			}
 		})
 	}
@@ -606,6 +655,46 @@ func TestSetGrowthPolicy(t *testing.T) {
 	}
 	if s.Len() != 60 || int(s.c) != 63 {
 		t.Fatalf("40 removals and 40 inserts left slab len %d cap %d, want 60/63", s.Len(), int(s.c))
+	}
+}
+
+// TestSetShrinksWhenSwept pins how storage follows a drain: a sweep that
+// leaves the set at most half full moves it to the least slab on the
+// growth sequence that holds it, with its entries, their order and the
+// refs the queries show unchanged; one that leaves it fuller keeps the
+// slab, and one that empties it leaves no slab.
+func TestSetShrinksWhenSwept(t *testing.T) {
+	const ttl = time.Second
+	for _, tc := range []struct{ expire, wantCap int }{
+		{19, 41}, {20, 22}, {21, 22}, {29, 12}, {35, 6}, {39, 2}, {40, 0},
+	} {
+		s := NewSet()
+		for i := 1; i <= 40; i++ {
+			r := proto.NodeRef{ID: idspace.ID(i*7%41) << 40, Addr: uint64(i), MaxLevel: uint8(i % 3), Score: uint16(i)}
+			s.Upsert(r, proto.EntryFlag(i%4), 0, uint32(i), Direct)
+		}
+		now := 10 * time.Second
+		var kept []Entry
+		var want []proto.NodeRef
+		for i := range s.Len() {
+			r, e := s.At(i)
+			if r.Addr > uint64(tc.expire) {
+				s.Touch(r.Addr, now)
+				kept, want = append(kept, *e), append(want, r)
+			}
+		}
+		if gone := s.sweepInto(nil, now, ttl); len(gone) != tc.expire || int(s.c) != tc.wantCap {
+			t.Fatalf("expiring %d of 40: swept %d, capacity %d, want %d", tc.expire, len(gone), s.c, tc.wantCap)
+		}
+		if got := s.slab(); fmt.Sprint(got) != fmt.Sprint(kept) {
+			t.Fatalf("expiring %d of 40 left\n%v\nwant\n%v", tc.expire, got, kept)
+		}
+		if got := s.Refs(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("expiring %d of 40: the queries show\n%v\nwant\n%v", tc.expire, got, want)
+		}
+		if m := s.slabBytes(); m != tc.wantCap*40 || (tc.wantCap == 0) != (s.base == nil) {
+			t.Fatalf("expiring %d of 40: slabBytes %d for %d slots, slab %p", tc.expire, m, tc.wantCap, s.base)
+		}
 	}
 }
 
@@ -687,6 +776,11 @@ func FuzzSetEquivalence(f *testing.F) {
 	// Sets that grow side by side share the slab pools.
 	f.Add(interleavedGrowOps(40), uint8(poolSmall))
 	f.Add(interleavedGrowOps(96), uint8(poolWide))
+	// Drains across the half-full line (20 of 41 slots kept moves the set
+	// to 22, 21 keeps it at 41) and to empty, then refills.
+	f.Add(drainRefillOps(40, 20), uint8(poolWide))
+	f.Add(drainRefillOps(40, 21), uint8(poolWide))
+	f.Add(drainRefillOps(60, 3), uint8(lagBatch|poolWide))
 	f.Add(lagOps(3, 2), uint8(poolSmall)) // Neighbors of B: A on its left
 	f.Add(lagOps(6, 1), uint8(poolSmall)) // Nearest to A
 	f.Add(lagOps(7, 1), uint8(poolSmall)) // HasID of A

@@ -82,12 +82,16 @@ func (e *Entry) DirectFresh(now, ttl time.Duration) bool {
 // An insert, removal or ID change shifts the slab's tail by memmove, never
 // a re-sort: of the 11 058 sets of a settled 2000-peer overlay the median
 // holds 4 entries, 99.1 % at most 16 and the largest 44 (DESIGN.md §16).
-// Finding an address is a linear scan. The slab grows by a quarter (at
-// least two entries) from empty: exact fit would allocate on every insert,
-// doubling left half of every array unused. Removal keeps the capacity, so
-// steady-state churn allocates nothing, and growth leaves no garbage: the
-// outgrown slab goes back to a process-wide pool for its size, and the
-// next size comes from one when a set gave it back first.
+// Finding an address is a linear scan. The slab steps through
+// idspace.NextCap's sizes from empty. Remove keeps the capacity, so
+// steady-state churn allocates nothing and Upsert's ID change (a remove,
+// then an insert) never shrinks and regrows in one call. A sweep that
+// leaves the set at most half full moves it down to idspace.FitCap's slab,
+// and one that empties it leaves no slab: tables drain by expiry, and a
+// set that swelled gives the room back (DESIGN.md §16, "Slabs follow their
+// sets down"). Neither way leaves garbage: the slab left behind goes back
+// to a process-wide pool for its size, and the next size comes from one
+// when a set gave it back first.
 //
 // Queries show each entry's level and score with a lag: a content-only
 // update stays invisible until the next query after a membership or ID
@@ -211,20 +215,26 @@ func (s *Set) insert(e Entry) *Entry {
 	return &sl[i]
 }
 
-// grow moves the entries to a slab a quarter (at least two entries) larger
-// and gives the old one back to its pool (idspace.TakeSlab, PutSlab).
-func (s *Set) grow() {
-	c := s.c + max(2, s.c/4)
-	next := append(idspace.TakeSlab[Entry](int(c)), s.slab()...)
+// grow moves the entries to the next slab size.
+func (s *Set) grow() { s.resize(idspace.NextCap(int(s.c))) }
+
+// resize moves the entries to a slab of c (0: none) and gives the old one
+// back to its pool after the copy out of it: until then it is the set's
+// (idspace.TakeSlab, PutSlab).
+func (s *Set) resize(c int) {
+	var next *Entry
+	if c > 0 {
+		next = unsafe.SliceData(append(idspace.TakeSlab[Entry](c), s.slab()...))
+	}
 	idspace.PutSlab(unsafe.Slice(s.base, s.c))
-	s.base, s.c = unsafe.SliceData(next), c
+	s.base, s.c = next, uint32(c)
 }
 
 // release gives the slab back to its pool and leaves the set empty, as the
 // zero value is: Table drops a vacated bus level's set through it.
 func (s *Set) release() {
-	idspace.PutSlab(unsafe.Slice(s.base, s.c))
-	s.base, s.n, s.c = nil, 0, 0
+	s.n = 0
+	s.resize(0)
 	s.changed()
 }
 
@@ -416,6 +426,9 @@ func (s *Set) Remove(addr uint64) bool {
 // sweepInto removes entries whose LastSeen is older than now-ttl and
 // appends the removed refs to out in (ID, Addr) order (callers react to
 // losses, e.g. a vanished parent; Table.Sweep passes its scratch buffer).
+// A set it leaves at most half full moves to the least slab that holds it,
+// and an empty one holds none. The move keeps the order, and the lag
+// records ended with the removals, so no query can tell.
 func (s *Set) sweepInto(out []proto.NodeRef, now, ttl time.Duration) []proto.NodeRef {
 	sl := s.slab()
 	w := 0
@@ -432,6 +445,9 @@ func (s *Set) sweepInto(out []proto.NodeRef, now, ttl time.Duration) []proto.Nod
 	if w != len(sl) {
 		s.n = uint32(w)
 		s.changed()
+		if c := idspace.FitCap(w); 2*w <= int(s.c) && c < int(s.c) {
+			s.resize(c)
+		}
 	}
 	return out
 }

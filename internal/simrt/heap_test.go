@@ -18,25 +18,31 @@ import (
 // at the sizes the allocator rounds them to.
 const (
 	ledgerPeers = 2000
-	// heapBudgetBare and heapBudgetStore are the committed ceilings on heap
-	// per peer at N=2000, measured figure + 5 % (store: + 6 %, the least
-	// whole percent that also holds the benchmark's store workloads, 7 688
-	// B a peer at most over ten seeds and in bench's -all document). Bare:
-	// no DHT, at 10 s, the instant sim-churn's heap_bytes_per_node
-	// snapshot sees. Each peer's keep-alive round fires at its own phase,
-	// so the pings in flight then are the last latency window's, ~120 B a
-	// peer. Store:
-	// DHT attached and loaded with 4096 records × 3, at a quiet instant —
-	// sim-reads and sim-writes. CI holds the benchmark's figures to the
-	// same two numbers (.github/workflows/ci.yml reads them from this file).
-	heapBudgetBare  = 5998
-	heapBudgetStore = 7706
+	// heapBudgetBare, heapBudgetStore and heapBudgetSettled are the
+	// committed ceilings on heap per peer at N=2000, measured figure + 5 %
+	// (store: + 7 %, the least whole percent that also holds the
+	// benchmark's store workloads, 6 524.4 B a peer at most over ten seeds
+	// and in bench's -all document). Bare: no DHT, at 10 s, the instant
+	// sim-churn's heap_bytes_per_node snapshot sees, when level 0 is at the
+	// top of its swell. Each peer's keep-alive round fires at its own
+	// phase, so the pings in flight then are the last latency window's,
+	// ~115 B a peer. Store: DHT attached and loaded with 4096 records × 3,
+	// at a quiet instant — sim-reads and sim-writes. Settled: the bare
+	// overlay at 60 s, after the swell has drained and its sweeps have
+	// moved the routing-table sets down to smaller slabs. CI holds the
+	// benchmark's figures to the first two numbers
+	// (.github/workflows/ci.yml reads them from this file).
+	heapBudgetBare    = 5941
+	heapBudgetStore   = 6562
+	heapBudgetSettled = 4752
 	// ledgerFloorPct is how much of the measured heap the rows must
-	// explain at a quiet instant: they explain 96.4 % bare and 96.1 %
+	// explain at a quiet instant: they explain 96.3 % bare and 96.6 %
 	// loaded; what is left is size-class rounding, the kernel's map of
 	// streams and the messages of the last latency window, in flight at any
-	// instant once rounds are phased: ~200 B a peer bare, ~285 loaded. The
-	// netsim row counts their delivery records, no row the messages.
+	// instant once rounds are phased: ~200 B a peer bare, ~210 loaded. The
+	// netsim row counts their delivery records, no row the messages. The
+	// settled row is logged, not held to it: the same ~250 B are 5.5 % of
+	// its smaller heap.
 	ledgerFloorPct = 96
 
 	// Per-peer objects of the simulated runtime, by allocator size class.
@@ -101,8 +107,9 @@ func heapLedger(c *Cluster, svcs []*dht.Service) []ledgerRow {
 	}
 }
 
-// checkLedger logs the table and holds the rows to the measured heap.
-func checkLedger(t *testing.T, what string, rows []ledgerRow, measured, n int) {
+// logLedger logs the table and returns the whole percent of the measured
+// heap the rows explain.
+func logLedger(t *testing.T, what string, rows []ledgerRow, measured, n int) int {
 	t.Helper()
 	sum := 0
 	out := fmt.Sprintf("%s: %d B/peer measured\n", what, measured/n)
@@ -110,9 +117,14 @@ func checkLedger(t *testing.T, what string, rows []ledgerRow, measured, n int) {
 		sum += r.bytes
 		out += fmt.Sprintf("  %-34s %7d\n", r.name, r.bytes/n)
 	}
-	pct := 100 * sum / measured
 	t.Logf("%s  %-34s %7d (%.2f %% of measured)", out, "ledger total", sum/n, 100*float64(sum)/float64(measured))
-	if pct < ledgerFloorPct || pct > 100 {
+	return 100 * sum / measured
+}
+
+// checkLedger logs the table and holds the rows to the measured heap.
+func checkLedger(t *testing.T, what string, rows []ledgerRow, measured, n int) {
+	t.Helper()
+	if pct := logLedger(t, what, rows, measured, n); pct < ledgerFloorPct || pct > 100 {
 		t.Errorf("%s: the ledger explains %d %% of the measured heap, want %d..100", what, pct, ledgerFloorPct)
 	}
 }
@@ -120,7 +132,8 @@ func checkLedger(t *testing.T, what string, rows []ledgerRow, measured, n int) {
 // TestHeapLedger builds the benchmark's overlay twice — bare, and with the
 // DHT attached and loaded — and checks that the per-structure ledger adds
 // up to the heap the runtime reports, and that heap per peer stays inside
-// the committed budgets.
+// the committed budgets. The bare overlay runs on to 60 s for the settled
+// row.
 func TestHeapLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what objects cost")
@@ -142,6 +155,12 @@ func TestHeapLedger(t *testing.T) {
 		t.Logf("bare, at 10 s: %d B/peer (%d in flight), budget %d", busy, busy-quiet/ledgerPeers, heapBudgetBare)
 		if busy > heapBudgetBare {
 			t.Errorf("bare overlay holds %d B/peer at 10 s, budget %d", busy, heapBudgetBare)
+		}
+		c.Run(49500 * time.Millisecond)
+		settled := settledHeap() - base
+		logLedger(t, "bare, settled at 60 s", heapLedger(c, nil), settled, ledgerPeers)
+		if got := settled / ledgerPeers; got > heapBudgetSettled {
+			t.Errorf("bare overlay holds %d B/peer at 60 s, budget %d", got, heapBudgetSettled)
 		}
 		runtime.KeepAlive(c)
 	})
