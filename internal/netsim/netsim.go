@@ -18,17 +18,17 @@
 // NewSharded with zero shards, which runs one shard) consumes one global
 // stream in global send order and posts each datagram straight onto the
 // kernel: the reference semantics every pre-sharding experiment was
-// recorded under, and the only order that takes a trace hook. The
-// per-origin order (NewSharded with one or more shards) pins endpoints to
-// shards, sends every datagram through the engine's deterministic barrier
-// exchange keyed by (due time, origin endpoint, per-origin sequence), and
-// draws from per-origin streams, so the entire run is invariant under the
-// shard count. Both orders share one send path, one delivery path and the
-// per-shard counters and record pools. They differ in two places only:
-// which stream an origin draws from, and whether a datagram is posted
-// straight onto the kernel or exchanged at the barrier. No parallel
-// schedule can reproduce one global stream, so runs of the same seed in
-// the two orders are each deterministic but differ from each other.
+// recorded under. The per-origin order (NewSharded with one or more
+// shards) pins endpoints to shards, sends every datagram through the
+// engine's deterministic barrier exchange keyed by (due time, origin
+// endpoint, per-origin sequence), and draws from per-origin streams, so
+// the entire run is invariant under the shard count. Both orders share
+// one send path, one delivery path, the trace hook and the per-shard
+// counters and record pools. They differ in two places only: which stream
+// an origin draws from, and whether a datagram is posted straight onto the
+// kernel or exchanged at the barrier. No parallel schedule can reproduce
+// one global stream, so runs of the same seed in the two orders are each
+// deterministic but differ from each other.
 package netsim
 
 import (
@@ -76,7 +76,7 @@ func (s *Stats) add(o Stats) {
 
 // TraceEvent describes one datagram for the optional trace hook.
 type TraceEvent struct {
-	At       time.Duration
+	At       time.Duration // on the origin's shard at a send, the destination's at a dead arrival
 	From, To Addr
 	Size     int
 	Payload  interface{}
@@ -92,7 +92,7 @@ type TraceEvent struct {
 // changes (Attach, Kill, Revive, SetLinkFilter, Stats) remain
 // control-plane-only, between engine runs.
 type Network struct {
-	kernel  *sim.Kernel
+	kernels []*sim.Kernel // per shard: New's bare kernel, or the engine's
 	latency LatencyModel
 	// lossRate is the probability a datagram is silently dropped in flight.
 	lossRate float64
@@ -145,13 +145,9 @@ type Network struct {
 }
 
 // release hands a wire message whose datagram life has ended (delivered or
-// dropped) to proto.ReleaseDecoded, which returns a pooled type to its
-// pool. Releasing is suppressed while a trace hook is installed: trace
-// consumers may retain payloads beyond the delivery instant.
+// dropped, and traced) to proto.ReleaseDecoded, which returns a pooled
+// type to its pool.
 func (n *Network) release(payload interface{}) {
-	if n.trace != nil {
-		return
-	}
 	if m, ok := payload.(proto.Message); ok {
 		proto.ReleaseDecoded(m)
 	}
@@ -213,7 +209,7 @@ func (d *delivery) deliver() {
 	if !n.epAlive[to] {
 		stats.LostDead++
 		if n.trace != nil {
-			n.trace(TraceEvent{At: n.kernel.Now(), From: from, To: to, Size: size, Payload: payload, Dropped: true, Reason: "dead"})
+			n.trace(TraceEvent{At: n.kernels[shard].Now(), From: from, To: to, Size: size, Payload: payload, Dropped: true, Reason: "dead"})
 		}
 		n.release(payload)
 		return
@@ -229,7 +225,9 @@ type Option func(*Network)
 // WithLoss sets the random loss probability in [0,1).
 func WithLoss(p float64) Option { return func(n *Network) { n.lossRate = p } }
 
-// WithTrace installs a hook invoked for every datagram send.
+// WithTrace installs a hook called at every send and at every arrival at a
+// dead endpoint. The payload is valid during the call only. Within an epoch
+// events come shard by shard: sort by At for global time order.
 func WithTrace(fn func(TraceEvent)) Option { return func(n *Network) { n.trace = fn } }
 
 // newNetwork applies the defaults and options both draw orders share.
@@ -256,7 +254,7 @@ const netLabel = 0x6e6574 // "net"
 // New creates a network on a bare kernel, in the classic draw order.
 func New(k *sim.Kernel, opts ...Option) *Network {
 	n := newNetwork(1, opts)
-	n.kernel, n.rng = k, k.Stream(netLabel)
+	n.kernels, n.rng = []*sim.Kernel{k}, k.Stream(netLabel)
 	return n
 }
 
@@ -265,8 +263,8 @@ func New(k *sim.Kernel, opts ...Option) *Network {
 // model arrives through the options. The latency model must implement
 // Floorer with a positive floor (all shipped models do unless configured
 // with zero minimum latency). Zero shards runs one shard in the classic
-// draw order, New's, on the shard's kernel. One or more draw per origin;
-// tracing is control-plane machinery and is not supported there.
+// draw order, New's, on the shard's kernel. One or more draw per origin.
+// A trace hook makes the engine serial: one core, the same trajectory.
 func NewSharded(seed int64, shards int, opts ...Option) *Network {
 	n := newNetwork(shards, opts)
 	f, ok := n.latency.(Floorer)
@@ -277,14 +275,13 @@ func NewSharded(seed int64, shards int, opts ...Option) *Network {
 	if floor <= 0 {
 		panic("netsim: latency floor must be positive to shard (zero-latency links serialize the world)")
 	}
-	n.engine = sim.NewSharded(seed, max(shards, 1), floor)
-	n.kernel = n.engine.Shard(0)
-	if shards <= 0 {
-		n.rng = n.kernel.Stream(netLabel)
-		return n
+	n.engine = sim.NewSharded(seed, max(shards, 1), floor, n.trace != nil)
+	for i := range n.engine.Shards() {
+		n.kernels = append(n.kernels, n.engine.Shard(i))
 	}
-	if n.trace != nil {
-		panic("netsim: tracing is not supported in the per-origin draw order")
+	if shards <= 0 {
+		n.rng = n.kernels[0].Stream(netLabel)
+		return n
 	}
 	n.floor = floor
 	n.epShard = []int32{0}
@@ -327,7 +324,7 @@ func (n *Network) AttachOn(shard int, h Handler) Addr {
 	// the four-byte control-plane labels); deriving it from the owning
 	// shard's kernel is a locality choice only — every shard kernel
 	// shares the seed, so placement cannot change the stream.
-	n.originRng = append(n.originRng, n.engine.Shard(shard).Stream(netLabel<<40|uint64(a)))
+	n.originRng = append(n.originRng, n.kernels[shard].Stream(netLabel<<40|uint64(a)))
 	return a
 }
 
@@ -441,7 +438,7 @@ func (n *Network) Send(from, to Addr, payload interface{}, size int) {
 		drop = "loss"
 	}
 	if n.trace != nil {
-		n.trace(TraceEvent{At: n.kernel.Now(), From: from, To: to, Size: size, Payload: payload, Dropped: drop != "", Reason: drop})
+		n.trace(TraceEvent{At: n.kernels[shard].Now(), From: from, To: to, Size: size, Payload: payload, Dropped: drop != "", Reason: drop})
 	}
 	if drop != "" {
 		n.release(payload)
@@ -449,13 +446,13 @@ func (n *Network) Send(from, to Addr, payload interface{}, size int) {
 	}
 	delay := max(n.latency.Delay(from, to, rng), n.floor)
 	if n.rng != nil {
-		n.kernel.Post(delay, deliverDatagram, n.take(0, from, to, payload, size))
+		n.kernels[0].Post(delay, deliverDatagram, n.take(0, from, to, payload, size))
 		return
 	}
 	seq := n.originSeq[from]
 	n.originSeq[from]++
 	n.engine.Exchange(shard, int(n.epShard[to]), sim.XEvent{
-		At:      n.engine.Shard(shard).Now() + delay,
+		At:      n.kernels[shard].Now() + delay,
 		Origin:  uint64(from),
 		Seq:     seq,
 		To:      uint64(to),

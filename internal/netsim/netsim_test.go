@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"treep/internal/proto"
 	"treep/internal/sim"
 )
 
@@ -146,6 +147,50 @@ func TestTraceHook(t *testing.T) {
 	}
 	if !events[2].Dropped || events[2].Reason != "dead" {
 		t.Errorf("arrival event should be dropped dead: %+v", events[2])
+	}
+}
+
+// TestTracedDropIsReleasedAfterTheHook: a pooled message that dies in the
+// network, at the send (to an unknown address) or at arrival (at a dead
+// endpoint), is live while the trace hook reads it and back in its pool
+// once the hook has returned. Inside the hook the pool must not hand the
+// payload out; after it, the next Acquire on this goroutine takes it back.
+// sync.Pool may drop a Put (it does a quarter of them at random under the
+// race detector), so the rounds only need one return each way.
+func TestTracedDropIsReleasedAfterTheHook(t *testing.T) {
+	k := sim.New(1)
+	var sent *proto.Ping
+	hooked, outOfPool := 0, 0
+	n := New(k, WithLatency(FixedLatency(time.Millisecond)), WithTrace(func(e TraceEvent) {
+		if !e.Dropped || e.Payload != proto.Message(sent) {
+			return
+		}
+		hooked++
+		if proto.Acquire(proto.TPing) != e.Payload && sent.Seq == 7 {
+			outOfPool++
+		}
+	}))
+	a := n.Attach(func(Addr, interface{}, int) {})
+	b := n.Attach(func(Addr, interface{}, int) {})
+	n.Kill(b)
+	const rounds = 16
+	back := map[Addr]int{}
+	for i := 0; i < rounds; i++ {
+		for _, to := range []Addr{b, Addr(9999)} {
+			sent = proto.Acquire(proto.TPing).(*proto.Ping)
+			sent.Seq = 7
+			n.Send(a, to, sent, 16)
+			k.Run()
+			if proto.Acquire(proto.TPing) == proto.Message(sent) {
+				back[to]++
+			}
+		}
+	}
+	if hooked != 2*rounds || outOfPool != hooked {
+		t.Fatalf("the hook saw %d of %d drops, %d of them live and out of the pool", hooked, 2*rounds, outOfPool)
+	}
+	if back[b] == 0 || back[Addr(9999)] == 0 {
+		t.Fatalf("of %d drops each, %d at a dead endpoint and %d at an unknown address came back to the pool", rounds, back[b], back[Addr(9999)])
 	}
 }
 

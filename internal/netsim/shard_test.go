@@ -45,14 +45,24 @@ func TestShardedDelivery(t *testing.T) {
 // TestShardedNetworkDeterminism drives a ping-pong mesh — handlers
 // resend from shard workers, the control plane injects bursts between
 // runs — and requires per-endpoint arrival digests to be identical at
-// every shard count, under loss and jittered latency.
+// every shard count, under loss and jittered latency. A traced network
+// steps through its shards on one goroutine: its digests must equal the
+// untraced ones, and its hook must see every send at every shard count.
 func TestShardedNetworkDeterminism(t *testing.T) {
 	const eps = 12
-	digest := func(shards int) [eps]uint64 {
-		n := NewSharded(7, shards,
-			WithLoss(0.1),
-			WithLatency(UniformLatency{Min: 2 * time.Millisecond, Max: 20 * time.Millisecond}))
+	digest := func(shards int, traced bool) [eps]uint64 {
+		opts := []Option{WithLoss(0.1), WithLatency(UniformLatency{Min: 2 * time.Millisecond, Max: 20 * time.Millisecond})}
+		var sends uint64
+		if traced {
+			opts = append(opts, WithTrace(func(e TraceEvent) { sends++ }))
+		}
+		n := NewSharded(7, shards, opts...)
 		defer n.Engine().Close()
+		defer func() {
+			if sent := n.Stats().Sent; traced && sends != sent {
+				t.Errorf("%d shards: the hook saw %d sends, the network counted %d", shards, sends, sent)
+			}
+		}()
 		var dig [eps]uint64
 		addrs := make([]Addr, eps)
 		for i := 0; i < eps; i++ {
@@ -81,10 +91,15 @@ func TestShardedNetworkDeterminism(t *testing.T) {
 		}
 		return dig
 	}
-	want := digest(1)
-	for _, shards := range []int{2, 4} {
-		if got := digest(shards); got != want {
-			t.Fatalf("digest mismatch at %d shards:\n got %v\nwant %v", shards, got, want)
+	want := digest(1, false)
+	for _, shards := range []int{1, 2, 4} {
+		for _, traced := range []bool{false, true} {
+			if shards == 1 && !traced {
+				continue
+			}
+			if got := digest(shards, traced); got != want {
+				t.Fatalf("digest mismatch at %d shards (traced %v):\n got %v\nwant %v", shards, traced, got, want)
+			}
 		}
 	}
 }

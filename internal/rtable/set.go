@@ -37,8 +37,9 @@ import (
 type Entry struct {
 	ID   idspace.ID
 	Addr uint64
-	// LastSeen is the time this knowledge was last refreshed — by direct
-	// contact or by a peer re-advertising it. Entries expire TTL after it.
+	// LastSeen is the time this knowledge was last refreshed: by direct
+	// contact or a Vouched re-advertisement. Hearsay sets it on insert
+	// only, never advancing it after. Entries expire TTL after it.
 	LastSeen time.Duration
 	// LastDirect is the time of the last active communication with the
 	// node itself (§III.c: the timestamp "is reset at every occurrence of

@@ -15,8 +15,10 @@ import (
 // counts once for its sender and, unless the network dropped it at the
 // send, once for its receiver. The network's second report of a datagram
 // that reached a stopped peer counts for nobody. The benchmark's
-// core.node_load_* rows fold the same trace (receivers only). A sharded
-// network takes no trace hook, so the load checker runs on classic ones.
+// core.node_load_* rows fold the same trace (receivers only). fold reads
+// each event during the call and keeps no payload, and the counts do not
+// depend on the order events come in, so the map is the same at every
+// shard count (TestShardStorageEquivalence holds 1 and 2 shards to it).
 type traffic map[uint64]uint64
 
 func (t traffic) fold(ev netsim.TraceEvent) {

@@ -156,6 +156,14 @@ func TestLookupsSurviveChurn(t *testing.T) {
 // may be in flight, which the wire cannot tell apart. The re-issue is the
 // origin's send with no verdict after the first; the origin's own
 // failover carries one.
+//
+// In-flight requests are keyed by payload pointer, though the network
+// hands each pooled request back to its pool once the hook has seen its
+// datagram end, and a later send may carry the same pointer. The key stays
+// sound: every reuse starts with a send event, which overwrites the key
+// before any arrival of the new datagram is reported, and a dead arrival is
+// reported before its release, while the pointer is still the request that
+// was sent.
 type walkTracer struct {
 	inFlight map[*proto.LookupRequest][2]uint64 // sent, not yet arrived: its (origin, reqID)
 	starts   map[[2]uint64]int                  // walks each lookup started, re-issues included

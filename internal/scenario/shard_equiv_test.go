@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"maps"
 	"slices"
 	"testing"
 	"time"
 
 	"treep/internal/idspace"
+	"treep/internal/netsim"
 	"treep/internal/simrt"
 )
 
@@ -74,13 +76,16 @@ func TestShardEquivalenceChurn(t *testing.T) {
 // the read timeline treep.go ships: stored records, then a steady stream
 // of DHT gets, with the child-balance checker sampling mid-run, must
 // reach a bit-identical cluster digest, the same gets and the same
-// samples at every shard count, across a wide seed sweep. (The
-// load-spread checker reads a trace, which a sharded network refuses.)
+// samples at every shard count, across a wide seed sweep.
 // The DHT's read path rides
 // the same virtual-time kernel as the rest of the overlay, so any hidden
 // wall-clock or map-order dependence shows up here as a digest mismatch.
 // Under -race (CI's race-sharded job selects it by name) it also drives
 // the held forwards of many concurrent lookups across shard workers.
+// On the seeds -short keeps, a traced run at 1 and at 2 shards must reach
+// the same digest, and fold the same per-node traffic from the trace: a
+// traced engine steps through its shards on one goroutine, and the trace
+// is a property of the network, not of the shard count.
 func TestShardStorageEquivalence(t *testing.T) {
 	seeds := int64(16)
 	shardCounts := []int{1, 2, 4}
@@ -94,38 +99,42 @@ func TestShardStorageEquivalence(t *testing.T) {
 		Settle{For: 2 * time.Second},
 		StorageWorkload{For: 12 * time.Second, GetRate: 200},
 	}
+	play := func(seed int64, shards int, netOpts ...netsim.Option) (uint64, *Result, uint64) {
+		c := simrt.New(simrt.Options{
+			N: 300, Seed: seed, Bulk: true, Shards: shards, NetOpts: netOpts,
+		})
+		st := attachedStorage(c)
+		c.StartAll()
+		eng := NewEngine(c, Options{
+			Storage:     st,
+			Checkers:    []Checker{ChildBalance(3, 2)},
+			SampleEvery: 2 * time.Second,
+		})
+		res := eng.Play(timeline...)
+		got := c.StateDigest()
+		c.Engine.Close()
+		return got, res, st.Gets
+	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		var want uint64
 		var wantRes *Result
 		var wantGets uint64
 		for _, shards := range shardCounts {
-			c := simrt.New(simrt.Options{
-				N: 300, Seed: seed, Bulk: true, Shards: shards,
-			})
-			st := attachedStorage(c)
-			c.StartAll()
-			eng := NewEngine(c, Options{
-				Storage:     st,
-				Checkers:    []Checker{ChildBalance(3, 2)},
-				SampleEvery: 2 * time.Second,
-			})
-			res := eng.Play(timeline...)
-			got := c.StateDigest()
-			c.Engine.Close()
+			got, res, gets := play(seed, shards)
 			if shards == shardCounts[0] {
-				if st.Gets == 0 {
+				if gets == 0 {
 					t.Fatalf("seed %d: the timeline issued no gets", seed)
 				}
-				want, wantRes, wantGets = got, res, st.Gets
+				want, wantRes, wantGets = got, res, gets
 				continue
 			}
 			if got != want {
 				t.Errorf("seed %d: digest at %d shards = %#x, want %#x (%d shards)",
 					seed, shards, got, want, shardCounts[0])
 			}
-			if st.Gets != wantGets {
+			if gets != wantGets {
 				t.Errorf("seed %d: %d shards read %d gets, want %d",
-					seed, shards, st.Gets, wantGets)
+					seed, shards, gets, wantGets)
 			}
 			if len(res.Samples) != len(wantRes.Samples) {
 				t.Errorf("seed %d: %d shards took %d samples, want %d",
@@ -137,6 +146,24 @@ func TestShardStorageEquivalence(t *testing.T) {
 					t.Errorf("seed %d: %d shards sample %d = (alive %d, violations %d), want (%d, %d)",
 						seed, shards, i, s.Alive, len(s.Violations), w.Alive, len(w.Violations))
 				}
+			}
+		}
+		if seed > 4 {
+			continue
+		}
+		var wantLoad traffic
+		for _, shards := range []int{1, 2} {
+			load := traffic{}
+			if got, _, _ := play(seed, shards, netsim.WithTrace(load.fold)); got != want {
+				t.Errorf("seed %d: traced digest at %d shards = %#x, want %#x (untraced)", seed, shards, got, want)
+			}
+			if len(load) == 0 {
+				t.Fatalf("seed %d: the trace at %d shards folded no traffic", seed, shards)
+			}
+			if wantLoad == nil {
+				wantLoad = load
+			} else if !maps.Equal(load, wantLoad) {
+				t.Errorf("seed %d: the trace at %d shards folded another per-node traffic than at 1 shard", seed, shards)
 			}
 		}
 	}

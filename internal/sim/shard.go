@@ -114,10 +114,10 @@ type Sharded struct {
 // NewSharded builds a sharded engine: shards kernels, all seeded with
 // seed, advancing in epochs of at most lookahead. lookahead must be a
 // strict lower bound on the latency of every exchanged event; netsim
-// derives it from the latency model's floor. shards must be ≥ 1 — one
-// shard runs the identical barrier protocol inline (no goroutines) and
-// is the serial reference the equivalence oracle compares against.
-func NewSharded(seed int64, shards int, lookahead time.Duration) *Sharded {
+// derives it from the latency model's floor. shards must be ≥ 1. One
+// shard, or serial, runs the identical barrier protocol inline, shard by
+// shard on the caller's goroutine: the same trajectory on one core.
+func NewSharded(seed int64, shards int, lookahead time.Duration, serial bool) *Sharded {
 	if shards < 1 {
 		panic("sim: NewSharded needs at least one shard")
 	}
@@ -135,7 +135,7 @@ func NewSharded(seed int64, shards int, lookahead time.Duration) *Sharded {
 	for p := 0; p < 2; p++ {
 		s.out[p] = make([][]XEvent, shards*shards)
 	}
-	if shards > 1 {
+	if shards > 1 && !serial {
 		s.done = make(chan struct{}, shards)
 		s.cmd = make([]chan time.Duration, shards)
 		for i := range s.cmd {
@@ -154,11 +154,11 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 func (s *Sharded) Shard(i int) *Kernel { return s.shards[i] }
 
 // Now returns the global barrier clock. Individual shard kernels may
-// briefly run ahead of it inside an epoch, never behind. One shard runs
-// inline, so its kernel's clock is the engine's: read from an event
-// callback it is that event's time, not the barrier the epoch ends on.
+// briefly run ahead of it inside an epoch, never behind. With one shard
+// its kernel's clock is the engine's: read from an event callback it is
+// that event's time, not the barrier the epoch ends on.
 func (s *Sharded) Now() time.Duration {
-	if s.cmd == nil {
+	if len(s.shards) == 1 {
 		return s.shards[0].Now()
 	}
 	return s.now
@@ -225,9 +225,11 @@ func (s *Sharded) RunUntil(target time.Duration) {
 		}
 		s.epoch++
 		if s.cmd == nil {
-			s.drain(0)
-			s.release(0, b)
-			s.shards[0].RunUntil(b)
+			for i, k := range s.shards {
+				s.drain(i)
+				s.release(i, b)
+				k.RunUntil(b)
+			}
 		} else {
 			for _, c := range s.cmd {
 				c <- b

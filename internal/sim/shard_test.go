@@ -29,10 +29,10 @@ func shardOf(endpoint uint64, shards int) int {
 	return int(endpoint / stride)
 }
 
-func newShardHarness(seed int64, shards, m int) *shardHarness {
+func newShardHarness(seed int64, shards, m int, serial bool) *shardHarness {
 	const lambda = 10 * time.Millisecond
 	h := &shardHarness{
-		s:    NewSharded(seed, shards, lambda),
+		s:    NewSharded(seed, shards, lambda, serial),
 		m:    m,
 		sent: make([]uint64, m),
 		dig:  make([]uint64, m),
@@ -105,21 +105,24 @@ func (h *shardHarness) digest() uint64 {
 
 // TestShardedDeterminismAcrossShardCounts is the kernel-level half of
 // the equivalence oracle: the same seed must produce identical
-// per-endpoint receive logs at every shard count.
+// per-endpoint receive logs at every shard count, on workers or stepped
+// through serially on one goroutine.
 func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		var want uint64
 		for _, shards := range []int{1, 2, 4, 8} {
-			h := newShardHarness(seed, shards, 24)
-			h.s.RunFor(2 * time.Second)
-			got := h.digest()
-			h.s.Close()
-			if shards == 1 {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("seed %d: digest at %d shards = %#x, want %#x (1 shard)", seed, shards, got, want)
+			for _, serial := range []bool{false, true} {
+				h := newShardHarness(seed, shards, 24, serial)
+				h.s.RunFor(2 * time.Second)
+				got := h.digest()
+				h.s.Close()
+				if shards == 1 && !serial {
+					want = got
+					continue
+				}
+				if got != want {
+					t.Fatalf("seed %d: digest at %d shards (serial %v) = %#x, want %#x (1 shard)", seed, shards, serial, got, want)
+				}
 			}
 		}
 	}
@@ -130,11 +133,11 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 // does) produces the same state as one big call: split points only
 // subdivide epochs, they never reorder events.
 func TestShardedRunUntilSplitInvariance(t *testing.T) {
-	one := newShardHarness(11, 4, 16)
+	one := newShardHarness(11, 4, 16, false)
 	one.s.RunFor(1 * time.Second)
 	defer one.s.Close()
 
-	many := newShardHarness(11, 4, 16)
+	many := newShardHarness(11, 4, 16, false)
 	defer many.s.Close()
 	rng := many.s.Stream(0xdead)
 	for many.s.Now() < 1*time.Second {
@@ -155,7 +158,7 @@ func TestShardedRunUntilSplitInvariance(t *testing.T) {
 // time, with the destination clock agreeing.
 func TestShardedBarrierEdgeDelivery(t *testing.T) {
 	const lambda = 10 * time.Millisecond
-	s := NewSharded(3, 2, lambda)
+	s := NewSharded(3, 2, lambda, false)
 	defer s.Close()
 	var got []time.Duration
 	s.SetExchange(func(shard int, k *Kernel, ev XEvent) {
@@ -179,7 +182,7 @@ func TestShardedBarrierEdgeDelivery(t *testing.T) {
 // TestShardedInterrupt checks the wall-clock budget hook: Interrupt
 // stops the run at a barrier short of the target, for good.
 func TestShardedInterrupt(t *testing.T) {
-	h := newShardHarness(5, 2, 8)
+	h := newShardHarness(5, 2, 8, false)
 	defer h.s.Close()
 	h.s.Interrupt()
 	for range 2 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"treep/internal/core"
+	"treep/internal/netsim"
 	"treep/internal/proto"
 )
 
@@ -16,8 +17,8 @@ import (
 // bulk build, settle, deterministic kills and spawns, more settling —
 // the ingredients whose ordering the barrier exchange must keep
 // placement-invariant.
-func buildSharded(seed int64, shards, n int) *Cluster {
-	c := New(Options{N: n, Seed: seed, Bulk: true, Shards: shards})
+func buildSharded(seed int64, shards, n int, netOpts ...netsim.Option) *Cluster {
+	c := New(Options{N: n, Seed: seed, Bulk: true, Shards: shards, NetOpts: netOpts})
 	c.StartAll()
 	c.Run(6 * time.Second)
 	rng := c.Rand()
@@ -54,6 +55,58 @@ func TestShardedClusterDigestEquivalence(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("seed %d: digest at %d shards = %#x, want %#x (1 shard)", seed, shards, got, want)
+			}
+		}
+	}
+}
+
+// TestTraceAtEveryShardCount: the trace hook works in both draw orders and
+// at every shard count, and watching a run does not change it. The hook
+// counts every send the network counts, the counts are the same at every
+// shard count of the per-origin order (the classic one draws another
+// trajectory), stamped at the same instants, and a traced cluster reaches
+// the untraced one's digest. A
+// traced engine steps through its shards on one goroutine, so the hook's
+// counters need no lock.
+func TestTraceAtEveryShardCount(t *testing.T) {
+	n := 300
+	if testing.Short() {
+		n = 120
+	}
+	type counts struct {
+		sent, toDead uint64
+		at           time.Duration // the sum of every event's At
+	}
+	var want counts
+	for _, shards := range []int{0, 1, 2, 3} {
+		var got counts
+		trace := func(e netsim.TraceEvent) {
+			got.at += e.At
+			if e.Dropped && e.Reason == "dead" {
+				got.toDead++
+				return
+			}
+			got.sent++
+		}
+		traced := buildSharded(3, shards, n, netsim.WithTrace(trace))
+		plain := buildSharded(3, shards, n)
+		sent := traced.Net.Stats().Sent
+		if d, u := traced.StateDigest(), plain.StateDigest(); d != u {
+			t.Errorf("%d shards: traced digest %#x, untraced %#x", shards, d, u)
+		}
+		traced.Engine.Close()
+		plain.Engine.Close()
+		t.Logf("%d shards: %d sends, %d dead arrivals", shards, got.sent, got.toDead)
+		if got.sent != sent || got.toDead == 0 {
+			t.Errorf("%d shards: the hook saw %d sends and %d dead arrivals, the network counted %d sends", shards, got.sent, got.toDead, sent)
+		}
+		switch shards {
+		case 0:
+		case 1:
+			want = got
+		default:
+			if got != want {
+				t.Errorf("%d shards: the hook counted %+v, 1 shard %+v", shards, got, want)
 			}
 		}
 	}

@@ -33,16 +33,15 @@ type Options struct {
 	// false the cluster starts as disconnected level-0 nodes (protocol
 	// bootstrap tests).
 	Bulk bool
-	// Shards is the engine's shard count: 0 = one shard, classic draw
-	// order (the default). Every cluster runs on a sim.Sharded engine;
-	// what 0 keeps is netsim's classic draw order, one global latency/loss
-	// stream consumed in global send order — bit-identical to every
-	// pre-sharding run. ≥ 1 partitions nodes across that many shards by
-	// ID range, draws per origin and exchanges every datagram at the epoch
-	// barrier, so any Shards ≥ 1 value produces the same end state as
-	// Shards == 1 for a given seed (the equivalence the oracle test
-	// enforces). Runs of the same seed at 0 and at ≥ 1 differ: no
-	// parallel schedule can reproduce one global stream.
+	// Shards is the engine's shard count: 0 = one shard in netsim's
+	// classic draw order (the default), one global latency/loss stream
+	// consumed in global send order, bit-identical to every pre-sharding
+	// run. ≥ 1 partitions nodes across that many shards by ID range, draws
+	// per origin and exchanges every datagram at the epoch barrier, so
+	// every Shards ≥ 1 value reaches the same end state for a seed (the
+	// oracle tests' equivalence); runs at 0 and at ≥ 1 differ. A trace
+	// hook in NetOpts works at every value: the engine then steps through
+	// its shards on one goroutine, the same run on one core.
 	Shards int
 }
 
